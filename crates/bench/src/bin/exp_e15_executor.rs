@@ -14,9 +14,17 @@
 //!    1989 Wren drive, SSTF/SCAN cut seek time against FIFO for the same
 //!    scattered request set (virtual time, no wall-clock noise).
 //!
+//! 3. **A blocking call on an idle node skips the hand-off.** Overlap is
+//!    what a dedicated processor buys, and a blocking single-block call
+//!    has none to buy: an idle node runs it on the calling thread. The
+//!    lane times a 1-block read on an undelayed device three ways — the
+//!    raw device, through an idle node, and through the queue — and
+//!    reports what each node path adds over the device itself.
+//!
 //! Lanes are medians over many iterations; results land in
-//! `results/e15_executor.json` (part 1) and
-//! `results/e15_executor_sched.json` (part 2).
+//! `results/e15_executor.json` (part 1),
+//! `results/e15_executor_sched.json` (part 2) and
+//! `results/e15_executor_handoff.json` (part 3).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,6 +192,55 @@ fn part2() -> (f64, f64) {
     (fifo.as_secs_f64(), sstf_secs)
 }
 
+/// Returns what a blocking 1-block read costs over the raw device, in
+/// nanoseconds, through an idle node (caller-runs) and through the
+/// node's queue (what the same call pays behind a backlog, and what
+/// every call paid before caller-runs).
+fn part3() -> (f64, f64) {
+    const ITERS: usize = 20_001;
+    let raw: DeviceRef = Arc::new(MemDisk::named("m", 4096, BS));
+    let node = IoNode::spawn(Arc::clone(&raw));
+    let handle = node.device();
+    let median_ns = |op: &mut dyn FnMut()| {
+        let mut samples = Vec::with_capacity(ITERS);
+        for _ in 0..ITERS {
+            let t0 = Instant::now();
+            op();
+            samples.push(t0.elapsed().as_nanos() as f64);
+        }
+        median(samples)
+    };
+    let mut buf = vec![0u8; BS];
+    let device = median_ns(&mut || raw.read_block(7, &mut buf).unwrap());
+    let idle = median_ns(&mut || handle.read_block(7, &mut buf).unwrap());
+    let mut boxed = vec![0u8; BS].into_boxed_slice();
+    let queued = median_ns(&mut || {
+        let ticket = handle.submit_read_blocks(7, std::mem::take(&mut boxed));
+        boxed = ticket.wait().unwrap();
+    });
+    let (handoff_idle, handoff_queued) = (idle - device, queued - device);
+    let mut t = Table::new(&["path", "1-block read", "over the device"]);
+    for (name, ns) in [
+        ("raw device", device),
+        ("idle node", idle),
+        ("queued", queued),
+    ] {
+        t.row(&[
+            name.to_string(),
+            format!("{ns:.0}ns"),
+            format!("{:.0}ns", ns - device),
+        ]);
+    }
+    t.print();
+    save_json("e15_executor_handoff", &t);
+    assert!(
+        handoff_idle < handoff_queued / 2.0,
+        "a blocking call on an idle node must cost under half the queued \
+         hand-off (idle {handoff_idle:.0}ns vs queued {handoff_queued:.0}ns)"
+    );
+    (handoff_idle, handoff_queued)
+}
+
 fn main() {
     banner(
         "I/O executor (persistent per-device workers)",
@@ -194,6 +251,8 @@ fn main() {
     let (small_speedup, large_speedup) = part1();
     println!("\nDispatch policy on the modelled 1989 drive (virtual time):");
     let (fifo_secs, sstf_secs) = part2();
+    println!("\nBlocking 1-block read on an undelayed device (hand-off cost):");
+    let (handoff_idle, handoff_queued) = part3();
 
     Bench::new()
         .label("experiment", "e15_executor")
@@ -203,5 +262,7 @@ fn main() {
         .num("fifo_makespan_secs", fifo_secs)
         .num("sstf_makespan_secs", sstf_secs)
         .num("sstf_speedup_vs_fifo", fifo_secs / sstf_secs)
+        .num("handoff_ns_idle", handoff_idle)
+        .num("handoff_ns_queued", handoff_queued)
         .save("e15_executor");
 }

@@ -261,6 +261,7 @@ fn main() {
     let depth1 = depth_rates[0].1;
     let depth32 = depth_rates.last().map(|&(_, r)| r).unwrap_or(depth1);
     Bench::new()
+        .label("experiment", "e18_net")
         .num("inproc_secs_8_clients", inproc_secs)
         .num("remote_secs_8_conns", remote_secs)
         .num("remote_over_inproc_factor", factor)

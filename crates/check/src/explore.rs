@@ -90,6 +90,22 @@ pub fn spawn<F: FnOnce() + Send + 'static>(f: F) -> JoinHandle {
     JoinHandle { tid }
 }
 
+/// Yield the calling model thread to the scheduler (an untagged
+/// decision point) and report `true`; off a model thread, do nothing
+/// and report `false`. For code that must wait on a free-running
+/// helper thread: a model thread that real-blocks while *Running*
+/// stalls every other model thread, so when the helper may itself be
+/// waiting for one of them, poll and yield instead of blocking.
+pub fn yield_now() -> bool {
+    match sched::current() {
+        Some((s, me)) => {
+            s.yield_point(me);
+            true
+        }
+        None => false,
+    }
+}
+
 impl Sched {
     /// Register and start a model thread running `f` (parked until
     /// scheduled). Spawning establishes the parent→child happens-before

@@ -27,6 +27,7 @@
 //! | 75 | `VolumeCache::frames` | pario-buffer | volume-wide block cache state |
 //! | 78 | `VolInner::journal` | pario-fs | intent-journal cursor + superblock generation |
 //! | 80 | `HealthBoard::board` | pario-fs | device health state machine |
+//! | 90 | `IoNode` device | pario-disk | the wrapped device + seek head: one transfer at a time |
 
 /// Rank of a lock in the global acquisition order. Larger ranks must be
 /// acquired after smaller ranks; [`LockLevel::Unranked`] locks are
@@ -76,6 +77,13 @@ pub enum LockLevel {
     /// I/O-path lock because error feedback is reported from inside
     /// RMW/stripe critical sections.
     FsHealth = 80,
+    /// `pario-disk` I/O-node device ownership: whoever services a
+    /// transfer — the node's worker or a caller running it inline —
+    /// holds this for exactly that transfer. The innermost lock of the
+    /// whole request path: block I/O is issued from inside the RMW,
+    /// stripe, cache and journal critical sections, and nothing ranked
+    /// is ever acquired while a transfer runs.
+    DiskDevice = 90,
     /// Outside the hierarchy: never checked for ordering.
     Unranked = 255,
 }
@@ -98,6 +106,7 @@ impl LockLevel {
             LockLevel::VolumeCache => "buffer.volume_cache",
             LockLevel::FsJournal => "fs.journal",
             LockLevel::FsHealth => "fs.health",
+            LockLevel::DiskDevice => "disk.device",
             LockLevel::Unranked => "unranked",
         }
     }

@@ -54,4 +54,4 @@ pub use checked::*;
 #[cfg(pario_check)]
 mod explore;
 #[cfg(pario_check)]
-pub use explore::{replay, spawn, CheckFailure, Config, Explorer, JoinHandle, Report};
+pub use explore::{replay, spawn, yield_now, CheckFailure, Config, Explorer, JoinHandle, Report};

@@ -11,6 +11,14 @@ use crate::hierarchy::LockLevel;
 pub use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 
+/// Yield to the model scheduler. There are no model threads in normal
+/// builds, so this is a no-op that reports `false` ("not a model
+/// thread") and loops guarded by it compile away.
+#[inline(always)]
+pub fn yield_now() -> bool {
+    false
+}
+
 /// Guard type of [`Mutex::lock`] — the real `parking_lot` guard.
 pub type MutexGuard<'a, T> = parking_lot::MutexGuard<'a, T>;
 

@@ -91,6 +91,7 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::FsStripe, "fs.stripe", 70),
         (LockLevel::VolumeCache, "buffer.volume_cache", 75),
         (LockLevel::FsHealth, "fs.health", 80),
+        (LockLevel::DiskDevice, "disk.device", 90),
         (LockLevel::Unranked, "unranked", 255),
     ];
     for (level, name, rank) in table {

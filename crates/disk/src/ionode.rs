@@ -27,13 +27,24 @@
 //! a caller that must order two transfers orders them by waiting the
 //! first ticket before submitting the second, and callers on different
 //! threads never had an ordering guarantee to lose.
+//!
+//! **Caller-runs on an idle node.** A dedicated processor buys overlap
+//! between compute and transfer; a *blocking* call ([`BlockDevice::read_block`],
+//! `write_block`, `read_blocks_at`, `write_blocks_at`, `flush` on a node
+//! handle) has no overlap to buy, so when nothing is queued or in
+//! service the calling thread claims the node, runs the transfer itself
+//! straight on the caller's slice — the same `service` routine the worker
+//! runs — and releases it: no boxed buffer, no reply channel, no
+//! wake-up. With anything queued or in service the call queues as a
+//! submission would, so dispatch policy and fairness are untouched. The
+//! device lock keeps the invariant either way: one transfer at a time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
-use pario_check::AtomicU64;
+use pario_check::{AtomicU64, LockLevel, Mutex, MutexGuard};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
@@ -76,9 +87,7 @@ impl<T> Ticket<T> {
     pub fn wait(self) -> Result<T> {
         match self.inner {
             TicketInner::Ready(res) => res,
-            TicketInner::Pending(rx) => rx
-                .recv()
-                .map_err(|_| DiskError::Io("I/O node dropped request".into()))?,
+            TicketInner::Pending(rx) => recv_reply(&rx),
         }
     }
 
@@ -122,10 +131,32 @@ impl<T> Ticket<T> {
                             return settle(dropped(), Ticket::pending(ra));
                         }
                     }
+                    pario_check::yield_now(); // see `recv_reply`
                 }
             }
         }
     }
+}
+
+/// Block for a queued request's reply.
+///
+/// Under the model checker a thread must not real-block here: the
+/// worker that will send the reply may be waiting for the device lock of
+/// a caller-runs transfer whose (model) thread only resumes when this
+/// one yields. Model threads therefore poll, yielding between polls;
+/// in normal builds `yield_now` is a constant `false` and this is a
+/// plain `recv`.
+fn recv_reply<T>(rx: &Receiver<Result<T>>) -> Result<T> {
+    use crossbeam::channel::RecvTimeoutError;
+    let dropped = || DiskError::Io("I/O node dropped request".into());
+    while pario_check::yield_now() {
+        match rx.recv_timeout(Duration::from_micros(50)) {
+            Ok(res) => return res,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return Err(dropped()),
+        }
+    }
+    rx.recv().map_err(|_| dropped())?
 }
 
 /// A request plus its arrival order and the instant it entered the
@@ -169,11 +200,32 @@ enum Request {
     },
 }
 
-/// Stats and geometry shared between the node, its worker thread, and
-/// every device handle. Deliberately does NOT hold the request sender:
-/// the channel closes (and the worker exits, after draining everything
-/// already queued) when the node and all handles are gone.
+/// One transfer as the device sees it, borrowing its buffer from whoever
+/// owns it: the queued request (worker) or the caller's own slice
+/// (caller-runs).
+enum Op<'a> {
+    Read { block: u64, buf: &'a mut [u8] },
+    Write { block: u64, data: &'a [u8] },
+    Flush,
+}
+
+/// The wrapped device and where its arm rests. Whoever holds the lock
+/// around this — the worker or a caller running inline — is servicing
+/// the node's one transfer.
+struct Served {
+    inner: DeviceRef,
+    head: u32,
+}
+
+/// Device, stats and geometry shared between the node, its worker
+/// thread, and every device handle. Deliberately does NOT hold the
+/// request sender: the channel closes (and the worker exits, after
+/// draining everything already queued) when the node and all handles are
+/// gone.
 struct Shared {
+    device: Mutex<Served>,
+    /// Requests queued or in service, inline transfers included. Zero is
+    /// the idle node a blocking call may claim (see `claim_idle`).
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
     serviced: AtomicU64,
@@ -326,6 +378,10 @@ impl IoNode {
     pub fn spawn_with_config(inner: DeviceRef, config: NodeConfig) -> IoNode {
         let (queue_tx, queue_rx): (Sender<Queued>, Receiver<Queued>) = unbounded();
         let shared = Arc::new(Shared {
+            block_size: inner.block_size(),
+            num_blocks: inner.num_blocks(),
+            label: format!("ionode({})", inner.label()),
+            device: Mutex::new_named(Served { inner, head: 0 }, LockLevel::DiskDevice),
             in_flight: AtomicU64::new(0),
             max_in_flight: AtomicU64::new(0),
             serviced: AtomicU64::new(0),
@@ -335,15 +391,12 @@ impl IoNode {
             timeouts: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             next_tag: AtomicU64::new(0),
-            block_size: inner.block_size(),
-            num_blocks: inner.num_blocks(),
             config,
-            label: format!("ionode({})", inner.label()),
         });
         let worker_shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("pario-ionode".into())
-            .spawn(move || worker(inner, &worker_shared, &queue_rx))
+            .spawn(move || worker(&worker_shared, &queue_rx))
             // invariant: spawn fails only on OS thread exhaustion at startup.
             .expect("spawn I/O node thread");
         IoNode { shared, queue_tx }
@@ -393,23 +446,12 @@ impl IoNode {
     }
 }
 
-/// The worker loop: block for one request, opportunistically drain the
-/// rest of the channel into a pending set, and service the set in
-/// scheduler order until node and handles are gone AND the set is empty.
-fn worker(inner: DeviceRef, shared: &Shared, queue_rx: &Receiver<Queued>) {
-    let num_blocks = inner.num_blocks();
-    let config = shared.config;
-    let mut sched = Scheduler::new(config.policy);
-    let mut head: u32 = 0;
+/// The worker loop: block for one request, take the device, drain the
+/// rest of the channel into a pending set, and service the scheduler's
+/// pick — until node and handles are gone AND the set is empty.
+fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
+    let mut sched = Scheduler::new(shared.config.policy);
     let mut pending: Vec<Queued> = Vec::new();
-    // Stats are settled BEFORE the reply is sent, so a client that
-    // observes its request complete also observes it counted.
-    let complete = |wait: u64, service: u64| {
-        shared.serviced.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        shared.queue_wait_nanos.fetch_add(wait, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        shared.service_nanos.fetch_add(service, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed); // ordering: stats gauge; completion is published by the ticket
-    };
     loop {
         if pending.is_empty() {
             // recv() keeps yielding queued requests after every sender is
@@ -419,63 +461,140 @@ fn worker(inner: DeviceRef, shared: &Shared, queue_rx: &Receiver<Queued>) {
                 Err(_) => return,
             }
         }
+        // Take the device before choosing: a caller running a transfer
+        // inline moves the head, and whatever queued up behind it
+        // belongs in this dispatch decision.
+        let dev = shared.device.lock();
         while let Ok(q) = queue_rx.try_recv() {
             pending.push(q);
         }
         let keyed: Vec<(u32, u64)> = pending
             .iter()
-            .map(|q| (q.cylinder(head, num_blocks), q.tag))
+            .map(|q| (q.cylinder(dev.head, shared.num_blocks), q.tag))
             .collect();
+        let pick = sched.pick(&keyed, dev.head);
         // invariant: guarded above — this path runs only with pending non-empty.
-        let idx = sched.pick(&keyed, head).expect("pending set is non-empty");
+        let idx = pick.expect("pending set is non-empty");
         let Queued { enqueued, req, .. } = pending.swap_remove(idx);
-        let deadline_at = config.deadline.map(|d| enqueued + d);
-        let started = Instant::now();
-        let wait = (started - enqueued).as_nanos() as u64;
         match req {
             Request::Read {
                 block,
                 mut buf,
                 reply,
             } => {
-                head = end_cylinder(block, buf.len() / shared.block_size, num_blocks);
-                let res = execute(shared, &config, deadline_at, || {
-                    inner.read_blocks_at(block, &mut buf)
-                })
-                .map(|()| buf);
-                complete(wait, started.elapsed().as_nanos() as u64);
+                let op = Op::Read {
+                    block,
+                    buf: &mut buf,
+                };
+                let res = service(shared, dev, Some(enqueued), op).map(|()| buf);
                 let _ = reply.send(res);
             }
             Request::Write { block, data, reply } => {
-                head = end_cylinder(block, data.len() / shared.block_size, num_blocks);
-                let res = execute(shared, &config, deadline_at, || {
-                    inner.write_blocks_at(block, &data)
-                })
-                .map(|()| data);
-                complete(wait, started.elapsed().as_nanos() as u64);
+                let op = Op::Write { block, data: &data };
+                let res = service(shared, dev, Some(enqueued), op).map(|()| data);
                 let _ = reply.send(res);
             }
             Request::Flush { reply } => {
-                let res = execute(shared, &config, deadline_at, || inner.flush());
-                complete(wait, started.elapsed().as_nanos() as u64);
-                let _ = reply.send(res);
+                let _ = reply.send(service(shared, dev, Some(enqueued), Op::Flush));
             }
         }
     }
+}
+
+/// Scheduling points a caller-runs transfer gives back once it is done,
+/// in a process confined to one CPU.
+///
+/// A hand-off blocked its caller twice — queueing the request, waiting
+/// for the reply — and each block let the scheduler run someone else. An
+/// inline transfer never blocks. With a CPU to spare that costs nobody
+/// anything, but when every thread shares one CPU a thread issuing
+/// inline transfers back to back keeps it for its whole time slice, and
+/// whoever still depends on a wake-up (a client of the asynchronous span
+/// path, the node workers serving it) waits that slice out: on the
+/// benchmark's one pinned CPU, `span-parity` `read_p50_us` went 110 ->
+/// 277 us with no yield and to 66 us with these. On more than one CPU
+/// the yields only hurt (E18's depth-32 pipeline lost a fifth to them),
+/// so there are none.
+///
+/// The count is also a throttle, and is 3 rather than 1 for that reason
+/// alone: the gated benchmark keeps a 4-8 byte log entry per completed
+/// op and reports it inside `peak_rss_mb`, so beyond roughly 2x
+/// `ops_per_s` on `gda-inproc` that log by itself breaks the metric's
+/// 0.25 bound (with no yield the same code measures 8x and +85 % RSS).
+/// See DESIGN §7.
+const INLINE_YIELDS: usize = 3;
+
+/// Whether the process may run on one CPU only (affinity mask or cgroup
+/// quota), asked once.
+fn single_cpu() -> bool {
+    static ONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
+}
+
+/// Service one transfer on the device `dev` guards, then release it —
+/// the single routine behind the worker and the caller-runs path, so the
+/// deadline, the retry/backoff and panic policy ([`execute`]), the seek
+/// head and every [`IoNodeStats`] counter are kept in exactly one place.
+/// `enqueued` is when the request entered the queue; `None` is an inline
+/// transfer, which never waited.
+fn service(
+    shared: &Shared,
+    mut dev: MutexGuard<'_, Served>,
+    enqueued: Option<Instant>,
+    op: Op<'_>,
+) -> Result<()> {
+    let started = Instant::now();
+    let inline = enqueued.is_none();
+    let enqueued = enqueued.unwrap_or(started);
+    let deadline_at = shared.config.deadline.map(|d| enqueued + d);
+    let blocks = |len: usize| len / shared.block_size;
+    let res = match op {
+        Op::Read { block, buf } => {
+            dev.head = end_cylinder(block, blocks(buf.len()), shared.num_blocks);
+            execute(shared, deadline_at, || dev.inner.read_blocks_at(block, buf))
+        }
+        Op::Write { block, data } => {
+            dev.head = end_cylinder(block, blocks(data.len()), shared.num_blocks);
+            execute(shared, deadline_at, || {
+                dev.inner.write_blocks_at(block, data)
+            })
+        }
+        // Flushes have no position; the head stays where it is.
+        Op::Flush => execute(shared, deadline_at, || dev.inner.flush()),
+    };
+    let service_nanos = started.elapsed().as_nanos() as u64;
+    drop(dev);
+    // Stats are settled BEFORE the result is handed back, so a client
+    // that observes its request complete also observes it counted.
+    shared.serviced.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
+    let wait_nanos = (started - enqueued).as_nanos() as u64;
+    shared
+        .queue_wait_nanos
+        .fetch_add(wait_nanos, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
+    shared
+        .service_nanos
+        .fetch_add(service_nanos, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed); // ordering: routing hint and stats gauge; completion is published by the return or the ticket
+    if inline && single_cpu() {
+        for _ in 0..INLINE_YIELDS {
+            std::thread::yield_now();
+        }
+    }
+    res
 }
 
 /// Run one device operation under the node's fault policy: transient
 /// errors are retried with exponential backoff up to the
 /// [`RetryPolicy`] budget, the per-ticket deadline converts an expired
 /// request into [`DiskError::Timeout`] *before* it occupies the device,
-/// and a panicking device op fails only its own ticket — the worker
-/// reports it as an I/O error and keeps serving.
+/// and a panicking device op fails only its own request — it is
+/// reported as an I/O error and the node keeps serving.
 fn execute<T>(
     shared: &Shared,
-    config: &NodeConfig,
     deadline_at: Option<Instant>,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
+    let config = &shared.config;
     let expired = |at: Option<Instant>| at.is_some_and(|d| Instant::now() >= d);
     let timeout = || {
         shared.timeouts.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
@@ -538,6 +657,26 @@ impl IoNodeDevice {
             })
     }
 
+    /// Caller-runs admission: claim the node only if nothing at all is
+    /// queued or in service — the claim is the 0 -> 1 step of the same
+    /// gauge submissions count themselves into, so from here until the
+    /// transfer completes every other call sees a busy node and queues.
+    /// The returned guard is the device; hand it to [`service`]. A call
+    /// that finds the node busy gets `None` and must queue, which is
+    /// what keeps a blocking call from overtaking a backlog.
+    fn claim_idle(&self) -> Option<MutexGuard<'_, Served>> {
+        let gauge = &self.shared.in_flight;
+        // ordering: routing decision only — RMWs read the latest count, and the device lock below orders the transfers themselves
+        let idle = gauge.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);
+        idle.ok()?;
+        // ordering: monotonic high-water mark, diagnostic only
+        self.shared.max_in_flight.fetch_max(1, Ordering::Relaxed);
+        // The device is free unless a submission slipped in after the
+        // claim and the worker got to it first; then this transfer
+        // simply runs second.
+        Some(self.shared.device.lock())
+    }
+
     fn whole_blocks(&self, len: usize) {
         assert_eq!(
             len % self.shared.block_size,
@@ -557,24 +696,25 @@ impl BlockDevice for IoNodeDevice {
     }
 
     fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        let data = self
-            .submit_read_blocks(block, vec![0u8; self.shared.block_size].into_boxed_slice())
-            .wait()?;
-        buf.copy_from_slice(&data);
-        Ok(())
+        assert_eq!(buf.len(), self.shared.block_size, "one-block buffer");
+        self.read_blocks_at(block, buf)
     }
 
     fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-        self.submit_write_blocks(block, data.to_vec().into_boxed_slice())
-            .wait()
-            .map(|_| ())
+        assert_eq!(data.len(), self.shared.block_size, "one-block buffer");
+        self.write_blocks_at(block, data)
     }
 
-    /// One queued request for the whole run, serviced by the wrapped
-    /// device's own vectored path.
+    /// One request for the whole run, serviced by the wrapped device's
+    /// own vectored path: inline into `buf` on an idle node, queued (and
+    /// copied back) behind anything already there.
     fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+        self.whole_blocks(buf.len());
         if buf.is_empty() {
             return Ok(());
+        }
+        if let Some(dev) = self.claim_idle() {
+            return service(&self.shared, dev, None, Op::Read { block, buf });
         }
         let data = self
             .submit_read_blocks(block, vec![0u8; buf.len()].into_boxed_slice())
@@ -583,10 +723,15 @@ impl BlockDevice for IoNodeDevice {
         Ok(())
     }
 
-    /// One queued request for the whole run.
+    /// One request for the whole run: inline from `data` on an idle
+    /// node, queued behind anything already there.
     fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
+        self.whole_blocks(data.len());
         if data.is_empty() {
             return Ok(());
+        }
+        if let Some(dev) = self.claim_idle() {
+            return service(&self.shared, dev, None, Op::Write { block, data });
         }
         self.submit_write_blocks(block, data.to_vec().into_boxed_slice())
             .wait()
@@ -628,10 +773,12 @@ impl BlockDevice for IoNodeDevice {
     }
 
     fn flush(&self) -> Result<()> {
+        if let Some(dev) = self.claim_idle() {
+            return service(&self.shared, dev, None, Op::Flush);
+        }
         let (tx, rx) = bounded(1);
         self.enqueue(Request::Flush { reply: tx })?;
-        rx.recv()
-            .map_err(|_| DiskError::Io("I/O node dropped request".into()))?
+        recv_reply(&rx)
     }
 
     fn counters(&self) -> IoCounters {
@@ -662,6 +809,366 @@ impl BlockDevice for IoNodeDevice {
 mod tests {
     use super::*;
     use crate::mem::MemDisk;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Condvar, Mutex as StdMutex};
+
+    /// Test device: panics if two transfers ever overlap, logs the first
+    /// block of every write in service order, and holds the first
+    /// transfer on `gate_block` until [`Probe::release`] — which pins
+    /// whoever services it (the worker, for a submitted request).
+    struct Probe {
+        inner: DeviceRef,
+        busy: AtomicBool,
+        gate_block: u64,
+        /// (entered, released)
+        gate: StdMutex<(bool, bool)>,
+        cv: Condvar,
+        order: StdMutex<Vec<u64>>,
+    }
+
+    /// Clears `busy` when the transfer ends, panics included.
+    struct Idle<'a>(&'a AtomicBool);
+
+    impl Drop for Idle<'_> {
+        fn drop(&mut self) {
+            self.0.store(false, Ordering::SeqCst);
+        }
+    }
+
+    impl Probe {
+        /// `gate_block` past the end of the device means "no gate".
+        fn new(inner: DeviceRef, gate_block: u64) -> Arc<Probe> {
+            Arc::new(Probe {
+                inner,
+                busy: AtomicBool::new(false),
+                gate_block,
+                gate: StdMutex::new((false, false)),
+                cv: Condvar::new(),
+                order: StdMutex::new(Vec::new()),
+            })
+        }
+
+        fn wait_entered(&self) {
+            let mut g = self.gate.lock().unwrap();
+            while !g.0 {
+                g = self.cv.wait(g).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            self.gate.lock().unwrap().1 = true;
+            self.cv.notify_all();
+        }
+
+        fn serve<T>(&self, block: u64, f: impl FnOnce() -> T) -> T {
+            assert!(
+                !self.busy.swap(true, Ordering::SeqCst),
+                "two transfers overlap on one device"
+            );
+            let _idle = Idle(&self.busy);
+            if block == self.gate_block {
+                let mut g = self.gate.lock().unwrap();
+                if !g.0 {
+                    g.0 = true;
+                    self.cv.notify_all();
+                    while !g.1 {
+                        g = self.cv.wait(g).unwrap();
+                    }
+                }
+            }
+            f()
+        }
+    }
+
+    impl BlockDevice for Probe {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            self.read_blocks_at(block, buf)
+        }
+        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
+            self.write_blocks_at(block, data)
+        }
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            self.serve(block, || self.inner.read_blocks_at(block, buf))
+        }
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
+            self.serve(block, || {
+                self.order.lock().unwrap().push(block);
+                self.inner.write_blocks_at(block, data)
+            })
+        }
+        fn flush(&self) -> Result<()> {
+            self.serve(u64::MAX, || self.inner.flush())
+        }
+        fn counters(&self) -> IoCounters {
+            self.inner.counters()
+        }
+        fn fail(&self) {
+            self.inner.fail()
+        }
+        fn heal(&self) {
+            self.inner.heal()
+        }
+        fn is_failed(&self) -> bool {
+            self.inner.is_failed()
+        }
+    }
+
+    /// A device that panics on reads of a chosen block.
+    struct Landmine(MemDisk, u64);
+
+    impl BlockDevice for Landmine {
+        fn block_size(&self) -> usize {
+            self.0.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.0.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            assert!(block != self.1, "landmine");
+            self.0.read_block(block, buf)
+        }
+        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
+            self.0.write_block(block, data)
+        }
+        fn counters(&self) -> IoCounters {
+            self.0.counters()
+        }
+        fn fail(&self) {
+            self.0.fail()
+        }
+        fn heal(&self) {
+            self.0.heal()
+        }
+        fn is_failed(&self) -> bool {
+            self.0.is_failed()
+        }
+    }
+
+    /// Pin `node`'s worker inside a gate request on `probe`, issue `call`
+    /// — one blocking call, which therefore has to queue — from a second
+    /// thread, and release the gate `hold` after the call is in the queue.
+    fn queued_behind_gate<T: Send>(
+        probe: &Probe,
+        node: &IoNode,
+        hold: std::time::Duration,
+        call: impl FnOnce(&DeviceRef) -> T + Send,
+    ) -> T {
+        let dev = node.device();
+        let bs = dev.block_size();
+        let before = node.stats().in_flight;
+        let gate = dev.submit_write_blocks(probe.gate_block, vec![0u8; bs].into_boxed_slice());
+        probe.wait_entered();
+        let out = std::thread::scope(|s| {
+            let blocked = s.spawn(|| call(&dev));
+            while node.stats().in_flight < before + 2 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(hold);
+            probe.release();
+            blocked.join().unwrap()
+        });
+        let _ = gate.wait();
+        out
+    }
+
+    #[test]
+    fn blocking_call_behind_a_backlog_is_queued_and_dispatched_by_policy() {
+        // Worker pinned at block 128 with [250, 10] submitted behind it:
+        // a blocking write to 140 must join that backlog (SSTF then
+        // serves it first, 250 next, 10 last) — not run ahead of it,
+        // which the probe would catch as an overlap with the gate.
+        let probe = Probe::new(Arc::new(MemDisk::new(256, 64)), 128);
+        let node = IoNode::spawn_with_policy(Arc::clone(&probe) as DeviceRef, SchedPolicy::Sstf);
+        let dev = node.device();
+        let gate = dev.submit_write_blocks(128, vec![0u8; 64].into_boxed_slice());
+        probe.wait_entered();
+        let backlog: Vec<Ticket<Box<[u8]>>> = [250u64, 10]
+            .iter()
+            .map(|&b| dev.submit_write_blocks(b, vec![b as u8; 64].into_boxed_slice()))
+            .collect();
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| dev.write_block(140, &[140u8; 64]));
+            while node.stats().in_flight < 4 {
+                std::thread::yield_now();
+            }
+            probe.release();
+            blocked.join().unwrap().unwrap();
+        });
+        gate.wait().unwrap();
+        for t in backlog {
+            t.wait().unwrap();
+        }
+        assert_eq!(*probe.order.lock().unwrap(), vec![128, 140, 250, 10]);
+        let s = node.stats();
+        assert_eq!((s.serviced, s.in_flight, s.max_in_flight), (4, 0, 4));
+        assert_eq!(s.panics, 0, "an overlap would have panicked in the probe");
+    }
+
+    #[test]
+    fn mixed_blocking_and_submitted_calls_never_overlap_on_the_device() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 48;
+        let probe = Probe::new(Arc::new(MemDisk::new(64, 64)), u64::MAX);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let dev = node.device();
+                s.spawn(move || {
+                    let mut buf = vec![0u8; 64];
+                    for i in 0..ROUNDS {
+                        let block = t * 8 + i % 8;
+                        let fill = (t * ROUNDS + i) as u8;
+                        if (t + i) % 2 == 0 {
+                            dev.write_block(block, &[fill; 64]).unwrap();
+                            dev.read_block(block, &mut buf).unwrap();
+                        } else {
+                            let data = vec![fill; 64].into_boxed_slice();
+                            dev.submit_write_blocks(block, data).wait().unwrap();
+                            let back = vec![0u8; 64].into_boxed_slice();
+                            buf.copy_from_slice(
+                                &dev.submit_read_blocks(block, back).wait().unwrap(),
+                            );
+                        }
+                        assert!(buf.iter().all(|&b| b == fill), "thread {t} round {i}");
+                    }
+                });
+            }
+        });
+        let s = node.stats();
+        assert_eq!(s.panics, 0, "two transfers overlapped: {s:?}");
+        assert_eq!((s.serviced, s.in_flight), (THREADS * ROUNDS * 2, 0));
+        assert!(s.max_in_flight <= THREADS);
+    }
+
+    #[test]
+    fn inline_transfers_are_counted_and_never_wait() {
+        use std::time::Duration;
+        let mem = Arc::new(MemDisk::new(16, 64).with_delay(Duration::from_micros(50)));
+        let node = IoNode::spawn(mem as DeviceRef);
+        let dev = node.device();
+        dev.write_block(3, &[7u8; 64]).unwrap();
+        let mut two = vec![0u8; 128];
+        dev.read_blocks_at(3, &mut two).unwrap();
+        assert!(two[..64].iter().all(|&b| b == 7));
+        dev.flush().unwrap();
+        let s = node.stats();
+        assert_eq!((s.serviced, s.in_flight, s.max_in_flight), (3, 0, 1));
+        // Two modelled transfers at >= 50us each; the flush is free.
+        assert!(s.service_nanos >= 100_000, "{s:?}");
+        assert_eq!(s.queue_wait_nanos, 0, "an idle node makes nobody wait");
+    }
+
+    #[test]
+    fn inline_transfer_honours_the_deadline_between_retries() {
+        use crate::fault::{FaultDevice, FaultPlan};
+        use std::time::Duration;
+        let (_, faulty) = FaultDevice::wrap(
+            Arc::new(MemDisk::new(8, 64)) as DeviceRef,
+            FaultPlan {
+                transient_rate: 1.0,
+                ..FaultPlan::default()
+            },
+        );
+        let node = IoNode::spawn_with_config(
+            faulty,
+            NodeConfig {
+                retry: RetryPolicy {
+                    max_retries: 8,
+                    backoff: Duration::from_millis(2),
+                },
+                deadline: Some(Duration::from_millis(1)),
+                ..NodeConfig::default()
+            },
+        );
+        let mut buf = vec![0u8; 64];
+        let err = node.device().read_block(0, &mut buf).unwrap_err();
+        assert!(matches!(err, DiskError::Timeout { .. }), "got {err}");
+        let s = node.stats();
+        assert_eq!((s.timeouts, s.retries, s.queue_wait_nanos), (1, 1, 0));
+    }
+
+    #[test]
+    fn queued_blocking_call_is_retried_by_the_worker() {
+        use crate::fault::{FaultDevice, FaultPlan};
+        let (_, faulty) = FaultDevice::wrap(
+            Arc::new(MemDisk::new(8, 64)) as DeviceRef,
+            FaultPlan {
+                transient_rate: 1.0,
+                ..FaultPlan::default()
+            },
+        );
+        let probe = Probe::new(faulty, 7);
+        let node = IoNode::spawn_with_config(
+            Arc::clone(&probe) as DeviceRef,
+            NodeConfig {
+                retry: RetryPolicy {
+                    max_retries: 2,
+                    backoff: std::time::Duration::from_micros(1),
+                },
+                ..NodeConfig::default()
+            },
+        );
+        let err = queued_behind_gate(&probe, &node, std::time::Duration::ZERO, |dev| {
+            let mut buf = vec![0u8; 64];
+            dev.read_block(0, &mut buf).unwrap_err()
+        });
+        assert!(err.is_transient(), "got {err}");
+        let s = node.stats();
+        // The gate write and the read each burned the whole budget.
+        assert_eq!((s.serviced, s.retries, s.in_flight), (2, 4, 0));
+        assert!(s.queue_wait_nanos > 0, "the read waited out the gate");
+    }
+
+    #[test]
+    fn queued_blocking_call_that_panics_fails_alone() {
+        let probe = Probe::new(Arc::new(Landmine(MemDisk::new(16, 64), 5)), 9);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        let err = queued_behind_gate(&probe, &node, std::time::Duration::ZERO, |dev| {
+            let mut buf = vec![0u8; 64];
+            dev.read_block(5, &mut buf).unwrap_err()
+        });
+        assert!(
+            matches!(&err, DiskError::Io(m) if m.contains("panicked")),
+            "unexpected error: {err}"
+        );
+        // The worker survived and the node serves again, inline included.
+        let dev = node.device();
+        dev.write_block(6, &[2u8; 64]).unwrap();
+        let mut buf = vec![0u8; 64];
+        dev.submit_read_blocks(6, vec![0u8; 64].into_boxed_slice())
+            .wait()
+            .unwrap();
+        dev.read_block(6, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 2));
+        let s = node.stats();
+        assert_eq!((s.panics, s.in_flight), (1, 0));
+    }
+
+    #[test]
+    fn queued_blocking_call_past_its_deadline_never_reaches_the_device() {
+        use std::time::Duration;
+        let mem = Arc::new(MemDisk::new(16, 64));
+        let probe = Probe::new(Arc::clone(&mem) as DeviceRef, 9);
+        let node = IoNode::spawn_with_config(
+            Arc::clone(&probe) as DeviceRef,
+            NodeConfig {
+                deadline: Some(Duration::from_micros(200)),
+                ..NodeConfig::default()
+            },
+        );
+        let err = queued_behind_gate(&probe, &node, Duration::from_millis(2), |dev| {
+            dev.write_block(1, &[1u8; 64]).unwrap_err()
+        });
+        assert!(matches!(err, DiskError::Timeout { .. }), "got {err}");
+        assert_eq!(node.stats().timeouts, 1);
+        assert_eq!(mem.counters().writes, 1, "only the gate write landed");
+    }
 
     #[test]
     fn transparent_round_trip() {
@@ -758,35 +1265,6 @@ mod tests {
 
     #[test]
     fn panicking_device_op_fails_its_ticket_not_the_node() {
-        /// A device that panics on a chosen block.
-        struct Landmine(MemDisk, u64);
-        impl BlockDevice for Landmine {
-            fn block_size(&self) -> usize {
-                self.0.block_size()
-            }
-            fn num_blocks(&self) -> u64 {
-                self.0.num_blocks()
-            }
-            fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-                assert!(block != self.1, "landmine");
-                self.0.read_block(block, buf)
-            }
-            fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-                self.0.write_block(block, data)
-            }
-            fn counters(&self) -> IoCounters {
-                self.0.counters()
-            }
-            fn fail(&self) {
-                self.0.fail()
-            }
-            fn heal(&self) {
-                self.0.heal()
-            }
-            fn is_failed(&self) -> bool {
-                self.0.is_failed()
-            }
-        }
         let node = IoNode::spawn(Arc::new(Landmine(MemDisk::new(16, 64), 5)));
         let dev = node.device();
         dev.write_block(5, &[1u8; 64]).unwrap();
@@ -865,19 +1343,16 @@ mod tests {
         use std::time::Duration;
         let slow = Arc::new(MemDisk::new(16, 64).with_delay(Duration::from_micros(200)));
         let node = IoNode::spawn(slow as DeviceRef);
-        // Two clients race: the second request queues behind the first,
-        // so both service time and queue wait must accumulate.
-        crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                let dev = node.device();
-                s.spawn(move |_| {
-                    for b in 0..4u64 {
-                        dev.write_block(b, &[1u8; 64]).unwrap();
-                    }
-                });
-            }
-        })
-        .unwrap();
+        // Eight submissions back to back: each queues behind its
+        // predecessor's 200us transfer, so both service time and queue
+        // wait must accumulate.
+        let dev = node.device();
+        let tickets: Vec<Ticket<Box<[u8]>>> = (0..8u64)
+            .map(|b| dev.submit_write_blocks(b, vec![1u8; 64].into_boxed_slice()))
+            .collect();
+        for t in tickets {
+            t.wait().unwrap();
+        }
         let s = node.stats();
         assert_eq!(s.serviced, 8);
         // 8 requests x >=200us modelled transfer.

@@ -20,6 +20,9 @@ use crate::error::{DiskError, Result};
 pub struct MemDisk {
     block_size: usize,
     num_blocks: u64,
+    /// Guards on this lock are statement-scoped: the counters below are
+    /// yield points under the model checker, and a model thread parked
+    /// at one must hold no real lock another thread can block on.
     data: RwLock<Box<[u8]>>,
     failed: AtomicBool,
     reads: AtomicU64,
@@ -162,9 +165,8 @@ impl BlockDevice for MemDisk {
     fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
         self.check(block, buf.len())?;
         self.service_delay();
-        let data = self.data.read();
         let base = block as usize * self.block_size;
-        buf.copy_from_slice(&data[base..base + self.block_size]);
+        buf.copy_from_slice(&self.data.read()[base..base + self.block_size]);
         self.reads.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         self.blocks_read.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         Ok(())
@@ -173,9 +175,8 @@ impl BlockDevice for MemDisk {
     fn write_block(&self, block: u64, data_in: &[u8]) -> Result<()> {
         self.check(block, data_in.len())?;
         self.service_delay();
-        let mut data = self.data.write();
         let base = block as usize * self.block_size;
-        data[base..base + self.block_size].copy_from_slice(data_in);
+        self.data.write()[base..base + self.block_size].copy_from_slice(data_in);
         self.writes.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         self.blocks_written.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         Ok(())
@@ -189,9 +190,8 @@ impl BlockDevice for MemDisk {
             return Ok(());
         }
         self.service_delay();
-        let data = self.data.read();
         let base = block as usize * self.block_size;
-        buf.copy_from_slice(&data[base..base + buf.len()]);
+        buf.copy_from_slice(&self.data.read()[base..base + buf.len()]);
         self.reads.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         self.blocks_read.fetch_add(nblocks, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         Ok(())
@@ -204,9 +204,8 @@ impl BlockDevice for MemDisk {
             return Ok(());
         }
         self.service_delay();
-        let mut data = self.data.write();
         let base = block as usize * self.block_size;
-        data[base..base + data_in.len()].copy_from_slice(data_in);
+        self.data.write()[base..base + data_in.len()].copy_from_slice(data_in);
         self.writes.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         self.blocks_written.fetch_add(nblocks, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
         Ok(())

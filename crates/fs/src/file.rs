@@ -432,6 +432,16 @@ impl RawFile {
         self.vol.health().note_error(vdev, e);
     }
 
+    /// Report one device outcome on volume device `vdev` to the health
+    /// board and pass it on.
+    fn settle(&self, vdev: usize, res: pario_disk::Result<()>) -> Result<()> {
+        match &res {
+            Ok(()) => self.vol.health().note_ok(vdev),
+            Err(e) => self.note_io_error(vdev, e),
+        }
+        res.map_err(FsError::Disk)
+    }
+
     fn try_read_phys(&self, p: PhysBlock, buf: &mut [u8]) -> Result<()> {
         let (dev, abs, vdev) = self.locate(p);
         // With the volume cache attached, single-block reads fill and
@@ -441,16 +451,7 @@ impl RawFile {
             Some(c) => c.read_block(vdev, abs, buf),
             None => dev.read_block(abs, buf),
         };
-        match res {
-            Ok(()) => {
-                self.vol.health().note_ok(vdev);
-                Ok(())
-            }
-            Err(e) => {
-                self.note_io_error(vdev, &e);
-                Err(FsError::Disk(e))
-            }
-        }
+        self.settle(vdev, res)
     }
 
     fn try_write_phys(&self, p: PhysBlock, data: &[u8]) -> Result<()> {
@@ -459,16 +460,7 @@ impl RawFile {
             Some(c) => c.write_block(vdev, abs, data),
             None => dev.write_block(abs, data),
         };
-        match res {
-            Ok(()) => {
-                self.vol.health().note_ok(vdev);
-                Ok(())
-            }
-            Err(e) => {
-                self.note_io_error(vdev, &e);
-                Err(FsError::Disk(e))
-            }
-        }
+        self.settle(vdev, res)
     }
 
     fn check_lblock(&self, l: u64) -> Result<()> {
@@ -579,16 +571,7 @@ impl RawFile {
         if let Some(c) = self.vol.cache() {
             c.invalidate_range(vdev, abs, 1);
         }
-        match res {
-            Ok(()) => {
-                self.vol.health().note_ok(vdev);
-                Ok(())
-            }
-            Err(e) => {
-                self.note_io_error(vdev, &e);
-                Err(FsError::Disk(e))
-            }
-        }
+        self.settle(vdev, res)
     }
 
     /// Map the logical byte span `[offset, offset + len)` to contiguous
@@ -884,6 +867,45 @@ impl RawFile {
         out
     }
 
+    /// Where the whole-block span `[first, first + count)` lands when it
+    /// plans to exactly one device transfer that needs no routing: one
+    /// layout run inside one extent segment, on a Healthy slot, with no
+    /// cache tier in front. Such a span has nothing to fan out, so its
+    /// caller blocks on the executor handle's synchronous call — which
+    /// an idle I/O node runs on the calling thread, straight on the
+    /// caller's window — instead of submit + wait through a gathered or
+    /// staged copy. Returns the volume device and absolute block; `None`
+    /// sends the span down the routed submit path.
+    fn direct_target(&self, first: u64, count: u64) -> Option<(usize, u64)> {
+        if self.vol.cache().is_some() {
+            return None;
+        }
+        let p = self.layout.map(first);
+        let one_run = (1..count).all(|i| {
+            let next = PhysBlock {
+                device: p.device,
+                block: p.block + i,
+            };
+            self.layout.map(first + i) == next
+        });
+        if !one_run {
+            return None;
+        }
+        let meta = self.state.meta.read();
+        let vdev = meta.device_map[p.device];
+        if self.vol.health().state(vdev) != HealthState::Healthy {
+            return None;
+        }
+        let mut local = p.block;
+        for e in &meta.extents[p.device] {
+            if local < e.len {
+                return (local + count <= e.len).then_some((vdev, e.start + local));
+            }
+            local -= e.len;
+        }
+        None
+    }
+
     /// Submit the read of one merged run: one ticket per extent segment,
     /// all enqueued before returning. On cached volumes each segment
     /// goes through the tier — hits are copied immediately and adjacent
@@ -1098,9 +1120,26 @@ impl RawFile {
     /// failed runs' mirror transfers concurrently, then anything still
     /// failing (parity reconstruction, half-dead mirror pairs) goes
     /// per-block.
+    ///
+    /// A span that is a single healthy transfer ([`RawFile::direct_target`])
+    /// skips all of that and blocks on the device call, straight into
+    /// `buf`; a recoverable error there drops into the routing above.
     fn read_blocks_coalesced(&self, first: u64, buf: &mut [u8]) -> Result<()> {
         if buf.is_empty() {
             return Ok(());
+        }
+        {
+            let _io = self.enter_io();
+            let count = (buf.len() / self.block_size()) as u64;
+            if let Some((vdev, abs)) = self.direct_target(first, count) {
+                let res = self.vol.inner.io_devices[vdev].read_blocks_at(abs, buf);
+                match self.settle(vdev, res) {
+                    // Recoverable: the routed path below sees the board's
+                    // new verdict on the slot and recovers the span.
+                    Err(FsError::Disk(ref e)) if recoverable(e) => {}
+                    done => return done,
+                }
+            }
         }
         let pieces = self.run_windows(first, buf);
         let groups = merge_runs(pieces, self.layout.devices());
@@ -1181,13 +1220,22 @@ impl RawFile {
     /// concurrently — one live copy suffices, and a run whose two copies
     /// both fail retries per block so the span only fails where both
     /// copies of a block are dead. Parity never comes here (its
-    /// read-modify-write stays per-block under the stripe lock).
+    /// read-modify-write stays per-block under the stripe lock). An
+    /// unmirrored span that is a single healthy transfer
+    /// ([`RawFile::direct_target`]) blocks on the device call, straight
+    /// from `data`.
     fn write_blocks_coalesced(&self, first: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());
         }
         let bs = self.block_size();
         let count = (data.len() / bs) as u64;
+        if matches!(self.redundancy, Redundancy::None) {
+            if let Some((vdev, abs)) = self.direct_target(first, count) {
+                let res = self.vol.inner.io_devices[vdev].write_blocks_at(abs, data);
+                return self.settle(vdev, res);
+            }
+        }
         let run_list = runs(&*self.layout, first, count);
         let mut pieces = Vec::with_capacity(run_list.len());
         let mut rest = data;

@@ -10,7 +10,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use pario_disk::{mem_array, FaultDevice, FaultPlan};
-use pario_fs::{FileSpec, HealthState, Volume};
+use pario_fs::{FileSpec, HealthState, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
 
 const BS: usize = 256;
@@ -41,6 +41,7 @@ proptest! {
         target_pick in 0usize..64,
         writes in proptest::collection::vec((0u64..CAP_BYTES, 1usize..1200, any::<u8>()), 1..6),
         reads in proptest::collection::vec((0u64..CAP_BYTES, 1usize..1200), 2..8),
+        block_reads in proptest::collection::vec((0u64..32, 1u64..=3), 2..8),
     ) {
         // Wrap one layout slot's device in the fault schedule; the
         // default device map is the identity, so slot == device index.
@@ -98,6 +99,28 @@ proptest! {
             );
         }
 
+        // 1-block and single-run arms: whole-block spans small enough to
+        // plan to one device transfer, which a Healthy slot serves on
+        // the direct path. An injected fault there must fall back to the
+        // same degraded read the routed path gives.
+        let allocated = model.len().div_ceil(BS);
+        model.resize(allocated * BS, 0);
+        for &(first, n) in &block_reads {
+            let first = (first as usize).min(allocated - 1);
+            let n = (n as usize).min(allocated - first);
+            let (at, len) = (first * BS, n * BS);
+            for g in [&f, &serial] {
+                let mut a = vec![0u8; len];
+                g.read_span(at as u64, &mut a).unwrap();
+                prop_assert_eq!(
+                    &a[..],
+                    &model[at..at + len],
+                    "block read at {}+{} (fault device {}, health {})",
+                    first, n, target, v.device_health(target)
+                );
+            }
+        }
+
         // The health board only ever walks legal edges, and a tripped
         // fail-stop is reflected as Failed once the workload touched it.
         let snap = v.health_snapshot();
@@ -112,5 +135,53 @@ proptest! {
         if fault.counts().failed_ops > 0 {
             prop_assert_eq!(snap[target].state, HealthState::Failed);
         }
+    }
+}
+
+/// The direct path meets a fail-stop the board has not heard of yet: the
+/// error is reported (the slot turns Failed) and the read recovers
+/// through the same degraded path as ever — the mirror for a shadowed
+/// file, reconstruction for a parity one.
+#[test]
+fn recoverable_error_on_the_direct_path_falls_back_to_the_degraded_read() {
+    for spec in [
+        LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+            devices: 2,
+            unit: 2,
+        })),
+        LayoutSpec::Parity {
+            data_devices: 2,
+            rotated: true,
+        },
+    ] {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 6,
+            device_blocks: 512,
+            block_size: BS,
+        })
+        .unwrap();
+        let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
+        let data: Vec<u8> = (0..8 * BS).map(|i| (i / 3) as u8).collect();
+        f.write_span(0, &data).unwrap();
+        // Fail the device under logical block 1 behind the board's back.
+        let slot = f.layout().map(1).device;
+        let dev = f.meta_snapshot().device_map[slot];
+        v.device(dev).fail();
+        assert_eq!(v.device_health(dev), HealthState::Healthy);
+        let before = v.io_device(dev).ionode_stats().unwrap().serviced;
+        let mut got = vec![0u8; BS];
+        f.read_span(BS as u64, &mut got).unwrap();
+        assert_eq!(got, data[BS..2 * BS]);
+        assert_eq!(v.device_health(dev), HealthState::Failed);
+        // The failed device saw the direct attempt (and, on the parity
+        // file, the per-block probe of the recovery path) and no more.
+        let probes = v.io_device(dev).ionode_stats().unwrap().serviced - before;
+        assert!((1..=2).contains(&probes), "{probes} requests");
+        // Now that the board knows, the slot is routed around entirely.
+        let before = v.io_device(dev).ionode_stats().unwrap().serviced;
+        f.read_span(BS as u64, &mut got).unwrap();
+        assert_eq!(got, data[BS..2 * BS]);
+        let after = v.io_device(dev).ionode_stats().unwrap().serviced;
+        assert!(after - before <= 1, "{} requests", after - before);
     }
 }

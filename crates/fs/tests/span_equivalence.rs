@@ -2,11 +2,18 @@
 //! byte-identical to a simple in-memory reference across every layout
 //! variant, at arbitrary unaligned offsets and lengths — including
 //! degraded reads with one device failed mid-file for redundant layouts.
+//!
+//! The 1-block and single-run arms at the bottom pin the direct path: a
+//! whole-block span that plans to one device transfer blocks on the
+//! executor's synchronous call (one request, no queue wait) and is
+//! byte-identical to the same span routed through the submit path, and
+//! a cached volume or an unhealthy slot routes exactly as it always did.
 
 use proptest::prelude::*;
 
-use pario_fs::{FileSpec, Volume, VolumeConfig};
-use pario_layout::LayoutSpec;
+use pario_disk::{DiskError, IoNodeStats};
+use pario_fs::{FileSpec, RawFile, Volume, VolumeCacheConfig, VolumeConfig};
+use pario_layout::{runs, LayoutSpec};
 
 const BS: usize = 256;
 /// Keep every span inside the partitioned variant's fixed 32-block file.
@@ -131,4 +138,147 @@ proptest! {
             }
         }
     }
+}
+
+fn volume() -> Volume {
+    Volume::create_in_memory(VolumeConfig {
+        devices: 6,
+        device_blocks: 512,
+        block_size: BS,
+    })
+    .unwrap()
+}
+
+/// A 32-block file, allocated in one piece so every device holds a
+/// single extent.
+fn whole_file(v: &Volume, spec: &LayoutSpec) -> RawFile {
+    let mut fspec = FileSpec::new("f", 64, 4, spec.clone());
+    if matches!(spec, LayoutSpec::Partitioned { .. }) {
+        fspec = fspec.fixed_capacity(CAP_BYTES / 64);
+    }
+    let f = v.create_file(fspec).unwrap();
+    f.write_span(CAP_BYTES - BS as u64, &[0u8; BS]).unwrap();
+    f
+}
+
+/// Executor requests and queue wait that `op` cost on volume `v`.
+fn executor_cost(v: &Volume, op: impl FnOnce()) -> (u64, u64) {
+    let before = v.executor_stats();
+    op();
+    let after = v.executor_stats();
+    (
+        after.serviced - before.serviced,
+        after.queue_wait_nanos - before.queue_wait_nanos,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn single_transfer_spans_match_the_submit_path(
+        spec in layout_strategy(),
+        writes in proptest::collection::vec((0u64..32, 1u64..=4, any::<u8>()), 1..8),
+        reads in proptest::collection::vec((0u64..32, 1u64..=4), 1..8),
+    ) {
+        // The same whole-block spans against a plain volume, where a
+        // span that is one run takes the direct path, and a cached one,
+        // where every span goes through the tier's submit path.
+        let direct_vol = volume();
+        let routed_vol = volume();
+        routed_vol.enable_cache(VolumeCacheConfig::write_through(16)).unwrap();
+        let direct = whole_file(&direct_vol, &spec);
+        let routed = whole_file(&routed_vol, &spec);
+        let unprotected = !matches!(spec, LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_));
+        let one_run = |first: u64, n: u64| runs(direct.layout(), first, n).len() == 1;
+
+        let mut model = vec![0u8; CAP_BYTES as usize];
+        for &(first, n, seed) in &writes {
+            let n = n.min(32 - first);
+            let (at, len) = ((first as usize) * BS, (n as usize) * BS);
+            let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
+            let cost = executor_cost(&direct_vol, || direct.write_span(at as u64, &data).unwrap());
+            if unprotected && one_run(first, n) {
+                prop_assert_eq!(cost, (1, 0), "write of {} blocks at {}", n, first);
+            }
+            routed.write_span(at as u64, &data).unwrap();
+            model[at..at + len].copy_from_slice(&data);
+        }
+        for &(first, n) in &reads {
+            let n = n.min(32 - first);
+            let (at, len) = ((first as usize) * BS, (n as usize) * BS);
+            let mut a = vec![0u8; len];
+            let cost = executor_cost(&direct_vol, || direct.read_span(at as u64, &mut a).unwrap());
+            if one_run(first, n) {
+                prop_assert_eq!(cost, (1, 0), "read of {} blocks at {}", n, first);
+            }
+            let mut b = vec![0u8; len];
+            routed.read_span(at as u64, &mut b).unwrap();
+            prop_assert_eq!(&a[..], &model[at..at + len], "direct read at block {}+{}", first, n);
+            prop_assert_eq!(&b[..], &model[at..at + len], "routed read at block {}+{}", first, n);
+        }
+    }
+}
+
+/// Per-device executor counters, for who-served-what assertions.
+fn node(v: &Volume, d: usize) -> IoNodeStats {
+    v.io_device(d).ionode_stats().unwrap()
+}
+
+#[test]
+fn unhealthy_slots_and_cached_volumes_route_as_before() {
+    let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 1,
+        unit: 4,
+    }));
+    let v = volume();
+    let f = whole_file(&v, &spec);
+    let data: Vec<u8> = (0..4 * BS).map(|i| i as u8).collect();
+    f.write_span(0, &data).unwrap();
+    let map = f.meta_snapshot().device_map;
+    let (primary, mirror) = (map[0], map[1]);
+    let served = |v: &Volume| (node(v, primary).serviced, node(v, mirror).serviced);
+    let read_one = |f: &RawFile| {
+        let mut got = vec![0u8; BS];
+        f.read_span(BS as u64, &mut got).unwrap();
+        assert_eq!(got, data[BS..2 * BS]);
+    };
+
+    // Healthy: one inline transfer on the primary, the mirror untouched.
+    let (p0, m0) = served(&v);
+    let (reqs, wait) = executor_cost(&v, || read_one(&f));
+    assert_eq!((reqs, wait), (1, 0));
+    assert_eq!(served(&v), (p0 + 1, m0));
+
+    // Suspect: hedged — both copies are submitted.
+    let glitch = DiskError::Transient { device: "d".into() };
+    for _ in 0..v.health().policy().suspect_after {
+        v.health().note_error(primary, &glitch);
+    }
+    assert_eq!(v.device_health(primary), pario_fs::HealthState::Suspect);
+    let (p1, m1) = served(&v);
+    read_one(&f);
+    assert_eq!(served(&v), (p1 + 1, m1 + 1));
+
+    // Failed, then Rebuilding: the primary is skipped, the mirror serves.
+    v.health().mark_failed(primary);
+    let (p2, m2) = served(&v);
+    read_one(&f);
+    assert_eq!(served(&v), (p2, m2 + 1));
+    v.health().begin_rebuild(primary);
+    read_one(&f);
+    assert_eq!(served(&v), (p2, m2 + 2));
+
+    // Cached: the tier is consulted, and the second read is a hit that
+    // costs the executor nothing.
+    let cv = volume();
+    cv.enable_cache(VolumeCacheConfig::write_through(16))
+        .unwrap();
+    let cf = whole_file(&cv, &spec);
+    cf.write_span(0, &data).unwrap();
+    read_one(&cf);
+    let hits = cv.cache_stats().unwrap().base.hits;
+    let (reqs, _) = executor_cost(&cv, || read_one(&cf));
+    assert_eq!(reqs, 0);
+    assert_eq!(cv.cache_stats().unwrap().base.hits, hits + 1);
 }

@@ -45,6 +45,7 @@ const RANKED_LOCKS: &[(&str, &str, u8)] = &[
     ("frames.lock(", "buffer.volume_cache", 75),
     ("journal.lock(", "fs.journal", 78),
     ("board.lock(", "fs.health", 80),
+    ("device.lock(", "disk.device", 90),
 ];
 
 /// R1: request-path code must build on the `pario-check` primitives.
