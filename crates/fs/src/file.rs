@@ -867,43 +867,27 @@ impl RawFile {
         out
     }
 
-    /// Where the whole-block span `[first, first + count)` lands when it
-    /// plans to exactly one device transfer that needs no routing: one
-    /// layout run inside one extent segment, on a Healthy slot, with no
-    /// cache tier in front. Such a span has nothing to fan out, so its
-    /// caller blocks on the executor handle's synchronous call — which
-    /// an idle I/O node runs on the calling thread, straight on the
-    /// caller's window — instead of submit + wait through a gathered or
-    /// staged copy. Returns the volume device and absolute block; `None`
-    /// sends the span down the routed submit path.
-    fn direct_target(&self, first: u64, count: u64) -> Option<(usize, u64)> {
-        if self.vol.cache().is_some() {
+    /// The one device transfer behind merged run `m`, when the span it
+    /// came from (`span_runs` layout runs long) plans to exactly that and
+    /// needs no routing: one layout run inside one extent segment, on a
+    /// Healthy slot, with no cache tier in front. Such a span has nothing to fan
+    /// out, so its caller blocks on the executor handle's synchronous
+    /// call — which an idle I/O node runs on the calling thread, straight
+    /// on the caller's window — instead of submit + wait through a
+    /// gathered or staged copy. Returns the handle and absolute block;
+    /// `None` leaves the run on the routed submit path.
+    fn direct_segment<B>(&self, span_runs: usize, m: &MergedRun<B>) -> Option<(DeviceRef, u64)> {
+        if span_runs != 1
+            || self.vol.cache().is_some()
+            || self.slot_state(m.device) != HealthState::Healthy
+        {
             return None;
         }
-        let p = self.layout.map(first);
-        let one_run = (1..count).all(|i| {
-            let next = PhysBlock {
-                device: p.device,
-                block: p.block + i,
-            };
-            self.layout.map(first + i) == next
-        });
-        if !one_run {
-            return None;
+        let mut segs = self.run_segments(m.device, m.dblock, m.count);
+        match segs.pop() {
+            Some((dev, abs, _)) if segs.is_empty() => Some((dev, abs)),
+            _ => None,
         }
-        let meta = self.state.meta.read();
-        let vdev = meta.device_map[p.device];
-        if self.vol.health().state(vdev) != HealthState::Healthy {
-            return None;
-        }
-        let mut local = p.block;
-        for e in &meta.extents[p.device] {
-            if local < e.len {
-                return (local + count <= e.len).then_some((vdev, e.start + local));
-            }
-            local -= e.len;
-        }
-        None
     }
 
     /// Submit the read of one merged run: one ticket per extent segment,
@@ -1121,27 +1105,16 @@ impl RawFile {
     /// failing (parity reconstruction, half-dead mirror pairs) goes
     /// per-block.
     ///
-    /// A span that is a single healthy transfer ([`RawFile::direct_target`])
-    /// skips all of that and blocks on the device call, straight into
-    /// `buf`; a recoverable error there drops into the routing above.
+    /// A span that is a single healthy transfer ([`RawFile::direct_segment`])
+    /// has nothing to submit up front: it blocks on the device call,
+    /// straight into `buf`, and a recoverable error there joins the
+    /// recovery waves like any other degraded run.
     fn read_blocks_coalesced(&self, first: u64, buf: &mut [u8]) -> Result<()> {
         if buf.is_empty() {
             return Ok(());
         }
-        {
-            let _io = self.enter_io();
-            let count = (buf.len() / self.block_size()) as u64;
-            if let Some((vdev, abs)) = self.direct_target(first, count) {
-                let res = self.vol.inner.io_devices[vdev].read_blocks_at(abs, buf);
-                match self.settle(vdev, res) {
-                    // Recoverable: the routed path below sees the board's
-                    // new verdict on the slot and recovers the span.
-                    Err(FsError::Disk(ref e)) if recoverable(e) => {}
-                    done => return done,
-                }
-            }
-        }
         let pieces = self.run_windows(first, buf);
+        let span_runs = pieces.len();
         let groups = merge_runs(pieces, self.layout.devices());
         let mirror = match &self.redundancy {
             Redundancy::Shadow { primaries } => Some(*primaries),
@@ -1153,7 +1126,20 @@ impl RawFile {
             let _io = self.enter_io();
             // Phase 1: route and submit every run's segment transfers.
             let mut inflight = Vec::new();
-            for m in groups.into_iter().flatten() {
+            for mut m in groups.into_iter().flatten() {
+                if let Some((dev, abs)) = self.direct_segment(span_runs, &m) {
+                    let res = dev.read_blocks_at(abs, &mut *m.parts[0].1);
+                    match self.settle(self.slot_vdev(m.device), res) {
+                        // The primary has been tried (and the board
+                        // told): recover like any degraded run.
+                        Err(FsError::Disk(ref e)) if recoverable(e) => match mirror {
+                            Some(_) => mirror_wave.push(m),
+                            None => perblock.push(m),
+                        },
+                        done => return done,
+                    }
+                    continue;
+                }
                 let down = self.slot_down(m.device);
                 let live_mirror = mirror.filter(|p| !self.slot_down(m.device + p));
                 match (down, live_mirror) {
@@ -1222,7 +1208,7 @@ impl RawFile {
     /// copies of a block are dead. Parity never comes here (its
     /// read-modify-write stays per-block under the stripe lock). An
     /// unmirrored span that is a single healthy transfer
-    /// ([`RawFile::direct_target`]) blocks on the device call, straight
+    /// ([`RawFile::direct_segment`]) blocks on the device call, straight
     /// from `data`.
     fn write_blocks_coalesced(&self, first: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
@@ -1230,12 +1216,6 @@ impl RawFile {
         }
         let bs = self.block_size();
         let count = (data.len() / bs) as u64;
-        if matches!(self.redundancy, Redundancy::None) {
-            if let Some((vdev, abs)) = self.direct_target(first, count) {
-                let res = self.vol.inner.io_devices[vdev].write_blocks_at(abs, data);
-                return self.settle(vdev, res);
-            }
-        }
         let run_list = runs(&*self.layout, first, count);
         let mut pieces = Vec::with_capacity(run_list.len());
         let mut rest = data;
@@ -1244,6 +1224,7 @@ impl RawFile {
             pieces.push((r, head));
             rest = tail;
         }
+        let span_runs = pieces.len();
         let groups = merge_runs(pieces, self.layout.devices());
         let mirror = match &self.redundancy {
             Redundancy::Shadow { primaries } => Some(*primaries),
@@ -1257,6 +1238,12 @@ impl RawFile {
         // shadowed layouts, the mirror — concurrently).
         let mut inflight = Vec::new();
         for m in groups.into_iter().flatten() {
+            if mirror.is_none() {
+                if let Some((dev, abs)) = self.direct_segment(span_runs, &m) {
+                    let res = dev.write_blocks_at(abs, m.parts[0].1);
+                    return self.settle(self.slot_vdev(m.device), res);
+                }
+            }
             let mut gathered: Vec<u8> = Vec::with_capacity(m.count as usize * bs);
             for (_, b) in &m.parts {
                 gathered.extend_from_slice(b);

@@ -185,3 +185,38 @@ fn recoverable_error_on_the_direct_path_falls_back_to_the_degraded_read() {
         assert!(after - before <= 1, "{} requests", after - before);
     }
 }
+
+/// One failed read is one strike: a transient that outlives the
+/// executor's retries on the direct path goes to the mirror without the
+/// primary being asked (and the board told) a second time.
+#[test]
+fn recoverable_error_on_the_direct_path_counts_once_on_the_health_board() {
+    let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 2,
+        unit: 2,
+    }));
+    let primary = spec.build().map(1).device;
+    let mut devices = mem_array(4, 512, BS);
+    let (fault, wrapped) = FaultDevice::wrap(
+        devices[primary].clone(),
+        FaultPlan {
+            transient_rate: 1.0,
+            ..FaultPlan::default()
+        },
+    );
+    devices[primary] = wrapped;
+    fault.set_armed(false);
+    let v = Volume::new(devices).unwrap();
+    let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
+    let data: Vec<u8> = (0..8 * BS).map(|i| (i / 5) as u8).collect();
+    f.write_span(0, &data).unwrap();
+    fault.set_armed(true);
+    let before = v.io_device(primary).ionode_stats().unwrap().serviced;
+    let mut got = vec![0u8; BS];
+    f.read_span(BS as u64, &mut got).unwrap();
+    assert_eq!(got, data[BS..2 * BS]);
+    let h = &v.health_snapshot()[primary];
+    assert_eq!((h.state, h.transient_errors), (HealthState::Healthy, 1));
+    let asked = v.io_device(primary).ionode_stats().unwrap().serviced - before;
+    assert_eq!(asked, 1, "the primary was asked once");
+}
