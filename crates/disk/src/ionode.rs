@@ -601,23 +601,19 @@ fn end_cylinder(block: u64, nblocks: usize, num_blocks: u64) -> u32 {
 /// `sched_yield`s after a caller-runs transfer, in a process confined to
 /// one CPU. Elsewhere there are none.
 ///
-/// A hand-off blocked its caller twice, and each block let the scheduler
-/// run someone else; an inline transfer never blocks. With a CPU to
-/// spare nobody notices, but when every thread shares one CPU a thread
-/// issuing inline transfers back to back keeps it for its whole time
-/// slice, and a peer that still depends on wake-ups (a client of the
-/// asynchronous span path and the workers serving it) waits those slices
-/// out: on the benchmark's one pinned CPU, `span-parity` `read_p50_us`
-/// went 107 -> 250-280 us with no yield and to 60 us with one. One yield
-/// is that fairness fix.
+/// They are debt, owed to the gated benchmark rather than to any
+/// workload: it logs 4 bytes per completed op and reports the log inside
+/// `peak_rss_mb`, so past roughly 2.5x `ops_per_s` on `gda-inproc` the
+/// log alone breaks that metric's 0.25 bound (one yield: 3.9x and +36 %
+/// RSS; none: 6.5x and +65 %), and a change that claims a gain may not
+/// edit the benchmark. Once the log is bounded this constant goes
+/// (ROADMAP item 1). See DESIGN §7.
 ///
-/// The other two are debt, owed to the gated benchmark rather than to
-/// any workload: it logs 4 bytes per completed op and reports the log
-/// inside `peak_rss_mb`, so past roughly 2.5x `ops_per_s` on
-/// `gda-inproc` the log alone breaks that metric's 0.25 bound (one
-/// yield: 3.9x and +36 % RSS; none: 6.5x and +65 %), and a change that
-/// claims a gain may not edit the benchmark. Once the log is bounded
-/// this becomes 1 (ROADMAP item 1). See DESIGN §7.
+/// Fairness on a shared CPU is not their job. An inline transfer never
+/// blocks, where a hand-off blocked its caller twice, so an op made of
+/// hundreds of transfers (a parity span's read-modify-write) would keep
+/// the CPU from peers that wait on wake-ups; `pario-fs` keeps such ops
+/// on the submit path instead.
 const INLINE_YIELDS: usize = 3;
 
 /// Whether the process may run on one CPU only (affinity mask or cgroup

@@ -463,6 +463,33 @@ impl RawFile {
         self.settle(vdev, res)
     }
 
+    /// Submit the read of physical block `p` on the asynchronous path
+    /// (cache tier or executor queue). For an op with more than one
+    /// transfer to issue: unlike [`RawFile::try_read_phys`], an idle I/O
+    /// node does not run it on the calling thread, so the op keeps the
+    /// hand-off's overlap and its blocking points.
+    fn submit_read_phys(&self, p: PhysBlock) -> RunTicket {
+        let mut segs = self.submit_read_run(p.device, p.block, 1);
+        // invariant: one block lies inside one extent segment.
+        segs.pop().expect("one block is one segment")
+    }
+
+    /// Wait out a [`RawFile::submit_read_phys`] ticket into `buf`, with
+    /// the health feedback of [`RawFile::try_read_phys`].
+    fn wait_read_phys(&self, p: PhysBlock, t: RunTicket, buf: &mut [u8]) -> Result<()> {
+        let res = t
+            .wait_read(self.vol.cache())
+            .map(|b| buf.copy_from_slice(&b));
+        self.settle(self.slot_vdev(p.device), res)
+    }
+
+    /// [`RawFile::try_write_phys`] on the asynchronous path: submitted
+    /// and waited out, never run on the calling thread.
+    fn write_phys_queued(&self, p: PhysBlock, data: &[u8]) -> Result<()> {
+        let tickets = self.submit_write_run(p.device, p.block, data.to_vec());
+        self.wait_write_run(p.device, tickets)
+    }
+
     fn check_lblock(&self, l: u64) -> Result<()> {
         let nblocks = self.nblocks();
         if l >= nblocks {
@@ -732,6 +759,11 @@ impl RawFile {
         }
     }
 
+    /// Read-modify-write one block of a parity file under the stripe
+    /// lock. Four transfers on two devices make this a multi-transfer op,
+    /// so it stays on the asynchronous path: the two reads overlap, and a
+    /// span of such blocks blocks at every transfer instead of running
+    /// hundreds of them back to back on the caller's CPU (DESIGN §7).
     fn parity_write(&self, ps: &ParityStriped, l: u64, data: &[u8]) -> Result<()> {
         let _g = self.state.stripe_lock.lock();
         let bs = self.block_size();
@@ -749,8 +781,14 @@ impl RawFile {
         {
             return self.parity_reconstruct_write(ps, l, s, dloc, ploc, data);
         }
-        let mut old = vec![0u8; bs];
-        let old_read = match self.try_read_phys(dloc, &mut old) {
+        // The old data and the old parity sit on different devices:
+        // both reads are in flight before either is waited for.
+        let (mut old, mut parity) = (vec![0u8; bs], vec![0u8; bs]);
+        let (old_ticket, parity_ticket) =
+            (self.submit_read_phys(dloc), self.submit_read_phys(ploc));
+        let old_read = self.wait_read_phys(dloc, old_ticket, &mut old);
+        let parity_read = self.wait_read_phys(ploc, parity_ticket, &mut parity);
+        let old_read = match old_read {
             // Corrupt old data would poison the parity RMW; reconstruct
             // the true old value from the stripe first (the subsequent
             // data write heals the corruption as a side effect).
@@ -761,14 +799,15 @@ impl RawFile {
         };
         match old_read {
             Ok(()) => {
-                let mut parity = vec![0u8; bs];
-                match self.try_read_phys(ploc, &mut parity) {
+                match parity_read {
                     Ok(()) => {
                         // new parity = old parity ^ old data ^ new data
                         xor_into(&mut parity, &old);
                         xor_into(&mut parity, data);
-                        self.try_write_phys(dloc, data)?;
-                        match self.try_write_phys(ploc, &parity) {
+                        // Data before parity, each waited out: a failed
+                        // data write must leave the parity untouched.
+                        self.write_phys_queued(dloc, data)?;
+                        match self.write_phys_queued(ploc, &parity) {
                             // Parity device died between read and write:
                             // the data write stands, the stripe is simply
                             // unprotected until rebuild.

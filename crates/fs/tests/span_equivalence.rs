@@ -282,3 +282,42 @@ fn unhealthy_slots_and_cached_volumes_route_as_before() {
     assert_eq!(reqs, 0);
     assert_eq!(cv.cache_stats().unwrap().base.hits, hits + 1);
 }
+
+/// A parity read-modify-write is four transfers on two devices, not one:
+/// it goes through the queue (every request waits for its worker), and
+/// its two reads are both submitted before either is waited for.
+#[test]
+fn parity_read_modify_write_stays_on_the_queue() {
+    let spec = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let v = volume();
+    let f = whole_file(&v, &spec);
+    let data: Vec<u8> = (0..BS).map(|i| i as u8).collect();
+    let map = f.meta_snapshot().device_map;
+    let waits = |v: &Volume| -> Vec<u64> {
+        map.iter()
+            .map(|&d| node(v, d).queue_wait_nanos)
+            .collect::<Vec<_>>()
+    };
+
+    let before = waits(&v);
+    let (reqs, _) = executor_cost(&v, || f.write_span(5 * BS as u64, &data).unwrap());
+    assert_eq!(reqs, 4, "old data, old parity, data, parity");
+    let queued = waits(&v)
+        .iter()
+        .zip(&before)
+        .filter(|(after, before)| after > before)
+        .count();
+    assert_eq!(queued, 2, "both devices served queued requests only");
+
+    // The block reads back, directly and through the stripe's parity.
+    let mut got = vec![0u8; BS];
+    f.read_span(5 * BS as u64, &mut got).unwrap();
+    assert_eq!(got, data);
+    v.health().mark_failed(map[f.layout().map(5).device]);
+    got.fill(0);
+    f.read_span(5 * BS as u64, &mut got).unwrap();
+    assert_eq!(got, data, "reconstructed from the updated parity");
+}
