@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use pario_bench::naive_read_next;
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
 
@@ -30,17 +31,18 @@ fn drain(pf: &ParallelFile, threads: u32, naive: bool) -> u64 {
     // Fresh cursor per drain: reopen the file handle.
     let pf = ParallelFile::open(pf.raw().volume(), "ss").unwrap();
     let served = std::sync::atomic::AtomicU64::new(0);
+    let cursor = std::sync::Mutex::new(0u64);
+    let two_phase = pf.self_sched_reader().unwrap();
     crossbeam::thread::scope(|s| {
         for _ in 0..threads {
-            let r = if naive {
-                pf.self_sched_reader_naive().unwrap()
-            } else {
-                pf.self_sched_reader().unwrap()
-            };
-            let served = &served;
+            let (pf, cursor, two_phase, served) = (&pf, &cursor, &two_phase, &served);
             s.spawn(move |_| {
                 let mut buf = vec![0u8; RECORD];
-                while r.read_next(&mut buf).unwrap().is_some() {
+                let next = |buf: &mut [u8]| match naive {
+                    true => naive_read_next(pf, cursor, buf),
+                    false => two_phase.read_next(buf).unwrap(),
+                };
+                while next(&mut buf).is_some() {
                     served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             });

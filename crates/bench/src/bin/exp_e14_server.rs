@@ -18,8 +18,8 @@
 //!   Reject` surfaces `Busy` to clients, who retry without ever losing
 //!   or duplicating a record.
 //!
-//! A second table sweeps client counts and access modes (two-phase vs.
-//! big-lock SS, plus a Zipf-skewed closed-loop GDA update lane) with
+//! A second table sweeps client counts and access modes (two-phase SS
+//! plus a Zipf-skewed closed-loop GDA update lane) with
 //! latency quantiles from the server histogram and the device-side
 //! queue-wait/service split from the I/O-node counters.
 
@@ -56,7 +56,6 @@ fn delayed_server(max_in_flight: usize, saturation: Saturation) -> Server {
         ServerConfig {
             max_in_flight,
             saturation,
-            ..ServerConfig::default()
         },
     )
 }
@@ -87,7 +86,7 @@ fn fill_ss(server: &Server, records: u64) {
 /// Drain the SS file with `clients` concurrent sessions. Returns elapsed
 /// seconds and the final server stats; panics on any duplicate, torn, or
 /// missing record.
-fn drain_ss(server: &Server, clients: usize, naive: bool, retry_busy: bool) -> (f64, ServerStats) {
+fn drain_ss(server: &Server, clients: usize, retry_busy: bool) -> (f64, ServerStats) {
     let seen = Mutex::new(HashSet::with_capacity(RECORDS as usize));
     let t0 = Instant::now();
     crossbeam::thread::scope(|s| {
@@ -95,11 +94,7 @@ fn drain_ss(server: &Server, clients: usize, naive: bool, retry_busy: bool) -> (
             let sess = server.connect();
             let seen = &seen;
             s.spawn(move |_| {
-                let q = if naive {
-                    sess.open_self_sched_naive("queue").unwrap()
-                } else {
-                    sess.open_self_sched("queue").unwrap()
-                };
+                let q = sess.open_self_sched("queue").unwrap();
                 let mut buf = vec![0u8; BS];
                 let mut local = Vec::new();
                 loop {
@@ -267,7 +262,7 @@ fn main() {
     for &clients in &[1usize, 2, 4, 8] {
         let server = delayed_server(8, Saturation::Block);
         fill_ss(&server, RECORDS);
-        let (secs, st) = drain_ss(&server, clients, false, false);
+        let (secs, st) = drain_ss(&server, clients, false);
         if clients == 1 {
             base_secs = secs;
         }
@@ -282,16 +277,10 @@ fn main() {
     }
     let speedup = base_secs / secs_at_8;
 
-    // -- Big-lock contrast at 8 clients ---------------------------------
-    let server = delayed_server(8, Saturation::Block);
-    fill_ss(&server, RECORDS);
-    let (naive_secs, st) = drain_ss(&server, 8, true, false);
-    sweep_row(&mut sweep, "SS big-lock", 8, naive_secs, base_secs, &st);
-
     // -- Oversubscription lane: 16 clients, limit 4, blocking -----------
     let server = delayed_server(4, Saturation::Block);
     fill_ss(&server, RECORDS);
-    let (over_secs, over_stats) = drain_ss(&server, 16, false, false);
+    let (over_secs, over_stats) = drain_ss(&server, 16, false);
     sweep_row(
         &mut sweep,
         "SS 4x oversub",
@@ -304,7 +293,7 @@ fn main() {
     // -- Reject lane: same oversubscription, clients retry on Busy ------
     let server = delayed_server(4, Saturation::Reject);
     fill_ss(&server, RECORDS);
-    let (reject_secs, reject_stats) = drain_ss(&server, 16, false, true);
+    let (reject_secs, reject_stats) = drain_ss(&server, 16, true);
 
     // Offered vs achieved: every Busy was an offered op the server shed;
     // total_admitted is what actually got through (goodput).
@@ -365,7 +354,6 @@ fn main() {
         .int("records", RECORDS)
         .num("ss_speedup_8_vs_1", speedup)
         .num("ss_records_per_sec_8_clients", RECORDS as f64 / secs_at_8)
-        .num("ss_records_per_sec_big_lock", RECORDS as f64 / naive_secs)
         .int(
             "oversub_queue_depth_high_water",
             over_stats.queue_depth_high_water as u64,

@@ -97,7 +97,6 @@ fn hot_server(cached: bool) -> Server {
         ServerConfig {
             max_in_flight: SESSIONS,
             saturation: Saturation::Block,
-            ..ServerConfig::default()
         },
     )
 }

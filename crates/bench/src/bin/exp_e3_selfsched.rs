@@ -6,16 +6,17 @@
 //! the actual data transfer from the first call has completed."
 //!
 //! Real threads read an SS file whose devices have a calibrated service
-//! delay. The naive baseline holds one lock across each whole I/O call;
-//! the two-phase implementation reserves the cursor atomically and
-//! transfers outside any lock. On a single CPU the transfers still
-//! overlap because a thread waiting on a device sleeps.
+//! delay. The naive baseline (`pario_bench::naive_read_next`) holds one
+//! lock across each whole I/O call; the library's two-phase reader
+//! reserves the cursor atomically and transfers outside any lock. On a
+//! single CPU the transfers still overlap because a thread waiting on a
+//! device sleeps.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pario_bench::banner;
 use pario_bench::table::{save_json, secs, Table};
+use pario_bench::{banner, naive_read_next};
 use pario_core::{Organization, ParallelFile};
 use pario_disk::{DeviceRef, MemDisk};
 use pario_fs::Volume;
@@ -42,17 +43,19 @@ fn run(threads: u32, naive: bool) -> Duration {
     for r in 0..RECORDS {
         pf.raw().write_record(r, &vec![r as u8; RECORD]).unwrap();
     }
+    let cursor = std::sync::Mutex::new(0u64);
+    let two_phase = pf.self_sched_reader().unwrap();
     let t0 = Instant::now();
     crossbeam::thread::scope(|s| {
         for _ in 0..threads {
-            let r = if naive {
-                pf.self_sched_reader_naive().unwrap()
-            } else {
-                pf.self_sched_reader().unwrap()
-            };
+            let (pf, cursor, two_phase) = (&pf, &cursor, &two_phase);
             s.spawn(move |_| {
                 let mut buf = vec![0u8; RECORD];
-                while let Some(idx) = r.read_next(&mut buf).unwrap() {
+                let next = |buf: &mut [u8]| match naive {
+                    true => naive_read_next(pf, cursor, buf),
+                    false => two_phase.read_next(buf).unwrap(),
+                };
+                while let Some(idx) = next(&mut buf) {
                     assert_eq!(buf[0], idx as u8);
                 }
             });

@@ -21,3 +21,23 @@ pub fn banner(id: &str, claim: &str) {
     println!("\n=== {id} ===");
     println!("Paper claim: {claim}\n");
 }
+
+/// The foil of experiment E3 (§4's "unduly serializing access"): read
+/// the next unread record of an SS file with `cursor`'s lock held across
+/// the whole I/O call, file pointer and transfer alike. `None` at end of
+/// file. Built here from public pieces — the library itself ships only
+/// the two-phase reservation.
+pub fn naive_read_next(
+    pf: &pario_core::ParallelFile,
+    cursor: &std::sync::Mutex<u64>,
+    out: &mut [u8],
+) -> Option<u64> {
+    let mut next = cursor.lock().expect("a reader panicked");
+    let cur = *next;
+    if cur >= pf.len_records() {
+        return None;
+    }
+    pf.raw().read_record(cur, out).expect("read");
+    *next = cur + 1;
+    Some(cur)
+}

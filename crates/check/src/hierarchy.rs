@@ -16,7 +16,6 @@
 //! |  3 | `NetClient` credits | pario-net | per-connection flow-control window |
 //! |  5 | `NetClient` reply table | pario-net | in-flight request id -> reply slot |
 //! |  7 | `NetClient` send half | pario-net | serialised frame writes to the socket |
-//! | 10 | `SsState::big_lock` | pario-core | naive big-lock SS baseline |
 //! | 20 | `Admission::m` | pario-server | admission queue + rotation state |
 //! | 30 | `ByteRangeLocks::held` | pario-server | GDA byte-range lock table |
 //! | 40 | `BufferPool` free list | pario-buffer | pooled block buffers |
@@ -45,8 +44,6 @@ pub enum LockLevel {
     /// `pario-net` client send half: frames are written to the socket
     /// under this lock so pipelined requests never interleave bytes.
     NetSend = 7,
-    /// `pario-core` naive self-scheduled baseline big lock.
-    CoreBigLock = 10,
     /// `pario-server` admission queue state.
     Admission = 20,
     /// `pario-server` GDA byte-range lock table.
@@ -95,7 +92,6 @@ impl LockLevel {
             LockLevel::NetCredits => "net.credits",
             LockLevel::NetReplies => "net.replies",
             LockLevel::NetSend => "net.send",
-            LockLevel::CoreBigLock => "core.big_lock",
             LockLevel::Admission => "server.admission",
             LockLevel::RangeLock => "server.range_lock",
             LockLevel::BufferPool => "buffer.pool",

@@ -2,27 +2,23 @@
 //! bound holds in every schedule, permits freed under contention are
 //! never lost, waiters within a session are served FIFO, and grants
 //! rotate round-robin across sessions.
-//!
-//! Both implementations are checked — the packed-atomic fast path
-//! (`AdmissionKind::Fast`, the default) and the legacy mutex+notify_all
-//! baseline it replaced — under the same properties: the rewrite must
-//! not have traded the proved invariants for throughput.
 #![cfg(pario_check)]
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pario_check::{spawn, AtomicU64, CheckCell, Config, Explorer, Mutex};
-use pario_server::admission::{Admission, AdmissionKind};
+use pario_server::admission::Admission;
 use pario_server::Saturation;
 
 /// Four threads through a limit of two: the live count never exceeds
 /// the limit, every waiter is eventually admitted (a lost permit wakeup
 /// — e.g. a release racing a waiter's announcement — would park the run
 /// as a model deadlock), and the cumulative admitted count is exact.
-fn check_limit_holds(kind: AdmissionKind, iterations: usize) -> usize {
-    let report = Explorer::new(Config::new(iterations)).run(move || {
-        let adm = Arc::new(Admission::with_kind(2, Saturation::Block, kind));
+#[test]
+fn limit_holds_and_no_wakeup_is_lost() {
+    let report = Explorer::new(Config::new(1500)).run(|| {
+        let adm = Arc::new(Admission::new(2, Saturation::Block));
         let live = Arc::new(AtomicU64::new(0));
         let mut hs = Vec::new();
         for sess in 0..4u64 {
@@ -45,35 +41,19 @@ fn check_limit_holds(kind: AdmissionKind, iterations: usize) -> usize {
         assert_eq!(s.rejected, 0);
         assert_eq!(s.total_admitted, 4, "every acquisition counted once");
     });
-    assert!(report.failure.is_none(), "{kind:?}: {:?}", report.failure);
-    report.distinct
-}
-
-#[test]
-fn limit_holds_and_no_wakeup_is_lost() {
-    let distinct = check_limit_holds(AdmissionKind::Fast, 1500);
-    assert!(
-        distinct >= 1000,
-        "only {distinct} distinct schedules (fast)"
-    );
-}
-
-#[test]
-fn limit_holds_on_legacy_baseline() {
-    let distinct = check_limit_holds(AdmissionKind::LegacyMutex, 1500);
-    assert!(
-        distinct >= 1000,
-        "only {distinct} distinct schedules (legacy)"
-    );
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    let distinct = report.distinct;
+    assert!(distinct >= 1000, "only {distinct} distinct schedules");
 }
 
 /// Deterministic arrivals (each waiter parks before the next is
 /// spawned): two waiters of the same session are granted in FIFO order,
 /// and a third waiter from another session is granted between them —
 /// round-robin rotation, not session draining.
-fn check_fifo_and_rotation(kind: AdmissionKind, iterations: usize) {
-    let report = Explorer::new(Config::new(iterations)).run(move || {
-        let adm = Arc::new(Admission::with_kind(1, Saturation::Block, kind));
+#[test]
+fn grants_are_fifo_within_and_rotate_across_sessions() {
+    let report = Explorer::new(Config::new(5000)).run(|| {
+        let adm = Arc::new(Admission::new(1, Saturation::Block));
         let order = Arc::new(Mutex::new(Vec::new()));
         let hold = adm.acquire(99).expect("first permit is free");
 
@@ -107,7 +87,9 @@ fn check_fifo_and_rotation(kind: AdmissionKind, iterations: usize) {
         // The holder plus three waiters, each admitted exactly once.
         assert_eq!(adm.stats().total_admitted, 4);
     });
-    assert!(report.failure.is_none(), "{kind:?}: {:?}", report.failure);
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    let distinct = report.distinct;
+    assert!(distinct >= 1000, "only {distinct} distinct schedules");
 }
 
 /// The permit is a synchronizer: work done under it happens-before the
@@ -117,9 +99,10 @@ fn check_fifo_and_rotation(kind: AdmissionKind, iterations: usize) {
 /// parked hand-off, surfaces as a data race. Excluded under the demo
 /// cfg, which deliberately breaks exactly this edge.
 #[cfg(not(pario_check_demo))]
-fn check_permit_publishes(kind: AdmissionKind, iterations: usize) -> usize {
-    let report = Explorer::new(Config::new(iterations)).run(move || {
-        let adm = Arc::new(Admission::with_kind(1, Saturation::Block, kind));
+#[test]
+fn permit_release_publishes_to_next_holder() {
+    let report = Explorer::new(Config::new(1500)).run(|| {
+        let adm = Arc::new(Admission::new(1, Saturation::Block));
         let cell = Arc::new(CheckCell::new_labeled(0u64, "under-permit"));
         let mut hs = Vec::new();
         // Four threads × two rounds: eight dependent critical sections
@@ -140,36 +123,7 @@ fn check_permit_publishes(kind: AdmissionKind, iterations: usize) -> usize {
         }
         assert_eq!(cell.get(), 20, "an increment was lost");
     });
-    assert!(report.failure.is_none(), "{kind:?}: {:?}", report.failure);
-    report.distinct
-}
-
-#[cfg(not(pario_check_demo))]
-#[test]
-fn permit_release_publishes_to_next_holder() {
-    let distinct = check_permit_publishes(AdmissionKind::Fast, 1500);
-    assert!(
-        distinct >= 1000,
-        "only {distinct} distinct schedules (fast)"
-    );
-}
-
-#[cfg(not(pario_check_demo))]
-#[test]
-fn permit_release_publishes_on_legacy_baseline() {
-    let distinct = check_permit_publishes(AdmissionKind::LegacyMutex, 4000);
-    assert!(
-        distinct >= 1000,
-        "only {distinct} distinct schedules (legacy)"
-    );
-}
-
-#[test]
-fn grants_are_fifo_within_and_rotate_across_sessions() {
-    check_fifo_and_rotation(AdmissionKind::Fast, 600);
-}
-
-#[test]
-fn grants_are_fifo_and_rotate_on_legacy_baseline() {
-    check_fifo_and_rotation(AdmissionKind::LegacyMutex, 600);
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    let distinct = report.distinct;
+    assert!(distinct >= 1000, "only {distinct} distinct schedules");
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use pario_check::{spawn, CheckCell, Config, Explorer};
-use pario_server::admission::{Admission, AdmissionKind};
+use pario_server::admission::Admission;
 use pario_server::Saturation;
 
 /// The schedule budget within which the race must be found. A detector
@@ -25,11 +25,7 @@ use pario_server::Saturation;
 const BUDGET: usize = 400;
 
 fn racy_model() {
-    let adm = Arc::new(Admission::with_kind(
-        1,
-        Saturation::Block,
-        AdmissionKind::Fast,
-    ));
+    let adm = Arc::new(Admission::new(1, Saturation::Block));
     let cell = Arc::new(CheckCell::new_labeled(0u64, "permit-guarded"));
     let mut hs = Vec::new();
     for t in 1..=2u64 {

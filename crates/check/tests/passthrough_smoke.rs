@@ -81,7 +81,6 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::NetCredits, "net.credits", 3),
         (LockLevel::NetReplies, "net.replies", 5),
         (LockLevel::NetSend, "net.send", 7),
-        (LockLevel::CoreBigLock, "core.big_lock", 10),
         (LockLevel::Admission, "server.admission", 20),
         (LockLevel::RangeLock, "server.range_lock", 30),
         (LockLevel::BufferPool, "buffer.pool", 40),

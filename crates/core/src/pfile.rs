@@ -3,8 +3,6 @@
 
 use std::sync::Arc;
 
-use pario_check::{LockLevel, Mutex};
-
 use pario_fs::{FileSpec, GlobalReader, GlobalWriter, RawFile, Volume};
 use pario_layout::LayoutSpec;
 
@@ -15,12 +13,10 @@ use crate::organization::Organization;
 use crate::partitioned::PartitionHandle;
 use crate::selfsched::{SelfSchedReader, SelfSchedWriter, SharedCursor};
 
-/// Shared self-scheduling state: one read cursor, one write cursor, and
-/// the big lock used by the naive baseline.
+/// Shared self-scheduling state: one read cursor, one write cursor.
 pub(crate) struct SsState {
     pub(crate) read_cursor: SharedCursor,
     pub(crate) write_cursor: SharedCursor,
-    pub(crate) big_lock: Mutex<()>,
 }
 
 /// A parallel file: underlying storage plus the organization that governs
@@ -77,7 +73,6 @@ impl ParallelFile {
             ss: Arc::new(SsState {
                 read_cursor: SharedCursor::new(0),
                 write_cursor,
-                big_lock: Mutex::new_named((), LockLevel::CoreBigLock),
             }),
         }
     }
@@ -323,26 +318,13 @@ impl ParallelFile {
     /// transfer outside any lock). Clones of this file share the cursor.
     pub fn self_sched_reader(&self) -> Result<SelfSchedReader> {
         self.require_ss()?;
-        Ok(SelfSchedReader::two_phase(self.raw.clone(), self.clone()))
-    }
-
-    /// The naive baseline: one lock held across the whole I/O call.
-    /// Exists to quantify what two-phase reservation buys (experiment E3).
-    pub fn self_sched_reader_naive(&self) -> Result<SelfSchedReader> {
-        self.require_ss()?;
-        Ok(SelfSchedReader::big_lock(self.raw.clone(), self.clone()))
+        Ok(SelfSchedReader::new(self.clone()))
     }
 
     /// A two-phase self-scheduled writer.
     pub fn self_sched_writer(&self) -> Result<SelfSchedWriter> {
         self.require_ss()?;
-        Ok(SelfSchedWriter::two_phase(self.raw.clone(), self.clone()))
-    }
-
-    /// The naive big-lock self-scheduled writer baseline.
-    pub fn self_sched_writer_naive(&self) -> Result<SelfSchedWriter> {
-        self.require_ss()?;
-        Ok(SelfSchedWriter::big_lock(self.raw.clone(), self.clone()))
+        Ok(SelfSchedWriter::new(self.clone()))
     }
 
     /// Direct-access handle for a GDA file (any record, any order, any

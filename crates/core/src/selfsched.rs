@@ -2,22 +2,17 @@
 //!
 //! "Each I/O request (from whatever process) is guaranteed to reference
 //! the next record in the file so that each request accesses a different
-//! record and no record gets skipped" (§3.1). Two implementations:
-//!
-//! * **Two-phase** (the paper's §4 optimisation): the file pointer is
-//!   adjusted *early in the I/O call* with an atomic reservation, "thereby
-//!   allowing the next call from another process to proceed before the
-//!   actual data transfer from the first call has completed". The transfer
-//!   happens outside any lock.
-//! * **Big-lock** (the naive baseline): one mutex held across the whole
-//!   call, serialising transfers. Exists so experiment E3 can measure what
-//!   two-phase buys.
+//! record and no record gets skipped" (§3.1). The implementation is the
+//! paper's §4 two-phase design: the file pointer is adjusted *early in
+//! the I/O call* with an atomic reservation, "thereby allowing the next
+//! call from another process to proceed before the actual data transfer
+//! from the first call has completed". The transfer happens outside any
+//! lock. (Experiment E3 measures that against a lock held across the
+//! whole call, built in `crates/bench` from public pieces.)
 
 use std::sync::atomic::Ordering;
 
 use pario_check::AtomicU64;
-
-use pario_fs::RawFile;
 
 use crate::error::Result;
 use crate::pfile::ParallelFile;
@@ -94,77 +89,31 @@ impl SharedCursor {
     pub fn claim_unbounded(&self) -> u64 {
         self.pos.fetch_add(1, Ordering::AcqRel)
     }
-
-    /// Read the position without ordering (for use under an external
-    /// lock — the big-lock baseline).
-    pub fn peek_relaxed(&self) -> u64 {
-        self.pos.load(Ordering::Relaxed) // ordering: caller holds the big lock, which orders the access
-    }
-
-    /// Set the position without ordering (for use under an external
-    /// lock — the big-lock baseline).
-    pub fn set_relaxed(&self, v: u64) {
-        self.pos.store(v, Ordering::Relaxed); // ordering: caller holds the big lock, which orders the access
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Mode {
-    TwoPhase,
-    BigLock,
 }
 
 /// A shared-cursor reader; clones (and clones of the owning
 /// [`ParallelFile`]) share the cursor.
 #[derive(Clone)]
 pub struct SelfSchedReader {
-    raw: RawFile,
     owner: ParallelFile,
-    mode: Mode,
 }
 
 impl SelfSchedReader {
-    pub(crate) fn two_phase(raw: RawFile, owner: ParallelFile) -> SelfSchedReader {
-        SelfSchedReader {
-            raw,
-            owner,
-            mode: Mode::TwoPhase,
-        }
-    }
-
-    pub(crate) fn big_lock(raw: RawFile, owner: ParallelFile) -> SelfSchedReader {
-        SelfSchedReader {
-            raw,
-            owner,
-            mode: Mode::BigLock,
-        }
+    pub(crate) fn new(owner: ParallelFile) -> SelfSchedReader {
+        SelfSchedReader { owner }
     }
 
     /// Claim and read the next unread record. Returns the record index
     /// served, or `None` once the file is exhausted.
     pub fn read_next(&self, out: &mut [u8]) -> Result<Option<u64>> {
         let ss = self.owner.ss_state();
-        match self.mode {
-            Mode::TwoPhase => {
-                // Phase 1: reserve the record index.
-                let Some(cur) = ss.read_cursor.claim(self.raw.len_records()) else {
-                    return Ok(None);
-                };
-                // Phase 2: transfer, concurrently with other readers.
-                self.raw.read_record(cur, out)?;
-                Ok(Some(cur))
-            }
-            Mode::BigLock => {
-                let _g = ss.big_lock.lock();
-                let cur = ss.read_cursor.peek_relaxed();
-                if cur >= self.raw.len_records() {
-                    return Ok(None);
-                }
-                self.raw.read_record(cur, out)?;
-                ss.read_cursor.set_relaxed(cur + 1);
-                Ok(Some(cur))
-            }
-        }
+        // Phase 1: reserve the record index.
+        let Some(cur) = ss.read_cursor.claim(self.owner.raw().len_records()) else {
+            return Ok(None);
+        };
+        // Phase 2: transfer, concurrently with other readers.
+        self.owner.raw().read_record(cur, out)?;
+        Ok(Some(cur))
     }
 
     /// Claim and read the next *file block* of records — the paper's
@@ -173,24 +122,23 @@ impl SelfSchedReader {
     /// end of file) and reads them into `out`, which must hold one file
     /// block. Returns the global index of the first record claimed and
     /// the count, or `None` at end of file.
-    ///
-    /// Only the two-phase implementation supports block claims (the
-    /// big-lock baseline exists solely for experiment E3).
     pub fn read_next_block(&self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
-        let rs = self.raw.record_size();
-        let rpb = self.raw.records_per_block() as u64;
+        let rs = self.owner.raw().record_size();
+        let rpb = self.owner.raw().records_per_block() as u64;
         assert_eq!(out.len(), rs * rpb as usize, "block buffer size");
         let ss = self.owner.ss_state();
         // Claim to the end of the current file block (keeps block claims
         // aligned even after single-record claims).
         let Some((cur, n)) = ss
             .read_cursor
-            .claim_through_block(rpb, self.raw.len_records())
+            .claim_through_block(rpb, self.owner.raw().len_records())
         else {
             return Ok(None);
         };
         let n = n as usize;
-        self.raw.read_span(cur * rs as u64, &mut out[..n * rs])?;
+        self.owner
+            .raw()
+            .read_span(cur * rs as u64, &mut out[..n * rs])?;
         Ok(Some((cur, n)))
     }
 
@@ -204,49 +152,23 @@ impl SelfSchedReader {
 /// order of the results is not important".
 #[derive(Clone)]
 pub struct SelfSchedWriter {
-    raw: RawFile,
     owner: ParallelFile,
-    mode: Mode,
 }
 
 impl SelfSchedWriter {
-    pub(crate) fn two_phase(raw: RawFile, owner: ParallelFile) -> SelfSchedWriter {
-        SelfSchedWriter {
-            raw,
-            owner,
-            mode: Mode::TwoPhase,
-        }
-    }
-
-    pub(crate) fn big_lock(raw: RawFile, owner: ParallelFile) -> SelfSchedWriter {
-        SelfSchedWriter {
-            raw,
-            owner,
-            mode: Mode::BigLock,
-        }
+    pub(crate) fn new(owner: ParallelFile) -> SelfSchedWriter {
+        SelfSchedWriter { owner }
     }
 
     /// Claim the next record slot and write `data` there. Returns the
     /// slot index.
     pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        let ss = self.owner.ss_state();
-        match self.mode {
-            Mode::TwoPhase => {
-                // Phase 1: reserve the slot (writers can always extend).
-                let idx = ss.write_cursor.claim_unbounded();
-                // Phase 2: transfer outside any lock. write_record extends
-                // the published length to cover the slot.
-                self.raw.write_record(idx, data)?;
-                Ok(idx)
-            }
-            Mode::BigLock => {
-                let _g = ss.big_lock.lock();
-                let idx = ss.write_cursor.peek_relaxed();
-                self.raw.write_record(idx, data)?;
-                ss.write_cursor.set_relaxed(idx + 1);
-                Ok(idx)
-            }
-        }
+        // Phase 1: reserve the slot (writers can always extend).
+        let idx = self.owner.ss_state().write_cursor.claim_unbounded();
+        // Phase 2: transfer outside any lock. write_record extends
+        // the published length to cover the slot.
+        self.owner.raw().write_record(idx, data)?;
+        Ok(idx)
     }
 
     /// Slots claimed so far (the file length once all writers finish).
@@ -258,7 +180,7 @@ impl SelfSchedWriter {
     /// writer is done.
     pub fn finish(&self) -> Result<u64> {
         let n = self.claimed();
-        self.raw.extend_len_records(n);
+        self.owner.raw().extend_len_records(n);
         Ok(n)
     }
 }
@@ -306,84 +228,64 @@ mod tests {
 
     #[test]
     fn concurrent_readers_cover_exactly_once() {
-        for naive in [false, true] {
-            let v = vol();
-            let pf = ss_file(&v, 200);
-            let seen = StdMutex::new(HashSet::new());
-            crossbeam::thread::scope(|s| {
-                for _ in 0..8 {
-                    let r = if naive {
-                        pf.self_sched_reader_naive().unwrap()
-                    } else {
-                        pf.self_sched_reader().unwrap()
-                    };
-                    let seen = &seen;
-                    s.spawn(move |_| {
-                        let mut buf = vec![0u8; 64];
-                        while let Some(idx) = r.read_next(&mut buf).unwrap() {
-                            // Record content matches its index.
-                            assert!(buf.iter().all(|&b| b == idx as u8));
-                            assert!(
-                                seen.lock().unwrap().insert(idx),
-                                "record {idx} served twice (naive={naive})"
-                            );
-                        }
-                    });
-                }
-            })
-            .unwrap();
-            let seen = seen.into_inner().unwrap();
-            assert_eq!(seen.len(), 200, "every record served (naive={naive})");
-        }
+        let v = vol();
+        let pf = ss_file(&v, 200);
+        let seen = StdMutex::new(HashSet::new());
+        crossbeam::thread::scope(|s| {
+            for _ in 0..8 {
+                let r = pf.self_sched_reader().unwrap();
+                let seen = &seen;
+                s.spawn(move |_| {
+                    let mut buf = vec![0u8; 64];
+                    while let Some(idx) = r.read_next(&mut buf).unwrap() {
+                        // Record content matches its index.
+                        assert!(buf.iter().all(|&b| b == idx as u8));
+                        assert!(
+                            seen.lock().unwrap().insert(idx),
+                            "record {idx} served twice"
+                        );
+                    }
+                });
+            }
+        })
+        .unwrap();
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 200, "every record served");
     }
 
     #[test]
     fn concurrent_writers_fill_distinct_slots() {
-        for naive in [false, true] {
-            let v = vol();
-            let pf =
-                ParallelFile::create(&v, "out", Organization::SelfScheduledSeq, 64, 4).unwrap();
-            crossbeam::thread::scope(|s| {
-                for t in 0..6u8 {
-                    let w = if naive {
-                        pf.self_sched_writer_naive().unwrap()
-                    } else {
-                        pf.self_sched_writer().unwrap()
-                    };
-                    s.spawn(move |_| {
-                        for _ in 0..25 {
-                            let idx = w.write_next(&[t + 1; 64]).unwrap();
-                            // Tag the record with its slot via a re-write so
-                            // content checks are possible: slot content is
-                            // the writer id, which is fine — uniqueness of
-                            // slots is what we assert below.
-                            let _ = idx;
-                        }
-                    });
-                }
-            })
-            .unwrap();
-            let w = pf.self_sched_writer().unwrap();
-            assert_eq!(w.finish().unwrap(), 150);
-            assert_eq!(pf.len_records(), 150);
-            // Every slot was written by exactly one writer: all bytes of a
-            // record agree and no record is zero (unwritten).
-            let mut r = pf.global_reader();
-            let mut rec = vec![0u8; 64];
-            let mut count_per_writer = [0u64; 7];
-            while r.read_record(&mut rec).unwrap() {
-                let tag = rec[0];
-                assert!(
-                    (1..=6).contains(&tag),
-                    "hole or torn record (naive={naive})"
-                );
-                assert!(rec.iter().all(|&b| b == tag), "torn record");
-                count_per_writer[tag as usize] += 1;
+        let v = vol();
+        let pf = ParallelFile::create(&v, "out", Organization::SelfScheduledSeq, 64, 4).unwrap();
+        crossbeam::thread::scope(|s| {
+            for t in 0..6u8 {
+                let w = pf.self_sched_writer().unwrap();
+                s.spawn(move |_| {
+                    for _ in 0..25 {
+                        // Slot content is the writer id: uniqueness of
+                        // slots is what we assert below.
+                        w.write_next(&[t + 1; 64]).unwrap();
+                    }
+                });
             }
-            assert_eq!(count_per_writer[1..].iter().sum::<u64>(), 150);
-            assert!(count_per_writer[1..].iter().all(|&c| c == 25));
-            v.remove("out").unwrap();
+        })
+        .unwrap();
+        let w = pf.self_sched_writer().unwrap();
+        assert_eq!(w.finish().unwrap(), 150);
+        assert_eq!(pf.len_records(), 150);
+        // Every slot was written by exactly one writer: all bytes of a
+        // record agree and no record is zero (unwritten).
+        let mut r = pf.global_reader();
+        let mut rec = vec![0u8; 64];
+        let mut count_per_writer = [0u64; 7];
+        while r.read_record(&mut rec).unwrap() {
+            let tag = rec[0];
+            assert!((1..=6).contains(&tag), "hole or torn record");
+            assert!(rec.iter().all(|&b| b == tag), "torn record");
+            count_per_writer[tag as usize] += 1;
         }
+        assert_eq!(count_per_writer[1..].iter().sum::<u64>(), 150);
+        assert!(count_per_writer[1..].iter().all(|&c| c == 25));
     }
 
     #[test]

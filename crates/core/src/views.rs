@@ -52,7 +52,7 @@ pub fn force_partition(pf: &ParallelFile, p: u32, partitions: u32) -> Result<Par
 /// consume the records exhaustively, exactly once, in arrival order —
 /// regardless of how the file was organized when written.
 pub fn force_self_sched(pf: &ParallelFile) -> SelfSchedReader {
-    SelfSchedReader::two_phase(pf.raw().clone(), pf.clone())
+    SelfSchedReader::new(pf.clone())
 }
 
 /// View any file through unrestricted direct access (a GDA handle).

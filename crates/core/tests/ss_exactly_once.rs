@@ -2,10 +2,9 @@
 //! invariant — the paper's §3.1 guarantee, hammered from many threads:
 //! "each request accesses a different record and no record gets skipped".
 //!
-//! Both cursor strategies are exercised: the two-phase reservation
-//! (atomic claim, transfer outside any lock) and the naive big-lock
-//! baseline. Readers mix single-record and block claims; writers fill a
-//! fresh file concurrently and the result must be hole-free.
+//! Readers mix single-record and block claims on the two-phase cursor
+//! (atomic claim, transfer outside any lock); writers fill a fresh file
+//! concurrently and the result must be hole-free.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -41,12 +40,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// N threads racing on one shared cursor deliver every record exactly
-    /// once, under both strategies, whether they claim records or blocks.
+    /// once, whether they claim records or blocks.
     #[test]
     fn readers_deliver_exactly_once(
         threads in 2usize..9,
         records in 1u64..400,
-        naive in any::<bool>(),
         by_block in any::<bool>(),
     ) {
         let v = vol();
@@ -54,15 +52,10 @@ proptest! {
         let seen = Mutex::new(HashSet::new());
         crossbeam::thread::scope(|s| {
             for _ in 0..threads {
-                let r = if naive {
-                    pf.self_sched_reader_naive().unwrap()
-                } else {
-                    pf.self_sched_reader().unwrap()
-                };
+                let r = pf.self_sched_reader().unwrap();
                 let seen = &seen;
                 s.spawn(move |_| {
-                    if by_block && !naive {
-                        // Block claims (two-phase only).
+                    if by_block {
                         let mut block = vec![0u8; REC * 4];
                         while let Some((first, n)) = r.read_next_block(&mut block).unwrap() {
                             for k in 0..n {
@@ -95,17 +88,12 @@ proptest! {
     fn writers_fill_distinct_slots(
         threads in 2usize..7,
         per_thread in 1usize..60,
-        naive in any::<bool>(),
     ) {
         let v = vol();
         let pf = ParallelFile::create(&v, "out", Organization::SelfScheduledSeq, REC, 4).unwrap();
         crossbeam::thread::scope(|s| {
             for t in 0..threads {
-                let w = if naive {
-                    pf.self_sched_writer_naive().unwrap()
-                } else {
-                    pf.self_sched_writer().unwrap()
-                };
+                let w = pf.self_sched_writer().unwrap();
                 s.spawn(move |_| {
                     for _ in 0..per_thread {
                         w.write_next(&[t as u8 + 1; REC]).unwrap();

@@ -94,21 +94,25 @@ impl<T> Ticket<T> {
     /// Wait for whichever of two tickets completes first — the hedged
     /// read: submit the same data from two replicas and take the faster.
     ///
-    /// The first `Ok` wins and the loser's result is abandoned (its
-    /// operation still executes; see the [`Ticket`] drop contract). If
-    /// the faster completion failed, the slower ticket is awaited as the
-    /// fallback; if both fail, the first error observed is returned.
-    pub fn race(a: Ticket<T>, b: Ticket<T>) -> Result<T> {
-        fn settle<T>(first: Result<T>, slower: Ticket<T>) -> Result<T> {
-            match first {
-                Ok(v) => Ok(v),
-                Err(e) => slower.wait().or(Err(e)),
+    /// Returns every outcome observed, in argument order, so the caller
+    /// can tell which replica answered. The first `Ok` wins and the
+    /// loser is abandoned, reported as `None` (its operation still
+    /// executes; see the [`Ticket`] drop contract). If the faster
+    /// completion failed, the slower ticket is awaited as the fallback,
+    /// so at most one entry is `Ok` and at least one is `Some`.
+    pub fn race(a: Ticket<T>, b: Ticket<T>) -> [Option<Result<T>>; 2] {
+        /// `first` is the earlier completion, of argument `slot`.
+        fn settle<T>(slot: usize, first: Result<T>, slower: Ticket<T>) -> [Option<Result<T>>; 2] {
+            let second = first.is_err().then(|| slower.wait());
+            if slot == 0 {
+                [Some(first), second]
+            } else {
+                [second, Some(first)]
             }
         }
         match (a.inner, b.inner) {
-            (TicketInner::Ready(res), other) | (other, TicketInner::Ready(res)) => {
-                settle(res, Ticket { inner: other })
-            }
+            (TicketInner::Ready(res), other) => settle(0, res, Ticket { inner: other }),
+            (other, TicketInner::Ready(res)) => settle(1, res, Ticket { inner: other }),
             (TicketInner::Pending(ra), TicketInner::Pending(rb)) => {
                 // Alternate short timed receives between the two replies.
                 // The ~50us granularity is noise next to the queue wait
@@ -118,17 +122,17 @@ impl<T> Ticket<T> {
                 let dropped = || Err(DiskError::Io("I/O node dropped request".into()));
                 loop {
                     match ra.recv_timeout(step) {
-                        Ok(res) => return settle(res, Ticket::pending(rb)),
+                        Ok(res) => return settle(0, res, Ticket::pending(rb)),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => {
-                            return settle(dropped(), Ticket::pending(rb));
+                            return settle(0, dropped(), Ticket::pending(rb));
                         }
                     }
                     match rb.recv_timeout(step) {
-                        Ok(res) => return settle(res, Ticket::pending(ra)),
+                        Ok(res) => return settle(1, res, Ticket::pending(ra)),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => {
-                            return settle(dropped(), Ticket::pending(ra));
+                            return settle(1, dropped(), Ticket::pending(ra));
                         }
                     }
                     pario_check::yield_now(); // see `recv_reply`
@@ -1544,8 +1548,10 @@ mod tests {
         let b = slow
             .device()
             .submit_read_blocks(0, vec![0u8; 64].into_boxed_slice());
-        let winner = Ticket::race(a, b).unwrap();
-        assert!(winner.iter().all(|&x| x == 1), "fast replica must win");
+        let [Some(Ok(winner)), None] = Ticket::race(a, b) else {
+            panic!("fast replica must win and the slow one be abandoned");
+        };
+        assert!(winner.iter().all(|&x| x == 1));
     }
 
     #[test]
@@ -1559,16 +1565,21 @@ mod tests {
         let b = good
             .device()
             .submit_read_blocks(0, vec![0u8; 64].into_boxed_slice());
-        let got = Ticket::race(a, b).unwrap();
+        let [Some(Err(DiskError::DeviceFailed { .. })), Some(Ok(got))] = Ticket::race(a, b) else {
+            panic!("the failed copy's error and the fallback's data are both reported");
+        };
         assert!(got.iter().all(|&x| x == 9));
-        // Both failing: the error survives.
+        // Both failing: both errors survive.
         let a = (Arc::clone(&broken) as DeviceRef)
             .submit_read_blocks(0, vec![0u8; 64].into_boxed_slice());
         let b = (Arc::clone(&broken) as DeviceRef)
             .submit_read_blocks(1, vec![0u8; 64].into_boxed_slice());
         assert!(matches!(
             Ticket::race(a, b),
-            Err(DiskError::DeviceFailed { .. })
+            [
+                Some(Err(DiskError::DeviceFailed { .. })),
+                Some(Err(DiskError::DeviceFailed { .. }))
+            ]
         ));
     }
 

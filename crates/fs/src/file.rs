@@ -553,7 +553,9 @@ impl RawFile {
     }
 
     /// Race the two copies of a shadowed block; first success wins,
-    /// and a single failed copy is absorbed by the other.
+    /// and a single failed copy is absorbed by the other. Every outcome
+    /// the race observed feeds the health board, so a Suspect primary
+    /// that answers earns its way back to Healthy.
     fn hedged_read(&self, p: PhysBlock, m: PhysBlock, buf: &mut [u8]) -> Result<()> {
         let (d1, a1, v1) = self.locate(p);
         let (d2, a2, v2) = self.locate(m);
@@ -567,9 +569,16 @@ impl RawFile {
         }
         let t1 = d1.submit_read_blocks(a1, vec![0u8; buf.len()].into_boxed_slice());
         let t2 = d2.submit_read_blocks(a2, vec![0u8; buf.len()].into_boxed_slice());
-        let data = Ticket::race(t1, t2).map_err(FsError::from)?;
-        buf.copy_from_slice(&data);
-        Ok(())
+        let mut result = None;
+        for (vdev, outcome) in [v1, v2].into_iter().zip(Ticket::race(t1, t2)) {
+            let Some(res) = outcome else { continue };
+            let res = self.settle(vdev, res.map(|data| buf.copy_from_slice(&data)));
+            if res.is_ok() || result.is_none() {
+                result = Some(res);
+            }
+        }
+        // invariant: a race reports at least one outcome.
+        result.expect("race observed no completion")
     }
 
     /// Read the physical block at layout slot `slot`, device-local index
@@ -1244,16 +1253,21 @@ impl RawFile {
     /// waited on. Shadowed layouts submit each run to BOTH mirrors
     /// concurrently — one live copy suffices, and a run whose two copies
     /// both fail retries per block so the span only fails where both
-    /// copies of a block are dead. Parity never comes here (its
-    /// read-modify-write stays per-block under the stripe lock). An
-    /// unmirrored span that is a single healthy transfer
-    /// ([`RawFile::direct_segment`]) blocks on the device call, straight
-    /// from `data`.
+    /// copies of a block are dead. Parity files take the blocks one at a
+    /// time instead: each runs its read-modify-write cycle under the
+    /// stripe lock ([`RawFile::parity_write`]). An unmirrored span that
+    /// is a single healthy transfer ([`RawFile::direct_segment`]) blocks
+    /// on the device call, straight from `data`.
     fn write_blocks_coalesced(&self, first: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());
         }
         let bs = self.block_size();
+        if let Redundancy::Parity(ps) = &self.redundancy {
+            return (first..)
+                .zip(data.chunks(bs))
+                .try_for_each(|(l, block)| self.parity_write(ps, l, block));
+        }
         let count = (data.len() / bs) as u64;
         let run_list = runs(&*self.layout, first, count);
         let mut pieces = Vec::with_capacity(run_list.len());
@@ -1383,8 +1397,8 @@ impl RawFile {
     /// allocation to cover it. Partial blocks are read-modify-written.
     ///
     /// Whole-block spans are translated into maximal per-device runs;
-    /// parity files keep the per-block read-modify-write cycle (the
-    /// stripe lock serializes it anyway, so there is nothing to fan out).
+    /// on parity files each whole block runs its own read-modify-write
+    /// cycle under the stripe lock, its two reads overlapped.
     pub fn write_span(&self, offset: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());
@@ -1393,9 +1407,6 @@ impl RawFile {
         let end = offset + data.len() as u64;
         let records = end.div_ceil(self.record_size as u64);
         self.ensure_capacity_records(records)?;
-        if matches!(self.redundancy, Redundancy::Parity(_)) {
-            return self.write_span_per_block(offset, data);
-        }
         let core_start = offset.next_multiple_of(bs).min(end);
         let core_end = (end / bs * bs).max(core_start);
         if offset < core_start {
@@ -1410,31 +1421,6 @@ impl RawFile {
         if end > core_end {
             let take = (end - core_end) as usize;
             self.rmw_partial(core_end / bs, 0, &data[data.len() - take..])?;
-        }
-        Ok(())
-    }
-
-    /// The pre-coalescing span write: one logical block at a time.
-    /// Parity files use this so every full-block write runs the
-    /// read-modify-write cycle under the stripe lock unchanged.
-    fn write_span_per_block(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let bs = self.block_size() as u64;
-        let mut scratch = vec![0u8; bs as usize];
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let byte = offset + pos as u64;
-            let l = byte / bs;
-            let within = (byte % bs) as usize;
-            let take = ((bs as usize) - within).min(data.len() - pos);
-            if within == 0 && take == bs as usize {
-                self.write_lblock(l, &data[pos..pos + take])?;
-            } else {
-                let _g = self.state.rmw_lock.lock();
-                self.read_lblock(l, &mut scratch)?;
-                scratch[within..within + take].copy_from_slice(&data[pos..pos + take]);
-                self.write_lblock(l, &scratch)?;
-            }
-            pos += take;
         }
         Ok(())
     }

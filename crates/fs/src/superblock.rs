@@ -38,11 +38,6 @@ pub(crate) const META_REGION_BYTES: usize = 256 * 1024;
 /// Slot header magic ("2" = the dual-slot checksummed format).
 const MAGIC: &[u8; 8] = b"PARIOSB2";
 
-/// Magic of the legacy single-slot format: one unchecksummed
-/// `magic (8) | length (8) | JSON` image starting at block 0. Mount
-/// still recognises it and migrates the volume to the dual-slot format.
-const LEGACY_MAGIC: &[u8; 8] = b"PARIOFS1";
-
 /// Bytes of slot header preceding the payload: magic (8), generation
 /// (8), payload length (8), CRC-32 (4), padded to a round 32.
 const HEADER: usize = 32;
@@ -221,68 +216,28 @@ fn read_slot(inner: &VolInner, slot: u64) -> Option<(u64, Vec<u8>)> {
     Some((gen, image[HEADER..].to_vec()))
 }
 
-/// Read a legacy `PARIOFS1` image and return its JSON payload, if block
-/// 0 carries one. The legacy region shares `meta_blocks` with the
-/// current layout, so the payload bytes are wherever the old release
-/// left them — possibly extending under today's slot B and journal
-/// areas, which is why migration re-persists before anything writes
-/// there.
-fn read_legacy(inner: &VolInner) -> Option<Vec<u8>> {
-    let bs = inner.block_size;
-    let dev = &inner.devices[0];
-    let mut head = vec![0u8; bs];
-    dev.read_block(0, &mut head).ok()?;
-    if &head[..8] != LEGACY_MAGIC {
-        return None;
-    }
-    let len = u64::from_le_bytes(head[8..16].try_into().ok()?) as usize;
-    let region = (inner.meta_blocks * bs as u64) as usize;
-    if 16 + len > region {
-        return None;
-    }
-    let mut image = vec![0u8; 16 + len];
-    let blocks_needed = image.len().div_ceil(bs);
-    let mut block = vec![0u8; bs];
-    for i in 0..blocks_needed {
-        if i == 0 {
-            block.copy_from_slice(&head);
-        } else {
-            dev.read_block(i as u64, &mut block).ok()?;
-        }
-        let start = i * bs;
-        let take = bs.min(image.len() - start);
-        image[start..start + take].copy_from_slice(&block[..take]);
-    }
-    Some(image[16..].to_vec())
-}
-
 /// Read the meta region, rebuild directory + allocator state from the
-/// newest valid slot, and replay the intent journal on top of it. A
-/// volume written by the legacy single-slot release is loaded as
-/// generation 0 and re-persisted in the dual-slot format.
+/// newest valid slot, and replay the intent journal on top of it.
 pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
     let a = read_slot(inner, 0);
     let b = read_slot(inner, 1);
     let slot_a = a.as_ref().map(|(g, _)| *g);
     let slot_b = b.as_ref().map(|(g, _)| *g);
-    let (slot, gen, payload, legacy) = match (a, b) {
+    let (slot, gen, payload) = match (a, b) {
         (Some((ga, pa)), Some((gb, pb))) => {
             if ga >= gb {
-                (0, ga, pa, false)
+                (0, ga, pa)
             } else {
-                (1, gb, pb, false)
+                (1, gb, pb)
             }
         }
-        (Some((ga, pa)), None) => (0, ga, pa, false),
-        (None, Some((gb, pb))) => (1, gb, pb, false),
-        (None, None) => match read_legacy(inner) {
-            Some(payload) => (0, 0, payload, true),
-            None => {
-                return Err(FsError::Meta(
-                    "no valid pario superblock in either slot on device 0".into(),
-                ))
-            }
-        },
+        (Some((ga, pa)), None) => (0, ga, pa),
+        (None, Some((gb, pb))) => (1, gb, pb),
+        (None, None) => {
+            return Err(FsError::Meta(
+                "no valid pario superblock in either slot on device 0".into(),
+            ))
+        }
     };
     let bs = inner.block_size;
     let persisted: Persisted =
@@ -314,13 +269,10 @@ pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
         journal.pos = 0;
         journal.seq = 0;
     }
-    // A legacy volume predates the journal: its journal area holds
-    // whatever bytes the old release left there, not records.
-    let replayed = if legacy { 0 } else { journal::replay(inner, gen)? };
-    if replayed > 0 || legacy {
-        // Fold the replayed operations (or the migrated legacy image)
-        // into a fresh checkpoint so the recovered state is durable in
-        // the current format without a second replay or migration.
+    let replayed = journal::replay(inner, gen)?;
+    if replayed > 0 {
+        // Fold the replayed operations into a fresh checkpoint so the
+        // recovered state is durable without a second replay.
         store(inner)?;
     }
     Ok(MountReport {
@@ -476,34 +428,34 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_slot_superblock_migrates() {
+    fn retired_single_slot_image_is_rejected_and_left_untouched() {
+        use crate::error::FsError;
         let devs = devices();
-        // A minimal image as the pre-dual-slot release wrote it: magic,
-        // payload length, then the JSON directory at block 0.
+        // The image the pre-dual-slot format kept at block 0: an
+        // unchecksummed magic ("PARIOFS" + format digit 1), payload
+        // length, then the JSON directory. No reader for it remains.
         let json = br#"{"block_size":512,"next_id":1,"files":[]}"#;
-        let mut image = Vec::new();
-        image.extend_from_slice(super::LEGACY_MAGIC);
-        image.extend_from_slice(&(json.len() as u64).to_le_bytes());
-        image.extend_from_slice(json);
-        let mut block = vec![0u8; 512];
-        block[..image.len()].copy_from_slice(&image);
+        let mut block = b"PARIOFS".to_vec();
+        block.push(b'1');
+        block.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        block.extend_from_slice(json);
+        block.resize(512, 0);
         devs[0].write_block(0, &block).unwrap();
 
-        let v = Volume::mount(devs.clone()).unwrap();
-        assert!(v.list().is_empty());
-        let report = v.mount_report().expect("mount sets a report");
-        assert_eq!(report.generation, 0);
-        assert_eq!(report.replayed_records, 0);
-        // Migration re-persisted the image in the dual-slot format...
-        let s = v.meta_status();
-        assert_eq!(s.generation, 1);
-        assert!(s.slot_a.is_some() || s.slot_b.is_some());
-        v.abandon();
-        drop(v);
-        // ...so the next mount loads a current-format checkpoint.
-        let v2 = Volume::mount(devs).unwrap();
-        assert!(v2.list().is_empty());
-        assert_eq!(v2.mount_report().expect("report").generation, 1);
+        let image = || {
+            let mut all = vec![0u8; 1024 * 512];
+            for (i, block) in all.chunks_mut(512).enumerate() {
+                devs[0].read_block(i as u64, block).unwrap();
+            }
+            all
+        };
+        let before = image();
+        match Volume::mount(devs.clone()) {
+            Err(FsError::Meta(msg)) => assert!(msg.contains("no valid pario superblock"), "{msg}"),
+            Err(e) => panic!("expected the typed bad-superblock error, got {e:?}"),
+            Ok(_) => panic!("a retired-format image must not mount"),
+        }
+        assert!(before == image(), "a failed mount wrote to device 0");
     }
 
     #[test]

@@ -220,3 +220,46 @@ fn recoverable_error_on_the_direct_path_counts_once_on_the_health_board() {
     let asked = v.io_device(primary).ionode_stats().unwrap().serviced - before;
     assert_eq!(asked, 1, "the primary was asked once");
 }
+
+/// Every I/O completion feeds the board, the hedged read's included: a
+/// Suspect primary whose copy wins the race collects the consecutive OKs
+/// that walk it back to Healthy, instead of staying Suspect (and every
+/// sub-block read staying doubled) for as long as nothing but hedged
+/// reads touch it.
+#[test]
+fn hedged_sub_block_reads_walk_a_suspect_primary_back_to_healthy() {
+    let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 2,
+        unit: 2,
+    }));
+    let primary = spec.build().map(0).device;
+    let mut devices = mem_array(4, 512, BS);
+    let (fault, wrapped) = FaultDevice::wrap(
+        devices[primary].clone(),
+        FaultPlan {
+            transient_rate: 1.0,
+            ..FaultPlan::default()
+        },
+    );
+    devices[primary] = wrapped;
+    fault.set_armed(false);
+    let v = Volume::new(devices).unwrap();
+    let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
+    let rec = [0xA5u8; 64];
+    f.write_record(0, &rec).unwrap();
+    // Strike the primary out: each read is one transient on the board.
+    fault.set_armed(true);
+    let mut got = [0u8; 64];
+    for _ in 0..8 {
+        f.read_record(0, &mut got).unwrap();
+        assert_eq!(got, rec);
+    }
+    assert_eq!(v.device_health(primary), HealthState::Suspect);
+    // The spike is over; only sub-block (hence hedged) reads follow.
+    fault.set_armed(false);
+    for _ in 0..200 {
+        f.read_record(0, &mut got).unwrap();
+        assert_eq!(got, rec);
+    }
+    assert_eq!(v.device_health(primary), HealthState::Healthy);
+}

@@ -273,14 +273,6 @@ impl NetClient {
         })
     }
 
-    /// The big-lock SS baseline (see `Session::open_self_sched_naive`).
-    pub fn open_self_sched_naive(&self, name: &str) -> Result<RemoteSs> {
-        let (core, opened) = self.open(Request::OpenSsNaive { name: name.into() })?;
-        Ok(RemoteSs {
-            h: RemoteHandle { core, opened },
-        })
-    }
-
     /// Claim partition `p` of a PS/PDA file; refused with
     /// `ServerError::Claimed` while any other client holds it.
     pub fn open_partition(&self, name: &str, p: u32) -> Result<RemotePartition> {

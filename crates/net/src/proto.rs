@@ -21,8 +21,10 @@ pub const MAGIC: [u8; 4] = *b"PIO1";
 /// instead of misparsing frames. Version 2 added the typed shutdown
 /// error class (`ERR_CLASS_SHUTDOWN`) for graceful drain — a v1 peer
 /// would decode that reply as malformed and tear the connection, so the
-/// incompatibility is surfaced at the handshake instead.
-pub const VERSION: u16 = 2;
+/// incompatibility is surfaced at the handshake instead. Version 3
+/// retired opcode 0x12 (the big-lock SS open), which a v2 client may
+/// still send.
+pub const VERSION: u16 = 3;
 
 /// Reply status byte: the request succeeded; the body is the
 /// operation's result.
@@ -52,11 +54,6 @@ pub enum Request {
     },
     /// `Session::open_self_sched`; [`Opened`] reply.
     OpenSs {
-        /// File name.
-        name: String,
-    },
-    /// `Session::open_self_sched_naive` (big-lock baseline); [`Opened`].
-    OpenSsNaive {
         /// File name.
         name: String,
     },
@@ -260,7 +257,8 @@ impl Request {
             Request::Stats => 0x02,
             Request::OpenSeq { .. } => 0x10,
             Request::OpenSs { .. } => 0x11,
-            Request::OpenSsNaive { .. } => 0x12,
+            // 0x12 is reserved: retired in protocol version 3, decoded
+            // as an unknown opcode, never to be reassigned.
             Request::OpenPartition { .. } => 0x13,
             Request::OpenInterleaved { .. } => 0x14,
             Request::OpenDirect { .. } => 0x15,
@@ -294,9 +292,9 @@ impl Request {
 
     /// Every opcode this build understands, for exhaustive tests.
     pub const ALL_OPCODES: &'static [u8] = &[
-        0x01, 0x02, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x20, 0x21, 0x22, 0x23, 0x28, 0x29,
-        0x2A, 0x2B, 0x2C, 0x30, 0x31, 0x32, 0x33, 0x34, 0x38, 0x39, 0x3A, 0x3B, 0x40, 0x41, 0x42,
-        0x43, 0x44, 0x45,
+        0x01, 0x02, 0x10, 0x11, 0x13, 0x14, 0x15, 0x16, 0x20, 0x21, 0x22, 0x23, 0x28, 0x29, 0x2A,
+        0x2B, 0x2C, 0x30, 0x31, 0x32, 0x33, 0x34, 0x38, 0x39, 0x3A, 0x3B, 0x40, 0x41, 0x42, 0x43,
+        0x44, 0x45,
     ];
 
     /// Encode the payload (everything after the opcode byte). Bulk data
@@ -305,10 +303,7 @@ impl Request {
     pub fn encode_payload(&self, w: &mut WireWriter) {
         match self {
             Request::Ping | Request::Stats => {}
-            Request::OpenSeq { name }
-            | Request::OpenSs { name }
-            | Request::OpenSsNaive { name }
-            | Request::OpenDirect { name } => {
+            Request::OpenSeq { name } | Request::OpenSs { name } | Request::OpenDirect { name } => {
                 w.str_prefixed(name);
             }
             Request::OpenPartition { name, partition } => {
@@ -386,9 +381,6 @@ impl Request {
                 name: r.str_prefixed()?,
             },
             0x11 => Request::OpenSs {
-                name: r.str_prefixed()?,
-            },
-            0x12 => Request::OpenSsNaive {
                 name: r.str_prefixed()?,
             },
             0x13 => Request::OpenPartition {

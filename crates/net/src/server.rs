@@ -608,9 +608,6 @@ impl Conn {
             Request::OpenSs { name } => self.open_reply(&name, |s| {
                 Ok((HandleObj::Ss(s.open_self_sched(&name)?), None))
             }),
-            Request::OpenSsNaive { name } => self.open_reply(&name, |s| {
-                Ok((HandleObj::Ss(s.open_self_sched_naive(&name)?), None))
-            }),
             Request::OpenPartition { name, partition } => self.open_reply(&name, |s| {
                 let c = s.open_partition(&name, partition)?;
                 let range = c.range();

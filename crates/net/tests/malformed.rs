@@ -9,8 +9,8 @@ use std::net::TcpStream;
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
 use pario_net::frame::{encode_frame, read_frame, FRAME_OVERHEAD};
-use pario_net::proto::{MAGIC, STATUS_ERR, VERSION};
-use pario_net::{NetClient, NetConfig, NetServer};
+use pario_net::proto::{decode_reply_error, MAGIC, STATUS_ERR, VERSION};
+use pario_net::{NetClient, NetConfig, NetError, NetServer};
 use pario_server::{Server, ServerConfig};
 
 const REC: usize = 64;
@@ -95,8 +95,10 @@ fn absurd_frame_length_closes_the_connection() {
     assert_server_alive(&addr);
 }
 
-#[test]
-fn unknown_opcode_gets_an_error_frame_then_the_boot() {
+/// Send one frame with `opcode` after a good handshake: the reply must
+/// be a single protocol-class STATUS_ERR naming the opcode unknown,
+/// then EOF, and the server must still serve other connections.
+fn assert_opcode_unknown(opcode: u8, payload: &[u8]) {
     let (_net, addr) = serve();
     let mut s = TcpStream::connect(&addr).unwrap();
     s.write_all(&hello()).unwrap();
@@ -104,10 +106,9 @@ fn unknown_opcode_gets_an_error_frame_then_the_boot() {
     s.read_exact(&mut welcome).unwrap();
 
     let mut f = Vec::new();
-    encode_frame(&mut f, 99, 0xEE, b""); // no such opcode
+    encode_frame(&mut f, 99, opcode, payload);
     s.write_all(&f).unwrap();
 
-    // One final STATUS_ERR frame explains the violation, then EOF.
     let reply = read_until_eof(&mut s);
     let frame = read_frame(&mut &reply[..], 1 << 20)
         .expect("parseable reply")
@@ -115,6 +116,49 @@ fn unknown_opcode_gets_an_error_frame_then_the_boot() {
     assert_eq!(frame.request_id, 99);
     assert_eq!(frame.code, STATUS_ERR);
     assert!(reply.len() >= FRAME_OVERHEAD);
+    match decode_reply_error(&frame.body) {
+        Ok(NetError::Protocol(msg)) => {
+            assert!(
+                msg.contains("malformed") && msg.contains("unknown opcode"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected a protocol-class Malformed complaint, got {other:?}"),
+    }
+    assert_server_alive(&addr);
+}
+
+#[test]
+fn unknown_opcode_gets_an_error_frame_then_the_boot() {
+    assert_opcode_unknown(0xEE, b"");
+}
+
+#[test]
+fn retired_opcode_0x12_is_answered_malformed_and_kills_only_that_connection() {
+    // What a v2 client sent for the big-lock SS open: a well-formed
+    // length-prefixed file name. The opcode is reserved since v3.
+    let mut payload = 5u32.to_le_bytes().to_vec();
+    payload.extend_from_slice(b"queue");
+    assert_opcode_unknown(0x12, &payload);
+}
+
+#[test]
+fn version_2_hello_fails_the_handshake() {
+    assert_eq!(VERSION, 3);
+    let (_net, addr) = serve();
+    let mut s = TcpStream::connect(&addr).unwrap();
+    let mut h = MAGIC.to_vec();
+    h.extend_from_slice(&2u16.to_le_bytes());
+    s.write_all(&h).unwrap();
+    // The welcome still names the server's version, then the server
+    // hangs up without serving a frame.
+    let mut ping = Vec::new();
+    encode_frame(&mut ping, 1, 0x01, b"");
+    let _ = s.write_all(&ping);
+    let reply = read_until_eof(&mut s);
+    assert_eq!(reply.len(), 14, "welcome only, no reply frame");
+    assert_eq!(reply[..4], MAGIC);
+    assert_eq!(u16::from_le_bytes([reply[4], reply[5]]), VERSION);
     assert_server_alive(&addr);
 }
 

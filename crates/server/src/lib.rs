@@ -77,7 +77,7 @@ pub mod locks;
 mod session;
 mod stats;
 
-pub use admission::{Admission, AdmissionKind, AdmissionStats, Permit, Saturation};
+pub use admission::{Admission, AdmissionStats, Permit, Saturation};
 pub use error::{Result, ServerError};
 pub use locks::{ByteRangeLocks, RangeGuard};
 pub use session::{

@@ -22,7 +22,7 @@ use pario_core::{
 };
 use pario_fs::{FsError, GlobalReader, GlobalWriter, Volume};
 
-use crate::admission::{Admission, AdmissionKind, Saturation};
+use crate::admission::{Admission, Saturation};
 use crate::error::{Result, ServerError};
 use crate::locks::ByteRangeLocks;
 use crate::stats::{LatencyHistogram, ServerStats, SessionCounters, SessionStats};
@@ -36,10 +36,6 @@ pub struct ServerConfig {
     pub max_in_flight: usize,
     /// What to do with requests that arrive past the limit.
     pub saturation: Saturation,
-    /// Which admission implementation to run. Defaults to the
-    /// packed-atomic fast path; [`AdmissionKind::LegacyMutex`] exists
-    /// only as the E19 performance baseline.
-    pub admission: AdmissionKind,
 }
 
 impl Default for ServerConfig {
@@ -47,7 +43,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_in_flight: 8,
             saturation: Saturation::Block,
-            admission: AdmissionKind::Fast,
         }
     }
 }
@@ -111,11 +106,7 @@ impl Server {
         Server {
             inner: Arc::new(Inner {
                 volume,
-                admission: Admission::with_kind(
-                    config.max_in_flight,
-                    config.saturation,
-                    config.admission,
-                ),
+                admission: Admission::new(config.max_in_flight, config.saturation),
                 latency: LatencyHistogram::default(),
                 files: Mutex::new(HashMap::new()),
                 sessions: Mutex::new(Vec::new()),
@@ -286,17 +277,6 @@ impl Session {
             sess: self.clone(),
             reader: entry.pfile.self_sched_reader()?,
             writer: entry.pfile.self_sched_writer()?,
-        })
-    }
-
-    /// The big-lock SS baseline (experiment E3 / E14 comparisons): same
-    /// shared cursor, transfers serialised under one lock.
-    pub fn open_self_sched_naive(&self, name: &str) -> Result<SsClient> {
-        let entry = self.inner.entry(name)?;
-        Ok(SsClient {
-            sess: self.clone(),
-            reader: entry.pfile.self_sched_reader_naive()?,
-            writer: entry.pfile.self_sched_writer_naive()?,
         })
     }
 

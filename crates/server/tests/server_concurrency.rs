@@ -42,7 +42,6 @@ fn ss_sessions_share_one_cursor_exactly_once() {
         ServerConfig {
             max_in_flight: 4,
             saturation: Saturation::Block,
-            ..ServerConfig::default()
         },
     );
     let seen = Mutex::new(HashSet::new());
@@ -76,12 +75,12 @@ fn ss_sessions_share_one_cursor_exactly_once() {
 }
 
 #[test]
-fn ss_block_reads_and_naive_sessions_share_the_cursor_too() {
+fn ss_block_reads_and_record_reads_share_the_cursor_too() {
     let volume = volume();
     fill_ss(&volume, "queue", 42); // short tail block of 2
     let server = Server::new(volume, ServerConfig::default());
     let a = server.connect().open_self_sched("queue").unwrap();
-    let b = server.connect().open_self_sched_naive("queue").unwrap();
+    let b = server.connect().open_self_sched("queue").unwrap();
     let mut seen = HashSet::new();
     let mut block = [0u8; REC * 4];
     let mut rec = [0u8; REC];
@@ -235,7 +234,6 @@ fn reject_policy_surfaces_busy_to_the_client() {
         ServerConfig {
             max_in_flight: 1,
             saturation: Saturation::Reject,
-            ..ServerConfig::default()
         },
     );
     let (entered_tx, entered_rx) = mpsc::channel();

@@ -35,7 +35,6 @@ const RANKED_LOCKS: &[(&str, &str, u8)] = &[
     ("credits.lock(", "net.credits", 3),
     ("replies.lock(", "net.replies", 5),
     ("wire.lock(", "net.send", 7),
-    ("big_lock.lock(", "core.big_lock", 10),
     ("held.lock(", "server.range_lock", 30),
     ("free.lock(", "buffer.pool", 40),
     ("rmw.lock(", "core.direct_rmw", 45),
