@@ -15,12 +15,21 @@
 //!    scratch device every eviction waits out a home writeback; with
 //!    one, overflow goes to fast scratch and the producer finishes in a
 //!    fraction of the time. A final flush lands every byte regardless.
+//! 3. **Hits do not wait on the devices.** One session writes records
+//!    under range locks — each write ends in an unlock flush that sits
+//!    out a 200 us device write — beside seven sessions re-reading the
+//!    hot set. The cache lock is never held across a transfer, so a
+//!    hit costs a frame copy whatever the devices are doing: the hit
+//!    p50, from exact per-read samples, must stay under a tenth of the
+//!    device delay.
 //!
-//! Results land in `results/e17_cache.json` and the flat benchmark
-//! summary in `BENCH_e17_cache.json` at the repo root.
+//! Results land in `results/e17_cache.json` and
+//! `results/e17_cache_under_flush.json`, and the flat benchmark summary
+//! in `BENCH_e17_cache.json` at the repo root.
 //!
 //! [`VolumeCache`]: pario_fs::VolumeCache
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,12 +50,26 @@ const HOT_RECORDS: u64 = 48;
 const READS_PER_SESSION: usize = 300;
 const FRAMES: usize = 96;
 
-fn delayed_devices(n: usize) -> Vec<DeviceRef> {
+/// Device delay of the under-flush lane, and what each of its readers
+/// reads.
+const FLUSH_DELAY: Duration = Duration::from_micros(200);
+const READS_UNDER_FLUSH: usize = 20_000;
+
+fn delayed_devices(n: usize, delay: Duration) -> Vec<DeviceRef> {
     (0..n)
         .map(|i| {
-            Arc::new(MemDisk::named(&format!("mem{i}"), 2048, BS).with_delay(DELAY)) as DeviceRef
+            Arc::new(MemDisk::named(&format!("mem{i}"), 2048, BS).with_delay(delay)) as DeviceRef
         })
         .collect()
+}
+
+/// xorshift over the hot set: every session walks its own order, all
+/// touching the same records.
+fn next_hot_record(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x % HOT_RECORDS
 }
 
 /// Eight sessions read the hot set in deterministic pseudo-random order
@@ -61,12 +84,7 @@ fn hot_read_lane(server: &Server) -> (f64, ServerStats) {
                 let mut buf = vec![0u8; BS];
                 let mut x = c as u64 * 0x9E37_79B9 + 1;
                 for _ in 0..READS_PER_SESSION {
-                    // xorshift over the hot set: every session walks its
-                    // own order, all touching the same records.
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let r = x % HOT_RECORDS;
+                    let r = next_hot_record(&mut x);
                     g.read_record(r, &mut buf).unwrap();
                     assert_eq!(buf[0], (r % 251) as u8, "torn record {r}");
                 }
@@ -77,9 +95,10 @@ fn hot_read_lane(server: &Server) -> (f64, ServerStats) {
     (t0.elapsed().as_secs_f64(), server.stats())
 }
 
-/// Build the hot-set server; `cached` attaches the volume cache tier.
-fn hot_server(cached: bool) -> Server {
-    let volume = Volume::new(delayed_devices(4)).unwrap();
+/// Build the hot-set server over devices of service time `delay`;
+/// `cached` attaches the volume cache tier.
+fn hot_server(delay: Duration, cached: bool) -> Server {
+    let volume = Volume::new(delayed_devices(4, delay)).unwrap();
     let volume = if cached {
         volume
             .enable_cache(VolumeCacheConfig::write_back(FRAMES))
@@ -108,6 +127,61 @@ fn fmt_quantile(stats: &ServerStats, q: f64) -> String {
     }
 }
 
+/// One session writes records just past the hot set, each a range-locked
+/// write whose unlock flush waits out a device write, while the other
+/// seven re-read the (resident) hot set, timing every read. Returns the
+/// readers' sorted per-read nanoseconds and the writes that completed
+/// while they ran.
+fn hits_under_flush(server: &Server) -> (Vec<u64>, u64) {
+    let readers_left = AtomicBool::new(true);
+    let mut samples = Vec::with_capacity((SESSIONS - 1) * READS_UNDER_FLUSH);
+    let mut writes = 0u64;
+    crossbeam::thread::scope(|s| {
+        let sess = server.connect();
+        let readers_left = &readers_left;
+        let writer = s.spawn(move |_| {
+            let g = sess.open_direct("hot").unwrap();
+            let mut n = 0u64;
+            while readers_left.load(Ordering::SeqCst) {
+                let r = HOT_RECORDS + n % 16;
+                g.write_record(r, &[(r % 251) as u8; BS]).unwrap();
+                n += 1;
+            }
+            n
+        });
+        let readers: Vec<_> = (1..SESSIONS)
+            .map(|c| {
+                let sess = server.connect();
+                s.spawn(move |_| {
+                    let g = sess.open_direct("hot").unwrap();
+                    let mut buf = vec![0u8; BS];
+                    let mut x = c as u64 * 0x9E37_79B9 + 1;
+                    let mut nanos = Vec::with_capacity(READS_UNDER_FLUSH);
+                    for _ in 0..READS_UNDER_FLUSH {
+                        let r = next_hot_record(&mut x);
+                        let t0 = Instant::now();
+                        g.read_record(r, &mut buf).unwrap();
+                        nanos.push(t0.elapsed().as_nanos() as u64);
+                        assert_eq!(buf[0], (r % 251) as u8, "torn record {r}");
+                        // Outside the timed call: leave the writer a
+                        // CPU, so it is in a flush for the whole run.
+                        std::thread::yield_now();
+                    }
+                    nanos
+                })
+            })
+            .collect();
+        for r in readers {
+            samples.extend(r.join().unwrap());
+        }
+        readers_left.store(false, Ordering::SeqCst);
+        writes = writer.join().unwrap();
+    })
+    .unwrap();
+    samples.sort_unstable();
+    (samples, writes)
+}
+
 /// Dirty `blocks` distinct blocks through the raw span path; returns
 /// elapsed producer seconds (flush excluded — that is the point).
 fn spill_producer(volume: &Volume, blocks: u64) -> f64 {
@@ -131,9 +205,9 @@ fn main() {
     );
 
     // -- Hot-reuse lane --------------------------------------------------
-    let uncached = hot_server(false);
+    let uncached = hot_server(DELAY, false);
     let (base_secs, base_stats) = hot_read_lane(&uncached);
-    let cached = hot_server(true);
+    let cached = hot_server(DELAY, true);
     let (hot_secs, hot_stats) = hot_read_lane(&cached);
     let speedup = base_secs / hot_secs;
     let cache = cached.volume().cache_stats().expect("cache enabled");
@@ -160,14 +234,14 @@ fn main() {
     // -- Spill lane ------------------------------------------------------
     const BURST: u64 = 128;
     const BUDGET: usize = 8;
-    let home_only = Volume::new(delayed_devices(1))
+    let home_only = Volume::new(delayed_devices(1, DELAY))
         .unwrap()
         .enable_cache(VolumeCacheConfig::write_back(BUDGET))
         .unwrap();
     let blocked_secs = spill_producer(&home_only, BURST);
 
     let scratch: DeviceRef = Arc::new(MemDisk::named("scratch", 2048, BS));
-    let spilling = Volume::new(delayed_devices(1))
+    let spilling = Volume::new(delayed_devices(1, DELAY))
         .unwrap()
         .enable_cache(VolumeCacheConfig::write_back(BUDGET).with_spill(scratch))
         .unwrap();
@@ -209,6 +283,29 @@ fn main() {
     t.print();
     save_json("e17_cache", &t);
 
+    // -- Hits under flush ------------------------------------------------
+    let flushing = hot_server(FLUSH_DELAY, true);
+    hot_read_lane(&flushing); // every hot record resident before the clock starts
+    let before = flushing.volume().cache_stats().expect("cache enabled");
+    let (hit_nanos, flush_writes) = hits_under_flush(&flushing);
+    let after = flushing.volume().cache_stats().expect("cache enabled");
+    let exact = |q: f64| hit_nanos[((hit_nanos.len() - 1) as f64 * q) as usize];
+    let (hit_p50, hit_p99) = (exact(0.5), exact(0.99));
+    let mut under = Table::new(&["lane", "reads", "unlock flushes", "hit p50", "hit p99"]);
+    under.row(&[
+        format!(
+            "{} readers beside 1 locked writer, {}us devices",
+            SESSIONS - 1,
+            FLUSH_DELAY.as_micros()
+        ),
+        hit_nanos.len().to_string(),
+        flush_writes.to_string(),
+        format!("{hit_p50}ns"),
+        format!("{hit_p99}ns"),
+    ]);
+    under.print();
+    save_json("e17_cache_under_flush", &under);
+
     Bench::new()
         .label("experiment", "e17_cache")
         .int("sessions", SESSIONS as u64)
@@ -242,6 +339,10 @@ fn main() {
         .num("producer_secs_no_spill", blocked_secs)
         .num("producer_secs_with_spill", spill_secs)
         .num("spill_speedup", spill_win)
+        .int("reads_under_flush", hit_nanos.len() as u64)
+        .int("flushes_under_readers", flush_writes)
+        .int("hit_p50_under_flush_nanos", hit_p50)
+        .int("hit_p99_under_flush_nanos", hit_p99)
         .save("e17_cache");
 
     println!("\nasserted facts:");
@@ -271,6 +372,11 @@ fn main() {
         format!("{spill_win:.2}x"),
         "> 1.5x".into(),
     ]);
+    facts.row(&[
+        "hit p50 beside a flushing writer".into(),
+        format!("{hit_p50}ns"),
+        format!("< {}ns (device delay / 10)", FLUSH_DELAY.as_nanos() / 10),
+    ]);
     facts.print();
 
     assert!(
@@ -288,6 +394,20 @@ fn main() {
         spill_win > 1.5,
         "spill must keep the producer off the home device \
          ({blocked_secs:.4}s vs {spill_secs:.4}s)"
+    );
+    assert_eq!(
+        after.base.misses, before.base.misses,
+        "every read beside the writer must be a hit"
+    );
+    assert!(
+        flush_writes >= 10,
+        "the writer must flush while the readers run (got {flush_writes} writes)"
+    );
+    assert!(
+        u128::from(hit_p50) < FLUSH_DELAY.as_nanos() / 10,
+        "a hit must not wait out a device transfer: p50 {hit_p50}ns beside \
+         {flush_writes} unlock flushes of {}us each",
+        FLUSH_DELAY.as_micros()
     );
     println!("\nE17 assertions passed.");
 }

@@ -96,7 +96,7 @@ fn steady_lane(records: u64, passes: u64) -> (f64, f64) {
     };
     let (_von, fon) = prepare(true);
     let (_voff, foff) = prepare(false);
-    let mut run = |f: &pario_fs::RawFile| {
+    let run = |f: &pario_fs::RawFile| {
         for _ in 0..passes {
             for r in 0..records {
                 f.write_record(r, &payload).unwrap();

@@ -30,15 +30,33 @@
 //! sections) and below the health board (health transitions drop frames
 //! only after the board mutex is released).
 //!
+//! **The lock covers the frame table, never a transfer.** It is held
+//! for lookups, frame copies and bookkeeping; every home-device or
+//! scratch call is made with it released, the paper's two-phase rule
+//! (§3: reserve early "so the next process can proceed before the first
+//! transfer completes"). A write-back *reserves* its frames — copies
+//! their bytes, marks them `writing`, notes the table's clock — drops
+//! the lock, submits every run before waiting any, retakes the lock and
+//! *commits*: a frame goes clean only if its version is no later than
+//! the noted clock, so a write that raced the transfer (or a failed
+//! transfer) leaves it dirty. While a frame is `writing` hits and writes
+//! go ahead; CLOCK passes over it, and a flusher or invalidator whose
+//! range covers it waits for the transfer to land (a range flush may
+//! not return with a write-back of its range still in flight; an
+//! invalidation precedes a raw media write that a late write-back would
+//! clobber). Spilled blocks follow the same shape with a `busy` mark
+//! that everyone waits out.
+//!
 //! Error semantics are chosen so the cache never *masks* media state:
 //! a failed write-through invalidates every frame the write covered
 //! (a torn write leaves the media holding a prefix — subsequent reads
 //! must see exactly that), and a failed read-fill simply skips frame
 //! installation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::ops::{Deref, DerefMut};
 
-use pario_check::{LockLevel, Mutex};
+use pario_check::{Condvar, LockLevel, Mutex, MutexGuard};
 use pario_disk::{DeviceRef, DiskError, Result, Ticket};
 
 use crate::cache::{CacheStats, WritePolicy};
@@ -112,10 +130,43 @@ impl VolumeCacheStats {
     }
 }
 
+/// `(device, absolute block)`. Ordered, so a device's blocks and any
+/// block range of it are one contiguous key range of the table.
+type Key = (usize, u64);
+
+/// The key range of `count` blocks of `dev` from `block`; `None` when
+/// empty.
+fn block_keys(dev: usize, block: u64, count: u64) -> Option<(Key, Key)> {
+    (count > 0).then(|| ((dev, block), (dev, block.saturating_add(count - 1))))
+}
+
+/// Every block of `dev`.
+fn device_keys(dev: usize) -> (Key, Key) {
+    ((dev, 0), (dev, u64::MAX))
+}
+
 struct Slot {
-    key: Option<(usize, u64)>,
+    key: Option<Key>,
     dirty: bool,
     referenced: bool,
+    /// [`CacheState::clock`] when the frame's bytes last changed. A
+    /// write-back that copied them at clock `t` may clear `dirty` only
+    /// while `version <= t`.
+    version: u64,
+    /// A copy of the frame's bytes is on its way to the home device or
+    /// to scratch, with the table unlocked. The frame stays mapped
+    /// until the transfer lands: CLOCK passes over it, and flushers and
+    /// invalidators of its key wait on [`VolumeCache::settled`].
+    writing: bool,
+}
+
+/// A dirty block overflowed to scratch.
+struct Spill {
+    sslot: u64,
+    /// A transfer on the scratch block is in flight with the table
+    /// unlocked; anyone else who wants the block waits on
+    /// [`VolumeCache::settled`].
+    busy: bool,
 }
 
 struct CacheState {
@@ -123,26 +174,141 @@ struct CacheState {
     /// backs `slots[i]`.
     bufs: Vec<PoolBuf>,
     slots: Vec<Slot>,
-    /// `(device, absolute block)` -> slot index.
-    map: HashMap<(usize, u64), usize>,
+    /// Key -> slot index.
+    map: BTreeMap<Key, usize>,
     /// Slots never used yet (startup only; eviction recycles in place).
     free: Vec<usize>,
     /// CLOCK hand.
     hand: usize,
-    /// Dirty blocks overflowed to the scratch device:
-    /// `(device, block)` -> scratch block. A key is in at most one of
-    /// `map` and `spilled`.
-    spilled: HashMap<(usize, u64), u64>,
+    /// Counts changes to frame bytes and poisonings of fetches; stamps
+    /// [`Slot::version`] and `stale`.
+    clock: u64,
+    /// Dirty blocks overflowed to the scratch device. A key is in at
+    /// most one of `map` and `spilled`.
+    spilled: BTreeMap<Key, Spill>,
     /// Unused scratch blocks.
     spill_free: Vec<u64>,
     /// Miss keys with an executor fetch in flight -> outstanding reader
     /// count. A write or invalidation of such a key lands in `stale`:
-    /// the fetched bytes predate the mutation and must not be installed
-    /// when the ticket is waited.
-    inflight: HashMap<(usize, u64), u32>,
-    /// In-flight keys mutated since their fetch was submitted.
-    stale: HashSet<(usize, u64)>,
+    /// bytes fetched before the mutation must not be installed when the
+    /// fetch completes.
+    inflight: HashMap<Key, u32>,
+    /// In-flight keys mutated during a fetch -> `clock` at the latest
+    /// mutation. It poisons the fetches registered before it, not those
+    /// after.
+    stale: HashMap<Key, u64>,
     stats: VolumeCacheStats,
+}
+
+impl CacheState {
+    /// Whether a frame write-back or scratch transfer is in flight
+    /// anywhere in `[lo, hi]`.
+    fn transfer_in(&self, lo: Key, hi: Key) -> bool {
+        self.map.range(lo..=hi).any(|(_, &i)| self.slots[i].writing)
+            || self.spilled.range(lo..=hi).any(|(_, s)| s.busy)
+    }
+
+    /// Whether `key` is neither resident nor spilled.
+    fn absent(&self, key: Key) -> bool {
+        !self.map.contains_key(&key) && !self.spilled.contains_key(&key)
+    }
+
+    /// Whether `key` holds a dirty frame with no transfer in flight.
+    fn dirty_idle(&self, key: Key) -> bool {
+        self.map.get(&key).is_some_and(|&i| {
+            let slot = &self.slots[i];
+            slot.dirty && !slot.writing
+        })
+    }
+
+    /// Serve a read of frame `idx`.
+    fn hit(&mut self, idx: usize, out: &mut [u8]) {
+        self.slots[idx].referenced = true;
+        out.copy_from_slice(&self.bufs[idx]);
+        self.stats.base.hits += 1;
+    }
+
+    /// Record that frame `idx`'s bytes changed.
+    fn touch(&mut self, idx: usize) {
+        self.clock += 1;
+        self.slots[idx].version = self.clock;
+    }
+
+    /// Drop frame `key` (not `writing`) without writing it anywhere.
+    fn unmap(&mut self, key: Key) {
+        if let Some(idx) = self.map.remove(&key) {
+            let slot = &mut self.slots[idx];
+            (slot.key, slot.dirty, slot.referenced) = (None, false, false);
+            self.free.push(idx);
+            self.stats.invalidations += 1;
+        }
+    }
+
+    /// Poison any in-flight fetch of `key`: the caller is about to make
+    /// its bytes stale (a write, an update, or an invalidation after a
+    /// raw media write), so the late install must be skipped.
+    fn mark_stale_if_inflight(&mut self, key: Key) {
+        if self.inflight.contains_key(&key) {
+            self.clock += 1;
+            self.stale.insert(key, self.clock);
+        }
+    }
+
+    /// Register a fetch of absent `key`.
+    fn begin_fetch(&mut self, key: Key) {
+        *self.inflight.entry(key).or_insert(0) += 1;
+    }
+
+    /// Drop one in-flight reference to `key`.
+    fn retire_inflight(&mut self, key: Key) {
+        if let Some(c) = self.inflight.get_mut(&key) {
+            *c -= 1;
+            if *c == 0 {
+                self.inflight.remove(&key);
+                self.stale.remove(&key);
+            }
+        }
+    }
+}
+
+/// The locked frame table. Whoever has a transfer to make releases it
+/// around the call with [`Table::unlocked`] and re-derives what it read
+/// before.
+struct Table<'a> {
+    cache: &'a VolumeCache,
+    guard: Option<MutexGuard<'a, CacheState>>,
+}
+
+impl Deref for Table<'_> {
+    type Target = CacheState;
+    fn deref(&self) -> &CacheState {
+        // invariant: `guard` is `None` only inside `unlocked`.
+        self.guard.as_ref().expect("table is locked")
+    }
+}
+
+impl DerefMut for Table<'_> {
+    fn deref_mut(&mut self) -> &mut CacheState {
+        // invariant: `guard` is `None` only inside `unlocked`.
+        self.guard.as_mut().expect("table is locked")
+    }
+}
+
+impl Table<'_> {
+    /// Run `io` — a device or scratch call — with the table unlocked.
+    fn unlocked<R>(&mut self, io: impl FnOnce() -> R) -> R {
+        self.guard = None;
+        let r = io();
+        self.guard = Some(self.cache.frames.lock());
+        r
+    }
+
+    /// Park, table unlocked, until some transfer lands.
+    fn wait_settled(&mut self) {
+        // invariant: `guard` is `None` only inside `unlocked`.
+        let guard = self.guard.as_mut().expect("table is locked");
+        self.cache.settled.wait(guard);
+    }
 }
 
 /// A volume-wide shared block cache in front of the executor bank.
@@ -155,6 +321,8 @@ pub struct VolumeCache {
     /// drop, and so callers can see the budget via [`VolumeCache::pool`].
     pool: BufferPool,
     frames: Mutex<CacheState>,
+    /// Signalled whenever a `writing` or `busy` mark clears.
+    settled: Condvar,
 }
 
 /// A pending miss run: (byte offset into `out`, start block, block
@@ -166,6 +334,8 @@ type PendingRun = (usize, u64, u64, Ticket<Box<[u8]>>);
 #[must_use = "a cached read completes only when waited"]
 pub struct CacheReadTicket {
     dev: usize,
+    /// Table clock when the misses were registered (at the latest).
+    since: u64,
     pending: Vec<PendingRun>,
     out: Box<[u8]>,
     err: Option<DiskError>,
@@ -178,7 +348,24 @@ pub struct CacheWriteTicket {
     dev: usize,
     block: u64,
     count: u64,
-    pending: Option<Ticket<Box<[u8]>>>,
+    /// The device write and the table clock at its submit.
+    pending: Option<(u64, Ticket<Box<[u8]>>)>,
+}
+
+/// Where a block of a write-back run came from.
+#[derive(Copy, Clone)]
+enum Origin {
+    Frame(usize),
+    Spill(u64),
+}
+
+/// One vectored home write of a write-back: contiguous blocks of one
+/// device.
+struct Run {
+    dev: usize,
+    start: u64,
+    members: Vec<Origin>,
+    data: Vec<u8>,
 }
 
 impl VolumeCache {
@@ -206,6 +393,8 @@ impl VolumeCache {
                 key: None,
                 dirty: false,
                 referenced: false,
+                version: 0,
+                writing: false,
             })
             .collect();
         let spill_free = match &cfg.spill {
@@ -222,17 +411,19 @@ impl VolumeCache {
                 CacheState {
                     bufs,
                     slots,
-                    map: HashMap::new(),
+                    map: BTreeMap::new(),
                     free: (0..cfg.frames).rev().collect(),
                     hand: 0,
-                    spilled: HashMap::new(),
+                    clock: 0,
+                    spilled: BTreeMap::new(),
                     spill_free,
                     inflight: HashMap::new(),
-                    stale: HashSet::new(),
+                    stale: HashMap::new(),
                     stats: VolumeCacheStats::default(),
                 },
                 LockLevel::VolumeCache,
             ),
+            settled: Condvar::new(),
         }
     }
 
@@ -277,142 +468,278 @@ impl VolumeCache {
         self.frames.lock().spilled.len()
     }
 
-    // ------------------------------------------------------------------
-    // Internal frame machinery (all called with the state lock held)
-    // ------------------------------------------------------------------
-
-    /// Write the contiguous dirty run around `slot`'s key back to its
-    /// home device as one vectored request, marking the run clean.
-    fn writeback_run(&self, st: &mut CacheState, idx: usize) -> Result<()> {
-        // invariant: callers only pass occupied slots.
-        let (dev, block) = st.slots[idx].key.expect("occupied slot");
-        // Grow the run over contiguous dirty resident neighbors.
-        let mut lo = block;
-        while lo > 0 {
-            match st.map.get(&(dev, lo - 1)) {
-                Some(&i) if st.slots[i].dirty => lo -= 1,
-                _ => break,
-            }
+    fn table(&self) -> Table<'_> {
+        Table {
+            cache: self,
+            guard: Some(self.frames.lock()),
         }
-        let mut hi = block;
-        while let Some(&i) = st.map.get(&(dev, hi + 1)) {
-            if !st.slots[i].dirty {
-                break;
-            }
-            hi += 1;
-        }
-        let n = (hi - lo + 1) as usize;
-        let mut data = vec![0u8; n * self.block_size];
-        for j in 0..n {
-            // invariant: the scan above saw every key in the run.
-            let i = *st.map.get(&(dev, lo + j as u64)).expect("scanned key");
-            data[j * self.block_size..(j + 1) * self.block_size].copy_from_slice(&st.bufs[i]);
-        }
-        self.devices[dev]
-            .submit_write_blocks(lo, data.into_boxed_slice())
-            .wait()?;
-        for j in 0..n {
-            // invariant: keys unchanged while the state lock is held.
-            let i = *st.map.get(&(dev, lo + j as u64)).expect("scanned key");
-            st.slots[i].dirty = false;
-        }
-        st.stats.base.writebacks += n as u64;
-        st.stats.coalesced_writes += n as u64 - 1;
-        Ok(())
     }
 
-    /// Make `slot` clean so it can be recycled: spill to scratch when a
-    /// slot is free there, else write the surrounding dirty run home.
-    fn clean_slot(&self, st: &mut CacheState, idx: usize) -> Result<()> {
-        if !st.slots[idx].dirty {
+    // ------------------------------------------------------------------
+    // Internal frame machinery. Everything that takes a `Table` may
+    // release it around a transfer.
+    // ------------------------------------------------------------------
+
+    /// Write the dirty frames and spilled blocks of the (disjoint) key
+    /// `ranges` home — the one write-back routine, behind every flush
+    /// and the eviction of a dirty frame: reserve under the lock,
+    /// transfer unlocked with every run submitted before any is waited,
+    /// commit under the lock. Costs the blocks in the ranges, not the
+    /// table.
+    fn write_back(&self, st: &mut Table<'_>, ranges: &[(Key, Key)]) -> Result<()> {
+        let bs = self.block_size;
+        // Someone else's write-back of these blocks counts: it lands
+        // before this returns, and what it leaves dirty is written here.
+        while ranges.iter().any(|&(lo, hi)| st.transfer_in(lo, hi)) {
+            st.wait_settled();
+        }
+        let mut picked: Vec<(Key, Origin)> = Vec::new();
+        for &(lo, hi) in ranges {
+            let frames = st.map.range(lo..=hi).filter(|(_, &i)| st.slots[i].dirty);
+            picked.extend(frames.map(|(&k, &i)| (k, Origin::Frame(i))));
+            let spills = st.spilled.range(lo..=hi);
+            picked.extend(spills.map(|(&k, s)| (k, Origin::Spill(s.sslot))));
+        }
+        if picked.is_empty() {
             return Ok(());
         }
-        if let Some(scratch) = &self.scratch {
-            if let Some(sslot) = st.spill_free.pop() {
-                // invariant: callers only pass occupied slots.
-                let key = st.slots[idx].key.expect("occupied slot");
-                if let Err(e) = scratch.write_block(sslot, &st.bufs[idx]) {
-                    st.spill_free.push(sslot);
-                    return Err(e);
+        picked.sort_unstable_by_key(|&(k, _)| k);
+        // Reserve: mark, and merge adjacent blocks into runs. Frame
+        // bytes are copied here; spilled bytes are read once unlocked.
+        let mut runs: Vec<Run> = Vec::new();
+        for (key, origin) in picked {
+            let adjacent = runs.last().is_some_and(|r| {
+                r.dev == key.0 && r.start.checked_add(r.members.len() as u64) == Some(key.1)
+            });
+            if !adjacent {
+                runs.push(Run {
+                    dev: key.0,
+                    start: key.1,
+                    members: Vec::new(),
+                    data: Vec::new(),
+                });
+            }
+            // invariant: pushed just above when there was none.
+            let run = runs.last_mut().expect("a run is open");
+            match origin {
+                Origin::Frame(idx) => {
+                    run.data.extend_from_slice(&st.bufs[idx]);
+                    st.slots[idx].writing = true;
                 }
-                st.spilled.insert(key, sslot);
-                st.slots[idx].dirty = false;
-                st.stats.spills += 1;
-                return Ok(());
+                Origin::Spill(_) => {
+                    run.data.resize(run.data.len() + bs, 0);
+                    // invariant: picked from `spilled` under this lock hold.
+                    st.spilled.get_mut(&key).expect("picked key").busy = true;
+                }
+            }
+            run.members.push(origin);
+        }
+        let stamp = st.clock;
+        let outcomes: Vec<Result<()>> = st.unlocked(|| {
+            let tickets: Vec<Result<Ticket<Box<[u8]>>>> = runs
+                .iter_mut()
+                .map(|run| {
+                    for (j, origin) in run.members.iter().enumerate() {
+                        if let Origin::Spill(sslot) = *origin {
+                            // invariant: spilled entries exist only with a scratch device.
+                            let scratch = self.scratch.as_ref().expect("spill implies scratch");
+                            scratch.read_block(sslot, &mut run.data[j * bs..(j + 1) * bs])?;
+                        }
+                    }
+                    let data = std::mem::take(&mut run.data).into_boxed_slice();
+                    Ok(self.devices[run.dev].submit_write_blocks(run.start, data))
+                })
+                .collect();
+            tickets.into_iter().map(|t| t?.wait().map(|_| ())).collect()
+        });
+        // Commit. A failed run stays dirty/spilled; the data is not lost.
+        let mut first_err = None;
+        for (run, outcome) in runs.iter().zip(outcomes) {
+            for (j, origin) in run.members.iter().enumerate() {
+                match *origin {
+                    Origin::Frame(idx) => {
+                        let slot = &mut st.slots[idx];
+                        slot.writing = false;
+                        if outcome.is_ok() && slot.version <= stamp {
+                            slot.dirty = false;
+                        }
+                    }
+                    Origin::Spill(sslot) => {
+                        let key = (run.dev, run.start + j as u64);
+                        if outcome.is_ok() {
+                            st.spilled.remove(&key);
+                            st.spill_free.push(sslot);
+                        } else {
+                            // invariant: busy entries are never removed by others.
+                            st.spilled.get_mut(&key).expect("busy entry").busy = false;
+                        }
+                    }
+                }
+            }
+            match outcome {
+                Ok(()) => {
+                    let blocks = run.members.len() as u64;
+                    st.stats.base.writebacks += blocks;
+                    st.stats.coalesced_writes += blocks - 1;
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
-        self.writeback_run(st, idx)
+        self.settled.notify_all();
+        first_err.map_or(Ok(()), Err)
     }
 
-    /// Take a recyclable slot: a never-used one, else a CLOCK victim
-    /// (dirty victims are spilled or written back first). The returned
-    /// slot is unmapped and clean.
-    fn take_slot(&self, st: &mut CacheState) -> Result<usize> {
-        if let Some(idx) = st.free.pop() {
-            return Ok(idx);
-        }
-        // Two sweeps suffice: the first clears every reference bit.
-        for _ in 0..2 * st.slots.len() {
-            let idx = st.hand;
-            st.hand = (st.hand + 1) % st.slots.len();
-            if st.slots[idx].referenced {
-                st.slots[idx].referenced = false;
-                continue;
+    /// Run `io` on the scratch block of spilled `key` with the table
+    /// unlocked. The caller saw the entry idle under this lock hold; it
+    /// is `busy` for the duration, so nobody moves or frees the block.
+    fn spill_io<R>(
+        &self,
+        st: &mut Table<'_>,
+        key: Key,
+        io: impl FnOnce(&DeviceRef, u64) -> R,
+    ) -> R {
+        // invariant: spilled entries exist only with a scratch device.
+        let scratch = self.scratch.as_ref().expect("spill implies scratch");
+        // invariant: the caller found the entry under this lock hold.
+        let entry = st.spilled.get_mut(&key).expect("spilled key");
+        entry.busy = true;
+        let sslot = entry.sslot;
+        let r = st.unlocked(|| io(scratch, sslot));
+        // invariant: busy entries are never removed by others.
+        st.spilled.get_mut(&key).expect("busy entry").busy = false;
+        self.settled.notify_all();
+        r
+    }
+
+    /// Get dirty, idle frame `idx` written out with the table unlocked:
+    /// to scratch when a block is free there, else home together with
+    /// its dirty neighbors. `Ok(true)` hands the frame — spilled,
+    /// unmapped — to the caller; `Ok(false)` means the table moved on
+    /// meanwhile and the sweep starts over.
+    fn clean_victim(&self, st: &mut Table<'_>, idx: usize) -> Result<bool> {
+        // invariant: callers only pass occupied slots.
+        let key @ (dev, block) = st.slots[idx].key.expect("occupied slot");
+        let Some(sslot) = st.spill_free.pop() else {
+            // Grow the run over contiguous dirty idle neighbors.
+            let (mut lo, mut hi) = (block, block);
+            while lo > 0 && st.dirty_idle((dev, lo - 1)) {
+                lo -= 1;
             }
-            self.clean_slot(st, idx)?;
-            // invariant: non-free slots are always mapped.
-            let key = st.slots[idx].key.take().expect("occupied slot");
+            while hi < u64::MAX && st.dirty_idle((dev, hi + 1)) {
+                hi += 1;
+            }
+            return self
+                .write_back(st, &[((dev, lo), (dev, hi))])
+                .map(|()| false);
+        };
+        // invariant: scratch blocks exist only with a scratch device.
+        let scratch = self.scratch.as_ref().expect("spill implies scratch");
+        let data = st.bufs[idx].to_vec();
+        st.slots[idx].writing = true;
+        let stamp = st.clock;
+        let res = st.unlocked(|| scratch.write_block(sslot, &data));
+        st.slots[idx].writing = false;
+        self.settled.notify_all();
+        if res.is_ok() && st.slots[idx].version <= stamp {
+            // A writing frame is never unmapped: `idx` still holds `key`.
             st.map.remove(&key);
-            st.slots[idx].dirty = false;
+            let slot = &mut st.slots[idx];
+            (slot.key, slot.dirty) = (None, false);
+            st.spilled.insert(key, Spill { sslot, busy: false });
+            st.stats.spills += 1;
             st.stats.base.evictions += 1;
-            return Ok(idx);
+            return Ok(true);
         }
-        unreachable!("CLOCK finds a victim within two sweeps");
+        st.spill_free.push(sslot);
+        res.map(|()| false)
     }
 
-    /// Poison any in-flight fetch of `key`: the caller is about to make
-    /// its bytes stale (a write, an update, or an invalidation after a
-    /// raw media write), so the late install must be skipped.
-    fn mark_stale_if_inflight(st: &mut CacheState, key: (usize, u64)) {
-        if st.inflight.contains_key(&key) {
-            st.stale.insert(key);
-        }
-    }
-
-    /// Drop one in-flight reference to `key` and report whether its
-    /// fetched bytes are still fresh (never mutated since submit).
-    fn retire_inflight(st: &mut CacheState, key: (usize, u64)) -> bool {
-        let fresh = !st.stale.contains(&key);
-        if let Some(c) = st.inflight.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                st.inflight.remove(&key);
-                st.stale.remove(&key);
+    /// Take a recyclable slot: a never-used one, else a CLOCK victim —
+    /// a clean unreferenced frame for preference, else a dirty one,
+    /// spilled or written back with the table unlocked, after which the
+    /// sweep runs again on whatever the table then holds. `writing`
+    /// frames are passed over. The returned slot is unmapped and clean.
+    fn take_slot(&self, st: &mut Table<'_>) -> Result<usize> {
+        loop {
+            if let Some(idx) = st.free.pop() {
+                return Ok(idx);
+            }
+            let n = st.slots.len();
+            let mut dirty_victim = None;
+            // Two sweeps suffice: the first clears every reference bit.
+            for _ in 0..2 * n {
+                let idx = st.hand;
+                st.hand = (idx + 1) % n;
+                let slot = &mut st.slots[idx];
+                if slot.writing {
+                    continue;
+                }
+                if slot.referenced {
+                    slot.referenced = false;
+                    continue;
+                }
+                if slot.dirty {
+                    dirty_victim.get_or_insert(idx);
+                    continue;
+                }
+                // invariant: non-free slots are always mapped.
+                let key = slot.key.take().expect("occupied slot");
+                st.map.remove(&key);
+                st.stats.base.evictions += 1;
+                return Ok(idx);
+            }
+            match dirty_victim {
+                Some(idx) => {
+                    if self.clean_victim(st, idx)? {
+                        return Ok(idx);
+                    }
+                }
+                // Every frame is mid-transfer.
+                None => st.wait_settled(),
             }
         }
-        fresh
     }
 
-    /// Install `data` as a frame for `key`. `dirty` marks write-behind
-    /// data not yet on the home device. The reference bit starts clear:
-    /// only a second touch earns a frame protection from the sweep, so
-    /// one-shot streaming data is recycled first.
+    /// Give absent `key` a frame holding `data`: the clean fill of a
+    /// fetch registered at table clock `fetched_at`, or with `None`
+    /// dirty write-behind data not yet on the home device. Claiming the
+    /// slot may release the table, so absence is judged again with the
+    /// slot in hand: `Ok(false)`, nothing installed, when `key` is or
+    /// became resident or spilled — or when a write or invalidation
+    /// poisoned the fetch since it was registered. The reference bit
+    /// starts clear: only a second touch earns a frame protection from
+    /// the sweep, so one-shot streaming data is recycled first.
     fn install(
         &self,
-        st: &mut CacheState,
-        key: (usize, u64),
+        st: &mut Table<'_>,
+        key: Key,
         data: &[u8],
-        dirty: bool,
-    ) -> Result<()> {
-        let idx = self.take_slot(st)?;
-        st.bufs[idx].copy_from_slice(data);
-        st.slots[idx] = Slot {
-            key: Some(key),
-            dirty,
-            referenced: false,
+        fetched_at: Option<u64>,
+    ) -> Result<bool> {
+        let dirty = fetched_at.is_none();
+        let wanted = |st: &CacheState| {
+            let poisoned = st.stale.get(&key).is_some_and(|&at| Some(at) > fetched_at);
+            st.absent(key) && (dirty || !poisoned)
         };
+        if !wanted(st) {
+            return Ok(false);
+        }
+        let idx = self.take_slot(st)?;
+        if !wanted(st) {
+            st.free.push(idx);
+            return Ok(false);
+        }
+        if dirty {
+            st.mark_stale_if_inflight(key);
+        }
+        st.bufs[idx].copy_from_slice(data);
+        let slot = &mut st.slots[idx];
+        (slot.key, slot.dirty, slot.referenced) = (Some(key), dirty, false);
+        st.touch(idx);
         st.map.insert(key, idx);
-        Ok(())
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -429,53 +756,57 @@ impl VolumeCache {
     pub fn submit_read(&self, dev: usize, block: u64, count: usize) -> CacheReadTicket {
         let bs = self.block_size;
         let mut out = vec![0u8; count * bs].into_boxed_slice();
-        let mut pending = Vec::new();
+        let mut misses: Vec<(usize, usize)> = Vec::new();
         let mut err = None;
-        let mut st = self.frames.lock();
+        let mut st = self.table();
+        let since = st.clock;
         let mut i = 0usize;
         while i < count {
-            let b = block + i as u64;
-            if let Some(&idx) = st.map.get(&(dev, b)) {
-                st.slots[idx].referenced = true;
-                out[i * bs..(i + 1) * bs].copy_from_slice(&st.bufs[idx]);
-                st.stats.base.hits += 1;
-                i += 1;
-            } else if let Some(&sslot) = st.spilled.get(&(dev, b)) {
+            let key = (dev, block + i as u64);
+            let chunk = &mut out[i * bs..(i + 1) * bs];
+            if let Some(&idx) = st.map.get(&key) {
+                st.hit(idx, chunk);
+            } else if let Some(spill) = st.spilled.get(&key) {
+                if spill.busy {
+                    st.wait_settled();
+                    continue;
+                }
                 // The newest copy lives on scratch (it was dirty when
                 // spilled); serve it from there.
-                // invariant: spilled entries exist only with a scratch device.
-                let scratch = self.scratch.as_ref().expect("spill implies scratch");
-                if let Err(e) = scratch.read_block(sslot, &mut out[i * bs..(i + 1) * bs]) {
+                if let Err(e) = self.spill_io(&mut st, key, |s, sslot| s.read_block(sslot, chunk)) {
                     err.get_or_insert(e);
                 }
                 st.stats.base.hits += 1;
                 st.stats.spill_loads += 1;
-                i += 1;
             } else {
                 // Coalesce the whole run of adjacent misses into one
                 // vectored read.
                 let start = i;
-                while i < count {
-                    let key = (dev, block + i as u64);
-                    if st.map.contains_key(&key) || st.spilled.contains_key(&key) {
-                        break;
-                    }
+                while i < count && st.absent((dev, block + i as u64)) {
+                    st.begin_fetch((dev, block + i as u64));
                     i += 1;
                 }
                 let n = i - start;
                 st.stats.base.misses += n as u64;
                 st.stats.coalesced_reads += n as u64 - 1;
-                for j in start..i {
-                    *st.inflight.entry((dev, block + j as u64)).or_insert(0) += 1;
-                }
-                let t = self.devices[dev]
-                    .submit_read_blocks(block + start as u64, vec![0u8; n * bs].into_boxed_slice());
-                pending.push((start * bs, block + start as u64, n as u64, t));
+                misses.push((start, n));
+                continue;
             }
+            i += 1;
         }
         drop(st);
+        let pending = misses
+            .into_iter()
+            .map(|(start, n)| {
+                let first = block + start as u64;
+                let buf = vec![0u8; n * bs].into_boxed_slice();
+                let t = self.devices[dev].submit_read_blocks(first, buf);
+                (start * bs, first, n as u64, t)
+            })
+            .collect();
         CacheReadTicket {
             dev,
+            since,
             pending,
             out,
             err,
@@ -483,13 +814,30 @@ impl VolumeCache {
     }
 
     /// Read blocks synchronously through the cache (`out` must be a
-    /// whole number of blocks).
+    /// whole number of blocks). Resident blocks are copied frame to
+    /// `out` once, under the lock; the ticket path takes over at the
+    /// first block that is not.
     pub fn read_blocks(&self, dev: usize, block: u64, out: &mut [u8]) -> Result<()> {
-        debug_assert_eq!(out.len() % self.block_size, 0);
+        let bs = self.block_size;
+        debug_assert_eq!(out.len() % bs, 0);
+        let mut st = self.frames.lock();
+        let mut served = 0usize;
+        for chunk in out.chunks_mut(bs) {
+            let Some(&idx) = st.map.get(&(dev, block + served as u64)) else {
+                break;
+            };
+            st.hit(idx, chunk);
+            served += 1;
+        }
+        drop(st);
+        let rest = &mut out[served * bs..];
+        if rest.is_empty() {
+            return Ok(());
+        }
         let data = self
-            .submit_read(dev, block, out.len() / self.block_size)
+            .submit_read(dev, block + served as u64, rest.len() / bs)
             .wait(self)?;
-        out.copy_from_slice(&data);
+        rest.copy_from_slice(&data);
         Ok(())
     }
 
@@ -503,23 +851,26 @@ impl VolumeCache {
     /// which otherwise race raw device tickets and must not miss newer
     /// write-behind data.
     pub fn try_cached(&self, dev: usize, block: u64, out: &mut [u8]) -> bool {
-        let mut st = self.frames.lock();
-        if let Some(&idx) = st.map.get(&(dev, block)) {
-            st.slots[idx].referenced = true;
-            out.copy_from_slice(&st.bufs[idx]);
-            st.stats.base.hits += 1;
-            return true;
-        }
-        if let Some(&sslot) = st.spilled.get(&(dev, block)) {
-            // invariant: spilled entries exist only with a scratch device.
-            let scratch = self.scratch.as_ref().expect("spill implies scratch");
-            if scratch.read_block(sslot, out).is_ok() {
-                st.stats.base.hits += 1;
-                st.stats.spill_loads += 1;
+        let key = (dev, block);
+        let mut st = self.table();
+        loop {
+            if let Some(&idx) = st.map.get(&key) {
+                st.hit(idx, out);
                 return true;
             }
+            match st.spilled.get(&key).map(|s| s.busy) {
+                None => return false,
+                Some(true) => st.wait_settled(),
+                Some(false) => {
+                    let read = self.spill_io(&mut st, key, |s, sslot| s.read_block(sslot, out));
+                    if read.is_ok() {
+                        st.stats.base.hits += 1;
+                        st.stats.spill_loads += 1;
+                    }
+                    return read.is_ok();
+                }
+            }
         }
-        false
     }
 
     // ------------------------------------------------------------------
@@ -536,58 +887,52 @@ impl VolumeCache {
     pub fn submit_write(&self, dev: usize, block: u64, data: &[u8]) -> Result<CacheWriteTicket> {
         let bs = self.block_size;
         debug_assert_eq!(data.len() % bs, 0);
-        let count = data.len() / bs;
-        let mut st = self.frames.lock();
-        match self.policy {
-            WritePolicy::WriteBack => {
-                for j in 0..count {
-                    let key = (dev, block + j as u64);
-                    let chunk = &data[j * bs..(j + 1) * bs];
-                    Self::mark_stale_if_inflight(&mut st, key);
-                    if let Some(&idx) = st.map.get(&key) {
-                        st.bufs[idx].copy_from_slice(chunk);
-                        st.slots[idx].dirty = true;
-                        st.slots[idx].referenced = true;
-                    } else if let Some(&sslot) = st.spilled.get(&key) {
+        let write_back = self.policy == WritePolicy::WriteBack;
+        let mut st = self.table();
+        for (j, chunk) in data.chunks(bs).enumerate() {
+            let key = (dev, block + j as u64);
+            loop {
+                st.mark_stale_if_inflight(key);
+                if let Some(&idx) = st.map.get(&key) {
+                    st.bufs[idx].copy_from_slice(chunk);
+                    st.slots[idx].referenced = true;
+                    st.slots[idx].dirty |= write_back;
+                    st.touch(idx);
+                    break;
+                }
+                if !write_back {
+                    // Deliberately no insert on miss (large streaming
+                    // writes must not flush the whole cache), and no
+                    // dirty state ever.
+                    break;
+                }
+                match st.spilled.get(&key).map(|s| s.busy) {
+                    Some(true) => st.wait_settled(),
+                    Some(false) => {
                         // Overwrite the spilled copy in place.
-                        // invariant: spilled entries exist only with a scratch device.
-                        let scratch = self.scratch.as_ref().expect("spill implies scratch");
-                        scratch.write_block(sslot, chunk)?;
-                    } else {
-                        self.install(&mut st, key, chunk, true)?;
+                        self.spill_io(&mut st, key, |s, sslot| s.write_block(sslot, chunk))?;
+                        break;
+                    }
+                    None => {
+                        if self.install(&mut st, key, chunk, None)? {
+                            break;
+                        }
                     }
                 }
-                Ok(CacheWriteTicket {
-                    dev,
-                    block,
-                    count: count as u64,
-                    pending: None,
-                })
-            }
-            WritePolicy::WriteThrough => {
-                // Update resident frames; deliberately no insert on miss
-                // (large streaming writes must not flush the whole
-                // cache), and no new dirty state ever.
-                for j in 0..count {
-                    let key = (dev, block + j as u64);
-                    let chunk = &data[j * bs..(j + 1) * bs];
-                    Self::mark_stale_if_inflight(&mut st, key);
-                    if let Some(&idx) = st.map.get(&key) {
-                        st.bufs[idx].copy_from_slice(chunk);
-                        st.slots[idx].referenced = true;
-                    }
-                }
-                let t =
-                    self.devices[dev].submit_write_blocks(block, data.to_vec().into_boxed_slice());
-                drop(st);
-                Ok(CacheWriteTicket {
-                    dev,
-                    block,
-                    count: count as u64,
-                    pending: Some(t),
-                })
             }
         }
+        let stamp = st.clock;
+        drop(st);
+        let pending = (!write_back).then(|| {
+            let data = data.to_vec().into_boxed_slice();
+            (stamp, self.devices[dev].submit_write_blocks(block, data))
+        });
+        Ok(CacheWriteTicket {
+            dev,
+            block,
+            count: (data.len() / bs) as u64,
+            pending,
+        })
     }
 
     /// Write blocks synchronously through the cache.
@@ -600,167 +945,166 @@ impl VolumeCache {
         self.write_blocks(dev, block, data)
     }
 
+    /// Close the write-through of `[block, block + count)` submitted at
+    /// table clock `stamp`. A failed write invalidates every covered
+    /// frame: the media's (possibly torn) contents are what subsequent
+    /// reads must see. A successful one drops what raced it while the
+    /// table was unlocked: a fetch still in flight may have read the
+    /// old media bytes, and a frame changed or filled since `stamp` —
+    /// by a writer whose device write may have landed first, or from a
+    /// fetch that did — may not match the media.
+    fn settle_write_through(
+        &self,
+        dev: usize,
+        block: u64,
+        count: u64,
+        stamp: u64,
+        outcome: Result<()>,
+    ) -> Result<()> {
+        if outcome.is_err() {
+            self.invalidate_range(dev, block, count);
+            return outcome;
+        }
+        let mut st = self.table();
+        for key in (block..block + count).map(|b| (dev, b)) {
+            st.mark_stale_if_inflight(key);
+            while let Some(&idx) = st.map.get(&key) {
+                let slot = &st.slots[idx];
+                if slot.version <= stamp {
+                    break;
+                }
+                // An update's own write-through of the frame lands first.
+                if slot.writing {
+                    st.wait_settled();
+                } else {
+                    st.unmap(key);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Read-modify-write one cached block in place, the primitive
     /// sub-block record access builds on.
     pub fn update(&self, dev: usize, block: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
         let key = (dev, block);
-        let mut st = self.frames.lock();
-        Self::mark_stale_if_inflight(&mut st, key);
-        if let Some(&sslot) = st.spilled.get(&key) {
-            // The newest copy is on scratch: update it there in place.
-            // invariant: spilled entries exist only with a scratch device.
-            let scratch = self.scratch.as_ref().expect("spill implies scratch");
-            let mut buf = vec![0u8; self.block_size];
-            scratch.read_block(sslot, &mut buf)?;
-            f(&mut buf);
-            st.stats.base.hits += 1;
-            st.stats.spill_loads += 1;
-            return scratch.write_block(sslot, &buf);
-        }
-        if !st.map.contains_key(&key) {
-            st.stats.base.misses += 1;
-            let mut buf = vec![0u8; self.block_size];
-            self.devices[dev].read_block(block, &mut buf)?;
-            self.install(&mut st, key, &buf, false)?;
-        } else {
-            st.stats.base.hits += 1;
-        }
-        // invariant: installed (or found) above under the same lock.
-        let idx = *st.map.get(&key).expect("installed above");
-        st.slots[idx].referenced = true;
-        // Split-borrow dance: take the frame data out of st to mutate it
-        // while the device write can still observe errors.
-        f(&mut st.bufs[idx]);
-        match self.policy {
-            WritePolicy::WriteBack => {
-                st.slots[idx].dirty = true;
-                Ok(())
-            }
-            WritePolicy::WriteThrough => {
-                let r = self.devices[dev].write_block(block, &st.bufs[idx]);
-                if r.is_err() {
-                    // Never mask media state: drop the frame on error.
-                    st.map.remove(&key);
-                    st.slots[idx].key = None;
-                    st.slots[idx].dirty = false;
-                    st.free.push(idx);
-                    st.stats.invalidations += 1;
+        let bs = self.block_size;
+        let write_back = self.policy == WritePolicy::WriteBack;
+        let mut st = self.table();
+        let mut missed = false;
+        let idx = loop {
+            if let Some(&idx) = st.map.get(&key) {
+                // Write-through updates of one frame take turns on the
+                // device, so the media never ends on the older one.
+                if write_back || !st.slots[idx].writing {
+                    break idx;
                 }
-                r
+                st.wait_settled();
+                continue;
             }
+            match st.spilled.get(&key).map(|s| s.busy) {
+                Some(true) => st.wait_settled(),
+                Some(false) => {
+                    // The newest copy is on scratch: update it there in place.
+                    st.mark_stale_if_inflight(key);
+                    st.stats.base.hits += 1;
+                    st.stats.spill_loads += 1;
+                    let mut buf = vec![0u8; bs];
+                    return self.spill_io(&mut st, key, |s, sslot| {
+                        s.read_block(sslot, &mut buf)?;
+                        f(&mut buf);
+                        s.write_block(sslot, &buf)
+                    });
+                }
+                None => {
+                    // Fetch with the table unlocked, as an in-flight
+                    // read: a write or invalidation landing meanwhile
+                    // poisons it, nothing is installed and the loop
+                    // looks again.
+                    if !missed {
+                        st.stats.base.misses += 1;
+                        missed = true;
+                    }
+                    st.begin_fetch(key);
+                    let since = st.clock;
+                    let mut buf = vec![0u8; bs];
+                    let fetched = st.unlocked(|| self.devices[dev].read_block(block, &mut buf));
+                    let installed =
+                        fetched.and_then(|()| self.install(&mut st, key, &buf, Some(since)));
+                    st.retire_inflight(key);
+                    installed?;
+                }
+            }
+        };
+        if !missed {
+            st.stats.base.hits += 1;
         }
+        st.mark_stale_if_inflight(key);
+        st.slots[idx].referenced = true;
+        f(&mut st.bufs[idx]);
+        st.touch(idx);
+        if write_back {
+            st.slots[idx].dirty = true;
+            return Ok(());
+        }
+        let data = st.bufs[idx].to_vec();
+        let stamp = st.clock;
+        st.slots[idx].writing = true;
+        let outcome = st.unlocked(|| self.devices[dev].write_block(block, &data));
+        // A writing frame is never unmapped: `idx` still holds `key`.
+        st.slots[idx].writing = false;
+        self.settled.notify_all();
+        drop(st);
+        self.settle_write_through(dev, block, 1, stamp, outcome)
     }
 
     // ------------------------------------------------------------------
     // Flush and invalidation
     // ------------------------------------------------------------------
 
-    /// Write every dirty frame and spilled block matching `keep` home,
-    /// merging adjacent blocks into vectored runs submitted across all
-    /// devices before any is waited on.
-    fn flush_filtered(&self, keep: impl Fn(usize, u64) -> bool) -> Result<()> {
-        let bs = self.block_size;
-        let mut st = self.frames.lock();
-        // Gather per device: sorted (block, bytes, origin).
-        let mut by_dev: HashMap<usize, Vec<(u64, Vec<u8>, Origin)>> = HashMap::new();
-        for (&(dev, block), &idx) in &st.map {
-            if st.slots[idx].dirty && keep(dev, block) {
-                by_dev.entry(dev).or_default().push((
-                    block,
-                    st.bufs[idx].to_vec(),
-                    Origin::Frame(idx),
-                ));
-            }
-        }
-        for (&(dev, block), &sslot) in &st.spilled {
-            if keep(dev, block) {
-                // invariant: spilled entries exist only with a scratch device.
-                let scratch = self.scratch.as_ref().expect("spill implies scratch");
-                let mut buf = vec![0u8; bs];
-                scratch.read_block(sslot, &mut buf)?;
-                by_dev
-                    .entry(dev)
-                    .or_default()
-                    .push((block, buf, Origin::Spill(sslot)));
-            }
-        }
-        // Merge adjacent blocks into runs and submit everything.
-        type WritebackRun = (usize, Vec<(u64, Origin)>, Ticket<Box<[u8]>>);
-        let mut inflight: Vec<WritebackRun> = Vec::new();
-        for (dev, mut items) in by_dev {
-            items.sort_by_key(|(b, _, _)| *b);
-            let mut i = 0usize;
-            while i < items.len() {
-                let start = i;
-                while i + 1 < items.len() && items[i + 1].0 == items[i].0 + 1 {
-                    i += 1;
-                }
-                i += 1;
-                let run = &items[start..i];
-                let mut data = Vec::with_capacity(run.len() * bs);
-                let mut members = Vec::with_capacity(run.len());
-                for (b, bytes, origin) in run {
-                    data.extend_from_slice(bytes);
-                    members.push((*b, *origin));
-                }
-                let t = self.devices[dev].submit_write_blocks(run[0].0, data.into_boxed_slice());
-                inflight.push((dev, members, t));
-            }
-        }
-        let mut first_err: Option<DiskError> = None;
-        for (dev, members, t) in inflight {
-            match t.wait() {
-                Ok(_) => {
-                    let blocks = members.len() as u64;
-                    for (block, origin) in members {
-                        match origin {
-                            Origin::Frame(idx) => st.slots[idx].dirty = false,
-                            Origin::Spill(sslot) => {
-                                st.spilled.remove(&(dev, block));
-                                st.spill_free.push(sslot);
-                            }
-                        }
-                    }
-                    st.stats.base.writebacks += blocks;
-                    st.stats.coalesced_writes += blocks - 1;
-                }
-                Err(e) => {
-                    // Keep the run dirty/spilled; the data is not lost.
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     /// Write all dirty state (frames and spilled blocks) to the home
     /// devices, coalesced into vectored runs.
     pub fn flush(&self) -> Result<()> {
-        self.flush_filtered(|_, _| true)
+        self.write_back(&mut self.table(), &[((0, 0), (usize::MAX, u64::MAX))])
     }
 
     /// Flush only device `dev`'s dirty state.
     pub fn flush_device(&self, dev: usize) -> Result<()> {
-        self.flush_filtered(|d, _| d == dev)
+        self.write_back(&mut self.table(), &[device_keys(dev)])
     }
 
     /// Flush dirty state covering `[block, block + count)` of device
     /// `dev` — the hook a byte-range lock release drives so data written
-    /// under the lock is durable before the next holder proceeds.
+    /// under the lock is durable before the next holder proceeds. Does
+    /// not return while a write-back of the range, anyone's, is still
+    /// in flight.
     pub fn flush_range(&self, dev: usize, block: u64, count: u64) -> Result<()> {
-        self.flush_filtered(|d, b| d == dev && b >= block && b < block + count)
+        self.flush_ranges(&[(dev, block, count)])
+    }
+
+    /// [`VolumeCache::flush_range`] over several disjoint `(device,
+    /// block, count)` ranges at once: every run of every range is
+    /// submitted before any is waited.
+    pub fn flush_ranges(&self, ranges: &[(usize, u64, u64)]) -> Result<()> {
+        let keys: Vec<(Key, Key)> = ranges
+            .iter()
+            .filter_map(|&(dev, block, count)| block_keys(dev, block, count))
+            .collect();
+        self.write_back(&mut self.table(), &keys)
     }
 
     /// Drop resident and spilled state covering `[block, block + count)`
     /// of device `dev` *without* writing anything back — for callers
     /// that know the media is authoritative (fresh zeroed extents) or
-    /// gone (health transitions).
+    /// gone (health transitions). A write-back of the range already in
+    /// flight lands before this returns, so a caller about to write the
+    /// media raw (or hand the blocks to a new owner) invalidates first
+    /// and nothing stale can arrive afterwards; it invalidates again
+    /// after the raw write to drop what was filled in between.
     pub fn invalidate_range(&self, dev: usize, block: u64, count: u64) {
-        let mut st = self.frames.lock();
-        Self::invalidate_locked(&mut st, |d, b| d == dev && b >= block && b < block + count);
+        if let Some((lo, hi)) = block_keys(dev, block, count) {
+            self.invalidate(lo, hi);
+        }
     }
 
     /// Drop every resident and spilled block of device `dev` — the
@@ -768,58 +1112,39 @@ impl VolumeCache {
     /// reconstruct) rather than serve from cache, and a Rebuilding
     /// device's frames predate the resync sweep.
     pub fn drop_device(&self, dev: usize) {
-        let mut st = self.frames.lock();
-        Self::invalidate_locked(&mut st, |d, _| d == dev);
+        let (lo, hi) = device_keys(dev);
+        self.invalidate(lo, hi);
     }
 
-    fn invalidate_locked(st: &mut CacheState, drop: impl Fn(usize, u64) -> bool) {
+    fn invalidate(&self, lo: Key, hi: Key) {
+        let mut st = self.table();
         // Poison matching in-flight fetches too: invalidation means the
         // media changed (or died) underneath, so bytes fetched before it
         // must not come back as clean frames.
-        let doomed_inflight: Vec<(usize, u64)> = st
+        let fetching: Vec<Key> = st
             .inflight
             .keys()
-            .filter(|&&(d, b)| drop(d, b))
+            .filter(|k| (lo..=hi).contains(k))
             .copied()
             .collect();
-        for key in doomed_inflight {
-            st.stale.insert(key);
+        for key in fetching {
+            st.mark_stale_if_inflight(key);
         }
-        let doomed: Vec<(usize, u64)> = st
-            .map
-            .keys()
-            .filter(|&&(d, b)| drop(d, b))
-            .copied()
-            .collect();
-        for key in doomed {
-            // invariant: keys were collected from the map under this lock.
-            let idx = st.map.remove(&key).expect("collected key");
-            st.slots[idx].key = None;
-            st.slots[idx].dirty = false;
-            st.slots[idx].referenced = false;
-            st.free.push(idx);
-            st.stats.invalidations += 1;
+        while st.transfer_in(lo, hi) {
+            st.wait_settled();
         }
-        let doomed_spill: Vec<(usize, u64)> = st
-            .spilled
-            .keys()
-            .filter(|&&(d, b)| drop(d, b))
-            .copied()
-            .collect();
-        for key in doomed_spill {
+        let frames: Vec<Key> = st.map.range(lo..=hi).map(|(&k, _)| k).collect();
+        for key in frames {
+            st.unmap(key);
+        }
+        let spills: Vec<Key> = st.spilled.range(lo..=hi).map(|(&k, _)| k).collect();
+        for key in spills {
             // invariant: keys were collected from the spill map under this lock.
-            let sslot = st.spilled.remove(&key).expect("collected key");
-            st.spill_free.push(sslot);
+            let spill = st.spilled.remove(&key).expect("collected key");
+            st.spill_free.push(spill.sslot);
             st.stats.invalidations += 1;
         }
     }
-}
-
-/// Where a dirty block's bytes came from during a flush.
-#[derive(Copy, Clone)]
-enum Origin {
-    Frame(usize),
-    Spill(u64),
 }
 
 impl CacheReadTicket {
@@ -847,54 +1172,45 @@ impl CacheReadTicket {
                 }
             }
         }
-        let mut st = cache.frames.lock();
+        if filled.is_empty() && failed.is_empty() {
+            return err.map_or(Ok(self.out), Err);
+        }
+        let mut st = cache.table();
         let mut install_failed = false;
         for (start, n, data) in filled {
             for j in 0..n {
                 let key = (self.dev, start + j);
-                let fresh = VolumeCache::retire_inflight(&mut st, key);
-                if !fresh
-                    || install_failed
-                    || st.map.contains_key(&key)
-                    || st.spilled.contains_key(&key)
-                {
-                    continue;
+                // The key stays in flight until its install is decided:
+                // claiming a slot may release the table, and a write
+                // landing then must still poison this fetch.
+                if !install_failed {
+                    let chunk = &data[j as usize * bs..(j as usize + 1) * bs];
+                    let filled = cache.install(&mut st, key, chunk, Some(self.since));
+                    install_failed = filled.is_err();
                 }
-                let chunk = &data[j as usize * bs..(j as usize + 1) * bs];
-                if cache.install(&mut st, key, chunk, false).is_err() {
-                    install_failed = true;
-                }
+                st.retire_inflight(key);
             }
         }
         // Failed runs still held in-flight references.
         for (start, n) in failed {
             for j in 0..n {
-                VolumeCache::retire_inflight(&mut st, (self.dev, start + j));
+                st.retire_inflight((self.dev, start + j));
             }
         }
         drop(st);
-        match err {
-            Some(e) => Err(e),
-            None => Ok(self.out),
-        }
+        err.map_or(Ok(self.out), Err)
     }
 }
 
 impl CacheWriteTicket {
-    /// Complete the write. A failed write-through invalidates every
-    /// covered frame first: the media's (possibly torn) contents are
-    /// what subsequent reads must see.
+    /// Complete the write (see [`VolumeCache::submit_write`] for what a
+    /// failed write-through does to the covered frames).
     pub fn wait(self, cache: &VolumeCache) -> Result<()> {
-        let Some(t) = self.pending else {
+        let Some((stamp, t)) = self.pending else {
             return Ok(());
         };
-        match t.wait() {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                cache.invalidate_range(self.dev, self.block, self.count);
-                Err(e)
-            }
-        }
+        let outcome = t.wait().map(|_| ());
+        cache.settle_write_through(self.dev, self.block, self.count, stamp, outcome)
     }
 }
 
@@ -1177,6 +1493,30 @@ mod tests {
     }
 
     #[test]
+    fn a_poison_spares_the_fetches_registered_after_it() {
+        // Two fetches of one block overlap; a write lands between their
+        // registrations. It poisons the first only: were the mark to
+        // stand until the key had no fetch left in flight, overlapping
+        // fetchers (concurrent `update` misses refetch in a loop) would
+        // keep it standing for one another forever.
+        let (c, d) = cache(8, WritePolicy::WriteThrough);
+        d[0].write_block(0, &[1u8; BS]).unwrap();
+        let early = c.submit_read(0, 0, 1);
+        c.write_block(0, 0, &[2u8; BS]).unwrap();
+        let late = c.submit_read(0, 0, 1);
+        assert_eq!(late.wait(&c).unwrap()[0], 2);
+        assert_eq!(c.len(), 1, "the later fetch is fresh and fills the frame");
+        assert_eq!(early.wait(&c).unwrap()[0], 1);
+        let mut buf = [0u8; BS];
+        c.read_block(0, 0, &mut buf).unwrap();
+        assert_eq!(buf[0], 2, "the poisoned fetch installed nothing");
+        assert!(
+            c.frames.lock().stale.is_empty(),
+            "marks retire with the fetches"
+        );
+    }
+
+    #[test]
     fn clock_eviction_keeps_recently_referenced_frames() {
         let d = devs(1);
         let c = VolumeCache::new(d, VolumeCacheConfig::write_through(2));
@@ -1189,5 +1529,384 @@ mod tests {
         let s = c.stats();
         assert!(s.base.evictions >= 1);
         assert!(s.base.hits >= 2, "referenced frame survived: {s:?}");
+    }
+
+    // ------------------------------------------------------------------
+    // The frame protocol: no transfer under the table lock
+    // ------------------------------------------------------------------
+
+    use pario_disk::{BlockDevice, IoCounters, MemDisk};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, OnceLock, Weak};
+    use std::time::Duration;
+
+    /// A `MemDisk` that runs `hook(is_write)` at the top of every
+    /// transfer, on whichever thread makes the call. Plain synchronous:
+    /// its `submit_*` are the trait's inline defaults, so a submit made
+    /// under the table lock would be a transfer under it.
+    struct Hooked {
+        inner: MemDisk,
+        hook: Box<dyn Fn(bool) -> Result<()> + Send + Sync>,
+    }
+
+    fn hooked(hook: impl Fn(bool) -> Result<()> + Send + Sync + 'static) -> DeviceRef {
+        Arc::new(Hooked {
+            inner: MemDisk::new(64, BS),
+            hook: Box::new(hook),
+        })
+    }
+
+    impl BlockDevice for Hooked {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            self.read_blocks_at(block, buf)
+        }
+        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
+            self.write_blocks_at(block, data)
+        }
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            (self.hook)(false)?;
+            self.inner.read_blocks_at(block, buf)
+        }
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
+            (self.hook)(true)?;
+            self.inner.write_blocks_at(block, data)
+        }
+        fn counters(&self) -> IoCounters {
+            self.inner.counters()
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn is_failed(&self) -> bool {
+            false
+        }
+    }
+
+    /// Parks a gated device's writes while armed, until the test
+    /// releases them.
+    #[derive(Default)]
+    struct Gate {
+        /// (armed, writes parked)
+        state: StdMutex<(bool, usize)>,
+        cv: StdCondvar,
+    }
+
+    impl Gate {
+        fn arm(&self) {
+            self.state.lock().unwrap().0 = true;
+        }
+
+        /// The device side: a write parks here while the gate is armed.
+        fn pass(&self) {
+            let mut st = self.state.lock().unwrap();
+            st.1 += 1;
+            self.cv.notify_all();
+            while st.0 {
+                st = self.cv.wait(st).unwrap();
+            }
+            st.1 -= 1;
+        }
+
+        /// Block until a write is parked on the gate.
+        fn wait_parked(&self) {
+            let mut st = self.state.lock().unwrap();
+            while !(st.0 && st.1 > 0) {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            self.state.lock().unwrap().0 = false;
+            self.cv.notify_all();
+        }
+    }
+
+    /// A write-back cache of `frames` frames over [gated device 0, plain
+    /// device 1], with the gate and the raw devices.
+    fn gated_cache(frames: usize) -> (Arc<VolumeCache>, Arc<Gate>, Vec<DeviceRef>) {
+        let gate = Arc::new(Gate::default());
+        let g = Arc::clone(&gate);
+        let gated = hooked(move |write| {
+            if write {
+                g.pass();
+            }
+            Ok(())
+        });
+        let d = vec![gated, devs(1).remove(0)];
+        let c = VolumeCache::new(d.clone(), VolumeCacheConfig::write_back(frames));
+        (Arc::new(c), gate, d)
+    }
+
+    /// Run `op` on its own thread; the receiver yields when it returned.
+    fn in_background(
+        c: &Arc<VolumeCache>,
+        op: impl FnOnce(&VolumeCache) + Send + 'static,
+    ) -> mpsc::Receiver<()> {
+        let (tx, rx) = mpsc::channel();
+        let c = Arc::clone(c);
+        std::thread::spawn(move || {
+            op(&c);
+            let _ = tx.send(());
+        });
+        rx
+    }
+
+    /// How long a call that must *not* return is given to return anyway.
+    const GRACE: Duration = Duration::from_millis(50);
+    const SOON: Duration = Duration::from_secs(20);
+
+    fn media(d: &DeviceRef, block: u64) -> u8 {
+        let mut buf = [0u8; BS];
+        d.read_block(block, &mut buf).unwrap();
+        buf[0]
+    }
+
+    #[test]
+    fn hit_write_and_miss_elsewhere_complete_while_a_flush_is_parked() {
+        let (c, gate, d) = gated_cache(8);
+        let mut buf = [0u8; BS];
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        c.read_block(0, 2, &mut buf).unwrap(); // resident, clean
+        gate.arm();
+        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        gate.wait_parked();
+        // The device sits on the write-back; the table is free.
+        let hits = c.stats().base.hits;
+        c.read_block(0, 2, &mut buf).unwrap();
+        c.read_block(0, 1, &mut buf).unwrap();
+        assert_eq!(buf[0], 1, "the frame being written back still serves");
+        assert_eq!(c.stats().base.hits, hits + 2);
+        c.write_block(0, 3, &[3u8; BS]).unwrap();
+        c.read_block(1, 5, &mut buf).unwrap(); // a miss, on the other device
+        assert_eq!(c.len(), 4);
+        assert!(flushed.recv_timeout(GRACE).is_err(), "flush is parked");
+        gate.release();
+        flushed.recv_timeout(SOON).expect("flush completes");
+        assert_eq!(media(&d[0], 1), 1);
+    }
+
+    #[test]
+    fn write_racing_a_parked_write_back_leaves_the_frame_dirty() {
+        let (c, gate, d) = gated_cache(8);
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        gate.arm();
+        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        gate.wait_parked();
+        c.write_block(0, 1, &[2u8; BS]).unwrap();
+        gate.release();
+        flushed.recv_timeout(SOON).expect("flush completes");
+        assert_eq!(media(&d[0], 1), 1, "the write-back carried what it copied");
+        {
+            let st = c.frames.lock();
+            let slot = &st.slots[st.map[&(0, 1)]];
+            assert!(
+                slot.dirty && !slot.writing,
+                "the newer bytes are still owed"
+            );
+        }
+        c.flush().unwrap();
+        assert_eq!(media(&d[0], 1), 2, "the next flush writes the new bytes");
+        assert_eq!(c.stats().base.writebacks, 2);
+    }
+
+    #[test]
+    fn invalidation_waits_for_a_parked_write_back() {
+        let (c, gate, d) = gated_cache(8);
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        gate.arm();
+        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        gate.wait_parked();
+        let dropped = in_background(&c, |c| c.invalidate_range(0, 1, 1));
+        assert!(
+            dropped.recv_timeout(GRACE).is_err(),
+            "invalidation returned with the write-back still in flight"
+        );
+        assert_eq!(c.len(), 1, "the frame stays until the transfer lands");
+        gate.release();
+        flushed.recv_timeout(SOON).expect("flush completes");
+        dropped.recv_timeout(SOON).expect("invalidation completes");
+        assert_eq!(c.len(), 0);
+        assert_eq!(
+            media(&d[0], 1),
+            1,
+            "landed before the invalidation returned"
+        );
+        // Same for the device-wide drop a health transition drives.
+        c.write_block(0, 4, &[4u8; BS]).unwrap();
+        gate.arm();
+        let flushed = in_background(&c, |c| c.flush().unwrap());
+        gate.wait_parked();
+        let dropped = in_background(&c, |c| c.drop_device(0));
+        assert!(dropped.recv_timeout(GRACE).is_err());
+        gate.release();
+        flushed.recv_timeout(SOON).expect("flush completes");
+        dropped.recv_timeout(SOON).expect("drop completes");
+        assert_eq!(c.len(), 0);
+    }
+
+    #[test]
+    fn second_flush_of_a_block_waits_for_the_parked_one() {
+        let (c, gate, d) = gated_cache(8);
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        gate.arm();
+        let first = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        gate.wait_parked();
+        let second = in_background(&c, |c| c.flush_range(0, 0, 4).unwrap());
+        assert!(
+            second.recv_timeout(GRACE).is_err(),
+            "a flush returned while a write-back of its range was in flight"
+        );
+        gate.release();
+        first.recv_timeout(SOON).expect("first flush completes");
+        second.recv_timeout(SOON).expect("second flush completes");
+        assert_eq!(media(&d[0], 1), 1);
+        assert_eq!(d[0].counters().writes, 1, "the second found it clean");
+    }
+
+    #[test]
+    fn clock_never_hands_out_a_writing_frame() {
+        let (c, gate, _d) = gated_cache(2);
+        let mut buf = [0u8; BS];
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        c.read_block(1, 7, &mut buf).unwrap();
+        gate.arm();
+        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        gate.wait_parked();
+        // Both frames are unreferenced; only one may be recycled.
+        for b in 8..12u64 {
+            c.read_block(1, b, &mut buf).unwrap();
+            assert!(
+                c.try_cached(0, 1, &mut buf),
+                "the writing frame was evicted"
+            );
+            assert_eq!(buf[0], 1);
+        }
+        gate.release();
+        flushed.recv_timeout(SOON).expect("flush completes");
+
+        // With every frame mid-transfer the sweep waits instead.
+        let (c, gate, d) = gated_cache(1);
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        gate.arm();
+        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        gate.wait_parked();
+        let read = in_background(&c, |c| c.read_block(1, 7, &mut [0u8; BS]).unwrap());
+        assert!(
+            read.recv_timeout(GRACE).is_err(),
+            "recycled a writing frame"
+        );
+        gate.release();
+        flushed.recv_timeout(SOON).expect("flush completes");
+        read.recv_timeout(SOON).expect("read completes");
+        assert_eq!(media(&d[0], 1), 1);
+    }
+
+    #[test]
+    fn failed_write_back_leaves_the_frame_dirty_and_readable() {
+        let broken = Arc::new(AtomicBool::new(false));
+        let b = Arc::clone(&broken);
+        let dev = hooked(move |write| {
+            if write && b.load(Ordering::SeqCst) {
+                return Err(DiskError::Io("write refused".into()));
+            }
+            Ok(())
+        });
+        let c = VolumeCache::new(vec![Arc::clone(&dev)], VolumeCacheConfig::write_back(4));
+        c.write_block(0, 1, &[5u8; BS]).unwrap();
+        broken.store(true, Ordering::SeqCst);
+        assert!(c.flush_range(0, 1, 1).is_err());
+        let mut buf = [0u8; BS];
+        c.read_block(0, 1, &mut buf).unwrap();
+        assert_eq!(buf[0], 5, "still readable");
+        {
+            let st = c.frames.lock();
+            let slot = &st.slots[st.map[&(0, 1)]];
+            assert!(slot.dirty && !slot.writing, "still owed, and idle again");
+        }
+        assert_eq!(media(&dev, 1), 0);
+        broken.store(false, Ordering::SeqCst);
+        c.flush_range(0, 1, 1).unwrap();
+        assert_eq!(media(&dev, 1), 5);
+    }
+
+    /// Every transfer of a device built here takes the table lock
+    /// (`VolumeCache::len`) on the thread that makes it — which
+    /// self-deadlocks if that thread still holds the lock, and blocks
+    /// forever if the holder is waiting for this transfer.
+    fn probe(slot: &Arc<OnceLock<Weak<VolumeCache>>>) -> DeviceRef {
+        let slot = Arc::clone(slot);
+        hooked(move |_| {
+            if let Some(c) = slot.get().and_then(Weak::upgrade) {
+                std::hint::black_box(c.len());
+            }
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn no_device_or_scratch_call_is_made_under_the_table_lock() {
+        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+            let slot = Arc::new(OnceLock::new());
+            // Four scratch blocks: evictions spill until scratch is
+            // full, then write back home.
+            let scratch: DeviceRef = Arc::new(Hooked {
+                inner: MemDisk::new(4, BS),
+                hook: Box::new({
+                    let p = probe(&slot);
+                    move |_| p.read_block(0, &mut [0u8; BS])
+                }),
+            });
+            let cfg = VolumeCacheConfig {
+                frames: 4,
+                policy,
+                spill: (policy == WritePolicy::WriteBack).then_some(scratch),
+            };
+            let c = Arc::new(VolumeCache::new(vec![probe(&slot), probe(&slot)], cfg));
+            slot.set(Arc::downgrade(&c)).ok().unwrap();
+            let (tx, done) = mpsc::channel();
+            for t in 0..4u64 {
+                let (c, tx) = (Arc::clone(&c), tx.clone());
+                std::thread::spawn(move || {
+                    let mut buf = vec![0u8; 3 * BS];
+                    let mut x = t * 0x9E37_79B9 + 1;
+                    for _ in 0..400 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let (dev, b) = ((x >> 8) as usize % 2, (x >> 16) % 12);
+                        match x % 9 {
+                            0 => c.read_block(dev, b, &mut buf[..BS]).unwrap(),
+                            1 => c.read_blocks(dev, b, &mut buf).unwrap(),
+                            2 => c.write_block(dev, b, &[x as u8; BS]).unwrap(),
+                            3 => c.write_blocks(dev, b, &[x as u8; 2 * BS]).unwrap(),
+                            4 => c.update(dev, b, |f| f[0] ^= 1).unwrap(),
+                            5 => c.flush_range(dev, b, 3).unwrap(),
+                            6 => c.invalidate_range(dev, b, 2),
+                            7 => std::mem::drop(c.try_cached(dev, b, &mut buf[..BS])),
+                            _ => c.flush().unwrap(),
+                        }
+                    }
+                    let _ = tx.send(());
+                });
+            }
+            for _ in 0..4 {
+                done.recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| {
+                        panic!("a transfer was made with the table locked ({policy:?})")
+                    });
+            }
+            c.flush().unwrap();
+            c.drop_device(0);
+            assert_eq!(c.spilled_blocks(), 0);
+            if policy == WritePolicy::WriteBack {
+                assert!(c.stats().spills > 0, "the spill path ran");
+            }
+        }
     }
 }

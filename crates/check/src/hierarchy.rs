@@ -63,6 +63,8 @@ pub enum LockLevel {
     /// sections) and below the health board (health transitions drop
     /// cached frames only after releasing the board mutex, and I/O
     /// outcome feedback is reported after the cache lock is released).
+    /// Held for table lookups, frame copies and bookkeeping only: every
+    /// device or scratch transfer is made with it released.
     VolumeCache = 75,
     /// `pario-fs` metadata intent journal: append cursor + superblock
     /// generation. An innermost lock on the metadata path — grow takes

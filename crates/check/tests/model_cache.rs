@@ -6,9 +6,11 @@
 //! below it or the health board above it.
 #![cfg(pario_check)]
 
-use pario_check::{spawn, Config, Explorer};
-use pario_disk::mem_array;
-use pario_fs::{FileSpec, Volume, VolumeCacheConfig, VolumeConfig};
+use std::sync::Arc;
+
+use pario_check::{spawn, Config, Explorer, LockLevel, Mutex};
+use pario_disk::{mem_array, BlockDevice, DeviceRef, IoCounters, MemDisk};
+use pario_fs::{FileSpec, Volume, VolumeCache, VolumeCacheConfig, VolumeConfig};
 use pario_layout::LayoutSpec;
 
 const BS: usize = 64;
@@ -137,4 +139,97 @@ fn spill_overflow_races_growth_without_inversion() {
         }
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// A `MemDisk` whose every transfer takes a lock ranked *below* the
+/// cache's (rank 70 < 75), so the checker reports any device call made
+/// with the cache lock held as a lock-order inversion.
+struct RankProbe {
+    inner: MemDisk,
+    below_cache: Mutex<()>,
+}
+
+impl BlockDevice for RankProbe {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_block(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+        let _probe = self.below_cache.lock();
+        self.inner.read_block(block, buf)
+    }
+    fn write_block(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+        let _probe = self.below_cache.lock();
+        self.inner.write_block(block, data)
+    }
+    fn counters(&self) -> IoCounters {
+        self.inner.counters()
+    }
+    fn fail(&self) {}
+    fn heal(&self) {}
+    fn is_failed(&self) -> bool {
+        false
+    }
+}
+
+/// The frame protocol under the explorer: a flusher, a writer that
+/// overwrites its own block, and a reader whose misses evict, on a
+/// 2-frame write-back cache. Write-backs run with the table unlocked,
+/// so the flusher's copy of block 0 can be in flight while the writer
+/// replaces it and while the reader's eviction wants the frame. In
+/// every schedule the media ends on the last write after a final flush
+/// (the version rule: a raced write-back leaves the frame dirty), the
+/// reader sees the media's bytes, and no transfer is made under the
+/// rank-75 lock.
+#[test]
+fn flush_writer_and_evictor_agree_with_the_media() {
+    let report = Explorer::new(Config::new(6000)).run(|| {
+        let dev: DeviceRef = Arc::new(RankProbe {
+            inner: MemDisk::new(8, BS),
+            below_cache: Mutex::new_named((), LockLevel::FsStripe),
+        });
+        for b in 2..4u64 {
+            dev.write_block(b, &[b as u8; BS]).expect("seed the media");
+        }
+        let cache = Arc::new(VolumeCache::new(
+            vec![Arc::clone(&dev)],
+            VolumeCacheConfig::write_back(2),
+        ));
+        cache.write_block(0, 0, &[1u8; BS]).expect("first write");
+
+        let c = Arc::clone(&cache);
+        let flusher = spawn(move || {
+            c.flush_range(0, 0, 1).expect("range flush");
+            c.flush().expect("full flush");
+        });
+        let c = Arc::clone(&cache);
+        let writer = spawn(move || {
+            c.write_block(0, 0, &[2u8; BS]).expect("overwrite");
+            c.write_block(0, 0, &[3u8; BS]).expect("overwrite");
+        });
+        let c = Arc::clone(&cache);
+        let reader = spawn(move || {
+            let mut out = [0u8; BS];
+            for b in 2..4u64 {
+                c.read_block(0, b, &mut out).expect("evicting read");
+                assert!(out.iter().all(|&x| x == b as u8), "block {b} read {out:?}");
+            }
+        });
+        flusher.join();
+        writer.join();
+        reader.join();
+
+        cache.flush().expect("final flush");
+        let mut out = [0u8; BS];
+        dev.read_block(0, &mut out).expect("read the media");
+        assert!(out.iter().all(|&x| x == 3), "media holds {:?}", &out[..4]);
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(
+        report.distinct >= 1000,
+        "coverage too thin: {} distinct schedules",
+        report.distinct
+    );
 }

@@ -1,9 +1,11 @@
 //! Model checks for `pario_fs::HealthBoard`: the device health state
 //! machine loses no transition under concurrent error reports and
-//! rebuild completion, and every recorded history walks legal edges of
-//! the machine in DESIGN.md §9.
+//! rebuild completion, a fail-stop report raised against dead media
+//! cannot abort the rebuild that then repaired it, and every recorded
+//! history walks legal edges of the machine in DESIGN.md §9.
 #![cfg(pario_check)]
 
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 use pario_check::{spawn, AtomicBool, Config, Explorer};
@@ -30,7 +32,7 @@ fn racing_failure_beats_rebuild_completion() {
     let report = Explorer::new(Config::new(1500)).run(|| {
         let board = Arc::new(HealthBoard::new(1, HealthPolicy::default()));
         board.mark_failed(0);
-        board.begin_rebuild(0);
+        board.begin_rebuild(0, || ());
 
         let b1 = Arc::clone(&board);
         let t1 = spawn(move || {
@@ -39,6 +41,7 @@ fn racing_failure_beats_rebuild_completion() {
                 &DiskError::DeviceFailed {
                     device: "mem0".into(),
                 },
+                || true,
             );
         });
         let b2 = Arc::clone(&board);
@@ -53,7 +56,7 @@ fn racing_failure_beats_rebuild_completion() {
         // out of Failed or manufacture an illegal edge.
         let b3 = Arc::clone(&board);
         let t3 = spawn(move || {
-            b3.note_error(0, &DiskError::Transient { device: "m".into() });
+            b3.note_error(0, &DiskError::Transient { device: "m".into() }, || true);
         });
         let b4 = Arc::clone(&board);
         let t4 = spawn(move || b4.note_ok(0));
@@ -106,13 +109,13 @@ fn concurrent_reports_lose_nothing() {
             },
         ));
         board.mark_failed(1);
-        board.begin_rebuild(1);
+        board.begin_rebuild(1, || ());
 
         let mut hs = Vec::new();
         for _ in 0..2 {
             let b = Arc::clone(&board);
             hs.push(spawn(move || {
-                b.note_error(0, &DiskError::Transient { device: "d".into() });
+                b.note_error(0, &DiskError::Transient { device: "d".into() }, || true);
                 b.note_ok(0);
             }));
         }
@@ -143,4 +146,102 @@ fn concurrent_reports_lose_nothing() {
         "only {} distinct schedules",
         report.distinct
     );
+}
+
+/// The fail-stop report a foreground write raises against dead media,
+/// as `RawFile` files it: with the device's `is_failed()` as the
+/// re-check.
+fn report_if_dead(board: &HealthBoard, dead: &Arc<AtomicBool>) {
+    if dead.load(SeqCst) {
+        let fail_stop = DiskError::DeviceFailed {
+            device: "mem0".into(),
+        };
+        board.note_error(0, &fail_stop, || dead.load(SeqCst));
+    }
+}
+
+/// begin_rebuild / heal / write-report / complete. Two foreground
+/// writes reach the media around an online rebuild's flip-and-heal;
+/// each gets `DeviceFailed` if the media was still dead and reports it.
+/// Whatever the interleaving — report raised before the flip and filed
+/// after it, after the heal, between two steps of either — the rebuild
+/// it preceded completes and the device ends Healthy.
+#[test]
+fn stale_fail_stop_report_cannot_abort_the_rebuild_it_preceded() {
+    let report = Explorer::new(Config::new(1500)).run(|| {
+        let board = Arc::new(HealthBoard::new(1, HealthPolicy::default()));
+        let dead = Arc::new(AtomicBool::new(true));
+        board.mark_failed(0);
+
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let (b, d) = (Arc::clone(&board), Arc::clone(&dead));
+                spawn(move || report_if_dead(&b, &d))
+            })
+            .collect();
+        let (b, d) = (Arc::clone(&board), Arc::clone(&dead));
+        let rebuild = spawn(move || {
+            b.begin_rebuild(0, || d.store(false, SeqCst));
+            assert!(b.complete_rebuild(0), "a stale report aborted the rebuild");
+        });
+        for w in writers {
+            w.join();
+        }
+        rebuild.join();
+
+        assert_eq!(board.state(0), HealthState::Healthy);
+        assert_history_legal(&board.snapshot()[0].transitions);
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    // Three short threads through one mutex: the whole class space is
+    // about twenty, far inside the budget.
+    assert!(
+        report.distinct >= 16,
+        "only {} distinct schedules",
+        report.distinct
+    );
+}
+
+/// The other half: a device that dies *again*, after the heal, is a
+/// genuine mid-rebuild failure and still wins. A kill that lands before
+/// the heal is repaired by it (the heal is the drive swap) and its
+/// report is dropped; one that lands after leaves the media dead, and
+/// then the device ends Failed in every schedule — whether the report
+/// beat `complete_rebuild` (which then refuses) or followed it.
+#[test]
+fn failure_after_the_heal_still_fails_the_device() {
+    let report = Explorer::new(Config::new(1500)).run(|| {
+        let board = Arc::new(HealthBoard::new(1, HealthPolicy::default()));
+        let dead = Arc::new(AtomicBool::new(true));
+        board.mark_failed(0);
+
+        let (b, d) = (Arc::clone(&board), Arc::clone(&dead));
+        let killer = spawn(move || {
+            d.store(true, SeqCst);
+            report_if_dead(&b, &d);
+        });
+        let (b, d) = (Arc::clone(&board), Arc::clone(&dead));
+        let completed = Arc::new(AtomicBool::new(false));
+        let c = Arc::clone(&completed);
+        let rebuild = spawn(move || {
+            b.begin_rebuild(0, || d.store(false, SeqCst));
+            c.store(b.complete_rebuild(0), SeqCst);
+        });
+        killer.join();
+        rebuild.join();
+
+        let snap = &board.snapshot()[0];
+        assert_history_legal(&snap.transitions);
+        if dead.load(SeqCst) {
+            assert_eq!(
+                snap.state,
+                HealthState::Failed,
+                "a dead device reads {snap:?}"
+            );
+        } else {
+            assert!(completed.load(SeqCst), "nothing failed after the heal");
+            assert_eq!(snap.state, HealthState::Healthy);
+        }
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
 }

@@ -419,17 +419,13 @@ impl RawFile {
         }
     }
 
-    /// Feed an I/O error to the health board — unless it is a *stale*
-    /// fail-stop report. A `DeviceFailed` raised before a repair
-    /// (`heal`) can complete after the rebuild has already flipped the
-    /// device to Rebuilding; fail-stop is synchronously re-checkable,
-    /// so drop the report when the media no longer says it is failed.
-    /// Genuine mid-rebuild failures still land: `is_failed()` is true.
+    /// Feed an I/O error to the health board. A fail-stop report is
+    /// re-checked against the media there, under the board mutex, so
+    /// one raised before a repair cannot abort the rebuild that
+    /// followed it (see [`crate::HealthBoard::note_error`]).
     fn note_io_error(&self, vdev: usize, e: &DiskError) {
-        if matches!(e, DiskError::DeviceFailed { .. }) && !self.vol.device(vdev).is_failed() {
-            return;
-        }
-        self.vol.health().note_error(vdev, e);
+        let still_failed = || self.vol.device(vdev).is_failed();
+        self.vol.health().note_error(vdev, e, still_failed);
     }
 
     /// Report one device outcome on volume device `vdev` to the health
@@ -603,10 +599,18 @@ impl RawFile {
             device: slot,
             block: dblock,
         });
+        // Invalidate on both sides of the raw write: before, so a
+        // write-back of the block already in flight lands first instead
+        // of on top of the rebuilt data; after, to drop what a reader
+        // filled in between.
+        let invalidate = || {
+            if let Some(c) = self.vol.cache() {
+                c.invalidate_range(vdev, abs, 1);
+            }
+        };
+        invalidate();
         let res = dev.write_block(abs, data);
-        if let Some(c) = self.vol.cache() {
-            c.invalidate_range(vdev, abs, 1);
-        }
+        invalidate();
         self.settle(vdev, res)
     }
 
@@ -660,9 +664,7 @@ impl RawFile {
         let Some(c) = self.vol.cache() else {
             return Ok(());
         };
-        for (dev, start, n) in self.span_phys_runs(offset, len) {
-            c.flush_range(dev, start, n)?;
-        }
+        c.flush_ranges(&self.span_phys_runs(offset, len))?;
         Ok(())
     }
 

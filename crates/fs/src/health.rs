@@ -307,7 +307,18 @@ impl HealthBoard {
     /// the [`DiskError`] taxonomy: transient faults feed the Suspect
     /// streak, fail-stop errors force Failed (from any state, including
     /// mid-rebuild), anything else is counted without a transition.
-    pub fn note_error(&self, d: usize, err: &DiskError) {
+    ///
+    /// A fail-stop report can be *stale*: raised against dead media,
+    /// delivered after a rebuild has begun. Fail-stop is synchronously
+    /// re-checkable, so the reporter passes `still_failed` (the
+    /// device's `is_failed()`), asked here under the board mutex — the
+    /// mutex [`HealthBoard::begin_rebuild`] heals the media under. The
+    /// report is therefore ordered against the flip-and-heal as a
+    /// whole: before it, it lands on a device that is Failed anyway;
+    /// after it, the media answers "alive" and the report is dropped.
+    /// It can never abort the rebuild it preceded, while a device that
+    /// dies again mid-rebuild still answers "failed" and goes Failed.
+    pub fn note_error(&self, d: usize, err: &DiskError, still_failed: impl FnOnce() -> bool) {
         let mut fired = None;
         if err.is_transient() {
             let run = self.streak[d].fetch_add(1, Ordering::SeqCst) + 1;
@@ -322,6 +333,9 @@ impl HealthBoard {
         } else {
             let fail_stop = matches!(err, DiskError::DeviceFailed { .. });
             let mut board = self.board.lock();
+            if fail_stop && !still_failed() {
+                return;
+            }
             let slot = &mut board[d];
             slot.permanent_errors += 1;
             slot.consecutive_ok = 0;
@@ -353,7 +367,13 @@ impl HealthBoard {
 
     /// Enter Rebuilding: the device's media is being repopulated and
     /// must keep routing as down until [`HealthBoard::complete_rebuild`].
-    pub fn begin_rebuild(&self, d: usize) {
+    /// `heal` brings the media back (the device's `heal()`; a no-op
+    /// when it never died). It runs after the flip — once media accepts
+    /// I/O again every reader already routes around it — and under the
+    /// board mutex, so no failure report is judged between the two (see
+    /// [`HealthBoard::note_error`]). It must not call back into the
+    /// board.
+    pub fn begin_rebuild(&self, d: usize, heal: impl FnOnce()) {
         let mut fired = false;
         {
             let mut board = self.board.lock();
@@ -362,6 +382,7 @@ impl HealthBoard {
                 self.transition(slot, d, HealthState::Rebuilding);
                 fired = true;
             }
+            heal();
         }
         if fired {
             self.notify(d, HealthState::Rebuilding);
@@ -415,10 +436,10 @@ mod tests {
     fn transient_streak_demotes_to_suspect() {
         let b = HealthBoard::new(2, HealthPolicy::default());
         for _ in 0..2 {
-            b.note_error(0, &transient());
+            b.note_error(0, &transient(), || true);
         }
         assert_eq!(b.state(0), HealthState::Healthy);
-        b.note_error(0, &transient());
+        b.note_error(0, &transient(), || true);
         assert_eq!(b.state(0), HealthState::Suspect);
         assert_eq!(b.state(1), HealthState::Healthy);
     }
@@ -426,10 +447,10 @@ mod tests {
     #[test]
     fn an_ok_breaks_the_streak() {
         let b = HealthBoard::new(1, HealthPolicy::default());
-        b.note_error(0, &transient());
-        b.note_error(0, &transient());
+        b.note_error(0, &transient(), || true);
+        b.note_error(0, &transient(), || true);
         b.note_ok(0);
-        b.note_error(0, &transient());
+        b.note_error(0, &transient(), || true);
         assert_eq!(b.state(0), HealthState::Healthy);
     }
 
@@ -437,7 +458,7 @@ mod tests {
     fn suspect_recovers_after_quiet_run() {
         let b = HealthBoard::new(1, HealthPolicy::default());
         for _ in 0..3 {
-            b.note_error(0, &transient());
+            b.note_error(0, &transient(), || true);
         }
         assert_eq!(b.state(0), HealthState::Suspect);
         for _ in 0..7 {
@@ -460,15 +481,15 @@ mod tests {
     #[test]
     fn fail_stop_forces_failed_from_any_state() {
         let b = HealthBoard::new(1, HealthPolicy::default());
-        b.note_error(0, &fail_stop());
+        b.note_error(0, &fail_stop(), || true);
         assert_eq!(b.state(0), HealthState::Failed);
         assert!(b.is_down(0));
         // Dies again mid-rebuild: Rebuilding -> Failed is legal and a
         // racing complete_rebuild must report failure.
-        b.begin_rebuild(0);
+        b.begin_rebuild(0, || ());
         assert_eq!(b.state(0), HealthState::Rebuilding);
         assert!(b.is_down(0));
-        b.note_error(0, &fail_stop());
+        b.note_error(0, &fail_stop(), || true);
         assert_eq!(b.state(0), HealthState::Failed);
         assert!(!b.complete_rebuild(0));
         assert_eq!(b.state(0), HealthState::Failed);
@@ -478,7 +499,7 @@ mod tests {
     fn rebuild_round_trip() {
         let b = HealthBoard::new(1, HealthPolicy::default());
         b.mark_failed(0);
-        b.begin_rebuild(0);
+        b.begin_rebuild(0, || ());
         assert!(b.complete_rebuild(0));
         assert_eq!(b.state(0), HealthState::Healthy);
         assert!(!b.any_degraded());
@@ -498,13 +519,13 @@ mod tests {
     fn timeouts_count_as_transient_and_others_do_not_transition() {
         let b = HealthBoard::new(1, HealthPolicy::default());
         for _ in 0..3 {
-            b.note_error(0, &DiskError::Timeout { device: "t".into() });
+            b.note_error(0, &DiskError::Timeout { device: "t".into() }, || true);
         }
         assert_eq!(b.state(0), HealthState::Suspect);
 
         let b2 = HealthBoard::new(1, HealthPolicy::default());
         for _ in 0..10 {
-            b2.note_error(0, &DiskError::Corruption { block: 3 });
+            b2.note_error(0, &DiskError::Corruption { block: 3 }, || true);
         }
         assert_eq!(b2.state(0), HealthState::Healthy);
         assert_eq!(b2.snapshot()[0].permanent_errors, 10);
@@ -526,7 +547,7 @@ mod tests {
         assert!(!b.set_listener(Arc::new(|_, _| {})), "second set refused");
         b.mark_failed(1);
         b.mark_failed(1); // no transition, no callback
-        b.begin_rebuild(1);
+        b.begin_rebuild(1, || ());
         assert!(b.complete_rebuild(1));
         assert_eq!(
             *seen.lock().unwrap(),

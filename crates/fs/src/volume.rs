@@ -806,7 +806,7 @@ impl Volume {
             let mut added: Vec<(usize, Extent)> = Vec::new();
             let mut logged: Vec<Vec<Extent>> = vec![Vec::new(); layout.devices()];
             let zero = vec![0u8; self.block_size() * 32];
-            for slot in 0..layout.devices() {
+            for (slot, slot_log) in logged.iter_mut().enumerate() {
                 let need = layout.blocks_on_device(total_lblocks, slot);
                 let have = extents_len(&meta.extents[slot]);
                 if need <= have {
@@ -825,9 +825,20 @@ impl Volume {
                         }
                     }
                 };
+                // The zero-fill bypasses the cache. Invalidate on both
+                // sides of it: before, so a write-back a previous owner
+                // of these blocks left in flight lands first and not on
+                // top of the zeros; after, to drop any frame filled in
+                // between.
+                let invalidate = |e: Extent| {
+                    if let Some(cache) = self.inner.cache.get() {
+                        cache.invalidate_range(dev, e.start, e.len);
+                    }
+                };
                 for &e in &new_extents {
                     added.push((dev, e));
-                    logged[slot].push(e);
+                    slot_log.push(e);
+                    invalidate(e);
                     // Zero-fill vectored, a whole extent (chunked) per request.
                     let mut b = e.start;
                     while b < e.end() {
@@ -836,11 +847,7 @@ impl Volume {
                             .write_blocks_at(b, &zero[..n as usize * self.block_size()])?;
                         b += n;
                     }
-                    // The zero-fill bypassed the cache; any frame left over
-                    // from a previous owner of these blocks is now stale.
-                    if let Some(cache) = self.inner.cache.get() {
-                        cache.invalidate_range(dev, e.start, e.len);
-                    }
+                    invalidate(e);
                 }
                 // Merge extents that continue the previous one, so span I/O
                 // sees maximal contiguous device runs even after the file

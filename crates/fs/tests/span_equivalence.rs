@@ -253,7 +253,7 @@ fn unhealthy_slots_and_cached_volumes_route_as_before() {
     // Suspect: hedged — both copies are submitted.
     let glitch = DiskError::Transient { device: "d".into() };
     for _ in 0..v.health().policy().suspect_after {
-        v.health().note_error(primary, &glitch);
+        v.health().note_error(primary, &glitch, || true);
     }
     assert_eq!(v.device_health(primary), pario_fs::HealthState::Suspect);
     let (p1, m1) = served(&v);
@@ -265,7 +265,7 @@ fn unhealthy_slots_and_cached_volumes_route_as_before() {
     let (p2, m2) = served(&v);
     read_one(&f);
     assert_eq!(served(&v), (p2, m2 + 1));
-    v.health().begin_rebuild(primary);
+    v.health().begin_rebuild(primary, || ());
     read_one(&f);
     assert_eq!(served(&v), (p2, m2 + 2));
 

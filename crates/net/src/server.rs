@@ -334,15 +334,11 @@ fn run_connection(inner: Arc<NetInner>, mut sock: Sock, id: u64) {
     let max_frame = inner.cfg.max_payload + FRAME_OVERHEAD + 64;
     let mut reader = BufReader::with_capacity(64 * 1024, sock);
 
-    loop {
-        let frame = match read_frame(&mut reader, max_frame) {
-            Ok(Some(f)) => f,
-            // Clean EOF, connection loss, or a frame-level protocol
-            // violation: all tear down this connection only. Under a
-            // server shutdown the EOF comes from the closed read half
-            // once the pipelined backlog below has drained.
-            Ok(None) | Err(_) => break,
-        };
+    // Clean EOF, connection loss, or a frame-level protocol violation
+    // all end the loop and tear down this connection only. Under a
+    // server shutdown the EOF comes from the closed read half once the
+    // pipelined backlog below has drained.
+    while let Ok(Some(frame)) = read_frame(&mut reader, max_frame) {
         if inner.stop.load(Ordering::SeqCst) {
             // Server-wide shutdown: this request was *not* executed.
             // Keep draining the pipeline and answer every frame with

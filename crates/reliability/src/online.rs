@@ -6,10 +6,13 @@
 //! the duration. The online path here drives the same per-stripe /
 //! per-block replay through the volume's health state machine instead:
 //!
-//! 1. `begin_rebuild(device)` — the device flips to `Rebuilding`;
+//! 1. `begin_rebuild(device, heal)` — the device flips to `Rebuilding`;
 //!    foreground reads route around it (its media is stale) and shadow
 //!    writes switch to the stripe-locked regime.
-//! 2. `heal()` the device so its media accepts I/O again.
+//! 2. Under the same board mutex, `heal()` the device so its media
+//!    accepts I/O again: a fail-stop report raised against the dead
+//!    media is judged either before the flip or after the heal, never
+//!    between, so it cannot abort the rebuild it preceded.
 //! 3. Per file, `quiesce_io()` — wait out any I/O that sampled the old
 //!    health state (Dekker-style counter handshake).
 //! 4. Replay redundancy in **bursts**: each burst takes the stripe lock,
@@ -166,7 +169,7 @@ fn online_resync_shadow(raw: &RawFile, slot: usize, throttle: RebuildThrottle) -
 /// the volume keeps serving degraded I/O throughout, and foreground
 /// writes interleave with the throttled replay bursts.
 ///
-/// Drives the full health cycle `begin_rebuild` → heal → per-file
+/// Drives the full health cycle `begin_rebuild` (flip + heal) → per-file
 /// quiesce + replay → `complete_rebuild`. On a replay error the device
 /// is marked Failed again and the error surfaces; likewise if the
 /// device fails *during* the rebuild, `complete_rebuild` refuses and
@@ -177,10 +180,12 @@ pub fn rebuild_device_online(
     device_idx: usize,
     throttle: RebuildThrottle,
 ) -> Result<RebuildReport> {
-    vol.health().begin_rebuild(device_idx);
-    // Heal AFTER the flip: once media accepts I/O again, every reader
-    // already routes around it and shadow writers are stripe-locked.
-    vol.device(device_idx).heal();
+    // Flip, then heal, as one step of the board: once media accepts I/O
+    // again every reader already routes around it and shadow writers
+    // are stripe-locked, and no fail-stop report raised against the
+    // dead media is judged in between (it would abort this rebuild).
+    let media = vol.device(device_idx);
+    vol.health().begin_rebuild(device_idx, || media.heal());
     let sweep = || -> Result<RebuildReport> {
         let mut report = RebuildReport::default();
         for raw in vol.open_all()? {
@@ -345,13 +350,14 @@ mod tests {
             .unwrap();
         f.write_record(0, &rec(0)).unwrap();
         v.health().mark_failed(0);
-        v.health().begin_rebuild(0);
+        v.health().begin_rebuild(0, || ());
         // The device dies again before the sweep finishes.
         v.health().note_error(
             0,
             &DiskError::DeviceFailed {
                 device: "mem0".into(),
             },
+            || true,
         );
         assert!(!v.health().complete_rebuild(0));
         assert_eq!(v.device_health(0), HealthState::Failed);

@@ -28,7 +28,8 @@ for f in e2_striping_devices e2_striping_unit e3_selfsched \
          e12_is_blocksize span_coalesce span_coalesce_global \
          e14_server e14_server_sweep e15_executor e15_executor_sched \
          e15_executor_handoff \
-         e16_faults e17_cache e18_net_sweep e18_net_depth \
+         e16_faults e17_cache e17_cache_under_flush \
+         e18_net_sweep e18_net_depth \
          e19_scale e19_net e20_recovery; do
     if [ ! -f "results/$f.json" ]; then
         echo "MISSING: results/$f.json" >&2
