@@ -12,9 +12,12 @@
 //! * `coalesced`   — the span path with the device fan-out disabled,
 //! * `coal+par`    — the span path as shipped (fan-out enabled).
 //!
-//! A second table replays the paper's global-view scenario: a 64 MiB
-//! sequential scan through `GlobalReader`, reporting device requests per
-//! block against the per-block baseline.
+//! A second table is the write side of the parity rows: a per-block
+//! `write_lblock` loop (one read-modify-write per block, the bench-local
+//! reference) against `write_span`, whose whole stripes leave as one run
+//! per device with no reads. A third replays the paper's global-view
+//! scenario: a 64 MiB sequential scan through `GlobalReader`, reporting
+//! device requests per block against the per-block baseline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,36 +41,35 @@ fn delayed_volume(devices: usize, device_blocks: u64) -> Volume {
     Volume::new(devs).unwrap()
 }
 
-fn total_reads(v: &Volume, devices: usize) -> (u64, u64) {
-    let mut reqs = 0;
-    let mut blocks = 0;
-    for d in 0..devices {
+/// Device (read, write) requests issued so far.
+fn total_requests(v: &Volume, devices: usize) -> (u64, u64) {
+    (0..devices).fold((0, 0), |(r, w), d| {
         let c = v.device(d).counters();
-        reqs += c.reads;
-        blocks += c.blocks_read;
-    }
-    (reqs, blocks)
+        (r + c.reads, w + c.writes)
+    })
 }
 
-/// One measured lane: returns (seconds, device read requests issued).
-fn lane(v: &Volume, devices: usize, f: impl FnOnce()) -> (f64, u64) {
-    let (reqs0, _) = total_reads(v, devices);
+/// One measured lane: returns (seconds, device read requests, device
+/// write requests issued).
+fn lane(v: &Volume, devices: usize, f: impl FnOnce()) -> (f64, u64, u64) {
+    let (r0, w0) = total_requests(v, devices);
     let t0 = Instant::now();
     f();
     let secs = t0.elapsed().as_secs_f64();
-    let (reqs1, _) = total_reads(v, devices);
-    (secs, reqs1 - reqs0)
+    let (r1, w1) = total_requests(v, devices);
+    (secs, r1 - r0, w1 - w0)
 }
 
 fn sweep_case(t: &mut Table, name: &str, devices: usize, layout: LayoutSpec, span_blocks: u64) {
     let v = delayed_volume(devices, 8192);
+    let parity = matches!(layout, LayoutSpec::Parity { .. });
     let f = v.create_file(FileSpec::new("f", BS, 1, layout)).unwrap();
     let bytes = span_blocks as usize * BS;
     let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
     f.write_span(0, &data).unwrap();
 
     let mut out = vec![0u8; bytes];
-    let (t_pb, r_pb) = lane(&v, devices, || {
+    let (t_pb, r_pb, _) = lane(&v, devices, || {
         for l in 0..span_blocks {
             f.read_lblock(l, &mut out[l as usize * BS..(l as usize + 1) * BS])
                 .unwrap();
@@ -77,13 +79,18 @@ fn sweep_case(t: &mut Table, name: &str, devices: usize, layout: LayoutSpec, spa
 
     let serial = f.clone().with_span_parallel(false);
     let mut out = vec![0u8; bytes];
-    let (t_co, r_co) = lane(&v, devices, || serial.read_span(0, &mut out).unwrap());
+    let (t_co, r_co, _) = lane(&v, devices, || serial.read_span(0, &mut out).unwrap());
     assert_eq!(out, data);
 
     let mut out = vec![0u8; bytes];
-    let (t_cp, r_cp) = lane(&v, devices, || f.read_span(0, &mut out).unwrap());
+    let (t_cp, r_cp, _) = lane(&v, devices, || f.read_span(0, &mut out).unwrap());
     assert_eq!(out, data);
     assert_eq!(r_co, r_cp, "fan-out must not change the request count");
+    assert!(
+        !parity || r_cp <= devices as u64,
+        "a parity span read crosses the rotated parity blocks, one request \
+         per device: got {r_cp}"
+    );
 
     t.row(&[
         name.to_string(),
@@ -94,6 +101,56 @@ fn sweep_case(t: &mut Table, name: &str, devices: usize, layout: LayoutSpec, spa
         format!("{:.1}ms/{r_cp}", t_cp * 1e3),
         format!("{:.1}x", r_pb as f64 / r_co as f64),
         format!("{:.1}x", t_pb / t_cp),
+    ]);
+}
+
+/// Parity write lane: `span_blocks` blocks starting `phase` blocks into
+/// a stripe of a rotated 3+1 file, written per block and as one span.
+fn parity_write_case(t: &mut Table, span_blocks: u64, phase: u64) {
+    const DEVICES: usize = 4;
+    let v = delayed_volume(DEVICES, 8192);
+    let layout = LayoutSpec::Parity {
+        data_devices: DEVICES - 1,
+        rotated: true,
+    };
+    let f = v.create_file(FileSpec::new("f", BS, 1, layout)).unwrap();
+    let first = 3 + phase;
+    let bytes = span_blocks as usize * BS;
+    f.write_span(0, &vec![1u8; (first + span_blocks + 3) as usize * BS])
+        .unwrap();
+    let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
+
+    let (t_pb, r_pb, w_pb) = lane(&v, DEVICES, || {
+        for (l, block) in (first..).zip(data.chunks(BS)) {
+            f.write_lblock(l, block).unwrap();
+        }
+    });
+    let (t_sp, r_sp, w_sp) = lane(&v, DEVICES, || {
+        f.write_span(first * BS as u64, &data).unwrap()
+    });
+    let mut out = vec![0u8; bytes];
+    f.read_span(first * BS as u64, &mut out).unwrap();
+    assert_eq!(out, data);
+
+    let drop = (r_pb + w_pb) as f64 / (r_sp + w_sp) as f64;
+    assert!(
+        drop >= 8.0,
+        "a parity span write must cut device requests >=8x (got {drop:.1}x)"
+    );
+    if phase == 0 && span_blocks.is_multiple_of(3) {
+        assert_eq!(
+            (r_sp, w_sp),
+            (0, DEVICES as u64),
+            "a stripe-aligned span write reads nothing and writes one run per device"
+        );
+    }
+    t.row(&[
+        span_blocks.to_string(),
+        phase.to_string(),
+        format!("{:.1}ms/{r_pb}r+{w_pb}w", t_pb * 1e3),
+        format!("{:.1}ms/{r_sp}r+{w_sp}w", t_sp * 1e3),
+        format!("{drop:.1}x"),
+        format!("{:.1}x", t_pb / t_sp),
     ]);
 }
 
@@ -116,13 +173,13 @@ fn global_scan_case(t: &mut Table, devices: usize, unit: u64) {
     }
     f.set_len_records(blocks).unwrap();
 
-    let (t_pb, r_pb) = lane(&v, devices, || {
+    let (t_pb, r_pb, _) = lane(&v, devices, || {
         let mut buf = vec![0u8; BS];
         for l in 0..blocks {
             f.read_lblock(l, &mut buf).unwrap();
         }
     });
-    let (t_gv, r_gv) = lane(&v, devices, || {
+    let (t_gv, r_gv, _) = lane(&v, devices, || {
         let mut r = GlobalReader::new(f.clone());
         let mut rec = vec![0u8; BS];
         let mut n = 0u64;
@@ -210,6 +267,21 @@ fn main() {
     }
     t.print();
     save_json("span_coalesce", &t);
+
+    println!("\nparity span writes (rotated 3+1), per-block reference vs write_span:");
+    let mut w = Table::new(&[
+        "blocks",
+        "phase",
+        "per-block t/req",
+        "span t/req",
+        "req drop",
+        "speedup",
+    ]);
+    for &(span_blocks, phase) in &[(63u64, 0u64), (64, 1), (510, 0), (512, 2)] {
+        parity_write_case(&mut w, span_blocks, phase);
+    }
+    w.print();
+    save_json("span_coalesce_parity_write", &w);
 
     println!("\n64 MiB sequential scan through the global view:");
     let mut g = Table::new(&[

@@ -97,7 +97,8 @@ impl Drop for IoPhase<'_> {
 /// merged into a single transfer. The runs may be scattered through the
 /// logical span (striping interleaves them), so each keeps its own
 /// window (`B`) into the span buffer; multi-part transfers go through a
-/// staging buffer.
+/// staging buffer. On the read side `count` may exceed the parts' blocks
+/// by the parity holes read through (see [`merge_runs`]).
 struct MergedRun<B> {
     device: usize,
     dblock: u64,
@@ -151,12 +152,27 @@ impl RunTicket {
 /// span into ONE merged run per device; partitioned layouts were one
 /// run already; parity data blocks on one device sit at consecutive
 /// stripe rows and merge the same way.
-fn merge_runs<B>(pieces: Vec<(Run, B)>, ndev: usize) -> Vec<Vec<MergedRun<B>>> {
+///
+/// A gap made only of blocks `hole(device, dblock)` accepts — the
+/// file's own rotated parity blocks, on the read side — is read through
+/// rather than split at (data sieving: one block of discarded bytes
+/// costs less than a request): the merged run covers it and no part
+/// does, so [`RawFile::scatter_run`] drops it. Layouts without such
+/// blocks pass `|_, _| false`, which is never called on a contiguous
+/// continuation.
+fn merge_runs<B>(
+    pieces: Vec<(Run, B)>,
+    ndev: usize,
+    hole: impl Fn(usize, u64) -> bool,
+) -> Vec<Vec<MergedRun<B>>> {
     let mut groups: Vec<Vec<MergedRun<B>>> = (0..ndev).map(|_| Vec::new()).collect();
     for (r, b) in pieces {
         match groups[r.device].last_mut() {
-            Some(m) if m.dblock + m.count == r.dblock => {
-                m.count += r.count;
+            Some(m)
+                if m.dblock + m.count <= r.dblock
+                    && (m.dblock + m.count..r.dblock).all(|row| hole(r.device, row)) =>
+            {
+                m.count = r.dblock + r.count - m.dblock;
                 m.parts.push((r, b));
             }
             _ => groups[r.device].push(MergedRun {
@@ -430,9 +446,9 @@ impl RawFile {
 
     /// Report one device outcome on volume device `vdev` to the health
     /// board and pass it on.
-    fn settle(&self, vdev: usize, res: pario_disk::Result<()>) -> Result<()> {
+    fn settle<T>(&self, vdev: usize, res: pario_disk::Result<T>) -> Result<T> {
         match &res {
-            Ok(()) => self.vol.health().note_ok(vdev),
+            Ok(_) => self.vol.health().note_ok(vdev),
             Err(e) => self.note_io_error(vdev, e),
         }
         res.map_err(FsError::Disk)
@@ -459,31 +475,30 @@ impl RawFile {
         self.settle(vdev, res)
     }
 
-    /// Submit the read of physical block `p` on the asynchronous path
-    /// (cache tier or executor queue). For an op with more than one
-    /// transfer to issue: unlike [`RawFile::try_read_phys`], an idle I/O
-    /// node does not run it on the calling thread, so the op keeps the
-    /// hand-off's overlap and its blocking points.
-    fn submit_read_phys(&self, p: PhysBlock) -> RunTicket {
-        let mut segs = self.submit_read_run(p.device, p.block, 1);
-        // invariant: one block lies inside one extent segment.
-        segs.pop().expect("one block is one segment")
-    }
-
-    /// Wait out a [`RawFile::submit_read_phys`] ticket into `buf`, with
-    /// the health feedback of [`RawFile::try_read_phys`].
-    fn wait_read_phys(&self, p: PhysBlock, t: RunTicket, buf: &mut [u8]) -> Result<()> {
-        let res = t
-            .wait_read(self.vol.cache())
-            .map(|b| buf.copy_from_slice(&b));
-        self.settle(self.slot_vdev(p.device), res)
-    }
-
-    /// [`RawFile::try_write_phys`] on the asynchronous path: submitted
-    /// and waited out, never run on the calling thread.
-    fn write_phys_queued(&self, p: PhysBlock, data: &[u8]) -> Result<()> {
-        let tickets = self.submit_write_run(p.device, p.block, data.to_vec());
-        self.wait_write_run(p.device, tickets)
+    /// Read the physical blocks `locs` in one wave and XOR them into
+    /// `out` — the one place a stripe's live blocks are folded into a
+    /// parity (or reconstruction) buffer. Every read is submitted on the
+    /// asynchronous path (cache tier or executor queue) before any is
+    /// waited for: unlike [`RawFile::try_read_phys`], an idle I/O node
+    /// does not run them on the calling thread, so the op keeps the
+    /// hand-off's overlap and its blocking points (DESIGN §7). Every
+    /// ticket is waited out and feeds the health board; `out` is touched
+    /// only if all of them succeeded.
+    fn xor_reads(&self, locs: &[PhysBlock], out: &mut [u8]) -> Result<()> {
+        let tickets: Vec<RunTicket> = locs
+            .iter()
+            // invariant: one block lies inside one extent segment.
+            .map(|p| self.submit_read_run(p.device, p.block, 1).remove(0))
+            .collect();
+        let blocks: Vec<Result<Box<[u8]>>> = locs
+            .iter()
+            .zip(tickets)
+            .map(|(p, t)| self.settle(self.slot_vdev(p.device), t.wait_read(self.vol.cache())))
+            .collect();
+        for block in blocks.into_iter().collect::<Result<Vec<_>>>()? {
+            xor_into(out, &block);
+        }
+        Ok(())
     }
 
     fn check_lblock(&self, l: u64) -> Result<()> {
@@ -716,27 +731,21 @@ impl RawFile {
         }
     }
 
-    /// XOR-reconstruct logical block `l` from its stripe peers and parity.
-    /// Caller holds the stripe lock.
+    /// XOR-reconstruct logical block `l` from its stripe peers and parity,
+    /// all read in one wave. Caller holds the stripe lock.
     fn reconstruct_block(&self, ps: &ParityStriped, l: u64, out: &mut [u8]) -> Result<()> {
-        let total = self.nblocks();
         let s = ps.stripe_of(l);
-        let bs = self.block_size();
-        let mut scratch = vec![0u8; bs];
-        self.try_read_phys(ps.parity_location(s), &mut scratch)?;
-        out.copy_from_slice(&scratch);
-        for (b, loc) in ps.stripe_data(s, total) {
-            if b == l {
-                continue;
-            }
-            self.try_read_phys(loc, &mut scratch)?;
-            xor_into(out, &scratch);
-        }
-        Ok(())
+        let mut reads = vec![ps.parity_location(s)];
+        let peers = ps.stripe_data(s, self.nblocks()).into_iter();
+        reads.extend(peers.filter(|(b, _)| *b != l).map(|(_, loc)| loc));
+        out.fill(0);
+        self.xor_reads(&reads, out)
     }
 
     /// Write logical block `l`, growing the file to cover it. Parity is
-    /// maintained read-modify-write; shadows receive a second copy.
+    /// maintained as a one-block span would (a read-modify-write, or a
+    /// reconstruct-write when the stripe's peers are fewer to read);
+    /// shadows receive a second copy.
     pub fn write_lblock(&self, l: u64, data: &[u8]) -> Result<()> {
         debug_assert_eq!(data.len(), self.block_size());
         if l >= self.nblocks() {
@@ -770,120 +779,126 @@ impl RawFile {
         }
     }
 
-    /// Read-modify-write one block of a parity file under the stripe
-    /// lock. Four transfers on two devices make this a multi-transfer op,
-    /// so it stays on the asynchronous path: the two reads overlap, and a
-    /// span of such blocks blocks at every transfer instead of running
-    /// hundreds of them back to back on the caller's CPU (DESIGN §7).
-    fn parity_write(&self, ps: &ParityStriped, l: u64, data: &[u8]) -> Result<()> {
+    /// Write whole blocks `[first, first + data.len() / bs)` of a parity
+    /// file, planned stripe by stripe under the stripe lock. Each stripe
+    /// contributes its new data blocks and its new parity block to one
+    /// staging run per device; the runs — rows of data and parity alike
+    /// — leave in ONE wave, all submitted before any is waited for.
+    ///
+    /// A stripe the span covers needs no reads: its parity is the XOR of
+    /// the caller's bytes, so no health state matters to it (Rebuilding
+    /// media takes the write, a Failed device's run reports fail-stop
+    /// below). The partial stripes at the ragged ends — and the single
+    /// block of [`RawFile::write_lblock`] — fold old blocks in through
+    /// [`RawFile::parity_reads`] first, before anything is written.
+    ///
+    /// Failure contract: one fail-stop device among the runs is the
+    /// redundancy's to absorb — whichever of a stripe's blocks it held,
+    /// the survivors reconstruct the new bytes. Any other write error,
+    /// or a second fail-stop, fails the span and leaves the stripes it
+    /// covers unspecified until rewritten (`scrub`/`repair` is the
+    /// recourse, as for a torn read-modify-write).
+    fn parity_write(&self, ps: &ParityStriped, first: u64, data: &[u8]) -> Result<()> {
         let _g = self.state.stripe_lock.lock();
         let bs = self.block_size();
-        let s = ps.stripe_of(l);
-        let dloc = self.layout.map(l);
-        let ploc = ps.parity_location(s);
-        // Health-driven branch: a Rebuilding device's media reads stale
-        // values, so read-modify-write through it is wrong — reconstruct
-        // the stripe's parity from live peers instead. (Failed devices
-        // are left to the error-driven branches below: probing them
-        // errors instantly, and a device healed behind the board's back
-        // keeps serving.)
-        if self.slot_state(dloc.device) == HealthState::Rebuilding
-            || self.slot_state(ploc.device) == HealthState::Rebuilding
-        {
-            return self.parity_reconstruct_write(ps, l, s, dloc, ploc, data);
-        }
-        // The old data and the old parity sit on different devices:
-        // both reads are in flight before either is waited for.
-        let (mut old, mut parity) = (vec![0u8; bs], vec![0u8; bs]);
-        let (old_ticket, parity_ticket) =
-            (self.submit_read_phys(dloc), self.submit_read_phys(ploc));
-        let old_read = self.wait_read_phys(dloc, old_ticket, &mut old);
-        let parity_read = self.wait_read_phys(ploc, parity_ticket, &mut parity);
-        let old_read = match old_read {
-            // Corrupt old data would poison the parity RMW; reconstruct
-            // the true old value from the stripe first (the subsequent
-            // data write heals the corruption as a side effect).
-            Err(FsError::Disk(DiskError::Corruption { .. })) => {
-                self.reconstruct_block(ps, l, &mut old)
+        let (w, total) = (ps.stripe_width() as u64, self.nblocks());
+        let end = first + (data.len() / bs) as u64;
+        // Per device: first row and bytes. A device holds one block of
+        // every row it appears in, and only a span's first and last row
+        // can leave a device out, so each device's rows are contiguous.
+        let (s0, s1) = (ps.stripe_of(first), ps.stripe_of(end - 1) + 1);
+        let mut staged: Vec<(u64, Vec<u8>)> = (0..ps.devices())
+            .map(|_| (0, Vec::with_capacity((s1 - s0) as usize * bs)))
+            .collect();
+        let mut stage = |loc: PhysBlock, block: &[u8]| {
+            let (row, run) = &mut staged[loc.device];
+            if run.is_empty() {
+                *row = loc.block;
             }
-            other => other,
+            debug_assert_eq!(*row + (run.len() / bs) as u64, loc.block);
+            run.extend_from_slice(block);
         };
-        match old_read {
-            Ok(()) => {
-                match parity_read {
-                    Ok(()) => {
-                        // new parity = old parity ^ old data ^ new data
-                        xor_into(&mut parity, &old);
-                        xor_into(&mut parity, data);
-                        // Data before parity, each waited out: a failed
-                        // data write must leave the parity untouched.
-                        self.write_phys_queued(dloc, data)?;
-                        match self.write_phys_queued(ploc, &parity) {
-                            // Parity device died between read and write:
-                            // the data write stands, the stripe is simply
-                            // unprotected until rebuild.
-                            Err(FsError::Disk(DiskError::DeviceFailed { .. })) => Ok(()),
-                            other => other,
-                        }
-                    }
-                    Err(FsError::Disk(DiskError::DeviceFailed { .. })) => {
-                        // Parity device down: write data unprotected.
-                        self.try_write_phys(dloc, data)
-                    }
-                    Err(e) => Err(e),
-                }
+        let mut parity = vec![0u8; bs];
+        for s in s0..s1 {
+            let (lo, hi) = (first.max(s * w), end.min((s + 1) * w));
+            let new = &data[(lo - first) as usize * bs..(hi - first) as usize * bs];
+            parity.fill(0);
+            new.chunks(bs)
+                .for_each(|block| xor_into(&mut parity, block));
+            if lo > s * w || hi < total.min((s + 1) * w) {
+                self.parity_reads(ps, s, lo..hi, &mut parity)?;
             }
-            Err(FsError::Disk(DiskError::DeviceFailed { .. })) => {
-                // Data device down: fold the new data into parity so a
-                // rebuild recreates it. parity = new ^ XOR(peers).
-                let mut parity = data.to_vec();
-                let total = self.nblocks();
-                let mut scratch = vec![0u8; bs];
-                for (b, loc) in ps.stripe_data(s, total) {
-                    if b == l {
-                        continue;
-                    }
-                    self.try_read_phys(loc, &mut scratch)?;
-                    xor_into(&mut parity, &scratch);
-                }
-                self.try_write_phys(ploc, &parity)
-            }
-            Err(e) => Err(e),
+            (lo..hi)
+                .zip(new.chunks(bs))
+                .for_each(|(l, block)| stage(ps.map(l), block));
+            stage(ps.parity_location(s), &parity);
         }
+        let inflight: Vec<_> = staged
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (_, run))| !run.is_empty())
+            .map(|(slot, (row, run))| (slot, self.submit_write_run(slot, row, run)))
+            .collect();
+        let (mut down, mut failed) = (false, None);
+        for (slot, tickets) in inflight {
+            match self.wait_write_run(slot, tickets) {
+                Err(FsError::Disk(DiskError::DeviceFailed { .. })) if !down => down = true,
+                Err(e) => failed = failed.or(Some(e)),
+                Ok(()) => {}
+            }
+        }
+        failed.map_or(Ok(()), Err)
     }
 
-    /// Full-stripe reconstruct-write for a degraded stripe (caller
-    /// holds the stripe lock): `parity = new data ^ XOR(live peers)`.
-    /// Both the data copy and the parity copy are written where media
-    /// accepts them — a Rebuilding device takes writes (the sweep then
-    /// recomputes a consistent value), a Failed device errors — and one
-    /// durable representation of the new data is enough.
-    fn parity_reconstruct_write(
+    /// The reads of a partial-stripe write: `parity` holds the XOR of the
+    /// new blocks `touched` of stripe `s`, and becomes the stripe's new
+    /// parity once either the old copies of the touched blocks and the
+    /// old parity (read-modify-write) or the untouched peers
+    /// (reconstruct-write) are folded in — the two plans differ only in
+    /// what they read. The plan that reads fewer blocks goes first, ties
+    /// to read-modify-write. Rebuilding media reads stale, which rules
+    /// out a plan that would read it (Failed media is left to error out:
+    /// a device healed behind the board's back keeps serving). A
+    /// recoverable read error — fail-stop, detected corruption of old
+    /// data or old parity alike, a transient that outlived its retries —
+    /// switches to the other plan, which needs nothing from that block;
+    /// the write wave then heals it or reports it.
+    fn parity_reads(
         &self,
         ps: &ParityStriped,
-        l: u64,
         s: u64,
-        dloc: PhysBlock,
-        ploc: PhysBlock,
-        data: &[u8],
+        touched: std::ops::Range<u64>,
+        parity: &mut [u8],
     ) -> Result<()> {
-        let bs = self.block_size();
-        let total = self.nblocks();
-        let mut parity = data.to_vec();
-        let mut scratch = vec![0u8; bs];
-        for (b, loc) in ps.stripe_data(s, total) {
-            if b == l {
+        let (mut rmw, mut rcw) = (Vec::new(), Vec::new());
+        for (l, loc) in ps.stripe_data(s, self.nblocks()) {
+            if touched.contains(&l) {
+                rmw.push(loc);
+            } else {
+                rcw.push(loc);
+            }
+        }
+        rmw.push(ps.parity_location(s));
+        let plans = if rcw.len() < rmw.len() {
+            [rcw, rmw]
+        } else {
+            [rmw, rcw]
+        };
+        let stale = |p: &PhysBlock| self.slot_state(p.device) == HealthState::Rebuilding;
+        let mut failed = None;
+        for reads in plans {
+            if reads.iter().any(stale) {
                 continue;
             }
-            self.try_read_phys(loc, &mut scratch)?;
-            xor_into(&mut parity, &scratch);
+            match self.xor_reads(&reads, parity) {
+                Err(FsError::Disk(e)) if recoverable(&e) => failed = Some(e),
+                done => return done,
+            }
         }
-        let r_data = self.try_write_phys(dloc, data);
-        let r_parity = self.try_write_phys(ploc, &parity);
-        match (r_data, r_parity) {
-            (Err(e), Err(_)) => Err(e),
-            _ => Ok(()),
-        }
+        let failed = failed.unwrap_or_else(|| DiskError::DeviceFailed {
+            device: format!("parity stripe {s}: every plan reads rebuilding media"),
+        });
+        Err(failed.into())
     }
 
     // ------------------------------------------------------------------
@@ -1089,8 +1104,9 @@ impl RawFile {
     }
 
     /// Scatter a completed run's segment buffers into its span windows.
-    /// Parts are in device-block order and contiguous, so the segments
-    /// concatenate exactly onto the parts.
+    /// The segments concatenate to the run's device blocks in order;
+    /// each part copies out from its own offset, which skips any parity
+    /// hole the run read through.
     fn scatter_run(m: MergedRun<&mut [u8]>, bufs: Vec<Box<[u8]>>) {
         let staging: Box<[u8]> = if bufs.len() == 1 {
             // invariant: just checked bufs.len() == 1.
@@ -1102,10 +1118,10 @@ impl RawFile {
             }
             s.into_boxed_slice()
         };
-        let mut pos = 0usize;
-        for (_, win) in m.parts {
-            win.copy_from_slice(&staging[pos..pos + win.len()]);
-            pos += win.len();
+        let bs = staging.len() / m.count as usize;
+        for (r, win) in m.parts {
+            let at = (r.dblock - m.dblock) as usize * bs;
+            win.copy_from_slice(&staging[at..at + win.len()]);
         }
     }
 
@@ -1165,7 +1181,11 @@ impl RawFile {
         }
         let pieces = self.run_windows(first, buf);
         let span_runs = pieces.len();
-        let groups = merge_runs(pieces, self.layout.devices());
+        let parity_hole = |device: usize, row: u64| match &self.redundancy {
+            Redundancy::Parity(ps) => ps.parity_device(row) == device,
+            _ => false,
+        };
+        let groups = merge_runs(pieces, self.layout.devices(), parity_hole);
         let mirror = match &self.redundancy {
             Redundancy::Shadow { primaries } => Some(*primaries),
             _ => None,
@@ -1255,20 +1275,18 @@ impl RawFile {
     /// waited on. Shadowed layouts submit each run to BOTH mirrors
     /// concurrently — one live copy suffices, and a run whose two copies
     /// both fail retries per block so the span only fails where both
-    /// copies of a block are dead. Parity files take the blocks one at a
-    /// time instead: each runs its read-modify-write cycle under the
-    /// stripe lock ([`RawFile::parity_write`]). An unmirrored span that
-    /// is a single healthy transfer ([`RawFile::direct_segment`]) blocks
-    /// on the device call, straight from `data`.
+    /// copies of a block are dead. Parity files plan the span in stripes
+    /// instead ([`RawFile::parity_write`]): data and parity leave as one
+    /// run per device. An unmirrored span that is a single healthy
+    /// transfer ([`RawFile::direct_segment`]) blocks on the device call,
+    /// straight from `data`.
     fn write_blocks_coalesced(&self, first: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());
         }
         let bs = self.block_size();
         if let Redundancy::Parity(ps) = &self.redundancy {
-            return (first..)
-                .zip(data.chunks(bs))
-                .try_for_each(|(l, block)| self.parity_write(ps, l, block));
+            return self.parity_write(ps, first, data);
         }
         let count = (data.len() / bs) as u64;
         let run_list = runs(&*self.layout, first, count);
@@ -1280,7 +1298,7 @@ impl RawFile {
             rest = tail;
         }
         let span_runs = pieces.len();
-        let groups = merge_runs(pieces, self.layout.devices());
+        let groups = merge_runs(pieces, self.layout.devices(), |_, _| false);
         let mirror = match &self.redundancy {
             Redundancy::Shadow { primaries } => Some(*primaries),
             _ => None,
@@ -1399,8 +1417,9 @@ impl RawFile {
     /// allocation to cover it. Partial blocks are read-modify-written.
     ///
     /// Whole-block spans are translated into maximal per-device runs;
-    /// on parity files each whole block runs its own read-modify-write
-    /// cycle under the stripe lock, its two reads overlapped.
+    /// on parity files the runs carry the parity rows too — whole
+    /// stripes are written without a read, and only a partial stripe at
+    /// either end reads before it writes.
     pub fn write_span(&self, offset: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());

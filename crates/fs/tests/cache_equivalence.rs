@@ -51,6 +51,18 @@ fn phys_blocks(f: &pario_fs::RawFile) -> Vec<(usize, u64)> {
         .collect()
 }
 
+/// Every device block the file owns — parity rows included — as
+/// `(device, abs_block)`, slot by slot.
+fn owned_blocks(f: &pario_fs::RawFile) -> Vec<(usize, u64)> {
+    let meta = f.meta_snapshot();
+    (0..f.layout().devices())
+        .flat_map(|slot| {
+            let (dev, extents) = (meta.device_map[slot], meta.extents[slot].clone());
+            (0..f.device_blocks(slot)).map(move |b| (dev, resolve(&extents, b)))
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -58,8 +70,15 @@ proptest! {
     /// on a cached and an uncached volume: span reads agree with the
     /// sequential reference on both, and after a flush the cached
     /// volume's media is block-for-block identical to the uncached one.
+    /// On the parity layouts the writers' regions share stripes, their
+    /// spans are ragged against them, and the comparison covers the
+    /// parity blocks.
     #[test]
     fn cached_volume_matches_uncached(
+        layout in prop_oneof![
+            Just(LayoutSpec::Striped { devices: 4, unit: 2 }),
+            any::<bool>().prop_map(|rotated| LayoutSpec::Parity { data_devices: 3, rotated }),
+        ],
         pick in 0usize..3,
         frames in 2usize..24,
         per_thread in proptest::collection::vec(
@@ -69,13 +88,7 @@ proptest! {
         reads in proptest::collection::vec((0u64..CAP_BYTES, 1usize..1200), 1..8),
     ) {
         let spec = || {
-            FileSpec::new(
-                "f",
-                64,
-                4,
-                LayoutSpec::Striped { devices: 4, unit: 2 },
-            )
-            .initial_records(CAP_BYTES / 64)
+            FileSpec::new("f", 64, 4, layout.clone()).initial_records(CAP_BYTES / 64)
         };
         let cached_vol = new_volume().enable_cache(cache_config(pick, frames)).unwrap();
         let cached = cached_vol.create_file(spec()).unwrap();
@@ -134,15 +147,15 @@ proptest! {
 
         // After a flush the media itself must be identical.
         cached_vol.flush_cache().unwrap();
-        let pb_cached = phys_blocks(&cached);
-        let pb_plain = phys_blocks(&plain);
+        let pb_cached = owned_blocks(&cached);
+        let pb_plain = owned_blocks(&plain);
         prop_assert_eq!(&pb_cached, &pb_plain, "allocation diverged");
-        for (l, &(dev, abs)) in pb_cached.iter().enumerate() {
+        for &(dev, abs) in &pb_cached {
             let mut a = vec![0u8; BS];
             cached_vol.device(dev).read_block(abs, &mut a).unwrap();
             let mut b = vec![0u8; BS];
             plain_vol.device(dev).read_block(abs, &mut b).unwrap();
-            prop_assert_eq!(&a, &b, "media diverged at logical block {}", l);
+            prop_assert_eq!(&a, &b, "media diverged at device {} block {}", dev, abs);
         }
     }
 

@@ -263,3 +263,75 @@ fn hedged_sub_block_reads_walk_a_suspect_primary_back_to_healthy() {
     }
     assert_eq!(v.device_health(primary), HealthState::Healthy);
 }
+
+/// Ragged parity span writes with one device down, in each way a device
+/// can be down: failed behind the board's back (the plan's own reads and
+/// writes discover it), marked Failed, and Rebuilding (healed media the
+/// board still routes reads around, so every read-back reconstructs that
+/// device's blocks from the stripe the write just left). With a second
+/// device dead the write reports the fail-stop instead.
+#[test]
+fn ragged_parity_span_writes_survive_one_device_down_in_every_state() {
+    for (data_devices, rotated) in [(2usize, true), (3, true), (3, false), (4, true)] {
+        let spec = LayoutSpec::Parity {
+            data_devices,
+            rotated,
+        };
+        for down in 0..spec.devices_required() {
+            let v = Volume::create_in_memory(VolumeConfig {
+                devices: 6,
+                device_blocks: 512,
+                block_size: BS,
+            })
+            .unwrap();
+            let f = v
+                .create_file(FileSpec::new("f", 64, 4, spec.clone()))
+                .unwrap();
+            let mut model: Vec<u8> = (0..CAP_BYTES as usize).map(|i| (i / 5) as u8).collect();
+            f.write_span(0, &model).unwrap();
+            let dev = f.meta_snapshot().device_map[down];
+            let mut got = vec![0u8; model.len()];
+            let mut write_ragged = |first: usize, blocks: usize, tag: u8, what: &str| {
+                let (at, len) = (first * BS, blocks * BS);
+                let data: Vec<u8> = (0..len).map(|i| tag.wrapping_add((i / 3) as u8)).collect();
+                let ctx = format!("w={data_devices} rotated={rotated} slot {down} {what}");
+                f.write_span(at as u64, &data)
+                    .unwrap_or_else(|e| panic!("{ctx}: write failed: {e}"));
+                model[at..at + len].copy_from_slice(&data);
+                got.fill(0);
+                f.read_span(0, &mut got).unwrap();
+                assert_eq!(got, model, "{ctx}: read-back");
+            };
+
+            v.device(dev).fail();
+            assert_eq!(v.device_health(dev), HealthState::Healthy);
+            write_ragged(
+                1,
+                4 * data_devices + 1,
+                0x11,
+                "failed behind the board's back",
+            );
+            write_ragged(data_devices - 1, 2, 0x22, "failed, one partial stripe pair");
+
+            v.health().mark_failed(dev);
+            write_ragged(data_devices + 1, 3 * data_devices, 0x33, "marked Failed");
+            write_ragged(2, 1, 0x44, "marked Failed, one block");
+
+            v.device(dev).heal();
+            v.health().begin_rebuild(dev, || ());
+            assert_eq!(v.device_health(dev), HealthState::Rebuilding);
+            write_ragged(2, 5 * data_devices - 1, 0x55, "Rebuilding");
+            write_ragged(data_devices + 1, 1, 0x66, "Rebuilding, one block");
+
+            // A second dead device is past what one parity block absorbs.
+            v.device(dev).fail();
+            let other = f.meta_snapshot().device_map[(down + 1) % spec.devices_required()];
+            v.device(other).fail();
+            let data = vec![0x77u8; (3 * data_devices + 1) * BS];
+            match f.write_span(BS as u64, &data) {
+                Err(pario_fs::FsError::Disk(pario_disk::DiskError::DeviceFailed { .. })) => {}
+                other => panic!("two devices down: expected fail-stop, got {other:?}"),
+            }
+        }
+    }
+}

@@ -374,3 +374,136 @@ proptest! {
         }
     }
 }
+
+/// A parity file of 47 blocks — a partial last stripe at every width
+/// used below — allocated in one piece.
+fn ragged_parity_file(v: &Volume, spec: &LayoutSpec) -> RawFile {
+    let f = v
+        .create_file(FileSpec::new("f", 64, 4, spec.clone()))
+        .unwrap();
+    f.write_span(46 * BS as u64, &[0u8; BS]).unwrap();
+    assert_eq!(f.nblocks(), 47);
+    f
+}
+
+/// The stripe plan against a second reference, built from per-block
+/// `write_lblock` calls (one read-modify-write or reconstruct-write per
+/// block): spans of 1..=40 blocks starting at every stripe phase, and
+/// ending in the file's partial last stripe, leave every device block —
+/// data and parity — byte-identical to it, for every stripe width and
+/// both parity placements.
+#[test]
+fn parity_spans_match_the_per_block_reference_at_every_stripe_phase() {
+    for data_devices in 2usize..=4 {
+        for rotated in [false, true] {
+            let spec = LayoutSpec::Parity {
+                data_devices,
+                rotated,
+            };
+            let (v, rv) = (volume(), volume());
+            let f = ragged_parity_file(&v, &spec);
+            let reference = ragged_parity_file(&rv, &spec);
+            let (mut a, mut b) = (vec![0u8; BS], vec![0u8; BS]);
+            let mut tag = 0u8;
+            for len in 1u64..=40 {
+                let phases = (0..data_devices as u64).map(|phase| data_devices as u64 + phase);
+                for first in phases.chain([47 - len]) {
+                    tag = tag.wrapping_add(1);
+                    let data: Vec<u8> = (0..len as usize * BS)
+                        .map(|i| tag.wrapping_mul(31).wrapping_add((i / 7) as u8))
+                        .collect();
+                    f.write_span(first * BS as u64, &data).unwrap();
+                    for (l, block) in (first..).zip(data.chunks(BS)) {
+                        reference.write_lblock(l, block).unwrap();
+                    }
+                    for slot in 0..f.layout().devices() {
+                        assert_eq!(f.device_blocks(slot), reference.device_blocks(slot));
+                        for dblock in 0..f.device_blocks(slot) {
+                            f.read_device_block(slot, dblock, &mut a).unwrap();
+                            reference.read_device_block(slot, dblock, &mut b).unwrap();
+                            assert_eq!(
+                                a, b,
+                                "w={data_devices} rotated={rotated} span {first}+{len}: \
+                                 slot {slot} device block {dblock}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Device read and write requests that `op` cost on volume `v`.
+fn device_requests(v: &Volume, op: impl FnOnce()) -> (u64, u64) {
+    let count = |v: &Volume| {
+        (0..6).fold((0, 0), |(r, w), d| {
+            let c = v.device(d).counters();
+            (r + c.reads, w + c.writes)
+        })
+    };
+    let (r0, w0) = count(v);
+    op();
+    let (r1, w1) = count(v);
+    (r1 - r0, w1 - w0)
+}
+
+/// What a parity span costs in requests: whole stripes leave as one
+/// write per device with no read at all, a partial stripe reads
+/// whichever of {old copies + old parity, untouched peers} is fewer, and
+/// a span read crosses the rotated parity blocks instead of stopping at
+/// each.
+#[test]
+fn parity_spans_move_whole_stripes_in_one_request_per_device() {
+    let spec = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let v = volume();
+    let f = whole_file(&v, &spec);
+    let devices = f.layout().devices() as u64;
+    let data: Vec<u8> = (0..30 * BS).map(|i| (i % 251) as u8).collect();
+
+    // Stripe-aligned, k whole stripes: devices() writes, 0 reads.
+    for stripes in [1usize, 2, 7, 9] {
+        let span = &data[..stripes * 3 * BS];
+        let mut reqs = (0, 0);
+        let (executor, _) = executor_cost(&v, || {
+            reqs = device_requests(&v, || f.write_span(3 * BS as u64, span).unwrap());
+        });
+        assert_eq!(reqs, (0, devices), "{stripes} whole stripes");
+        assert_eq!(executor, devices, "{stripes} whole stripes");
+    }
+
+    // Two blocks of a three-block stripe: reconstruct-write reads the
+    // one untouched peer (read-modify-write would read three blocks).
+    let reqs = device_requests(&v, || f.write_span(6 * BS as u64, &data[..2 * BS]).unwrap());
+    assert_eq!(reqs, (1, 3), "2-of-3 partial stripe");
+
+    // Ragged at both ends: the two partial stripes read, and the writes
+    // still leave as one run per device.
+    let reqs = device_requests(&v, || f.write_span(4 * BS as u64, &data[..9 * BS]).unwrap());
+    assert_eq!(
+        reqs,
+        (1 + 2, devices),
+        "blocks 4..13: 2-of-3, 2 whole, 1-of-3"
+    );
+
+    // A span read covering whole stripes of the rotated file is at most
+    // one request per device, and returns what the writes left.
+    let mut model = vec![0u8; CAP_BYTES as usize];
+    f.write_span(0, &model).unwrap();
+    model[BS..31 * BS].copy_from_slice(&data);
+    f.write_span(BS as u64, &data).unwrap();
+    let mut got = vec![0u8; 30 * BS];
+    let (executor, _) = executor_cost(&v, || f.read_span(0, &mut got).unwrap());
+    assert!(
+        executor <= devices,
+        "{executor} requests for a 30-block read"
+    );
+    assert_eq!(got, model[..30 * BS]);
+    let serial = f.clone().with_span_parallel(false);
+    got.fill(0);
+    serial.read_span(BS as u64, &mut got).unwrap();
+    assert_eq!(got, data);
+}

@@ -143,13 +143,8 @@ mod tests {
 
     const BS: usize = 256;
 
-    fn setup() -> (Volume, RawFile) {
-        let v = Volume::create_in_memory(VolumeConfig {
-            devices: 4,
-            device_blocks: 256,
-            block_size: BS,
-        })
-        .unwrap();
+    /// A rotated 3+1 parity file of 24 one-block records on `v`.
+    fn populate(v: &Volume) -> RawFile {
         let f = v
             .create_file(FileSpec::new(
                 "p",
@@ -164,7 +159,36 @@ mod tests {
         for r in 0..24u64 {
             f.write_record(r, &vec![(r + 1) as u8; BS]).unwrap();
         }
+        f
+    }
+
+    fn setup() -> (Volume, RawFile) {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 256,
+            block_size: BS,
+        })
+        .unwrap();
+        let f = populate(&v);
         (v, f)
+    }
+
+    /// [`setup`] over `ChecksumDevice`-wrapped memory disks, whose raw
+    /// handles come back for bit-flipping behind the checksums.
+    fn checksummed_setup() -> (Vec<std::sync::Arc<pario_disk::MemDisk>>, Volume, RawFile) {
+        use crate::checksum::ChecksumDevice;
+        use pario_disk::{DeviceRef, MemDisk};
+        use std::sync::Arc;
+        let raw_devs: Vec<Arc<MemDisk>> = (0..4)
+            .map(|i| Arc::new(MemDisk::named(&format!("m{i}"), 256, BS)))
+            .collect();
+        let wrapped: Vec<DeviceRef> = raw_devs
+            .iter()
+            .map(|m| Arc::new(ChecksumDevice::new(Arc::clone(m) as DeviceRef)) as DeviceRef)
+            .collect();
+        let v = Volume::new(wrapped).unwrap();
+        let f = populate(&v);
+        (raw_devs, v, f)
     }
 
     #[test]
@@ -213,31 +237,7 @@ mod tests {
 
     #[test]
     fn repair_fixes_corrupt_blocks() {
-        use crate::checksum::ChecksumDevice;
-        use pario_disk::{DeviceRef, MemDisk};
-        use std::sync::Arc;
-        let raw_devs: Vec<Arc<MemDisk>> = (0..4)
-            .map(|i| Arc::new(MemDisk::named(&format!("m{i}"), 256, BS)))
-            .collect();
-        let wrapped: Vec<DeviceRef> = raw_devs
-            .iter()
-            .map(|m| Arc::new(ChecksumDevice::new(Arc::clone(m) as DeviceRef)) as DeviceRef)
-            .collect();
-        let v = Volume::new(wrapped).unwrap();
-        let f = v
-            .create_file(FileSpec::new(
-                "p",
-                BS,
-                1,
-                LayoutSpec::Parity {
-                    data_devices: 3,
-                    rotated: true,
-                },
-            ))
-            .unwrap();
-        for r in 0..24u64 {
-            f.write_record(r, &vec![(r + 1) as u8; BS]).unwrap();
-        }
+        let (raw_devs, _v, f) = checksummed_setup();
         // Corrupt three blocks on three devices (distinct stripes).
         let meta = f.meta_snapshot();
         for (slot, dblock, bit) in [(0usize, 1u64, 5usize), (1, 3, 77), (3, 6, 900)] {
@@ -254,6 +254,82 @@ mod tests {
             assert!(buf.iter().all(|&b| b == (r + 1) as u8), "record {r}");
         }
         assert_eq!(repair(&f).unwrap(), 0);
+    }
+
+    /// A detected-corrupt *old parity* block must not wedge its stripe:
+    /// the write that meets it recomputes the parity from the live peers
+    /// (reconstruct-write) and so heals it.
+    #[test]
+    fn write_over_detected_corrupt_parity_heals_the_stripe() {
+        let (raw_devs, v, f) = checksummed_setup();
+        // Stripe 2 holds records 6..9; flip a bit of its parity block.
+        let ps = parity_model(&f).unwrap();
+        let ploc = ps.parity_location(2);
+        let abs = pario_fs::resolve(&f.meta_snapshot().extents[ploc.device], ploc.block);
+        raw_devs[ploc.device].corrupt_bit(abs, 321);
+        assert!(scrub(&f).is_err(), "the corruption is detected");
+
+        f.write_record(7, &vec![0xC3; BS]).unwrap();
+        let mut buf = vec![0u8; BS];
+        f.read_record(7, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0xC3));
+        assert!(scrub(&f).unwrap().is_empty(), "parity recomputed and clean");
+        // The healed parity really protects the stripe.
+        v.device(f.layout().map(7).device).fail();
+        f.read_record(7, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0xC3));
+        f.read_record(6, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 7));
+    }
+
+    /// Two span writers and two single-record writers own interleaved
+    /// 7-block chunks of one 3-wide file, so neighbouring chunks of
+    /// different writers share a stripe at every boundary: full-stripe
+    /// runs, ragged-end plans and one-block read-modify-writes all meet
+    /// under the stripe lock. Afterwards every stripe scrubs clean and
+    /// every byte matches the model, with and without a device down.
+    #[test]
+    fn concurrent_span_and_record_writers_leave_every_stripe_clean() {
+        const CHUNK: u64 = 7;
+        const CHUNKS: u64 = 16;
+        const ROUNDS: u8 = 4;
+        let (v, f) = setup();
+        f.ensure_capacity_records(CHUNK * CHUNKS).unwrap();
+        let byte = |block: u64, round: u8| (block as u8).wrapping_mul(13) ^ round;
+        std::thread::scope(|s| {
+            for writer in 0..4u64 {
+                let f = f.clone();
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        for chunk in (writer..CHUNKS).step_by(4) {
+                            let blocks = chunk * CHUNK..(chunk + 1) * CHUNK;
+                            if writer < 2 {
+                                let data: Vec<u8> = blocks
+                                    .clone()
+                                    .flat_map(|b| vec![byte(b, round); BS])
+                                    .collect();
+                                f.write_span(blocks.start * BS as u64, &data).unwrap();
+                            } else {
+                                for b in blocks {
+                                    f.write_record(b, &vec![byte(b, round); BS]).unwrap();
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert!(scrub(&f).unwrap().is_empty());
+        let model: Vec<u8> = (0..CHUNK * CHUNKS)
+            .flat_map(|b| vec![byte(b, ROUNDS - 1); BS])
+            .collect();
+        let mut got = vec![0u8; model.len()];
+        f.read_span(0, &mut got).unwrap();
+        assert_eq!(got, model);
+        v.device(1).fail();
+        got.fill(0);
+        f.read_span(0, &mut got).unwrap();
+        assert_eq!(got, model, "reconstructed with device 1 down");
     }
 
     #[test]
