@@ -3,13 +3,21 @@
 //! This is the layer every internal view is built on. It owns three jobs:
 //!
 //! 1. **Address translation** — logical block → layout → device slot →
-//!    extent → absolute device block.
-//! 2. **Redundancy maintenance** — parity read-modify-write cycles and
-//!    degraded reconstruction for parity layouts; dual writes and failover
-//!    reads for shadowed layouts.
+//!    extent → absolute device block. [`RawFile::plan`] turns a span of
+//!    whole blocks into merged per-device runs and
+//!    [`RawFile::run_segments`] resolves a run to device extents; every
+//!    transfer, and the cache flush hooks, start from that one plan.
+//! 2. **Redundancy maintenance** — one reader ([`RawFile::read_blocks`])
+//!    and one writer ([`RawFile::write_blocks`]) over whole blocks,
+//!    whatever their count. [`RawFile::route`] is the only place device
+//!    health steers a read; recovery is one step per redundancy (the
+//!    other copy of a shadowed run, [`RawFile::reconstruct`] for a parity
+//!    column), and parity is maintained by [`RawFile::parity_write`].
 //! 3. **Byte/record framing** — records are fixed-size spans of the
 //!    logical byte stream and may straddle volume blocks; `read_span` /
-//!    `write_span` handle the block arithmetic once, for everyone above.
+//!    `write_span` handle the block arithmetic once, for everyone above,
+//!    and hand their ragged ends to the same reader and writer as
+//!    one-block spans.
 
 use std::sync::atomic::Ordering;
 
@@ -20,7 +28,6 @@ use pario_buffer::{CacheReadTicket, CacheWriteTicket, VolumeCache};
 use pario_disk::{DeviceRef, DiskError, Ticket};
 use pario_layout::{runs, Layout, LayoutSpec, ParityPlacement, ParityStriped, PhysBlock, Run};
 
-use crate::alloc::resolve;
 use crate::error::{FsError, Result};
 use crate::health::HealthState;
 use crate::meta::FileMeta;
@@ -122,56 +129,64 @@ impl Drop for IoPhase<'_> {
 
 /// Layout runs on one device whose device-local blocks are contiguous,
 /// merged into a single transfer. The runs may be scattered through the
-/// logical span (striping interleaves them), so each keeps its own
-/// window (`B`) into the span buffer; multi-part transfers go through a
-/// staging buffer. On the read side `count` may exceed the parts' blocks
-/// by the parity holes read through (see [`merge_runs`]).
-struct MergedRun<B> {
+/// logical span (striping interleaves them); each part's window into the
+/// span buffer follows from its logical block ([`RawFile::window`]), and
+/// multi-part transfers go through a staging buffer. On the read side
+/// `count` may exceed the parts' blocks by the parity holes read through
+/// (see [`merge_runs`]) and by the rows a reconstruction widened the run
+/// over.
+struct MergedRun {
     device: usize,
     dblock: u64,
     count: u64,
-    parts: Vec<(Run, B)>,
+    parts: Vec<Run>,
 }
 
-/// One in-flight segment transfer of a merged run: a raw executor
-/// ticket on uncached volumes, a cache ticket when the volume cache tier
-/// fronts the executor, or an already-completed outcome (serial mode and
-/// cache-absorbed write-back writes).
+/// One in-flight segment transfer of a merged run: an executor ticket
+/// (already complete in serial mode), or a cache ticket when the volume
+/// cache tier fronts the executor.
 enum RunTicket {
     Dev(Ticket<Box<[u8]>>),
     CacheRead(CacheReadTicket),
     CacheWrite(CacheWriteTicket),
-    Done(pario_disk::Result<()>),
 }
 
 impl RunTicket {
-    /// Complete a read segment; `cache` is the volume's tier (present
-    /// whenever `CacheRead` tickets exist).
-    fn wait_read(self, cache: Option<&Arc<VolumeCache>>) -> pario_disk::Result<Box<[u8]>> {
+    /// Complete the segment: a read yields its bytes, a write whatever
+    /// buffer comes back (none from the tier). `cache` is the volume's
+    /// tier, present whenever cache tickets exist.
+    fn wait(self, cache: Option<&Arc<VolumeCache>>) -> pario_disk::Result<Box<[u8]>> {
+        // invariant: cache tickets are only created with a cache.
+        let tier = || cache.expect("cache ticket implies cache");
         match self {
             RunTicket::Dev(t) => t.wait(),
-            RunTicket::CacheRead(ct) => {
-                // invariant: cache tickets are only created with a cache.
-                ct.wait(cache.expect("cache ticket implies cache"))
-            }
-            RunTicket::CacheWrite(_) | RunTicket::Done(_) => {
-                unreachable!("write ticket waited as a read")
-            }
+            RunTicket::CacheRead(ct) => ct.wait(tier()),
+            RunTicket::CacheWrite(wt) => wt.wait(tier()).map(|()| Box::default()),
         }
     }
+}
 
-    /// Complete a write segment.
-    fn wait_write(self, cache: Option<&Arc<VolumeCache>>) -> pario_disk::Result<()> {
-        match self {
-            RunTicket::Dev(t) => t.wait().map(|_| ()),
-            RunTicket::CacheWrite(wt) => {
-                // invariant: cache tickets are only created with a cache.
-                wt.wait(cache.expect("cache ticket implies cache"))
-            }
-            RunTicket::Done(r) => r,
-            RunTicket::CacheRead(_) => unreachable!("read ticket waited as a write"),
-        }
+/// A run's segment buffers as one staging buffer, in device order.
+fn concat(bufs: Vec<Box<[u8]>>) -> Box<[u8]> {
+    if bufs.len() == 1 {
+        // invariant: just checked bufs.len() == 1.
+        return bufs.into_iter().next().expect("one segment");
     }
+    bufs.concat().into_boxed_slice()
+}
+
+/// Where a read of one merged run goes — the answer of
+/// [`RawFile::route`].
+struct Route {
+    /// The slots holding a copy worth reading, best first. A Rebuilding
+    /// slot is never among them (its media reads stale); a Failed one
+    /// comes last, as a probe: fail-stop answers at once, and a device
+    /// healed behind the board's back keeps serving.
+    copies: [Option<usize>; 2],
+    /// Hedge: submit both copies at once and take the first success.
+    race: bool,
+    /// The board already routes around the run's home slot.
+    down: bool,
 }
 
 /// Group `pieces` by device, merging runs that continue the previous
@@ -184,29 +199,29 @@ impl RunTicket {
 /// file's own rotated parity blocks, on the read side — is read through
 /// rather than split at (data sieving: one block of discarded bytes
 /// costs less than a request): the merged run covers it and no part
-/// does, so [`RawFile::scatter_run`] drops it. Layouts without such
+/// does, so [`RawFile::scatter`] drops it. Layouts without such
 /// blocks pass `|_, _| false`, which is never called on a contiguous
 /// continuation.
-fn merge_runs<B>(
-    pieces: Vec<(Run, B)>,
+fn merge_runs(
+    pieces: Vec<Run>,
     ndev: usize,
     hole: impl Fn(usize, u64) -> bool,
-) -> Vec<Vec<MergedRun<B>>> {
-    let mut groups: Vec<Vec<MergedRun<B>>> = (0..ndev).map(|_| Vec::new()).collect();
-    for (r, b) in pieces {
+) -> Vec<Vec<MergedRun>> {
+    let mut groups: Vec<Vec<MergedRun>> = (0..ndev).map(|_| Vec::new()).collect();
+    for r in pieces {
         match groups[r.device].last_mut() {
             Some(m)
                 if m.dblock + m.count <= r.dblock
                     && (m.dblock + m.count..r.dblock).all(|row| hole(r.device, row)) =>
             {
                 m.count = r.dblock + r.count - m.dblock;
-                m.parts.push((r, b));
+                m.parts.push(r);
             }
             _ => groups[r.device].push(MergedRun {
                 device: r.device,
                 dblock: r.dblock,
                 count: r.count,
-                parts: vec![(r, b)],
+                parts: vec![r],
             }),
         }
     }
@@ -381,15 +396,8 @@ impl RawFile {
     }
 
     // ------------------------------------------------------------------
-    // Physical access
+    // Health and the rebuild quiesce protocol
     // ------------------------------------------------------------------
-
-    fn locate(&self, p: PhysBlock) -> (DeviceRef, u64, usize) {
-        let meta = self.state.meta.read();
-        let dev = meta.device_map[p.device];
-        let abs = resolve(&meta.extents[p.device], p.block);
-        (self.vol.io_device(dev), abs, dev)
-    }
 
     /// Volume device backing layout slot `slot`.
     fn slot_vdev(&self, slot: usize) -> usize {
@@ -399,12 +407,6 @@ impl RawFile {
     /// Health state of the device backing layout slot `slot`.
     fn slot_state(&self, slot: usize) -> HealthState {
         self.vol.health().state(self.slot_vdev(slot))
-    }
-
-    /// Whether I/O must route around layout slot `slot`: its device is
-    /// Failed (errors) or Rebuilding (readable but stale).
-    fn slot_down(&self, slot: usize) -> bool {
-        self.slot_state(slot).is_down()
     }
 
     fn any_mapped_rebuilding(&self) -> bool {
@@ -481,54 +483,71 @@ impl RawFile {
         res.map_err(FsError::Disk)
     }
 
-    fn try_read_phys(&self, p: PhysBlock, buf: &mut [u8]) -> Result<()> {
-        let (dev, abs, vdev) = self.locate(p);
-        // With the volume cache attached, single-block reads fill and
-        // serve frames; the health feedback below runs with the cache
-        // lock already released (75 < 80 in the hierarchy).
-        let res = match self.vol.cache() {
-            Some(c) => c.read_block(vdev, abs, buf),
-            None => dev.read_block(abs, buf),
+    /// Where a read of a run homed on layout slot `slot` goes, sampled
+    /// inside the unlocked-I/O window — the only place device health
+    /// steers a read, whatever the read's size:
+    ///
+    /// | home slot | live mirror | no live mirror |
+    /// |-----------|-------------|----------------|
+    /// | Healthy | home; the mirror if that fails | home; recover if that fails |
+    /// | Suspect | hedge: both at once, first success wins | as Healthy |
+    /// | Failed | mirror only; then probe home | probe home; recover if that fails |
+    /// | Rebuilding | mirror only | recover without reading it |
+    ///
+    /// "Recover" is the other copy of a shadowed pair when it is merely
+    /// Failed (a probe), the stripe's survivors for a parity file
+    /// ([`RawFile::reconstruct`]), the error for an unprotected one.
+    fn route(&self, slot: usize) -> Route {
+        let state = self.slot_state(slot);
+        let mirror = match &self.redundancy {
+            Redundancy::Shadow { primaries } => Some(slot + primaries),
+            _ => None,
         };
-        self.settle(vdev, res)
+        let fresh = |s: usize| self.slot_state(s) != HealthState::Rebuilding;
+        let live = mirror.filter(|&m| !self.slot_state(m).is_down());
+        let copies = match (state, live) {
+            (HealthState::Healthy | HealthState::Suspect, _) => {
+                [Some(slot), mirror.filter(|&m| fresh(m))]
+            }
+            (HealthState::Failed, Some(m)) => [Some(m), Some(slot)],
+            (HealthState::Rebuilding, Some(m)) => [Some(m), None],
+            (HealthState::Failed, None) => [Some(slot), mirror.filter(|&m| fresh(m))],
+            (HealthState::Rebuilding, None) => [mirror.filter(|&m| fresh(m)), None],
+        };
+        Route {
+            copies,
+            race: state == HealthState::Suspect && live.is_some(),
+            down: state.is_down(),
+        }
     }
 
-    fn try_write_phys(&self, p: PhysBlock, data: &[u8]) -> Result<()> {
-        let (dev, abs, vdev) = self.locate(p);
-        let res = match self.vol.cache() {
-            Some(c) => c.write_block(vdev, abs, data),
-            None => dev.write_block(abs, data),
-        };
-        self.settle(vdev, res)
-    }
+    // ------------------------------------------------------------------
+    // Single blocks and recovery tooling
+    // ------------------------------------------------------------------
 
     /// Read the physical blocks `locs` in one wave and XOR them into
-    /// `out` — the one place a stripe's live blocks are folded into a
-    /// parity (or reconstruction) buffer. Every read is submitted on the
+    /// `out` — the one place a partial-stripe write folds a stripe's old
+    /// blocks into its parity buffer. Every read is submitted on the
     /// asynchronous path (cache tier or executor queue) before any is
-    /// waited for: unlike [`RawFile::try_read_phys`], an idle I/O node
-    /// does not run them on the calling thread, so the op keeps the
-    /// hand-off's overlap and its blocking points (DESIGN §7). Every
-    /// ticket is waited out and feeds the health board; `out` is touched
-    /// only if all of them succeeded.
+    /// waited for: an idle I/O node does not run them on the calling
+    /// thread, so the op keeps the hand-off's overlap and its blocking
+    /// points (DESIGN §7). Every ticket is waited out and feeds the
+    /// health board; `out` is touched only if all of them succeeded.
     fn xor_reads(&self, locs: &[PhysBlock], out: &mut [u8]) -> Result<()> {
-        let tickets: Vec<RunTicket> = locs
-            .iter()
-            // invariant: one block lies inside one extent segment.
-            .map(|p| self.submit_read_run(p.device, p.block, 1).remove(0))
-            .collect();
-        let blocks: Vec<Result<Box<[u8]>>> = locs
-            .iter()
-            .zip(tickets)
-            .map(|(p, t)| self.settle(self.slot_vdev(p.device), t.wait_read(self.vol.cache())))
-            .collect();
+        let submit = |p: &PhysBlock| self.submit_read_run(p.device, p.block, 1);
+        let tickets: Vec<_> = locs.iter().map(submit).collect();
+        let wait = |(p, t): (&PhysBlock, _)| self.wait_read_run(p.device, t);
+        let blocks: Vec<_> = locs.iter().zip(tickets).map(wait).collect();
         for block in blocks.into_iter().collect::<Result<Vec<_>>>()? {
-            xor_into(out, &block);
+            xor_into(out, &concat(block));
         }
         Ok(())
     }
 
-    fn check_lblock(&self, l: u64) -> Result<()> {
+    /// Read logical block `l` (must be allocated): a one-block span,
+    /// routed and recovered as every read is ([`RawFile::read_blocks`]).
+    pub fn read_lblock(&self, l: u64, buf: &mut [u8]) -> Result<()> {
+        debug_assert_eq!(buf.len(), self.block_size());
         let nblocks = self.nblocks();
         if l >= nblocks {
             return Err(FsError::OutOfBounds {
@@ -536,99 +555,31 @@ impl RawFile {
                 len: nblocks,
             });
         }
-        Ok(())
+        self.read_blocks(l, buf)
     }
 
-    /// Read logical block `l` (must be allocated). Routing is
-    /// health-driven: a block on a Failed or Rebuilding device goes
-    /// straight to redundancy (reads of Rebuilding media would be
-    /// stale), a Suspect shadowed primary is hedged against its mirror,
-    /// and any recoverable error — fail-stop, detected corruption, or a
-    /// transient that survived executor retries — falls back to the
-    /// degraded path transparently.
-    pub fn read_lblock(&self, l: u64, buf: &mut [u8]) -> Result<()> {
-        debug_assert_eq!(buf.len(), self.block_size());
-        self.check_lblock(l)?;
-        let p = self.layout.map(l);
-        let fast = {
-            let _io = self.enter_io();
-            self.read_lblock_fast(p, buf)
-        };
-        match fast {
-            Some(r) => r,
-            None => self.read_degraded(l, p, buf),
+    /// Write logical block `l`, growing the file to cover it: a
+    /// one-block span ([`RawFile::write_blocks`]). Parity is maintained
+    /// by a read-modify-write, or a reconstruct-write when the stripe's
+    /// peers are fewer to read; shadows receive a second copy.
+    pub fn write_lblock(&self, l: u64, data: &[u8]) -> Result<()> {
+        debug_assert_eq!(data.len(), self.block_size());
+        if l >= self.nblocks() {
+            let records = ((l + 1) * self.block_size() as u64).div_ceil(self.record_size as u64);
+            self.ensure_capacity_records(records)?;
         }
-    }
-
-    /// The routed fast path, inside the unlocked-I/O window. `None`
-    /// means "recover through redundancy". A Rebuilding device is
-    /// skipped unconditionally (its media reads stale); a Failed device
-    /// is still probed — fail-stop errors come back instantly and fall
-    /// to recovery, while a device healed behind the board's back (raw
-    /// `heal()` without a rebuild) keeps serving.
-    fn read_lblock_fast(&self, p: PhysBlock, buf: &mut [u8]) -> Option<Result<()>> {
-        if self.slot_state(p.device) == HealthState::Rebuilding {
-            return None;
-        }
-        if let Redundancy::Shadow { primaries } = &self.redundancy {
-            let m = PhysBlock {
-                device: p.device + primaries,
-                block: p.block,
-            };
-            if self.slot_state(p.device) == HealthState::Suspect && !self.slot_down(m.device) {
-                // Hedge: race the mirror rather than waiting out a
-                // possibly-spiking primary.
-                return match self.hedged_read(p, m, buf) {
-                    Ok(()) => Some(Ok(())),
-                    Err(_) => None,
-                };
-            }
-        }
-        match self.try_read_phys(p, buf) {
-            Err(FsError::Disk(ref e)) if recoverable(e) => None,
-            other => Some(other),
-        }
-    }
-
-    /// Race the two copies of a shadowed block; first success wins,
-    /// and a single failed copy is absorbed by the other. Every outcome
-    /// the race observed feeds the health board, so a Suspect primary
-    /// that answers earns its way back to Healthy.
-    fn hedged_read(&self, p: PhysBlock, m: PhysBlock, buf: &mut [u8]) -> Result<()> {
-        let (d1, a1, v1) = self.locate(p);
-        let (d2, a2, v2) = self.locate(m);
-        // Peek the cache tier before racing raw media: under write-back
-        // a resident (or spilled) frame may be newer than either copy on
-        // disk, and a hit costs no device traffic at all.
-        if let Some(c) = self.vol.cache() {
-            if c.try_cached(v1, a1, buf) || c.try_cached(v2, a2, buf) {
-                return Ok(());
-            }
-        }
-        let t1 = d1.submit_read_blocks(a1, vec![0u8; buf.len()].into_boxed_slice());
-        let t2 = d2.submit_read_blocks(a2, vec![0u8; buf.len()].into_boxed_slice());
-        let mut result = None;
-        for (vdev, outcome) in [v1, v2].into_iter().zip(Ticket::race(t1, t2)) {
-            let Some(res) = outcome else { continue };
-            let res = self.settle(vdev, res.map(|data| buf.copy_from_slice(&data)));
-            if res.is_ok() || result.is_none() {
-                result = Some(res);
-            }
-        }
-        // invariant: a race reports at least one outcome.
-        result.expect("race observed no completion")
+        self.write_blocks(l, data)
     }
 
     /// Read the physical block at layout slot `slot`, device-local index
     /// `dblock` — **recovery tooling only**: bypasses redundancy logic.
     pub fn read_device_block(&self, slot: usize, dblock: u64, buf: &mut [u8]) -> Result<()> {
-        self.try_read_phys(
-            PhysBlock {
-                device: slot,
-                block: dblock,
-            },
-            buf,
-        )
+        if let Some((dev, abs)) = self.direct_segment(slot, dblock, 1) {
+            return self.settle(self.slot_vdev(slot), dev.read_blocks_at(abs, buf));
+        }
+        let tickets = self.submit_read_run(slot, dblock, 1);
+        buf.copy_from_slice(&concat(self.wait_read_run(slot, tickets)?));
+        Ok(())
     }
 
     /// Write the physical block at layout slot `slot`, device-local index
@@ -637,10 +588,9 @@ impl RawFile {
     /// media whatever the cache policy, so this writes the device
     /// directly and drops any frame that covered the block.
     pub fn write_device_block(&self, slot: usize, dblock: u64, data: &[u8]) -> Result<()> {
-        let (dev, abs, vdev) = self.locate(PhysBlock {
-            device: slot,
-            block: dblock,
-        });
+        // invariant: one block lies inside one extent segment.
+        let (dev, abs, _) = self.run_segments(slot, dblock, 1).remove(0);
+        let vdev = self.slot_vdev(slot);
         // Invalidate on both sides of the raw write: before, so a
         // write-back of the block already in flight lands first instead
         // of on top of the rebuilt data; after, to drop what a reader
@@ -656,52 +606,56 @@ impl RawFile {
         self.settle(vdev, res)
     }
 
-    /// Map the logical byte span `[offset, offset + len)` to contiguous
-    /// physical `(device, first block, count)` runs. Used by the cache
+    /// Every device extent a write of the logical byte span `[offset,
+    /// offset + len)` lands on, as disjoint `(volume device, first block,
+    /// count)` ranges: the write plan's data runs, their mirror copies,
+    /// and the parity row of every stripe touched. Used by the cache
     /// flush hooks below.
     fn span_phys_runs(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
-        if len == 0 || self.nblocks() == 0 {
-            return Vec::new();
-        }
         let bs = self.block_size() as u64;
         let first = offset / bs;
-        let last = ((offset + len - 1) / bs).min(self.nblocks() - 1);
-        if first > last {
+        let end = (offset + len).div_ceil(bs).min(self.nblocks());
+        if len == 0 || first >= end {
             return Vec::new();
         }
-        let meta = self.state.meta.read();
-        let mut locs: Vec<(usize, u64)> = (first..=last)
-            .map(|l| {
-                let p = self.layout.map(l);
-                (
-                    meta.device_map[p.device],
-                    resolve(&meta.extents[p.device], p.block),
-                )
-            })
-            .collect();
-        drop(meta);
-        locs.sort_unstable();
-        locs.dedup();
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < locs.len() {
-            let (dev, start) = locs[i];
-            let mut n = 1u64;
-            while i + (n as usize) < locs.len() && locs[i + n as usize] == (dev, start + n) {
-                n += 1;
+        let plan = self.plan(first, end - first, true);
+        let data_runs = plan.iter().flatten().map(|m| (m.device, m.dblock, m.count));
+        let mut touched: Vec<(usize, u64, u64)> = match &self.redundancy {
+            Redundancy::None => data_runs.collect(),
+            Redundancy::Shadow { primaries } => data_runs
+                .flat_map(|(slot, row, n)| [(slot, row, n), (slot + primaries, row, n)])
+                .collect(),
+            Redundancy::Parity(ps) => {
+                let stripes = ps.stripe_of(first)..=ps.stripe_of(end - 1);
+                data_runs
+                    .chain(stripes.map(|s| (ps.parity_device(s), s, 1)))
+                    .collect()
             }
-            out.push((dev, start, n));
-            i += n as usize;
-        }
-        out
+        };
+        // A parity row may sit inside, or next to, its device's data run.
+        touched.sort_unstable();
+        touched.dedup_by(|next, run| {
+            let joins = run.0 == next.0 && next.1 <= run.1 + run.2;
+            if joins {
+                run.2 = run.2.max(next.1 + next.2 - run.1);
+            }
+            joins
+        });
+        let extents = touched.into_iter().flat_map(|(slot, row, n)| {
+            let vdev = self.slot_vdev(slot);
+            let segments = self.run_segments(slot, row, n).into_iter();
+            segments.map(move |(_, abs, n)| (vdev, abs, n))
+        });
+        extents.collect()
     }
 
     /// Write cached dirty state covering the byte span `[offset,
-    /// offset + len)` to the home devices — the hook a byte-range lock
-    /// release drives, so data written under a GDA range lock is durable
-    /// before the next holder proceeds, exactly as on uncached volumes.
-    /// No-op without a cache (write-through never holds dirty data
-    /// beyond the write itself).
+    /// offset + len)` — its data blocks and the mirror or parity blocks
+    /// written with them — to the home devices: the hook a byte-range
+    /// lock release drives, so data written under a GDA range lock is
+    /// durable, and as well protected, before the next holder proceeds,
+    /// exactly as on uncached volumes. No-op without a cache
+    /// (write-through never holds dirty data beyond the write itself).
     pub fn flush_span(&self, offset: u64, len: u64) -> Result<()> {
         let Some(c) = self.vol.cache() else {
             return Ok(());
@@ -710,8 +664,9 @@ impl RawFile {
         Ok(())
     }
 
-    /// Drop cached frames covering the byte span without writing them
-    /// back — for callers that know the media is authoritative.
+    /// Drop cached frames covering the byte span (redundancy blocks
+    /// included) without writing them back — for callers that know the
+    /// media is authoritative.
     pub fn invalidate_span(&self, offset: u64, len: u64) {
         let Some(c) = self.vol.cache() else {
             return;
@@ -730,80 +685,6 @@ impl RawFile {
     /// (quiesces parity read-modify-write cycles).
     pub fn lock_stripes(&self) -> pario_check::MutexGuard<'_, ()> {
         self.state.stripe_lock.lock()
-    }
-
-    fn read_degraded(&self, l: u64, p: PhysBlock, buf: &mut [u8]) -> Result<()> {
-        match &self.redundancy {
-            Redundancy::Shadow { primaries } => {
-                let m = PhysBlock {
-                    device: p.device + primaries,
-                    block: p.block,
-                };
-                // A Rebuilding mirror is writable but stale: reading it
-                // would silently return old data.
-                if self.slot_state(m.device) == HealthState::Rebuilding {
-                    return Err(FsError::Disk(DiskError::DeviceFailed {
-                        device: format!("device slot {} (rebuilding)", m.device),
-                    }));
-                }
-                self.try_read_phys(m, buf)
-            }
-            Redundancy::Parity(ps) => {
-                let _g = self.state.stripe_lock.lock();
-                self.reconstruct_block(ps, l, buf)
-            }
-            Redundancy::None => Err(FsError::Disk(DiskError::DeviceFailed {
-                device: format!("device slot {}", p.device),
-            })),
-        }
-    }
-
-    /// XOR-reconstruct logical block `l` from its stripe peers and parity,
-    /// all read in one wave. Caller holds the stripe lock.
-    fn reconstruct_block(&self, ps: &ParityStriped, l: u64, out: &mut [u8]) -> Result<()> {
-        let s = ps.stripe_of(l);
-        let mut reads = vec![ps.parity_location(s)];
-        let peers = ps.stripe_data(s, self.nblocks()).into_iter();
-        reads.extend(peers.filter(|(b, _)| *b != l).map(|(_, loc)| loc));
-        out.fill(0);
-        self.xor_reads(&reads, out)
-    }
-
-    /// Write logical block `l`, growing the file to cover it. Parity is
-    /// maintained as a one-block span would (a read-modify-write, or a
-    /// reconstruct-write when the stripe's peers are fewer to read);
-    /// shadows receive a second copy.
-    pub fn write_lblock(&self, l: u64, data: &[u8]) -> Result<()> {
-        debug_assert_eq!(data.len(), self.block_size());
-        if l >= self.nblocks() {
-            let records = ((l + 1) * self.block_size() as u64).div_ceil(self.record_size as u64);
-            self.ensure_capacity_records(records)?;
-        }
-        match &self.redundancy.clone() {
-            Redundancy::None => self.try_write_phys(self.layout.map(l), data),
-            Redundancy::Shadow { primaries } => {
-                let _w = self.enter_shadow_write();
-                self.shadow_write_block(l, *primaries, data)
-            }
-            Redundancy::Parity(ps) => self.parity_write(ps, l, data),
-        }
-    }
-
-    /// Dual-write one shadowed block. The caller holds a write-phase
-    /// token ([`RawFile::enter_shadow_write`]).
-    fn shadow_write_block(&self, l: u64, primaries: usize, data: &[u8]) -> Result<()> {
-        let p = self.layout.map(l);
-        let m = PhysBlock {
-            device: p.device + primaries,
-            block: p.block,
-        };
-        let r1 = self.try_write_phys(p, data);
-        let r2 = self.try_write_phys(m, data);
-        match (&r1, &r2) {
-            (Err(_), Err(_)) => r1,
-            // One live copy suffices; the pair is degraded, not lost.
-            _ => Ok(()),
-        }
     }
 
     /// Write whole blocks `[first, first + data.len() / bs)` of a parity
@@ -934,8 +815,30 @@ impl RawFile {
     }
 
     // ------------------------------------------------------------------
-    // Coalesced span machinery
+    // The plan and its transfers
     // ------------------------------------------------------------------
+
+    /// The plan every whole-block transfer starts from: logical blocks
+    /// `[first, first + count)` as merged per-device runs. With `sieve`
+    /// (reads, and the extents a write touches) a parity file's runs
+    /// cover the parity blocks between their data blocks.
+    fn plan(&self, first: u64, count: u64, sieve: bool) -> Vec<Vec<MergedRun>> {
+        let hole = |device: usize, row: u64| match &self.redundancy {
+            Redundancy::Parity(ps) if sieve => ps.parity_device(row) == device,
+            _ => false,
+        };
+        let pieces = runs(&*self.layout, first, count);
+        merge_runs(pieces, self.layout.devices(), hole)
+    }
+
+    /// The bytes of layout run `r` in the buffer of a span that starts
+    /// at logical block `first`. Runs come in logical order, so the
+    /// windows of a span's runs partition its buffer exactly.
+    fn window(&self, first: u64, r: &Run) -> std::ops::Range<usize> {
+        let bs = self.block_size();
+        let at = (r.lblock - first) as usize * bs;
+        at..at + r.count as usize * bs
+    }
 
     /// Split the device-local range `[dblock, dblock + count)` of layout
     /// slot `slot` at extent boundaries, resolving each piece to an
@@ -964,419 +867,465 @@ impl RawFile {
         out
     }
 
-    /// The one device transfer behind merged run `m`, when the span it
-    /// came from (`span_runs` layout runs long) plans to exactly that and
-    /// needs no routing: one layout run inside one extent segment, on a
-    /// Healthy slot, with no cache tier in front. Such a span has nothing to fan
-    /// out, so its caller blocks on the executor handle's synchronous
-    /// call — which an idle I/O node runs on the calling thread, straight
-    /// on the caller's window — instead of submit + wait through a
-    /// gathered or staged copy. Returns the handle and absolute block;
-    /// `None` leaves the run on the routed submit path.
-    fn direct_segment<B>(&self, span_runs: usize, m: &MergedRun<B>) -> Option<(DeviceRef, u64)> {
-        if span_runs != 1
-            || self.vol.cache().is_some()
-            || self.slot_state(m.device) != HealthState::Healthy
-        {
+    /// The one device transfer behind rows `[dblock, dblock + count)` of
+    /// `slot`, when they are exactly that: one extent segment with no
+    /// cache tier in front. A span that plans to a single such transfer
+    /// has nothing to fan out, so its caller blocks on the executor
+    /// handle's synchronous call — which an idle I/O node runs on the
+    /// calling thread, straight on the caller's window — instead of
+    /// submit + wait through a gathered or staged copy. Returns the
+    /// handle and absolute block; `None` leaves the run on the submit
+    /// path.
+    fn direct_segment(&self, slot: usize, dblock: u64, count: u64) -> Option<(DeviceRef, u64)> {
+        if self.vol.cache().is_some() {
             return None;
         }
-        let mut segs = self.run_segments(m.device, m.dblock, m.count);
+        let mut segs = self.run_segments(slot, dblock, count);
         match segs.pop() {
             Some((dev, abs, _)) if segs.is_empty() => Some((dev, abs)),
             _ => None,
         }
     }
 
-    /// Submit the read of one merged run: one ticket per extent segment,
-    /// all enqueued before returning. On cached volumes each segment
-    /// goes through the tier — hits are copied immediately and adjacent
-    /// misses coalesce into one vectored executor request, submitted
-    /// (not waited) here so cross-device fan-out is preserved. With
-    /// `span_parallel` off, each request is waited out at submission —
-    /// the serial reference path.
+    /// A submitted segment transfer as this handle hands it on: in
+    /// flight, or — with `span_parallel` off, the serial reference path —
+    /// waited out on the spot, so devices are serviced one at a time.
+    fn paced(&self, t: RunTicket) -> RunTicket {
+        if self.span_parallel {
+            return t;
+        }
+        RunTicket::Dev(Ticket::ready(t.wait(self.vol.cache())))
+    }
+
+    /// Submit the read of rows `[dblock, dblock + count)` of `slot`: one
+    /// ticket per extent segment, all enqueued before returning. On
+    /// cached volumes each segment goes through the tier — hits are
+    /// copied immediately and adjacent misses coalesce into one vectored
+    /// executor request, submitted (not waited) here so cross-device
+    /// fan-out is preserved. This and [`RawFile::submit_write_run`] are
+    /// where data enters the tier.
     fn submit_read_run(&self, slot: usize, dblock: u64, count: u64) -> Vec<RunTicket> {
         let bs = self.block_size();
-        let segs = self.run_segments(slot, dblock, count);
-        let mut out = Vec::with_capacity(segs.len());
-        if let Some(c) = self.vol.cache() {
-            let vdev = self.slot_vdev(slot);
-            for (_dev, abs, n) in segs {
-                let ct = c.submit_read(vdev, abs, n as usize);
-                out.push(if self.span_parallel {
-                    RunTicket::CacheRead(ct)
-                } else {
-                    RunTicket::Dev(Ticket::ready(ct.wait(c)))
-                });
+        let cache = self.vol.cache().map(|c| (c, self.slot_vdev(slot)));
+        let segs = self.run_segments(slot, dblock, count).into_iter();
+        let submit = |(dev, abs, n): (DeviceRef, u64, u64)| match cache {
+            Some((c, vdev)) => RunTicket::CacheRead(c.submit_read(vdev, abs, n as usize)),
+            None => {
+                let buf = vec![0u8; n as usize * bs].into_boxed_slice();
+                RunTicket::Dev(dev.submit_read_blocks(abs, buf))
             }
-            return out;
-        }
-        for (dev, abs, n) in segs {
-            let t = dev.submit_read_blocks(abs, vec![0u8; n as usize * bs].into_boxed_slice());
-            out.push(RunTicket::Dev(if self.span_parallel {
-                t
-            } else {
-                Ticket::ready(t.wait())
-            }));
-        }
-        out
+        };
+        segs.map(|seg| self.paced(submit(seg))).collect()
     }
 
-    /// Submit the write of one merged run (`data` is the run's gathered
-    /// bytes), one ticket per extent segment. On cached volumes each
-    /// segment goes through the tier: write-back absorbs it into dirty
-    /// frames (spilling overflow to scratch), write-through submits the
-    /// vectored device write and completes it at wait. Serial when
-    /// `span_parallel` is off, as in [`RawFile::submit_read_run`].
-    fn submit_write_run(&self, slot: usize, dblock: u64, data: Vec<u8>) -> Vec<RunTicket> {
+    /// Submit the write of a run of `slot` from row `dblock` (`data` is
+    /// the run's gathered bytes), one ticket per extent segment. On
+    /// cached volumes each segment goes through the tier: write-back
+    /// absorbs it into dirty frames (spilling overflow to scratch),
+    /// write-through submits the vectored device write and completes it
+    /// at wait.
+    fn submit_write_run(&self, slot: usize, dblock: u64, mut data: Vec<u8>) -> Vec<RunTicket> {
         let bs = self.block_size();
+        let cache = self.vol.cache().map(|c| (c, self.slot_vdev(slot)));
         let segs = self.run_segments(slot, dblock, (data.len() / bs) as u64);
         let mut out = Vec::with_capacity(segs.len());
-        if let Some(c) = self.vol.cache() {
-            let vdev = self.slot_vdev(slot);
-            let mut pos = 0usize;
-            for (_dev, abs, n) in segs {
-                let bytes = n as usize * bs;
-                let chunk = &data[pos..pos + bytes];
-                pos += bytes;
-                out.push(match c.submit_write(vdev, abs, chunk) {
-                    Ok(wt) if self.span_parallel => RunTicket::CacheWrite(wt),
-                    Ok(wt) => RunTicket::Done(wt.wait(c)),
-                    Err(e) => RunTicket::Done(Err(e)),
-                });
-            }
-            return out;
-        }
-        let mut segs = segs.into_iter();
-        let mut pos = 0usize;
-        // The common case is one segment per run (extents merge at grow
-        // time); hand the gathered buffer over without another copy.
-        if segs.len() == 1 {
-            // invariant: just checked segs.len() == 1.
-            let (dev, abs, _) = segs.next().unwrap();
-            let t = dev.submit_write_blocks(abs, data.into_boxed_slice());
-            out.push(RunTicket::Dev(if self.span_parallel {
-                t
-            } else {
-                Ticket::ready(t.wait())
-            }));
-            return out;
-        }
         for (dev, abs, n) in segs {
-            let bytes = n as usize * bs;
-            let t =
-                dev.submit_write_blocks(abs, data[pos..pos + bytes].to_vec().into_boxed_slice());
-            pos += bytes;
-            out.push(RunTicket::Dev(if self.span_parallel {
-                t
-            } else {
-                Ticket::ready(t.wait())
-            }));
+            // The common case is one segment per run (extents merge at
+            // grow time): nothing splits off, and the gathered buffer is
+            // handed over without another copy.
+            let rest = data.split_off(n as usize * bs);
+            let submitted = match cache {
+                Some((c, vdev)) => match c.submit_write(vdev, abs, &data) {
+                    Ok(wt) => RunTicket::CacheWrite(wt),
+                    Err(e) => RunTicket::Dev(Ticket::ready(Err(e))),
+                },
+                None => RunTicket::Dev(dev.submit_write_blocks(abs, data.into_boxed_slice())),
+            };
+            out.push(self.paced(submitted));
+            data = rest;
         }
         out
     }
 
-    /// Wait out one run's read tickets against layout slot `slot`.
-    /// Segment buffers come back in device order; a recoverable error
-    /// anywhere in the run — fail-stop, detected corruption, or a
-    /// transient that survived executor retries — reports the run as
-    /// degraded; any other error is final. The run's outcome feeds the
-    /// health board either way.
-    fn wait_read_run(
-        &self,
-        slot: usize,
-        tickets: Vec<RunTicket>,
-    ) -> Result<Option<Vec<Box<[u8]>>>> {
+    /// Wait out one run's read tickets against layout slot `slot`: the
+    /// segment buffers in device order, or the run's error — a final one
+    /// ahead of a [`recoverable`] one, which callers answer by trying
+    /// the next copy. Every ticket is waited, so nothing completes behind
+    /// our back, and the run's outcome feeds the health board.
+    fn wait_read_run(&self, slot: usize, tickets: Vec<RunTicket>) -> Result<Vec<Box<[u8]>>> {
         let cache = self.vol.cache();
-        let mut bufs = Vec::with_capacity(tickets.len());
-        let mut soft: Option<DiskError> = None;
-        let mut hard: Option<DiskError> = None;
-        // Always wait every ticket so nothing completes behind our back.
-        for t in tickets {
-            match t.wait_read(cache) {
-                Ok(b) => bufs.push(b),
-                Err(e) if recoverable(&e) => {
-                    soft.get_or_insert(e);
-                }
-                Err(e) => {
-                    hard.get_or_insert(e);
-                }
-            }
-        }
-        let vdev = self.slot_vdev(slot);
-        match hard.as_ref().or(soft.as_ref()) {
-            Some(e) => self.note_io_error(vdev, e),
-            None => self.vol.health().note_ok(vdev),
-        }
-        match (hard, soft) {
-            (Some(e), _) => Err(e.into()),
-            (None, Some(_)) => Ok(None),
-            (None, None) => Ok(Some(bufs)),
-        }
+        let mut outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait(cache)).collect();
+        let is_final = |o: &pario_disk::Result<_>| matches!(o, Err(e) if !recoverable(e));
+        let run = match outcomes.iter().position(is_final) {
+            Some(i) => outcomes.swap_remove(i).map(|b| vec![b]),
+            None => outcomes.into_iter().collect(),
+        };
+        self.settle(self.slot_vdev(slot), run)
     }
 
     /// Wait out one run's write tickets against layout slot `slot`,
     /// reporting the first error (and feeding the health board).
     fn wait_write_run(&self, slot: usize, tickets: Vec<RunTicket>) -> Result<()> {
         let cache = self.vol.cache();
-        let mut first: Option<DiskError> = None;
-        for t in tickets {
-            if let Err(e) = t.wait_write(cache) {
-                first.get_or_insert(e);
-            }
-        }
-        let vdev = self.slot_vdev(slot);
-        match &first {
-            Some(e) => self.note_io_error(vdev, e),
-            None => self.vol.health().note_ok(vdev),
-        }
-        match first {
-            None => Ok(()),
-            Some(e) => Err(e.into()),
-        }
+        let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait(cache)).collect();
+        let written = outcomes.into_iter().try_for_each(|o| o.map(drop));
+        self.settle(self.slot_vdev(slot), written)
     }
 
-    /// Scatter a completed run's segment buffers into its span windows.
-    /// The segments concatenate to the run's device blocks in order;
-    /// each part copies out from its own offset, which skips any parity
-    /// hole the run read through.
-    fn scatter_run(m: MergedRun<&mut [u8]>, bufs: Vec<Box<[u8]>>) {
-        let staging: Box<[u8]> = if bufs.len() == 1 {
-            // invariant: just checked bufs.len() == 1.
-            bufs.into_iter().next().expect("one segment")
-        } else {
-            let mut s: Vec<u8> = Vec::with_capacity(bufs.iter().map(|b| b.len()).sum());
-            for b in bufs {
-                s.extend_from_slice(&b);
-            }
-            s.into_boxed_slice()
+    /// Complete a hedged run: copy `a` (the Suspect home slot) and copy
+    /// `b` (its mirror) are both in flight, and the first to succeed
+    /// wins; the loser is abandoned, its transfer still executes. Every
+    /// outcome the race observed feeds the health board, so a Suspect
+    /// slot that answers earns its way back to Healthy. Only executor
+    /// tickets can be raced: a run in several segments, or one behind
+    /// the cache tier (whose tickets complete through the tier, which
+    /// both copies went through), is waited out copy by copy instead.
+    fn race_read_runs(
+        &self,
+        (slot_a, mut a): (usize, Vec<RunTicket>),
+        (slot_b, mut b): (usize, Vec<RunTicket>),
+    ) -> Result<Vec<Box<[u8]>>> {
+        let raceable = |t: &[RunTicket]| matches!(t, [RunTicket::Dev(_)]);
+        if !(raceable(&a) && raceable(&b)) {
+            let first = self.wait_read_run(slot_a, a);
+            let second = self.wait_read_run(slot_b, b);
+            return first.or(second);
+        }
+        let (Some(RunTicket::Dev(ta)), Some(RunTicket::Dev(tb))) = (a.pop(), b.pop()) else {
+            unreachable!("both runs are one executor ticket");
         };
-        let bs = staging.len() / m.count as usize;
-        for (r, win) in m.parts {
+        let observed = [slot_a, slot_b].into_iter().zip(Ticket::race(ta, tb));
+        let settled: Vec<_> = observed
+            .filter_map(|(slot, o)| Some(self.settle(self.slot_vdev(slot), o?.map(|d| vec![d]))))
+            .collect();
+        // invariant: a race reports at least one outcome.
+        let outcome = settled.into_iter().reduce(|a, b| a.or(b));
+        outcome.expect("race observed no completion")
+    }
+
+    /// Scatter run `m`'s device blocks (`staging`, from row `m.dblock`)
+    /// into the windows of its parts. Each part copies out from its own
+    /// offset, which skips any parity hole the run read through.
+    fn scatter(&self, first: u64, buf: &mut [u8], m: &MergedRun, staging: &[u8]) {
+        let bs = self.block_size();
+        for r in &m.parts {
+            let window = self.window(first, r);
             let at = (r.dblock - m.dblock) as usize * bs;
-            win.copy_from_slice(&staging[at..at + win.len()]);
+            buf[window.clone()].copy_from_slice(&staging[at..at + window.len()]);
         }
     }
 
-    /// Per-block last-resort read of a degraded run: parity
-    /// reconstruction and half-dead mirror pairs go through
-    /// [`RawFile::read_lblock`], which fails only where no copy of a
-    /// block survives.
-    fn read_run_per_block(&self, m: MergedRun<&mut [u8]>) -> Result<()> {
-        let bs = self.block_size();
-        for (r, win) in m.parts {
-            for (i, chunk) in win.chunks_mut(bs).enumerate() {
-                self.read_lblock(r.lblock + i as u64, chunk)?;
-            }
+    /// Split a read's outcome by who answers it: a [`recoverable`]
+    /// failure (the inner error) is the reader's, to serve from the next
+    /// copy or through recovery; any other error is final.
+    fn soft<T>(res: Result<T>) -> Result<std::result::Result<T, DiskError>> {
+        match res {
+            Ok(done) => Ok(Ok(done)),
+            Err(FsError::Disk(e)) if recoverable(&e) => Ok(Err(e)),
+            Err(e) => Err(e),
         }
-        Ok(())
     }
 
-    /// Tile `buf` into per-run windows matching `runs(layout, first, n)`.
-    /// Runs come back in logical order, so the windows partition the
-    /// buffer exactly.
-    fn run_windows<'b>(&self, first: u64, buf: &'b mut [u8]) -> Vec<(Run, &'b mut [u8])> {
-        let bs = self.block_size();
-        let count = (buf.len() / bs) as u64;
-        let run_list = runs(&*self.layout, first, count);
-        let mut pieces = Vec::with_capacity(run_list.len());
-        let mut rest = buf;
-        for r in run_list {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.count as usize * bs);
-            pieces.push((r, head));
-            rest = tail;
-        }
-        pieces
-    }
+    // ------------------------------------------------------------------
+    // The reader and the writer
+    // ------------------------------------------------------------------
 
-    /// Read whole logical blocks `[first, first + buf.len()/bs)` via
-    /// merged per-device runs, all submitted to the I/O executor before
-    /// any is waited on — every device works concurrently and no thread
-    /// is spawned, whatever the span size or layout.
+    /// Read whole logical blocks `[first, first + buf.len()/bs)` — THE
+    /// reader: a block is a one-block span. The span becomes merged
+    /// per-device runs ([`RawFile::plan`]), each run goes where
+    /// [`RawFile::route`] sends it, and every transfer of a wave is
+    /// submitted to the I/O executor before any is waited on, so every
+    /// device works concurrently and no thread is spawned.
     ///
-    /// Routing is health-driven: a run on a down device skips its
-    /// primary outright (Failed media errors, Rebuilding media is
-    /// stale) — shadowed runs reroute to a live mirror, the rest fall
-    /// to recovery. A Suspect shadowed primary is hedged: the mirror
-    /// transfer is pre-submitted as an immediately-available fallback.
-    /// Degraded runs then recover in waves: shadowed layouts race *all*
-    /// failed runs' mirror transfers concurrently, then anything still
-    /// failing (parity reconstruction, half-dead mirror pairs) goes
-    /// per-block.
+    /// A span that is one transfer with nothing to race
+    /// ([`RawFile::direct_segment`]) has nothing to submit up front: it
+    /// blocks on the device call, straight into `buf`. Runs whose first
+    /// copy fails [`recoverable`]y go to their other copy in a second
+    /// wave, all at once. What no copy served is recovered in one step:
+    /// a parity file reconstructs the lost column
+    /// ([`RawFile::reconstruct`]); a shadowed run dead on both copies is
+    /// re-planned block by block — the pair may be half dead in different
+    /// places — and a block dead on both copies, like any block of an
+    /// unprotected file, is the read's error.
     ///
-    /// A span that is a single healthy transfer ([`RawFile::direct_segment`])
-    /// has nothing to submit up front: it blocks on the device call,
-    /// straight into `buf`, and a recoverable error there joins the
-    /// recovery waves like any other degraded run.
-    fn read_blocks_coalesced(&self, first: u64, buf: &mut [u8]) -> Result<()> {
+    /// When the board already routes around a device of a parity file,
+    /// nothing is read before the stripe lock is held: the surviving
+    /// columns are then read once, for the span and for the
+    /// reconstruction both.
+    fn read_blocks(&self, first: u64, buf: &mut [u8]) -> Result<()> {
         if buf.is_empty() {
             return Ok(());
         }
-        let pieces = self.run_windows(first, buf);
-        let span_runs = pieces.len();
-        let parity_hole = |device: usize, row: u64| match &self.redundancy {
-            Redundancy::Parity(ps) => ps.parity_device(row) == device,
-            _ => false,
-        };
-        let groups = merge_runs(pieces, self.layout.devices(), parity_hole);
-        let mirror = match &self.redundancy {
-            Redundancy::Shadow { primaries } => Some(*primaries),
-            _ => None,
-        };
-        let mut mirror_wave: Vec<MergedRun<&mut [u8]>> = Vec::new();
-        let mut perblock: Vec<MergedRun<&mut [u8]>> = Vec::new();
+        let bs = self.block_size();
+        let count = (buf.len() / bs) as u64;
+        let groups = self.plan(first, count, true);
+        let mut lost: Vec<(MergedRun, DiskError)> = Vec::new();
         {
             let _io = self.enter_io();
-            // Phase 1: route and submit every run's segment transfers.
-            let mut inflight = Vec::new();
-            for mut m in groups.into_iter().flatten() {
-                if let Some((dev, abs)) = self.direct_segment(span_runs, &m) {
-                    let res = dev.read_blocks_at(abs, &mut *m.parts[0].1);
-                    match self.settle(self.slot_vdev(m.device), res) {
-                        // The primary has been tried (and the board
-                        // told): recover like any degraded run.
-                        Err(FsError::Disk(ref e)) if recoverable(e) => match mirror {
-                            Some(_) => mirror_wave.push(m),
-                            None => perblock.push(m),
-                        },
-                        done => return done,
-                    }
+            if let Redundancy::Parity(ps) = &self.redundancy {
+                if groups.iter().flatten().any(|m| self.route(m.device).down) {
+                    let pending = groups.into_iter().flatten().collect();
+                    return self.reconstruct(ps, first, buf, lost, pending);
+                }
+            }
+            // A run whose copy failed goes to its next one at once, so
+            // these second transfers are a wave too; with none left, it
+            // is lost.
+            let (mut inflight, mut second) = (Vec::new(), Vec::new());
+            let mut retry = |m: MergedRun, next: Option<usize>, e: DiskError| match next {
+                Some(slot) => {
+                    let tickets = self.submit_read_run(slot, m.dblock, m.count);
+                    second.push((m, slot, tickets));
+                }
+                None => lost.push((m, e)),
+            };
+            for m in groups.into_iter().flatten() {
+                let route = self.route(m.device);
+                let [Some(slot), other] = route.copies else {
+                    let e = Self::stale(m.device);
+                    retry(m, None, e);
                     continue;
+                };
+                if !route.race && m.parts.len() == 1 && m.parts[0].count == count {
+                    if let Some((dev, abs)) = self.direct_segment(slot, m.dblock, m.count) {
+                        let res = dev.read_blocks_at(abs, buf);
+                        match Self::soft(self.settle(self.slot_vdev(slot), res))? {
+                            Ok(()) => return Ok(()),
+                            // This copy has been tried (and the board
+                            // told): on to the next, like any failed run.
+                            Err(e) => retry(m, other, e),
+                        }
+                        continue;
+                    }
                 }
-                let down = self.slot_down(m.device);
-                let live_mirror = mirror.filter(|p| !self.slot_down(m.device + p));
-                match (down, live_mirror) {
-                    (true, Some(p)) => {
-                        let t = self.submit_read_run(m.device + p, m.dblock, m.count);
-                        inflight.push((m, Some(p), t, None));
-                    }
-                    (true, None) => perblock.push(m),
-                    (false, Some(p)) if self.slot_state(m.device) == HealthState::Suspect => {
-                        let hedge = self.submit_read_run(m.device + p, m.dblock, m.count);
-                        let t = self.submit_read_run(m.device, m.dblock, m.count);
-                        inflight.push((m, None, t, Some((p, hedge))));
-                    }
-                    _ => {
-                        let t = self.submit_read_run(m.device, m.dblock, m.count);
-                        inflight.push((m, None, t, None));
-                    }
+                let hedge = other
+                    .filter(|_| route.race)
+                    .map(|s| (s, self.submit_read_run(s, m.dblock, m.count)));
+                let tickets = self.submit_read_run(slot, m.dblock, m.count);
+                inflight.push((m, (slot, tickets), other, hedge));
+            }
+            for (m, primary, other, hedge) in inflight {
+                let (res, next) = match hedge {
+                    Some(mirror) => (self.race_read_runs(primary, mirror), None),
+                    None => (self.wait_read_run(primary.0, primary.1), other),
+                };
+                match Self::soft(res)? {
+                    Ok(bufs) => self.scatter(first, buf, &m, &concat(bufs)),
+                    Err(e) => retry(m, next, e),
                 }
             }
-            // Phase 2: complete; sort failures by which copies were
-            // already tried.
-            for (m, rerouted, tickets, hedge) in inflight {
-                let slot = m.device + rerouted.unwrap_or(0);
-                match self.wait_read_run(slot, tickets)? {
-                    Some(bufs) => Self::scatter_run(m, bufs),
-                    None => match hedge {
-                        Some((p, h)) => match self.wait_read_run(m.device + p, h)? {
-                            Some(bufs) => Self::scatter_run(m, bufs),
-                            None => perblock.push(m),
-                        },
-                        None if rerouted.is_some() => perblock.push(m),
-                        None if mirror.is_some() => mirror_wave.push(m),
-                        None => perblock.push(m),
-                    },
+            for (m, slot, tickets) in second {
+                match Self::soft(self.wait_read_run(slot, tickets))? {
+                    Ok(bufs) => self.scatter(first, buf, &m, &concat(bufs)),
+                    Err(e) => lost.push((m, e)),
                 }
             }
         }
-        // Recovery wave (outside the unlocked-I/O window): every failed
-        // run races its mirror concurrently.
-        if let Some(p) = mirror {
-            let resubmitted: Vec<_> = mirror_wave
-                .drain(..)
-                .map(|m| {
-                    let t = self.submit_read_run(m.device + p, m.dblock, m.count);
-                    (m, t)
-                })
-                .collect();
-            for (m, tickets) in resubmitted {
-                match self.wait_read_run(m.device + p, tickets)? {
-                    Some(bufs) => Self::scatter_run(m, bufs),
-                    None => perblock.push(m),
+        if let (Redundancy::Parity(ps), false) = (&self.redundancy, lost.is_empty()) {
+            return self.reconstruct(ps, first, buf, lost, Vec::new());
+        }
+        for (m, e) in lost {
+            if m.count == 1 || !matches!(self.redundancy, Redundancy::Shadow { .. }) {
+                return Err(e.into());
+            }
+            for r in &m.parts {
+                let blocks = buf[self.window(first, r)].chunks_mut(bs);
+                for (l, block) in (r.lblock..).zip(blocks) {
+                    self.read_blocks(l, block)?;
                 }
             }
-        }
-        for m in perblock {
-            self.read_run_per_block(m)?;
         }
         Ok(())
     }
 
-    /// Write whole logical blocks starting at `first` via merged
-    /// per-device runs, all submitted to the I/O executor before any is
-    /// waited on. Shadowed layouts submit each run to BOTH mirrors
-    /// concurrently — one live copy suffices, and a run whose two copies
-    /// both fail retries per block so the span only fails where both
-    /// copies of a block are dead. Parity files plan the span in stripes
-    /// instead ([`RawFile::parity_write`]): data and parity leave as one
-    /// run per device. An unmirrored span that is a single healthy
-    /// transfer ([`RawFile::direct_segment`]) blocks on the device call,
-    /// straight from `data`.
-    fn write_blocks_coalesced(&self, first: u64, data: &[u8]) -> Result<()> {
-        if data.is_empty() {
-            return Ok(());
+    /// The error of a run none of whose copies may be read.
+    fn stale(slot: usize) -> DiskError {
+        DiskError::DeviceFailed {
+            device: format!("device slot {slot} (rebuilding)"),
         }
+    }
+
+    /// Recover what a parity read could not get from its home device,
+    /// under ONE hold of the stripe lock: rows `[r0, r1)` of every
+    /// surviving device — parity included, one run per device, one wave
+    /// — XOR to the lost device's column, trimmed where a partial last
+    /// stripe leaves a device a row short (the row it lacks is zeros to
+    /// the parity). `lost` are runs already tried; `pending` are the
+    /// span's runs not read yet, when the board said a device was down
+    /// before anything was submitted: they join the wave widened over the
+    /// lost rows, so each surviving column is read once for the span and
+    /// the reconstruction both, and a Failed slot is probed with its own
+    /// run. The survivors are always read here, under the lock — never
+    /// reused from a wave that ran outside it, where a concurrent
+    /// [`RawFile::parity_write`] could leave data and parity from
+    /// different writes.
+    fn reconstruct(
+        &self,
+        ps: &ParityStriped,
+        first: u64,
+        buf: &mut [u8],
+        mut lost: Vec<(MergedRun, DiskError)>,
+        mut pending: Vec<MergedRun>,
+    ) -> Result<()> {
+        let _g = self.state.stripe_lock.lock();
         let bs = self.block_size();
-        if let Redundancy::Parity(ps) = &self.redundancy {
-            return self.parity_write(ps, first, data);
+        // Whichever run turns out lost, every survivor must cover its rows.
+        let (mut r0, mut r1) = (u64::MAX, 0);
+        for m in lost.iter().map(|(m, _)| m).chain(&pending) {
+            r0 = r0.min(m.dblock);
+            r1 = r1.max(m.dblock + m.count);
         }
-        let count = (data.len() / bs) as u64;
-        let run_list = runs(&*self.layout, first, count);
-        let mut pieces = Vec::with_capacity(run_list.len());
-        let mut rest = data;
-        for r in run_list {
-            let (head, tail) = rest.split_at(r.count as usize * bs);
-            pieces.push((r, head));
-            rest = tail;
-        }
-        let span_runs = pieces.len();
-        let groups = merge_runs(pieces, self.layout.devices(), |_, _| false);
-        let mirror = match &self.redundancy {
-            Redundancy::Shadow { primaries } => Some(*primaries),
-            _ => None,
-        };
-        // Shadowed spans hold a write-phase token: counted normally,
-        // stripe-locked while a mapped device is Rebuilding so the
-        // resync sweep can't interleave (see `enter_shadow_write`).
-        let _w = mirror.map(|_| self.enter_shadow_write());
-        // Phase 1: gather each run and submit (primary and, for
-        // shadowed layouts, the mirror — concurrently).
         let mut inflight = Vec::new();
-        for m in groups.into_iter().flatten() {
-            if mirror.is_none() {
-                if let Some((dev, abs)) = self.direct_segment(span_runs, &m) {
-                    let res = dev.write_blocks_at(abs, m.parts[0].1);
+        for slot in 0..ps.devices() {
+            if lost.iter().any(|(m, _)| m.device == slot) {
+                continue;
+            }
+            // A parity span plans to at most one run per device.
+            let own = pending.iter().position(|m| m.device == slot);
+            let mut m = own.map_or_else(
+                || MergedRun {
+                    device: slot,
+                    dblock: r0,
+                    count: 0,
+                    parts: Vec::new(),
+                },
+                |i| pending.swap_remove(i),
+            );
+            if self.route(slot).copies[0].is_none() {
+                lost.push((m, Self::stale(slot)));
+                continue;
+            }
+            let end = (m.dblock + m.count).max(r1.min(self.device_blocks(slot)));
+            m.dblock = m.dblock.min(r0);
+            m.count = end.saturating_sub(m.dblock);
+            if m.count > 0 {
+                let tickets = self.submit_read_run(slot, m.dblock, m.count);
+                inflight.push((m, tickets));
+            }
+        }
+        let mut columns = Vec::with_capacity(inflight.len());
+        for (m, tickets) in inflight {
+            match Self::soft(self.wait_read_run(m.device, tickets))? {
+                Ok(bufs) => {
+                    let staging = concat(bufs);
+                    self.scatter(first, buf, &m, &staging);
+                    columns.push((m, staging));
+                }
+                Err(e) => lost.push((m, e)),
+            }
+        }
+        let Some((m, e)) = lost.pop() else {
+            return Ok(());
+        };
+        if !lost.is_empty() {
+            // One parity block per stripe absorbs one lost device.
+            return Err(e.into());
+        }
+        let mut column = vec![0u8; m.count as usize * bs];
+        for (peer, data) in &columns {
+            let lo = m.dblock.max(peer.dblock);
+            let hi = (m.dblock + m.count).min(peer.dblock + peer.count);
+            if lo < hi {
+                let n = (hi - lo) as usize * bs;
+                let to = (lo - m.dblock) as usize * bs;
+                let from = (lo - peer.dblock) as usize * bs;
+                xor_into(&mut column[to..to + n], &data[from..from + n]);
+            }
+        }
+        self.scatter(first, buf, &m, &column);
+        Ok(())
+    }
+
+    /// Write whole logical blocks starting at `first` — THE writer: a
+    /// block is a one-block span. Parity files plan the span in stripes
+    /// ([`RawFile::parity_write`]): data and parity leave as one run per
+    /// device. Shadowed spans hold a write-phase token: counted
+    /// normally, stripe-locked while a mapped device is Rebuilding so
+    /// the resync sweep can't interleave (see
+    /// [`RawFile::enter_shadow_write`]).
+    fn write_blocks(&self, first: u64, data: &[u8]) -> Result<()> {
+        match &self.redundancy {
+            _ if data.is_empty() => Ok(()),
+            Redundancy::Parity(ps) => self.parity_write(ps, first, data),
+            Redundancy::Shadow { primaries } => {
+                let _w = self.enter_shadow_write();
+                self.write_runs(first, data, Some(*primaries))
+            }
+            Redundancy::None => self.write_runs(first, data, None),
+        }
+    }
+
+    /// Write whole blocks via merged per-device runs, all submitted to
+    /// the I/O executor before any is waited on. With a `mirror` (the
+    /// caller holds the write-phase token) each run goes to BOTH copies
+    /// concurrently — one live copy suffices; the pair is degraded, not
+    /// lost — and a run whose two copies both fail is re-planned block
+    /// by block, so the span only fails where both copies of a block are
+    /// dead. An unmirrored span that is a single transfer
+    /// ([`RawFile::direct_segment`]) blocks on the device call, straight
+    /// from `data`.
+    fn write_runs(&self, first: u64, data: &[u8], mirror: Option<usize>) -> Result<()> {
+        let bs = self.block_size();
+        let count = (data.len() / bs) as u64;
+        let mut inflight = Vec::new();
+        for m in self.plan(first, count, false).into_iter().flatten() {
+            if mirror.is_none() && m.count == count {
+                if let Some((dev, abs)) = self.direct_segment(m.device, m.dblock, m.count) {
+                    let res = dev.write_blocks_at(abs, data);
                     return self.settle(self.slot_vdev(m.device), res);
                 }
             }
             let mut gathered: Vec<u8> = Vec::with_capacity(m.count as usize * bs);
-            for (_, b) in &m.parts {
-                gathered.extend_from_slice(b);
+            for r in &m.parts {
+                gathered.extend_from_slice(&data[self.window(first, r)]);
             }
             let second =
                 mirror.map(|p| self.submit_write_run(m.device + p, m.dblock, gathered.clone()));
             let primary = self.submit_write_run(m.device, m.dblock, gathered);
             inflight.push((m, primary, second));
         }
-        // Phase 2: complete.
         for (m, primary, second) in inflight {
-            match second {
-                None => self.wait_write_run(m.device, primary)?,
-                Some(second) => {
-                    let r1 = self.wait_write_run(m.device, primary);
-                    // invariant: `second` exists only when mirror is Some.
-                    let p = mirror.expect("shadowed run");
-                    let r2 = self.wait_write_run(m.device + p, second);
-                    if r1.is_err() && r2.is_err() {
-                        for (r, part) in &m.parts {
-                            for (i, chunk) in part.chunks(bs).enumerate() {
-                                self.shadow_write_block(r.lblock + i as u64, p, chunk)?;
-                            }
-                        }
-                    }
+            let written = self.wait_write_run(m.device, primary);
+            let (Some(p), Some(second)) = (mirror, second) else {
+                written?;
+                continue;
+            };
+            if self.wait_write_run(m.device + p, second).is_ok() || written.is_ok() {
+                continue;
+            }
+            if m.count == 1 {
+                return written;
+            }
+            for r in &m.parts {
+                let blocks = data[self.window(first, r)].chunks(bs);
+                for (l, block) in (r.lblock..).zip(blocks) {
+                    self.write_runs(l, block, mirror)?;
                 }
             }
         }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Byte spans and records
+    // ------------------------------------------------------------------
+
+    /// Split a byte span at block boundaries: the bytes of its partial
+    /// first block (none when it starts aligned, all of it when it ends
+    /// inside that block) and of the whole blocks after them. The rest
+    /// is a partial last block.
+    fn split_span(&self, offset: u64, len: usize) -> (usize, usize) {
+        let bs = self.block_size();
+        let head = ((bs - (offset % bs as u64) as usize) % bs).min(len);
+        (head, (len - head) / bs * bs)
+    }
+
+    /// Read `out`, a sub-block range of logical block `l` starting
+    /// `within` bytes in.
+    fn read_partial(&self, l: u64, within: usize, out: &mut [u8]) -> Result<()> {
+        let mut scratch = vec![0u8; self.block_size()];
+        self.read_lblock(l, &mut scratch)?;
+        out.copy_from_slice(&scratch[within..within + out.len()]);
         Ok(())
     }
 
@@ -1398,16 +1347,12 @@ impl RawFile {
         self.write_lblock(l, &scratch)
     }
 
-    // ------------------------------------------------------------------
-    // Byte spans and records
-    // ------------------------------------------------------------------
-
     /// Read `out.len()` bytes of the logical byte stream at `offset`.
     /// The span must lie within the allocated capacity.
     ///
     /// Whole-block spans are translated into maximal per-device runs
-    /// (one vectored device request each); partial head/tail blocks go
-    /// through the single-block path.
+    /// (one vectored device request each); a partial head or tail block
+    /// is read whole, as a one-block span.
     pub fn read_span(&self, offset: u64, out: &mut [u8]) -> Result<()> {
         let bs = self.block_size() as u64;
         let end = offset + out.len() as u64;
@@ -1418,29 +1363,15 @@ impl RawFile {
                 len: nblocks,
             });
         }
-        if out.is_empty() {
-            return Ok(());
+        let (head, core) = self.split_span(offset, out.len());
+        let (head, rest) = out.split_at_mut(head);
+        let (core, tail) = rest.split_at_mut(core);
+        if !head.is_empty() {
+            self.read_partial(offset / bs, (offset % bs) as usize, head)?;
         }
-        let core_start = offset.next_multiple_of(bs).min(end);
-        let core_end = (end / bs * bs).max(core_start);
-        if offset < core_start {
-            let within = (offset % bs) as usize;
-            let take = (core_start - offset) as usize;
-            let mut scratch = vec![0u8; bs as usize];
-            self.read_lblock(offset / bs, &mut scratch)?;
-            out[..take].copy_from_slice(&scratch[within..within + take]);
-        }
-        if core_end > core_start {
-            let head = (core_start - offset) as usize;
-            let core = (core_end - core_start) as usize;
-            self.read_blocks_coalesced(core_start / bs, &mut out[head..head + core])?;
-        }
-        if end > core_end {
-            let take = (end - core_end) as usize;
-            let mut scratch = vec![0u8; bs as usize];
-            self.read_lblock(core_end / bs, &mut scratch)?;
-            let at = out.len() - take;
-            out[at..].copy_from_slice(&scratch[..take]);
+        self.read_blocks((offset + head.len() as u64) / bs, core)?;
+        if !tail.is_empty() {
+            self.read_partial(end / bs, 0, tail)?;
         }
         Ok(())
     }
@@ -1458,22 +1389,16 @@ impl RawFile {
         }
         let bs = self.block_size() as u64;
         let end = offset + data.len() as u64;
-        let records = end.div_ceil(self.record_size as u64);
-        self.ensure_capacity_records(records)?;
-        let core_start = offset.next_multiple_of(bs).min(end);
-        let core_end = (end / bs * bs).max(core_start);
-        if offset < core_start {
-            let take = (core_start - offset) as usize;
-            self.rmw_partial(offset / bs, (offset % bs) as usize, &data[..take])?;
+        self.ensure_capacity_records(end.div_ceil(self.record_size as u64))?;
+        let (head, core) = self.split_span(offset, data.len());
+        let (head, rest) = data.split_at(head);
+        let (core, tail) = rest.split_at(core);
+        if !head.is_empty() {
+            self.rmw_partial(offset / bs, (offset % bs) as usize, head)?;
         }
-        if core_end > core_start {
-            let head = (core_start - offset) as usize;
-            let core = (core_end - core_start) as usize;
-            self.write_blocks_coalesced(core_start / bs, &data[head..head + core])?;
-        }
-        if end > core_end {
-            let take = (end - core_end) as usize;
-            self.rmw_partial(core_end / bs, 0, &data[data.len() - take..])?;
+        self.write_blocks((offset + head.len() as u64) / bs, core)?;
+        if !tail.is_empty() {
+            self.rmw_partial(end / bs, 0, tail)?;
         }
         Ok(())
     }
