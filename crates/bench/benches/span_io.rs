@@ -1,6 +1,9 @@
 //! Span I/O: per-block loop vs coalesced vectored runs vs coalesced
 //! runs fanned out across devices, on memory devices with a modelled
 //! per-request service time (the request-count-dominated 1989 regime).
+//! The per-block lanes are not another path: `read_lblock` /
+//! `write_lblock` are the span reader and writer handed one block at a
+//! time, which is what leaves them nothing to coalesce.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -8,16 +8,22 @@
 //! modelled per-request service time (so request COUNT, not bandwidth,
 //! dominates — the 1989 regime):
 //!
-//! * `per-block`   — one `read_lblock` per volume block (the old path),
-//! * `coalesced`   — the span path with the device fan-out disabled,
-//! * `coal+par`    — the span path as shipped (fan-out enabled).
+//! * `per-block`   — one `read_lblock` per volume block: the same reader
+//!   handed one-block spans, so nothing coalesces (the bench-local
+//!   reference),
+//! * `coalesced`   — one span, with the device fan-out disabled,
+//! * `coal+par`    — one span as shipped (fan-out enabled).
 //!
 //! A second table is the write side of the parity rows: a per-block
 //! `write_lblock` loop (one read-modify-write per block, the bench-local
 //! reference) against `write_span`, whose whole stripes leave as one run
-//! per device with no reads. A third replays the paper's global-view
-//! scenario: a 64 MiB sequential scan through `GlobalReader`, reporting
-//! device requests per block against the per-block baseline.
+//! per device with no reads. A third is the degraded read: the same
+//! rotated 3+1 file with one device down, scanned per block (every lost
+//! block its own recovery: one stripe-lock hold, a probe and the stripe's
+//! survivors) and as one span (one hold, one run per surviving device).
+//! A fourth replays the paper's global-view scenario: a 64 MiB
+//! sequential scan through `GlobalReader`, reporting device requests per
+//! block against the per-block baseline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,6 +160,62 @@ fn parity_write_case(t: &mut Table, span_blocks: u64, phase: u64) {
     ]);
 }
 
+/// Degraded parity read lane: a 512-block scan of a rotated 3+1 file
+/// whose device `DOWN` is Failed (fail-stopped, the board knows) or
+/// Rebuilding (stale media the board routes around), per block and as
+/// one span. A recovery holds the stripe lock once, so the lock column
+/// is recoveries: one per lost block against one for the span.
+fn degraded_read_case(t: &mut Table, rebuilding: bool) {
+    const DEVICES: usize = 4;
+    const DOWN: usize = 1;
+    const BLOCKS: u64 = 512;
+    let v = delayed_volume(DEVICES, 8192);
+    let layout = LayoutSpec::Parity {
+        data_devices: DEVICES - 1,
+        rotated: true,
+    };
+    let f = v.create_file(FileSpec::new("f", BS, 1, layout)).unwrap();
+    let bytes = BLOCKS as usize * BS;
+    let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
+    f.write_span(0, &data).unwrap();
+    let dev = f.meta_snapshot().device_map[DOWN];
+    v.health().mark_failed(dev);
+    if rebuilding {
+        v.health().begin_rebuild(dev, || ());
+    } else {
+        v.device(dev).fail();
+    }
+    let lost = (0..BLOCKS)
+        .filter(|&l| f.layout().map(l).device == DOWN)
+        .count();
+
+    let mut out = vec![0u8; bytes];
+    let (t_pb, r_pb, _) = lane(&v, DEVICES, || {
+        for (l, block) in (0..BLOCKS).zip(out.chunks_mut(BS)) {
+            f.read_lblock(l, block).unwrap();
+        }
+    });
+    assert_eq!(out, data);
+    out.fill(0);
+    let (t_sp, r_sp, _) = lane(&v, DEVICES, || f.read_span(0, &mut out).unwrap());
+    assert_eq!(out, data);
+
+    let drop = r_pb as f64 / r_sp as f64;
+    assert!(
+        r_sp <= DEVICES as u64 && drop >= 8.0,
+        "a degraded parity span read is one run per surviving device: \
+         {r_sp} requests, {drop:.1}x fewer than per block"
+    );
+    t.row(&[
+        if rebuilding { "rebuilding" } else { "failed" }.to_string(),
+        BLOCKS.to_string(),
+        format!("{:.1}ms/{r_pb} req/{lost} locks", t_pb * 1e3),
+        format!("{:.1}ms/{r_sp} req/1 lock", t_sp * 1e3),
+        format!("{drop:.1}x"),
+        format!("{:.1}x", t_pb / t_sp),
+    ]);
+}
+
 fn global_scan_case(t: &mut Table, devices: usize, unit: u64) {
     const FILE_BYTES: u64 = 64 * 1024 * 1024;
     let blocks = FILE_BYTES / BS as u64;
@@ -282,6 +344,20 @@ fn main() {
     }
     w.print();
     save_json("span_coalesce_parity_write", &w);
+
+    println!("\nparity read (rotated 3+1), one device down, per-block reference vs read_span:");
+    let mut d = Table::new(&[
+        "device 1",
+        "blocks",
+        "per-block t/req/locks",
+        "span t/req/locks",
+        "req drop",
+        "speedup",
+    ]);
+    degraded_read_case(&mut d, false);
+    degraded_read_case(&mut d, true);
+    d.print();
+    save_json("span_coalesce_degraded", &d);
 
     println!("\n64 MiB sequential scan through the global view:");
     let mut g = Table::new(&[

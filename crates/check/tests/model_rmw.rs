@@ -2,9 +2,10 @@
 //! concurrent writers to disjoint byte ranges of the *same* block must
 //! both land (the per-file `rmw_lock` serialises the read/modify/write
 //! window), and the write path must respect the alloc-before-rmw lock
-//! hierarchy in every schedule. The parity model at the bottom races a
-//! full-stripe span writer, a single-block read-modify-write and a
-//! rebuild burst under the stripe lock.
+//! hierarchy in every schedule. The parity models at the bottom race a
+//! full-stripe span writer and a single-block read-modify-write against
+//! a rebuild burst under the stripe lock, and against a span reader that
+//! reconstructs a Rebuilding device's column.
 #![cfg(pario_check)]
 
 use pario_check::{spawn, Config, Explorer};
@@ -189,6 +190,100 @@ fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
     assert!(report.failure.is_none(), "{:?}", report.failure);
     // Three threads through one stripe lock, each holding it across a
     // multi-transfer plan: hundreds of distinct interleaving classes.
+    assert!(
+        report.distinct >= 64,
+        "only {} distinct schedules",
+        report.distinct
+    );
+}
+
+/// A span reader that reconstructs a whole column — device slot 0 is
+/// Rebuilding, so its block of every stripe comes from the survivors —
+/// against a full-span `parity_write` and a single-block
+/// read-modify-write on a two-stripe parity file. The reader takes the
+/// stripe lock before it reads anything and reads every surviving column
+/// under it, so in every schedule each stripe it returns is the stripe
+/// before or after each write, whole: a reconstruction that mixed one
+/// write's data with another's parity would return bytes nobody wrote.
+/// Rank 70 is held across the reader's wave (cache, health board and
+/// device locks ascend from it); taking a lower rank under it is a
+/// LockOrder failure.
+#[test]
+fn column_reconstruction_sees_every_stripe_before_or_after_each_write() {
+    const W: usize = 3;
+    let report = Explorer::new(Config::new(600)).run(|| {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 256,
+            block_size: BS,
+        })
+        .expect("in-memory volume");
+        let spec = LayoutSpec::Parity {
+            data_devices: W,
+            rotated: true,
+        };
+        let f = v
+            .create_file(FileSpec::new("p", BS, 1, spec).initial_records(2 * W as u64))
+            .expect("create file");
+        f.write_span(0, &[0x11; 2 * W * BS])
+            .expect("prefill both stripes");
+        // Slot 0 holds a data block of both stripes (blocks 0 and 3).
+        let dev = f.meta_snapshot().device_map[0];
+        v.health().mark_failed(dev);
+        v.health().begin_rebuild(dev, || ());
+
+        // Each block is one writer's bytes whole; stripe 0 is only the
+        // span writer's, block 4 may be either's.
+        fn assert_snapshot(got: &[u8], when: &str) {
+            let tag = |l: usize| {
+                let block = &got[l * BS..(l + 1) * BS];
+                assert!(
+                    block.iter().all(|&b| b == block[0]),
+                    "block {l} torn {when}: {block:?}"
+                );
+                block[0]
+            };
+            let stripe0 = [tag(0), tag(1), tag(2)];
+            assert!(
+                stripe0 == [0x11; 3] || stripe0 == [0xA5; 3],
+                "stripe 0 {when}: {stripe0:x?}"
+            );
+            let stripe1 = [tag(3), tag(4), tag(5)];
+            let legal = [
+                [0x11, 0x11, 0x11],
+                [0x11, 0x3C, 0x11],
+                [0xA5, 0xA5, 0xA5],
+                [0xA5, 0x3C, 0xA5],
+            ];
+            assert!(legal.contains(&stripe1), "stripe 1 {when}: {stripe1:x?}");
+        }
+
+        let f1 = f.clone();
+        let span = spawn(move || {
+            f1.write_span(0, &[0xA5; 2 * W * BS])
+                .expect("full-stripe span");
+        });
+        let f2 = f.clone();
+        let rmw = spawn(move || {
+            f2.write_span(4 * BS as u64, &[0x3C; BS])
+                .expect("one-block read-modify-write");
+        });
+        let f3 = f.clone();
+        let reader = spawn(move || {
+            let mut got = [0u8; 2 * W * BS];
+            f3.read_span(0, &mut got).expect("degraded span read");
+            assert_snapshot(&got, "under the writers");
+        });
+        span.join();
+        rmw.join();
+        reader.join();
+
+        let mut got = [0u8; 2 * W * BS];
+        f.read_span(0, &mut got).expect("read back");
+        assert_snapshot(&got, "after every writer finished");
+        assert_eq!(got[0], 0xA5, "the span writer finished");
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
         report.distinct >= 64,
         "only {} distinct schedules",

@@ -278,3 +278,86 @@ fn spill_keeps_writers_unblocked_past_frame_budget() {
         );
     }
 }
+
+/// `flush_span` is a durability hook — "durable before the range lock
+/// releases, exactly as on uncached volumes" — and on an uncached volume
+/// a write is on the media *with its redundancy*. So a flushed span's
+/// mirror copies and parity blocks leave the write-back cache with its
+/// data: on the raw devices every touched stripe's parity is the XOR of
+/// its data and every touched block's mirror equals its primary. And
+/// `invalidate_span` drops the same set: nothing of a dropped write —
+/// data, mirror or parity — reaches the media afterwards.
+#[test]
+fn flush_span_and_invalidate_span_cover_the_redundancy_blocks() {
+    let shadowed = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 2,
+        unit: 2,
+    }));
+    let parity = |rotated| LayoutSpec::Parity {
+        data_devices: 3,
+        rotated,
+    };
+    // Ragged at both ends: blocks 3..=10, three whole stripes of 3 + 1.
+    let (off, len) = (3 * BS + 17, 7 * BS + 100);
+    let touched = off / BS..=(off + len - 1) / BS;
+    for layout in [parity(true), parity(false), shadowed] {
+        let v = new_volume()
+            .enable_cache(VolumeCacheConfig::write_back(64))
+            .unwrap();
+        let spec = FileSpec::new("f", 64, 4, layout.clone()).initial_records(CAP_BYTES / 64);
+        let f = v.create_file(spec).unwrap();
+        let mut model: Vec<u8> = (0..CAP_BYTES as usize).map(|i| (i / 3) as u8).collect();
+        f.write_span(0, &model).unwrap();
+        v.flush_cache().unwrap();
+
+        let meta = f.meta_snapshot();
+        let raw = |slot: usize, dblock: u64| {
+            let mut block = vec![0u8; BS];
+            let abs = resolve(&meta.extents[slot], dblock);
+            v.device(meta.device_map[slot])
+                .read_block(abs, &mut block)
+                .unwrap();
+            block
+        };
+        let media_holds = |model: &[u8], when: &str| {
+            for l in touched.clone() {
+                let p = f.layout().map(l as u64);
+                let want = &model[l * BS..(l + 1) * BS];
+                assert_eq!(raw(p.device, p.block), want, "{layout:?} {when}: block {l}");
+                match &layout {
+                    LayoutSpec::Shadowed(inner) => {
+                        let mirror = raw(p.device + inner.devices_required(), p.block);
+                        assert_eq!(mirror, want, "{layout:?} {when}: mirror of block {l}");
+                    }
+                    _ => {
+                        let mut acc = vec![0u8; BS];
+                        for slot in 0..f.layout().devices() {
+                            let row = raw(slot, p.block);
+                            acc.iter_mut().zip(&row).for_each(|(a, b)| *a ^= b);
+                        }
+                        assert!(
+                            acc.iter().all(|&b| b == 0),
+                            "{layout:?} {when}: stripe {} parity is not the XOR of its data",
+                            p.block
+                        );
+                    }
+                }
+            }
+        };
+
+        let data: Vec<u8> = (0..len).map(|i| 0x80 | (i / 5) as u8).collect();
+        f.write_span(off as u64, &data).unwrap();
+        model[off..off + len].copy_from_slice(&data);
+        f.flush_span(off as u64, len as u64).unwrap();
+        media_holds(&model, "after flush_span");
+
+        // A second write, dropped: the media keeps the first one whole.
+        f.write_span(off as u64, &vec![0x55u8; len]).unwrap();
+        f.invalidate_span(off as u64, len as u64);
+        v.flush_cache().unwrap();
+        media_holds(&model, "after invalidate_span");
+        let mut got = vec![0u8; len];
+        f.read_span(off as u64, &mut got).unwrap();
+        assert_eq!(got, data, "{layout:?}: the dropped write is gone");
+    }
+}

@@ -335,3 +335,69 @@ fn ragged_parity_span_writes_survive_one_device_down_in_every_state() {
         }
     }
 }
+
+/// A Suspect primary is hedged whatever the read's size — a sub-block
+/// record, one whole block, a span of several runs: both copies are
+/// submitted and the first success wins. A primary stuck in a latency
+/// spike therefore costs the mirror's latency, not its own, and the
+/// mirror transfer is the answer rather than extra load.
+#[test]
+fn suspect_span_reads_race_the_mirror_instead_of_waiting_out_the_primary() {
+    const SPIKE: Duration = Duration::from_millis(20);
+    let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 2,
+        unit: 2,
+    }));
+    let primary = spec.build().map(0).device;
+    let mirror = primary + 2;
+    let mut devices = mem_array(4, 512, BS);
+    let (fault, wrapped) = FaultDevice::wrap(
+        devices[primary].clone(),
+        FaultPlan {
+            spike_rate: 1.0,
+            spike: SPIKE,
+            ..FaultPlan::default()
+        },
+    );
+    devices[primary] = wrapped;
+    fault.set_armed(false);
+    let v = Volume::new(devices).unwrap();
+    let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
+    let data: Vec<u8> = (0..8 * BS).map(|i| (i / 7) as u8).collect();
+    f.write_span(0, &data).unwrap();
+    let glitch = pario_disk::DiskError::Transient { device: "d".into() };
+    for _ in 0..v.health().policy().suspect_after {
+        v.health().note_error(primary, &glitch, || true);
+    }
+    assert_eq!(v.device_health(primary), HealthState::Suspect);
+    fault.set_armed(true);
+
+    let serviced = |d: usize| v.io_device(d).ionode_stats().unwrap().serviced;
+    let (p0, m0) = (serviced(primary), serviced(mirror));
+    // Bytes 0..64 (sub-block), block 0, blocks 0..2 (one run on the
+    // primary), blocks 0..6 (the primary's two runs and its peer's one).
+    let spans = [(0, 64), (0, BS), (0, 2 * BS), (0, 6 * BS)];
+    for (at, len) in spans {
+        let mut got = vec![0u8; len];
+        let started = std::time::Instant::now();
+        f.read_span(at as u64, &mut got).unwrap();
+        let took = started.elapsed();
+        assert_eq!(got, data[at..at + len], "read at {at}+{len}");
+        assert!(
+            took < SPIKE / 2,
+            "read at {at}+{len} took {took:?}: it waited out the spiking primary"
+        );
+    }
+    // Both copies were asked, every time: the mirror answered, and the
+    // primary works its spikes off behind the reads.
+    assert_eq!(serviced(mirror) - m0, spans.len() as u64);
+    let deadline = std::time::Instant::now() + 20 * SPIKE;
+    while serviced(primary) - p0 < spans.len() as u64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the primary was not asked"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(fault.counts().spikes, spans.len() as u64);
+}

@@ -507,3 +507,505 @@ fn parity_spans_move_whole_stripes_in_one_request_per_device() {
     serial.read_span(BS as u64, &mut got).unwrap();
     assert_eq!(got, data);
 }
+
+// ----------------------------------------------------------------------
+// The routing table, cell by cell: one routing decision serves every
+// read, so a sub-block record, one whole block and a ragged span of
+// three stripes must agree — on the bytes or the typed error, and on
+// which copies they ask — in every health state of the home slot and of
+// its partner (the mirror of a shadowed pair, a stripe peer of a parity
+// file).
+// ----------------------------------------------------------------------
+
+/// What the board (and the media) say about one device.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Slot {
+    Healthy,
+    Suspect,
+    /// Fail-stopped, and the board knows.
+    Failed,
+    /// Marked Failed, but the media answers: healed behind the board's
+    /// back.
+    Healed,
+    /// Writable but stale: every block the file owns there is garbage.
+    Rebuilding,
+}
+
+fn put(v: &Volume, f: &RawFile, slot: usize, state: Slot) {
+    let meta = f.meta_snapshot();
+    let dev = meta.device_map[slot];
+    match state {
+        Slot::Healthy => {}
+        Slot::Suspect => {
+            let glitch = DiskError::Transient { device: "d".into() };
+            for _ in 0..v.health().policy().suspect_after {
+                v.health().note_error(dev, &glitch, || true);
+            }
+        }
+        Slot::Failed => {
+            v.device(dev).fail();
+            v.health().mark_failed(dev);
+        }
+        Slot::Healed => v.health().mark_failed(dev),
+        Slot::Rebuilding => {
+            for dblock in 0..f.device_blocks(slot) {
+                let abs = pario_fs::resolve(&meta.extents[slot], dblock);
+                v.device(dev).write_block(abs, &[0xEE; BS]).unwrap();
+            }
+            v.health().mark_failed(dev);
+            v.health().begin_rebuild(dev, || ());
+        }
+    }
+    let on_board = match state {
+        Slot::Healthy => pario_fs::HealthState::Healthy,
+        Slot::Suspect => pario_fs::HealthState::Suspect,
+        Slot::Failed | Slot::Healed => pario_fs::HealthState::Failed,
+        Slot::Rebuilding => pario_fs::HealthState::Rebuilding,
+    };
+    assert_eq!(v.device_health(dev), on_board);
+}
+
+/// One cell's answer: whether the read succeeds, and whether the home
+/// slot and (shadowed files) its mirror are asked.
+struct Cell {
+    ok: bool,
+    home: bool,
+    mirror: Option<bool>,
+}
+
+/// DESIGN §9's table, as data. `partner_down`: the mirror, or a data
+/// peer of the same stripe, is Failed (media and board both).
+fn cell(spec: &LayoutSpec, home: Slot, partner_down: bool) -> Cell {
+    use Slot::*;
+    let (ok, asked, mirror) = match (spec, partner_down) {
+        (LayoutSpec::Shadowed(_), false) => match home {
+            Healthy => (true, true, Some(false)),
+            Suspect => (true, true, Some(true)),
+            Failed | Healed | Rebuilding => (true, false, Some(true)),
+        },
+        (LayoutSpec::Shadowed(_), true) => match home {
+            Healthy | Suspect | Healed => (true, true, Some(false)),
+            Failed => (false, true, Some(true)),
+            Rebuilding => (false, false, Some(true)),
+        },
+        (LayoutSpec::Parity { .. }, false) => (true, home != Rebuilding, None),
+        // Unprotected, or a parity stripe with a second device gone.
+        _ => match home {
+            Healthy | Suspect | Healed => (true, true, None),
+            Failed => (false, true, None),
+            Rebuilding => (false, false, None),
+        },
+    };
+    Cell {
+        ok,
+        home: asked,
+        mirror,
+    }
+}
+
+#[test]
+fn every_read_size_routes_by_the_same_table() {
+    let striped = LayoutSpec::Striped {
+        devices: 3,
+        unit: 1,
+    };
+    let shadowed = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 2,
+        unit: 1,
+    }));
+    let parity = |rotated| LayoutSpec::Parity {
+        data_devices: 3,
+        rotated,
+    };
+    let states = [
+        Slot::Healthy,
+        Slot::Suspect,
+        Slot::Failed,
+        Slot::Healed,
+        Slot::Rebuilding,
+    ];
+    // Block 7 is read three ways: record 29 (64 bytes of it), the block,
+    // and blocks 4..=13 from byte 17 of the first to byte 117 of the last.
+    let block = 7u64;
+    let reads: [(&str, u64, usize); 3] = [
+        ("record", block * BS as u64 + 64, 64),
+        ("block", block * BS as u64, BS),
+        ("span", 4 * BS as u64 + 17, 9 * BS + 100),
+    ];
+    for spec in [striped, shadowed, parity(true), parity(false)] {
+        let redundant = !matches!(spec, LayoutSpec::Striped { .. });
+        for home in states {
+            for partner_down in [false, true] {
+                if partner_down && !redundant {
+                    continue;
+                }
+                let v = volume();
+                let f = whole_file(&v, &spec);
+                let model: Vec<u8> = (0..CAP_BYTES as usize).map(|i| (i / 3) as u8).collect();
+                f.write_span(0, &model).unwrap();
+                f.set_len_records(CAP_BYTES / 64).unwrap();
+                let slot = f.layout().map(block).device;
+                let partner = match &spec {
+                    LayoutSpec::Shadowed(inner) => slot + inner.devices_required(),
+                    _ => f.layout().map(block - 1).device,
+                };
+                assert_ne!(slot, partner);
+                put(&v, &f, slot, home);
+                if partner_down {
+                    put(&v, &f, partner, Slot::Failed);
+                }
+                let want = cell(&spec, home, partner_down);
+                let map = f.meta_snapshot().device_map;
+                let ctx = format!("{spec:?} home {home:?} partner_down {partner_down}");
+
+                for (what, at, len) in reads {
+                    let before: Vec<u64> = (0..6).map(|d| node(&v, d).serviced).collect();
+                    let asked = |slot: usize| node(&v, map[slot]).serviced - before[map[slot]];
+                    let mut got = vec![0u8; len];
+                    let res = match what {
+                        "record" => f.read_record(at / 64, &mut got),
+                        _ => f.read_span(at, &mut got),
+                    };
+                    match res {
+                        Ok(()) => {
+                            assert!(want.ok, "{ctx}: {what} read succeeded");
+                            let at = at as usize;
+                            assert_eq!(got, model[at..at + len], "{ctx}: {what} bytes");
+                        }
+                        Err(pario_fs::FsError::Disk(DiskError::DeviceFailed { .. })) => {
+                            assert!(!want.ok, "{ctx}: {what} read failed");
+                        }
+                        Err(e) => panic!("{ctx}: {what} read: unexpected error {e}"),
+                    }
+                    let expected = [(slot, Some(want.home)), (partner, want.mirror)];
+                    for (s, asked_want) in expected {
+                        let Some(asked_want) = asked_want else {
+                            continue;
+                        };
+                        // The loser of a hedge may still be in its queue.
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(2);
+                        while asked_want && asked(s) == 0 && std::time::Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
+                        assert_eq!(
+                            asked(s) > 0,
+                            asked_want,
+                            "{ctx}: {what} read, slot {s} asked"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What a degraded parity span read costs: with the board routing around
+/// a device, one request per device (the Failed slot's probe included)
+/// and nothing more; with a device failed behind the board's back, the
+/// plain wave and then one run per survivor.
+#[test]
+fn degraded_parity_spans_cost_one_request_per_surviving_device() {
+    for rotated in [true, false] {
+        let spec = LayoutSpec::Parity {
+            data_devices: 3,
+            rotated,
+        };
+        let model: Vec<u8> = (0..48 * BS).map(|i| (i / 7) as u8).collect();
+        // Sixteen stripes, from the second one on.
+        let (at, len) = (3 * BS, 45 * BS);
+        for state in [Slot::Healed, Slot::Rebuilding] {
+            for slot in 0..4 {
+                let v = volume();
+                let f = v
+                    .create_file(FileSpec::new("f", 64, 4, spec.clone()))
+                    .unwrap();
+                f.write_span(0, &model).unwrap();
+                put(&v, &f, slot, state);
+                let mut got = vec![0u8; len];
+                let (reads, _) = device_requests(&v, || f.read_span(at as u64, &mut got).unwrap());
+                assert_eq!(got, model[at..at + len], "{spec:?} slot {slot} {state:?}");
+                let devices = f.layout().devices() as u64;
+                assert!(
+                    reads <= devices,
+                    "{spec:?} slot {slot} {state:?}: {reads} requests"
+                );
+            }
+        }
+        for slot in 0..4 {
+            let v = volume();
+            let f = v
+                .create_file(FileSpec::new("f", 64, 4, spec.clone()))
+                .unwrap();
+            f.write_span(0, &model).unwrap();
+            let dev = f.meta_snapshot().device_map[slot];
+            v.device(dev).fail();
+            let mut got = vec![0u8; len];
+            let mut requests = 0;
+            let (executor, _) = executor_cost(&v, || {
+                requests = device_requests(&v, || f.read_span(at as u64, &mut got).unwrap()).0;
+            });
+            assert_eq!(got, model[at..at + len], "{spec:?} slot {slot} failed");
+            let devices = f.layout().devices() as u64;
+            assert!(
+                requests <= 2 * devices && executor <= 2 * devices,
+                "{spec:?} slot {slot} failed behind the board: {requests} device requests, \
+                 {executor} executor requests"
+            );
+        }
+    }
+}
+
+/// A file whose last stripe is partial: the devices that hold nothing of
+/// it are a row short, and the reconstruction of its last block reads
+/// them only as far as they go.
+#[test]
+fn a_partial_last_stripe_reconstructs_its_last_block() {
+    for data_devices in 2usize..=4 {
+        for rotated in [false, true] {
+            let spec = LayoutSpec::Parity {
+                data_devices,
+                rotated,
+            };
+            let v = volume();
+            let f = ragged_parity_file(&v, &spec);
+            let model: Vec<u8> = (0..47 * BS).map(|i| (i / 5) as u8).collect();
+            f.write_span(0, &model).unwrap();
+            let slot = f.layout().map(46).device;
+            for state in [Slot::Failed, Slot::Rebuilding] {
+                if state == Slot::Rebuilding {
+                    v.device(f.meta_snapshot().device_map[slot]).heal();
+                }
+                put(&v, &f, slot, state);
+                let mut last = vec![0u8; BS];
+                f.read_lblock(46, &mut last).unwrap();
+                assert_eq!(
+                    last,
+                    model[46 * BS..],
+                    "w={data_devices} rotated={rotated} {state:?}"
+                );
+                let mut tail = vec![0u8; 9 * BS + 30];
+                let at = 47 * BS - tail.len();
+                f.read_span(at as u64, &mut tail).unwrap();
+                assert_eq!(
+                    tail,
+                    model[at..],
+                    "w={data_devices} rotated={rotated} {state:?} span"
+                );
+            }
+        }
+    }
+}
+
+/// A test device that runs a hook ahead of every request: `(is_write,
+/// first block, blocks)`. The hook's error fails the request.
+struct Hooked {
+    inner: pario_disk::DeviceRef,
+    hook: Box<dyn Fn(bool, u64, u64) -> pario_disk::Result<()> + Send + Sync>,
+}
+
+impl pario_disk::BlockDevice for Hooked {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_block(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+        self.read_blocks_at(block, buf)
+    }
+    fn write_block(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+        self.write_blocks_at(block, data)
+    }
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+        (self.hook)(false, block, (buf.len() / BS) as u64)?;
+        self.inner.read_blocks_at(block, buf)
+    }
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+        (self.hook)(true, block, (data.len() / BS) as u64)?;
+        self.inner.write_blocks_at(block, data)
+    }
+    fn counters(&self) -> pario_disk::IoCounters {
+        self.inner.counters()
+    }
+    fn fail(&self) {
+        self.inner.fail()
+    }
+    fn heal(&self) {
+        self.inner.heal()
+    }
+    fn is_failed(&self) -> bool {
+        self.inner.is_failed()
+    }
+}
+
+/// A degraded parity span read does all its device I/O in ONE hold of
+/// the stripe lock: with every device gated shut, the read's requests —
+/// at most one per device — all park together, the stripe lock is held
+/// while they do, and opening the gate lets the read finish without
+/// another request.
+#[test]
+fn a_degraded_parity_span_takes_the_stripe_lock_once() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    for state in [Slot::Healed, Slot::Rebuilding] {
+        let shut = Arc::new(AtomicBool::new(false));
+        let reads = Arc::new(AtomicU64::new(0));
+        let devices: Vec<pario_disk::DeviceRef> = pario_disk::mem_array(4, 512, BS)
+            .into_iter()
+            .map(|inner| {
+                let (shut, reads) = (Arc::clone(&shut), Arc::clone(&reads));
+                let hook = move |write: bool, _, _| {
+                    if !write && shut.load(Ordering::SeqCst) {
+                        reads.fetch_add(1, Ordering::SeqCst);
+                        while shut.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                    }
+                    Ok(())
+                };
+                Arc::new(Hooked {
+                    inner,
+                    hook: Box::new(hook),
+                }) as pario_disk::DeviceRef
+            })
+            .collect();
+        let v = Volume::new(devices).unwrap();
+        let spec = LayoutSpec::Parity {
+            data_devices: 3,
+            rotated: true,
+        };
+        let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
+        let model: Vec<u8> = (0..48 * BS).map(|i| (i / 11) as u8).collect();
+        f.write_span(0, &model).unwrap();
+        put(&v, &f, 1, state);
+        // The probe of a Failed slot is a request too; stale media gets none.
+        let wave = if state == Slot::Healed { 4 } else { 3 };
+
+        shut.store(true, Ordering::SeqCst);
+        let reader = {
+            let f = f.clone();
+            std::thread::spawn(move || {
+                let mut got = vec![0u8; 48 * BS];
+                f.read_span(0, &mut got).unwrap();
+                got
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while reads.load(Ordering::SeqCst) < wave {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{state:?}: wave never parked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Every request of the read is parked; the lock is held over them.
+        let (tx, locked) = mpsc::channel();
+        let prober = {
+            let f = f.clone();
+            std::thread::spawn(move || {
+                let _g = f.lock_stripes();
+                let _ = tx.send(());
+            })
+        };
+        assert!(
+            locked.recv_timeout(Duration::from_millis(50)).is_err(),
+            "{state:?}: the stripe lock was free while the wave was in flight"
+        );
+        assert_eq!(
+            reads.load(Ordering::SeqCst),
+            wave,
+            "{state:?}: one run per device"
+        );
+        shut.store(false, Ordering::SeqCst);
+        assert_eq!(reader.join().unwrap(), model, "{state:?}");
+        prober.join().unwrap();
+        assert_eq!(
+            reads.load(Ordering::SeqCst),
+            wave,
+            "{state:?}: a request arrived after the wave"
+        );
+    }
+}
+
+/// A half-dead mirror pair — the primary cannot transfer block 2, the
+/// mirror cannot transfer block 5 — fails every multi-block run on both
+/// copies, and still reads and writes every block: the run is re-planned
+/// block by block, and each block has one live copy.
+#[test]
+fn a_half_dead_mirror_pair_still_reads_and_writes_every_block() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let bad = [
+        Arc::new(AtomicU64::new(u64::MAX)),
+        Arc::new(AtomicU64::new(u64::MAX)),
+    ];
+    let devices: Vec<pario_disk::DeviceRef> = pario_disk::mem_array(2, 512, BS)
+        .into_iter()
+        .zip(&bad)
+        .map(|(inner, bad)| {
+            let bad = Arc::clone(bad);
+            let hook = move |_, first: u64, n: u64| {
+                let block = bad.load(Ordering::SeqCst);
+                if (first..first + n).contains(&block) {
+                    return Err(DiskError::Corruption { block });
+                }
+                Ok(())
+            };
+            Arc::new(Hooked {
+                inner,
+                hook: Box::new(hook),
+            }) as pario_disk::DeviceRef
+        })
+        .collect();
+    let v = Volume::new(devices).unwrap();
+    let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 1,
+        unit: 4,
+    }));
+    let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
+    let data: Vec<u8> = (0..8 * BS).map(|i| (i / 3) as u8).collect();
+    f.write_span(0, &data).unwrap();
+    let meta = f.meta_snapshot();
+    for (slot, dblock) in [(0usize, 2u64), (1, 5)] {
+        let abs = pario_fs::resolve(&meta.extents[slot], dblock);
+        bad[meta.device_map[slot]].store(abs, Ordering::SeqCst);
+    }
+
+    let mut got = vec![0u8; data.len()];
+    f.read_span(0, &mut got).unwrap();
+    assert_eq!(got, data, "span read");
+    for l in 0..8u64 {
+        let mut block = vec![0u8; BS];
+        f.read_lblock(l, &mut block).unwrap();
+        assert_eq!(block, data[l as usize * BS..][..BS], "block {l}");
+    }
+
+    let fresh: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
+    f.write_span(0, &fresh).unwrap();
+    got.fill(0);
+    f.read_span(0, &mut got).unwrap();
+    assert_eq!(
+        got, fresh,
+        "read-back of a span written to the half-dead pair"
+    );
+    for d in &bad {
+        d.store(u64::MAX, Ordering::SeqCst);
+    }
+    // Each copy holds every block it could take.
+    let mut block = vec![0u8; BS];
+    for (slot, stale) in [(0usize, 2u64), (1, 5)] {
+        for dblock in 0..8u64 {
+            f.read_device_block(slot, dblock, &mut block).unwrap();
+            let want = if dblock == stale { &data } else { &fresh };
+            assert_eq!(
+                block,
+                want[dblock as usize * BS..][..BS],
+                "slot {slot} block {dblock}"
+            );
+        }
+    }
+}

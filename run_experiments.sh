@@ -26,7 +26,7 @@ for f in e2_striping_devices e2_striping_unit e3_selfsched \
          e7_declustering e8_readahead e8_writebehind e9_crossover \
          e9_view_mismatch e10_boundary e11_campaign e11_mtbf \
          e12_is_blocksize span_coalesce span_coalesce_global \
-         span_coalesce_parity_write \
+         span_coalesce_parity_write span_coalesce_degraded \
          e14_server e14_server_sweep e15_executor e15_executor_sched \
          e15_executor_handoff \
          e16_faults e17_cache e17_cache_under_flush \
