@@ -3,16 +3,16 @@
 //! This is the layer every internal view is built on. It owns three jobs:
 //!
 //! 1. **Address translation** — logical block → layout → device slot →
-//!    extent → absolute device block. [`RawFile::plan`] turns a span of
+//!    extent → absolute device block. `RawFile::plan` turns a span of
 //!    whole blocks into merged per-device runs and
-//!    [`RawFile::run_segments`] resolves a run to device extents; every
+//!    `RawFile::run_segments` resolves a run to device extents; every
 //!    transfer, and the cache flush hooks, start from that one plan.
-//! 2. **Redundancy maintenance** — one reader ([`RawFile::read_blocks`])
-//!    and one writer ([`RawFile::write_blocks`]) over whole blocks,
-//!    whatever their count. [`RawFile::route`] is the only place device
+//! 2. **Redundancy maintenance** — one reader (`RawFile::read_blocks`)
+//!    and one writer (`RawFile::write_blocks`) over whole blocks,
+//!    whatever their count. `RawFile::route` is the only place device
 //!    health steers a read; recovery is one step per redundancy (the
-//!    other copy of a shadowed run, [`RawFile::reconstruct`] for a parity
-//!    column), and parity is maintained by [`RawFile::parity_write`].
+//!    other copy of a shadowed run, `RawFile::reconstruct` for a parity
+//!    column), and parity is maintained by `RawFile::parity_write`.
 //! 3. **Byte/record framing** — records are fixed-size spans of the
 //!    logical byte stream and may straddle volume blocks; `read_span` /
 //!    `write_span` handle the block arithmetic once, for everyone above,
@@ -545,7 +545,7 @@ impl RawFile {
     }
 
     /// Read logical block `l` (must be allocated): a one-block span,
-    /// routed and recovered as every read is ([`RawFile::read_blocks`]).
+    /// routed and recovered as every read is (`read_blocks`).
     pub fn read_lblock(&self, l: u64, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.block_size());
         let nblocks = self.nblocks();
@@ -559,7 +559,7 @@ impl RawFile {
     }
 
     /// Write logical block `l`, growing the file to cover it: a
-    /// one-block span ([`RawFile::write_blocks`]). Parity is maintained
+    /// one-block span (`write_blocks`). Parity is maintained
     /// by a read-modify-write, or a reconstruct-write when the stripe's
     /// peers are fewer to read; shadows receive a second copy.
     pub fn write_lblock(&self, l: u64, data: &[u8]) -> Result<()> {
@@ -998,8 +998,8 @@ impl RawFile {
         let settled: Vec<_> = observed
             .filter_map(|(slot, o)| Some(self.settle(self.slot_vdev(slot), o?.map(|d| vec![d]))))
             .collect();
-        // invariant: a race reports at least one outcome.
         let outcome = settled.into_iter().reduce(|a, b| a.or(b));
+        // invariant: a race reports at least one outcome.
         outcome.expect("race observed no completion")
     }
 
@@ -1039,9 +1039,10 @@ impl RawFile {
     ///
     /// A span that is one transfer with nothing to race
     /// ([`RawFile::direct_segment`]) has nothing to submit up front: it
-    /// blocks on the device call, straight into `buf`. Runs whose first
-    /// copy fails [`recoverable`]y go to their other copy in a second
-    /// wave, all at once. What no copy served is recovered in one step:
+    /// blocks on the device call, straight into `buf`. A run whose first
+    /// copy fails [`recoverable`]y is resubmitted to its other copy as
+    /// the failure is seen, and those second transfers are waited as a
+    /// wave of their own. What no copy served is recovered in one step:
     /// a parity file reconstructs the lost column
     /// ([`RawFile::reconstruct`]); a shadowed run dead on both copies is
     /// re-planned block by block — the pair may be half dead in different
@@ -1069,8 +1070,8 @@ impl RawFile {
                 }
             }
             // A run whose copy failed goes to its next one at once, so
-            // these second transfers are a wave too; with none left, it
-            // is lost.
+            // the second transfers overlap as the first did; with no
+            // copy left, the run is lost.
             let (mut inflight, mut second) = (Vec::new(), Vec::new());
             let mut retry = |m: MergedRun, next: Option<usize>, e: DiskError| match next {
                 Some(slot) => {
@@ -1152,10 +1153,11 @@ impl RawFile {
     /// stripe leaves a device a row short (the row it lacks is zeros to
     /// the parity). `lost` are runs already tried; `pending` are the
     /// span's runs not read yet, when the board said a device was down
-    /// before anything was submitted: they join the wave widened over the
-    /// lost rows, so each surviving column is read once for the span and
-    /// the reconstruction both, and a Failed slot is probed with its own
-    /// run. The survivors are always read here, under the lock — never
+    /// before anything was submitted: they join the wave widened to the
+    /// span's whole row range, so each surviving column is read once for
+    /// the span and the reconstruction both, whichever run turns out
+    /// lost, and a Failed slot is probed with its own run. The survivors
+    /// are always read here, under the lock — never
     /// reused from a wave that ran outside it, where a concurrent
     /// [`RawFile::parity_write`] could leave data and parity from
     /// different writes.
