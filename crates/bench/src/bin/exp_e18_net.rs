@@ -18,7 +18,12 @@
 //! * **Depth matters on fast media** — on an *undelayed* volume, where
 //!   the round trip is the dominant cost, raising the pipeline depth
 //!   1→32 on a single connection raises throughput; synchronous
-//!   request/response is the slow shape, not the network itself.
+//!   request/response is the slow shape, not the network itself. Both
+//!   ends of that lane are also held to the committed
+//!   `BENCH_e18_net.json` figures (no more than [`COMMITTED_SLACK`]
+//!   below them): a depth-1 round trip has no thread hand-off on the
+//!   server and, for a blocking call, none on the client, and the ratio
+//!   alone would not notice one coming back.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -47,6 +52,23 @@ const REMOTE_FACTOR_BOUND: f64 = 2.0;
 /// Pipeline depth the remote drains run at (within the default credit
 /// window of 32).
 const DEPTH: usize = 8;
+/// The depth lane's rates may fall this far below the committed
+/// `BENCH_e18_net.json` figures (same machine) before the run fails.
+const COMMITTED_SLACK: f64 = 0.10;
+/// Runs per depth; the best is reported. A 50 ms closed loop on a
+/// shared host is only ever disturbed towards slow.
+const DEPTH_RUNS: usize = 3;
+
+/// `key` of the committed `BENCH_e18_net.json`, read before this run
+/// overwrites it; `None` off the repo root or on a first run.
+fn committed(key: &str) -> Option<f64> {
+    let text = std::fs::read_to_string("BENCH_e18_net.json").ok()?;
+    serde_json::from_str::<serde_json::Value>(&text)
+        .ok()?
+        .as_object()?
+        .get(key)?
+        .as_f64()
+}
 
 fn rec_byte(idx: u64) -> u8 {
     (idx % 251) as u8
@@ -240,8 +262,12 @@ fn main() {
     let mut depth_base = 0.0f64;
     let mut depth_rates = Vec::new();
     for &depth in &[1usize, 4, 16, 32] {
-        let (_net, addr) = serve(FAST_RECORDS, false);
-        let (secs, _) = drain_remote(&addr, 1, depth, FAST_RECORDS);
+        let secs = (0..DEPTH_RUNS)
+            .map(|_| {
+                let (_net, addr) = serve(FAST_RECORDS, false);
+                drain_remote(&addr, 1, depth, FAST_RECORDS).0
+            })
+            .fold(f64::INFINITY, f64::min);
         if depth == 1 {
             depth_base = secs;
         }
@@ -253,13 +279,21 @@ fn main() {
             format!("{:.2}x", depth_base / secs),
         ]);
     }
-    println!("\npipeline depth, 1 connection ({FAST_RECORDS} records, undelayed devices):");
+    println!(
+        "\npipeline depth, 1 connection ({FAST_RECORDS} records, undelayed devices, \
+         best of {DEPTH_RUNS}):"
+    );
     depth_t.print();
     save_json("e18_net_depth", &depth_t);
 
     let sweep8 = secs_at.last().map(|&(_, s)| s).unwrap_or(remote_secs);
     let depth1 = depth_rates[0].1;
     let depth32 = depth_rates.last().map(|&(_, r)| r).unwrap_or(depth1);
+    let floors = [
+        ("depth1_rec_per_sec_fast", depth1),
+        ("depth32_rec_per_sec_fast", depth32),
+    ]
+    .map(|(key, now)| (key, now, committed(key)));
     Bench::new()
         .label("experiment", "e18_net")
         .num("inproc_secs_8_clients", inproc_secs)
@@ -291,10 +325,20 @@ fn main() {
         base / sweep8
     );
     assert!(
-        depth32 / depth1 >= 1.2,
+        depth32 > depth1,
         "pipelining depth 32 must beat synchronous depth 1 on fast media \
-         (got {:.2}x)",
-        depth32 / depth1
+         (got {depth32:.0} against {depth1:.0} rec/s)"
     );
-    println!("\nE18 assertions hold: wire factor, connection scaling, pipelining.");
+    for (key, now, was) in floors {
+        if let Some(was) = was {
+            assert!(
+                now >= was * (1.0 - COMMITTED_SLACK),
+                "{key}: {now:.0} rec/s is more than {:.0} % below the committed {was:.0}",
+                COMMITTED_SLACK * 100.0
+            );
+        }
+    }
+    println!(
+        "\nE18 assertions hold: wire factor, connection scaling, pipelining, committed floors."
+    );
 }

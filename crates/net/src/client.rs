@@ -2,55 +2,53 @@
 //! `pario-server` over a socket, with **pipelined** requests under a
 //! credit window.
 //!
+//! A blocking call sends its frame and then reads the socket **on the
+//! calling thread** until its reply arrives — no reader thread sits
+//! between the caller and `recv`. Who reads when several threads share
+//! the connection, or when replies are outstanding that nobody waits
+//! for, is [`ReplyMux`]'s turn-taking (`reader.rs`); the
+//! `pario-net-client-recv` thread is its fallback reader, started by
+//! the first pipelined request and asleep on a condvar whenever a
+//! caller reads or nothing pipelined is outstanding.
+//!
 //! Three locks, ranked in DESIGN.md §8 and acquired strictly in this
-//! order (rank ascends):
+//! order (rank ascends), never nested:
 //!
 //! * `credits` (net.credits, 3) — the flow-control window granted at
 //!   handshake; `submit` blocks here when the window is exhausted.
-//! * `replies` (net.replies, 5) — the pending-request map, request id →
-//!   reply slot.
+//! * `replies` (net.replies, 5) — the pending-request table, request
+//!   id → reply slot, and the receive half while nobody reads.
 //! * `wire` (net.send, 7) — the send half of the socket plus its frame
 //!   staging buffer; holds exactly one `write_all` per request.
 //!
-//! A dedicated reader thread dispatches reply frames by request id:
-//! releases a credit, removes the slot, fills it, wakes the waiter.
 //! Requests submitted back-to-back overlap their network round trips —
 //! the server executes them in order, but the wire carries many at
 //! once.
 //!
 //! [`Session`]: pario_server::Session
 
-use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use pario_check::{AtomicU64, Condvar, LockLevel, Mutex};
-use std::sync::atomic::Ordering;
+use pario_check::{LockLevel, Mutex};
 
-use crate::credits::CreditWindow;
 use crate::error::{NetError, Result};
-use crate::frame::{client_handshake, encode_frame, read_frame, Grant, FRAME_OVERHEAD};
-use crate::proto::{decode_reply_error, Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
+use crate::frame::{client_handshake, encode_frame, read_frame, Grant, RawFrame, FRAME_OVERHEAD};
+use crate::proto::{Opened, Request, StatsSummary};
+use crate::reader::{FrameSource, ReplyMux, Ticket};
 use crate::sock::{self, Sock};
 use crate::wire::{WireReader, WireWriter};
 
-struct PendingMap {
-    slots: HashMap<u64, Arc<ReplySlot>>,
-    dead: Option<NetError>,
+/// The receive half of the socket, held by whichever thread reads.
+struct RecvHalf {
+    sock: BufReader<Sock>,
+    max_frame: usize,
 }
 
-struct ReplySlot {
-    cell: Mutex<Option<Result<Vec<u8>>>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> ReplySlot {
-        ReplySlot {
-            cell: Mutex::new(None),
-            ready: Condvar::new(),
-        }
+impl FrameSource for RecvHalf {
+    fn next_frame(&mut self) -> Result<Option<RawFrame>> {
+        read_frame(&mut self.sock, self.max_frame)
     }
 }
 
@@ -60,39 +58,35 @@ struct WireHalf {
 }
 
 struct ClientCore {
-    credits: CreditWindow,
-    replies: Mutex<PendingMap>,
+    mux: ReplyMux<RecvHalf>,
     wire: Mutex<WireHalf>,
-    next_id: AtomicU64,
     max_payload: usize,
+    /// The fallback reader, started by the first pipelined request: a
+    /// client that only makes blocking calls has no thread of its own.
+    fallback: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-/// One request in flight. Dropping it abandons the reply (the reader
-/// thread still consumes and discards it); [`Pending::wait`] blocks for
-/// it.
+/// One request in flight. Dropping it abandons the reply (whoever reads
+/// the socket still consumes and discards it); [`Pending::wait`] blocks
+/// for it.
 #[must_use = "a pending request resolves only through wait()"]
 pub struct Pending {
-    slot: Arc<ReplySlot>,
+    core: Arc<ClientCore>,
+    ticket: Ticket,
 }
 
 impl Pending {
     /// Block until the reply arrives; returns the raw OK body, or the
     /// decoded error.
     pub fn wait(self) -> Result<Vec<u8>> {
-        let mut cell = self.slot.cell.lock();
-        while cell.is_none() {
-            self.slot.ready.wait(&mut cell);
-        }
-        // invariant: the loop above exits only once the slot is filled.
-        cell.take().expect("slot filled")
+        self.core.mux.wait(self.ticket)
     }
 }
 
 impl ClientCore {
-    /// Acquire a credit, register a reply slot, and send the frame.
-    /// This is the only path that touches the three ranked locks; they
-    /// are taken in ascending rank order and never nested.
-    fn submit(&self, req: &Request) -> Result<Pending> {
+    /// Take a credit, register a reply slot, and send the frame. A
+    /// `pipelined` request is one the caller does not wait for at once.
+    fn send(&self, req: &Request, pipelined: bool) -> Result<Ticket> {
         let mut payload = WireWriter::new();
         req.encode_payload(&mut payload);
         if payload.bytes().len() > self.max_payload {
@@ -101,78 +95,45 @@ impl ClientCore {
                 max: self.max_payload,
             });
         }
-
-        self.credits.acquire()?;
-
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed); // ordering: id allocation needs uniqueness, not ordering
-        let slot = Arc::new(ReplySlot::new());
-        {
-            let mut map = self.replies.lock();
-            if let Some(e) = map.dead.clone() {
-                drop(map);
-                // lock-order: released above
-                self.credits.release();
-                return Err(e);
-            }
-            map.slots.insert(id, Arc::clone(&slot));
-        }
-
+        let (id, ticket) = self.mux.register(pipelined)?;
         let sent = {
             let mut wire = self.wire.lock();
-            wire.frame.clear();
-            // Move the staging buffer out so the borrow of `wire.frame`
-            // and the write on `wire.sock` do not overlap.
-            let mut frame = std::mem::take(&mut wire.frame);
-            encode_frame(&mut frame, id, req.opcode(), payload.bytes());
-            let r = wire.sock.write_all(&frame);
-            wire.frame = frame;
-            r
+            let WireHalf { sock, frame } = &mut *wire;
+            frame.clear();
+            encode_frame(frame, id, req.opcode(), payload.bytes());
+            sock.write_all(frame)
         };
         if let Err(e) = sent {
-            // lock-order: released above
-            self.credits.release();
-            // lock-order: released above
-            self.replies.lock().slots.remove(&id);
+            self.mux.cancel(id);
             return Err(NetError::Io(e.to_string()));
         }
-        Ok(Pending { slot })
+        Ok(ticket)
     }
 
+    /// Send without waiting; the fallback thread reads the reply unless
+    /// a caller gets to it first.
+    fn submit(self: &Arc<Self>, req: &Request) -> Result<Pending> {
+        let ticket = self.send(req, true)?;
+        {
+            let mut fallback = self.fallback.lock();
+            if fallback.is_none() {
+                let core = Arc::clone(self);
+                let spawned = std::thread::Builder::new()
+                    .name("pario-net-client-recv".to_string())
+                    .spawn(move || core.mux.run_fallback());
+                *fallback = Some(spawned.map_err(|e| NetError::Io(format!("spawn reader: {e}")))?);
+            }
+        }
+        self.mux.sent();
+        Ok(Pending {
+            ticket,
+            core: Arc::clone(self),
+        })
+    }
+
+    /// Send, then read the socket on this thread until the reply.
     fn call(&self, req: &Request) -> Result<Vec<u8>> {
-        self.submit(req)?.wait()
-    }
-}
-
-/// The reader thread: dispatch one reply frame.
-fn dispatch(core: &ClientCore, request_id: u64, code: u8, body: Vec<u8>) {
-    core.credits.release();
-    let slot = core.replies.lock().slots.remove(&request_id);
-    let Some(slot) = slot else {
-        return; // an abandoned or already-failed request
-    };
-    let result = match code {
-        STATUS_OK => Ok(body),
-        STATUS_ERR => Err(match decode_reply_error(&body) {
-            Ok(e) => e,
-            Err(wire) => wire.into(),
-        }),
-        other => Err(NetError::Protocol(format!("bad reply status {other}"))),
-    };
-    *slot.cell.lock() = Some(result);
-    slot.ready.notify_all();
-}
-
-/// The reader thread: the connection died — fail every waiter.
-fn fail_all(core: &ClientCore, err: NetError) {
-    core.credits.kill(err.clone());
-    let drained: Vec<Arc<ReplySlot>> = {
-        let mut map = core.replies.lock();
-        map.dead = Some(err.clone());
-        map.slots.drain().map(|(_, s)| s).collect()
-    };
-    for slot in drained {
-        *slot.cell.lock() = Some(Err(err.clone()));
-        slot.ready.notify_all();
+        self.mux.wait(self.send(req, false)?)
     }
 }
 
@@ -183,7 +144,6 @@ pub struct NetClient {
     core: Arc<ClientCore>,
     grant: Grant,
     ctl: Sock,
-    reader: Option<std::thread::JoinHandle<()>>,
 }
 
 impl NetClient {
@@ -199,17 +159,13 @@ impl NetClient {
 
     fn connect(mut s: Sock) -> Result<NetClient> {
         let grant = client_handshake(&mut s)?;
-        let read_half = s.try_clone()?;
+        let recv = RecvHalf {
+            sock: BufReader::with_capacity(64 * 1024, s.try_clone()?),
+            max_frame: grant.max_payload as usize + FRAME_OVERHEAD + 64,
+        };
         let ctl = s.try_clone()?;
         let core = Arc::new(ClientCore {
-            credits: CreditWindow::new(grant.credits),
-            replies: Mutex::new_named(
-                PendingMap {
-                    slots: HashMap::new(),
-                    dead: None,
-                },
-                LockLevel::NetReplies,
-            ),
+            mux: ReplyMux::new(grant.credits, recv),
             wire: Mutex::new_named(
                 WireHalf {
                     sock: s,
@@ -217,26 +173,21 @@ impl NetClient {
                 },
                 LockLevel::NetSend,
             ),
-            next_id: AtomicU64::new(1),
             max_payload: grant.max_payload as usize,
+            fallback: Mutex::new(None),
         });
-        let reader_core = Arc::clone(&core);
-        let max_frame = grant.max_payload as usize + FRAME_OVERHEAD + 64;
-        let reader = std::thread::Builder::new()
-            .name("pario-net-client-recv".to_string())
-            .spawn(move || reader_loop(reader_core, read_half, max_frame))
-            .map_err(|e| NetError::Io(format!("spawn reader: {e}")))?;
-        Ok(NetClient {
-            core,
-            grant,
-            ctl,
-            reader: Some(reader),
-        })
+        Ok(NetClient { core, grant, ctl })
     }
 
     /// The flow-control grant the server issued at handshake.
     pub fn grant(&self) -> Grant {
         self.grant
+    }
+
+    /// Credits not held by a request in flight (diagnostic); equals
+    /// `grant().credits` on a quiet connection.
+    pub fn credits_available(&self) -> u32 {
+        self.core.mux.credits_available()
     }
 
     /// Round-trip liveness probe.
@@ -308,29 +259,13 @@ impl NetClient {
 
 impl Drop for NetClient {
     fn drop(&mut self) {
+        // Every request in flight fails, whoever is in `recv` sees EOF,
+        // and handles that outlive the client find the connection dead.
+        self.core.mux.close();
         self.ctl.shutdown();
-        if let Some(h) = self.reader.take() {
+        let fallback = self.core.fallback.lock().take();
+        if let Some(h) = fallback {
             let _ = h.join();
-        }
-    }
-}
-
-fn reader_loop(core: Arc<ClientCore>, read_half: Sock, max_frame: usize) {
-    let mut r = BufReader::with_capacity(64 * 1024, read_half);
-    loop {
-        match read_frame(&mut r, max_frame) {
-            Ok(Some(f)) => dispatch(&core, f.request_id, f.code, f.body),
-            Ok(None) => {
-                fail_all(
-                    &core,
-                    NetError::ConnectionLost("server closed the connection".to_string()),
-                );
-                return;
-            }
-            Err(e) => {
-                fail_all(&core, e);
-                return;
-            }
         }
     }
 }
@@ -360,7 +295,7 @@ impl RemoteHandle {
 
 impl Drop for RemoteHandle {
     fn drop(&mut self) {
-        // Fire-and-forget close; the reader thread consumes the reply.
+        // Fire-and-forget close; the fallback reader consumes the reply.
         // On a dead connection the server-side drop already happened.
         let _ = self.core.submit(&Request::Close { handle: self.id() });
     }
@@ -377,6 +312,23 @@ fn take_flagged(body: &[u8], out: &mut [u8]) -> Result<bool> {
         1 => {
             copy_record(r.rest(), out)?;
             Ok(true)
+        }
+        other => Err(NetError::Protocol(format!("bad reply flag {other}"))),
+    }
+}
+
+/// Decode a `u8` flag + `u64` index + record body into `out`.
+fn take_indexed(body: &[u8], out: &mut [u8]) -> Result<Option<u64>> {
+    let mut r = WireReader::new(body);
+    match r.u8()? {
+        0 => {
+            r.finish()?;
+            Ok(None)
+        }
+        1 => {
+            let idx = r.u64()?;
+            copy_record(r.rest(), out)?;
+            Ok(Some(idx))
         }
         other => Err(NetError::Protocol(format!("bad reply flag {other}"))),
     }
@@ -486,8 +438,10 @@ impl RemoteSs {
     /// Claim and read the next unclaimed record; the index served, or
     /// `None` once the file is drained.
     pub fn read_next(&self, out: &mut [u8]) -> Result<Option<u64>> {
-        let t = self.submit_read_next()?;
-        self.finish_read_next(t, out)
+        let body = self.h.core.call(&Request::SsRead {
+            handle: self.h.id(),
+        })?;
+        take_indexed(&body, out)
     }
 
     /// Pipelined read: send the claim without waiting. Issue several,
@@ -505,25 +459,15 @@ impl RemoteSs {
     /// Resolve a pipelined read into `out`.
     pub fn finish_read_next(&self, t: SsReadTicket, out: &mut [u8]) -> Result<Option<u64>> {
         let body = t.pending.wait()?;
-        let mut r = WireReader::new(&body);
-        match r.u8()? {
-            0 => {
-                r.finish()?;
-                Ok(None)
-            }
-            1 => {
-                let idx = r.u64()?;
-                copy_record(r.rest(), out)?;
-                Ok(Some(idx))
-            }
-            other => Err(NetError::Protocol(format!("bad reply flag {other}"))),
-        }
+        take_indexed(&body, out)
     }
 
     /// Claim the next free slot and write `data` there; the slot index.
     pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        let t = self.submit_write_next(Bytes::copy_from_slice(data))?;
-        self.finish_write_next(t)
+        take_u64(&self.h.core.call(&Request::SsWrite {
+            handle: self.h.id(),
+            data: Bytes::copy_from_slice(data),
+        })?)
     }
 
     /// Pipelined write; `data` is [`Bytes`], so replaying one payload
@@ -672,19 +616,7 @@ impl RemoteInterleaved {
         let body = self.h.core.call(&Request::IlvReadBlock {
             handle: self.h.id(),
         })?;
-        let mut r = WireReader::new(&body);
-        match r.u8()? {
-            0 => {
-                r.finish()?;
-                Ok(None)
-            }
-            1 => {
-                let b = r.u64()?;
-                copy_record(r.rest(), out)?;
-                Ok(Some(b))
-            }
-            other => Err(NetError::Protocol(format!("bad reply flag {other}"))),
-        }
+        take_indexed(&body, out)
     }
 
     /// Write this slot's next whole block; the block index written.

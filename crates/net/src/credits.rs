@@ -4,7 +4,7 @@
 //!
 //! Extracted from the client so the protocol is model-checkable on its
 //! own: `pario-check` drives [`CreditWindow`] directly (no sockets, no
-//! reader thread) and proves with the happens-before detector that a
+//! reading thread) and proves with the happens-before detector that a
 //! released credit *synchronizes* — work done before [`release`]
 //! happens-before the [`acquire`] that consumes the credit. The mutex
 //! ranks at `net.credits` (3), the bottom of the client's lock order.
@@ -22,7 +22,7 @@ struct Credits {
 }
 
 /// A bounded window of request credits shared by submitters and the
-/// reply-dispatching reader thread.
+/// thread that reads a reply off the socket.
 pub struct CreditWindow {
     m: Mutex<Credits>,
     cv: Condvar,

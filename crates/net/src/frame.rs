@@ -39,29 +39,35 @@ pub struct RawFrame {
 
 /// Append a complete frame to `out`.
 pub fn encode_frame(out: &mut Vec<u8>, request_id: u64, code: u8, body: &[u8]) {
-    let len = (FRAME_OVERHEAD + body.len()) as u32;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.push(code);
+    let at = begin_frame(out, request_id, code);
     out.extend_from_slice(body);
+    end_frame(out, at);
 }
 
-/// Encode only the frame header plus a body *prefix*, declaring a total
-/// body of `prefix.len() + payload_len` bytes. The caller transmits the
-/// payload bytes itself, straight from whatever buffer holds them —
-/// this is the server's zero-copy read path.
-pub fn encode_frame_header(
-    out: &mut Vec<u8>,
-    request_id: u64,
-    code: u8,
-    prefix: &[u8],
-    payload_len: usize,
-) {
-    let len = (FRAME_OVERHEAD + prefix.len() + payload_len) as u32;
-    out.extend_from_slice(&len.to_le_bytes());
+/// Start a frame whose body the caller appends to `out` in place —
+/// the server reads records straight into the tail of its output
+/// buffer. Returns the frame's offset for [`end_frame`].
+pub fn begin_frame(out: &mut Vec<u8>, request_id: u64, code: u8) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(&request_id.to_le_bytes());
     out.push(code);
-    out.extend_from_slice(prefix);
+    at
+}
+
+/// Close the frame begun at `at`: patch its length over what follows.
+pub fn end_frame(out: &mut [u8], at: usize) {
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Whether `buf` starts with a whole frame (length field and all of its
+/// bytes): if not, reading the next frame may block.
+pub fn holds_frame(buf: &[u8]) -> bool {
+    match buf.first_chunk::<4>() {
+        Some(len4) => buf.len() - 4 >= u32::from_le_bytes(*len4) as usize,
+        None => false,
+    }
 }
 
 /// Read exactly `buf.len()` bytes, distinguishing clean EOF before the
@@ -231,12 +237,16 @@ mod tests {
 
     #[test]
     fn header_plus_payload_equals_whole_frame() {
-        let mut whole = Vec::new();
+        let mut whole = vec![0xEE; 3]; // frames append; offsets are not 0
         encode_frame(&mut whole, 7, 1, b"\x01payload");
-        let mut split = Vec::new();
-        encode_frame_header(&mut split, 7, 1, b"\x01", b"payload".len());
-        split.extend_from_slice(b"payload");
+        let mut split = vec![0xEE; 3];
+        let at = begin_frame(&mut split, 7, 1);
+        split.extend_from_slice(b"\x01payload");
+        end_frame(&mut split, at);
         assert_eq!(whole, split);
+        assert!(holds_frame(&whole[3..]));
+        assert!(!holds_frame(&whole[3..whole.len() - 1]));
+        assert!(!holds_frame(&whole[3..6]));
     }
 
     #[test]

@@ -15,21 +15,22 @@
 //!   variants.
 //! * [`frame`] — framing, bounds-checked lengths, and the handshake
 //!   that grants each connection its flow-control credits.
-//! * [`NetServer`] — a listener (TCP or Unix-domain) with one reader
-//!   and one writer thread per connection. Each connection multiplexes
-//!   onto one `Session`, so the existing bounded admission and
-//!   `ServerStats` remain the backpressure story; read replies are
-//!   written straight from pool frames into the socket (zero copy on
-//!   the serve path).
+//! * [`NetServer`] — a listener (TCP or Unix-domain) with **one**
+//!   thread per connection, which decodes, executes and replies. Each
+//!   connection multiplexes onto one `Session`, so the existing bounded
+//!   admission and `ServerStats` remain the backpressure story; records
+//!   are read straight into the connection's output buffer and a reply
+//!   frame leaves in one `write`.
 //! * [`NetClient`] — the remote mirror of `Session`: typed handles
 //!   ([`RemoteSeq`], [`RemoteSs`], [`RemotePartition`],
 //!   [`RemoteInterleaved`], [`RemoteDirect`]) with pipelined submission
-//!   under the credit window.
+//!   under the credit window. A blocking call reads its reply on the
+//!   calling thread ([`ReplyMux`] decides who reads otherwise).
 //!
 //! Concurrency follows the workspace rules: locks are
 //! `pario_check`-ranked (`net.credits` < `net.replies` < `net.send`),
 //! threads are named, and every blocking wait has a shutdown path that
-//! unblocks it (socket shutdown wakes parked readers and writers).
+//! unblocks it (socket shutdown wakes whoever is in `read` or `write`).
 
 #![warn(missing_docs)]
 
@@ -38,6 +39,7 @@ pub mod credits;
 pub mod error;
 pub mod frame;
 pub mod proto;
+pub mod reader;
 pub mod server;
 pub mod sock;
 pub mod wire;
@@ -50,5 +52,6 @@ pub use credits::CreditWindow;
 pub use error::{NetError, Result};
 pub use frame::Grant;
 pub use proto::StatsSummary;
+pub use reader::{FrameSource, ReplyMux, Ticket};
 pub use server::{NetConfig, NetServer};
 pub use sock::Sock;

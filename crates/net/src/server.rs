@@ -3,35 +3,38 @@
 //!
 //! Each accepted connection gets its **own** session (so claims and
 //! exclusive holds release when the connection dies, exactly as they do
-//! when an in-process client drops) and two threads:
+//! when an in-process client drops) and **one** thread, which decodes a
+//! frame, executes it and encodes the reply — no hand-off between
+//! receiving a request and answering it. Requests execute
+//! *sequentially*, so session semantics are preserved per connection;
+//! pipelining still hides the network round trip, because the next
+//! requests are already in the socket while this one runs.
 //!
-//! * a **reader** that parses frames and executes requests
-//!   *sequentially* — session semantics are preserved per connection,
-//!   and pipelining hides the network round trip because the next
-//!   request is already parsed while the reply is in flight;
-//! * a **writer** that drains a channel of outgoing replies. Read
-//!   replies travel as a small header plus a [`PoolBuf`] staged from a
-//!   per-connection [`BufferPool`]; the writer sends the pool frame's
-//!   bytes straight into the socket (no per-reply copy), and the pool's
-//!   fixed capacity bounds how many read replies can be staged at once —
-//!   the server-side half of flow control. The client-side half is the
-//!   credit window granted at handshake.
+//! Replies are staged contiguously in one reusable per-connection
+//! output buffer — a record is read straight into its tail, behind the
+//! frame header — and that buffer leaves with a single `write` exactly
+//! when the thread would otherwise block in `read` (its `BufReader`
+//! holds no further complete frame), or when the staged bytes reach
+//! [`NetConfig::frame_bytes`]. A blocking caller's reply is therefore
+//! one `write`; a pipelined burst is answered in batches.
 //!
-//! Backpressure composes end to end: a slow client blocks its writer,
-//! which drains the pool, which parks the reader in `acquire`, which
-//! stops consuming frames — and the admission queue
+//! Backpressure is the socket's own: a connection blocked in `write`
+//! (its peer is not reading) is a connection that is not reading, so it
+//! stages at most `frame_bytes` plus one reply and consumes no further
+//! requests — TCP pushes back on the sender, and the admission queue
 //! ([`pario_server::ServerStats`] remains the observability story) never
-//! sees more than the configured in-flight load.
+//! sees more than the configured in-flight load. The client-side half
+//! is the credit window granted at handshake.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
 
-use pario_buffer::{BufferPool, PoolBuf};
 use pario_check::{AtomicBool, AtomicU64, Mutex};
 use pario_server::{
     DirectClient, InterleavedClient, LockedRange, PartitionClient, SeqClient, Server, Session,
@@ -41,9 +44,10 @@ use std::sync::atomic::Ordering;
 
 use crate::error::{NetError, Result};
 use crate::frame::{
-    encode_frame, encode_frame_header, read_frame, server_handshake, Grant, FRAME_OVERHEAD,
+    begin_frame, encode_frame, end_frame, holds_frame, read_frame, server_handshake, Grant,
+    FRAME_OVERHEAD,
 };
-use crate::proto::{Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
+use crate::proto::{encode_reply_error, Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
 use crate::sock::Sock;
 use crate::wire::WireWriter;
 
@@ -51,12 +55,12 @@ use crate::wire::WireWriter;
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Requests each connection may have outstanding (the credit window
-    /// granted at handshake, and the connection's staging-pool size).
+    /// granted at handshake).
     pub credits: u32,
     /// Largest request payload accepted, bytes.
     pub max_payload: usize,
-    /// Staging buffer size, bytes. Reads up to this size take the
-    /// zero-copy pool path; larger ones fall back to a heap buffer.
+    /// Staged reply bytes at which a connection flushes its output
+    /// buffer even though more requests are waiting to be read.
     pub frame_bytes: usize,
 }
 
@@ -75,13 +79,23 @@ enum Endpoint {
     Unix(PathBuf),
 }
 
+/// A live connection as the server sees it from outside its thread.
+struct ConnEntry {
+    /// A clone of the socket, to shut it down from `shutdown`.
+    sock: Sock,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
 struct NetInner {
     server: Server,
     cfg: NetConfig,
     stop: AtomicBool,
     next_conn: AtomicU64,
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    socks: Mutex<Vec<Sock>>,
+    /// Live connections by id; each removes its own entry as its thread
+    /// exits, so a long-lived server holds fds for live peers only.
+    conns: Mutex<HashMap<u64, ConnEntry>>,
+    /// Most reply bytes any connection ever had staged at a flush.
+    staged_high_water: AtomicU64,
     endpoint: Endpoint,
 }
 
@@ -125,8 +139,8 @@ impl NetServer {
             cfg,
             stop: AtomicBool::new(false),
             next_conn: AtomicU64::new(1),
-            conns: Mutex::new(Vec::new()),
-            socks: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            staged_high_water: AtomicU64::new(0),
             endpoint,
         });
         let accept_inner = Arc::clone(&inner);
@@ -150,18 +164,26 @@ impl NetServer {
 
     /// The flow-control grant connections receive at handshake.
     pub fn grant(&self) -> Grant {
-        Grant {
-            credits: self.inner.cfg.credits,
-            max_payload: self.inner.cfg.max_payload as u32,
-        }
+        self.inner.grant()
+    }
+
+    /// Connections whose thread has not exited yet (diagnostic).
+    pub fn live_connections(&self) -> usize {
+        self.inner.conns.lock().len()
+    }
+
+    /// The most reply bytes any one connection has had staged when it
+    /// flushed (diagnostic): bounded by `frame_bytes` plus one reply.
+    pub fn staged_high_water(&self) -> usize {
+        self.inner.staged_high_water.load(Ordering::Relaxed) as usize // ordering: a statistic, read for its value only
     }
 
     /// Stop accepting, **drain** every live connection, and join all
     /// server-side threads. Idempotent.
     ///
     /// The drain is graceful: only the *read* half of each live socket
-    /// is closed, so parked readers wake with EOF while writers keep
-    /// the send half open to flush replies already in flight. Requests
+    /// is closed, so a connection parked in `read` wakes with EOF while
+    /// its send half stays open for the replies it has staged. Requests
     /// still in the pipe when the stop flag rises are answered with a
     /// typed [`NetError::Shutdown`] reply — they were **not** executed —
     /// instead of a torn connection. A peer that has stopped reading
@@ -171,10 +193,13 @@ impl NetServer {
         if self.inner.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Close only the receive half: readers wake, writers drain.
-        for s in self.inner.socks.lock().iter() {
-            s.shutdown_read();
-        }
+        // Close only the receive half: parked connections wake and drain.
+        let close_read_halves = || {
+            for c in self.inner.conns.lock().values() {
+                c.sock.shutdown_read();
+            }
+        };
+        close_read_halves();
         // A throwaway connection unblocks the acceptor.
         match &self.inner.endpoint {
             Endpoint::Tcp(addr) => {
@@ -187,38 +212,34 @@ impl NetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // The acceptor is gone, so the sock list is complete now; a
-        // connection that registered after the first pass gets its
-        // read half closed here.
-        for s in self.inner.socks.lock().iter() {
-            s.shutdown_read();
-        }
+        // The acceptor is gone, so the table is complete now; a
+        // connection accepted after the first pass is closed here.
+        close_read_halves();
         // Liveness net for the joins below: a peer that has stopped
-        // reading blocks its writer mid-flush indefinitely. If the
-        // drain outlives the grace period, hard-close everything.
+        // reading blocks its connection mid-flush indefinitely. If the
+        // drain outlives the grace period, hard-close what is left.
         let watchdog_inner = Arc::clone(&self.inner);
         let (drained_tx, drained_rx) = mpsc::channel::<()>();
         let watchdog = std::thread::Builder::new()
             .name("pario-net-shutdown-watchdog".to_string())
             .spawn(move || {
-                if drained_rx
-                    .recv_timeout(std::time::Duration::from_secs(5))
-                    .is_err()
-                {
-                    for s in watchdog_inner.socks.lock().iter() {
-                        s.shutdown();
+                if drained_rx.recv_timeout(Duration::from_secs(5)).is_err() {
+                    for c in watchdog_inner.conns.lock().values() {
+                        c.sock.shutdown();
                     }
                 }
             });
-        let conns: Vec<_> = self.inner.conns.lock().drain(..).collect();
-        for h in conns {
+        let threads: Vec<_> = {
+            let mut conns = self.inner.conns.lock();
+            conns.values_mut().filter_map(|c| c.thread.take()).collect()
+        };
+        for h in threads {
             let _ = h.join();
         }
         let _ = drained_tx.send(());
         if let Ok(h) = watchdog {
             let _ = h.join();
         }
-        self.inner.socks.lock().clear();
         if let Endpoint::Unix(path) = &self.inner.endpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -254,218 +275,166 @@ impl Listener {
 
 fn accept_loop(inner: Arc<NetInner>, listener: Listener) {
     loop {
-        let sock = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
+        // The registry's clone comes first: a connection that cannot be
+        // shut down from outside is not served.
+        let accepted = listener
+            .accept()
+            .and_then(|s| Ok((s.try_clone().map_err(std::io::Error::other)?, s)));
         if inner.stop.load(Ordering::SeqCst) {
-            return; // the shutdown wake-up connection
+            return; // shutdown's wake-up connection, or an error under it
         }
+        let Ok((ctl, sock)) = accepted else {
+            // A persistent failure (EMFILE, typically) must not spin.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
         let id = inner.next_conn.fetch_add(1, Ordering::Relaxed); // ordering: id allocation needs uniqueness, not ordering
         let conn_inner = Arc::clone(&inner);
+        // Held across the spawn: the thread's removal of its own entry,
+        // however soon, comes after the insert.
+        let mut conns = inner.conns.lock();
         let spawned = std::thread::Builder::new()
             .name(format!("pario-net-conn-{id}"))
             .spawn(move || {
-                run_connection(conn_inner, sock, id);
+                run_connection(&conn_inner, sock);
+                conn_inner.conns.lock().remove(&id);
             });
-        if let Ok(h) = spawned {
-            inner.conns.lock().push(h);
+        if let Ok(thread) = spawned {
+            let thread = Some(thread);
+            conns.insert(id, ConnEntry { sock: ctl, thread });
         }
     }
 }
 
-/// Outgoing messages from a connection's reader to its writer.
-enum Outgoing {
-    /// A complete small frame.
-    Frame(Vec<u8>),
-    /// A frame header (+ body prefix) followed by `len` bytes served
-    /// straight from a staged pool buffer.
-    Split {
-        head: Vec<u8>,
-        buf: PoolBuf,
-        len: usize,
-    },
+impl NetInner {
+    fn grant(&self) -> Grant {
+        Grant {
+            credits: self.cfg.credits,
+            max_payload: self.cfg.max_payload as u32,
+        }
+    }
+
+    /// Send everything staged in `out` with one `write` and empty it.
+    fn flush(&self, sock: &mut Sock, out: &mut Vec<u8>) -> std::io::Result<()> {
+        let staged = out.len() as u64;
+        // ordering: a statistic; nothing is published through it
+        if staged > self.staged_high_water.load(Ordering::Relaxed) {
+            self.staged_high_water.fetch_max(staged, Ordering::Relaxed); // ordering: as above
+        }
+        let sent = sock.write_all(out);
+        out.clear();
+        if out.capacity() > 2 * self.cfg.frame_bytes {
+            out.shrink_to(self.cfg.frame_bytes); // one oversized reply is not kept
+        }
+        sent
+    }
 }
 
-fn run_connection(inner: Arc<NetInner>, mut sock: Sock, id: u64) {
-    if server_handshake(
-        &mut sock,
-        Grant {
-            credits: inner.cfg.credits,
-            max_payload: inner.cfg.max_payload as u32,
-        },
-    )
-    .is_err()
-    {
+fn run_connection(inner: &NetInner, mut sock: Sock) {
+    if server_handshake(&mut sock, inner.grant()).is_err() {
         return; // fail closed: bad preamble or version mismatch
     }
-    let Ok(write_sock) = sock.try_clone() else {
-        return;
-    };
-    let Ok(ctl_sock) = sock.try_clone() else {
-        return;
-    };
-    inner.socks.lock().push(match sock.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-
-    let (tx, rx) = mpsc::channel::<Outgoing>();
-    let writer = std::thread::Builder::new()
-        .name(format!("pario-net-send-{id}"))
-        .spawn(move || writer_loop(write_sock, rx));
-    let Ok(writer) = writer else {
-        return;
-    };
-
     let mut conn = Conn {
         server: inner.server.clone(),
         session: inner.server.connect(),
-        pool: BufferPool::new(inner.cfg.credits as usize, inner.cfg.frame_bytes),
-        frame_bytes: inner.cfg.frame_bytes,
         handles: HashMap::new(),
         next_handle: 1,
     };
     let max_frame = inner.cfg.max_payload + FRAME_OVERHEAD + 64;
     let mut reader = BufReader::with_capacity(64 * 1024, sock);
+    let mut out = Vec::new();
 
-    // Clean EOF, connection loss, or a frame-level protocol violation
-    // all end the loop and tear down this connection only. Under a
-    // server shutdown the EOF comes from the closed read half once the
-    // pipelined backlog below has drained.
-    while let Ok(Some(frame)) = read_frame(&mut reader, max_frame) {
+    // Clean EOF, connection loss, a failed write or a frame-level
+    // protocol violation all end the loop and tear down this connection
+    // only. Under a server shutdown the EOF comes from the closed read
+    // half once the pipelined backlog has drained.
+    loop {
+        // Flush before a `read` that may block, or at the staging bound.
+        // A write that blocks here (the peer is not reading) is the
+        // backpressure: this connection reads no further request.
+        let full = out.len() >= inner.cfg.frame_bytes;
+        if !out.is_empty()
+            && (full || !holds_frame(reader.buffer()))
+            && inner.flush(reader.get_mut(), &mut out).is_err()
+        {
+            break;
+        }
+        let Ok(Some(frame)) = read_frame(&mut reader, max_frame) else {
+            break;
+        };
         if inner.stop.load(Ordering::SeqCst) {
             // Server-wide shutdown: this request was *not* executed.
             // Keep draining the pipeline and answer every frame with
-            // the typed notice — the writer flushes them all before
-            // the socket closes, so no client is left mid-reply.
-            if !send_reply(&tx, frame.request_id, Err(NetError::Shutdown)) {
-                break;
-            }
+            // the typed notice — all of them are flushed before the
+            // socket closes, so no client is left mid-reply.
+            push_error(&mut out, frame.request_id, &NetError::Shutdown);
             continue;
         }
-        let reply = match Request::decode(frame.code, &frame.body) {
-            Ok(req) => conn.execute(req),
+        match Request::decode(frame.code, &frame.body) {
+            Ok(req) => conn.reply(&mut out, frame.request_id, req),
             Err(e) => {
                 // A malformed payload under a known-length frame: tell
                 // the client which request died, then fail closed.
-                let mut body = WireWriter::new();
-                crate::proto::encode_reply_error(&mut body, &e.into());
-                let mut f = Vec::new();
-                encode_frame(&mut f, frame.request_id, STATUS_ERR, body.bytes());
-                let _ = tx.send(Outgoing::Frame(f));
+                push_error(&mut out, frame.request_id, &e.into());
                 break;
             }
-        };
-        if !send_reply(&tx, frame.request_id, reply) {
-            break; // writer is gone
         }
     }
 
     // Dropping the handle table releases exclusive holds, partition and
     // slot claims, and any GDA range locks this connection still owns.
     drop(conn);
-    // Disconnect the channel and let the writer drain: any final error
-    // frame — including the typed shutdown notices — must reach the
-    // socket *before* the connection is shut down (the writer closes
-    // the socket itself once it has flushed). A stalled writer under a
-    // server-wide shutdown is unwedged by the shutdown watchdog's hard
-    // close after the grace period.
-    drop(tx);
-    let _ = writer.join();
-    ctl_sock.shutdown();
+    // Any final error frame — including the typed shutdown notices —
+    // must reach the socket *before* it is shut down. A flush stalled
+    // under a server-wide shutdown is unwedged by the shutdown
+    // watchdog's hard close after the grace period.
+    let _ = inner.flush(reader.get_mut(), &mut out);
+    reader.get_ref().shutdown();
 }
 
-fn send_reply(tx: &mpsc::Sender<Outgoing>, request_id: u64, reply: Result<Reply>) -> bool {
-    let msg = match reply {
-        Ok(Reply::Empty) => {
-            let mut f = Vec::new();
-            encode_frame(&mut f, request_id, STATUS_OK, &[]);
-            Outgoing::Frame(f)
-        }
-        Ok(Reply::U64(v)) => {
-            let mut f = Vec::new();
-            encode_frame(&mut f, request_id, STATUS_OK, &v.to_le_bytes());
-            Outgoing::Frame(f)
-        }
-        Ok(Reply::Body(body)) => {
-            let mut f = Vec::new();
-            encode_frame(&mut f, request_id, STATUS_OK, &body);
-            Outgoing::Frame(f)
-        }
-        Ok(Reply::Split { prefix, buf, len }) => {
-            let mut head = Vec::with_capacity(4 + FRAME_OVERHEAD + prefix.len());
-            encode_frame_header(&mut head, request_id, STATUS_OK, &prefix, len);
-            Outgoing::Split { head, buf, len }
-        }
-        Err(e) => {
-            let mut body = WireWriter::new();
-            crate::proto::encode_reply_error(&mut body, &e);
-            let mut f = Vec::new();
-            encode_frame(&mut f, request_id, STATUS_ERR, body.bytes());
-            Outgoing::Frame(f)
-        }
-    };
-    tx.send(msg).is_ok()
+/// Stage a `STATUS_ERR` reply frame carrying `e`.
+fn push_error(out: &mut Vec<u8>, request_id: u64, e: &NetError) {
+    let mut body = WireWriter::new();
+    encode_reply_error(&mut body, e);
+    encode_frame(out, request_id, STATUS_ERR, body.bytes());
 }
 
-/// The writer half: drain the channel into the socket. The `BufWriter`
-/// capacity is deliberately *small* — it batches the little reply
-/// headers, while any staged record payload (≥ its capacity) bypasses
-/// the buffer and is written to the socket directly from the pool
-/// frame: the zero-copy path.
-fn writer_loop(sock: Sock, rx: mpsc::Receiver<Outgoing>) {
-    let ctl = sock.try_clone();
-    let mut w = BufWriter::with_capacity(512, sock);
-    'outer: while let Ok(mut msg) = rx.recv() {
-        loop {
-            if write_outgoing(&mut w, msg).is_err() {
-                break 'outer;
-            }
-            match rx.try_recv() {
-                Ok(m) => msg = m,
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => break 'outer,
-            }
-        }
-        if w.flush().is_err() {
-            break;
-        }
-    }
-    let _ = w.flush();
-    // Wake the reader (it may be parked in a blocking read) so the
-    // connection tears down instead of leaking a half-dead thread.
-    if let Ok(c) = ctl {
-        c.shutdown();
-    }
-}
-
-fn write_outgoing(w: &mut BufWriter<Sock>, msg: Outgoing) -> std::io::Result<()> {
-    match msg {
-        Outgoing::Frame(f) => w.write_all(&f),
-        Outgoing::Split { head, buf, len } => {
-            w.write_all(&head)?;
-            w.write_all(&buf[..len])
-            // `buf` drops here; the frame returns to the pool and
-            // un-parks the reader if it was waiting to stage.
+/// Read one `n`-byte record straight into the tail of `out`, behind a
+/// `1` flag and `gap` bytes the caller fills in (their offset is
+/// returned with what `read` produced); at end of stream the body is
+/// the lone `0` flag.
+fn read_flagged<T>(
+    out: &mut Vec<u8>,
+    gap: usize,
+    n: usize,
+    read: impl FnOnce(&mut [u8]) -> pario_server::Result<Option<T>>,
+) -> Result<Option<(usize, T)>> {
+    let at = out.len();
+    out.push(1);
+    out.resize(at + 1 + gap + n, 0);
+    match read(&mut out[at + 1 + gap..]).map_err(NetError::Server)? {
+        Some(t) => Ok(Some((at + 1, t))),
+        None => {
+            out.truncate(at);
+            out.push(0);
+            Ok(None)
         }
     }
 }
 
-enum Reply {
-    Empty,
-    U64(u64),
-    Body(Vec<u8>),
-    Split {
-        prefix: Vec<u8>,
-        buf: PoolBuf,
-        len: usize,
-    },
+/// Read one flag-less `n`-byte record into the tail of `out`.
+fn read_record(
+    out: &mut Vec<u8>,
+    n: usize,
+    read: impl FnOnce(&mut [u8]) -> pario_server::Result<()>,
+) -> Result<()> {
+    let at = out.len();
+    out.resize(at + n, 0);
+    read(&mut out[at..]).map_err(NetError::Server)
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 enum HandleObj {
@@ -491,8 +460,6 @@ struct HandleEntry {
 struct Conn {
     server: Server,
     session: Session,
-    pool: BufferPool,
-    frame_bytes: usize,
     handles: HashMap<u64, HandleEntry>,
     next_handle: u64,
 }
@@ -501,30 +468,67 @@ fn unknown_handle(h: u64) -> NetError {
     NetError::Protocol(format!("unknown or closed handle {h}"))
 }
 
+fn unknown_lock(lock: u64) -> NetError {
+    NetError::Protocol(format!("unknown lock id {lock}"))
+}
+
+/// `Conn::$name(h)`: handle `h` as a `$variant` — its record size, its
+/// block size and the client — or the typed refusal.
+macro_rules! lookup {
+    ($name:ident, $variant:ident, $client:ty, $what:literal) => {
+        fn $name(&mut self, h: u64) -> Result<(usize, usize, &mut $client)> {
+            match self.handles.get_mut(&h) {
+                Some(HandleEntry {
+                    obj: HandleObj::$variant(c),
+                    record_size,
+                    block_bytes,
+                }) => Ok((*record_size, *block_bytes, c)),
+                Some(_) => Err(NetError::Protocol(format!("handle {h} is not {}", $what))),
+                None => Err(unknown_handle(h)),
+            }
+        }
+    };
+}
+
 impl Conn {
-    fn insert(&mut self, obj: HandleObj, record_size: usize, block_bytes: usize) -> u64 {
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(
-            h,
-            HandleEntry {
-                obj,
-                record_size,
-                block_bytes,
-            },
-        );
-        h
+    lookup!(seq, Seq, SeqClient, "seq");
+    lookup!(ss, Ss, SsClient, "ss");
+    lookup!(part, Part, PartitionClient, "a partition");
+    lookup!(ilv, Ilv, InterleavedClient, "interleaved");
+    lookup!(dir, Dir, DirState, "direct");
+
+    /// Execute `req` and stage its reply frame in `out`: the OK body is
+    /// written in place behind the header, and taken back if the
+    /// request fails after staging part of it.
+    fn reply(&mut self, out: &mut Vec<u8>, request_id: u64, req: Request) {
+        let at = begin_frame(out, request_id, STATUS_OK);
+        match self.execute(req, out) {
+            Ok(()) => end_frame(out, at),
+            Err(e) => {
+                out.truncate(at);
+                push_error(out, request_id, &e);
+            }
+        }
     }
 
-    fn open_reply(
+    fn open(
         &mut self,
+        out: &mut Vec<u8>,
         name: &str,
         make: impl FnOnce(&Session) -> pario_server::Result<(HandleObj, Option<(u64, u64)>)>,
-    ) -> Result<Reply> {
+    ) -> Result<()> {
         let st = self.session.stat(name).map_err(NetError::Server)?;
         let (obj, range) = make(&self.session).map_err(NetError::Server)?;
-        let block_bytes = st.record_size * st.records_per_block;
-        let handle = self.insert(obj, st.record_size, block_bytes);
+        let handle = self.next_handle;
+        self.next_handle += 1;
+        self.handles.insert(
+            handle,
+            HandleEntry {
+                obj,
+                record_size: st.record_size,
+                block_bytes: st.record_size * st.records_per_block,
+            },
+        );
         let (start, end) = range.unwrap_or((0, st.len_records));
         let mut w = WireWriter::new();
         Opened {
@@ -536,52 +540,14 @@ impl Conn {
             end,
         }
         .encode(&mut w);
-        Ok(Reply::Body(w.take()))
+        out.extend_from_slice(w.bytes());
+        Ok(())
     }
 
-    /// Stage a read of `n` bytes. At most `pool.capacity()` replies can
-    /// be staged at once; `acquire` parks this connection's reader until
-    /// the writer returns a frame — flow control by construction.
-    fn staged_read<T>(
-        &self,
-        n: usize,
-        prefix: impl FnOnce(T, &mut WireWriter),
-        read: impl FnOnce(&mut [u8]) -> pario_server::Result<Option<T>>,
-    ) -> Result<Reply> {
-        if n <= self.frame_bytes {
-            let mut buf = self.pool.acquire();
-            match read(&mut buf[..n]).map_err(NetError::Server)? {
-                Some(t) => {
-                    let mut w = WireWriter::new();
-                    w.u8(1);
-                    prefix(t, &mut w);
-                    Ok(Reply::Split {
-                        prefix: w.take(),
-                        buf,
-                        len: n,
-                    })
-                }
-                None => Ok(Reply::Body(vec![0])),
-            }
-        } else {
-            // Oversized record: heap fallback (still one copy total).
-            let mut v = vec![0u8; n];
-            match read(&mut v).map_err(NetError::Server)? {
-                Some(t) => {
-                    let mut w = WireWriter::new();
-                    w.u8(1);
-                    prefix(t, &mut w);
-                    w.raw(&v);
-                    Ok(Reply::Body(w.take()))
-                }
-                None => Ok(Reply::Body(vec![0])),
-            }
-        }
-    }
-
-    fn execute(&mut self, req: Request) -> Result<Reply> {
+    /// Append the OK body of `req`'s reply to `out`.
+    fn execute(&mut self, req: Request, out: &mut Vec<u8>) -> Result<()> {
         match req {
-            Request::Ping => Ok(Reply::Empty),
+            Request::Ping => {}
             Request::Stats => {
                 let s = self.server.stats();
                 let mut w = WireWriter::new();
@@ -595,280 +561,148 @@ impl Conn {
                     p999_nanos: s.p999(),
                 }
                 .encode(&mut w);
-                Ok(Reply::Body(w.take()))
+                out.extend_from_slice(w.bytes());
             }
 
-            Request::OpenSeq { name } => self.open_reply(&name, |s| {
+            Request::OpenSeq { name } => self.open(out, &name, |s| {
                 Ok((HandleObj::Seq(s.open_sequential(&name)?), None))
-            }),
-            Request::OpenSs { name } => self.open_reply(&name, |s| {
+            })?,
+            Request::OpenSs { name } => self.open(out, &name, |s| {
                 Ok((HandleObj::Ss(s.open_self_sched(&name)?), None))
-            }),
-            Request::OpenPartition { name, partition } => self.open_reply(&name, |s| {
+            })?,
+            Request::OpenPartition { name, partition } => self.open(out, &name, |s| {
                 let c = s.open_partition(&name, partition)?;
                 let range = c.range();
                 Ok((HandleObj::Part(c), Some(range)))
-            }),
-            Request::OpenInterleaved { name, process } => self.open_reply(&name, |s| {
+            })?,
+            Request::OpenInterleaved { name, process } => self.open(out, &name, |s| {
                 Ok((HandleObj::Ilv(s.open_interleaved(&name, process)?), None))
-            }),
-            Request::OpenDirect { name } => self.open_reply(&name, |s| {
-                Ok((
-                    HandleObj::Dir(DirState {
-                        client: s.open_direct(&name)?,
-                        locks: HashMap::new(),
-                        next_lock: 1,
-                    }),
-                    None,
-                ))
-            }),
-            Request::Close { handle } => match self.handles.remove(&handle) {
-                Some(_) => Ok(Reply::Empty),
-                None => Err(unknown_handle(handle)),
-            },
+            })?,
+            Request::OpenDirect { name } => self.open(out, &name, |s| {
+                let client = s.open_direct(&name)?;
+                let locks = HashMap::new();
+                let dir = DirState {
+                    client,
+                    locks,
+                    next_lock: 1,
+                };
+                Ok((HandleObj::Dir(dir), None))
+            })?,
+            Request::Close { handle } => {
+                self.handles
+                    .remove(&handle)
+                    .ok_or_else(|| unknown_handle(handle))?;
+            }
 
             Request::SeqRead { handle } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let n = e.record_size;
-                let HandleObj::Seq(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!("handle {handle} is not seq")));
-                };
-                // `staged_read` borrows the pool immutably; clients are
-                // borrowed mutably out of the table first.
-                stage_flagged_read(&self.pool, self.frame_bytes, n, |out| c.read_next(out))
+                let (n, _, c) = self.seq(handle)?;
+                read_flagged(out, 0, n, |b| Ok(c.read_next(b)?.then_some(())))?;
             }
             Request::SeqWrite { handle, data } => {
-                self.seq(handle)?
-                    .write_next(&data)
-                    .map_err(NetError::Server)?;
-                Ok(Reply::Empty)
+                let (_, _, c) = self.seq(handle)?;
+                c.write_next(&data).map_err(NetError::Server)?;
             }
             Request::SeqFinish { handle } => {
-                let v = self.seq(handle)?.finish().map_err(NetError::Server)?;
-                Ok(Reply::U64(v))
+                let (_, _, c) = self.seq(handle)?;
+                put_u64(out, c.finish().map_err(NetError::Server)?);
             }
-            Request::SeqRewind { handle } => {
-                self.seq(handle)?.rewind();
-                Ok(Reply::Empty)
-            }
+            Request::SeqRewind { handle } => self.seq(handle)?.2.rewind(),
 
             Request::SsRead { handle } => {
-                let (n, c) = self.ss(handle)?;
-                self.staged_read(
-                    n,
-                    |idx, w| {
-                        w.u64(idx);
-                    },
-                    |out| c.read_next(out),
-                )
+                let (n, _, c) = self.ss(handle)?;
+                if let Some((at, idx)) = read_flagged(out, 8, n, |b| c.read_next(b))? {
+                    out[at..at + 8].copy_from_slice(&idx.to_le_bytes());
+                }
             }
             Request::SsReadBlock { handle } => {
-                let (_, c) = self.ss(handle)?;
-                let block = self.handles[&handle].block_bytes;
-                let rs = self.handles[&handle].record_size;
-                // Read into a full block, then ship only the records
-                // actually claimed (the final block may be short).
-                let mut v = vec![0u8; block];
-                match c.read_next_block(&mut v).map_err(NetError::Server)? {
-                    Some((start, count)) => {
-                        let mut w = WireWriter::new();
-                        w.u8(1).u64(start).u32(count as u32);
-                        w.raw(&v[..count * rs]);
-                        Ok(Reply::Body(w.take()))
-                    }
-                    None => Ok(Reply::Body(vec![0])),
+                let (rs, block, c) = self.ss(handle)?;
+                // Read a full block, then ship only the records actually
+                // claimed (the final block may be short).
+                if let Some((at, (start, count))) =
+                    read_flagged(out, 12, block, |b| c.read_next_block(b))?
+                {
+                    out[at..at + 8].copy_from_slice(&start.to_le_bytes());
+                    out[at + 8..at + 12].copy_from_slice(&(count as u32).to_le_bytes());
+                    out.truncate(at + 12 + count * rs);
                 }
             }
             Request::SsWrite { handle, data } => {
-                let (_, c) = self.ss(handle)?;
-                let slot = c.write_next(&data).map_err(NetError::Server)?;
-                Ok(Reply::U64(slot))
+                let (_, _, c) = self.ss(handle)?;
+                put_u64(out, c.write_next(&data).map_err(NetError::Server)?);
             }
             Request::SsFinish { handle } => {
-                let (_, c) = self.ss(handle)?;
-                Ok(Reply::U64(c.finish_writes().map_err(NetError::Server)?))
+                let (_, _, c) = self.ss(handle)?;
+                put_u64(out, c.finish_writes().map_err(NetError::Server)?);
             }
-            Request::SsClaimed { handle } => {
-                let (_, c) = self.ss(handle)?;
-                Ok(Reply::U64(c.claimed()))
-            }
+            Request::SsClaimed { handle } => put_u64(out, self.ss(handle)?.2.claimed()),
 
             Request::PartRead { handle, record } => {
-                let e = self
-                    .handles
-                    .get(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let n = e.record_size;
-                let HandleObj::Part(c) = &e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not a partition"
-                    )));
-                };
-                self.staged_read(n, |(), _| {}, |out| c.read_record(record, out).map(Some))
-                    .map(strip_some_flag)
+                let (n, _, c) = self.part(handle)?;
+                read_record(out, n, |b| c.read_record(record, b))?;
             }
             Request::PartWrite {
                 handle,
                 record,
                 data,
             } => {
-                let e = self
-                    .handles
-                    .get(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let HandleObj::Part(c) = &e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not a partition"
-                    )));
-                };
+                let (_, _, c) = self.part(handle)?;
                 c.write_record(record, &data).map_err(NetError::Server)?;
-                Ok(Reply::Empty)
             }
             Request::PartReadNext { handle } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let n = e.record_size;
-                let HandleObj::Part(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not a partition"
-                    )));
-                };
-                stage_flagged_read(&self.pool, self.frame_bytes, n, |out| c.read_next(out))
+                let (n, _, c) = self.part(handle)?;
+                read_flagged(out, 0, n, |b| Ok(c.read_next(b)?.then_some(())))?;
             }
             Request::PartWriteNext { handle, data } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let HandleObj::Part(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not a partition"
-                    )));
-                };
+                let (_, _, c) = self.part(handle)?;
                 c.write_next(&data).map_err(NetError::Server)?;
-                Ok(Reply::Empty)
             }
-            Request::PartRewind { handle } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let HandleObj::Part(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not a partition"
-                    )));
-                };
-                c.rewind();
-                Ok(Reply::Empty)
-            }
+            Request::PartRewind { handle } => self.part(handle)?.2.rewind(),
 
             Request::IlvReadNext { handle } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let n = e.record_size;
-                let HandleObj::Ilv(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not interleaved"
-                    )));
-                };
-                stage_flagged_read(&self.pool, self.frame_bytes, n, |out| c.read_next(out))
+                let (n, _, c) = self.ilv(handle)?;
+                read_flagged(out, 0, n, |b| Ok(c.read_next(b)?.then_some(())))?;
             }
             Request::IlvWriteNext { handle, data } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let HandleObj::Ilv(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not interleaved"
-                    )));
-                };
-                Ok(Reply::U64(c.write_next(&data).map_err(NetError::Server)?))
+                let (_, _, c) = self.ilv(handle)?;
+                put_u64(out, c.write_next(&data).map_err(NetError::Server)?);
             }
             Request::IlvReadBlock { handle } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let block = e.block_bytes;
-                let HandleObj::Ilv(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not interleaved"
-                    )));
-                };
-                let mut v = vec![0u8; block];
-                match c.read_next_block(&mut v).map_err(NetError::Server)? {
-                    Some(b) => {
-                        let mut w = WireWriter::new();
-                        w.u8(1).u64(b);
-                        w.raw(&v);
-                        Ok(Reply::Body(w.take()))
-                    }
-                    None => Ok(Reply::Body(vec![0])),
+                let (_, block, c) = self.ilv(handle)?;
+                if let Some((at, b)) = read_flagged(out, 8, block, |b| c.read_next_block(b))? {
+                    out[at..at + 8].copy_from_slice(&b.to_le_bytes());
                 }
             }
             Request::IlvWriteBlock { handle, data } => {
-                let e = self
-                    .handles
-                    .get_mut(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let HandleObj::Ilv(c) = &mut e.obj else {
-                    return Err(NetError::Protocol(format!(
-                        "handle {handle} is not interleaved"
-                    )));
-                };
-                Ok(Reply::U64(
-                    c.write_next_block(&data).map_err(NetError::Server)?,
-                ))
+                let (_, _, c) = self.ilv(handle)?;
+                put_u64(out, c.write_next_block(&data).map_err(NetError::Server)?);
             }
 
             Request::DirRead { handle, record } => {
-                let e = self
-                    .handles
-                    .get(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-                let n = e.record_size;
-                let HandleObj::Dir(d) = &e.obj else {
-                    return Err(NetError::Protocol(format!("handle {handle} is not direct")));
-                };
-                let c = &d.client;
-                self.staged_read(n, |(), _| {}, |out| c.read_record(record, out).map(Some))
-                    .map(strip_some_flag)
+                let (n, _, d) = self.dir(handle)?;
+                read_record(out, n, |b| d.client.read_record(record, b))?;
             }
             Request::DirWrite {
                 handle,
                 record,
                 data,
             } => {
-                self.dir(handle)?
-                    .client
+                let (_, _, d) = self.dir(handle)?;
+                d.client
                     .write_record(record, &data)
                     .map_err(NetError::Server)?;
-                Ok(Reply::Empty)
             }
             Request::DirLock { handle, r_lo, r_hi } => {
-                let d = self.dir(handle)?;
+                let (_, _, d) = self.dir(handle)?;
                 let lock = d.client.lock_range(r_lo, r_hi).map_err(NetError::Server)?;
                 let id = d.next_lock;
                 d.next_lock += 1;
                 d.locks.insert(id, lock);
-                Ok(Reply::U64(id))
+                put_u64(out, id);
             }
             Request::DirUnlock { handle, lock } => {
-                let d = self.dir(handle)?;
-                let held = d
-                    .locks
-                    .remove(&lock)
-                    .ok_or_else(|| NetError::Protocol(format!("unknown lock id {lock}")))?;
+                let (_, _, d) = self.dir(handle)?;
+                let held = d.locks.remove(&lock).ok_or_else(|| unknown_lock(lock))?;
                 d.client.unlock(held).map_err(NetError::Server)?;
-                Ok(Reply::Empty)
             }
             Request::DirWriteLocked {
                 handle,
@@ -876,101 +710,14 @@ impl Conn {
                 record,
                 data,
             } => {
-                let d = self.dir(handle)?;
-                let held = d
-                    .locks
-                    .get(&lock)
-                    .ok_or_else(|| NetError::Protocol(format!("unknown lock id {lock}")))?;
+                let (_, _, d) = self.dir(handle)?;
+                let held = d.locks.get(&lock).ok_or_else(|| unknown_lock(lock))?;
                 d.client
                     .write_record_locked(held, record, &data)
                     .map_err(NetError::Server)?;
-                Ok(Reply::Empty)
             }
-            Request::DirLen { handle } => Ok(Reply::U64(self.dir(handle)?.client.len_records())),
+            Request::DirLen { handle } => put_u64(out, self.dir(handle)?.2.client.len_records()),
         }
-    }
-
-    fn seq(&mut self, h: u64) -> Result<&mut SeqClient> {
-        match self.handles.get_mut(&h) {
-            Some(HandleEntry {
-                obj: HandleObj::Seq(c),
-                ..
-            }) => Ok(c),
-            Some(_) => Err(NetError::Protocol(format!("handle {h} is not seq"))),
-            None => Err(unknown_handle(h)),
-        }
-    }
-
-    fn ss(&self, h: u64) -> Result<(usize, &SsClient)> {
-        match self.handles.get(&h) {
-            Some(HandleEntry {
-                obj: HandleObj::Ss(c),
-                record_size,
-                ..
-            }) => Ok((*record_size, c)),
-            Some(_) => Err(NetError::Protocol(format!("handle {h} is not ss"))),
-            None => Err(unknown_handle(h)),
-        }
-    }
-
-    fn dir(&mut self, h: u64) -> Result<&mut DirState> {
-        match self.handles.get_mut(&h) {
-            Some(HandleEntry {
-                obj: HandleObj::Dir(d),
-                ..
-            }) => Ok(d),
-            Some(_) => Err(NetError::Protocol(format!("handle {h} is not direct"))),
-            None => Err(unknown_handle(h)),
-        }
-    }
-}
-
-/// Flag-less single-record reads (`PartRead`, `DirRead`) reuse
-/// [`Conn::staged_read`] with a unit prefix, then drop the leading
-/// `Some` flag byte so the body is exactly the record.
-fn strip_some_flag(r: Reply) -> Reply {
-    match r {
-        Reply::Split { prefix, buf, len } => {
-            // invariant: staged_read wrote [1] then the (empty) prefix.
-            Reply::Split {
-                prefix: prefix[1..].to_vec(),
-                buf,
-                len,
-            }
-        }
-        Reply::Body(b) if !b.is_empty() => Reply::Body(b[1..].to_vec()),
-        other => other,
-    }
-}
-
-/// Stage a flagged single-record read (`SeqRead`, `PartReadNext`,
-/// `IlvReadNext`): reply body is a `u8` flag (0 = end of stream) then
-/// the record, served from a pool frame when it fits.
-fn stage_flagged_read(
-    pool: &BufferPool,
-    frame_bytes: usize,
-    n: usize,
-    mut read: impl FnMut(&mut [u8]) -> pario_server::Result<bool>,
-) -> Result<Reply> {
-    if n <= frame_bytes {
-        let mut buf = pool.acquire();
-        if read(&mut buf[..n]).map_err(NetError::Server)? {
-            Ok(Reply::Split {
-                prefix: vec![1],
-                buf,
-                len: n,
-            })
-        } else {
-            Ok(Reply::Body(vec![0]))
-        }
-    } else {
-        let mut v = vec![0u8; n];
-        if read(&mut v).map_err(NetError::Server)? {
-            let mut body = vec![1];
-            body.extend_from_slice(&v);
-            Ok(Reply::Body(body))
-        } else {
-            Ok(Reply::Body(vec![0]))
-        }
+        Ok(())
     }
 }

@@ -1,7 +1,9 @@
 //! One socket type over both transports (TCP and Unix-domain), so the
 //! connection machinery is written once. Cloning a [`Sock`] clones the
-//! OS handle: the reader thread keeps one clone, the writer another,
-//! and `shutdown` on either unblocks both.
+//! OS handle: a server connection's one thread reads and writes through
+//! the same handle and the registry keeps a clone to shut it down with;
+//! a client keeps one clone per half (send, receive) and one to shut
+//! down with. `shutdown` on any clone unblocks them all.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -39,7 +41,8 @@ impl Sock {
     }
 
     /// Shut down both directions; pending and future reads on every
-    /// clone return EOF, which is what unblocks a parked reader thread.
+    /// clone return EOF and writes fail, which is what unblocks a
+    /// thread parked in either.
     pub fn shutdown(&self) {
         let _ = match self {
             Sock::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
@@ -47,9 +50,9 @@ impl Sock {
         };
     }
 
-    /// Shut down only the receive direction: a parked reader wakes with
-    /// EOF, but the send half stays open so a writer thread can still
-    /// flush replies already in flight. This is the graceful half of
+    /// Shut down only the receive direction: a thread parked in `read`
+    /// wakes with EOF, but the send half stays open so the replies it
+    /// has staged can still be flushed. This is the graceful half of
     /// server shutdown; `shutdown` is the hard half.
     pub fn shutdown_read(&self) {
         let _ = match self {

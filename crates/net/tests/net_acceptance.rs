@@ -372,3 +372,277 @@ fn wrong_organization_round_trips_the_full_error_chain() {
         other => panic!("expected WrongOrganization, got {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------
+// Who reads the socket: one connection shared by blocking and
+// pipelining threads (the turn-taking of `pario_net::ReplyMux`).
+// ---------------------------------------------------------------------
+
+/// A volume of 4 KiB blocks, for the tests that move large records.
+fn big_volume() -> Volume {
+    Volume::create_in_memory(VolumeConfig {
+        devices: 4,
+        device_blocks: 2048,
+        block_size: 4096,
+    })
+    .unwrap()
+}
+
+fn pattern(r: u64) -> [u8; REC] {
+    std::array::from_fn(|i| (r as usize * 31 + i) as u8)
+}
+
+#[test]
+fn four_threads_share_one_connection_two_blocking_two_pipelining() {
+    const RECORDS: u64 = 2000;
+    const DEPTH: usize = 32; // each pipeliner wants the whole window
+    const CALLS: u64 = 1500;
+
+    let volume = volume();
+    let pf =
+        ParallelFile::create(&volume, "queue", Organization::SelfScheduledSeq, REC, 4).unwrap();
+    let w = pf.self_sched_writer().unwrap();
+    for r in 0..RECORDS {
+        w.write_next(&pattern(r)).unwrap();
+    }
+    w.finish().unwrap();
+    let gd = ParallelFile::create(&volume, "d", Organization::GlobalDirect, REC, 4).unwrap();
+    let dh = gd.direct_handle().unwrap();
+    for r in 0..64u64 {
+        dh.write_record(r, &pattern(r)).unwrap();
+    }
+    drop((pf, gd, dh));
+    let (_net, addr) = serve(volume);
+    let client = NetClient::connect_tcp(&addr).unwrap();
+
+    let seen = Mutex::new(HashSet::new());
+    crossbeam::thread::scope(|s| {
+        for t in 0..2u64 {
+            let client = &client;
+            s.spawn(move |_| {
+                let d = client.open_direct("d").unwrap();
+                let mut buf = [0u8; REC];
+                for i in 0..CALLS {
+                    // Disjoint halves, so a thread reads what it wrote.
+                    let r = t * 32 + i % 32;
+                    d.read_record(r, &mut buf).unwrap();
+                    assert_eq!(buf, pattern(r), "blocking read of record {r}");
+                    d.write_record(r, &buf).unwrap();
+                }
+            });
+        }
+        for _ in 0..2 {
+            let (client, seen) = (&client, &seen);
+            s.spawn(move |_| {
+                let q = client.open_self_sched("queue").unwrap();
+                let mut window = std::collections::VecDeque::new();
+                let mut buf = [0u8; REC];
+                let mut local = Vec::new();
+                loop {
+                    while window.len() < DEPTH {
+                        window.push_back(q.submit_read_next().unwrap());
+                    }
+                    let t = window.pop_front().unwrap();
+                    match q.finish_read_next(t, &mut buf).unwrap() {
+                        Some(idx) => {
+                            assert_eq!(buf, pattern(idx), "pipelined read of record {idx}");
+                            local.push(idx);
+                        }
+                        None => break, // the rest of the window is dropped unread
+                    }
+                }
+                let mut seen = seen.lock().unwrap();
+                for idx in local {
+                    assert!(seen.insert(idx), "record {idx} twice");
+                }
+            });
+        }
+    })
+    .unwrap();
+    assert_eq!(seen.into_inner().unwrap().len(), RECORDS as usize);
+    // The abandoned tail of both windows is read and discarded; a ping
+    // rides behind it on the ordered connection.
+    client.ping().unwrap();
+    assert_eq!(client.credits_available(), client.grant().credits);
+}
+
+/// The case the fallback reader exists for: replies nobody is waiting
+/// for fill the socket towards the client while a blocking caller's
+/// large request fills it towards the server. With nobody reading, the
+/// server blocks in `write`, stops reading, and the caller's `write`
+/// never finishes.
+#[test]
+fn unread_pipelined_replies_do_not_wedge_a_large_blocking_write() {
+    const READ_REC: usize = 64 * 1024;
+    const WRITE_REC: usize = 240 * 4096; // ~1 MiB, under max_payload
+    const N: usize = 16;
+
+    let volume = big_volume();
+    let pf =
+        ParallelFile::create(&volume, "src", Organization::SelfScheduledSeq, READ_REC, 1).unwrap();
+    let w = pf.self_sched_writer().unwrap();
+    for i in 0..N {
+        w.write_next(&vec![i as u8 + 1; READ_REC]).unwrap();
+    }
+    w.finish().unwrap();
+    drop((w, pf));
+    drop(
+        ParallelFile::create(&volume, "dst", Organization::SelfScheduledSeq, WRITE_REC, 1).unwrap(),
+    );
+    let (_net, addr) = serve(volume);
+    let client = NetClient::connect_tcp(&addr).unwrap();
+
+    let src = client.open_self_sched("src").unwrap();
+    let tickets: Vec<_> = (0..N).map(|_| src.submit_read_next().unwrap()).collect();
+
+    // Another thread, same connection: sixteen large blocking writes,
+    // all done before the first read is finished.
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let dst = client.open_self_sched("dst").unwrap();
+            let data = vec![0xC3u8; WRITE_REC];
+            for i in 0..N as u64 {
+                assert_eq!(dst.write_next(&data).unwrap(), i);
+            }
+            assert_eq!(dst.finish_writes().unwrap(), N as u64);
+        });
+    });
+
+    let mut buf = vec![0u8; READ_REC];
+    for (i, t) in tickets.into_iter().enumerate() {
+        let idx = src
+            .finish_read_next(t, &mut buf)
+            .unwrap()
+            .expect("a record");
+        assert_eq!(idx, i as u64, "one connection executes in order");
+        assert!(buf.iter().all(|&b| b == i as u8 + 1), "torn record {idx}");
+    }
+}
+
+#[test]
+fn a_dropped_ticket_neither_wedges_the_next_caller_nor_leaks_a_credit() {
+    let volume = volume();
+    fill_ss(&volume, "queue", 8);
+    let (_net, addr) = serve(volume);
+    let client = NetClient::connect_tcp(&addr).unwrap();
+    let q = client.open_self_sched("queue").unwrap();
+    let credits = client.grant().credits;
+
+    drop(q.submit_read_next().unwrap());
+    // The next caller finds the abandoned reply ahead of its own.
+    client.ping().unwrap();
+    // A leaked credit would park one of a window's worth of requests.
+    let window: Vec<_> = (0..credits)
+        .map(|_| q.submit_read_next().unwrap())
+        .collect();
+    drop(window);
+    for _ in 0..credits {
+        client.ping().unwrap();
+    }
+    assert_eq!(client.credits_available(), credits);
+}
+
+/// The server dies while one caller reads the socket and another is
+/// parked behind it: both see the connection lost, as does whoever
+/// calls next.
+#[test]
+fn server_death_reaches_the_leading_caller_and_the_parked_follower() {
+    use pario_net::frame::{read_frame, server_handshake};
+    use pario_net::Grant;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // A server that takes two requests, answers neither, and dies.
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let grant = Grant {
+            credits: 4,
+            max_payload: 1 << 20,
+        };
+        server_handshake(&mut s, grant).unwrap();
+        for _ in 0..2 {
+            read_frame(&mut s, 1 << 20).unwrap().expect("a request");
+        }
+        // Both callers are inside `wait` by now: one reads, one is parked.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+    });
+
+    let client = NetClient::connect_tcp(&addr).unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| match client.ping() {
+                Err(NetError::ConnectionLost(_)) => {}
+                other => panic!("expected ConnectionLost, got {other:?}"),
+            });
+        }
+    });
+    server.join().unwrap();
+    assert!(matches!(client.ping(), Err(NetError::ConnectionLost(_))));
+}
+
+/// A peer that pipelines reads and never reads a reply: the connection
+/// blocks in `write` holding at most `frame_bytes` plus one reply, reads
+/// no further request, and does not outlive a shutdown.
+#[test]
+fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
+    use pario_net::frame::{encode_frame, read_frame, FRAME_OVERHEAD};
+    use pario_net::proto::{Opened, Request, MAGIC, VERSION};
+    use pario_net::wire::WireWriter;
+    use std::io::{Read, Write};
+
+    const BIG: usize = 32 * 1024;
+    const REQUESTS: u64 = 4096; // 128 MiB of replies: past any socket buffer
+
+    let volume = big_volume();
+    let pf = ParallelFile::create(&volume, "d", Organization::GlobalDirect, BIG, 1).unwrap();
+    pf.direct_handle()
+        .unwrap()
+        .write_record(0, &vec![7u8; BIG])
+        .unwrap();
+    drop(pf);
+    let (mut net, addr) = serve(volume);
+
+    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    let mut hello = MAGIC.to_vec();
+    hello.extend_from_slice(&VERSION.to_le_bytes());
+    s.write_all(&hello).unwrap();
+    s.read_exact(&mut [0u8; 14]).unwrap();
+    let send = |s: &mut std::net::TcpStream, id: u64, req: &Request| {
+        let (mut w, mut f) = (WireWriter::new(), Vec::new());
+        req.encode_payload(&mut w);
+        encode_frame(&mut f, id, req.opcode(), w.bytes());
+        s.write_all(&f)
+    };
+    send(&mut s, 1, &Request::OpenDirect { name: "d".into() }).unwrap();
+    let opened = read_frame(&mut s, 1 << 20).unwrap().expect("open reply");
+    let handle = Opened::decode(&opened.body).unwrap().handle;
+    // A request that cannot be sent is the backpressure arriving: the
+    // server has stopped reading this connection.
+    s.set_write_timeout(Some(std::time::Duration::from_secs(1)))
+        .unwrap();
+    for id in 0..REQUESTS {
+        if send(&mut s, 2 + id, &Request::DirRead { handle, record: 0 }).is_err() {
+            break;
+        }
+    }
+
+    // The connection fills the socket and blocks; nothing grows after.
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    let one_reply = 4 + FRAME_OVERHEAD + BIG;
+    let staged = net.staged_high_water();
+    assert!(
+        staged <= NetConfig::default().frame_bytes + one_reply,
+        "{staged} reply bytes staged for a peer that is not reading"
+    );
+    assert_eq!(net.live_connections(), 1);
+
+    // Shutdown ends it either way: by the watchdog's hard close after
+    // the grace period, or sooner where the kernel lets the stuck flush
+    // through (Linux wakes a blocked `send` on `shutdown(SHUT_RD)` and
+    // admits a little more), in which case the queued requests are
+    // answered with the typed notice. The peer sees the socket end.
+    net.shutdown();
+    assert_eq!(net.live_connections(), 0);
+    let mut sink = vec![0u8; 1 << 20];
+    while matches!(s.read(&mut sink), Ok(n) if n > 0) {}
+}
