@@ -10,13 +10,17 @@
 //!   allocated blocks never touch the journal, so the steady-state
 //!   write path must cost (almost) nothing extra: the journal-on /
 //!   journal-off throughput ratio is asserted `<=` [`OVERHEAD_BOUND`].
-//!   The growing lane (every append allocates, journals, and flushes)
-//!   reports the worst-case price for contrast.
+//!   The growing lane appends to fresh files, the journal's worst
+//!   case — and since allocation runs ahead of the append cursor
+//!   (`Volume::grow_file`) that is a `Grow` record per doubling, not
+//!   per block: it is held to the same bound, and the lane reports
+//!   `Grow` records per appended block.
 //! * **Recovery time.** Mounting a volume with pending intent records
 //!   replays them onto the fallback checkpoint; the lane measures a
 //!   dirty mount against a clean one and reports the per-record replay
 //!   cost. Recovery must actually recover: the dirty mount replays a
-//!   known record count and ends with the full directory intact.
+//!   known record count (a `Create` and a first allocation per dirty
+//!   file) and ends with the full directory intact.
 //! * **Crash sweep.** A bounded rerun of the boundary sweep (every
 //!   [`SWEEP_STRIDE`]th boundary, clean and torn) — each crash must
 //!   remount with synced data intact, and the lane records how many
@@ -42,6 +46,11 @@ const RECORD: usize = 512;
 /// Maximum steady-state slowdown the journal may cost (ratio of
 /// journal-on time to journal-off time).
 const OVERHEAD_BOUND: f64 = 1.10;
+/// The growing lane: this many fresh files, each appended this many
+/// blocks one at a time. The same in a smoke run — the lane takes
+/// milliseconds, and a shorter one is too noisy to hold to a 10 % bound.
+const GROW_FILES: u64 = 4;
+const GROW_BLOCKS: u64 = 2048;
 /// The crash-sweep lane exercises every this-many-th write boundary.
 const SWEEP_STRIDE: u64 = 5;
 
@@ -61,18 +70,6 @@ fn striped() -> LayoutSpec {
         devices: 4,
         unit: 1,
     }
-}
-
-/// Best-of-`trials` wall time for `work` — in-memory runs are fast
-/// enough that scheduler noise dominates a single sample.
-fn best_of<F: FnMut()>(trials: usize, mut work: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        work();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Steady-state lane: overwrite a preallocated file's records with the
@@ -118,26 +115,42 @@ fn steady_lane(records: u64, passes: u64) -> (f64, f64) {
     (on, off)
 }
 
-/// Growing lane: every file is created from nothing and appended past
-/// its allocation over and over — the worst case for the journal, since
-/// each growth appends and flushes an intent record.
-fn grow_lane(files: u64, records: u64) -> (f64, f64) {
-    let time_with = |journaling: bool| {
-        let payload = vec![0x5Au8; RECORD];
-        best_of(3, || {
-            let v = volume(4, 8192);
-            v.set_meta_journaling(journaling).unwrap();
-            for i in 0..files {
-                let f = v
-                    .create_file(FileSpec::new(&format!("g{i}"), RECORD, 1, striped()))
-                    .unwrap();
-                for r in 0..records {
-                    f.write_record(r, &payload).unwrap();
-                }
+/// Growing lane: every file is created from nothing and appended a
+/// block at a time — the worst case for the journal, since each growth
+/// appends and flushes an intent record. Returns (journal-on secs,
+/// journal-off secs, `Grow` records journaled per appended block).
+fn grow_lane(files: u64, records: u64) -> (f64, f64, f64) {
+    let payload = vec![0x5Au8; RECORD];
+    // Appends `records` blocks to each of `files` fresh files on a
+    // fresh volume (built outside the timed part); returns the seconds
+    // taken and, when asked to look, the appends that grew the
+    // allocation — one `Grow` record each.
+    let run = |journaling: bool, count_grows: bool| {
+        let v = volume(4, 8192);
+        v.set_meta_journaling(journaling).unwrap();
+        let mut grows = 0u64;
+        let t0 = Instant::now();
+        for i in 0..files {
+            let f = v
+                .create_file(FileSpec::new(&format!("g{i}"), RECORD, 1, striped()))
+                .unwrap();
+            for r in 0..records {
+                let before = if count_grows { f.nblocks() } else { 0 };
+                f.write_record(r, &payload).unwrap();
+                grows += u64::from(count_grows && f.nblocks() != before);
             }
-        })
+        }
+        (t0.elapsed().as_secs_f64(), grows)
     };
-    (time_with(true), time_with(false))
+    let (_, grows) = run(true, true);
+    // Alternating best-of-nine, as the steady lane alternates: each
+    // side is a few milliseconds, and drift must hit both equally.
+    let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..9 {
+        on = on.min(run(true, false).0);
+        off = off.min(run(false, false).0);
+    }
+    (on, off, grows as f64 / (files * records) as f64)
 }
 
 /// Recovery lane: time a clean mount, then a dirty mount that must
@@ -178,11 +191,12 @@ fn recovery_lane(base_files: u64, dirty_ops: u64) -> (f64, f64, u64, usize) {
     let v = Volume::mount(devices).unwrap();
     let dirty = t0.elapsed().as_secs_f64();
     let report = v.mount_report().unwrap();
-    assert!(
-        report.replayed_records > 0 && report.replayed_records <= pending,
-        "dirty mount must replay the pending intent records \
-         (pending {pending}, replayed {})",
-        report.replayed_records
+    // Each dirty file journaled its `Create` and the exact first
+    // allocation its one record asked for; nothing ran ahead of it.
+    assert_eq!(pending, 2 * dirty_ops, "records pending at the crash");
+    assert_eq!(
+        report.replayed_records, pending,
+        "dirty mount must replay every pending intent record"
     );
     let files = v.list().len();
     assert_eq!(
@@ -276,14 +290,14 @@ fn main() {
     banner(
         "E20: crash recovery — journal overhead and mount-time replay",
         "the write-ahead intent journal keeps metadata crash-consistent \
-         for free on the steady-state write path (allocation-heavy \
-         appends pay the flush), and mount-time replay recovers a dirty \
-         volume in milliseconds",
+         for free on the steady-state write path and, with allocation \
+         running ahead of the appends, on the growing one too; \
+         mount-time replay recovers a dirty volume in milliseconds",
     );
-    let (records, passes, gfiles, grecs, base_files, dirty_ops) = if smoke() {
-        (256, 16, 6, 48, 8, 6)
+    let (records, passes, base_files, dirty_ops) = if smoke() {
+        (256, 16, 8, 6)
     } else {
-        (512, 32, 12, 96, 24, 16)
+        (512, 32, 24, 16)
     };
 
     // -- Lane 1: steady-state overwrite overhead ------------------------
@@ -303,17 +317,19 @@ fn main() {
         (OVERHEAD_BOUND - 1.0) * 100.0,
     );
 
-    // -- Lane 2: allocation-heavy appends (the honest worst case) -------
-    let (gon, goff) = grow_lane(gfiles, grecs);
+    // -- Lane 2: appends to fresh files (the journal's worst case) ------
+    let (gon, goff, grows_per_block) = grow_lane(GROW_FILES, GROW_BLOCKS);
     let grow_ratio = gon / goff;
     println!(
-        "growing ({gfiles} files x {grecs} appended records, every one allocating):\n\
+        "growing ({GROW_FILES} files x {GROW_BLOCKS} blocks appended one at a time, \
+         {grows_per_block:.3} Grow records per block):\n\
          \x20 journal on   {}\n\
          \x20 journal off  {}\n\
-         \x20 overhead {:.1}% (reported, not bounded: each grow journals + flushes)",
+         \x20 overhead {:.1}% (bound {:.0}%)",
         secs(gon),
         secs(goff),
         (grow_ratio - 1.0) * 100.0,
+        (OVERHEAD_BOUND - 1.0) * 100.0,
     );
 
     // -- Lane 3: recovery time ------------------------------------------
@@ -369,6 +385,7 @@ fn main() {
         .num("grow_journal_on_secs", gon)
         .num("grow_journal_off_secs", goff)
         .num("grow_overhead_ratio", grow_ratio)
+        .num("grow_records_per_block", grows_per_block)
         .num("mount_clean_secs", clean)
         .num("mount_dirty_secs", dirty)
         .int("mount_replayed_records", replayed)
@@ -384,14 +401,22 @@ fn main() {
         (steady_ratio - 1.0) * 100.0
     );
     assert!(
+        grow_ratio <= OVERHEAD_BOUND,
+        "journaling overhead on the growing lane must stay within \
+         {:.0}% (got {:.1}%, {grows_per_block:.3} Grow records per block)",
+        (OVERHEAD_BOUND - 1.0) * 100.0,
+        (grow_ratio - 1.0) * 100.0
+    );
+    assert!(
         crashes > 0 && boundaries > 0,
         "the sweep must exercise crash points"
     );
     println!(
-        "\nE20 assertions hold: steady-state overhead {:.1}% <= {:.0}%, \
-         {replayed}-record replay recovered the volume, {crashes} crash \
-         points survived.",
+        "\nE20 assertions hold: steady-state overhead {:.1}% and growing \
+         overhead {:.1}% <= {:.0}%, {replayed}-record replay recovered \
+         the volume, {crashes} crash points survived.",
         (steady_ratio - 1.0) * 100.0,
+        (grow_ratio - 1.0) * 100.0,
         (OVERHEAD_BOUND - 1.0) * 100.0
     );
 }

@@ -58,20 +58,27 @@ impl Bitmap {
         self.free += 1;
     }
 
-    /// First-fit search for `len` contiguous free blocks.
+    /// First-fit search for `len` contiguous free blocks. Steps over a
+    /// word's run of set (or clear) bits at a time, so a device whose
+    /// front is allocated solid costs one iteration per 64 blocks.
     fn find_contiguous(&self, len: u64) -> Option<u64> {
         if len == 0 || len > self.blocks {
             return None;
         }
         let mut run_start = 0;
-        let mut run_len = 0;
-        for b in 0..self.blocks {
-            if self.is_set(b) {
-                run_len = 0;
-                run_start = b + 1;
+        let mut b = 0;
+        while b < self.blocks {
+            // The word from bit `b` up; the shift fills its top with
+            // zeros, and bits past `blocks` are never set, so `rest`
+            // bounds a clear run and nothing need bound a set one.
+            let word = self.words[(b / 64) as usize] >> (b % 64);
+            let rest = (64 - b % 64).min(self.blocks - b);
+            if word & 1 == 1 {
+                b += u64::from(word.trailing_ones());
+                run_start = b;
             } else {
-                run_len += 1;
-                if run_len == len {
+                b += u64::from(word.trailing_zeros()).min(rest);
+                if b - run_start >= len {
                     return Some(run_start);
                 }
             }
@@ -189,6 +196,18 @@ pub fn resolve(extents: &[Extent], dblock: u64) -> u64 {
     panic!("device-local block {dblock} beyond allocated extents");
 }
 
+/// Append `e` to a slot's extent list, folding it into the last extent
+/// when it continues it — so span I/O sees maximal contiguous device
+/// runs however the file grew. Growth and journal replay both go
+/// through here, which is what keeps a replayed extent list equal to
+/// the one the crashed volume held in memory.
+pub(crate) fn push_merged(extents: &mut Vec<Extent>, e: Extent) {
+    match extents.last_mut() {
+        Some(prev) if prev.end() == e.start => prev.len += e.len,
+        _ => extents.push(e),
+    }
+}
+
 /// Total blocks covered by an extent list.
 pub fn extents_len(extents: &[Extent]) -> u64 {
     extents.iter().map(|e| e.len).sum()
@@ -269,7 +288,56 @@ mod tests {
         resolve(&[Extent { start: 0, len: 2 }], 2);
     }
 
+    /// The reference first fit: one bit per step from block 0.
+    fn find_contiguous_bitwise(map: &Bitmap, len: u64) -> Option<u64> {
+        let (mut run_start, mut run_len) = (0, 0);
+        for b in 0..map.blocks {
+            if map.is_set(b) {
+                run_len = 0;
+                run_start = b + 1;
+            } else {
+                run_len += 1;
+                if run_len == len {
+                    return Some(run_start);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn word_scan_crosses_word_boundaries() {
+        let mut map = Bitmap::new(200);
+        (0..60).chain(70..128).for_each(|b| map.set(b));
+        assert_eq!(map.find_contiguous(10), Some(60));
+        assert_eq!(map.find_contiguous(11), Some(128));
+        assert_eq!(map.find_contiguous(72), Some(128));
+        assert_eq!(map.find_contiguous(73), None);
+    }
+
     proptest! {
+        #[test]
+        fn word_scan_is_the_bitwise_first_fit(
+            // Runs of alternating state, so whole words come out set
+            // and clear as well as mixed.
+            runs in proptest::collection::vec(1u64..150, 0..12),
+            first_set in any::<bool>(),
+            tail in 0u64..70,
+            len in 1u64..200,
+        ) {
+            let blocks = runs.iter().sum::<u64>() + tail;
+            let mut map = Bitmap::new(blocks);
+            let (mut b, mut set) = (0, first_set);
+            for r in runs {
+                if set {
+                    (b..b + r).for_each(|x| map.set(x));
+                }
+                b += r;
+                set = !set;
+            }
+            prop_assert_eq!(map.find_contiguous(len), find_contiguous_bitwise(&map, len));
+        }
+
         #[test]
         fn allocations_never_overlap(reqs in proptest::collection::vec(1u64..20, 1..20)) {
             let mut a = Allocator::new(1, 256);

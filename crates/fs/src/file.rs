@@ -325,12 +325,20 @@ impl RawFile {
         self.state.meta.read().len_records
     }
 
-    /// Allocated logical blocks.
+    /// Allocated logical blocks. For a growable file the allocation runs
+    /// ahead of the appends (`Volume::grow_file`): the count includes
+    /// zero-filled blocks past the last one written — at most as many
+    /// again as were written, and never more than that function's
+    /// `RUN_AHEAD`. What has been written is bounded by
+    /// [`RawFile::len_records`].
     pub fn nblocks(&self) -> u64 {
         self.state.meta.read().nblocks
     }
 
-    /// Records the file can hold without (or within fixed) growth.
+    /// Records the file can hold without (or within fixed) growth. For
+    /// a growable file that is the allocation, run-ahead included — an
+    /// upper bound on what writes can land without a grow, not a count
+    /// of what was asked for.
     pub fn capacity_records(&self) -> u64 {
         let meta = self.state.meta.read();
         let by_alloc = meta.nblocks * self.block_size() as u64 / self.record_size as u64;
@@ -366,17 +374,28 @@ impl RawFile {
     // Length and capacity
     // ------------------------------------------------------------------
 
-    /// Guarantee room for `records` records (no-op if already allocated).
+    /// Guarantee room for `records` records. Already allocated — every
+    /// overwrite, and every append the run-ahead covers — is decided
+    /// under one shared hold of the file's `meta` lock; only a request
+    /// the allocation is short of enters `Volume::grow_file`, which
+    /// checks again under the exclusive lock and may allocate past
+    /// `records` (see there).
     pub fn ensure_capacity_records(&self, records: u64) -> Result<()> {
-        if let Some(cap) = self.state.meta.read().fixed_capacity_records {
-            if records > cap {
-                return Err(FsError::CapacityExceeded {
-                    requested: records,
-                    capacity: cap,
-                });
+        let lblocks = (records * self.record_size as u64).div_ceil(self.block_size() as u64);
+        {
+            let meta = self.state.meta.read();
+            if let Some(cap) = meta.fixed_capacity_records {
+                if records > cap {
+                    return Err(FsError::CapacityExceeded {
+                        requested: records,
+                        capacity: cap,
+                    });
+                }
+            }
+            if lblocks <= meta.nblocks {
+                return Ok(());
             }
         }
-        let lblocks = (records * self.record_size as u64).div_ceil(self.block_size() as u64);
         self.vol.grow_file(&self.state, lblocks)
     }
 
@@ -387,8 +406,12 @@ impl RawFile {
         Ok(())
     }
 
-    /// Raise the length to at least `records` (never shrinks).
+    /// Raise the length to at least `records` (never shrinks). A write
+    /// below the length takes the `meta` lock shared only.
     pub fn extend_len_records(&self, records: u64) {
+        if records <= self.state.meta.read().len_records {
+            return;
+        }
         let mut meta = self.state.meta.write();
         if records > meta.len_records {
             meta.len_records = records;
@@ -1800,6 +1823,41 @@ mod tests {
             f.ensure_capacity_records(11),
             Err(FsError::CapacityExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn overwrite_takes_the_meta_lock_shared_only() {
+        let v = vol(2);
+        let f = v
+            .create_file(FileSpec::new(
+                "ow",
+                64,
+                4,
+                LayoutSpec::Striped {
+                    devices: 2,
+                    unit: 1,
+                },
+            ))
+            .unwrap();
+        round_trip(&f, 16);
+        // A reader of the metadata is in the way of nothing an overwrite
+        // needs: had `write_record` asked for `meta` exclusively (as the
+        // capacity check and the length update both did), it would sit
+        // behind this guard until the wait below gave up.
+        let reader = f.state.meta.read();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                f.write_record(5, &record(99, 64)).unwrap();
+                done.send(()).unwrap();
+            });
+            let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+            drop(reader);
+            waited.expect("an overwrite of allocated space stalled behind a meta reader");
+        });
+        let mut buf = vec![0u8; 64];
+        f.read_record(5, &mut buf).unwrap();
+        assert_eq!(buf, record(99, 64));
     }
 
     #[test]

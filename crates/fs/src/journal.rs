@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::alloc::Extent;
+use crate::alloc::{push_merged, Extent};
 use crate::crc::crc32;
 use crate::error::{FsError, Result};
 use crate::meta::FileMeta;
@@ -256,17 +256,11 @@ fn apply(inner: &VolInner, rec: Record) -> Result<()> {
                     }
                 }
             }
-            // The same contiguity merge create-time growth applies, so
-            // the replayed extent lists match what the crashed volume
-            // held in memory.
             for (slot, extents) in slots.into_iter().enumerate() {
                 let slot_extents = &mut meta.extents[slot];
-                for e in extents {
-                    match slot_extents.last_mut() {
-                        Some(prev) if prev.start + prev.len == e.start => prev.len += e.len,
-                        _ => slot_extents.push(e),
-                    }
-                }
+                extents
+                    .into_iter()
+                    .for_each(|e| push_merged(slot_extents, e));
             }
             meta.nblocks = nblocks;
         }

@@ -10,7 +10,7 @@ use pario_buffer::{VolumeCache, VolumeCacheConfig, VolumeCacheStats};
 use pario_disk::{mem_array, DeviceRef, IoNode, IoNodeStats, SchedPolicy};
 use pario_layout::LayoutSpec;
 
-use crate::alloc::{extents_len, Allocator, Extent};
+use crate::alloc::{extents_len, push_merged, Allocator, Extent};
 use crate::error::{FsError, Result};
 use crate::file::RawFile;
 use crate::health::{DeviceHealth, HealthBoard, HealthPolicy, HealthState};
@@ -700,12 +700,7 @@ impl Volume {
     /// Return every extent of `meta` to the allocator.
     fn release_extents(&self, meta: &FileMeta) {
         let mut alloc = self.inner.alloc.lock();
-        for (slot, extents) in meta.extents.iter().enumerate() {
-            let dev = meta.device_map[slot];
-            for &e in extents {
-                alloc.release(dev, e);
-            }
-        }
+        release(&mut alloc, &meta.device_map, &meta.extents);
     }
 
     /// Checkpoint: persist the directory and all file metadata to the
@@ -775,7 +770,29 @@ impl Volume {
 
     /// Grow `state`'s allocation to at least `total_lblocks` logical
     /// blocks, zeroing new extents (parity and shadow invariants start
-    /// from all-zero stripes).
+    /// from all-zero stripes). The one place a file grows, and so the
+    /// one place the growth policy lives:
+    ///
+    /// * a first allocation (`create_file`'s `initial_records`, a first
+    ///   write into an empty file) and every fixed-capacity file get
+    ///   exactly `total_lblocks`;
+    /// * a growable file that already holds blocks grows to
+    ///   `max(total_lblocks, nblocks + min(nblocks, RUN_AHEAD))` — it
+    ///   doubles until the step reaches [`RUN_AHEAD`], then advances by
+    ///   that — so N one-block appends cost O(log N + N / RUN_AHEAD)
+    ///   allocator calls, zero-fill runs, `Grow` records and flushes
+    ///   instead of N of each;
+    /// * if the devices cannot hold the run-ahead, what was taken is
+    ///   released and the exact request retried under the same hold of
+    ///   `ckpt` and `meta`: run-ahead never turns a satisfiable append
+    ///   into `NoSpace`.
+    ///
+    /// The blocks past the last one written are zero-filled, owned by
+    /// the file (`nblocks`, the extent map and the `Grow` record all
+    /// include them), at most `min(nblocks, RUN_AHEAD)` of them, never
+    /// trimmed, and returned by [`Volume::remove`]. Order within one
+    /// grow is DESIGN §13's: zero-fill lands, extent map, journal record
+    /// and flush, return.
     pub(crate) fn grow_file(&self, state: &FileState, total_lblocks: u64) -> Result<()> {
         let journal_full = {
             // The checkpoint barrier spans [extent-map mutation, journal
@@ -802,82 +819,112 @@ impl Volume {
                     });
                 }
             }
-            let layout = meta.layout.build();
-            let mut added: Vec<(usize, Extent)> = Vec::new();
-            let mut logged: Vec<Vec<Extent>> = vec![Vec::new(); layout.devices()];
-            let zero = vec![0u8; self.block_size() * 32];
-            for (slot, slot_log) in logged.iter_mut().enumerate() {
-                let need = layout.blocks_on_device(total_lblocks, slot);
-                let have = extents_len(&meta.extents[slot]);
-                if need <= have {
-                    continue;
+            let ahead = if meta.fixed_capacity_records.is_none() && meta.nblocks > 0 {
+                total_lblocks.max(meta.nblocks + meta.nblocks.min(RUN_AHEAD))
+            } else {
+                total_lblocks
+            };
+            let (nblocks, added) = match self.allocate_to(&meta, ahead) {
+                Err(FsError::NoSpace { .. }) if ahead > total_lblocks => {
+                    (total_lblocks, self.allocate_to(&meta, total_lblocks)?)
                 }
-                let dev = meta.device_map[slot];
-                let new_extents = {
-                    let mut alloc = self.inner.alloc.lock();
-                    match alloc.allocate(dev, need - have) {
-                        Ok(es) => es,
-                        Err(e) => {
-                            for &(d, ext) in &added {
-                                alloc.release(d, ext);
-                            }
-                            return Err(e);
-                        }
-                    }
-                };
-                // The zero-fill bypasses the cache. Invalidate on both
-                // sides of it: before, so a write-back a previous owner
-                // of these blocks left in flight lands first and not on
-                // top of the zeros; after, to drop any frame filled in
-                // between.
-                let invalidate = |e: Extent| {
-                    if let Some(cache) = self.inner.cache.get() {
-                        cache.invalidate_range(dev, e.start, e.len);
-                    }
-                };
-                for &e in &new_extents {
-                    added.push((dev, e));
-                    slot_log.push(e);
-                    invalidate(e);
-                    // Zero-fill vectored, a whole extent (chunked) per request.
-                    let mut b = e.start;
-                    while b < e.end() {
-                        let n = (e.end() - b).min((zero.len() / self.block_size()) as u64);
-                        self.inner.devices[dev]
-                            .write_blocks_at(b, &zero[..n as usize * self.block_size()])?;
-                        b += n;
-                    }
-                    invalidate(e);
-                }
-                // Merge extents that continue the previous one, so span I/O
-                // sees maximal contiguous device runs even after the file
-                // grew one block at a time.
-                let slot_extents = &mut meta.extents[slot];
-                for e in new_extents {
-                    match slot_extents.last_mut() {
-                        Some(prev) if prev.start + prev.len == e.start => prev.len += e.len,
-                        _ => slot_extents.push(e),
-                    }
-                }
+                added => (ahead, added?),
+            };
+            if let Err(e) = self.zero_fill(&meta.device_map, &added) {
+                // Nothing points at the blocks yet: hand them back.
+                release(&mut self.inner.alloc.lock(), &meta.device_map, &added);
+                return Err(e);
             }
-            meta.nblocks = total_lblocks;
+            for (slot_extents, new) in meta.extents.iter_mut().zip(&added) {
+                new.iter().for_each(|&e| push_merged(slot_extents, e));
+            }
+            meta.nblocks = nblocks;
             // Journal the completed grow. The zero-fill above already
             // landed, so at any crash point where this record exists the
             // data invariant (fresh extents read as zero) holds and
             // replay never rewrites data blocks.
-            journal::append(
-                &self.inner,
-                &Record::Grow {
-                    id: meta.id,
-                    slots: logged,
-                    nblocks: total_lblocks,
-                },
-            )? == Appended::Full
+            let grow = Record::Grow {
+                id: meta.id,
+                slots: added,
+                nblocks,
+            };
+            journal::append(&self.inner, &grow)? == Appended::Full
         };
         if journal_full {
             self.sync_meta()?;
         }
         Ok(())
+    }
+
+    /// Allocate what each layout slot of `meta` lacks to hold
+    /// `total_lblocks` logical blocks, under one hold of the allocator:
+    /// the new extents by slot, or nothing taken and the error.
+    fn allocate_to(&self, meta: &FileMeta, total_lblocks: u64) -> Result<Vec<Vec<Extent>>> {
+        let layout = meta.layout.build();
+        let mut added: Vec<Vec<Extent>> = vec![Vec::new(); layout.devices()];
+        let mut alloc = self.inner.alloc.lock();
+        for slot in 0..added.len() {
+            let need = layout.blocks_on_device(total_lblocks, slot);
+            let have = extents_len(&meta.extents[slot]);
+            match alloc.allocate(meta.device_map[slot], need.saturating_sub(have)) {
+                Ok(extents) => added[slot] = extents,
+                Err(e) => {
+                    release(&mut alloc, &meta.device_map, &added);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(added)
+    }
+
+    /// Write zeros over freshly allocated `extents`, indexed by layout
+    /// slot: one vectored request per extent, chunked at
+    /// [`ZERO_FILL_BLOCKS`].
+    fn zero_fill(&self, device_map: &[usize], extents: &[Vec<Extent>]) -> Result<()> {
+        let bs = self.block_size();
+        let longest = extents.iter().flatten().map(|e| e.len).max().unwrap_or(0);
+        let zero = vec![0u8; bs * longest.min(ZERO_FILL_BLOCKS) as usize];
+        for (slot, new) in extents.iter().enumerate() {
+            let dev = device_map[slot];
+            // The zero-fill bypasses the cache. Invalidate on both
+            // sides of it: before, so a write-back a previous owner
+            // of these blocks left in flight lands first and not on
+            // top of the zeros; after, to drop any frame filled in
+            // between.
+            let invalidate = |e: Extent| {
+                if let Some(cache) = self.inner.cache.get() {
+                    cache.invalidate_range(dev, e.start, e.len);
+                }
+            };
+            for &e in new {
+                invalidate(e);
+                let mut b = e.start;
+                while b < e.end() {
+                    let n = (e.end() - b).min(ZERO_FILL_BLOCKS);
+                    self.inner.devices[dev].write_blocks_at(b, &zero[..n as usize * bs])?;
+                    b += n;
+                }
+                invalidate(e);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// How far past the block an append asked for a growable file's
+/// allocation may run: the file doubles until it holds this many logical
+/// blocks, then grows by this many at a time (`Volume::grow_file`).
+const RUN_AHEAD: u64 = 256;
+
+/// Blocks per zero-fill request.
+const ZERO_FILL_BLOCKS: u64 = 32;
+
+/// Return `extents`, indexed by layout slot, to the allocator.
+fn release(alloc: &mut Allocator, device_map: &[usize], extents: &[Vec<Extent>]) {
+    for (slot, slot_extents) in extents.iter().enumerate() {
+        for &e in slot_extents {
+            alloc.release(device_map[slot], e);
+        }
     }
 }
 
@@ -1044,6 +1091,248 @@ mod tests {
         assert!(matches!(v.create_file(spec), Err(FsError::NoSpace { .. })));
         assert_eq!(v.free_blocks(), free_before);
         assert!(v.list().is_empty(), "failed create must not leave a file");
+    }
+
+    /// A growable one-record-per-block file over `devices` devices
+    /// starting at volume device `first`.
+    fn block_file(v: &Volume, name: &str, first: usize, devices: usize) -> RawFile {
+        let layout = LayoutSpec::Striped { devices, unit: 1 };
+        let spec = FileSpec::new(name, v.block_size(), 1, layout)
+            .device_map((first..first + devices).collect());
+        v.create_file(spec).unwrap()
+    }
+
+    fn block_of(tag: u64, bs: usize) -> Vec<u8> {
+        (0..bs).map(|i| (tag as usize * 7 + i + 1) as u8).collect()
+    }
+
+    #[test]
+    fn one_block_appends_grow_a_logarithm_of_times() {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 4096,
+            block_size: 512,
+        })
+        .unwrap();
+        let f = block_file(&v, "q", 0, 4);
+        let start = v.meta_status();
+        for r in 0..8192u64 {
+            f.write_record(r, &block_of(r, 512)).unwrap();
+            let tail = f.nblocks() - (r + 1);
+            assert!(tail <= (r + 1).min(RUN_AHEAD), "{tail} unwritten after {r}");
+            if r == 0 {
+                assert_eq!(f.nblocks(), 1, "a first allocation is exact");
+            }
+        }
+        let end = v.meta_status();
+        assert_eq!(
+            end.generation, start.generation,
+            "no journal-full checkpoint"
+        );
+        let grows = end.journal_pending_records - start.journal_pending_records;
+        assert!(grows <= 48, "{grows} Grow records for 8192 appends");
+        let meta = f.meta_snapshot();
+        assert_eq!(meta.nblocks, 8192);
+        assert!(
+            meta.extents.iter().all(|e| e.len() == 1),
+            "{:?}",
+            meta.extents
+        );
+        let mut buf = vec![0u8; 512];
+        for r in (0..8192u64).step_by(97) {
+            f.read_record(r, &mut buf).unwrap();
+            assert_eq!(buf, block_of(r, 512), "record {r}");
+        }
+    }
+
+    /// A volume whose devices 1..=3 have exactly `k` free blocks each
+    /// (a preallocated file holds the rest).
+    fn nearly_full(k: u64) -> Volume {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 1024,
+            block_size: 512,
+        })
+        .unwrap();
+        let layout = LayoutSpec::Striped {
+            devices: 3,
+            unit: 1,
+        };
+        let filler = FileSpec::new("filler", 512, 1, layout)
+            .device_map(vec![1, 2, 3])
+            .initial_records(3 * (1024 - k));
+        v.create_file(filler).unwrap();
+        assert_eq!(v.free_blocks()[1..], [k, k, k]);
+        v
+    }
+
+    #[test]
+    fn run_ahead_never_costs_an_append() {
+        let v = nearly_full(37);
+        let f = block_file(&v, "full", 1, 3);
+        for r in 0..3 * 37u64 {
+            f.write_record(r, &block_of(r, 512)).unwrap();
+        }
+        let free = v.free_blocks();
+        assert_eq!(free[1..], [0, 0, 0]);
+        assert!(matches!(
+            f.write_record(3 * 37, &block_of(0, 512)),
+            Err(FsError::NoSpace { .. })
+        ));
+        assert_eq!(v.free_blocks(), free, "a refused append takes nothing");
+        assert_eq!((f.nblocks(), f.len_records()), (3 * 37, 3 * 37));
+        let mut buf = vec![0u8; 512];
+        for r in 0..3 * 37u64 {
+            f.read_record(r, &mut buf).unwrap();
+            assert_eq!(buf, block_of(r, 512), "record {r}");
+        }
+    }
+
+    #[test]
+    fn two_growing_files_share_a_volume_without_losing_a_block() {
+        let v = nearly_full(101);
+        let files = [block_file(&v, "a", 1, 3), block_file(&v, "b", 1, 3)];
+        let mut acked = [0u64; 2];
+        let mut full = [false; 2];
+        while full != [true; 2] {
+            for (i, f) in files.iter().enumerate() {
+                if full[i] {
+                    continue;
+                }
+                // Either file may be refused while the other's unwritten
+                // tail holds the blocks it wanted; it is refused cleanly.
+                match f.write_record(acked[i], &block_of(acked[i] + i as u64, 512)) {
+                    Ok(()) => acked[i] += 1,
+                    Err(FsError::NoSpace { .. }) => full[i] = true,
+                    Err(e) => panic!("file {i}: {e}"),
+                }
+                for (slot, free) in v.free_blocks()[1..].iter().enumerate() {
+                    let held = |f: &RawFile| extents_len(&f.meta_snapshot().extents[slot]);
+                    let owned: u64 = files.iter().map(held).sum();
+                    assert_eq!(owned + free, 101, "device {}", slot + 1);
+                }
+            }
+        }
+        // The <= 2x bound: no file holds more unwritten than written.
+        let held: u64 = 3 * 101 - v.free_blocks()[1..].iter().sum::<u64>();
+        assert!(2 * (acked[0] + acked[1]) >= held, "{acked:?} of {held}");
+        let mut buf = vec![0u8; 512];
+        for (i, f) in files.iter().enumerate() {
+            assert_eq!(f.len_records(), acked[i]);
+            for r in 0..acked[i] {
+                f.read_record(r, &mut buf).unwrap();
+                assert_eq!(buf, block_of(r + i as u64, 512), "file {i} record {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn remove_returns_the_unwritten_tail() {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 1024,
+            block_size: 512,
+        })
+        .unwrap();
+        let before = v.free_blocks();
+        let f = block_file(&v, "t", 0, 4);
+        for r in 0..700u64 {
+            f.write_record(r, &block_of(r, 512)).unwrap();
+        }
+        assert_eq!(f.nblocks(), 768, "512 + RUN_AHEAD: a tail is allocated");
+        let mut zero = vec![1u8; 512];
+        for l in 700..768 {
+            f.read_lblock(l, &mut zero).unwrap();
+            assert!(zero.iter().all(|&b| b == 0), "unwritten block {l}");
+        }
+        drop(f);
+        v.remove("t").unwrap();
+        assert_eq!(v.free_blocks(), before);
+    }
+
+    #[test]
+    fn first_and_fixed_allocations_stay_exact() {
+        let v = vol();
+        let f = v
+            .create_file(striped_spec("init").initial_records(80))
+            .unwrap();
+        assert_eq!(f.nblocks(), 10);
+        let f = v.create_file(striped_spec("span")).unwrap();
+        f.write_span(0, &[7u8; 512 * 5]).unwrap();
+        assert_eq!(f.nblocks(), 5, "a first write_span into an empty file");
+        f.write_span(512 * 5, &[7u8; 512]).unwrap();
+        assert_eq!(f.nblocks(), 10, "the next grow doubles");
+        let f = v
+            .create_file(striped_spec("fixed").fixed_capacity(160))
+            .unwrap();
+        assert_eq!(f.nblocks(), 20);
+    }
+
+    /// `PJL2` and `Record` are what the parent commit wrote: a journal
+    /// holding its record stream for a file appended a block at a time —
+    /// a `Create`, then one one-block `Grow` per append — mounts, replays
+    /// to the same merged extents, and grows on under this policy.
+    #[test]
+    fn per_block_grow_records_replay() {
+        let devs = mem_array(4, 1024, 512);
+        let v = Volume::new(devs.clone()).unwrap();
+        let free = v.free_blocks();
+        let first = |d: usize| if d == 0 { v.meta_region_blocks() } else { 0 };
+        let meta = FileMeta {
+            id: 1,
+            name: "old".into(),
+            record_size: 512,
+            records_per_block: 1,
+            len_records: 0,
+            layout: LayoutSpec::Striped {
+                devices: 4,
+                unit: 1,
+            },
+            org: String::new(),
+            device_map: vec![0, 1, 2, 3],
+            fixed_capacity_records: None,
+            nblocks: 0,
+            extents: vec![Vec::new(); 4],
+        };
+        let logged = |rec: &Record| {
+            assert_eq!(journal::append(&v.inner, rec).unwrap(), Appended::Logged);
+        };
+        logged(&Record::Create { meta });
+        for l in 0..8u64 {
+            let slot = (l % 4) as usize;
+            let mut slots = vec![Vec::new(); 4];
+            slots[slot] = vec![Extent {
+                start: first(slot) + l / 4,
+                len: 1,
+            }];
+            logged(&Record::Grow {
+                id: 1,
+                slots,
+                nblocks: l + 1,
+            });
+        }
+        v.abandon();
+        drop(v);
+
+        let v = Volume::mount(devs).unwrap();
+        assert_eq!(v.mount_report().unwrap().replayed_records, 9);
+        let f = v.open("old").unwrap();
+        let meta = f.meta_snapshot();
+        assert_eq!(meta.nblocks, 8);
+        for (slot, extents) in meta.extents.iter().enumerate() {
+            let merged = Extent {
+                start: if slot == 0 { v.meta_region_blocks() } else { 0 },
+                len: 2,
+            };
+            assert_eq!(extents, &[merged], "slot {slot}");
+        }
+        let expect: Vec<u64> = free.iter().map(|n| n - 2).collect();
+        assert_eq!(v.free_blocks(), expect);
+        f.write_record(8, &block_of(8, 512)).unwrap();
+        assert_eq!(f.nblocks(), 16);
+        let mut buf = vec![0u8; 512];
+        f.read_record(8, &mut buf).unwrap();
+        assert_eq!(buf, block_of(8, 512));
     }
 
     #[test]

@@ -350,6 +350,65 @@ fn torn_checkpoint_falls_back_to_previous_slot() {
     }
 }
 
+/// Run-ahead allocation under the same sweep: a file appended one
+/// block at a time grows in doubling steps over blocks a removed file
+/// left full of its records. Crash at every write boundary from the
+/// first append on — the zero-fill of a multi-block extent half landed
+/// (torn), the `Grow` record torn, the record durable and the append's
+/// own write lost — and whatever allocation the remount recovers, the
+/// blocks past the last append issued read zero: no `Grow` record ever
+/// points at blocks whose zero-fill had not landed.
+#[test]
+fn run_ahead_grow_recovers_at_every_boundary() {
+    use Step::*;
+    const BLOCKS: u64 = 24;
+    let rpb = RECS_PER_BLOCK as u64;
+    let mut steps = vec![Create("old", striped())];
+    steps.extend((0..32 * rpb).map(|r| WriteRec("old", r)));
+    steps.extend([Sync, Remove("old"), Create("tail", striped())]);
+    let head = steps.clone();
+    steps.extend((0..BLOCKS).map(|b| WriteRec("tail", b * rpb)));
+
+    let before = run(None, false, &head);
+    let after = run(None, false, &steps);
+    assert!(before.failed.is_none() && after.failed.is_none());
+    let (c0, c1) = (before.boundaries, after.boundaries);
+    // One data write per append, and a handful of grows (zero-fill per
+    // device + record) — not one per append.
+    assert!(
+        c1 - c0 > BLOCKS && c1 - c0 < 3 * BLOCKS,
+        "{} boundaries",
+        c1 - c0
+    );
+
+    let mut tails_seen = 0;
+    for torn in [false, true] {
+        for b in c0..c1 {
+            let r = run(Some(b), torn, &steps);
+            let ctx = format!("run-ahead boundary {b} torn={torn}");
+            let Some(WriteRec("tail", in_flight)) = r.failed else {
+                panic!("{ctx}: must land inside an append, not {:?}", r.failed);
+            };
+            let v = verify_recovery(&r, &ctx);
+            let f = v.open("tail").unwrap();
+            let mut block = vec![0u8; BS];
+            for l in in_flight / rpb + 1..f.nblocks() {
+                f.read_lblock(l, &mut block).unwrap();
+                assert!(
+                    block.iter().all(|&x| x == 0),
+                    "{ctx}: block {l} of {} is not zero",
+                    f.nblocks()
+                );
+                tails_seen += 1;
+            }
+        }
+    }
+    assert!(
+        tails_seen > 0,
+        "no recovered allocation ran ahead of its appends"
+    );
+}
+
 /// Interpret a proptest-generated opcode tape into a valid step script
 /// over three files (create-before-write, no name reuse after remove).
 fn interpret(tape: &[(u8, u64)]) -> Vec<Step> {

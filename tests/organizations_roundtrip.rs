@@ -192,3 +192,75 @@ fn partitioned_direct_multiple_passes() {
     .unwrap();
     check_global(&pf, 128);
 }
+
+/// Serial equivalence (scda, PAPERS.md): the global view is a function
+/// of the records, not of how the allocation came about. The same
+/// records appended one at a time (the allocation doubling ahead of
+/// them), appended by two self-scheduled writers, and written into a
+/// file sized at creation read back byte-identical, with one length.
+#[test]
+fn grown_self_scheduled_and_sized_files_have_one_global_view() {
+    const TOTAL: u64 = 1000;
+    let v = vol();
+    let view = |pf: &ParallelFile| {
+        let mut bytes = Vec::new();
+        let read = pf
+            .global_reader()
+            .for_each(|_, rec| bytes.extend_from_slice(rec))
+            .unwrap();
+        (pf.raw().len_records(), read, bytes)
+    };
+
+    let grown = ParallelFile::create(&v, "grown", Organization::Sequential, RECORD, RPB).unwrap();
+    for i in 0..TOTAL {
+        grown
+            .raw()
+            .write_record(i, &record_payload(i, RECORD))
+            .unwrap();
+    }
+
+    let ss = ParallelFile::create(&v, "ss", Organization::SelfScheduledSeq, RECORD, RPB).unwrap();
+    let writer = ss.self_sched_writer().unwrap();
+    // A slot's content must not depend on which writer claimed it: the
+    // turn is held across the claim, so record k lands in slot k.
+    let turn = std::sync::Mutex::new(0u64);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| loop {
+                let mut k = turn.lock().unwrap();
+                if *k == TOTAL {
+                    return;
+                }
+                let slot = writer.write_next(&record_payload(*k, RECORD)).unwrap();
+                assert_eq!(slot, *k);
+                *k += 1;
+            });
+        }
+    });
+    assert_eq!(writer.finish().unwrap(), TOTAL);
+
+    let sized =
+        ParallelFile::create_sized(&v, "sized", Organization::Sequential, RECORD, RPB, TOTAL)
+            .unwrap();
+    for i in 0..TOTAL {
+        sized
+            .raw()
+            .write_record(i, &record_payload(i, RECORD))
+            .unwrap();
+    }
+
+    assert!(
+        grown.raw().nblocks() > sized.raw().nblocks(),
+        "the grown file's allocation ran ahead; the sized one is exact"
+    );
+    let reference = view(&sized);
+    assert_eq!(reference.0, TOTAL);
+    assert!(
+        view(&grown) == reference,
+        "grown file's global view differs"
+    );
+    assert!(
+        view(&ss) == reference,
+        "self-scheduled file's global view differs"
+    );
+}

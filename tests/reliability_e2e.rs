@@ -9,7 +9,10 @@ use pario::core::{Organization, ParallelFile};
 use pario::disk::{DeviceRef, MemDisk};
 use pario::fs::{FileSpec, Volume, VolumeConfig};
 use pario::layout::LayoutSpec;
-use pario::reliability::{rebuild_device, rebuild_parity_slot, scrub, ChecksumDevice};
+use pario::reliability::{
+    rebuild_device, rebuild_device_online, rebuild_parity_slot, scrub, ChecksumDevice,
+    RebuildThrottle,
+};
 use pario::workloads::record_payload;
 
 const BS: usize = 512;
@@ -205,4 +208,91 @@ fn concurrent_writers_during_failure() {
         f.read_record(i, &mut buf).unwrap();
         assert_eq!(buf, record_payload(i, BS), "rebuilt record {i}");
     }
+}
+
+/// Run-ahead allocation under redundancy. A parity file and a shadowed
+/// file appended one block at a time own zero-filled blocks past their
+/// last record; all-zero stripes and all-zero pairs satisfy the parity
+/// and shadow invariants, so a failure, degraded appends into the tail,
+/// `scrub` and an online rebuild onto garbage media are correct across
+/// it — they walk `nblocks`, not the length.
+#[test]
+fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
+    const WRITTEN: u64 = 300;
+    let v = Volume::create_in_memory(VolumeConfig {
+        devices: 6,
+        device_blocks: 1024,
+        block_size: BS,
+    })
+    .unwrap();
+    let parity_layout = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let shadow_layout = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 3,
+        unit: 1,
+    }));
+    let parity = v
+        .create_file(FileSpec::new("parity", BS, 1, parity_layout))
+        .unwrap();
+    let shadowed = v
+        .create_file(FileSpec::new("shadowed", BS, 1, shadow_layout))
+        .unwrap();
+    let files = [(&parity, 0u64), (&shadowed, 1000)];
+    for i in 0..WRITTEN {
+        for (f, tag) in files {
+            f.write_record(i, &record_payload(tag + i, BS)).unwrap();
+        }
+    }
+    for (f, _) in files {
+        assert!(f.nblocks() > WRITTEN + 100, "{}: no tail", f.name());
+    }
+    assert!(scrub(&parity).unwrap().is_empty());
+
+    // Every record, and every unwritten block as zeros, whichever
+    // device the read has to do without.
+    let check = |written: u64, ctx: &str| {
+        let mut buf = vec![0u8; BS];
+        for (f, tag) in files {
+            for i in 0..written {
+                f.read_record(i, &mut buf).unwrap();
+                assert_eq!(buf, record_payload(tag + i, BS), "{ctx}: {} {i}", f.name());
+            }
+            for l in written..f.nblocks() {
+                f.read_lblock(l, &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == 0), "{ctx}: {} tail {l}", f.name());
+            }
+        }
+    };
+
+    v.device(1).fail();
+    check(WRITTEN, "device 1 down");
+    // Appends go on into the tail, degraded.
+    for i in WRITTEN..WRITTEN + 20 {
+        for (f, tag) in files {
+            f.write_record(i, &record_payload(tag + i, BS)).unwrap();
+        }
+    }
+    check(WRITTEN + 20, "device 1 down, appended");
+
+    // The replacement drive arrives full of garbage: the tail's zeros
+    // have to be rebuilt like any other block.
+    v.device(1).heal();
+    let garbage = vec![0xEEu8; BS];
+    for b in 0..v.device(1).num_blocks() {
+        v.device(1).write_block(b, &garbage).unwrap();
+    }
+    v.device(1).fail();
+    let report = rebuild_device_online(&v, 1, RebuildThrottle::default()).unwrap();
+    assert_eq!(report.parity_rebuilt.len(), 1);
+    assert_eq!(report.shadow_resynced.len(), 1);
+    assert!(scrub(&parity).unwrap().is_empty());
+    check(WRITTEN + 20, "rebuilt");
+
+    // What was rebuilt is now what the survivors lean on: lose a parity
+    // peer of device 1, and its mirror partner.
+    v.device(2).fail();
+    v.device(4).fail();
+    check(WRITTEN + 20, "rebuilt device 1 serving degraded reads");
 }
