@@ -1,8 +1,10 @@
 //! E18 — the network service layer against the in-process baseline.
 //!
 //! The same 8-client self-scheduled drain E14 runs in-process is run
-//! again through `pario-net`: eight TCP connections to one `NetServer`,
-//! each pipelining claims under its credit window. The experiment
+//! again through `pario-net`: eight `connect_tcp` connections to one
+//! loopback `NetServer` — which, client and server being on one host,
+//! end up on the server's Unix-domain lane — each pipelining claims
+//! under its credit window. The experiment
 //! demonstrates, and *asserts*:
 //!
 //! * **Semantics survive the wire** — the remote drain delivers every
@@ -135,7 +137,7 @@ fn drain_inproc(server: &Server, clients: usize, records: u64) -> f64 {
     secs
 }
 
-/// Drain over TCP with `clients` connections pipelining `depth` claims;
+/// Drain through `connect_tcp` with `clients` connections pipelining `depth` claims;
 /// elapsed seconds and a final remote stats snapshot.
 fn drain_remote(addr: &str, clients: usize, depth: usize, records: u64) -> (f64, StatsSummary) {
     let seen = Mutex::new(HashSet::with_capacity(records as usize));
@@ -190,7 +192,7 @@ fn main() {
     banner(
         "E18: network service layer (pario-net) vs in-process sessions",
         "the framed wire protocol carries the full session surface over \
-         TCP; pipelined claims under per-connection credits keep the \
+         a socket; pipelined claims under per-connection credits keep the \
          devices, not the round trips, as the bottleneck",
     );
 
@@ -213,7 +215,7 @@ fn main() {
     println!(
         "\n8-client SS drain, {RECORDS} records, 400us devices:\n\
          \x20 in-process  {:.1}ms  ({:.0} rec/s)\n\
-         \x20 remote TCP  {:.1}ms  ({:.0} rec/s)  depth {DEPTH}\n\
+         \x20 remote      {:.1}ms  ({:.0} rec/s)  depth {DEPTH}\n\
          \x20 remote/in-process factor {factor:.2}x (bound {REMOTE_FACTOR_BOUND}x)\n\
          \x20 offered vs achieved: {admitted_rate:.0} ops/s admitted \
          ({} ops for {RECORDS} records)",

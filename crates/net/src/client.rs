@@ -34,10 +34,12 @@ use bytes::Bytes;
 use pario_check::{LockLevel, Mutex};
 
 use crate::error::{NetError, Result};
-use crate::frame::{client_handshake, encode_frame, read_frame, Grant, RawFrame, FRAME_OVERHEAD};
+use crate::frame::{
+    begin_frame, client_handshake, end_frame, read_frame, Grant, RawFrame, Welcome, FRAME_OVERHEAD,
+};
 use crate::proto::{Opened, Request, StatsSummary};
 use crate::reader::{FrameSource, ReplyMux, Ticket};
-use crate::sock::{self, Sock};
+use crate::sock::{self, Sock, Transport};
 use crate::wire::{WireReader, WireWriter};
 
 /// The receive half of the socket, held by whichever thread reads.
@@ -54,7 +56,9 @@ impl FrameSource for RecvHalf {
 
 struct WireHalf {
     sock: Sock,
-    frame: Vec<u8>,
+    /// The frame being sent: a request is encoded here, behind its
+    /// header, and leaves from here.
+    frame: WireWriter,
 }
 
 struct ClientCore {
@@ -86,26 +90,30 @@ impl Pending {
 impl ClientCore {
     /// Take a credit, register a reply slot, and send the frame. A
     /// `pipelined` request is one the caller does not wait for at once.
+    /// A request whose payload is over the server's limit is refused
+    /// here, encoded but never sent.
     fn send(&self, req: &Request, pipelined: bool) -> Result<Ticket> {
-        let mut payload = WireWriter::new();
-        req.encode_payload(&mut payload);
-        if payload.bytes().len() > self.max_payload {
-            return Err(NetError::TooLarge {
-                len: payload.bytes().len(),
-                max: self.max_payload,
-            });
-        }
         let (id, ticket) = self.mux.register(pipelined)?;
         let sent = {
             let mut wire = self.wire.lock();
             let WireHalf { sock, frame } = &mut *wire;
             frame.clear();
-            encode_frame(frame, id, req.opcode(), payload.bytes());
-            sock.write_all(frame)
+            let at = begin_frame(frame.buf_mut(), id, req.opcode());
+            req.encode_payload(frame);
+            end_frame(frame.buf_mut(), at);
+            let len = frame.bytes().len() - 4 - FRAME_OVERHEAD;
+            if len > self.max_payload {
+                drop(frame.take()); // an oversized request's buffer is not kept
+                let max = self.max_payload;
+                Err(NetError::TooLarge { len, max })
+            } else {
+                sock.write_all(frame.bytes())
+                    .map_err(|e| NetError::Io(e.to_string()))
+            }
         };
         if let Err(e) = sent {
             self.mux.cancel(id);
-            return Err(NetError::Io(e.to_string()));
+            return Err(e);
         }
         Ok(ticket)
     }
@@ -137,6 +145,12 @@ impl ClientCore {
     }
 }
 
+/// `s` past the handshake, with what the server's welcome said.
+fn shaken(mut s: Sock) -> Result<(Sock, Welcome)> {
+    let welcome = client_handshake(&mut s)?;
+    Ok((s, welcome))
+}
+
 /// A connection to a [`NetServer`](crate::NetServer), exposing the
 /// session surface remotely. Open handles borrow the client's
 /// connection; the client itself is cheap to share behind an `Arc`.
@@ -147,18 +161,30 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connect over TCP (e.g. `"127.0.0.1:9630"`).
+    /// Connect over TCP (e.g. `"127.0.0.1:9630"`). If the connection
+    /// never left this host — both of its ends have one IP address —
+    /// and the server's welcome names a lane, the client moves onto
+    /// that Unix-domain socket and closes the TCP connection; if the
+    /// lane cannot be reached (another network namespace, say) it stays
+    /// where it is. [`transport`](NetClient::transport) tells which.
     pub fn connect_tcp(addr: &str) -> Result<NetClient> {
-        NetClient::connect(sock::connect_tcp(addr)?)
+        let (tcp, welcome) = shaken(sock::connect_tcp(addr)?)?;
+        if tcp.same_host() && !welcome.lane.is_empty() {
+            if let Ok((lane, w)) = sock::connect_lane(&welcome.lane).and_then(shaken) {
+                return NetClient::over(lane, w.grant);
+            }
+        }
+        NetClient::over(tcp, welcome.grant)
     }
 
     /// Connect over a Unix-domain socket.
     pub fn connect_unix(path: &std::path::Path) -> Result<NetClient> {
-        NetClient::connect(sock::connect_unix(path)?)
+        let (s, welcome) = shaken(sock::connect_unix(path)?)?;
+        NetClient::over(s, welcome.grant)
     }
 
-    fn connect(mut s: Sock) -> Result<NetClient> {
-        let grant = client_handshake(&mut s)?;
+    /// A client over `s`, which has shaken hands and been granted `grant`.
+    fn over(s: Sock, grant: Grant) -> Result<NetClient> {
         let recv = RecvHalf {
             sock: BufReader::with_capacity(64 * 1024, s.try_clone()?),
             max_frame: grant.max_payload as usize + FRAME_OVERHEAD + 64,
@@ -169,7 +195,7 @@ impl NetClient {
             wire: Mutex::new_named(
                 WireHalf {
                     sock: s,
-                    frame: Vec::new(),
+                    frame: WireWriter::new(),
                 },
                 LockLevel::NetSend,
             ),
@@ -177,6 +203,11 @@ impl NetClient {
             fallback: Mutex::new(None),
         });
         Ok(NetClient { core, grant, ctl })
+    }
+
+    /// The transport this connection ended up on.
+    pub fn transport(&self) -> Transport {
+        self.ctl.transport()
     }
 
     /// The flow-control grant the server issued at handshake.

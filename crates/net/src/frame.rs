@@ -12,7 +12,9 @@
 //! Before the first frame, each side sends a preamble: the client's
 //! hello is `MAGIC + u16 version`; the server's welcome echoes the
 //! magic and version and appends `u32 credits + u32 max_payload` — the
-//! flow-control window and the largest payload the client may send.
+//! flow-control window and the largest payload the client may send —
+//! and `u8 n + n bytes`, the name of the server's lane ([`Welcome`];
+//! `n` is 0 when it has none).
 //!
 //! Decoding is fail-closed: a frame that violates the length bounds or
 //! carries bytes no encoder produces kills that connection with a
@@ -108,21 +110,21 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<RawFrame
             "frame length {len} outside [{FRAME_OVERHEAD}, {max_frame}]"
         )));
     }
-    let mut frame = vec![0u8; len];
-    if !read_exact_or_eof(r, &mut frame)? {
+    // The header stays on the stack and the body lands in the vector it
+    // is returned in: nothing is shifted down behind the header.
+    let mut id_code = [0u8; FRAME_OVERHEAD];
+    let mut body = vec![0u8; len - FRAME_OVERHEAD];
+    if !read_exact_or_eof(r, &mut id_code)? || !read_exact_or_eof(r, &mut body)? {
         return Err(NetError::ConnectionLost(
             "peer closed between length and frame".to_string(),
         ));
     }
     let mut id8 = [0u8; 8];
-    id8.copy_from_slice(&frame[..8]);
-    let request_id = u64::from_le_bytes(id8);
-    let code = frame[8];
-    frame.drain(..FRAME_OVERHEAD);
+    id8.copy_from_slice(&id_code[..8]);
     Ok(Some(RawFrame {
-        request_id,
-        code,
-        body: frame,
+        request_id: u64::from_le_bytes(id8),
+        code: id_code[8],
+        body,
     }))
 }
 
@@ -135,51 +137,81 @@ pub struct Grant {
     pub max_payload: u32,
 }
 
-/// Client side of the preamble: send hello, read the welcome, return
-/// the server's grant.
-pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<Grant> {
+/// What the server's welcome tells a client.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Welcome {
+    /// The flow-control terms of this connection.
+    pub grant: Grant,
+    /// The name of the server's lane — a Unix-domain listener in the
+    /// abstract namespace of the server's host, serving the same
+    /// protocol — or empty if it has none.
+    pub lane: Vec<u8>,
+}
+
+/// Fixed bytes of the welcome: magic, version, credits, max payload
+/// and the length of the lane name that follows.
+const WELCOME_FIXED: usize = 4 + 2 + 4 + 4 + 1;
+
+/// Client side of the preamble: send hello, read the welcome.
+pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<Welcome> {
     let mut hello = Vec::with_capacity(6);
     hello.extend_from_slice(&MAGIC);
     hello.extend_from_slice(&VERSION.to_le_bytes());
     stream.write_all(&hello)?;
     stream.flush()?;
 
-    let mut welcome = [0u8; 14];
-    if !read_exact_or_eof(stream, &mut welcome)? {
-        return Err(NetError::ConnectionLost(
-            "server closed during handshake".to_string(),
-        ));
+    // The version sits in the first six bytes of every welcome there has
+    // been: a peer of another version is named before its layout is
+    // trusted (or waited for).
+    let mut head = [0u8; 6];
+    let mut terms = [0u8; WELCOME_FIXED - 6];
+    let closed = || NetError::ConnectionLost("server closed during handshake".to_string());
+    if !read_exact_or_eof(stream, &mut head)? {
+        return Err(closed());
     }
-    if welcome[..4] != MAGIC {
+    if head[..4] != MAGIC {
         return Err(NetError::Protocol(
             "server preamble does not carry the protocol magic".to_string(),
         ));
     }
-    let theirs = u16::from_le_bytes([welcome[4], welcome[5]]);
+    let theirs = u16::from_le_bytes([head[4], head[5]]);
     if theirs != VERSION {
         return Err(NetError::Handshake {
             ours: VERSION,
             theirs,
         });
     }
-    let credits = u32::from_le_bytes([welcome[6], welcome[7], welcome[8], welcome[9]]);
-    let max_payload = u32::from_le_bytes([welcome[10], welcome[11], welcome[12], welcome[13]]);
+    if !read_exact_or_eof(stream, &mut terms)? {
+        return Err(closed());
+    }
+    let credits = u32::from_le_bytes([terms[0], terms[1], terms[2], terms[3]]);
+    let max_payload = u32::from_le_bytes([terms[4], terms[5], terms[6], terms[7]]);
     if credits == 0 {
         return Err(NetError::Protocol(
             "server granted zero credits".to_string(),
         ));
     }
-    Ok(Grant {
-        credits,
-        max_payload,
+    let mut lane = vec![0u8; terms[8] as usize];
+    if !read_exact_or_eof(stream, &mut lane)? {
+        return Err(closed());
+    }
+    Ok(Welcome {
+        grant: Grant {
+            credits,
+            max_payload,
+        },
+        lane,
     })
 }
 
 /// Server side of the preamble: read the hello, validate it, send the
-/// welcome with `grant`. Returns the client's version; a mismatch is
-/// reported *after* the welcome is written, so the client learns our
-/// version before the socket closes.
-pub fn server_handshake(stream: &mut (impl Read + Write), grant: Grant) -> Result<()> {
+/// welcome with `grant` and the name of this server's `lane` (empty if
+/// it has none; at most 255 bytes). A version mismatch is reported
+/// *after* the welcome is written, so the client learns our version
+/// before the socket closes.
+pub fn server_handshake(stream: &mut (impl Read + Write), grant: Grant, lane: &[u8]) -> Result<()> {
+    let lane_len = u8::try_from(lane.len())
+        .map_err(|_| NetError::Protocol(format!("lane name of {} bytes", lane.len())))?;
     let mut hello = [0u8; 6];
     if !read_exact_or_eof(stream, &mut hello)? {
         return Err(NetError::ConnectionLost(
@@ -193,11 +225,13 @@ pub fn server_handshake(stream: &mut (impl Read + Write), grant: Grant) -> Resul
     }
     let theirs = u16::from_le_bytes([hello[4], hello[5]]);
 
-    let mut welcome = Vec::with_capacity(14);
+    let mut welcome = Vec::with_capacity(WELCOME_FIXED + lane.len());
     welcome.extend_from_slice(&MAGIC);
     welcome.extend_from_slice(&VERSION.to_le_bytes());
     welcome.extend_from_slice(&grant.credits.to_le_bytes());
     welcome.extend_from_slice(&grant.max_payload.to_le_bytes());
+    welcome.push(lane_len);
+    welcome.extend_from_slice(lane);
     stream.write_all(&welcome)?;
     stream.flush()?;
 
@@ -276,64 +310,107 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn handshake_agrees_over_a_pipe() {
-        // Simulate the two directions with separate buffers.
-        struct Duplex {
-            rx: Cursor<Vec<u8>>,
-            tx: Vec<u8>,
-        }
-        impl Read for Duplex {
-            fn read(&mut self, b: &mut [u8]) -> std::io::Result<usize> {
-                self.rx.read(b)
-            }
-        }
-        impl Write for Duplex {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.tx.write(b)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+    /// One direction each: what the peer sent, and what we answer.
+    struct Duplex {
+        rx: Cursor<Vec<u8>>,
+        tx: Vec<u8>,
+    }
 
-        let grant = Grant {
-            credits: 32,
-            max_payload: 1 << 20,
-        };
-        // Client writes its hello...
-        let mut client = Duplex {
-            rx: Cursor::new(Vec::new()),
-            tx: Vec::new(),
-        };
-        // (run only the write half by handing it an unfilled rx; the
-        // read will fail, which we ignore here)
+    impl Duplex {
+        fn fed(rx: Vec<u8>) -> Duplex {
+            Duplex {
+                rx: Cursor::new(rx),
+                tx: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, b: &mut [u8]) -> std::io::Result<usize> {
+            self.rx.read(b)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.tx.write(b)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const GRANT: Grant = Grant {
+        credits: 32,
+        max_payload: 1 << 20,
+    };
+
+    /// The hello this build sends (its welcome never comes).
+    fn hello() -> Vec<u8> {
+        let mut client = Duplex::fed(Vec::new());
         let _ = client_handshake(&mut client);
-        // ...server consumes it and writes the welcome...
-        let mut server = Duplex {
-            rx: Cursor::new(client.tx.clone()),
-            tx: Vec::new(),
-        };
-        server_handshake(&mut server, grant).expect("server side");
-        // ...client consumes the welcome.
-        let mut client2 = Duplex {
-            rx: Cursor::new(server.tx),
-            tx: Vec::new(),
-        };
-        assert_eq!(client_handshake(&mut client2).expect("client side"), grant);
+        client.tx
+    }
+
+    #[test]
+    fn handshake_agrees_over_a_pipe_and_carries_the_lane_name() {
+        for lane in [&b""[..], b"pario-net-0123456789abcdef", &[0xFF; 255]] {
+            let mut server = Duplex::fed(hello());
+            server_handshake(&mut server, GRANT, lane).expect("server side");
+            let mut client = Duplex::fed(server.tx);
+            let welcome = client_handshake(&mut client).expect("client side");
+            assert_eq!(welcome.grant, GRANT);
+            assert_eq!(welcome.lane, lane);
+        }
+    }
+
+    #[test]
+    fn a_welcome_cut_short_inside_the_lane_name_is_connection_lost() {
+        let mut server = Duplex::fed(hello());
+        server_handshake(&mut server, GRANT, b"pario-net-lane").expect("server side");
+        server.tx.truncate(WELCOME_FIXED + 3);
+        assert!(matches!(
+            client_handshake(&mut Duplex::fed(server.tx)),
+            Err(NetError::ConnectionLost(_))
+        ));
+    }
+
+    #[test]
+    fn version_3_peers_are_refused_by_name_on_both_sides() {
+        // A v3 hello: the welcome still goes out, then the typed refusal.
+        let mut v3_hello = MAGIC.to_vec();
+        v3_hello.extend_from_slice(&3u16.to_le_bytes());
+        let mut server = Duplex::fed(v3_hello);
+        assert_eq!(
+            server_handshake(&mut server, GRANT, b"lane"),
+            Err(NetError::Handshake {
+                ours: VERSION,
+                theirs: 3
+            })
+        );
+        assert_eq!(server.tx[..4], MAGIC);
+        assert_eq!(u16::from_le_bytes([server.tx[4], server.tx[5]]), VERSION);
+
+        // A v3 welcome is 14 bytes and then the server hangs up: the
+        // version is read before the fifteenth byte is waited for.
+        let mut v3_welcome = MAGIC.to_vec();
+        v3_welcome.extend_from_slice(&3u16.to_le_bytes());
+        v3_welcome.extend_from_slice(&32u32.to_le_bytes());
+        v3_welcome.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        assert_eq!(
+            client_handshake(&mut Duplex::fed(v3_welcome)),
+            Err(NetError::Handshake {
+                ours: VERSION,
+                theirs: 3
+            })
+        );
     }
 
     #[test]
     fn garbage_magic_fails_closed() {
         let mut s = Cursor::new(b"GARBAGE-BYTES!".to_vec());
         assert!(matches!(
-            server_handshake(
-                &mut s,
-                Grant {
-                    credits: 1,
-                    max_payload: 1024
-                }
-            ),
+            server_handshake(&mut s, GRANT, b""),
             Err(NetError::Protocol(_))
         ));
     }

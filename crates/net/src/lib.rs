@@ -16,11 +16,15 @@
 //! * [`frame`] — framing, bounds-checked lengths, and the handshake
 //!   that grants each connection its flow-control credits.
 //! * [`NetServer`] — a listener (TCP or Unix-domain) with **one**
-//!   thread per connection, which decodes, executes and replies. Each
-//!   connection multiplexes onto one `Session`, so the existing bounded
-//!   admission and `ServerStats` remain the backpressure story; records
-//!   are read straight into the connection's output buffer and a reply
-//!   frame leaves in one `write`.
+//!   thread per connection, which decodes, executes and replies. A TCP
+//!   server also listens on a Unix-domain **lane** that its welcome
+//!   names, and a [`NetClient::connect_tcp`] from the same host moves
+//!   onto it (`NetClient::transport` tells where a connection ended
+//!   up). Each connection multiplexes onto one `Session`, so the
+//!   existing bounded admission and `ServerStats` remain the
+//!   backpressure story; records are read straight into the
+//!   connection's output buffer and a reply frame leaves in one
+//!   `write`.
 //! * [`NetClient`] — the remote mirror of `Session`: typed handles
 //!   ([`RemoteSeq`], [`RemoteSs`], [`RemotePartition`],
 //!   [`RemoteInterleaved`], [`RemoteDirect`]) with pipelined submission
@@ -54,4 +58,4 @@ pub use frame::Grant;
 pub use proto::StatsSummary;
 pub use reader::{FrameSource, ReplyMux, Ticket};
 pub use server::{NetConfig, NetServer};
-pub use sock::Sock;
+pub use sock::{Sock, Transport};

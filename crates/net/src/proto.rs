@@ -23,8 +23,10 @@ pub const MAGIC: [u8; 4] = *b"PIO1";
 /// would decode that reply as malformed and tear the connection, so the
 /// incompatibility is surfaced at the handshake instead. Version 3
 /// retired opcode 0x12 (the big-lock SS open), which a v2 client may
-/// still send.
-pub const VERSION: u16 = 3;
+/// still send. Version 4 lengthened the welcome by the server's lane
+/// name (`frame::Welcome`): a v3 client would read its first frame
+/// from the middle of that name.
+pub const VERSION: u16 = 4;
 
 /// Reply status byte: the request succeeded; the body is the
 /// operation's result.

@@ -1,9 +1,17 @@
 //! The network server: listeners, per-connection threads, and the
 //! dispatch from decoded [`Request`]s onto a [`pario_server::Session`].
 //!
-//! Each accepted connection gets its **own** session (so claims and
-//! exclusive holds release when the connection dies, exactly as they do
-//! when an in-process client drops) and **one** thread, which decodes a
+//! A TCP server listens twice: on its port and on its **lane**, a
+//! Unix-domain socket in the abstract namespace whose name every
+//! welcome carries, for clients on the same host (`sock.rs`). Both
+//! acceptors feed one connection table and one `run_connection`; a
+//! connection does not know which listener it came in by.
+//!
+//! Each connection gets its **own** session, opened by its first
+//! request (so claims and exclusive holds release when the connection
+//! dies, exactly as they do when an in-process client drops; a
+//! connection that shakes hands and leaves is not a session), and
+//! **one** thread, which decodes a
 //! frame, executes it and encodes the reply — no hand-off between
 //! receiving a request and answering it. Requests execute
 //! *sequentially*, so session semantics are preserved per connection;
@@ -48,7 +56,7 @@ use crate::frame::{
     FRAME_OVERHEAD,
 };
 use crate::proto::{encode_reply_error, Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
-use crate::sock::Sock;
+use crate::sock::{self, Sock};
 use crate::wire::WireWriter;
 
 /// Tuning for a [`NetServer`].
@@ -74,9 +82,30 @@ impl Default for NetConfig {
     }
 }
 
+/// Where one of the server's listeners can be reached.
 enum Endpoint {
     Tcp(SocketAddr),
     Unix(PathBuf),
+    /// The lane of a TCP server, by its abstract-namespace name.
+    Lane(Vec<u8>),
+}
+
+impl Endpoint {
+    fn acceptor_name(&self) -> &'static str {
+        match self {
+            Endpoint::Lane(_) => "pario-net-accept-lane",
+            Endpoint::Tcp(_) | Endpoint::Unix(_) => "pario-net-accept",
+        }
+    }
+
+    /// A throwaway connection: it unblocks this endpoint's acceptor.
+    fn poke(&self) {
+        match self {
+            Endpoint::Tcp(addr) => drop(TcpStream::connect(addr)),
+            Endpoint::Unix(path) => drop(UnixStream::connect(path)),
+            Endpoint::Lane(name) => drop(sock::connect_lane(name)),
+        }
+    }
 }
 
 /// A live connection as the server sees it from outside its thread.
@@ -96,23 +125,40 @@ struct NetInner {
     conns: Mutex<HashMap<u64, ConnEntry>>,
     /// Most reply bytes any connection ever had staged at a flush.
     staged_high_water: AtomicU64,
-    endpoint: Endpoint,
+    /// One per listener: a TCP server's port, then its lane if it has
+    /// one; a Unix server's path.
+    endpoints: Vec<Endpoint>,
 }
 
 /// A listening network front end over a [`Server`].
 pub struct NetServer {
     inner: Arc<NetInner>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    /// One acceptor thread per listener.
+    accept: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Bind a TCP listener (use port 0 for an ephemeral port, then
-    /// [`local_addr`](NetServer::local_addr)).
+    /// [`local_addr`](NetServer::local_addr)) and, where the platform
+    /// has abstract Unix-domain sockets, the server's **lane** beside
+    /// it: a Unix-domain listener under a random name that the welcome
+    /// tells every client, serving the same protocol. A
+    /// [`NetClient::connect_tcp`](crate::NetClient::connect_tcp) from
+    /// this host moves onto it. Where the lane cannot be bound the
+    /// server is TCP only.
     pub fn bind_tcp(addr: &str, server: Server, cfg: NetConfig) -> Result<NetServer> {
         let listener =
             TcpListener::bind(addr).map_err(|e| NetError::Io(format!("bind {addr}: {e}")))?;
-        let local = listener.local_addr()?;
-        NetServer::start(server, cfg, Endpoint::Tcp(local), Listener::Tcp(listener))
+        let mut listeners = vec![(
+            Endpoint::Tcp(listener.local_addr()?),
+            Listener::Tcp(listener),
+        )];
+        // Bound before the port accepts: no welcome names a lane that
+        // is not listening yet.
+        if let Ok((lane, name)) = sock::bind_lane() {
+            listeners.push((Endpoint::Lane(name), Listener::Unix(lane)));
+        }
+        NetServer::start(server, cfg, listeners)
     }
 
     /// Bind a Unix-domain listener at `path` (removed again when the
@@ -120,20 +166,16 @@ impl NetServer {
     pub fn bind_unix(path: &std::path::Path, server: Server, cfg: NetConfig) -> Result<NetServer> {
         let listener = UnixListener::bind(path)
             .map_err(|e| NetError::Io(format!("bind {}: {e}", path.display())))?;
-        NetServer::start(
-            server,
-            cfg,
-            Endpoint::Unix(path.to_path_buf()),
-            Listener::Unix(listener),
-        )
+        let endpoint = Endpoint::Unix(path.to_path_buf());
+        NetServer::start(server, cfg, vec![(endpoint, Listener::Unix(listener))])
     }
 
     fn start(
         server: Server,
         cfg: NetConfig,
-        endpoint: Endpoint,
-        listener: Listener,
+        listeners: Vec<(Endpoint, Listener)>,
     ) -> Result<NetServer> {
+        let (endpoints, listeners): (Vec<_>, Vec<_>) = listeners.into_iter().unzip();
         let inner = Arc::new(NetInner {
             server,
             cfg,
@@ -141,25 +183,30 @@ impl NetServer {
             next_conn: AtomicU64::new(1),
             conns: Mutex::new(HashMap::new()),
             staged_high_water: AtomicU64::new(0),
-            endpoint,
+            endpoints,
         });
-        let accept_inner = Arc::clone(&inner);
-        let accept = std::thread::Builder::new()
-            .name("pario-net-accept".to_string())
-            .spawn(move || accept_loop(accept_inner, listener))
-            .map_err(|e| NetError::Io(format!("spawn acceptor: {e}")))?;
-        Ok(NetServer {
-            inner,
-            accept: Some(accept),
-        })
+        let mut net = NetServer {
+            inner: Arc::clone(&inner),
+            accept: Vec::new(),
+        };
+        for (endpoint, listener) in inner.endpoints.iter().zip(listeners) {
+            let accept_inner = Arc::clone(&inner);
+            let spawned = std::thread::Builder::new()
+                .name(endpoint.acceptor_name().to_string())
+                .spawn(move || accept_loop(accept_inner, listener));
+            // On failure `net` drops, which stops the acceptors running.
+            net.accept
+                .push(spawned.map_err(|e| NetError::Io(format!("spawn acceptor: {e}")))?);
+        }
+        Ok(net)
     }
 
     /// The bound TCP address, if this is a TCP server.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match self.inner.endpoint {
-            Endpoint::Tcp(a) => Some(a),
-            Endpoint::Unix(_) => None,
-        }
+        self.inner.endpoints.iter().find_map(|e| match e {
+            Endpoint::Tcp(a) => Some(*a),
+            _ => None,
+        })
     }
 
     /// The flow-control grant connections receive at handshake.
@@ -178,7 +225,8 @@ impl NetServer {
         self.inner.staged_high_water.load(Ordering::Relaxed) as usize // ordering: a statistic, read for its value only
     }
 
-    /// Stop accepting, **drain** every live connection, and join all
+    /// Stop accepting on every listener, **drain** every live
+    /// connection whichever listener it came in by, and join all
     /// server-side threads. Idempotent.
     ///
     /// The drain is graceful: only the *read* half of each live socket
@@ -200,19 +248,15 @@ impl NetServer {
             }
         };
         close_read_halves();
-        // A throwaway connection unblocks the acceptor.
-        match &self.inner.endpoint {
-            Endpoint::Tcp(addr) => {
-                let _ = TcpStream::connect(addr);
-            }
-            Endpoint::Unix(path) => {
-                let _ = UnixStream::connect(path);
-            }
+        // Each acceptor returns at its next connection and closes its
+        // listener, which gives a lane's name back.
+        for e in &self.inner.endpoints {
+            e.poke();
         }
-        if let Some(h) = self.accept.take() {
+        for h in self.accept.drain(..) {
             let _ = h.join();
         }
-        // The acceptor is gone, so the table is complete now; a
+        // The acceptors are gone, so the table is complete now; a
         // connection accepted after the first pass is closed here.
         close_read_halves();
         // Liveness net for the joins below: a peer that has stopped
@@ -240,8 +284,10 @@ impl NetServer {
         if let Ok(h) = watchdog {
             let _ = h.join();
         }
-        if let Endpoint::Unix(path) = &self.inner.endpoint {
-            let _ = std::fs::remove_file(path);
+        for e in &self.inner.endpoints {
+            if let Endpoint::Unix(path) = e {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 }
@@ -307,6 +353,17 @@ fn accept_loop(inner: Arc<NetInner>, listener: Listener) {
 }
 
 impl NetInner {
+    /// The name the welcome carries: this server's lane, if it has one.
+    fn lane(&self) -> &[u8] {
+        self.endpoints
+            .iter()
+            .find_map(|e| match e {
+                Endpoint::Lane(name) => Some(&name[..]),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
     fn grant(&self) -> Grant {
         Grant {
             credits: self.cfg.credits,
@@ -331,15 +388,13 @@ impl NetInner {
 }
 
 fn run_connection(inner: &NetInner, mut sock: Sock) {
-    if server_handshake(&mut sock, inner.grant()).is_err() {
+    if server_handshake(&mut sock, inner.grant(), inner.lane()).is_err() {
         return; // fail closed: bad preamble or version mismatch
     }
-    let mut conn = Conn {
-        server: inner.server.clone(),
-        session: inner.server.connect(),
-        handles: HashMap::new(),
-        next_handle: 1,
-    };
+    // The session opens with the first request: a connection that
+    // handshakes and leaves (a client on its way to the lane, a port
+    // probe) is not a session, and `ServerStats` never hears of it.
+    let mut conn: Option<Conn> = None;
     let max_frame = inner.cfg.max_payload + FRAME_OVERHEAD + 64;
     let mut reader = BufReader::with_capacity(64 * 1024, sock);
     let mut out = Vec::new();
@@ -371,7 +426,10 @@ fn run_connection(inner: &NetInner, mut sock: Sock) {
             continue;
         }
         match Request::decode(frame.code, &frame.body) {
-            Ok(req) => conn.reply(&mut out, frame.request_id, req),
+            Ok(req) => {
+                let conn = conn.get_or_insert_with(|| Conn::new(&inner.server));
+                conn.reply(&mut out, frame.request_id, req);
+            }
             Err(e) => {
                 // A malformed payload under a known-length frame: tell
                 // the client which request died, then fail closed.
@@ -491,6 +549,15 @@ macro_rules! lookup {
 }
 
 impl Conn {
+    fn new(server: &Server) -> Conn {
+        Conn {
+            server: server.clone(),
+            session: server.connect(),
+            handles: HashMap::new(),
+            next_handle: 1,
+        }
+    }
+
     lookup!(seq, Seq, SeqClient, "seq");
     lookup!(ss, Ss, SsClient, "ss");
     lookup!(part, Part, PartitionClient, "a partition");

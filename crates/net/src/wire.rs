@@ -61,6 +61,12 @@ impl WireWriter {
         std::mem::take(&mut self.buf)
     }
 
+    /// The vector underneath, for a caller that frames what it encodes
+    /// in place (`frame::begin_frame` / `end_frame`).
+    pub fn buf_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Clear without deallocating (reuse across frames).
     pub fn clear(&mut self) {
         self.buf.clear();

@@ -3,7 +3,7 @@
 //! the whole process's.
 
 use pario_fs::{Volume, VolumeConfig};
-use pario_net::{NetClient, NetConfig, NetServer};
+use pario_net::{NetClient, NetConfig, NetServer, Transport};
 use pario_server::{Server, ServerConfig};
 
 fn open_fds() -> usize {
@@ -35,8 +35,11 @@ fn two_thousand_connections_leave_fds_and_the_registry_flat() {
     )
     .unwrap();
     let addr = net.local_addr().unwrap().to_string();
+    // A cycle is two connections: the TCP one the client shakes hands
+    // on and leaves, and the lane it pings over. Both must be gone.
     let cycle = || {
         let client = NetClient::connect_tcp(&addr).unwrap();
+        assert_eq!(client.transport(), Transport::Unix);
         client.ping().unwrap();
     };
 

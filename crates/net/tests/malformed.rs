@@ -8,7 +8,7 @@ use std::net::TcpStream;
 
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
-use pario_net::frame::{encode_frame, read_frame, FRAME_OVERHEAD};
+use pario_net::frame::{client_handshake, encode_frame, read_frame, FRAME_OVERHEAD};
 use pario_net::proto::{decode_reply_error, MAGIC, STATUS_ERR, VERSION};
 use pario_net::{NetClient, NetConfig, NetError, NetServer};
 use pario_server::{Server, ServerConfig};
@@ -53,11 +53,11 @@ fn read_until_eof(s: &mut TcpStream) -> Vec<u8> {
     }
 }
 
-fn hello() -> Vec<u8> {
-    let mut h = Vec::new();
-    h.extend_from_slice(&MAGIC);
-    h.extend_from_slice(&VERSION.to_le_bytes());
-    h
+/// A raw TCP connection past a good handshake.
+fn shaken(addr: &str) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    client_handshake(&mut s).unwrap();
+    s
 }
 
 /// The server still answers a real client — the poisoning attempt died
@@ -84,10 +84,7 @@ fn garbage_handshake_closes_only_that_connection() {
 #[test]
 fn absurd_frame_length_closes_the_connection() {
     let (_net, addr) = serve();
-    let mut s = TcpStream::connect(&addr).unwrap();
-    s.write_all(&hello()).unwrap();
-    let mut welcome = [0u8; 14];
-    s.read_exact(&mut welcome).unwrap();
+    let mut s = shaken(&addr);
     // Declare a 4 GiB frame; the reader must refuse the length, not
     // attempt the allocation.
     s.write_all(&u32::MAX.to_le_bytes()).unwrap();
@@ -100,10 +97,7 @@ fn absurd_frame_length_closes_the_connection() {
 /// then EOF, and the server must still serve other connections.
 fn assert_opcode_unknown(opcode: u8, payload: &[u8]) {
     let (_net, addr) = serve();
-    let mut s = TcpStream::connect(&addr).unwrap();
-    s.write_all(&hello()).unwrap();
-    let mut welcome = [0u8; 14];
-    s.read_exact(&mut welcome).unwrap();
+    let mut s = shaken(&addr);
 
     let mut f = Vec::new();
     encode_frame(&mut f, 99, opcode, payload);
@@ -142,33 +136,43 @@ fn retired_opcode_0x12_is_answered_malformed_and_kills_only_that_connection() {
     assert_opcode_unknown(0x12, &payload);
 }
 
-#[test]
-fn version_2_hello_fails_the_handshake() {
-    assert_eq!(VERSION, 3);
+/// A hello of an older `version`: the welcome still names the
+/// server's version, then the server hangs up without serving a frame.
+fn assert_hello_refused(version: u16) {
+    assert!(version < VERSION);
     let (_net, addr) = serve();
     let mut s = TcpStream::connect(&addr).unwrap();
     let mut h = MAGIC.to_vec();
-    h.extend_from_slice(&2u16.to_le_bytes());
+    h.extend_from_slice(&version.to_le_bytes());
     s.write_all(&h).unwrap();
-    // The welcome still names the server's version, then the server
-    // hangs up without serving a frame.
     let mut ping = Vec::new();
     encode_frame(&mut ping, 1, 0x01, b"");
     let _ = s.write_all(&ping);
     let reply = read_until_eof(&mut s);
-    assert_eq!(reply.len(), 14, "welcome only, no reply frame");
     assert_eq!(reply[..4], MAGIC);
     assert_eq!(u16::from_le_bytes([reply[4], reply[5]]), VERSION);
+    let lane_len = reply[14] as usize;
+    assert_eq!(reply.len(), 15 + lane_len, "welcome only, no reply frame");
     assert_server_alive(&addr);
+}
+
+#[test]
+fn version_2_hello_fails_the_handshake() {
+    assert_hello_refused(2);
+}
+
+/// What a v3 client would do with a v4 welcome is read its first reply
+/// from the middle of the lane name; it is told the version instead.
+#[test]
+fn version_3_hello_fails_the_handshake() {
+    assert_eq!(VERSION, 4);
+    assert_hello_refused(3);
 }
 
 #[test]
 fn malformed_payload_gets_an_error_frame_then_the_boot() {
     let (_net, addr) = serve();
-    let mut s = TcpStream::connect(&addr).unwrap();
-    s.write_all(&hello()).unwrap();
-    let mut welcome = [0u8; 14];
-    s.read_exact(&mut welcome).unwrap();
+    let mut s = shaken(&addr);
 
     // Opcode 0x10 (OpenSeq) wants a length-prefixed name; send a length
     // that runs past the payload.
@@ -193,10 +197,7 @@ fn random_bytes_after_handshake_never_poison_the_server() {
     // A deterministic pseudo-random garbage stream, several rounds.
     let mut seed = 0x9E3779B97F4A7C15u64;
     for _ in 0..8 {
-        let mut s = TcpStream::connect(&addr).unwrap();
-        s.write_all(&hello()).unwrap();
-        let mut welcome = [0u8; 14];
-        s.read_exact(&mut welcome).unwrap();
+        let mut s = shaken(&addr);
         let mut junk = Vec::with_capacity(256);
         for _ in 0..256 {
             seed = seed

@@ -1,8 +1,10 @@
 //! The ISSUE acceptance scenario over real sockets: eight [`NetClient`]s
-//! on TCP connections to one [`NetServer`] over a shared volume observe
-//! the same sharing semantics the in-process suites assert — SS
-//! exactly-once delivery, exclusive partition claims, and GDA writes
-//! durable on the raw media at unlock.
+//! connected to one [`NetServer`] over a shared volume observe the same
+//! sharing semantics the in-process suites assert — SS exactly-once
+//! delivery, exclusive partition claims, and GDA writes durable on the
+//! raw media at unlock. The server listens on loopback TCP, so every
+//! `connect_tcp` here ends up on its lane ([`on_the_lane`]); what is
+//! served over TCP itself is at the end of the file.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -10,7 +12,7 @@ use std::sync::Mutex;
 use bytes::Bytes;
 use pario_core::{CoreError, Organization, ParallelFile};
 use pario_fs::{resolve, RawFile, Volume, VolumeCacheConfig, VolumeConfig};
-use pario_net::{NetClient, NetConfig, NetError, NetServer};
+use pario_net::{NetClient, NetConfig, NetError, NetServer, Transport};
 use pario_server::{Server, ServerConfig, ServerError};
 
 const REC: usize = 64;
@@ -36,6 +38,15 @@ fn serve(volume: Volume) -> (NetServer, String) {
     (net, addr)
 }
 
+/// `connect_tcp` to a loopback server: the client must have moved onto
+/// the server's lane. Where abstract Unix-domain sockets are forbidden
+/// it stays on TCP, serves correctly, and fails here.
+fn on_the_lane(addr: &str) -> NetClient {
+    let client = NetClient::connect_tcp(addr).unwrap();
+    assert_eq!(client.transport(), Transport::Unix, "not on the lane");
+    client
+}
+
 fn fill_ss(volume: &Volume, name: &str, records: u64) {
     let pf = ParallelFile::create(volume, name, Organization::SelfScheduledSeq, REC, 4).unwrap();
     let w = pf.self_sched_writer().unwrap();
@@ -46,7 +57,7 @@ fn fill_ss(volume: &Volume, name: &str, records: u64) {
 }
 
 #[test]
-fn eight_tcp_clients_drain_ss_exactly_once() {
+fn eight_clients_on_the_lane_drain_ss_exactly_once() {
     const RECORDS: u64 = 400;
     const CLIENTS: usize = 8;
     const DEPTH: usize = 8; // pipelined claims in flight per client
@@ -61,7 +72,7 @@ fn eight_tcp_clients_drain_ss_exactly_once() {
             let addr = addr.as_str();
             let seen = &seen;
             s.spawn(move |_| {
-                let client = NetClient::connect_tcp(addr).unwrap();
+                let client = on_the_lane(addr);
                 let q = client.open_self_sched("queue").unwrap();
                 assert_eq!(q.record_size(), REC);
                 // Keep a window of claims on the wire; resolve in order.
@@ -172,7 +183,7 @@ fn media_record(v: &Volume, f: &RawFile, r: u64) -> Vec<u8> {
 }
 
 #[test]
-fn remote_gda_writes_are_durable_on_media_at_unlock() {
+fn remote_gda_writes_on_the_lane_are_durable_on_media_at_unlock() {
     let volume = volume()
         .enable_cache(VolumeCacheConfig::write_back(32))
         .unwrap();
@@ -182,7 +193,7 @@ fn remote_gda_writes_are_durable_on_media_at_unlock() {
     let probe = volume.clone();
     let (_net, addr) = serve(volume);
 
-    let client = NetClient::connect_tcp(&addr).unwrap();
+    let client = on_the_lane(&addr);
     let c = client.open_direct("d").unwrap();
 
     // No flush anywhere: by the time write_record's reply arrives, the
@@ -216,7 +227,7 @@ fn remote_gda_writes_are_durable_on_media_at_unlock() {
 }
 
 #[test]
-fn remote_gda_updates_never_lose_increments() {
+fn lane_clients_lose_no_gda_increment_and_are_the_only_sessions() {
     const CLIENTS: usize = 8;
     const PER_CLIENT: u64 = 25;
     let volume = volume()
@@ -228,13 +239,15 @@ fn remote_gda_updates_never_lose_increments() {
         .write_record(0, &[0; REC])
         .unwrap();
     drop(pf);
-    let (_net, addr) = serve(volume);
+    let server = Server::new(volume, ServerConfig::default());
+    let net = NetServer::bind_tcp("127.0.0.1:0", server.clone(), NetConfig::default()).unwrap();
+    let addr = net.local_addr().unwrap().to_string();
 
     crossbeam::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let addr = addr.as_str();
             s.spawn(move |_| {
-                let client = NetClient::connect_tcp(addr).unwrap();
+                let client = on_the_lane(addr);
                 let c = client.open_direct("shared").unwrap();
                 for _ in 0..PER_CLIENT {
                     c.update(0, |bytes| {
@@ -248,16 +261,20 @@ fn remote_gda_updates_never_lose_increments() {
     })
     .unwrap();
 
-    let client = NetClient::connect_tcp(&addr).unwrap();
+    // A session is a connection that sent a request: the TCP connection
+    // each client shook hands on and left for the lane is not one, and
+    // does not sit in the statistics with zero operations.
+    let stats = server.stats();
+    assert_eq!(stats.sessions.len(), CLIENTS);
+    assert!(stats.fairness().expect("eight sessions") > 0.0);
+
+    let client = on_the_lane(&addr);
     let c = client.open_direct("shared").unwrap();
     let mut buf = [0u8; REC];
     c.read_record(0, &mut buf).unwrap();
     let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
     assert_eq!(v, CLIENTS as u64 * PER_CLIENT, "lost increments");
-
-    // The server saw every one of these connections as a session.
-    let stats = client.stats().unwrap();
-    assert!(stats.sessions >= CLIENTS as u64);
+    assert_eq!(client.stats().unwrap().sessions, CLIENTS as u64 + 1);
 }
 
 #[test]
@@ -317,14 +334,14 @@ fn unix_socket_carries_the_same_protocol() {
 /// requests still in the pipe with the typed shutdown notice instead of
 /// tearing the socket mid-reply.
 #[test]
-fn shutdown_drains_in_flight_and_replies_typed_notice() {
+fn shutdown_drains_lane_connections_and_replies_typed_notice() {
     let volume = volume();
     drop(ParallelFile::create(&volume, "d", Organization::GlobalDirect, REC, 4).unwrap());
     let (mut net, addr) = serve(volume);
 
-    let a = NetClient::connect_tcp(&addr).unwrap();
+    let a = on_the_lane(&addr);
     let da = a.open_direct("d").unwrap();
-    let b = NetClient::connect_tcp(&addr).unwrap();
+    let b = on_the_lane(&addr);
     let db = b.open_direct("d").unwrap();
 
     // A holds record 0's byte range, so B's write of record 0 starts
@@ -542,6 +559,32 @@ fn a_dropped_ticket_neither_wedges_the_next_caller_nor_leaks_a_credit() {
     assert_eq!(client.credits_available(), credits);
 }
 
+/// A payload over the limit the welcome granted fails before a byte of
+/// it is sent: the connection stays in step and the credit comes back.
+#[test]
+fn an_oversized_request_is_refused_unsent_and_costs_no_credit() {
+    let volume = volume();
+    drop(ParallelFile::create(&volume, "d", Organization::GlobalDirect, REC, 4).unwrap());
+    let cfg = NetConfig {
+        max_payload: 1024,
+        ..NetConfig::default()
+    };
+    let server = Server::new(volume, ServerConfig::default());
+    let net = NetServer::bind_tcp("127.0.0.1:0", server, cfg).unwrap();
+    let client = NetClient::connect_tcp(&net.local_addr().unwrap().to_string()).unwrap();
+    let d = client.open_direct("d").unwrap();
+
+    match d.write_record(0, &[9u8; 2048]) {
+        Err(NetError::TooLarge { len, max: 1024 }) => assert!(len > 2048),
+        other => panic!("expected TooLarge, got {other:?}"),
+    }
+    d.write_record(0, &[3u8; REC]).unwrap();
+    let mut back = [0u8; REC];
+    d.read_record(0, &mut back).unwrap();
+    assert_eq!(back, [3u8; REC]);
+    assert_eq!(client.credits_available(), client.grant().credits);
+}
+
 /// The server dies while one caller reads the socket and another is
 /// parked behind it: both see the connection lost, as does whoever
 /// calls next.
@@ -559,7 +602,7 @@ fn server_death_reaches_the_leading_caller_and_the_parked_follower() {
             credits: 4,
             max_payload: 1 << 20,
         };
-        server_handshake(&mut s, grant).unwrap();
+        server_handshake(&mut s, grant, b"").unwrap();
         for _ in 0..2 {
             read_frame(&mut s, 1 << 20).unwrap().expect("a request");
         }
@@ -585,8 +628,8 @@ fn server_death_reaches_the_leading_caller_and_the_parked_follower() {
 /// no further request, and does not outlive a shutdown.
 #[test]
 fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
-    use pario_net::frame::{encode_frame, read_frame, FRAME_OVERHEAD};
-    use pario_net::proto::{Opened, Request, MAGIC, VERSION};
+    use pario_net::frame::{client_handshake, encode_frame, read_frame, FRAME_OVERHEAD};
+    use pario_net::proto::{Opened, Request};
     use pario_net::wire::WireWriter;
     use std::io::{Read, Write};
 
@@ -603,10 +646,7 @@ fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
     let (mut net, addr) = serve(volume);
 
     let mut s = std::net::TcpStream::connect(&addr).unwrap();
-    let mut hello = MAGIC.to_vec();
-    hello.extend_from_slice(&VERSION.to_le_bytes());
-    s.write_all(&hello).unwrap();
-    s.read_exact(&mut [0u8; 14]).unwrap();
+    client_handshake(&mut s).unwrap();
     let send = |s: &mut std::net::TcpStream, id: u64, req: &Request| {
         let (mut w, mut f) = (WireWriter::new(), Vec::new());
         req.encode_payload(&mut w);
@@ -645,4 +685,103 @@ fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
     assert_eq!(net.live_connections(), 0);
     let mut sink = vec![0u8; 1 << 20];
     while matches!(s.read(&mut sink), Ok(n) if n > 0) {}
+}
+
+// ---------------------------------------------------------------------
+// The lane, and what is still served over TCP.
+// ---------------------------------------------------------------------
+
+/// Speaking the protocol by hand over a `TcpStream`: the welcome names
+/// the lane, and a peer that ignores it is served where it is.
+#[test]
+fn a_raw_tcp_peer_is_told_the_lane_and_served_over_tcp() {
+    use pario_net::frame::{client_handshake, encode_frame, read_frame};
+    use pario_net::proto::STATUS_OK;
+    use std::io::Write;
+
+    let (_net, addr) = serve(volume());
+    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    let welcome = client_handshake(&mut s).unwrap();
+    assert_eq!(welcome.grant, _net.grant());
+    assert!(welcome.lane.starts_with(b"pario-net-"), "no lane named");
+    let mut ping = Vec::new();
+    encode_frame(&mut ping, 5, 0x01, b"");
+    s.write_all(&ping).unwrap();
+    let reply = read_frame(&mut s, 1 << 20).unwrap().expect("a reply");
+    assert_eq!((reply.request_id, reply.code), (5, STATUS_OK));
+}
+
+/// A welcome naming a lane nobody listens on (the server sits in
+/// another network namespace behind a forwarded port, say): the client
+/// stays on the TCP connection it has, and works.
+#[test]
+fn a_lane_out_of_reach_leaves_the_client_on_tcp() {
+    use pario_net::frame::{encode_frame, read_frame, server_handshake};
+    use pario_net::proto::STATUS_OK;
+    use std::io::Write;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // A server that answers pings, after a welcome whose lane is not there.
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let grant = pario_net::Grant {
+            credits: 4,
+            max_payload: 1 << 20,
+        };
+        server_handshake(&mut s, grant, b"pario-net-nobody-listens-here").unwrap();
+        let mut served = 0;
+        while let Some(f) = read_frame(&mut s, 1 << 20).unwrap() {
+            let mut reply = Vec::new();
+            encode_frame(&mut reply, f.request_id, STATUS_OK, b"");
+            s.write_all(&reply).unwrap();
+            served += 1;
+        }
+        served
+    });
+
+    let client = NetClient::connect_tcp(&addr).unwrap();
+    assert_eq!(client.transport(), Transport::Tcp);
+    for _ in 0..3 {
+        client.ping().unwrap();
+    }
+    drop(client);
+    assert_eq!(server.join().unwrap(), 3);
+}
+
+/// `shutdown` stops both acceptors and gives the lane's name back; the
+/// port is free for the next server at once. (That lane connections
+/// drain with the typed notice is
+/// `shutdown_drains_lane_connections_and_replies_typed_notice`.)
+#[test]
+fn shutdown_closes_the_port_and_the_lane_and_a_second_server_serves_at_once() {
+    use pario_net::frame::client_handshake;
+    use pario_net::sock::connect_lane;
+
+    let (mut first, addr) = serve(volume());
+    let lane = {
+        let mut s = std::net::TcpStream::connect(&addr).unwrap();
+        client_handshake(&mut s).unwrap().lane
+    };
+    drop(connect_lane(&lane).expect("the lane listens while the server runs"));
+    let client = on_the_lane(&addr);
+    client.ping().unwrap();
+
+    first.shutdown();
+    assert_eq!(first.live_connections(), 0);
+    assert!(
+        client.ping().is_err(),
+        "a lane connection outlived shutdown"
+    );
+    assert!(connect_lane(&lane).is_err(), "the lane outlived shutdown");
+    assert!(std::net::TcpStream::connect(&addr).is_err());
+
+    let second = NetServer::bind_tcp(
+        &addr,
+        Server::new(volume(), ServerConfig::default()),
+        NetConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(second.local_addr().unwrap().to_string(), addr);
+    on_the_lane(&addr).ping().unwrap();
 }
