@@ -5,17 +5,17 @@
 //! zero while the rebuild's throttled bursts share the stripes.
 //!
 //! The timeline is sampled at a fixed interval and bucketed by phase
-//! (healthy → degraded → rebuilding → recovered); per-phase throughput
-//! lands in `results/e16_faults.json`.
+//! (healthy → degraded → rebuilding → recovered); each run reports its
+//! per-phase throughput and the slowest slice of its rebuild phase.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pario_bench::banner;
-use pario_bench::table::{save_json, Bench, Table};
-use pario_disk::{mem_array, FaultDevice, FaultPlan};
-use pario_fs::{FileSpec, HealthState, Volume};
-use pario_layout::LayoutSpec;
+use pario_bench::measure::{Report, RUNS};
+use pario_bench::rig::{inject, mirrored, Rig};
+use pario_disk::FaultPlan;
+use pario_fs::{FileSpec, HealthState};
 use pario_reliability::{rebuild_device_online, RebuildThrottle};
 
 const BS: usize = 256;
@@ -23,24 +23,25 @@ const RECORDS: u64 = 256;
 const WORKERS: u64 = 4;
 const FAULT_DEV: usize = 1;
 const SAMPLE: Duration = Duration::from_millis(5);
+/// How long each steady phase runs before the next transition.
+const DWELL: Duration = Duration::from_millis(120);
 
-const HEALTHY: usize = 0;
-const DEGRADED: usize = 1;
+const PHASES: [&str; 4] = [
+    "healthy_ops_per_sec",
+    "degraded_ops_per_sec",
+    "rebuilding_ops_per_sec",
+    "recovered_ops_per_sec",
+];
 const REBUILDING: usize = 2;
-const RECOVERED: usize = 3;
-const PHASES: [&str; 4] = ["healthy", "degraded", "rebuilding", "recovered"];
 
-fn main() {
-    banner(
-        "E16 (online fault management)",
-        "a shadowed volume rides out an injected fail-stop: foreground \
-         reads and writes keep flowing while the device is detected, \
-         declared Failed, and rebuilt online through throttled bursts",
-    );
-
-    let mut devices = mem_array(4, 2048, BS);
-    let (fault, wrapped) = FaultDevice::wrap(
-        devices[FAULT_DEV].clone(),
+/// One whole fault cycle on a fresh volume. Panics if any 5 ms slice of
+/// the rebuild phase saw no foreground operation.
+fn fault_cycle() -> Vec<(&'static str, f64)> {
+    let rig = Rig::new(4).block_size(BS);
+    let mut devices = rig.devices();
+    let fault = inject(
+        &mut devices,
+        FAULT_DEV,
         FaultPlan {
             seed: 0xe16,
             transient_rate: 0.01,
@@ -48,20 +49,9 @@ fn main() {
             ..FaultPlan::default()
         },
     );
-    devices[FAULT_DEV] = wrapped;
-    fault.set_armed(false);
-
-    let v = Volume::new(devices).unwrap();
+    let v = rig.volume_over(devices);
     let f = v
-        .create_file(FileSpec::new(
-            "data",
-            BS,
-            1,
-            LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
-                devices: 2,
-                unit: 1,
-            })),
-        ))
+        .create_file(FileSpec::new("data", BS, 1, mirrored(2)))
         .unwrap();
     for r in 0..RECORDS {
         f.write_record(r, &vec![(r + 1) as u8; BS]).unwrap();
@@ -69,23 +59,18 @@ fn main() {
 
     let stop = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
-    let phase = AtomicUsize::new(HEALTHY);
+    let phase = AtomicUsize::new(0);
     // (elapsed, phase at sample time, cumulative ops) every SAMPLE tick.
-    let timeline: parking_lot::Mutex<Vec<(Duration, usize, u64)>> =
-        parking_lot::Mutex::new(Vec::new());
+    let timeline = parking_lot::Mutex::new(Vec::<(Duration, usize, u64)>::new());
     let t0 = Instant::now();
-
-    // Hoisted out of the scope for the flat benchmark summary.
-    let mut detect_secs = 0.0;
-    let mut rebuild_secs = 0.0;
-    let mut resynced_blocks = 0u64;
+    let mut out = Vec::new();
 
     crossbeam::thread::scope(|s| {
         for w in 0..WORKERS {
             let (f, stop, ops) = (f.clone(), &stop, &ops);
             s.spawn(move |_| {
-                let base = w * (RECORDS / WORKERS);
                 let span = RECORDS / WORKERS;
+                let base = w * span;
                 let mut buf = vec![0u8; BS];
                 let mut k = 0u64;
                 while !stop.load(Ordering::SeqCst) {
@@ -97,26 +82,24 @@ fn main() {
                 }
             });
         }
-        {
-            let (stop, ops, phase, timeline) = (&stop, &ops, &phase, &timeline);
-            s.spawn(move |_| {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(SAMPLE);
-                    timeline.lock().push((
-                        t0.elapsed(),
-                        phase.load(Ordering::SeqCst),
-                        ops.load(Ordering::Relaxed),
-                    ));
-                }
-            });
-        }
+        let (stop, ops, phase, timeline) = (&stop, &ops, &phase, &timeline);
+        s.spawn(move |_| {
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(SAMPLE);
+                timeline.lock().push((
+                    t0.elapsed(),
+                    phase.load(Ordering::SeqCst),
+                    ops.load(Ordering::Relaxed),
+                ));
+            }
+        });
 
-        // Phase 1: a healthy baseline, fault schedule disarmed.
-        std::thread::sleep(Duration::from_millis(120));
+        // Healthy baseline, fault schedule disarmed.
+        std::thread::sleep(DWELL);
 
-        // Phase 2: arm the schedule; the workload trips the fail-stop
-        // and the health board learns of it from I/O error feedback.
-        phase.store(DEGRADED, Ordering::SeqCst);
+        // Arm the schedule; the workload trips the fail-stop and the
+        // health board learns of it from I/O error feedback.
+        phase.store(1, Ordering::SeqCst);
         fault.set_armed(true);
         let armed_at = Instant::now();
         while v.device_health(FAULT_DEV) != HealthState::Failed {
@@ -127,110 +110,72 @@ fn main() {
             );
             std::thread::yield_now();
         }
-        let detect = armed_at.elapsed();
+        out.push(("detect_secs", armed_at.elapsed().as_secs_f64()));
         // Let the degraded regime run visibly before repair begins.
-        std::thread::sleep(Duration::from_millis(120));
+        std::thread::sleep(DWELL);
 
-        // Phase 3: online rebuild, throttled so foreground I/O keeps
-        // flowing between bursts.
+        // Online rebuild, throttled so foreground I/O keeps flowing
+        // between bursts.
         phase.store(REBUILDING, Ordering::SeqCst);
         let rb0 = Instant::now();
-        let report = rebuild_device_online(
-            &v,
-            FAULT_DEV,
-            RebuildThrottle {
-                burst_blocks: 8,
-                pause: Duration::from_millis(2),
-            },
-        )
-        .unwrap();
-        let rebuild_took = rb0.elapsed();
+        let throttle = RebuildThrottle {
+            burst_blocks: 8,
+            pause: Duration::from_millis(2),
+        };
+        let rebuilt = rebuild_device_online(&v, FAULT_DEV, throttle).unwrap();
+        out.push(("rebuild_secs", rb0.elapsed().as_secs_f64()));
         assert_eq!(v.device_health(FAULT_DEV), HealthState::Healthy);
+        let resynced: u64 = rebuilt.shadow_resynced.iter().map(|(_, n)| n).sum();
+        out.push(("resynced_blocks", resynced as f64));
 
-        // Phase 4: recovered steady state.
-        phase.store(RECOVERED, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(120));
+        phase.store(3, Ordering::SeqCst);
+        std::thread::sleep(DWELL);
         stop.store(true, Ordering::SeqCst);
-
-        detect_secs = detect.as_secs_f64();
-        rebuild_secs = rebuild_took.as_secs_f64();
-        resynced_blocks = report.shadow_resynced.iter().map(|(_, n)| n).sum::<u64>();
-        println!(
-            "fail-stop detected in {detect:?}; online rebuild re-synced \
-             {resynced_blocks} blocks in {rebuild_took:?} ({:?} of transient \
-             errors seen)\n",
-            fault.counts().transients,
-        );
     })
     .unwrap();
 
     // Bucket the timeline by phase.
     let samples = std::mem::take(&mut *timeline.lock());
-    let mut t = Table::new(&["phase", "duration (ms)", "ops", "kops/s", "min 5ms slice"]);
-    let mut rebuild_min = u64::MAX;
-    for (p, name) in PHASES.iter().enumerate() {
-        let in_phase: Vec<&(Duration, usize, u64)> =
-            samples.iter().filter(|(_, ph, _)| *ph == p).collect();
-        if in_phase.len() < 2 {
-            continue;
-        }
-        let dur = in_phase.last().unwrap().0 - in_phase[0].0;
-        let done = in_phase.last().unwrap().2 - in_phase[0].2;
-        let min_slice = in_phase
-            .windows(2)
-            .map(|w| w[1].2 - w[0].2)
-            .min()
-            .unwrap_or(0);
+    for (p, key) in PHASES.iter().enumerate() {
+        let in_phase: Vec<_> = samples.iter().filter(|(_, ph, _)| *ph == p).collect();
+        assert!(in_phase.len() >= 2, "{key}: phase too short to sample");
+        let (first, last) = (in_phase[0], in_phase[in_phase.len() - 1]);
+        out.push((
+            key,
+            (last.2 - first.2) as f64 / (last.0 - first.0).as_secs_f64(),
+        ));
         if p == REBUILDING {
-            rebuild_min = min_slice;
+            let slowest = in_phase.windows(2).map(|w| w[1].2 - w[0].2).min();
+            // The headline claim: the throttle kept the stripes shared.
+            assert!(
+                slowest > Some(0),
+                "foreground throughput dropped to zero during the online rebuild"
+            );
+            out.push(("rebuild_min_ops_per_slice", slowest.unwrap_or(0) as f64));
         }
-        t.row(&[
-            name.to_string(),
-            format!("{:.0}", dur.as_secs_f64() * 1e3),
-            done.to_string(),
-            format!("{:.1}", done as f64 / dur.as_secs_f64() / 1e3),
-            min_slice.to_string(),
-        ]);
     }
-    t.print();
-    save_json("e16_faults", &t);
+    out
+}
 
-    Bench::new()
-        .label("experiment", "e16_faults")
-        .int("records", RECORDS)
-        .int("workers", WORKERS)
-        .num("detect_secs", detect_secs)
-        .num("rebuild_secs", rebuild_secs)
-        .int("resynced_blocks", resynced_blocks)
-        .int(
-            "rebuild_min_ops_per_slice",
-            if rebuild_min == u64::MAX {
-                0
-            } else {
-                rebuild_min
-            },
-        )
-        .int("total_ops", ops.load(Ordering::Relaxed))
-        .save("e16_faults");
-
-    // The headline claim: no 5ms slice of the rebuild phase saw zero
-    // foreground operations — the throttle kept the stripes shared.
-    assert!(
-        rebuild_min != u64::MAX,
-        "rebuild finished too fast to sample; lower burst_blocks"
+fn main() {
+    banner(
+        "E16 (online fault management)",
+        "a shadowed volume rides out an injected fail-stop: foreground \
+         reads and writes keep flowing while the device is detected, \
+         declared Failed, and rebuilt online through throttled bursts",
     );
-    assert!(
-        rebuild_min > 0,
-        "foreground throughput dropped to zero during the online rebuild"
+    let mut report = Report::new("e16_faults");
+    report
+        .fact("records", RECORDS as f64)
+        .fact("workers", WORKERS as f64);
+    let cycle = report.lane("cycle", RUNS, fault_cycle);
+    report.check(
+        &format!(
+            "foreground never stalled: every 5ms slice of every rebuild \
+             completed operations (median slowest slice {:.0})",
+            cycle["rebuild_min_ops_per_slice"].median
+        ),
+        cycle["rebuild_min_ops_per_slice"].lo > 0.0,
     );
-    println!(
-        "\n-> foreground never stalled: every 5ms slice of the rebuild \
-         completed >= {rebuild_min} ops"
-    );
-
-    let snap = v.health_snapshot();
-    println!(
-        "-> device {FAULT_DEV} history: {:?}",
-        snap[FAULT_DEV].transitions
-    );
+    report.finish();
 }

@@ -1,7 +1,7 @@
 //! E19 — the scale harness: open-loop load, the saturation ceiling, and
 //! the overload knee.
 //!
-//! Every service-layer experiment so far was closed-loop: clients wait
+//! Every other service-layer experiment is closed-loop: clients wait
 //! for each reply, so offered load politely adapts to the service rate
 //! and overload is invisible. E19 drives the server **open-loop** — a
 //! fixed arrival schedule from [`OpenLoop`], a shared fetch-add cursor
@@ -11,34 +11,36 @@
 //!
 //! * **The saturation ceiling is measured.** 64 concurrent sessions
 //!   flood an 8-permit limit; the achieved rate is the in-process
-//!   ceiling every other lane is scaled against. (The big-mutex +
-//!   `notify_all` admission this replaced measured 3.4–3.5x lower here;
-//!   see EXPERIMENTS.md.)
+//!   ceiling every other lane is scaled against.
 //! * **The open-loop knee exists.** Sweeping offered rate from 0.25x to
 //!   4x of measured saturation, p99 latency climbs a cliff past
 //!   saturation (at least [`KNEE_BOUND`]x from the lowest to the highest
-//!   rate) while sub-saturation goodput tracks the offered rate.
+//!   rate) while sub-saturation goodput tracks the offered rate. The
+//!   same discipline over `pario-net` shows the same cliff.
 //! * **Goodput accounting adds up.** `AdmissionStats::total_admitted`
-//!   equals the operations driven, so achieved rates come straight from
-//!   the server, and the same counter crosses the wire in the `pario-net`
-//!   lane's `StatsSummary`.
+//!   equals the operations driven in every run, so achieved rates come
+//!   straight from the server, and the same counter crosses the wire in
+//!   the `pario-net` lane's `StatsSummary`.
+//! * **Overload and degraded routing compose.** The flood keeps
+//!   arriving while one shadow-pair device runs a transient schedule
+//!   with a mid-flood fail-stop; the health board walks it to Failed
+//!   and every read completes via the surviving shadow.
 //!
-//! Set `E19_SMOKE=1` for a CI-sized run (same lanes and assertions,
+//! Set `EXP_SMOKE=1` for a CI-sized run (same lanes and assertions,
 //! fewer operations per lane).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pario_bench::table::{save_json, Bench, Table};
+use pario_bench::measure::{nanos, Report, RUNS};
+use pario_bench::rig::{clients, fill, inject, mirrored, serve, smoke, Rig};
 use pario_bench::{banner, BS};
 use pario_core::{Organization, ParallelFile};
-use pario_disk::{DeviceRef, FaultDevice, FaultPlan, MemDisk};
+use pario_disk::FaultPlan;
 use pario_fs::Volume;
-use pario_layout::LayoutSpec;
-use pario_net::{NetClient, NetConfig, NetServer};
-use pario_server::{LatencyHistogram, Saturation, Server, ServerConfig};
-use pario_workloads::{OpenLoop, OpenLoopPlan};
+use pario_net::NetClient;
+use pario_server::{quantile_nanos, LatencyHistogram, Saturation, Server, ServerConfig};
+use pario_workloads::OpenLoop;
 
 /// Concurrent sessions (and worker threads) driving the server — the
 /// oversubscription the acceptance criterion names.
@@ -56,25 +58,19 @@ const NET_KNEE_BOUND: f64 = 1.5;
 /// An offered rate far past any achievable throughput: the schedule is
 /// due "immediately", so the run measures pure saturation throughput.
 const FLOOD_RATE: f64 = 5e7;
-/// TCP connections in the net lane.
+/// Connections in the net lane.
 const NET_CONNS: usize = 8;
 
-fn smoke() -> bool {
-    std::env::var("E19_SMOKE").is_ok()
-}
-
-/// A server over 4 undelayed in-memory devices (I/O-node fronted) with a
-/// `RECORDS`-record GDA file — the per-op work is a block read, cheap
-/// enough that the admission/completion path is what's being measured.
-fn make_server() -> Server {
-    let devices: Vec<DeviceRef> = (0..4)
-        .map(|i| Arc::new(MemDisk::named(&format!("mem{i}"), 2048, BS)) as DeviceRef)
-        .collect();
-    let volume = Volume::new_with_io_nodes(devices).unwrap();
-    let pf = ParallelFile::create(&volume, "scale", Organization::GlobalDirect, BS, 1).unwrap();
-    let data = vec![7u8; RECORDS as usize * BS];
-    pf.raw().write_span(0, &data).unwrap();
-    pf.raw().set_len_records(RECORDS).unwrap();
+/// A server admitting [`LIMIT`] operations over `volume`, holding the
+/// [`RECORDS`]-record GDA file "scale" (mirrored when `mirror`).
+fn scale_server(volume: Volume, mirror: bool) -> Server {
+    let org = Organization::GlobalDirect;
+    let pf = if mirror {
+        ParallelFile::create_with_layout(&volume, "scale", org, BS, 1, mirrored(2), None)
+    } else {
+        ParallelFile::create(&volume, "scale", org, BS, 1)
+    };
+    fill(&pf.unwrap(), RECORDS);
     Server::new(
         volume,
         ServerConfig {
@@ -82,6 +78,13 @@ fn make_server() -> Server {
             saturation: Saturation::Block,
         },
     )
+}
+
+/// The healthy rig: 4 undelayed memory devices behind I/O nodes — the
+/// per-op work is a block read, cheap enough that the
+/// admission/completion path is what is being measured.
+fn healthy_server() -> Server {
+    scale_server(Rig::new(4).io_nodes().volume(), false)
 }
 
 /// Park until `due_nanos` past `start`: sleep out large gaps, yield the
@@ -102,85 +105,123 @@ fn wait_until(start: Instant, due_nanos: u64) {
     }
 }
 
-/// Drive `plan` with `workers` threads pulling operations off a shared
-/// fetch-add cursor. Each op waits for its intended start, runs, and
-/// records latency **from the intended start** into `hist` — a stalled
-/// server cannot hide the queueing delay it causes. `setup` builds each
-/// worker's op closure (session, handle, buffer) on its own thread.
-/// Returns elapsed seconds for the whole drain.
-fn drive<S, F>(plan: &OpenLoopPlan, workers: usize, hist: &LatencyHistogram, setup: S) -> f64
+/// Offer `ops` uniform reads at `rate` with `workers` threads pulling
+/// operations off a shared fetch-add cursor. Each op waits for its
+/// intended start, runs, and its latency is taken **from the intended
+/// start** — a stalled server cannot hide the queueing delay it causes.
+/// `setup` builds each worker's read closure (session, handle, buffer)
+/// on its own thread. Returns the achieved rate and the p50/p99/p999.
+fn drive<S, F>(rate: f64, ops: u64, seed: u64, workers: usize, setup: S) -> Vec<(&'static str, f64)>
 where
-    S: Fn(usize) -> F + Sync,
-    F: FnMut(u64, bool),
+    S: Fn() -> F + Sync,
+    F: FnMut(u64),
 {
-    let cursor = AtomicU64::new(0);
-    let total = plan.arrivals.len() as u64;
-    let t0 = Instant::now();
-    crossbeam::thread::scope(|s| {
-        for w in 0..workers {
-            let cursor = &cursor;
-            let setup = &setup;
-            s.spawn(move |_| {
-                let mut op = setup(w);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let due = plan.arrivals[i as usize];
-                    wait_until(t0, due);
-                    let (rec, is_write) = plan.ops[i as usize];
-                    op(rec, is_write);
-                    let done = t0.elapsed().as_nanos() as u64;
-                    hist.record(Duration::from_nanos(done.saturating_sub(due).max(1)));
-                }
-            });
-        }
-    })
-    .unwrap();
-    t0.elapsed().as_secs_f64()
-}
-
-/// One in-process lane: offer `ops` operations at `rate` against a fresh
-/// server; returns (achieved ops/sec, p50, p99, p999).
-fn inproc_lane(rate: f64, ops: u64) -> (f64, Option<u64>, Option<u64>, Option<u64>) {
-    let server = make_server();
-    let wl = OpenLoop {
+    let plan = OpenLoop {
         rate,
         ops,
         records: RECORDS,
         theta: 0.0,
         write_fraction: 0.0,
-        seed: 19,
-    };
-    let plan = wl.plan();
+        seed,
+    }
+    .plan();
     let hist = LatencyHistogram::default();
-    let secs = drive(&plan, SESSIONS, &hist, |_w| {
+    let cursor = AtomicU64::new(0);
+    let t0 = Instant::now();
+    let secs = clients(workers, |_| {
+        let mut read = setup();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
+            if i >= plan.arrivals.len() {
+                break;
+            }
+            let due = plan.arrivals[i];
+            wait_until(t0, due);
+            read(plan.ops[i].0);
+            let done = t0.elapsed().as_nanos() as u64;
+            hist.record(Duration::from_nanos(done.saturating_sub(due).max(1)));
+        }
+    });
+    let snap = hist.snapshot();
+    vec![
+        ("achieved_per_sec", ops as f64 / secs),
+        ("p50_nanos", nanos(quantile_nanos(&snap, 0.5))),
+        ("p99_nanos", nanos(quantile_nanos(&snap, 0.99))),
+        ("p999_nanos", nanos(quantile_nanos(&snap, 0.999))),
+    ]
+}
+
+/// One in-process run: [`SESSIONS`] sessions offer `ops` reads at
+/// `rate` against `server`.
+fn inproc_run(server: &Server, rate: f64, ops: u64, seed: u64) -> Vec<(&'static str, f64)> {
+    let out = drive(rate, ops, seed, SESSIONS, || {
         let sess = server.connect();
         let g = sess.open_direct("scale").unwrap();
         let mut buf = vec![0u8; BS];
-        move |r: u64, _wr: bool| g.read_record(r, &mut buf).unwrap()
+        move |r| g.read_record(r, &mut buf).unwrap()
     });
-    let snap = hist.snapshot();
-    let st = server.stats();
     assert_eq!(
-        st.total_admitted, ops,
+        server.stats().total_admitted,
+        ops,
         "goodput accounting: every driven op admitted exactly once"
     );
-    (
-        ops as f64 / secs,
-        pario_server::quantile_nanos(&snap, 0.5),
-        pario_server::quantile_nanos(&snap, 0.99),
-        pario_server::quantile_nanos(&snap, 0.999),
-    )
+    out
 }
 
-fn fmt_ns(ns: Option<u64>) -> String {
-    match ns {
-        Some(ns) if ns >= 1_000_000 => format!("{:.1}ms", ns as f64 / 1e6),
-        Some(ns) => format!("{:.0}us", ns as f64 / 1e3),
-        None => "-".to_string(),
-    }
+/// One run of the same discipline over `pario-net`.
+fn net_run(rate: f64, ops: u64) -> Vec<(&'static str, f64)> {
+    let (_net, addr) = serve(healthy_server());
+    let out = drive(rate, ops, 91, NET_CONNS, || {
+        let client = NetClient::connect_tcp(&addr).unwrap();
+        let g = client.open_direct("scale").unwrap();
+        let mut buf = vec![0u8; BS];
+        move |r| {
+            g.read_record(r, &mut buf).unwrap();
+            // `client` must outlive the handle: dropping it closes the
+            // connection under the ops still in flight.
+            let _ = &client;
+        }
+    });
+    let admitted = NetClient::connect_tcp(&addr).unwrap().stats().unwrap();
+    assert_eq!(admitted.total_admitted, ops, "remote goodput accounting");
+    out
+}
+
+/// One run of the fault-armed rung: the flood against a shadowed file
+/// while device 1 runs a transient schedule and fail-stops an eighth of
+/// the way in. Panics unless the schedule bit and the board noticed.
+fn degraded_run(ops: u64) -> Vec<(&'static str, f64)> {
+    let rig = Rig::new(4);
+    let mut devices = rig.devices();
+    let fault = inject(
+        &mut devices,
+        1,
+        FaultPlan {
+            seed: 1919,
+            transient_rate: 0.05,
+            fail_after: Some(ops / 8),
+            ..FaultPlan::default()
+        },
+    );
+    let server = scale_server(rig.volume_over(devices), true);
+    fault.set_armed(true);
+    let mut out = inproc_run(&server, FLOOD_RATE, ops, 119);
+    fault.set_armed(false);
+    let counts = fault.counts();
+    assert!(
+        counts.transients > 0 && counts.failed_ops > 0,
+        "the fault schedule must actually bite mid-flood \
+         (transients {}, refused {})",
+        counts.transients,
+        counts.failed_ops
+    );
+    assert!(
+        server.volume().is_degraded(),
+        "the fail-stop must surface on the health board during overload"
+    );
+    out.push(("transients", counts.transients as f64));
+    out.push(("refused_ops", counts.failed_ops as f64));
+    out
 }
 
 fn main() {
@@ -189,17 +230,19 @@ fn main() {
         "a fixed arrival schedule (coordinated-omission safe) finds the \
          server's saturation point and the latency cliff past it",
     );
-    let sat_ops: u64 = if smoke() { 4_000 } else { 16_000 };
+    let mut report = Report::new("e19_scale");
+    report
+        .fact("sessions", SESSIONS as f64)
+        .fact("limit", LIMIT as f64);
+    // Operations per run: `secs` of the offered rate, within bounds.
+    let sized = |rate: f64, secs: f64, lo: u64, hi: u64| ((rate * secs) as u64).clamp(lo, hi);
 
-    // -- Lane 1: saturation throughput ---------------------------------
-    let (fast_sat, _, fast_p99, _) = inproc_lane(FLOOD_RATE, sat_ops);
-    println!(
-        "\nsaturation at {SESSIONS} sessions over {LIMIT} permits ({sat_ops} ops): \
-         {fast_sat:.0} ops/s  p99 {}",
-        fmt_ns(fast_p99),
-    );
-
-    // -- Lane 2: offered-rate sweep -------------------------------------
+    // Saturation throughput, then the offered-rate sweep around it.
+    let sat_ops = if smoke() { 4_000 } else { 16_000 };
+    let sat = report.lane("sat", RUNS, || {
+        inproc_run(&healthy_server(), FLOOD_RATE, sat_ops, 19)
+    })["achieved_per_sec"]
+        .median;
     let multiples: &[(&str, f64)] = if smoke() {
         &[("x025", 0.25), ("x100", 1.0), ("x400", 4.0)]
     } else {
@@ -211,246 +254,54 @@ fn main() {
             ("x400", 4.0),
         ]
     };
-    let mut sweep = Table::new(&[
-        "offered",
-        "rate/s",
-        "achieved/s",
-        "goodput",
-        "p50",
-        "p99",
-        "p999",
-    ]);
-    let mut bench = Bench::new();
-    bench
-        .label("experiment", "e19_scale")
-        .int("sessions", SESSIONS as u64)
-        .int("limit", LIMIT as u64)
-        .num("sat_fast_ops_per_sec", fast_sat);
-    let mut low_p99 = None;
-    let mut high_p99 = None;
-    let mut low_goodput = 0.0;
-    for &(tag, m) in multiples {
-        let rate = fast_sat * m;
-        let ops = if smoke() {
-            ((rate * 0.3) as u64).clamp(500, 4_000)
-        } else {
-            ((rate * 0.8) as u64).clamp(2_000, 20_000)
-        };
-        let (achieved, p50, p99, p999) = inproc_lane(rate, ops);
-        let goodput = achieved / rate;
-        if tag == "x025" {
-            low_p99 = p99;
-            low_goodput = goodput;
-        }
-        if tag == "x400" {
-            high_p99 = p99;
-        }
-        sweep.row(&[
-            format!("{m:.2}x sat"),
-            format!("{rate:.0}"),
-            format!("{achieved:.0}"),
-            format!("{:.0}%", goodput * 100.0),
-            fmt_ns(p50),
-            fmt_ns(p99),
-            fmt_ns(p999),
-        ]);
-        bench
-            .num(&format!("sweep_{tag}_offered"), rate)
-            .num(&format!("sweep_{tag}_achieved"), achieved)
-            .int(&format!("sweep_{tag}_p50_nanos"), p50.unwrap_or(0))
-            .int(&format!("sweep_{tag}_p99_nanos"), p99.unwrap_or(0))
-            .int(&format!("sweep_{tag}_p999_nanos"), p999.unwrap_or(0));
-    }
-    println!("\noffered-rate sweep ({SESSIONS} sessions):");
-    sweep.print();
-    save_json("e19_scale", &sweep);
-    let knee = high_p99.unwrap_or(0) as f64 / low_p99.unwrap_or(1).max(1) as f64;
-    println!("knee: p99 grows {knee:.1}x from 0.25x to 4x offered (required >= {KNEE_BOUND}x)");
-
-    // -- Lane 3: the same discipline over pario-net ---------------------
-    let net_sat_ops: u64 = if smoke() { 1_500 } else { 6_000 };
-    let net_lane = |rate: f64, ops: u64| {
-        let net = NetServer::bind_tcp("127.0.0.1:0", make_server(), NetConfig::default()).unwrap();
-        let addr = net.local_addr().unwrap().to_string();
-        let wl = OpenLoop {
-            rate,
-            ops,
-            records: RECORDS,
-            theta: 0.0,
-            write_fraction: 0.0,
-            seed: 91,
-        };
-        let plan = wl.plan();
-        let hist = LatencyHistogram::default();
-        let addr_ref = &addr;
-        let secs = drive(&plan, NET_CONNS, &hist, |_w| {
-            let client = NetClient::connect_tcp(addr_ref).unwrap();
-            let g = client.open_direct("scale").unwrap();
-            let mut buf = vec![0u8; BS];
-            move |r: u64, _wr: bool| {
-                g.read_record(r, &mut buf).unwrap();
-                // `client` must outlive the handle: dropping it closes
-                // the connection under the ops still in flight.
-                let _ = &client;
-            }
-        });
-        let snap = hist.snapshot();
-        let admitted = NetClient::connect_tcp(&addr).unwrap().stats().unwrap();
-        assert_eq!(admitted.total_admitted, ops, "remote goodput accounting");
-        (ops as f64 / secs, pario_server::quantile_nanos(&snap, 0.99))
-    };
-    let (net_sat, _) = net_lane(FLOOD_RATE, net_sat_ops);
-    let (net_low_achieved, net_low_p99) =
-        net_lane(net_sat * 0.5, ((net_sat * 0.4) as u64).clamp(400, 6_000));
-    let (_, net_high_p99) = net_lane(net_sat * 3.0, ((net_sat * 1.2) as u64).clamp(400, 8_000));
-    let net_knee = net_high_p99.unwrap_or(0) as f64 / net_low_p99.unwrap_or(1).max(1) as f64;
-    let mut net_t = Table::new(&["lane", "offered/s", "achieved/s", "p99"]);
-    net_t.row(&[
-        "saturation".into(),
-        "flood".into(),
-        format!("{net_sat:.0}"),
-        "-".into(),
-    ]);
-    net_t.row(&[
-        "0.5x sat".into(),
-        format!("{:.0}", net_sat * 0.5),
-        format!("{net_low_achieved:.0}"),
-        fmt_ns(net_low_p99),
-    ]);
-    net_t.row(&[
-        "3x sat".into(),
-        format!("{:.0}", net_sat * 3.0),
-        "-".into(),
-        fmt_ns(net_high_p99),
-    ]);
-    println!("\nnet lane ({NET_CONNS} TCP connections):");
-    net_t.print();
-    save_json("e19_net", &net_t);
-    println!("net knee: p99 grows {net_knee:.1}x (required >= {NET_KNEE_BOUND}x)");
-
-    // -- Lane 4: fault-armed rung — overload and degraded routing at
-    // the same time. One shadow-pair device runs a transient schedule
-    // with a mid-flood fail-stop; the open-loop flood keeps arriving
-    // while the health board walks the device to Failed and reads
-    // reroute to the surviving shadow. The rung measures what the
-    // saturation ceiling costs when the array is simultaneously
-    // overloaded and degraded.
-    let degraded_ops: u64 = if smoke() { 2_000 } else { 8_000 };
-    let mut devices: Vec<DeviceRef> = (0..4)
-        .map(|i| Arc::new(MemDisk::named(&format!("dmem{i}"), 2048, BS)) as DeviceRef)
+    let sweep: Vec<_> = multiples
+        .iter()
+        .map(|&(tag, m)| {
+            let rate = sat * m;
+            let ops = if smoke() {
+                sized(rate, 0.3, 500, 4_000)
+            } else {
+                sized(rate, 0.8, 2_000, 20_000)
+            };
+            report.fact(&format!("sweep_{tag}_offered_rate"), rate);
+            report.lane(&format!("sweep_{tag}"), RUNS, || {
+                inproc_run(&healthy_server(), rate, ops, 19)
+            })
+        })
         .collect();
-    let (fault, wrapped) = FaultDevice::wrap(
-        devices[1].clone(),
-        FaultPlan {
-            seed: 1919,
-            transient_rate: 0.05,
-            fail_after: Some(degraded_ops / 8),
-            ..FaultPlan::default()
-        },
-    );
-    devices[1] = wrapped;
-    fault.set_armed(false);
-    let volume = Volume::new(devices).unwrap();
-    let pf = ParallelFile::create_with_layout(
-        &volume,
-        "scale",
-        Organization::GlobalDirect,
-        BS,
-        1,
-        LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
-            devices: 2,
-            unit: 1,
-        })),
-        None,
-    )
-    .unwrap();
-    pf.raw()
-        .write_span(0, &vec![7u8; RECORDS as usize * BS])
-        .unwrap();
-    pf.raw().set_len_records(RECORDS).unwrap();
-    let server = Server::new(
-        volume.clone(),
-        ServerConfig {
-            max_in_flight: LIMIT,
-            saturation: Saturation::Block,
-        },
-    );
-    fault.set_armed(true);
-    let wl = OpenLoop {
-        rate: FLOOD_RATE,
-        ops: degraded_ops,
-        records: RECORDS,
-        theta: 0.0,
-        write_fraction: 0.0,
-        seed: 119,
-    };
-    let plan = wl.plan();
-    let hist = LatencyHistogram::default();
-    let degraded_secs = drive(&plan, SESSIONS, &hist, |_w| {
-        let sess = server.connect();
-        let g = sess.open_direct("scale").unwrap();
-        let mut buf = vec![0u8; BS];
-        move |r: u64, _wr: bool| g.read_record(r, &mut buf).unwrap()
+    let (low, high) = (&sweep[0], &sweep[sweep.len() - 1]);
+    let knee = high["p99_nanos"].median / low["p99_nanos"].median;
+    let low_goodput = low["achieved_per_sec"].median / (sat * multiples[0].1);
+
+    // The same discipline over pario-net: saturation, then below and
+    // past it.
+    let net_sat_ops = if smoke() { 1_500 } else { 6_000 };
+    let net_sat = report.lane("net_sat", RUNS, || net_run(FLOOD_RATE, net_sat_ops))
+        ["achieved_per_sec"]
+        .median;
+    let net_low = report.lane("net_x050", RUNS, || {
+        net_run(net_sat * 0.5, sized(net_sat, 0.4, 400, 6_000))
     });
-    fault.set_armed(false);
-    let degraded_sat = degraded_ops as f64 / degraded_secs;
-    let degraded_p99 = pario_server::quantile_nanos(&hist.snapshot(), 0.99);
-    let counts = fault.counts();
-    let degraded_ratio = degraded_sat / fast_sat;
-    println!(
-        "\nfault-armed rung ({SESSIONS} sessions flooding a shadowed volume):\n\
-         \x20 degraded saturation  {degraded_sat:.0} ops/s  p99 {}  \
-         ({:.0}% of the healthy ceiling)\n\
-         \x20 schedule: {} transients, fail-stop after {} ops \
-         ({} refused post-trip), every read completed via rerouting",
-        fmt_ns(degraded_p99),
-        degraded_ratio * 100.0,
-        counts.transients,
-        degraded_ops / 8,
-        counts.failed_ops,
-    );
-    assert!(
-        counts.transients > 0 && counts.failed_ops > 0,
-        "the fault schedule must actually bite mid-flood \
-         (transients {}, refused {})",
-        counts.transients,
-        counts.failed_ops
-    );
-    assert!(
-        volume.is_degraded(),
-        "the fail-stop must surface on the health board during overload"
-    );
+    let net_high = report.lane("net_x300", RUNS, || {
+        net_run(net_sat * 3.0, sized(net_sat, 1.2, 400, 8_000))
+    });
+    let net_knee = net_high["p99_nanos"].median / net_low["p99_nanos"].median;
 
-    bench
-        .num("knee_p99_ratio", knee)
-        .num("sweep_x025_goodput", low_goodput)
-        .num("net_sat_ops_per_sec", net_sat)
-        .num("net_knee_p99_ratio", net_knee)
-        .int("net_low_p99_nanos", net_low_p99.unwrap_or(0))
-        .int("net_high_p99_nanos", net_high_p99.unwrap_or(0))
-        .num("degraded_sat_ops_per_sec", degraded_sat)
-        .num("degraded_vs_healthy_ratio", degraded_ratio)
-        .int("degraded_p99_nanos", degraded_p99.unwrap_or(0))
-        .int("degraded_transients", counts.transients)
-        .int("degraded_refused_ops", counts.failed_ops)
-        .save("e19_scale");
+    // Overload and degraded routing at the same time.
+    let degraded_ops = if smoke() { 2_000 } else { 8_000 };
+    let degraded = report.lane("degraded", RUNS, || degraded_run(degraded_ops));
 
-    // The headline claims, asserted so CI catches a regression.
-    assert!(
-        knee >= KNEE_BOUND,
-        "open-loop p99 must climb >= {KNEE_BOUND}x past saturation \
-         (got {knee:.1}x)"
-    );
-    assert!(
-        low_goodput >= GOODPUT_BOUND,
-        "below saturation, achieved rate must track offered \
-         (got {:.0}%)",
-        low_goodput * 100.0
-    );
-    assert!(
-        net_knee >= NET_KNEE_BOUND,
-        "the net lane must show the same overload cliff \
-         (got {net_knee:.1}x)"
-    );
-    println!("\nE19 assertions hold: overload knee, goodput accounting.");
+    println!("\nasserted facts:");
+    report
+        .fact("knee_p99_ratio", knee)
+        .fact("sweep_x025_goodput", low_goodput)
+        .fact("net_knee_p99_ratio", net_knee)
+        .fact(
+            "degraded_vs_healthy_ratio",
+            degraded["achieved_per_sec"].median / sat,
+        )
+        .at_least("p99 climb from 0.25x to 4x of saturation", knee, KNEE_BOUND)
+        .at_least("goodput below saturation", low_goodput, GOODPUT_BOUND)
+        .at_least("p99 climb across the net lane", net_knee, NET_KNEE_BOUND);
+    report.finish();
 }

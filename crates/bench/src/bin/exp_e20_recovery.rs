@@ -9,7 +9,7 @@
 //! * **Steady-state journaling overhead.** Overwrites of already-
 //!   allocated blocks never touch the journal, so the steady-state
 //!   write path must cost (almost) nothing extra: the journal-on /
-//!   journal-off throughput ratio is asserted `<=` [`OVERHEAD_BOUND`].
+//!   journal-off time ratio is asserted `<=` [`OVERHEAD_BOUND`].
 //!   The growing lane appends to fresh files, the journal's worst
 //!   case — and since allocation runs ahead of the append cursor
 //!   (`Volume::grow_file`) that is a `Grow` record per doubling, not
@@ -17,155 +17,103 @@
 //!   `Grow` records per appended block.
 //! * **Recovery time.** Mounting a volume with pending intent records
 //!   replays them onto the fallback checkpoint; the lane measures a
-//!   dirty mount against a clean one and reports the per-record replay
-//!   cost. Recovery must actually recover: the dirty mount replays a
-//!   known record count (a `Create` and a first allocation per dirty
-//!   file) and ends with the full directory intact.
+//!   dirty mount against a clean one. Recovery must actually recover:
+//!   the dirty mount replays a known record count (a `Create` and a
+//!   first allocation per dirty file) and ends with the full directory
+//!   intact.
 //! * **Crash sweep.** A bounded rerun of the boundary sweep (every
 //!   [`SWEEP_STRIDE`]th boundary, clean and torn) — each crash must
 //!   remount with synced data intact, and the lane records how many
 //!   boundaries were exercised.
 //!
-//! Set `E20_SMOKE=1` for a CI-sized run (same lanes and assertions,
+//! Set `EXP_SMOKE=1` for a CI-sized run (same lanes and assertions,
 //! smaller populations).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use pario_bench::banner;
-use pario_bench::table::{save_json, secs, Bench, Table};
-use pario_disk::{mem_array, BlockDevice, DeviceRef, FaultDevice, FaultPlan, MemDisk};
-use pario_fs::{FileSpec, Volume};
+use pario_bench::measure::{Report, RUNS};
+use pario_bench::rig::{smoke, timed, Rig};
+use pario_disk::{BlockDevice, DeviceRef, FaultDevice, FaultPlan};
+use pario_fs::{FileSpec, RawFile, Volume};
 use pario_layout::LayoutSpec;
 
-/// Block size for every lane: small enough that metadata traffic is a
-/// visible fraction of the workload.
+/// Block and record size for every lane: small enough that metadata
+/// traffic is a visible fraction of the workload (one record per block
+/// keeps the arithmetic obvious).
 const BS: usize = 512;
-/// Record size (one record per block keeps the arithmetic obvious).
-const RECORD: usize = 512;
-/// Maximum steady-state slowdown the journal may cost (ratio of
-/// journal-on time to journal-off time).
+/// Maximum slowdown the journal may cost (ratio of journal-on time to
+/// journal-off time).
 const OVERHEAD_BOUND: f64 = 1.10;
 /// The growing lane: this many fresh files, each appended this many
 /// blocks one at a time. The same in a smoke run — the lane takes
-/// milliseconds, and a shorter one is too noisy to hold to a 10 % bound.
+/// milliseconds, and a shorter one is too noisy to hold to a 10 % bound;
+/// for the same reason a run is the best of this many alternating
+/// repeats (a few milliseconds on a shared host are only ever disturbed
+/// towards slow).
 const GROW_FILES: u64 = 4;
 const GROW_BLOCKS: u64 = 2048;
+const GROW_REPEATS: usize = 3;
 /// The crash-sweep lane exercises every this-many-th write boundary.
 const SWEEP_STRIDE: u64 = 5;
 
-fn smoke() -> bool {
-    std::env::var("E20_SMOKE").is_ok()
+fn rig(blocks: u64) -> Rig {
+    Rig::new(4).blocks(blocks).block_size(BS)
 }
 
-fn volume(devices: usize, blocks: u64) -> Volume {
-    let devs: Vec<DeviceRef> = (0..devices)
-        .map(|i| Arc::new(MemDisk::named(&format!("mem{i}"), blocks, BS)) as DeviceRef)
-        .collect();
-    Volume::new(devs).unwrap()
-}
-
-fn striped() -> LayoutSpec {
-    LayoutSpec::Striped {
+fn striped(name: &str) -> FileSpec {
+    let layout = LayoutSpec::Striped {
         devices: 4,
         unit: 1,
-    }
+    };
+    FileSpec::new(name, BS, 1, layout)
 }
 
-/// Steady-state lane: overwrite a preallocated file's records with the
-/// journal on and off. Overwrites allocate nothing, so the two paths
-/// must be near-identical. The two volumes are prepared up front and
-/// the trials interleaved, so clock drift and cold caches hit both
-/// sides equally.
-fn steady_lane(records: u64, passes: u64) -> (f64, f64) {
-    let payload = vec![0xA5u8; RECORD];
-    let prepare = |journaling: bool| {
-        let v = volume(4, 8192);
-        v.set_meta_journaling(journaling).unwrap();
-        let f = v
-            .create_file(FileSpec::new("steady", RECORD, 1, striped()))
-            .unwrap();
-        for r in 0..records {
-            f.write_record(r, &payload).unwrap();
-        }
-        v.sync_meta().unwrap();
-        (v, f)
-    };
-    let (_von, fon) = prepare(true);
-    let (_voff, foff) = prepare(false);
-    let run = |f: &pario_fs::RawFile| {
-        for _ in 0..passes {
-            for r in 0..records {
-                f.write_record(r, &payload).unwrap();
-            }
-        }
-    };
-    // One untimed warmup each, then alternating best-of-five.
-    run(&fon);
-    run(&foff);
-    let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        run(&fon);
-        on = on.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        run(&foff);
-        off = off.min(t0.elapsed().as_secs_f64());
+/// A volume with journaling on or off holding "steady", `records`
+/// written and checkpointed.
+fn steady_file(journaling: bool, records: u64) -> (Volume, RawFile) {
+    let v = rig(8192).volume();
+    v.set_meta_journaling(journaling).unwrap();
+    let f = v.create_file(striped("steady")).unwrap();
+    for r in 0..records {
+        f.write_record(r, &[0xA5; BS]).unwrap();
     }
-    (on, off)
+    v.sync_meta().unwrap();
+    (v, f)
 }
 
-/// Growing lane: every file is created from nothing and appended a
-/// block at a time — the worst case for the journal, since each growth
-/// appends and flushes an intent record. Returns (journal-on secs,
-/// journal-off secs, `Grow` records journaled per appended block).
-fn grow_lane(files: u64, records: u64) -> (f64, f64, f64) {
-    let payload = vec![0x5Au8; RECORD];
-    // Appends `records` blocks to each of `files` fresh files on a
-    // fresh volume (built outside the timed part); returns the seconds
-    // taken and, when asked to look, the appends that grew the
-    // allocation — one `Grow` record each.
-    let run = |journaling: bool, count_grows: bool| {
-        let v = volume(4, 8192);
-        v.set_meta_journaling(journaling).unwrap();
-        let mut grows = 0u64;
-        let t0 = Instant::now();
-        for i in 0..files {
-            let f = v
-                .create_file(FileSpec::new(&format!("g{i}"), RECORD, 1, striped()))
-                .unwrap();
-            for r in 0..records {
+/// One run of the growing lane's one side: every file created from
+/// nothing and appended a block at a time, on a fresh volume built
+/// outside the timed part. Returns the seconds taken and, when asked to
+/// look (not in a timed run), the appends that grew the allocation —
+/// one `Grow` record each.
+fn grow(journaling: bool, count_grows: bool) -> (f64, u64) {
+    let v = rig(8192).volume();
+    v.set_meta_journaling(journaling).unwrap();
+    let mut grows = 0u64;
+    let secs = timed(|| {
+        for i in 0..GROW_FILES {
+            let f = v.create_file(striped(&format!("g{i}"))).unwrap();
+            for r in 0..GROW_BLOCKS {
                 let before = if count_grows { f.nblocks() } else { 0 };
-                f.write_record(r, &payload).unwrap();
+                f.write_record(r, &[0x5A; BS]).unwrap();
                 grows += u64::from(count_grows && f.nblocks() != before);
             }
         }
-        (t0.elapsed().as_secs_f64(), grows)
-    };
-    let (_, grows) = run(true, true);
-    // Alternating best-of-nine, as the steady lane alternates: each
-    // side is a few milliseconds, and drift must hit both equally.
-    let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..9 {
-        on = on.min(run(true, false).0);
-        off = off.min(run(false, false).0);
-    }
-    (on, off, grows as f64 / (files * records) as f64)
+    });
+    (secs, grows)
 }
 
-/// Recovery lane: time a clean mount, then a dirty mount that must
-/// replay `dirty_ops` intent records. Returns (clean secs, dirty secs,
-/// records replayed, files after recovery).
-fn recovery_lane(base_files: u64, dirty_ops: u64) -> (f64, f64, u64, usize) {
-    let devices = mem_array(4, 8192, BS);
-    let payload = vec![1u8; RECORD];
+/// One run of the recovery lane: time a clean mount, then a dirty mount
+/// that must replay the intent records of `dirty_ops` creates.
+fn recovery_run(base_files: u64, dirty_ops: u64) -> Vec<(&'static str, f64)> {
+    let devices = rig(8192).devices();
     {
-        let v = Volume::new(devices.clone()).unwrap();
+        let v = rig(8192).volume_over(devices.clone());
         for i in 0..base_files {
-            let f = v
-                .create_file(FileSpec::new(&format!("base{i}"), RECORD, 1, striped()))
-                .unwrap();
-            f.write_record(0, &payload).unwrap();
+            let f = v.create_file(striped(&format!("base{i}"))).unwrap();
+            f.write_record(0, &[1; BS]).unwrap();
         }
         v.sync_meta().unwrap();
     }
@@ -178,10 +126,8 @@ fn recovery_lane(base_files: u64, dirty_ops: u64) -> (f64, f64, u64, usize) {
     // Dirty it: creates + growth after the checkpoint, then "crash"
     // (abandon) so nothing checkpoints the journal away.
     for i in 0..dirty_ops {
-        let f = v
-            .create_file(FileSpec::new(&format!("dirty{i}"), RECORD, 1, striped()))
-            .unwrap();
-        f.write_record(0, &payload).unwrap();
+        let f = v.create_file(striped(&format!("dirty{i}"))).unwrap();
+        f.write_record(0, &[1; BS]).unwrap();
     }
     let pending = v.meta_status().journal_pending_records;
     v.abandon();
@@ -190,70 +136,60 @@ fn recovery_lane(base_files: u64, dirty_ops: u64) -> (f64, f64, u64, usize) {
     let t0 = Instant::now();
     let v = Volume::mount(devices).unwrap();
     let dirty = t0.elapsed().as_secs_f64();
-    let report = v.mount_report().unwrap();
+    let replayed = v.mount_report().unwrap().replayed_records;
     // Each dirty file journaled its `Create` and the exact first
     // allocation its one record asked for; nothing ran ahead of it.
     assert_eq!(pending, 2 * dirty_ops, "records pending at the crash");
     assert_eq!(
-        report.replayed_records, pending,
-        "dirty mount must replay every pending intent record"
+        replayed, pending,
+        "dirty mount replays every pending record"
     );
-    let files = v.list().len();
     assert_eq!(
-        files,
-        (base_files + dirty_ops) as usize,
+        v.list().len() as u64,
+        base_files + dirty_ops,
         "recovery must restore every journaled create"
     );
-    (clean, dirty, report.replayed_records, files)
+    vec![
+        ("clean_secs", clean),
+        ("dirty_secs", dirty),
+        ("replayed_records", replayed as f64),
+    ]
 }
 
 /// Bounded crash sweep: run a create/write/sync workload over shared-
 /// clock fault devices, crashing at every `stride`-th boundary (clean
 /// and torn) and remounting. Returns (boundaries total, crashes
 /// exercised). Panics if any remount fails or loses synced data.
-fn sweep_lane(stride: u64) -> (u64, u64) {
-    let payload = |r: u64| vec![r as u8 + 1; RECORD];
+fn crash_sweep(stride: u64) -> (u64, u64) {
+    let payload = |r: u64| vec![r as u8 + 1; BS];
     let run = |crash_at: Option<u64>, torn: bool| -> (Vec<DeviceRef>, Vec<Arc<FaultDevice>>, u64) {
         let clock = FaultDevice::write_clock();
-        let mut devices = Vec::new();
-        let mut faults = Vec::new();
-        for base in mem_array(4, 2048, BS) {
-            let (h, w) = FaultDevice::wrap_with_clock(
-                base,
-                FaultPlan {
-                    crash_after_writes: crash_at,
-                    crash_torn: torn,
-                    ..FaultPlan::default()
-                },
-                Arc::clone(&clock),
-            );
-            faults.push(h);
-            devices.push(w);
-        }
-        for f in &faults {
-            f.set_armed(false);
-        }
-        let v = Volume::new(devices.clone()).unwrap();
-        for f in &faults {
-            f.set_armed(true);
-        }
+        let plan = FaultPlan {
+            crash_after_writes: crash_at,
+            crash_torn: torn,
+            ..FaultPlan::default()
+        };
+        let (faults, devices): (Vec<_>, Vec<_>) = rig(2048)
+            .devices()
+            .into_iter()
+            .map(|base| FaultDevice::wrap_with_clock(base, plan, Arc::clone(&clock)))
+            .unzip();
+        let arm = |armed: bool| faults.iter().for_each(|f| f.set_armed(armed));
+        arm(false);
+        let v = rig(2048).volume_over(devices.clone());
+        arm(true);
         let work = || -> pario_fs::Result<()> {
-            let a = v.create_file(FileSpec::new("a", RECORD, 1, striped()))?;
-            for r in 0..8 {
-                a.write_record(r, &payload(r))?;
+            for (name, records) in [("a", 8), ("b", 12)] {
+                let f = v.create_file(striped(name))?;
+                for r in 0..records {
+                    f.write_record(r, &payload(r))?;
+                }
+                v.sync_meta()?;
             }
-            v.sync_meta()?;
-            let b = v.create_file(FileSpec::new("b", RECORD, 1, striped()))?;
-            for r in 0..12 {
-                b.write_record(r, &payload(r))?;
-            }
-            v.sync_meta()?;
             Ok(())
         };
         let _ = work();
-        for f in &faults {
-            f.set_armed(false);
-        }
+        arm(false);
         let boundaries = faults[0].write_boundaries();
         v.abandon();
         drop(v);
@@ -262,25 +198,21 @@ fn sweep_lane(stride: u64) -> (u64, u64) {
     let (_, _, total) = run(None, false);
     let mut exercised = 0;
     for torn in [false, true] {
-        let mut b = 0;
-        while b < total {
+        for b in (0..total).step_by(stride as usize) {
             let (devices, faults, _) = run(Some(b), torn);
-            for f in &faults {
-                f.heal();
-            }
+            faults.iter().for_each(|f| f.heal());
             let v = Volume::mount(devices)
                 .unwrap_or_else(|e| panic!("boundary {b} torn={torn}: remount failed: {e}"));
             // Anything synced before the crash must read back exactly.
             if v.list().iter().any(|n| n == "a") {
                 let a = v.open("a").unwrap();
-                let mut buf = vec![0u8; RECORD];
+                let mut buf = vec![0u8; BS];
                 for r in 0..a.len_records().min(8) {
                     a.read_record(r, &mut buf).unwrap();
                     assert_eq!(buf, payload(r), "boundary {b} torn={torn}: a/{r}");
                 }
             }
             exercised += 1;
-            b += stride;
         }
     }
     (total, exercised)
@@ -299,124 +231,73 @@ fn main() {
     } else {
         (512, 32, 24, 16)
     };
+    let mut report = Report::new("e20_recovery");
 
-    // -- Lane 1: steady-state overwrite overhead ------------------------
-    let (on, off) = steady_lane(records, passes);
-    let steady_ratio = on / off;
-    let total_writes = records * passes;
-    println!(
-        "\nsteady state ({total_writes} overwrites of {records} preallocated records):\n\
-         \x20 journal on   {}  ({:.0} writes/s)\n\
-         \x20 journal off  {}  ({:.0} writes/s)\n\
-         \x20 overhead {:.1}% (bound {:.0}%)",
-        secs(on),
-        total_writes as f64 / on,
-        secs(off),
-        total_writes as f64 / off,
-        (steady_ratio - 1.0) * 100.0,
-        (OVERHEAD_BOUND - 1.0) * 100.0,
-    );
-
-    // -- Lane 2: appends to fresh files (the journal's worst case) ------
-    let (gon, goff, grows_per_block) = grow_lane(GROW_FILES, GROW_BLOCKS);
-    let grow_ratio = gon / goff;
-    println!(
-        "growing ({GROW_FILES} files x {GROW_BLOCKS} blocks appended one at a time, \
-         {grows_per_block:.3} Grow records per block):\n\
-         \x20 journal on   {}\n\
-         \x20 journal off  {}\n\
-         \x20 overhead {:.1}% (bound {:.0}%)",
-        secs(gon),
-        secs(goff),
-        (grow_ratio - 1.0) * 100.0,
-        (OVERHEAD_BOUND - 1.0) * 100.0,
-    );
-
-    // -- Lane 3: recovery time ------------------------------------------
-    let (clean, dirty, replayed, files) = recovery_lane(base_files, dirty_ops);
-    println!(
-        "recovery ({base_files} checkpointed files + {dirty_ops} un-checkpointed creates):\n\
-         \x20 clean mount  {}\n\
-         \x20 dirty mount  {}  ({replayed} intent records replayed, {files} files intact)",
-        secs(clean),
-        secs(dirty),
-    );
-
-    // -- Lane 4: bounded crash sweep ------------------------------------
-    let stride = if smoke() {
-        SWEEP_STRIDE * 2
-    } else {
-        SWEEP_STRIDE
+    // Steady-state overwrites: the two volumes are prepared up front
+    // and every run times one after the other, so clock drift and cold
+    // caches hit both sides equally.
+    let (_von, fon) = steady_file(true, records);
+    let (_voff, foff) = steady_file(false, records);
+    let overwrite = |f: &RawFile| {
+        for _ in 0..passes {
+            for r in 0..records {
+                f.write_record(r, &[0xA5; BS]).unwrap();
+            }
+        }
     };
-    let (boundaries, crashes) = sweep_lane(stride);
-    println!(
-        "crash sweep: {crashes} crash points over {boundaries} write boundaries \
-         (stride {stride}, clean + torn) all remounted with synced data intact"
-    );
+    overwrite(&fon); // one untimed warm-up each
+    overwrite(&foff);
+    let steady = report.lane("steady", RUNS, || {
+        let (on, off) = (timed(|| overwrite(&fon)), timed(|| overwrite(&foff)));
+        vec![
+            ("journal_on_secs", on),
+            ("journal_off_secs", off),
+            ("overhead_ratio", on / off),
+        ]
+    });
 
-    let mut t = Table::new(&["lane", "journal on", "journal off", "overhead"]);
-    t.row(&[
-        "steady overwrite".into(),
-        secs(on),
-        secs(off),
-        format!("{:+.1}%", (steady_ratio - 1.0) * 100.0),
-    ]);
-    t.row(&[
-        "grow/append".into(),
-        secs(gon),
-        secs(goff),
-        format!("{:+.1}%", (grow_ratio - 1.0) * 100.0),
-    ]);
-    t.row(&[
-        "mount (clean/dirty)".into(),
-        secs(dirty),
-        secs(clean),
-        format!("{replayed} records replayed"),
-    ]);
-    println!();
-    t.print();
-    save_json("e20_recovery", &t);
+    // Appends to fresh files (the journal's worst case).
+    let grows_per_block = grow(true, true).1 as f64 / (GROW_FILES * GROW_BLOCKS) as f64;
+    let growing = report.lane("grow", RUNS, || {
+        let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..GROW_REPEATS {
+            on = on.min(grow(true, false).0);
+            off = off.min(grow(false, false).0);
+        }
+        vec![
+            ("journal_on_secs", on),
+            ("journal_off_secs", off),
+            ("overhead_ratio", on / off),
+        ]
+    });
+    report.fact("grow_records_per_block", grows_per_block);
 
-    Bench::new()
-        .label("experiment", "e20_recovery")
-        .num("steady_journal_on_secs", on)
-        .num("steady_journal_off_secs", off)
-        .num("steady_overhead_ratio", steady_ratio)
-        .num("grow_journal_on_secs", gon)
-        .num("grow_journal_off_secs", goff)
-        .num("grow_overhead_ratio", grow_ratio)
-        .num("grow_records_per_block", grows_per_block)
-        .num("mount_clean_secs", clean)
-        .num("mount_dirty_secs", dirty)
-        .int("mount_replayed_records", replayed)
-        .int("sweep_boundaries", boundaries)
-        .int("sweep_crash_points", crashes)
-        .save("e20_recovery");
+    report.lane("mount", RUNS, || recovery_run(base_files, dirty_ops));
 
-    assert!(
-        steady_ratio <= OVERHEAD_BOUND,
-        "steady-state journaling overhead must stay within \
-         {:.0}% (got {:.1}%)",
-        (OVERHEAD_BOUND - 1.0) * 100.0,
-        (steady_ratio - 1.0) * 100.0
-    );
-    assert!(
-        grow_ratio <= OVERHEAD_BOUND,
-        "journaling overhead on the growing lane must stay within \
-         {:.0}% (got {:.1}%, {grows_per_block:.3} Grow records per block)",
-        (OVERHEAD_BOUND - 1.0) * 100.0,
-        (grow_ratio - 1.0) * 100.0
-    );
-    assert!(
-        crashes > 0 && boundaries > 0,
-        "the sweep must exercise crash points"
-    );
-    println!(
-        "\nE20 assertions hold: steady-state overhead {:.1}% and growing \
-         overhead {:.1}% <= {:.0}%, {replayed}-record replay recovered \
-         the volume, {crashes} crash points survived.",
-        (steady_ratio - 1.0) * 100.0,
-        (grow_ratio - 1.0) * 100.0,
-        (OVERHEAD_BOUND - 1.0) * 100.0
-    );
+    let stride = SWEEP_STRIDE * if smoke() { 2 } else { 1 };
+    let (boundaries, crashes) = crash_sweep(stride);
+    report
+        .fact("sweep_boundaries", boundaries as f64)
+        .fact("sweep_crash_points", crashes as f64);
+
+    println!("\nasserted facts:");
+    report
+        .at_most(
+            "steady-state journal on/off time ratio",
+            steady["overhead_ratio"].median,
+            OVERHEAD_BOUND,
+        )
+        .at_most(
+            "growing-lane journal on/off time ratio",
+            growing["overhead_ratio"].median,
+            OVERHEAD_BOUND,
+        )
+        .check(
+            &format!(
+                "{crashes} crash points over {boundaries} write boundaries (stride {stride}, \
+                 clean + torn) all remounted with synced data intact"
+            ),
+            crashes > 0 && boundaries > 0,
+        );
+    report.finish();
 }

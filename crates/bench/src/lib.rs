@@ -1,14 +1,21 @@
 //! # pario-bench — the experiment harness
 //!
-//! One binary per experiment in DESIGN.md §5 (`exp_e1_figure1` …
-//! `exp_e12_is_blocksize`), each regenerating a figure or quantitative
-//! claim of Crockett (1989), plus Criterion microbenches. This library
-//! holds the shared pieces: markdown table rendering, result persistence,
-//! and builders for simulated device banks and scripted access patterns.
+//! One binary per experiment in DESIGN.md §5. `exp_e1_figure1` …
+//! `exp_e12_is_blocksize` each regenerate a figure or quantitative claim
+//! of Crockett (1989) on the simulator; `exp_span_coalesce` (E13) and
+//! `exp_e14_server` … `exp_e20_recovery` measure the real I/O stack and
+//! the service layers built on it, every one of them on the one [`rig`]
+//! builder and through the one [`measure`] reducer. Criterion
+//! microbenches cover what neither those lanes nor the gated
+//! `benchmark/` workloads time. This library holds the shared pieces:
+//! markdown table rendering, result persistence, and builders for
+//! simulated device banks and scripted access patterns.
 
 #![warn(missing_docs)]
 
 pub mod gantt;
+pub mod measure;
+pub mod rig;
 pub mod simx;
 pub mod table;
 

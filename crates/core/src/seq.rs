@@ -11,8 +11,32 @@
 
 use pario_buffer::{ReadAhead, WriteBehind};
 use pario_fs::{resolve, RawFile};
+use pario_layout::LayoutSpec;
 
 use crate::error::{CoreError, Result};
+
+/// The pipelines map blocks with `layout.map()` and submit straight to
+/// the volume's devices, beside the span planner and the cache: parity
+/// and mirror copies would go unwritten, and dirty frames unseen. Refuse
+/// the files and volumes where that shows.
+fn check_streamable(raw: &RawFile) -> Result<()> {
+    if matches!(
+        raw.meta_snapshot().layout,
+        LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_)
+    ) {
+        return Err(CoreError::BadGeometry(format!(
+            "'{}' has a redundant layout; striped streaming maintains neither parity nor mirrors",
+            raw.name()
+        )));
+    }
+    if raw.volume().cache().is_some() {
+        return Err(CoreError::BadGeometry(
+            "striped streaming bypasses the volume cache; use the global view on a cached volume"
+                .into(),
+        ));
+    }
+    Ok(())
+}
 
 /// Per-device prefetching reader that yields logical blocks in file order.
 pub struct StripedReader {
@@ -28,7 +52,11 @@ pub struct StripedReader {
 impl StripedReader {
     /// Open a streaming reader over the whole file with `nbufs` buffers
     /// per device (1 = synchronous, 2 = double buffering, …).
+    ///
+    /// Fails with [`CoreError::BadGeometry`] on a file with a redundant
+    /// layout or a volume with a cache attached.
     pub fn new(raw: &RawFile, nbufs: usize) -> Result<StripedReader> {
+        check_streamable(raw)?;
         let meta = raw.meta_snapshot();
         let layout = raw.layout();
         let bs = raw.block_size() as u64;
@@ -122,7 +150,11 @@ impl StripedWriter {
     /// Open a streaming writer that overwrites the file from record 0,
     /// with capacity for `total_records` (preallocated so the placement
     /// is known up front) and `nbufs` buffers per device.
+    ///
+    /// Fails with [`CoreError::BadGeometry`] on a file with a redundant
+    /// layout or a volume with a cache attached.
     pub fn create(raw: &RawFile, total_records: u64, nbufs: usize) -> Result<StripedWriter> {
+        check_streamable(raw)?;
         raw.ensure_capacity_records(total_records)?;
         let meta = raw.meta_snapshot();
         let vol = raw.volume();
@@ -289,6 +321,72 @@ mod tests {
             .read_records(|idx, bytes| assert_eq!(bytes, rec(idx, 64).as_slice()))
             .unwrap();
         assert_eq!(n, 30);
+    }
+
+    /// At the parent commit the writer accepted a parity file and left
+    /// its parity blocks stale: with a data device failed, the degraded
+    /// read below returned wrong bytes.
+    #[test]
+    fn redundant_layouts_and_cached_volumes_are_refused() {
+        let v = vol();
+        for (name, layout) in [
+            (
+                "p",
+                LayoutSpec::Parity {
+                    data_devices: 3,
+                    rotated: true,
+                },
+            ),
+            (
+                "m",
+                LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+                    devices: 2,
+                    unit: 1,
+                })),
+            ),
+        ] {
+            let pf = ParallelFile::create_with_layout(
+                &v,
+                name,
+                Organization::Sequential,
+                256,
+                1,
+                layout,
+                None,
+            )
+            .unwrap();
+            let refused = |r: Result<()>| matches!(r, Err(CoreError::BadGeometry(_)));
+            assert!(refused(StripedWriter::create(pf.raw(), 12, 2).map(drop)));
+            assert!(refused(StripedReader::new(pf.raw(), 2).map(drop)));
+            // What the writer may not do, the global view does: every
+            // record survives the loss of a data device.
+            let mut w = pf.global_writer();
+            for i in 0..12u64 {
+                w.write_record(&rec(i, 256)).unwrap();
+            }
+            w.finish().unwrap();
+            let dead = pf.raw().meta_snapshot().device_map[0];
+            v.device(dead).fail();
+            let mut buf = vec![0u8; 256];
+            for i in 0..12u64 {
+                pf.raw().read_record(i, &mut buf).unwrap();
+                assert_eq!(buf, rec(i, 256), "{name}: degraded record {i}");
+            }
+            v.device(dead).heal();
+        }
+
+        let cached = vol()
+            .enable_cache(pario_fs::VolumeCacheConfig::write_back(8))
+            .unwrap();
+        let pf = ParallelFile::create(&cached, "s", Organization::Sequential, 256, 1).unwrap();
+        assert!(matches!(
+            StripedWriter::create(pf.raw(), 4, 2),
+            Err(CoreError::BadGeometry(_))
+        ));
+        assert!(matches!(
+            StripedReader::new(pf.raw(), 2),
+            Err(CoreError::BadGeometry(_))
+        ));
     }
 
     #[test]

@@ -47,6 +47,8 @@ pub use mtbf::{
     expected_failures, monte_carlo_mttf, paper_table, system_mtbf_hours, MtbfRow, HOURS_PER_YEAR,
     PAPER_DEVICE_MTBF_HOURS,
 };
-pub use online::{rebuild_device_online, RebuildThrottle};
-pub use rebuild::{rebuild_device, rebuild_parity_slot, resync_shadow, RebuildReport};
+pub use online::rebuild_device_online;
+pub use rebuild::{
+    rebuild_device, rebuild_parity_slot, resync_shadow, RebuildReport, RebuildThrottle,
+};
 pub use scrub::{repair, restore_device, scrub, snapshot_device};

@@ -22,148 +22,13 @@
 //! 5. `complete_rebuild(device)` — back to `Healthy`, unless the device
 //!    failed again mid-rebuild (the racing failure report wins).
 
-use std::time::Duration;
-
 use pario_disk::DiskError;
-use pario_fs::{FsError, RawFile, Result, Volume};
-use pario_layout::{LayoutSpec, ParityPlacement, ParityStriped};
+use pario_fs::{FsError, Result, Volume};
+use pario_layout::LayoutSpec;
 
-use crate::rebuild::RebuildReport;
-
-fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= s;
-    }
-}
-
-/// Pacing for the online rebuild sweep: how much work each
-/// stripe-locked burst does, and how long the sweep yields between
-/// bursts so foreground traffic keeps flowing.
-#[derive(Copy, Clone, Debug)]
-pub struct RebuildThrottle {
-    /// Blocks replayed per stripe-locked burst.
-    pub burst_blocks: u64,
-    /// Sleep between bursts (the foreground window).
-    pub pause: Duration,
-}
-
-impl Default for RebuildThrottle {
-    fn default() -> RebuildThrottle {
-        RebuildThrottle {
-            burst_blocks: 8,
-            pause: Duration::from_micros(200),
-        }
-    }
-}
-
-/// Rebuild layout slot `slot` of a parity file in throttled bursts.
-/// The stripe lock is taken per burst, not for the whole sweep.
-fn online_rebuild_parity_slot(
-    raw: &RawFile,
-    slot: usize,
-    throttle: RebuildThrottle,
-) -> Result<u64> {
-    let ps = match raw.meta_snapshot().layout {
-        LayoutSpec::Parity {
-            data_devices,
-            rotated,
-        } => ParityStriped::new(
-            data_devices,
-            if rotated {
-                ParityPlacement::Rotated
-            } else {
-                ParityPlacement::Dedicated
-            },
-        ),
-        _ => {
-            return Err(FsError::BadSpec(
-                "online parity rebuild needs a parity-striped file".into(),
-            ))
-        }
-    };
-    let total = raw.nblocks();
-    let bs = raw.block_size();
-    let mut acc = vec![0u8; bs];
-    let mut buf = vec![0u8; bs];
-    let mut rebuilt = 0u64;
-    let mut s = 0u64;
-    let stripes = ps.stripes(total);
-    while s < stripes {
-        let mut in_burst = 0u64;
-        {
-            let _g = raw.lock_stripes();
-            while s < stripes && in_burst < throttle.burst_blocks.max(1) {
-                let stripe = s;
-                s += 1;
-                let pdev = ps.parity_device(stripe);
-                let members = ps.stripe_data(stripe, total);
-                let lost_here = pdev == slot || members.iter().any(|(_, loc)| loc.device == slot);
-                if !lost_here {
-                    continue;
-                }
-                acc.fill(0);
-                if pdev != slot {
-                    raw.read_device_block(pdev, stripe, &mut buf)?;
-                    xor_into(&mut acc, &buf);
-                }
-                for (_, loc) in &members {
-                    if loc.device == slot {
-                        continue;
-                    }
-                    raw.read_device_block(loc.device, loc.block, &mut buf)?;
-                    xor_into(&mut acc, &buf);
-                }
-                raw.write_device_block(slot, stripe, &acc)?;
-                rebuilt += 1;
-                in_burst += 1;
-            }
-        }
-        if s < stripes && !throttle.pause.is_zero() {
-            std::thread::sleep(throttle.pause);
-        }
-    }
-    Ok(rebuilt)
-}
-
-/// Re-synchronise layout slot `slot` of a shadowed file from its mirror
-/// partner in throttled bursts. Each burst holds the stripe lock —
-/// shadow writes during a rebuild take the same lock (see
-/// `RawFile::enter_shadow_write` in `pario-fs`), so a live write can
-/// never interleave with the copy of its own block.
-fn online_resync_shadow(raw: &RawFile, slot: usize, throttle: RebuildThrottle) -> Result<u64> {
-    let primaries = match raw.meta_snapshot().layout {
-        LayoutSpec::Shadowed(inner) => inner.devices_required(),
-        _ => {
-            return Err(FsError::BadSpec(
-                "online shadow resync needs a shadowed file".into(),
-            ))
-        }
-    };
-    let peer = if slot < primaries {
-        slot + primaries
-    } else {
-        slot - primaries
-    };
-    let bs = raw.block_size();
-    let mut buf = vec![0u8; bs];
-    let blocks = raw.device_blocks(slot);
-    let mut b = 0u64;
-    while b < blocks {
-        let burst_end = (b + throttle.burst_blocks.max(1)).min(blocks);
-        {
-            let _g = raw.lock_stripes();
-            while b < burst_end {
-                raw.read_device_block(peer, b, &mut buf)?;
-                raw.write_device_block(slot, b, &buf)?;
-                b += 1;
-            }
-        }
-        if b < blocks && !throttle.pause.is_zero() {
-            std::thread::sleep(throttle.pause);
-        }
-    }
-    Ok(blocks)
-}
+use crate::rebuild::{
+    rebuild_parity_slot_in_bursts, resync_shadow_in_bursts, RebuildReport, RebuildThrottle,
+};
 
 /// Rebuild every file that stored data on device `device_idx`, online:
 /// the volume keeps serving degraded I/O throughout, and foreground
@@ -200,11 +65,11 @@ pub fn rebuild_device_online(
             raw.quiesce_io();
             match &meta.layout {
                 LayoutSpec::Parity { .. } => {
-                    let n = online_rebuild_parity_slot(&raw, slot, throttle)?;
+                    let n = rebuild_parity_slot_in_bursts(&raw, slot, throttle)?;
                     report.parity_rebuilt.push((name, n));
                 }
                 LayoutSpec::Shadowed(_) => {
-                    let n = online_resync_shadow(&raw, slot, throttle)?;
+                    let n = resync_shadow_in_bursts(&raw, slot, throttle)?;
                     report.shadow_resynced.push((name, n));
                 }
                 _ => report.unprotected.push(name),
@@ -235,6 +100,7 @@ pub fn rebuild_device_online(
 mod tests {
     use super::*;
     use pario_fs::{FileSpec, HealthState, VolumeConfig};
+    use std::time::Duration;
 
     const BS: usize = 256;
 

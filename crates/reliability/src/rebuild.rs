@@ -6,21 +6,24 @@
 //! reports which files were recoverable — unprotected files are exactly
 //! the paper's warning case.
 
+use std::time::Duration;
+
 use pario_fs::{FsError, RawFile, Result, Volume};
 use pario_layout::{LayoutSpec, ParityPlacement, ParityStriped};
 
-fn xor_into(dst: &mut [u8], src: &[u8]) {
+pub(crate) fn xor_into(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
     }
 }
 
-fn parity_model(raw: &RawFile) -> Option<ParityStriped> {
+/// The parity geometry of `raw`, or `BadSpec` for any other layout.
+pub(crate) fn parity_model(raw: &RawFile) -> Result<ParityStriped> {
     match raw.meta_snapshot().layout {
         LayoutSpec::Parity {
             data_devices,
             rotated,
-        } => Some(ParityStriped::new(
+        } => Ok(ParityStriped::new(
             data_devices,
             if rotated {
                 ParityPlacement::Rotated
@@ -28,8 +31,61 @@ fn parity_model(raw: &RawFile) -> Option<ParityStriped> {
                 ParityPlacement::Dedicated
             },
         )),
-        _ => None,
+        _ => Err(FsError::BadSpec("needs a parity-striped file".into())),
     }
+}
+
+/// Pacing for a replay sweep: how much work each stripe-locked burst
+/// does, and how long the sweep yields between bursts so foreground
+/// traffic keeps flowing.
+#[derive(Copy, Clone, Debug)]
+pub struct RebuildThrottle {
+    /// Blocks replayed per stripe-locked burst.
+    pub burst_blocks: u64,
+    /// Sleep between bursts (the foreground window).
+    pub pause: Duration,
+}
+
+impl Default for RebuildThrottle {
+    fn default() -> RebuildThrottle {
+        RebuildThrottle {
+            burst_blocks: 8,
+            pause: Duration::from_micros(200),
+        }
+    }
+}
+
+/// The offline sweep: one burst under one hold of the stripe lock.
+const ONE_BURST: RebuildThrottle = RebuildThrottle {
+    burst_blocks: u64::MAX,
+    pause: Duration::ZERO,
+};
+
+/// Run `step(i)` for `i` in `0..steps` in stripe-locked bursts: the lock
+/// is held while up to `throttle.burst_blocks` steps report a block
+/// replayed, then released for `throttle.pause`.
+fn in_bursts(
+    raw: &RawFile,
+    steps: u64,
+    throttle: RebuildThrottle,
+    mut step: impl FnMut(u64) -> Result<bool>,
+) -> Result<u64> {
+    let mut replayed = 0u64;
+    let mut i = 0u64;
+    while i < steps {
+        let burst_end = replayed.saturating_add(throttle.burst_blocks.max(1));
+        {
+            let _quiesce = raw.lock_stripes();
+            while i < steps && replayed < burst_end {
+                replayed += u64::from(step(i)?);
+                i += 1;
+            }
+        }
+        if i < steps && !throttle.pause.is_zero() {
+            std::thread::sleep(throttle.pause);
+        }
+    }
+    Ok(replayed)
 }
 
 /// Rebuild layout slot `failed_slot` of a parity-protected file onto its
@@ -38,28 +94,34 @@ fn parity_model(raw: &RawFile) -> Option<ParityStriped> {
 /// The file's stripe lock is held throughout, quiescing concurrent
 /// parity updates.
 pub fn rebuild_parity_slot(raw: &RawFile, failed_slot: usize) -> Result<u64> {
-    let ps = parity_model(raw).ok_or_else(|| {
-        FsError::BadSpec("rebuild_parity_slot needs a parity-striped file".into())
-    })?;
+    rebuild_parity_slot_in_bursts(raw, failed_slot, ONE_BURST)
+}
+
+/// [`rebuild_parity_slot`] with the stripe lock taken per burst rather
+/// than for the whole sweep.
+pub(crate) fn rebuild_parity_slot_in_bursts(
+    raw: &RawFile,
+    failed_slot: usize,
+    throttle: RebuildThrottle,
+) -> Result<u64> {
+    let ps = parity_model(raw)?;
     if failed_slot > ps.stripe_width() {
         return Err(FsError::BadSpec(format!(
             "slot {failed_slot} out of range for {}+1 devices",
             ps.stripe_width()
         )));
     }
-    let _quiesce = raw.lock_stripes();
     let total = raw.nblocks();
     let bs = raw.block_size();
     let mut acc = vec![0u8; bs];
     let mut buf = vec![0u8; bs];
-    let mut rebuilt = 0;
-    for s in 0..ps.stripes(total) {
+    in_bursts(raw, ps.stripes(total), throttle, |s| {
         let pdev = ps.parity_device(s);
         let members = ps.stripe_data(s, total);
         let lost_here =
             pdev == failed_slot || members.iter().any(|(_, loc)| loc.device == failed_slot);
         if !lost_here {
-            continue;
+            return Ok(false);
         }
         // XOR everything in the stripe except the lost block.
         acc.fill(0);
@@ -75,14 +137,25 @@ pub fn rebuild_parity_slot(raw: &RawFile, failed_slot: usize) -> Result<u64> {
             xor_into(&mut acc, &buf);
         }
         raw.write_device_block(failed_slot, s, &acc)?;
-        rebuilt += 1;
-    }
-    Ok(rebuilt)
+        Ok(true)
+    })
 }
 
 /// Re-synchronise layout slot `slot` of a shadowed file from its mirror
 /// partner. Returns blocks copied.
 pub fn resync_shadow(raw: &RawFile, slot: usize) -> Result<u64> {
+    resync_shadow_in_bursts(raw, slot, ONE_BURST)
+}
+
+/// [`resync_shadow`] in throttled bursts. Each burst holds the stripe
+/// lock — shadow writes during a rebuild take the same lock (see
+/// `RawFile::enter_shadow_write` in `pario-fs`), so a live write can
+/// never interleave with the copy of its own block.
+pub(crate) fn resync_shadow_in_bursts(
+    raw: &RawFile,
+    slot: usize,
+    throttle: RebuildThrottle,
+) -> Result<u64> {
     let primaries = match raw.meta_snapshot().layout {
         LayoutSpec::Shadowed(inner) => inner.devices_required(),
         _ => {
@@ -96,14 +169,12 @@ pub fn resync_shadow(raw: &RawFile, slot: usize) -> Result<u64> {
     } else {
         slot - primaries
     };
-    let bs = raw.block_size();
-    let mut buf = vec![0u8; bs];
-    let blocks = raw.device_blocks(slot);
-    for b in 0..blocks {
+    let mut buf = vec![0u8; raw.block_size()];
+    in_bursts(raw, raw.device_blocks(slot), throttle, |b| {
         raw.read_device_block(peer, b, &mut buf)?;
         raw.write_device_block(slot, b, &buf)?;
-    }
-    Ok(blocks)
+        Ok(true)
+    })
 }
 
 /// Outcome of a volume-wide rebuild after replacing one device.

@@ -10,27 +10,10 @@
 //! independently-accessed PS/IS layouts would — the reason the paper says
 //! parity "does not appear to be applicable" there).
 
-use pario_fs::{FsError, RawFile, Result};
-use pario_layout::{LayoutSpec, ParityPlacement, ParityStriped};
-
 use pario_disk::DeviceRef;
+use pario_fs::{FsError, RawFile, Result};
 
-fn parity_model(raw: &RawFile) -> Result<ParityStriped> {
-    match raw.meta_snapshot().layout {
-        LayoutSpec::Parity {
-            data_devices,
-            rotated,
-        } => Ok(ParityStriped::new(
-            data_devices,
-            if rotated {
-                ParityPlacement::Rotated
-            } else {
-                ParityPlacement::Dedicated
-            },
-        )),
-        _ => Err(FsError::BadSpec("scrub needs a parity-striped file".into())),
-    }
-}
+use crate::rebuild::{parity_model, xor_into};
 
 /// Verify every stripe of a parity-protected file; returns the stripe
 /// indices whose parity does not match their data.
@@ -46,9 +29,7 @@ pub fn scrub(raw: &RawFile) -> Result<Vec<u64>> {
         acc.fill(0);
         for (_, loc) in ps.stripe_data(s, total) {
             raw.read_device_block(loc.device, loc.block, &mut buf)?;
-            for (a, b) in acc.iter_mut().zip(&buf) {
-                *a ^= b;
-            }
+            xor_into(&mut acc, &buf);
         }
         let ploc = ps.parity_location(s);
         raw.read_device_block(ploc.device, ploc.block, &mut buf)?;
@@ -103,9 +84,7 @@ pub fn repair(raw: &RawFile) -> Result<u64> {
                     continue;
                 }
                 raw.read_device_block(loc.device, loc.block, &mut buf)?;
-                for (a, b) in acc.iter_mut().zip(&buf) {
-                    *a ^= b;
-                }
+                xor_into(&mut acc, &buf);
             }
             raw.write_device_block(bad_loc.device, bad_loc.block, &acc)?;
             repaired += 1;
@@ -140,6 +119,7 @@ pub fn restore_device(dev: &DeviceRef, image: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use pario_fs::{FileSpec, Volume, VolumeConfig};
+    use pario_layout::LayoutSpec;
 
     const BS: usize = 256;
 

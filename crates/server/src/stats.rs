@@ -1,5 +1,5 @@
 //! Observability for load experiments: per-session operation counts,
-//! admission-queue water marks, and a log₂-bucketed latency histogram
+//! admission-queue water marks, and a log-linear latency histogram
 //! that device-level statistics ([`IoNodeStats`]) can be laid against to
 //! attribute time to device queues vs. transfers.
 
@@ -13,10 +13,39 @@ use pario_fs::{DeviceHealth, HealthState, VolumeCacheStats};
 
 use crate::admission::AdmissionStats;
 
-/// Number of histogram buckets: bucket `i` counts latencies in
-/// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs the tail
-/// (≈ 34 s and beyond).
-pub const LATENCY_BUCKETS: usize = 36;
+/// Linear sub-buckets per octave: a bucket is at most 1/16 (6.25 %) of
+/// the values it holds, so a reported quantile is that close above the
+/// sample it stands for.
+const SUB_BUCKETS: usize = 16;
+
+/// Octaves covered: values of 2^36 ns (≈ 69 s) and beyond land in the
+/// last bucket.
+const OCTAVES: usize = 36;
+
+/// Number of histogram buckets. Values below [`SUB_BUCKETS`] get a
+/// bucket each (the first four octaves hold fewer than sixteen integers
+/// between them); every later octave `[2^k, 2^(k+1))` is cut into
+/// [`SUB_BUCKETS`] equal parts.
+pub const LATENCY_BUCKETS: usize = (OCTAVES - 3) * SUB_BUCKETS;
+
+/// The bucket holding `ns` (≥ 1).
+fn bucket_of(ns: u64) -> usize {
+    if ns < SUB_BUCKETS as u64 {
+        return ns as usize;
+    }
+    let octave = 63 - ns.leading_zeros() as usize;
+    let sub = (ns >> (octave - 4)) as usize & (SUB_BUCKETS - 1);
+    ((octave - 3) * SUB_BUCKETS + sub).min(LATENCY_BUCKETS - 1)
+}
+
+/// The largest value bucket `idx` holds.
+fn bucket_le(idx: usize) -> u64 {
+    if idx < SUB_BUCKETS {
+        return idx as u64;
+    }
+    let (octave, sub) = (idx / SUB_BUCKETS + 3, idx % SUB_BUCKETS);
+    (((SUB_BUCKETS + sub + 1) as u64) << (octave - 4)) - 1
+}
 
 /// Stripes the histogram spreads its writes across (power of two).
 const LATENCY_STRIPES: usize = 8;
@@ -35,7 +64,7 @@ thread_local! {
     static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % LATENCY_STRIPES; // ordering: stripe index needs uniqueness, not ordering
 }
 
-/// A concurrent log₂ latency histogram.
+/// A concurrent log-linear latency histogram.
 ///
 /// Counts are striped across cache-line-padded bucket arrays, with each
 /// recording thread pinned to a home stripe: at 64 concurrent sessions a
@@ -60,14 +89,14 @@ impl LatencyHistogram {
     /// Record one operation latency.
     pub fn record(&self, d: Duration) {
         let ns = d.as_nanos().max(1) as u64;
-        let idx = (63 - ns.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+        let idx = bucket_of(ns);
         // Destructors may run after the thread-local is torn down.
         let stripe = STRIPE.try_with(|s| *s).unwrap_or(0);
         self.stripes[stripe].buckets[idx].fetch_add(1, Ordering::Relaxed); // ordering: histogram bump; read only by diagnostic snapshots
     }
 
     /// Snapshot every non-empty bucket as `(le_nanos, count)` where
-    /// `le_nanos` is the bucket's exclusive upper bound.
+    /// `le_nanos` is the largest value the bucket holds.
     pub fn snapshot(&self) -> Vec<LatencyBucket> {
         (0..LATENCY_BUCKETS)
             .filter_map(|i| {
@@ -77,7 +106,7 @@ impl LatencyHistogram {
                     .map(|s| s.buckets[i].load(Ordering::Relaxed)) // ordering: diagnostic snapshot; staleness is acceptable
                     .sum::<u64>();
                 (count > 0).then_some(LatencyBucket {
-                    le_nanos: 1u64 << (i + 1),
+                    le_nanos: bucket_le(i),
                     count,
                 })
             })
@@ -88,7 +117,8 @@ impl LatencyHistogram {
 /// One non-empty histogram bucket.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LatencyBucket {
-    /// Exclusive upper bound of the bucket, in nanoseconds.
+    /// The largest latency the bucket holds, in nanoseconds: every
+    /// operation counted here took this long or less.
     pub le_nanos: u64,
     /// Operations that landed in the bucket.
     pub count: u64,
@@ -201,7 +231,7 @@ impl ServerStats {
         quantile_nanos(&self.latency, q)
     }
 
-    /// Median operation latency in nanoseconds (log₂-bucket bound).
+    /// Median operation latency in nanoseconds (bucket bound).
     pub fn p50(&self) -> Option<u64> {
         self.latency_quantile(0.5)
     }
@@ -257,24 +287,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_by_log2() {
+    fn histogram_buckets_are_log_linear() {
         let h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(3)); // bucket [2,4)
+        h.record(Duration::from_nanos(3)); // below 16 ns: a bucket per value
         h.record(Duration::from_nanos(3));
-        h.record(Duration::from_micros(5)); // [4096, 8192)
+        h.record(Duration::from_micros(5)); // [4864, 5120): 1/16 of [4096, 8192)
         let snap = h.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(
             snap[0],
             LatencyBucket {
-                le_nanos: 4,
+                le_nanos: 3,
                 count: 2
             }
         );
-        assert_eq!(snap[1].le_nanos, 8192);
-        assert_eq!(quantile_nanos(&snap, 0.5), Some(4));
-        assert_eq!(quantile_nanos(&snap, 1.0), Some(8192));
+        assert_eq!(snap[1].le_nanos, 5119);
+        assert_eq!(quantile_nanos(&snap, 0.5), Some(3));
+        assert_eq!(quantile_nanos(&snap, 1.0), Some(5119));
         assert_eq!(quantile_nanos(&[], 0.5), None);
+        // The tail bucket absorbs everything past 2^36 ns.
+        h.record(Duration::from_secs(3600));
+        assert_eq!(h.snapshot()[2].le_nanos, (1 << 36) - 1);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! `xtask bench-diff` — compare two `BENCH_*.json` files and flag
-//! latency regressions.
+//! latency and throughput regressions.
 //!
 //! The bench summaries are flat JSON objects of numbers and strings
-//! (see `pario_bench::table::Bench`). This task parses them with a
-//! purpose-built scanner (xtask takes no dependencies), lines up the
-//! numeric keys both files share, and prints the relative change per
-//! key. Any key containing `p99` whose value grew by more than the
-//! threshold (default 10%) is a **regression** and fails the task —
-//! wire it between a baseline and a candidate run in CI and a p99 cliff
-//! cannot land silently.
+//! (see `pario_bench::table::Bench`); a measured key `k` comes with its
+//! quartiles as `k_lo` and `k_hi` (`pario_bench::measure`). This task
+//! parses them with a purpose-built scanner (xtask takes no
+//! dependencies), lines up the numeric keys both files share, and
+//! prints the relative change per key. Two kinds of key are gated: one
+//! containing `p99` (higher is worse) and one ending in `_per_sec`
+//! (lower is worse). Such a key **regressed** when its new interval
+//! lies wholly past the old one by more than the threshold (default
+//! 10%) — a key without quartiles is an interval of one point — and
+//! any regression fails the task: wire it between a baseline and a
+//! candidate run in CI and neither a p99 cliff nor a lost ceiling can
+//! land silently, while two runs whose quartiles overlap never trip it.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -129,38 +134,47 @@ impl Parser<'_> {
     }
 }
 
-/// Does a grown value of this key count as a latency regression?
-/// Latency keys regress *upward*; everything else is informational.
-fn is_latency_key(key: &str) -> bool {
-    key.contains("p99")
+/// Which way a gated key gets worse.
+enum Gate {
+    /// Latency: a `p99` key regresses upward.
+    HigherIsWorse,
+    /// Throughput: a `*_per_sec` key regresses downward.
+    LowerIsWorse,
 }
 
-/// One compared key: old, new, and the relative change.
-struct Delta {
-    key: String,
-    old: f64,
-    new: f64,
-}
-
-impl Delta {
-    fn ratio(&self) -> f64 {
-        if self.old == 0.0 {
-            if self.new == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.new / self.old
-        }
+/// How `key` is gated; `None` for an informational key.
+fn gate(key: &str) -> Option<Gate> {
+    if key.contains("p99") {
+        Some(Gate::HigherIsWorse)
+    } else if key.ends_with("_per_sec") {
+        Some(Gate::LowerIsWorse)
+    } else {
+        None
     }
+}
+
+/// Is `key` the `_lo` or `_hi` of a key `map` also holds?
+fn is_quartile(map: &BTreeMap<String, Value>, key: &str) -> bool {
+    key.strip_suffix("_lo")
+        .or_else(|| key.strip_suffix("_hi"))
+        .is_some_and(|base| matches!(map.get(base), Some(Value::Num(_))))
+}
+
+/// `key`'s quartiles in `map`, each falling back to the value `v`.
+fn interval(map: &BTreeMap<String, Value>, key: &str, v: f64) -> (f64, f64) {
+    let side = |suffix: &str| match map.get(&format!("{key}{suffix}")) {
+        Some(Value::Num(q)) => *q,
+        _ => v,
+    };
+    (side("_lo"), side("_hi"))
 }
 
 /// One shared numeric key's comparison: (key, old, new, new/old ratio).
 pub type KeyDelta = (String, f64, f64, f64);
 
-/// Compare two parsed bench maps; returns (all shared numeric deltas,
-/// the subset that regressed past `threshold`).
+/// Compare two parsed bench maps; returns (every shared measured key's
+/// delta — quartile keys ride with the key they belong to — and a line
+/// for each gated key that regressed past `threshold`).
 pub fn compare(
     old: &BTreeMap<String, Value>,
     new: &BTreeMap<String, Value>,
@@ -172,22 +186,27 @@ pub fn compare(
         let (Value::Num(o), Some(Value::Num(n))) = (ov, new.get(key)) else {
             continue;
         };
-        let d = Delta {
-            key: key.clone(),
-            old: *o,
-            new: *n,
+        if is_quartile(old, key) {
+            continue;
+        }
+        let ratio = match (*o == 0.0, *n == 0.0) {
+            (true, true) => 1.0,
+            (true, false) => f64::INFINITY,
+            _ => n / o,
         };
-        let ratio = d.ratio();
-        if is_latency_key(&d.key) && ratio > 1.0 + threshold {
+        let ((old_lo, old_hi), (new_lo, new_hi)) = (interval(old, key, *o), interval(new, key, *n));
+        let regressed = match gate(key) {
+            Some(Gate::HigherIsWorse) => new_lo > old_hi + threshold * old_hi.abs(),
+            Some(Gate::LowerIsWorse) => new_hi < old_lo - threshold * old_lo.abs(),
+            None => false,
+        };
+        if regressed {
             regressions.push(format!(
-                "{}: {:.0} -> {:.0} (+{:.1}%)",
-                d.key,
-                d.old,
-                d.new,
+                "{key}: {o:.0} [{old_lo:.0}, {old_hi:.0}] -> {n:.0} [{new_lo:.0}, {new_hi:.0}] ({:+.1}%)",
                 (ratio - 1.0) * 100.0
             ));
         }
-        deltas.push((d.key, d.old, d.new, ratio));
+        deltas.push((key.clone(), *o, *n, ratio));
     }
     (deltas, regressions)
 }
@@ -235,7 +254,10 @@ pub fn run(args: &[String]) -> ExitCode {
         threshold * 100.0
     );
     for (key, o, n, ratio) in &deltas {
-        let marker = if is_latency_key(key) && *ratio > 1.0 + threshold {
+        let marker = if regressions
+            .iter()
+            .any(|r| r.starts_with(&format!("{key}:")))
+        {
             "  <-- REGRESSION"
         } else {
             ""
@@ -246,10 +268,10 @@ pub fn run(args: &[String]) -> ExitCode {
         );
     }
     if regressions.is_empty() {
-        println!("bench-diff: no p99 regressions past the threshold");
+        println!("bench-diff: no p99 or throughput interval past the threshold");
         ExitCode::SUCCESS
     } else {
-        println!("bench-diff: {} p99 regression(s):", regressions.len());
+        println!("bench-diff: {} regression(s):", regressions.len());
         for r in &regressions {
             println!("  {r}");
         }
@@ -284,33 +306,83 @@ mod tests {
     }
 
     #[test]
-    fn flags_only_p99_growth_past_threshold() {
+    fn flags_p99_growth_and_throughput_loss_past_threshold() {
         let old = nums(&[
             ("sweep_x100_p99_nanos", 1000.0),
             ("sweep_x100_p50_nanos", 500.0),
             ("sat_fast_ops_per_sec", 100.0),
+            ("depth1_rec_per_sec", 100.0),
+            ("steady_journal_on_secs", 1.0),
         ]);
-        // p99 +50% regresses; p50 growth and throughput loss do not.
+        // p99 +50% and throughput -90% regress; p50 growth, throughput
+        // gain and a slower informational key do not.
         let new = nums(&[
             ("sweep_x100_p99_nanos", 1500.0),
             ("sweep_x100_p50_nanos", 5000.0),
             ("sat_fast_ops_per_sec", 10.0),
+            ("depth1_rec_per_sec", 1000.0),
+            ("steady_journal_on_secs", 9.0),
         ]);
         let (deltas, regressions) = compare(&old, &new, 0.10);
-        assert_eq!(deltas.len(), 3);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].starts_with("sweep_x100_p99_nanos"));
+        assert_eq!(deltas.len(), 5);
+        assert_eq!(regressions.len(), 2, "{regressions:?}");
+        assert!(regressions[0].starts_with("sat_fast_ops_per_sec"));
+        assert!(regressions[1].starts_with("sweep_x100_p99_nanos"));
     }
 
     #[test]
     fn within_threshold_is_clean() {
-        let old = nums(&[("a_p99_nanos", 1000.0)]);
-        let new = nums(&[("a_p99_nanos", 1050.0)]);
+        let old = nums(&[("a_p99_nanos", 1000.0), ("a_per_sec", 1000.0)]);
+        let new = nums(&[("a_p99_nanos", 1050.0), ("a_per_sec", 950.0)]);
         let (_, regressions) = compare(&old, &new, 0.10);
         assert!(regressions.is_empty(), "{regressions:?}");
-        // Shrinking p99 is never a regression.
+        // A shrinking p99 and a growing rate are never regressions.
         let (_, r2) = compare(&new, &old, 0.10);
         assert!(r2.is_empty());
+    }
+
+    /// `key` at `v` between quartiles `lo` and `hi`.
+    fn measured(key: &str, lo: f64, v: f64, hi: f64) -> BTreeMap<String, Value> {
+        nums(&[
+            (key, v),
+            (&format!("{key}_lo"), lo),
+            (&format!("{key}_hi"), hi),
+        ])
+    }
+
+    #[test]
+    fn a_throughput_interval_wholly_below_the_old_one_fails() {
+        let old = measured("sat_ops_per_sec", 95_000.0, 100_000.0, 105_000.0);
+        // Upper quartile 84 000 < 95 000 less 10 %.
+        let new = measured("sat_ops_per_sec", 70_000.0, 80_000.0, 84_000.0);
+        let (deltas, regressions) = compare(&old, &new, 0.10);
+        assert_eq!(deltas.len(), 1, "quartile keys ride with their key");
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].starts_with("sat_ops_per_sec:"));
+        assert!(compare(&new, &old, 0.10).1.is_empty(), "a gain is clean");
+    }
+
+    #[test]
+    fn a_p99_interval_wholly_above_the_old_one_fails() {
+        let old = measured("oversub_p99_nanos", 3_500_000.0, 3_670_015.0, 3_800_000.0);
+        // Lower quartile 4 300 000 > 3 800 000 plus 10 %.
+        let new = measured("oversub_p99_nanos", 4_300_000.0, 4_456_447.0, 6_000_000.0);
+        let (_, regressions) = compare(&old, &new, 0.10);
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].starts_with("oversub_p99_nanos:"));
+        assert!(compare(&new, &old, 0.10).1.is_empty(), "a gain is clean");
+    }
+
+    #[test]
+    fn overlapping_intervals_pass_whatever_the_medians_say() {
+        // Medians 30 % apart either way, but the quartiles reach each
+        // other (within the threshold): neither run resolves a change.
+        let old = measured("sat_ops_per_sec", 70_000.0, 100_000.0, 110_000.0);
+        let new = measured("sat_ops_per_sec", 60_000.0, 70_000.0, 75_000.0);
+        assert!(compare(&old, &new, 0.10).1.is_empty());
+        let old = measured("x_p99_nanos", 900.0, 1000.0, 1300.0);
+        let new = measured("x_p99_nanos", 1400.0, 1500.0, 1600.0);
+        assert!(compare(&old, &new, 0.10).1.is_empty());
     }
 
     #[test]
@@ -321,6 +393,41 @@ mod tests {
         let (deltas, regressions) = compare(&old, &new, 0.10);
         assert!(deltas.is_empty());
         assert!(regressions.is_empty());
+    }
+
+    /// Every committed `BENCH_*.json` holds measurements, not bucket
+    /// edges or single shots: each `*_nanos` key is off a power of two
+    /// (the log₂ histogram could report nothing else) and sits between
+    /// its `_lo` and `_hi`.
+    #[test]
+    fn committed_latencies_are_measured_intervals() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&root).expect("the repo root lists") {
+            let path = entry.expect("a readable entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let map = parse_flat_json(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            for (key, v) in &map {
+                let (Value::Num(v), true) = (v, key.ends_with("_nanos")) else {
+                    continue;
+                };
+                assert!(
+                    !(v.fract() == 0.0 && (*v as u64).is_power_of_two()),
+                    "{name}: {key} = {v} is a power of two"
+                );
+                let (lo, hi) = interval(&map, key, f64::NAN);
+                assert!(
+                    lo <= *v && *v <= hi,
+                    "{name}: {key} = {v} outside [{lo}, {hi}]"
+                );
+            }
+        }
+        assert!(files >= 7, "E14–E20 each commit a summary; found {files}");
     }
 
     /// The scanner must round-trip anything the *actual* emitter
@@ -408,6 +515,38 @@ mod tests {
                 }
                 let parsed = parse_flat_json(&bench.json()).expect("emitter output must parse");
                 prop_assert_eq!(parsed, expected);
+            }
+
+            /// What `Report::lane` emits for a measured key — `key`,
+            /// `key_lo`, `key_hi` — comes back as the reducer's own
+            /// interval, ordered, and self-compares clean under either
+            /// gate.
+            fn lane_triples_roundtrip(
+                runs in vec((float(), float(), float()), pario_bench::measure::RUNS..12),
+            ) {
+                use pario_bench::measure::{reduce, Report};
+                const KEYS: [&str; 3] = ["rec_per_sec", "p99_nanos", "secs"];
+                let mut report = Report::new("roundtrip");
+                let mut next = runs.iter();
+                report.lane("lane", runs.len(), || {
+                    let &(a, b, c) = next.next().expect("one call a run");
+                    vec![(KEYS[0], a), (KEYS[1], b), (KEYS[2], c)]
+                });
+                let parsed = parse_flat_json(&report.json()).expect("emitter output must parse");
+                for (i, key) in KEYS.iter().enumerate() {
+                    let mut samples: Vec<f64> =
+                        runs.iter().map(|r| [r.0, r.1, r.2][i]).collect();
+                    let want = reduce(&mut samples);
+                    let num = |suffix: &str| match parsed.get(&format!("lane_{key}{suffix}")) {
+                        Some(Value::Num(v)) => *v,
+                        other => panic!("lane_{key}{suffix}: {other:?}"),
+                    };
+                    prop_assert_eq!((num("_lo"), num(""), num("_hi")), (want.lo, want.median, want.hi));
+                    prop_assert!(want.lo <= want.median && want.median <= want.hi);
+                }
+                let (deltas, regressions) = compare(&parsed, &parsed, 0.10);
+                prop_assert_eq!(deltas.len(), KEYS.len(), "quartile keys ride with their key");
+                prop_assert!(regressions.is_empty(), "{:?}", regressions);
             }
 
             fn self_diff_is_always_clean(fields in vec((key(), field()), 1..12)) {
