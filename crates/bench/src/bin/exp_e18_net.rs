@@ -18,7 +18,7 @@
 //!   1→32 on a single connection raises throughput; synchronous
 //!   request/response is the slow shape, not the network itself. Both
 //!   ends of that lane are also held to the committed
-//!   `BENCH_e18_net.json` intervals (the whole new interval no more than
+//!   `BENCH_e18_net.json` medians (the new median no more than
 //!   [`COMMITTED_SLACK`] below the committed one): a depth-1 round trip
 //!   has no thread hand-off on the server and, for a blocking call, none
 //!   on the client, and the ratio alone would not notice one coming back.
@@ -43,9 +43,8 @@ const FAST_RECORDS: u64 = 4000;
 /// Pipeline depth of the sweep's drains (within the default credit
 /// window of 32).
 const DEPTH: usize = 8;
-/// How far below the committed `BENCH_e18_net.json` interval (same
-/// machine) the depth lane's whole interval may fall before the run
-/// fails.
+/// How far below the committed `BENCH_e18_net.json` median (same
+/// machine) the depth lane's medians may fall before the run fails.
 const COMMITTED_SLACK: f64 = 0.10;
 
 /// `key` of the committed `BENCH_e18_net.json`, read before this run
@@ -129,7 +128,7 @@ fn main() {
          devices, not the round trips, as the bottleneck",
     );
     let mut report = Report::new("e18_net");
-    let floors = ["depth1_rec_per_sec_lo", "depth32_rec_per_sec_lo"].map(committed);
+    let floors = ["depth1_rec_per_sec", "depth32_rec_per_sec"].map(committed);
 
     // Connection sweep: device-bound, every drain at depth DEPTH.
     let sweep: Vec<f64> = [1usize, 2, 4, 8]
@@ -163,21 +162,22 @@ fn main() {
             sweep[3] / sweep[0],
             1.5,
         )
-        .at_least(
-            "depth 32 over synchronous depth 1 on fast media",
-            depth32.median / depth1.median,
-            1.0,
+        .check(
+            &format!(
+                "depth 32 beats synchronous depth 1 on fast media: {:.0} against {:.0} rec/s",
+                depth32.median, depth1.median
+            ),
+            depth32.median > depth1.median,
         );
     for ((name, now), was) in [("depth 1", depth1), ("depth 32", depth32)]
         .iter()
         .zip(floors)
     {
         if let Some(was) = was {
-            let floor = was * (1.0 - COMMITTED_SLACK);
             report.at_least(
                 &format!("{name} rec/s against the committed floor"),
-                now.hi,
-                floor,
+                now.median,
+                was * (1.0 - COMMITTED_SLACK),
             );
         }
     }

@@ -22,17 +22,29 @@ for exp in $paper $measured; do
     cargo run --release -q -p pario-bench --bin "exp_$exp"
 done
 
-# Every experiment must have left its JSON behind in this run; a silent
-# skip (an early exit, a renamed table) should fail the run, not go
-# unnoticed. An experiment's tables are results/<its number>_*.json
-# (E1 draws a timeline and saves none).
+# Every experiment must have left every one of its tables behind in
+# this run; a silent skip (an early exit, a renamed table, one table of
+# two no longer written) should fail the run, not go unnoticed. An
+# experiment's table is results/<its name>.json, except that E1 draws a
+# timeline and saves none and four of the paper's save two each.
+tables_of() {
+    case $1 in
+        e1_figure1) ;;
+        e2_striping) echo e2_striping_devices e2_striping_unit ;;
+        e8_buffering) echo e8_readahead e8_writebehind ;;
+        e9_view_mismatch) echo e9_crossover e9_view_mismatch ;;
+        e11_reliability) echo e11_campaign e11_mtbf ;;
+        *) echo "$1" ;;
+    esac
+}
 missing=0
 for exp in $paper $measured; do
-    [ "$exp" = e1_figure1 ] && continue
-    if [ -z "$(find results -name "${exp%%_*}_*.json" -newer "$started")" ]; then
-        echo "MISSING: results/${exp%%_*}_*.json (exp_$exp left none)" >&2
-        missing=1
-    fi
+    for table in $(tables_of "$exp"); do
+        if [ -z "$(find results -name "$table.json" -newer "$started")" ]; then
+            echo "MISSING: results/$table.json (exp_$exp left none)" >&2
+            missing=1
+        fi
+    done
 done
 # The flat benchmark summaries (regression tracking) must exist too.
 for exp in $measured; do
