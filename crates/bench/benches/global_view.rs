@@ -1,10 +1,13 @@
-//! Global-view record throughput (buffered sequential reader/writer) and
-//! the cross-organization conversion utility.
+//! Global-view record throughput (the sequential stream, reading ahead
+//! and writing behind) as the device count grows — the wall-clock
+//! companion to E2, on in-memory devices, so it measures the software
+//! path: windowing, the hand-off, framing — and the cross-organization
+//! conversion utility.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use pario_core::{convert, Organization, ParallelFile};
-use pario_fs::{GlobalReader, GlobalWriter, Volume, VolumeConfig};
+use pario_fs::{GlobalWriter, Volume, VolumeConfig};
 
 // 96-byte records deliberately straddle 4 KiB volume blocks, while
 // 128 records per file block (12 KiB = 3 volume blocks) keeps the
@@ -13,60 +16,46 @@ const RECORD: usize = 96;
 const RPB: usize = 128;
 const RECORDS: u64 = 4096;
 
-fn vol() -> Volume {
+fn vol(devices: usize) -> Volume {
     Volume::create_in_memory(VolumeConfig {
-        devices: 4,
+        devices,
         device_blocks: 4096,
         block_size: 4096,
     })
     .unwrap()
 }
 
-fn filled(v: &Volume, name: &str) -> ParallelFile {
-    let pf = ParallelFile::create(v, name, Organization::Sequential, RECORD, RPB).unwrap();
-    let mut w = GlobalWriter::append(pf.raw().clone());
+fn fill(pf: &ParallelFile) -> u64 {
+    let mut w = GlobalWriter::truncate(pf.raw().clone()).unwrap();
     let rec = vec![5u8; RECORD];
     for _ in 0..RECORDS {
         w.write_record(&rec).unwrap();
     }
-    w.finish().unwrap();
-    pf
+    w.finish().unwrap()
 }
 
-fn bench_writer(c: &mut Criterion) {
-    let v = vol();
+/// Write and read passes of 4096 records over 1 to 8 devices.
+fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("global_view");
     g.throughput(Throughput::Bytes(RECORDS * RECORD as u64));
     g.sample_size(20);
-    let rec = vec![5u8; RECORD];
-    let pf = ParallelFile::create(&v, "w", Organization::Sequential, RECORD, RPB).unwrap();
-    g.bench_function("write_records", |b| {
-        b.iter(|| {
-            let mut w = GlobalWriter::truncate(pf.raw().clone()).unwrap();
-            for _ in 0..RECORDS {
-                w.write_record(&rec).unwrap();
-            }
-            w.finish().unwrap()
-        })
-    });
-    let pf = filled(&v, "r");
-    g.bench_function("read_records", |b| {
-        b.iter(|| {
-            let mut r = GlobalReader::new(pf.raw().clone());
-            let mut rec = vec![0u8; RECORD];
-            let mut n = 0u64;
-            while r.read_record(&mut rec).unwrap() {
-                n += 1;
-            }
-            n
-        })
-    });
+    for devices in [1usize, 2, 4, 8] {
+        let v = vol(devices);
+        let pf = ParallelFile::create(&v, "s", Organization::Sequential, RECORD, RPB).unwrap();
+        g.bench_with_input(BenchmarkId::new("write_records", devices), &pf, |b, pf| {
+            b.iter(|| fill(pf))
+        });
+        g.bench_with_input(BenchmarkId::new("read_records", devices), &pf, |b, pf| {
+            b.iter(|| pf.global_reader().for_each(|_, _| {}).unwrap())
+        });
+    }
     g.finish();
 }
 
 fn bench_convert(c: &mut Criterion) {
-    let v = vol();
-    let src = filled(&v, "src");
+    let v = vol(4);
+    let src = ParallelFile::create(&v, "src", Organization::Sequential, RECORD, RPB).unwrap();
+    fill(&src);
     let mut g = c.benchmark_group("convert");
     g.throughput(Throughput::Bytes(RECORDS * RECORD as u64));
     g.sample_size(10);
@@ -90,5 +79,5 @@ fn bench_convert(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_writer, bench_convert);
+criterion_group!(benches, bench_stream, bench_convert);
 criterion_main!(benches);

@@ -6,23 +6,31 @@
 //! and deferred writing can be used to overlap I/O operations with
 //! computation."
 //!
-//! Real threads: a consumer computes over blocks prefetched by a
-//! dedicated I/O thread ([`ReadAhead`]) from a device with a calibrated
-//! service time. The buffer count sweeps 1 (synchronous) to 8; the
-//! compute:I/O ratio sweeps around the balanced point where overlap pays
-//! the most. A write-behind mirror runs the deferred-write side.
+//! Measured on a real type-S file: four devices that sleep out a
+//! service time per request, as a thread blocked on a real device would,
+//! and a consumer (or producer) that spins out a compute time per
+//! window. The synchronous lane is a loop of whole-window `read_span` /
+//! `write_span` calls — single buffering; the stream lane is the file's
+//! global view, which keeps a second window with a worker thread. Five
+//! runs a lane, median between quartiles. The last lane counts instead:
+//! device requests per block streamed onto a rotated-parity file in
+//! whole-stripe windows (one block a span costs four).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pario_bench::banner;
-use pario_bench::table::{save_json, secs, Table};
-use pario_buffer::{ReadAhead, WriteBehind};
-use pario_disk::{DeviceRef, MemDisk};
+use pario_bench::measure::{Report, RUNS};
+use pario_bench::rig::{self, Rig};
+use pario_bench::{banner, BS};
+use pario_core::{Organization, ParallelFile};
+use pario_layout::LayoutSpec;
 
-const BLOCK: usize = 4096;
-const BLOCKS: u64 = 24;
-const IO_MS: u64 = 2;
+/// Blocks in a window of the global view (`pario_fs::global`).
+const WINDOW_BLOCKS: u64 = 32;
+const WINDOW: usize = WINDOW_BLOCKS as usize * BS;
+const WINDOWS: u64 = 48;
+const RECORDS: u64 = WINDOWS * WINDOW_BLOCKS;
+/// Device service time per request: a window is one request a device.
+const IO: Duration = Duration::from_millis(2);
 
 fn spin(d: Duration) {
     let end = Instant::now() + d;
@@ -31,98 +39,154 @@ fn spin(d: Duration) {
     }
 }
 
-fn device() -> DeviceRef {
-    Arc::new(MemDisk::new(BLOCKS, BLOCK).with_delay(Duration::from_millis(IO_MS)))
+/// A type-S file of one-block records with room for `records`, on four
+/// devices that take `delay` a request.
+fn s_file(layout: LayoutSpec, delay: Duration, records: u64) -> ParallelFile {
+    let volume = Rig::new(4).blocks(1024).delay(delay).volume();
+    let org = Organization::Sequential;
+    let pf =
+        ParallelFile::create_with_layout(&volume, "s", org, BS, 1, layout, None).expect("create");
+    pf.raw().ensure_capacity_records(records).expect("allocate");
+    pf
 }
 
-fn read_side(nbufs: usize, compute: Duration) -> Duration {
-    let dev = device();
-    let mut ra = ReadAhead::new(dev, (0..BLOCKS).collect(), nbufs);
-    let t0 = Instant::now();
-    while let Some(res) = ra.next() {
-        let (_, buf) = res.expect("read");
-        spin(compute);
-        ra.recycle(buf);
+const STRIPED: LayoutSpec = LayoutSpec::Striped {
+    devices: 4,
+    unit: 1,
+};
+
+/// Seconds to read the file a window at a time, computing after each.
+fn read_side(stream: bool, compute: Duration) -> f64 {
+    let pf = s_file(STRIPED, IO, RECORDS);
+    rig::fill(&pf, RECORDS);
+    let mut window = vec![0u8; WINDOW];
+    if stream {
+        let mut r = pf.global_reader();
+        rig::timed(|| {
+            while r.read_record(&mut window[..BS]).expect("read") {
+                if r.position().is_multiple_of(WINDOW_BLOCKS) {
+                    spin(compute);
+                }
+            }
+        })
+    } else {
+        rig::timed(|| {
+            for w in 0..WINDOWS {
+                let at = w * WINDOW as u64;
+                pf.raw().read_span(at, &mut window).expect("read");
+                spin(compute);
+            }
+        })
     }
-    t0.elapsed()
 }
 
-fn write_side(nbufs: usize, compute: Duration) -> Duration {
-    let dev = device();
-    let wb = WriteBehind::new(dev, nbufs);
-    let t0 = Instant::now();
-    for b in 0..BLOCKS {
-        let mut buf = wb.buffer();
-        spin(compute); // produce the block
-        buf.fill(b as u8);
-        wb.submit(b, buf);
+/// Seconds to write the file a window at a time, computing before each.
+fn write_side(stream: bool, compute: Duration) -> f64 {
+    let pf = s_file(STRIPED, IO, RECORDS);
+    let window = vec![7u8; WINDOW];
+    let secs = if stream {
+        let mut w = pf.global_writer();
+        rig::timed(|| {
+            for i in 0..RECORDS {
+                if i.is_multiple_of(WINDOW_BLOCKS) {
+                    spin(compute);
+                }
+                w.write_record(&window[..BS]).expect("write");
+            }
+            w.finish().expect("finish");
+        })
+    } else {
+        rig::timed(|| {
+            for w in 0..WINDOWS {
+                spin(compute);
+                let at = w * WINDOW as u64;
+                pf.raw().write_span(at, &window).expect("write");
+            }
+            pf.raw().set_len_records(RECORDS).expect("publish");
+        })
+    };
+    assert_eq!(pf.len_records(), RECORDS);
+    secs
+}
+
+/// Device requests per block to stream 384 one-block records onto a
+/// preallocated rotated 3+1 parity file.
+fn parity_requests_per_block() -> f64 {
+    const BLOCKS: u64 = 384;
+    let layout = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let pf = s_file(layout, Duration::ZERO, BLOCKS);
+    let volume = pf.raw().volume();
+    let requests = || -> u64 { (0..4).map(|d| volume.device(d).counters().total()).sum() };
+    let before = requests();
+    let mut w = pf.global_writer();
+    for _ in 0..BLOCKS {
+        w.write_record(&[7u8; BS]).expect("write");
     }
-    wb.finish().expect("flush");
-    t0.elapsed()
+    w.finish().expect("finish");
+    (requests() - before) as f64 / BLOCKS as f64
+}
+
+/// The two lanes of one side at one ratio, and the stream's speedup.
+fn pair(
+    report: &mut Report,
+    suffix: &str,
+    compute: Duration,
+    side: fn(bool, Duration) -> f64,
+) -> f64 {
+    let mut median = |lane: &str, stream: bool| {
+        let lane = format!("{lane}_{suffix}");
+        report.lane(&lane, RUNS, || vec![("wall_secs", side(stream, compute))])["wall_secs"].median
+    };
+    let speedup = median("sync", false) / median("stream", true);
+    report.fact(&format!("speedup_{suffix}"), speedup);
+    speedup
 }
 
 fn main() {
     banner(
         "E8 (multiple buffering and I/O overlap)",
-        "single buffering serialises I/O and computation; double/multiple \
-         buffering on a dedicated I/O thread overlaps them, up to 2x at a \
+        "single buffering serialises I/O and computation; a second \
+         buffer with a dedicated I/O thread overlaps them, up to 2x at a \
          balanced compute:I/O ratio",
     );
     println!(
-        "{BLOCKS} blocks of {BLOCK} B, device service {IO_MS} ms per \
-         block (slept, as a real device would); compute is spun\n"
+        "{WINDOWS} windows of {WINDOW_BLOCKS} x {BS} B on 4 devices, {} ms per device \
+         request (slept); compute is spun; {} CPU(s)\n",
+        IO.as_millis(),
+        std::thread::available_parallelism().map_or(0, usize::from),
     );
 
     println!("Read-ahead:");
-    let mut t = Table::new(&[
-        "compute:I/O",
-        "1 buffer",
-        "2 buffers",
-        "4 buffers",
-        "8 buffers",
-        "best speedup",
-    ]);
-    for &(num, den, label) in &[(1u64, 2u64, "0.5"), (1, 1, "1.0"), (2, 1, "2.0")] {
-        let compute = Duration::from_millis(IO_MS * num / den);
-        let times: Vec<Duration> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&n| read_side(n, compute))
-            .collect();
-        let best = times[1..]
-            .iter()
-            .map(|d| d.as_secs_f64())
-            .fold(f64::MAX, f64::min);
-        t.row(&[
-            label.to_string(),
-            secs(times[0].as_secs_f64()),
-            secs(times[1].as_secs_f64()),
-            secs(times[2].as_secs_f64()),
-            secs(times[3].as_secs_f64()),
-            format!("{:.2}x", times[0].as_secs_f64() / best),
-        ]);
+    let mut reads = Report::new("e8_readahead");
+    // Compute:I/O ratios, as (lane suffix, numerator, denominator).
+    for (suffix, num, den) in [("half", 1, 2), ("one", 1, 1), ("two", 2, 1)] {
+        let speedup = pair(&mut reads, suffix, IO * num / den, read_side);
+        if suffix == "one" {
+            reads.at_least("read-ahead speedup at compute:I/O = 1", speedup, 1.5);
+        }
     }
-    t.print();
-    save_json("e8_readahead", &t);
+    reads.finish();
 
-    println!("\nWrite-behind (deferred writing), compute:I/O = 1.0:");
-    let mut t = Table::new(&["buffers", "wall time", "speedup vs 1"]);
-    let compute = Duration::from_millis(IO_MS);
-    let base = write_side(1, compute);
-    for &n in &[1usize, 2, 4] {
-        let d = write_side(n, compute);
-        t.row(&[
-            n.to_string(),
-            secs(d.as_secs_f64()),
-            format!("{:.2}x", base.as_secs_f64() / d.as_secs_f64()),
-        ]);
-    }
-    t.print();
-    save_json("e8_writebehind", &t);
+    println!("\nWrite-behind (deferred writing), compute:I/O = 1:");
+    let mut writes = Report::new("e8_writebehind");
+    let speedup = pair(&mut writes, "one", IO, write_side);
+    writes.at_least("write-behind speedup at compute:I/O = 1", speedup, 1.5);
+    let parity = writes.lane("parity_stream", RUNS, || {
+        vec![("requests_per_block", parity_requests_per_block())]
+    });
+    writes.at_most(
+        "parity stream requests per block (one block a span: 4; 96 of 384: 0.25)",
+        parity["requests_per_block"].median,
+        0.25,
+    );
+    writes.finish();
     println!(
-        "\nShape: at compute:I/O = 1 double buffering approaches the ideal \
-         2x (overlap hides whichever side is shorter); away from the \
-         balanced point the bound is (compute+io)/max(compute,io). Extra \
-         buffers beyond two add little for steady rates — they absorb \
-         burstiness, not throughput."
+        "\nShape: at compute:I/O = 1 the second buffer approaches the ideal \
+         2x; off balance the bound is (compute+io)/max(compute,io). The \
+         caller reads the first two windows itself — the worker starts \
+         once one window follows another — so N windows hide N-2 reads."
     );
 }

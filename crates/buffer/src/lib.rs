@@ -13,38 +13,32 @@
 //! * [`CacheStats`] / [`WritePolicy`] — the cache traffic counters and
 //!   the write-through/write-back policy knob [`VolumeCache`] reports
 //!   and takes.
-//! * [`ReadAhead`] / [`WriteBehind`] — multiple-buffering pipelines
-//!   submitting to per-device I/O-executor workers, overlapping
-//!   predictable sequential I/O with computation; the buffer count is
-//!   the single/double/multi-buffering knob experiment E8 sweeps.
+//!
+//! Reading ahead and deferred writing for a *sequential* stream — the
+//! other half of §4's buffering — live with the stream itself, in
+//! `pario-fs`'s global view: a stream's windows go through the file
+//! layer's span planner, and through this crate's cache when the volume
+//! has one.
 //!
 //! ```
-//! use pario_buffer::ReadAhead;
-//! use pario_disk::{mem_array, BlockDevice};
+//! use pario_buffer::BufferPool;
 //!
-//! let dev = mem_array(1, 16, 512).pop().unwrap();
-//! dev.write_block(3, &[9u8; 512]).unwrap();
-//! // Prefetch blocks 0..8 with double buffering.
-//! let mut ra = ReadAhead::new(dev, (0..8).collect(), 2);
-//! let mut sum = 0u32;
-//! while let Some(res) = ra.next() {
-//!     let (block, buf) = res.unwrap();
-//!     sum += u32::from(buf[0]);
-//!     assert!(block < 8);
-//!     ra.recycle(buf);
-//! }
-//! assert_eq!(sum, 9);
+//! // Two 512-byte buffers: a third `acquire` would wait for a drop.
+//! let pool = BufferPool::new(2, 512);
+//! let (a, b) = (pool.acquire(), pool.acquire());
+//! assert_eq!((a.len(), b.len(), pool.available()), (512, 512, 0));
+//! assert!(pool.try_acquire().is_none());
+//! drop(a);
+//! assert_eq!(pool.available(), 1);
 //! ```
 
 #![warn(missing_docs)]
 
 mod cache;
-mod pipeline;
 mod pool;
 mod volume_cache;
 
 pub use cache::{CacheStats, WritePolicy};
-pub use pipeline::{ReadAhead, WriteBehind};
 pub use pool::{BufferPool, PoolBuf};
 pub use volume_cache::{
     CacheReadTicket, CacheWriteTicket, VolumeCache, VolumeCacheConfig, VolumeCacheStats,

@@ -4,7 +4,7 @@
 //! in limiting speedups"; one avoidable overhead is allocating a fresh
 //! buffer per I/O call. A [`BufferPool`] holds a fixed set of block-sized
 //! buffers handed out as RAII guards; `acquire` blocks when the pool is
-//! drained, which also provides natural back-pressure for pipelines.
+//! drained, which also provides natural back-pressure.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;

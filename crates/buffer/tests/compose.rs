@@ -1,45 +1,22 @@
-//! Composition tests: the buffering layer over dedicated I/O processors
-//! (pipeline threads feeding node threads), and pipelines racing on a
-//! shared device — stacking the paper's §4 mechanisms.
+//! Composition test: the cache tier over a dedicated I/O processor —
+//! stacking the paper's §4 mechanisms. (A sequential stream over the
+//! volume's executors, and two beside each other, are `pario-fs`'s
+//! `global.rs` tests: the stream lives there.)
 
 use std::sync::Arc;
 
-use pario_buffer::{ReadAhead, VolumeCache, VolumeCacheConfig, WriteBehind};
-use pario_disk::{BlockDevice, IoNode, MemDisk};
+use pario_buffer::{VolumeCache, VolumeCacheConfig};
+use pario_disk::{IoNode, MemDisk};
 
 const BS: usize = 256;
 
 #[test]
-fn readahead_over_an_io_node() {
+fn cache_reads_over_an_io_node() {
     let node = IoNode::spawn(Arc::new(MemDisk::new(32, BS)));
     let dev = node.device();
-    for b in 0..32u64 {
-        dev.write_block(b, &vec![b as u8; BS]).unwrap();
-    }
-    let mut ra = ReadAhead::new(node.device(), (0..32).collect(), 3);
-    let mut count = 0u64;
-    while let Some(res) = ra.next() {
-        let (b, buf) = res.unwrap();
-        assert!(buf.iter().all(|&x| x == b as u8));
-        count += 1;
-        ra.recycle(buf);
-    }
-    assert_eq!(count, 32);
-    // The node serviced the writes and the prefetch reads.
-    assert_eq!(node.stats().serviced, 64);
-    assert_eq!(node.stats().in_flight, 0);
-}
-
-#[test]
-fn writebehind_over_an_io_node_then_cache_reads() {
-    let node = IoNode::spawn(Arc::new(MemDisk::new(32, BS)));
-    let wb = WriteBehind::new(node.device(), 2);
     for b in 0..16u64 {
-        let mut buf = wb.buffer();
-        buf.fill(b as u8 + 1);
-        wb.submit(b, buf);
+        dev.write_block(b, &vec![b as u8 + 1; BS]).unwrap();
     }
-    assert_eq!(wb.finish().unwrap(), 16);
     // Read back through the volume-wide cache tier layered on the node.
     let cache = VolumeCache::new(vec![node.device()], VolumeCacheConfig::write_through(16));
     let mut got = vec![0u8; BS];
@@ -54,43 +31,4 @@ fn writebehind_over_an_io_node_then_cache_reads() {
     }
     assert_eq!(node.stats().serviced, before);
     assert_eq!(cache.stats().base.hits, 8);
-}
-
-#[test]
-fn two_pipelines_race_on_one_device() {
-    // A reader prefetches the lower half while a writer fills the upper
-    // half; both complete and neither corrupts the other's range.
-    let dev = Arc::new(MemDisk::new(64, BS));
-    for b in 0..32u64 {
-        dev.write_block(b, &vec![b as u8 + 1; BS]).unwrap();
-    }
-    let mut ra = ReadAhead::new(Arc::clone(&dev) as _, (0..32).collect(), 2);
-    let wb = WriteBehind::new(Arc::clone(&dev) as _, 2);
-    crossbeam::thread::scope(|s| {
-        s.spawn(|_| {
-            let mut n = 0u64;
-            while let Some(res) = ra.next() {
-                let (b, buf) = res.unwrap();
-                assert!(buf.iter().all(|&x| x == b as u8 + 1));
-                n += 1;
-                ra.recycle(buf);
-            }
-            assert_eq!(n, 32);
-        });
-        s.spawn(|_| {
-            for b in 32..64u64 {
-                let mut buf = wb.buffer();
-                buf.fill(b as u8 + 1);
-                wb.submit(b, buf);
-            }
-        });
-    })
-    .unwrap();
-    // Drain the deferred writes before inspecting the device.
-    wb.finish().unwrap();
-    let mut buf = vec![0u8; BS];
-    for b in 0..64u64 {
-        dev.read_block(b, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == b as u8 + 1), "block {b}");
-    }
 }

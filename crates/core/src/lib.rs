@@ -6,7 +6,7 @@
 //!
 //! | Type | Organization | Internal view |
 //! |------|--------------|---------------|
-//! | S    | [`Organization::Sequential`] | [`StripedReader`] / [`StripedWriter`] (striped streaming) |
+//! | S    | [`Organization::Sequential`] | [`ParallelFile::global_reader`] / [`ParallelFile::global_writer`] (the global view *is* the stream: striped, read ahead, written behind) |
 //! | PS   | [`Organization::PartitionedSeq`] | [`PartitionHandle`] |
 //! | IS   | [`Organization::InterleavedSeq`] | [`InterleavedHandle`] |
 //! | SS   | [`Organization::SelfScheduledSeq`] | [`SelfSchedReader`] / [`SelfSchedWriter`] |
@@ -54,7 +54,6 @@ mod organization;
 mod partitioned;
 mod pfile;
 mod selfsched;
-mod seq;
 pub mod views;
 
 pub use boundary::{create_replicated, read_partition_with_halo, HaloRegion, ReplicatedBoundary};
@@ -66,4 +65,3 @@ pub use organization::Organization;
 pub use partitioned::{BlockCursor, PartitionHandle};
 pub use pfile::ParallelFile;
 pub use selfsched::{SelfSchedReader, SelfSchedWriter, SharedCursor};
-pub use seq::{StripedReader, StripedWriter};

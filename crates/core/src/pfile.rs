@@ -269,12 +269,14 @@ impl ParallelFile {
     // ------------------------------------------------------------------
 
     /// The global view, for sequential consumers (always available,
-    /// regardless of organization — the paper's "standard file" property).
+    /// regardless of organization — the paper's "standard file" property),
+    /// and the internal view of a type-S file: one process streams,
+    /// striping provides the rate, and the stream reads ahead.
     pub fn global_reader(&self) -> GlobalReader {
         GlobalReader::new(self.raw.clone())
     }
 
-    /// Append through the global view.
+    /// Append through the global view, writing behind.
     pub fn global_writer(&self) -> GlobalWriter {
         GlobalWriter::append(self.raw.clone())
     }

@@ -2,7 +2,7 @@
 //! partition counts exceeding records, record sizes at block boundaries,
 //! and reopened-handle behaviour.
 
-use pario_core::{views, Organization, ParallelFile, StripedReader, StripedWriter};
+use pario_core::{views, Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
 
 const BS: usize = 256;
@@ -37,10 +37,10 @@ fn empty_files_read_as_empty_everywhere() {
     let r = pf.self_sched_reader().unwrap();
     let mut buf = vec![0u8; 64];
     assert_eq!(r.read_next(&mut buf).unwrap(), None);
-    // Empty S file through the striped streamer.
+    // Empty S file, reopened: still nothing to stream.
     let pf = ParallelFile::open(&v, "e0").unwrap();
-    let sr = StripedReader::new(pf.raw(), 2).unwrap();
-    assert_eq!(sr.read_records(|_, _| panic!("no records")).unwrap(), 0);
+    let n = pf.global_reader().for_each(|_, _| panic!("no records"));
+    assert_eq!(n.unwrap(), 0);
 }
 
 #[test]
@@ -84,14 +84,14 @@ fn more_partitions_than_file_blocks() {
 fn record_size_equal_to_block_size() {
     let v = vol();
     let pf = ParallelFile::create(&v, "rb", Organization::Sequential, BS, 1).unwrap();
-    let mut w = StripedWriter::create(pf.raw(), 16, 2).unwrap();
+    let mut w = pf.global_writer();
     for i in 0..16u64 {
         w.write_record(&vec![i as u8 + 1; BS]).unwrap();
     }
     w.finish().unwrap();
-    let r = StripedReader::new(pf.raw(), 2).unwrap();
-    let n = r
-        .read_records(|i, b| assert!(b.iter().all(|&x| x == i as u8 + 1)))
+    let n = pf
+        .global_reader()
+        .for_each(|i, b| assert!(b.iter().all(|&x| x == i as u8 + 1)))
         .unwrap();
     assert_eq!(n, 16);
 }

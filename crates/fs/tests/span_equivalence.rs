@@ -8,11 +8,18 @@
 //! executor's synchronous call (one request, no queue wait) and is
 //! byte-identical to the same span routed through the submit path, and
 //! a cached volume or an unhealthy slot routes exactly as it always did.
+//!
+//! The second property holds the sequential stream — `GlobalWriter`
+//! writing behind, `GlobalReader` reading ahead — to the per-record
+//! reference: the same bytes back, and the same blocks on every device
+//! of the file, parity rows and mirror copies included.
 
 use proptest::prelude::*;
 
 use pario_disk::{DiskError, IoNodeStats};
-use pario_fs::{FileSpec, RawFile, Volume, VolumeCacheConfig, VolumeConfig};
+use pario_fs::{
+    FileSpec, GlobalReader, GlobalWriter, RawFile, Volume, VolumeCacheConfig, VolumeConfig,
+};
 use pario_layout::{runs, LayoutSpec};
 
 const BS: usize = 256;
@@ -135,6 +142,78 @@ proptest! {
                     off,
                     len
                 );
+            }
+        }
+    }
+}
+
+fn stream_record(i: u64, size: usize) -> Vec<u8> {
+    (0..size)
+        .map(|j| (i as usize * 31 + j * 7 + 1) as u8)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `start` records written one by one, then `appended` more: through
+    /// `write_record` on one volume and through one `GlobalWriter` on
+    /// its twin. Up to 43 KB of stream is up to five windows, so most
+    /// cases write behind and read ahead, most from mid-block.
+    #[test]
+    fn the_stream_matches_the_per_record_reference(
+        spec in layout_strategy(),
+        record_size in 1usize..=128,
+        records_per_block in 1usize..=4,
+        start in 0u64..40,
+        appended in 0u64..300,
+    ) {
+        // A partitioned file is of fixed size: stream onto its devices.
+        let spec = match spec {
+            LayoutSpec::Partitioned { devices, .. } => LayoutSpec::Striped { devices, unit: 1 },
+            grows => grows,
+        };
+        let total = start + appended;
+        let file = |streamed: bool| {
+            let fspec = FileSpec::new("f", record_size, records_per_block, spec.clone());
+            let f = volume().create_file(fspec).unwrap();
+            let mut stream = None;
+            for i in 0..total {
+                if streamed && i >= start {
+                    let w = stream.get_or_insert_with(|| GlobalWriter::append(f.clone()));
+                    w.write_record(&stream_record(i, record_size)).unwrap();
+                } else {
+                    f.write_record(i, &stream_record(i, record_size)).unwrap();
+                }
+            }
+            if let Some(w) = stream {
+                assert_eq!(w.finish().unwrap(), total);
+            }
+            assert_eq!(f.len_records(), total);
+            f
+        };
+        let (streamed, reference) = (file(true), file(false));
+
+        let mut reader = GlobalReader::new(streamed.clone());
+        let (mut a, mut b) = (vec![0u8; record_size], vec![0u8; record_size]);
+        for i in 0..total {
+            prop_assert!(reader.read_record(&mut a).unwrap(), "record {} missing", i);
+            reference.read_record(i, &mut b).unwrap();
+            prop_assert_eq!(&a, &b, "record {} against the reference", i);
+            prop_assert_eq!(&a, &stream_record(i, record_size), "record {}", i);
+        }
+        prop_assert!(!reader.read_record(&mut a).unwrap());
+
+        // The same media, parity rows and mirror copies included. The
+        // two allocations may run ahead of the writes by different
+        // amounts; what only one of them has is zeros it never wrote.
+        let (mut a, mut b) = (vec![0u8; BS], vec![0u8; BS]);
+        for slot in 0..streamed.layout().devices() {
+            let blocks = streamed.device_blocks(slot).min(reference.device_blocks(slot));
+            for dblock in 0..blocks {
+                streamed.read_device_block(slot, dblock, &mut a).unwrap();
+                reference.read_device_block(slot, dblock, &mut b).unwrap();
+                prop_assert_eq!(&a, &b, "slot {} block {}", slot, dblock);
             }
         }
     }

@@ -496,7 +496,8 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 enum HandleObj {
-    Seq(SeqClient),
+    /// Boxed: two stream windows make it several times the others' size.
+    Seq(Box<SeqClient>),
     Ss(SsClient),
     Part(PartitionClient),
     Ilv(InterleavedClient),
@@ -558,7 +559,7 @@ impl Conn {
         }
     }
 
-    lookup!(seq, Seq, SeqClient, "seq");
+    lookup!(seq, Seq, Box<SeqClient>, "seq");
     lookup!(ss, Ss, SsClient, "ss");
     lookup!(part, Part, PartitionClient, "a partition");
     lookup!(ilv, Ilv, InterleavedClient, "interleaved");
@@ -632,7 +633,7 @@ impl Conn {
             }
 
             Request::OpenSeq { name } => self.open(out, &name, |s| {
-                Ok((HandleObj::Seq(s.open_sequential(&name)?), None))
+                Ok((HandleObj::Seq(Box::new(s.open_sequential(&name)?)), None))
             })?,
             Request::OpenSs { name } => self.open(out, &name, |s| {
                 Ok((HandleObj::Ss(s.open_self_sched(&name)?), None))

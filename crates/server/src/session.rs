@@ -379,9 +379,10 @@ impl SeqClient {
         sess.run(false, || Ok(reader.read_record(out)?))
     }
 
-    /// Append the next record. Appends are buffered a block at a time;
-    /// call [`finish`](SeqClient::finish) to publish the final length
-    /// (dropping the client also flushes, best-effort).
+    /// Append the next record. Appends are buffered a window at a time
+    /// and written behind the caller, so an error may be an earlier
+    /// record's; call [`finish`](SeqClient::finish) to publish the final
+    /// length (dropping the client also flushes, best-effort).
     pub fn write_next(&mut self, data: &[u8]) -> Result<()> {
         let raw = self.entry.pfile.raw().clone();
         let (sess, writer) = (&self.sess, &mut self.writer);

@@ -141,6 +141,33 @@ fn sequential_files_are_exclusive_per_session() {
     assert_eq!(n, 20);
 }
 
+/// The client's reader may not keep the window it read before the
+/// client's own appends — zeros of the allocated run-ahead included —
+/// and serve the new records from it.
+#[test]
+fn a_sequential_client_reads_on_into_its_own_appends() {
+    let volume = volume();
+    ParallelFile::create(&volume, "log", Organization::Sequential, REC, 4).unwrap();
+    let server = Server::new(volume, ServerConfig::default());
+    let session = server.connect();
+    let mut log = session.open_sequential("log").unwrap();
+    let mut buf = [0u8; REC];
+    let append = |log: &mut pario_server::SeqClient, records: std::ops::Range<u64>| {
+        for i in records.clone() {
+            log.write_next(&[i as u8; REC]).unwrap();
+        }
+        assert_eq!(log.finish().unwrap(), records.end);
+    };
+    append(&mut log, 0..10);
+    assert!(log.read_next(&mut buf).unwrap());
+    append(&mut log, 10..16);
+    for i in 1..16u64 {
+        assert!(log.read_next(&mut buf).unwrap(), "record {i}");
+        assert_eq!(buf, [i as u8; REC], "record {i}");
+    }
+    assert!(!log.read_next(&mut buf).unwrap());
+}
+
 #[test]
 fn gda_updates_never_lose_increments() {
     const CLIENTS: usize = 8;

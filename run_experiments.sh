@@ -7,7 +7,10 @@ set -euo pipefail
 mkdir -p results
 
 # E1..E12: the paper's claims, on the simulator (request counts and
-# virtual time; one run is exact).
+# virtual time; one run is exact) — but for E8, which times the real
+# sequential stream on sleeping devices, five runs a lane, and leaves
+# BENCH_e8_readahead.json and BENCH_e8_writebehind.json beside its two
+# tables.
 paper="e1_figure1 e2_striping e3_selfsched e4_device_per_process
        e5_global_view e6_seek_degradation e7_declustering e8_buffering
        e9_view_mismatch e10_boundary e11_reliability e12_is_blocksize"

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pario::core::{Organization, ParallelFile};
 use pario::disk::{DeviceRef, MemDisk};
-use pario::fs::{FileSpec, Volume, VolumeConfig};
+use pario::fs::{FileSpec, GlobalReader, Volume, VolumeConfig};
 use pario::layout::LayoutSpec;
 use pario::reliability::{
     rebuild_device, rebuild_device_online, rebuild_parity_slot, scrub, ChecksumDevice,
@@ -215,7 +215,9 @@ fn concurrent_writers_during_failure() {
 /// last record; all-zero stripes and all-zero pairs satisfy the parity
 /// and shadow invariants, so a failure, degraded appends into the tail,
 /// `scrub` and an online rebuild onto garbage media are correct across
-/// it — they walk `nblocks`, not the length.
+/// it — they walk `nblocks`, not the length. The rebuild runs with a
+/// sequential reader parked on each file, its next window read ahead:
+/// an idle stream holds nothing `quiesce_io` waits for.
 #[test]
 fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
     const WRITTEN: u64 = 300;
@@ -284,11 +286,27 @@ fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
         v.device(1).write_block(b, &garbage).unwrap();
     }
     v.device(1).fail();
+    // A window and a record: the second window is the reader's, the
+    // third is read ahead, and there the reader stays.
+    let parked = files.map(|(f, tag)| {
+        let (mut reader, mut buf) = (GlobalReader::new(f.clone()), vec![0u8; BS]);
+        for i in 0..33 {
+            assert!(reader.read_record(&mut buf).unwrap());
+            assert_eq!(buf, record_payload(tag + i, BS));
+        }
+        (reader, tag)
+    });
     let report = rebuild_device_online(&v, 1, RebuildThrottle::default()).unwrap();
     assert_eq!(report.parity_rebuilt.len(), 1);
     assert_eq!(report.shadow_resynced.len(), 1);
     assert!(scrub(&parity).unwrap().is_empty());
     check(WRITTEN + 20, "rebuilt");
+    for (mut reader, tag) in parked {
+        let rest = reader
+            .for_each(|i, bytes| assert_eq!(bytes, record_payload(tag + i, BS), "record {i}"))
+            .unwrap();
+        assert_eq!(rest, WRITTEN + 20 - 33);
+    }
 
     // What was rebuilt is now what the survivors lean on: lose a parity
     // peer of device 1, and its mirror partner.
