@@ -23,6 +23,7 @@
 //! | 50 | `Volume::alloc` | pario-fs | extent allocator |
 //! | 60 | `FileState::rmw_lock` | pario-fs | sub-block RMW window |
 //! | 70 | `FileState::stripe_lock` | pario-fs | parity stripe RMW cycle |
+//! | 72 | `Staging::spare` | pario-fs | the volume's free list of span staging buffers |
 //! | 75 | `VolumeCache::frames` | pario-buffer | volume-wide block cache state |
 //! | 78 | `VolInner::journal` | pario-fs | intent-journal cursor + superblock generation |
 //! | 80 | `HealthBoard::board` | pario-fs | device health state machine |
@@ -58,6 +59,13 @@ pub enum LockLevel {
     FsRmw = 60,
     /// `pario-fs` per-file parity stripe lock.
     FsStripe = 70,
+    /// `pario-fs` per-volume free list of span staging buffers. Taken
+    /// inside the RMW and stripe critical sections (a parity span
+    /// stages its runs under the stripe lock) and a leaf: held for a
+    /// list scan or a push only — a miss allocates, and an evicted
+    /// buffer is freed, after it is released — and nothing, ranked or
+    /// not, is acquired under it.
+    FsStaging = 72,
     /// `pario-buffer` volume-wide block cache state. Above the RMW and
     /// stripe locks (cache lookups happen inside those critical
     /// sections) and below the health board (health transitions drop
@@ -101,6 +109,7 @@ impl LockLevel {
             LockLevel::FsAlloc => "fs.alloc",
             LockLevel::FsRmw => "fs.rmw",
             LockLevel::FsStripe => "fs.stripe",
+            LockLevel::FsStaging => "fs.staging",
             LockLevel::VolumeCache => "buffer.volume_cache",
             LockLevel::FsJournal => "fs.journal",
             LockLevel::FsHealth => "fs.health",

@@ -88,6 +88,7 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::FsAlloc, "fs.alloc", 50),
         (LockLevel::FsRmw, "fs.rmw", 60),
         (LockLevel::FsStripe, "fs.stripe", 70),
+        (LockLevel::FsStaging, "fs.staging", 72),
         (LockLevel::VolumeCache, "buffer.volume_cache", 75),
         (LockLevel::FsHealth, "fs.health", 80),
         (LockLevel::DiskDevice, "disk.device", 90),

@@ -6,7 +6,11 @@
 //!    extent → absolute device block. `RawFile::plan` turns a span of
 //!    whole blocks into merged per-device runs and
 //!    `RawFile::run_segments` resolves a run to device extents; every
-//!    transfer, and the cache flush hooks, start from that one plan.
+//!    transfer, and the cache flush hooks, start from that one plan. A
+//!    span that is one transfer moves straight between the device and
+//!    the caller's buffer; any other is staged run by run, in buffers
+//!    taken from and handed back to the volume's free list
+//!    (`crate::staging`), so a warm span path allocates no block.
 //! 2. **Redundancy maintenance** — one reader (`RawFile::read_blocks`)
 //!    and one writer (`RawFile::write_blocks`) over whole blocks,
 //!    whatever their count. `RawFile::route` is the only place device
@@ -69,33 +73,6 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
-    }
-}
-
-/// What a parity span write sleeps, after releasing the stripe lock, per
-/// stripe it wrote whole — in a process confined to one CPU. Elsewhere
-/// nothing.
-///
-/// Debt, owed to the gated benchmark rather than to any workload; the
-/// second of its kind after `pario-disk`'s `INLINE_YIELDS`. The gate
-/// bounds a metric's run-to-run spread by a quarter of the *parent's*
-/// median, so a gain of G may repeat within 0.25 / G at most.
-/// `span-parity` repeats within 4-5 % with per-block and whole-stripe
-/// writes alike, and drifts another 15 % with the host: the benchmark
-/// corrects the share of the time the process is on the CPU (all of
-/// it) by a kernel of random 4 KiB copies, which streaming spans follow
-/// a third of the way. Unpaced, whole-stripe writes are 9.3x (16.2k
-/// spans/s) and 5 % of that is twice the bound. A sleep rather than a
-/// yield because only idle time lowers the share the correction
-/// multiplies. It goes when the gate bounds a spread by the run's own
-/// median (ROADMAP item 1); DESIGN 7 has the measurements.
-const WHOLE_STRIPE_PACE: std::time::Duration = std::time::Duration::from_micros(16);
-
-fn pace_whole_stripes(stripes: u32) {
-    static ONE_CPU: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let one = || std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
-    if stripes > 0 && *ONE_CPU.get_or_init(one) {
-        std::thread::sleep(WHOLE_STRIPE_PACE * stripes);
     }
 }
 
@@ -164,15 +141,6 @@ impl RunTicket {
             RunTicket::CacheWrite(wt) => wt.wait(tier()).map(|()| Box::default()),
         }
     }
-}
-
-/// A run's segment buffers as one staging buffer, in device order.
-fn concat(bufs: Vec<Box<[u8]>>) -> Box<[u8]> {
-    if bufs.len() == 1 {
-        // invariant: just checked bufs.len() == 1.
-        return bufs.into_iter().next().expect("one segment");
-    }
-    bufs.concat().into_boxed_slice()
 }
 
 /// Where a read of one merged run goes — the answer of
@@ -561,8 +529,10 @@ impl RawFile {
         let tickets: Vec<_> = locs.iter().map(submit).collect();
         let wait = |(p, t): (&PhysBlock, _)| self.wait_read_run(p.device, t);
         let blocks: Vec<_> = locs.iter().zip(tickets).map(wait).collect();
-        for block in blocks.into_iter().collect::<Result<Vec<_>>>()? {
-            xor_into(out, &concat(block));
+        for bufs in blocks.into_iter().collect::<Result<Vec<_>>>()? {
+            let block = self.concat(bufs);
+            xor_into(out, &block);
+            self.recycle(block);
         }
         Ok(())
     }
@@ -601,7 +571,9 @@ impl RawFile {
             return self.settle(self.slot_vdev(slot), dev.read_blocks_at(abs, buf));
         }
         let tickets = self.submit_read_run(slot, dblock, 1);
-        buf.copy_from_slice(&concat(self.wait_read_run(slot, tickets)?));
+        let block = self.concat(self.wait_read_run(slot, tickets)?);
+        buf.copy_from_slice(&block);
+        self.recycle(block);
         Ok(())
     }
 
@@ -730,42 +702,47 @@ impl RawFile {
     /// covers unspecified until rewritten (`scrub`/`repair` is the
     /// recourse, as for a torn read-modify-write).
     fn parity_write(&self, ps: &ParityStriped, first: u64, data: &[u8]) -> Result<()> {
-        let g = self.state.stripe_lock.lock();
+        let _g = self.state.stripe_lock.lock();
         let bs = self.block_size();
         let (w, total) = (ps.stripe_width() as u64, self.nblocks());
         let end = first + (data.len() / bs) as u64;
-        let mut whole = 0u32;
-        // Per device: first row and bytes. A device holds one block of
-        // every row it appears in, and only a span's first and last row
-        // can leave a device out, so each device's rows are contiguous.
         let (s0, s1) = (ps.stripe_of(first), ps.stripe_of(end - 1) + 1);
-        let mut staged: Vec<(u64, Vec<u8>)> = (0..ps.devices())
-            .map(|_| (0, Vec::with_capacity((s1 - s0) as usize * bs)))
-            .collect();
-        let mut stage = |loc: PhysBlock, block: &[u8]| {
-            let (row, run) = &mut staged[loc.device];
-            if run.is_empty() {
-                *row = loc.block;
-            }
-            debug_assert_eq!(*row + (run.len() / bs) as u64, loc.block);
-            run.extend_from_slice(block);
-        };
-        let mut parity = vec![0u8; bs];
+        // The span's blocks of stripe `s`.
+        let cut = |s: u64| first.max(s * w)..end.min((s + 1) * w);
+        // Per device: the first row and the bytes of its run, sized
+        // before anything is staged. A device holds one block of every
+        // row it appears in, and only a span's first and last row can
+        // leave a device out, so each device's rows are contiguous.
+        let mut rows = vec![(u64::MAX, 0usize); ps.devices()];
         for s in s0..s1 {
-            let (lo, hi) = (first.max(s * w), end.min((s + 1) * w));
-            let new = &data[(lo - first) as usize * bs..(hi - first) as usize * bs];
-            parity.fill(0);
-            new.chunks(bs)
-                .for_each(|block| xor_into(&mut parity, block));
-            if lo > s * w || hi < total.min((s + 1) * w) {
-                self.parity_reads(ps, s, lo..hi, &mut parity)?;
-            } else {
-                whole += 1;
+            let data_blocks = cut(s).map(|l| ps.map(l));
+            for loc in data_blocks.chain([ps.parity_location(s)]) {
+                let (row, n) = &mut rows[loc.device];
+                *row = loc.block.min(*row);
+                *n += 1;
             }
-            (lo..hi)
-                .zip(new.chunks(bs))
-                .for_each(|(l, block)| stage(ps.map(l), block));
-            stage(ps.parity_location(s), &parity);
+        }
+        let take = |&(row, n): &(u64, usize)| (row, self.vol.staging().take(n * bs));
+        let mut staged: Vec<(u64, Box<[u8]>)> = rows.iter().map(take).collect();
+        fn block_of(staged: &mut [(u64, Box<[u8]>)], loc: PhysBlock, bs: usize) -> &mut [u8] {
+            let (row, run) = &mut staged[loc.device];
+            let at = (loc.block - *row) as usize * bs;
+            &mut run[at..at + bs]
+        }
+        for s in s0..s1 {
+            let touched = cut(s);
+            let at = (touched.start - first) as usize * bs;
+            let new = &data[at..at + (touched.end - touched.start) as usize * bs];
+            for (l, block) in touched.clone().zip(new.chunks(bs)) {
+                block_of(&mut staged, ps.map(l), bs).copy_from_slice(block);
+            }
+            let parity = block_of(&mut staged, ps.parity_location(s), bs);
+            let (head, rest) = new.split_at(bs);
+            parity.copy_from_slice(head);
+            rest.chunks(bs).for_each(|block| xor_into(parity, block));
+            if touched.start > s * w || touched.end < total.min((s + 1) * w) {
+                self.parity_reads(ps, s, touched, parity)?;
+            }
         }
         let inflight: Vec<_> = staged
             .into_iter()
@@ -781,8 +758,6 @@ impl RawFile {
                 Ok(()) => {}
             }
         }
-        drop(g);
-        pace_whole_stripes(whole);
         failed.map_or(Ok(()), Err)
     }
 
@@ -934,7 +909,7 @@ impl RawFile {
         let submit = |(dev, abs, n): (DeviceRef, u64, u64)| match cache {
             Some((c, vdev)) => RunTicket::CacheRead(c.submit_read(vdev, abs, n as usize)),
             None => {
-                let buf = vec![0u8; n as usize * bs].into_boxed_slice();
+                let buf = self.vol.staging().take(n as usize * bs);
                 RunTicket::Dev(dev.submit_read_blocks(abs, buf))
             }
         };
@@ -942,31 +917,49 @@ impl RawFile {
     }
 
     /// Submit the write of a run of `slot` from row `dblock` (`data` is
-    /// the run's gathered bytes), one ticket per extent segment. On
-    /// cached volumes each segment goes through the tier: write-back
-    /// absorbs it into dirty frames (spilling overflow to scratch),
-    /// write-through submits the vectored device write and completes it
-    /// at wait.
-    fn submit_write_run(&self, slot: usize, dblock: u64, mut data: Vec<u8>) -> Vec<RunTicket> {
+    /// the run's gathered bytes, a staging buffer), one ticket per extent
+    /// segment. On cached volumes each segment goes through the tier:
+    /// write-back absorbs it into dirty frames (spilling overflow to
+    /// scratch), write-through submits the vectored device write and
+    /// completes it at wait.
+    fn submit_write_run(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
         let bs = self.block_size();
-        let cache = self.vol.cache().map(|c| (c, self.slot_vdev(slot)));
+        let staging = self.vol.staging();
         let segs = self.run_segments(slot, dblock, (data.len() / bs) as u64);
-        let mut out = Vec::with_capacity(segs.len());
-        for (dev, abs, n) in segs {
-            // The common case is one segment per run (extents merge at
-            // grow time): nothing splits off, and the gathered buffer is
-            // handed over without another copy.
-            let rest = data.split_off(n as usize * bs);
-            let submitted = match cache {
-                Some((c, vdev)) => match c.submit_write(vdev, abs, &data) {
+        if let Some(c) = self.vol.cache() {
+            let vdev = self.slot_vdev(slot);
+            let mut rest = &data[..];
+            let submit = |(_, abs, n): (DeviceRef, u64, u64)| {
+                let (seg, tail) = rest.split_at(n as usize * bs);
+                rest = tail;
+                self.paced(match c.submit_write(vdev, abs, seg) {
                     Ok(wt) => RunTicket::CacheWrite(wt),
                     Err(e) => RunTicket::Dev(Ticket::ready(Err(e))),
-                },
-                None => RunTicket::Dev(dev.submit_write_blocks(abs, data.into_boxed_slice())),
+                })
             };
-            out.push(self.paced(submitted));
-            data = rest;
+            let out = segs.into_iter().map(submit).collect();
+            staging.give(data);
+            return out;
         }
+        // The common case is one segment per run (extents merge at grow
+        // time): the gathered buffer is handed over as it is. A run that
+        // crosses segments copies each into a buffer of its own, once.
+        let submit = |dev: DeviceRef, abs, seg| {
+            self.paced(RunTicket::Dev(dev.submit_write_blocks(abs, seg)))
+        };
+        if let [(dev, abs, _)] = &segs[..] {
+            return vec![submit(Arc::clone(dev), *abs, data)];
+        }
+        let mut rest = &data[..];
+        let mut out = Vec::with_capacity(segs.len());
+        for (dev, abs, n) in segs {
+            let (head, tail) = rest.split_at(n as usize * bs);
+            let mut seg = staging.take(head.len());
+            seg.copy_from_slice(head);
+            out.push(submit(dev, abs, seg));
+            rest = tail;
+        }
+        staging.give(data);
         out
     }
 
@@ -987,11 +980,13 @@ impl RawFile {
     }
 
     /// Wait out one run's write tickets against layout slot `slot`,
-    /// reporting the first error (and feeding the health board).
+    /// reporting the first error (and feeding the health board). The
+    /// buffers the tickets hand back return to the staging list.
     fn wait_write_run(&self, slot: usize, tickets: Vec<RunTicket>) -> Result<()> {
         let cache = self.vol.cache();
         let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait(cache)).collect();
-        let written = outcomes.into_iter().try_for_each(|o| o.map(drop));
+        let give = |o: pario_disk::Result<_>| o.map(|buf| self.vol.staging().give(buf));
+        let written = outcomes.into_iter().try_for_each(give);
         self.settle(self.slot_vdev(slot), written)
     }
 
@@ -1024,6 +1019,43 @@ impl RawFile {
         let outcome = settled.into_iter().reduce(|a, b| a.or(b));
         // invariant: a race reports at least one outcome.
         outcome.expect("race observed no completion")
+    }
+
+    /// A run's segment buffers as one staging buffer, in device order.
+    fn concat(&self, mut bufs: Vec<Box<[u8]>>) -> Box<[u8]> {
+        if bufs.len() == 1 {
+            // invariant: just checked bufs.len() == 1.
+            return bufs.pop().expect("one segment");
+        }
+        let staging = self.vol.staging();
+        let mut whole = staging.take(bufs.iter().map(|b| b.len()).sum());
+        let mut at = 0;
+        for seg in bufs {
+            whole[at..at + seg.len()].copy_from_slice(&seg);
+            at += seg.len();
+            self.recycle(seg);
+        }
+        whole
+    }
+
+    /// Land a run that was read: scatter its segment buffers into the
+    /// windows of `m`'s parts and hand the staging back.
+    fn land(&self, first: u64, buf: &mut [u8], m: &MergedRun, bufs: Vec<Box<[u8]>>) {
+        let staging = self.concat(bufs);
+        self.scatter(first, buf, m, &staging);
+        self.recycle(staging);
+    }
+
+    /// Hand back the buffer a read run arrived in. An executor read
+    /// filled a buffer of the staging list ([`RawFile::submit_read_run`]),
+    /// and it returns there. Behind the cache tier the buffer is the
+    /// tier's own allocation and no read takes its like from the list,
+    /// so it is freed: a cached volume's record reads would otherwise
+    /// push a block an op through the list and out of its far end.
+    fn recycle(&self, buf: Box<[u8]>) {
+        if self.vol.cache().is_none() {
+            self.vol.staging().give(buf);
+        }
     }
 
     /// Scatter run `m`'s device blocks (`staging`, from row `m.dblock`)
@@ -1134,13 +1166,13 @@ impl RawFile {
                     None => (self.wait_read_run(primary.0, primary.1), other),
                 };
                 match Self::soft(res)? {
-                    Ok(bufs) => self.scatter(first, buf, &m, &concat(bufs)),
+                    Ok(bufs) => self.land(first, buf, &m, bufs),
                     Err(e) => retry(m, next, e),
                 }
             }
             for (m, slot, tickets) in second {
                 match Self::soft(self.wait_read_run(slot, tickets))? {
-                    Ok(bufs) => self.scatter(first, buf, &m, &concat(bufs)),
+                    Ok(bufs) => self.land(first, buf, &m, bufs),
                     Err(e) => lost.push((m, e)),
                 }
             }
@@ -1232,21 +1264,24 @@ impl RawFile {
         for (m, tickets) in inflight {
             match Self::soft(self.wait_read_run(m.device, tickets))? {
                 Ok(bufs) => {
-                    let staging = concat(bufs);
+                    let staging = self.concat(bufs);
                     self.scatter(first, buf, &m, &staging);
                     columns.push((m, staging));
                 }
                 Err(e) => lost.push((m, e)),
             }
         }
+        let staging = self.vol.staging();
         let Some((m, e)) = lost.pop() else {
+            columns.into_iter().for_each(|(_, data)| self.recycle(data));
             return Ok(());
         };
         if !lost.is_empty() {
             // One parity block per stripe absorbs one lost device.
             return Err(e.into());
         }
-        let mut column = vec![0u8; m.count as usize * bs];
+        let mut column = staging.take(m.count as usize * bs);
+        column.fill(0);
         for (peer, data) in &columns {
             let lo = m.dblock.max(peer.dblock);
             let hi = (m.dblock + m.count).min(peer.dblock + peer.count);
@@ -1258,6 +1293,8 @@ impl RawFile {
             }
         }
         self.scatter(first, buf, &m, &column);
+        columns.into_iter().for_each(|(_, data)| self.recycle(data));
+        staging.give(column);
         Ok(())
     }
 
@@ -1300,12 +1337,19 @@ impl RawFile {
                     return self.settle(self.slot_vdev(m.device), res);
                 }
             }
-            let mut gathered: Vec<u8> = Vec::with_capacity(m.count as usize * bs);
+            let staging = self.vol.staging();
+            let mut gathered = staging.take(m.count as usize * bs);
+            let mut at = 0;
             for r in &m.parts {
-                gathered.extend_from_slice(&data[self.window(first, r)]);
+                let part = &data[self.window(first, r)];
+                gathered[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
             }
-            let second =
-                mirror.map(|p| self.submit_write_run(m.device + p, m.dblock, gathered.clone()));
+            let second = mirror.map(|p| {
+                let mut copy = staging.take(gathered.len());
+                copy.copy_from_slice(&gathered);
+                self.submit_write_run(m.device + p, m.dblock, copy)
+            });
             let primary = self.submit_write_run(m.device, m.dblock, gathered);
             inflight.push((m, primary, second));
         }
@@ -1899,6 +1943,59 @@ mod tests {
         // whole span is one run per device per direction (modulo extent
         // splits) — far below the 128 per-block requests it replaced.
         assert!(reqs <= 16, "expected coalesced requests, got {reqs}");
+    }
+
+    /// Files grown in turn interleave their extents, so one device run
+    /// crosses extent segments: each segment is one device write of
+    /// exactly its blocks — data, mirror copies and parity rows alike —
+    /// and the span reads back.
+    #[test]
+    fn a_run_across_extent_segments_writes_each_segment_once() {
+        let striped = LayoutSpec::Striped {
+            devices: 2,
+            unit: 1,
+        };
+        let specs = [
+            striped.clone(),
+            LayoutSpec::Shadowed(Box::new(striped)),
+            LayoutSpec::Parity {
+                data_devices: 3,
+                rotated: true,
+            },
+        ];
+        for spec in specs {
+            let v = vol(4);
+            let create = |name| FileSpec::new(name, BS, 1, spec.clone());
+            let f = v.create_file(create("f")).unwrap();
+            let g = v.create_file(create("g")).unwrap();
+            for step in 1..=4 {
+                f.ensure_capacity_records(step * 12).unwrap();
+                g.ensure_capacity_records(step * 12).unwrap();
+            }
+            let extents = f.meta_snapshot().extents;
+            assert!(extents.iter().all(|e| e.len() > 1), "{spec:?}: {extents:?}");
+            let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
+            let data: Vec<u8> = (0..f.nblocks() as usize * BS)
+                .map(|i| (i % 239) as u8)
+                .collect();
+            f.write_span(0, &data).unwrap();
+            let (mut writes, mut blocks) = (0, 0);
+            for (d, b) in before.iter().enumerate() {
+                let c = v.device(d).counters();
+                assert_eq!(
+                    c.reads, b.reads,
+                    "{spec:?}: a whole-file span reads nothing"
+                );
+                writes += c.writes - b.writes;
+                blocks += c.blocks_written - b.blocks_written;
+            }
+            let segments: usize = extents.iter().map(|e| e.len()).sum();
+            let allocated: u64 = extents.iter().map(|e| crate::alloc::extents_len(e)).sum();
+            assert_eq!((writes, blocks), (segments as u64, allocated), "{spec:?}");
+            let mut out = vec![0u8; data.len()];
+            f.read_span(0, &mut out).unwrap();
+            assert_eq!(out, data, "{spec:?}");
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ mod global;
 mod health;
 mod journal;
 mod meta;
+mod staging;
 mod superblock;
 mod volume;
 

@@ -16,6 +16,7 @@ use crate::file::RawFile;
 use crate::health::{DeviceHealth, HealthBoard, HealthPolicy, HealthState};
 use crate::journal::{self, Appended, JournalState, Record};
 use crate::meta::FileMeta;
+use crate::staging::Staging;
 use crate::superblock::{self, MetaStatus, MountReport};
 
 /// Shape of a fresh in-memory volume.
@@ -150,6 +151,8 @@ pub(crate) struct VolInner {
     /// Set at most once by [`Volume::enable_cache`]; absent, every span
     /// path submits straight to the executor (the seed behavior).
     pub(crate) cache: std::sync::OnceLock<Arc<VolumeCache>>,
+    /// Free list of the span path's staging buffers (rank 72).
+    pub(crate) staging: Staging,
     /// Metadata intent-journal cursor + superblock generation (rank 78).
     pub(crate) journal: Mutex<JournalState>,
     /// Checkpoint barrier. Every metadata operation holds it **shared**
@@ -270,6 +273,7 @@ impl Volume {
                 next_id: AtomicU64::new(1),
                 health,
                 cache: std::sync::OnceLock::new(),
+                staging: Staging::new(),
                 journal: Mutex::new_named(
                     JournalState {
                         gen: 0,
@@ -467,6 +471,12 @@ impl Volume {
     /// The volume's cache tier, if [`Volume::enable_cache`] attached one.
     pub fn cache(&self) -> Option<&Arc<VolumeCache>> {
         self.inner.cache.get()
+    }
+
+    /// Where `RawFile` takes its staging buffers from and hands them
+    /// back to.
+    pub(crate) fn staging(&self) -> &Staging {
+        &self.inner.staging
     }
 
     /// Cache traffic counters, if a cache is attached.

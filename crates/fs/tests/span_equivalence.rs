@@ -9,6 +9,13 @@
 //! byte-identical to the same span routed through the submit path, and
 //! a cached volume or an unhealthy slot routes exactly as it always did.
 //!
+//! The third property is about what spans share: the volume recycles
+//! their staging buffers, so two files of different bytes, spans
+//! interleaved at random and a device fail-stopped half way must still
+//! return, byte for byte, what a per-record twin holds — through the
+//! parity reconstruction, the surviving mirror and a plain stripe's
+//! error alike.
+//!
 //! The second property holds the sequential stream — `GlobalWriter`
 //! writing behind, `GlobalReader` reading ahead — to the per-record
 //! reference: the same bytes back, and the same blocks on every device
@@ -215,6 +222,120 @@ proptest! {
                 reference.read_device_block(slot, dblock, &mut b).unwrap();
                 prop_assert_eq!(&a, &b, "slot {} block {}", slot, dblock);
             }
+        }
+    }
+}
+
+/// The layouts that stage differently: per-device parity runs and
+/// column reconstruction, gathered runs and their mirror copies, plain
+/// gathered and scattered runs. All of them sit on devices 0..4.
+fn staged_layout() -> impl Strategy<Value = LayoutSpec> {
+    let striped = |devices| LayoutSpec::Striped { devices, unit: 1 };
+    prop_oneof![
+        Just(LayoutSpec::Parity {
+            data_devices: 3,
+            rotated: true
+        }),
+        Just(LayoutSpec::Shadowed(Box::new(striped(2)))),
+        Just(striped(4)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Two files on one volume — one staging list — with bytes that
+    /// differ in every position, and a twin volume that is written and
+    /// read record by record and never faulted. Spans of up to 25 blocks
+    /// interleave between the files; after `fail_after` of them device
+    /// `down` fail-stops. From then on a parity file reconstructs, a
+    /// shadowed file is served by the mirror (both keep taking writes),
+    /// and a plain stripe returns the error for exactly the spans that
+    /// touch the device and the right bytes for the rest; its first read
+    /// after `heal` is the whole file, exact.
+    #[test]
+    fn recycled_staging_never_shows_in_another_span(
+        first in staged_layout(),
+        second in staged_layout(),
+        ops in proptest::collection::vec(
+            (0usize..2, any::<bool>(), 0u64..192, 1u64..=100, any::<u8>()),
+            12..40,
+        ),
+        fail_after in 0usize..40,
+        down in 0usize..4,
+    ) {
+        const RS: usize = 64;
+        const RECORDS: u64 = 192;
+        let (v, twin) = (volume(), volume());
+        let create = |v: &Volume| {
+            [("a", &first), ("b", &second)].map(|(name, spec)| {
+                let fspec = FileSpec::new(name, RS, 4, spec.clone());
+                v.create_file(fspec.initial_records(RECORDS)).unwrap()
+            })
+        };
+        let (files, reference) = (create(&v), create(&twin));
+        // File `a` never holds a byte with the high bit set, file `b`
+        // never one without.
+        let pattern = |which: usize, seed: u8, i: usize| {
+            (seed.wrapping_add((i / 3) as u8) & 0x7f) | (which as u8) << 7
+        };
+        let expected = |which: usize, at: u64, n: u64| {
+            let mut bytes = vec![0u8; n as usize * RS];
+            for (r, rec) in (at..).zip(bytes.chunks_mut(RS)) {
+                reference[which].read_record(r, rec).unwrap();
+            }
+            bytes
+        };
+        for (which, f) in files.iter().enumerate() {
+            let fill: Vec<u8> = (0..RECORDS as usize * RS).map(|i| pattern(which, 17, i)).collect();
+            f.write_span(0, &fill).unwrap();
+            for (r, rec) in (0..).zip(fill.chunks(RS)) {
+                reference[which].write_record(r, rec).unwrap();
+            }
+        }
+        let plain = |which: usize| matches!([&first, &second][which], LayoutSpec::Striped { .. });
+        let mut failed = false;
+        for (k, &(which, write, at, n, seed)) in ops.iter().enumerate() {
+            if k == fail_after {
+                v.device(down).fail();
+                failed = true;
+            }
+            let n = n.min(RECORDS - at);
+            let (f, off) = (&files[which], at * RS as u64);
+            // What the failed device takes from a plain stripe it cannot
+            // give back: no writes to it while one of its devices is down.
+            if write && !(failed && plain(which)) {
+                let data: Vec<u8> = (0..n as usize * RS).map(|i| pattern(which, seed, i)).collect();
+                f.write_span(off, &data).unwrap();
+                for (r, rec) in (at..).zip(data.chunks(RS)) {
+                    reference[which].write_record(r, rec).unwrap();
+                }
+                continue;
+            }
+            let mut got = vec![0u8; n as usize * RS];
+            let res = f.read_span(off, &mut got);
+            let blocks = off / BS as u64..(off + got.len() as u64).div_ceil(BS as u64);
+            let lost = failed && plain(which) && blocks.clone().any(|l| f.layout().map(l).device == down);
+            if lost {
+                prop_assert!(
+                    matches!(res, Err(pario_fs::FsError::Disk(DiskError::DeviceFailed { .. }))),
+                    "op {}: a plain stripe over failed device {} returned {:?}", k, down, res
+                );
+            } else {
+                prop_assert!(res.is_ok(), "op {}: {:?}", k, res);
+                prop_assert_eq!(got, expected(which, at, n), "op {} on file {} at record {}+{}", k, which, at, n);
+            }
+        }
+        // Whole files: degraded where redundancy carries them, and a
+        // plain stripe as soon as its device answers again.
+        for (which, f) in files.iter().enumerate() {
+            if plain(which) {
+                v.device(down).heal();
+            }
+            let mut got = vec![0u8; RECORDS as usize * RS];
+            f.read_span(0, &mut got).unwrap();
+            prop_assert_eq!(got, expected(which, 0, RECORDS), "file {} whole", which);
+            v.device(down).fail();
         }
     }
 }

@@ -41,6 +41,7 @@ const RANKED_LOCKS: &[(&str, &str, u8)] = &[
     ("alloc.lock(", "fs.alloc", 50),
     ("rmw_lock.lock(", "fs.rmw", 60),
     ("stripe_lock.lock(", "fs.stripe", 70),
+    ("spare.lock(", "fs.staging", 72),
     ("frames.lock(", "buffer.volume_cache", 75),
     ("journal.lock(", "fs.journal", 78),
     ("board.lock(", "fs.health", 80),
