@@ -69,7 +69,9 @@ pub struct RawFile {
     span_parallel: bool,
 }
 
-fn xor_into(dst: &mut [u8], src: &[u8]) {
+/// XOR `src` into `dst` (equal lengths): the parity arithmetic, here and
+/// in recovery tooling.
+pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
@@ -564,41 +566,98 @@ impl RawFile {
         self.write_blocks(l, data)
     }
 
-    /// Read the physical block at layout slot `slot`, device-local index
-    /// `dblock` — **recovery tooling only**: bypasses redundancy logic.
-    pub fn read_device_block(&self, slot: usize, dblock: u64, buf: &mut [u8]) -> Result<()> {
-        if let Some((dev, abs)) = self.direct_segment(slot, dblock, 1) {
-            return self.settle(self.slot_vdev(slot), dev.read_blocks_at(abs, buf));
+    /// Read device rows in one wave — **recovery tooling only**: bypasses
+    /// redundancy logic. Each run `(slot, first row, buf)` fills `buf`,
+    /// whole blocks, from consecutive device-local rows of layout slot
+    /// `slot`. Every run is submitted (through the cache tier, where there
+    /// is one) before any is waited for, so the slots' devices work at
+    /// once; every ticket is waited out and feeds the health board; the
+    /// first error is the wave's. A wave that is one transfer has nothing
+    /// to fan out and blocks on the device call, straight into `buf`.
+    pub fn read_device_rows(&self, runs: &mut [(usize, u64, &mut [u8])]) -> Result<()> {
+        let rows = |buf: &[u8]| (buf.len() / self.block_size()) as u64;
+        if let [(slot, row, buf)] = runs {
+            if let Some((dev, abs)) = self.direct_segment(*slot, *row, rows(buf)) {
+                return self.settle(self.slot_vdev(*slot), dev.read_blocks_at(abs, buf));
+            }
         }
-        let tickets = self.submit_read_run(slot, dblock, 1);
-        let block = self.concat(self.wait_read_run(slot, tickets)?);
-        buf.copy_from_slice(&block);
-        self.recycle(block);
-        Ok(())
+        let submit = |(slot, row, buf): &(usize, u64, &mut [u8])| {
+            self.submit_read_run(*slot, *row, rows(buf))
+        };
+        let inflight: Vec<_> = runs.iter().map(submit).collect();
+        let mut outcome = Ok(());
+        for ((slot, _, buf), tickets) in runs.iter_mut().zip(inflight) {
+            match self.wait_read_run(*slot, tickets) {
+                Ok(bufs) => {
+                    let run = self.concat(bufs);
+                    buf.copy_from_slice(&run);
+                    self.recycle(run);
+                }
+                Err(e) => outcome = outcome.and(Err(e)),
+            }
+        }
+        outcome
     }
 
-    /// Write the physical block at layout slot `slot`, device-local index
-    /// `dblock` — **recovery tooling only**: bypasses parity maintenance
-    /// and shadow duplication entirely. Rebuilt data must be durable on
-    /// media whatever the cache policy, so this writes the device
-    /// directly and drops any frame that covered the block.
-    pub fn write_device_block(&self, slot: usize, dblock: u64, data: &[u8]) -> Result<()> {
-        // invariant: one block lies inside one extent segment.
-        let (dev, abs, _) = self.run_segments(slot, dblock, 1).remove(0);
-        let vdev = self.slot_vdev(slot);
+    /// [`RawFile::read_device_rows`] for one block.
+    pub fn read_device_block(&self, slot: usize, dblock: u64, buf: &mut [u8]) -> Result<()> {
+        self.read_device_rows(&mut [(slot, dblock, buf)])
+    }
+
+    /// Write device rows in one wave — **recovery tooling only**: bypasses
+    /// parity maintenance and shadow duplication entirely. Each run
+    /// `(slot, first row, data)` lands `data`, whole blocks, on
+    /// consecutive device-local rows of layout slot `slot`; all runs are
+    /// submitted before any is waited for, every ticket is waited out and
+    /// feeds the health board, and the first error is the wave's. Rebuilt
+    /// data must be durable on media whatever the cache policy, so the
+    /// wave goes to the executor past the tier and drops every frame that
+    /// covered its rows. A wave that is one transfer blocks on the device
+    /// call, straight from `data`.
+    pub fn write_device_rows(&self, runs: &[(usize, u64, &[u8])]) -> Result<()> {
+        let rows = |data: &[u8]| (data.len() / self.block_size()) as u64;
         // Invalidate on both sides of the raw write: before, so a
-        // write-back of the block already in flight lands first instead
+        // write-back of a block already in flight lands first instead
         // of on top of the rebuilt data; after, to drop what a reader
         // filled in between.
         let invalidate = || {
-            if let Some(c) = self.vol.cache() {
-                c.invalidate_range(vdev, abs, 1);
+            let Some(c) = self.vol.cache() else { return };
+            for &(slot, row, data) in runs {
+                let vdev = self.slot_vdev(slot);
+                for (_, abs, n) in self.run_segments(slot, row, rows(data)) {
+                    c.invalidate_range(vdev, abs, n);
+                }
             }
         };
         invalidate();
-        let res = dev.write_block(abs, data);
+        let sole = match *runs {
+            [(slot, row, data)] => self
+                .sole_segment(slot, row, rows(data))
+                .map(|to| (slot, to, data)),
+            _ => None,
+        };
+        let written = match sole {
+            Some((slot, (dev, abs), data)) => {
+                self.settle(self.slot_vdev(slot), dev.write_blocks_at(abs, data))
+            }
+            None => {
+                let submit = |&(slot, row, data): &(usize, u64, &[u8])| {
+                    let mut staged = self.vol.staging().take(data.len());
+                    staged.copy_from_slice(data);
+                    (slot, self.submit_media_write(slot, row, staged))
+                };
+                let inflight: Vec<_> = runs.iter().map(submit).collect();
+                let wait = |(slot, tickets)| self.wait_write_run(slot, tickets);
+                inflight.into_iter().map(wait).fold(Ok(()), Result::and)
+            }
+        };
         invalidate();
-        self.settle(vdev, res)
+        written
+    }
+
+    /// [`RawFile::write_device_rows`] for one block.
+    pub fn write_device_block(&self, slot: usize, dblock: u64, data: &[u8]) -> Result<()> {
+        self.write_device_rows(&[(slot, dblock, data)])
     }
 
     /// Every device extent a write of the logical byte span `[offset,
@@ -878,6 +937,12 @@ impl RawFile {
         if self.vol.cache().is_some() {
             return None;
         }
+        self.sole_segment(slot, dblock, count)
+    }
+
+    /// The executor handle and absolute block of rows `[dblock, dblock +
+    /// count)` of `slot` when one extent segment holds them all.
+    fn sole_segment(&self, slot: usize, dblock: u64, count: u64) -> Option<(DeviceRef, u64)> {
         let mut segs = self.run_segments(slot, dblock, count);
         match segs.pop() {
             Some((dev, abs, _)) if segs.is_empty() => Some((dev, abs)),
@@ -923,24 +988,32 @@ impl RawFile {
     /// scratch), write-through submits the vectored device write and
     /// completes it at wait.
     fn submit_write_run(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
+        let Some(c) = self.vol.cache() else {
+            return self.submit_media_write(slot, dblock, data);
+        };
+        let bs = self.block_size();
+        let segs = self.run_segments(slot, dblock, (data.len() / bs) as u64);
+        let vdev = self.slot_vdev(slot);
+        let mut rest = &data[..];
+        let submit = |(_, abs, n): (DeviceRef, u64, u64)| {
+            let (seg, tail) = rest.split_at(n as usize * bs);
+            rest = tail;
+            self.paced(match c.submit_write(vdev, abs, seg) {
+                Ok(wt) => RunTicket::CacheWrite(wt),
+                Err(e) => RunTicket::Dev(Ticket::ready(Err(e))),
+            })
+        };
+        let out = segs.into_iter().map(submit).collect();
+        self.vol.staging().give(data);
+        out
+    }
+
+    /// [`RawFile::submit_write_run`] straight to the executor, whether or
+    /// not a cache tier fronts it.
+    fn submit_media_write(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
         let bs = self.block_size();
         let staging = self.vol.staging();
         let segs = self.run_segments(slot, dblock, (data.len() / bs) as u64);
-        if let Some(c) = self.vol.cache() {
-            let vdev = self.slot_vdev(slot);
-            let mut rest = &data[..];
-            let submit = |(_, abs, n): (DeviceRef, u64, u64)| {
-                let (seg, tail) = rest.split_at(n as usize * bs);
-                rest = tail;
-                self.paced(match c.submit_write(vdev, abs, seg) {
-                    Ok(wt) => RunTicket::CacheWrite(wt),
-                    Err(e) => RunTicket::Dev(Ticket::ready(Err(e))),
-                })
-            };
-            let out = segs.into_iter().map(submit).collect();
-            staging.give(data);
-            return out;
-        }
         // The common case is one segment per run (extents merge at grow
         // time): the gathered buffer is handed over as it is. A run that
         // crosses segments copies each into a buffer of its own, once.

@@ -153,6 +153,10 @@ pub(crate) struct VolInner {
     pub(crate) cache: std::sync::OnceLock<Arc<VolumeCache>>,
     /// Free list of the span path's staging buffers (rank 72).
     pub(crate) staging: Staging,
+    /// Free list of [`Volume::zero_fill`]'s write sources, apart from
+    /// `staging` because nothing ever writes into one of its buffers:
+    /// whatever it hands out is all zero (rank 72, a leaf as well).
+    pub(crate) zeros: Staging,
     /// Metadata intent-journal cursor + superblock generation (rank 78).
     pub(crate) journal: Mutex<JournalState>,
     /// Checkpoint barrier. Every metadata operation holds it **shared**
@@ -274,6 +278,7 @@ impl Volume {
                 health,
                 cache: std::sync::OnceLock::new(),
                 staging: Staging::new(),
+                zeros: Staging::new(),
                 journal: Mutex::new_named(
                     JournalState {
                         gen: 0,
@@ -841,7 +846,8 @@ impl Volume {
                 added => (ahead, added?),
             };
             if let Err(e) = self.zero_fill(&meta.device_map, &added) {
-                // Nothing points at the blocks yet: hand them back.
+                // Nothing points at the blocks yet and no zero is still
+                // in flight to them: hand them back.
                 release(&mut self.inner.alloc.lock(), &meta.device_map, &added);
                 return Err(e);
             }
@@ -888,36 +894,68 @@ impl Volume {
     }
 
     /// Write zeros over freshly allocated `extents`, indexed by layout
-    /// slot: one vectored request per extent, chunked at
-    /// [`ZERO_FILL_BLOCKS`].
+    /// slot, in waves: each wave submits one run of at most
+    /// [`ZERO_FILL_BLOCKS`] to the executor of every device that still
+    /// has blocks to zero, then waits for all of them, so the devices
+    /// work at once and a file's zero-fill takes as long as its longest
+    /// device's. A run's zero buffer comes back with its ticket and goes
+    /// round through `VolInner::zeros`.
+    ///
+    /// An error ends the sweep after its wave: every run submitted has
+    /// been waited for by then, so the caller may hand the blocks back —
+    /// no zero is still on its way to a block someone else could be
+    /// given.
     fn zero_fill(&self, device_map: &[usize], extents: &[Vec<Extent>]) -> Result<()> {
         let bs = self.block_size();
-        let longest = extents.iter().flatten().map(|e| e.len).max().unwrap_or(0);
-        let zero = vec![0u8; bs * longest.min(ZERO_FILL_BLOCKS) as usize];
-        for (slot, new) in extents.iter().enumerate() {
-            let dev = device_map[slot];
-            // The zero-fill bypasses the cache. Invalidate on both
-            // sides of it: before, so a write-back a previous owner
-            // of these blocks left in flight lands first and not on
-            // top of the zeros; after, to drop any frame filled in
-            // between.
-            let invalidate = |e: Extent| {
-                if let Some(cache) = self.inner.cache.get() {
-                    cache.invalidate_range(dev, e.start, e.len);
-                }
+        // The zero-fill bypasses the cache. Invalidate on both sides of
+        // it: before, so a write-back a previous owner of these blocks
+        // left in flight lands first and not on top of the zeros; after,
+        // to drop any frame filled in between.
+        let invalidate = || {
+            let Some(cache) = self.inner.cache.get() else {
+                return;
             };
-            for &e in new {
-                invalidate(e);
-                let mut b = e.start;
-                while b < e.end() {
-                    let n = (e.end() - b).min(ZERO_FILL_BLOCKS);
-                    self.inner.devices[dev].write_blocks_at(b, &zero[..n as usize * bs])?;
-                    b += n;
+            for (slot, new) in extents.iter().enumerate() {
+                for e in new {
+                    cache.invalidate_range(device_map[slot], e.start, e.len);
                 }
-                invalidate(e);
+            }
+        };
+        let chunks = |e: &Extent| {
+            let end = e.end();
+            let starts = (e.start..end).step_by(ZERO_FILL_BLOCKS as usize);
+            starts.map(move |b| (b, (end - b).min(ZERO_FILL_BLOCKS) as usize))
+        };
+        let runs: Vec<Vec<(u64, usize)>> = extents
+            .iter()
+            .map(|new| new.iter().flat_map(chunks).collect())
+            .collect();
+        let zeros = &self.inner.zeros;
+        let mut outcome = Ok(());
+        invalidate();
+        for wave in 0..runs.iter().map(Vec::len).max().unwrap_or(0) {
+            let submit = |(slot, runs): (usize, &Vec<(u64, usize)>)| {
+                let &(block, n) = runs.get(wave)?;
+                let dev = &self.inner.io_devices[device_map[slot]];
+                Some(dev.submit_write_blocks(block, zeros.take(n * bs)))
+            };
+            let inflight: Vec<_> = runs.iter().enumerate().filter_map(submit).collect();
+            // Last submitted, first waited for: where the workers share
+            // a CPU with this thread they run in the order they were
+            // woken, so the wave is over when this wait returns and the
+            // caller is woken once, not once a device.
+            for ticket in inflight.into_iter().rev() {
+                match ticket.wait() {
+                    Ok(zero) => zeros.give(zero),
+                    Err(e) => outcome = outcome.and(Err(e.into())),
+                }
+            }
+            if outcome.is_err() {
+                break;
             }
         }
-        Ok(())
+        invalidate();
+        outcome
     }
 }
 
@@ -926,8 +964,9 @@ impl Volume {
 /// blocks, then grows by this many at a time (`Volume::grow_file`).
 const RUN_AHEAD: u64 = 256;
 
-/// Blocks per zero-fill request.
-const ZERO_FILL_BLOCKS: u64 = 32;
+/// Most blocks in one zero-fill request; a wave has one request per
+/// device in flight (`Volume::zero_fill`).
+const ZERO_FILL_BLOCKS: u64 = 128;
 
 /// Return `extents`, indexed by layout slot, to the allocator.
 fn release(alloc: &mut Allocator, device_map: &[usize], extents: &[Vec<Extent>]) {
@@ -941,6 +980,7 @@ fn release(alloc: &mut Allocator, device_map: &[usize], extents: &[Vec<Extent>])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pario_disk::{BlockDevice, IoCounters, MemDisk};
 
     fn vol() -> Volume {
         Volume::create_in_memory(VolumeConfig {
@@ -1422,5 +1462,231 @@ mod tests {
         // Device 0 has less free space than the others (superblock region).
         assert!(free[0] < free[1]);
         assert_eq!(free[1], 128);
+    }
+
+    /// A `MemDisk` whose zero runs — its writes of more than one block;
+    /// journal records are single blocks — can be held at a gate or meet
+    /// a fail-stop, by their index on this device.
+    struct Gated {
+        disk: MemDisk,
+        runs: std::sync::atomic::AtomicU64,
+        park_on: Option<u64>,
+        fail_on: Option<u64>,
+        /// (a run is parked, the gate is open)
+        gate: std::sync::Mutex<(bool, bool)>,
+        cv: std::sync::Condvar,
+    }
+
+    impl Gated {
+        fn new(park_on: Option<u64>, fail_on: Option<u64>) -> Arc<Gated> {
+            Arc::new(Gated {
+                disk: MemDisk::new(1024, 512),
+                runs: Default::default(),
+                park_on,
+                fail_on,
+                gate: Default::default(),
+                cv: Default::default(),
+            })
+        }
+
+        fn runs(&self) -> u64 {
+            self.runs.load(Ordering::SeqCst)
+        }
+
+        fn wait_parked(&self) {
+            let mut g = self.gate.lock().unwrap();
+            while !g.0 {
+                g = self.cv.wait(g).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.gate.lock().unwrap().1 = true;
+            self.cv.notify_all();
+        }
+    }
+
+    impl BlockDevice for Gated {
+        fn block_size(&self) -> usize {
+            self.disk.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+            self.disk.read_block(block, buf)
+        }
+        fn write_block(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+            self.disk.write_block(block, data)
+        }
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+            self.disk.read_blocks_at(block, buf)
+        }
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+            if data.len() > self.block_size() {
+                let run = Some(self.runs());
+                if run == self.park_on {
+                    let mut g = self.gate.lock().unwrap();
+                    g.0 = true;
+                    self.cv.notify_all();
+                    while !g.1 {
+                        g = self.cv.wait(g).unwrap();
+                    }
+                }
+                if run == self.fail_on {
+                    self.disk.fail();
+                }
+                self.runs.fetch_add(1, Ordering::SeqCst);
+            }
+            self.disk.write_blocks_at(block, data)
+        }
+        fn counters(&self) -> IoCounters {
+            self.disk.counters()
+        }
+        fn fail(&self) {
+            self.disk.fail()
+        }
+        fn heal(&self) {
+            self.disk.heal()
+        }
+        fn is_failed(&self) -> bool {
+            self.disk.is_failed()
+        }
+    }
+
+    fn gated_vol(devs: &[Arc<Gated>]) -> Volume {
+        Volume::new(devs.iter().map(|d| Arc::clone(d) as DeviceRef).collect()).unwrap()
+    }
+
+    /// Spin until `cond` holds; a wave that never fans out would hang
+    /// here, so give up loudly instead.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn zero_fill_keeps_every_device_busy_in_one_wave() {
+        // Two waves a device. Device 0's first zero run is held: the
+        // other three devices' runs of that wave land all the same, and
+        // the second wave waits for the first.
+        let per_device = ZERO_FILL_BLOCKS + 40;
+        let devs: Vec<_> = (0..4)
+            .map(|d| Gated::new((d == 0).then_some(0), None))
+            .collect();
+        let v = gated_vol(&devs);
+        let spec = striped_spec("wide").initial_records(4 * per_device * 8);
+        std::thread::scope(|s| {
+            let create = s.spawn(|| v.create_file(spec).map(|_| ()));
+            devs[0].wait_parked();
+            eventually("devices 1..3 zeroed beside a parked device 0", || {
+                devs[1..].iter().all(|d| d.runs() == 1)
+            });
+            assert_eq!(devs[0].runs(), 0);
+            devs[0].open();
+            create.join().unwrap().unwrap();
+        });
+        assert!(devs.iter().all(|d| d.runs() == 2));
+        assert_eq!(v.open("wide").unwrap().nblocks(), 4 * per_device);
+    }
+
+    #[test]
+    fn zero_fill_is_one_request_per_run_of_zero_fill_blocks() {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 1024,
+            block_size: 512,
+        })
+        .unwrap();
+        let before: Vec<u64> = (0..4).map(|d| v.device(d).counters().writes).collect();
+        let per_device = 3 * ZERO_FILL_BLOCKS + 17;
+        let f = v
+            .create_file(striped_spec("sized").initial_records(4 * per_device * 8))
+            .unwrap();
+        assert_eq!(f.nblocks(), 4 * per_device);
+        for (d, was) in before.iter().enumerate() {
+            // Device 0 also takes the `Create` and `Grow` records.
+            let records = if d == 0 { 2 } else { 0 };
+            let runs = v.device(d).counters().writes - was - records;
+            assert_eq!(runs, per_device.div_ceil(ZERO_FILL_BLOCKS), "device {d}");
+        }
+    }
+
+    /// A zero-fill that meets a fail-stop in its second wave, while the
+    /// other three runs of that wave are held: the error comes back, but
+    /// not before those runs have landed, and the blocks go back to the
+    /// allocator only then — so whoever is handed them next never has a
+    /// late zero land on its data.
+    fn zero_fill_failure(allocate: impl FnOnce(&Volume) -> Result<()> + Send) {
+        let devs: Vec<_> = (0..4)
+            .map(|d| match d {
+                1 => Gated::new(None, Some(1)),
+                _ => Gated::new(Some(1), None),
+            })
+            .collect();
+        let v = gated_vol(&devs);
+        let free = v.free_blocks();
+        let taken = || {
+            v.free_blocks()
+                .iter()
+                .zip(&free)
+                .all(|(now, was)| now < was)
+        };
+        std::thread::scope(|s| {
+            let failing = s.spawn(|| allocate(&v));
+            for d in [0, 2, 3] {
+                devs[d].wait_parked();
+            }
+            eventually("device 1 failed its run", || devs[1].is_failed());
+            // Three runs are still in flight: the blocks stay taken.
+            assert!(!failing.is_finished());
+            assert!(taken());
+            devs.iter().for_each(|d| d.open());
+            let e = failing.join().unwrap().unwrap_err();
+            assert!(matches!(e, FsError::Disk(_)), "{e}");
+        });
+        assert_eq!(v.free_blocks(), free);
+        // The parked runs landed, and no third wave followed them.
+        assert!([0, 2, 3].iter().all(|&d| devs[d].runs() == 2));
+        // The same blocks, handed to the next file, hold what it writes.
+        devs[1].heal();
+        let blocks = 4 * (2 * ZERO_FILL_BLOCKS + 40);
+        let f = v
+            .create_file(striped_spec("next").initial_records(blocks * 8))
+            .unwrap();
+        assert!(taken());
+        let data: Vec<u8> = (0..blocks as usize * 512)
+            .map(|i| (i / 7) as u8 | 1)
+            .collect();
+        f.write_span(0, &data).unwrap();
+        let mut back = vec![0u8; data.len()];
+        f.read_span(0, &mut back).unwrap();
+        assert!(
+            back == data,
+            "a late zero landed on the next owner's blocks"
+        );
+    }
+
+    #[test]
+    fn zero_fill_failure_on_create_waits_out_its_wave_before_releasing() {
+        let records = 4 * (2 * ZERO_FILL_BLOCKS + 40) * 8;
+        zero_fill_failure(|v| {
+            let sized = striped_spec("doomed").initial_records(records);
+            v.create_file(sized).map(|_| ())
+        });
+    }
+
+    #[test]
+    fn zero_fill_failure_on_grow_waits_out_its_wave_before_releasing() {
+        let records = 4 * (2 * ZERO_FILL_BLOCKS + 40) * 8;
+        zero_fill_failure(|v| {
+            let f = v.create_file(striped_spec("doomed"))?;
+            let grown = f.ensure_capacity_records(records);
+            assert_eq!(f.nblocks(), 0);
+            grown
+        });
     }
 }

@@ -8,14 +8,8 @@
 
 use std::time::Duration;
 
-use pario_fs::{FsError, RawFile, Result, Volume};
-use pario_layout::{LayoutSpec, ParityPlacement, ParityStriped};
-
-pub(crate) fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= s;
-    }
-}
+use pario_fs::{xor_into, FsError, RawFile, Result, Volume};
+use pario_layout::{Layout, LayoutSpec, ParityPlacement, ParityStriped};
 
 /// The parity geometry of `raw`, or `BadSpec` for any other layout.
 pub(crate) fn parity_model(raw: &RawFile) -> Result<ParityStriped> {
@@ -40,7 +34,9 @@ pub(crate) fn parity_model(raw: &RawFile) -> Result<ParityStriped> {
 /// traffic keeps flowing.
 #[derive(Copy, Clone, Debug)]
 pub struct RebuildThrottle {
-    /// Blocks replayed per stripe-locked burst.
+    /// Blocks replayed per stripe-locked burst: that many consecutive
+    /// rows of the replaced slot, moved as one wave — one read per
+    /// surviving device, all in flight together, and one write.
     pub burst_blocks: u64,
     /// Sleep between bursts (the foreground window).
     pub pause: Duration,
@@ -61,31 +57,37 @@ const ONE_BURST: RebuildThrottle = RebuildThrottle {
     pause: Duration::ZERO,
 };
 
-/// Run `step(i)` for `i` in `0..steps` in stripe-locked bursts: the lock
-/// is held while up to `throttle.burst_blocks` steps report a block
-/// replayed, then released for `throttle.pause`.
+/// Most rows one wave moves per device: a longer burst is several waves
+/// under its one hold of the lock, so the offline sweep's one burst
+/// holds a bounded run per device in memory, not the file.
+const WAVE_ROWS: u64 = 128;
+
+/// Replay rows `0..rows` of the replaced slot in stripe-locked bursts:
+/// the lock is held while `wave(first, n)` replays up to
+/// `throttle.burst_blocks` rows, `[first, first + n)` at a time, then
+/// released for `throttle.pause`. Returns the rows replayed.
 fn in_bursts(
     raw: &RawFile,
-    steps: u64,
+    rows: u64,
     throttle: RebuildThrottle,
-    mut step: impl FnMut(u64) -> Result<bool>,
+    mut wave: impl FnMut(u64, u64) -> Result<()>,
 ) -> Result<u64> {
-    let mut replayed = 0u64;
-    let mut i = 0u64;
-    while i < steps {
-        let burst_end = replayed.saturating_add(throttle.burst_blocks.max(1));
+    let mut at = 0u64;
+    while at < rows {
+        let burst_end = rows.min(at.saturating_add(throttle.burst_blocks.max(1)));
         {
             let _quiesce = raw.lock_stripes();
-            while i < steps && replayed < burst_end {
-                replayed += u64::from(step(i)?);
-                i += 1;
+            while at < burst_end {
+                let n = (burst_end - at).min(WAVE_ROWS);
+                wave(at, n)?;
+                at += n;
             }
         }
-        if i < steps && !throttle.pause.is_zero() {
+        if at < rows && !throttle.pause.is_zero() {
             std::thread::sleep(throttle.pause);
         }
     }
-    Ok(replayed)
+    Ok(rows)
 }
 
 /// Rebuild layout slot `failed_slot` of a parity-protected file onto its
@@ -98,7 +100,9 @@ pub fn rebuild_parity_slot(raw: &RawFile, failed_slot: usize) -> Result<u64> {
 }
 
 /// [`rebuild_parity_slot`] with the stripe lock taken per burst rather
-/// than for the whole sweep.
+/// than for the whole sweep. Stripe `s` is row `s` of every device that
+/// holds a block of it, so rows `[s, s + n)` of the surviving devices,
+/// XORed by column, are rows `[s, s + n)` of the lost one.
 pub(crate) fn rebuild_parity_slot_in_bursts(
     raw: &RawFile,
     failed_slot: usize,
@@ -111,33 +115,28 @@ pub(crate) fn rebuild_parity_slot_in_bursts(
             ps.stripe_width()
         )));
     }
-    let total = raw.nblocks();
     let bs = raw.block_size();
-    let mut acc = vec![0u8; bs];
-    let mut buf = vec![0u8; bs];
-    in_bursts(raw, ps.stripes(total), throttle, |s| {
-        let pdev = ps.parity_device(s);
-        let members = ps.stripe_data(s, total);
-        let lost_here =
-            pdev == failed_slot || members.iter().any(|(_, loc)| loc.device == failed_slot);
-        if !lost_here {
-            return Ok(false);
-        }
-        // XOR everything in the stripe except the lost block.
-        acc.fill(0);
-        if pdev != failed_slot {
-            raw.read_device_block(pdev, s, &mut buf)?;
-            xor_into(&mut acc, &buf);
-        }
-        for (_, loc) in &members {
-            if loc.device == failed_slot {
-                continue;
+    let peers: Vec<usize> = (0..ps.devices()).filter(|&s| s != failed_slot).collect();
+    let mut columns = vec![Vec::new(); peers.len()];
+    let mut lost = Vec::new();
+    in_bursts(raw, raw.device_blocks(failed_slot), throttle, |row, n| {
+        // A partial last stripe leaves some devices a row short: the
+        // block such a peer lacks is zeros to the parity.
+        let held = |slot| raw.device_blocks(slot).saturating_sub(row).min(n) as usize;
+        let mut reads = Vec::with_capacity(peers.len());
+        for (&slot, column) in peers.iter().zip(&mut columns) {
+            column.resize(held(slot) * bs, 0);
+            if !column.is_empty() {
+                reads.push((slot, row, &mut column[..]));
             }
-            raw.read_device_block(loc.device, loc.block, &mut buf)?;
-            xor_into(&mut acc, &buf);
         }
-        raw.write_device_block(failed_slot, s, &acc)?;
-        Ok(true)
+        raw.read_device_rows(&mut reads)?;
+        lost.clear();
+        lost.resize(n as usize * bs, 0);
+        for column in &columns {
+            xor_into(&mut lost[..column.len()], column);
+        }
+        raw.write_device_rows(&[(failed_slot, row, &lost)])
     })
 }
 
@@ -169,11 +168,12 @@ pub(crate) fn resync_shadow_in_bursts(
     } else {
         slot - primaries
     };
-    let mut buf = vec![0u8; raw.block_size()];
-    in_bursts(raw, raw.device_blocks(slot), throttle, |b| {
-        raw.read_device_block(peer, b, &mut buf)?;
-        raw.write_device_block(slot, b, &buf)?;
-        Ok(true)
+    let bs = raw.block_size();
+    let mut copy = Vec::new();
+    in_bursts(raw, raw.device_blocks(slot), throttle, |row, n| {
+        copy.resize(n as usize * bs, 0);
+        raw.read_device_rows(&mut [(peer, row, &mut copy[..])])?;
+        raw.write_device_rows(&[(slot, row, &copy)])
     })
 }
 
@@ -286,6 +286,105 @@ mod tests {
                     assert_eq!(buf, expect, "rotated={rotated} slot={dead_slot} rec {r}");
                 }
             }
+        }
+    }
+
+    /// Every row of layout slot `slot`, as the media holds it.
+    fn rows_of(f: &RawFile, slot: usize) -> Vec<u8> {
+        let mut rows = vec![0u8; f.device_blocks(slot) as usize * BS];
+        f.read_device_rows(&mut [(slot, 0, &mut rows[..])]).unwrap();
+        rows
+    }
+
+    fn bursts_of(burst_blocks: u64) -> RebuildThrottle {
+        RebuildThrottle {
+            burst_blocks,
+            pause: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn parity_rebuild_in_waves_restores_every_row() {
+        // 25 blocks leave a last stripe of one data block and its
+        // parity: two devices are a row short. Preallocated, the file
+        // ends there; appended to, it carries a zero-filled run-ahead
+        // tail past its records.
+        for (rotated, appended) in [(false, false), (false, true), (true, false), (true, true)] {
+            for dead_slot in 0..4usize {
+                for burst in [1, 5, u64::MAX] {
+                    let v = vol();
+                    let f = if appended {
+                        parity_file(&v, "p", rotated, 25)
+                    } else {
+                        let layout = pario_layout::LayoutSpec::Parity {
+                            data_devices: 3,
+                            rotated,
+                        };
+                        let spec = FileSpec::new("p", BS, 1, layout).initial_records(25);
+                        let f = v.create_file(spec).unwrap();
+                        (0..25).for_each(|r| f.write_record(r, &rec(r)).unwrap());
+                        f
+                    };
+                    let intact = rows_of(&f, dead_slot);
+                    assert!(intact.iter().any(|&b| b != 0));
+                    blank(&v.device(dead_slot));
+                    let rebuilt =
+                        rebuild_parity_slot_in_bursts(&f, dead_slot, bursts_of(burst)).unwrap();
+                    assert_eq!(rebuilt, f.device_blocks(dead_slot));
+                    let ctx = format!("rotated={rotated} appended={appended} slot={dead_slot}");
+                    assert!(rows_of(&f, dead_slot) == intact, "{ctx} burst={burst}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parity_rebuild_wave_is_one_request_per_device_per_burst() {
+        let v = vol();
+        let f = parity_file(&v, "p", true, 64);
+        let rows = f.device_blocks(1);
+        let bursts = rows.div_ceil(5);
+        assert!(bursts > 2 && !rows.is_multiple_of(5), "{rows} rows");
+        let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
+        assert_eq!(
+            rebuild_parity_slot_in_bursts(&f, 1, bursts_of(5)).unwrap(),
+            rows
+        );
+        for (d, was) in before.iter().enumerate() {
+            let now = v.device(d).counters();
+            let (reads, writes) = (now.reads - was.reads, now.writes - was.writes);
+            if d == 1 {
+                assert_eq!((reads, writes), (0, bursts), "the replaced device");
+                assert_eq!(now.blocks_written - was.blocks_written, rows);
+            } else {
+                assert!(reads <= bursts && reads > 0, "device {d}: {reads} reads");
+                assert_eq!(writes, 0, "device {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_resync_in_waves_copies_every_row() {
+        for burst in [1, 5, u64::MAX] {
+            let v = vol();
+            let layout =
+                pario_layout::LayoutSpec::Shadowed(Box::new(pario_layout::LayoutSpec::Striped {
+                    devices: 2,
+                    unit: 1,
+                }));
+            let f = v.create_file(FileSpec::new("sh", BS, 1, layout)).unwrap();
+            (0..37).for_each(|r| f.write_record(r, &rec(r)).unwrap());
+            blank(&v.device(3)); // the mirror of primary 1
+            let rows = f.device_blocks(3);
+            let before = (v.device(1).counters(), v.device(3).counters());
+            assert_eq!(
+                resync_shadow_in_bursts(&f, 3, bursts_of(burst)).unwrap(),
+                rows
+            );
+            let bursts = rows.div_ceil(burst.min(WAVE_ROWS));
+            assert_eq!(v.device(1).counters().reads - before.0.reads, bursts);
+            assert_eq!(v.device(3).counters().writes - before.1.writes, bursts);
+            assert!(rows_of(&f, 3) == rows_of(&f, 1), "burst={burst}");
         }
     }
 

@@ -11,9 +11,9 @@
 //! parity "does not appear to be applicable" there).
 
 use pario_disk::DeviceRef;
-use pario_fs::{FsError, RawFile, Result};
+use pario_fs::{xor_into, FsError, RawFile, Result};
 
-use crate::rebuild::{parity_model, xor_into};
+use crate::rebuild::parity_model;
 
 /// Verify every stripe of a parity-protected file; returns the stripe
 /// indices whose parity does not match their data.

@@ -357,7 +357,10 @@ fn torn_checkpoint_falls_back_to_previous_slot() {
 /// (torn), the `Grow` record torn, the record durable and the append's
 /// own write lost — and whatever allocation the remount recovers, the
 /// blocks past the last append issued read zero: no `Grow` record ever
-/// points at blocks whose zero-fill had not landed.
+/// points at blocks whose zero-fill had not landed. Then one append far
+/// past the end, whose zero-fill takes several waves of one run per
+/// device: a crash at any boundary of those waves leaves the allocation
+/// and the free map as the appends left them.
 #[test]
 fn run_ahead_grow_recovers_at_every_boundary() {
     use Step::*;
@@ -407,6 +410,32 @@ fn run_ahead_grow_recovers_at_every_boundary() {
         tails_seen > 0,
         "no recovered allocation ran ahead of its appends"
     );
+
+    // One append far past the end: an exact grow of ~520 blocks a
+    // device, zero-filled in several waves of one run per device. A
+    // crash between two waves, or inside one, leaves zeros on some
+    // devices and none on others and no `Grow` record: the remount
+    // shows the allocation the 24 appends left, and every block the
+    // doomed grow took is free again.
+    let reference = verify_recovery(&after, "run-ahead, no crash");
+    let settled = reference.open("tail").unwrap().nblocks();
+    let free = reference.free_blocks();
+    let far = 4 * 520 * rpb;
+    steps.push(WriteRec("tail", far));
+    let c2 = run(None, false, &steps).boundaries;
+    // The zero runs, then the `Grow` record and the append's own block.
+    let runs = c2 - c1 - 2;
+    assert!(runs >= 8, "{runs} zero-fill boundaries: not several waves");
+    for torn in [false, true] {
+        for b in c1..c1 + runs {
+            let r = run(Some(b), torn, &steps);
+            let ctx = format!("zero-fill boundary {b} of {c1}..{c2} torn={torn}");
+            assert_eq!(r.failed, Some(WriteRec("tail", far)), "{ctx}");
+            let v = verify_recovery(&r, &ctx);
+            assert_eq!(v.open("tail").unwrap().nblocks(), settled, "{ctx}");
+            assert_eq!(v.free_blocks(), free, "{ctx}: blocks leaked");
+        }
+    }
 }
 
 /// Interpret a proptest-generated opcode tape into a valid step script
