@@ -1,7 +1,7 @@
 //! E14 — the service layer under multi-client load.
 //!
-//! A `pario-server` fronts a 4-device striped volume whose devices run
-//! behind I/O-node processors with a modelled per-request service time.
+//! A `pario-server` fronts a 4-device striped volume whose devices have
+//! a modelled per-request service time.
 //! Independent client threads connect sessions and hammer one
 //! self-scheduled file; the experiment demonstrates, and *asserts*:
 //!
@@ -20,7 +20,8 @@
 //!   or duplicating a record.
 //!
 //! Every lane reports latency quantiles from the server histogram and
-//! the device-side queue-wait/service split from the I/O-node counters.
+//! the device-side queue-wait/service split from the volume executor's
+//! counters (`ServerStats::executor`).
 
 use std::time::Duration;
 
@@ -71,7 +72,7 @@ fn drain_ss(server: &Server, sessions: usize, retry_busy: bool) -> f64 {
 /// One run of one lane: a fresh server admitting `limit` operations,
 /// `clients` sessions draining a freshly filled file.
 fn ss_run(clients: usize, limit: usize, saturation: Saturation) -> Vec<(&'static str, f64)> {
-    let server = Rig::new(4).delay(DELAY).io_nodes().server(ServerConfig {
+    let server = Rig::new(4).delay(DELAY).server(ServerConfig {
         max_in_flight: limit,
         saturation,
     });
@@ -87,7 +88,7 @@ fn ss_run(clients: usize, limit: usize, saturation: Saturation) -> Vec<(&'static
         "admission must bound in-flight ops at {limit} (got {})",
         st.queue_depth_high_water
     );
-    let io = st.io.as_ref().expect("devices run behind I/O nodes");
+    let io = &st.executor;
     vec![
         ("rec_per_sec", RECORDS as f64 / secs),
         ("p50_nanos", nanos(st.p50())),
@@ -153,7 +154,7 @@ fn main() {
             reject["busy_rejections"].median > 0.0,
         )
         .check(
-            "device queue wait and service time are attributed (I/O nodes)",
+            "device queue wait and service time are attributed (executor)",
             over["dev_queue_wait_secs"].median > 0.0 && over["dev_service_secs"].median > 0.0,
         );
     report.finish();

@@ -67,10 +67,7 @@ fn drain_run(
     conns: usize,
     depth: usize,
 ) -> Vec<(&'static str, f64)> {
-    let server = Rig::new(4)
-        .delay(delay)
-        .io_nodes()
-        .server(ServerConfig::default());
+    let server = Rig::new(4).delay(delay).server(ServerConfig::default());
     let org = Organization::SelfScheduledSeq;
     fill(
         &ParallelFile::create(server.volume(), "queue", org, BS, 1).unwrap(),

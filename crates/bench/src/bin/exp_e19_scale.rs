@@ -80,11 +80,11 @@ fn scale_server(volume: Volume, mirror: bool) -> Server {
     )
 }
 
-/// The healthy rig: 4 undelayed memory devices behind I/O nodes — the
+/// The healthy rig: 4 undelayed memory devices — the
 /// per-op work is a block read, cheap enough that the
 /// admission/completion path is what is being measured.
 fn healthy_server() -> Server {
-    scale_server(Rig::new(4).io_nodes().volume(), false)
+    scale_server(Rig::new(4).volume(), false)
 }
 
 /// Park until `due_nanos` past `start`: sleep out large gaps, yield the

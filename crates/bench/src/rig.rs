@@ -1,6 +1,6 @@
 //! The one rig builder of the service-layer experiments (E13–E20):
 //! memory devices with an optional modelled service time → [`Volume`]
-//! (optionally behind I/O nodes, optionally cached) → [`Server`] →
+//! (optionally cached) → [`Server`] →
 //! optionally a [`NetServer`] on loopback. Beside it, the helpers every
 //! one of those binaries used to carry a copy of.
 
@@ -24,7 +24,6 @@ pub struct Rig {
     blocks: u64,
     block_size: usize,
     delay: Duration,
-    io_nodes: bool,
     cache: Option<VolumeCacheConfig>,
 }
 
@@ -37,7 +36,6 @@ impl Rig {
             blocks: 2048,
             block_size: BS,
             delay: Duration::ZERO,
-            io_nodes: false,
             cache: None,
         }
     }
@@ -59,13 +57,6 @@ impl Rig {
     /// overlap even on one core.
     pub fn delay(mut self, per_request: Duration) -> Rig {
         self.delay = per_request;
-        self
-    }
-
-    /// Run the devices behind I/O-node processors, so the server's
-    /// statistics split device time into queue wait and service.
-    pub fn io_nodes(mut self) -> Rig {
-        self.io_nodes = true;
         self
     }
 
@@ -95,12 +86,7 @@ impl Rig {
     /// A fresh volume over `devices` — the bank from [`Rig::devices`],
     /// possibly with fault injectors wrapped around some of it.
     pub fn volume_over(self, devices: Vec<DeviceRef>) -> Volume {
-        let volume = if self.io_nodes {
-            Volume::new_with_io_nodes(devices)
-        } else {
-            Volume::new(devices)
-        }
-        .expect("a fresh memory bank formats");
+        let volume = Volume::new(devices).expect("a fresh memory bank formats");
         match self.cache {
             Some(cfg) => volume.enable_cache(cfg).expect("no cache attached yet"),
             None => volume,
@@ -225,11 +211,9 @@ mod tests {
     fn a_rig_builds_every_tier_and_fill_reads_back() {
         let server = Rig::new(2)
             .blocks(64)
-            .io_nodes()
             .cache(VolumeCacheConfig::write_back(4))
             .server(ServerConfig::default());
         assert!(server.volume().cache().is_some());
-        assert!(server.stats().io.is_some(), "devices behind I/O nodes");
         let pf =
             ParallelFile::create(server.volume(), "f", Organization::GlobalDirect, BS, 1).unwrap();
         fill(&pf, 9);
@@ -237,6 +221,7 @@ mod tests {
         pf.raw().read_record(8, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == rec_byte(8)));
         assert_eq!(pf.len_records(), 9);
+        assert!(server.stats().executor.serviced > 0);
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl CacheState {
     }
 
     /// Poison any in-flight fetch of `key`: the caller is about to make
-    /// its bytes stale (a write, an update, or an invalidation after a
+    /// its bytes stale (a write, or an invalidation after a
     /// raw media write), so the late install must be skipped.
     fn mark_stale_if_inflight(&mut self, key: Key) {
         if self.inflight.contains_key(&key) {
@@ -941,94 +941,13 @@ impl VolumeCache {
         let mut st = self.table();
         for key in (block..block + count).map(|b| (dev, b)) {
             st.mark_stale_if_inflight(key);
-            while let Some(&idx) = st.map.get(&key) {
-                let slot = &st.slots[idx];
-                if slot.version <= stamp {
-                    break;
-                }
-                // An update's own write-through of the frame lands first.
-                if slot.writing {
-                    st.wait_settled();
-                } else {
-                    st.unmap(key);
-                }
+            // Write-through frames are never dirty, so never `writing`.
+            let changed = st.map.get(&key).map(|&idx| st.slots[idx].version);
+            if changed.is_some_and(|v| v > stamp) {
+                st.unmap(key);
             }
         }
         Ok(())
-    }
-
-    /// Read-modify-write one cached block in place, the primitive
-    /// sub-block record access builds on.
-    pub fn update(&self, dev: usize, block: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
-        let key = (dev, block);
-        let bs = self.block_size;
-        let write_back = self.policy == WritePolicy::WriteBack;
-        let mut st = self.table();
-        let mut missed = false;
-        let idx = loop {
-            if let Some(&idx) = st.map.get(&key) {
-                // Write-through updates of one frame take turns on the
-                // device, so the media never ends on the older one.
-                if write_back || !st.slots[idx].writing {
-                    break idx;
-                }
-                st.wait_settled();
-                continue;
-            }
-            match st.spilled.get(&key).map(|s| s.busy) {
-                Some(true) => st.wait_settled(),
-                Some(false) => {
-                    // The newest copy is on scratch: update it there in place.
-                    st.mark_stale_if_inflight(key);
-                    st.stats.base.hits += 1;
-                    st.stats.spill_loads += 1;
-                    let mut buf = vec![0u8; bs];
-                    return self.spill_io(&mut st, key, |s, sslot| {
-                        s.read_block(sslot, &mut buf)?;
-                        f(&mut buf);
-                        s.write_block(sslot, &buf)
-                    });
-                }
-                None => {
-                    // Fetch with the table unlocked, as an in-flight
-                    // read: a write or invalidation landing meanwhile
-                    // poisons it, nothing is installed and the loop
-                    // looks again.
-                    if !missed {
-                        st.stats.base.misses += 1;
-                        missed = true;
-                    }
-                    st.begin_fetch(key);
-                    let since = st.clock;
-                    let mut buf = vec![0u8; bs];
-                    let fetched = st.unlocked(|| self.devices[dev].read_block(block, &mut buf));
-                    let installed =
-                        fetched.and_then(|()| self.install(&mut st, key, &buf, Some(since)));
-                    st.retire_inflight(key);
-                    installed?;
-                }
-            }
-        };
-        if !missed {
-            st.stats.base.hits += 1;
-        }
-        st.mark_stale_if_inflight(key);
-        st.slots[idx].referenced = true;
-        f(&mut st.bufs[idx]);
-        st.touch(idx);
-        if write_back {
-            st.slots[idx].dirty = true;
-            return Ok(());
-        }
-        let data = st.bufs[idx].to_vec();
-        let stamp = st.clock;
-        st.slots[idx].writing = true;
-        let outcome = st.unlocked(|| self.devices[dev].write_block(block, &data));
-        // A writing frame is never unmapped: `idx` still holds `key`.
-        st.slots[idx].writing = false;
-        self.settled.notify_all();
-        drop(st);
-        self.settle_write_through(dev, block, 1, stamp, outcome)
     }
 
     // ------------------------------------------------------------------
@@ -1393,48 +1312,11 @@ mod tests {
     }
 
     #[test]
-    fn update_read_modify_write_round_trips() {
-        let (c, d) = cache(4, WritePolicy::WriteBack);
-        d[0].write_block(0, &[1u8; BS]).unwrap();
-        c.update(0, 0, |b| b[10] = 99).unwrap();
-        let mut buf = [0u8; BS];
-        c.read_block(0, 0, &mut buf).unwrap();
-        assert_eq!((buf[0], buf[10]), (1, 99));
-        c.flush().unwrap();
-        d[0].read_block(0, &mut buf).unwrap();
-        assert_eq!(buf[10], 99);
-    }
-
-    #[test]
     fn frame_budget_is_drawn_from_the_pool() {
         let (c, _d) = cache(6, WritePolicy::WriteThrough);
         assert_eq!(c.frame_budget(), 6);
         assert_eq!(c.pool().capacity(), 6);
         assert_eq!(c.pool().available(), 0, "budget fully drained");
-    }
-
-    #[test]
-    fn concurrent_updates_are_atomic() {
-        let d = devs(1);
-        let c = Arc::new(VolumeCache::new(d, VolumeCacheConfig::write_back(4)));
-        crossbeam::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = Arc::clone(&c);
-                s.spawn(move |_| {
-                    for _ in 0..100 {
-                        c.update(0, 0, |b| {
-                            let v = u64::from_le_bytes(b[0..8].try_into().unwrap());
-                            b[0..8].copy_from_slice(&(v + 1).to_le_bytes());
-                        })
-                        .unwrap();
-                    }
-                });
-            }
-        })
-        .unwrap();
-        let mut buf = [0u8; BS];
-        c.read_block(0, 0, &mut buf).unwrap();
-        assert_eq!(u64::from_le_bytes(buf[0..8].try_into().unwrap()), 800);
     }
 
     #[test]
@@ -1470,8 +1352,7 @@ mod tests {
         // Two fetches of one block overlap; a write lands between their
         // registrations. It poisons the first only: were the mark to
         // stand until the key had no fetch left in flight, overlapping
-        // fetchers (concurrent `update` misses refetch in a loop) would
-        // keep it standing for one another forever.
+        // fetchers would keep it standing for one another forever.
         let (c, d) = cache(8, WritePolicy::WriteThrough);
         d[0].write_block(0, &[1u8; BS]).unwrap();
         let early = c.submit_read(0, 0, 1);
@@ -1856,14 +1737,13 @@ mod tests {
                         x ^= x >> 7;
                         x ^= x << 17;
                         let (dev, b) = ((x >> 8) as usize % 2, (x >> 16) % 12);
-                        match x % 8 {
+                        match x % 7 {
                             0 => c.read_block(dev, b, &mut buf[..BS]).unwrap(),
                             1 => c.read_blocks(dev, b, &mut buf).unwrap(),
                             2 => c.write_block(dev, b, &[x as u8; BS]).unwrap(),
                             3 => c.write_blocks(dev, b, &[x as u8; 2 * BS]).unwrap(),
-                            4 => c.update(dev, b, |f| f[0] ^= 1).unwrap(),
-                            5 => c.flush_range(dev, b, 3).unwrap(),
-                            6 => c.invalidate_range(dev, b, 2),
+                            4 => c.flush_range(dev, b, 3).unwrap(),
+                            5 => c.invalidate_range(dev, b, 2),
                             _ => c.flush().unwrap(),
                         }
                     }

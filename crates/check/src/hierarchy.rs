@@ -19,7 +19,6 @@
 //! | 20 | `Admission::m` | pario-server | admission queue + rotation state |
 //! | 30 | `ByteRangeLocks::held` | pario-server | GDA byte-range lock table |
 //! | 40 | `BufferPool` free list | pario-buffer | pooled block buffers |
-//! | 45 | `DirectState::rmw` | pario-core | DA sub-record RMW window |
 //! | 50 | `Volume::alloc` | pario-fs | extent allocator |
 //! | 60 | `FileState::rmw_lock` | pario-fs | sub-block RMW window |
 //! | 70 | `FileState::stripe_lock` | pario-fs | parity stripe RMW cycle |
@@ -51,8 +50,6 @@ pub enum LockLevel {
     RangeLock = 30,
     /// `pario-buffer` buffer pool free list.
     BufferPool = 40,
-    /// `pario-core` direct-access sub-record RMW lock.
-    CoreDirectRmw = 45,
     /// `pario-fs` volume extent allocator.
     FsAlloc = 50,
     /// `pario-fs` per-file sub-block read-modify-write lock.
@@ -105,7 +102,6 @@ impl LockLevel {
             LockLevel::Admission => "server.admission",
             LockLevel::RangeLock => "server.range_lock",
             LockLevel::BufferPool => "buffer.pool",
-            LockLevel::CoreDirectRmw => "core.direct_rmw",
             LockLevel::FsAlloc => "fs.alloc",
             LockLevel::FsRmw => "fs.rmw",
             LockLevel::FsStripe => "fs.stripe",

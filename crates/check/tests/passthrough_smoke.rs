@@ -84,7 +84,6 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::Admission, "server.admission", 20),
         (LockLevel::RangeLock, "server.range_lock", 30),
         (LockLevel::BufferPool, "buffer.pool", 40),
-        (LockLevel::CoreDirectRmw, "core.direct_rmw", 45),
         (LockLevel::FsAlloc, "fs.alloc", 50),
         (LockLevel::FsRmw, "fs.rmw", 60),
         (LockLevel::FsStripe, "fs.stripe", 70),

@@ -2,16 +2,13 @@
 //!
 //! "The most general case. Any process may potentially access any block
 //! or record in the file in any order" (§3.2). The handle is `Clone` and
-//! `Send`; every clone addresses the whole record space. An optional
-//! shared block cache serves the paper's observation that "buffer caching
-//! techniques would be helpful when there is some locality of reference".
+//! `Send`; every clone addresses the whole record space. The paper's
+//! observation that "buffer caching techniques would be helpful when
+//! there is some locality of reference" is served by the volume's cache
+//! tier ([`pario_fs::Volume::enable_cache`]), which every handle of
+//! every file goes through.
 
-use std::sync::Arc;
-
-use pario_check::{LockLevel, Mutex};
-
-use pario_buffer::{VolumeCache, VolumeCacheConfig};
-use pario_fs::{FsError, RawFile};
+use pario_fs::RawFile;
 
 use crate::error::Result;
 
@@ -19,35 +16,11 @@ use crate::error::Result;
 #[derive(Clone)]
 pub struct DirectHandle {
     raw: RawFile,
-    cache: Option<Arc<CachedIo>>,
-}
-
-struct CachedIo {
-    cache: VolumeCache,
-    /// Serialises record-level read-modify-write against eviction so
-    /// straddling records stay atomic.
-    rmw: Mutex<()>,
 }
 
 impl DirectHandle {
     pub(crate) fn new(raw: RawFile) -> DirectHandle {
-        DirectHandle { raw, cache: None }
-    }
-
-    /// Wrap the handle in a shared write-back block cache of `frames`
-    /// frames (a [`VolumeCache`] tier over the file's devices). Clones
-    /// of the returned handle share the cache; call
-    /// [`flush`](DirectHandle::flush) before relying on device contents.
-    pub fn with_cache(self, frames: usize) -> DirectHandle {
-        let vol = self.raw.volume();
-        let devices = (0..vol.num_devices()).map(|i| vol.device(i)).collect();
-        DirectHandle {
-            raw: self.raw,
-            cache: Some(Arc::new(CachedIo {
-                cache: VolumeCache::new(devices, VolumeCacheConfig::write_back(frames)),
-                rmw: Mutex::new_named((), LockLevel::CoreDirectRmw),
-            })),
-        }
+        DirectHandle { raw }
     }
 
     /// Records currently in the file.
@@ -55,102 +28,15 @@ impl DirectHandle {
         self.raw.len_records()
     }
 
-    /// Cache hit/miss statistics, if a cache is attached.
-    pub fn cache_stats(&self) -> Option<pario_buffer::CacheStats> {
-        self.cache.as_ref().map(|c| c.cache.stats().base)
-    }
-
     /// Read record `r`.
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        match &self.cache {
-            None => {
-                self.raw.read_record(r, out)?;
-                Ok(())
-            }
-            Some(c) => {
-                let len = self.raw.len_records();
-                if r >= len {
-                    return Err(FsError::OutOfBounds { record: r, len }.into());
-                }
-                self.cached_span(c, r, out.len(), |_, _| {}, Some(out))
-            }
-        }
+        self.raw.read_record(r, out)?;
+        Ok(())
     }
 
     /// Write record `r` (extends the file).
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        match &self.cache {
-            None => {
-                self.raw.write_record(r, data)?;
-                Ok(())
-            }
-            Some(c) => {
-                self.raw
-                    .ensure_capacity_records(r + 1)
-                    .map_err(crate::error::CoreError::from)?;
-                let mut idx = 0usize;
-                self.cached_span(
-                    c,
-                    r,
-                    data.len(),
-                    |frame, take| {
-                        frame.copy_from_slice(&data[idx..idx + take]);
-                        idx += take;
-                    },
-                    None,
-                )?;
-                self.raw.extend_len_records(r + 1);
-                Ok(())
-            }
-        }
-    }
-
-    /// Walk the volume blocks containing record `r`, either copying them
-    /// out (`out = Some`) or patching them via `write` through the cache.
-    fn cached_span(
-        &self,
-        c: &CachedIo,
-        r: u64,
-        len: usize,
-        mut write: impl FnMut(&mut [u8], usize),
-        mut out: Option<&mut [u8]>,
-    ) -> Result<()> {
-        let _g = c.rmw.lock();
-        let bs = self.raw.block_size() as u64;
-        let layout = self.raw.layout();
-        let meta = self.raw.meta_snapshot();
-        let mut byte = r * self.raw.record_size() as u64;
-        let mut done = 0usize;
-        while done < len {
-            let l = byte / bs;
-            let within = (byte % bs) as usize;
-            let take = (bs as usize - within).min(len - done);
-            let p = layout.map(l);
-            let dev = meta.device_map[p.device];
-            let abs = pario_fs::resolve(&meta.extents[p.device], p.block);
-            match &mut out {
-                Some(out) => {
-                    let mut block = vec![0u8; bs as usize];
-                    c.cache.read_block(dev, abs, &mut block)?;
-                    out[done..done + take].copy_from_slice(&block[within..within + take]);
-                }
-                None => {
-                    c.cache.update(dev, abs, |frame| {
-                        write(&mut frame[within..within + take], take)
-                    })?;
-                }
-            }
-            byte += take as u64;
-            done += take;
-        }
-        Ok(())
-    }
-
-    /// Flush cached dirty blocks to the devices.
-    pub fn flush(&self) -> Result<()> {
-        if let Some(c) = &self.cache {
-            c.cache.flush()?;
-        }
+        self.raw.write_record(r, data)?;
         Ok(())
     }
 }
@@ -159,7 +45,7 @@ impl DirectHandle {
 mod tests {
     use crate::organization::Organization;
     use crate::pfile::ParallelFile;
-    use pario_fs::{Volume, VolumeConfig};
+    use pario_fs::{Volume, VolumeCacheConfig, VolumeConfig};
 
     fn vol() -> Volume {
         Volume::create_in_memory(VolumeConfig {
@@ -168,6 +54,13 @@ mod tests {
             block_size: 256,
         })
         .unwrap()
+    }
+
+    /// [`vol`] behind a write-back cache tier of `frames` frames.
+    fn cached_vol(frames: usize) -> Volume {
+        vol()
+            .enable_cache(VolumeCacheConfig::write_back(frames))
+            .unwrap()
     }
 
     fn rec(tag: u64, size: usize) -> Vec<u8> {
@@ -217,10 +110,10 @@ mod tests {
 
     #[test]
     fn cached_handle_round_trips_and_counts_hits() {
-        let v = vol();
+        let v = cached_vol(16);
         let pf = ParallelFile::create(&v, "g", Organization::GlobalDirect, 64, 4).unwrap();
         // 4 records per 256-byte block: re-reading neighbours hits cache.
-        let h = pf.direct_handle().unwrap().with_cache(16);
+        let h = pf.direct_handle().unwrap();
         for i in 0..32u64 {
             h.write_record(i, &rec(i, 64)).unwrap();
         }
@@ -229,23 +122,27 @@ mod tests {
             h.read_record(i, &mut buf).unwrap();
             assert_eq!(buf, rec(i, 64));
         }
-        let stats = h.cache_stats().unwrap();
+        let stats = v.cache_stats().unwrap().base;
         assert!(stats.hits > 0, "locality must produce hits: {stats:?}");
-        // Dirty data must reach devices only after flush.
-        h.flush().unwrap();
-        // Fresh uncached handle sees everything.
-        let h2 = pf.direct_handle().unwrap();
+        // After a flush the media hold everything: drop every frame
+        // unwritten and read again from the devices.
+        v.flush_cache().unwrap();
+        let cache = v.cache().unwrap();
+        for d in 0..v.num_devices() {
+            cache.drop_device(d);
+        }
+        assert!(cache.is_empty());
         for i in 0..32u64 {
-            h2.read_record(i, &mut buf).unwrap();
+            h.read_record(i, &mut buf).unwrap();
             assert_eq!(buf, rec(i, 64));
         }
     }
 
     #[test]
     fn cached_read_past_end_rejected() {
-        let v = vol();
+        let v = cached_vol(4);
         let pf = ParallelFile::create(&v, "g", Organization::GlobalDirect, 64, 4).unwrap();
-        let h = pf.direct_handle().unwrap().with_cache(4);
+        let h = pf.direct_handle().unwrap();
         h.write_record(0, &rec(0, 64)).unwrap();
         let mut buf = vec![0u8; 64];
         assert!(h.read_record(5, &mut buf).is_err());
@@ -253,10 +150,10 @@ mod tests {
 
     #[test]
     fn straddling_records_atomic_under_concurrency() {
-        let v = vol();
+        let v = cached_vol(8);
         // 96-byte records straddle 256-byte blocks.
         let pf = ParallelFile::create(&v, "g", Organization::GlobalDirect, 96, 8).unwrap();
-        let h = pf.direct_handle().unwrap().with_cache(8);
+        let h = pf.direct_handle().unwrap();
         crossbeam::thread::scope(|s| {
             for t in 0..4u64 {
                 let h = h.clone();
@@ -269,7 +166,7 @@ mod tests {
             }
         })
         .unwrap();
-        h.flush().unwrap();
+        v.flush_cache().unwrap();
         let mut buf = vec![0u8; 96];
         for i in 0..96u64 {
             h.read_record(i, &mut buf).unwrap();

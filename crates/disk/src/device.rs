@@ -151,9 +151,9 @@ pub trait BlockDevice: Send + Sync {
 
     /// Queue statistics when this handle routes through a dedicated I/O
     /// processor ([`IoNode`](crate::IoNode)); `None` for plain devices.
-    /// Lets layers that only hold `DeviceRef`s (the volume, the service
-    /// layer) aggregate queue-wait and service-time attribution without
-    /// keeping the nodes themselves around.
+    /// Lets a layer that only holds `DeviceRef`s (the volume's
+    /// `executor_stats`) aggregate queue-wait and service-time
+    /// attribution without keeping the nodes themselves around.
     fn ionode_stats(&self) -> Option<crate::IoNodeStats> {
         None
     }
@@ -161,23 +161,6 @@ pub trait BlockDevice: Send + Sync {
 
 /// A shared handle to any block device.
 pub type DeviceRef = Arc<dyn BlockDevice>;
-
-/// Read `buf.len() / block_size` consecutive blocks starting at `block`.
-///
-/// A thin wrapper over [`BlockDevice::read_blocks_at`], kept for callers
-/// holding `&dyn BlockDevice`. Performance-critical paths (span I/O,
-/// rebuild) go through the trait method and get each device's vectored
-/// fast path.
-pub fn read_blocks(dev: &dyn BlockDevice, block: u64, buf: &mut [u8]) -> Result<()> {
-    dev.read_blocks_at(block, buf)
-}
-
-/// Write `buf` (a whole number of blocks) at `block`.
-///
-/// A thin wrapper over [`BlockDevice::write_blocks_at`].
-pub fn write_blocks(dev: &dyn BlockDevice, block: u64, buf: &[u8]) -> Result<()> {
-    dev.write_blocks_at(block, buf)
-}
 
 #[cfg(test)]
 mod tests {
@@ -188,9 +171,9 @@ mod tests {
     fn multi_block_helpers_round_trip() {
         let d = MemDisk::new(16, 64);
         let data: Vec<u8> = (0..128).map(|i| i as u8).collect();
-        write_blocks(&d, 3, &data).unwrap();
+        d.write_blocks_at(3, &data).unwrap();
         let mut back = vec![0u8; 128];
-        read_blocks(&d, 3, &mut back).unwrap();
+        d.read_blocks_at(3, &mut back).unwrap();
         assert_eq!(back, data);
         // MemDisk services each two-block helper call as ONE vectored
         // request moving two blocks.

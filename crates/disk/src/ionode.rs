@@ -406,26 +406,6 @@ impl IoNode {
         IoNode { shared, queue_tx }
     }
 
-    /// Wrap a whole device bank: one I/O processor per device. Returns
-    /// the nodes (for statistics) and the transparent device handles.
-    pub fn spawn_bank(devices: Vec<DeviceRef>) -> (Vec<IoNode>, Vec<DeviceRef>) {
-        IoNode::spawn_bank_with_policy(devices, SchedPolicy::Fifo)
-    }
-
-    /// [`IoNode::spawn_bank`] with a dispatch policy shared by every
-    /// worker.
-    pub fn spawn_bank_with_policy(
-        devices: Vec<DeviceRef>,
-        policy: SchedPolicy,
-    ) -> (Vec<IoNode>, Vec<DeviceRef>) {
-        let nodes: Vec<IoNode> = devices
-            .into_iter()
-            .map(|d| IoNode::spawn_with_policy(d, policy))
-            .collect();
-        let handles = nodes.iter().map(|n| n.device()).collect();
-        (nodes, handles)
-    }
-
     /// A [`BlockDevice`] handle that routes through this node's queue.
     pub fn device(&self) -> DeviceRef {
         Arc::new(IoNodeDevice {
@@ -1605,7 +1585,11 @@ mod tests {
 
     #[test]
     fn whole_bank_behind_io_processors() {
-        let (nodes, handles) = IoNode::spawn_bank(crate::mem_array(3, 32, 128));
+        let nodes: Vec<IoNode> = crate::mem_array(3, 32, 128)
+            .into_iter()
+            .map(IoNode::spawn)
+            .collect();
+        let handles: Vec<DeviceRef> = nodes.iter().map(IoNode::device).collect();
         for (i, dev) in handles.iter().enumerate() {
             dev.write_block(0, &[i as u8 + 1; 128]).unwrap();
         }

@@ -39,7 +39,7 @@ mod mem;
 mod modeled;
 mod sched;
 
-pub use device::{read_blocks, write_blocks, BlockDevice, DeviceRef, IoCounters};
+pub use device::{BlockDevice, DeviceRef, IoCounters};
 pub use error::{DiskError, Result};
 pub use fault::{FaultCounts, FaultDevice, FaultPlan};
 pub use file::FileDisk;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pario_check::{AtomicBool, AtomicU64, LockLevel, Mutex, RwLock};
 
 use pario_buffer::{VolumeCache, VolumeCacheConfig, VolumeCacheStats};
-use pario_disk::{mem_array, DeviceRef, IoNode, IoNodeStats, SchedPolicy};
+use pario_disk::{mem_array, DeviceRef, IoNode, IoNodeStats};
 use pario_layout::LayoutSpec;
 
 use crate::alloc::{extents_len, push_merged, Allocator, Extent};
@@ -131,14 +131,14 @@ impl FileState {
 }
 
 pub(crate) struct VolInner {
+    /// The devices as handed in. Only the superblock and journal
+    /// (`superblock.rs`, `journal.rs`), teardown `flush`, and
+    /// [`Volume::device`] — counters, failure state and fault injection
+    /// — use them directly; every file byte goes through `io_devices`.
     pub(crate) devices: Vec<DeviceRef>,
-    /// The volume's I/O executor: one persistent worker per device.
-    /// Entries are [`IoNode`] handles wrapping `devices[i]` (or the
-    /// device itself when it already routes through a node), so span
-    /// I/O can submit asynchronously. Single-block paths, counters, and
-    /// failure injection keep using `devices` directly.
+    /// The volume's I/O executor: one persistent [`IoNode`] worker per
+    /// device, dispatching FIFO; entry `i` routes to `devices[i]`.
     pub(crate) io_devices: Vec<DeviceRef>,
-    pub(crate) sched: SchedPolicy,
     pub(crate) block_size: usize,
     pub(crate) meta_blocks: u64,
     pub(crate) alloc: Mutex<Allocator>,
@@ -208,23 +208,16 @@ pub struct Volume {
 impl Volume {
     /// Create a fresh volume over `devices`, reserving the superblock
     /// region on device 0 and writing an empty superblock. The volume's
-    /// I/O executor dispatches each device queue in arrival order; use
-    /// [`Volume::new_with_policy`] for seek-aware dispatch.
+    /// I/O executor dispatches each device queue in arrival order.
     pub fn new(devices: Vec<DeviceRef>) -> Result<Volume> {
-        Volume::new_with_policy(devices, SchedPolicy::Fifo)
-    }
-
-    /// [`Volume::new`] with the executor dispatch policy chosen — the
-    /// scheduling knob for every worker the volume spawns.
-    pub fn new_with_policy(devices: Vec<DeviceRef>, policy: SchedPolicy) -> Result<Volume> {
-        let vol = Volume::init(devices, policy)?;
+        let vol = Volume::init(devices)?;
         vol.sync_meta()?;
         vol.inner.live.store(true, Ordering::SeqCst);
         Ok(vol)
     }
 
     /// Build the in-memory structures without touching the superblock.
-    fn init(devices: Vec<DeviceRef>, policy: SchedPolicy) -> Result<Volume> {
+    fn init(devices: Vec<DeviceRef>) -> Result<Volume> {
         if devices.is_empty() {
             return Err(FsError::BadSpec("volume needs at least one device".into()));
         }
@@ -249,27 +242,18 @@ impl Volume {
                 len: meta_blocks,
             },
         );
-        // The executor: one persistent worker per device. A device that
-        // already routes through an I/O node keeps its handle (no double
-        // queueing); plain devices get a node of their own. Dropping the
+        // The executor: one persistent worker per device. Dropping the
         // IoNode struct is fine — the handle's sender keeps the worker
         // alive until the volume is dropped.
         let io_devices = devices
             .iter()
-            .map(|d| {
-                if d.ionode_stats().is_some() {
-                    Arc::clone(d)
-                } else {
-                    IoNode::spawn_with_policy(Arc::clone(d), policy).device()
-                }
-            })
+            .map(|d| IoNode::spawn(Arc::clone(d)).device())
             .collect();
         let health = HealthBoard::new(devices.len(), HealthPolicy::default());
         Ok(Volume {
             inner: Arc::new(VolInner {
                 devices,
                 io_devices,
-                sched: policy,
                 block_size,
                 meta_blocks,
                 alloc: Mutex::new_named(alloc, LockLevel::FsAlloc),
@@ -300,58 +284,10 @@ impl Volume {
         Volume::new(mem_array(cfg.devices, cfg.device_blocks, cfg.block_size))
     }
 
-    /// [`Volume::create_in_memory`] with the executor dispatch policy
-    /// chosen.
-    pub fn create_in_memory_with_policy(cfg: VolumeConfig, policy: SchedPolicy) -> Result<Volume> {
-        Volume::new_with_policy(
-            mem_array(cfg.devices, cfg.device_blocks, cfg.block_size),
-            policy,
-        )
-    }
-
-    /// Create a fresh in-memory volume with every device behind a
-    /// dedicated I/O processor ([`IoNode`]) — the paper's §4 deployment.
-    /// The node worker threads live as long as the volume holds their
-    /// device handles; queue statistics are available through
-    /// [`Volume::io_node_stats`].
-    pub fn create_in_memory_with_io_nodes(cfg: VolumeConfig) -> Result<Volume> {
-        let (_nodes, handles) =
-            IoNode::spawn_bank(mem_array(cfg.devices, cfg.device_blocks, cfg.block_size));
-        Volume::new(handles)
-    }
-
-    /// Put an existing device bank behind one I/O processor per device
-    /// and mount a fresh volume on the resulting handles.
-    pub fn new_with_io_nodes(devices: Vec<DeviceRef>) -> Result<Volume> {
-        let (_nodes, handles) = IoNode::spawn_bank(devices);
-        Volume::new(handles)
-    }
-
-    /// Aggregate I/O-node queue statistics over every device that routes
-    /// through a dedicated I/O processor: total requests serviced,
-    /// current and high-water queue depths, and cumulative queue-wait vs.
-    /// device service time (so callers can attribute end-to-end latency
-    /// to device queues vs. transfers). `None` when no device is behind
-    /// an I/O node.
-    pub fn io_node_stats(&self) -> Option<IoNodeStats> {
-        let mut agg: Option<IoNodeStats> = None;
-        for d in &self.inner.devices {
-            if let Some(s) = d.ionode_stats() {
-                agg.get_or_insert_with(IoNodeStats::default).absorb(s);
-            }
-        }
-        agg
-    }
-
     /// Mount a volume previously persisted with [`Volume::sync_meta`].
     /// Fails with [`FsError::Meta`] if device 0 carries no superblock.
     pub fn mount(devices: Vec<DeviceRef>) -> Result<Volume> {
-        Volume::mount_with_policy(devices, SchedPolicy::Fifo)
-    }
-
-    /// [`Volume::mount`] with the executor dispatch policy chosen.
-    pub fn mount_with_policy(devices: Vec<DeviceRef>, policy: SchedPolicy) -> Result<Volume> {
-        let vol = Volume::init(devices, policy)?;
+        let vol = Volume::init(devices)?;
         let report = superblock::load(&vol.inner)?;
         let _ = vol.inner.mount_report.set(report);
         vol.inner.live.store(true, Ordering::SeqCst);
@@ -413,7 +349,9 @@ impl Volume {
         self.inner.devices.len()
     }
 
-    /// Shared handle to device `i`.
+    /// Shared handle to device `i` as handed in, beside the executor:
+    /// for its counters and fault injection. File I/O goes through
+    /// [`Volume::io_device`].
     pub fn device(&self, i: usize) -> DeviceRef {
         Arc::clone(&self.inner.devices[i])
     }
@@ -425,17 +363,10 @@ impl Volume {
         Arc::clone(&self.inner.io_devices[i])
     }
 
-    /// The dispatch policy the executor workers run.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.inner.sched
-    }
-
     /// Aggregate queue statistics for the volume's I/O executor: total
     /// requests serviced, current and high-water queue depths, and
     /// cumulative queue-wait vs. device service time across every
-    /// per-device worker. (Unlike [`Volume::io_node_stats`], which
-    /// reports only devices that were *handed in* behind I/O nodes,
-    /// every volume has an executor.)
+    /// per-device worker.
     pub fn executor_stats(&self) -> IoNodeStats {
         let mut agg = IoNodeStats::default();
         for d in &self.inner.io_devices {
@@ -1386,51 +1317,34 @@ mod tests {
     }
 
     #[test]
-    fn io_node_stats_aggregate_across_devices() {
-        let v = Volume::create_in_memory_with_io_nodes(VolumeConfig {
+    fn every_volume_has_an_executor() {
+        let v = Volume::create_in_memory(VolumeConfig {
             devices: 4,
             device_blocks: 64,
             block_size: 512,
         })
         .unwrap();
-        // Plain volumes report no node statistics.
-        assert!(vol().io_node_stats().is_none());
+        // File I/O runs on the per-device workers, which attribute it.
         let f = v
             .create_file(striped_spec("f").initial_records(64))
             .unwrap();
         f.write_record(0, &[9u8; 64]).unwrap();
-        let mut buf = [0u8; 64];
-        f.read_record(0, &mut buf).unwrap();
-        assert_eq!(buf[0], 9);
-        let s = v.io_node_stats().expect("devices are behind I/O nodes");
+        let mut rec = [0u8; 64];
+        f.read_record(0, &mut rec).unwrap();
+        assert_eq!(rec[0], 9);
+        let s = v.executor_stats();
         assert!(s.serviced > 0);
         assert_eq!(s.in_flight, 0);
         assert!(s.service_nanos > 0, "transfers must be attributed");
-    }
-
-    #[test]
-    fn every_volume_has_an_executor() {
-        let v = Volume::create_in_memory_with_policy(
-            VolumeConfig {
-                devices: 3,
-                device_blocks: 64,
-                block_size: 512,
-            },
-            SchedPolicy::Sstf,
-        )
-        .unwrap();
-        assert_eq!(v.sched_policy(), SchedPolicy::Sstf);
-        // Plain volumes still report no *handed-in* I/O nodes...
-        assert!(v.io_node_stats().is_none());
-        // ...but the executor is live: submissions through io_device are
-        // counted by the per-device workers.
-        let before = v.executor_stats().serviced;
+        // Submissions through io_device are counted one for one (at the
+        // last block: nothing of the file's lives there).
+        let before = s.serviced;
         let dev = v.io_device(1);
-        dev.submit_write_blocks(0, vec![5u8; 512].into_boxed_slice())
+        dev.submit_write_blocks(63, vec![5u8; 512].into_boxed_slice())
             .wait()
             .unwrap();
         let buf = dev
-            .submit_read_blocks(0, vec![0u8; 512].into_boxed_slice())
+            .submit_read_blocks(63, vec![0u8; 512].into_boxed_slice())
             .wait()
             .unwrap();
         assert!(buf.iter().all(|&b| b == 5));
@@ -1439,20 +1353,8 @@ mod tests {
         assert_eq!(s.in_flight, 0);
         // The executor fronts the same storage the plain handle sees.
         let mut direct = vec![0u8; 512];
-        v.device(1).read_block(0, &mut direct).unwrap();
+        v.device(1).read_block(63, &mut direct).unwrap();
         assert!(direct.iter().all(|&b| b == 5));
-        // A volume whose devices came in behind I/O nodes reuses those
-        // nodes as its executor (no double wrapping).
-        let vn = Volume::create_in_memory_with_io_nodes(VolumeConfig {
-            devices: 2,
-            device_blocks: 64,
-            block_size: 512,
-        })
-        .unwrap();
-        assert_eq!(
-            vn.io_node_stats().unwrap().serviced,
-            vn.executor_stats().serviced
-        );
     }
 
     #[test]

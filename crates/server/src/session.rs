@@ -154,7 +154,6 @@ impl Server {
             sessions,
             self.inner.admission.stats(),
             self.inner.latency.snapshot(),
-            self.inner.volume.io_node_stats(),
             self.inner.volume.executor_stats(),
             self.inner.volume.health_snapshot(),
             self.inner.volume.cache_stats(),

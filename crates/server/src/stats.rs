@@ -187,15 +187,10 @@ pub struct ServerStats {
     pub total_admitted: u64,
     /// End-to-end operation latency histogram (admission wait included).
     pub latency: Vec<LatencyBucket>,
-    /// Aggregate device-side queue statistics, when the volume's devices
-    /// run behind I/O nodes: lets callers split end-to-end latency into
-    /// device queue wait vs. transfer time.
-    pub io: Option<IoNodeStats>,
-    /// Aggregate statistics of the volume's own I/O executor (the
-    /// per-device worker bank every volume fronts its devices with).
-    /// Unlike [`io`](ServerStats::io) this is always present: for plain
-    /// device banks it counts the executor workers the volume spawned,
-    /// and for node-fronted banks it equals the nodes' own totals.
+    /// Aggregate statistics of the volume's I/O executor, the one
+    /// worker per device every volume fronts its devices with: lets
+    /// callers split end-to-end latency into device queue wait vs.
+    /// transfer time.
     pub executor: IoNodeStats,
     /// Per-device health from the volume's health state machine, in
     /// device order: state, error tallies, and the transition history
@@ -261,7 +256,6 @@ impl ServerStats {
         sessions: Vec<SessionStats>,
         adm: AdmissionStats,
         latency: Vec<LatencyBucket>,
-        io: Option<IoNodeStats>,
         executor: IoNodeStats,
         health: Vec<DeviceHealth>,
         cache: Option<VolumeCacheStats>,
@@ -274,7 +268,6 @@ impl ServerStats {
             rejected: adm.rejected,
             total_admitted: adm.total_admitted,
             latency,
-            io,
             executor,
             health,
             cache,

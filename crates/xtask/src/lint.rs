@@ -37,7 +37,6 @@ const RANKED_LOCKS: &[(&str, &str, u8)] = &[
     ("wire.lock(", "net.send", 7),
     ("held.lock(", "server.range_lock", 30),
     ("free.lock(", "buffer.pool", 40),
-    ("rmw.lock(", "core.direct_rmw", 45),
     ("alloc.lock(", "fs.alloc", 50),
     ("rmw_lock.lock(", "fs.rmw", 60),
     ("stripe_lock.lock(", "fs.stripe", 70),

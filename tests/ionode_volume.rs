@@ -1,17 +1,16 @@
 //! Integration: an entire volume operated behind dedicated I/O
-//! processors (one node thread per drive, the paper's §4 suggestion) —
-//! every organization works unchanged, and the node queues observe the
-//! traffic.
+//! processors (one node thread per drive, the paper's §4 suggestion:
+//! every volume's executor) — every organization works unchanged, and
+//! the node queues observe the traffic.
 
 use pario::core::{Organization, ParallelFile};
-use pario::disk::{mem_array, IoNode};
+use pario::disk::mem_array;
 use pario::fs::Volume;
 use pario::workloads::record_payload;
 
 #[test]
 fn full_stack_behind_io_processors() {
-    let (nodes, handles) = IoNode::spawn_bank(mem_array(4, 1024, 512));
-    let v = Volume::new(handles).unwrap();
+    let v = Volume::new(mem_array(4, 1024, 512)).unwrap();
 
     // A self-scheduled file written by racing threads, all I/O flowing
     // through the node threads.
@@ -45,9 +44,11 @@ fn full_stack_behind_io_processors() {
     assert_eq!(i, 120);
 
     // Every node serviced traffic; queues drained.
-    for (d, node) in nodes.iter().enumerate() {
-        let s = node.stats();
+    let s = v.executor_stats();
+    assert!(s.serviced > 0, "executor idle");
+    assert_eq!(s.in_flight, 0, "executor queues not drained");
+    for d in 0..v.num_devices() {
+        let s = v.io_device(d).ionode_stats().unwrap();
         assert!(s.serviced > 0, "node {d} idle");
-        assert_eq!(s.in_flight, 0, "node {d} queue not drained");
     }
 }

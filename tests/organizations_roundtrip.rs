@@ -4,7 +4,7 @@
 //! that one file serves both worlds.
 
 use pario::core::{Organization, ParallelFile};
-use pario::fs::{Volume, VolumeConfig};
+use pario::fs::{Volume, VolumeCacheConfig, VolumeConfig};
 use pario::workloads::record_payload;
 
 const RECORD: usize = 128;
@@ -142,9 +142,11 @@ fn self_scheduled_pipeline() {
 
 #[test]
 fn global_direct_random_access() {
-    let v = vol();
+    let v = vol()
+        .enable_cache(VolumeCacheConfig::write_back(32))
+        .unwrap();
     let pf = ParallelFile::create(&v, "gda", Organization::GlobalDirect, RECORD, RPB).unwrap();
-    let h = pf.direct_handle().unwrap().with_cache(32);
+    let h = pf.direct_handle().unwrap();
     // Writes in a scrambled order.
     let mut order: Vec<u64> = (0..200).collect();
     let mut state = 12345u64;
@@ -155,7 +157,7 @@ fn global_direct_random_access() {
     for &i in &order {
         h.write_record(i, &record_payload(i, RECORD)).unwrap();
     }
-    h.flush().unwrap();
+    v.flush_cache().unwrap();
     check_global(&pf, 200);
 }
 

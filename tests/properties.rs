@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pario::core::{Organization, ParallelFile};
-use pario::fs::{Volume, VolumeConfig};
+use pario::fs::{Volume, VolumeCacheConfig, VolumeConfig};
 use pario::layout::LayoutSpec;
 
 const BS: usize = 256;
@@ -73,21 +73,31 @@ proptest! {
         prop_assert_eq!(i, n);
     }
 
-    /// Random single-record writes through a GDA handle (cached or not)
-    /// agree with a shadow model.
+    /// Random single-record writes through a GDA handle, on a volume
+    /// with or without a write-back cache tier, striped or on rotated
+    /// parity, agree with a shadow model — and, on parity, still agree
+    /// once the cache is flushed and a device has failed.
     #[test]
     fn gda_matches_shadow_model(
         seed in 0u64..1000,
         ops in proptest::collection::vec((0u64..64, 0u64..1000), 1..80),
         cached in proptest::bool::ANY,
+        parity in proptest::bool::ANY,
+        dead in 0usize..4,
     ) {
         let v = vol(4);
-        let pf = ParallelFile::create(&v, "g", Organization::GlobalDirect, 96, 8).unwrap();
-        let h = if cached {
-            pf.direct_handle().unwrap().with_cache(8)
+        if cached {
+            v.enable_cache(VolumeCacheConfig::write_back(8)).unwrap();
+        }
+        let layout = if parity {
+            LayoutSpec::Parity { data_devices: 3, rotated: true }
         } else {
-            pf.direct_handle().unwrap()
+            LayoutSpec::Striped { devices: 4, unit: 1 }
         };
+        let pf = ParallelFile::create_with_layout(
+            &v, "g", Organization::GlobalDirect, 96, 8, layout, None,
+        ).unwrap();
+        let h = pf.direct_handle().unwrap();
         let mut model: std::collections::HashMap<u64, Vec<u8>> = Default::default();
         for &(slot, tag) in &ops {
             let data = payload(seed, tag, 96);
@@ -99,11 +109,12 @@ proptest! {
             h.read_record(slot, &mut buf).unwrap();
             prop_assert_eq!(&buf, data, "slot {}", slot);
         }
-        // After flush the uncached view agrees too.
-        h.flush().unwrap();
-        let h2 = pf.direct_handle().unwrap();
+        v.flush_cache().unwrap();
+        if parity {
+            v.device(dead).fail();
+        }
         for (&slot, data) in &model {
-            h2.read_record(slot, &mut buf).unwrap();
+            h.read_record(slot, &mut buf).unwrap();
             prop_assert_eq!(&buf, data, "flushed slot {}", slot);
         }
     }
