@@ -1,10 +1,11 @@
 //! E15 — the volume I/O executor. Two claims:
 //!
-//! 1. **Queue-aware dispatch beats FIFO on a seeking disk.** Each worker
-//!    dispatches its backlog through a [`SchedPolicy`]; on the modelled
-//!    1989 Wren drive, SSTF/SCAN cut seek time against FIFO for the same
-//!    scattered request set (virtual time: exact, so recorded as facts
-//!    rather than run five times).
+//! 1. **Seek-aware dispatch beats FIFO on the modelled drive.** The
+//!    modelled 1989 Wren drive ([`ModeledDisk`]) services its backlog
+//!    through a [`SchedPolicy`]; SSTF/SCAN cut seek time against FIFO
+//!    for the same scattered request set (virtual time: exact, so
+//!    recorded as facts rather than run five times). The volume's own
+//!    workers serve their queues in arrival order.
 //! 2. **A blocking call on an idle node skips the hand-off.** Overlap is
 //!    what a dedicated processor buys, and a blocking single-block call
 //!    has none to buy: an idle node runs it on the calling thread. The
@@ -74,9 +75,10 @@ fn handoff_run() -> Vec<(&'static str, f64)> {
 fn main() {
     banner(
         "I/O executor (persistent per-device workers)",
-        "dedicated I/O processors: each worker dispatches its backlog by \
-         seek-aware policy, and a blocking call that finds its node idle \
-         runs on the calling thread instead of paying the hand-off",
+        "dedicated I/O processors: the modelled 1989 drive's seek-aware \
+         policy beats FIFO on a scattered backlog, and a blocking call \
+         that finds its node idle runs on the calling thread instead of \
+         paying the hand-off",
     );
     let mut report = Report::new("e15_executor");
 

@@ -10,12 +10,12 @@
 //!    frame copies instead of device requests; aggregate throughput
 //!    must be at least 2x the uncached volume, with the hit ratio and
 //!    the p50/p99 client latencies reported from the server histogram.
-//! 2. **Spill keeps writers unblocked.** A producer dirties far more
-//!    blocks than the frame budget on a slow home device. Without a
-//!    scratch device every eviction waits out a home writeback; with
-//!    one, overflow goes to fast scratch and the producer finishes in a
-//!    fraction of the time. A final flush lands every byte regardless,
-//!    and a cold scan of the evicted burst coalesces its misses.
+//! 2. **A burst past the frame budget goes home in runs.** A producer
+//!    dirties far more blocks than the frame budget on a slow home
+//!    device; every eviction waits out the write-back of its victim
+//!    together with the victim's dirty neighbors, one vectored run. The
+//!    lane reports the producer's seconds and the coalesced writes, and
+//!    a cold scan of the evicted burst coalesces its misses.
 //! 3. **Hits do not wait on the devices.** One session writes records
 //!    under range locks — each write ends in an unlock flush that sits
 //!    out a 200 us device write — beside seven sessions re-reading the
@@ -49,7 +49,7 @@ const FRAMES: usize = 96;
 /// reads.
 const FLUSH_DELAY: Duration = Duration::from_micros(200);
 const READS_UNDER_FLUSH: usize = 20_000;
-/// The spill lane: blocks the producer dirties, and the frames it has.
+/// The burst lane: blocks the producer dirties, and the frames it has.
 const BURST: u64 = 128;
 const BUDGET: usize = 8;
 
@@ -125,8 +125,8 @@ fn hot_run(cached: bool) -> Vec<(&'static str, f64)> {
 }
 
 /// Dirty [`BURST`] distinct blocks through the raw span path; elapsed
-/// producer seconds (flush excluded — that is the point).
-fn spill_producer(volume: &Volume) -> f64 {
+/// producer seconds (flush excluded).
+fn burst_producer(volume: &Volume) -> f64 {
     let org = Organization::GlobalDirect;
     let pf = ParallelFile::create(volume, "burst", org, BS, 1).unwrap();
     let raw = pf.raw().clone();
@@ -139,38 +139,29 @@ fn spill_producer(volume: &Volume) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// One run of the spill lane: the same burst on a slow home device
-/// with and without a fast scratch device, then a cold scan of the
-/// no-spill volume — it evicted all but its [`BUDGET`] frames during
-/// the burst, so the scan misses on long contiguous runs, which the
-/// cache must fold into vectored submits.
-fn spill_run() -> Vec<(&'static str, f64)> {
-    let home = || Rig::new(1).delay(DELAY);
-    let home_only = home().cache(VolumeCacheConfig::write_back(BUDGET)).volume();
-    let blocked_secs = spill_producer(&home_only);
-
-    let scratch = Rig::new(1).devices().remove(0);
-    let spilling = home()
-        .cache(VolumeCacheConfig::write_back(BUDGET).with_spill(scratch))
+/// One run of the burst lane: the burst on a slow home device, each
+/// eviction waiting out a coalesced write-back, then a cold scan — the
+/// producer evicted all but its [`BUDGET`] frames, so the scan misses
+/// on long contiguous runs, which the cache must fold into vectored
+/// submits.
+fn burst_run() -> Vec<(&'static str, f64)> {
+    let volume = Rig::new(1)
+        .delay(DELAY)
+        .cache(VolumeCacheConfig::write_back(BUDGET))
         .volume();
-    let spill_secs = spill_producer(&spilling);
-    let spills = spilling.cache_stats().expect("cache enabled").spills;
-    spilling.flush_cache().unwrap();
+    let stats = || volume.cache_stats().expect("cache enabled");
+    let secs = burst_producer(&volume);
+    let coalesced_writes = stats().coalesced_writes;
 
     let mut scan = vec![0u8; BURST as usize * BS];
-    let burst = home_only.open("burst").unwrap();
+    let burst = volume.open("burst").unwrap();
     burst.read_span(0, &mut scan).unwrap();
     assert!(scan.iter().all(|&b| b == 7), "burst scan torn");
-    let coalesced = home_only
-        .cache_stats()
-        .expect("cache enabled")
-        .coalesced_reads;
+    let coalesced_reads = stats().coalesced_reads;
     vec![
-        ("producer_no_spill_secs", blocked_secs),
-        ("producer_with_spill_secs", spill_secs),
-        ("speedup", blocked_secs / spill_secs),
-        ("spills", spills as f64),
-        ("coalesced_reads", coalesced as f64),
+        ("producer_secs", secs),
+        ("coalesced_writes", coalesced_writes as f64),
+        ("coalesced_reads", coalesced_reads as f64),
     ]
 }
 
@@ -213,10 +204,10 @@ fn under_flush_run() -> Vec<(&'static str, f64)> {
 
 fn main() {
     banner(
-        "E17: volume-wide shared buffer cache (hot reuse, coalescing, spill)",
+        "E17: volume-wide shared buffer cache (hot reuse, coalescing, hits beside flushes)",
         "a shared buffer tier in front of the I/O processors turns \
-         cross-session hot reuse into frame copies and keeps unbounded \
-         writers off the critical path by spilling overflow to scratch",
+         cross-session hot reuse into frame copies and moves a burst's \
+         write-backs and cold misses as vectored runs",
     );
     let mut report = Report::new("e17_cache");
     report
@@ -224,8 +215,8 @@ fn main() {
         .fact("reads_per_session", READS_PER_SESSION as f64)
         .fact("hot_records", HOT_RECORDS as f64)
         .fact("frames", FRAMES as f64)
-        .fact("spill_blocks", BURST as f64)
-        .fact("spill_frame_budget", BUDGET as f64)
+        .fact("burst_blocks", BURST as f64)
+        .fact("burst_frame_budget", BUDGET as f64)
         .fact(
             "reads_under_flush",
             ((SESSIONS - 1) * READS_UNDER_FLUSH) as f64,
@@ -233,7 +224,7 @@ fn main() {
 
     let uncached = report.lane("uncached", RUNS, || hot_run(false));
     let cached = report.lane("cached", RUNS, || hot_run(true));
-    let spill = report.lane("spill", RUNS, spill_run);
+    let burst = report.lane("burst", RUNS, burst_run);
     let under = report.lane("under_flush", RUNS, under_flush_run);
     let speedup = cached["ops_per_sec"].median / uncached["ops_per_sec"].median;
 
@@ -242,15 +233,13 @@ fn main() {
         .fact("speedup", speedup)
         .at_least("hot-reuse throughput, cached over uncached", speedup, 2.0)
         .at_least("steady-state hit ratio", cached["hit_ratio"].median, 0.5)
-        .check("the burst overflows to scratch", spill["spills"].lo > 0.0)
+        .check(
+            "eviction writes the burst home in coalesced runs",
+            burst["coalesced_writes"].lo > 0.0,
+        )
         .check(
             "a cold scan coalesces adjacent misses into vectored submits",
-            spill["coalesced_reads"].lo > 0.0,
-        )
-        .at_least(
-            "producer speedup with spill over home writeback",
-            spill["speedup"].median,
-            1.5,
+            burst["coalesced_reads"].lo > 0.0,
         )
         .check(
             "the writer flushes while the readers run (>= 10 unlock flushes a run)",

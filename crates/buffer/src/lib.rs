@@ -4,12 +4,9 @@
 //! appropriate buffering techniques and I/O software" (Crockett 1989, §4).
 //! This crate is that software layer:
 //!
-//! * [`BufferPool`] — a fixed pool of reusable block buffers with RAII
-//!   guards and back-pressure.
 //! * [`VolumeCache`] — the volume-wide shared block cache tier in front
 //!   of the executor bank: CLOCK eviction over a fixed frame budget,
-//!   read-through miss coalescing, write-behind run coalescing, and a
-//!   scratch-device spill path for dirty overflow.
+//!   read-through miss coalescing and write-behind run coalescing.
 //! * [`CacheStats`] / [`WritePolicy`] — the cache traffic counters and
 //!   the write-through/write-back policy knob [`VolumeCache`] reports
 //!   and takes.
@@ -21,25 +18,28 @@
 //! has one.
 //!
 //! ```
-//! use pario_buffer::BufferPool;
+//! use pario_buffer::{VolumeCache, VolumeCacheConfig};
+//! use pario_disk::mem_array;
 //!
-//! // Two 512-byte buffers: a third `acquire` would wait for a drop.
-//! let pool = BufferPool::new(2, 512);
-//! let (a, b) = (pool.acquire(), pool.acquire());
-//! assert_eq!((a.len(), b.len(), pool.available()), (512, 512, 0));
-//! assert!(pool.try_acquire().is_none());
-//! drop(a);
-//! assert_eq!(pool.available(), 1);
+//! // Write-back: two adjacent blocks are absorbed, then go home as one run.
+//! let devices = mem_array(1, 16, 512);
+//! let cache = VolumeCache::new(devices.clone(), VolumeCacheConfig::write_back(4));
+//! cache.write_blocks(0, 3, &[7u8; 1024]).unwrap();
+//! let mut media = [0u8; 512];
+//! devices[0].read_block(4, &mut media).unwrap();
+//! assert_eq!(media[0], 0, "nothing on the device before a flush");
+//! cache.flush().unwrap();
+//! devices[0].read_block(4, &mut media).unwrap();
+//! assert_eq!(media[0], 7);
+//! assert_eq!(cache.stats().coalesced_writes, 1);
 //! ```
 
 #![warn(missing_docs)]
 
 mod cache;
-mod pool;
 mod volume_cache;
 
 pub use cache::{CacheStats, WritePolicy};
-pub use pool::{BufferPool, PoolBuf};
 pub use volume_cache::{
     CacheReadTicket, CacheWriteTicket, VolumeCache, VolumeCacheConfig, VolumeCacheStats,
 };

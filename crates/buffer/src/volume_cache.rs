@@ -6,21 +6,16 @@
 //! every access. [`VolumeCache`] is the shared tier in front of the
 //! executor bank that every file of a volume goes through:
 //!
-//! * **CLOCK eviction** over a fixed frame budget drawn from a
-//!   [`BufferPool`] at construction (the pool's free-list lock is ranked
-//!   *below* the fs locks, so the budget is drained up front and frames
-//!   never touch the pool while the ranked cache lock is held).
+//! * **CLOCK eviction** over a fixed frame budget allocated once at
+//!   construction.
 //! * **Read-through miss coalescing**: adjacent misses in one request
 //!   become one vectored `submit_read_blocks` ticket per device, and
 //!   tickets across devices are all in flight before any is waited on
 //!   ([`VolumeCache::submit_read`] / [`CacheReadTicket::wait`]).
 //! * **Write-behind coalescing**: under [`WritePolicy::WriteBack`],
 //!   dirty neighbors are merged into contiguous runs before executor
-//!   submit, both at eviction and at [`VolumeCache::flush`].
-//! * **Disk spill**: with a scratch device configured, evicting a dirty
-//!   frame spills it to scratch instead of waiting out a write to its
-//!   (possibly slow) home device, so unbounded writers are never
-//!   blocked behind the home devices ([`VolumeCacheConfig::spill`]).
+//!   submit, both at eviction and at [`VolumeCache::flush`]. A producer
+//!   that outruns its devices waits out the eviction's write-back.
 //! * **Invalidation** hooks ([`VolumeCache::invalidate_range`],
 //!   [`VolumeCache::drop_device`]) let lock release points and device
 //!   health transitions keep cached state coherent with the media.
@@ -31,8 +26,8 @@
 //! only after the board mutex is released).
 //!
 //! **The lock covers the frame table, never a transfer.** It is held
-//! for lookups, frame copies and bookkeeping; every home-device or
-//! scratch call is made with it released, the paper's two-phase rule
+//! for lookups, frame copies and bookkeeping; every device call is made
+//! with it released, the paper's two-phase rule
 //! (§3: reserve early "so the next process can proceed before the first
 //! transfer completes"). A write-back *reserves* its frames — copies
 //! their bytes, marks them `writing`, notes the table's clock — drops
@@ -44,8 +39,7 @@
 //! range covers it waits for the transfer to land (a range flush may
 //! not return with a write-back of its range still in flight; an
 //! invalidation precedes a raw media write that a late write-back would
-//! clobber). Spilled blocks follow the same shape with a `busy` mark
-//! that everyone waits out.
+//! clobber).
 //!
 //! Error semantics are chosen so the cache never *masks* media state:
 //! a failed write-through invalidates every frame the write covered
@@ -57,54 +51,41 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, DerefMut};
 
 use pario_check::{Condvar, LockLevel, Mutex, MutexGuard};
-use pario_disk::{DeviceRef, DiskError, Result, Ticket};
+use pario_disk::{DeviceRef, Result, Ticket};
 
 use crate::cache::{CacheStats, WritePolicy};
-use crate::pool::{BufferPool, PoolBuf};
 
 /// Shape of a [`VolumeCache`].
 pub struct VolumeCacheConfig {
-    /// Frame budget: block-sized buffers drawn from a [`BufferPool`] at
-    /// construction.
+    /// Frame budget: block-sized buffers allocated at construction.
     pub frames: usize,
     /// When dirty data reaches the home devices. `WriteThrough`
     /// preserves the uncached path's durability and fault visibility
     /// exactly; `WriteBack` absorbs writes and coalesces them on
     /// eviction/flush.
     pub policy: WritePolicy,
-    /// Scratch device for the dirty-overflow spill path (write-back
-    /// only). `None` falls back to coalesced write-back at eviction.
-    pub spill: Option<DeviceRef>,
 }
 
 impl VolumeCacheConfig {
-    /// A write-through cache of `frames` frames and no spill device.
+    /// A write-through cache of `frames` frames.
     pub fn write_through(frames: usize) -> VolumeCacheConfig {
         VolumeCacheConfig {
             frames,
             policy: WritePolicy::WriteThrough,
-            spill: None,
         }
     }
 
-    /// A write-back cache of `frames` frames and no spill device.
+    /// A write-back cache of `frames` frames.
     pub fn write_back(frames: usize) -> VolumeCacheConfig {
         VolumeCacheConfig {
             frames,
             policy: WritePolicy::WriteBack,
-            spill: None,
         }
-    }
-
-    /// Attach a scratch device for dirty-frame spill.
-    pub fn with_spill(mut self, scratch: DeviceRef) -> VolumeCacheConfig {
-        self.spill = Some(scratch);
-        self
     }
 }
 
 /// Traffic counters of a [`VolumeCache`]. Extends the shared
-/// [`CacheStats`] counters with coalescing and spill activity.
+/// [`CacheStats`] counters with coalescing and invalidation activity.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct VolumeCacheStats {
     /// The shared hit/miss/eviction/writeback counters.
@@ -115,10 +96,6 @@ pub struct VolumeCacheStats {
     /// Dirty blocks merged into a neighbor's vectored writeback (blocks
     /// beyond the first of each contiguous dirty run).
     pub coalesced_writes: u64,
-    /// Dirty frames overflowed to the scratch device.
-    pub spills: u64,
-    /// Reads served from spilled scratch blocks.
-    pub spill_loads: u64,
     /// Frames dropped by invalidation (lock-driven or health-driven).
     pub invalidations: u64,
 }
@@ -153,26 +130,17 @@ struct Slot {
     /// write-back that copied them at clock `t` may clear `dirty` only
     /// while `version <= t`.
     version: u64,
-    /// A copy of the frame's bytes is on its way to the home device or
-    /// to scratch, with the table unlocked. The frame stays mapped
-    /// until the transfer lands: CLOCK passes over it, and flushers and
+    /// A copy of the frame's bytes is on its way to the home device,
+    /// with the table unlocked. The frame stays mapped until the
+    /// transfer lands: CLOCK passes over it, and flushers and
     /// invalidators of its key wait on [`VolumeCache::settled`].
     writing: bool,
 }
 
-/// A dirty block overflowed to scratch.
-struct Spill {
-    sslot: u64,
-    /// A transfer on the scratch block is in flight with the table
-    /// unlocked; anyone else who wants the block waits on
-    /// [`VolumeCache::settled`].
-    busy: bool,
-}
-
 struct CacheState {
-    /// The frame buffers, drawn from the pool at construction. Entry `i`
-    /// backs `slots[i]`.
-    bufs: Vec<PoolBuf>,
+    /// The frame buffers, allocated at construction. Entry `i` backs
+    /// `slots[i]`.
+    bufs: Vec<Box<[u8]>>,
     slots: Vec<Slot>,
     /// Key -> slot index.
     map: BTreeMap<Key, usize>,
@@ -183,11 +151,6 @@ struct CacheState {
     /// Counts changes to frame bytes and poisonings of fetches; stamps
     /// [`Slot::version`] and `stale`.
     clock: u64,
-    /// Dirty blocks overflowed to the scratch device. A key is in at
-    /// most one of `map` and `spilled`.
-    spilled: BTreeMap<Key, Spill>,
-    /// Unused scratch blocks.
-    spill_free: Vec<u64>,
     /// Miss keys with an executor fetch in flight -> outstanding reader
     /// count. A write or invalidation of such a key lands in `stale`:
     /// bytes fetched before the mutation must not be installed when the
@@ -201,16 +164,9 @@ struct CacheState {
 }
 
 impl CacheState {
-    /// Whether a frame write-back or scratch transfer is in flight
-    /// anywhere in `[lo, hi]`.
+    /// Whether a frame write-back is in flight anywhere in `[lo, hi]`.
     fn transfer_in(&self, lo: Key, hi: Key) -> bool {
         self.map.range(lo..=hi).any(|(_, &i)| self.slots[i].writing)
-            || self.spilled.range(lo..=hi).any(|(_, s)| s.busy)
-    }
-
-    /// Whether `key` is neither resident nor spilled.
-    fn absent(&self, key: Key) -> bool {
-        !self.map.contains_key(&key) && !self.spilled.contains_key(&key)
     }
 
     /// Whether `key` holds a dirty frame with no transfer in flight.
@@ -295,7 +251,7 @@ impl DerefMut for Table<'_> {
 }
 
 impl Table<'_> {
-    /// Run `io` — a device or scratch call — with the table unlocked.
+    /// Run `io` — a device call — with the table unlocked.
     fn unlocked<R>(&mut self, io: impl FnOnce() -> R) -> R {
         self.guard = None;
         let r = io();
@@ -314,14 +270,10 @@ impl Table<'_> {
 /// A volume-wide shared block cache in front of the executor bank.
 pub struct VolumeCache {
     devices: Vec<DeviceRef>,
-    scratch: Option<DeviceRef>,
     policy: WritePolicy,
     block_size: usize,
-    /// Kept alive so the drained frame budget returns to a live pool on
-    /// drop, and so callers can see the budget via [`VolumeCache::pool`].
-    pool: BufferPool,
     frames: Mutex<CacheState>,
-    /// Signalled whenever a `writing` or `busy` mark clears.
+    /// Signalled whenever a `writing` mark clears.
     settled: Condvar,
 }
 
@@ -338,7 +290,6 @@ pub struct CacheReadTicket {
     since: u64,
     pending: Vec<PendingRun>,
     out: Box<[u8]>,
-    err: Option<DiskError>,
 }
 
 /// An in-flight cached write (write-through submits one vectored device
@@ -352,29 +303,18 @@ pub struct CacheWriteTicket {
     pending: Option<(u64, Ticket<Box<[u8]>>)>,
 }
 
-/// Where a block of a write-back run came from.
-#[derive(Copy, Clone)]
-enum Origin {
-    Frame(usize),
-    Spill(u64),
-}
-
 /// One vectored home write of a write-back: contiguous blocks of one
-/// device.
+/// device, and the frames they were copied from.
 struct Run {
     dev: usize,
     start: u64,
-    members: Vec<Origin>,
+    members: Vec<usize>,
     data: Vec<u8>,
 }
 
 impl VolumeCache {
-    /// A cache over `devices` (normally a volume's executor handles).
-    ///
-    /// The frame budget is drawn from a fresh [`BufferPool`] of
-    /// `cfg.frames` block-sized buffers, all acquired here — the pool's
-    /// lock sits below the fs locks in the hierarchy, so the cache must
-    /// never touch it while its own ranked lock is held.
+    /// A cache over `devices` (normally a volume's executor handles),
+    /// with its `cfg.frames` block-sized frames allocated here, once.
     pub fn new(devices: Vec<DeviceRef>, cfg: VolumeCacheConfig) -> VolumeCache {
         assert!(cfg.frames > 0, "cache needs at least one frame");
         assert!(!devices.is_empty(), "cache needs at least one device");
@@ -383,11 +323,9 @@ impl VolumeCache {
             devices.iter().all(|d| d.block_size() == bs),
             "devices must share a block size"
         );
-        if let Some(s) = &cfg.spill {
-            assert_eq!(s.block_size(), bs, "scratch device block size");
-        }
-        let pool = BufferPool::new(cfg.frames, bs);
-        let bufs: Vec<PoolBuf> = (0..cfg.frames).map(|_| pool.acquire()).collect();
+        let bufs = (0..cfg.frames)
+            .map(|_| vec![0u8; bs].into_boxed_slice())
+            .collect();
         let slots = (0..cfg.frames)
             .map(|_| Slot {
                 key: None,
@@ -397,16 +335,10 @@ impl VolumeCache {
                 writing: false,
             })
             .collect();
-        let spill_free = match &cfg.spill {
-            Some(s) => (0..s.num_blocks()).rev().collect(),
-            None => Vec::new(),
-        };
         VolumeCache {
             devices,
-            scratch: cfg.spill,
             policy: cfg.policy,
             block_size: bs,
-            pool,
             frames: Mutex::new_named(
                 CacheState {
                     bufs,
@@ -415,8 +347,6 @@ impl VolumeCache {
                     free: (0..cfg.frames).rev().collect(),
                     hand: 0,
                     clock: 0,
-                    spilled: BTreeMap::new(),
-                    spill_free,
                     inflight: HashMap::new(),
                     stale: HashMap::new(),
                     stats: VolumeCacheStats::default(),
@@ -437,15 +367,9 @@ impl VolumeCache {
         self.policy
     }
 
-    /// The pool the frame budget was drawn from (fully drained while the
-    /// cache lives).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
     /// Frame budget (total frames).
     pub fn frame_budget(&self) -> usize {
-        self.pool.capacity()
+        self.frames.lock().slots.len()
     }
 
     /// Current statistics snapshot.
@@ -453,7 +377,7 @@ impl VolumeCache {
         self.frames.lock().stats
     }
 
-    /// Number of resident frames (spilled blocks not included).
+    /// Number of resident frames.
     pub fn len(&self) -> usize {
         self.frames.lock().map.len()
     }
@@ -461,11 +385,6 @@ impl VolumeCache {
     /// True when no frames are resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of blocks currently spilled to scratch.
-    pub fn spilled_blocks(&self) -> usize {
-        self.frames.lock().spilled.len()
     }
 
     fn table(&self) -> Table<'_> {
@@ -480,34 +399,30 @@ impl VolumeCache {
     // release it around a transfer.
     // ------------------------------------------------------------------
 
-    /// Write the dirty frames and spilled blocks of the (disjoint) key
-    /// `ranges` home — the one write-back routine, behind every flush
-    /// and the eviction of a dirty frame: reserve under the lock,
-    /// transfer unlocked with every run submitted before any is waited,
-    /// commit under the lock. Costs the blocks in the ranges, not the
-    /// table.
+    /// Write the dirty frames of the (disjoint) key `ranges` home — the
+    /// one write-back routine, behind every flush and the eviction of a
+    /// dirty frame: reserve under the lock, transfer unlocked with every
+    /// run submitted before any is waited, commit under the lock. Costs
+    /// the blocks in the ranges, not the table.
     fn write_back(&self, st: &mut Table<'_>, ranges: &[(Key, Key)]) -> Result<()> {
-        let bs = self.block_size;
         // Someone else's write-back of these blocks counts: it lands
         // before this returns, and what it leaves dirty is written here.
         while ranges.iter().any(|&(lo, hi)| st.transfer_in(lo, hi)) {
             st.wait_settled();
         }
-        let mut picked: Vec<(Key, Origin)> = Vec::new();
+        let mut picked: Vec<(Key, usize)> = Vec::new();
         for &(lo, hi) in ranges {
             let frames = st.map.range(lo..=hi).filter(|(_, &i)| st.slots[i].dirty);
-            picked.extend(frames.map(|(&k, &i)| (k, Origin::Frame(i))));
-            let spills = st.spilled.range(lo..=hi);
-            picked.extend(spills.map(|(&k, s)| (k, Origin::Spill(s.sslot))));
+            picked.extend(frames.map(|(&k, &i)| (k, i)));
         }
         if picked.is_empty() {
             return Ok(());
         }
         picked.sort_unstable_by_key(|&(k, _)| k);
-        // Reserve: mark, and merge adjacent blocks into runs. Frame
-        // bytes are copied here; spilled bytes are read once unlocked.
+        // Reserve: copy the bytes, mark, and merge adjacent blocks into
+        // runs.
         let mut runs: Vec<Run> = Vec::new();
-        for (key, origin) in picked {
+        for (key, idx) in picked {
             let adjacent = runs.last().is_some_and(|r| {
                 r.dev == key.0 && r.start.checked_add(r.members.len() as u64) == Some(key.1)
             });
@@ -521,59 +436,29 @@ impl VolumeCache {
             }
             // invariant: pushed just above when there was none.
             let run = runs.last_mut().expect("a run is open");
-            match origin {
-                Origin::Frame(idx) => {
-                    run.data.extend_from_slice(&st.bufs[idx]);
-                    st.slots[idx].writing = true;
-                }
-                Origin::Spill(_) => {
-                    run.data.resize(run.data.len() + bs, 0);
-                    // invariant: picked from `spilled` under this lock hold.
-                    st.spilled.get_mut(&key).expect("picked key").busy = true;
-                }
-            }
-            run.members.push(origin);
+            run.data.extend_from_slice(&st.bufs[idx]);
+            run.members.push(idx);
+            st.slots[idx].writing = true;
         }
         let stamp = st.clock;
         let outcomes: Vec<Result<()>> = st.unlocked(|| {
-            let tickets: Vec<Result<Ticket<Box<[u8]>>>> = runs
+            let tickets: Vec<Ticket<Box<[u8]>>> = runs
                 .iter_mut()
                 .map(|run| {
-                    for (j, origin) in run.members.iter().enumerate() {
-                        if let Origin::Spill(sslot) = *origin {
-                            // invariant: spilled entries exist only with a scratch device.
-                            let scratch = self.scratch.as_ref().expect("spill implies scratch");
-                            scratch.read_block(sslot, &mut run.data[j * bs..(j + 1) * bs])?;
-                        }
-                    }
                     let data = std::mem::take(&mut run.data).into_boxed_slice();
-                    Ok(self.devices[run.dev].submit_write_blocks(run.start, data))
+                    self.devices[run.dev].submit_write_blocks(run.start, data)
                 })
                 .collect();
-            tickets.into_iter().map(|t| t?.wait().map(|_| ())).collect()
+            tickets.into_iter().map(|t| t.wait().map(|_| ())).collect()
         });
-        // Commit. A failed run stays dirty/spilled; the data is not lost.
+        // Commit. A failed run stays dirty; the data is not lost.
         let mut first_err = None;
         for (run, outcome) in runs.iter().zip(outcomes) {
-            for (j, origin) in run.members.iter().enumerate() {
-                match *origin {
-                    Origin::Frame(idx) => {
-                        let slot = &mut st.slots[idx];
-                        slot.writing = false;
-                        if outcome.is_ok() && slot.version <= stamp {
-                            slot.dirty = false;
-                        }
-                    }
-                    Origin::Spill(sslot) => {
-                        let key = (run.dev, run.start + j as u64);
-                        if outcome.is_ok() {
-                            st.spilled.remove(&key);
-                            st.spill_free.push(sslot);
-                        } else {
-                            // invariant: busy entries are never removed by others.
-                            st.spilled.get_mut(&key).expect("busy entry").busy = false;
-                        }
-                    }
+            for &idx in &run.members {
+                let slot = &mut st.slots[idx];
+                slot.writing = false;
+                if outcome.is_ok() && slot.version <= stamp {
+                    slot.dirty = false;
                 }
             }
             match outcome {
@@ -591,76 +476,27 @@ impl VolumeCache {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// Run `io` on the scratch block of spilled `key` with the table
-    /// unlocked. The caller saw the entry idle under this lock hold; it
-    /// is `busy` for the duration, so nobody moves or frees the block.
-    fn spill_io<R>(
-        &self,
-        st: &mut Table<'_>,
-        key: Key,
-        io: impl FnOnce(&DeviceRef, u64) -> R,
-    ) -> R {
-        // invariant: spilled entries exist only with a scratch device.
-        let scratch = self.scratch.as_ref().expect("spill implies scratch");
-        // invariant: the caller found the entry under this lock hold.
-        let entry = st.spilled.get_mut(&key).expect("spilled key");
-        entry.busy = true;
-        let sslot = entry.sslot;
-        let r = st.unlocked(|| io(scratch, sslot));
-        // invariant: busy entries are never removed by others.
-        st.spilled.get_mut(&key).expect("busy entry").busy = false;
-        self.settled.notify_all();
-        r
-    }
-
-    /// Get dirty, idle frame `idx` written out with the table unlocked:
-    /// to scratch when a block is free there, else home together with
-    /// its dirty neighbors. `Ok(true)` hands the frame — spilled,
-    /// unmapped — to the caller; `Ok(false)` means the table moved on
-    /// meanwhile and the sweep starts over.
-    fn clean_victim(&self, st: &mut Table<'_>, idx: usize) -> Result<bool> {
+    /// Write dirty, idle frame `idx` home together with its contiguous
+    /// dirty idle neighbors, with the table unlocked: the table moves on
+    /// meanwhile, so the caller's sweep starts over.
+    fn clean_victim(&self, st: &mut Table<'_>, idx: usize) -> Result<()> {
         // invariant: callers only pass occupied slots.
-        let key @ (dev, block) = st.slots[idx].key.expect("occupied slot");
-        let Some(sslot) = st.spill_free.pop() else {
-            // Grow the run over contiguous dirty idle neighbors.
-            let (mut lo, mut hi) = (block, block);
-            while lo > 0 && st.dirty_idle((dev, lo - 1)) {
-                lo -= 1;
-            }
-            while hi < u64::MAX && st.dirty_idle((dev, hi + 1)) {
-                hi += 1;
-            }
-            return self
-                .write_back(st, &[((dev, lo), (dev, hi))])
-                .map(|()| false);
-        };
-        // invariant: scratch blocks exist only with a scratch device.
-        let scratch = self.scratch.as_ref().expect("spill implies scratch");
-        let data = st.bufs[idx].to_vec();
-        st.slots[idx].writing = true;
-        let stamp = st.clock;
-        let res = st.unlocked(|| scratch.write_block(sslot, &data));
-        st.slots[idx].writing = false;
-        self.settled.notify_all();
-        if res.is_ok() && st.slots[idx].version <= stamp {
-            // A writing frame is never unmapped: `idx` still holds `key`.
-            st.map.remove(&key);
-            let slot = &mut st.slots[idx];
-            (slot.key, slot.dirty) = (None, false);
-            st.spilled.insert(key, Spill { sslot, busy: false });
-            st.stats.spills += 1;
-            st.stats.base.evictions += 1;
-            return Ok(true);
+        let (dev, block) = st.slots[idx].key.expect("occupied slot");
+        let (mut lo, mut hi) = (block, block);
+        while lo > 0 && st.dirty_idle((dev, lo - 1)) {
+            lo -= 1;
         }
-        st.spill_free.push(sslot);
-        res.map(|()| false)
+        while hi < u64::MAX && st.dirty_idle((dev, hi + 1)) {
+            hi += 1;
+        }
+        self.write_back(st, &[((dev, lo), (dev, hi))])
     }
 
     /// Take a recyclable slot: a never-used one, else a CLOCK victim —
     /// a clean unreferenced frame for preference, else a dirty one,
-    /// spilled or written back with the table unlocked, after which the
-    /// sweep runs again on whatever the table then holds. `writing`
-    /// frames are passed over. The returned slot is unmapped and clean.
+    /// written back with the table unlocked, after which the sweep runs
+    /// again on whatever the table then holds. `writing` frames are
+    /// passed over. The returned slot is unmapped and clean.
     fn take_slot(&self, st: &mut Table<'_>) -> Result<usize> {
         loop {
             if let Some(idx) = st.free.pop() {
@@ -691,11 +527,7 @@ impl VolumeCache {
                 return Ok(idx);
             }
             match dirty_victim {
-                Some(idx) => {
-                    if self.clean_victim(st, idx)? {
-                        return Ok(idx);
-                    }
-                }
+                Some(idx) => self.clean_victim(st, idx)?,
                 // Every frame is mid-transfer.
                 None => st.wait_settled(),
             }
@@ -707,8 +539,8 @@ impl VolumeCache {
     /// dirty write-behind data not yet on the home device. Claiming the
     /// slot may release the table, so absence is judged again with the
     /// slot in hand: `Ok(false)`, nothing installed, when `key` is or
-    /// became resident or spilled — or when a write or invalidation
-    /// poisoned the fetch since it was registered. The reference bit
+    /// became resident — or when a write or invalidation poisoned the
+    /// fetch since it was registered. The reference bit
     /// starts clear: only a second touch earns a frame protection from
     /// the sweep, so one-shot streaming data is recycled first.
     fn install(
@@ -721,7 +553,7 @@ impl VolumeCache {
         let dirty = fetched_at.is_none();
         let wanted = |st: &CacheState| {
             let poisoned = st.stale.get(&key).is_some_and(|&at| Some(at) > fetched_at);
-            st.absent(key) && (dirty || !poisoned)
+            !st.map.contains_key(&key) && (dirty || !poisoned)
         };
         if !wanted(st) {
             return Ok(false);
@@ -747,52 +579,36 @@ impl VolumeCache {
     // ------------------------------------------------------------------
 
     /// Start a cached read of `count` blocks of device `dev` beginning
-    /// at absolute block `block`. Hits (and spilled blocks) are copied
-    /// immediately; runs of adjacent misses are coalesced into one
-    /// vectored executor ticket each, all submitted before this returns
-    /// — so a caller reading runs on several devices keeps full
-    /// cross-device parallelism by submitting every run before waiting
-    /// any ([`CacheReadTicket::wait`]).
+    /// at absolute block `block`. Hits are copied immediately; runs of
+    /// adjacent misses are coalesced into one vectored executor ticket
+    /// each, all submitted before this returns — so a caller reading
+    /// runs on several devices keeps full cross-device parallelism by
+    /// submitting every run before waiting any
+    /// ([`CacheReadTicket::wait`]).
     pub fn submit_read(&self, dev: usize, block: u64, count: usize) -> CacheReadTicket {
         let bs = self.block_size;
         let mut out = vec![0u8; count * bs].into_boxed_slice();
         let mut misses: Vec<(usize, usize)> = Vec::new();
-        let mut err = None;
-        let mut st = self.table();
+        let mut st = self.frames.lock();
         let since = st.clock;
         let mut i = 0usize;
         while i < count {
-            let key = (dev, block + i as u64);
-            let chunk = &mut out[i * bs..(i + 1) * bs];
-            if let Some(&idx) = st.map.get(&key) {
-                st.hit(idx, chunk);
-            } else if let Some(spill) = st.spilled.get(&key) {
-                if spill.busy {
-                    st.wait_settled();
-                    continue;
-                }
-                // The newest copy lives on scratch (it was dirty when
-                // spilled); serve it from there.
-                if let Err(e) = self.spill_io(&mut st, key, |s, sslot| s.read_block(sslot, chunk)) {
-                    err.get_or_insert(e);
-                }
-                st.stats.base.hits += 1;
-                st.stats.spill_loads += 1;
-            } else {
-                // Coalesce the whole run of adjacent misses into one
-                // vectored read.
-                let start = i;
-                while i < count && st.absent((dev, block + i as u64)) {
-                    st.begin_fetch((dev, block + i as u64));
-                    i += 1;
-                }
-                let n = i - start;
-                st.stats.base.misses += n as u64;
-                st.stats.coalesced_reads += n as u64 - 1;
-                misses.push((start, n));
+            if let Some(&idx) = st.map.get(&(dev, block + i as u64)) {
+                st.hit(idx, &mut out[i * bs..(i + 1) * bs]);
+                i += 1;
                 continue;
             }
-            i += 1;
+            // Coalesce the whole run of adjacent misses into one
+            // vectored read.
+            let start = i;
+            while i < count && !st.map.contains_key(&(dev, block + i as u64)) {
+                st.begin_fetch((dev, block + i as u64));
+                i += 1;
+            }
+            let n = i - start;
+            st.stats.base.misses += n as u64;
+            st.stats.coalesced_reads += n as u64 - 1;
+            misses.push((start, n));
         }
         drop(st);
         let pending = misses
@@ -809,7 +625,6 @@ impl VolumeCache {
             since,
             pending,
             out,
-            err,
         }
     }
 
@@ -851,7 +666,7 @@ impl VolumeCache {
     // ------------------------------------------------------------------
 
     /// Start a cached write of whole blocks. Write-back absorbs the data
-    /// into dirty frames (spilling or writing back victims) and is
+    /// into dirty frames (writing back victims) and is
     /// complete when this returns; write-through updates resident frames
     /// and submits one vectored device write whose outcome
     /// [`CacheWriteTicket::wait`] reports — on error every covered frame
@@ -873,24 +688,11 @@ impl VolumeCache {
                     st.touch(idx);
                     break;
                 }
-                if !write_back {
-                    // Deliberately no insert on miss (large streaming
-                    // writes must not flush the whole cache), and no
-                    // dirty state ever.
+                // Write-through deliberately never inserts on a miss
+                // (large streaming writes must not flush the whole
+                // cache), and holds no dirty state ever.
+                if !write_back || self.install(&mut st, key, chunk, None)? {
                     break;
-                }
-                match st.spilled.get(&key).map(|s| s.busy) {
-                    Some(true) => st.wait_settled(),
-                    Some(false) => {
-                        // Overwrite the spilled copy in place.
-                        self.spill_io(&mut st, key, |s, sslot| s.write_block(sslot, chunk))?;
-                        break;
-                    }
-                    None => {
-                        if self.install(&mut st, key, chunk, None)? {
-                            break;
-                        }
-                    }
                 }
             }
         }
@@ -954,8 +756,8 @@ impl VolumeCache {
     // Flush and invalidation
     // ------------------------------------------------------------------
 
-    /// Write all dirty state (frames and spilled blocks) to the home
-    /// devices, coalesced into vectored runs.
+    /// Write every dirty frame to the home devices, coalesced into
+    /// vectored runs.
     pub fn flush(&self) -> Result<()> {
         self.write_back(&mut self.table(), &[((0, 0), (usize::MAX, u64::MAX))])
     }
@@ -985,7 +787,7 @@ impl VolumeCache {
         self.write_back(&mut self.table(), &keys)
     }
 
-    /// Drop resident and spilled state covering `[block, block + count)`
+    /// Drop the frames covering `[block, block + count)`
     /// of device `dev` *without* writing anything back — for callers
     /// that know the media is authoritative (fresh zeroed extents) or
     /// gone (health transitions). A write-back of the range already in
@@ -999,7 +801,7 @@ impl VolumeCache {
         }
     }
 
-    /// Drop every resident and spilled block of device `dev` — the
+    /// Drop every frame of device `dev` — the
     /// health-transition hook: a Failed device's blocks must error (or
     /// reconstruct) rather than serve from cache, and a Rebuilding
     /// device's frames predate the resync sweep.
@@ -1029,13 +831,6 @@ impl VolumeCache {
         for key in frames {
             st.unmap(key);
         }
-        let spills: Vec<Key> = st.spilled.range(lo..=hi).map(|(&k, _)| k).collect();
-        for key in spills {
-            // invariant: keys were collected from the spill map under this lock.
-            let spill = st.spilled.remove(&key).expect("collected key");
-            st.spill_free.push(spill.sslot);
-            st.stats.invalidations += 1;
-        }
     }
 }
 
@@ -1051,7 +846,7 @@ impl CacheReadTicket {
         let bs = cache.block_size;
         let mut filled: Vec<(u64, u64, Box<[u8]>)> = Vec::new();
         let mut failed: Vec<(u64, u64)> = Vec::new();
-        let mut err = self.err.take();
+        let mut err = None;
         for (off, start, n, t) in self.pending {
             match t.wait() {
                 Ok(data) => {
@@ -1120,11 +915,7 @@ mod tests {
 
     fn cache(frames: usize, policy: WritePolicy) -> (VolumeCache, Vec<DeviceRef>) {
         let d = devs(2);
-        let cfg = VolumeCacheConfig {
-            frames,
-            policy,
-            spill: None,
-        };
+        let cfg = VolumeCacheConfig { frames, policy };
         (VolumeCache::new(d.clone(), cfg), d)
     }
 
@@ -1202,14 +993,7 @@ mod tests {
     #[test]
     fn eviction_writes_dirty_neighbors_as_one_run() {
         let d = devs(1);
-        let c = VolumeCache::new(
-            d.clone(),
-            VolumeCacheConfig {
-                frames: 4,
-                policy: WritePolicy::WriteBack,
-                spill: None,
-            },
-        );
+        let c = VolumeCache::new(d.clone(), VolumeCacheConfig::write_back(4));
         for b in 0..4u64 {
             c.write_block(0, b, &[9u8; BS]).unwrap();
         }
@@ -1221,47 +1005,6 @@ mod tests {
         assert_eq!(after.writes - before.writes, 1);
         assert_eq!(after.blocks_written - before.blocks_written, 4);
         assert!(c.stats().coalesced_writes >= 3);
-    }
-
-    #[test]
-    fn spill_absorbs_dirty_overflow_without_home_writes() {
-        let d = devs(1);
-        let scratch = pario_disk::MemDisk::named("scratch", 64, BS);
-        let scratch: DeviceRef = Arc::new(scratch);
-        let c = VolumeCache::new(
-            d.clone(),
-            VolumeCacheConfig {
-                frames: 4,
-                policy: WritePolicy::WriteBack,
-                spill: Some(Arc::clone(&scratch)),
-            },
-        );
-        let before = d[0].counters().writes;
-        for b in 0..16u64 {
-            c.write_block(0, b, &[b as u8 + 1; BS]).unwrap();
-        }
-        assert_eq!(
-            d[0].counters().writes - before,
-            0,
-            "spill keeps the home device untouched"
-        );
-        let s = c.stats();
-        assert_eq!(s.spills, 12, "12 dirty frames overflowed");
-        assert_eq!(c.spilled_blocks(), 12);
-        // Reads see the newest data wherever it lives.
-        let mut buf = [0u8; BS];
-        for b in 0..16u64 {
-            c.read_block(0, b, &mut buf).unwrap();
-            assert_eq!(buf[0], b as u8 + 1, "block {b}");
-        }
-        assert!(c.stats().spill_loads > 0);
-        // Flush drains everything home and frees the scratch slots.
-        c.flush().unwrap();
-        assert_eq!(c.spilled_blocks(), 0);
-        for b in 0..16u64 {
-            d[0].read_block(b, &mut buf).unwrap();
-            assert_eq!(buf[0], b as u8 + 1, "block {b} on media");
-        }
     }
 
     #[test]
@@ -1312,11 +1055,14 @@ mod tests {
     }
 
     #[test]
-    fn frame_budget_is_drawn_from_the_pool() {
+    fn frame_budget_bounds_the_resident_frames() {
         let (c, _d) = cache(6, WritePolicy::WriteThrough);
         assert_eq!(c.frame_budget(), 6);
-        assert_eq!(c.pool().capacity(), 6);
-        assert_eq!(c.pool().available(), 0, "budget fully drained");
+        let mut buf = [0u8; BS];
+        for b in 0..10u64 {
+            c.read_block(0, b, &mut buf).unwrap();
+        }
+        assert_eq!((c.len(), c.frame_budget()), (6, 6));
     }
 
     #[test]
@@ -1389,7 +1135,7 @@ mod tests {
     // The frame protocol: no transfer under the table lock
     // ------------------------------------------------------------------
 
-    use pario_disk::{BlockDevice, IoCounters, MemDisk};
+    use pario_disk::{BlockDevice, DiskError, IoCounters, MemDisk};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
     use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, OnceLock, Weak};
@@ -1707,23 +1453,10 @@ mod tests {
     }
 
     #[test]
-    fn no_device_or_scratch_call_is_made_under_the_table_lock() {
+    fn no_device_call_is_made_under_the_table_lock() {
         for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
             let slot = Arc::new(OnceLock::new());
-            // Four scratch blocks: evictions spill until scratch is
-            // full, then write back home.
-            let scratch: DeviceRef = Arc::new(Hooked {
-                inner: MemDisk::new(4, BS),
-                hook: Box::new({
-                    let p = probe(&slot);
-                    move |_| p.read_block(0, &mut [0u8; BS])
-                }),
-            });
-            let cfg = VolumeCacheConfig {
-                frames: 4,
-                policy,
-                spill: (policy == WritePolicy::WriteBack).then_some(scratch),
-            };
+            let cfg = VolumeCacheConfig { frames: 4, policy };
             let c = Arc::new(VolumeCache::new(vec![probe(&slot), probe(&slot)], cfg));
             slot.set(Arc::downgrade(&c)).ok().unwrap();
             let (tx, done) = mpsc::channel();
@@ -1758,9 +1491,8 @@ mod tests {
             }
             c.flush().unwrap();
             c.drop_device(0);
-            assert_eq!(c.spilled_blocks(), 0);
             if policy == WritePolicy::WriteBack {
-                assert!(c.stats().spills > 0, "the spill path ran");
+                assert!(c.stats().base.writebacks > 0, "the write-back path ran");
             }
         }
     }

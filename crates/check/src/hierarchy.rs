@@ -18,7 +18,6 @@
 //! |  7 | `NetClient` send half | pario-net | serialised frame writes to the socket |
 //! | 20 | `Admission::m` | pario-server | admission queue + rotation state |
 //! | 30 | `ByteRangeLocks::held` | pario-server | GDA byte-range lock table |
-//! | 40 | `BufferPool` free list | pario-buffer | pooled block buffers |
 //! | 50 | `Volume::alloc` | pario-fs | extent allocator |
 //! | 60 | `FileState::rmw_lock` | pario-fs | sub-block RMW window |
 //! | 70 | `FileState::stripe_lock` | pario-fs | parity stripe RMW cycle |
@@ -26,7 +25,7 @@
 //! | 75 | `VolumeCache::frames` | pario-buffer | volume-wide block cache state |
 //! | 78 | `VolInner::journal` | pario-fs | intent-journal cursor + superblock generation |
 //! | 80 | `HealthBoard::board` | pario-fs | device health state machine |
-//! | 90 | `IoNode` device | pario-disk | the wrapped device + seek head: one transfer at a time |
+//! | 90 | `IoNode` device | pario-disk | the wrapped device: one transfer at a time |
 
 /// Rank of a lock in the global acquisition order. Larger ranks must be
 /// acquired after smaller ranks; [`LockLevel::Unranked`] locks are
@@ -48,8 +47,6 @@ pub enum LockLevel {
     Admission = 20,
     /// `pario-server` GDA byte-range lock table.
     RangeLock = 30,
-    /// `pario-buffer` buffer pool free list.
-    BufferPool = 40,
     /// `pario-fs` volume extent allocator.
     FsAlloc = 50,
     /// `pario-fs` per-file sub-block read-modify-write lock.
@@ -69,7 +66,7 @@ pub enum LockLevel {
     /// cached frames only after releasing the board mutex, and I/O
     /// outcome feedback is reported after the cache lock is released).
     /// Held for table lookups, frame copies and bookkeeping only: every
-    /// device or scratch transfer is made with it released.
+    /// device transfer is made with it released.
     VolumeCache = 75,
     /// `pario-fs` metadata intent journal: append cursor + superblock
     /// generation. An innermost lock on the metadata path — grow takes
@@ -101,7 +98,6 @@ impl LockLevel {
             LockLevel::NetSend => "net.send",
             LockLevel::Admission => "server.admission",
             LockLevel::RangeLock => "server.range_lock",
-            LockLevel::BufferPool => "buffer.pool",
             LockLevel::FsAlloc => "fs.alloc",
             LockLevel::FsRmw => "fs.rmw",
             LockLevel::FsStripe => "fs.stripe",

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use pario_check::{spawn, Config, Explorer, LockLevel, Mutex};
-use pario_disk::{mem_array, BlockDevice, DeviceRef, IoCounters, MemDisk};
+use pario_disk::{BlockDevice, DeviceRef, IoCounters, MemDisk};
 use pario_fs::{FileSpec, Volume, VolumeCache, VolumeCacheConfig, VolumeConfig};
 use pario_layout::LayoutSpec;
 
@@ -101,16 +101,15 @@ fn cached_sub_block_writers_keep_uncached_semantics() {
     );
 }
 
-/// Writers overflowing the frame budget while a spill device is
-/// attached: eviction must spill instead of blocking, growth must take
-/// the alloc lock strictly below the cache lock, and a final flush must
-/// land every spilled frame back on its home device.
+/// A writer overflowing the frame budget races a grow: every eviction
+/// writes its dirty victim back home, growth must take the alloc lock
+/// strictly below the cache lock, and a final flush must land every
+/// block on its home device.
 #[test]
-fn spill_overflow_races_growth_without_inversion() {
+fn eviction_writeback_races_growth_without_inversion() {
     let report = Explorer::new(Config::new(300)).run(|| {
-        let scratch = mem_array(1, 256, BS).remove(0);
         // 2 frames force eviction on nearly every write.
-        let v = cached_volume(VolumeCacheConfig::write_back(2).with_spill(scratch));
+        let v = cached_volume(VolumeCacheConfig::write_back(2));
         let f = striped_file(&v);
 
         let f1 = f.clone();
@@ -134,7 +133,7 @@ fn spill_overflow_races_growth_without_inversion() {
             f.read_span(b * BS as u64, &mut out).expect("read back");
             assert!(
                 out.iter().all(|&x| x == b as u8 + 1),
-                "block {b} lost after spill + flush"
+                "block {b} lost after eviction + flush"
             );
         }
     });

@@ -44,7 +44,7 @@ fn check_cell_passthrough_works() {
 
 #[test]
 fn mutex_and_condvar_work() {
-    let m = Mutex::new_named(0u64, LockLevel::BufferPool);
+    let m = Mutex::new_named(0u64, LockLevel::FsAlloc);
     {
         let mut g = m.lock();
         *g += 1;
@@ -83,7 +83,6 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::NetSend, "net.send", 7),
         (LockLevel::Admission, "server.admission", 20),
         (LockLevel::RangeLock, "server.range_lock", 30),
-        (LockLevel::BufferPool, "buffer.pool", 40),
         (LockLevel::FsAlloc, "fs.alloc", 50),
         (LockLevel::FsRmw, "fs.rmw", 60),
         (LockLevel::FsStripe, "fs.stripe", 70),

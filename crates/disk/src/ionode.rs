@@ -9,35 +9,27 @@
 //! routes through the node, so an entire volume can be put behind I/O
 //! processors without any layer above noticing.
 //!
-//! Two things make the node an *executor* rather than a proxy:
+//! **Asynchronous submission** makes the node an *executor* rather than
+//! a proxy: [`BlockDevice::submit_read_blocks`] /
+//! [`BlockDevice::submit_write_blocks`] on a node handle enqueue the
+//! transfer and return a [`Ticket`] immediately; the caller collects the
+//! result with [`Ticket::wait`]. Span I/O submits every per-device run
+//! up front and blocks only on completion — no thread is ever spawned
+//! per request. The worker serves its channel in arrival order; a
+//! caller that must order two transfers waits the first ticket before
+//! submitting the second.
 //!
-//! * **Asynchronous submission.** [`BlockDevice::submit_read_blocks`] /
-//!   [`BlockDevice::submit_write_blocks`] on a node handle enqueue the
-//!   transfer and return a [`Ticket`] immediately; the caller collects
-//!   the result with [`Ticket::wait`]. Span I/O submits every per-device
-//!   run up front and blocks only on completion — no thread is ever
-//!   spawned per request.
-//! * **Scheduled dispatch.** The worker drains its channel into a pending
-//!   set and picks the next request with a [`Scheduler`]
-//!   ([`SchedPolicy`]: FIFO / SSTF / SCAN / C-SCAN), mapping block
-//!   addresses onto cylinders with [`block_cylinder`]. Concurrent
-//!   sessions sharing a device get seek-aware reordering for free.
-//!
-//! Reordering is safe because every completion is individually awaited:
-//! a caller that must order two transfers orders them by waiting the
-//! first ticket before submitting the second, and callers on different
-//! threads never had an ordering guarantee to lose.
-//!
-//! **Caller-runs on an idle node.** A dedicated processor buys overlap
-//! between compute and transfer; a *blocking* call ([`BlockDevice::read_block`],
+//! **Caller-runs on an idle node** is the executor's one dispatch
+//! decision. A dedicated processor buys overlap between compute and
+//! transfer; a *blocking* call ([`BlockDevice::read_block`],
 //! `write_block`, `read_blocks_at`, `write_blocks_at`, `flush` on a node
 //! handle) has no overlap to buy, so when nothing is queued or in
 //! service the calling thread claims the node, runs the transfer itself
 //! straight on the caller's slice — the same `service` routine the worker
 //! runs — and releases it: no boxed buffer, no reply channel, no
 //! wake-up. With anything queued or in service the call queues as a
-//! submission would, so dispatch policy and fairness are untouched. The
-//! device lock keeps the invariant either way: one transfer at a time.
+//! submission would, behind everything already there. The device lock
+//! keeps the invariant either way: one transfer at a time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -50,7 +42,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::device::{BlockDevice, DeviceRef, IoCounters};
 use crate::error::{DiskError, Result};
-use crate::sched::{block_cylinder, SchedPolicy, Scheduler};
 
 /// A pending asynchronous I/O completion.
 ///
@@ -163,26 +154,11 @@ fn recv_reply<T>(rx: &Receiver<Result<T>>) -> Result<T> {
     rx.recv().map_err(|_| dropped())?
 }
 
-/// A request plus its arrival order and the instant it entered the
-/// queue, so the worker can schedule deterministically and attribute
-/// elapsed time to queueing vs. device service.
+/// A request plus the instant it entered the queue, so the worker can
+/// attribute elapsed time to queueing vs. device service.
 struct Queued {
     enqueued: Instant,
-    tag: u64,
     req: Request,
-}
-
-impl Queued {
-    /// The cylinder the disk arm must reach to start this request.
-    /// Flushes have no position; they are serviced at the current head.
-    fn cylinder(&self, head: u32, num_blocks: u64) -> u32 {
-        match &self.req {
-            Request::Read { block, .. } | Request::Write { block, .. } => {
-                block_cylinder(*block, num_blocks)
-            }
-            Request::Flush { .. } => head,
-        }
-    }
 }
 
 /// Every transfer is vectored: single-block operations are one-block
@@ -213,21 +189,15 @@ enum Op<'a> {
     Flush,
 }
 
-/// The wrapped device and where its arm rests. Whoever holds the lock
-/// around this — the worker or a caller running inline — is servicing
-/// the node's one transfer.
-struct Served {
-    inner: DeviceRef,
-    head: u32,
-}
-
 /// Device, stats and geometry shared between the node, its worker
 /// thread, and every device handle. Deliberately does NOT hold the
 /// request sender: the channel closes (and the worker exits, after
 /// draining everything already queued) when the node and all handles are
 /// gone.
 struct Shared {
-    device: Mutex<Served>,
+    /// The wrapped device. Whoever holds this lock — the worker or a
+    /// caller running inline — is servicing the node's one transfer.
+    device: Mutex<DeviceRef>,
     /// Requests queued or in service, inline transfers included. Zero is
     /// the idle node a blocking call may claim (see `claim_idle`).
     in_flight: AtomicU64,
@@ -238,7 +208,6 @@ struct Shared {
     retries: AtomicU64,
     timeouts: AtomicU64,
     panics: AtomicU64,
-    next_tag: AtomicU64,
     block_size: usize,
     num_blocks: u64,
     config: NodeConfig,
@@ -284,10 +253,8 @@ impl Default for RetryPolicy {
 }
 
 /// Full executor configuration for one I/O node.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeConfig {
-    /// Dispatch order for the pending set.
-    pub policy: SchedPolicy,
     /// Transient-fault retry budget.
     pub retry: RetryPolicy,
     /// Per-ticket deadline measured from submission: a request that is
@@ -295,16 +262,6 @@ pub struct NodeConfig {
     /// [`DiskError::Timeout`] instead of occupying the device. `None`
     /// means requests wait forever.
     pub deadline: Option<std::time::Duration>,
-}
-
-impl Default for NodeConfig {
-    fn default() -> NodeConfig {
-        NodeConfig {
-            policy: SchedPolicy::Fifo,
-            retry: RetryPolicy::default(),
-            deadline: None,
-        }
-    }
 }
 
 /// A dedicated I/O processor serving one device.
@@ -357,35 +314,21 @@ impl IoNodeStats {
 }
 
 impl IoNode {
-    /// Spawn an I/O processor thread owning `inner`, dispatching its
-    /// queue in arrival order.
-    pub fn spawn(inner: DeviceRef) -> IoNode {
-        IoNode::spawn_with_policy(inner, SchedPolicy::Fifo)
-    }
-
-    /// Spawn an I/O processor thread owning `inner`, dispatching its
-    /// queue per `policy` (SSTF and the elevator policies reorder a
-    /// backlog to cut arm travel; see [`Scheduler`]), with the default
+    /// Spawn an I/O processor thread owning `inner`, with the default
     /// transient-retry budget and no deadline.
-    pub fn spawn_with_policy(inner: DeviceRef, policy: SchedPolicy) -> IoNode {
-        IoNode::spawn_with_config(
-            inner,
-            NodeConfig {
-                policy,
-                ..NodeConfig::default()
-            },
-        )
+    pub fn spawn(inner: DeviceRef) -> IoNode {
+        IoNode::spawn_with_config(inner, NodeConfig::default())
     }
 
-    /// Spawn an I/O processor with full control over dispatch policy,
-    /// retry budget, and per-ticket deadline.
+    /// Spawn an I/O processor with full control over retry budget and
+    /// per-ticket deadline.
     pub fn spawn_with_config(inner: DeviceRef, config: NodeConfig) -> IoNode {
         let (queue_tx, queue_rx): (Sender<Queued>, Receiver<Queued>) = unbounded();
         let shared = Arc::new(Shared {
             block_size: inner.block_size(),
             num_blocks: inner.num_blocks(),
             label: format!("ionode({})", inner.label()),
-            device: Mutex::new_named(Served { inner, head: 0 }, LockLevel::DiskDevice),
+            device: Mutex::new_named(inner, LockLevel::DiskDevice),
             in_flight: AtomicU64::new(0),
             max_in_flight: AtomicU64::new(0),
             serviced: AtomicU64::new(0),
@@ -394,7 +337,6 @@ impl IoNode {
             retries: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            next_tag: AtomicU64::new(0),
             config,
         });
         let worker_shared = Arc::clone(&shared);
@@ -414,52 +356,19 @@ impl IoNode {
         })
     }
 
-    /// The dispatch policy the worker runs.
-    pub fn policy(&self) -> SchedPolicy {
-        self.shared.config.policy
-    }
-
-    /// The full executor configuration the worker runs.
-    pub fn config(&self) -> NodeConfig {
-        self.shared.config
-    }
-
     /// Current queue statistics.
     pub fn stats(&self) -> IoNodeStats {
         self.shared.snapshot()
     }
 }
 
-/// The worker loop: block for one request, take the device, drain the
-/// rest of the channel into a pending set, and service the scheduler's
-/// pick — until node and handles are gone AND the set is empty.
+/// The worker loop: for each request in arrival order, take the device
+/// and service it — until node and handles are gone AND the channel is
+/// drained (`recv` keeps yielding queued requests after every sender is
+/// gone, so shutdown never abandons the backlog).
 fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
-    let mut sched = Scheduler::new(shared.config.policy);
-    let mut pending: Vec<Queued> = Vec::new();
-    loop {
-        if pending.is_empty() {
-            // recv() keeps yielding queued requests after every sender is
-            // gone, so shutdown naturally drains the backlog.
-            match queue_rx.recv() {
-                Ok(q) => pending.push(q),
-                Err(_) => return,
-            }
-        }
-        // Take the device before choosing: a caller running a transfer
-        // inline moves the head, and whatever queued up behind it
-        // belongs in this dispatch decision.
+    while let Ok(Queued { enqueued, req }) = queue_rx.recv() {
         let dev = shared.device.lock();
-        while let Ok(q) = queue_rx.try_recv() {
-            pending.push(q);
-        }
-        let keyed: Vec<(u32, u64)> = pending
-            .iter()
-            .map(|q| (q.cylinder(dev.head, shared.num_blocks), q.tag))
-            .collect();
-        let pick = sched.pick(&keyed, dev.head);
-        // invariant: guarded above — this path runs only with pending non-empty.
-        let idx = pick.expect("pending set is non-empty");
-        let Queued { enqueued, req, .. } = pending.swap_remove(idx);
         match req {
             Request::Read {
                 block,
@@ -487,33 +396,25 @@ fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
 
 /// Service one transfer on the device `dev` guards, then release it —
 /// the single routine behind the worker and the caller-runs path, so the
-/// deadline, the retry/backoff and panic policy ([`execute`]), the seek
-/// head and every [`IoNodeStats`] counter are kept in exactly one place.
+/// deadline, the retry/backoff and panic policy ([`execute`]) and every
+/// [`IoNodeStats`] counter are kept in exactly one place.
 /// `waiting_since` is when the request started waiting for the device —
 /// its submission, for a queued one; `None` if it never waited.
 fn service(
     shared: &Shared,
-    mut dev: MutexGuard<'_, Served>,
+    dev: MutexGuard<'_, DeviceRef>,
     waiting_since: Option<Instant>,
     op: Op<'_>,
 ) -> Result<()> {
     let started = Instant::now();
     let enqueued = waiting_since.unwrap_or(started);
     let deadline_at = shared.config.deadline.map(|d| enqueued + d);
-    let blocks = |len: usize| len / shared.block_size;
     let res = match op {
-        Op::Read { block, buf } => {
-            dev.head = end_cylinder(block, blocks(buf.len()), shared.num_blocks);
-            execute(shared, deadline_at, || dev.inner.read_blocks_at(block, buf))
-        }
+        Op::Read { block, buf } => execute(shared, deadline_at, || dev.read_blocks_at(block, buf)),
         Op::Write { block, data } => {
-            dev.head = end_cylinder(block, blocks(data.len()), shared.num_blocks);
-            execute(shared, deadline_at, || {
-                dev.inner.write_blocks_at(block, data)
-            })
+            execute(shared, deadline_at, || dev.write_blocks_at(block, data))
         }
-        // Flushes have no position; the head stays where it is.
-        Op::Flush => execute(shared, deadline_at, || dev.inner.flush()),
+        Op::Flush => execute(shared, deadline_at, || dev.flush()),
     };
     let service_nanos = started.elapsed().as_nanos() as u64;
     drop(dev);
@@ -577,11 +478,6 @@ fn execute<T>(
     }
 }
 
-/// Cylinder of the last block of a transfer — where the arm rests after.
-fn end_cylinder(block: u64, nblocks: usize, num_blocks: u64) -> u32 {
-    block_cylinder(block + (nblocks as u64).saturating_sub(1), num_blocks)
-}
-
 /// `sched_yield`s after a caller-runs transfer, in a process confined to
 /// one CPU. Elsewhere there are none.
 ///
@@ -621,7 +517,6 @@ impl IoNodeDevice {
         self.queue_tx
             .send(Queued {
                 enqueued: Instant::now(),
-                tag: self.shared.next_tag.fetch_add(1, Ordering::Relaxed), // ordering: tag needs uniqueness, not ordering
                 req,
             })
             .map_err(|_| {
@@ -638,7 +533,7 @@ impl IoNodeDevice {
     /// when; hand both to [`service`]. A call that finds the node busy
     /// gets `None` and must queue, which is what keeps a blocking call
     /// from overtaking a backlog.
-    fn claim_idle(&self) -> Option<(MutexGuard<'_, Served>, Option<Instant>)> {
+    fn claim_idle(&self) -> Option<(MutexGuard<'_, DeviceRef>, Option<Instant>)> {
         let gauge = &self.shared.in_flight;
         // ordering: routing decision only — RMWs read the latest count, and the device lock below orders the transfers themselves
         let idle = gauge.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);
@@ -971,13 +866,13 @@ mod tests {
     }
 
     #[test]
-    fn blocking_call_behind_a_backlog_is_queued_and_dispatched_by_policy() {
+    fn blocking_call_behind_a_backlog_is_served_in_arrival_order() {
         // Worker pinned at block 128 with [250, 10] submitted behind it:
-        // a blocking write to 140 must join that backlog (SSTF then
-        // serves it first, 250 next, 10 last) — not run ahead of it,
-        // which the probe would catch as an overlap with the gate.
+        // a blocking write to 140 must join the back of that backlog —
+        // not run ahead of it, which the probe would catch as an overlap
+        // with the gate — and everything is served as it arrived.
         let probe = Probe::new(Arc::new(MemDisk::new(256, 64)), 128);
-        let node = IoNode::spawn_with_policy(Arc::clone(&probe) as DeviceRef, SchedPolicy::Sstf);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
         let dev = node.device();
         let gate = dev.submit_write_blocks(128, vec![0u8; 64].into_boxed_slice());
         probe.wait_entered();
@@ -997,7 +892,7 @@ mod tests {
         for t in backlog {
             t.wait().unwrap();
         }
-        assert_eq!(*probe.order.lock().unwrap(), vec![128, 140, 250, 10]);
+        assert_eq!(*probe.order.lock().unwrap(), vec![128, 250, 10, 140]);
         let s = node.stats();
         assert_eq!((s.serviced, s.in_flight, s.max_in_flight), (4, 0, 4));
         assert_eq!(s.panics, 0, "an overlap would have panicked in the probe");
@@ -1076,7 +971,6 @@ mod tests {
                     backoff: Duration::from_millis(2),
                 },
                 deadline: Some(Duration::from_millis(1)),
-                ..NodeConfig::default()
             },
         );
         let mut buf = vec![0u8; 64];
@@ -1178,7 +1072,6 @@ mod tests {
         assert_eq!(s.serviced, 3);
         assert_eq!(s.in_flight, 0);
         assert!(dev.label().starts_with("ionode("));
-        assert_eq!(node.policy(), SchedPolicy::Fifo);
     }
 
     #[test]
@@ -1299,36 +1192,6 @@ mod tests {
         }
         assert_eq!(node.stats().serviced, 128);
         assert!(node.stats().max_in_flight >= 1);
-    }
-
-    #[test]
-    fn sstf_node_round_trips_under_load() {
-        // Correctness is order-independent: a seek-optimising node must
-        // still complete every submitted request exactly once.
-        let node = IoNode::spawn_with_policy(Arc::new(MemDisk::new(256, 64)), SchedPolicy::Sstf);
-        assert_eq!(node.policy(), SchedPolicy::Sstf);
-        let dev = node.device();
-        let blocks: Vec<u64> = (0..64u64).map(|i| (i * 97) % 256).collect();
-        let writes: Vec<Ticket<Box<[u8]>>> = blocks
-            .iter()
-            .map(|&b| dev.submit_write_blocks(b, vec![b as u8; 64].into_boxed_slice()))
-            .collect();
-        for t in writes {
-            t.wait().unwrap();
-        }
-        let reads: Vec<(u64, Ticket<Box<[u8]>>)> = blocks
-            .iter()
-            .map(|&b| {
-                (
-                    b,
-                    dev.submit_read_blocks(b, vec![0u8; 64].into_boxed_slice()),
-                )
-            })
-            .collect();
-        for (b, t) in reads {
-            assert!(t.wait().unwrap().iter().all(|&x| x == b as u8));
-        }
-        assert_eq!(node.stats().serviced, 128);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use geometry::DiskGeometry;
 pub use ionode::{IoNode, IoNodeStats, NodeConfig, RetryPolicy, Ticket};
 pub use mem::MemDisk;
 pub use modeled::ModeledDisk;
-pub use sched::{block_cylinder, SchedPolicy, Scheduler, CYLINDERS};
+pub use sched::{SchedPolicy, Scheduler};
 
 use std::sync::Arc;
 

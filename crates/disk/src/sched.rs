@@ -8,23 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Synthetic cylinder count used by [`block_cylinder`].
-pub const CYLINDERS: u32 = 1 << 20;
-
-/// Map a block address onto a synthetic cylinder, proportionally across
-/// the device's `num_blocks`-block surface.
-///
-/// Block devices expose a linear address space; seek-aware policies need
-/// a notion of arm position. Spreading addresses over a fixed
-/// [`CYLINDERS`]-cylinder surface makes "seek distance" proportional to
-/// block distance, independent of device size, and lets tests replay a
-/// worker's dispatch decisions exactly.
-pub fn block_cylinder(block: u64, num_blocks: u64) -> u32 {
-    let nb = num_blocks.max(1);
-    let b = block.min(nb - 1) as u128;
-    (b * u128::from(CYLINDERS - 1) / u128::from(nb.max(2) - 1)) as u32
-}
-
 /// Queue service order policy.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum SchedPolicy {
@@ -124,20 +107,6 @@ mod tests {
 
     fn q(cyls: &[u32]) -> Vec<(u32, u64)> {
         cyls.iter().copied().zip(0u64..).collect()
-    }
-
-    #[test]
-    fn block_cylinder_spans_the_surface() {
-        assert_eq!(block_cylinder(0, 1024), 0);
-        assert_eq!(block_cylinder(1023, 1024), CYLINDERS - 1);
-        // Proportional and monotone in between.
-        let mid = block_cylinder(512, 1024);
-        assert!(mid > CYLINDERS / 3 && mid < 2 * CYLINDERS / 3);
-        assert!(block_cylinder(100, 1024) < block_cylinder(200, 1024));
-        // Degenerate and out-of-range inputs stay in range.
-        assert_eq!(block_cylinder(0, 1), 0);
-        assert_eq!(block_cylinder(5, 1), 0);
-        assert_eq!(block_cylinder(99, 4), CYLINDERS - 1);
     }
 
     #[test]

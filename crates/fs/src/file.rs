@@ -984,8 +984,8 @@ impl RawFile {
     /// Submit the write of a run of `slot` from row `dblock` (`data` is
     /// the run's gathered bytes, a staging buffer), one ticket per extent
     /// segment. On cached volumes each segment goes through the tier:
-    /// write-back absorbs it into dirty frames (spilling overflow to
-    /// scratch), write-through submits the vectored device write and
+    /// write-back absorbs it into dirty frames (writing evicted ones
+    /// home), write-through submits the vectored device write and
     /// completes it at wait.
     fn submit_write_run(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
         let Some(c) = self.vol.cache() else {

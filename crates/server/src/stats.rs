@@ -197,7 +197,7 @@ pub struct ServerStats {
     /// (Healthy → Suspect → Failed → Rebuilding → Healthy).
     pub health: Vec<DeviceHealth>,
     /// Volume cache tier counters (hits, misses, coalesced submits,
-    /// spills), when the volume has a [`VolumeCacheStats`] tier enabled;
+    /// invalidations), when the volume has a [`VolumeCacheStats`] tier enabled;
     /// `None` on an uncached volume.
     pub cache: Option<VolumeCacheStats>,
 }

@@ -36,7 +36,6 @@ const RANKED_LOCKS: &[(&str, &str, u8)] = &[
     ("replies.lock(", "net.replies", 5),
     ("wire.lock(", "net.send", 7),
     ("held.lock(", "server.range_lock", 30),
-    ("free.lock(", "buffer.pool", 40),
     ("alloc.lock(", "fs.alloc", 50),
     ("rmw_lock.lock(", "fs.rmw", 60),
     ("stripe_lock.lock(", "fs.stripe", 70),

@@ -12,8 +12,8 @@
 //!   / shadowed data placement.
 //! * [`disk`] — the storage substrate: real in-memory and file-backed block
 //!   devices plus a parameterised rotating-disk timing model.
-//! * [`buffer`] — buffer pools, block caches, multiple buffering,
-//!   read-ahead and write-behind.
+//! * [`buffer`] — the volume-wide block cache: write-through or
+//!   write-back, with miss and write-back coalescing.
 //! * [`sim`] — the deterministic discrete-event engine timing experiments
 //!   run on.
 //! * [`server`] — the concurrent multi-client service layer: sessions,
