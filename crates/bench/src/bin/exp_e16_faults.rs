@@ -16,7 +16,7 @@ use pario_bench::measure::{Report, RUNS};
 use pario_bench::rig::{inject, mirrored, Rig};
 use pario_disk::FaultPlan;
 use pario_fs::{FileSpec, HealthState};
-use pario_reliability::{rebuild_device_online, RebuildThrottle};
+use pario_reliability::{rebuild_device, RebuildThrottle};
 
 const BS: usize = 256;
 const RECORDS: u64 = 256;
@@ -122,7 +122,7 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
             burst_blocks: 8,
             pause: Duration::from_millis(2),
         };
-        let rebuilt = rebuild_device_online(&v, FAULT_DEV, throttle).unwrap();
+        let rebuilt = rebuild_device(&v, FAULT_DEV, throttle).unwrap();
         out.push(("rebuild_secs", rb0.elapsed().as_secs_f64()));
         assert_eq!(v.device_health(FAULT_DEV), HealthState::Healthy);
         let resynced: u64 = rebuilt.shadow_resynced.iter().map(|(_, n)| n).sum();

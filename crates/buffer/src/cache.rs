@@ -1,23 +1,12 @@
-//! Shared cache policy and statistics types.
+//! Shared cache statistics.
 //!
 //! The paper (§4): "For direct access methods, buffer caching techniques
 //! would be helpful when there is some locality of reference, as in the PDA
 //! organization." The caching itself lives in the volume-wide
-//! [`VolumeCache`] tier; this module holds the policy knob and the
-//! traffic counters it reports, so experiments can connect locality to
-//! observed traffic.
+//! [`VolumeCache`] tier; this module holds the traffic counters it
+//! reports, so experiments can connect locality to observed traffic.
 //!
 //! [`VolumeCache`]: crate::VolumeCache
-
-/// When dirty data reaches the device.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum WritePolicy {
-    /// Every write goes straight to the device (cache holds a clean copy).
-    WriteThrough,
-    /// Writes dirty the cached frame; the device is updated on eviction or
-    /// [`VolumeCache::flush`](crate::VolumeCache::flush).
-    WriteBack,
-}
 
 /// Cache traffic counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]

@@ -6,10 +6,11 @@
 //!
 //! * [`VolumeCache`] — the volume-wide shared block cache tier in front
 //!   of the executor bank: CLOCK eviction over a fixed frame budget,
-//!   read-through miss coalescing and write-behind run coalescing.
-//! * [`CacheStats`] / [`WritePolicy`] — the cache traffic counters and
-//!   the write-through/write-back policy knob [`VolumeCache`] reports
-//!   and takes.
+//!   read-through miss coalescing, and deferred writes (§4) that go
+//!   home as coalesced runs at eviction or flush. Write-back is its
+//!   only policy.
+//! * [`CacheStats`] — the cache traffic counters [`VolumeCache`]
+//!   reports.
 //!
 //! Reading ahead and deferred writing for a *sequential* stream — the
 //! other half of §4's buffering — live with the stream itself, in
@@ -24,7 +25,7 @@
 //! // Write-back: two adjacent blocks are absorbed, then go home as one run.
 //! let devices = mem_array(1, 16, 512);
 //! let cache = VolumeCache::new(devices.clone(), VolumeCacheConfig::write_back(4));
-//! cache.write_blocks(0, 3, &[7u8; 1024]).unwrap();
+//! cache.submit_write(0, 3, &[7u8; 1024]).unwrap();
 //! let mut media = [0u8; 512];
 //! devices[0].read_block(4, &mut media).unwrap();
 //! assert_eq!(media[0], 0, "nothing on the device before a flush");
@@ -39,7 +40,5 @@
 mod cache;
 mod volume_cache;
 
-pub use cache::{CacheStats, WritePolicy};
-pub use volume_cache::{
-    CacheReadTicket, CacheWriteTicket, VolumeCache, VolumeCacheConfig, VolumeCacheStats,
-};
+pub use cache::CacheStats;
+pub use volume_cache::{CacheReadTicket, VolumeCache, VolumeCacheConfig, VolumeCacheStats};

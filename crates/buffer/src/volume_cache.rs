@@ -12,10 +12,11 @@
 //!   become one vectored `submit_read_blocks` ticket per device, and
 //!   tickets across devices are all in flight before any is waited on
 //!   ([`VolumeCache::submit_read`] / [`CacheReadTicket::wait`]).
-//! * **Write-behind coalescing**: under [`WritePolicy::WriteBack`],
-//!   dirty neighbors are merged into contiguous runs before executor
-//!   submit, both at eviction and at [`VolumeCache::flush`]. A producer
-//!   that outruns its devices waits out the eviction's write-back.
+//! * **Write-behind coalescing**: a write dirties frames — the paper's
+//!   deferred write — and dirty neighbors are merged into contiguous
+//!   runs before executor submit, both at eviction and at
+//!   [`VolumeCache::flush`]. A producer that outruns its devices waits
+//!   out the eviction's write-back.
 //! * **Invalidation** hooks ([`VolumeCache::invalidate_range`],
 //!   [`VolumeCache::drop_device`]) let lock release points and device
 //!   health transitions keep cached state coherent with the media.
@@ -41,11 +42,10 @@
 //! invalidation precedes a raw media write that a late write-back would
 //! clobber).
 //!
-//! Error semantics are chosen so the cache never *masks* media state:
-//! a failed write-through invalidates every frame the write covered
-//! (a torn write leaves the media holding a prefix — subsequent reads
-//! must see exactly that), and a failed read-fill simply skips frame
-//! installation.
+//! Error semantics are chosen so the cache never loses or invents
+//! data: a failed write-back leaves its frames dirty — a torn run is
+//! written whole again by the next flush or eviction — and a failed
+//! read-fill simply skips frame installation.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, DerefMut};
@@ -53,34 +53,18 @@ use std::ops::{Deref, DerefMut};
 use pario_check::{Condvar, LockLevel, Mutex, MutexGuard};
 use pario_disk::{DeviceRef, Result, Ticket};
 
-use crate::cache::{CacheStats, WritePolicy};
+use crate::cache::CacheStats;
 
 /// Shape of a [`VolumeCache`].
 pub struct VolumeCacheConfig {
     /// Frame budget: block-sized buffers allocated at construction.
     pub frames: usize,
-    /// When dirty data reaches the home devices. `WriteThrough`
-    /// preserves the uncached path's durability and fault visibility
-    /// exactly; `WriteBack` absorbs writes and coalesces them on
-    /// eviction/flush.
-    pub policy: WritePolicy,
 }
 
 impl VolumeCacheConfig {
-    /// A write-through cache of `frames` frames.
-    pub fn write_through(frames: usize) -> VolumeCacheConfig {
-        VolumeCacheConfig {
-            frames,
-            policy: WritePolicy::WriteThrough,
-        }
-    }
-
     /// A write-back cache of `frames` frames.
     pub fn write_back(frames: usize) -> VolumeCacheConfig {
-        VolumeCacheConfig {
-            frames,
-            policy: WritePolicy::WriteBack,
-        }
+        VolumeCacheConfig { frames }
     }
 }
 
@@ -270,7 +254,6 @@ impl Table<'_> {
 /// A volume-wide shared block cache in front of the executor bank.
 pub struct VolumeCache {
     devices: Vec<DeviceRef>,
-    policy: WritePolicy,
     block_size: usize,
     frames: Mutex<CacheState>,
     /// Signalled whenever a `writing` mark clears.
@@ -290,17 +273,6 @@ pub struct CacheReadTicket {
     since: u64,
     pending: Vec<PendingRun>,
     out: Box<[u8]>,
-}
-
-/// An in-flight cached write (write-through submits one vectored device
-/// write; write-back completes at submit time).
-#[must_use = "a cached write completes only when waited"]
-pub struct CacheWriteTicket {
-    dev: usize,
-    block: u64,
-    count: u64,
-    /// The device write and the table clock at its submit.
-    pending: Option<(u64, Ticket<Box<[u8]>>)>,
 }
 
 /// One vectored home write of a write-back: contiguous blocks of one
@@ -337,7 +309,6 @@ impl VolumeCache {
             .collect();
         VolumeCache {
             devices,
-            policy: cfg.policy,
             block_size: bs,
             frames: Mutex::new_named(
                 CacheState {
@@ -360,11 +331,6 @@ impl VolumeCache {
     /// Block size of the underlying devices.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// The write policy the cache runs.
-    pub fn policy(&self) -> WritePolicy {
-        self.policy
     }
 
     /// Frame budget (total frames).
@@ -665,17 +631,14 @@ impl VolumeCache {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Start a cached write of whole blocks. Write-back absorbs the data
-    /// into dirty frames (writing back victims) and is
-    /// complete when this returns; write-through updates resident frames
-    /// and submits one vectored device write whose outcome
-    /// [`CacheWriteTicket::wait`] reports — on error every covered frame
-    /// is invalidated, so reads see exactly what the media holds (a torn
-    /// write is never masked by the cache).
-    pub fn submit_write(&self, dev: usize, block: u64, data: &[u8]) -> Result<CacheWriteTicket> {
+    /// Write whole blocks through the cache: the data is absorbed into
+    /// dirty frames, and the write is complete when this returns. The
+    /// device sees it at eviction or flush. Claiming a frame may write
+    /// a dirty victim home first; that write-back's error is returned,
+    /// with the blocks before the failing one absorbed.
+    pub fn submit_write(&self, dev: usize, block: u64, data: &[u8]) -> Result<()> {
         let bs = self.block_size;
         debug_assert_eq!(data.len() % bs, 0);
-        let write_back = self.policy == WritePolicy::WriteBack;
         let mut st = self.table();
         for (j, chunk) in data.chunks(bs).enumerate() {
             let key = (dev, block + j as u64);
@@ -684,72 +647,21 @@ impl VolumeCache {
                 if let Some(&idx) = st.map.get(&key) {
                     st.bufs[idx].copy_from_slice(chunk);
                     st.slots[idx].referenced = true;
-                    st.slots[idx].dirty |= write_back;
+                    st.slots[idx].dirty = true;
                     st.touch(idx);
                     break;
                 }
-                // Write-through deliberately never inserts on a miss
-                // (large streaming writes must not flush the whole
-                // cache), and holds no dirty state ever.
-                if !write_back || self.install(&mut st, key, chunk, None)? {
+                if self.install(&mut st, key, chunk, None)? {
                     break;
                 }
             }
         }
-        let stamp = st.clock;
-        drop(st);
-        let pending = (!write_back).then(|| {
-            let data = data.to_vec().into_boxed_slice();
-            (stamp, self.devices[dev].submit_write_blocks(block, data))
-        });
-        Ok(CacheWriteTicket {
-            dev,
-            block,
-            count: (data.len() / bs) as u64,
-            pending,
-        })
-    }
-
-    /// Write blocks synchronously through the cache.
-    pub fn write_blocks(&self, dev: usize, block: u64, data: &[u8]) -> Result<()> {
-        self.submit_write(dev, block, data)?.wait(self)
-    }
-
-    /// Write one block synchronously through the cache.
-    pub fn write_block(&self, dev: usize, block: u64, data: &[u8]) -> Result<()> {
-        self.write_blocks(dev, block, data)
-    }
-
-    /// Close the write-through of `[block, block + count)` submitted at
-    /// table clock `stamp`. A failed write invalidates every covered
-    /// frame: the media's (possibly torn) contents are what subsequent
-    /// reads must see. A successful one drops what raced it while the
-    /// table was unlocked: a fetch still in flight may have read the
-    /// old media bytes, and a frame changed or filled since `stamp` —
-    /// by a writer whose device write may have landed first, or from a
-    /// fetch that did — may not match the media.
-    fn settle_write_through(
-        &self,
-        dev: usize,
-        block: u64,
-        count: u64,
-        stamp: u64,
-        outcome: Result<()>,
-    ) -> Result<()> {
-        if outcome.is_err() {
-            self.invalidate_range(dev, block, count);
-            return outcome;
-        }
-        let mut st = self.table();
-        for key in (block..block + count).map(|b| (dev, b)) {
-            st.mark_stale_if_inflight(key);
-            // Write-through frames are never dirty, so never `writing`.
-            let changed = st.map.get(&key).map(|&idx| st.slots[idx].version);
-            if changed.is_some_and(|v| v > stamp) {
-                st.unmap(key);
-            }
-        }
         Ok(())
+    }
+
+    /// Write one block through the cache.
+    pub fn write_block(&self, dev: usize, block: u64, data: &[u8]) -> Result<()> {
+        self.submit_write(dev, block, data)
     }
 
     // ------------------------------------------------------------------
@@ -760,11 +672,6 @@ impl VolumeCache {
     /// vectored runs.
     pub fn flush(&self) -> Result<()> {
         self.write_back(&mut self.table(), &[((0, 0), (usize::MAX, u64::MAX))])
-    }
-
-    /// Flush only device `dev`'s dirty state.
-    pub fn flush_device(&self, dev: usize) -> Result<()> {
-        self.write_back(&mut self.table(), &[device_keys(dev)])
     }
 
     /// Flush dirty state covering `[block, block + count)` of device
@@ -889,18 +796,6 @@ impl CacheReadTicket {
     }
 }
 
-impl CacheWriteTicket {
-    /// Complete the write (see [`VolumeCache::submit_write`] for what a
-    /// failed write-through does to the covered frames).
-    pub fn wait(self, cache: &VolumeCache) -> Result<()> {
-        let Some((stamp, t)) = self.pending else {
-            return Ok(());
-        };
-        let outcome = t.wait().map(|_| ());
-        cache.settle_write_through(self.dev, self.block, self.count, stamp, outcome)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,15 +808,15 @@ mod tests {
         mem_array(n, 64, BS)
     }
 
-    fn cache(frames: usize, policy: WritePolicy) -> (VolumeCache, Vec<DeviceRef>) {
+    fn cache(frames: usize) -> (VolumeCache, Vec<DeviceRef>) {
         let d = devs(2);
-        let cfg = VolumeCacheConfig { frames, policy };
-        (VolumeCache::new(d.clone(), cfg), d)
+        let c = VolumeCache::new(d.clone(), VolumeCacheConfig::write_back(frames));
+        (c, d)
     }
 
     #[test]
     fn read_through_caches_and_hits() {
-        let (c, d) = cache(8, WritePolicy::WriteThrough);
+        let (c, d) = cache(8);
         d[0].write_block(3, &[7u8; BS]).unwrap();
         let before = d[0].counters().reads;
         let mut buf = [0u8; BS];
@@ -935,7 +830,7 @@ mod tests {
 
     #[test]
     fn adjacent_misses_coalesce_into_one_request() {
-        let (c, d) = cache(16, WritePolicy::WriteThrough);
+        let (c, d) = cache(16);
         for b in 0..8u64 {
             d[0].write_block(b, &[b as u8; BS]).unwrap();
         }
@@ -953,7 +848,7 @@ mod tests {
 
     #[test]
     fn misses_between_hits_split_into_runs() {
-        let (c, d) = cache(16, WritePolicy::WriteThrough);
+        let (c, d) = cache(16);
         let mut buf = [0u8; BS];
         c.read_block(0, 3, &mut buf).unwrap(); // make block 3 a hit
         let before = d[0].counters().reads;
@@ -968,7 +863,7 @@ mod tests {
 
     #[test]
     fn write_back_defers_and_flush_coalesces() {
-        let (c, d) = cache(8, WritePolicy::WriteBack);
+        let (c, d) = cache(8);
         for b in 0..4u64 {
             c.write_block(0, b, &[b as u8 + 1; BS]).unwrap();
         }
@@ -1008,39 +903,8 @@ mod tests {
     }
 
     #[test]
-    fn write_through_error_invalidates_frames() {
-        use pario_disk::{FaultDevice, FaultPlan};
-        let inner: DeviceRef = Arc::new(pario_disk::MemDisk::new(64, BS));
-        let (handle, dev) = FaultDevice::wrap(
-            Arc::clone(&inner),
-            FaultPlan {
-                torn_write_rate: 1.0,
-                ..FaultPlan::default()
-            },
-        );
-        let c = VolumeCache::new(vec![Arc::clone(&dev)], VolumeCacheConfig::write_through(8));
-        // Warm both blocks so frames exist.
-        let mut buf = [0u8; BS];
-        c.read_block(0, 0, &mut buf).unwrap();
-        c.read_block(0, 1, &mut buf).unwrap();
-        assert_eq!(c.len(), 2);
-        // A torn 2-block write errors; the cache must not keep the
-        // intended bytes around.
-        assert!(c.write_blocks(0, 0, &[5u8; 2 * BS]).is_err());
-        assert_eq!(handle.counts().torn_writes, 1);
-        // Reads now reflect media exactly: block 0 landed, block 1 did not.
-        c.read_block(0, 0, &mut buf).unwrap();
-        assert_eq!(buf[0], 5, "prefix landed");
-        c.read_block(0, 1, &mut buf).unwrap();
-        assert_eq!(buf[0], 0, "torn tail never landed");
-        let mut media = [0u8; BS];
-        inner.read_block(1, &mut media).unwrap();
-        assert_eq!(buf, media, "cache agrees with media");
-    }
-
-    #[test]
     fn invalidate_range_and_drop_device() {
-        let (c, _d) = cache(8, WritePolicy::WriteBack);
+        let (c, _d) = cache(8);
         c.write_block(0, 0, &[1u8; BS]).unwrap();
         c.write_block(0, 1, &[2u8; BS]).unwrap();
         c.write_block(1, 0, &[3u8; BS]).unwrap();
@@ -1056,7 +920,7 @@ mod tests {
 
     #[test]
     fn frame_budget_bounds_the_resident_frames() {
-        let (c, _d) = cache(6, WritePolicy::WriteThrough);
+        let (c, _d) = cache(6);
         assert_eq!(c.frame_budget(), 6);
         let mut buf = [0u8; BS];
         for b in 0..10u64 {
@@ -1071,7 +935,7 @@ mod tests {
         // submitted, the block is mutated before the ticket is waited,
         // and the late install must be skipped — a hit afterwards has
         // to serve the *new* bytes, never the fetched old ones.
-        let (c, d) = cache(8, WritePolicy::WriteThrough);
+        let (c, d) = cache(8);
         d[0].write_block(0, &[1u8; BS]).unwrap();
         let t = c.submit_read(0, 0, 1);
         c.write_block(0, 0, &[2u8; BS]).unwrap();
@@ -1095,14 +959,16 @@ mod tests {
 
     #[test]
     fn a_poison_spares_the_fetches_registered_after_it() {
-        // Two fetches of one block overlap; a write lands between their
-        // registrations. It poisons the first only: were the mark to
-        // stand until the key had no fetch left in flight, overlapping
-        // fetchers would keep it standing for one another forever.
-        let (c, d) = cache(8, WritePolicy::WriteThrough);
+        // Two fetches of one block overlap; a raw media write and its
+        // invalidation land between their registrations. The poison
+        // hits the first only: were the mark to stand until the key had
+        // no fetch left in flight, overlapping fetchers would keep it
+        // standing for one another forever.
+        let (c, d) = cache(8);
         d[0].write_block(0, &[1u8; BS]).unwrap();
         let early = c.submit_read(0, 0, 1);
-        c.write_block(0, 0, &[2u8; BS]).unwrap();
+        d[0].write_block(0, &[2u8; BS]).unwrap();
+        c.invalidate_range(0, 0, 1);
         let late = c.submit_read(0, 0, 1);
         assert_eq!(late.wait(&c).unwrap()[0], 2);
         assert_eq!(c.len(), 1, "the later fetch is fresh and fills the frame");
@@ -1119,7 +985,7 @@ mod tests {
     #[test]
     fn clock_eviction_keeps_recently_referenced_frames() {
         let d = devs(1);
-        let c = VolumeCache::new(d, VolumeCacheConfig::write_through(2));
+        let c = VolumeCache::new(d, VolumeCacheConfig::write_back(2));
         let mut buf = [0u8; BS];
         c.read_block(0, 1, &mut buf).unwrap();
         c.read_block(0, 2, &mut buf).unwrap();
@@ -1454,46 +1320,40 @@ mod tests {
 
     #[test]
     fn no_device_call_is_made_under_the_table_lock() {
-        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
-            let slot = Arc::new(OnceLock::new());
-            let cfg = VolumeCacheConfig { frames: 4, policy };
-            let c = Arc::new(VolumeCache::new(vec![probe(&slot), probe(&slot)], cfg));
-            slot.set(Arc::downgrade(&c)).ok().unwrap();
-            let (tx, done) = mpsc::channel();
-            for t in 0..4u64 {
-                let (c, tx) = (Arc::clone(&c), tx.clone());
-                std::thread::spawn(move || {
-                    let mut buf = vec![0u8; 3 * BS];
-                    let mut x = t * 0x9E37_79B9 + 1;
-                    for _ in 0..400 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let (dev, b) = ((x >> 8) as usize % 2, (x >> 16) % 12);
-                        match x % 7 {
-                            0 => c.read_block(dev, b, &mut buf[..BS]).unwrap(),
-                            1 => c.read_blocks(dev, b, &mut buf).unwrap(),
-                            2 => c.write_block(dev, b, &[x as u8; BS]).unwrap(),
-                            3 => c.write_blocks(dev, b, &[x as u8; 2 * BS]).unwrap(),
-                            4 => c.flush_range(dev, b, 3).unwrap(),
-                            5 => c.invalidate_range(dev, b, 2),
-                            _ => c.flush().unwrap(),
-                        }
+        let slot = Arc::new(OnceLock::new());
+        let cfg = VolumeCacheConfig::write_back(4);
+        let c = Arc::new(VolumeCache::new(vec![probe(&slot), probe(&slot)], cfg));
+        slot.set(Arc::downgrade(&c)).ok().unwrap();
+        let (tx, done) = mpsc::channel();
+        for t in 0..4u64 {
+            let (c, tx) = (Arc::clone(&c), tx.clone());
+            std::thread::spawn(move || {
+                let mut buf = vec![0u8; 3 * BS];
+                let mut x = t * 0x9E37_79B9 + 1;
+                for _ in 0..400 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let (dev, b) = ((x >> 8) as usize % 2, (x >> 16) % 12);
+                    match x % 7 {
+                        0 => c.read_block(dev, b, &mut buf[..BS]).unwrap(),
+                        1 => c.read_blocks(dev, b, &mut buf).unwrap(),
+                        2 => c.write_block(dev, b, &[x as u8; BS]).unwrap(),
+                        3 => c.submit_write(dev, b, &[x as u8; 2 * BS]).unwrap(),
+                        4 => c.flush_range(dev, b, 3).unwrap(),
+                        5 => c.invalidate_range(dev, b, 2),
+                        _ => c.flush().unwrap(),
                     }
-                    let _ = tx.send(());
-                });
-            }
-            for _ in 0..4 {
-                done.recv_timeout(Duration::from_secs(60))
-                    .unwrap_or_else(|_| {
-                        panic!("a transfer was made with the table locked ({policy:?})")
-                    });
-            }
-            c.flush().unwrap();
-            c.drop_device(0);
-            if policy == WritePolicy::WriteBack {
-                assert!(c.stats().base.writebacks > 0, "the write-back path ran");
-            }
+                }
+                let _ = tx.send(());
+            });
         }
+        for _ in 0..4 {
+            done.recv_timeout(Duration::from_secs(60))
+                .expect("a transfer was made with the table locked");
+        }
+        c.flush().unwrap();
+        c.drop_device(0);
+        assert!(c.stats().base.writebacks > 0, "the write-back path ran");
     }
 }

@@ -18,7 +18,7 @@ fn cache_reads_over_an_io_node() {
         dev.write_block(b, &vec![b as u8 + 1; BS]).unwrap();
     }
     // Read back through the volume-wide cache tier layered on the node.
-    let cache = VolumeCache::new(vec![node.device()], VolumeCacheConfig::write_through(16));
+    let cache = VolumeCache::new(vec![node.device()], VolumeCacheConfig::write_back(16));
     let mut got = vec![0u8; BS];
     for b in 0..16u64 {
         cache.read_block(0, b, &mut got).unwrap();

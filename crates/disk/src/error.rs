@@ -35,8 +35,8 @@ pub enum DiskError {
         /// Human-readable device identity.
         device: String,
     },
-    /// The request missed its deadline (queue wait plus retries exceeded
-    /// the executor's per-ticket budget). Retryable by the caller.
+    /// The device gave up on the request in time (the executor sets no
+    /// deadline of its own). Retryable; wire tag 5.
     Timeout {
         /// Human-readable device identity.
         device: String,

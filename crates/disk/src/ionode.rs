@@ -206,11 +206,9 @@ struct Shared {
     queue_wait_nanos: AtomicU64,
     service_nanos: AtomicU64,
     retries: AtomicU64,
-    timeouts: AtomicU64,
     panics: AtomicU64,
     block_size: usize,
     num_blocks: u64,
-    config: NodeConfig,
     label: String,
 }
 
@@ -223,46 +221,20 @@ impl Shared {
             queue_wait_nanos: self.queue_wait_nanos.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
             service_nanos: self.service_nanos.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
             retries: self.retries.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
-            timeouts: self.timeouts.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
+            timeouts: 0,
             panics: self.panics.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
         }
     }
 }
 
-/// Bounded retry for transient device faults.
-///
-/// A fault classified retryable by [`DiskError::is_transient`] is
-/// retried in place by the worker, with exponential backoff, before the
-/// error reaches the ticket — the layers above only ever see transients
-/// that survived the whole budget.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries per request after the initial attempt (0 disables).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub backoff: std::time::Duration,
-}
+/// Retries of a transient fault after the first attempt. A fault that
+/// [`DiskError::is_transient`] calls retryable is retried in place, with
+/// exponential backoff, before the error reaches the caller: the layers
+/// above only ever see transients that survived the whole budget.
+const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: std::time::Duration::from_micros(20),
-        }
-    }
-}
-
-/// Full executor configuration for one I/O node.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeConfig {
-    /// Transient-fault retry budget.
-    pub retry: RetryPolicy,
-    /// Per-ticket deadline measured from submission: a request that is
-    /// still unserved (or still retrying) past this budget fails with
-    /// [`DiskError::Timeout`] instead of occupying the device. `None`
-    /// means requests wait forever.
-    pub deadline: Option<std::time::Duration>,
-}
+/// Backoff before the first retry; it doubles on each further one.
+const RETRY_BACKOFF: Duration = Duration::from_micros(20);
 
 /// A dedicated I/O processor serving one device.
 ///
@@ -288,11 +260,12 @@ pub struct IoNodeStats {
     pub queue_wait_nanos: u64,
     /// Cumulative nanoseconds the worker spent inside device transfers.
     pub service_nanos: u64,
-    /// Transient faults retried in place by the worker
-    /// (see [`RetryPolicy`]).
+    /// Transient faults retried in place, with backoff, before the
+    /// error would reach the caller.
     pub retries: u64,
-    /// Requests expired by the per-ticket deadline
-    /// (see [`NodeConfig::deadline`]).
+    /// Always 0: the executor sets no deadline on a request. A device
+    /// may still answer [`DiskError::Timeout`] itself; that error
+    /// reaches the caller and is not counted here.
     pub timeouts: u64,
     /// Device operations that panicked; each failed only its own ticket.
     pub panics: u64,
@@ -314,15 +287,8 @@ impl IoNodeStats {
 }
 
 impl IoNode {
-    /// Spawn an I/O processor thread owning `inner`, with the default
-    /// transient-retry budget and no deadline.
+    /// Spawn an I/O processor thread owning `inner`.
     pub fn spawn(inner: DeviceRef) -> IoNode {
-        IoNode::spawn_with_config(inner, NodeConfig::default())
-    }
-
-    /// Spawn an I/O processor with full control over retry budget and
-    /// per-ticket deadline.
-    pub fn spawn_with_config(inner: DeviceRef, config: NodeConfig) -> IoNode {
         let (queue_tx, queue_rx): (Sender<Queued>, Receiver<Queued>) = unbounded();
         let shared = Arc::new(Shared {
             block_size: inner.block_size(),
@@ -335,9 +301,7 @@ impl IoNode {
             queue_wait_nanos: AtomicU64::new(0),
             service_nanos: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            config,
         });
         let worker_shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -396,7 +360,7 @@ fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
 
 /// Service one transfer on the device `dev` guards, then release it —
 /// the single routine behind the worker and the caller-runs path, so the
-/// deadline, the retry/backoff and panic policy ([`execute`]) and every
+/// retry/backoff and panic policy ([`execute`]) and every
 /// [`IoNodeStats`] counter are kept in exactly one place.
 /// `waiting_since` is when the request started waiting for the device —
 /// its submission, for a queued one; `None` if it never waited.
@@ -408,13 +372,10 @@ fn service(
 ) -> Result<()> {
     let started = Instant::now();
     let enqueued = waiting_since.unwrap_or(started);
-    let deadline_at = shared.config.deadline.map(|d| enqueued + d);
     let res = match op {
-        Op::Read { block, buf } => execute(shared, deadline_at, || dev.read_blocks_at(block, buf)),
-        Op::Write { block, data } => {
-            execute(shared, deadline_at, || dev.write_blocks_at(block, data))
-        }
-        Op::Flush => execute(shared, deadline_at, || dev.flush()),
+        Op::Read { block, buf } => execute(shared, || dev.read_blocks_at(block, buf)),
+        Op::Write { block, data } => execute(shared, || dev.write_blocks_at(block, data)),
+        Op::Flush => execute(shared, || dev.flush()),
     };
     let service_nanos = started.elapsed().as_nanos() as u64;
     drop(dev);
@@ -433,37 +394,17 @@ fn service(
 }
 
 /// Run one device operation under the node's fault policy: transient
-/// errors are retried with exponential backoff up to the
-/// [`RetryPolicy`] budget, the per-ticket deadline converts an expired
-/// request into [`DiskError::Timeout`] *before* it occupies the device,
-/// and a panicking device op fails only its own request — it is
+/// errors are retried with exponential backoff up to [`MAX_RETRIES`]
+/// times, and a panicking device op fails only its own request — it is
 /// reported as an I/O error and the node keeps serving.
-fn execute<T>(
-    shared: &Shared,
-    deadline_at: Option<Instant>,
-    mut op: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    let config = &shared.config;
-    let expired = |at: Option<Instant>| at.is_some_and(|d| Instant::now() >= d);
-    let timeout = || {
-        shared.timeouts.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        DiskError::Timeout {
-            device: shared.label.clone(),
-        }
-    };
-    if expired(deadline_at) {
-        return Err(timeout());
-    }
+fn execute<T>(shared: &Shared, mut op: impl FnMut() -> Result<T>) -> Result<T> {
     let mut attempt: u32 = 0;
     loop {
         match catch_unwind(AssertUnwindSafe(&mut op)) {
             Ok(Ok(v)) => return Ok(v),
-            Ok(Err(e)) if e.is_transient() && attempt < config.retry.max_retries => {
-                if expired(deadline_at) {
-                    return Err(timeout());
-                }
+            Ok(Err(e)) if e.is_transient() && attempt < MAX_RETRIES => {
                 shared.retries.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-                std::thread::sleep(config.retry.backoff * (1u32 << attempt.min(16)));
+                std::thread::sleep(RETRY_BACKOFF * (1u32 << attempt));
                 attempt += 1;
             }
             Ok(Err(e)) => return Err(e),
@@ -545,7 +486,7 @@ impl IoNodeDevice {
         }
         // A submission slipped in after the claim and the worker got to
         // the device first: this transfer runs second, and its wait
-        // counts against the deadline like any queued request's.
+        // counts as queue wait like any queued request's.
         let since = Instant::now();
         Some((self.shared.device.lock(), Some(since)))
     }
@@ -840,11 +781,10 @@ mod tests {
 
     /// Pin `node`'s worker inside a gate request on `probe`, issue `call`
     /// — one blocking call, which therefore has to queue — from a second
-    /// thread, and release the gate `hold` after the call is in the queue.
+    /// thread, and release the gate once the call is in the queue.
     fn queued_behind_gate<T: Send>(
         probe: &Probe,
         node: &IoNode,
-        hold: std::time::Duration,
         call: impl FnOnce(&DeviceRef) -> T + Send,
     ) -> T {
         let dev = node.device();
@@ -857,7 +797,6 @@ mod tests {
             while node.stats().in_flight < before + 2 {
                 std::thread::yield_now();
             }
-            std::thread::sleep(hold);
             probe.release();
             blocked.join().unwrap()
         });
@@ -953,34 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_transfer_honours_the_deadline_between_retries() {
-        use crate::fault::{FaultDevice, FaultPlan};
-        use std::time::Duration;
-        let (_, faulty) = FaultDevice::wrap(
-            Arc::new(MemDisk::new(8, 64)) as DeviceRef,
-            FaultPlan {
-                transient_rate: 1.0,
-                ..FaultPlan::default()
-            },
-        );
-        let node = IoNode::spawn_with_config(
-            faulty,
-            NodeConfig {
-                retry: RetryPolicy {
-                    max_retries: 8,
-                    backoff: Duration::from_millis(2),
-                },
-                deadline: Some(Duration::from_millis(1)),
-            },
-        );
-        let mut buf = vec![0u8; 64];
-        let err = node.device().read_block(0, &mut buf).unwrap_err();
-        assert!(matches!(err, DiskError::Timeout { .. }), "got {err}");
-        let s = node.stats();
-        assert_eq!((s.timeouts, s.retries, s.queue_wait_nanos), (1, 1, 0));
-    }
-
-    #[test]
     fn queued_blocking_call_is_retried_by_the_worker() {
         use crate::fault::{FaultDevice, FaultPlan};
         let (_, faulty) = FaultDevice::wrap(
@@ -991,24 +902,16 @@ mod tests {
             },
         );
         let probe = Probe::new(faulty, 7);
-        let node = IoNode::spawn_with_config(
-            Arc::clone(&probe) as DeviceRef,
-            NodeConfig {
-                retry: RetryPolicy {
-                    max_retries: 2,
-                    backoff: std::time::Duration::from_micros(1),
-                },
-                ..NodeConfig::default()
-            },
-        );
-        let err = queued_behind_gate(&probe, &node, std::time::Duration::ZERO, |dev| {
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        let err = queued_behind_gate(&probe, &node, |dev| {
             let mut buf = vec![0u8; 64];
             dev.read_block(0, &mut buf).unwrap_err()
         });
         assert!(err.is_transient(), "got {err}");
         let s = node.stats();
         // The gate write and the read each burned the whole budget.
-        assert_eq!((s.serviced, s.retries, s.in_flight), (2, 4, 0));
+        let budget = u64::from(MAX_RETRIES);
+        assert_eq!((s.serviced, s.retries, s.in_flight), (2, 2 * budget, 0));
         assert!(s.queue_wait_nanos > 0, "the read waited out the gate");
     }
 
@@ -1016,7 +919,7 @@ mod tests {
     fn queued_blocking_call_that_panics_fails_alone() {
         let probe = Probe::new(Arc::new(Landmine(MemDisk::new(16, 64), 5)), 9);
         let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
-        let err = queued_behind_gate(&probe, &node, std::time::Duration::ZERO, |dev| {
+        let err = queued_behind_gate(&probe, &node, |dev| {
             let mut buf = vec![0u8; 64];
             dev.read_block(5, &mut buf).unwrap_err()
         });
@@ -1035,26 +938,6 @@ mod tests {
         assert!(buf.iter().all(|&x| x == 2));
         let s = node.stats();
         assert_eq!((s.panics, s.in_flight), (1, 0));
-    }
-
-    #[test]
-    fn queued_blocking_call_past_its_deadline_never_reaches_the_device() {
-        use std::time::Duration;
-        let mem = Arc::new(MemDisk::new(16, 64));
-        let probe = Probe::new(Arc::clone(&mem) as DeviceRef, 9);
-        let node = IoNode::spawn_with_config(
-            Arc::clone(&probe) as DeviceRef,
-            NodeConfig {
-                deadline: Some(Duration::from_micros(200)),
-                ..NodeConfig::default()
-            },
-        );
-        let err = queued_behind_gate(&probe, &node, Duration::from_millis(2), |dev| {
-            dev.write_block(1, &[1u8; 64]).unwrap_err()
-        });
-        assert!(matches!(err, DiskError::Timeout { .. }), "got {err}");
-        assert_eq!(node.stats().timeouts, 1);
-        assert_eq!(mem.counters().writes, 1, "only the gate write landed");
     }
 
     #[test]
@@ -1298,49 +1181,12 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        let node = IoNode::spawn_with_config(
-            faulty,
-            NodeConfig {
-                retry: RetryPolicy {
-                    max_retries: 2,
-                    backoff: std::time::Duration::from_micros(1),
-                },
-                ..NodeConfig::default()
-            },
-        );
+        let node = IoNode::spawn(faulty);
         let dev = node.device();
         let mut buf = vec![0u8; 64];
         let err = dev.read_block(0, &mut buf).unwrap_err();
         assert!(err.is_transient(), "got {err}");
-        assert_eq!(node.stats().retries, 2);
-    }
-
-    #[test]
-    fn expired_deadline_times_out_without_touching_the_device() {
-        use std::time::Duration;
-        let mem = Arc::new(MemDisk::new(16, 64).with_delay(Duration::from_millis(2)));
-        let node = IoNode::spawn_with_config(
-            Arc::clone(&mem) as DeviceRef,
-            NodeConfig {
-                deadline: Some(Duration::from_micros(500)),
-                ..NodeConfig::default()
-            },
-        );
-        let dev = node.device();
-        // A burst deep enough that tail requests queue past the deadline.
-        let tickets: Vec<Ticket<Box<[u8]>>> = (0..8u64)
-            .map(|b| dev.submit_write_blocks(b, vec![1u8; 64].into_boxed_slice()))
-            .collect();
-        let outcomes: Vec<Result<Box<[u8]>>> = tickets.into_iter().map(Ticket::wait).collect();
-        assert!(outcomes[0].is_ok(), "first request had the device idle");
-        let timed_out = outcomes
-            .iter()
-            .filter(|r| matches!(r, Err(DiskError::Timeout { .. })))
-            .count() as u64;
-        assert!(timed_out > 0, "queue tail must expire");
-        assert_eq!(node.stats().timeouts, timed_out);
-        // Timed-out writes never reached the media's request counters.
-        assert_eq!(mem.counters().writes, 8 - timed_out);
+        assert_eq!(node.stats().retries, u64::from(MAX_RETRIES));
     }
 
     #[test]

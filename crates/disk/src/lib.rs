@@ -44,7 +44,7 @@ pub use error::{DiskError, Result};
 pub use fault::{FaultCounts, FaultDevice, FaultPlan};
 pub use file::FileDisk;
 pub use geometry::DiskGeometry;
-pub use ionode::{IoNode, IoNodeStats, NodeConfig, RetryPolicy, Ticket};
+pub use ionode::{IoNode, IoNodeStats, Ticket};
 pub use mem::MemDisk;
 pub use modeled::ModeledDisk;
 pub use sched::{SchedPolicy, Scheduler};

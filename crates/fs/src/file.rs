@@ -28,7 +28,7 @@ use std::sync::atomic::Ordering;
 use pario_check::AtomicU64;
 use std::sync::Arc;
 
-use pario_buffer::{CacheReadTicket, CacheWriteTicket, VolumeCache};
+use pario_buffer::{CacheReadTicket, VolumeCache};
 use pario_disk::{DeviceRef, DiskError, Ticket};
 use pario_layout::{runs, Layout, LayoutSpec, ParityPlacement, ParityStriped, PhysBlock, Run};
 
@@ -122,12 +122,11 @@ struct MergedRun {
 }
 
 /// One in-flight segment transfer of a merged run: an executor ticket
-/// (already complete in serial mode), or a cache ticket when the volume
-/// cache tier fronts the executor.
+/// (already complete in serial mode, and for a write the cache tier
+/// absorbed), or a cache read ticket when the tier fronts the executor.
 enum RunTicket {
     Dev(Ticket<Box<[u8]>>),
     CacheRead(CacheReadTicket),
-    CacheWrite(CacheWriteTicket),
 }
 
 impl RunTicket {
@@ -135,12 +134,10 @@ impl RunTicket {
     /// buffer comes back (none from the tier). `cache` is the volume's
     /// tier, present whenever cache tickets exist.
     fn wait(self, cache: Option<&Arc<VolumeCache>>) -> pario_disk::Result<Box<[u8]>> {
-        // invariant: cache tickets are only created with a cache.
-        let tier = || cache.expect("cache ticket implies cache");
         match self {
             RunTicket::Dev(t) => t.wait(),
-            RunTicket::CacheRead(ct) => ct.wait(tier()),
-            RunTicket::CacheWrite(wt) => wt.wait(tier()).map(|()| Box::default()),
+            // invariant: cache tickets are only created with a cache.
+            RunTicket::CacheRead(ct) => ct.wait(cache.expect("cache ticket implies cache")),
         }
     }
 }
@@ -708,8 +705,7 @@ impl RawFile {
     /// written with them — to the home devices: the hook a byte-range
     /// lock release drives, so data written under a GDA range lock is
     /// durable, and as well protected, before the next holder proceeds,
-    /// exactly as on uncached volumes. No-op without a cache
-    /// (write-through never holds dirty data beyond the write itself).
+    /// exactly as on uncached volumes. No-op without a cache.
     pub fn flush_span(&self, offset: u64, len: u64) -> Result<()> {
         let Some(c) = self.vol.cache() else {
             return Ok(());
@@ -983,10 +979,9 @@ impl RawFile {
 
     /// Submit the write of a run of `slot` from row `dblock` (`data` is
     /// the run's gathered bytes, a staging buffer), one ticket per extent
-    /// segment. On cached volumes each segment goes through the tier:
-    /// write-back absorbs it into dirty frames (writing evicted ones
-    /// home), write-through submits the vectored device write and
-    /// completes it at wait.
+    /// segment. On cached volumes each segment goes through the tier,
+    /// which absorbs it into dirty frames (writing evicted ones home)
+    /// before its ticket is made.
     fn submit_write_run(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
         let Some(c) = self.vol.cache() else {
             return self.submit_media_write(slot, dblock, data);
@@ -998,10 +993,8 @@ impl RawFile {
         let submit = |(_, abs, n): (DeviceRef, u64, u64)| {
             let (seg, tail) = rest.split_at(n as usize * bs);
             rest = tail;
-            self.paced(match c.submit_write(vdev, abs, seg) {
-                Ok(wt) => RunTicket::CacheWrite(wt),
-                Err(e) => RunTicket::Dev(Ticket::ready(Err(e))),
-            })
+            let absorbed = c.submit_write(vdev, abs, seg).map(|()| Box::default());
+            RunTicket::Dev(Ticket::ready(absorbed))
         };
         let out = segs.into_iter().map(submit).collect();
         self.vol.staging().give(data);

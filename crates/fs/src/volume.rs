@@ -377,12 +377,13 @@ impl Volume {
         agg
     }
 
-    /// Attach the volume-wide block cache tier per `cfg`, fronting the
-    /// I/O executor for every span path (reads fill frames, write-back
-    /// absorbs and coalesces, write-through keeps the seed's durability
-    /// and fault visibility). Device health transitions drop the
-    /// affected device's frames automatically. Fails if a cache is
-    /// already attached.
+    /// Attach the volume-wide write-back block cache tier per `cfg`,
+    /// fronting the I/O executor for every span path: reads fill
+    /// frames, and writes are absorbed into dirty frames that reach the
+    /// devices, coalesced, at eviction, [`Volume::flush_cache`] or a
+    /// range flush (`RawFile::flush_span`). Device health transitions
+    /// drop the affected device's frames automatically. Fails if a
+    /// cache is already attached.
     pub fn enable_cache(&self, cfg: VolumeCacheConfig) -> Result<Volume> {
         let cache = Arc::new(VolumeCache::new(self.inner.io_devices.clone(), cfg));
         if self.inner.cache.set(Arc::clone(&cache)).is_err() {
@@ -421,7 +422,7 @@ impl Volume {
     }
 
     /// Write every dirty cached block to its home device (no-op without
-    /// a cache or under write-through).
+    /// a cache).
     pub fn flush_cache(&self) -> Result<()> {
         match self.inner.cache.get() {
             Some(c) => Ok(c.flush()?),

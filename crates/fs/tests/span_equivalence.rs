@@ -386,7 +386,7 @@ proptest! {
         // where every span goes through the tier's submit path.
         let direct_vol = volume();
         let routed_vol = volume();
-        routed_vol.enable_cache(VolumeCacheConfig::write_through(16)).unwrap();
+        routed_vol.enable_cache(VolumeCacheConfig::write_back(16)).unwrap();
         let direct = whole_file(&direct_vol, &spec);
         let routed = whole_file(&routed_vol, &spec);
         let unprotected = !matches!(spec, LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_));
@@ -472,8 +472,7 @@ fn unhealthy_slots_and_cached_volumes_route_as_before() {
     // Cached: the tier is consulted, and the second read is a hit that
     // costs the executor nothing.
     let cv = volume();
-    cv.enable_cache(VolumeCacheConfig::write_through(16))
-        .unwrap();
+    cv.enable_cache(VolumeCacheConfig::write_back(16)).unwrap();
     let cf = whole_file(&cv, &spec);
     cf.write_span(0, &data).unwrap();
     read_one(&cf);

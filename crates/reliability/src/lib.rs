@@ -11,11 +11,11 @@
 //!   arithmetic, with a Monte-Carlo cross-check.
 //! * [`ChecksumDevice`] — single-bit-error detection; combined with the
 //!   file layer's parity reconstruction it *corrects* bit errors.
-//! * [`rebuild_parity_slot`] / [`resync_shadow`] / [`rebuild_device`] —
-//!   recovery after drive replacement.
-//! * [`rebuild_device_online`] — the same recovery driven through the
-//!   volume's health state machine in throttled bursts, so foreground
-//!   I/O keeps flowing while the drive rebuilds.
+//! * [`rebuild_device`] — recovery after drive replacement, driven
+//!   through the volume's health state machine in throttled bursts, so
+//!   foreground I/O keeps flowing while the drive rebuilds and the
+//!   device ends `Healthy`. [`rebuild_parity_slot`] / [`resync_shadow`]
+//!   replay one file's slot under one hold of its stripe lock.
 //! * [`scrub`] + [`snapshot_device`] / [`restore_device`] — the
 //!   partial-rollback consistency demonstration.
 //! * [`audit_volume`] — volume-wide allocator/extent/directory
@@ -36,7 +36,6 @@ mod audit;
 mod checksum;
 mod inject;
 pub mod mtbf;
-mod online;
 mod rebuild;
 mod scrub;
 
@@ -47,7 +46,6 @@ pub use mtbf::{
     expected_failures, monte_carlo_mttf, paper_table, system_mtbf_hours, MtbfRow, HOURS_PER_YEAR,
     PAPER_DEVICE_MTBF_HOURS,
 };
-pub use online::rebuild_device_online;
 pub use rebuild::{
     rebuild_device, rebuild_parity_slot, resync_shadow, RebuildReport, RebuildThrottle,
 };

@@ -2,12 +2,14 @@
 //!
 //! Parity files rebuild the lost slot by XOR over each stripe ("complete
 //! failure of a single drive", §5); shadowed files re-synchronise from
-//! the surviving copy. [`rebuild_device`] sweeps a whole volume and
+//! the surviving copy. [`rebuild_device`] sweeps a whole volume through
+//! its health state machine, while the volume keeps serving, and
 //! reports which files were recoverable — unprotected files are exactly
 //! the paper's warning case.
 
 use std::time::Duration;
 
+use pario_disk::DiskError;
 use pario_fs::{xor_into, FsError, RawFile, Result, Volume};
 use pario_layout::{Layout, LayoutSpec, ParityPlacement, ParityStriped};
 
@@ -51,15 +53,15 @@ impl Default for RebuildThrottle {
     }
 }
 
-/// The offline sweep: one burst under one hold of the stripe lock.
+/// A one-file sweep: one burst under one hold of the stripe lock.
 const ONE_BURST: RebuildThrottle = RebuildThrottle {
     burst_blocks: u64::MAX,
     pause: Duration::ZERO,
 };
 
 /// Most rows one wave moves per device: a longer burst is several waves
-/// under its one hold of the lock, so the offline sweep's one burst
-/// holds a bounded run per device in memory, not the file.
+/// under its one hold of the lock, so an unbounded burst holds a
+/// bounded run per device in memory, not the file.
 const WAVE_ROWS: u64 = 128;
 
 /// Replay rows `0..rows` of the replaced slot in stripe-locked bursts:
@@ -103,7 +105,7 @@ pub fn rebuild_parity_slot(raw: &RawFile, failed_slot: usize) -> Result<u64> {
 /// than for the whole sweep. Stripe `s` is row `s` of every device that
 /// holds a block of it, so rows `[s, s + n)` of the surviving devices,
 /// XORed by column, are rows `[s, s + n)` of the lost one.
-pub(crate) fn rebuild_parity_slot_in_bursts(
+fn rebuild_parity_slot_in_bursts(
     raw: &RawFile,
     failed_slot: usize,
     throttle: RebuildThrottle,
@@ -150,11 +152,7 @@ pub fn resync_shadow(raw: &RawFile, slot: usize) -> Result<u64> {
 /// lock — shadow writes during a rebuild take the same lock (see
 /// `RawFile::enter_shadow_write` in `pario-fs`), so a live write can
 /// never interleave with the copy of its own block.
-pub(crate) fn resync_shadow_in_bursts(
-    raw: &RawFile,
-    slot: usize,
-    throttle: RebuildThrottle,
-) -> Result<u64> {
+fn resync_shadow_in_bursts(raw: &RawFile, slot: usize, throttle: RebuildThrottle) -> Result<u64> {
     let primaries = match raw.meta_snapshot().layout {
         LayoutSpec::Shadowed(inner) => inner.devices_required(),
         _ => {
@@ -191,37 +189,76 @@ pub struct RebuildReport {
     pub unaffected: Vec<String>,
 }
 
-/// Rebuild every file on `vol` that stored data on (replaced, healed)
-/// device `device_idx`.
-pub fn rebuild_device(vol: &Volume, device_idx: usize) -> Result<RebuildReport> {
-    let mut report = RebuildReport::default();
-    for name in vol.list() {
-        let raw = vol.open(&name)?;
-        let meta = raw.meta_snapshot();
-        let slot = meta.device_map.iter().position(|&d| d == device_idx);
-        let Some(slot) = slot else {
-            report.unaffected.push(name);
-            continue;
-        };
-        match &meta.layout {
-            LayoutSpec::Parity { .. } => {
-                let n = rebuild_parity_slot(&raw, slot)?;
-                report.parity_rebuilt.push((name, n));
+/// Rebuild every file that stored data on device `device_idx`, whose
+/// drive was replaced, while the volume keeps serving degraded I/O:
+///
+/// 1. `begin_rebuild` flips the device to `Rebuilding` — foreground
+///    reads route around its stale media, and shadow writes switch to
+///    the stripe-locked regime — and, under the same board mutex, heals
+///    the media. A fail-stop report raised against the dead media is
+///    judged before the flip or after the heal, never between, so it
+///    cannot abort the rebuild it preceded.
+/// 2. Per file, `quiesce_io()` waits out any I/O that sampled the old
+///    health state.
+/// 3. Redundancy is replayed in bursts: each takes the stripe lock,
+///    moves up to [`RebuildThrottle::burst_blocks`] rows, releases the
+///    lock and sleeps [`RebuildThrottle::pause`], so foreground writers
+///    interleave with the sweep.
+/// 4. `complete_rebuild` returns the device to `Healthy`.
+///
+/// On a replay error the device is marked Failed again and the error
+/// surfaces. If the device fails again *during* the rebuild, the racing
+/// failure report wins: `complete_rebuild` refuses, and this returns
+/// the fail-stop error instead of reporting success.
+pub fn rebuild_device(
+    vol: &Volume,
+    device_idx: usize,
+    throttle: RebuildThrottle,
+) -> Result<RebuildReport> {
+    let media = vol.device(device_idx);
+    vol.health().begin_rebuild(device_idx, || media.heal());
+    let sweep = || -> Result<RebuildReport> {
+        let mut report = RebuildReport::default();
+        for raw in vol.open_all()? {
+            let name = raw.name().to_string();
+            let meta = raw.meta_snapshot();
+            let slot = meta.device_map.iter().position(|&d| d == device_idx);
+            let Some(slot) = slot else {
+                report.unaffected.push(name);
+                continue;
+            };
+            raw.quiesce_io();
+            match &meta.layout {
+                LayoutSpec::Parity { .. } => {
+                    let n = rebuild_parity_slot_in_bursts(&raw, slot, throttle)?;
+                    report.parity_rebuilt.push((name, n));
+                }
+                LayoutSpec::Shadowed(_) => {
+                    let n = resync_shadow_in_bursts(&raw, slot, throttle)?;
+                    report.shadow_resynced.push((name, n));
+                }
+                _ => report.unprotected.push(name),
             }
-            LayoutSpec::Shadowed(_) => {
-                let n = resync_shadow(&raw, slot)?;
-                report.shadow_resynced.push((name, n));
-            }
-            _ => report.unprotected.push(name),
+        }
+        Ok(report)
+    };
+    match sweep() {
+        Ok(report) if vol.health().complete_rebuild(device_idx) => Ok(report),
+        Ok(_) => Err(FsError::Disk(DiskError::DeviceFailed {
+            device: format!("device {device_idx} (failed during rebuild)"),
+        })),
+        Err(e) => {
+            vol.health().mark_failed(device_idx);
+            Err(e)
         }
     }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pario_fs::{FileSpec, VolumeConfig};
+    use pario_fs::{FileSpec, HealthState, VolumeConfig};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     const BS: usize = 256;
 
@@ -455,12 +492,158 @@ mod tests {
         elsewhere.write_record(0, &rec(2)).unwrap();
 
         // Replace device 1 (blank) and rebuild.
-        v.device(1).heal();
-        let report = rebuild_device(&v, 1).unwrap();
+        let report = rebuild_device(&v, 1, RebuildThrottle::default()).unwrap();
         assert_eq!(report.parity_rebuilt.len(), 1);
         assert_eq!(report.parity_rebuilt[0].0, "prot");
         assert_eq!(report.unprotected, vec!["plain".to_string()]);
         assert_eq!(report.unaffected, vec!["elsewhere".to_string()]);
+    }
+
+    #[test]
+    fn parity_rebuild_round_trips_health() {
+        let v = vol();
+        let f = parity_file(&v, "p", true, 24);
+        v.device(1).fail();
+        // First touch detects the fail-stop and transitions Failed.
+        let mut buf = vec![0u8; BS];
+        for r in 0..24u64 {
+            f.read_record(r, &mut buf).unwrap();
+        }
+        assert_eq!(v.device_health(1), HealthState::Failed);
+        // Writes during the outage keep parity coherent.
+        f.write_record(2, &rec(99)).unwrap();
+
+        let report = rebuild_device(&v, 1, RebuildThrottle::default()).unwrap();
+        assert_eq!(report.parity_rebuilt.len(), 1);
+        assert!(report.parity_rebuilt[0].1 > 0);
+        assert_eq!(v.device_health(1), HealthState::Healthy);
+        let states = &v.health_snapshot()[1].transitions;
+        assert_eq!(
+            states,
+            &vec![
+                HealthState::Healthy,
+                HealthState::Failed,
+                HealthState::Rebuilding,
+                HealthState::Healthy
+            ]
+        );
+        for r in 0..24u64 {
+            f.read_record(r, &mut buf).unwrap();
+            let expect = if r == 2 { rec(99) } else { rec(r) };
+            assert_eq!(buf, expect, "record {r}");
+        }
+    }
+
+    fn shadowed_file(v: &Volume) -> RawFile {
+        let inner = LayoutSpec::Striped {
+            devices: 2,
+            unit: 1,
+        };
+        let spec = FileSpec::new("sh", BS, 1, LayoutSpec::Shadowed(Box::new(inner)));
+        v.create_file(spec).unwrap()
+    }
+
+    #[test]
+    fn shadow_rebuild_restores_a_failed_primary() {
+        let v = vol();
+        let f = shadowed_file(&v);
+        for r in 0..16u64 {
+            f.write_record(r, &rec(r)).unwrap();
+        }
+        v.device(0).fail();
+        let mut buf = vec![0u8; BS];
+        f.read_record(0, &mut buf).unwrap(); // detect
+        assert_eq!(v.device_health(0), HealthState::Failed);
+        f.write_record(0, &rec(77)).unwrap(); // survives on the mirror
+
+        let report = rebuild_device(&v, 0, RebuildThrottle::default()).unwrap();
+        assert_eq!(report.shadow_resynced.len(), 1);
+        assert_eq!(v.device_health(0), HealthState::Healthy);
+        // Kill the MIRROR: reads must come from the rebuilt primary.
+        v.device(2).fail();
+        for r in 0..16u64 {
+            f.read_record(r, &mut buf).unwrap();
+            let expect = if r == 0 { rec(77) } else { rec(r) };
+            assert_eq!(buf, expect, "record {r}");
+        }
+    }
+
+    #[test]
+    fn failure_during_rebuild_wins() {
+        let v = vol();
+        let f = shadowed_file(&v);
+        f.write_record(0, &rec(0)).unwrap();
+        v.health().mark_failed(0);
+        v.health().begin_rebuild(0, || ());
+        // The device dies again before the sweep finishes.
+        v.health().note_error(
+            0,
+            &DiskError::DeviceFailed {
+                device: "mem0".into(),
+            },
+            || true,
+        );
+        assert!(!v.health().complete_rebuild(0));
+        assert_eq!(v.device_health(0), HealthState::Failed);
+    }
+
+    #[test]
+    fn foreground_writes_flow_during_a_rebuild() {
+        let v = vol();
+        let f = shadowed_file(&v);
+        let n = 128u64;
+        for r in 0..n {
+            f.write_record(r, &rec(r)).unwrap();
+        }
+        v.device(1).fail();
+        let mut buf = vec![0u8; BS];
+        f.read_record(1, &mut buf).unwrap(); // detect -> Failed
+        assert_eq!(v.device_health(1), HealthState::Failed);
+
+        // Concurrent foreground writers churn the file while the
+        // rebuild sweeps it; every write must land on both copies.
+        let done = AtomicBool::new(false);
+        let wrote = AtomicU64::new(0);
+        crossbeam::thread::scope(|s| {
+            let fg = s.spawn(|_| {
+                let mut k = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    let r = k % n;
+                    f.write_record(r, &rec(1000 + r)).unwrap();
+                    wrote.fetch_add(1, Ordering::SeqCst);
+                    k += 1;
+                }
+            });
+            let throttle = RebuildThrottle {
+                burst_blocks: 4,
+                pause: Duration::from_micros(100),
+            };
+            rebuild_device(&v, 1, throttle).unwrap();
+            done.store(true, Ordering::SeqCst);
+            fg.join().unwrap();
+        })
+        .unwrap();
+        assert_eq!(v.device_health(1), HealthState::Healthy);
+        assert!(
+            wrote.load(Ordering::SeqCst) > 0,
+            "foreground made progress during the rebuild"
+        );
+        // Every record consistent on BOTH copies: fail the mirror side
+        // and read the rebuilt primaries, then vice versa.
+        let readback = |dead: usize| {
+            v.device(dead).fail();
+            let mut buf = vec![0u8; BS];
+            for r in 0..n {
+                f.read_record(r, &mut buf).unwrap();
+                assert!(
+                    buf == rec(r) || buf == rec(1000 + r),
+                    "record {r} torn with device {dead} dead"
+                );
+            }
+            v.device(dead).heal();
+        };
+        readback(2);
+        readback(0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use pario_core::{Organization, ParallelFile};
 use pario_disk::{mem_array, FaultDevice, FaultPlan};
 use pario_fs::{HealthState, Volume};
 use pario_layout::LayoutSpec;
-use pario_reliability::{rebuild_device_online, RebuildThrottle};
+use pario_reliability::{rebuild_device, RebuildThrottle};
 use pario_server::{Server, ServerConfig, ServerError};
 
 const REC: usize = 256;
@@ -136,7 +136,7 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
 
             // Online rebuild while the clients keep hammering the file.
             let before = ops.load(Ordering::SeqCst);
-            let report = rebuild_device_online(
+            let report = rebuild_device(
                 vol,
                 FAULT_DEV,
                 RebuildThrottle {

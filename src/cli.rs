@@ -9,12 +9,13 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use pario_core::{convert as convert_file, Organization, ParallelFile};
 use pario_disk::{DeviceRef, FileDisk};
 use pario_fs::Volume;
 use pario_layout::LayoutSpec;
-use pario_reliability::{rebuild_device, scrub};
+use pario_reliability::{rebuild_device, scrub, RebuildThrottle};
 use pario_workloads::record_payload;
 
 /// Errors from CLI operations, already formatted for the user.
@@ -319,7 +320,12 @@ pub fn rebuild(dir: &Path, device: usize) -> CliResult {
     if device >= vol.num_devices() {
         return Err(CliError(format!("no device {device}")));
     }
-    let report = rebuild_device(&vol, device)?;
+    // Nothing else uses the volume: each file's slot goes in one burst.
+    let one_burst = RebuildThrottle {
+        burst_blocks: u64::MAX,
+        pause: Duration::ZERO,
+    };
+    let report = rebuild_device(&vol, device, one_burst)?;
     let mut out = String::new();
     for (name, n) in &report.parity_rebuilt {
         let _ = writeln!(out, "{name}: {n} blocks rebuilt from parity");

@@ -12,8 +12,8 @@
 //!   / shadowed data placement.
 //! * [`disk`] — the storage substrate: real in-memory and file-backed block
 //!   devices plus a parameterised rotating-disk timing model.
-//! * [`buffer`] — the volume-wide block cache: write-through or
-//!   write-back, with miss and write-back coalescing.
+//! * [`buffer`] — the volume-wide write-back block cache, with miss and
+//!   write-back coalescing.
 //! * [`sim`] — the deterministic discrete-event engine timing experiments
 //!   run on.
 //! * [`server`] — the concurrent multi-client service layer: sessions,

@@ -7,11 +7,10 @@ use std::sync::Arc;
 
 use pario::core::{Organization, ParallelFile};
 use pario::disk::{DeviceRef, MemDisk};
-use pario::fs::{FileSpec, GlobalReader, Volume, VolumeConfig};
+use pario::fs::{FileSpec, GlobalReader, HealthState, Volume, VolumeConfig};
 use pario::layout::LayoutSpec;
 use pario::reliability::{
-    rebuild_device, rebuild_device_online, rebuild_parity_slot, scrub, ChecksumDevice,
-    RebuildThrottle,
+    rebuild_device, rebuild_parity_slot, scrub, ChecksumDevice, RebuildThrottle,
 };
 use pario::workloads::record_payload;
 
@@ -91,18 +90,66 @@ fn volume_wide_failure_and_rebuild() {
     for b in 0..v.device(1).num_blocks() {
         v.device(1).write_block(b, &zero).unwrap();
     }
-    let report = rebuild_device(&v, 1).unwrap();
+    let report = rebuild_device(&v, 1, RebuildThrottle::default()).unwrap();
     assert_eq!(report.parity_rebuilt.len(), 1);
     assert_eq!(report.shadow_resynced.len(), 1);
     assert_eq!(report.unprotected, vec!["plain.dat".to_string()]);
 
     // Everything protected is exact again, directly (no degraded paths).
+    assert!(!v.is_degraded());
     assert!(scrub(parity.raw()).unwrap().is_empty());
     for i in 0..30u64 {
         parity.raw().read_record(i, &mut buf).unwrap();
         assert_eq!(buf, record_payload(i, BS));
         shadowed.raw().read_record(i, &mut buf).unwrap();
         assert_eq!(buf, record_payload(100 + i, BS));
+    }
+}
+
+/// A rebuild after a failure the volume has detected leaves the device
+/// `Healthy` and the volume no longer degraded: reads go straight to the
+/// rebuilt device again instead of around it.
+#[test]
+fn rebuild_after_a_detected_failure_leaves_the_volume_healthy() {
+    let v = Volume::create_in_memory(VolumeConfig {
+        devices: 4,
+        device_blocks: 256,
+        block_size: BS,
+    })
+    .unwrap();
+    let layout = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let f = v.create_file(FileSpec::new("p", BS, 1, layout)).unwrap();
+    for i in 0..24u64 {
+        f.write_record(i, &record_payload(i, BS)).unwrap();
+    }
+
+    v.device(1).fail();
+    let mut buf = vec![0u8; BS];
+    for i in 0..24u64 {
+        f.read_record(i, &mut buf).unwrap();
+    }
+    assert_eq!(
+        v.device_health(1),
+        HealthState::Failed,
+        "the read detected it"
+    );
+    assert!(v.is_degraded());
+
+    v.device(1).heal();
+    let zero = vec![0u8; BS];
+    for b in 0..v.device(1).num_blocks() {
+        v.device(1).write_block(b, &zero).unwrap();
+    }
+    let report = rebuild_device(&v, 1, RebuildThrottle::default()).unwrap();
+    assert_eq!(report.parity_rebuilt.len(), 1);
+    assert_eq!(v.device_health(1), HealthState::Healthy);
+    assert!(!v.is_degraded());
+    for i in 0..24u64 {
+        f.read_record(i, &mut buf).unwrap();
+        assert_eq!(buf, record_payload(i, BS), "record {i}");
     }
 }
 
@@ -214,7 +261,7 @@ fn concurrent_writers_during_failure() {
 /// file appended one block at a time own zero-filled blocks past their
 /// last record; all-zero stripes and all-zero pairs satisfy the parity
 /// and shadow invariants, so a failure, degraded appends into the tail,
-/// `scrub` and an online rebuild onto garbage media are correct across
+/// `scrub` and a rebuild onto garbage media are correct across
 /// it — they walk `nblocks`, not the length. The rebuild runs with a
 /// sequential reader parked on each file, its next window read ahead:
 /// an idle stream holds nothing `quiesce_io` waits for.
@@ -296,7 +343,7 @@ fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
         }
         (reader, tag)
     });
-    let report = rebuild_device_online(&v, 1, RebuildThrottle::default()).unwrap();
+    let report = rebuild_device(&v, 1, RebuildThrottle::default()).unwrap();
     assert_eq!(report.parity_rebuilt.len(), 1);
     assert_eq!(report.shadow_resynced.len(), 1);
     assert!(scrub(&parity).unwrap().is_empty());
