@@ -1030,12 +1030,6 @@ mod tests {
         fn num_blocks(&self) -> u64 {
             self.inner.num_blocks()
         }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-            self.read_blocks_at(block, buf)
-        }
-        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-            self.write_blocks_at(block, data)
-        }
         fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
             (self.hook)(false)?;
             self.inner.read_blocks_at(block, buf)

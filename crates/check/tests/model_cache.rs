@@ -155,13 +155,13 @@ impl BlockDevice for RankProbe {
     fn num_blocks(&self) -> u64 {
         self.inner.num_blocks()
     }
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
         let _probe = self.below_cache.lock();
-        self.inner.read_block(block, buf)
+        self.inner.read_blocks_at(block, buf)
     }
-    fn write_block(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
         let _probe = self.below_cache.lock();
-        self.inner.write_block(block, data)
+        self.inner.write_blocks_at(block, data)
     }
     fn counters(&self) -> IoCounters {
         self.inner.counters()

@@ -102,14 +102,20 @@ impl BlockDevice for CellDisk {
     fn num_blocks(&self) -> u64 {
         Self::BLOCKS
     }
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         let at = block as usize * BS;
-        self.serve(|| self.body.with(|d| buf.copy_from_slice(&d[at..at + BS])));
+        self.serve(|| {
+            self.body
+                .with(|d| buf.copy_from_slice(&d[at..at + buf.len()]))
+        });
         Ok(())
     }
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<(), DiskError> {
         let at = block as usize * BS;
-        self.serve(|| self.body.with_mut(|d| d[at..at + BS].copy_from_slice(data)));
+        self.serve(|| {
+            self.body
+                .with_mut(|d| d[at..at + data.len()].copy_from_slice(data))
+        });
         Ok(())
     }
     fn counters(&self) -> IoCounters {

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::error::Result;
+use crate::error::{DiskError, Result};
 
 /// Cumulative traffic counters for one device.
 ///
@@ -45,7 +45,10 @@ impl IoCounters {
 /// All methods take `&self`: devices are internally synchronised and shared
 /// across threads behind `Arc`. Transfers are whole blocks — exactly the
 /// discipline real device drivers impose — and partial-block framing is the
-/// job of the buffering layer above.
+/// job of the buffering layer above. A device moves *runs*: its one
+/// transfer pair services a contiguous run as one request (one lock, one
+/// positioned syscall, one queued request), and the single-block calls
+/// are that pair with a run of one.
 pub trait BlockDevice: Send + Sync {
     /// Block size in bytes. Constant for the device's lifetime.
     fn block_size(&self) -> usize;
@@ -53,48 +56,25 @@ pub trait BlockDevice: Send + Sync {
     /// Capacity in blocks.
     fn num_blocks(&self) -> u64;
 
-    /// Read one block into `buf` (`buf.len()` must equal `block_size`).
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()>;
-
-    /// Write one block from `data` (`data.len()` must equal `block_size`).
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<()>;
-
     /// Read `buf.len() / block_size` consecutive blocks starting at
-    /// `block` into `buf` (`buf.len()` must be a whole number of blocks).
-    ///
-    /// The default implementation loops over [`read_block`]; devices that
-    /// can service a contiguous run in one operation (one lock
-    /// acquisition, one positioned syscall, one queued request) override
-    /// it, which is what makes span I/O cheap.
-    ///
-    /// [`read_block`]: BlockDevice::read_block
-    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        let bs = self.block_size();
-        assert_eq!(buf.len() % bs, 0, "buffer must be a whole number of blocks");
-        for (i, chunk) in buf.chunks_mut(bs).enumerate() {
-            self.read_block(block + i as u64, chunk)?;
-        }
-        Ok(())
+    /// `block` into `buf` (a whole number of blocks) as one request.
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()>;
+
+    /// Write `data` (a whole number of blocks) at `block` as one request.
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()>;
+
+    /// Read one block into `buf`: a run of one. Any other length is
+    /// [`BadBufferSize`](DiskError::BadBufferSize).
+    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+        one_block(self.block_size(), buf.len())?;
+        self.read_blocks_at(block, buf)
     }
 
-    /// Write `data` (a whole number of blocks) starting at `block`.
-    ///
-    /// Default loops over [`write_block`]; see [`read_blocks_at`] for the
-    /// override contract.
-    ///
-    /// [`write_block`]: BlockDevice::write_block
-    /// [`read_blocks_at`]: BlockDevice::read_blocks_at
-    fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
-        let bs = self.block_size();
-        assert_eq!(
-            data.len() % bs,
-            0,
-            "buffer must be a whole number of blocks"
-        );
-        for (i, chunk) in data.chunks(bs).enumerate() {
-            self.write_block(block + i as u64, chunk)?;
-        }
-        Ok(())
+    /// Write one block from `data`: a run of one. Any other length is
+    /// [`BadBufferSize`](DiskError::BadBufferSize).
+    fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
+        one_block(self.block_size(), data.len())?;
+        self.write_blocks_at(block, data)
     }
 
     /// Submit an asynchronous read of `buf.len() / block_size` blocks at
@@ -162,6 +142,13 @@ pub trait BlockDevice: Send + Sync {
 /// A shared handle to any block device.
 pub type DeviceRef = Arc<dyn BlockDevice>;
 
+/// The single-block methods' length check.
+fn one_block(expected: usize, got: usize) -> Result<()> {
+    (got == expected)
+        .then_some(())
+        .ok_or(DiskError::BadBufferSize { got, expected })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,59 +175,5 @@ mod tests {
         );
         assert_eq!(d.counters().total(), 2);
         assert_eq!(d.counters().total_blocks(), 4);
-    }
-
-    /// A device that opts out of the vectored overrides, so the trait's
-    /// default per-block loop stays covered.
-    struct PlainDevice(MemDisk);
-
-    impl BlockDevice for PlainDevice {
-        fn block_size(&self) -> usize {
-            self.0.block_size()
-        }
-        fn num_blocks(&self) -> u64 {
-            self.0.num_blocks()
-        }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-            self.0.read_block(block, buf)
-        }
-        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-            self.0.write_block(block, data)
-        }
-        fn counters(&self) -> IoCounters {
-            self.0.counters()
-        }
-        fn fail(&self) {
-            self.0.fail()
-        }
-        fn heal(&self) {
-            self.0.heal()
-        }
-        fn is_failed(&self) -> bool {
-            self.0.is_failed()
-        }
-    }
-
-    #[test]
-    fn default_span_impl_loops_per_block() {
-        let d = PlainDevice(MemDisk::new(16, 64));
-        let data: Vec<u8> = (0..192).map(|i| i as u8).collect();
-        d.write_blocks_at(2, &data).unwrap();
-        let mut back = vec![0u8; 192];
-        d.read_blocks_at(2, &mut back).unwrap();
-        assert_eq!(back, data);
-        // The default implementation issues one request per block.
-        assert_eq!(
-            d.counters(),
-            IoCounters {
-                reads: 3,
-                writes: 3,
-                blocks_read: 3,
-                blocks_written: 3,
-            }
-        );
-        // Errors surface from the failing block.
-        let mut big = vec![0u8; 64 * 16];
-        assert!(d.read_blocks_at(1, &mut big).is_err());
     }
 }

@@ -12,7 +12,7 @@
 //!   Exercises the executor's retry/backoff loop and the volume's
 //!   Suspect health transitions.
 //! * **latency spikes** — the operation succeeds but takes an extra
-//!   configured delay. Exercises deadlines and hedged reads.
+//!   configured delay. Exercises queueing and hedged reads.
 //! * **torn writes** — a multi-block write lands only a prefix and then
 //!   reports [`DiskError::Transient`]. Exercises redundancy repair: the
 //!   retried or reconstructed write must make the span whole again.
@@ -316,21 +316,6 @@ impl BlockDevice for FaultDevice {
         self.inner.num_blocks()
     }
 
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        match self.admit()? {
-            Some(o) if o.transient => Err(self.transient()),
-            _ => self.inner.read_block(block, buf),
-        }
-    }
-
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-        self.crash_gate(block, data)?;
-        match self.admit()? {
-            Some(o) if o.transient => Err(self.transient()),
-            _ => self.inner.write_block(block, data),
-        }
-    }
-
     fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
         match self.admit()? {
             Some(o) if o.transient => Err(self.transient()),
@@ -338,6 +323,8 @@ impl BlockDevice for FaultDevice {
         }
     }
 
+    /// One crash-clock tick and one schedule slot per call, however many
+    /// blocks it moves; only a write of two or more blocks can tear.
     fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
         self.crash_gate(block, data)?;
         let bs = self.inner.block_size();
@@ -519,7 +506,8 @@ mod tests {
         for _ in 0..4 {
             dev.read_block(0, &mut buf).unwrap();
         }
-        assert_eq!(h.counts().spikes, 4);
+        // One schedule slot per single-block read.
+        assert_eq!((h.counts().ops, h.counts().spikes), (4, 4));
         assert!(t0.elapsed() >= Duration::from_micros(200));
     }
 
@@ -545,7 +533,8 @@ mod tests {
         dev.read_block(2, &mut buf).unwrap();
         assert_eq!(buf[0], 0, "the in-flight write must not land");
         dev.write_block(2, &[3u8; 64]).unwrap();
-        assert!(h.counts().write_boundaries >= 3);
+        // One tick per single-block write up to the crash, none after.
+        assert_eq!(h.counts().write_boundaries, 3);
     }
 
     #[test]

@@ -80,29 +80,7 @@ impl FileDisk {
         })
     }
 
-    fn check(&self, block: u64, len: usize) -> Result<()> {
-        if self.failed.load(Ordering::Acquire) {
-            return Err(DiskError::DeviceFailed {
-                device: self.name.clone(),
-            });
-        }
-        if block >= self.num_blocks {
-            return Err(DiskError::OutOfRange {
-                block,
-                capacity: self.num_blocks,
-            });
-        }
-        if len != self.block_size {
-            return Err(DiskError::BadBufferSize {
-                got: len,
-                expected: self.block_size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Bounds check for a vectored transfer of `len` bytes at `block`;
-    /// returns the block count.
+    /// Checks a transfer of `len` bytes at `block`; returns its blocks.
     fn check_span(&self, block: u64, len: usize) -> Result<u64> {
         if self.failed.load(Ordering::Acquire) {
             return Err(DiskError::DeviceFailed {
@@ -135,25 +113,7 @@ impl BlockDevice for FileDisk {
         self.num_blocks
     }
 
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        self.check(block, buf.len())?;
-        self.file
-            .read_exact_at(buf, block * self.block_size as u64)?;
-        self.reads.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        self.blocks_read.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        Ok(())
-    }
-
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-        self.check(block, data.len())?;
-        self.file
-            .write_all_at(data, block * self.block_size as u64)?;
-        self.writes.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        self.blocks_written.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        Ok(())
-    }
-
-    /// Vectored read: one positioned syscall for the whole span.
+    /// One positioned syscall for the whole run.
     fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
         let nblocks = self.check_span(block, buf.len())?;
         if nblocks == 0 {
@@ -166,7 +126,7 @@ impl BlockDevice for FileDisk {
         Ok(())
     }
 
-    /// Vectored write: one positioned syscall for the whole span.
+    /// One positioned syscall for the whole run.
     fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
         let nblocks = self.check_span(block, data.len())?;
         if nblocks == 0 {

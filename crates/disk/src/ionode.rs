@@ -21,9 +21,9 @@
 //!
 //! **Caller-runs on an idle node** is the executor's one dispatch
 //! decision. A dedicated processor buys overlap between compute and
-//! transfer; a *blocking* call ([`BlockDevice::read_block`],
-//! `write_block`, `read_blocks_at`, `write_blocks_at`, `flush` on a node
-//! handle) has no overlap to buy, so when nothing is queued or in
+//! transfer; a *blocking* call ([`BlockDevice::read_blocks_at`],
+//! `write_blocks_at` — which the single-block calls reach — or `flush`
+//! on a node handle) has no overlap to buy, so when nothing is queued or in
 //! service the calling thread claims the node, runs the transfer itself
 //! straight on the caller's slice — the same `service` routine the worker
 //! runs — and releases it: no boxed buffer, no reply channel, no
@@ -524,16 +524,6 @@ impl BlockDevice for IoNodeDevice {
         self.shared.num_blocks
     }
 
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        assert_eq!(buf.len(), self.shared.block_size, "one-block buffer");
-        self.read_blocks_at(block, buf)
-    }
-
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-        assert_eq!(data.len(), self.shared.block_size, "one-block buffer");
-        self.write_blocks_at(block, data)
-    }
-
     /// One request for the whole run, serviced by the wrapped device's
     /// own vectored path: inline into `buf` on an idle node, queued (and
     /// copied back) behind anything already there.
@@ -716,12 +706,6 @@ mod tests {
         fn num_blocks(&self) -> u64 {
             self.inner.num_blocks()
         }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-            self.read_blocks_at(block, buf)
-        }
-        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-            self.write_blocks_at(block, data)
-        }
         fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
             self.serve(block, || self.inner.read_blocks_at(block, buf))
         }
@@ -748,7 +732,7 @@ mod tests {
         }
     }
 
-    /// A device that panics on reads of a chosen block.
+    /// A device that panics on reads that cover a chosen block.
     struct Landmine(MemDisk, u64);
 
     impl BlockDevice for Landmine {
@@ -758,12 +742,13 @@ mod tests {
         fn num_blocks(&self) -> u64 {
             self.0.num_blocks()
         }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-            assert!(block != self.1, "landmine");
-            self.0.read_block(block, buf)
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            let blocks = (buf.len() / self.block_size()) as u64;
+            assert!(!(block..block + blocks).contains(&self.1), "landmine");
+            self.0.read_blocks_at(block, buf)
         }
-        fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-            self.0.write_block(block, data)
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
+            self.0.write_blocks_at(block, data)
         }
         fn counters(&self) -> IoCounters {
             self.0.counters()
@@ -1199,11 +1184,11 @@ mod tests {
             fn num_blocks(&self) -> u64 {
                 self.0.num_blocks()
             }
-            fn read_block(&self, _block: u64, _buf: &mut [u8]) -> Result<()> {
+            fn read_blocks_at(&self, _block: u64, _buf: &mut [u8]) -> Result<()> {
                 panic!("landmine");
             }
-            fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-                self.0.write_block(block, data)
+            fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
+                self.0.write_blocks_at(block, data)
             }
             fn counters(&self) -> IoCounters {
                 self.0.counters()
@@ -1290,6 +1275,32 @@ mod tests {
             dev.read_block(99, &mut buf),
             Err(DiskError::OutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn wrong_length_single_block_calls_are_typed_errors() {
+        let node = IoNode::spawn(Arc::new(MemDisk::new(8, 64)));
+        let dev = node.device();
+        let mut two = vec![0u8; 128];
+        assert!(matches!(
+            dev.read_block(0, &mut two),
+            Err(DiskError::BadBufferSize {
+                got: 128,
+                expected: 64
+            })
+        ));
+        assert!(matches!(
+            dev.write_block(0, &[1u8; 32]),
+            Err(DiskError::BadBufferSize {
+                got: 32,
+                expected: 64
+            })
+        ));
+        // Refused before the node: nothing was serviced, and it still
+        // serves a well-formed call.
+        assert_eq!(node.stats().serviced, 0);
+        dev.write_block(0, &[1u8; 64]).unwrap();
+        assert_eq!((node.stats().serviced, node.stats().panics), (1, 0));
     }
 
     #[test]

@@ -91,30 +91,7 @@ impl MemDisk {
         self.data.write().fill(0);
     }
 
-    fn check(&self, block: u64, len: usize) -> Result<()> {
-        if self.failed.load(Ordering::Acquire) {
-            return Err(DiskError::DeviceFailed {
-                device: self.name.clone(),
-            });
-        }
-        if block >= self.num_blocks {
-            return Err(DiskError::OutOfRange {
-                block,
-                capacity: self.num_blocks,
-            });
-        }
-        if len != self.block_size {
-            return Err(DiskError::BadBufferSize {
-                got: len,
-                expected: self.block_size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Bounds check for a vectored transfer of `len` bytes at `block`;
-    /// returns the block count. Unlike [`MemDisk::check`] the length may
-    /// be any whole number of blocks.
+    /// Checks a transfer of `len` bytes at `block`; returns its blocks.
     fn check_span(&self, block: u64, len: usize) -> Result<u64> {
         if self.failed.load(Ordering::Acquire) {
             return Err(DiskError::DeviceFailed {
@@ -162,28 +139,8 @@ impl BlockDevice for MemDisk {
         self.num_blocks
     }
 
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        self.check(block, buf.len())?;
-        self.service_delay();
-        let base = block as usize * self.block_size;
-        buf.copy_from_slice(&self.data.read()[base..base + self.block_size]);
-        self.reads.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        self.blocks_read.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        Ok(())
-    }
-
-    fn write_block(&self, block: u64, data_in: &[u8]) -> Result<()> {
-        self.check(block, data_in.len())?;
-        self.service_delay();
-        let base = block as usize * self.block_size;
-        self.data.write()[base..base + self.block_size].copy_from_slice(data_in);
-        self.writes.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        self.blocks_written.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-        Ok(())
-    }
-
-    /// Vectored read: one service delay, one lock acquisition, one
-    /// contiguous copy — however many blocks the span covers.
+    /// One service delay, one lock acquisition, one contiguous copy —
+    /// however many blocks the run covers.
     fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
         let nblocks = self.check_span(block, buf.len())?;
         if nblocks == 0 {
@@ -197,7 +154,7 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
-    /// Vectored write: the mirror of [`MemDisk::read_blocks_at`].
+    /// The mirror of [`MemDisk::read_blocks_at`].
     fn write_blocks_at(&self, block: u64, data_in: &[u8]) -> Result<()> {
         let nblocks = self.check_span(block, data_in.len())?;
         if nblocks == 0 {

@@ -1416,12 +1416,6 @@ mod tests {
         fn num_blocks(&self) -> u64 {
             self.disk.num_blocks()
         }
-        fn read_block(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
-            self.disk.read_block(block, buf)
-        }
-        fn write_block(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
-            self.disk.write_block(block, data)
-        }
         fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
             self.disk.read_blocks_at(block, buf)
         }

@@ -1010,12 +1010,6 @@ impl pario_disk::BlockDevice for Hooked {
     fn num_blocks(&self) -> u64 {
         self.inner.num_blocks()
     }
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
-        self.read_blocks_at(block, buf)
-    }
-    fn write_block(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
-        self.write_blocks_at(block, data)
-    }
     fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
         (self.hook)(false, block, (buf.len() / BS) as u64)?;
         self.inner.read_blocks_at(block, buf)

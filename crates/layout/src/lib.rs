@@ -15,7 +15,6 @@
 //! * [`ParityStriped`] — RAID-4/5 style parity placement for the paper's
 //!   reliability discussion.
 //! * [`Shadowed`] — mirrored device pairs ("shadowing").
-//! * [`ByteStriper`] — byte-granularity striping for type S streams.
 //!
 //! Every layout satisfies the bijection invariants checked by
 //! [`check_bijection`], and [`runs`] coalesces logical ranges into the
@@ -35,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-mod bytestripe;
 mod parity;
 mod partitioned;
 mod shadow;
@@ -43,7 +41,6 @@ mod spec;
 mod striped;
 mod traits;
 
-pub use bytestripe::{ByteRun, ByteStriper};
 pub use parity::{ParityPlacement, ParityStriped};
 pub use partitioned::Partitioned;
 pub use shadow::Shadowed;

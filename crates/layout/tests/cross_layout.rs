@@ -1,12 +1,12 @@
 //! Cross-layout property tests: composed layouts (shadowed partitioned,
-//! parity), equivalences between the byte- and block-grain mappings, and
-//! the capacity arithmetic the allocator depends on.
+//! parity), spec construction, run coalescing, and the capacity
+//! arithmetic the allocator depends on.
 
 use proptest::prelude::*;
 
 use pario_layout::{
-    check_bijection, runs, ByteStriper, Layout, LayoutSpec, ParityPlacement, ParityStriped,
-    Partitioned, Shadowed, Striped,
+    check_bijection, runs, Layout, LayoutSpec, ParityPlacement, ParityStriped, Partitioned,
+    Shadowed, Striped,
 };
 
 proptest! {
@@ -40,23 +40,6 @@ proptest! {
             let p = l.map(b);
             prop_assert_eq!(l.primary(l.mirror(p)), p);
         }
-    }
-
-    /// ByteStriper at block granularity agrees with Striped when the
-    /// unit is expressed in the same blocks.
-    #[test]
-    fn byte_striper_matches_block_striper(
-        devices in 1usize..5,
-        unit_blocks in 1u64..8,
-        block in 0u64..400,
-    ) {
-        const BS: u64 = 64;
-        let bytes = ByteStriper::new(devices, unit_blocks * BS);
-        let blocks = Striped::new(devices, unit_blocks);
-        let p = blocks.map(block);
-        let (dev, off) = bytes.locate(block * BS);
-        prop_assert_eq!(dev, p.device);
-        prop_assert_eq!(off, p.block * BS);
     }
 
     /// Parity layouts: total device capacity equals data + one parity

@@ -9,7 +9,6 @@
 //! degraded-read path then *corrects* via parity reconstruction.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -47,14 +46,6 @@ impl ChecksumDevice {
         }
     }
 
-    /// Wrap a whole device array.
-    pub fn wrap_array(devices: Vec<DeviceRef>) -> Vec<DeviceRef> {
-        devices
-            .into_iter()
-            .map(|d| Arc::new(ChecksumDevice::new(d)) as DeviceRef)
-            .collect()
-    }
-
     /// The wrapped device.
     pub fn inner(&self) -> &DeviceRef {
         &self.inner
@@ -68,21 +59,6 @@ impl BlockDevice for ChecksumDevice {
 
     fn num_blocks(&self) -> u64 {
         self.inner.num_blocks()
-    }
-
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_block(block, buf)?;
-        let expect = *self.sums.lock().get(&block).unwrap_or(&self.zero_sum);
-        if fnv1a(buf) != expect {
-            return Err(DiskError::Corruption { block });
-        }
-        Ok(())
-    }
-
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<()> {
-        self.inner.write_block(block, data)?;
-        self.sums.lock().insert(block, fnv1a(data));
-        Ok(())
     }
 
     /// Forward the whole run to the wrapped device's vectored path (one
@@ -140,6 +116,7 @@ impl BlockDevice for ChecksumDevice {
 mod tests {
     use super::*;
     use pario_disk::MemDisk;
+    use std::sync::Arc;
 
     #[test]
     fn clean_reads_verify() {

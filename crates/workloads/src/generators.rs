@@ -211,52 +211,6 @@ impl SkewedBlocks {
     }
 }
 
-/// A closed-loop client population for service-layer load experiments
-/// (E14): each client issues one request, waits for it to complete, and
-/// only then issues the next — the classic closed queueing model, where
-/// offered load adapts to service rate. Records are drawn Zipf-skewed so
-/// hot-record contention exercises the server's locks and fairness.
-#[derive(Copy, Clone, Debug)]
-pub struct ClosedLoop {
-    /// Concurrent clients.
-    pub clients: u32,
-    /// Distinct records addressed.
-    pub records: u64,
-    /// Operations each client issues.
-    pub ops_per_client: usize,
-    /// Zipf exponent over records (0 = uniform).
-    pub theta: f64,
-    /// Fraction of operations that are writes (0.0 - 1.0).
-    pub write_fraction: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl ClosedLoop {
-    /// The deterministic operation sequence of client `c`:
-    /// `(record, is_write)` pairs, independent per client (each gets its
-    /// own seeded stream) so threads need no shared generator state.
-    pub fn client_ops(&self, c: u32) -> Vec<(u64, bool)> {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (u64::from(c) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let zipf = Zipf::new(self.records as usize, self.theta);
-        (0..self.ops_per_client)
-            .map(|_| {
-                (
-                    zipf.sample(&mut rng) as u64,
-                    rng.random::<f64>() < self.write_fraction,
-                )
-            })
-            .collect()
-    }
-
-    /// Total operations across the whole population.
-    pub fn total_ops(&self) -> u64 {
-        u64::from(self.clients) * self.ops_per_client as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,28 +281,6 @@ mod tests {
             .map(|a| a.index)
             .collect();
         assert_eq!(reads, vec![0, 1, 2, 3, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn closed_loop_streams_deterministic_and_independent() {
-        let w = ClosedLoop {
-            clients: 4,
-            records: 64,
-            ops_per_client: 500,
-            theta: 0.8,
-            write_fraction: 0.3,
-            seed: 11,
-        };
-        assert_eq!(w.total_ops(), 2000);
-        let a = w.client_ops(0);
-        assert_eq!(a, w.client_ops(0), "same client, same stream");
-        assert_ne!(a, w.client_ops(1), "clients draw distinct streams");
-        assert!(a.iter().all(|&(r, _)| r < 64));
-        let writes = a.iter().filter(|&&(_, wr)| wr).count();
-        assert!((100..200).contains(&writes), "writes={writes}");
-        // Skew: rank 0 is the hottest record.
-        let hot = a.iter().filter(|&&(r, _)| r == 0).count();
-        assert!(hot * 64 > a.len(), "expected a hot record, got {hot}");
     }
 
     #[test]

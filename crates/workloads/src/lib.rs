@@ -33,9 +33,7 @@ mod stencil;
 mod trace;
 mod zipf;
 
-pub use generators::{
-    record_payload, ClosedLoop, OutOfCore, SkewedBlocks, TaskQueue, WrappedMatrix,
-};
+pub use generators::{record_payload, OutOfCore, SkewedBlocks, TaskQueue, WrappedMatrix};
 pub use openloop::{OpenLoop, OpenLoopPlan};
 pub use stencil::{Stencil1D, Stencil2D};
 pub use trace::{Access, AccessKind, Trace};

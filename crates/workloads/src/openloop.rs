@@ -1,9 +1,9 @@
 //! Open-loop load generation for the scale harness (E19).
 //!
-//! A closed-loop population ([`ClosedLoop`](crate::ClosedLoop)) adapts
-//! its offered load to the service rate: clients wait for each response
-//! before issuing the next request, so an overloaded server simply slows
-//! its clients down and the measured latency stays flat. An **open-loop**
+//! A closed-loop population adapts its offered load to the service
+//! rate: clients wait for each response before issuing the next
+//! request, so an overloaded server simply slows its clients down and
+//! the measured latency stays flat. An **open-loop**
 //! generator instead fixes the *arrival* schedule up front — operation
 //! `i` is due at a set instant regardless of how the server is doing —
 //! which is how real populations of independent clients behave and the
@@ -79,8 +79,8 @@ impl OpenLoop {
     }
 
     /// The operation at schedule position `i`: `(record, is_write)`,
-    /// drawn from an independent seeded stream per position (same
-    /// per-stream idiom as `ClosedLoop::client_ops`).
+    /// drawn from an independent seeded stream per position, so workers
+    /// share no generator state.
     pub fn op(&self, i: u64, zipf: &Zipf) -> (u64, bool) {
         let mut rng =
             StdRng::seed_from_u64(self.seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
