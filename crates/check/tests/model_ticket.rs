@@ -1,10 +1,12 @@
 //! Model checks for the `pario_disk` I/O executor's ticket accounting:
-//! model threads race submissions — and blocking calls that run inline
-//! on an idle node — against a live (non-model) worker thread, and every
-//! transfer must complete, one at a time, with exact in-flight/serviced
-//! counts in every explored interleaving of the enqueue and claim paths.
+//! model threads race submissions — and blocking calls and submissions
+//! that run inline on an idle node — against a live (non-model) worker
+//! thread, and every transfer must complete, one at a time, with exact
+//! in-flight/serviced counts in every explored interleaving of the
+//! enqueue and claim paths.
 #![cfg(pario_check)]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pario_check::{spawn, CheckCell, Config, Explorer};
@@ -74,21 +76,31 @@ fn tickets_complete_with_exact_accounting() {
 struct CellDisk {
     body: CheckCell<Vec<u8>>,
     busy: std::sync::atomic::AtomicBool,
+    /// Transfers on [`CellDisk::SUBMITTED`] blocks that a thread other
+    /// than the node's worker serviced: submissions run inline.
+    inline_submissions: AtomicU64,
 }
 
 impl CellDisk {
     const BLOCKS: u64 = 16;
+    /// The blocks only the submitting thread touches.
+    const SUBMITTED: std::ops::Range<u64> = 2..4;
 
     fn new() -> CellDisk {
         CellDisk {
             body: CheckCell::new_labeled(vec![0u8; Self::BLOCKS as usize * BS], "device body"),
             busy: std::sync::atomic::AtomicBool::new(false),
+            inline_submissions: AtomicU64::new(0),
         }
     }
 
-    fn serve<T>(&self, f: impl FnOnce() -> T) -> T {
+    fn serve<T>(&self, block: u64, f: impl FnOnce() -> T) -> T {
         use std::sync::atomic::Ordering::SeqCst;
         assert!(!self.busy.swap(true, SeqCst), "two transfers in service");
+        let worker = std::thread::current().name() == Some("pario-ionode");
+        if Self::SUBMITTED.contains(&block) && !worker {
+            self.inline_submissions.fetch_add(1, SeqCst);
+        }
         let out = f();
         self.busy.store(false, SeqCst);
         out
@@ -104,7 +116,7 @@ impl BlockDevice for CellDisk {
     }
     fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         let at = block as usize * BS;
-        self.serve(|| {
+        self.serve(block, || {
             self.body
                 .with(|d| buf.copy_from_slice(&d[at..at + buf.len()]))
         });
@@ -112,7 +124,7 @@ impl BlockDevice for CellDisk {
     }
     fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<(), DiskError> {
         let at = block as usize * BS;
-        self.serve(|| {
+        self.serve(block, || {
             self.body
                 .with_mut(|d| d[at..at + data.len()].copy_from_slice(data))
         });
@@ -130,16 +142,29 @@ impl BlockDevice for CellDisk {
 
 /// Caller-runs against the queue: three model threads mix blocking calls
 /// (which run inline whenever they find the node idle, and queue behind
-/// the worker otherwise) with submitted tickets on one node. In every
+/// the worker otherwise) with submitted tickets on one node. A blocking
+/// write before they start gives the node a service estimate, and under
+/// the model every measured transfer counts as instant, so the estimate
+/// is under the hand-off cost: a submission that finds the node idle
+/// runs inline too, and its ticket comes back ready. In every
 /// interleaving the device services one transfer at a time — a race on
 /// the cell, or a trip of the busy flag, fails the schedule — every wait
 /// returns (a worker that found the device taken is always woken), and
-/// the gauges come out exact.
+/// the gauges come out exact. Across the schedules the submitting
+/// thread's transfers run both ways.
 #[test]
 fn inline_and_queued_transfers_take_turns_on_the_device() {
-    let report = Explorer::new(Config::new(2500)).run(|| {
-        let node = IoNode::spawn(Arc::new(CellDisk::new()));
+    let inline_submissions = Arc::new(AtomicU64::new(0));
+    let queued_submissions = Arc::new(AtomicU64::new(0));
+    let (inline_seen, queued_seen) = (
+        Arc::clone(&inline_submissions),
+        Arc::clone(&queued_submissions),
+    );
+    let report = Explorer::new(Config::new(2500)).run(move || {
+        let disk = Arc::new(CellDisk::new());
+        let node = IoNode::spawn(Arc::clone(&disk) as Arc<dyn BlockDevice>);
         let handle = node.device();
+        handle.write_block(15, &[9u8; BS]).expect("warm-up write");
         let mut hs = Vec::new();
         for t in 0..3u64 {
             let h = Arc::clone(&handle);
@@ -171,15 +196,26 @@ fn inline_and_queued_transfers_take_turns_on_the_device() {
             h.join();
         }
         let s = node.stats();
-        assert_eq!(s.serviced, 12, "lost or double-counted transfer");
+        assert_eq!(s.serviced, 13, "lost or double-counted transfer");
         assert_eq!(s.in_flight, 0, "in-flight gauge leaked");
         assert!(s.max_in_flight >= 1 && s.max_in_flight <= 3);
         assert_eq!(s.panics, 0, "a transfer tripped the busy flag");
+        let inline = disk.inline_submissions.load(Ordering::SeqCst);
+        inline_seen.fetch_add(inline, Ordering::SeqCst);
+        queued_seen.fetch_add(4 - inline, Ordering::SeqCst);
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
         report.distinct >= 1000,
         "only {} distinct schedules",
         report.distinct
+    );
+    let (inline, queued) = (
+        inline_submissions.load(Ordering::SeqCst),
+        queued_submissions.load(Ordering::SeqCst),
+    );
+    assert!(
+        inline > 0 && queued > 0,
+        "submissions ran inline {inline}x and queued {queued}x"
     );
 }

@@ -92,6 +92,16 @@ pub trait BlockDevice: Send + Sync {
         crate::Ticket::ready(res)
     }
 
+    /// As [`submit_read_blocks`](BlockDevice::submit_read_blocks), for
+    /// one copy of a hedged read: raced against another copy
+    /// ([`Ticket::race`](crate::Ticket::race)), it is worth something
+    /// only while both are in flight, so a handle with a queue never
+    /// services it on the calling thread. The default is
+    /// `submit_read_blocks`.
+    fn submit_hedged_read_blocks(&self, block: u64, buf: Box<[u8]>) -> crate::Ticket<Box<[u8]>> {
+        self.submit_read_blocks(block, buf)
+    }
+
     /// Submit an asynchronous write of `data` (a whole number of blocks)
     /// at `block`. The ticket yields the buffer back on success so
     /// callers can recycle it.

@@ -27,9 +27,17 @@
 //! service the calling thread claims the node, runs the transfer itself
 //! straight on the caller's slice — the same `service` routine the worker
 //! runs — and releases it: no boxed buffer, no reply channel, no
-//! wake-up. With anything queued or in service the call queues as a
-//! submission would, behind everything already there. The device lock
-//! keeps the invariant either way: one transfer at a time.
+//! wake-up. A *submission* to an idle node runs the same way, and its
+//! ticket comes back ready, while the node's transfers measure under
+//! [`HANDOFF_NANOS`] — the cost of waking the worker and being woken by
+//! it. A faster device than that gains nothing from the overlap a
+//! hand-off buys, because the hand-off alone costs more than the transfer;
+//! a slower one keeps its worker, so a wave of submissions across such
+//! devices still runs in parallel. The node keeps that measurement as a
+//! running estimate of its service time; until the first transfer sets
+//! it, submissions queue. With anything queued or in service every call
+//! queues, behind everything already there. The device lock keeps the
+//! invariant either way: one transfer at a time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -105,28 +113,26 @@ impl<T> Ticket<T> {
             (TicketInner::Ready(res), other) => settle(0, res, Ticket { inner: other }),
             (other, TicketInner::Ready(res)) => settle(1, res, Ticket { inner: other }),
             (TicketInner::Pending(ra), TicketInner::Pending(rb)) => {
-                // Alternate short timed receives between the two replies.
-                // The ~50us granularity is noise next to the queue wait
-                // that makes hedging worthwhile in the first place.
-                use crossbeam::channel::RecvTimeoutError;
-                let step = std::time::Duration::from_micros(50);
+                use crossbeam::channel::RecvTimeoutError::{Disconnected, Timeout};
                 let dropped = || Err(DiskError::Io("I/O node dropped request".into()));
-                loop {
+                // Model threads poll, yielding between polls (see
+                // `recv_reply`); normal builds skip straight to `select!`.
+                while pario_check::yield_now() {
+                    let step = Duration::from_micros(50);
                     match ra.recv_timeout(step) {
                         Ok(res) => return settle(0, res, Ticket::pending(rb)),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return settle(0, dropped(), Ticket::pending(rb));
-                        }
+                        Err(Disconnected) => return settle(0, dropped(), Ticket::pending(rb)),
+                        Err(Timeout) => {}
                     }
                     match rb.recv_timeout(step) {
                         Ok(res) => return settle(1, res, Ticket::pending(ra)),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return settle(1, dropped(), Ticket::pending(ra));
-                        }
+                        Err(Disconnected) => return settle(1, dropped(), Ticket::pending(ra)),
+                        Err(Timeout) => {}
                     }
-                    pario_check::yield_now(); // see `recv_reply`
+                }
+                crossbeam::select! {
+                    recv(ra) -> res => settle(0, res.unwrap_or_else(|_| dropped()), Ticket::pending(rb)),
+                    recv(rb) -> res => settle(1, res.unwrap_or_else(|_| dropped()), Ticket::pending(ra)),
                 }
             }
         }
@@ -199,8 +205,12 @@ struct Shared {
     /// caller running inline — is servicing the node's one transfer.
     device: Mutex<DeviceRef>,
     /// Requests queued or in service, inline transfers included. Zero is
-    /// the idle node a blocking call may claim (see `claim_idle`).
+    /// the idle node a caller may claim (see `claim_idle`).
     in_flight: AtomicU64,
+    /// Running estimate of one read or write's service time, in
+    /// nanoseconds; `u64::MAX` until the first one is measured. Written
+    /// only under the device lock (see [`service`]).
+    service_estimate: AtomicU64,
     max_in_flight: AtomicU64,
     serviced: AtomicU64,
     queue_wait_nanos: AtomicU64,
@@ -213,6 +223,31 @@ struct Shared {
 }
 
 impl Shared {
+    /// Fold one transfer's service time into the estimate, 1/8 weight to
+    /// the newest. The caller holds the device lock, so updates do not
+    /// race. Under the model checker the scheduler stretches wall time at
+    /// will, so there every measured transfer counts as instant: which
+    /// path a submission takes then depends on the explored schedule
+    /// alone.
+    fn record_service(&self, nanos: u64) {
+        let nanos = if cfg!(pario_check) { 0 } else { nanos };
+        // ordering: read and written only under the device lock
+        let old = self.service_estimate.load(Ordering::Relaxed);
+        let new = match old {
+            u64::MAX => nanos,
+            _ => old - old / 8 + nanos / 8,
+        };
+        // ordering: read and written only under the device lock; readers elsewhere take it as a routing hint
+        self.service_estimate.store(new, Ordering::Relaxed);
+    }
+
+    /// Whether this node's transfers measure cheaper than a hand-off
+    /// (false until one has been measured).
+    fn fast(&self) -> bool {
+        // ordering: routing hint only; a stale estimate picks a slower path, never a wrong one
+        self.service_estimate.load(Ordering::Relaxed) < HANDOFF_NANOS
+    }
+
     fn snapshot(&self) -> IoNodeStats {
         IoNodeStats {
             serviced: self.serviced.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
@@ -235,6 +270,14 @@ const MAX_RETRIES: u32 = 3;
 
 /// Backoff before the first retry; it doubles on each further one.
 const RETRY_BACKOFF: Duration = Duration::from_micros(20);
+
+/// What handing a transfer to the worker costs, in nanoseconds: a
+/// submission to an idle node whose estimated service time is below this
+/// runs on the submitting thread. A queued hand-off is two wake-ups —
+/// ~6 µs on one CPU, 15–50 µs when they cross vCPUs — against ~4 µs for
+/// a zero-delay `MemDisk` transfer; a 200 µs device stays well above it
+/// and keeps the overlap its worker buys.
+const HANDOFF_NANOS: u64 = 20_000;
 
 /// A dedicated I/O processor serving one device.
 ///
@@ -296,6 +339,7 @@ impl IoNode {
             label: format!("ionode({})", inner.label()),
             device: Mutex::new_named(inner, LockLevel::DiskDevice),
             in_flight: AtomicU64::new(0),
+            service_estimate: AtomicU64::new(u64::MAX),
             max_in_flight: AtomicU64::new(0),
             serviced: AtomicU64::new(0),
             queue_wait_nanos: AtomicU64::new(0),
@@ -359,9 +403,10 @@ fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
 }
 
 /// Service one transfer on the device `dev` guards, then release it —
-/// the single routine behind the worker and the caller-runs path, so the
-/// retry/backoff and panic policy ([`execute`]) and every
-/// [`IoNodeStats`] counter are kept in exactly one place.
+/// the single routine behind the worker and both caller-runs paths, so
+/// the retry/backoff and panic policy ([`execute`]), every
+/// [`IoNodeStats`] counter and the service estimate are kept in exactly
+/// one place.
 /// `waiting_since` is when the request started waiting for the device —
 /// its submission, for a queued one; `None` if it never waited.
 fn service(
@@ -372,12 +417,16 @@ fn service(
 ) -> Result<()> {
     let started = Instant::now();
     let enqueued = waiting_since.unwrap_or(started);
+    let transfer = !matches!(op, Op::Flush);
     let res = match op {
         Op::Read { block, buf } => execute(shared, || dev.read_blocks_at(block, buf)),
         Op::Write { block, data } => execute(shared, || dev.write_blocks_at(block, data)),
         Op::Flush => execute(shared, || dev.flush()),
     };
     let service_nanos = started.elapsed().as_nanos() as u64;
+    if transfer {
+        shared.record_service(service_nanos);
+    }
     drop(dev);
     // Stats are settled BEFORE the result is handed back, so a client
     // that observes its request complete also observes it counted.
@@ -430,11 +479,10 @@ fn execute<T>(shared: &Shared, mut op: impl FnMut() -> Result<T>) -> Result<T> {
 /// edit the benchmark. Once the log is bounded this constant goes
 /// (ROADMAP item 1). See DESIGN §7.
 ///
-/// Fairness on a shared CPU is not their job. An inline transfer never
-/// blocks, where a hand-off blocked its caller twice, so an op made of
-/// hundreds of transfers (a parity span's read-modify-write) would keep
-/// the CPU from peers that wait on wake-ups; `pario-fs` keeps such ops
-/// on the submit path instead.
+/// Fairness on a shared CPU is not their job either. Submissions to an
+/// idle fast node run inline without them, a parity span's whole
+/// read-modify-write included: such an op is a handful of transfers of a
+/// few µs each, and no rule holds it to the queue.
 const INLINE_YIELDS: usize = 3;
 
 /// Whether the process may run on one CPU only (affinity mask or cgroup
@@ -466,14 +514,15 @@ impl IoNodeDevice {
             })
     }
 
-    /// Caller-runs admission: claim the node only if nothing at all is
-    /// queued or in service — the claim is the 0 -> 1 step of the same
-    /// gauge submissions count themselves into, so from here until the
-    /// transfer completes every other call sees a busy node and queues.
-    /// Returns the device and, if the claim had to wait for it, since
-    /// when; hand both to [`service`]. A call that finds the node busy
-    /// gets `None` and must queue, which is what keeps a blocking call
-    /// from overtaking a backlog.
+    /// Caller-runs admission, for blocking calls and submissions alike:
+    /// claim the node only if nothing at all is queued or in service —
+    /// the claim is the 0 -> 1 step of the same gauge queued requests
+    /// count themselves into, so from here until the transfer completes
+    /// every other call sees a busy node and queues. Returns the device
+    /// and, if the claim had to wait for it, since when; hand both to
+    /// [`service`]. A call that finds the node busy gets `None` and must
+    /// queue, which is what keeps an inline transfer from overtaking a
+    /// backlog.
     fn claim_idle(&self) -> Option<(MutexGuard<'_, DeviceRef>, Option<Instant>)> {
         let gauge = &self.shared.in_flight;
         // ordering: routing decision only — RMWs read the latest count, and the device lock below orders the transfers themselves
@@ -491,10 +540,10 @@ impl IoNodeDevice {
         Some((self.shared.device.lock(), Some(since)))
     }
 
-    /// Caller-runs: service `op` on the calling thread if the node is
-    /// idle, then pay the scheduling points a hand-off would have been
-    /// (see [`INLINE_YIELDS`]). `None` means the node is busy and the
-    /// call must queue.
+    /// Caller-runs for a blocking call: service `op` on the calling
+    /// thread if the node is idle, then pay the scheduling points a
+    /// hand-off would have been (see [`INLINE_YIELDS`]). `None` means the
+    /// node is busy and the call must queue.
     fn run_inline(&self, op: Op<'_>) -> Option<Result<()>> {
         let (dev, waiting_since) = self.claim_idle()?;
         let res = service(&self.shared, dev, waiting_since, op);
@@ -504,6 +553,46 @@ impl IoNodeDevice {
             }
         }
         Some(res)
+    }
+
+    /// Caller-runs for a submission: service `op` on the calling thread
+    /// if the node is idle and its transfers measure under
+    /// [`HANDOFF_NANOS`]. `None` means the submission must queue — the
+    /// node is busy, or slow enough (or not yet measured) that its worker
+    /// buys overlap.
+    fn serve_submission(&self, op: Op<'_>) -> Option<Result<()>> {
+        if !self.shared.fast() {
+            return None;
+        }
+        let (dev, waiting_since) = self.claim_idle()?;
+        Some(service(&self.shared, dev, waiting_since, op))
+    }
+
+    /// A read submission: inline on an idle fast node if `may_run_here`,
+    /// queued otherwise.
+    fn submit_read(&self, block: u64, mut buf: Box<[u8]>, may_run_here: bool) -> Ticket<Box<[u8]>> {
+        self.whole_blocks(buf.len());
+        if buf.is_empty() {
+            return Ticket::ready(Ok(buf));
+        }
+        if may_run_here {
+            let op = Op::Read {
+                block,
+                buf: &mut buf,
+            };
+            if let Some(res) = self.serve_submission(op) {
+                return Ticket::ready(res.map(|()| buf));
+            }
+        }
+        let (tx, rx) = bounded(1);
+        match self.enqueue(Request::Read {
+            block,
+            buf,
+            reply: tx,
+        }) {
+            Ok(()) => Ticket::pending(rx),
+            Err(e) => Ticket::ready(Err(e)),
+        }
     }
 
     fn whole_blocks(&self, len: usize) {
@@ -557,28 +646,27 @@ impl BlockDevice for IoNodeDevice {
             .map(|_| ())
     }
 
-    /// True asynchronous submission: the request is queued and the
-    /// ticket completes when the worker services it.
+    /// Serviced here into `buf` with a ready ticket on an idle fast node
+    /// (see [`HANDOFF_NANOS`]); otherwise queued, and the ticket
+    /// completes when the worker services it.
     fn submit_read_blocks(&self, block: u64, buf: Box<[u8]>) -> Ticket<Box<[u8]>> {
-        self.whole_blocks(buf.len());
-        if buf.is_empty() {
-            return Ticket::ready(Ok(buf));
-        }
-        let (tx, rx) = bounded(1);
-        match self.enqueue(Request::Read {
-            block,
-            buf,
-            reply: tx,
-        }) {
-            Ok(()) => Ticket::pending(rx),
-            Err(e) => Ticket::ready(Err(e)),
-        }
+        self.submit_read(block, buf, true)
     }
 
+    /// Always queued, so the copy is in flight beside the one it races.
+    fn submit_hedged_read_blocks(&self, block: u64, buf: Box<[u8]>) -> Ticket<Box<[u8]>> {
+        self.submit_read(block, buf, false)
+    }
+
+    /// As [`submit_read_blocks`](Self::submit_read_blocks): inline
+    /// from `data` on an idle fast node, queued otherwise.
     fn submit_write_blocks(&self, block: u64, data: Box<[u8]>) -> Ticket<Box<[u8]>> {
         self.whole_blocks(data.len());
         if data.is_empty() {
             return Ticket::ready(Ok(data));
+        }
+        if let Some(res) = self.serve_submission(Op::Write { block, data: &data }) {
+            return Ticket::ready(res.map(|()| data));
         }
         let (tx, rx) = bounded(1);
         match self.enqueue(Request::Write {
@@ -643,6 +731,8 @@ mod tests {
         gate: StdMutex<(bool, bool)>,
         cv: Condvar,
         order: StdMutex<Vec<u64>>,
+        /// The thread that serviced each transfer, in service order.
+        served_by: StdMutex<Vec<std::thread::ThreadId>>,
     }
 
     /// Clears `busy` when the transfer ends, panics included.
@@ -664,6 +754,7 @@ mod tests {
                 gate: StdMutex::new((false, false)),
                 cv: Condvar::new(),
                 order: StdMutex::new(Vec::new()),
+                served_by: StdMutex::new(Vec::new()),
             })
         }
 
@@ -679,12 +770,20 @@ mod tests {
             self.cv.notify_all();
         }
 
+        fn last_served_by(&self) -> std::thread::ThreadId {
+            *self.served_by.lock().unwrap().last().unwrap()
+        }
+
         fn serve<T>(&self, block: u64, f: impl FnOnce() -> T) -> T {
             assert!(
                 !self.busy.swap(true, Ordering::SeqCst),
                 "two transfers overlap on one device"
             );
             let _idle = Idle(&self.busy);
+            self.served_by
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
             if block == self.gate_block {
                 let mut g = self.gate.lock().unwrap();
                 if !g.0 {
@@ -764,6 +863,36 @@ mod tests {
         }
     }
 
+    /// Submit the write that pins `node`'s worker at `probe`'s gate. The
+    /// node must not have measured a transfer yet: with a fast estimate
+    /// an idle node would run the submission on this thread, which would
+    /// then wait at the gate for a release only it can give.
+    fn pin_worker_at_gate(probe: &Probe, node: &IoNode) -> Ticket<Box<[u8]>> {
+        assert!(!node.shared.fast(), "the gate submission would run inline");
+        let bs = probe.block_size();
+        let gate = node
+            .device()
+            .submit_write_blocks(probe.gate_block, vec![0u8; bs].into_boxed_slice());
+        assert!(matches!(gate.inner, TicketInner::Pending(_)));
+        probe.wait_entered();
+        gate
+    }
+
+    /// Bring `node`'s service estimate under [`HANDOFF_NANOS`] with
+    /// blocking writes to `block`: one is normally enough, more only if
+    /// the test thread was preempted inside a transfer.
+    fn warm_fast(node: &IoNode, block: u64) {
+        let dev = node.device();
+        let data = vec![0u8; dev.block_size()];
+        for _ in 0..1000 {
+            if node.shared.fast() {
+                return;
+            }
+            dev.write_block(block, &data).unwrap();
+        }
+        panic!("an undelayed device never measured under the hand-off cost");
+    }
+
     /// Pin `node`'s worker inside a gate request on `probe`, issue `call`
     /// — one blocking call, which therefore has to queue — from a second
     /// thread, and release the gate once the call is in the queue.
@@ -773,10 +902,8 @@ mod tests {
         call: impl FnOnce(&DeviceRef) -> T + Send,
     ) -> T {
         let dev = node.device();
-        let bs = dev.block_size();
         let before = node.stats().in_flight;
-        let gate = dev.submit_write_blocks(probe.gate_block, vec![0u8; bs].into_boxed_slice());
-        probe.wait_entered();
+        let gate = pin_worker_at_gate(probe, node);
         let out = std::thread::scope(|s| {
             let blocked = s.spawn(|| call(&dev));
             while node.stats().in_flight < before + 2 {
@@ -798,8 +925,7 @@ mod tests {
         let probe = Probe::new(Arc::new(MemDisk::new(256, 64)), 128);
         let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
         let dev = node.device();
-        let gate = dev.submit_write_blocks(128, vec![0u8; 64].into_boxed_slice());
-        probe.wait_entered();
+        let gate = pin_worker_at_gate(&probe, &node);
         let backlog: Vec<Ticket<Box<[u8]>>> = [250u64, 10]
             .iter()
             .map(|&b| dev.submit_write_blocks(b, vec![b as u8; 64].into_boxed_slice()))
@@ -874,6 +1000,93 @@ mod tests {
         // Two modelled transfers at >= 50us each; the flush is free.
         assert!(s.service_nanos >= 100_000, "{s:?}");
         assert_eq!(s.queue_wait_nanos, 0, "an idle node makes nobody wait");
+    }
+
+    #[test]
+    fn a_submission_to_an_idle_fast_node_runs_on_the_calling_thread() {
+        let probe = Probe::new(Arc::new(MemDisk::new(16, 64)), u64::MAX);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        let dev = node.device();
+        let me = std::thread::current().id();
+        // Unmeasured, the node hands even an idle submission to its worker.
+        let first = dev.submit_write_blocks(1, vec![1u8; 64].into_boxed_slice());
+        first.wait().unwrap();
+        assert_ne!(probe.last_served_by(), me, "an unmeasured node queues");
+        warm_fast(&node, 2);
+        let wait_before = node.stats().queue_wait_nanos;
+        let write = dev.submit_write_blocks(3, vec![3u8; 64].into_boxed_slice());
+        assert!(matches!(write.inner, TicketInner::Ready(Ok(_))));
+        assert_eq!(probe.last_served_by(), me);
+        let read = dev.submit_read_blocks(3, vec![0u8; 64].into_boxed_slice());
+        assert!(matches!(read.inner, TicketInner::Ready(Ok(_))));
+        assert_eq!(probe.last_served_by(), me);
+        assert!(read.wait().unwrap().iter().all(|&b| b == 3));
+        let s = node.stats();
+        assert_eq!(s.queue_wait_nanos, wait_before, "nobody waited: {s:?}");
+        assert_eq!((s.in_flight, s.max_in_flight), (0, 1));
+    }
+
+    #[test]
+    fn a_submission_that_finds_the_node_busy_queues_behind_it() {
+        let probe = Probe::new(Arc::new(MemDisk::new(64, 64)), 9);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        warm_fast(&node, 1);
+        let dev = node.device();
+        std::thread::scope(|s| {
+            // A blocking call on the idle node runs inline on its own
+            // thread and holds the device at the gate.
+            let holder = s.spawn(|| dev.write_block(9, &[9u8; 64]));
+            probe.wait_entered();
+            let behind = dev.submit_write_blocks(20, vec![20u8; 64].into_boxed_slice());
+            assert!(
+                matches!(behind.inner, TicketInner::Pending(_)),
+                "a busy node queues even a fast submission"
+            );
+            assert_eq!(node.stats().in_flight, 2);
+            probe.release();
+            holder.join().unwrap().unwrap();
+            behind.wait().unwrap();
+        });
+        let order = probe.order.lock().unwrap().clone();
+        assert_eq!(order[order.len() - 2..], [9, 20]);
+        assert_ne!(probe.last_served_by(), std::thread::current().id());
+        assert!(node.stats().queue_wait_nanos > 0, "{:?}", node.stats());
+    }
+
+    #[test]
+    fn a_wave_on_delayed_nodes_still_overlaps() {
+        use std::time::Duration;
+        const DELAY: Duration = Duration::from_micros(200);
+        let nodes: Vec<IoNode> = (0..4)
+            .map(|_| IoNode::spawn(Arc::new(MemDisk::new(8, 64).with_delay(DELAY))))
+            .collect();
+        let devs: Vec<DeviceRef> = nodes.iter().map(IoNode::device).collect();
+        for dev in &devs {
+            dev.write_block(0, &[1u8; 64]).unwrap();
+        }
+        assert!(nodes.iter().all(|n| !n.shared.fast()));
+        // One transfer, as the nodes measured it (the sleep's overshoot
+        // included); the best of three waves absorbs a late wake-up.
+        let s = nodes[0].stats();
+        let one = Duration::from_nanos(s.service_nanos / s.serviced);
+        let wave = (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                let tickets: Vec<_> = devs
+                    .iter()
+                    .map(|d| d.submit_read_blocks(0, vec![0u8; 64].into_boxed_slice()))
+                    .collect();
+                assert!(tickets
+                    .iter()
+                    .all(|t| matches!(t.inner, TicketInner::Pending(_))));
+                for t in tickets {
+                    t.wait().unwrap();
+                }
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(wave < 2 * one, "four transfers of {one:?} took {wave:?}");
     }
 
     #[test]

@@ -517,14 +517,14 @@ impl RawFile {
 
     /// Read the physical blocks `locs` in one wave and XOR them into
     /// `out` — the one place a partial-stripe write folds a stripe's old
-    /// blocks into its parity buffer. Every read is submitted on the
-    /// asynchronous path (cache tier or executor queue) before any is
-    /// waited for: an idle I/O node does not run them on the calling
-    /// thread, so the op keeps the hand-off's overlap and its blocking
-    /// points (DESIGN §7). Every ticket is waited out and feeds the
-    /// health board; `out` is touched only if all of them succeeded.
+    /// blocks into its parity buffer. Every read is submitted (cache
+    /// tier or executor) before any is waited for, so on devices slower
+    /// than a hand-off they overlap; an idle I/O node whose transfers
+    /// cost less than waking its worker runs the read on the calling
+    /// thread instead (DESIGN §7). Every ticket is waited out and feeds
+    /// the health board; `out` is touched only if all of them succeeded.
     fn xor_reads(&self, locs: &[PhysBlock], out: &mut [u8]) -> Result<()> {
-        let submit = |p: &PhysBlock| self.submit_read_run(p.device, p.block, 1);
+        let submit = |p: &PhysBlock| self.submit_read_run(p.device, p.block, 1, false);
         let tickets: Vec<_> = locs.iter().map(submit).collect();
         let wait = |(p, t): (&PhysBlock, _)| self.wait_read_run(p.device, t);
         let blocks: Vec<_> = locs.iter().zip(tickets).map(wait).collect();
@@ -579,7 +579,7 @@ impl RawFile {
             }
         }
         let submit = |(slot, row, buf): &(usize, u64, &mut [u8])| {
-            self.submit_read_run(*slot, *row, rows(buf))
+            self.submit_read_run(*slot, *row, rows(buf), false)
         };
         let inflight: Vec<_> = runs.iter().map(submit).collect();
         let mut outcome = Ok(());
@@ -962,8 +962,19 @@ impl RawFile {
     /// copied immediately and adjacent misses coalesce into one vectored
     /// executor request, submitted (not waited) here so cross-device
     /// fan-out is preserved. This and [`RawFile::submit_write_run`] are
-    /// where data enters the tier.
-    fn submit_read_run(&self, slot: usize, dblock: u64, count: u64) -> Vec<RunTicket> {
+    /// where data enters the tier. `hedged` marks either copy of a raced
+    /// read: its executor requests always queue (see
+    /// [`pario_disk::BlockDevice::submit_hedged_read_blocks`]), so both
+    /// are in flight when the race starts — a spike on the Suspect copy
+    /// cannot hold the caller, and a mirror served on the spot cannot
+    /// decide the race before the Suspect copy had its chance to answer.
+    fn submit_read_run(
+        &self,
+        slot: usize,
+        dblock: u64,
+        count: u64,
+        hedged: bool,
+    ) -> Vec<RunTicket> {
         let bs = self.block_size();
         let cache = self.vol.cache().map(|c| (c, self.slot_vdev(slot)));
         let segs = self.run_segments(slot, dblock, count).into_iter();
@@ -971,7 +982,11 @@ impl RawFile {
             Some((c, vdev)) => RunTicket::CacheRead(c.submit_read(vdev, abs, n as usize)),
             None => {
                 let buf = self.vol.staging().take(n as usize * bs);
-                RunTicket::Dev(dev.submit_read_blocks(abs, buf))
+                RunTicket::Dev(if hedged {
+                    dev.submit_hedged_read_blocks(abs, buf)
+                } else {
+                    dev.submit_read_blocks(abs, buf)
+                })
             }
         };
         segs.map(|seg| self.paced(submit(seg))).collect()
@@ -1196,7 +1211,7 @@ impl RawFile {
             let (mut inflight, mut second) = (Vec::new(), Vec::new());
             let mut retry = |m: MergedRun, next: Option<usize>, e: DiskError| match next {
                 Some(slot) => {
-                    let tickets = self.submit_read_run(slot, m.dblock, m.count);
+                    let tickets = self.submit_read_run(slot, m.dblock, m.count, false);
                     second.push((m, slot, tickets));
                 }
                 None => lost.push((m, e)),
@@ -1222,8 +1237,8 @@ impl RawFile {
                 }
                 let hedge = other
                     .filter(|_| route.race)
-                    .map(|s| (s, self.submit_read_run(s, m.dblock, m.count)));
-                let tickets = self.submit_read_run(slot, m.dblock, m.count);
+                    .map(|s| (s, self.submit_read_run(s, m.dblock, m.count, true)));
+                let tickets = self.submit_read_run(slot, m.dblock, m.count, hedge.is_some());
                 inflight.push((m, (slot, tickets), other, hedge));
             }
             for (m, primary, other, hedge) in inflight {
@@ -1322,7 +1337,7 @@ impl RawFile {
             m.dblock = m.dblock.min(r0);
             m.count = end.saturating_sub(m.dblock);
             if m.count > 0 {
-                let tickets = self.submit_read_run(slot, m.dblock, m.count);
+                let tickets = self.submit_read_run(slot, m.dblock, m.count, false);
                 inflight.push((m, tickets));
             }
         }

@@ -1369,7 +1369,10 @@ mod tests {
 
     /// A `MemDisk` whose zero runs — its writes of more than one block;
     /// journal records are single blocks — can be held at a gate or meet
-    /// a fail-stop, by their index on this device.
+    /// a fail-stop, by their index on this device. Its transfers take
+    /// 100 µs, longer than a hand-off to the device's worker: a node
+    /// runs submissions to a faster device on the submitting thread,
+    /// which a held run would then park.
     struct Gated {
         disk: MemDisk,
         runs: std::sync::atomic::AtomicU64,
@@ -1383,7 +1386,7 @@ mod tests {
     impl Gated {
         fn new(park_on: Option<u64>, fail_on: Option<u64>) -> Arc<Gated> {
             Arc::new(Gated {
-                disk: MemDisk::new(1024, 512),
+                disk: MemDisk::new(1024, 512).with_delay(std::time::Duration::from_micros(100)),
                 runs: Default::default(),
                 park_on,
                 fail_on,

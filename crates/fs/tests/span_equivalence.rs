@@ -21,9 +21,11 @@
 //! reference: the same bytes back, and the same blocks on every device
 //! of the file, parity rows and mirror copies included.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use pario_disk::{DiskError, IoNodeStats};
+use pario_disk::{DiskError, IoNodeStats, MemDisk};
 use pario_fs::{
     FileSpec, GlobalReader, GlobalWriter, RawFile, Volume, VolumeCacheConfig, VolumeConfig,
 };
@@ -482,16 +484,23 @@ fn unhealthy_slots_and_cached_volumes_route_as_before() {
     assert_eq!(cv.cache_stats().unwrap().base.hits, hits + 1);
 }
 
-/// A parity read-modify-write is four transfers on two devices, not one:
-/// it goes through the queue (every request waits for its worker), and
-/// its two reads are both submitted before either is waited for.
+/// A parity read-modify-write is four transfers on two devices, and it
+/// submits every one of them. On devices slower than a hand-off to their
+/// workers, every request goes through the queue (it waits for its
+/// worker), so the two reads overlap, as do the two writes. (On
+/// undelayed devices the I/O nodes run the same submissions on the
+/// caller.)
 #[test]
-fn parity_read_modify_write_stays_on_the_queue() {
+fn parity_read_modify_write_queues_on_devices_slower_than_a_hand_off() {
     let spec = LayoutSpec::Parity {
         data_devices: 3,
         rotated: true,
     };
-    let v = volume();
+    let delay = std::time::Duration::from_micros(100);
+    let devices = (0..6)
+        .map(|_| Arc::new(MemDisk::new(512, BS).with_delay(delay)) as pario_disk::DeviceRef)
+        .collect();
+    let v = Volume::new(devices).unwrap();
     let f = whole_file(&v, &spec);
     let data: Vec<u8> = (0..BS).map(|i| i as u8).collect();
     let map = f.meta_snapshot().device_map;
@@ -1040,14 +1049,17 @@ impl pario_disk::BlockDevice for Hooked {
 #[test]
 fn a_degraded_parity_span_takes_the_stripe_lock_once() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     for state in [Slot::Healed, Slot::Rebuilding] {
         let shut = Arc::new(AtomicBool::new(false));
         let reads = Arc::new(AtomicU64::new(0));
-        let devices: Vec<pario_disk::DeviceRef> = pario_disk::mem_array(4, 512, BS)
-            .into_iter()
+        // Slower than a hand-off, so the I/O nodes queue every request
+        // and the gate parks their workers rather than the reader.
+        let slow = || Arc::new(MemDisk::new(512, BS).with_delay(Duration::from_micros(100)));
+        let devices: Vec<pario_disk::DeviceRef> = (0..4)
+            .map(|_| slow() as pario_disk::DeviceRef)
             .map(|inner| {
                 let (shut, reads) = (Arc::clone(&shut), Arc::clone(&reads));
                 let hook = move |write: bool, _, _| {
@@ -1130,7 +1142,6 @@ fn a_degraded_parity_span_takes_the_stripe_lock_once() {
 #[test]
 fn a_half_dead_mirror_pair_still_reads_and_writes_every_block() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     let bad = [
         Arc::new(AtomicU64::new(u64::MAX)),
