@@ -8,7 +8,7 @@ use std::sync::Arc;
 use pario_bench::banner;
 use pario_bench::table::{save_json, Table};
 use pario_disk::{DeviceRef, MemDisk};
-use pario_fs::{FileSpec, Volume, VolumeConfig};
+use pario_fs::{FileSpec, HealthState, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
 use pario_reliability as rel;
 
@@ -78,8 +78,11 @@ fn parity_survives_failure() {
     for b in 0..v.device(2).num_blocks() {
         v.device(2).write_block(b, &zero).unwrap();
     }
-    let rebuilt = rel::rebuild_parity_slot(&f, 2).unwrap();
-    println!("   replacement drive rebuilt: {rebuilt} blocks reconstructed by XOR");
+    let report = rel::rebuild_device(&v, 2, rel::RebuildThrottle::UNBOUNDED).unwrap();
+    let rebuilt = report.parity_rebuilt[0].1;
+    assert_eq!(v.device_health(2), HealthState::Healthy);
+    assert!(!v.is_degraded());
+    println!("   replacement drive rebuilt: {rebuilt} blocks reconstructed by XOR, device Healthy");
     for r in 0..64u64 {
         f.read_record(r, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == (r + 1) as u8));
@@ -203,9 +206,11 @@ fn shadow_cost_and_recovery() {
         f.read_record(r, &mut buf).unwrap();
     }
     println!("   primary drive failed: all reads served by shadows, zero rebuild needed");
-    v.device(0).heal();
-    let n = rel::resync_shadow(&f, 0).unwrap();
-    println!("   replacement re-synced from mirror: {n} blocks copied\n");
+    let report = rel::rebuild_device(&v, 0, rel::RebuildThrottle::UNBOUNDED).unwrap();
+    let n = report.shadow_resynced[0].1;
+    assert_eq!(v.device_health(0), HealthState::Healthy);
+    assert!(!v.is_degraded());
+    println!("   replacement re-synced from mirror: {n} blocks copied, device Healthy\n");
 }
 
 fn rollback_consistency() {

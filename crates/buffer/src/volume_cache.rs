@@ -17,7 +17,7 @@
 //!   runs before executor submit, both at eviction and at
 //!   [`VolumeCache::flush`]. A producer that outruns its devices waits
 //!   out the eviction's write-back.
-//! * **Invalidation** hooks ([`VolumeCache::invalidate_range`],
+//! * **Invalidation** hooks ([`VolumeCache::invalidate_ranges`],
 //!   [`VolumeCache::drop_device`]) let lock release points and device
 //!   health transitions keep cached state coherent with the media.
 //!
@@ -99,6 +99,14 @@ type Key = (usize, u64);
 /// empty.
 fn block_keys(dev: usize, block: u64, count: u64) -> Option<(Key, Key)> {
     (count > 0).then(|| ((dev, block), (dev, block.saturating_add(count - 1))))
+}
+
+/// The key bounds of `(device, block, count)` ranges, empty ones left out.
+fn range_keys(ranges: &[(usize, u64, u64)]) -> Vec<(Key, Key)> {
+    let keys = ranges
+        .iter()
+        .filter_map(|&(dev, block, count)| block_keys(dev, block, count));
+    keys.collect()
 }
 
 /// Every block of `dev`.
@@ -674,38 +682,26 @@ impl VolumeCache {
         self.write_back(&mut self.table(), &[((0, 0), (usize::MAX, u64::MAX))])
     }
 
-    /// Flush dirty state covering `[block, block + count)` of device
-    /// `dev` — the hook a byte-range lock release drives so data written
-    /// under the lock is durable before the next holder proceeds. Does
-    /// not return while a write-back of the range, anyone's, is still
-    /// in flight.
-    pub fn flush_range(&self, dev: usize, block: u64, count: u64) -> Result<()> {
-        self.flush_ranges(&[(dev, block, count)])
-    }
-
-    /// [`VolumeCache::flush_range`] over several disjoint `(device,
-    /// block, count)` ranges at once: every run of every range is
-    /// submitted before any is waited.
+    /// Flush dirty state covering disjoint `(device, block, count)`
+    /// ranges — the hook a byte-range lock release drives so data
+    /// written under the lock is durable before the next holder
+    /// proceeds. Every run of every range is submitted before any is
+    /// waited. Does not return while a write-back of the ranges,
+    /// anyone's, is still in flight.
     pub fn flush_ranges(&self, ranges: &[(usize, u64, u64)]) -> Result<()> {
-        let keys: Vec<(Key, Key)> = ranges
-            .iter()
-            .filter_map(|&(dev, block, count)| block_keys(dev, block, count))
-            .collect();
-        self.write_back(&mut self.table(), &keys)
+        self.write_back(&mut self.table(), &range_keys(ranges))
     }
 
-    /// Drop the frames covering `[block, block + count)`
-    /// of device `dev` *without* writing anything back — for callers
-    /// that know the media is authoritative (fresh zeroed extents) or
-    /// gone (health transitions). A write-back of the range already in
-    /// flight lands before this returns, so a caller about to write the
-    /// media raw (or hand the blocks to a new owner) invalidates first
-    /// and nothing stale can arrive afterwards; it invalidates again
-    /// after the raw write to drop what was filled in between.
-    pub fn invalidate_range(&self, dev: usize, block: u64, count: u64) {
-        if let Some((lo, hi)) = block_keys(dev, block, count) {
-            self.invalidate(lo, hi);
-        }
+    /// Drop the frames covering `(device, block, count)` ranges
+    /// *without* writing anything back — for callers that know the media
+    /// is authoritative (fresh zeroed extents) or gone (health
+    /// transitions). A write-back of the ranges already in flight lands
+    /// before this returns, so a caller about to write the media raw (or
+    /// hand the blocks to a new owner) invalidates first and nothing
+    /// stale can arrive afterwards; it invalidates again after the raw
+    /// write to drop what was filled in between.
+    pub fn invalidate_ranges(&self, ranges: &[(usize, u64, u64)]) {
+        self.invalidate(&range_keys(ranges));
     }
 
     /// Drop every frame of device `dev` — the
@@ -713,28 +709,26 @@ impl VolumeCache {
     /// reconstruct) rather than serve from cache, and a Rebuilding
     /// device's frames predate the resync sweep.
     pub fn drop_device(&self, dev: usize) {
-        let (lo, hi) = device_keys(dev);
-        self.invalidate(lo, hi);
+        self.invalidate(&[device_keys(dev)]);
     }
 
-    fn invalidate(&self, lo: Key, hi: Key) {
+    fn invalidate(&self, ranges: &[(Key, Key)]) {
+        let covered = |k: &Key| ranges.iter().any(|(lo, hi)| (lo..=hi).contains(&k));
         let mut st = self.table();
         // Poison matching in-flight fetches too: invalidation means the
         // media changed (or died) underneath, so bytes fetched before it
         // must not come back as clean frames.
-        let fetching: Vec<Key> = st
-            .inflight
-            .keys()
-            .filter(|k| (lo..=hi).contains(k))
-            .copied()
-            .collect();
+        let fetching: Vec<Key> = st.inflight.keys().filter(|k| covered(k)).copied().collect();
         for key in fetching {
             st.mark_stale_if_inflight(key);
         }
-        while st.transfer_in(lo, hi) {
+        while ranges.iter().any(|&(lo, hi)| st.transfer_in(lo, hi)) {
             st.wait_settled();
         }
-        let frames: Vec<Key> = st.map.range(lo..=hi).map(|(&k, _)| k).collect();
+        let mut frames: Vec<Key> = Vec::new();
+        for &(lo, hi) in ranges {
+            frames.extend(st.map.range(lo..=hi).map(|(&k, _)| k));
+        }
         for key in frames {
             st.unmap(key);
         }
@@ -908,7 +902,7 @@ mod tests {
         c.write_block(0, 0, &[1u8; BS]).unwrap();
         c.write_block(0, 1, &[2u8; BS]).unwrap();
         c.write_block(1, 0, &[3u8; BS]).unwrap();
-        c.invalidate_range(0, 1, 1);
+        c.invalidate_ranges(&[(0, 1, 1)]);
         assert_eq!(c.len(), 2);
         c.drop_device(0);
         assert_eq!(c.len(), 1);
@@ -950,7 +944,7 @@ mod tests {
         // Same shape against invalidation after a raw media write.
         let t = c.submit_read(0, 5, 1);
         d[0].write_block(5, &[9u8; BS]).unwrap();
-        c.invalidate_range(0, 5, 1);
+        c.invalidate_ranges(&[(0, 5, 1)]);
         t.wait(&c).unwrap();
         c.read_block(0, 5, &mut buf).unwrap();
         assert_eq!(buf[0], 9, "invalidation poisons the in-flight fetch");
@@ -968,7 +962,7 @@ mod tests {
         d[0].write_block(0, &[1u8; BS]).unwrap();
         let early = c.submit_read(0, 0, 1);
         d[0].write_block(0, &[2u8; BS]).unwrap();
-        c.invalidate_range(0, 0, 1);
+        c.invalidate_ranges(&[(0, 0, 1)]);
         let late = c.submit_read(0, 0, 1);
         assert_eq!(late.wait(&c).unwrap()[0], 2);
         assert_eq!(c.len(), 1, "the later fetch is fresh and fills the frame");
@@ -1134,7 +1128,7 @@ mod tests {
         c.write_block(0, 1, &[1u8; BS]).unwrap();
         c.read_block(0, 2, &mut buf).unwrap(); // resident, clean
         gate.arm();
-        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        let flushed = in_background(&c, |c| c.flush_ranges(&[(0, 1, 1)]).unwrap());
         gate.wait_parked();
         // The device sits on the write-back; the table is free.
         let hits = c.stats().base.hits;
@@ -1156,7 +1150,7 @@ mod tests {
         let (c, gate, d) = gated_cache(8);
         c.write_block(0, 1, &[1u8; BS]).unwrap();
         gate.arm();
-        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        let flushed = in_background(&c, |c| c.flush_ranges(&[(0, 1, 1)]).unwrap());
         gate.wait_parked();
         c.write_block(0, 1, &[2u8; BS]).unwrap();
         gate.release();
@@ -1180,9 +1174,9 @@ mod tests {
         let (c, gate, d) = gated_cache(8);
         c.write_block(0, 1, &[1u8; BS]).unwrap();
         gate.arm();
-        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        let flushed = in_background(&c, |c| c.flush_ranges(&[(0, 1, 1)]).unwrap());
         gate.wait_parked();
-        let dropped = in_background(&c, |c| c.invalidate_range(0, 1, 1));
+        let dropped = in_background(&c, |c| c.invalidate_ranges(&[(0, 1, 1)]));
         assert!(
             dropped.recv_timeout(GRACE).is_err(),
             "invalidation returned with the write-back still in flight"
@@ -1215,9 +1209,9 @@ mod tests {
         let (c, gate, d) = gated_cache(8);
         c.write_block(0, 1, &[1u8; BS]).unwrap();
         gate.arm();
-        let first = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        let first = in_background(&c, |c| c.flush_ranges(&[(0, 1, 1)]).unwrap());
         gate.wait_parked();
-        let second = in_background(&c, |c| c.flush_range(0, 0, 4).unwrap());
+        let second = in_background(&c, |c| c.flush_ranges(&[(0, 0, 4)]).unwrap());
         assert!(
             second.recv_timeout(GRACE).is_err(),
             "a flush returned while a write-back of its range was in flight"
@@ -1236,7 +1230,7 @@ mod tests {
         c.write_block(0, 1, &[1u8; BS]).unwrap();
         c.read_block(1, 7, &mut buf).unwrap();
         gate.arm();
-        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        let flushed = in_background(&c, |c| c.flush_ranges(&[(0, 1, 1)]).unwrap());
         gate.wait_parked();
         // Both frames are unreferenced; only one may be recycled.
         for b in 8..12u64 {
@@ -1257,7 +1251,7 @@ mod tests {
         let (c, gate, d) = gated_cache(1);
         c.write_block(0, 1, &[1u8; BS]).unwrap();
         gate.arm();
-        let flushed = in_background(&c, |c| c.flush_range(0, 1, 1).unwrap());
+        let flushed = in_background(&c, |c| c.flush_ranges(&[(0, 1, 1)]).unwrap());
         gate.wait_parked();
         let read = in_background(&c, |c| c.read_block(1, 7, &mut [0u8; BS]).unwrap());
         assert!(
@@ -1283,7 +1277,7 @@ mod tests {
         let c = VolumeCache::new(vec![Arc::clone(&dev)], VolumeCacheConfig::write_back(4));
         c.write_block(0, 1, &[5u8; BS]).unwrap();
         broken.store(true, Ordering::SeqCst);
-        assert!(c.flush_range(0, 1, 1).is_err());
+        assert!(c.flush_ranges(&[(0, 1, 1)]).is_err());
         let mut buf = [0u8; BS];
         c.read_block(0, 1, &mut buf).unwrap();
         assert_eq!(buf[0], 5, "still readable");
@@ -1294,7 +1288,7 @@ mod tests {
         }
         assert_eq!(media(&dev, 1), 0);
         broken.store(false, Ordering::SeqCst);
-        c.flush_range(0, 1, 1).unwrap();
+        c.flush_ranges(&[(0, 1, 1)]).unwrap();
         assert_eq!(media(&dev, 1), 5);
     }
 
@@ -1334,8 +1328,8 @@ mod tests {
                         1 => c.read_blocks(dev, b, &mut buf).unwrap(),
                         2 => c.write_block(dev, b, &[x as u8; BS]).unwrap(),
                         3 => c.submit_write(dev, b, &[x as u8; 2 * BS]).unwrap(),
-                        4 => c.flush_range(dev, b, 3).unwrap(),
-                        5 => c.invalidate_range(dev, b, 2),
+                        4 => c.flush_ranges(&[(dev, b, 3)]).unwrap(),
+                        5 => c.invalidate_ranges(&[(dev, b, 2)]),
                         _ => c.flush().unwrap(),
                     }
                 }

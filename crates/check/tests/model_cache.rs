@@ -200,7 +200,7 @@ fn flush_writer_and_evictor_agree_with_the_media() {
 
         let c = Arc::clone(&cache);
         let flusher = spawn(move || {
-            c.flush_range(0, 0, 1).expect("range flush");
+            c.flush_ranges(&[(0, 0, 1)]).expect("range flush");
             c.flush().expect("full flush");
         });
         let c = Arc::clone(&cache);

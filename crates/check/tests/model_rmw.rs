@@ -149,15 +149,8 @@ fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
 
         // Every stripe's parity is the XOR of its data blocks.
         fn assert_stripes_consistent(f: &pario_fs::RawFile, when: &str) {
-            let mut block = [0u8; BS];
-            for s in 0..2u64 {
-                let mut acc = [0u8; BS];
-                for slot in 0..=W as usize {
-                    f.read_device_block(slot, s, &mut block).expect("read row");
-                    acc.iter_mut().zip(&block).for_each(|(a, b)| *a ^= b);
-                }
-                assert!(acc.iter().all(|&b| b == 0), "stripe {s} torn {when}");
-            }
+            let torn = f.scrub_rows(0, 2).expect("scrub both stripes");
+            assert!(torn.is_empty(), "stripes {torn:?} torn {when}");
         }
 
         let f1 = f.clone();

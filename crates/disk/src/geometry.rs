@@ -49,20 +49,6 @@ impl DiskGeometry {
         }
     }
 
-    /// A uniform "fast" drive for experiments that want less seek
-    /// domination (useful to show which effects are seek artefacts).
-    pub fn fast_1990s() -> DiskGeometry {
-        DiskGeometry {
-            cylinders: 4096,
-            heads: 16,
-            sectors_per_track: 64,
-            sector_bytes: 512,
-            rpm: 7200,
-            seek_settle_us: 1000.0,
-            seek_sqrt_us: 120.0,
-        }
-    }
-
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         u64::from(self.cylinders)

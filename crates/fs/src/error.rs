@@ -20,13 +20,15 @@ pub enum FsError {
     NotFound(String),
     /// Named file already exists.
     AlreadyExists(String),
-    /// A file was created with an impossible specification.
+    /// An impossible specification: a file's layout, or a slot or
+    /// device the file or volume does not have.
     BadSpec(String),
-    /// Access outside the file (record index past end, fixed-size overflow).
+    /// Access outside the file (record index past end, fixed-size
+    /// overflow, device row past a slot's allocation).
     OutOfBounds {
-        /// Offending record index.
+        /// Offending record (or row) index.
         record: u64,
-        /// File length in records at the time.
+        /// File length in records (or the slot's rows) at the time.
         len: u64,
     },
     /// A fixed-size file (PS/PDA) cannot grow past its creation capacity.
@@ -49,7 +51,7 @@ impl fmt::Display for FsError {
             }
             FsError::NotFound(name) => write!(f, "file '{name}' not found"),
             FsError::AlreadyExists(name) => write!(f, "file '{name}' already exists"),
-            FsError::BadSpec(msg) => write!(f, "bad file specification: {msg}"),
+            FsError::BadSpec(msg) => write!(f, "bad specification: {msg}"),
             FsError::OutOfBounds { record, len } => {
                 write!(f, "record {record} out of bounds (file length {len})")
             }

@@ -69,12 +69,26 @@ pub struct RawFile {
     span_parallel: bool,
 }
 
-/// XOR `src` into `dst` (equal lengths): the parity arithmetic, here and
-/// in recovery tooling.
-pub fn xor_into(dst: &mut [u8], src: &[u8]) {
+/// XOR `src` into `dst` (equal lengths): the parity arithmetic.
+fn xor_into(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
+    }
+}
+
+/// XOR a slot's `column` — its rows from row `from`, `bs` bytes each —
+/// into `out`, which holds rows from row `at`, over the rows both
+/// cover. A column that ends short adds nothing past its end: a partial
+/// last stripe leaves some slots a row short, and the row a slot lacks
+/// is zeros to the parity.
+fn xor_rows(out: &mut [u8], at: u64, column: &[u8], from: u64, bs: usize) {
+    let end = |start: u64, rows: &[u8]| start + (rows.len() / bs) as u64;
+    let (lo, hi) = (at.max(from), end(at, out).min(end(from, column)));
+    if lo < hi {
+        let n = (hi - lo) as usize * bs;
+        let (to, from) = ((lo - at) as usize * bs, (lo - from) as usize * bs);
+        xor_into(&mut out[to..to + n], &column[from..from + n]);
     }
 }
 
@@ -317,11 +331,6 @@ impl RawFile {
         }
     }
 
-    /// True if the file was created with a hard capacity.
-    pub fn is_fixed(&self) -> bool {
-        self.state.meta.read().fixed_capacity_records.is_some()
-    }
-
     /// The placement mapping.
     pub fn layout(&self) -> &dyn Layout {
         &*self.layout
@@ -515,23 +524,37 @@ impl RawFile {
     // Single blocks and recovery tooling
     // ------------------------------------------------------------------
 
-    /// Read the physical blocks `locs` in one wave and XOR them into
-    /// `out` — the one place a partial-stripe write folds a stripe's old
-    /// blocks into its parity buffer. Every read is submitted (cache
-    /// tier or executor) before any is waited for, so on devices slower
-    /// than a hand-off they overlap; an idle I/O node whose transfers
-    /// cost less than waking its worker runs the read on the calling
-    /// thread instead (DESIGN §7). Every ticket is waited out and feeds
-    /// the health board; `out` is touched only if all of them succeeded.
-    fn xor_reads(&self, locs: &[PhysBlock], out: &mut [u8]) -> Result<()> {
-        let submit = |p: &PhysBlock| self.submit_read_run(p.device, p.block, 1, false);
-        let tickets: Vec<_> = locs.iter().map(submit).collect();
-        let wait = |(p, t): (&PhysBlock, _)| self.wait_read_run(p.device, t);
-        let blocks: Vec<_> = locs.iter().zip(tickets).map(wait).collect();
-        for bufs in blocks.into_iter().collect::<Result<Vec<_>>>()? {
-            let block = self.concat(bufs);
-            xor_into(out, &block);
-            self.recycle(block);
+    /// Read rows `[row, row + out.len() / bs)` of every slot in `slots`,
+    /// as far as each holds them, in one wave and XOR them into `out` —
+    /// the one place parity rows are folded together: a partial-stripe
+    /// write's old blocks ([`RawFile::parity_reads`]), and the rows
+    /// [`RawFile::recover_rows`] recomputes and
+    /// [`RawFile::scrub_rows`] checks. One run per slot; every run is
+    /// submitted (cache tier or executor) before any is waited for, so on
+    /// devices slower than a hand-off they overlap; an idle I/O node whose
+    /// transfers cost less than waking its worker runs the read on the
+    /// calling thread instead (DESIGN §7). Every ticket is waited out and
+    /// feeds the health board; `out` is touched only if all of them
+    /// succeeded.
+    fn xor_slots(
+        &self,
+        slots: impl IntoIterator<Item = usize>,
+        row: u64,
+        out: &mut [u8],
+    ) -> Result<()> {
+        let bs = self.block_size();
+        let end = row + (out.len() / bs) as u64;
+        let submit = |slot: usize| {
+            let held = end.min(self.device_blocks(slot)).saturating_sub(row);
+            (held > 0).then(|| (slot, self.submit_read_run(slot, row, held, false)))
+        };
+        let inflight: Vec<_> = slots.into_iter().filter_map(submit).collect();
+        let wait = |(slot, tickets)| self.wait_read_run(slot, tickets);
+        let columns: Vec<_> = inflight.into_iter().map(wait).collect();
+        for bufs in columns.into_iter().collect::<Result<Vec<_>>>()? {
+            let column = self.concat(bufs);
+            xor_rows(out, row, &column, row, bs);
+            self.recycle(column);
         }
         Ok(())
     }
@@ -563,23 +586,105 @@ impl RawFile {
         self.write_blocks(l, data)
     }
 
+    /// Whole rows in a row buffer.
+    fn rows_in(&self, buf: &[u8]) -> u64 {
+        (buf.len() / self.block_size()) as u64
+    }
+
+    /// Refuse rows `[row, row + n)` of layout slot `slot` unless the file
+    /// holds them: a slot past the layout is `BadSpec`, rows past the
+    /// slot's allocation are `OutOfBounds`.
+    fn check_rows(&self, slot: usize, row: u64, n: u64) -> Result<()> {
+        let slots = self.layout.devices();
+        if slot >= slots {
+            let msg = format!("{}: slot {slot} past the layout's {slots}", self.name);
+            return Err(FsError::BadSpec(msg));
+        }
+        let held = self.device_blocks(slot);
+        match row.checked_add(n) {
+            Some(end) if end <= held => Ok(()),
+            _ => Err(FsError::OutOfBounds {
+                record: row.saturating_add(n),
+                len: held,
+            }),
+        }
+    }
+
+    /// Fill `out`, whole blocks, with rows `[row, row + n)` of layout
+    /// slot `slot` as the file's redundancy says they should be — the one
+    /// recovery rule of the tooling that rebuilds and repairs slots:
+    ///
+    /// - a parity file: the XOR of every other slot's rows, as far as
+    ///   each holds them, read in one wave;
+    /// - a shadowed file: the partner slot's rows, for a primary and a
+    ///   mirror slot alike;
+    /// - an unprotected file: `BadSpec`.
+    ///
+    /// **Recovery tooling only**, like the rest of the row API: the
+    /// media is read raw, whatever the board says, and the caller holds
+    /// [`RawFile::lock_stripes`], so no write lands between the reads
+    /// and the rows' use. A slot past the layout or rows past
+    /// [`RawFile::device_blocks`] are refused.
+    pub fn recover_rows(&self, slot: usize, row: u64, out: &mut [u8]) -> Result<()> {
+        self.check_rows(slot, row, self.rows_in(out))?;
+        match &self.redundancy {
+            Redundancy::Parity(ps) => {
+                out.fill(0);
+                self.xor_slots((0..ps.devices()).filter(|&s| s != slot), row, out)
+            }
+            Redundancy::Shadow { primaries } => {
+                let partner = (slot + primaries) % (2 * primaries);
+                self.read_device_rows(&mut [(partner, row, out)])
+            }
+            Redundancy::None => Err(FsError::BadSpec(format!(
+                "{}: no redundancy to recover slot {slot} from",
+                self.name
+            ))),
+        }
+    }
+
+    /// The rows among `[row, row + n)` of a parity file whose members —
+    /// the row's block on every slot that holds it, data and parity —
+    /// do not XOR to zero: stripes torn by a partial rollback or by a
+    /// write that bypassed parity maintenance. Reads
+    /// [`RawFile::recover_rows`]' wave over every slot; `BadSpec` on any
+    /// other file, `OutOfBounds` past the last stripe. The caller holds
+    /// [`RawFile::lock_stripes`].
+    pub fn scrub_rows(&self, row: u64, n: u64) -> Result<Vec<u64>> {
+        let Redundancy::Parity(ps) = &self.redundancy else {
+            let msg = format!("{}: only a parity-striped file scrubs", self.name);
+            return Err(FsError::BadSpec(msg));
+        };
+        // The file's fullest slot holds every stripe's row.
+        let fullest = (0..ps.devices()).max_by_key(|&s| self.device_blocks(s));
+        self.check_rows(fullest.unwrap_or(0), row, n)?;
+        let bs = self.block_size();
+        let mut acc = self.vol.staging().take(n as usize * bs);
+        acc.fill(0);
+        let read = self.xor_slots(0..ps.devices(), row, &mut acc);
+        let torn = (row..)
+            .zip(acc.chunks(bs))
+            .filter(|(_, b)| b.iter().any(|&x| x != 0));
+        let torn = torn.map(|(r, _)| r).collect();
+        self.vol.staging().give(acc);
+        read.map(|()| torn)
+    }
+
     /// Read device rows in one wave — **recovery tooling only**: bypasses
     /// redundancy logic. Each run `(slot, first row, buf)` fills `buf`,
     /// whole blocks, from consecutive device-local rows of layout slot
-    /// `slot`. Every run is submitted (through the cache tier, where there
+    /// `slot`; a slot past the layout or rows past
+    /// [`RawFile::device_blocks`] refuse the wave before anything is
+    /// read. Every run is submitted (through the cache tier, where there
     /// is one) before any is waited for, so the slots' devices work at
     /// once; every ticket is waited out and feeds the health board; the
-    /// first error is the wave's. A wave that is one transfer has nothing
-    /// to fan out and blocks on the device call, straight into `buf`.
+    /// first error is the wave's.
     pub fn read_device_rows(&self, runs: &mut [(usize, u64, &mut [u8])]) -> Result<()> {
-        let rows = |buf: &[u8]| (buf.len() / self.block_size()) as u64;
-        if let [(slot, row, buf)] = runs {
-            if let Some((dev, abs)) = self.direct_segment(*slot, *row, rows(buf)) {
-                return self.settle(self.slot_vdev(*slot), dev.read_blocks_at(abs, buf));
-            }
+        for (slot, row, buf) in runs.iter() {
+            self.check_rows(*slot, *row, self.rows_in(buf))?;
         }
         let submit = |(slot, row, buf): &(usize, u64, &mut [u8])| {
-            self.submit_read_run(*slot, *row, rows(buf), false)
+            self.submit_read_run(*slot, *row, self.rows_in(buf), false)
         };
         let inflight: Vec<_> = runs.iter().map(submit).collect();
         let mut outcome = Ok(());
@@ -604,51 +709,41 @@ impl RawFile {
     /// Write device rows in one wave — **recovery tooling only**: bypasses
     /// parity maintenance and shadow duplication entirely. Each run
     /// `(slot, first row, data)` lands `data`, whole blocks, on
-    /// consecutive device-local rows of layout slot `slot`; all runs are
-    /// submitted before any is waited for, every ticket is waited out and
-    /// feeds the health board, and the first error is the wave's. Rebuilt
-    /// data must be durable on media whatever the cache policy, so the
-    /// wave goes to the executor past the tier and drops every frame that
-    /// covered its rows. A wave that is one transfer blocks on the device
-    /// call, straight from `data`.
+    /// consecutive device-local rows of layout slot `slot`; a slot past
+    /// the layout or rows past [`RawFile::device_blocks`] refuse the wave
+    /// before anything is written. All runs are submitted before any is
+    /// waited for, every ticket is waited out and feeds the health board,
+    /// and the first error is the wave's. Rebuilt data must be durable on
+    /// media whatever the cache policy, so the wave goes to the executor
+    /// past the tier and drops every frame that covered its rows.
     pub fn write_device_rows(&self, runs: &[(usize, u64, &[u8])]) -> Result<()> {
-        let rows = |data: &[u8]| (data.len() / self.block_size()) as u64;
+        for &(slot, row, data) in runs {
+            self.check_rows(slot, row, self.rows_in(data))?;
+        }
         // Invalidate on both sides of the raw write: before, so a
         // write-back of a block already in flight lands first instead
         // of on top of the rebuilt data; after, to drop what a reader
         // filled in between.
-        let invalidate = || {
-            let Some(c) = self.vol.cache() else { return };
-            for &(slot, row, data) in runs {
-                let vdev = self.slot_vdev(slot);
-                for (_, abs, n) in self.run_segments(slot, row, rows(data)) {
-                    c.invalidate_range(vdev, abs, n);
-                }
-            }
+        let cache = self.vol.cache().map(|c| {
+            let rows = runs
+                .iter()
+                .map(|&(slot, row, data)| (slot, row, self.rows_in(data)));
+            (c, self.device_extents(rows))
+        });
+        if let Some((c, extents)) = &cache {
+            c.invalidate_ranges(extents);
+        }
+        let submit = |&(slot, row, data): &(usize, u64, &[u8])| {
+            let mut staged = self.vol.staging().take(data.len());
+            staged.copy_from_slice(data);
+            (slot, self.submit_media_write(slot, row, staged))
         };
-        invalidate();
-        let sole = match *runs {
-            [(slot, row, data)] => self
-                .sole_segment(slot, row, rows(data))
-                .map(|to| (slot, to, data)),
-            _ => None,
-        };
-        let written = match sole {
-            Some((slot, (dev, abs), data)) => {
-                self.settle(self.slot_vdev(slot), dev.write_blocks_at(abs, data))
-            }
-            None => {
-                let submit = |&(slot, row, data): &(usize, u64, &[u8])| {
-                    let mut staged = self.vol.staging().take(data.len());
-                    staged.copy_from_slice(data);
-                    (slot, self.submit_media_write(slot, row, staged))
-                };
-                let inflight: Vec<_> = runs.iter().map(submit).collect();
-                let wait = |(slot, tickets)| self.wait_write_run(slot, tickets);
-                inflight.into_iter().map(wait).fold(Ok(()), Result::and)
-            }
-        };
-        invalidate();
+        let inflight: Vec<_> = runs.iter().map(submit).collect();
+        let wait = |(slot, tickets)| self.wait_write_run(slot, tickets);
+        let written = inflight.into_iter().map(wait).fold(Ok(()), Result::and);
+        if let Some((c, extents)) = &cache {
+            c.invalidate_ranges(extents);
+        }
         written
     }
 
@@ -692,7 +787,17 @@ impl RawFile {
             }
             joins
         });
-        let extents = touched.into_iter().flat_map(|(slot, row, n)| {
+        self.device_extents(touched)
+    }
+
+    /// Slot runs `(slot, first row, rows)` as the volume-device extents
+    /// `(device, first block, count)` they occupy: the ranges the cache
+    /// tier's flush and invalidation hooks take.
+    fn device_extents(
+        &self,
+        runs: impl IntoIterator<Item = (usize, u64, u64)>,
+    ) -> Vec<(usize, u64, u64)> {
+        let extents = runs.into_iter().flat_map(|(slot, row, n)| {
             let vdev = self.slot_vdev(slot);
             let segments = self.run_segments(slot, row, n).into_iter();
             segments.map(move |(_, abs, n)| (vdev, abs, n))
@@ -718,11 +823,8 @@ impl RawFile {
     /// included) without writing them back — for callers that know the
     /// media is authoritative.
     pub fn invalidate_span(&self, offset: u64, len: u64) {
-        let Some(c) = self.vol.cache() else {
-            return;
-        };
-        for (dev, start, n) in self.span_phys_runs(offset, len) {
-            c.invalidate_range(dev, start, n);
+        if let Some(c) = self.vol.cache() {
+            c.invalidate_ranges(&self.span_phys_runs(offset, len));
         }
     }
 
@@ -836,27 +938,28 @@ impl RawFile {
         touched: std::ops::Range<u64>,
         parity: &mut [u8],
     ) -> Result<()> {
+        // The slots each plan reads row `s` of.
         let (mut rmw, mut rcw) = (Vec::new(), Vec::new());
         for (l, loc) in ps.stripe_data(s, self.nblocks()) {
             if touched.contains(&l) {
-                rmw.push(loc);
+                rmw.push(loc.device);
             } else {
-                rcw.push(loc);
+                rcw.push(loc.device);
             }
         }
-        rmw.push(ps.parity_location(s));
+        rmw.push(ps.parity_device(s));
         let plans = if rcw.len() < rmw.len() {
             [rcw, rmw]
         } else {
             [rmw, rcw]
         };
-        let stale = |p: &PhysBlock| self.slot_state(p.device) == HealthState::Rebuilding;
+        let stale = |&slot: &usize| self.slot_state(slot) == HealthState::Rebuilding;
         let mut failed = None;
         for reads in plans {
             if reads.iter().any(stale) {
                 continue;
             }
-            match self.xor_reads(&reads, parity) {
+            match self.xor_slots(reads, s, parity) {
                 Err(FsError::Disk(e)) if recoverable(&e) => failed = Some(e),
                 done => return done,
             }
@@ -933,12 +1036,6 @@ impl RawFile {
         if self.vol.cache().is_some() {
             return None;
         }
-        self.sole_segment(slot, dblock, count)
-    }
-
-    /// The executor handle and absolute block of rows `[dblock, dblock +
-    /// count)` of `slot` when one extent segment holds them all.
-    fn sole_segment(&self, slot: usize, dblock: u64, count: u64) -> Option<(DeviceRef, u64)> {
         let mut segs = self.run_segments(slot, dblock, count);
         match segs.pop() {
             Some((dev, abs, _)) if segs.is_empty() => Some((dev, abs)),
@@ -1285,13 +1382,13 @@ impl RawFile {
     /// Recover what a parity read could not get from its home device,
     /// under ONE hold of the stripe lock: rows `[r0, r1)` of every
     /// surviving device — parity included, one run per device, one wave
-    /// — XOR to the lost device's column, trimmed where a partial last
-    /// stripe leaves a device a row short (the row it lacks is zeros to
-    /// the parity). `lost` are runs already tried; `pending` are the
-    /// span's runs not read yet, when the board said a device was down
-    /// before anything was submitted: they join the wave widened to the
-    /// span's whole row range, so each surviving column is read once for
-    /// the span and the reconstruction both, whichever run turns out
+    /// — XOR to the lost device's column ([`xor_rows`]), trimmed where a
+    /// partial last stripe leaves a device a row short (the row it lacks
+    /// is zeros to the parity). `lost` are runs already tried; `pending`
+    /// are the span's runs not read yet, when the board said a device was
+    /// down before anything was submitted: they join the wave widened to
+    /// the span's whole row range, so each surviving column is read once
+    /// for the span and the reconstruction both, whichever run turns out
     /// lost, and a Failed slot is probed with its own run. The survivors
     /// are always read here, under the lock — never
     /// reused from a wave that ran outside it, where a concurrent
@@ -1364,14 +1461,7 @@ impl RawFile {
         let mut column = staging.take(m.count as usize * bs);
         column.fill(0);
         for (peer, data) in &columns {
-            let lo = m.dblock.max(peer.dblock);
-            let hi = (m.dblock + m.count).min(peer.dblock + peer.count);
-            if lo < hi {
-                let n = (hi - lo) as usize * bs;
-                let to = (lo - m.dblock) as usize * bs;
-                let from = (lo - peer.dblock) as usize * bs;
-                xor_into(&mut column[to..to + n], &data[from..from + n]);
-            }
+            xor_rows(&mut column, m.dblock, data, peer.dblock, bs);
         }
         self.scatter(first, buf, &m, &column);
         columns.into_iter().for_each(|(_, data)| self.recycle(data));
@@ -2119,6 +2209,96 @@ mod tests {
             f.read_span(0, &mut out).unwrap();
             assert_eq!(out, data, "dead={dead}");
             v.device(dead).heal();
+        }
+    }
+
+    /// Every row of layout slot `slot`, as the media holds it.
+    fn rows_of(f: &RawFile, slot: usize) -> Vec<u8> {
+        let mut rows = vec![0u8; f.device_blocks(slot) as usize * BS];
+        f.read_device_rows(&mut [(slot, 0, &mut rows[..])]).unwrap();
+        rows
+    }
+
+    /// On a consistent file a slot's recomputed rows are its own, for
+    /// every parity slot — 25 blocks leave two slots a row short — and
+    /// for a shadow primary and its mirror alike, whole or in part. An
+    /// unprotected file has nothing to recompute them from.
+    #[test]
+    fn recover_rows_equals_the_rows_it_recomputes() {
+        let shadowed = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+            devices: 2,
+            unit: 1,
+        }));
+        let parity = |rotated| LayoutSpec::Parity {
+            data_devices: 3,
+            rotated,
+        };
+        for layout in [parity(false), parity(true), shadowed] {
+            let v = vol(4);
+            let spec = FileSpec::new("r", BS, 1, layout.clone()).initial_records(25);
+            let f = v.create_file(spec).unwrap();
+            round_trip(&f, 25);
+            for slot in 0..4 {
+                let held = rows_of(&f, slot);
+                let mut got = vec![0xAAu8; held.len()];
+                f.recover_rows(slot, 0, &mut got).unwrap();
+                assert!(got == held, "{layout:?} slot {slot}");
+                let mut part = vec![0xAAu8; 3 * BS];
+                f.recover_rows(slot, 5, &mut part).unwrap();
+                assert!(
+                    part[..] == held[5 * BS..8 * BS],
+                    "{layout:?} slot {slot} rows 5..8"
+                );
+            }
+        }
+        let v = vol(2);
+        let plain = LayoutSpec::Striped {
+            devices: 2,
+            unit: 1,
+        };
+        let f = v.create_file(FileSpec::new("plain", BS, 1, plain)).unwrap();
+        round_trip(&f, 4);
+        let mut row = vec![0u8; BS];
+        let err = f.recover_rows(0, 0, &mut row).unwrap_err();
+        assert!(matches!(err, FsError::BadSpec(_)), "{err:?}");
+    }
+
+    /// The row API and `recover_rows` return typed errors for a slot past
+    /// the layout or rows past a slot's allocation, and move nothing.
+    #[test]
+    fn row_api_and_recover_rows_refuse_what_the_file_lacks() {
+        let v = vol(4);
+        let f = parity_file(&v, true);
+        round_trip(&f, 12);
+        let held = f.device_blocks(0);
+        let mut row = vec![0u8; BS];
+        let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
+        for (slot, at) in [(9, 0), (4, 0), (0, 10_000), (0, held), (0, u64::MAX)] {
+            let errs = [
+                f.read_device_block(slot, at, &mut row).unwrap_err(),
+                f.write_device_block(slot, at, &row).unwrap_err(),
+                f.recover_rows(slot, at, &mut row).unwrap_err(),
+            ];
+            for err in errs {
+                let typed = match slot {
+                    0 => matches!(err, FsError::OutOfBounds { len, .. } if len == held),
+                    _ => matches!(err, FsError::BadSpec(_)),
+                };
+                assert!(typed, "slot {slot} row {at}: {err:?}");
+            }
+        }
+        let mut two = vec![0u8; 2 * BS];
+        let err = f
+            .read_device_rows(&mut [(0, held - 1, &mut two[..])])
+            .unwrap_err();
+        assert!(matches!(err, FsError::OutOfBounds { .. }), "{err:?}");
+        for (d, was) in before.iter().enumerate() {
+            let now = v.device(d).counters();
+            assert_eq!(
+                (now.reads, now.writes),
+                (was.reads, was.writes),
+                "device {d}"
+            );
         }
     }
 

@@ -56,7 +56,7 @@ mod volume;
 
 pub use alloc::{extents_len, resolve, Allocator, Extent};
 pub use error::{FsError, Result};
-pub use file::{xor_into, RawFile};
+pub use file::RawFile;
 pub use global::{copy_global, ByteReader, ByteWriter, GlobalReader, GlobalWriter};
 pub use health::{legal_transition, DeviceHealth, HealthBoard, HealthPolicy, HealthState};
 pub use meta::FileMeta;

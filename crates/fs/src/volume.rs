@@ -618,12 +618,7 @@ impl Volume {
         // dirty write-back frame flushed later would clobber whoever the
         // allocator hands these blocks to next.
         if let Some(cache) = self.inner.cache.get() {
-            for (slot, extents) in meta.extents.iter().enumerate() {
-                let dev = meta.device_map[slot];
-                for &e in extents {
-                    cache.invalidate_range(dev, e.start, e.len);
-                }
-            }
+            cache.invalidate_ranges(&device_ranges(&meta.device_map, &meta.extents));
         }
         if journal_full {
             // The journal had no room, so no durable Remove record
@@ -843,14 +838,14 @@ impl Volume {
         // it: before, so a write-back a previous owner of these blocks
         // left in flight lands first and not on top of the zeros; after,
         // to drop any frame filled in between.
+        let cache = self
+            .inner
+            .cache
+            .get()
+            .map(|c| (c, device_ranges(device_map, extents)));
         let invalidate = || {
-            let Some(cache) = self.inner.cache.get() else {
-                return;
-            };
-            for (slot, new) in extents.iter().enumerate() {
-                for e in new {
-                    cache.invalidate_range(device_map[slot], e.start, e.len);
-                }
+            if let Some((c, ranges)) = &cache {
+                c.invalidate_ranges(ranges);
             }
         };
         let chunks = |e: &Extent| {
@@ -899,6 +894,14 @@ const RUN_AHEAD: u64 = 256;
 /// Most blocks in one zero-fill request; a wave has one request per
 /// device in flight (`Volume::zero_fill`).
 const ZERO_FILL_BLOCKS: u64 = 128;
+
+/// `extents`, indexed by layout slot, as `(volume device, first block,
+/// count)` ranges: what the cache tier's invalidation takes.
+fn device_ranges(device_map: &[usize], extents: &[Vec<Extent>]) -> Vec<(usize, u64, u64)> {
+    let slots = device_map.iter().zip(extents);
+    let ranges = slots.flat_map(|(&dev, slot)| slot.iter().map(move |e| (dev, e.start, e.len)));
+    ranges.collect()
+}
 
 /// Return `extents`, indexed by layout slot, to the allocator.
 fn release(alloc: &mut Allocator, device_map: &[usize], extents: &[Vec<Extent>]) {

@@ -443,11 +443,6 @@ pub struct SsReadTicket {
     pending: Pending,
 }
 
-/// A submitted SS write (see [`RemoteSs::submit_write_next`]).
-pub struct SsWriteTicket {
-    pending: Pending,
-}
-
 /// A self-scheduled client over the wire: reads claim the globally next
 /// record across all sessions — local or remote — of the file.
 #[derive(Debug)]
@@ -499,22 +494,6 @@ impl RemoteSs {
             handle: self.h.id(),
             data: Bytes::copy_from_slice(data),
         })?)
-    }
-
-    /// Pipelined write; `data` is [`Bytes`], so replaying one payload
-    /// across thousands of submissions clones a reference, not bytes.
-    pub fn submit_write_next(&self, data: Bytes) -> Result<SsWriteTicket> {
-        Ok(SsWriteTicket {
-            pending: self.h.core.submit(&Request::SsWrite {
-                handle: self.h.id(),
-                data,
-            })?,
-        })
-    }
-
-    /// Resolve a pipelined write into its slot index.
-    pub fn finish_write_next(&self, t: SsWriteTicket) -> Result<u64> {
-        take_u64(&t.pending.wait()?)
     }
 
     /// Publish the final length once all writers are done.

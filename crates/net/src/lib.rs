@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use client::{
     NetClient, Pending, RemoteDirect, RemoteInterleaved, RemoteLock, RemotePartition, RemoteSeq,
-    RemoteSs, SsReadTicket, SsWriteTicket,
+    RemoteSs, SsReadTicket,
 };
 pub use credits::CreditWindow;
 pub use error::{NetError, Result};

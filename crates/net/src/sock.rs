@@ -95,17 +95,6 @@ impl Sock {
             Sock::Unix(_) => false,
         }
     }
-
-    /// A short peer label for thread names and error messages.
-    pub fn peer_label(&self) -> String {
-        match self {
-            Sock::Tcp(s) => s
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "tcp-peer".to_string()),
-            Sock::Unix(_) => "unix-peer".to_string(),
-        }
-    }
 }
 
 impl Read for Sock {

@@ -14,10 +14,14 @@
 //! * [`rebuild_device`] — recovery after drive replacement, driven
 //!   through the volume's health state machine in throttled bursts, so
 //!   foreground I/O keeps flowing while the drive rebuilds and the
-//!   device ends `Healthy`. [`rebuild_parity_slot`] / [`resync_shadow`]
-//!   replay one file's slot under one hold of its stripe lock.
+//!   device ends `Healthy`. It is the one way to rebuild: every
+//!   redundant file on the device replays its slot from
+//!   `RawFile::recover_rows`, the recovery rule `pario-fs` keeps beside
+//!   its degraded reads ([`RebuildThrottle::UNBOUNDED`] for a volume
+//!   nothing else uses).
 //! * [`scrub`] + [`snapshot_device`] / [`restore_device`] — the
-//!   partial-rollback consistency demonstration.
+//!   partial-rollback consistency demonstration; [`repair`] recomputes
+//!   blocks that read corrupt from the same rule.
 //! * [`audit_volume`] — volume-wide allocator/extent/directory
 //!   agreement, the invariant the crash-recovery sweep asserts after
 //!   every simulated crash and remount.
@@ -46,7 +50,5 @@ pub use mtbf::{
     expected_failures, monte_carlo_mttf, paper_table, system_mtbf_hours, MtbfRow, HOURS_PER_YEAR,
     PAPER_DEVICE_MTBF_HOURS,
 };
-pub use rebuild::{
-    rebuild_device, rebuild_parity_slot, resync_shadow, RebuildReport, RebuildThrottle,
-};
+pub use rebuild::{rebuild_device, RebuildReport, RebuildThrottle};
 pub use scrub::{repair, restore_device, scrub, snapshot_device};

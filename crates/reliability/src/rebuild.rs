@@ -2,34 +2,17 @@
 //!
 //! Parity files rebuild the lost slot by XOR over each stripe ("complete
 //! failure of a single drive", §5); shadowed files re-synchronise from
-//! the surviving copy. [`rebuild_device`] sweeps a whole volume through
-//! its health state machine, while the volume keeps serving, and
-//! reports which files were recoverable — unprotected files are exactly
-//! the paper's warning case.
+//! the surviving copy. Both are one rule, `RawFile::recover_rows` in
+//! `pario-fs`; [`rebuild_device`] replays it over every file on the
+//! replaced device, through the volume's health state machine, while the
+//! volume keeps serving, and reports which files were recoverable —
+//! unprotected files are exactly the paper's warning case.
 
 use std::time::Duration;
 
 use pario_disk::DiskError;
-use pario_fs::{xor_into, FsError, RawFile, Result, Volume};
-use pario_layout::{Layout, LayoutSpec, ParityPlacement, ParityStriped};
-
-/// The parity geometry of `raw`, or `BadSpec` for any other layout.
-pub(crate) fn parity_model(raw: &RawFile) -> Result<ParityStriped> {
-    match raw.meta_snapshot().layout {
-        LayoutSpec::Parity {
-            data_devices,
-            rotated,
-        } => Ok(ParityStriped::new(
-            data_devices,
-            if rotated {
-                ParityPlacement::Rotated
-            } else {
-                ParityPlacement::Dedicated
-            },
-        )),
-        _ => Err(FsError::BadSpec("needs a parity-striped file".into())),
-    }
-}
+use pario_fs::{FsError, RawFile, Result, Volume};
+use pario_layout::LayoutSpec;
 
 /// Pacing for a replay sweep: how much work each stripe-locked burst
 /// does, and how long the sweep yields between bursts so foreground
@@ -44,6 +27,15 @@ pub struct RebuildThrottle {
     pub pause: Duration,
 }
 
+impl RebuildThrottle {
+    /// No pacing: each file's slot goes in one burst, under one hold of
+    /// its stripe lock — for a volume nothing else is using.
+    pub const UNBOUNDED: RebuildThrottle = RebuildThrottle {
+        burst_blocks: u64::MAX,
+        pause: Duration::ZERO,
+    };
+}
+
 impl Default for RebuildThrottle {
     fn default() -> RebuildThrottle {
         RebuildThrottle {
@@ -53,22 +45,16 @@ impl Default for RebuildThrottle {
     }
 }
 
-/// A one-file sweep: one burst under one hold of the stripe lock.
-const ONE_BURST: RebuildThrottle = RebuildThrottle {
-    burst_blocks: u64::MAX,
-    pause: Duration::ZERO,
-};
-
 /// Most rows one wave moves per device: a longer burst is several waves
 /// under its one hold of the lock, so an unbounded burst holds a
 /// bounded run per device in memory, not the file.
 const WAVE_ROWS: u64 = 128;
 
-/// Replay rows `0..rows` of the replaced slot in stripe-locked bursts:
-/// the lock is held while `wave(first, n)` replays up to
+/// Sweep rows `0..rows` in stripe-locked bursts: the lock is held
+/// while `wave(first, n)` replays (or checks) up to
 /// `throttle.burst_blocks` rows, `[first, first + n)` at a time, then
-/// released for `throttle.pause`. Returns the rows replayed.
-fn in_bursts(
+/// released for `throttle.pause`. Returns the rows swept.
+pub(crate) fn in_bursts(
     raw: &RawFile,
     rows: u64,
     throttle: RebuildThrottle,
@@ -90,89 +76,6 @@ fn in_bursts(
         }
     }
     Ok(rows)
-}
-
-/// Rebuild layout slot `failed_slot` of a parity-protected file onto its
-/// (replaced, healed) device. Returns blocks rebuilt.
-///
-/// The file's stripe lock is held throughout, quiescing concurrent
-/// parity updates.
-pub fn rebuild_parity_slot(raw: &RawFile, failed_slot: usize) -> Result<u64> {
-    rebuild_parity_slot_in_bursts(raw, failed_slot, ONE_BURST)
-}
-
-/// [`rebuild_parity_slot`] with the stripe lock taken per burst rather
-/// than for the whole sweep. Stripe `s` is row `s` of every device that
-/// holds a block of it, so rows `[s, s + n)` of the surviving devices,
-/// XORed by column, are rows `[s, s + n)` of the lost one.
-fn rebuild_parity_slot_in_bursts(
-    raw: &RawFile,
-    failed_slot: usize,
-    throttle: RebuildThrottle,
-) -> Result<u64> {
-    let ps = parity_model(raw)?;
-    if failed_slot > ps.stripe_width() {
-        return Err(FsError::BadSpec(format!(
-            "slot {failed_slot} out of range for {}+1 devices",
-            ps.stripe_width()
-        )));
-    }
-    let bs = raw.block_size();
-    let peers: Vec<usize> = (0..ps.devices()).filter(|&s| s != failed_slot).collect();
-    let mut columns = vec![Vec::new(); peers.len()];
-    let mut lost = Vec::new();
-    in_bursts(raw, raw.device_blocks(failed_slot), throttle, |row, n| {
-        // A partial last stripe leaves some devices a row short: the
-        // block such a peer lacks is zeros to the parity.
-        let held = |slot| raw.device_blocks(slot).saturating_sub(row).min(n) as usize;
-        let mut reads = Vec::with_capacity(peers.len());
-        for (&slot, column) in peers.iter().zip(&mut columns) {
-            column.resize(held(slot) * bs, 0);
-            if !column.is_empty() {
-                reads.push((slot, row, &mut column[..]));
-            }
-        }
-        raw.read_device_rows(&mut reads)?;
-        lost.clear();
-        lost.resize(n as usize * bs, 0);
-        for column in &columns {
-            xor_into(&mut lost[..column.len()], column);
-        }
-        raw.write_device_rows(&[(failed_slot, row, &lost)])
-    })
-}
-
-/// Re-synchronise layout slot `slot` of a shadowed file from its mirror
-/// partner. Returns blocks copied.
-pub fn resync_shadow(raw: &RawFile, slot: usize) -> Result<u64> {
-    resync_shadow_in_bursts(raw, slot, ONE_BURST)
-}
-
-/// [`resync_shadow`] in throttled bursts. Each burst holds the stripe
-/// lock — shadow writes during a rebuild take the same lock (see
-/// `RawFile::enter_shadow_write` in `pario-fs`), so a live write can
-/// never interleave with the copy of its own block.
-fn resync_shadow_in_bursts(raw: &RawFile, slot: usize, throttle: RebuildThrottle) -> Result<u64> {
-    let primaries = match raw.meta_snapshot().layout {
-        LayoutSpec::Shadowed(inner) => inner.devices_required(),
-        _ => {
-            return Err(FsError::BadSpec(
-                "resync_shadow needs a shadowed file".into(),
-            ))
-        }
-    };
-    let peer = if slot < primaries {
-        slot + primaries
-    } else {
-        slot - primaries
-    };
-    let bs = raw.block_size();
-    let mut copy = Vec::new();
-    in_bursts(raw, raw.device_blocks(slot), throttle, |row, n| {
-        copy.resize(n as usize * bs, 0);
-        raw.read_device_rows(&mut [(peer, row, &mut copy[..])])?;
-        raw.write_device_rows(&[(slot, row, &copy)])
-    })
 }
 
 /// Outcome of a volume-wide rebuild after replacing one device.
@@ -200,21 +103,31 @@ pub struct RebuildReport {
 ///    cannot abort the rebuild it preceded.
 /// 2. Per file, `quiesce_io()` waits out any I/O that sampled the old
 ///    health state.
-/// 3. Redundancy is replayed in bursts: each takes the stripe lock,
-///    moves up to [`RebuildThrottle::burst_blocks`] rows, releases the
-///    lock and sleeps [`RebuildThrottle::pause`], so foreground writers
-///    interleave with the sweep.
+/// 3. The slot is replayed in bursts: each takes the stripe lock,
+///    recomputes up to [`RebuildThrottle::burst_blocks`] rows from the
+///    file's redundancy (`RawFile::recover_rows`) and writes them
+///    (`RawFile::write_device_rows`), releases the lock and sleeps
+///    [`RebuildThrottle::pause`], so foreground writers interleave with
+///    the sweep. Shadow writes during a rebuild take the same lock (see
+///    `RawFile::enter_shadow_write` in `pario-fs`), so a live write can
+///    never interleave with the copy of its own block.
 /// 4. `complete_rebuild` returns the device to `Healthy`.
 ///
-/// On a replay error the device is marked Failed again and the error
-/// surfaces. If the device fails again *during* the rebuild, the racing
-/// failure report wins: `complete_rebuild` refuses, and this returns
-/// the fail-stop error instead of reporting success.
+/// A device index past the volume is `BadSpec`, before the board is
+/// touched. On a replay error the device is marked Failed again and the
+/// error surfaces. If the device fails again *during* the rebuild, the
+/// racing failure report wins: `complete_rebuild` refuses, and this
+/// returns the fail-stop error instead of reporting success.
 pub fn rebuild_device(
     vol: &Volume,
     device_idx: usize,
     throttle: RebuildThrottle,
 ) -> Result<RebuildReport> {
+    let devices = vol.num_devices();
+    if device_idx >= devices {
+        let msg = format!("no device {device_idx} on a volume of {devices}");
+        return Err(FsError::BadSpec(msg));
+    }
     let media = vol.device(device_idx);
     vol.health().begin_rebuild(device_idx, || media.heal());
     let sweep = || -> Result<RebuildReport> {
@@ -227,18 +140,22 @@ pub fn rebuild_device(
                 report.unaffected.push(name);
                 continue;
             };
+            let replayed = match &meta.layout {
+                LayoutSpec::Parity { .. } => &mut report.parity_rebuilt,
+                LayoutSpec::Shadowed(_) => &mut report.shadow_resynced,
+                _ => {
+                    report.unprotected.push(name);
+                    continue;
+                }
+            };
             raw.quiesce_io();
-            match &meta.layout {
-                LayoutSpec::Parity { .. } => {
-                    let n = rebuild_parity_slot_in_bursts(&raw, slot, throttle)?;
-                    report.parity_rebuilt.push((name, n));
-                }
-                LayoutSpec::Shadowed(_) => {
-                    let n = resync_shadow_in_bursts(&raw, slot, throttle)?;
-                    report.shadow_resynced.push((name, n));
-                }
-                _ => report.unprotected.push(name),
-            }
+            let mut rows = Vec::new();
+            let n = in_bursts(&raw, raw.device_blocks(slot), throttle, |row, n| {
+                rows.resize(n as usize * raw.block_size(), 0);
+                raw.recover_rows(slot, row, &mut rows)?;
+                raw.write_device_rows(&[(slot, row, &rows)])
+            })?;
+            replayed.push((name, n));
         }
         Ok(report)
     };
@@ -288,7 +205,7 @@ mod tests {
                 name,
                 BS,
                 1,
-                pario_layout::LayoutSpec::Parity {
+                LayoutSpec::Parity {
                     data_devices: 3,
                     rotated,
                 },
@@ -298,6 +215,15 @@ mod tests {
             f.write_record(r, &rec(r)).unwrap();
         }
         f
+    }
+
+    /// [`rebuild_device`], which must leave `device` Healthy and the
+    /// volume no longer degraded.
+    fn rebuild_healthy(v: &Volume, device: usize, throttle: RebuildThrottle) -> RebuildReport {
+        let report = rebuild_device(v, device, throttle).unwrap();
+        assert_eq!(v.device_health(device), HealthState::Healthy);
+        assert!(!v.is_degraded(), "device {device} rebuilt");
+        report
     }
 
     #[test]
@@ -313,7 +239,8 @@ mod tests {
                 f.write_record(2, &rec(99)).unwrap();
                 dev.heal();
                 blank(&dev); // replacement drive arrives blank
-                let rebuilt = rebuild_parity_slot(&f, dead_slot).unwrap();
+                let report = rebuild_healthy(&v, dead_slot, RebuildThrottle::UNBOUNDED);
+                let rebuilt = report.parity_rebuilt[0].1;
                 assert!(rebuilt > 0, "slot {dead_slot} had blocks to rebuild");
                 // All devices healthy: every record readable *directly*.
                 let mut buf = vec![0u8; BS];
@@ -353,7 +280,7 @@ mod tests {
                     let f = if appended {
                         parity_file(&v, "p", rotated, 25)
                     } else {
-                        let layout = pario_layout::LayoutSpec::Parity {
+                        let layout = LayoutSpec::Parity {
                             data_devices: 3,
                             rotated,
                         };
@@ -365,9 +292,9 @@ mod tests {
                     let intact = rows_of(&f, dead_slot);
                     assert!(intact.iter().any(|&b| b != 0));
                     blank(&v.device(dead_slot));
-                    let rebuilt =
-                        rebuild_parity_slot_in_bursts(&f, dead_slot, bursts_of(burst)).unwrap();
-                    assert_eq!(rebuilt, f.device_blocks(dead_slot));
+                    let report = rebuild_healthy(&v, dead_slot, bursts_of(burst));
+                    let rebuilt = vec![("p".to_string(), f.device_blocks(dead_slot))];
+                    assert_eq!(report.parity_rebuilt, rebuilt);
                     let ctx = format!("rotated={rotated} appended={appended} slot={dead_slot}");
                     assert!(rows_of(&f, dead_slot) == intact, "{ctx} burst={burst}");
                 }
@@ -383,10 +310,8 @@ mod tests {
         let bursts = rows.div_ceil(5);
         assert!(bursts > 2 && !rows.is_multiple_of(5), "{rows} rows");
         let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
-        assert_eq!(
-            rebuild_parity_slot_in_bursts(&f, 1, bursts_of(5)).unwrap(),
-            rows
-        );
+        let report = rebuild_healthy(&v, 1, bursts_of(5));
+        assert_eq!(report.parity_rebuilt, vec![("p".to_string(), rows)]);
         for (d, was) in before.iter().enumerate() {
             let now = v.device(d).counters();
             let (reads, writes) = (now.reads - was.reads, now.writes - was.writes);
@@ -400,45 +325,33 @@ mod tests {
         }
     }
 
+    /// A mirror slot and a primary slot alike come back from their
+    /// partner as they were before the drive was blanked.
     #[test]
     fn shadow_resync_in_waves_copies_every_row() {
-        for burst in [1, 5, u64::MAX] {
-            let v = vol();
-            let layout =
-                pario_layout::LayoutSpec::Shadowed(Box::new(pario_layout::LayoutSpec::Striped {
-                    devices: 2,
-                    unit: 1,
-                }));
-            let f = v.create_file(FileSpec::new("sh", BS, 1, layout)).unwrap();
-            (0..37).for_each(|r| f.write_record(r, &rec(r)).unwrap());
-            blank(&v.device(3)); // the mirror of primary 1
-            let rows = f.device_blocks(3);
-            let before = (v.device(1).counters(), v.device(3).counters());
-            assert_eq!(
-                resync_shadow_in_bursts(&f, 3, bursts_of(burst)).unwrap(),
-                rows
-            );
-            let bursts = rows.div_ceil(burst.min(WAVE_ROWS));
-            assert_eq!(v.device(1).counters().reads - before.0.reads, bursts);
-            assert_eq!(v.device(3).counters().writes - before.1.writes, bursts);
-            assert!(rows_of(&f, 3) == rows_of(&f, 1), "burst={burst}");
+        for (slot, partner) in [(3, 1), (1, 3)] {
+            for burst in [1, 5, u64::MAX] {
+                let v = vol();
+                let f = shadowed_file(&v);
+                (0..37).for_each(|r| f.write_record(r, &rec(r)).unwrap());
+                let intact = rows_of(&f, slot);
+                blank(&v.device(slot));
+                let rows = f.device_blocks(slot);
+                let before = (v.device(partner).counters(), v.device(slot).counters());
+                let report = rebuild_healthy(&v, slot, bursts_of(burst));
+                assert_eq!(report.shadow_resynced, vec![("sh".to_string(), rows)]);
+                let bursts = rows.div_ceil(burst.min(WAVE_ROWS));
+                assert_eq!(v.device(partner).counters().reads - before.0.reads, bursts);
+                assert_eq!(v.device(slot).counters().writes - before.1.writes, bursts);
+                assert!(rows_of(&f, slot) == intact, "slot={slot} burst={burst}");
+            }
         }
     }
 
     #[test]
     fn shadow_resync_restores_mirror() {
         let v = vol();
-        let f = v
-            .create_file(FileSpec::new(
-                "sh",
-                BS,
-                1,
-                pario_layout::LayoutSpec::Shadowed(Box::new(pario_layout::LayoutSpec::Striped {
-                    devices: 2,
-                    unit: 1,
-                })),
-            ))
-            .unwrap();
+        let f = shadowed_file(&v);
         for r in 0..16u64 {
             f.write_record(r, &rec(r)).unwrap();
         }
@@ -447,8 +360,8 @@ mod tests {
         f.write_record(0, &rec(77)).unwrap();
         v.device(2).heal();
         blank(&v.device(2)); // replacement mirror arrives blank
-        let copied = resync_shadow(&f, 2).unwrap();
-        assert!(copied >= 8);
+        let report = rebuild_healthy(&v, 2, RebuildThrottle::UNBOUNDED);
+        assert!(report.shadow_resynced[0].1 >= 8);
         // Now fail the PRIMARY: reads must come from the resynced shadow.
         v.device(0).fail();
         let mut buf = vec![0u8; BS];
@@ -468,7 +381,7 @@ mod tests {
                 "plain",
                 BS,
                 1,
-                pario_layout::LayoutSpec::Striped {
+                LayoutSpec::Striped {
                     devices: 2,
                     unit: 1,
                 },
@@ -481,7 +394,7 @@ mod tests {
                     "elsewhere",
                     BS,
                     1,
-                    pario_layout::LayoutSpec::Striped {
+                    LayoutSpec::Striped {
                         devices: 1,
                         unit: 1,
                     },
@@ -647,20 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_rejects_wrong_layouts() {
+    fn rebuild_refuses_a_device_past_the_volume() {
         let v = vol();
-        let plain = v
-            .create_file(FileSpec::new(
-                "x",
-                BS,
-                1,
-                pario_layout::LayoutSpec::Striped {
-                    devices: 1,
-                    unit: 1,
-                },
-            ))
-            .unwrap();
-        assert!(rebuild_parity_slot(&plain, 0).is_err());
-        assert!(resync_shadow(&plain, 0).is_err());
+        let err = rebuild_device(&v, 6, RebuildThrottle::UNBOUNDED).unwrap_err();
+        assert!(matches!(err, FsError::BadSpec(_)), "{err:?}");
+        assert!(!v.is_degraded());
     }
 }

@@ -10,64 +10,54 @@
 //! independently-accessed PS/IS layouts would — the reason the paper says
 //! parity "does not appear to be applicable" there).
 
-use pario_disk::DeviceRef;
-use pario_fs::{xor_into, FsError, RawFile, Result};
+use pario_disk::{DeviceRef, DiskError};
+use pario_fs::{FsError, RawFile, Result};
+use pario_layout::LayoutSpec;
 
-use crate::rebuild::parity_model;
+use crate::rebuild::{in_bursts, RebuildThrottle};
+
+/// The stripes of a parity file — stripe `s` is row `s` of every slot
+/// that holds a block of it — or `BadSpec` for any other layout.
+fn stripes(raw: &RawFile) -> Result<u64> {
+    if !matches!(raw.meta_snapshot().layout, LayoutSpec::Parity { .. }) {
+        return Err(FsError::BadSpec("needs a parity-striped file".into()));
+    }
+    let slots = 0..raw.layout().devices();
+    Ok(slots.map(|s| raw.device_blocks(s)).max().unwrap_or(0))
+}
 
 /// Verify every stripe of a parity-protected file; returns the stripe
-/// indices whose parity does not match their data.
+/// indices whose parity does not match their data. Stripes are checked
+/// `WAVE_ROWS` at a time (`RawFile::scrub_rows`): one read per device
+/// a wave, under one hold of the stripe lock.
 pub fn scrub(raw: &RawFile) -> Result<Vec<u64>> {
-    let ps = parity_model(raw)?;
-    let _quiesce = raw.lock_stripes();
-    let total = raw.nblocks();
-    let bs = raw.block_size();
-    let mut acc = vec![0u8; bs];
-    let mut buf = vec![0u8; bs];
     let mut bad = Vec::new();
-    for s in 0..ps.stripes(total) {
-        acc.fill(0);
-        for (_, loc) in ps.stripe_data(s, total) {
-            raw.read_device_block(loc.device, loc.block, &mut buf)?;
-            xor_into(&mut acc, &buf);
-        }
-        let ploc = ps.parity_location(s);
-        raw.read_device_block(ploc.device, ploc.block, &mut buf)?;
-        if acc != buf {
-            bad.push(s);
-        }
-    }
+    in_bursts(raw, stripes(raw)?, RebuildThrottle::UNBOUNDED, |row, n| {
+        bad.extend(raw.scrub_rows(row, n)?);
+        Ok(())
+    })?;
     Ok(bad)
 }
 
 /// Scrub-and-repair: find blocks whose reads fail with
-/// [`Corruption`](pario_disk::DiskError::Corruption) and reconstruct
-/// each from its stripe peers in place. Handles any number of corrupt
-/// blocks as long as no stripe has more than one. Returns the number of
-/// blocks repaired.
+/// [`Corruption`](DiskError::Corruption) and recompute each from its
+/// stripe peers in place (`RawFile::recover_rows`). A block is read on
+/// its own, so a failure names it. Handles any number of corrupt blocks
+/// as long as no stripe has more than one. Returns the number of blocks
+/// repaired.
 pub fn repair(raw: &RawFile) -> Result<u64> {
-    use pario_disk::DiskError;
-    let ps = parity_model(raw)?;
+    let stripes = stripes(raw)?;
     let _quiesce = raw.lock_stripes();
-    let total = raw.nblocks();
-    let bs = raw.block_size();
-    let mut buf = vec![0u8; bs];
-    let mut acc = vec![0u8; bs];
+    let mut buf = vec![0u8; raw.block_size()];
     let mut repaired = 0;
-    for s in 0..ps.stripes(total) {
-        // Locations participating in this stripe: data members + parity.
-        let mut locs: Vec<pario_layout::PhysBlock> = ps
-            .stripe_data(s, total)
-            .into_iter()
-            .map(|(_, l)| l)
-            .collect();
-        locs.push(ps.parity_location(s));
-        let mut bad: Option<pario_layout::PhysBlock> = None;
-        for &loc in &locs {
-            match raw.read_device_block(loc.device, loc.block, &mut buf) {
+    for s in 0..stripes {
+        let members = (0..raw.layout().devices()).filter(|&slot| raw.device_blocks(slot) > s);
+        let mut bad = None;
+        for slot in members {
+            match raw.read_device_block(slot, s, &mut buf) {
                 Ok(()) => {}
                 Err(FsError::Disk(DiskError::Corruption { .. })) => {
-                    if bad.replace(loc).is_some() {
+                    if bad.replace(slot).is_some() {
                         return Err(FsError::Meta(format!(
                             "stripe {s} has multiple corrupt blocks; \
                              parity cannot repair it"
@@ -77,16 +67,9 @@ pub fn repair(raw: &RawFile) -> Result<u64> {
                 Err(e) => return Err(e),
             }
         }
-        if let Some(bad_loc) = bad {
-            acc.fill(0);
-            for &loc in &locs {
-                if loc == bad_loc {
-                    continue;
-                }
-                raw.read_device_block(loc.device, loc.block, &mut buf)?;
-                xor_into(&mut acc, &buf);
-            }
-            raw.write_device_block(bad_loc.device, bad_loc.block, &acc)?;
+        if let Some(slot) = bad {
+            raw.recover_rows(slot, s, &mut buf)?;
+            raw.write_device_rows(&[(slot, s, &buf)])?;
             repaired += 1;
         }
     }
@@ -119,7 +102,6 @@ pub fn restore_device(dev: &DeviceRef, image: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use pario_fs::{FileSpec, Volume, VolumeConfig};
-    use pario_layout::LayoutSpec;
 
     const BS: usize = 256;
 
@@ -175,6 +157,33 @@ mod tests {
     fn clean_file_scrubs_clean() {
         let (_v, f) = setup();
         assert!(scrub(&f).unwrap().is_empty());
+    }
+
+    /// 60 appended one-block records leave a rotated 3+1 file 64 blocks,
+    /// 22 stripes: its scrub is one wave, one read per device (a read per
+    /// block was 86).
+    #[test]
+    fn scrub_is_one_read_per_device_per_wave() {
+        let v = Volume::create_in_memory(VolumeConfig {
+            devices: 4,
+            device_blocks: 512,
+            block_size: BS,
+        })
+        .unwrap();
+        let layout = LayoutSpec::Parity {
+            data_devices: 3,
+            rotated: true,
+        };
+        let f = v.create_file(FileSpec::new("p", BS, 1, layout)).unwrap();
+        for r in 0..60u64 {
+            f.write_record(r, &vec![r as u8; BS]).unwrap();
+        }
+        assert_eq!(f.nblocks(), 64);
+        let reads = |d: usize| v.device(d).counters().reads;
+        let before: Vec<u64> = (0..4).map(reads).collect();
+        assert!(scrub(&f).unwrap().is_empty());
+        let scrubbed: Vec<u64> = (0..4).map(|d| reads(d) - before[d]).collect();
+        assert_eq!(scrubbed, [1; 4]);
     }
 
     #[test]
@@ -241,10 +250,10 @@ mod tests {
     /// (reconstruct-write) and so heals it.
     #[test]
     fn write_over_detected_corrupt_parity_heals_the_stripe() {
+        use pario_layout::{ParityPlacement, ParityStriped};
         let (raw_devs, v, f) = checksummed_setup();
         // Stripe 2 holds records 6..9; flip a bit of its parity block.
-        let ps = parity_model(&f).unwrap();
-        let ploc = ps.parity_location(2);
+        let ploc = ParityStriped::new(3, ParityPlacement::Rotated).parity_location(2);
         let abs = pario_fs::resolve(&f.meta_snapshot().extents[ploc.device], ploc.block);
         raw_devs[ploc.device].corrupt_bit(abs, 321);
         assert!(scrub(&f).is_err(), "the corruption is detected");

@@ -4,9 +4,11 @@
 //! sustained over many events, the operational story behind the paper's
 //! reliability arithmetic.
 
-use pario_fs::{FileSpec, Volume, VolumeConfig};
+use pario_fs::{FileSpec, HealthState, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
-use pario_reliability::{failure_schedule, rebuild_parity_slot, scrub, PAPER_DEVICE_MTBF_HOURS};
+use pario_reliability::{
+    failure_schedule, rebuild_device, scrub, RebuildThrottle, PAPER_DEVICE_MTBF_HOURS,
+};
 
 const BS: usize = 512;
 
@@ -68,7 +70,13 @@ fn survive_a_decade_of_failures() {
         for b in 0..v.device(ev.device).num_blocks() {
             v.device(ev.device).write_block(b, &zero).unwrap();
         }
-        rebuild_parity_slot(&f, ev.device).unwrap();
+        rebuild_device(&v, ev.device, RebuildThrottle::UNBOUNDED).unwrap();
+        assert_eq!(
+            v.device_health(ev.device),
+            HealthState::Healthy,
+            "event {k}"
+        );
+        assert!(!v.is_degraded(), "event {k}");
         assert!(
             scrub(&f).unwrap().is_empty(),
             "event {k} (device {}): scrub dirty after rebuild",

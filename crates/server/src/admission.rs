@@ -158,11 +158,6 @@ impl Admission {
         }
     }
 
-    /// The configured in-flight limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
     /// Bump the cumulative admitted counter on `session`'s stripe.
     fn count_admitted(&self, session: u64) {
         self.admitted[session as usize & (ADMITTED_STRIPES - 1)]

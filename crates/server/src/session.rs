@@ -120,11 +120,6 @@ impl Server {
         &self.inner.volume
     }
 
-    /// The configured in-flight limit.
-    pub fn admission_limit(&self) -> usize {
-        self.inner.admission.limit()
-    }
-
     /// Connect a new client session.
     pub fn connect(&self) -> Session {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed); // ordering: id allocation needs uniqueness, not ordering
@@ -722,13 +717,6 @@ pub struct LockedRange {
     ticket: u64,
     lo: u64,
     hi: u64,
-}
-
-impl LockedRange {
-    /// The locked byte span `[lo, hi)`.
-    pub fn byte_span(&self) -> (u64, u64) {
-        (self.lo, self.hi)
-    }
 }
 
 impl Drop for LockedRange {

@@ -73,12 +73,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// This time expressed in milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// `self - other`, clamping at zero instead of underflowing.
     #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {

@@ -99,11 +99,6 @@ impl OpenLoop {
         let ops = (0..self.ops).map(|i| self.op(i, &zipf)).collect();
         OpenLoopPlan { arrivals, ops }
     }
-
-    /// Wall-clock length of the offered schedule, in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.ops as f64 / self.rate
-    }
 }
 
 /// A materialized open-loop schedule; position `i` of both vectors

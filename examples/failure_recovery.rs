@@ -8,9 +8,9 @@
 //! ```
 
 use pario::core::{Organization, ParallelFile};
-use pario::fs::{Volume, VolumeConfig};
+use pario::fs::{HealthState, Volume, VolumeConfig};
 use pario::layout::LayoutSpec;
-use pario::reliability::{rebuild_parity_slot, scrub};
+use pario::reliability::{rebuild_device, scrub, RebuildThrottle};
 
 const RECORD: usize = 1024;
 const RECORDS: u64 = 64;
@@ -76,8 +76,12 @@ fn main() {
     for b in 0..volume.device(2).num_blocks() {
         volume.device(2).write_block(b, &zero).expect("blank");
     }
-    let rebuilt = rebuild_parity_slot(pf.raw(), 2).expect("rebuild");
+    let report = rebuild_device(&volume, 2, RebuildThrottle::UNBOUNDED).expect("rebuild");
+    let rebuilt = report.parity_rebuilt[0].1;
     println!("replacement drive rebuilt: {rebuilt} blocks reconstructed");
+    assert_eq!(volume.device_health(2), HealthState::Healthy);
+    assert!(!volume.is_degraded());
+    println!("drive 2 back to Healthy; the volume is no longer degraded");
 
     assert!(scrub(pf.raw()).expect("scrub").is_empty());
     for r in 0..RECORDS {

@@ -9,7 +9,6 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use pario_core::{convert as convert_file, Organization, ParallelFile};
 use pario_disk::{DeviceRef, FileDisk};
@@ -317,15 +316,8 @@ pub fn scrub_volume(dir: &Path) -> CliResult {
 /// Rebuild every redundant file after replacing device `device`.
 pub fn rebuild(dir: &Path, device: usize) -> CliResult {
     let vol = open_volume(dir)?;
-    if device >= vol.num_devices() {
-        return Err(CliError(format!("no device {device}")));
-    }
     // Nothing else uses the volume: each file's slot goes in one burst.
-    let one_burst = RebuildThrottle {
-        burst_blocks: u64::MAX,
-        pause: Duration::ZERO,
-    };
-    let report = rebuild_device(&vol, device, one_burst)?;
+    let report = rebuild_device(&vol, device, RebuildThrottle::UNBOUNDED)?;
     let mut out = String::new();
     for (name, n) in &report.parity_rebuilt {
         let _ = writeln!(out, "{name}: {n} blocks rebuilt from parity");

@@ -91,6 +91,8 @@ fn parity_scrub_and_rebuild() {
     // …and rebuild repairs them.
     let out = cli::rebuild(&dir, 2).unwrap();
     assert!(out.contains("rebuilt from parity"), "{out}");
+    let err = cli::rebuild(&dir, 4).unwrap_err();
+    assert!(err.0.contains("no device 4"), "{err}");
     let out = cli::scrub_volume(&dir).unwrap();
     assert!(out.contains("prot: clean"), "{out}");
 

@@ -9,9 +9,7 @@ use pario::core::{Organization, ParallelFile};
 use pario::disk::{DeviceRef, MemDisk};
 use pario::fs::{FileSpec, GlobalReader, HealthState, Volume, VolumeConfig};
 use pario::layout::LayoutSpec;
-use pario::reliability::{
-    rebuild_device, rebuild_parity_slot, scrub, ChecksumDevice, RebuildThrottle,
-};
+use pario::reliability::{rebuild_device, scrub, ChecksumDevice, RebuildThrottle};
 use pario::workloads::record_payload;
 
 const BS: usize = 512;
@@ -96,6 +94,7 @@ fn volume_wide_failure_and_rebuild() {
     assert_eq!(report.unprotected, vec!["plain.dat".to_string()]);
 
     // Everything protected is exact again, directly (no degraded paths).
+    assert_eq!(v.device_health(1), HealthState::Healthy);
     assert!(!v.is_degraded());
     assert!(scrub(parity.raw()).unwrap().is_empty());
     for i in 0..30u64 {
@@ -249,7 +248,9 @@ fn concurrent_writers_during_failure() {
     for b in 0..v.device(2).num_blocks() {
         v.device(2).write_block(b, &zero).unwrap();
     }
-    rebuild_parity_slot(&f, 2).unwrap();
+    rebuild_device(&v, 2, RebuildThrottle::UNBOUNDED).unwrap();
+    assert_eq!(v.device_health(2), HealthState::Healthy);
+    assert!(!v.is_degraded());
     assert!(scrub(&f).unwrap().is_empty());
     for i in 0..64u64 {
         f.read_record(i, &mut buf).unwrap();
@@ -346,6 +347,8 @@ fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
     let report = rebuild_device(&v, 1, RebuildThrottle::default()).unwrap();
     assert_eq!(report.parity_rebuilt.len(), 1);
     assert_eq!(report.shadow_resynced.len(), 1);
+    assert_eq!(v.device_health(1), HealthState::Healthy);
+    assert!(!v.is_degraded());
     assert!(scrub(&parity).unwrap().is_empty());
     check(WRITTEN + 20, "rebuilt");
     for (mut reader, tag) in parked {
