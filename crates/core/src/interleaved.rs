@@ -9,7 +9,7 @@
 
 use pario_fs::RawFile;
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 
 /// Process `p`'s strided window onto an IS file.
 pub struct InterleavedHandle {
@@ -63,16 +63,28 @@ impl InterleavedHandle {
         }
     }
 
+    /// Refuse a block transfer while `read_next` / `write_next` have
+    /// left the cursor inside a block.
+    fn block_aligned(&self) -> Result<()> {
+        match self.within {
+            0 => Ok(()),
+            k => Err(CoreError::BadGeometry(format!(
+                "cursor at record {k} of block {}, not at a block start",
+                self.fb
+            ))),
+        }
+    }
+
     /// Read this process's next whole file block (all
     /// `records_per_block` records at once) into `out`. Returns the
     /// global file-block index, or `None` past end of file. The cursor
     /// must be block-aligned (it is unless `read_next` stopped
-    /// mid-block).
+    /// mid-block); otherwise the read is refused.
     pub fn read_next_block(&mut self, out: &mut [u8]) -> Result<Option<u64>> {
         let rs = self.raw.record_size();
         let rpb = self.raw.records_per_block();
         assert_eq!(out.len(), rs * rpb, "block buffer size");
-        assert_eq!(self.within, 0, "cursor mid-block");
+        self.block_aligned()?;
         let first = self.current_record();
         if first + rpb as u64 > self.raw.len_records() {
             return Ok(None);
@@ -84,12 +96,14 @@ impl InterleavedHandle {
     }
 
     /// Write this process's next whole file block from `out`, extending
-    /// the file. Returns the global file-block index written.
+    /// the file. Returns the global file-block index written. Refused,
+    /// like [`read_next_block`](Self::read_next_block), with the cursor
+    /// mid-block.
     pub fn write_next_block(&mut self, data: &[u8]) -> Result<u64> {
         let rs = self.raw.record_size();
         let rpb = self.raw.records_per_block();
         assert_eq!(data.len(), rs * rpb, "block buffer size");
-        assert_eq!(self.within, 0, "cursor mid-block");
+        self.block_aligned()?;
         let first = self.current_record();
         self.raw.write_span(first * rs as u64, data)?;
         self.raw.extend_len_records(first + rpb as u64);
@@ -255,6 +269,19 @@ mod tests {
             }
             assert_eq!(k, 5);
         }
+    }
+
+    #[test]
+    fn a_block_transfer_mid_block_is_refused_and_moves_nothing() {
+        let v = vol(2);
+        let org = Organization::InterleavedSeq { processes: 2 };
+        let pf = ParallelFile::create(&v, "m", org, 64, 4).unwrap();
+        let mut h = pf.interleaved_handle(0).unwrap();
+        h.write_next(&rec(0, 64)).unwrap();
+        let refused = |e| matches!(e, Err(crate::CoreError::BadGeometry(_)));
+        assert!(refused(h.write_next_block(&[1; 256]).map(|_| ())));
+        assert!(refused(h.read_next_block(&mut [0; 256]).map(|_| ())));
+        assert_eq!((h.current_record(), pf.len_records()), (1, 1));
     }
 
     #[test]

@@ -357,7 +357,9 @@ impl RawFile {
     /// checks again under the exclusive lock and may allocate past
     /// `records` (see there).
     pub fn ensure_capacity_records(&self, records: u64) -> Result<()> {
-        let lblocks = (records * self.record_size as u64).div_ceil(self.block_size() as u64);
+        let bytes = records.checked_mul(self.record_size as u64);
+        let bytes = bytes.ok_or_else(|| self.unaddressable(records))?;
+        let lblocks = bytes.div_ceil(self.block_size() as u64);
         {
             let meta = self.state.meta.read();
             if let Some(cap) = meta.fixed_capacity_records {
@@ -1643,6 +1645,25 @@ impl RawFile {
         Ok(())
     }
 
+    /// The refusal of `records` records, or of record `records`, whose
+    /// bytes end past what a `u64` byte offset can address.
+    fn unaddressable(&self, records: u64) -> FsError {
+        FsError::OutOfBounds {
+            record: records,
+            len: u64::MAX / self.record_size as u64,
+        }
+    }
+
+    /// Byte range `[start, end)` of record `r` in the file's byte
+    /// stream, or `OutOfBounds` where a byte offset cannot address it.
+    pub fn record_bytes(&self, r: u64) -> Result<(u64, u64)> {
+        let rs = self.record_size as u64;
+        match r.checked_add(1).and_then(|n| n.checked_mul(rs)) {
+            Some(end) => Ok((end - rs, end)),
+            None => Err(self.unaddressable(r)),
+        }
+    }
+
     /// Read record `r` (must be below the file length).
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
         assert_eq!(out.len(), self.record_size, "record buffer size");
@@ -1650,13 +1671,15 @@ impl RawFile {
         if r >= len {
             return Err(FsError::OutOfBounds { record: r, len });
         }
-        self.read_span(r * self.record_size as u64, out)
+        self.read_span(self.record_bytes(r)?.0, out)
     }
 
-    /// Write record `r`, extending the file length to cover it.
+    /// Write record `r`, extending the file length to cover it. A record
+    /// whose bytes no offset can address is refused before anything is
+    /// written.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
         assert_eq!(data.len(), self.record_size, "record buffer size");
-        self.write_span(r * self.record_size as u64, data)?;
+        self.write_span(self.record_bytes(r)?.0, data)?;
         self.extend_len_records(r + 1);
         Ok(())
     }
@@ -1756,6 +1779,43 @@ mod tests {
             f.write_record(64, &rec),
             Err(FsError::CapacityExceeded { .. })
         ));
+    }
+
+    /// Record 2^58 of 64-byte records starts at byte 2^64: the offset
+    /// wrapped to 0, so the write landed on record 0 and published a
+    /// length of 2^58 + 1 (a debug build panicked on the multiply).
+    #[test]
+    fn a_record_whose_offset_overflows_is_refused_before_any_write() {
+        let v = vol(2);
+        let f = v
+            .create_file(FileSpec::new(
+                "gda",
+                64,
+                4,
+                LayoutSpec::Striped {
+                    devices: 2,
+                    unit: 1,
+                },
+            ))
+            .unwrap();
+        f.write_record(0, &record(0, 64)).unwrap();
+        for r in [1u64 << 58, u64::MAX / 64, u64::MAX] {
+            assert_eq!(
+                f.write_record(r, &[7; 64]),
+                Err(FsError::OutOfBounds {
+                    record: r,
+                    len: u64::MAX / 64
+                })
+            );
+            assert!(f.record_bytes(r).is_err());
+        }
+        assert!(f.ensure_capacity_records(1 << 58).is_err());
+        assert_eq!(f.len_records(), 1);
+        let mut back = [0u8; 64];
+        f.read_record(0, &mut back).unwrap();
+        assert_eq!(back[..], record(0, 64)[..]);
+        let last = u64::MAX / 64 - 1;
+        assert_eq!(f.record_bytes(last), Ok((last * 64, last * 64 + 64)));
     }
 
     #[test]

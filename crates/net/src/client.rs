@@ -37,7 +37,7 @@ use crate::error::{NetError, Result};
 use crate::frame::{
     begin_frame, client_handshake, end_frame, read_frame, Grant, RawFrame, Welcome, FRAME_OVERHEAD,
 };
-use crate::proto::{Opened, Request, StatsSummary};
+use crate::proto::{Opened, Request, StatsSummary, View};
 use crate::reader::{FrameSource, ReplyMux, Ticket};
 use crate::sock::{self, Sock, Transport};
 use crate::wire::{WireReader, WireWriter};
@@ -232,59 +232,47 @@ impl NetClient {
         Ok(StatsSummary::decode(&body)?)
     }
 
-    fn open(&self, req: Request) -> Result<(Arc<ClientCore>, Opened)> {
-        let body = self.core.call(&req)?;
-        Ok((Arc::clone(&self.core), Opened::decode(&body)?))
+    fn open(&self, name: &str, view: View) -> Result<RemoteHandle> {
+        let name = name.into();
+        let body = self.core.call(&Request::Open { name, view })?;
+        let opened = Opened::decode(&body)?;
+        Ok(RemoteHandle {
+            core: Arc::clone(&self.core),
+            opened,
+        })
     }
 
     /// Open a type-S file exclusively (see `Session::open_sequential`).
     pub fn open_sequential(&self, name: &str) -> Result<RemoteSeq> {
-        let (core, opened) = self.open(Request::OpenSeq { name: name.into() })?;
-        Ok(RemoteSeq {
-            h: RemoteHandle { core, opened },
-        })
+        let h = self.open(name, View::Sequential)?;
+        Ok(RemoteSeq { h })
     }
 
     /// Open an SS file; the record cursor is shared server-wide, so
     /// records are delivered exactly once across every client and
     /// in-process session (see `Session::open_self_sched`).
     pub fn open_self_sched(&self, name: &str) -> Result<RemoteSs> {
-        let (core, opened) = self.open(Request::OpenSs { name: name.into() })?;
-        Ok(RemoteSs {
-            h: RemoteHandle { core, opened },
-        })
+        let h = self.open(name, View::SelfSched)?;
+        Ok(RemoteSs { h })
     }
 
     /// Claim partition `p` of a PS/PDA file; refused with
     /// `ServerError::Claimed` while any other client holds it.
     pub fn open_partition(&self, name: &str, p: u32) -> Result<RemotePartition> {
-        let (core, opened) = self.open(Request::OpenPartition {
-            name: name.into(),
-            partition: p,
-        })?;
-        Ok(RemotePartition {
-            h: RemoteHandle { core, opened },
-            partition: p,
-        })
+        let h = self.open(name, View::Partition(p))?;
+        Ok(RemotePartition { h, partition: p })
     }
 
     /// Claim interleave slot `p` of an IS file.
     pub fn open_interleaved(&self, name: &str, p: u32) -> Result<RemoteInterleaved> {
-        let (core, opened) = self.open(Request::OpenInterleaved {
-            name: name.into(),
-            process: p,
-        })?;
-        Ok(RemoteInterleaved {
-            h: RemoteHandle { core, opened },
-        })
+        let h = self.open(name, View::Interleaved(p))?;
+        Ok(RemoteInterleaved { h })
     }
 
     /// Open a GDA file for direct access with byte-range locking.
     pub fn open_direct(&self, name: &str) -> Result<RemoteDirect> {
-        let (core, opened) = self.open(Request::OpenDirect { name: name.into() })?;
-        Ok(RemoteDirect {
-            h: RemoteHandle { core, opened },
-        })
+        let h = self.open(name, View::Direct)?;
+        Ok(RemoteDirect { h })
     }
 }
 
@@ -318,9 +306,48 @@ impl std::fmt::Debug for RemoteHandle {
     }
 }
 
+/// The verbs every view shares, on this handle. The server decides what
+/// each one means for the view the handle was opened as.
 impl RemoteHandle {
     fn id(&self) -> u64 {
         self.opened.handle
+    }
+
+    fn read_next(&self) -> Result<Vec<u8>> {
+        self.core.call(&Request::ReadNext { handle: self.id() })
+    }
+
+    fn write_next(&self, data: &[u8]) -> Result<Vec<u8>> {
+        let data = Bytes::copy_from_slice(data);
+        self.core.call(&Request::WriteNext {
+            handle: self.id(),
+            data,
+        })
+    }
+
+    fn finish(&self) -> Result<u64> {
+        take_u64(&self.core.call(&Request::Finish { handle: self.id() })?)
+    }
+
+    fn rewind(&self) -> Result<()> {
+        self.core.call(&Request::Rewind { handle: self.id() })?;
+        Ok(())
+    }
+
+    fn read_record(&self, record: u64, out: &mut [u8]) -> Result<()> {
+        let handle = self.id();
+        copy_record(&self.core.call(&Request::DirRead { handle, record })?, out)
+    }
+
+    fn write_record(&self, record: u64, data: &[u8]) -> Result<()> {
+        let data = Bytes::copy_from_slice(data);
+        let handle = self.id();
+        self.core.call(&Request::DirWrite {
+            handle,
+            record,
+            data,
+        })?;
+        Ok(())
     }
 }
 
@@ -403,38 +430,22 @@ impl RemoteSeq {
 
     /// Read the next record; `false` at end of file.
     pub fn read_next(&self, out: &mut [u8]) -> Result<bool> {
-        let body = self.h.core.call(&Request::SeqRead {
-            handle: self.h.id(),
-        })?;
-        take_flagged(&body, out)
+        take_flagged(&self.h.read_next()?, out)
     }
 
     /// Append the next record.
     pub fn write_next(&self, data: &[u8]) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::SeqWrite {
-                handle: self.h.id(),
-                data: Bytes::copy_from_slice(data),
-            })
-            .map(|_| ())
+        self.h.write_next(data).map(drop)
     }
 
     /// Flush buffered appends and publish the length.
     pub fn finish(&self) -> Result<u64> {
-        take_u64(&self.h.core.call(&Request::SeqFinish {
-            handle: self.h.id(),
-        })?)
+        self.h.finish()
     }
 
     /// Rewind the read cursor.
     pub fn rewind(&self) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::SeqRewind {
-                handle: self.h.id(),
-            })
-            .map(|_| ())
+        self.h.rewind()
     }
 }
 
@@ -464,10 +475,7 @@ impl RemoteSs {
     /// Claim and read the next unclaimed record; the index served, or
     /// `None` once the file is drained.
     pub fn read_next(&self, out: &mut [u8]) -> Result<Option<u64>> {
-        let body = self.h.core.call(&Request::SsRead {
-            handle: self.h.id(),
-        })?;
-        take_indexed(&body, out)
+        take_indexed(&self.h.read_next()?, out)
     }
 
     /// Pipelined read: send the claim without waiting. Issue several,
@@ -475,39 +483,30 @@ impl RemoteSs {
     /// order — the round trips overlap, which is where remote SS
     /// throughput comes from.
     pub fn submit_read_next(&self) -> Result<SsReadTicket> {
-        Ok(SsReadTicket {
-            pending: self.h.core.submit(&Request::SsRead {
-                handle: self.h.id(),
-            })?,
-        })
+        let handle = self.h.id();
+        let pending = self.h.core.submit(&Request::ReadNext { handle })?;
+        Ok(SsReadTicket { pending })
     }
 
     /// Resolve a pipelined read into `out`.
     pub fn finish_read_next(&self, t: SsReadTicket, out: &mut [u8]) -> Result<Option<u64>> {
-        let body = t.pending.wait()?;
-        take_indexed(&body, out)
+        take_indexed(&t.pending.wait()?, out)
     }
 
     /// Claim the next free slot and write `data` there; the slot index.
     pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        take_u64(&self.h.core.call(&Request::SsWrite {
-            handle: self.h.id(),
-            data: Bytes::copy_from_slice(data),
-        })?)
+        take_u64(&self.h.write_next(data)?)
     }
 
     /// Publish the final length once all writers are done.
     pub fn finish_writes(&self) -> Result<u64> {
-        take_u64(&self.h.core.call(&Request::SsFinish {
-            handle: self.h.id(),
-        })?)
+        self.h.finish()
     }
 
     /// Records claimed so far across all sessions of the file.
     pub fn claimed(&self) -> Result<u64> {
-        take_u64(&self.h.core.call(&Request::SsClaimed {
-            handle: self.h.id(),
-        })?)
+        let handle = self.h.id();
+        take_u64(&self.h.core.call(&Request::Claimed { handle })?)
     }
 }
 
@@ -537,52 +536,27 @@ impl RemotePartition {
 
     /// Read global record `r` (must lie inside the partition).
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        let body = self.h.core.call(&Request::PartRead {
-            handle: self.h.id(),
-            record: r,
-        })?;
-        copy_record(&body, out)
+        self.h.read_record(r, out)
     }
 
     /// Write global record `r` (must lie inside the partition).
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::PartWrite {
-                handle: self.h.id(),
-                record: r,
-                data: Bytes::copy_from_slice(data),
-            })
-            .map(|_| ())
+        self.h.write_record(r, data)
     }
 
     /// Read the next record of the partition; `false` at its end.
     pub fn read_next(&self, out: &mut [u8]) -> Result<bool> {
-        let body = self.h.core.call(&Request::PartReadNext {
-            handle: self.h.id(),
-        })?;
-        take_flagged(&body, out)
+        take_flagged(&self.h.read_next()?, out)
     }
 
     /// Append at the partition cursor.
     pub fn write_next(&self, data: &[u8]) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::PartWriteNext {
-                handle: self.h.id(),
-                data: Bytes::copy_from_slice(data),
-            })
-            .map(|_| ())
+        self.h.write_next(data).map(drop)
     }
 
     /// Rewind the partition cursor.
     pub fn rewind(&self) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::PartRewind {
-                handle: self.h.id(),
-            })
-            .map(|_| ())
+        self.h.rewind()
     }
 }
 
@@ -606,35 +580,31 @@ impl RemoteInterleaved {
     /// Read this slot's next record; `false` when the stride passes the
     /// end of the file.
     pub fn read_next(&self, out: &mut [u8]) -> Result<bool> {
-        let body = self.h.core.call(&Request::IlvReadNext {
-            handle: self.h.id(),
-        })?;
-        take_flagged(&body, out)
+        take_flagged(&self.h.read_next()?, out)
     }
 
     /// Write this slot's next record; the global record index written.
     pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        take_u64(&self.h.core.call(&Request::IlvWriteNext {
-            handle: self.h.id(),
-            data: Bytes::copy_from_slice(data),
-        })?)
+        take_u64(&self.h.write_next(data)?)
     }
 
     /// Read this slot's next whole block into `out` (one block); the
     /// block index, or `None` past the end.
     pub fn read_next_block(&self, out: &mut [u8]) -> Result<Option<u64>> {
-        let body = self.h.core.call(&Request::IlvReadBlock {
-            handle: self.h.id(),
-        })?;
-        take_indexed(&body, out)
+        let handle = self.h.id();
+        take_indexed(&self.h.core.call(&Request::ReadNextBlock { handle })?, out)
     }
 
     /// Write this slot's next whole block; the block index written.
     pub fn write_next_block(&self, data: &[u8]) -> Result<u64> {
-        take_u64(&self.h.core.call(&Request::IlvWriteBlock {
-            handle: self.h.id(),
-            data: Bytes::copy_from_slice(data),
-        })?)
+        let data = Bytes::copy_from_slice(data);
+        let handle = self.h.id();
+        take_u64(
+            &self
+                .h
+                .core
+                .call(&Request::WriteNextBlock { handle, data })?,
+        )
     }
 }
 
@@ -672,24 +642,13 @@ impl RemoteDirect {
 
     /// Read record `r`.
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        let body = self.h.core.call(&Request::DirRead {
-            handle: self.h.id(),
-            record: r,
-        })?;
-        copy_record(&body, out)
+        self.h.read_record(r, out)
     }
 
     /// Write record `r` (takes the record's byte-range lock server-side
     /// for the duration of the write).
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::DirWrite {
-                handle: self.h.id(),
-                record: r,
-                data: Bytes::copy_from_slice(data),
-            })
-            .map(|_| ())
+        self.h.write_record(r, data)
     }
 
     /// Pipelined write: send without waiting.
@@ -706,11 +665,8 @@ impl RemoteDirect {
     /// [`write_record_locked`](Self::write_record_locked); release with
     /// [`unlock`](Self::unlock).
     pub fn lock_range(&self, r_lo: u64, r_hi: u64) -> Result<RemoteLock> {
-        let body = self.h.core.call(&Request::DirLock {
-            handle: self.h.id(),
-            r_lo,
-            r_hi,
-        })?;
+        let handle = self.h.id();
+        let body = self.h.core.call(&Request::DirLock { handle, r_lo, r_hi })?;
         Ok(RemoteLock {
             id: take_u64(&body)?,
         })
@@ -719,28 +675,25 @@ impl RemoteDirect {
     /// Write record `r` under a held lock; refused with
     /// `ServerError::RangeNotLocked` if `r` lies outside it.
     pub fn write_record_locked(&self, lock: &RemoteLock, r: u64, data: &[u8]) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::DirWriteLocked {
-                handle: self.h.id(),
-                lock: lock.id,
-                record: r,
-                data: Bytes::copy_from_slice(data),
-            })
-            .map(|_| ())
+        self.h.core.call(&Request::DirWriteLocked {
+            handle: self.h.id(),
+            lock: lock.id,
+            record: r,
+            data: Bytes::copy_from_slice(data),
+        })?;
+        Ok(())
     }
 
     /// Flush the locked span to the devices, then release the lock: a
     /// reader that observes the release observes the data (the paper's
     /// durable-at-unlock contract for GDA files).
     pub fn unlock(&self, lock: RemoteLock) -> Result<()> {
-        self.h
-            .core
-            .call(&Request::DirUnlock {
-                handle: self.h.id(),
-                lock: lock.id,
-            })
-            .map(|_| ())
+        let handle = self.h.id();
+        self.h.core.call(&Request::DirUnlock {
+            handle,
+            lock: lock.id,
+        })?;
+        Ok(())
     }
 
     /// Locked read-modify-write of record `r`: lock, read, apply `f`

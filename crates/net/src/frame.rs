@@ -377,33 +377,40 @@ mod tests {
 
     #[test]
     fn version_3_peers_are_refused_by_name_on_both_sides() {
-        // A v3 hello: the welcome still goes out, then the typed refusal.
-        let mut v3_hello = MAGIC.to_vec();
-        v3_hello.extend_from_slice(&3u16.to_le_bytes());
-        let mut server = Duplex::fed(v3_hello);
-        assert_eq!(
-            server_handshake(&mut server, GRANT, b"lane"),
-            Err(NetError::Handshake {
-                ours: VERSION,
-                theirs: 3
-            })
-        );
-        assert_eq!(server.tx[..4], MAGIC);
-        assert_eq!(u16::from_le_bytes([server.tx[4], server.tx[5]]), VERSION);
+        for theirs in [3u16, 4] {
+            // An old hello: the welcome still goes out, then the typed
+            // refusal.
+            let mut old_hello = MAGIC.to_vec();
+            old_hello.extend_from_slice(&theirs.to_le_bytes());
+            let mut server = Duplex::fed(old_hello);
+            assert_eq!(
+                server_handshake(&mut server, GRANT, b"lane"),
+                Err(NetError::Handshake {
+                    ours: VERSION,
+                    theirs
+                })
+            );
+            assert_eq!(server.tx[..4], MAGIC);
+            assert_eq!(u16::from_le_bytes([server.tx[4], server.tx[5]]), VERSION);
 
-        // A v3 welcome is 14 bytes and then the server hangs up: the
-        // version is read before the fifteenth byte is waited for.
-        let mut v3_welcome = MAGIC.to_vec();
-        v3_welcome.extend_from_slice(&3u16.to_le_bytes());
-        v3_welcome.extend_from_slice(&32u32.to_le_bytes());
-        v3_welcome.extend_from_slice(&(1u32 << 20).to_le_bytes());
-        assert_eq!(
-            client_handshake(&mut Duplex::fed(v3_welcome)),
-            Err(NetError::Handshake {
-                ours: VERSION,
-                theirs: 3
-            })
-        );
+            // A v3 welcome is 14 bytes and then the server hangs up; a v4
+            // one names no lane. The version is read before the rest is
+            // waited for.
+            let mut old_welcome = MAGIC.to_vec();
+            old_welcome.extend_from_slice(&theirs.to_le_bytes());
+            old_welcome.extend_from_slice(&32u32.to_le_bytes());
+            old_welcome.extend_from_slice(&(1u32 << 20).to_le_bytes());
+            if theirs == 4 {
+                old_welcome.push(0);
+            }
+            assert_eq!(
+                client_handshake(&mut Duplex::fed(old_welcome)),
+                Err(NetError::Handshake {
+                    ours: VERSION,
+                    theirs
+                })
+            );
+        }
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! the in-process [`Server`](pario_server::Server):
 //!
 //! * [`wire`] / [`proto`] — a small length-prefixed, versioned binary
-//!   codec (no serde, no async runtime) carrying the full session
-//!   surface: every file organization's open, read, write and cursor
-//!   operations, SS shared-cursor claims, partition claims, and GDA
-//!   byte-range locks, plus a lossless encoding of the typed
-//!   `ServerError` taxonomy so remote callers match on the very same
-//!   variants.
+//!   codec (no serde, no async runtime) carrying the session surface as
+//!   operations, not organizations: one `Open` fixes a handle's view of
+//!   the file (the paper's organizations are views), and one set of
+//!   verbs — next record, record *r*, finish, rewind, SS claims, GDA
+//!   byte-range locks — serves every view that offers them, plus a
+//!   lossless encoding of the typed `ServerError` taxonomy so remote
+//!   callers match on the very same variants. The server decides, from
+//!   the handle, what each verb means and whether a payload fits it.
 //! * [`frame`] — framing, bounds-checked lengths, and the handshake
 //!   that grants each connection its flow-control credits.
 //! * [`NetServer`] — a listener (TCP or Unix-domain) with **one**

@@ -1,8 +1,15 @@
-//! The protocol layer: the handshake constants, the typed request set
-//! (one variant per operation on the [`pario_server::Session`]
-//! surface), the fixed response bodies, and a lossless wire encoding of
-//! the whole error taxonomy — a [`ServerError`] decoded on the client
-//! compares equal to the one the server produced.
+//! The protocol layer: the handshake constants, the typed request set,
+//! the fixed response bodies, and a lossless wire encoding of the whole
+//! error taxonomy — a [`ServerError`] decoded on the client compares
+//! equal to the one the server produced.
+//!
+//! Requests name an operation, not a file organization. The paper's
+//! organizations are views a process takes on one file, each offering
+//! the same few operations — read or write the next record, read or
+//! write record *r* — so the view is fixed once, when a handle opens
+//! ([`Request::Open`] names it), and one set of verbs serves every
+//! handle. What a verb does, and whether the handle's view offers it at
+//! all, the server decides from the handle.
 
 use bytes::Bytes;
 use pario_core::{intern_expected, CoreError, Organization};
@@ -25,8 +32,11 @@ pub const MAGIC: [u8; 4] = *b"PIO1";
 /// retired opcode 0x12 (the big-lock SS open), which a v2 client may
 /// still send. Version 4 lengthened the welcome by the server's lane
 /// name (`frame::Welcome`): a v3 client would read its first frame
-/// from the middle of that name.
-pub const VERSION: u16 = 4;
+/// from the middle of that name. Version 5 replaced the requests of
+/// each organization with one [`Request::Open`] and one set of verbs,
+/// and retired 0x10–0x15, 0x20–0x23, 0x28–0x2C, 0x30–0x34 and
+/// 0x38–0x3B: a v4 client's opens would be refused as unknown opcodes.
+pub const VERSION: u16 = 5;
 
 /// Reply status byte: the request succeeded; the body is the
 /// operation's result.
@@ -40,44 +50,40 @@ const ERR_CLASS_SERVER: u8 = 0;
 const ERR_CLASS_PROTOCOL: u8 = 1;
 const ERR_CLASS_SHUTDOWN: u8 = 2;
 
+/// The view a handle takes on its file: which `Session::open_*` a
+/// [`Request::Open`] runs. It is fixed for the handle's life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View {
+    /// `open_sequential`: a type-S file, exclusively.
+    Sequential,
+    /// `open_self_sched`: the SS file's shared cursor.
+    SelfSched,
+    /// `open_partition`: this partition of a PS or PDA file, claimed.
+    Partition(u32),
+    /// `open_interleaved`: this slot of an IS file, claimed.
+    Interleaved(u32),
+    /// `open_direct`: a GDA file.
+    Direct,
+}
+
 /// One request on the wire. Bulk write payloads are [`Bytes`], so a
 /// benchmark replaying one record body across thousands of requests
-/// clones a reference, not the buffer.
+/// clones a reference, not the buffer. Every verb after `Open` names a
+/// handle, and serves the views its doc lists; on any other handle it
+/// is refused with a protocol error, and the connection serves on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe; empty OK reply.
     Ping,
     /// Server statistics snapshot; [`StatsSummary`] reply.
     Stats,
-    /// `Session::open_sequential`; [`Opened`] reply.
-    OpenSeq {
+    /// Open `name` as `view`; [`Opened`] reply, with the claimed record
+    /// range for a partition.
+    Open {
         /// File name.
         name: String,
-    },
-    /// `Session::open_self_sched`; [`Opened`] reply.
-    OpenSs {
-        /// File name.
-        name: String,
-    },
-    /// `Session::open_partition`; [`Opened`] reply with the claimed
-    /// record range.
-    OpenPartition {
-        /// File name.
-        name: String,
-        /// Partition index to claim.
-        partition: u32,
-    },
-    /// `Session::open_interleaved`; [`Opened`] reply.
-    OpenInterleaved {
-        /// File name.
-        name: String,
-        /// Interleave slot to claim.
-        process: u32,
-    },
-    /// `Session::open_direct`; [`Opened`] reply.
-    OpenDirect {
-        /// File name.
-        name: String,
+        /// Which open the server runs.
+        view: View,
     },
     /// Drop the server-side client behind `handle`, releasing any
     /// exclusive hold, partition/slot claim, or range locks it owns.
@@ -85,129 +91,60 @@ pub enum Request {
         /// Handle to close.
         handle: u64,
     },
-
-    /// `SeqClient::read_next`. Reply: `u8` flag (0 = EOF), then the
-    /// record bytes.
-    SeqRead {
+    /// Read the next record: S, SS, PS/PDA and IS. Reply: `u8` flag
+    /// (0 = end); when 1, the record bytes, behind a `u64` record index
+    /// on an SS handle.
+    ReadNext {
         /// Open handle.
         handle: u64,
     },
-    /// `SeqClient::write_next`. Empty reply.
-    SeqWrite {
-        /// Open handle.
-        handle: u64,
-        /// One record.
-        data: Bytes,
-    },
-    /// `SeqClient::finish`. Reply: `u64` published length.
-    SeqFinish {
-        /// Open handle.
-        handle: u64,
-    },
-    /// `SeqClient::rewind`. Empty reply.
-    SeqRewind {
-        /// Open handle.
-        handle: u64,
-    },
-
-    /// `SsClient::read_next`. Reply: `u8` flag; when 1, `u64` record
-    /// index then the record bytes.
-    SsRead {
-        /// Open handle.
-        handle: u64,
-    },
-    /// `SsClient::read_next_block`. Reply: `u8` flag; when 1, `u64`
-    /// first record index, `u32` record count, then the block bytes.
-    SsReadBlock {
-        /// Open handle.
-        handle: u64,
-    },
-    /// `SsClient::write_next`. Reply: `u64` slot written.
-    SsWrite {
+    /// Write the next record: S, SS, PS/PDA and IS. Reply: the `u64`
+    /// record index written on SS and IS; empty on S and PS/PDA.
+    WriteNext {
         /// Open handle.
         handle: u64,
         /// One record.
         data: Bytes,
     },
-    /// `SsClient::finish_writes`. Reply: `u64` published length.
-    SsFinish {
-        /// Open handle.
-        handle: u64,
-    },
-    /// `SsClient::claimed`. Reply: `u64`.
-    SsClaimed {
-        /// Open handle.
-        handle: u64,
-    },
-
-    /// `PartitionClient::read_record`. Reply: the record bytes.
-    PartRead {
-        /// Open handle.
-        handle: u64,
-        /// Global record index.
-        record: u64,
-    },
-    /// `PartitionClient::write_record`. Empty reply.
-    PartWrite {
-        /// Open handle.
-        handle: u64,
-        /// Global record index.
-        record: u64,
-        /// One record.
-        data: Bytes,
-    },
-    /// `PartitionClient::read_next`. Reply: `u8` flag, record bytes.
-    PartReadNext {
-        /// Open handle.
-        handle: u64,
-    },
-    /// `PartitionClient::write_next`. Empty reply.
-    PartWriteNext {
-        /// Open handle.
-        handle: u64,
-        /// One record.
-        data: Bytes,
-    },
-    /// `PartitionClient::rewind`. Empty reply.
-    PartRewind {
-        /// Open handle.
-        handle: u64,
-    },
-
-    /// `InterleavedClient::read_next`. Reply: `u8` flag, record bytes.
-    IlvReadNext {
-        /// Open handle.
-        handle: u64,
-    },
-    /// `InterleavedClient::write_next`. Reply: `u64` record written.
-    IlvWriteNext {
-        /// Open handle.
-        handle: u64,
-        /// One record.
-        data: Bytes,
-    },
-    /// `InterleavedClient::read_next_block`. Reply: `u8` flag; when 1,
+    /// Read the slot's next whole block: IS. Reply: `u8` flag; when 1,
     /// `u64` block index then the block bytes.
-    IlvReadBlock {
+    ReadNextBlock {
         /// Open handle.
         handle: u64,
     },
-    /// `InterleavedClient::write_next_block`. Reply: `u64` block index.
-    IlvWriteBlock {
+    /// Write the slot's next whole block: IS. Reply: `u64` block index.
+    WriteNextBlock {
         /// Open handle.
         handle: u64,
         /// One file block.
         data: Bytes,
     },
-
-    /// `DirectClient::read_record`. Reply: the record bytes.
+    /// Publish the length written: S and SS. Reply: `u64` length.
+    Finish {
+        /// Open handle.
+        handle: u64,
+    },
+    /// Rewind the read cursor: S and PS/PDA. Empty reply.
+    Rewind {
+        /// Open handle.
+        handle: u64,
+    },
+    /// Records claimed so far across every session of the file: SS.
+    /// Reply: `u64`.
+    Claimed {
+        /// Open handle.
+        handle: u64,
+    },
+    /// Read record `record`: GDA, and PS/PDA inside the claimed
+    /// partition. Reply: the record bytes.
     DirRead {
         /// Open handle.
         handle: u64,
         /// Record index.
         record: u64,
     },
-    /// `DirectClient::write_record`. Empty reply.
+    /// Write record `record`: GDA (under the record's range lock), and
+    /// PS/PDA inside the claimed partition. Empty reply.
     DirWrite {
         /// Open handle.
         handle: u64,
@@ -216,7 +153,7 @@ pub enum Request {
         /// One record.
         data: Bytes,
     },
-    /// `DirectClient::lock_range`. Reply: `u64` lock id.
+    /// `DirectClient::lock_range`: GDA. Reply: `u64` lock id.
     DirLock {
         /// Open handle.
         handle: u64,
@@ -226,14 +163,14 @@ pub enum Request {
         r_hi: u64,
     },
     /// `DirectClient::unlock` — flushes the span (durable-at-unlock)
-    /// then releases. Empty reply.
+    /// then releases: GDA. Empty reply.
     DirUnlock {
         /// Open handle.
         handle: u64,
         /// Lock id from [`Request::DirLock`].
         lock: u64,
     },
-    /// `DirectClient::write_record_locked`. Empty reply.
+    /// `DirectClient::write_record_locked`: GDA. Empty reply.
     DirWriteLocked {
         /// Open handle.
         handle: u64,
@@ -244,7 +181,7 @@ pub enum Request {
         /// One record.
         data: Bytes,
     },
-    /// `DirectClient::len_records`. Reply: `u64`.
+    /// `DirectClient::len_records`: GDA. Reply: `u64`.
     DirLen {
         /// Open handle.
         handle: u64,
@@ -252,122 +189,99 @@ pub enum Request {
 }
 
 impl Request {
-    /// The request's opcode byte.
+    /// The request's opcode byte. Bytes a retired request used (0x10–0x15,
+    /// 0x20–0x23, 0x28–0x2C, 0x30–0x34, 0x38–0x3B) are reserved: they
+    /// decode as unknown and are never reassigned.
     pub fn opcode(&self) -> u8 {
         match self {
             Request::Ping => 0x01,
             Request::Stats => 0x02,
-            Request::OpenSeq { .. } => 0x10,
-            Request::OpenSs { .. } => 0x11,
-            // 0x12 is reserved: retired in protocol version 3, decoded
-            // as an unknown opcode, never to be reassigned.
-            Request::OpenPartition { .. } => 0x13,
-            Request::OpenInterleaved { .. } => 0x14,
-            Request::OpenDirect { .. } => 0x15,
             Request::Close { .. } => 0x16,
-            Request::SeqRead { .. } => 0x20,
-            Request::SeqWrite { .. } => 0x21,
-            Request::SeqFinish { .. } => 0x22,
-            Request::SeqRewind { .. } => 0x23,
-            Request::SsRead { .. } => 0x28,
-            Request::SsReadBlock { .. } => 0x29,
-            Request::SsWrite { .. } => 0x2A,
-            Request::SsFinish { .. } => 0x2B,
-            Request::SsClaimed { .. } => 0x2C,
-            Request::PartRead { .. } => 0x30,
-            Request::PartWrite { .. } => 0x31,
-            Request::PartReadNext { .. } => 0x32,
-            Request::PartWriteNext { .. } => 0x33,
-            Request::PartRewind { .. } => 0x34,
-            Request::IlvReadNext { .. } => 0x38,
-            Request::IlvWriteNext { .. } => 0x39,
-            Request::IlvReadBlock { .. } => 0x3A,
-            Request::IlvWriteBlock { .. } => 0x3B,
+            Request::Open { .. } => 0x17,
             Request::DirRead { .. } => 0x40,
             Request::DirWrite { .. } => 0x41,
             Request::DirLock { .. } => 0x42,
             Request::DirUnlock { .. } => 0x43,
             Request::DirWriteLocked { .. } => 0x44,
             Request::DirLen { .. } => 0x45,
+            Request::ReadNext { .. } => 0x50,
+            Request::WriteNext { .. } => 0x51,
+            Request::ReadNextBlock { .. } => 0x52,
+            Request::WriteNextBlock { .. } => 0x53,
+            Request::Finish { .. } => 0x54,
+            Request::Rewind { .. } => 0x55,
+            Request::Claimed { .. } => 0x56,
         }
     }
 
     /// Every opcode this build understands, for exhaustive tests.
     pub const ALL_OPCODES: &'static [u8] = &[
-        0x01, 0x02, 0x10, 0x11, 0x13, 0x14, 0x15, 0x16, 0x20, 0x21, 0x22, 0x23, 0x28, 0x29, 0x2A,
-        0x2B, 0x2C, 0x30, 0x31, 0x32, 0x33, 0x34, 0x38, 0x39, 0x3A, 0x3B, 0x40, 0x41, 0x42, 0x43,
-        0x44, 0x45,
+        0x01, 0x02, 0x16, 0x17, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x50, 0x51, 0x52, 0x53, 0x54,
+        0x55, 0x56,
     ];
 
-    /// Encode the payload (everything after the opcode byte). Bulk data
-    /// is always the trailing field, unprefixed, so the receiver can
-    /// slice it without another length.
-    pub fn encode_payload(&self, w: &mut WireWriter) {
-        match self {
-            Request::Ping | Request::Stats => {}
-            Request::OpenSeq { name } | Request::OpenSs { name } | Request::OpenDirect { name } => {
-                w.str_prefixed(name);
-            }
-            Request::OpenPartition { name, partition } => {
-                w.str_prefixed(name).u32(*partition);
-            }
-            Request::OpenInterleaved { name, process } => {
-                w.str_prefixed(name).u32(*process);
-            }
+    /// The handle the request names: every request but `Ping`, `Stats`
+    /// and `Open`.
+    pub fn handle(&self) -> Option<u64> {
+        match *self {
+            Request::Ping | Request::Stats | Request::Open { .. } => None,
             Request::Close { handle }
-            | Request::SeqRead { handle }
-            | Request::SeqFinish { handle }
-            | Request::SeqRewind { handle }
-            | Request::SsRead { handle }
-            | Request::SsReadBlock { handle }
-            | Request::SsFinish { handle }
-            | Request::SsClaimed { handle }
-            | Request::PartReadNext { handle }
-            | Request::PartRewind { handle }
-            | Request::IlvReadNext { handle }
-            | Request::IlvReadBlock { handle }
-            | Request::DirLen { handle } => {
-                w.u64(*handle);
+            | Request::ReadNext { handle }
+            | Request::WriteNext { handle, .. }
+            | Request::ReadNextBlock { handle }
+            | Request::WriteNextBlock { handle, .. }
+            | Request::Finish { handle }
+            | Request::Rewind { handle }
+            | Request::Claimed { handle }
+            | Request::DirRead { handle, .. }
+            | Request::DirWrite { handle, .. }
+            | Request::DirLock { handle, .. }
+            | Request::DirUnlock { handle, .. }
+            | Request::DirWriteLocked { handle, .. }
+            | Request::DirLen { handle } => Some(handle),
+        }
+    }
+
+    /// Encode the payload (everything after the opcode byte): the
+    /// handle first where there is one. Bulk data is always the
+    /// trailing field, unprefixed, so the receiver can slice it without
+    /// another length.
+    pub fn encode_payload(&self, w: &mut WireWriter) {
+        if let Some(handle) = self.handle() {
+            w.u64(handle);
+        }
+        match self {
+            Request::Open { name, view } => {
+                w.str_prefixed(name);
+                match *view {
+                    View::Sequential => w.u8(0),
+                    View::SelfSched => w.u8(1),
+                    View::Partition(p) => w.u8(2).u32(p),
+                    View::Interleaved(p) => w.u8(3).u32(p),
+                    View::Direct => w.u8(4),
+                };
             }
-            Request::SeqWrite { handle, data }
-            | Request::SsWrite { handle, data }
-            | Request::PartWriteNext { handle, data }
-            | Request::IlvWriteNext { handle, data }
-            | Request::IlvWriteBlock { handle, data } => {
-                w.u64(*handle);
+            Request::WriteNext { data, .. } | Request::WriteNextBlock { data, .. } => {
                 w.raw(data);
             }
-            Request::PartRead { handle, record } | Request::DirRead { handle, record } => {
-                w.u64(*handle).u64(*record);
+            Request::DirRead { record, .. } => {
+                w.u64(*record);
             }
-            Request::PartWrite {
-                handle,
-                record,
-                data,
+            Request::DirWrite { record, data, .. } => {
+                w.u64(*record).raw(data);
             }
-            | Request::DirWrite {
-                handle,
-                record,
-                data,
-            } => {
-                w.u64(*handle).u64(*record);
-                w.raw(data);
+            Request::DirLock { r_lo, r_hi, .. } => {
+                w.u64(*r_lo).u64(*r_hi);
             }
-            Request::DirLock { handle, r_lo, r_hi } => {
-                w.u64(*handle).u64(*r_lo).u64(*r_hi);
-            }
-            Request::DirUnlock { handle, lock } => {
-                w.u64(*handle).u64(*lock);
+            Request::DirUnlock { lock, .. } => {
+                w.u64(*lock);
             }
             Request::DirWriteLocked {
-                handle,
-                lock,
-                record,
-                data,
+                lock, record, data, ..
             } => {
-                w.u64(*handle).u64(*lock).u64(*record);
-                w.raw(data);
+                w.u64(*lock).u64(*record).raw(data);
             }
+            _ => {}
         }
     }
 
@@ -379,63 +293,17 @@ impl Request {
         let req = match opcode {
             0x01 => Request::Ping,
             0x02 => Request::Stats,
-            0x10 => Request::OpenSeq {
-                name: r.str_prefixed()?,
-            },
-            0x11 => Request::OpenSs {
-                name: r.str_prefixed()?,
-            },
-            0x13 => Request::OpenPartition {
-                name: r.str_prefixed()?,
-                partition: r.u32()?,
-            },
-            0x14 => Request::OpenInterleaved {
-                name: r.str_prefixed()?,
-                process: r.u32()?,
-            },
-            0x15 => Request::OpenDirect {
-                name: r.str_prefixed()?,
-            },
             0x16 => Request::Close { handle: r.u64()? },
-            0x20 => Request::SeqRead { handle: r.u64()? },
-            0x21 => Request::SeqWrite {
-                handle: r.u64()?,
-                data: Bytes::copy_from_slice(r.rest()),
-            },
-            0x22 => Request::SeqFinish { handle: r.u64()? },
-            0x23 => Request::SeqRewind { handle: r.u64()? },
-            0x28 => Request::SsRead { handle: r.u64()? },
-            0x29 => Request::SsReadBlock { handle: r.u64()? },
-            0x2A => Request::SsWrite {
-                handle: r.u64()?,
-                data: Bytes::copy_from_slice(r.rest()),
-            },
-            0x2B => Request::SsFinish { handle: r.u64()? },
-            0x2C => Request::SsClaimed { handle: r.u64()? },
-            0x30 => Request::PartRead {
-                handle: r.u64()?,
-                record: r.u64()?,
-            },
-            0x31 => Request::PartWrite {
-                handle: r.u64()?,
-                record: r.u64()?,
-                data: Bytes::copy_from_slice(r.rest()),
-            },
-            0x32 => Request::PartReadNext { handle: r.u64()? },
-            0x33 => Request::PartWriteNext {
-                handle: r.u64()?,
-                data: Bytes::copy_from_slice(r.rest()),
-            },
-            0x34 => Request::PartRewind { handle: r.u64()? },
-            0x38 => Request::IlvReadNext { handle: r.u64()? },
-            0x39 => Request::IlvWriteNext {
-                handle: r.u64()?,
-                data: Bytes::copy_from_slice(r.rest()),
-            },
-            0x3A => Request::IlvReadBlock { handle: r.u64()? },
-            0x3B => Request::IlvWriteBlock {
-                handle: r.u64()?,
-                data: Bytes::copy_from_slice(r.rest()),
+            0x17 => Request::Open {
+                name: r.str_prefixed()?,
+                view: match r.u8()? {
+                    0 => View::Sequential,
+                    1 => View::SelfSched,
+                    2 => View::Partition(r.u32()?),
+                    3 => View::Interleaved(r.u32()?),
+                    4 => View::Direct,
+                    other => return Err(WireError::Malformed(format!("bad view tag {other}"))),
+                },
             },
             0x40 => Request::DirRead {
                 handle: r.u64()?,
@@ -462,6 +330,19 @@ impl Request {
                 data: Bytes::copy_from_slice(r.rest()),
             },
             0x45 => Request::DirLen { handle: r.u64()? },
+            0x50 => Request::ReadNext { handle: r.u64()? },
+            0x51 => Request::WriteNext {
+                handle: r.u64()?,
+                data: Bytes::copy_from_slice(r.rest()),
+            },
+            0x52 => Request::ReadNextBlock { handle: r.u64()? },
+            0x53 => Request::WriteNextBlock {
+                handle: r.u64()?,
+                data: Bytes::copy_from_slice(r.rest()),
+            },
+            0x54 => Request::Finish { handle: r.u64()? },
+            0x55 => Request::Rewind { handle: r.u64()? },
+            0x56 => Request::Claimed { handle: r.u64()? },
             other => {
                 return Err(WireError::Malformed(format!("unknown opcode {other:#04x}")));
             }
@@ -870,11 +751,17 @@ mod tests {
     #[test]
     fn request_round_trips() {
         round_trip(Request::Ping);
-        round_trip(Request::OpenPartition {
-            name: "grid".into(),
-            partition: 3,
-        });
-        round_trip(Request::SsWrite {
+        for view in [
+            View::Sequential,
+            View::SelfSched,
+            View::Partition(3),
+            View::Interleaved(u32::MAX),
+            View::Direct,
+        ] {
+            let name = "grid".into();
+            round_trip(Request::Open { name, view });
+        }
+        round_trip(Request::WriteNext {
             handle: 9,
             data: Bytes::copy_from_slice(b"payload"),
         });
@@ -889,6 +776,40 @@ mod tests {
     #[test]
     fn unknown_opcode_rejected() {
         assert!(Request::decode(0xEE, &[]).is_err());
+    }
+
+    /// The GDA requests a benchmark replays are byte for byte what
+    /// version 4 sent: opcode, handle, record, then the data.
+    #[test]
+    fn dir_read_and_write_keep_their_bytes() {
+        let mut w = WireWriter::new();
+        let data = Bytes::copy_from_slice(b"rec");
+        let write = Request::DirWrite {
+            handle: 7,
+            record: 9,
+            data,
+        };
+        write.encode_payload(&mut w);
+        let mut want = 7u64.to_le_bytes().to_vec();
+        want.extend_from_slice(&9u64.to_le_bytes());
+        assert_eq!(
+            (write.opcode(), w.bytes()),
+            (0x41, &[&want[..], b"rec"].concat()[..])
+        );
+        let mut w = WireWriter::new();
+        let read = Request::DirRead {
+            handle: 7,
+            record: 9,
+        };
+        read.encode_payload(&mut w);
+        assert_eq!((read.opcode(), w.bytes()), (0x40, &want[..]));
+    }
+
+    #[test]
+    fn a_bad_view_tag_is_malformed() {
+        let mut w = WireWriter::new();
+        w.str_prefixed("f").u8(5);
+        assert!(Request::decode(0x17, w.bytes()).is_err());
     }
 
     #[test]

@@ -44,6 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pario_check::{AtomicBool, AtomicU64, Mutex};
+use pario_core::Organization;
 use pario_server::{
     DirectClient, InterleavedClient, LockedRange, PartitionClient, SeqClient, Server, Session,
     SsClient,
@@ -55,7 +56,9 @@ use crate::frame::{
     begin_frame, encode_frame, end_frame, holds_frame, read_frame, server_handshake, Grant,
     FRAME_OVERHEAD,
 };
-use crate::proto::{encode_reply_error, Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
+use crate::proto::{
+    encode_reply_error, Opened, Request, StatsSummary, View, STATUS_ERR, STATUS_OK,
+};
 use crate::sock::{self, Sock};
 use crate::wire::WireWriter;
 
@@ -480,6 +483,16 @@ fn read_flagged<T>(
     }
 }
 
+/// Read one record of `n` bytes into the tail of `out` behind its flag
+/// (a `read_next` that says `false` at the end).
+fn read_next(
+    out: &mut Vec<u8>,
+    n: usize,
+    read: impl FnOnce(&mut [u8]) -> pario_server::Result<bool>,
+) -> Result<()> {
+    read_flagged(out, 0, n, |b| Ok(read(b)?.then_some(()))).map(drop)
+}
+
 /// Read one flag-less `n`-byte record into the tail of `out`.
 fn read_record(
     out: &mut Vec<u8>,
@@ -495,6 +508,8 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The server-side client behind an open handle. Its variant is the
+/// view the handle was opened as, which [`serve`] matches a verb on.
 enum HandleObj {
     /// Boxed: two stream windows make it several times the others' size.
     Seq(Box<SeqClient>),
@@ -512,6 +527,8 @@ struct DirState {
 
 struct HandleEntry {
     obj: HandleObj,
+    /// The file's organization, for the refusal of a verb it lacks.
+    organization: Organization,
     record_size: usize,
     block_bytes: usize,
 }
@@ -531,22 +548,15 @@ fn unknown_lock(lock: u64) -> NetError {
     NetError::Protocol(format!("unknown lock id {lock}"))
 }
 
-/// `Conn::$name(h)`: handle `h` as a `$variant` — its record size, its
-/// block size and the client — or the typed refusal.
-macro_rules! lookup {
-    ($name:ident, $variant:ident, $client:ty, $what:literal) => {
-        fn $name(&mut self, h: u64) -> Result<(usize, usize, &mut $client)> {
-            match self.handles.get_mut(&h) {
-                Some(HandleEntry {
-                    obj: HandleObj::$variant(c),
-                    record_size,
-                    block_bytes,
-                }) => Ok((*record_size, *block_bytes, c)),
-                Some(_) => Err(NetError::Protocol(format!("handle {h} is not {}", $what))),
-                None => Err(unknown_handle(h)),
-            }
-        }
-    };
+/// Refuse a write payload that is not the `want` bytes its verb moves.
+fn sized(h: u64, data: &[u8], want: usize) -> Result<()> {
+    if data.len() == want {
+        return Ok(());
+    }
+    Err(NetError::Protocol(format!(
+        "handle {h} takes {want}-byte payloads, not {}",
+        data.len()
+    )))
 }
 
 impl Conn {
@@ -558,12 +568,6 @@ impl Conn {
             next_handle: 1,
         }
     }
-
-    lookup!(seq, Seq, Box<SeqClient>, "seq");
-    lookup!(ss, Ss, SsClient, "ss");
-    lookup!(part, Part, PartitionClient, "a partition");
-    lookup!(ilv, Ilv, InterleavedClient, "interleaved");
-    lookup!(dir, Dir, DirState, "direct");
 
     /// Execute `req` and stage its reply frame in `out`: the OK body is
     /// written in place behind the header, and taken back if the
@@ -579,20 +583,32 @@ impl Conn {
         }
     }
 
-    fn open(
-        &mut self,
-        out: &mut Vec<u8>,
-        name: &str,
-        make: impl FnOnce(&Session) -> pario_server::Result<(HandleObj, Option<(u64, u64)>)>,
-    ) -> Result<()> {
-        let st = self.session.stat(name).map_err(NetError::Server)?;
-        let (obj, range) = make(&self.session).map_err(NetError::Server)?;
+    fn open(&mut self, out: &mut Vec<u8>, name: &str, view: View) -> Result<()> {
+        let st = self.session.stat(name)?;
+        let s = &self.session;
+        let mut range = None;
+        let obj = match view {
+            View::Sequential => HandleObj::Seq(Box::new(s.open_sequential(name)?)),
+            View::SelfSched => HandleObj::Ss(s.open_self_sched(name)?),
+            View::Partition(p) => {
+                let c = s.open_partition(name, p)?;
+                range = Some(c.range());
+                HandleObj::Part(c)
+            }
+            View::Interleaved(p) => HandleObj::Ilv(s.open_interleaved(name, p)?),
+            View::Direct => HandleObj::Dir(DirState {
+                client: s.open_direct(name)?,
+                locks: HashMap::new(),
+                next_lock: 1,
+            }),
+        };
         let handle = self.next_handle;
         self.next_handle += 1;
         self.handles.insert(
             handle,
             HandleEntry {
                 obj,
+                organization: st.organization,
                 record_size: st.record_size,
                 block_bytes: st.record_size * st.records_per_block,
             },
@@ -614,178 +630,117 @@ impl Conn {
 
     /// Append the OK body of `req`'s reply to `out`.
     fn execute(&mut self, req: Request, out: &mut Vec<u8>) -> Result<()> {
-        match req {
-            Request::Ping => {}
-            Request::Stats => {
-                let s = self.server.stats();
-                let mut w = WireWriter::new();
-                StatsSummary {
-                    sessions: s.sessions.len() as u64,
-                    in_flight: s.in_flight as u64,
-                    rejected: s.rejected,
-                    total_admitted: s.total_admitted,
-                    p50_nanos: s.p50(),
-                    p99_nanos: s.p99(),
-                    p999_nanos: s.p999(),
+        let Some(h) = req.handle() else {
+            return match req {
+                Request::Open { name, view } => self.open(out, &name, view),
+                Request::Stats => {
+                    let s = self.server.stats();
+                    let mut w = WireWriter::new();
+                    StatsSummary {
+                        sessions: s.sessions.len() as u64,
+                        in_flight: s.in_flight as u64,
+                        rejected: s.rejected,
+                        total_admitted: s.total_admitted,
+                        p50_nanos: s.p50(),
+                        p99_nanos: s.p99(),
+                        p999_nanos: s.p999(),
+                    }
+                    .encode(&mut w);
+                    out.extend_from_slice(w.bytes());
+                    Ok(())
                 }
-                .encode(&mut w);
-                out.extend_from_slice(w.bytes());
-            }
-
-            Request::OpenSeq { name } => self.open(out, &name, |s| {
-                Ok((HandleObj::Seq(Box::new(s.open_sequential(&name)?)), None))
-            })?,
-            Request::OpenSs { name } => self.open(out, &name, |s| {
-                Ok((HandleObj::Ss(s.open_self_sched(&name)?), None))
-            })?,
-            Request::OpenPartition { name, partition } => self.open(out, &name, |s| {
-                let c = s.open_partition(&name, partition)?;
-                let range = c.range();
-                Ok((HandleObj::Part(c), Some(range)))
-            })?,
-            Request::OpenInterleaved { name, process } => self.open(out, &name, |s| {
-                Ok((HandleObj::Ilv(s.open_interleaved(&name, process)?), None))
-            })?,
-            Request::OpenDirect { name } => self.open(out, &name, |s| {
-                let client = s.open_direct(&name)?;
-                let locks = HashMap::new();
-                let dir = DirState {
-                    client,
-                    locks,
-                    next_lock: 1,
-                };
-                Ok((HandleObj::Dir(dir), None))
-            })?,
-            Request::Close { handle } => {
-                self.handles
-                    .remove(&handle)
-                    .ok_or_else(|| unknown_handle(handle))?;
-            }
-
-            Request::SeqRead { handle } => {
-                let (n, _, c) = self.seq(handle)?;
-                read_flagged(out, 0, n, |b| Ok(c.read_next(b)?.then_some(())))?;
-            }
-            Request::SeqWrite { handle, data } => {
-                let (_, _, c) = self.seq(handle)?;
-                c.write_next(&data).map_err(NetError::Server)?;
-            }
-            Request::SeqFinish { handle } => {
-                let (_, _, c) = self.seq(handle)?;
-                put_u64(out, c.finish().map_err(NetError::Server)?);
-            }
-            Request::SeqRewind { handle } => self.seq(handle)?.2.rewind(),
-
-            Request::SsRead { handle } => {
-                let (n, _, c) = self.ss(handle)?;
-                if let Some((at, idx)) = read_flagged(out, 8, n, |b| c.read_next(b))? {
-                    out[at..at + 8].copy_from_slice(&idx.to_le_bytes());
-                }
-            }
-            Request::SsReadBlock { handle } => {
-                let (rs, block, c) = self.ss(handle)?;
-                // Read a full block, then ship only the records actually
-                // claimed (the final block may be short).
-                if let Some((at, (start, count))) =
-                    read_flagged(out, 12, block, |b| c.read_next_block(b))?
-                {
-                    out[at..at + 8].copy_from_slice(&start.to_le_bytes());
-                    out[at + 8..at + 12].copy_from_slice(&(count as u32).to_le_bytes());
-                    out.truncate(at + 12 + count * rs);
-                }
-            }
-            Request::SsWrite { handle, data } => {
-                let (_, _, c) = self.ss(handle)?;
-                put_u64(out, c.write_next(&data).map_err(NetError::Server)?);
-            }
-            Request::SsFinish { handle } => {
-                let (_, _, c) = self.ss(handle)?;
-                put_u64(out, c.finish_writes().map_err(NetError::Server)?);
-            }
-            Request::SsClaimed { handle } => put_u64(out, self.ss(handle)?.2.claimed()),
-
-            Request::PartRead { handle, record } => {
-                let (n, _, c) = self.part(handle)?;
-                read_record(out, n, |b| c.read_record(record, b))?;
-            }
-            Request::PartWrite {
-                handle,
-                record,
-                data,
-            } => {
-                let (_, _, c) = self.part(handle)?;
-                c.write_record(record, &data).map_err(NetError::Server)?;
-            }
-            Request::PartReadNext { handle } => {
-                let (n, _, c) = self.part(handle)?;
-                read_flagged(out, 0, n, |b| Ok(c.read_next(b)?.then_some(())))?;
-            }
-            Request::PartWriteNext { handle, data } => {
-                let (_, _, c) = self.part(handle)?;
-                c.write_next(&data).map_err(NetError::Server)?;
-            }
-            Request::PartRewind { handle } => self.part(handle)?.2.rewind(),
-
-            Request::IlvReadNext { handle } => {
-                let (n, _, c) = self.ilv(handle)?;
-                read_flagged(out, 0, n, |b| Ok(c.read_next(b)?.then_some(())))?;
-            }
-            Request::IlvWriteNext { handle, data } => {
-                let (_, _, c) = self.ilv(handle)?;
-                put_u64(out, c.write_next(&data).map_err(NetError::Server)?);
-            }
-            Request::IlvReadBlock { handle } => {
-                let (_, block, c) = self.ilv(handle)?;
-                if let Some((at, b)) = read_flagged(out, 8, block, |b| c.read_next_block(b))? {
-                    out[at..at + 8].copy_from_slice(&b.to_le_bytes());
-                }
-            }
-            Request::IlvWriteBlock { handle, data } => {
-                let (_, _, c) = self.ilv(handle)?;
-                put_u64(out, c.write_next_block(&data).map_err(NetError::Server)?);
-            }
-
-            Request::DirRead { handle, record } => {
-                let (n, _, d) = self.dir(handle)?;
-                read_record(out, n, |b| d.client.read_record(record, b))?;
-            }
-            Request::DirWrite {
-                handle,
-                record,
-                data,
-            } => {
-                let (_, _, d) = self.dir(handle)?;
-                d.client
-                    .write_record(record, &data)
-                    .map_err(NetError::Server)?;
-            }
-            Request::DirLock { handle, r_lo, r_hi } => {
-                let (_, _, d) = self.dir(handle)?;
-                let lock = d.client.lock_range(r_lo, r_hi).map_err(NetError::Server)?;
-                let id = d.next_lock;
-                d.next_lock += 1;
-                d.locks.insert(id, lock);
-                put_u64(out, id);
-            }
-            Request::DirUnlock { handle, lock } => {
-                let (_, _, d) = self.dir(handle)?;
-                let held = d.locks.remove(&lock).ok_or_else(|| unknown_lock(lock))?;
-                d.client.unlock(held).map_err(NetError::Server)?;
-            }
-            Request::DirWriteLocked {
-                handle,
-                lock,
-                record,
-                data,
-            } => {
-                let (_, _, d) = self.dir(handle)?;
-                let held = d.locks.get(&lock).ok_or_else(|| unknown_lock(lock))?;
-                d.client
-                    .write_record_locked(held, record, &data)
-                    .map_err(NetError::Server)?;
-            }
-            Request::DirLen { handle } => put_u64(out, self.dir(handle)?.2.client.len_records()),
+                _ => Ok(()), // Ping
+            };
+        };
+        if let Request::Close { .. } = req {
+            return self
+                .handles
+                .remove(&h)
+                .map(drop)
+                .ok_or_else(|| unknown_handle(h));
         }
-        Ok(())
+        let entry = self.handles.get_mut(&h).ok_or_else(|| unknown_handle(h))?;
+        serve(h, entry, req, out)
     }
+}
+
+/// The one dispatch: what `req` means on handle `h`, whose view fixed
+/// at open decides, or the refusal of a verb that view does not offer.
+/// A payload is checked against the handle's record or block size first,
+/// so no client below ever sees one of the wrong size.
+fn serve(h: u64, entry: &mut HandleEntry, req: Request, out: &mut Vec<u8>) -> Result<()> {
+    let (n, block, org) = (entry.record_size, entry.block_bytes, entry.organization);
+    match &req {
+        Request::WriteNextBlock { data, .. } => sized(h, data, block)?,
+        Request::WriteNext { data, .. }
+        | Request::DirWrite { data, .. }
+        | Request::DirWriteLocked { data, .. } => sized(h, data, n)?,
+        _ => {}
+    }
+    use HandleObj::{Dir, Ilv, Part, Seq, Ss};
+    match (req, &mut entry.obj) {
+        (Request::ReadNext { .. }, Seq(c)) => read_next(out, n, |b| c.read_next(b))?,
+        (Request::ReadNext { .. }, Part(c)) => read_next(out, n, |b| c.read_next(b))?,
+        (Request::ReadNext { .. }, Ilv(c)) => read_next(out, n, |b| c.read_next(b))?,
+        (Request::ReadNext { .. }, Ss(c)) => {
+            if let Some((at, idx)) = read_flagged(out, 8, n, |b| c.read_next(b))? {
+                out[at..at + 8].copy_from_slice(&idx.to_le_bytes());
+            }
+        }
+        (Request::WriteNext { data, .. }, Seq(c)) => c.write_next(&data)?,
+        (Request::WriteNext { data, .. }, Part(c)) => c.write_next(&data)?,
+        (Request::WriteNext { data, .. }, Ss(c)) => put_u64(out, c.write_next(&data)?),
+        (Request::WriteNext { data, .. }, Ilv(c)) => put_u64(out, c.write_next(&data)?),
+        (Request::ReadNextBlock { .. }, Ilv(c)) => {
+            if let Some((at, b)) = read_flagged(out, 8, block, |b| c.read_next_block(b))? {
+                out[at..at + 8].copy_from_slice(&b.to_le_bytes());
+            }
+        }
+        (Request::WriteNextBlock { data, .. }, Ilv(c)) => {
+            put_u64(out, c.write_next_block(&data)?);
+        }
+        (Request::Finish { .. }, Seq(c)) => put_u64(out, c.finish()?),
+        (Request::Finish { .. }, Ss(c)) => put_u64(out, c.finish_writes()?),
+        (Request::Rewind { .. }, Seq(c)) => c.rewind(),
+        (Request::Rewind { .. }, Part(c)) => c.rewind(),
+        (Request::Claimed { .. }, Ss(c)) => put_u64(out, c.claimed()),
+        (Request::DirRead { record, .. }, Part(c)) => {
+            read_record(out, n, |b| c.read_record(record, b))?;
+        }
+        (Request::DirRead { record, .. }, Dir(d)) => {
+            read_record(out, n, |b| d.client.read_record(record, b))?;
+        }
+        (Request::DirWrite { record, data, .. }, Part(c)) => c.write_record(record, &data)?,
+        (Request::DirWrite { record, data, .. }, Dir(d)) => {
+            d.client.write_record(record, &data)?;
+        }
+        (Request::DirLock { r_lo, r_hi, .. }, Dir(d)) => {
+            let lock = d.client.lock_range(r_lo, r_hi)?;
+            let id = d.next_lock;
+            d.next_lock += 1;
+            d.locks.insert(id, lock);
+            put_u64(out, id);
+        }
+        (Request::DirUnlock { lock, .. }, Dir(d)) => {
+            let held = d.locks.remove(&lock).ok_or_else(|| unknown_lock(lock))?;
+            d.client.unlock(held)?;
+        }
+        (
+            Request::DirWriteLocked {
+                lock, record, data, ..
+            },
+            Dir(d),
+        ) => {
+            let held = d.locks.get(&lock).ok_or_else(|| unknown_lock(lock))?;
+            d.client.write_record_locked(held, record, &data)?;
+        }
+        (Request::DirLen { .. }, Dir(d)) => put_u64(out, d.client.len_records()),
+        (req, _) => {
+            return Err(NetError::Protocol(format!(
+                "handle {h} is a {org} handle and does not serve opcode {:#04x}",
+                req.opcode()
+            )));
+        }
+    }
+    Ok(())
 }

@@ -85,10 +85,10 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..1024),
     ) {
         let reqs = [
-            Request::SeqWrite { handle, data: Bytes::copy_from_slice(&data) },
-            Request::SsWrite { handle, data: Bytes::copy_from_slice(&data) },
-            Request::PartWrite { handle, record, data: Bytes::copy_from_slice(&data) },
+            Request::WriteNext { handle, data: Bytes::copy_from_slice(&data) },
+            Request::WriteNextBlock { handle, data: Bytes::copy_from_slice(&data) },
             Request::DirWrite { handle, record, data: Bytes::copy_from_slice(&data) },
+            Request::DirWriteLocked { handle, lock: !record, record, data: Bytes::copy_from_slice(&data) },
         ];
         for req in reqs {
             let mut w = WireWriter::new();
@@ -116,6 +116,28 @@ proptest! {
             }
         }
     }
+}
+
+/// The bytes of every request that protocol version 5 retired stay
+/// reserved: whatever the payload, they decode as unknown.
+#[test]
+fn retired_opcodes_decode_as_unknown() {
+    let retired = [0x10u8, 0x11, 0x12, 0x13, 0x14, 0x15]
+        .into_iter()
+        .chain(0x20..=0x23)
+        .chain(0x28..=0x2C)
+        .chain(0x30..=0x34)
+        .chain(0x38..=0x3B);
+    for op in retired {
+        assert!(!Request::ALL_OPCODES.contains(&op), "{op:#04x} reassigned");
+        for payload in [&[][..], &[0; 8], &[0; 24]] {
+            match Request::decode(op, payload) {
+                Err(e) => assert!(e.to_string().contains("unknown opcode"), "{e}"),
+                Ok(req) => panic!("retired {op:#04x} decoded as {req:?}"),
+            }
+        }
+    }
+    assert!(Request::ALL_OPCODES.len() <= 17);
 }
 
 /// Every `ServerError` variant — including the nested Core/Fs/Disk

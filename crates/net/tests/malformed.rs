@@ -2,19 +2,31 @@
 //! the protocol (bad magic, absurd frame lengths, unknown opcodes,
 //! malformed payloads) loses *its* connection, fail-closed; the server
 //! keeps serving well-behaved clients on the same volume throughout.
+//! A well-formed request the handle cannot take — a payload of the wrong
+//! size, a block transfer with the cursor mid-block, a record no byte
+//! offset addresses — is refused with one error reply, and the
+//! connection serves on.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
-use pario_core::{Organization, ParallelFile};
-use pario_fs::{Volume, VolumeConfig};
+use bytes::Bytes;
+use pario_core::{CoreError, Organization, ParallelFile};
+use pario_fs::{FsError, Volume, VolumeConfig};
 use pario_net::frame::{client_handshake, encode_frame, read_frame, FRAME_OVERHEAD};
-use pario_net::proto::{decode_reply_error, MAGIC, STATUS_ERR, VERSION};
+use pario_net::proto::{
+    decode_reply_error, Opened, Request, View, MAGIC, STATUS_ERR, STATUS_OK, VERSION,
+};
+use pario_net::wire::WireWriter;
 use pario_net::{NetClient, NetConfig, NetError, NetServer};
-use pario_server::{Server, ServerConfig};
+use pario_server::{Server, ServerConfig, ServerError};
 
 const REC: usize = 64;
 
+/// A server over an SS file `queue` of eight records, a GDA file `d`
+/// whose record 0 is all 9s, and a two-slot IS file `ilv` of four
+/// blocks; four 64-byte records a block.
 fn serve() -> (NetServer, String) {
     let volume = Volume::create_in_memory(VolumeConfig {
         devices: 4,
@@ -29,7 +41,19 @@ fn serve() -> (NetServer, String) {
         w.write_next(&[i as u8; REC]).unwrap();
     }
     w.finish().unwrap();
-    drop(pf);
+    let d = ParallelFile::create(&volume, "d", Organization::GlobalDirect, REC, 4).unwrap();
+    d.direct_handle()
+        .unwrap()
+        .write_record(0, &[9; REC])
+        .unwrap();
+    let org = Organization::InterleavedSeq { processes: 2 };
+    let ilv = ParallelFile::create(&volume, "ilv", org, REC, 4).unwrap();
+    let mut w = ilv.global_writer();
+    for i in 0..16u8 {
+        w.write_record(&[i; REC]).unwrap();
+    }
+    w.finish().unwrap();
+    drop((pf, d, ilv));
     let net = NetServer::bind_tcp(
         "127.0.0.1:0",
         Server::new(volume, ServerConfig::default()),
@@ -161,12 +185,28 @@ fn version_2_hello_fails_the_handshake() {
     assert_hello_refused(2);
 }
 
-/// What a v3 client would do with a v4 welcome is read its first reply
-/// from the middle of the lane name; it is told the version instead.
+/// What a v3 client would do with a v4 or v5 welcome is read its first
+/// reply from the middle of the lane name; it is told the version
+/// instead.
 #[test]
 fn version_3_hello_fails_the_handshake() {
-    assert_eq!(VERSION, 4);
+    assert_eq!(VERSION, 5);
     assert_hello_refused(3);
+}
+
+/// A v4 client would send requests of organizations this build no
+/// longer knows; it is told the version before it sends one.
+#[test]
+fn version_4_hello_fails_the_handshake() {
+    assert_hello_refused(4);
+}
+
+#[test]
+fn a_v4_open_is_answered_malformed_and_kills_only_that_connection() {
+    // 0x15 was OpenDirect: a length-prefixed name and nothing else.
+    let mut payload = 1u32.to_le_bytes().to_vec();
+    payload.push(b'd');
+    assert_opcode_unknown(0x15, &payload);
 }
 
 #[test]
@@ -174,13 +214,13 @@ fn malformed_payload_gets_an_error_frame_then_the_boot() {
     let (_net, addr) = serve();
     let mut s = shaken(&addr);
 
-    // Opcode 0x10 (OpenSeq) wants a length-prefixed name; send a length
+    // Opcode 0x17 (Open) wants a length-prefixed name; send a length
     // that runs past the payload.
     let mut bad = Vec::new();
     bad.extend_from_slice(&(1000u32).to_le_bytes());
     bad.extend_from_slice(b"short");
     let mut f = Vec::new();
-    encode_frame(&mut f, 7, 0x10, &bad);
+    encode_frame(&mut f, 7, 0x17, &bad);
     s.write_all(&f).unwrap();
 
     let reply = read_until_eof(&mut s);
@@ -209,4 +249,181 @@ fn random_bytes_after_handshake_never_poison_the_server() {
         let _ = read_until_eof(&mut s);
     }
     assert_server_alive(&addr);
+}
+
+/// A raw connection past the handshake that sends typed requests and
+/// gives up on a reply after five seconds: a connection thread that
+/// died fails the test instead of hanging it.
+struct Raw {
+    s: TcpStream,
+    next_id: u64,
+}
+
+impl Raw {
+    fn connect(addr: &str) -> Raw {
+        let s = shaken(addr);
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        Raw { s, next_id: 1 }
+    }
+
+    /// Send `req` and read its one reply: status byte and body.
+    fn call(&mut self, req: &Request) -> (u8, Vec<u8>) {
+        let (id, mut w, mut f) = (self.next_id, WireWriter::new(), Vec::new());
+        self.next_id += 1;
+        req.encode_payload(&mut w);
+        encode_frame(&mut f, id, req.opcode(), w.bytes());
+        self.s.write_all(&f).unwrap();
+        let reply = read_frame(&mut self.s, 1 << 20)
+            .expect("a reply before the timeout")
+            .expect("a reply, not the end of the connection");
+        assert_eq!(reply.request_id, id);
+        (reply.code, reply.body)
+    }
+
+    fn ok(&mut self, req: &Request) -> Vec<u8> {
+        let (code, body) = self.call(req);
+        assert_eq!(code, STATUS_OK, "{:?}", decode_reply_error(&body));
+        body
+    }
+
+    fn refused(&mut self, req: &Request) -> NetError {
+        let (code, body) = self.call(req);
+        assert_eq!(code, STATUS_ERR, "{req:?} was served");
+        decode_reply_error(&body).unwrap()
+    }
+
+    fn open(&mut self, name: &str, view: View) -> u64 {
+        let name = name.into();
+        Opened::decode(&self.ok(&Request::Open { name, view }))
+            .unwrap()
+            .handle
+    }
+}
+
+/// GDA record 0 as the server reads it: still all 9s.
+fn record_0_intact(raw: &mut Raw, handle: u64) {
+    let body = raw.ok(&Request::DirRead { handle, record: 0 });
+    assert_eq!(body, [9; REC]);
+}
+
+#[test]
+fn a_payload_of_the_wrong_size_is_refused_and_the_connection_serves_on() {
+    let (net, addr) = serve();
+    let mut raw = Raw::connect(&addr);
+    let baseline = net.live_connections();
+    let d = raw.open("d", View::Direct);
+    let q = raw.open("queue", View::SelfSched);
+    let i = raw.open("ilv", View::Interleaved(0));
+    // Record 1, which the plain writes below leave alone: one of them
+    // that got past the size check would wait on this lock for ever.
+    let lock = u64::from_le_bytes(
+        raw.ok(&Request::DirLock {
+            handle: d,
+            r_lo: 1,
+            r_hi: 2,
+        })
+        .try_into()
+        .unwrap(),
+    );
+    let short = Bytes::copy_from_slice(&[1; 5]);
+    let cases = [
+        Request::DirWrite {
+            handle: d,
+            record: 0,
+            data: short.clone(),
+        },
+        Request::DirWrite {
+            handle: d,
+            record: 0,
+            data: Bytes::from(vec![1; REC + 1]),
+        },
+        Request::DirWriteLocked {
+            handle: d,
+            lock,
+            record: 1,
+            data: short.clone(),
+        },
+        Request::WriteNext {
+            handle: q,
+            data: short.clone(),
+        },
+        Request::WriteNext {
+            handle: i,
+            data: short,
+        },
+        // A record where the verb moves a whole block.
+        Request::WriteNextBlock {
+            handle: i,
+            data: Bytes::from(vec![1; REC]),
+        },
+    ];
+    for req in &cases {
+        match raw.refused(req) {
+            NetError::Protocol(msg) => assert!(msg.contains("byte payloads"), "{msg}"),
+            other => panic!("{req:?}: expected a payload-size refusal, got {other:?}"),
+        }
+        record_0_intact(&mut raw, d);
+    }
+    raw.ok(&Request::DirUnlock { handle: d, lock });
+    assert_eq!(net.live_connections(), baseline);
+}
+
+#[test]
+fn a_block_transfer_mid_block_is_refused_and_the_connection_serves_on() {
+    let (net, addr) = serve();
+    let mut raw = Raw::connect(&addr);
+    let baseline = net.live_connections();
+    let handle = raw.open("ilv", View::Interleaved(0));
+    assert_eq!(
+        raw.ok(&Request::ReadNext { handle }),
+        [&[1][..], &[0; REC]].concat()
+    );
+    let block = Bytes::from(vec![1; 4 * REC]);
+    for req in [
+        Request::ReadNextBlock { handle },
+        Request::WriteNextBlock {
+            handle,
+            data: block,
+        },
+    ] {
+        match raw.refused(&req) {
+            NetError::Server(ServerError::Core(CoreError::BadGeometry(msg))) => {
+                assert!(msg.contains("not at a block start"), "{msg}")
+            }
+            other => panic!("{req:?}: expected the mid-block refusal, got {other:?}"),
+        }
+    }
+    // The cursor did not move: the next record is record 1.
+    assert_eq!(
+        raw.ok(&Request::ReadNext { handle }),
+        [&[1][..], &[1; REC]].concat()
+    );
+    assert_eq!(net.live_connections(), baseline);
+}
+
+/// Record 2^58 of 64-byte records starts at byte 2^64. Its offset
+/// wrapped to 0 and the write landed on record 0.
+#[test]
+fn a_record_no_byte_offset_addresses_is_refused_over_the_wire() {
+    let (net, addr) = serve();
+    let mut raw = Raw::connect(&addr);
+    let baseline = net.live_connections();
+    let handle = raw.open("d", View::Direct);
+    for record in [1u64 << 58, u64::MAX] {
+        let req = Request::DirWrite {
+            handle,
+            record,
+            data: Bytes::from(vec![7; REC]),
+        };
+        match raw.refused(&req) {
+            NetError::Server(ServerError::Core(CoreError::Fs(FsError::OutOfBounds {
+                record: r,
+                ..
+            }))) => assert_eq!(r, record),
+            other => panic!("record {record}: expected OutOfBounds, got {other:?}"),
+        }
+        record_0_intact(&mut raw, handle);
+    }
+    assert_eq!(raw.ok(&Request::DirLen { handle }), 1u64.to_le_bytes());
+    assert_eq!(net.live_connections(), baseline);
 }

@@ -157,6 +157,100 @@ fn partition_claims_are_exclusive_over_the_wire() {
     assert_eq!(pa2.partition(), 1);
 }
 
+/// Two connections each claim a slot of a two-process IS file, write
+/// their strided records and one whole block, and read both back through
+/// the socket; the slots stay exclusive. A verb a handle's view lacks is
+/// refused by name and the connection serves on.
+#[test]
+fn interleaved_slots_over_the_wire_are_strided_and_exclusive() {
+    const RPB: u64 = 4;
+    let volume = volume();
+    let org = Organization::InterleavedSeq { processes: 2 };
+    drop(ParallelFile::create(&volume, "ilv", org, REC, RPB as usize).unwrap());
+    drop(ParallelFile::create(&volume, "d", Organization::GlobalDirect, REC, 4).unwrap());
+    let (_net, addr) = serve(volume);
+    let clients = [on_the_lane(&addr), on_the_lane(&addr)];
+
+    // Slot p's blocks are p, p + 2, ...: one block of single records,
+    // then one whole block.
+    for (p, client) in clients.iter().enumerate() {
+        let slot = client.open_interleaved("ilv", p as u32).unwrap();
+        assert_eq!(slot.block_bytes(), RPB as usize * REC);
+        for k in 0..RPB {
+            let r = p as u64 * RPB + k;
+            assert_eq!(slot.write_next(&pattern(r)).unwrap(), r);
+        }
+        let fb = p as u64 + 2;
+        let block: Vec<u8> = (0..RPB).flat_map(|k| pattern(fb * RPB + k)).collect();
+        assert_eq!(slot.write_next_block(&block).unwrap(), fb);
+    }
+
+    // Held slot 0 is refused to a third connection; reopened on the
+    // connection that wrote it, each slot reads its own blocks back.
+    let held = clients[0].open_interleaved("ilv", 0).unwrap();
+    match NetClient::connect_tcp(&addr)
+        .unwrap()
+        .open_interleaved("ilv", 0)
+    {
+        Err(NetError::Server(ServerError::Claimed { name, index, .. })) => {
+            assert_eq!((name.as_str(), index), ("ilv", 0));
+        }
+        other => panic!("expected Claimed, got {other:?}"),
+    }
+    let slots = [held, clients[1].open_interleaved("ilv", 1).unwrap()];
+    for (p, slot) in slots.iter().enumerate() {
+        let mut rec = [0u8; REC];
+        for k in 0..RPB {
+            assert!(slot.read_next(&mut rec).unwrap());
+            assert_eq!(rec, pattern(p as u64 * RPB + k));
+        }
+        let mut block = vec![0u8; slot.block_bytes()];
+        let fb = p as u64 + 2;
+        assert_eq!(slot.read_next_block(&mut block).unwrap(), Some(fb));
+        let want: Vec<u8> = (0..RPB).flat_map(|k| pattern(fb * RPB + k)).collect();
+        assert_eq!(block, want);
+        assert_eq!(slot.read_next_block(&mut block).unwrap(), None);
+        assert!(!slot.read_next(&mut rec).unwrap());
+    }
+
+    // `ReadNext` on a GDA handle, spoken by hand: a typed refusal, then
+    // the same connection serves the next request.
+    use pario_net::frame::{client_handshake, encode_frame, read_frame};
+    use pario_net::proto::{decode_reply_error, Opened, Request, View, STATUS_ERR, STATUS_OK};
+    use pario_net::wire::WireWriter;
+    use std::io::Write;
+    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    client_handshake(&mut s).unwrap();
+    let mut call = |id: u64, req: Request| {
+        let (mut w, mut f) = (WireWriter::new(), Vec::new());
+        req.encode_payload(&mut w);
+        encode_frame(&mut f, id, req.opcode(), w.bytes());
+        s.write_all(&f).unwrap();
+        let reply = read_frame(&mut s, 1 << 20).unwrap().expect("a reply");
+        assert_eq!(reply.request_id, id);
+        (reply.code, reply.body)
+    };
+    let name = "d".into();
+    let (code, body) = call(
+        1,
+        Request::Open {
+            name,
+            view: View::Direct,
+        },
+    );
+    assert_eq!(code, STATUS_OK);
+    let handle = Opened::decode(&body).unwrap().handle;
+    let (code, body) = call(2, Request::ReadNext { handle });
+    assert_eq!(code, STATUS_ERR);
+    match decode_reply_error(&body).unwrap() {
+        NetError::Protocol(msg) => assert!(msg.contains("GDA handle"), "{msg}"),
+        other => panic!("expected a protocol refusal, got {other:?}"),
+    }
+    assert_eq!(call(3, Request::DirLen { handle }), (STATUS_OK, vec![0; 8]));
+}
+
 /// Record `r`'s bytes assembled straight from the raw devices, bypassing
 /// the cache tier entirely (same probe as the in-process cached_gda
 /// suite).
@@ -629,7 +723,7 @@ fn server_death_reaches_the_leading_caller_and_the_parked_follower() {
 #[test]
 fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
     use pario_net::frame::{client_handshake, encode_frame, read_frame, FRAME_OVERHEAD};
-    use pario_net::proto::{Opened, Request};
+    use pario_net::proto::{Opened, Request, View};
     use pario_net::wire::WireWriter;
     use std::io::{Read, Write};
 
@@ -653,7 +747,16 @@ fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
         encode_frame(&mut f, id, req.opcode(), w.bytes());
         s.write_all(&f)
     };
-    send(&mut s, 1, &Request::OpenDirect { name: "d".into() }).unwrap();
+    let name = "d".into();
+    send(
+        &mut s,
+        1,
+        &Request::Open {
+            name,
+            view: View::Direct,
+        },
+    )
+    .unwrap();
     let opened = read_frame(&mut s, 1 << 20).unwrap().expect("open reply");
     let handle = Opened::decode(&opened.body).unwrap().handle;
     // A request that cannot be sent is the backpressure arriving: the

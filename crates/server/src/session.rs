@@ -602,10 +602,9 @@ impl DirectClient {
         self.handle.len_records()
     }
 
-    /// Byte range of record `r`.
-    fn byte_range(&self, r: u64) -> (u64, u64) {
-        let rs = self.record_size as u64;
-        (r * rs, (r + 1) * rs)
+    /// Byte range of record `r`; refused where no offset addresses it.
+    fn byte_range(&self, r: u64) -> Result<(u64, u64)> {
+        Ok(self.entry.pfile.raw().record_bytes(r)?)
     }
 
     /// Read record `r`.
@@ -620,7 +619,7 @@ impl DirectClient {
     /// flushed to the devices before the range lock releases, so
     /// cross-session readers keep the uncached durability semantics.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        let (lo, hi) = self.byte_range(r);
+        let (lo, hi) = self.byte_range(r)?;
         self.sess.run(true, || {
             let _g = self.entry.ranges.acquire(lo, hi);
             self.handle.write_record(r, data)?;
@@ -633,7 +632,7 @@ impl DirectClient {
     /// updates of the same record never lose increments. Extends the
     /// file with a zeroed record when `r` is past the end.
     pub fn update(&self, r: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
-        let (lo, hi) = self.byte_range(r);
+        let (lo, hi) = self.byte_range(r)?;
         self.sess.run(true, || {
             let _g = self.entry.ranges.acquire(lo, hi);
             let mut buf = vec![0u8; self.record_size];
@@ -670,8 +669,7 @@ impl DirectClient {
                 CoreError::BadGeometry(format!("empty record range [{r_lo}, {r_hi})")).into(),
             );
         }
-        let rs = self.record_size as u64;
-        let (lo, hi) = (r_lo * rs, r_hi * rs);
+        let (lo, hi) = (self.byte_range(r_lo)?.0, self.byte_range(r_hi - 1)?.1);
         let ticket = self.entry.ranges.acquire_ticket(lo, hi);
         Ok(LockedRange {
             entry: Arc::clone(&self.entry),
@@ -688,7 +686,7 @@ impl DirectClient {
     /// span before the lock releases — the same durable-at-unlock
     /// contract as [`write_record`](DirectClient::write_record).
     pub fn write_record_locked(&self, lock: &LockedRange, r: u64, data: &[u8]) -> Result<()> {
-        let (lo, hi) = self.byte_range(r);
+        let (lo, hi) = self.byte_range(r)?;
         if lo < lock.lo || hi > lock.hi {
             return Err(ServerError::RangeNotLocked { lo, hi });
         }
