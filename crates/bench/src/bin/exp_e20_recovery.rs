@@ -1,4 +1,4 @@
-//! E20 — crash recovery: what the intent journal costs, and what it
+//! E20 — crash recovery: what the intent journal writes, and what it
 //! buys.
 //!
 //! The dual-slot superblock plus write-ahead intent journal make the
@@ -6,15 +6,14 @@
 //! `crash_recovery` integration sweep is the proof). This experiment
 //! quantifies the deal:
 //!
-//! * **Steady-state journaling overhead.** Overwrites of already-
-//!   allocated blocks never touch the journal, so the steady-state
-//!   write path must cost (almost) nothing extra: the journal-on /
-//!   journal-off time ratio is asserted `<=` [`OVERHEAD_BOUND`].
-//!   The growing lane appends to fresh files, the journal's worst
-//!   case — and since allocation runs ahead of the append cursor
-//!   (`Volume::grow_file`) that is a `Grow` record per doubling, not
-//!   per block: it is held to the same bound, and the lane reports
-//!   `Grow` records per appended block.
+//! * **Journal traffic on the write paths.** Overwrites of already-
+//!   allocated blocks never touch the journal: the steady lane asserts
+//!   that they append no record. The growing lane appends to fresh
+//!   files, the journal's worst case — and since allocation runs ahead
+//!   of the append cursor (`Volume::grow_file`) a file of
+//!   [`GROW_BLOCKS`] one-block appends journals exactly
+//!   [`GROWS_PER_FILE`] `Grow` records, not one per block: asserted in
+//!   every run. Both lanes report their time.
 //! * **Recovery time.** Mounting a volume with pending intent records
 //!   replays them onto the fallback checkpoint; the lane measures a
 //!   dirty mount against a clean one. Recovery must actually recover:
@@ -43,18 +42,15 @@ use pario_layout::LayoutSpec;
 /// traffic is a visible fraction of the workload (one record per block
 /// keeps the arithmetic obvious).
 const BS: usize = 512;
-/// Maximum slowdown the journal may cost (ratio of journal-on time to
-/// journal-off time).
-const OVERHEAD_BOUND: f64 = 1.10;
 /// The growing lane: this many fresh files, each appended this many
 /// blocks one at a time. The same in a smoke run — the lane takes
-/// milliseconds, and a shorter one is too noisy to hold to a 10 % bound;
-/// for the same reason a run is the best of this many alternating
-/// repeats (a few milliseconds on a shared host are only ever disturbed
-/// towards slow).
+/// milliseconds.
 const GROW_FILES: u64 = 4;
 const GROW_BLOCKS: u64 = 2048;
-const GROW_REPEATS: usize = 3;
+/// The run-ahead policy's `Grow` records for one file of
+/// [`GROW_BLOCKS`] one-block appends: its first block, eight doublings
+/// to 256 blocks, then seven steps of 256.
+const GROWS_PER_FILE: u64 = 16;
 /// The crash-sweep lane exercises every this-many-th write boundary.
 const SWEEP_STRIDE: u64 = 5;
 
@@ -70,11 +66,20 @@ fn striped(name: &str) -> FileSpec {
     FileSpec::new(name, BS, 1, layout)
 }
 
-/// A volume with journaling on or off holding "steady", `records`
-/// written and checkpointed.
-fn steady_file(journaling: bool, records: u64) -> (Volume, RawFile) {
+/// Journal records `v` appends while `work` runs, and what `work` took.
+/// Panics if a checkpoint reset the journal in between.
+fn journaled(v: &Volume, work: impl FnOnce()) -> (u64, f64) {
+    let before = v.meta_status();
+    let secs = timed(work);
+    let after = v.meta_status();
+    assert_eq!(after.generation, before.generation, "no checkpoint");
+    let records = after.journal_pending_records - before.journal_pending_records;
+    (records, secs)
+}
+
+/// A volume holding "steady", `records` written and checkpointed.
+fn steady_file(records: u64) -> (Volume, RawFile) {
     let v = rig(8192).volume();
-    v.set_meta_journaling(journaling).unwrap();
     let f = v.create_file(striped("steady")).unwrap();
     for r in 0..records {
         f.write_record(r, &[0xA5; BS]).unwrap();
@@ -83,25 +88,28 @@ fn steady_file(journaling: bool, records: u64) -> (Volume, RawFile) {
     (v, f)
 }
 
-/// One run of the growing lane's one side: every file created from
-/// nothing and appended a block at a time, on a fresh volume built
-/// outside the timed part. Returns the seconds taken and, when asked to
-/// look (not in a timed run), the appends that grew the allocation —
-/// one `Grow` record each.
-fn grow(journaling: bool, count_grows: bool) -> (f64, u64) {
+/// One run of the growing lane: every file created from nothing and
+/// appended a block at a time, on a fresh volume built outside the
+/// timed part. Returns the seconds taken and the `Grow` records per
+/// file, which must be the policy's count.
+fn grow() -> (f64, u64) {
     let v = rig(8192).volume();
-    v.set_meta_journaling(journaling).unwrap();
-    let mut grows = 0u64;
-    let secs = timed(|| {
+    let (records, secs) = journaled(&v, || {
         for i in 0..GROW_FILES {
             let f = v.create_file(striped(&format!("g{i}"))).unwrap();
             for r in 0..GROW_BLOCKS {
-                let before = if count_grows { f.nblocks() } else { 0 };
                 f.write_record(r, &[0x5A; BS]).unwrap();
-                grows += u64::from(count_grows && f.nblocks() != before);
             }
         }
     });
+    // One `Create` a file, the rest `Grow`s.
+    let grows = (records - GROW_FILES) / GROW_FILES;
+    assert_eq!(
+        grows * GROW_FILES,
+        records - GROW_FILES,
+        "{records} records"
+    );
+    assert_eq!(grows, GROWS_PER_FILE, "Grow records per file");
     (secs, grows)
 }
 
@@ -220,11 +228,12 @@ fn crash_sweep(stride: u64) -> (u64, u64) {
 
 fn main() {
     banner(
-        "E20: crash recovery — journal overhead and mount-time replay",
+        "E20: crash recovery — journal traffic and mount-time replay",
         "the write-ahead intent journal keeps metadata crash-consistent \
-         for free on the steady-state write path and, with allocation \
-         running ahead of the appends, on the growing one too; \
-         mount-time replay recovers a dirty volume in milliseconds",
+         without a record on the steady-state write path and, with \
+         allocation running ahead of the appends, a logarithm of records \
+         on the growing one; mount-time replay recovers a dirty volume in \
+         milliseconds",
     );
     let (records, passes, base_files, dirty_ops) = if smoke() {
         (256, 16, 8, 6)
@@ -233,44 +242,30 @@ fn main() {
     };
     let mut report = Report::new("e20_recovery");
 
-    // Steady-state overwrites: the two volumes are prepared up front
-    // and every run times one after the other, so clock drift and cold
-    // caches hit both sides equally.
-    let (_von, fon) = steady_file(true, records);
-    let (_voff, foff) = steady_file(false, records);
-    let overwrite = |f: &RawFile| {
+    // Steady-state overwrites of blocks the file already holds.
+    let (v, f) = steady_file(records);
+    let overwrite = || {
         for _ in 0..passes {
             for r in 0..records {
                 f.write_record(r, &[0xA5; BS]).unwrap();
             }
         }
     };
-    overwrite(&fon); // one untimed warm-up each
-    overwrite(&foff);
+    overwrite(); // one untimed warm-up
     let steady = report.lane("steady", RUNS, || {
-        let (on, off) = (timed(|| overwrite(&fon)), timed(|| overwrite(&foff)));
+        let (appended, secs) = journaled(&v, overwrite);
+        assert_eq!(appended, 0, "an overwrite appended a journal record");
         vec![
-            ("journal_on_secs", on),
-            ("journal_off_secs", off),
-            ("overhead_ratio", on / off),
+            ("overwrite_secs", secs),
+            ("journal_records", appended as f64),
         ]
     });
 
     // Appends to fresh files (the journal's worst case).
-    let grows_per_block = grow(true, true).1 as f64 / (GROW_FILES * GROW_BLOCKS) as f64;
     let growing = report.lane("grow", RUNS, || {
-        let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..GROW_REPEATS {
-            on = on.min(grow(true, false).0);
-            off = off.min(grow(false, false).0);
-        }
-        vec![
-            ("journal_on_secs", on),
-            ("journal_off_secs", off),
-            ("overhead_ratio", on / off),
-        ]
+        let (secs, grows) = grow();
+        vec![("append_secs", secs), ("records_per_file", grows as f64)]
     });
-    report.fact("grow_records_per_block", grows_per_block);
 
     report.lane("mount", RUNS, || recovery_run(base_files, dirty_ops));
 
@@ -282,15 +277,17 @@ fn main() {
 
     println!("\nasserted facts:");
     report
-        .at_most(
-            "steady-state journal on/off time ratio",
-            steady["overhead_ratio"].median,
-            OVERHEAD_BOUND,
+        .check(
+            "steady-state overwrites append no journal record",
+            steady["journal_records"].hi == 0.0,
         )
-        .at_most(
-            "growing-lane journal on/off time ratio",
-            growing["overhead_ratio"].median,
-            OVERHEAD_BOUND,
+        .check(
+            &format!(
+                "a file of {GROW_BLOCKS} one-block appends journals \
+                 {GROWS_PER_FILE} Grow records"
+            ),
+            growing["records_per_file"].lo == GROWS_PER_FILE as f64
+                && growing["records_per_file"].hi == GROWS_PER_FILE as f64,
         )
         .check(
             &format!(

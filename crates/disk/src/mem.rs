@@ -85,12 +85,6 @@ impl MemDisk {
         data[base + bit / 8] ^= 1 << (bit % 8);
     }
 
-    /// Overwrite the whole device with zeros (models replacing a failed
-    /// drive with a blank spare before a rebuild).
-    pub fn wipe(&self) {
-        self.data.write().fill(0);
-    }
-
     /// Checks a transfer of `len` bytes at `block`; returns its blocks.
     fn check_span(&self, block: u64, len: usize) -> Result<u64> {
         if self.failed.load(Ordering::Acquire) {
@@ -313,16 +307,6 @@ mod tests {
         assert!(buf.iter().enumerate().all(|(i, &b)| i == 1 || b == 0));
         d.corrupt_bit(1, 9); // flip back
         d.read_block(1, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn wipe_zeroes_everything() {
-        let d = MemDisk::new(2, 8);
-        d.write_block(0, &[1u8; 8]).unwrap();
-        d.wipe();
-        let mut buf = vec![9u8; 8];
-        d.read_block(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
     }
 

@@ -40,6 +40,14 @@ pub enum FsError {
     },
     /// Metadata (superblock) could not be read or written.
     Meta(String),
+    /// The directory's checkpoint would not fit a superblock slot: a
+    /// create that would need it is refused.
+    DirectoryFull {
+        /// Bytes the checkpoint image would take.
+        needed: u64,
+        /// Bytes a slot holds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for FsError {
@@ -63,6 +71,10 @@ impl fmt::Display for FsError {
                 "fixed-size file cannot grow to {requested} (capacity {capacity})"
             ),
             FsError::Meta(msg) => write!(f, "metadata error: {msg}"),
+            FsError::DirectoryFull { needed, limit } => write!(
+                f,
+                "directory full: its checkpoint needs {needed} bytes, a superblock slot holds {limit}"
+            ),
         }
     }
 }

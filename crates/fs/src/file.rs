@@ -316,21 +316,6 @@ impl RawFile {
         self.state.meta.read().nblocks
     }
 
-    /// Records the file can hold without (or within fixed) growth. For
-    /// a growable file that is the allocation, run-ahead included — an
-    /// upper bound on what writes can land without a grow, not a count
-    /// of what was asked for.
-    pub fn capacity_records(&self) -> u64 {
-        let meta = self.state.meta.read();
-        let by_alloc = meta.nblocks * self.block_size() as u64 / self.record_size as u64;
-        match meta.fixed_capacity_records {
-            // A fixed capacity is the hard ceiling even when the eager
-            // allocation rounds up to more whole blocks than it needs.
-            Some(cap) => cap,
-            None => by_alloc,
-        }
-    }
-
     /// The placement mapping.
     pub fn layout(&self) -> &dyn Layout {
         &*self.layout
@@ -1988,21 +1973,24 @@ mod tests {
         // one device; rotation (RAID-5) spreads the load.
         let count_writes = |rotated: bool| -> Vec<u64> {
             let v = vol(4);
-            // Journal appends land on device 0 and would skew the
-            // data-path distribution this test measures.
-            v.set_meta_journaling(false).unwrap();
-            let before: Vec<u64> = (0..4).map(|d| v.device(d).counters().writes).collect();
+            // Preallocated, so the writes below grow nothing: no journal
+            // append lands on device 0 to skew the data-path
+            // distribution this test measures.
             let f = v
-                .create_file(FileSpec::new(
-                    "p",
-                    BS,
-                    1,
-                    LayoutSpec::Parity {
-                        data_devices: 3,
-                        rotated,
-                    },
-                ))
+                .create_file(
+                    FileSpec::new(
+                        "p",
+                        BS,
+                        1,
+                        LayoutSpec::Parity {
+                            data_devices: 3,
+                            rotated,
+                        },
+                    )
+                    .initial_records(48),
+                )
                 .unwrap();
+            let before: Vec<u64> = (0..4).map(|d| v.device(d).counters().writes).collect();
             for r in 0..48u64 {
                 f.write_record(r, &record(r, BS)).unwrap();
             }
@@ -2012,8 +2000,7 @@ mod tests {
         };
         let raid4 = count_writes(false);
         // Dedicated parity on slot 3: one parity write per logical write;
-        // each data device only sees its 1/3 share (both sides also pay
-        // the same extent-zeroing cost, which cancels in the difference).
+        // each data device only sees its 1/3 share.
         let data_max = raid4[..3].iter().max().unwrap();
         assert!(
             raid4[3] >= data_max + 30,
@@ -2093,7 +2080,6 @@ mod tests {
             .unwrap();
         f.ensure_capacity_records(10).unwrap();
         assert!(f.nblocks() * BS as u64 / 64 > 10, "allocation rounds up");
-        assert_eq!(f.capacity_records(), 10);
         assert!(matches!(
             f.ensure_capacity_records(11),
             Err(FsError::CapacityExceeded { .. })

@@ -5,17 +5,15 @@
 //! crash between a completed operation and the next checkpoint must not
 //! leave them disagreeing with the data on disk. Each such operation
 //! appends one **redo record** to the journal area of the meta region
-//! (see `superblock` for the layout) before it returns:
-//!
-//! ```text
-//! magic (4) | generation (8) | seq (8) | len (4) | crc32 (4) | payload…
-//! ```
+//! (see `superblock` for the layout) before it returns: one framed
+//! image (see `frame`), written as one run and flushed.
 //!
 //! Records are tagged with the superblock generation current at append
-//! time and numbered sequentially within it. Mount replays, in order,
-//! the prefix of records whose generation matches the loaded checkpoint
-//! and whose sequence and CRC validate — the first mismatch is the torn
-//! tail (or a stale earlier generation) and stops the scan. Replay is
+//! time and numbered sequentially within it. Mount reads the journal
+//! area as one run and replays, in order, the prefix of records whose
+//! generation matches the loaded checkpoint and whose sequence and CRC
+//! validate — the first mismatch is the torn tail (or a stale earlier
+//! generation) and stops the scan. Replay is
 //! **idempotent**: a record whose effect is already in the checkpoint
 //! (the checkpoint raced the append) is skipped, so the
 //! checkpoint-plus-prefix state is consistent at every write boundary.
@@ -40,14 +38,11 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{push_merged, Extent};
-use crate::crc::crc32;
 use crate::error::{FsError, Result};
+use crate::frame;
 use crate::meta::FileMeta;
 use crate::superblock::{journal_blocks, journal_start};
 use crate::volume::{FileState, VolInner};
-
-const MAGIC: &[u8; 4] = b"PJL2";
-const HEADER: usize = 28;
 
 /// Journal cursor + the current superblock generation. Guarded by the
 /// `fs.journal` (rank 78) mutex on the volume.
@@ -59,9 +54,6 @@ pub(crate) struct JournalState {
     pub(crate) pos: u64,
     /// Next record sequence number within this generation.
     pub(crate) seq: u64,
-    /// When false, appends are no-ops (a measurement toggle — crash
-    /// consistency then degrades to checkpoint granularity).
-    pub(crate) enabled: bool,
 }
 
 /// One redo record: a metadata operation that completed in memory.
@@ -104,110 +96,47 @@ pub(crate) enum Appended {
 pub(crate) fn append(inner: &VolInner, rec: &Record) -> Result<Appended> {
     let payload = serde_json::to_vec(rec).map_err(|e| FsError::Meta(e.to_string()))?;
     let bs = inner.block_size;
-    let nblocks = (HEADER + payload.len()).div_ceil(bs) as u64;
-    let capacity = journal_blocks(inner.meta_blocks);
     let mut journal = inner.journal.lock();
-    if !journal.enabled {
-        return Ok(Appended::Logged);
-    }
-    if journal.pos + nblocks > capacity {
+    let image = frame::frame(journal.gen, journal.seq, &payload, bs);
+    let nblocks = (image.len() / bs) as u64;
+    if journal.pos + nblocks > journal_blocks(inner.meta_blocks) {
         return Ok(Appended::Full);
-    }
-    let mut image = Vec::with_capacity(HEADER + payload.len());
-    image.extend_from_slice(MAGIC);
-    image.extend_from_slice(&journal.gen.to_le_bytes());
-    image.extend_from_slice(&journal.seq.to_le_bytes());
-    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crced = Vec::with_capacity(20 + payload.len());
-    crced.extend_from_slice(&journal.gen.to_le_bytes());
-    crced.extend_from_slice(&journal.seq.to_le_bytes());
-    crced.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    crced.extend_from_slice(&payload);
-    image.extend_from_slice(&crc32(&crced).to_le_bytes());
-    image.extend_from_slice(&payload);
-
-    let base = journal_start(inner.meta_blocks) + journal.pos;
-    let dev = &inner.devices[0];
-    let mut block = vec![0u8; bs];
-    for (i, chunk) in image.chunks(bs).enumerate() {
-        block[..chunk.len()].copy_from_slice(chunk);
-        block[chunk.len()..].fill(0);
-        dev.write_block(base + i as u64, &block)?;
     }
     // A returned metadata operation must survive power loss, exactly
     // like a checkpoint.
-    dev.flush()?;
+    let at = journal_start(inner.meta_blocks) + journal.pos;
+    frame::write(&inner.devices[0], at, &image)?;
     journal.pos += nblocks;
     journal.seq += 1;
     Ok(Appended::Logged)
 }
 
-/// Scan the journal area and apply, in order, every record tagged with
-/// `gen` whose sequence and CRC validate; stop at the first mismatch
-/// (stale generation or torn tail). Returns the number of records
-/// applied. Runs single-threaded at mount, before the volume is shared.
+/// Read the journal area as one run and apply, in order, every record
+/// tagged with `gen` whose sequence and CRC validate; stop at the first
+/// mismatch (stale generation or torn tail). Returns the number of
+/// records applied. Runs single-threaded at mount, before the volume is
+/// shared.
 pub(crate) fn replay(inner: &VolInner, gen: u64) -> Result<u64> {
     let bs = inner.block_size;
-    let capacity = journal_blocks(inner.meta_blocks);
     let start = journal_start(inner.meta_blocks);
-    let dev = &inner.devices[0];
-    let mut pos = 0u64;
-    let mut seq = 0u64;
-    let mut block = vec![0u8; bs];
-    while pos < capacity {
-        if dev.read_block(start + pos, &mut block).is_err() {
+    // An unreadable area replays nothing, as a torn first record would.
+    let area = frame::read(&inner.devices[0], start, journal_blocks(inner.meta_blocks));
+    let area = area.unwrap_or_default();
+    let (mut at, mut seq) = (0, 0);
+    while let Some(image) = frame::unframe(&area[at..]) {
+        if image.gen != gen || image.seq != seq {
             break;
         }
-        if &block[..4] != MAGIC {
-            break;
-        }
-        // invariant: fixed-width header slices always convert.
-        let rec_gen = u64::from_le_bytes(block[4..12].try_into().expect("8 bytes"));
-        let rec_seq = u64::from_le_bytes(block[12..20].try_into().expect("8 bytes")); // invariant: fixed-width slice
-        let len = u32::from_le_bytes(block[20..24].try_into().expect("4 bytes")) as usize; // invariant: fixed-width slice
-        let crc = u32::from_le_bytes(block[24..28].try_into().expect("4 bytes")); // invariant: fixed-width slice
-        let nblocks = (HEADER + len).div_ceil(bs) as u64;
-        if rec_gen != gen || rec_seq != seq || pos + nblocks > capacity {
-            break;
-        }
-        let mut image = vec![0u8; HEADER + len];
-        let mut ok = true;
-        for i in 0..nblocks {
-            if i == 0 {
-                let take = bs.min(image.len());
-                image[..take].copy_from_slice(&block[..take]);
-                continue;
-            }
-            let mut b = vec![0u8; bs];
-            if dev.read_block(start + pos + i, &mut b).is_err() {
-                ok = false;
-                break;
-            }
-            let off = (i as usize) * bs;
-            let take = bs.min(image.len() - off);
-            image[off..off + take].copy_from_slice(&b[..take]);
-        }
-        if !ok {
-            break;
-        }
-        let mut crced = Vec::with_capacity(20 + len);
-        crced.extend_from_slice(&rec_gen.to_le_bytes());
-        crced.extend_from_slice(&rec_seq.to_le_bytes());
-        crced.extend_from_slice(&(len as u32).to_le_bytes());
-        crced.extend_from_slice(&image[HEADER..]);
-        if crc32(&crced) != crc {
-            break;
-        }
-        let Ok(rec) = serde_json::from_slice::<Record>(&image[HEADER..]) else {
+        let Ok(rec) = serde_json::from_slice::<Record>(image.payload) else {
             break;
         };
         apply(inner, rec)?;
-        pos += nblocks;
+        at += frame::image_bytes(image.payload.len(), bs);
         seq += 1;
     }
     {
         let mut journal = inner.journal.lock();
-        journal.pos = pos;
+        journal.pos = (at / bs) as u64;
         journal.seq = seq;
     }
     Ok(seq)
@@ -295,4 +224,53 @@ fn find_by_id(inner: &VolInner, id: u64) -> Option<Arc<FileState>> {
         .values()
         .find(|s| s.meta.read().id == id)
         .map(Arc::clone)
+}
+
+#[cfg(test)]
+mod tests {
+    use pario_disk::{mem_array, BlockDevice, FaultDevice, FaultPlan};
+    use pario_layout::LayoutSpec;
+
+    use crate::superblock::{journal_start, meta_blocks};
+    use crate::volume::{FileSpec, Volume};
+
+    #[test]
+    fn a_torn_multi_block_record_ends_replay_before_it() {
+        let plan = FaultPlan {
+            crash_after_writes: Some(0),
+            crash_torn: true,
+            ..FaultPlan::default()
+        };
+        let mut devs = mem_array(3, 1024, 512);
+        let (fault, dev0) = FaultDevice::wrap(devs[0].clone(), plan);
+        devs[0] = dev0;
+        fault.set_armed(false);
+        let spec = |name: &str| {
+            let layout = LayoutSpec::Striped {
+                devices: 3,
+                unit: 1,
+            };
+            FileSpec::new(name, 512, 1, layout)
+        };
+        let v = Volume::new(devs.clone()).unwrap();
+        v.create_file(spec("first")).unwrap();
+        // A name long enough that its `Create` record spans four blocks.
+        let long = "n".repeat(1800);
+        fault.set_armed(true);
+        assert!(v.create_file(spec(&long)).is_err(), "the append crashed");
+        v.abandon();
+        drop(v);
+        fault.heal();
+
+        // The record's first half landed behind the intact one.
+        let mut head = vec![0u8; 512];
+        let second = journal_start(meta_blocks(512, 1024)) + 1;
+        devs[0].read_blocks_at(second, &mut head).unwrap();
+        assert_eq!(&head[..8], b"PARIOFS3");
+        assert_eq!(head[20..28], 1u64.to_le_bytes(), "seq 1");
+
+        let v = Volume::mount(devs).unwrap();
+        assert_eq!(v.mount_report().unwrap().replayed_records, 1);
+        assert_eq!(v.list(), vec!["first".to_string()]);
+    }
 }

@@ -43,9 +43,9 @@
 #![warn(missing_docs)]
 
 mod alloc;
-mod crc;
 mod error;
 mod file;
+mod frame;
 mod global;
 mod health;
 mod journal;

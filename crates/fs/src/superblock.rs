@@ -6,41 +6,36 @@
 //! region at the front of device 0 is split three ways:
 //!
 //! ```text
-//! block 0 ............ slot A (superblock image + CRC header)
+//! block 0 ............ slot A (one framed image, see `frame`)
 //! block S ............ slot B (same format)
 //! block 2S ... M-1 ... intent journal (see `journal`)
 //! ```
 //!
 //! A checkpoint serialises the directory (JSON — metadata is tiny and
-//! cold, so a text encoding buys debuggability for free) behind a binary
-//! header carrying a magic, a monotonically increasing **generation**
-//! and a CRC-32 of the payload, and writes it to the slot the *previous*
-//! generation did not use. Mount validates both slots and picks the
+//! cold, so a text encoding buys debuggability for free), frames it with
+//! a monotonically increasing **generation** and `seq` 0, and writes it
+//! as one run to the slot the *previous* generation did not use. What
+//! is kept here is the policy: slot choice, generations, and a directory
+//! that always fits a slot. Mount reads both slots and picks the
 //! newest valid one, so a superblock write torn by a crash is never
 //! fatal: the alternate slot still holds the previous checkpoint.
 //! Mount then replays the intent journal against the loaded generation
 //! to recover metadata operations that completed after that checkpoint.
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::alloc::Extent;
-use crate::crc::crc32;
 use crate::error::{FsError, Result};
+use crate::frame;
 use crate::journal;
 use crate::meta::FileMeta;
 use crate::volume::{FileState, VolInner};
 
 /// Preferred size of the whole reserved meta region on device 0.
 pub(crate) const META_REGION_BYTES: usize = 256 * 1024;
-
-/// Slot header magic ("2" = the dual-slot checksummed format).
-const MAGIC: &[u8; 8] = b"PARIOSB2";
-
-/// Bytes of slot header preceding the payload: magic (8), generation
-/// (8), payload length (8), CRC-32 (4), padded to a round 32.
-const HEADER: usize = 32;
 
 /// Blocks reserved for the meta region: up to 256 KiB, but never more
 /// than an eighth of device 0 (small test volumes), and at least 8
@@ -119,26 +114,9 @@ pub(crate) fn store(inner: &VolInner) -> Result<()> {
     // reset would append a durable record tagged with the old
     // generation that the new checkpoint neither contains nor replays.
     let _barrier = inner.ckpt.write();
-    let files: Vec<FileMeta> = {
-        let map = inner.files.read();
-        let mut metas: Vec<FileMeta> = map.values().map(|s| s.meta.read().clone()).collect();
-        metas.sort_by_key(|m| m.id);
-        metas
-    };
-    let persisted = Persisted {
-        block_size: inner.block_size,
-        next_id: inner.next_id.load(Ordering::Relaxed), // ordering: id counter; persistence tolerates a racing create (next checkpoint catches it)
-        files,
-    };
-    let json = serde_json::to_vec(&persisted).map_err(|e| FsError::Meta(e.to_string()))?;
-    let bs = inner.block_size;
-    let slot_bytes = (slot_blocks(inner.meta_blocks) * bs as u64) as usize;
-    if HEADER + json.len() > slot_bytes {
-        return Err(FsError::Meta(format!(
-            "superblock needs {} bytes, slot is {slot_bytes}",
-            HEADER + json.len()
-        )));
-    }
+    let files = snapshot(&inner.files.read());
+    let json = encode(inner, inner.next_id.load(Ordering::Relaxed), files)?; // ordering: id counter; persistence tolerates a racing create (next checkpoint catches it)
+    fits(inner, json.len())?;
     // The journal lock serialises generation arithmetic against record
     // appends (a record is tagged with the generation current at append
     // time, and replay only honours records matching the loaded slot);
@@ -146,74 +124,68 @@ pub(crate) fn store(inner: &VolInner) -> Result<()> {
     // and this acquisition.
     let mut journal = inner.journal.lock();
     let gen = journal.gen + 1;
-    let slot = gen % 2;
-    let mut image = Vec::with_capacity(HEADER + json.len());
-    image.extend_from_slice(MAGIC);
-    image.extend_from_slice(&gen.to_le_bytes());
-    image.extend_from_slice(&(json.len() as u64).to_le_bytes());
-    let mut crced = Vec::with_capacity(16 + json.len());
-    crced.extend_from_slice(&gen.to_le_bytes());
-    crced.extend_from_slice(&(json.len() as u64).to_le_bytes());
-    crced.extend_from_slice(&json);
-    image.extend_from_slice(&crc32(&crced).to_le_bytes());
-    image.resize(HEADER, 0);
-    image.extend_from_slice(&json);
-
-    let base = slot * slot_blocks(inner.meta_blocks);
-    let dev = &inner.devices[0];
-    let mut block = vec![0u8; bs];
-    for (i, chunk) in image.chunks(bs).enumerate() {
-        block[..chunk.len()].copy_from_slice(chunk);
-        block[chunk.len()..].fill(0);
-        dev.write_block(base + i as u64, &block)?;
-    }
+    let image = frame::frame(gen, 0, &json, inner.block_size);
     // The durability point: the checkpoint must be on stable media
     // before the in-memory generation advances and the journal resets.
-    dev.flush()?;
+    frame::write(
+        &inner.devices[0],
+        gen % 2 * slot_blocks(inner.meta_blocks),
+        &image,
+    )?;
     journal.gen = gen;
     journal.pos = 0;
     journal.seq = 0;
     Ok(())
 }
 
-/// Read one slot and return `(generation, payload)` if it validates.
+/// Refuse, before the directory changes, a create whose checkpoint
+/// would not fit a slot: `files` is the directory about to take `new`.
+/// The image is sized with the widest `next_id`, so ids handed out in
+/// the meantime cannot push an admitted directory over.
+pub(crate) fn admit(
+    inner: &VolInner,
+    files: &HashMap<String, Arc<FileState>>,
+    new: &FileMeta,
+) -> Result<()> {
+    let mut metas = snapshot(files);
+    metas.push(new.clone());
+    fits(inner, encode(inner, u64::MAX, metas)?.len())
+}
+
+/// Every file's metadata, by id.
+fn snapshot(files: &HashMap<String, Arc<FileState>>) -> Vec<FileMeta> {
+    let mut metas: Vec<FileMeta> = files.values().map(|s| s.meta.read().clone()).collect();
+    metas.sort_by_key(|m| m.id);
+    metas
+}
+
+/// The checkpoint payload.
+fn encode(inner: &VolInner, next_id: u64, files: Vec<FileMeta>) -> Result<Vec<u8>> {
+    let persisted = Persisted {
+        block_size: inner.block_size,
+        next_id,
+        files,
+    };
+    serde_json::to_vec(&persisted).map_err(|e| FsError::Meta(e.to_string()))
+}
+
+/// `Ok` if the image of a `len`-byte payload fits a slot.
+fn fits(inner: &VolInner, len: usize) -> Result<()> {
+    let needed = (frame::HEADER + len) as u64;
+    let limit = slot_blocks(inner.meta_blocks) * inner.block_size as u64;
+    if needed > limit {
+        return Err(FsError::DirectoryFull { needed, limit });
+    }
+    Ok(())
+}
+
+/// The image in `slot`, one run of the whole slot: `(generation,
+/// payload)` if it validates.
 fn read_slot(inner: &VolInner, slot: u64) -> Option<(u64, Vec<u8>)> {
-    let bs = inner.block_size;
-    let base = slot * slot_blocks(inner.meta_blocks);
-    let dev = &inner.devices[0];
-    let mut head = vec![0u8; bs];
-    dev.read_block(base, &mut head).ok()?;
-    if &head[..8] != MAGIC {
-        return None;
-    }
-    let gen = u64::from_le_bytes(head[8..16].try_into().ok()?);
-    let len = u64::from_le_bytes(head[16..24].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(head[24..28].try_into().ok()?);
-    let slot_bytes = (slot_blocks(inner.meta_blocks) * bs as u64) as usize;
-    if HEADER + len > slot_bytes {
-        return None;
-    }
-    let mut image = vec![0u8; HEADER + len];
-    let blocks_needed = image.len().div_ceil(bs);
-    let mut block = vec![0u8; bs];
-    for i in 0..blocks_needed {
-        if i == 0 {
-            block.copy_from_slice(&head);
-        } else {
-            dev.read_block(base + i as u64, &mut block).ok()?;
-        }
-        let start = i * bs;
-        let take = bs.min(image.len() - start);
-        image[start..start + take].copy_from_slice(&block[..take]);
-    }
-    let mut crced = Vec::with_capacity(16 + len);
-    crced.extend_from_slice(&gen.to_le_bytes());
-    crced.extend_from_slice(&(len as u64).to_le_bytes());
-    crced.extend_from_slice(&image[HEADER..]);
-    if crc32(&crced) != crc {
-        return None;
-    }
-    Some((gen, image[HEADER..].to_vec()))
+    let blocks = slot_blocks(inner.meta_blocks);
+    let buf = frame::read(&inner.devices[0], slot * blocks, blocks).ok()?;
+    let image = frame::unframe(&buf)?;
+    Some((image.gen, image.payload.to_vec()))
 }
 
 /// Read the meta region, rebuild directory + allocator state from the
@@ -254,13 +226,11 @@ pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
         let mut alloc = inner.alloc.lock();
         for meta in persisted.files {
             for (slot, extents) in meta.extents.iter().enumerate() {
-                let dev_idx = meta.device_map[slot];
                 for &e in extents {
-                    let e: Extent = e;
-                    alloc.reserve(dev_idx, e);
+                    alloc.reserve(meta.device_map[slot], e);
                 }
             }
-            files.insert(meta.name.clone(), std::sync::Arc::new(FileState::new(meta)));
+            files.insert(meta.name.clone(), Arc::new(FileState::new(meta)));
         }
     }
     {
@@ -301,8 +271,13 @@ pub(crate) fn status(inner: &VolInner) -> MetaStatus {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
     use crate::volume::{FileSpec, Volume};
-    use pario_disk::{mem_array, DeviceRef};
+    use pario_disk::{
+        mem_array, BlockDevice, DeviceRef, FaultDevice, FaultPlan, IoCounters, MemDisk,
+    };
     use pario_layout::LayoutSpec;
 
     fn devices() -> Vec<DeviceRef> {
@@ -427,35 +402,179 @@ mod tests {
         assert_eq!(a.min(b) + 1, a.max(b));
     }
 
+    /// What the retired formats checksummed: CRC-32 of `data` (the
+    /// codec's checksum starts after a 12-byte prefix).
+    fn retired_crc(data: &[u8]) -> [u8; 4] {
+        crate::frame::checksum(&[&[0u8; 12][..], data].concat())
+    }
+
     #[test]
     fn retired_single_slot_image_is_rejected_and_left_untouched() {
         use crate::error::FsError;
-        let devs = devices();
-        // The image the pre-dual-slot format kept at block 0: an
-        // unchecksummed magic ("PARIOFS" + format digit 1), payload
-        // length, then the JSON directory. No reader for it remains.
         let json = br#"{"block_size":512,"next_id":1,"files":[]}"#;
-        let mut block = b"PARIOFS".to_vec();
-        block.push(b'1');
-        block.extend_from_slice(&(json.len() as u64).to_le_bytes());
-        block.extend_from_slice(json);
-        block.resize(512, 0);
-        devs[0].write_block(0, &block).unwrap();
+        // The pre-dual-slot image at block 0: an unchecksummed magic
+        // ("PARIOFS" + format digit 1), payload length, then the JSON
+        // directory.
+        let mut single = b"PARIOFS1".to_vec();
+        single.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        single.extend_from_slice(json);
+        // The dual-slot format's slot A: "PARIOSB2", generation and
+        // length, a CRC over those two and the payload, padding to 32.
+        let mut covered = 1u64.to_le_bytes().to_vec();
+        covered.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        covered.extend_from_slice(json);
+        let mut dual = b"PARIOSB2".to_vec();
+        dual.extend_from_slice(&covered[..16]);
+        dual.extend_from_slice(&retired_crc(&covered));
+        dual.resize(32, 0);
+        dual.extend_from_slice(json);
+        // And a record of its journal: "PJL2", generation, seq, a u32
+        // length, a CRC over those three and the payload.
+        let rec = br#"{"Remove":{"id":1}}"#;
+        let mut covered = 1u64.to_le_bytes().to_vec();
+        covered.extend_from_slice(&0u64.to_le_bytes());
+        covered.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+        covered.extend_from_slice(rec);
+        let mut record = b"PJL2".to_vec();
+        record.extend_from_slice(&covered[..20]);
+        record.extend_from_slice(&retired_crc(&covered));
+        record.extend_from_slice(rec);
 
-        let image = || {
-            let mut all = vec![0u8; 1024 * 512];
-            for (i, block) in all.chunks_mut(512).enumerate() {
-                devs[0].read_block(i as u64, block).unwrap();
+        let journal = super::journal_start(super::meta_blocks(512, 1024));
+        let volumes = [
+            vec![(0, single)],
+            vec![(0, dual.clone())],
+            vec![(0, dual), (journal, record)],
+        ];
+        for images in volumes {
+            let devs = devices();
+            for (block, mut image) in images {
+                image.resize(image.len().next_multiple_of(512), 0);
+                devs[0].write_blocks_at(block, &image).unwrap();
             }
-            all
-        };
-        let before = image();
-        match Volume::mount(devs.clone()) {
-            Err(FsError::Meta(msg)) => assert!(msg.contains("no valid pario superblock"), "{msg}"),
-            Err(e) => panic!("expected the typed bad-superblock error, got {e:?}"),
-            Ok(_) => panic!("a retired-format image must not mount"),
+            let image = || {
+                let mut all = vec![0u8; 1024 * 512];
+                devs[0].read_blocks_at(0, &mut all).unwrap();
+                all
+            };
+            let before = image();
+            match Volume::mount(devs.clone()) {
+                Err(FsError::Meta(msg)) => {
+                    assert!(msg.contains("no valid pario superblock"), "{msg}")
+                }
+                Err(e) => panic!("expected the typed bad-superblock error, got {e:?}"),
+                Ok(_) => panic!("a retired-format image must not mount"),
+            }
+            assert!(before == image(), "a failed mount wrote to device 0");
         }
-        assert!(before == image(), "a failed mount wrote to device 0");
+    }
+
+    /// A striped file of no records over the three devices.
+    fn empty(name: &str) -> FileSpec {
+        let layout = LayoutSpec::Striped {
+            devices: 3,
+            unit: 1,
+        };
+        FileSpec::new(name, 512, 1, layout)
+    }
+
+    /// A `MemDisk` that counts its flushes.
+    struct Flushes {
+        disk: MemDisk,
+        flushes: AtomicU64,
+    }
+
+    impl BlockDevice for Flushes {
+        fn block_size(&self) -> usize {
+            self.disk.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+            self.disk.read_blocks_at(block, buf)
+        }
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+            self.disk.write_blocks_at(block, data)
+        }
+        fn flush(&self) -> pario_disk::Result<()> {
+            self.flushes.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+        fn counters(&self) -> IoCounters {
+            self.disk.counters()
+        }
+        fn fail(&self) {
+            self.disk.fail()
+        }
+        fn heal(&self) {
+            self.disk.heal()
+        }
+        fn is_failed(&self) -> bool {
+            self.disk.is_failed()
+        }
+    }
+
+    #[test]
+    fn a_multi_block_checkpoint_is_one_write_and_one_flush() {
+        let dev0 = Arc::new(Flushes {
+            disk: MemDisk::new(1024, 512),
+            flushes: AtomicU64::new(0),
+        });
+        let mut devs = devices();
+        devs[0] = Arc::clone(&dev0) as DeviceRef;
+        let v = Volume::new(devs).unwrap();
+        for i in 0..12 {
+            v.create_file(empty(&format!("f{i}"))).unwrap();
+        }
+        let (was, flushes) = (dev0.counters(), dev0.flushes.load(Ordering::SeqCst));
+        v.sync_meta().unwrap();
+        let now = dev0.counters();
+        assert!(now.blocks_written - was.blocks_written >= 3, "{now:?}");
+        assert_eq!(now.writes - was.writes, 1, "one run");
+        assert_eq!(dev0.flushes.load(Ordering::SeqCst) - flushes, 1);
+        assert_eq!(now.reads, was.reads, "a checkpoint reads nothing");
+    }
+
+    #[test]
+    fn a_torn_multi_block_checkpoint_mounts_from_the_other_slot() {
+        let plan = FaultPlan {
+            crash_after_writes: Some(0),
+            crash_torn: true,
+            ..FaultPlan::default()
+        };
+        let mut devs = devices();
+        let (fault, dev0) = FaultDevice::wrap(Arc::clone(&devs[0]), plan);
+        devs[0] = dev0;
+        fault.set_armed(false);
+        let v = Volume::new(devs.clone()).unwrap();
+        for i in 0..12 {
+            v.create_file(empty(&format!("f{i}"))).unwrap();
+        }
+        v.sync_meta().unwrap();
+        let synced = v.meta_status().generation;
+        // Journaled after the checkpoint, so the fallback replays it.
+        v.create_file(empty("late")).unwrap();
+        fault.set_armed(true);
+        assert!(v.sync_meta().is_err(), "the checkpoint write crashed");
+        v.abandon();
+        drop(v);
+        fault.heal();
+
+        // The torn slot's first blocks landed: a header for the next
+        // generation whose payload does not check.
+        let slot = super::slot_blocks(super::meta_blocks(512, 1024));
+        let torn = (synced + 1) % 2 * slot;
+        let mut head = vec![0u8; 512];
+        devs[0].read_blocks_at(torn, &mut head).unwrap();
+        assert_eq!(&head[..8], b"PARIOFS3");
+        assert_eq!(head[12..20], (synced + 1).to_le_bytes());
+
+        let v = Volume::mount(devs).unwrap();
+        let report = v.mount_report().unwrap();
+        assert_eq!((report.generation, report.replayed_records), (synced, 1));
+        assert_eq!(v.list().len(), 13);
+        assert!(v.list().contains(&"late".to_string()));
     }
 
     #[test]
@@ -490,11 +609,11 @@ mod tests {
             drop(probe);
             let base = newest * super::slot_blocks(super::meta_blocks(512, 1024));
             let mut head = vec![0u8; 512];
-            devs[0].read_block(base, &mut head).unwrap();
-            for b in head.iter_mut().skip(super::HEADER).take(16) {
+            devs[0].read_blocks_at(base, &mut head).unwrap();
+            for b in head.iter_mut().skip(crate::frame::HEADER).take(16) {
                 *b ^= 0xFF;
             }
-            devs[0].write_block(base, &head).unwrap();
+            devs[0].write_blocks_at(base, &head).unwrap();
         }
         let v2 = Volume::mount(devs).unwrap();
         let report = v2.mount_report().expect("mount sets a report");

@@ -131,10 +131,11 @@ impl FileState {
 }
 
 pub(crate) struct VolInner {
-    /// The devices as handed in. Only the superblock and journal
-    /// (`superblock.rs`, `journal.rs`), teardown `flush`, and
-    /// [`Volume::device`] — counters, failure state and fault injection
-    /// — use them directly; every file byte goes through `io_devices`.
+    /// The devices as handed in. Only the meta region's images
+    /// (`frame.rs`, for `superblock.rs` and `journal.rs`), teardown
+    /// `flush`, and [`Volume::device`] — counters, failure state and
+    /// fault injection — use them directly; every file byte goes
+    /// through `io_devices`.
     pub(crate) devices: Vec<DeviceRef>,
     /// The volume's I/O executor: one persistent [`IoNode`] worker per
     /// device, dispatching FIFO; entry `i` routes to `devices[i]`.
@@ -268,7 +269,6 @@ impl Volume {
                         gen: 0,
                         pos: 0,
                         seq: 0,
-                        enabled: true,
                     },
                     LockLevel::FsJournal,
                 ),
@@ -318,25 +318,6 @@ impl Volume {
     /// them — what a crash/remount harness needs.
     pub fn abandon(&self) {
         self.inner.live.store(false, Ordering::SeqCst);
-    }
-
-    /// Toggle metadata intent journaling (measurement knob). While
-    /// disabled, metadata operations are durable only at [`Volume::sync_meta`]
-    /// checkpoints — crash consistency degrades to checkpoint
-    /// granularity. Re-enabling checkpoints first so the journal
-    /// restarts from a clean generation.
-    pub fn set_meta_journaling(&self, enabled: bool) -> Result<()> {
-        {
-            let mut journal = self.inner.journal.lock();
-            if journal.enabled == enabled {
-                return Ok(());
-            }
-            journal.enabled = enabled;
-        }
-        if enabled {
-            self.sync_meta()?;
-        }
-        Ok(())
     }
 
     /// Volume block size in bytes.
@@ -511,6 +492,9 @@ impl Volume {
                 if files.contains_key(&spec.name) {
                     return Err(FsError::AlreadyExists(spec.name));
                 }
+                // A directory that outgrew a slot could be neither
+                // checkpointed nor, after a crash, remounted.
+                superblock::admit(&self.inner, &files, &state.meta.read())?;
                 files.insert(spec.name.clone(), Arc::clone(&state));
             }
             // Journal the create before any growth it triggers, so
@@ -1253,10 +1237,10 @@ mod tests {
         assert_eq!(f.nblocks(), 20);
     }
 
-    /// `PJL2` and `Record` are what the parent commit wrote: a journal
-    /// holding its record stream for a file appended a block at a time —
-    /// a `Create`, then one one-block `Grow` per append — mounts, replays
-    /// to the same merged extents, and grows on under this policy.
+    /// The record stream a policy without run-ahead wrote for a file
+    /// appended a block at a time — a `Create`, then one one-block
+    /// `Grow` per append — mounts, replays to the same merged extents,
+    /// and grows on under this policy.
     #[test]
     fn per_block_grow_records_replay() {
         let devs = mem_array(4, 1024, 512);
@@ -1318,6 +1302,32 @@ mod tests {
         let mut buf = vec![0u8; 512];
         f.read_record(8, &mut buf).unwrap();
         assert_eq!(buf, block_of(8, 512));
+    }
+
+    #[test]
+    fn a_create_no_slot_can_hold_is_refused_and_the_volume_remounts() {
+        let devs = mem_array(4, 1024, 512);
+        let v = Volume::new(devs.clone()).unwrap();
+        let mut acked = Vec::new();
+        let refused = loop {
+            let name = format!("file-{:05}", acked.len());
+            match v.create_file(striped_spec(&name)) {
+                Ok(_) => acked.push(name),
+                Err(e) => break e,
+            }
+            assert!(acked.len() < 1000, "the directory never filled a slot");
+        };
+        // 48-block slots of 512 bytes.
+        assert!(
+            matches!(refused, FsError::DirectoryFull { limit: 24_576, .. }),
+            "{refused:?}"
+        );
+        assert_eq!(v.list(), acked, "a refused create is not listed");
+        v.abandon();
+        drop(v);
+        let v = Volume::mount(devs).unwrap();
+        assert_eq!(v.list(), acked, "every acknowledged create, and only those");
+        v.sync_meta().unwrap();
     }
 
     #[test]

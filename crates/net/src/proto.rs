@@ -656,6 +656,9 @@ fn encode_fs_error(w: &mut WireWriter, e: &FsError) {
         FsError::Meta(msg) => {
             w.u8(7).str_prefixed(msg);
         }
+        FsError::DirectoryFull { needed, limit } => {
+            w.u8(8).u64(*needed).u64(*limit);
+        }
     }
 }
 
@@ -678,6 +681,10 @@ fn decode_fs_error(r: &mut WireReader<'_>) -> WireResult<FsError> {
             capacity: r.u64()?,
         },
         7 => FsError::Meta(r.str_prefixed()?),
+        8 => FsError::DirectoryFull {
+            needed: r.u64()?,
+            limit: r.u64()?,
+        },
         other => {
             return Err(WireError::Malformed(format!("bad fs-error tag {other}")));
         }

@@ -167,6 +167,10 @@ fn server_error_taxonomy_is_lossless() {
             state: HealthState::Rebuilding,
         },
         ServerError::Core(CoreError::Fs(FsError::NotFound("x".into()))),
+        ServerError::Core(CoreError::Fs(FsError::DirectoryFull {
+            needed: 30_194,
+            limit: 24_576,
+        })),
         ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Timeout {
             device: "mem-1".into(),
         }))),

@@ -1,14 +1,12 @@
 //! Failure-injection campaigns.
 //!
 //! Deterministic schedules of device failures drawn from the exponential
-//! lifetime model, plus helpers to apply them to a real device array.
-//! Experiments use these to exercise detection, degraded operation, and
-//! rebuild under the failure rates the paper's §5 predicts.
+//! lifetime model. Experiments use these to exercise detection, degraded
+//! operation, and rebuild under the failure rates the paper's §5
+//! predicts.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-use pario_disk::DeviceRef;
 
 /// One scheduled fail-stop event.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -43,17 +41,9 @@ pub fn failure_schedule(
     events
 }
 
-/// Apply the schedule instantaneously: fail every listed device now.
-pub fn apply_failures(devices: &[DeviceRef], events: &[FailureEvent]) {
-    for e in events {
-        devices[e.device].fail();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pario_disk::mem_array;
 
     #[test]
     fn deterministic_given_seed() {
@@ -87,25 +77,5 @@ mod tests {
             (0.7..1.6).contains(&mean),
             "mean failures per two weeks = {mean}, paper predicts ~1.1"
         );
-    }
-
-    #[test]
-    fn apply_fails_devices() {
-        let devs = mem_array(4, 8, 64);
-        let events = vec![
-            FailureEvent {
-                device: 1,
-                at_hours: 1.0,
-            },
-            FailureEvent {
-                device: 3,
-                at_hours: 2.0,
-            },
-        ];
-        apply_failures(&devs, &events);
-        assert!(!devs[0].is_failed());
-        assert!(devs[1].is_failed());
-        assert!(!devs[2].is_failed());
-        assert!(devs[3].is_failed());
     }
 }

@@ -45,7 +45,7 @@ mod scrub;
 
 pub use audit::{audit_volume, AuditReport};
 pub use checksum::{fnv1a, ChecksumDevice};
-pub use inject::{apply_failures, failure_schedule, FailureEvent};
+pub use inject::{failure_schedule, FailureEvent};
 pub use mtbf::{
     expected_failures, monte_carlo_mttf, paper_table, system_mtbf_hours, MtbfRow, HOURS_PER_YEAR,
     PAPER_DEVICE_MTBF_HOURS,

@@ -76,26 +76,20 @@ pub fn repair(raw: &RawFile) -> Result<u64> {
     Ok(repaired)
 }
 
-/// Copy every block of a device into memory — a point-in-time "backup".
+/// Copy every block of a device into memory, one run — a point-in-time
+/// "backup".
 pub fn snapshot_device(dev: &DeviceRef) -> Result<Vec<u8>> {
-    let bs = dev.block_size();
-    let mut image = vec![0u8; bs * dev.num_blocks() as usize];
-    for b in 0..dev.num_blocks() {
-        dev.read_block(b, &mut image[b as usize * bs..(b as usize + 1) * bs])?;
-    }
+    let mut image = vec![0u8; dev.block_size() * dev.num_blocks() as usize];
+    dev.read_blocks_at(0, &mut image)?;
     Ok(image)
 }
 
-/// Restore a device from a snapshot taken by [`snapshot_device`] —
-/// deliberately *only this device*, to reproduce the paper's partial-
-/// rollback inconsistency.
+/// Restore a device, one run, from a snapshot taken by
+/// [`snapshot_device`] — deliberately *only this device*, to reproduce
+/// the paper's partial-rollback inconsistency.
 pub fn restore_device(dev: &DeviceRef, image: &[u8]) -> Result<()> {
-    let bs = dev.block_size();
-    assert_eq!(image.len(), bs * dev.num_blocks() as usize);
-    for b in 0..dev.num_blocks() {
-        dev.write_block(b, &image[b as usize * bs..(b as usize + 1) * bs])?;
-    }
-    Ok(())
+    assert_eq!(image.len(), dev.block_size() * dev.num_blocks() as usize);
+    Ok(dev.write_blocks_at(0, image)?)
 }
 
 #[cfg(test)]

@@ -289,9 +289,7 @@ impl Simulation {
             stats.seek += b.seek;
             stats.rotation += b.rotation;
             stats.transfer += b.transfer;
-            let response = self.now - started.pending.issued;
-            stats.response_total += response;
-            stats.response_hist.record(response);
+            stats.response_total += self.now - started.pending.issued;
         }
         if self.trace {
             self.trace_events.push(TraceEvent {

@@ -54,5 +54,5 @@ pub use engine::Simulation;
 pub use model::{DeviceModel, FixedLatencyModel};
 pub use request::{DiskReq, PendingReq, ReqKind, ServiceBreakdown, Started};
 pub use script::{Op, Script};
-pub use stats::{DeviceStats, Histogram, ProcStats, SimReport, TraceEvent};
+pub use stats::{DeviceStats, ProcStats, SimReport, TraceEvent};
 pub use time::SimTime;

@@ -4,54 +4,6 @@ use serde::Serialize;
 
 use crate::time::SimTime;
 
-/// A log-2 bucketed latency histogram (bucket `i` counts samples in
-/// `[2^i, 2^(i+1))` microseconds; bucket 0 additionally catches
-/// sub-microsecond samples).
-#[derive(Clone, Debug, Default, Serialize, PartialEq, Eq)]
-pub struct Histogram {
-    /// Bucket counts, indexed by `floor(log2(us))`.
-    pub buckets: Vec<u64>,
-    /// Total samples.
-    pub count: u64,
-    /// Largest sample seen.
-    pub max: SimTime,
-}
-
-impl Histogram {
-    /// Record one latency sample.
-    pub fn record(&mut self, t: SimTime) {
-        let us = t.as_ns() / 1_000;
-        let idx = if us <= 1 {
-            0
-        } else {
-            63 - us.leading_zeros() as usize
-        };
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.max = self.max.max(t);
-    }
-
-    /// The smallest latency bound `b` such that at least `q` (0..=1) of
-    /// samples are `< b` — a coarse quantile from the bucket bounds.
-    pub fn quantile_upper_bound(&self, q: f64) -> SimTime {
-        if self.count == 0 {
-            return SimTime::ZERO;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return SimTime::from_us(1 << (i + 1));
-            }
-        }
-        self.max
-    }
-}
-
 /// Per-device accounting.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct DeviceStats {
@@ -70,20 +22,9 @@ pub struct DeviceStats {
     /// Sum over requests of (completion - issue); divide by `requests` for
     /// mean response time including queueing.
     pub response_total: SimTime,
-    /// Distribution of per-request response times.
-    pub response_hist: Histogram,
 }
 
 impl DeviceStats {
-    /// Mean response time (queue + service) per request.
-    pub fn mean_response(&self) -> SimTime {
-        if self.requests == 0 {
-            SimTime::ZERO
-        } else {
-            self.response_total / self.requests
-        }
-    }
-
     /// Fraction of `makespan` this device was busy.
     pub fn utilization(&self, makespan: SimTime) -> f64 {
         if makespan.is_zero() {
@@ -147,21 +88,6 @@ impl SimReport {
         self.devices.iter().map(|d| d.blocks).sum()
     }
 
-    /// Aggregate throughput in blocks per simulated second.
-    pub fn blocks_per_sec(&self) -> f64 {
-        if self.makespan.is_zero() {
-            0.0
-        } else {
-            self.total_blocks() as f64 / self.makespan.as_secs_f64()
-        }
-    }
-
-    /// Aggregate throughput in bytes per simulated second, given the device
-    /// block size used by the experiment.
-    pub fn bytes_per_sec(&self, block_size: usize) -> f64 {
-        self.blocks_per_sec() * block_size as f64
-    }
-
     /// Mean device utilization over the run.
     pub fn mean_utilization(&self) -> f64 {
         if self.devices.is_empty() {
@@ -188,30 +114,9 @@ mod tests {
             response_total: SimTime::from_ms(8),
             ..DeviceStats::default()
         };
-        assert_eq!(d.mean_response(), SimTime::from_ms(2));
         let u = d.utilization(SimTime::from_ms(10));
         assert!((u - 0.5).abs() < 1e-12);
-        assert_eq!(DeviceStats::default().mean_response(), SimTime::ZERO);
         assert_eq!(DeviceStats::default().utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::default();
-        assert_eq!(h.quantile_upper_bound(0.5), SimTime::ZERO);
-        for us in [1u64, 3, 3, 100, 100, 100, 100, 5000] {
-            h.record(SimTime::from_us(us));
-        }
-        assert_eq!(h.count, 8);
-        assert_eq!(h.max, SimTime::from_ms(5));
-        // 1us -> bucket 0; 3us -> bucket 1; 100us -> bucket 6; 5000 -> 12.
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 2);
-        assert_eq!(h.buckets[6], 4);
-        assert_eq!(h.buckets[12], 1);
-        // Median bound: 4 of 8 samples inside buckets 0..=6.
-        assert_eq!(h.quantile_upper_bound(0.5), SimTime::from_us(128));
-        assert!(h.quantile_upper_bound(1.0) >= SimTime::from_ms(5));
     }
 
     #[test]
@@ -229,7 +134,5 @@ mod tests {
             ..DeviceStats::default()
         });
         assert_eq!(r.total_blocks(), 400);
-        assert!((r.blocks_per_sec() - 200.0).abs() < 1e-9);
-        assert!((r.bytes_per_sec(1024) - 200.0 * 1024.0).abs() < 1e-6);
     }
 }

@@ -65,7 +65,7 @@ proptest! {
         }
         for (x, y) in a.devices.iter().zip(&b.devices) {
             prop_assert_eq!(x.busy, y.busy);
-            prop_assert_eq!(&x.response_hist, &y.response_hist);
+            prop_assert_eq!(x.response_total, y.response_total);
         }
     }
 
@@ -93,9 +93,6 @@ proptest! {
                 .sum();
             prop_assert_eq!(traced, stats.busy);
         }
-        // The response histogram counts every request.
-        let hist_count: u64 = report.devices.iter().map(|d| d.response_hist.count).sum();
-        prop_assert_eq!(hist_count, issued);
     }
 
     /// A device never services two requests at once (trace intervals on

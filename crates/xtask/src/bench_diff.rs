@@ -312,7 +312,7 @@ mod tests {
             ("sweep_x100_p50_nanos", 500.0),
             ("sat_fast_ops_per_sec", 100.0),
             ("depth1_rec_per_sec", 100.0),
-            ("steady_journal_on_secs", 1.0),
+            ("steady_overwrite_secs", 1.0),
         ]);
         // p99 +50% and throughput -90% regress; p50 growth, throughput
         // gain and a slower informational key do not.
@@ -321,7 +321,7 @@ mod tests {
             ("sweep_x100_p50_nanos", 5000.0),
             ("sat_fast_ops_per_sec", 10.0),
             ("depth1_rec_per_sec", 1000.0),
-            ("steady_journal_on_secs", 9.0),
+            ("steady_overwrite_secs", 9.0),
         ]);
         let (deltas, regressions) = compare(&old, &new, 0.10);
         assert_eq!(deltas.len(), 5);
