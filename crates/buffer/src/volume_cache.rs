@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, DerefMut};
 
 use pario_check::{Condvar, LockLevel, Mutex, MutexGuard};
-use pario_disk::{DeviceRef, Result, Ticket};
+use pario_disk::{DeviceRef, DiskError, Result, Ticket};
 
 use crate::cache::CacheStats;
 
@@ -368,6 +368,22 @@ impl VolumeCache {
         }
     }
 
+    /// Refuse a buffer of `len` bytes unless it is whole blocks (`one`:
+    /// exactly one), as `MemDisk` does — checked before the table is
+    /// locked, so a frame is never claimed for bytes that cannot fill it.
+    fn check_len(&self, len: usize, one: bool) -> Result<()> {
+        let bs = self.block_size;
+        let fits = if one {
+            len == bs
+        } else {
+            len.is_multiple_of(bs)
+        };
+        fits.then_some(()).ok_or(DiskError::BadBufferSize {
+            got: len,
+            expected: bs,
+        })
+    }
+
     // ------------------------------------------------------------------
     // Internal frame machinery. Everything that takes a `Table` may
     // release it around a transfer.
@@ -603,12 +619,12 @@ impl VolumeCache {
     }
 
     /// Read blocks synchronously through the cache (`out` must be a
-    /// whole number of blocks). Resident blocks are copied frame to
-    /// `out` once, under the lock; the ticket path takes over at the
-    /// first block that is not.
+    /// whole number of blocks, else `BadBufferSize`). Resident blocks are
+    /// copied frame to `out` once, under the lock; the ticket path takes
+    /// over at the first block that is not.
     pub fn read_blocks(&self, dev: usize, block: u64, out: &mut [u8]) -> Result<()> {
+        self.check_len(out.len(), false)?;
         let bs = self.block_size;
-        debug_assert_eq!(out.len() % bs, 0);
         let mut st = self.frames.lock();
         let mut served = 0usize;
         for chunk in out.chunks_mut(bs) {
@@ -630,8 +646,10 @@ impl VolumeCache {
         Ok(())
     }
 
-    /// Read one block synchronously through the cache.
+    /// Read one block synchronously through the cache; any other length
+    /// is `BadBufferSize`.
     pub fn read_block(&self, dev: usize, block: u64, out: &mut [u8]) -> Result<()> {
+        self.check_len(out.len(), true)?;
         self.read_blocks(dev, block, out)
     }
 
@@ -643,10 +661,11 @@ impl VolumeCache {
     /// dirty frames, and the write is complete when this returns. The
     /// device sees it at eviction or flush. Claiming a frame may write
     /// a dirty victim home first; that write-back's error is returned,
-    /// with the blocks before the failing one absorbed.
+    /// with the blocks before the failing one absorbed. `data` must be
+    /// whole blocks, else `BadBufferSize` and nothing is absorbed.
     pub fn submit_write(&self, dev: usize, block: u64, data: &[u8]) -> Result<()> {
+        self.check_len(data.len(), false)?;
         let bs = self.block_size;
-        debug_assert_eq!(data.len() % bs, 0);
         let mut st = self.table();
         for (j, chunk) in data.chunks(bs).enumerate() {
             let key = (dev, block + j as u64);
@@ -667,8 +686,10 @@ impl VolumeCache {
         Ok(())
     }
 
-    /// Write one block through the cache.
+    /// Write one block through the cache; any other length is
+    /// `BadBufferSize`.
     pub fn write_block(&self, dev: usize, block: u64, data: &[u8]) -> Result<()> {
+        self.check_len(data.len(), true)?;
         self.submit_write(dev, block, data)
     }
 
@@ -974,6 +995,29 @@ mod tests {
             c.frames.lock().stale.is_empty(),
             "marks retire with the fetches"
         );
+    }
+
+    /// A short buffer used to reach the table: a write claimed a frame
+    /// and panicked filling it, leaving the slot neither free nor mapped,
+    /// and the next sweep to reach it panicked too.
+    #[test]
+    fn a_partial_block_is_refused_before_a_frame_is_claimed() {
+        let (c, _d) = cache(4);
+        let short = |got| Err(DiskError::BadBufferSize { got, expected: BS });
+        assert_eq!(c.write_block(0, 1, &[1u8; BS - 1]), short(BS - 1));
+        assert_eq!(c.read_block(0, 2, &mut [0u8; BS - 1]), short(BS - 1));
+        assert_eq!(c.write_block(0, 1, &[1u8; 2 * BS]), short(2 * BS));
+        assert_eq!(c.submit_write(0, 1, &[1u8; BS + 1]), short(BS + 1));
+        assert_eq!(c.read_blocks(0, 2, &mut [0u8; BS + 1]), short(BS + 1));
+        assert!(c.is_empty(), "nothing was absorbed or filled");
+        // Fill every frame, then sweep all of them out.
+        for b in 0..8u64 {
+            c.write_block(0, b, &[b as u8; BS]).unwrap();
+        }
+        assert_eq!((c.len(), c.stats().base.evictions), (4, 4));
+        let mut buf = [0u8; BS];
+        c.read_block(0, 7, &mut buf).unwrap();
+        assert_eq!(buf[0], 7);
     }
 
     #[test]

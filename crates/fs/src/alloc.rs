@@ -196,6 +196,27 @@ pub fn resolve(extents: &[Extent], dblock: u64) -> u64 {
     panic!("device-local block {dblock} beyond allocated extents");
 }
 
+/// Device-local blocks `[dblock, dblock + count)` split at the extent
+/// list's boundaries, as `(absolute first block, blocks)` pieces in
+/// order. The pieces stop where the extents do.
+pub(crate) fn segments(
+    extents: &[Extent],
+    dblock: u64,
+    count: u64,
+) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let (mut local, mut remaining) = (dblock, count);
+    extents.iter().filter_map(move |e| {
+        if local >= e.len {
+            local -= e.len;
+            return None;
+        }
+        let take = (e.len - local).min(remaining);
+        let piece = (e.start + local, take);
+        (local, remaining) = (0, remaining - take);
+        (take > 0).then_some(piece)
+    })
+}
+
 /// Append `e` to a slot's extent list, folding it into the last extent
 /// when it continues it — so span I/O sees maximal contiguous device
 /// runs however the file grew. Growth and journal replay both go
@@ -280,6 +301,11 @@ mod tests {
         assert_eq!(resolve(&extents, 3), 7);
         assert_eq!(resolve(&extents, 7), 11);
         assert_eq!(extents_len(&extents), 8);
+        let split = |dblock, count| segments(&extents, dblock, count).collect::<Vec<_>>();
+        assert_eq!(split(1, 2), [(101, 2)]);
+        assert_eq!(split(1, 4), [(101, 2), (7, 2)]);
+        assert_eq!(split(4, 3), [(8, 3)]);
+        assert_eq!(split(6, 9), [(10, 2)], "the pieces stop with the extents");
     }
 
     #[test]

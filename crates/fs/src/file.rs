@@ -6,10 +6,13 @@
 //!    extent → absolute device block. `RawFile::plan` turns a span of
 //!    whole blocks into merged per-device runs and
 //!    `RawFile::run_segments` resolves a run to device extents; every
-//!    transfer, and the cache flush hooks, start from that one plan. A
-//!    span that is one transfer moves straight between the device and
-//!    the caller's buffer; any other is staged run by run, in buffers
-//!    taken from and handed back to the volume's free list
+//!    transfer of more than one run, and the cache flush hooks, start
+//!    from that one plan. A span that is one transfer
+//!    (`RawFile::one_transfer`, which allocates nothing) skips the plan
+//!    and moves in one call between the caller's buffer and the volume's
+//!    data path — the cache tier where there is one, the device's
+//!    executor handle otherwise; any other span is staged run by run, in
+//!    buffers taken from and handed back to the volume's free list
 //!    (`crate::staging`), so a warm span path allocates no block.
 //! 2. **Redundancy maintenance** — one reader (`RawFile::read_blocks`)
 //!    and one writer (`RawFile::write_blocks`) over whole blocks,
@@ -133,6 +136,13 @@ struct MergedRun {
     dblock: u64,
     count: u64,
     parts: Vec<Run>,
+}
+
+/// The caller's side of a one-transfer span
+/// ([`RawFile::move_direct`]).
+enum Direct<'a> {
+    Read(&'a mut [u8]),
+    Write(&'a [u8]),
 }
 
 /// One in-flight segment transfer of a merged run: an executor ticket
@@ -990,44 +1000,55 @@ impl RawFile {
     fn run_segments(&self, slot: usize, dblock: u64, count: u64) -> Vec<(DeviceRef, u64, u64)> {
         let meta = self.state.meta.read();
         let dev = self.vol.io_device(meta.device_map[slot]);
-        let mut out = Vec::new();
-        let mut local = dblock;
-        let mut remaining = count;
-        for e in &meta.extents[slot] {
-            if remaining == 0 {
-                break;
-            }
-            if local >= e.len {
-                local -= e.len;
-                continue;
-            }
-            let take = (e.len - local).min(remaining);
-            out.push((Arc::clone(&dev), e.start + local, take));
-            remaining -= take;
-            local = 0;
-        }
-        assert_eq!(remaining, 0, "run extends past allocated extents");
+        let segs = crate::alloc::segments(&meta.extents[slot], dblock, count);
+        let out: Vec<_> = segs.map(|(abs, n)| (Arc::clone(&dev), abs, n)).collect();
+        let covered: u64 = out.iter().map(|&(_, _, n)| n).sum();
+        assert_eq!(covered, count, "run extends past allocated extents");
         out
     }
 
-    /// The one device transfer behind rows `[dblock, dblock + count)` of
-    /// `slot`, when they are exactly that: one extent segment with no
-    /// cache tier in front. A span that plans to a single such transfer
-    /// has nothing to fan out, so its caller blocks on the executor
-    /// handle's synchronous call — which an idle I/O node runs on the
-    /// calling thread, straight on the caller's window — instead of
-    /// submit + wait through a gathered or staged copy. Returns the
-    /// handle and absolute block; `None` leaves the run on the submit
-    /// path.
-    fn direct_segment(&self, slot: usize, dblock: u64, count: u64) -> Option<(DeviceRef, u64)> {
-        if self.vol.cache().is_some() {
-            return None;
-        }
-        let mut segs = self.run_segments(slot, dblock, count);
-        match segs.pop() {
-            Some((dev, abs, _)) if segs.is_empty() => Some((dev, abs)),
-            _ => None,
-        }
+    /// THE resolver: logical blocks `[first, first + count)` as the one
+    /// device transfer they are, when they are one — every block on the
+    /// home slot of the first, at the rows after its row. Checked block
+    /// by block, so nothing is assumed of the layout but its bijection;
+    /// a striped span of more than one block fails at its second.
+    /// Returns the first block's home; [`RawFile::move_direct`] asks
+    /// whether the rows are one extent segment. Allocates nothing.
+    fn one_transfer(&self, first: u64, count: u64) -> Option<PhysBlock> {
+        let home = self.layout.map(first);
+        let at = |i: u64| PhysBlock {
+            device: home.device,
+            block: home.block + i,
+        };
+        (1..count)
+            .all(|i| self.layout.map(first + i) == at(i))
+            .then_some(home)
+    }
+
+    /// Move rows `[row, row + n)` of layout slot `slot` — a span
+    /// [`RawFile::one_transfer`] resolved, at its home or at the copy its
+    /// route picked — in one call between the caller's buffer and the
+    /// volume's data path: [`VolumeCache::read_blocks`] /
+    /// [`VolumeCache::submit_write`] where a tier fronts the volume (a hit
+    /// costs a lookup and a copy), otherwise the executor handle's
+    /// blocking `read_blocks_at` / `write_blocks_at`, which an idle I/O
+    /// node runs on the calling thread. Nothing is submitted, staged or
+    /// planned: there is nothing to fan out. The outcome is reported to
+    /// the health board. `None`, nothing moved, when the rows are not one
+    /// extent segment: the caller plans the span.
+    fn move_direct(&self, slot: usize, row: u64, n: u64, buf: Direct<'_>) -> Option<Result<()>> {
+        let (vdev, abs) = {
+            let meta = self.state.meta.read();
+            let (abs, held) = crate::alloc::segments(&meta.extents[slot], row, n).next()?;
+            (held == n).then_some((meta.device_map[slot], abs))?
+        };
+        let done = match (self.vol.cache(), buf) {
+            (Some(c), Direct::Read(out)) => c.read_blocks(vdev, abs, out),
+            (Some(c), Direct::Write(data)) => c.submit_write(vdev, abs, data),
+            (None, Direct::Read(out)) => self.vol.io_device(vdev).read_blocks_at(abs, out),
+            (None, Direct::Write(data)) => self.vol.io_device(vdev).write_blocks_at(abs, data),
+        };
+        Some(self.settle(vdev, done))
     }
 
     /// A submitted segment transfer as this handle hands it on: in
@@ -1215,8 +1236,8 @@ impl RawFile {
     /// filled a buffer of the staging list ([`RawFile::submit_read_run`]),
     /// and it returns there. Behind the cache tier the buffer is the
     /// tier's own allocation and no read takes its like from the list,
-    /// so it is freed: a cached volume's record reads would otherwise
-    /// push a block an op through the list and out of its far end.
+    /// so it is freed: a cached volume's span reads would otherwise push
+    /// their blocks through the list and out of its far end.
     fn recycle(&self, buf: Box<[u8]>) {
         if self.vol.cache().is_none() {
             self.vol.staging().give(buf);
@@ -1257,12 +1278,14 @@ impl RawFile {
     /// submitted to the I/O executor before any is waited on, so every
     /// device works concurrently and no thread is spawned.
     ///
-    /// A span that is one transfer with nothing to race
-    /// ([`RawFile::direct_segment`]) has nothing to submit up front: it
-    /// blocks on the device call, straight into `buf`. A run whose first
-    /// copy fails [`recoverable`]y is resubmitted to its other copy as
-    /// the failure is seen, and those second transfers are waited as a
-    /// wave of their own. What no copy served is recovered in one step:
+    /// A span that is one transfer ([`RawFile::one_transfer`]) is not
+    /// planned when its route has a first copy, nothing to race and no
+    /// parity column down: it moves in one call, straight into `buf`
+    /// ([`RawFile::move_direct`]). A run whose first copy fails
+    /// [`recoverable`]y — a one-transfer span's included — is resubmitted
+    /// to its other copy as the failure is seen, and those second
+    /// transfers are waited as a wave of their own. What no copy served
+    /// is recovered in one step:
     /// a parity file reconstructs the lost column
     /// ([`RawFile::reconstruct`]); a shadowed run dead on both copies is
     /// re-planned block by block — the pair may be half dead in different
@@ -1279,11 +1302,31 @@ impl RawFile {
         }
         let bs = self.block_size();
         let count = (buf.len() / bs) as u64;
-        let groups = self.plan(first, count, true);
         let mut lost: Vec<(MergedRun, DiskError)> = Vec::new();
         {
             let _io = self.enter_io();
-            if let Redundancy::Parity(ps) = &self.redundancy {
+            let parity = matches!(self.redundancy, Redundancy::Parity(_));
+            let direct = self.one_transfer(first, count).and_then(|home| {
+                let route = self.route(home.device);
+                let [Some(slot), other] = route.copies else {
+                    return None;
+                };
+                let planned = route.race || (parity && route.down);
+                (!planned).then_some((home.block, slot, other))
+            });
+            // A one-transfer read whose first copy failed: its next copy,
+            // and the error.
+            let mut tried = None;
+            if let Some((row, slot, other)) = direct {
+                if let Some(res) = self.move_direct(slot, row, count, Direct::Read(buf)) {
+                    match Self::soft(res)? {
+                        Ok(()) => return Ok(()),
+                        Err(e) => tried = Some((other, e)),
+                    }
+                }
+            }
+            let groups = self.plan(first, count, true);
+            if let (Redundancy::Parity(ps), None) = (&self.redundancy, &tried) {
                 if groups.iter().flatten().any(|m| self.route(m.device).down) {
                     let pending = groups.into_iter().flatten().collect();
                     return self.reconstruct(ps, first, buf, lost, pending);
@@ -1301,24 +1344,18 @@ impl RawFile {
                 None => lost.push((m, e)),
             };
             for m in groups.into_iter().flatten() {
+                // The one run of a one-transfer span whose first copy has
+                // been tried (and the board told): on to the next.
+                if let Some((next, e)) = tried.take() {
+                    retry(m, next, e);
+                    continue;
+                }
                 let route = self.route(m.device);
                 let [Some(slot), other] = route.copies else {
                     let e = Self::stale(m.device);
                     retry(m, None, e);
                     continue;
                 };
-                if !route.race && m.parts.len() == 1 && m.parts[0].count == count {
-                    if let Some((dev, abs)) = self.direct_segment(slot, m.dblock, m.count) {
-                        let res = dev.read_blocks_at(abs, buf);
-                        match Self::soft(self.settle(self.slot_vdev(slot), res))? {
-                            Ok(()) => return Ok(()),
-                            // This copy has been tried (and the board
-                            // told): on to the next, like any failed run.
-                            Err(e) => retry(m, other, e),
-                        }
-                        continue;
-                    }
-                }
                 let hedge = other
                     .filter(|_| route.race)
                     .map(|s| (s, self.submit_read_run(s, m.dblock, m.count, true)));
@@ -1462,7 +1499,9 @@ impl RawFile {
     /// device. Shadowed spans hold a write-phase token: counted
     /// normally, stripe-locked while a mapped device is Rebuilding so
     /// the resync sweep can't interleave (see
-    /// [`RawFile::enter_shadow_write`]).
+    /// [`RawFile::enter_shadow_write`]). An unprotected span that is one
+    /// transfer ([`RawFile::one_transfer`]) is not planned: it moves in
+    /// one call, straight from `data` ([`RawFile::move_direct`]).
     fn write_blocks(&self, first: u64, data: &[u8]) -> Result<()> {
         match &self.redundancy {
             _ if data.is_empty() => Ok(()),
@@ -1471,7 +1510,13 @@ impl RawFile {
                 let _w = self.enter_shadow_write();
                 self.write_runs(first, data, Some(*primaries))
             }
-            Redundancy::None => self.write_runs(first, data, None),
+            Redundancy::None => {
+                let count = (data.len() / self.block_size()) as u64;
+                let direct = self.one_transfer(first, count).and_then(|home| {
+                    self.move_direct(home.device, home.block, count, Direct::Write(data))
+                });
+                direct.unwrap_or_else(|| self.write_runs(first, data, None))
+            }
         }
     }
 
@@ -1481,20 +1526,12 @@ impl RawFile {
     /// concurrently — one live copy suffices; the pair is degraded, not
     /// lost — and a run whose two copies both fail is re-planned block
     /// by block, so the span only fails where both copies of a block are
-    /// dead. An unmirrored span that is a single transfer
-    /// ([`RawFile::direct_segment`]) blocks on the device call, straight
-    /// from `data`.
+    /// dead.
     fn write_runs(&self, first: u64, data: &[u8], mirror: Option<usize>) -> Result<()> {
         let bs = self.block_size();
         let count = (data.len() / bs) as u64;
         let mut inflight = Vec::new();
         for m in self.plan(first, count, false).into_iter().flatten() {
-            if mirror.is_none() && m.count == count {
-                if let Some((dev, abs)) = self.direct_segment(m.device, m.dblock, m.count) {
-                    let res = dev.write_blocks_at(abs, data);
-                    return self.settle(self.slot_vdev(m.device), res);
-                }
-            }
             let staging = self.vol.staging();
             let mut gathered = staging.take(m.count as usize * bs);
             let mut at = 0;

@@ -64,12 +64,13 @@ proptest! {
     /// volume's media is block-for-block identical to the uncached one.
     /// On the parity layouts the writers' regions share stripes, their
     /// spans are ragged against them, and the comparison covers the
-    /// parity blocks.
+    /// parity blocks; on the shadowed one it covers the mirror copies.
     #[test]
     fn cached_volume_matches_uncached(
         layout in prop_oneof![
             Just(LayoutSpec::Striped { devices: 4, unit: 2 }),
             any::<bool>().prop_map(|rotated| LayoutSpec::Parity { data_devices: 3, rotated }),
+            Just(LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped { devices: 2, unit: 2 }))),
         ],
         // Two frames half the time: eviction write-back runs under the
         // concurrent writers.
@@ -235,6 +236,104 @@ proptest! {
             prop_assert!(lost.is_none(), "byte {:?} lost its acknowledged write", lost);
         }
     }
+}
+
+/// A cached volume with one file of 64-byte records, four to a block,
+/// written whole (`fill`, then flushed to the media) and with no frame
+/// resident.
+fn cached_file(layout: LayoutSpec, fill: u8) -> (Volume, pario_fs::RawFile) {
+    let v = new_volume()
+        .enable_cache(VolumeCacheConfig::write_back(16))
+        .unwrap();
+    let spec = FileSpec::new("f", 64, 4, layout).initial_records(CAP_BYTES / 64);
+    let f = v.create_file(spec).unwrap();
+    f.write_span(0, &vec![fill; CAP_BYTES as usize]).unwrap();
+    v.flush_cache().unwrap();
+    f.invalidate_span(0, CAP_BYTES);
+    (v, f)
+}
+
+/// Requests device `d`'s executor has serviced.
+fn served(v: &Volume, d: usize) -> u64 {
+    v.io_device(d).ionode_stats().unwrap().serviced
+}
+
+fn read_block(f: &pario_fs::RawFile, l: u64) -> Vec<u8> {
+    let mut got = vec![0u8; BS];
+    f.read_span(l * BS as u64, &mut got).unwrap();
+    got
+}
+
+/// A one-block read is one call on the tier: a dirty frame newer than
+/// the media serves it, and no device does.
+#[test]
+fn a_one_block_read_is_served_by_a_dirty_frame_newer_than_the_media() {
+    let striped = LayoutSpec::Striped {
+        devices: 4,
+        unit: 1,
+    };
+    let (v, f) = cached_file(striped, 1);
+    f.write_span(2 * BS as u64, &[2u8; BS]).unwrap();
+    let total = || (0..4).map(|d| served(&v, d)).sum::<u64>();
+    let before = total();
+    assert_eq!(read_block(&f, 2), vec![2u8; BS]);
+    assert_eq!(total(), before, "the executor served a hit");
+    let p = f.layout().map(2);
+    let meta = f.meta_snapshot();
+    let mut media = vec![0u8; BS];
+    let abs = resolve(&meta.extents[p.device], p.block);
+    v.device(meta.device_map[p.device])
+        .read_block(abs, &mut media)
+        .unwrap();
+    assert_eq!(media, vec![1u8; BS], "the frame is newer than the media");
+}
+
+/// A one-block read of a shadowed file whose home device fails: the
+/// failure reaches the health board once, and the mirror serves this
+/// read and, the home now `Failed`, the next one without a probe.
+#[test]
+fn a_one_block_read_of_a_failed_home_is_served_by_the_mirror() {
+    let shadowed = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
+        devices: 2,
+        unit: 2,
+    }));
+    let (v, f) = cached_file(shadowed, 3);
+    let map = f.meta_snapshot().device_map;
+    let (home, mirror) = (map[0], map[2]);
+    assert_eq!(f.layout().map(1).device, 0, "block 1 lives on slot 0");
+    v.device(home).fail();
+    let before = served(&v, mirror);
+    assert_eq!(read_block(&f, 1), vec![3u8; BS]);
+    assert_eq!(served(&v, mirror), before + 1, "the mirror served it");
+    let told = v.health().snapshot()[home].clone();
+    assert_eq!(told.state, pario_fs::HealthState::Failed);
+    assert_eq!(told.permanent_errors, 1, "the board is told once");
+
+    f.invalidate_span(0, CAP_BYTES);
+    let (h0, m0) = (served(&v, home), served(&v, mirror));
+    assert_eq!(read_block(&f, 1), vec![3u8; BS]);
+    assert_eq!((served(&v, home), served(&v, mirror)), (h0, m0 + 1));
+    assert_eq!(v.health().snapshot()[home].permanent_errors, 1);
+}
+
+/// A one-block read of a parity column whose device is down is not one
+/// transfer: it reconstructs the column from the survivors.
+#[test]
+fn a_one_block_read_of_a_down_parity_column_reconstructs_it() {
+    let parity = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let (v, f) = cached_file(parity, 0);
+    let model: Vec<u8> = (0..CAP_BYTES as usize).map(|i| (i / 7) as u8).collect();
+    f.write_span(0, &model).unwrap();
+    let l = 4u64;
+    let down = f.meta_snapshot().device_map[f.layout().map(l).device];
+    v.device(down).fail();
+    v.health().mark_failed(down);
+    let want = &model[l as usize * BS..(l as usize + 1) * BS];
+    assert_eq!(read_block(&f, l), want, "reconstructed from the survivors");
+    assert_eq!(v.device_health(down), pario_fs::HealthState::Failed);
 }
 
 /// Write-back past the frame budget: a producer dirtying four times

@@ -6,56 +6,13 @@
 //! only its bookkeeping: plans, tickets, reply channels.
 //!
 //! This file is one test in a binary of its own: the counting allocator
-//! below sees every thread of the process, the volume's device workers
-//! included, and nothing else may be allocating while it counts.
+//! sees every thread of the process.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting;
 
 use pario::disk::mem_array;
 use pario::fs::{FileSpec, RawFile, Volume};
 use pario::layout::LayoutSpec;
-
-/// Bytes requested from the allocator so far, by any thread.
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-fn count(bytes: usize) {
-    // A statistic: read only after the threads it counts have gone idle.
-    REQUESTED.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; counting touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` came from this allocator, that is from `System`,
-        // with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const BS: usize = 4096;
 /// Blocks a span: 256 KiB, the gated `span-parity` workload's size.
@@ -90,9 +47,9 @@ fn a_warm_span_allocates_no_staging() {
         let spec = FileSpec::new(name, BS, 1, layout).initial_records(SPAN as u64 + 8);
         let f = v.create_file(spec).unwrap();
         (0..21).for_each(|i| op(&f, i, &data, &mut out));
-        let before = REQUESTED.load(Ordering::Relaxed);
+        let before = counting::requested();
         (0..OPS).for_each(|i| op(&f, i, &data, &mut out));
-        let per_op = (REQUESTED.load(Ordering::Relaxed) - before) / OPS;
+        let per_op = (counting::requested() - before) / OPS;
         // Staged, a pair moves ~680 KiB (parity) or 512 KiB (striped)
         // through buffers of its own.
         assert!(
