@@ -15,12 +15,12 @@
 //!   there will be redundant data records"; [`ReplicatedBoundary::for_each_global`]
 //!   is the de-duplicating global reader that restores a coherent view.
 
-use pario_fs::Volume;
+use pario_fs::{RawFile, Volume};
 use pario_layout::LayoutSpec;
 
 use crate::error::{CoreError, Result};
 use crate::organization::Organization;
-use crate::pfile::{file_block_vblocks, uniform_bounds, ParallelFile};
+use crate::pfile::{file_block_vblocks, for_each_run, partition_records, ParallelFile};
 
 /// An in-memory window: a partition's records plus halo from neighbours.
 pub struct HaloRegion {
@@ -33,6 +33,20 @@ pub struct HaloRegion {
 }
 
 impl HaloRegion {
+    /// Read the window holding source records `held`, stored in `raw`
+    /// from record `at` on, around the owned range `own`: one call.
+    fn read(raw: &RawFile, at: u64, held: (u64, u64), own: (u64, u64)) -> Result<HaloRegion> {
+        let record_size = raw.record_size();
+        let mut data = vec![0u8; (held.1 - held.0) as usize * record_size];
+        raw.read_records(at, &mut data)?;
+        Ok(HaloRegion {
+            data,
+            record_size,
+            first: held.0,
+            own,
+        })
+    }
+
     /// Records held (own + halo).
     pub fn len_records(&self) -> u64 {
         (self.data.len() / self.record_size) as u64
@@ -59,39 +73,27 @@ impl HaloRegion {
     }
 }
 
+/// The owned range `own` widened by `halo` records each side, clamped to
+/// the `total` records of the file.
+fn with_halo(own: (u64, u64), halo: u64, total: u64) -> (u64, u64) {
+    (own.0.saturating_sub(halo), (own.1 + halo).min(total))
+}
+
 /// Load partition `p` of a PS/PDA file into memory together with up to
 /// `halo` records from each neighbouring partition.
 pub fn read_partition_with_halo(pf: &ParallelFile, p: u32, halo: u64) -> Result<HaloRegion> {
-    let (lo, hi) = pf.partition_record_range(p)?;
-    let total = pf.len_records();
-    let first = lo.saturating_sub(halo);
-    let last = (hi + halo).min(total);
-    let rs = pf.record_size();
-    let mut data = vec![0u8; (last - first) as usize * rs];
-    let mut buf = vec![0u8; rs];
-    for (i, r) in (first..last).enumerate() {
-        pf.raw().read_record(r, &mut buf)?;
-        data[i * rs..(i + 1) * rs].copy_from_slice(&buf);
-    }
-    Ok(HaloRegion {
-        data,
-        record_size: rs,
-        first,
-        own: (lo, hi),
-    })
+    let own = pf.partition_record_range(p)?;
+    let held = with_halo(own, halo, pf.len_records());
+    HaloRegion::read(pf.raw(), held.0, held, own)
 }
 
 struct PartInfo {
     /// Stored source range (ownership extended by halo), clamped.
-    src_lo: u64,
-    src_hi: u64,
+    held: (u64, u64),
     /// Owned source range.
-    own_lo: u64,
-    own_hi: u64,
+    own: (u64, u64),
     /// Record index in the replicated file where this partition starts.
     stored_start: u64,
-    /// Stored records including padding to a whole number of file blocks.
-    padded_len: u64,
 }
 
 /// A PS file in which every partition physically stores its halo.
@@ -116,31 +118,21 @@ pub fn create_replicated(
     let rpb = src.records_per_block() as u64;
     let fbv = file_block_vblocks(rs, src.records_per_block(), vol.block_size())?;
 
-    // Ownership: near-equal split of file blocks, like a plain PS file.
-    let fb_total = total.div_ceil(rpb);
-    let own_bounds = uniform_bounds(fb_total, partitions);
-
     let mut parts = Vec::with_capacity(partitions as usize);
     let mut stored_start = 0u64;
     let mut vblock_bounds = vec![0u64];
-    for p in 0..partitions as usize {
-        let own_lo = (own_bounds[p] * rpb).min(total);
-        let own_hi = (own_bounds[p + 1] * rpb).min(total);
-        let src_lo = own_lo.saturating_sub(halo);
-        let src_hi = (own_hi + halo).min(total);
-        let stored = src_hi - src_lo;
-        let padded_len = stored.div_ceil(rpb) * rpb;
+    for p in 0..partitions {
+        // Ownership: the split of a plain PS file.
+        let own = partition_records(total, rpb, partitions, p)?;
+        let held = with_halo(own, halo, total);
         parts.push(PartInfo {
-            src_lo,
-            src_hi,
-            own_lo,
-            own_hi,
+            held,
+            own,
             stored_start,
-            padded_len,
         });
-        stored_start += padded_len;
-        // invariant: vblock_bounds is seeded with 0, so last() always succeeds.
-        vblock_bounds.push(vblock_bounds.last().unwrap() + (padded_len / rpb) * fbv);
+        // Each partition starts on a file block of its own.
+        stored_start += (held.1 - held.0).div_ceil(rpb) * rpb;
+        vblock_bounds.push(stored_start / rpb * fbv);
     }
     let capacity = stored_start;
 
@@ -159,12 +151,11 @@ pub fn create_replicated(
 
     // Copy, halo records included (they are written twice — once per
     // neighbouring partition — which is the point).
-    let mut buf = vec![0u8; rs];
     for part in &parts {
-        for (i, r) in (part.src_lo..part.src_hi).enumerate() {
-            src.raw().read_record(r, &mut buf)?;
-            pf.raw().write_record(part.stored_start + i as u64, &buf)?;
-        }
+        for_each_run(src.raw(), part.held.0, part.held.1, |first, run| {
+            let at = part.stored_start + (first - part.held.0);
+            Ok(pf.raw().write_records(at, run)?)
+        })?;
     }
     pf.raw().extend_len_records(capacity);
 
@@ -189,8 +180,7 @@ impl ReplicatedBoundary {
     /// Extra records stored relative to the source (replication +
     /// padding overhead).
     pub fn overhead_records(&self) -> u64 {
-        let stored: u64 = self.parts.iter().map(|p| p.padded_len).sum();
-        stored - self.src_total
+        self.pf.len_records() - self.src_total
     }
 
     /// Read partition `p`'s stored region — own records *and* halo — as
@@ -200,40 +190,26 @@ impl ReplicatedBoundary {
             process: p,
             of: self.parts.len() as u32,
         })?;
-        let rs = self.pf.record_size();
-        let n = (part.src_hi - part.src_lo) as usize;
-        let mut data = vec![0u8; n * rs];
-        let mut buf = vec![0u8; rs];
-        for i in 0..n as u64 {
-            self.pf.raw().read_record(part.stored_start + i, &mut buf)?;
-            data[i as usize * rs..(i as usize + 1) * rs].copy_from_slice(&buf);
-        }
-        Ok(HaloRegion {
-            data,
-            record_size: rs,
-            first: part.src_lo,
-            own: (part.own_lo, part.own_hi),
-        })
+        HaloRegion::read(self.pf.raw(), part.stored_start, part.held, part.own)
     }
 
     /// The de-duplicating global view: emits each *source* record exactly
     /// once, in source order, skipping halo replicas and padding.
     pub fn for_each_global(&self, mut f: impl FnMut(u64, &[u8])) -> Result<u64> {
         let rs = self.pf.record_size();
-        let mut buf = vec![0u8; rs];
-        let mut emitted = 0u64;
         for part in &self.parts {
-            // Skip the left halo: start at the owned range.
-            let skip = part.own_lo - part.src_lo;
-            for (i, src_idx) in (part.own_lo..part.own_hi).enumerate() {
-                self.pf
-                    .raw()
-                    .read_record(part.stored_start + skip + i as u64, &mut buf)?;
-                f(src_idx, &buf);
-                emitted += 1;
-            }
+            // Skip the left halo: source record `own.0` is stored at `from`.
+            let from = part.stored_start + (part.own.0 - part.held.0);
+            let to = from + (part.own.1 - part.own.0);
+            for_each_run(self.pf.raw(), from, to, |at, run| {
+                let src = part.own.0 + (at - from);
+                for (i, rec) in run.chunks_exact(rs).enumerate() {
+                    f(src + i as u64, rec);
+                }
+                Ok(())
+            })?;
         }
-        Ok(emitted)
+        Ok(self.src_total)
     }
 }
 
@@ -364,6 +340,27 @@ mod tests {
             })
             .unwrap();
         assert_eq!(n, 120);
+    }
+
+    /// Copies and the global view move bounded runs: a file many runs
+    /// long still replicates and replays exactly.
+    #[test]
+    fn replication_spans_many_runs() {
+        let v = vol();
+        let pf = ps_source(&v, 1101, 3);
+        let rep = create_replicated(&v, "rep", &pf, 3, 5).unwrap();
+        let region = rep.read_partition(1).unwrap();
+        for idx in region.first_record()..region.first_record() + region.len_records() {
+            assert_eq!(region.record(idx), rec(idx).as_slice(), "record {idx}");
+        }
+        let mut next = 0u64;
+        let n = rep
+            .for_each_global(|idx, bytes| {
+                assert_eq!((idx, bytes), (next, rec(idx).as_slice()));
+                next += 1;
+            })
+            .unwrap();
+        assert_eq!(n, 1101);
     }
 
     #[test]

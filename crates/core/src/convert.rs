@@ -11,7 +11,19 @@ use pario_fs::{copy_global, Volume};
 
 use crate::error::Result;
 use crate::organization::Organization;
-use crate::pfile::{uniform_bounds, ParallelFile};
+use crate::pfile::{for_each_run, partition_records, ParallelFile};
+
+/// A new file `name` organized as `org`, with `src`'s records, record
+/// size and block shape.
+fn create_like(
+    vol: &Volume,
+    src: &ParallelFile,
+    name: &str,
+    org: Organization,
+) -> Result<ParallelFile> {
+    let (rs, rpb) = (src.record_size(), src.records_per_block());
+    ParallelFile::create_sized(vol, name, org, rs, rpb, src.len_records())
+}
 
 /// Copy `src` into a brand-new file `dst_name` organized as `dst_org`,
 /// sequentially through the global views. Returns the new file.
@@ -21,21 +33,15 @@ pub fn convert(
     dst_name: &str,
     dst_org: Organization,
 ) -> Result<ParallelFile> {
-    let dst = ParallelFile::create_sized(
-        vol,
-        dst_name,
-        dst_org,
-        src.record_size(),
-        src.records_per_block(),
-        src.len_records(),
-    )?;
+    let dst = create_like(vol, src, dst_name, dst_org)?;
     copy_global(src.raw(), dst.raw())?;
     Ok(dst)
 }
 
-/// Parallel conversion: `threads` workers each copy a contiguous record
-/// range. Faster than [`convert`] when source and destination placements
-/// give the workers independent devices.
+/// Parallel conversion: `threads` workers each copy a contiguous range
+/// of whole file blocks, a bounded run per call. Faster than
+/// [`convert`] when source and destination placements give the workers
+/// independent devices.
 pub fn convert_parallel(
     vol: &Volume,
     src: &ParallelFile,
@@ -45,42 +51,25 @@ pub fn convert_parallel(
 ) -> Result<ParallelFile> {
     assert!(threads >= 1);
     let total = src.len_records();
-    let dst = ParallelFile::create_sized(
-        vol,
-        dst_name,
-        dst_org,
-        src.record_size(),
-        src.records_per_block(),
-        total,
-    )?;
-    let bounds = uniform_bounds(total, threads);
-    let errs: Vec<crate::error::CoreError> = crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..threads as usize {
-            let (lo, hi) = (bounds[t], bounds[t + 1]);
-            let src = src.raw().clone();
-            let dst = dst.raw().clone();
-            handles.push(s.spawn(move |_| -> Result<()> {
-                let mut buf = vec![0u8; src.record_size()];
-                for r in lo..hi {
-                    src.read_record(r, &mut buf)?;
-                    dst.write_record(r, &buf)?;
-                }
-                Ok(())
-            }));
-        }
-        handles
+    let dst = create_like(vol, src, dst_name, dst_org)?;
+    let rpb = src.records_per_block() as u64;
+    let (from, to) = (src.raw(), dst.raw());
+    crossbeam::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move |_| {
+                    let (lo, hi) = partition_records(total, rpb, threads, t)?;
+                    for_each_run(from, lo, hi, |r, run| Ok(to.write_records(r, run)?))
+                })
+            })
+            .collect();
+        workers
             .into_iter()
             // invariant: a worker panic is a bug in the converter itself; propagate it.
-            .filter_map(|h| h.join().expect("worker panicked").err())
-            .collect()
+            .try_for_each(|w| w.join().expect("worker panicked"))
     })
     // invariant: scope() errs only when a worker panicked, handled above.
-    .expect("scope");
-    if let Some(e) = errs.into_iter().next() {
-        return Err(e);
-    }
-    dst.raw().extend_len_records(total);
+    .expect("scope")?;
     Ok(dst)
 }
 
@@ -160,6 +149,15 @@ mod tests {
         .unwrap();
         check(&dst, 128);
         assert_eq!(dst.len_records(), 128);
+    }
+
+    /// Workers copy bounded runs: ranges many runs long convert exactly.
+    #[test]
+    fn parallel_conversion_spans_many_runs() {
+        let v = vol();
+        let src = ps_source(&v, 1101);
+        let dst = convert_parallel(&v, &src, "dst", Organization::SelfScheduledSeq, 3).unwrap();
+        check(&dst, 1101);
     }
 
     #[test]

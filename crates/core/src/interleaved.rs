@@ -43,23 +43,33 @@ impl InterleavedHandle {
         self.stride
     }
 
-    /// Global record index the cursor points at.
+    /// Global record index the cursor points at: `u64::MAX`, which no
+    /// record's bytes can occupy, once the cursor has passed every index.
+    /// Such a cursor reads as end of file and refuses writes.
     pub fn current_record(&self) -> u64 {
-        self.fb * self.raw.records_per_block() as u64 + self.within as u64
+        let rpb = self.raw.records_per_block() as u64;
+        self.fb
+            .saturating_mul(rpb)
+            .saturating_add(self.within as u64)
     }
 
     /// Jump to the `k`-th block of *this process's* sequence (its local
     /// block index), record 0.
     pub fn seek_block(&mut self, k: u64) {
-        self.fb = u64::from(self.process) + k * u64::from(self.stride);
+        let fb = k.saturating_mul(u64::from(self.stride));
+        self.fb = fb.saturating_add(u64::from(self.process));
+        self.within = 0;
+    }
+
+    fn next_block(&mut self) {
+        self.fb = self.fb.saturating_add(u64::from(self.stride));
         self.within = 0;
     }
 
     fn advance(&mut self) {
         self.within += 1;
         if self.within == self.raw.records_per_block() {
-            self.fb += u64::from(self.stride);
-            self.within = 0;
+            self.next_block();
         }
     }
 
@@ -81,17 +91,16 @@ impl InterleavedHandle {
     /// must be block-aligned (it is unless `read_next` stopped
     /// mid-block); otherwise the read is refused.
     pub fn read_next_block(&mut self, out: &mut [u8]) -> Result<Option<u64>> {
-        let rs = self.raw.record_size();
-        let rpb = self.raw.records_per_block();
-        assert_eq!(out.len(), rs * rpb, "block buffer size");
+        assert_eq!(out.len(), self.raw.file_block_bytes(), "block buffer size");
         self.block_aligned()?;
         let first = self.current_record();
-        if first + rpb as u64 > self.raw.len_records() {
+        let rpb = self.raw.records_per_block() as u64;
+        if first.saturating_add(rpb) > self.raw.len_records() {
             return Ok(None);
         }
-        self.raw.read_span(first * rs as u64, out)?;
+        self.raw.read_records(first, out)?;
         let fb = self.fb;
-        self.fb += u64::from(self.stride);
+        self.next_block();
         Ok(Some(fb))
     }
 
@@ -100,15 +109,11 @@ impl InterleavedHandle {
     /// like [`read_next_block`](Self::read_next_block), with the cursor
     /// mid-block.
     pub fn write_next_block(&mut self, data: &[u8]) -> Result<u64> {
-        let rs = self.raw.record_size();
-        let rpb = self.raw.records_per_block();
-        assert_eq!(data.len(), rs * rpb, "block buffer size");
+        assert_eq!(data.len(), self.raw.file_block_bytes(), "block buffer size");
         self.block_aligned()?;
-        let first = self.current_record();
-        self.raw.write_span(first * rs as u64, data)?;
-        self.raw.extend_len_records(first + rpb as u64);
+        self.raw.write_records(self.current_record(), data)?;
         let fb = self.fb;
-        self.fb += u64::from(self.stride);
+        self.next_block();
         Ok(fb)
     }
 
@@ -138,7 +143,8 @@ impl InterleavedHandle {
 mod tests {
     use crate::organization::Organization;
     use crate::pfile::ParallelFile;
-    use pario_fs::{Volume, VolumeConfig};
+    use crate::CoreError;
+    use pario_fs::{FsError, Volume, VolumeConfig};
 
     fn vol(devices: usize) -> Volume {
         Volume::create_in_memory(VolumeConfig {
@@ -278,10 +284,51 @@ mod tests {
         let pf = ParallelFile::create(&v, "m", org, 64, 4).unwrap();
         let mut h = pf.interleaved_handle(0).unwrap();
         h.write_next(&rec(0, 64)).unwrap();
-        let refused = |e| matches!(e, Err(crate::CoreError::BadGeometry(_)));
+        let refused = |e| matches!(e, Err(CoreError::BadGeometry(_)));
         assert!(refused(h.write_next_block(&[1; 256]).map(|_| ())));
         assert!(refused(h.read_next_block(&mut [0; 256]).map(|_| ())));
         assert_eq!((h.current_record(), pf.len_records()), (1, 1));
+    }
+
+    #[test]
+    fn a_cursor_past_every_index_reads_as_eof_and_refuses_writes() {
+        let v = vol(4);
+        let org = Organization::InterleavedSeq { processes: 4 };
+        let pf = ParallelFile::create(&v, "m", org, 64, 4).unwrap();
+        let mut h = pf.interleaved_handle(1).unwrap();
+        h.seek_block(u64::MAX / 2);
+        assert_eq!(h.current_record(), u64::MAX);
+        let (mut rec, mut block) = ([0u8; 64], [0u8; 256]);
+        assert!(!h.read_next(&mut rec).unwrap());
+        assert_eq!(h.read_next_block(&mut block).unwrap(), None);
+        let refused = |e| matches!(e, Err(CoreError::Fs(FsError::OutOfBounds { .. })));
+        assert!(refused(h.write_next(&[1; 64]).map(|_| ())));
+        assert!(refused(h.write_next_block(&[1; 256]).map(|_| ())));
+        assert_eq!(pf.len_records(), 0);
+    }
+
+    #[test]
+    fn a_block_whose_bytes_no_offset_addresses_is_refused() {
+        let v = vol(4);
+        let org = Organization::InterleavedSeq { processes: 4 };
+        let pf = ParallelFile::create(&v, "m", org, 64, 4).unwrap();
+        let mut h = pf.interleaved_handle(0).unwrap();
+        let block: Vec<u8> = (0..4).flat_map(|r| rec(r, 64)).collect();
+        assert_eq!(h.write_next_block(&block).unwrap(), 0);
+        // Process 0's block 2^54 is file block 2^56: record 2^58, whose
+        // byte offset 2^58 * 64 is 2^64.
+        h.seek_block(1 << 54);
+        assert_eq!(h.current_record(), 1 << 58);
+        assert!(matches!(
+            h.write_next_block(&[0xAA; 256]),
+            Err(CoreError::Fs(FsError::OutOfBounds { .. }))
+        ));
+        assert_eq!(pf.len_records(), 4);
+        let mut back = [0u8; 64];
+        for r in 0..4 {
+            pf.raw().read_record(r, &mut back).unwrap();
+            assert_eq!(back[..], rec(r, 64)[..], "record {r}");
+        }
     }
 
     #[test]

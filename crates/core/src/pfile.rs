@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pario_fs::{FileSpec, GlobalReader, GlobalWriter, RawFile, Volume};
-use pario_layout::LayoutSpec;
+use pario_layout::{uniform_bounds, LayoutSpec};
 
 use crate::direct::DirectHandle;
 use crate::error::{CoreError, Result};
@@ -48,20 +48,45 @@ pub(crate) fn file_block_vblocks(
     Ok((fb / block_size) as u64)
 }
 
-/// Near-equal split of `total` items into `parts`: the first
-/// `total % parts` parts get one extra.
-pub(crate) fn uniform_bounds(total: u64, parts: u32) -> Vec<u64> {
-    let parts = u64::from(parts);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut bounds = Vec::with_capacity(parts as usize + 1);
-    bounds.push(0);
-    let mut acc = 0;
-    for p in 0..parts {
-        acc += base + u64::from(p < extra);
-        bounds.push(acc);
+/// Partition `p`'s record range `[lo, hi)` when `total` records, in
+/// file blocks of `rpb`, are split into `parts` near-equal runs of whole
+/// file blocks. Both ends clamp to `total`: with more partitions than
+/// file blocks the trailing ones are empty, and the partition holding a
+/// short tail block ends at `total`.
+pub(crate) fn partition_records(total: u64, rpb: u64, parts: u32, p: u32) -> Result<(u64, u64)> {
+    if p >= parts {
+        return Err(CoreError::BadProcess {
+            process: p,
+            of: parts,
+        });
     }
-    bounds
+    let bounds = uniform_bounds(total.div_ceil(rpb), parts as usize);
+    let at = |i: u32| (bounds[i as usize] * rpb).min(total);
+    Ok((at(p), at(p + 1)))
+}
+
+/// Bulk transfers move at most this many file blocks per call, so a copy
+/// of any size holds a bounded buffer.
+const RUN_BLOCKS: u64 = 64;
+
+/// Read records `[lo, hi)` of `raw` in runs of at most [`RUN_BLOCKS`]
+/// file blocks, one [`RawFile::read_records`] each, handing `f` each
+/// run's first record and bytes.
+pub(crate) fn for_each_run(
+    raw: &RawFile,
+    lo: u64,
+    hi: u64,
+    mut f: impl FnMut(u64, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let run = RUN_BLOCKS * raw.records_per_block() as u64;
+    let mut buf = vec![0u8; (hi - lo).min(run) as usize * raw.record_size()];
+    for first in (lo..hi).step_by(run as usize) {
+        let n = (hi - first).min(run) as usize;
+        let bytes = &mut buf[..n * raw.record_size()];
+        raw.read_records(first, bytes)?;
+        f(first, bytes)?;
+    }
+    Ok(())
 }
 
 impl ParallelFile {
@@ -110,11 +135,12 @@ impl ParallelFile {
                     )
                 })?;
                 let fbv = file_block_vblocks(record_size, records_per_block, bs)?;
-                let file_blocks = total.div_ceil(records_per_block as u64);
-                let bounds: Vec<u64> = uniform_bounds(file_blocks, partitions)
-                    .into_iter()
-                    .map(|b| b * fbv)
-                    .collect();
+                let rpb = records_per_block as u64;
+                let mut bounds = vec![0];
+                for p in 0..partitions {
+                    let (_, hi) = partition_records(total, rpb, partitions, p)?;
+                    bounds.push(hi.div_ceil(rpb) * fbv);
+                }
                 Ok(LayoutSpec::Partitioned {
                     bounds,
                     devices: (partitions as usize).min(devices),
@@ -228,8 +254,8 @@ impl ParallelFile {
         &self.ss
     }
 
-    /// The record range `[start, end)` owned by partition `p`, derived
-    /// from the file-block split used at creation.
+    /// The record range `[start, end)` owned by partition `p`: the
+    /// near-equal split of whole file blocks used at creation.
     pub fn partition_record_range(&self, p: u32) -> Result<(u64, u64)> {
         let partitions = match self.org {
             Organization::PartitionedSeq { partitions }
@@ -241,12 +267,6 @@ impl ParallelFile {
                 })
             }
         };
-        if p >= partitions {
-            return Err(CoreError::BadProcess {
-                process: p,
-                of: partitions,
-            });
-        }
         let total = self
             .raw
             .meta_snapshot()
@@ -254,14 +274,7 @@ impl ParallelFile {
             // invariant: partitioned specs are validated fixed-size at creation.
             .expect("partitioned files are fixed-size");
         let rpb = self.records_per_block() as u64;
-        let file_blocks = total.div_ceil(rpb);
-        let bounds = uniform_bounds(file_blocks, partitions);
-        // Both ends clamp to the record count: with more partitions than
-        // file blocks, trailing partitions are empty, and the partition
-        // holding the short tail block ends at `total`.
-        let lo = (bounds[p as usize] * rpb).min(total);
-        let hi = (bounds[p as usize + 1] * rpb).min(total);
-        Ok((lo, hi))
+        partition_records(total, rpb, partitions, p)
     }
 
     // ------------------------------------------------------------------
@@ -354,13 +367,6 @@ mod tests {
             block_size: 256,
         })
         .unwrap()
-    }
-
-    #[test]
-    fn uniform_bounds_split() {
-        assert_eq!(uniform_bounds(10, 3), vec![0, 4, 7, 10]);
-        assert_eq!(uniform_bounds(9, 3), vec![0, 3, 6, 9]);
-        assert_eq!(uniform_bounds(2, 4), vec![0, 1, 2, 2, 2]);
     }
 
     #[test]

@@ -123,22 +123,17 @@ impl SelfSchedReader {
     /// block. Returns the global index of the first record claimed and
     /// the count, or `None` at end of file.
     pub fn read_next_block(&self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
-        let rs = self.owner.raw().record_size();
-        let rpb = self.owner.raw().records_per_block() as u64;
-        assert_eq!(out.len(), rs * rpb as usize, "block buffer size");
-        let ss = self.owner.ss_state();
+        let raw = self.owner.raw();
+        assert_eq!(out.len(), raw.file_block_bytes(), "block buffer size");
+        let rpb = raw.records_per_block() as u64;
         // Claim to the end of the current file block (keeps block claims
         // aligned even after single-record claims).
-        let Some((cur, n)) = ss
-            .read_cursor
-            .claim_through_block(rpb, self.owner.raw().len_records())
-        else {
+        let cursor = &self.owner.ss_state().read_cursor;
+        let Some((cur, n)) = cursor.claim_through_block(rpb, raw.len_records()) else {
             return Ok(None);
         };
         let n = n as usize;
-        self.owner
-            .raw()
-            .read_span(cur * rs as u64, &mut out[..n * rs])?;
+        raw.read_records(cur, &mut out[..n * raw.record_size()])?;
         Ok(Some((cur, n)))
     }
 

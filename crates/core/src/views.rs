@@ -14,7 +14,7 @@ use crate::direct::DirectHandle;
 use crate::error::{CoreError, Result};
 use crate::interleaved::InterleavedHandle;
 use crate::partitioned::PartitionHandle;
-use crate::pfile::{uniform_bounds, ParallelFile};
+use crate::pfile::{partition_records, ParallelFile};
 use crate::selfsched::SelfSchedReader;
 
 /// View any file through an interleaved (IS) access pattern for process
@@ -32,18 +32,8 @@ pub fn force_interleaved(pf: &ParallelFile, p: u32, processes: u32) -> Result<In
 /// View any file through a partitioned (PS) access pattern: near-equal
 /// contiguous record ranges over the *current* file length.
 pub fn force_partition(pf: &ParallelFile, p: u32, partitions: u32) -> Result<PartitionHandle> {
-    if p >= partitions || partitions == 0 {
-        return Err(CoreError::BadProcess {
-            process: p,
-            of: partitions,
-        });
-    }
     let rpb = pf.records_per_block() as u64;
-    let total = pf.len_records();
-    let file_blocks = total.div_ceil(rpb);
-    let bounds = uniform_bounds(file_blocks, partitions);
-    let lo = (bounds[p as usize] * rpb).min(total);
-    let hi = (bounds[p as usize + 1] * rpb).min(total);
+    let (lo, hi) = partition_records(pf.len_records(), rpb, partitions, p)?;
     Ok(PartitionHandle::new(pf.raw().clone(), p, lo, hi))
 }
 

@@ -102,3 +102,28 @@ proptest! {
         v.remove("src").unwrap();
     }
 }
+
+/// A halo window is one contiguous range, so it reaches each device its
+/// range touches with at most one read request, however many records it
+/// holds.
+#[test]
+fn a_halo_window_is_one_request_per_device() {
+    let v = vol();
+    let pf = ps_file(&v, 512, 4);
+    let reads = || -> Vec<u64> {
+        (0..v.num_devices())
+            .map(|d| v.device(d).counters().reads)
+            .collect()
+    };
+    let before = reads();
+    let region = read_partition_with_halo(&pf, 1, 3).unwrap();
+    assert_eq!(region.len_records(), 128 + 6);
+    let per_device: Vec<u64> = reads().iter().zip(&before).map(|(a, b)| a - b).collect();
+    // Partition 1 with its halo touches partitions 0, 1 and 2's devices.
+    assert_eq!(
+        per_device.iter().filter(|&&n| n > 0).count(),
+        3,
+        "{per_device:?}"
+    );
+    assert!(per_device.iter().all(|&n| n <= 1), "{per_device:?}");
+}

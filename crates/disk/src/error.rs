@@ -35,29 +35,20 @@ pub enum DiskError {
         /// Human-readable device identity.
         device: String,
     },
-    /// The device gave up on the request in time (the executor sets no
-    /// deadline of its own). Retryable; wire tag 5.
-    Timeout {
-        /// Human-readable device identity.
-        device: String,
-    },
     /// An underlying OS I/O error (file-backed devices).
     Io(String),
 }
 
 impl DiskError {
     /// True for faults that are expected to clear on retry
-    /// ([`DiskError::Transient`], [`DiskError::Timeout`]); false for
-    /// permanent failures ([`DiskError::DeviceFailed`],
-    /// [`DiskError::Corruption`]) and caller bugs
-    /// ([`DiskError::OutOfRange`], [`DiskError::BadBufferSize`]).
+    /// ([`DiskError::Transient`]); false for permanent failures
+    /// ([`DiskError::DeviceFailed`], [`DiskError::Corruption`]) and
+    /// caller bugs ([`DiskError::OutOfRange`],
+    /// [`DiskError::BadBufferSize`]).
     /// The executor's retry loop and the volume health state machine
     /// both branch on this split.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            DiskError::Transient { .. } | DiskError::Timeout { .. }
-        )
+        matches!(self, DiskError::Transient { .. })
     }
 }
 
@@ -74,9 +65,6 @@ impl fmt::Display for DiskError {
             DiskError::Corruption { block } => write!(f, "data corruption at block {block}"),
             DiskError::Transient { device } => {
                 write!(f, "transient fault on device {device} (retryable)")
-            }
-            DiskError::Timeout { device } => {
-                write!(f, "request deadline exceeded on device {device}")
             }
             DiskError::Io(msg) => write!(f, "I/O error: {msg}"),
         }
@@ -118,20 +106,11 @@ mod tests {
         }
         .to_string()
         .contains("transient"));
-        assert!(DiskError::Timeout {
-            device: "mem0".into()
-        }
-        .to_string()
-        .contains("deadline"));
     }
 
     #[test]
     fn transient_permanent_split() {
-        let transient = [
-            DiskError::Transient { device: "d".into() },
-            DiskError::Timeout { device: "d".into() },
-        ];
-        assert!(transient.iter().all(DiskError::is_transient));
+        assert!(DiskError::Transient { device: "d".into() }.is_transient());
         let permanent = [
             DiskError::DeviceFailed { device: "d".into() },
             DiskError::OutOfRange {

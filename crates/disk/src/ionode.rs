@@ -306,9 +306,9 @@ pub struct IoNodeStats {
     /// Transient faults retried in place, with backoff, before the
     /// error would reach the caller.
     pub retries: u64,
-    /// Always 0: the executor sets no deadline on a request. A device
-    /// may still answer [`DiskError::Timeout`] itself; that error
-    /// reaches the caller and is not counted here.
+    /// Always 0: the executor sets no deadline on a request, and no
+    /// device reports one. Kept because the benchmark reads it as
+    /// `disk.timeouts`.
     pub timeouts: u64,
     /// Device operations that panicked; each failed only its own ticket.
     pub panics: u64,

@@ -1676,34 +1676,61 @@ impl RawFile {
         }
     }
 
-    /// Byte range `[start, end)` of record `r` in the file's byte
-    /// stream, or `OutOfBounds` where a byte offset cannot address it.
-    pub fn record_bytes(&self, r: u64) -> Result<(u64, u64)> {
+    /// Byte range `[start, end)` of records `first..first + n` in the
+    /// file's byte stream, or `OutOfBounds` (naming `first`) where a
+    /// byte offset cannot address their end.
+    pub fn record_bytes(&self, first: u64, n: u64) -> Result<(u64, u64)> {
         let rs = self.record_size as u64;
-        match r.checked_add(1).and_then(|n| n.checked_mul(rs)) {
-            Some(end) => Ok((end - rs, end)),
-            None => Err(self.unaddressable(r)),
+        match first.checked_add(n).and_then(|end| end.checked_mul(rs)) {
+            Some(end) => Ok((end - n * rs, end)),
+            None => Err(self.unaddressable(first)),
         }
+    }
+
+    /// The number of whole records in a buffer of `len` bytes.
+    fn whole_records(&self, len: usize) -> u64 {
+        assert!(len.is_multiple_of(self.record_size), "record buffer size");
+        (len / self.record_size) as u64
+    }
+
+    /// Read records `first..first + n` into `out` (`n` whole records),
+    /// as one span. Every one must be below the file length.
+    pub fn read_records(&self, first: u64, out: &mut [u8]) -> Result<()> {
+        let n = self.whole_records(out.len());
+        let len = self.len_records();
+        if first.checked_add(n).is_none_or(|end| end > len) {
+            return Err(FsError::OutOfBounds {
+                record: first.max(len),
+                len,
+            });
+        }
+        self.read_span(self.record_bytes(first, n)?.0, out)
+    }
+
+    /// Write records `first..first + n` from `data` (`n` whole records),
+    /// as one span, extending the file length to cover them. A run
+    /// whose bytes no offset can address is refused before anything is
+    /// written.
+    pub fn write_records(&self, first: u64, data: &[u8]) -> Result<()> {
+        let n = self.whole_records(data.len());
+        self.write_span(self.record_bytes(first, n)?.0, data)?;
+        if n > 0 {
+            self.extend_len_records(first + n);
+        }
+        Ok(())
     }
 
     /// Read record `r` (must be below the file length).
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
         assert_eq!(out.len(), self.record_size, "record buffer size");
-        let len = self.len_records();
-        if r >= len {
-            return Err(FsError::OutOfBounds { record: r, len });
-        }
-        self.read_span(self.record_bytes(r)?.0, out)
+        self.read_records(r, out)
     }
 
-    /// Write record `r`, extending the file length to cover it. A record
-    /// whose bytes no offset can address is refused before anything is
-    /// written.
+    /// Write record `r`, extending the file length to cover it: exactly
+    /// the bytes [`record_bytes(r, 1)`](Self::record_bytes) names.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
         assert_eq!(data.len(), self.record_size, "record buffer size");
-        self.write_span(self.record_bytes(r)?.0, data)?;
-        self.extend_len_records(r + 1);
-        Ok(())
+        self.write_records(r, data)
     }
 }
 
@@ -1829,7 +1856,7 @@ mod tests {
                     len: u64::MAX / 64
                 })
             );
-            assert!(f.record_bytes(r).is_err());
+            assert!(f.record_bytes(r, 1).is_err());
         }
         assert!(f.ensure_capacity_records(1 << 58).is_err());
         assert_eq!(f.len_records(), 1);
@@ -1837,7 +1864,7 @@ mod tests {
         f.read_record(0, &mut back).unwrap();
         assert_eq!(back[..], record(0, 64)[..]);
         let last = u64::MAX / 64 - 1;
-        assert_eq!(f.record_bytes(last), Ok((last * 64, last * 64 + 64)));
+        assert_eq!(f.record_bytes(last, 1), Ok((last * 64, last * 64 + 64)));
     }
 
     #[test]

@@ -516,19 +516,13 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_count_as_transient_and_others_do_not_transition() {
+    fn permanent_errors_do_not_transition() {
         let b = HealthBoard::new(1, HealthPolicy::default());
-        for _ in 0..3 {
-            b.note_error(0, &DiskError::Timeout { device: "t".into() }, || true);
-        }
-        assert_eq!(b.state(0), HealthState::Suspect);
-
-        let b2 = HealthBoard::new(1, HealthPolicy::default());
         for _ in 0..10 {
-            b2.note_error(0, &DiskError::Corruption { block: 3 }, || true);
+            b.note_error(0, &DiskError::Corruption { block: 3 }, || true);
         }
-        assert_eq!(b2.state(0), HealthState::Healthy);
-        assert_eq!(b2.snapshot()[0].permanent_errors, 10);
+        assert_eq!(b.state(0), HealthState::Healthy);
+        assert_eq!(b.snapshot()[0].permanent_errors, 10);
     }
 
     #[test]

@@ -666,9 +666,9 @@ impl Volume {
             )));
         }
         if let LayoutSpec::Shadowed(inner) = &spec.layout {
-            if matches!(**inner, LayoutSpec::Parity { .. }) {
+            if matches!(**inner, LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_)) {
                 return Err(FsError::BadSpec(
-                    "shadowing a parity layout is not supported".into(),
+                    "a shadow wraps only a plain (striped or partitioned) layout".into(),
                 ));
             }
         }
@@ -1014,6 +1014,22 @@ mod tests {
             })),
         );
         assert!(matches!(v.create_file(bad), Err(FsError::BadSpec(_))));
+    }
+
+    /// A shadow of a shadow would allocate four copies while every write
+    /// reaches only two of them, so it is refused like a shadowed parity
+    /// layout.
+    #[test]
+    fn a_shadow_wraps_only_a_plain_placement() {
+        let v = vol();
+        let striped = LayoutSpec::Striped {
+            devices: 1,
+            unit: 1,
+        };
+        let nested = LayoutSpec::Shadowed(Box::new(LayoutSpec::Shadowed(Box::new(striped))));
+        let bad = FileSpec::new("x", 64, 1, nested);
+        assert!(matches!(v.create_file(bad), Err(FsError::BadSpec(_))));
+        assert!(v.open("x").is_err());
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod striped;
 mod traits;
 
 pub use parity::{ParityPlacement, ParityStriped};
-pub use partitioned::Partitioned;
+pub use partitioned::{uniform_bounds, Partitioned};
 pub use shadow::Shadowed;
 pub use spec::LayoutSpec;
 pub use striped::Striped;

@@ -11,6 +11,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::traits::{Layout, PhysBlock};
 
+/// The near-equal split of `total` items into `parts` (at least one)
+/// contiguous ranges: `parts + 1` bounds from 0 to `total`, the first
+/// `total % parts` ranges one item longer than the rest.
+pub fn uniform_bounds(total: u64, parts: usize) -> Vec<u64> {
+    assert!(parts >= 1, "at least one partition required");
+    let (base, extra) = (total / parts as u64, total % parts as u64);
+    (0..=parts as u64)
+        .map(|p| p * base + p.min(extra))
+        .collect()
+}
+
 /// Contiguous per-partition placement across a device array.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Partitioned {
@@ -40,20 +51,9 @@ impl Partitioned {
     }
 
     /// Split `total` blocks into `partitions` near-equal contiguous ranges
-    /// (the first `total % partitions` ranges get one extra block), assigned
-    /// round-robin over `devices`.
+    /// ([`uniform_bounds`]), assigned round-robin over `devices`.
     pub fn uniform(total: u64, partitions: usize, devices: usize) -> Partitioned {
-        assert!(partitions >= 1, "at least one partition required");
-        let base = total / partitions as u64;
-        let extra = total % partitions as u64;
-        let mut bounds = Vec::with_capacity(partitions + 1);
-        let mut acc = 0;
-        bounds.push(0);
-        for p in 0..partitions as u64 {
-            acc += base + u64::from(p < extra);
-            bounds.push(acc);
-        }
-        Partitioned::from_bounds(bounds, devices)
+        Partitioned::from_bounds(uniform_bounds(total, partitions), devices)
     }
 
     /// Number of partitions.
@@ -160,6 +160,13 @@ mod tests {
     use super::*;
     use crate::traits::{check_bijection, runs};
     use proptest::prelude::*;
+
+    #[test]
+    fn near_equal_split_bounds() {
+        assert_eq!(uniform_bounds(10, 3), vec![0, 4, 7, 10]);
+        assert_eq!(uniform_bounds(9, 3), vec![0, 3, 6, 9]);
+        assert_eq!(uniform_bounds(2, 4), vec![0, 1, 2, 2, 2]);
+    }
 
     #[test]
     fn uniform_split_sizes() {

@@ -708,9 +708,6 @@ fn encode_disk_error(w: &mut WireWriter, e: &DiskError) {
         DiskError::Transient { device } => {
             w.u8(4).str_prefixed(device);
         }
-        DiskError::Timeout { device } => {
-            w.u8(5).str_prefixed(device);
-        }
         DiskError::Io(msg) => {
             w.u8(6).str_prefixed(msg);
         }
@@ -734,10 +731,8 @@ fn decode_disk_error(r: &mut WireReader<'_>) -> WireResult<DiskError> {
         4 => DiskError::Transient {
             device: r.str_prefixed()?,
         },
-        5 => DiskError::Timeout {
-            device: r.str_prefixed()?,
-        },
         6 => DiskError::Io(r.str_prefixed()?),
+        // 5 is reserved (a retired deadline error) and decodes as malformed.
         other => {
             return Err(WireError::Malformed(format!("bad disk-error tag {other}")));
         }
@@ -836,7 +831,7 @@ mod tests {
                 expected: "SS",
                 actual: Organization::PartitionedSeq { partitions: 8 },
             }),
-            ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Timeout {
+            ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Transient {
                 device: "mem3".into(),
             }))),
         ];
@@ -848,6 +843,17 @@ mod tests {
             r.finish().expect("no trailing bytes");
             assert_eq!(back, e);
         }
+    }
+
+    #[test]
+    fn disk_error_tag_5_is_reserved() {
+        let mut w = WireWriter::new();
+        w.u8(5).str_prefixed("mem3");
+        let mut r = WireReader::new(w.bytes());
+        assert!(matches!(
+            decode_disk_error(&mut r),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]

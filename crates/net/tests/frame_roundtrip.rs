@@ -171,7 +171,7 @@ fn server_error_taxonomy_is_lossless() {
             needed: 30_194,
             limit: 24_576,
         })),
-        ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Timeout {
+        ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Transient {
             device: "mem-1".into(),
         }))),
         ServerError::Core(CoreError::WrongOrganization {

@@ -602,9 +602,10 @@ impl DirectClient {
         self.handle.len_records()
     }
 
-    /// Byte range of record `r`; refused where no offset addresses it.
-    fn byte_range(&self, r: u64) -> Result<(u64, u64)> {
-        Ok(self.entry.pfile.raw().record_bytes(r)?)
+    /// Byte range of records `first..first + n`; refused where no
+    /// offset addresses it.
+    fn byte_range(&self, first: u64, n: u64) -> Result<(u64, u64)> {
+        Ok(self.entry.pfile.raw().record_bytes(first, n)?)
     }
 
     /// Read record `r`.
@@ -619,7 +620,7 @@ impl DirectClient {
     /// flushed to the devices before the range lock releases, so
     /// cross-session readers keep the uncached durability semantics.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        let (lo, hi) = self.byte_range(r)?;
+        let (lo, hi) = self.byte_range(r, 1)?;
         self.sess.run(true, || {
             let _g = self.entry.ranges.acquire(lo, hi);
             self.handle.write_record(r, data)?;
@@ -632,7 +633,7 @@ impl DirectClient {
     /// updates of the same record never lose increments. Extends the
     /// file with a zeroed record when `r` is past the end.
     pub fn update(&self, r: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
-        let (lo, hi) = self.byte_range(r)?;
+        let (lo, hi) = self.byte_range(r, 1)?;
         self.sess.run(true, || {
             let _g = self.entry.ranges.acquire(lo, hi);
             let mut buf = vec![0u8; self.record_size];
@@ -669,7 +670,7 @@ impl DirectClient {
                 CoreError::BadGeometry(format!("empty record range [{r_lo}, {r_hi})")).into(),
             );
         }
-        let (lo, hi) = (self.byte_range(r_lo)?.0, self.byte_range(r_hi - 1)?.1);
+        let (lo, hi) = self.byte_range(r_lo, r_hi - r_lo)?;
         let ticket = self.entry.ranges.acquire_ticket(lo, hi);
         Ok(LockedRange {
             entry: Arc::clone(&self.entry),
@@ -686,7 +687,7 @@ impl DirectClient {
     /// span before the lock releases — the same durable-at-unlock
     /// contract as [`write_record`](DirectClient::write_record).
     pub fn write_record_locked(&self, lock: &LockedRange, r: u64, data: &[u8]) -> Result<()> {
-        let (lo, hi) = self.byte_range(r)?;
+        let (lo, hi) = self.byte_range(r, 1)?;
         if lo < lock.lo || hi > lock.hi {
             return Err(ServerError::RangeNotLocked { lo, hi });
         }
