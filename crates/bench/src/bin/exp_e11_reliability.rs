@@ -11,6 +11,7 @@ use pario_disk::{DeviceRef, MemDisk};
 use pario_fs::{FileSpec, HealthState, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
 use pario_reliability as rel;
+use pario_sim::failure;
 
 const BS: usize = 1024;
 
@@ -23,8 +24,8 @@ fn mtbf_table() {
         "days between",
         "Monte-Carlo MTTF (h)",
     ]);
-    for row in rel::paper_table(&[1, 10, 100]) {
-        let mc = rel::monte_carlo_mttf(rel::PAPER_DEVICE_MTBF_HOURS, row.devices, 3000, 7);
+    for row in failure::paper_table(&[1, 10, 100]) {
+        let mc = failure::monte_carlo_mttf(failure::PAPER_DEVICE_MTBF_HOURS, row.devices, 3000, 7);
         t.row(&[
             row.devices.to_string(),
             format!("{:.0}", row.system_mtbf_hours),
@@ -270,7 +271,7 @@ fn failure_campaign() {
     for devices in [10usize, 100] {
         let counts: Vec<String> = (1..=3)
             .map(|seed| {
-                rel::failure_schedule(devices, rel::PAPER_DEVICE_MTBF_HOURS, 8760.0, seed)
+                failure::failure_schedule(devices, failure::PAPER_DEVICE_MTBF_HOURS, 8760.0, seed)
                     .len()
                     .to_string()
             })

@@ -9,11 +9,11 @@
 //! whole budget, the window sits inside a single device at a time and
 //! throughput collapses to one drive.
 
-use pario_bench::simx::{read_reqs, windowed_script, wren_bank};
+use pario_bench::simx::{stream_script, wren_bank};
 use pario_bench::table::{rate, save_json, secs, Table};
 use pario_bench::{banner, BS};
-use pario_disk::SchedPolicy;
 use pario_layout::Striped;
+use pario_sim::disk::SchedPolicy;
 use pario_sim::Simulation;
 
 const FILE_BYTES: u64 = 32 * 1024 * 1024;
@@ -27,10 +27,8 @@ fn run(cluster_blocks: u64) -> (f64, f64, f64) {
     let layout = Striped::interleaved(DEVICES, cluster_blocks);
     let mut sim = Simulation::new();
     wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    let reqs = read_reqs(&layout, 0, blocks, REQ);
-    // The window is the buffer budget expressed in requests.
-    let window = (BUDGET_BLOCKS / REQ).max(1) as usize;
-    sim.add_proc(windowed_script(reqs, window));
+    // The read-ahead window is the buffer budget.
+    sim.add_proc(stream_script(&layout, blocks, BUDGET_BLOCKS, REQ));
     let r = sim.run();
     let t = r.makespan.as_secs_f64();
     (t, FILE_BYTES as f64 / t, r.mean_utilization())

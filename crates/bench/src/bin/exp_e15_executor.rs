@@ -22,9 +22,8 @@ use std::time::Instant;
 use pario_bench::measure::{Report, RUNS};
 use pario_bench::rig::{smoke, Rig};
 use pario_bench::{banner, BS};
-use pario_disk::{
-    BlockDevice, DeviceRef, DiskError, DiskGeometry, IoCounters, IoNode, ModeledDisk, SchedPolicy,
-};
+use pario_disk::{BlockDevice, DeviceRef, DiskError, IoCounters, IoNode};
+use pario_sim::disk::{DiskGeometry, ModeledDisk, SchedPolicy};
 use pario_sim::{DiskReq, Script, Simulation};
 
 /// Makespan in seconds of a scattered backlog under `policy`: 6

@@ -9,11 +9,11 @@
 //! blocks drawn unevenly so rates genuinely differ. The contrast case is
 //! the same workload forced onto a single shared drive.
 
-use pario_bench::simx::{compute_io_script, read_reqs, wren_bank};
+use pario_bench::simx::{compute_io_script, is_clusters, plan_reqs, wren_bank};
 use pario_bench::table::{rate, save_json, secs, Table};
 use pario_bench::{banner, BS};
-use pario_disk::SchedPolicy;
 use pario_layout::{Partitioned, Striped};
+use pario_sim::disk::SchedPolicy;
 use pario_sim::{DiskReq, SimTime, Simulation};
 
 /// Data per process (weak scaling: the file grows with the process
@@ -67,24 +67,16 @@ fn main() {
         let per: Vec<Vec<DiskReq>> = (0..p)
             .map(|i| {
                 let (lo, hi) = ps.partition_range(i);
-                read_reqs(&ps, lo, hi, CLUSTER)
+                plan_reqs(&ps, &[(lo, hi - lo)], CLUSTER)
             })
             .collect();
         run_case(&format!("PS {p} dev/proc"), p, p, per, true, &mut t);
 
-        // IS: process i streams clusters i, i+p, ... (device i).
+        // IS: process i streams clusters i, i+p, ... (device i), one
+        // extent list.
         let is = Striped::interleaved(p, CLUSTER);
         let per: Vec<Vec<DiskReq>> = (0..p as u64)
-            .map(|i| {
-                let mut reqs = Vec::new();
-                let clusters = blocks / CLUSTER;
-                let mut c = i;
-                while c < clusters {
-                    reqs.extend(read_reqs(&is, c * CLUSTER, (c + 1) * CLUSTER, CLUSTER));
-                    c += p as u64;
-                }
-                reqs
-            })
+            .map(|i| plan_reqs(&is, &is_clusters(i, p as u64, CLUSTER, blocks), CLUSTER))
             .collect();
         run_case(&format!("IS {p} dev/proc"), p, p, per, true, &mut t);
     }
@@ -95,7 +87,7 @@ fn main() {
     let per: Vec<Vec<DiskReq>> = (0..4)
         .map(|i| {
             let (lo, hi) = ps1.partition_range(i);
-            read_reqs(&ps1, lo, hi, CLUSTER)
+            plan_reqs(&ps1, &[(lo, hi - lo)], CLUSTER)
         })
         .collect();
     run_case("PS 4 procs, 1 shared dev", 1, 4, per, true, &mut t);

@@ -9,24 +9,24 @@
 //! view under three placements on a 4-drive bank: striped (type S
 //! default), interleaved (IS clusters), and partitioned (PS).
 
-use pario_bench::simx::{read_reqs, windowed_script, wren_bank};
+use pario_bench::simx::{stream_script, wren_bank};
 use pario_bench::table::{rate, save_json, secs, Table};
 use pario_bench::{banner, BS};
-use pario_disk::SchedPolicy;
 use pario_layout::{Layout, Partitioned, Striped};
+use pario_sim::disk::SchedPolicy;
 use pario_sim::Simulation;
 
 const FILE_BYTES: u64 = 32 * 1024 * 1024;
 const DEVICES: usize = 4;
-const WINDOW: usize = 8;
 const REQ: u64 = 16;
+/// Read-ahead: 8 requests' worth of blocks.
+const WINDOW: u64 = 8 * REQ;
 
 fn global_read(layout: &dyn Layout) -> (f64, f64, f64) {
     let blocks = FILE_BYTES / BS as u64;
     let mut sim = Simulation::new();
     wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    let reqs = read_reqs(layout, 0, blocks, REQ);
-    sim.add_proc(windowed_script(reqs, WINDOW));
+    sim.add_proc(stream_script(layout, blocks, WINDOW, REQ));
     let r = sim.run();
     let t = r.makespan.as_secs_f64();
     (t, FILE_BYTES as f64 / t, r.mean_utilization())
@@ -40,7 +40,7 @@ fn gantt_of(make: impl Fn(u64) -> Box<dyn Layout>) -> String {
     let mut sim = Simulation::new();
     sim.enable_trace();
     wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    sim.add_proc(windowed_script(read_reqs(&*layout, 0, blocks, REQ), WINDOW));
+    sim.add_proc(stream_script(&*layout, blocks, WINDOW, REQ));
     pario_bench::gantt::render(&sim.run(), 64)
 }
 

@@ -13,7 +13,7 @@
 use pario_bench::banner;
 use pario_bench::simx::{wren_bank, wren_capacity_blocks};
 use pario_bench::table::{save_json, secs, Table};
-use pario_disk::SchedPolicy;
+use pario_sim::disk::SchedPolicy;
 use pario_sim::{DiskReq, Op, Simulation};
 
 const BLOCKS_PER_PROC: u64 = 1024; // 4 MiB per process

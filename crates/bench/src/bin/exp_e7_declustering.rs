@@ -10,10 +10,10 @@
 //! split across all four drives).
 
 use pario_bench::banner;
-use pario_bench::simx::{read_reqs, wren_bank};
+use pario_bench::simx::{plan_reqs, wren_bank};
 use pario_bench::table::{save_json, secs, Table};
-use pario_disk::SchedPolicy;
 use pario_layout::Striped;
+use pario_sim::disk::SchedPolicy;
 use pario_sim::{Op, Simulation};
 use pario_workloads::SkewedBlocks;
 
@@ -44,7 +44,7 @@ fn run(theta: f64, procs: u32, declustered: bool) -> (f64, f64) {
             .iter()
             .map(|a| {
                 let lo = a.index * VB_PER_FB;
-                Op::Io(read_reqs(&layout, lo, lo + VB_PER_FB, VB_PER_FB))
+                Op::Io(plan_reqs(&layout, &[(lo, VB_PER_FB)], VB_PER_FB))
             })
             .collect();
         sim.add_proc(ops);

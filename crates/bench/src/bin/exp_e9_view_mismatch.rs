@@ -12,11 +12,11 @@
 //! consumed by 4 IS processes, including the pass-count crossover that
 //! decides among them.
 
-use pario_bench::simx::{read_reqs, windowed_script, wren_bank};
+use pario_bench::simx::{is_clusters, plan_reqs, stream_script, wren_bank};
 use pario_bench::table::{save_json, secs, Table};
 use pario_bench::{banner, BS};
-use pario_disk::SchedPolicy;
 use pario_layout::{Partitioned, Striped};
+use pario_sim::disk::SchedPolicy;
 use pario_sim::{DiskReq, Op, ReqKind, Simulation};
 
 const FILE_BYTES: u64 = 64 * 1024 * 1024;
@@ -34,14 +34,11 @@ fn adapter_pass() -> f64 {
     let ps = Partitioned::uniform(blocks(), PROCS, DEVICES);
     let mut sim = Simulation::new();
     wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    let file_blocks = blocks() / FB;
     for p in 0..PROCS as u64 {
-        let mut ops = Vec::new();
-        let mut fb = p;
-        while fb < file_blocks {
-            ops.push(Op::Io(read_reqs(&ps, fb * FB, (fb + 1) * FB, FB)));
-            fb += PROCS as u64;
-        }
+        let ops = is_clusters(p, PROCS as u64, FB, blocks())
+            .into_iter()
+            .map(|c| Op::Io(plan_reqs(&ps, &[c], FB)))
+            .collect();
         sim.add_proc(ops);
     }
     sim.run().makespan.as_secs_f64()
@@ -52,7 +49,7 @@ fn global_pass() -> f64 {
     let ps = Partitioned::uniform(blocks(), PROCS, DEVICES);
     let mut sim = Simulation::new();
     wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    sim.add_proc(windowed_script(read_reqs(&ps, 0, blocks(), 16), 8));
+    sim.add_proc(stream_script(&ps, blocks(), 8 * 16, 16));
     sim.run().makespan.as_secs_f64()
 }
 
@@ -69,8 +66,8 @@ fn convert_cost() -> f64 {
     let mut l = 0;
     while l < blocks() {
         let hi = (l + window).min(blocks());
-        let mut batch = read_reqs(&ps, l, hi, 16);
-        for r in read_reqs(&is, l, hi, 16) {
+        let mut batch = plan_reqs(&ps, &[(l, hi - l)], 16);
+        for r in plan_reqs(&is, &[(l, hi - l)], 16) {
             batch.push(DiskReq {
                 device: r.device,
                 block: r.block + base / DEVICES as u64,
@@ -92,15 +89,13 @@ fn native_is_pass() -> f64 {
     let is = Striped::interleaved(DEVICES, FB);
     let mut sim = Simulation::new();
     wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    let file_blocks = blocks() / FB;
     for p in 0..PROCS as u64 {
-        let mut reqs = Vec::new();
-        let mut fb = p;
-        while fb < file_blocks {
-            reqs.extend(read_reqs(&is, fb * FB, (fb + 1) * FB, FB));
-            fb += PROCS as u64;
-        }
-        sim.add_proc(windowed_script(reqs, 2));
+        // Two clusters of read-ahead along the process's extent list.
+        let ops = is_clusters(p, PROCS as u64, FB, blocks())
+            .chunks(2)
+            .flat_map(|w| [Op::IoAsync(plan_reqs(&is, w, FB)), Op::WaitAll])
+            .collect();
+        sim.add_proc(ops);
     }
     sim.run().makespan.as_secs_f64()
 }

@@ -1,18 +1,13 @@
 //! # pario-disk — the storage substrate
 //!
 //! Crockett (1989) assumes "multiple direct-access storage devices" under
-//! the file system. This crate supplies them, in two forms:
-//!
-//! * **Real devices** for functional code and wall-clock experiments:
-//!   [`MemDisk`] (thread-safe RAM device with failure injection and an
-//!   optional calibrated service delay) and [`FileDisk`] (file-backed,
-//!   persistent). Both implement [`BlockDevice`], the trait every layer
-//!   above speaks.
-//! * **A modelled rotating disk** for virtual-time experiments:
-//!   [`DiskGeometry`] (seek `a + b·√d`, rotational position, media rate —
-//!   defaults match the 30,000-hour-MTBF Winchester drives the paper
-//!   cites) combined with a request [`Scheduler`] (FIFO / SSTF / SCAN /
-//!   C-SCAN) in [`ModeledDisk`], a `pario_sim::DeviceModel`.
+//! the file system. This crate supplies them: [`MemDisk`] (thread-safe
+//! RAM device with failure injection and an optional calibrated service
+//! delay) and [`FileDisk`] (file-backed, persistent), both implementing
+//! [`BlockDevice`], the trait every layer above speaks; [`FaultDevice`]
+//! for seeded fault plans; and the per-device I/O executor
+//! ([`IoNode`]) every transfer goes through. The modelled 1989 drive
+//! the virtual-time experiments run on is `pario_sim::disk`.
 //!
 //! ```
 //! use pario_disk::{mem_array, BlockDevice};
@@ -33,21 +28,15 @@ mod device;
 mod error;
 mod fault;
 mod file;
-mod geometry;
 mod ionode;
 mod mem;
-mod modeled;
-mod sched;
 
 pub use device::{BlockDevice, DeviceRef, IoCounters};
 pub use error::{DiskError, Result};
 pub use fault::{FaultCounts, FaultDevice, FaultPlan};
 pub use file::FileDisk;
-pub use geometry::DiskGeometry;
 pub use ionode::{IoNode, IoNodeStats, Ticket};
 pub use mem::MemDisk;
-pub use modeled::ModeledDisk;
-pub use sched::{SchedPolicy, Scheduler};
 
 use std::sync::Arc;
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use pario_buffer::{CacheReadTicket, VolumeCache};
 use pario_disk::{DeviceRef, DiskError, Ticket};
-use pario_layout::{runs, Layout, LayoutSpec, ParityPlacement, ParityStriped, PhysBlock, Run};
+use pario_layout::{Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped, PhysBlock, Run};
 
 use crate::error::{FsError, Result};
 use crate::health::HealthState;
@@ -123,21 +123,6 @@ impl Drop for IoPhase<'_> {
     }
 }
 
-/// Layout runs on one device whose device-local blocks are contiguous,
-/// merged into a single transfer. The runs may be scattered through the
-/// logical span (striping interleaves them); each part's window into the
-/// span buffer follows from its logical block ([`RawFile::window`]), and
-/// multi-part transfers go through a staging buffer. On the read side
-/// `count` may exceed the parts' blocks by the parity holes read through
-/// (see [`merge_runs`]) and by the rows a reconstruction widened the run
-/// over.
-struct MergedRun {
-    device: usize,
-    dblock: u64,
-    count: u64,
-    parts: Vec<Run>,
-}
-
 /// The caller's side of a one-transfer span
 /// ([`RawFile::move_direct`]).
 enum Direct<'a> {
@@ -178,45 +163,6 @@ struct Route {
     race: bool,
     /// The board already routes around the run's home slot.
     down: bool,
-}
-
-/// Group `pieces` by device, merging runs that continue the previous
-/// run's device-local block range. Striped layouts collapse a whole
-/// span into ONE merged run per device; partitioned layouts were one
-/// run already; parity data blocks on one device sit at consecutive
-/// stripe rows and merge the same way.
-///
-/// A gap made only of blocks `hole(device, dblock)` accepts — the
-/// file's own rotated parity blocks, on the read side — is read through
-/// rather than split at (data sieving: one block of discarded bytes
-/// costs less than a request): the merged run covers it and no part
-/// does, so [`RawFile::scatter`] drops it. Layouts without such
-/// blocks pass `|_, _| false`, which is never called on a contiguous
-/// continuation.
-fn merge_runs(
-    pieces: Vec<Run>,
-    ndev: usize,
-    hole: impl Fn(usize, u64) -> bool,
-) -> Vec<Vec<MergedRun>> {
-    let mut groups: Vec<Vec<MergedRun>> = (0..ndev).map(|_| Vec::new()).collect();
-    for r in pieces {
-        match groups[r.device].last_mut() {
-            Some(m)
-                if m.dblock + m.count <= r.dblock
-                    && (m.dblock + m.count..r.dblock).all(|row| hole(r.device, row)) =>
-            {
-                m.count = r.dblock + r.count - m.dblock;
-                m.parts.push(r);
-            }
-            _ => groups[r.device].push(MergedRun {
-                device: r.device,
-                dblock: r.dblock,
-                count: r.count,
-                parts: vec![r],
-            }),
-        }
-    }
-    groups
 }
 
 impl RawFile {
@@ -972,16 +918,16 @@ impl RawFile {
     // ------------------------------------------------------------------
 
     /// The plan every whole-block transfer starts from: logical blocks
-    /// `[first, first + count)` as merged per-device runs. With `sieve`
-    /// (reads, and the extents a write touches) a parity file's runs
-    /// cover the parity blocks between their data blocks.
+    /// `[first, first + count)` as [`pario_layout::plan`]'s merged
+    /// per-device runs. With `sieve` (reads, and the extents a write
+    /// touches) a parity file's runs cover the parity blocks between
+    /// their data blocks.
     fn plan(&self, first: u64, count: u64, sieve: bool) -> Vec<Vec<MergedRun>> {
         let hole = |device: usize, row: u64| match &self.redundancy {
             Redundancy::Parity(ps) if sieve => ps.parity_device(row) == device,
             _ => false,
         };
-        let pieces = runs(&*self.layout, first, count);
-        merge_runs(pieces, self.layout.devices(), hole)
+        pario_layout::plan(&*self.layout, &[(first, count)], hole)
     }
 
     /// The bytes of layout run `r` in the buffer of a span that starts

@@ -17,19 +17,24 @@
 //! * [`Shadowed`] — mirrored device pairs ("shadowing").
 //!
 //! Every layout satisfies the bijection invariants checked by
-//! [`check_bijection`], and [`runs`] coalesces logical ranges into the
-//! per-device contiguous requests the global view issues.
+//! [`check_bijection`]. [`plan`] is the one planner: it turns a list of
+//! logical extents into the per-device transfers the file system issues,
+//! merging the layout's per-unit [`runs`] that continue one another on a
+//! device; the simulator plans its streams with it too.
 //!
 //! ```
-//! use pario_layout::{runs, Layout, Striped};
+//! use pario_layout::{plan, runs, Layout, Striped};
 //!
 //! // 64 KiB stripe units (16 x 4 KiB blocks) over 4 drives.
 //! let layout = Striped::new(4, 16);
 //! let p = layout.map(35);
 //! assert_eq!(p.device, 2); // block 35 sits in unit 2
 //! assert_eq!(layout.invert(p.device, p.block), Some(35));
-//! // A 128-block range coalesces into 8 per-device requests.
+//! // A 128-block range is 8 stripe units, two per device...
 //! assert_eq!(runs(&layout, 0, 128).len(), 8);
+//! // ...and 4 requests: each device's two units are one transfer.
+//! let reqs: usize = plan(&layout, &[(0, 128)], |_, _| false).iter().map(Vec::len).sum();
+//! assert_eq!(reqs, 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -46,4 +51,4 @@ pub use partitioned::{uniform_bounds, Partitioned};
 pub use shadow::Shadowed;
 pub use spec::LayoutSpec;
 pub use striped::Striped;
-pub use traits::{check_bijection, runs, Layout, PhysBlock, Run};
+pub use traits::{check_bijection, plan, runs, Layout, MergedRun, PhysBlock, Run};

@@ -70,13 +70,9 @@ pub trait Layout: Send + Sync + Debug {
     }
 }
 
-/// Coalesce the logical block range `[start, start + count)` into maximal
-/// per-device contiguous runs, in logical order.
-///
-/// Reading a file through the *global view* issues exactly these runs; their
-/// lengths determine how much sequential-device bandwidth each request can
-/// exploit (this is where the PS organization's global-view serialisation
-/// becomes visible: one giant run per device, no overlap).
+/// Split the logical block range `[start, start + count)` into maximal
+/// per-device contiguous runs, in logical order: the layout's pieces,
+/// not the requests a transfer issues ([`plan`] merges those).
 pub fn runs(layout: &dyn Layout, start: u64, count: u64) -> Vec<Run> {
     let mut out: Vec<Run> = Vec::new();
     for l in start..start + count {
@@ -94,6 +90,59 @@ pub fn runs(layout: &dyn Layout, start: u64, count: u64) -> Vec<Run> {
         }
     }
     out
+}
+
+/// Layout runs on one device, in logical order, merged into one
+/// transfer of device-local blocks `[dblock, dblock + count)`: the
+/// parts plus any holes read through ([`plan`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MergedRun {
+    /// Device the transfer goes to.
+    pub device: usize,
+    /// First device-local block of the transfer.
+    pub dblock: u64,
+    /// Blocks in the transfer.
+    pub count: u64,
+    /// The layout runs the transfer carries, in logical order.
+    pub parts: Vec<Run>,
+}
+
+/// The per-device transfers that move the logical `extents`, each a
+/// `(first block, count)` pair: each extent's [`runs`], grouped by
+/// device, a run that continues its device's last transfer merged into
+/// it. A striped span is one transfer per device; a parity file's data
+/// blocks on one device sit at consecutive stripe rows and merge the
+/// same way.
+///
+/// A gap made only of blocks `hole(device, dblock)` accepts is read
+/// through, not split at (data sieving: a discarded block costs less
+/// than a request). `|_, _| false` merges only runs that abut.
+pub fn plan(
+    layout: &dyn Layout,
+    extents: &[(u64, u64)],
+    hole: impl Fn(usize, u64) -> bool,
+) -> Vec<Vec<MergedRun>> {
+    let mut groups: Vec<Vec<MergedRun>> = (0..layout.devices()).map(|_| Vec::new()).collect();
+    for &(first, count) in extents {
+        for r in runs(layout, first, count) {
+            match groups[r.device].last_mut() {
+                Some(m)
+                    if m.dblock + m.count <= r.dblock
+                        && (m.dblock + m.count..r.dblock).all(|row| hole(r.device, row)) =>
+                {
+                    m.count = r.dblock + r.count - m.dblock;
+                    m.parts.push(r);
+                }
+                _ => groups[r.device].push(MergedRun {
+                    device: r.device,
+                    dblock: r.dblock,
+                    count: r.count,
+                    parts: vec![r],
+                }),
+            }
+        }
+    }
+    groups
 }
 
 /// Exhaustively verify the [`Layout`] bijection invariants for a file of
@@ -175,6 +224,21 @@ mod tests {
             }
         );
         assert!(runs(&Identity, 0, 0).is_empty());
+    }
+
+    #[test]
+    fn plan_merges_a_devices_runs() {
+        // Units of 16 over 4 devices: 8 runs, one transfer per device.
+        let l = crate::Striped::new(4, 16);
+        assert_eq!(runs(&l, 0, 128).len(), 8);
+        let p = plan(&l, &[(0, 128)], |_, _| false);
+        assert!(p.iter().all(|g| g.len() == 1 && g[0].count == 32));
+        // Extents that skip a block on a device leave two transfers,
+        // unless the skipped block is a hole.
+        let p = plan(&Identity, &[(0, 2), (3, 2)], |_, _| false);
+        assert_eq!(p[0].len(), 2);
+        let p = plan(&Identity, &[(0, 2), (3, 2)], |_, row| row == 2);
+        assert_eq!((p[0].len(), p[0][0].count, p[0][0].parts.len()), (1, 5, 2));
     }
 
     #[test]

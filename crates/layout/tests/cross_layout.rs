@@ -1,13 +1,75 @@
 //! Cross-layout property tests: composed layouts (shadowed partitioned,
-//! parity), spec construction, run coalescing, and the capacity
-//! arithmetic the allocator depends on.
+//! parity), spec construction, run coalescing, the planner, and the
+//! capacity arithmetic the allocator depends on.
 
 use proptest::prelude::*;
 
 use pario_layout::{
-    check_bijection, runs, Layout, LayoutSpec, ParityPlacement, ParityStriped, Partitioned,
-    Shadowed, Striped,
+    check_bijection, plan, runs, Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped,
+    Partitioned, Shadowed, Striped,
 };
+
+/// Ascending, disjoint `(first, count)` extents from `(gap, count)`
+/// pairs.
+fn extents(pieces: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut at = 0;
+    pieces
+        .iter()
+        .map(|&(gap, count)| {
+            at += gap + count;
+            (at - count, count)
+        })
+        .collect()
+}
+
+/// Every listed block is in exactly one part, parts tile each extent in
+/// logical order, and each part sits where the layout maps it.
+fn check_parts(l: &dyn Layout, ext: &[(u64, u64)], groups: &[Vec<MergedRun>]) {
+    let mut parts: Vec<_> = groups.iter().flatten().flat_map(|m| &m.parts).collect();
+    parts.sort_by_key(|r| r.lblock);
+    let mut it = parts.iter();
+    for &(first, count) in ext {
+        let end = first + count;
+        let mut at = first;
+        while at < end {
+            let r = it.next().expect("a listed block has no part");
+            assert_eq!(r.lblock, at, "parts tile {first}+{count}");
+            for k in 0..r.count {
+                let p = l.map(r.lblock + k);
+                assert_eq!((p.device, p.block), (r.device, r.dblock + k));
+            }
+            at += r.count;
+        }
+        assert_eq!(at, end, "a part crosses the end of {first}+{count}");
+    }
+    assert!(it.next().is_none(), "a part lies outside the list");
+    for m in groups.iter().flatten() {
+        assert!(m.parts.windows(2).all(|w| w[0].lblock < w[1].lblock));
+    }
+}
+
+/// Each device's transfers ascend, are disjoint and never abut, and
+/// hold their parts inside them, ascending.
+fn check_transfers(groups: &[Vec<MergedRun>]) {
+    for (d, g) in groups.iter().enumerate() {
+        for m in g {
+            assert_eq!(m.device, d);
+            let mut end = m.dblock;
+            for r in &m.parts {
+                assert_eq!(r.device, d);
+                assert!(r.dblock >= end && r.dblock + r.count <= m.dblock + m.count);
+                end = r.dblock + r.count;
+            }
+            assert_eq!(end, m.dblock + m.count, "a transfer ends on a part");
+        }
+        for w in g.windows(2) {
+            assert!(
+                w[0].dblock + w[0].count < w[1].dblock,
+                "{w:?} overlap or abut"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -97,5 +159,53 @@ proptest! {
             pos += r.count;
         }
         prop_assert_eq!(pos, start + count);
+    }
+
+    /// The planner, on every layout kind and any ascending extent list:
+    /// parts cover the list, transfers are well formed, without holes a
+    /// transfer is exactly its parts, and under the parity rule the only
+    /// rows a transfer adds are its device's parity rows.
+    #[test]
+    fn plan_covers_the_list_and_merges_only_through_holes(
+        pieces in proptest::collection::vec((0u64..6, 1u64..12), 0..12),
+        kind in 0usize..4,
+        devices in 1usize..5,
+        unit in 1u64..6,
+        parts in 1usize..6,
+        rotated in proptest::bool::ANY,
+    ) {
+        let ext = extents(&pieces);
+        let total = ext.last().map_or(0, |&(first, count)| first + count);
+        let layout: Box<dyn Layout> = match kind {
+            0 => Box::new(Striped::new(devices, unit)),
+            1 => Box::new(Partitioned::uniform(total, parts, devices)),
+            2 => Box::new(Shadowed::new(Box::new(Striped::new(devices, unit)))),
+            _ => Box::new(ParityStriped::new(devices, ParityPlacement::Rotated)),
+        };
+        let groups = plan(&*layout, &ext, |_, _| false);
+        prop_assert_eq!(groups.len(), layout.devices());
+        check_parts(&*layout, &ext, &groups);
+        check_transfers(&groups);
+        for m in groups.iter().flatten() {
+            prop_assert_eq!(m.count, m.parts.iter().map(|r| r.count).sum::<u64>());
+        }
+
+        let placement = if rotated { ParityPlacement::Rotated } else { ParityPlacement::Dedicated };
+        let ps = ParityStriped::new(devices, placement);
+        let hole = |device: usize, row: u64| ps.parity_device(row) == device;
+        let groups = plan(&ps, &ext, hole);
+        check_parts(&ps, &ext, &groups);
+        check_transfers(&groups);
+        for m in groups.iter().flatten() {
+            let mut covered = vec![false; m.count as usize];
+            for r in &m.parts {
+                for k in r.dblock..r.dblock + r.count {
+                    covered[(k - m.dblock) as usize] = true;
+                }
+            }
+            for (i, _) in covered.iter().enumerate().filter(|(_, &c)| !c) {
+                prop_assert!(hole(m.device, m.dblock + i as u64), "{:?} reads a data row", m);
+            }
+        }
     }
 }

@@ -6,9 +6,8 @@
 
 use pario_fs::{FileSpec, HealthState, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
-use pario_reliability::{
-    failure_schedule, rebuild_device, scrub, RebuildThrottle, PAPER_DEVICE_MTBF_HOURS,
-};
+use pario_reliability::{rebuild_device, scrub, RebuildThrottle};
+use pario_sim::failure::{failure_schedule, PAPER_DEVICE_MTBF_HOURS};
 
 const BS: usize = 512;
 

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pario_sim::SimTime;
+use crate::SimTime;
 
 /// Physical description and timing parameters of a modelled disk.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -1,4 +1,4 @@
-//! The modelled rotating disk: a [`DeviceModel`] for `pario-sim`.
+//! The modelled rotating disk: a [`DeviceModel`] for the simulator.
 //!
 //! Combines [`DiskGeometry`] timing with a [`Scheduler`] policy and tracks
 //! the arm's cylinder and the platter's (time-derived) angular position, so
@@ -6,10 +6,10 @@
 //! competing processes pay real seeks — the effect at the heart of the
 //! paper's §4 discussion of sharing devices among processes.
 
-use pario_sim::{DeviceModel, PendingReq, ServiceBreakdown, SimTime, Started};
+use crate::{DeviceModel, PendingReq, ServiceBreakdown, SimTime, Started};
 
-use crate::geometry::DiskGeometry;
-use crate::sched::{SchedPolicy, Scheduler};
+use super::geometry::DiskGeometry;
+use super::sched::{SchedPolicy, Scheduler};
 
 /// A simulated rotating disk with a request queue.
 #[derive(Debug)]
@@ -114,7 +114,7 @@ impl DeviceModel for ModeledDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pario_sim::{DiskReq, Script, Simulation};
+    use crate::{DiskReq, Script, Simulation};
 
     const BS: usize = 4096;
 

@@ -1,4 +1,5 @@
-//! MTBF analytics — the paper's §5 arithmetic, reproduced.
+//! The 1989 drive's failure model: exponential lifetimes, the paper's
+//! §5 arithmetic reproduced.
 //!
 //! "Assuming a MTBF of 30,000 hours for each storage device, a file
 //! system containing 10 devices could be expected to fail every 3,000
@@ -6,7 +7,16 @@
 //! devices, on the other hand, would average more than one failure every
 //! two weeks." With exponential lifetimes the system MTBF is simply the
 //! device MTBF divided by the device count; a seeded Monte-Carlo
-//! estimator cross-checks the closed form.
+//! estimator cross-checks the closed form, and seeded failure schedules
+//! drive the reliability campaigns (detection, degraded operation and
+//! rebuild at the rates §5 predicts).
+//!
+//! ```
+//! use pario_sim::failure::{system_mtbf_hours, PAPER_DEVICE_MTBF_HOURS};
+//!
+//! // Ten 30,000-hour drives fail every 3,000 h.
+//! assert_eq!(system_mtbf_hours(PAPER_DEVICE_MTBF_HOURS, 10), 3_000.0);
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -38,10 +48,7 @@ pub fn monte_carlo_mttf(device_mtbf_hours: f64, devices: u32, trials: u32, seed:
     for _ in 0..trials {
         let mut first = f64::INFINITY;
         for _ in 0..devices {
-            // Inverse-CDF exponential sample.
-            let u: f64 = rng.random();
-            let t = -device_mtbf_hours * (1.0 - u).ln();
-            first = first.min(t);
+            first = first.min(lifetime(&mut rng, device_mtbf_hours));
         }
         total += first;
     }
@@ -75,6 +82,44 @@ pub fn paper_table(device_counts: &[u32]) -> Vec<MtbfRow> {
             }
         })
         .collect()
+}
+
+/// One device lifetime in hours: an inverse-CDF exponential sample.
+fn lifetime(rng: &mut StdRng, device_mtbf_hours: f64) -> f64 {
+    let u: f64 = rng.random();
+    -device_mtbf_hours * (1.0 - u).ln()
+}
+
+/// One scheduled fail-stop event.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct FailureEvent {
+    /// Device index.
+    pub device: usize,
+    /// Virtual time of the failure, in hours.
+    pub at_hours: f64,
+}
+
+/// Draw each device's exponential lifetime and return the failures that
+/// land within `horizon_hours`, sorted by time. Each device fails at most
+/// once (it is assumed replaced/rebuilt afterwards by the experiment).
+pub fn failure_schedule(
+    devices: usize,
+    device_mtbf_hours: f64,
+    horizon_hours: f64,
+    seed: u64,
+) -> Vec<FailureEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut events: Vec<FailureEvent> = (0..devices)
+        .filter_map(|d| {
+            let t = lifetime(&mut rng, device_mtbf_hours);
+            (t <= horizon_hours).then_some(FailureEvent {
+                device: d,
+                at_hours: t,
+            })
+        })
+        .collect();
+    events.sort_by(|a, b| a.at_hours.total_cmp(&b.at_hours));
+    events
 }
 
 #[cfg(test)]
@@ -118,5 +163,39 @@ mod tests {
         assert_eq!(t[1].system_mtbf_hours, 3_000.0);
         assert!(t[2].days_between_failures < 14.0);
         assert!(t[0].failures_per_year < 0.3);
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let a = failure_schedule(50, 30_000.0, 10_000.0, 9);
+        let b = failure_schedule(50, 30_000.0, 10_000.0, 9);
+        assert_eq!(a, b);
+        let c = failure_schedule(50, 30_000.0, 10_000.0, 10);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn sorted_and_within_horizon() {
+        let ev = failure_schedule(100, 30_000.0, 5_000.0, 3);
+        assert!(ev.windows(2).all(|w| w[0].at_hours <= w[1].at_hours));
+        assert!(ev.iter().all(|e| e.at_hours <= 5_000.0));
+        assert!(ev.iter().all(|e| e.device < 100));
+    }
+
+    #[test]
+    fn failure_count_tracks_the_papers_rates() {
+        // 100 devices at 30,000 h MTBF over two weeks (336 h): expect
+        // ~1.1 failures on average. Over many seeds the mean must sit
+        // near that.
+        let mut total = 0usize;
+        let trials = 200;
+        for seed in 0..trials {
+            total += failure_schedule(100, 30_000.0, 336.0, seed).len();
+        }
+        let mean = total as f64 / trials as f64;
+        assert!(
+            (0.7..1.6).contains(&mean),
+            "mean failures per two weeks = {mean}, paper predicts ~1.1"
+        );
     }
 }

@@ -10,9 +10,15 @@
 //! * a virtual nanosecond clock ([`SimTime`]),
 //! * scripted processes ([`Script`]/[`Op`]) that compute, issue blocking or
 //!   asynchronous device requests, and synchronise at barriers,
-//! * pluggable per-device service models ([`DeviceModel`]) — the rotating
-//!   disk model with seek/rotation/transfer timing lives in `pario-disk`,
+//! * pluggable per-device service models ([`DeviceModel`]), among them
+//!   the modelled 1989 drive with seek/rotation/transfer timing and arm
+//!   scheduling ([`disk`]),
+//! * the drive's failure model: MTBF arithmetic and seeded failure
+//!   schedules ([`failure`]),
 //! * and per-run measurement ([`SimReport`]).
+//!
+//! Every model of the 1989 hardware — its timing and its failures —
+//! lives here; the product crates hold only the product.
 //!
 //! Everything is exactly reproducible: equal-time events are ordered by
 //! insertion sequence and no wall-clock or OS entropy enters the engine.
@@ -43,7 +49,9 @@
 
 #![warn(missing_docs)]
 
+pub mod disk;
 mod engine;
+pub mod failure;
 mod model;
 mod request;
 mod script;

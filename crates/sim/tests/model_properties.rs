@@ -1,9 +1,9 @@
-//! Property tests for the disk model: scheduler completeness, timing
-//! sanity, and device-content invariants.
+//! Property tests for the disk model: scheduler completeness and timing
+//! sanity.
 
 use proptest::prelude::*;
 
-use pario_disk::{BlockDevice, DiskGeometry, MemDisk, ModeledDisk, SchedPolicy, Scheduler};
+use pario_sim::disk::{DiskGeometry, ModeledDisk, SchedPolicy, Scheduler};
 use pario_sim::{DeviceModel, DiskReq, PendingReq, SimTime};
 
 const POLICIES: [SchedPolicy; 4] = [
@@ -91,36 +91,5 @@ proptest! {
         prop_assert!(g.seek_time(lo) <= g.seek_time(hi));
         let lat = g.rotational_latency(SimTime::from_ns(now_ns), sector);
         prop_assert!(lat < g.revolution());
-    }
-
-    /// MemDisk behaves like a byte array: a write/read model check with
-    /// arbitrary interleavings, plus fail/heal epochs.
-    #[test]
-    fn memdisk_matches_model(
-        ops in proptest::collection::vec((0u64..16, 0u8..255, proptest::bool::ANY), 1..60),
-    ) {
-        let d = MemDisk::new(16, 32);
-        let mut model: std::collections::HashMap<u64, u8> = Default::default();
-        let mut failed = false;
-        let mut buf = vec![0u8; 32];
-        for (block, val, toggle) in ops {
-            if toggle {
-                if failed { d.heal() } else { d.fail() }
-                failed = !failed;
-                continue;
-            }
-            let w = d.write_block(block, &[val; 32]);
-            if failed {
-                prop_assert!(w.is_err());
-            } else {
-                prop_assert!(w.is_ok());
-                model.insert(block, val);
-            }
-            if !failed {
-                d.read_block(block, &mut buf).unwrap();
-                let expect = *model.get(&block).unwrap_or(&0);
-                prop_assert!(buf.iter().all(|&b| b == expect));
-            }
-        }
     }
 }

@@ -11,15 +11,16 @@
 //! * [`layout`] — striped / partitioned / interleaved / declustered / parity
 //!   / shadowed data placement.
 //! * [`disk`] — the storage substrate: real in-memory and file-backed block
-//!   devices plus a parameterised rotating-disk timing model.
+//!   devices, fault injection, and the per-device I/O executor.
 //! * [`buffer`] — the volume-wide write-back block cache, with miss and
 //!   write-back coalescing.
 //! * [`sim`] — the deterministic discrete-event engine timing experiments
-//!   run on.
+//!   run on, with the models of the 1989 hardware: a parameterised
+//!   rotating-disk timing model and the MTBF / failure model.
 //! * [`server`] — the concurrent multi-client service layer: sessions,
 //!   per-organization sharing semantics, bounded admission, statistics.
-//! * [`reliability`] — MTBF analytics, parity reconstruction, shadowing,
-//!   failure injection, consistency checking.
+//! * [`reliability`] — device rebuild, scrub and repair, snapshot and
+//!   rollback, checksums, consistency checking.
 //! * [`workloads`] — seeded workload generators used by the experiments.
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the experiment index.

@@ -3,17 +3,17 @@
 //! regression in the substrate that would change the reproduction's
 //! conclusions fails CI rather than silently producing different tables.
 
-use pario::disk::SchedPolicy;
 use pario::layout::{Partitioned, Striped};
+use pario::sim::disk::SchedPolicy;
 use pario::sim::{DiskReq, Op, Simulation};
-use pario_bench::simx::{read_reqs, windowed_script, wren_bank, wren_capacity_blocks};
+use pario_bench::simx::{plan_reqs, stream_script, wren_bank, wren_capacity_blocks};
 use pario_bench::BS;
 
 fn stream_makespan(devices: usize, unit: u64, blocks: u64, window: usize) -> f64 {
     let layout = Striped::new(devices, unit);
     let mut sim = Simulation::new();
     wren_bank(&mut sim, devices, SchedPolicy::Fifo);
-    sim.add_proc(windowed_script(read_reqs(&layout, 0, blocks, 16), window));
+    sim.add_proc(stream_script(&layout, blocks, window as u64 * 16, 16));
     sim.run().makespan.as_secs_f64()
 }
 
@@ -39,7 +39,7 @@ fn e5_shape_ps_global_view_serial() {
         let layout = Partitioned::uniform(blocks, 4, 4);
         let mut sim = Simulation::new();
         wren_bank(&mut sim, 4, SchedPolicy::Fifo);
-        sim.add_proc(windowed_script(read_reqs(&layout, 0, blocks, 16), 8));
+        sim.add_proc(stream_script(&layout, blocks, 8 * 16, 16));
         sim.run().makespan.as_secs_f64()
     };
     let gap = ps / striped;
@@ -99,7 +99,7 @@ fn e7_shape_declustering_balances_hotspots() {
         // 8 processes hammer file block 3 (on one drive under whole-block).
         for _ in 0..8 {
             let ops: Vec<Op> = (0..24)
-                .map(|_| Op::Io(read_reqs(&layout, 3 * 8, 4 * 8, 8)))
+                .map(|_| Op::Io(plan_reqs(&layout, &[(3 * 8, 8)], 8)))
                 .collect();
             sim.add_proc(ops);
         }
@@ -132,10 +132,7 @@ fn e12_shape_cluster_vs_budget() {
         let layout = Striped::interleaved(4, cluster);
         let mut sim = Simulation::new();
         wren_bank(&mut sim, 4, SchedPolicy::Fifo);
-        sim.add_proc(windowed_script(
-            read_reqs(&layout, 0, blocks, 8),
-            budget_reqs,
-        ));
+        sim.add_proc(stream_script(&layout, blocks, budget_reqs as u64 * 8, 8));
         sim.run().makespan.as_secs_f64()
     };
     let small = run(8); // cluster well under the budget
