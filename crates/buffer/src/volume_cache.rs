@@ -9,14 +9,20 @@
 //! * **CLOCK eviction** over a fixed frame budget allocated once at
 //!   construction.
 //! * **Read-through miss coalescing**: adjacent misses in one request
-//!   become one vectored `submit_read_blocks` ticket per device, and
-//!   tickets across devices are all in flight before any is waited on
+//!   become one vectored read, and a caller that reads runs on several
+//!   devices has every run in flight before it waits any
 //!   ([`VolumeCache::submit_read`] / [`CacheReadTicket::wait`]).
 //! * **Write-behind coalescing**: a write dirties frames — the paper's
 //!   deferred write — and dirty neighbors are merged into contiguous
-//!   runs before executor submit, both at eviction and at
+//!   runs before they go home, both at eviction and at
 //!   [`VolumeCache::flush`]. A producer that outruns its devices waits
 //!   out the eviction's write-back.
+//! * **A lone transfer is a call.** A write-back or a synchronous fill
+//!   that is one run calls the device handle's blocking
+//!   `read_blocks_at` / `write_blocks_at`: its caller waits on it alone,
+//!   so there is no overlap for an executor worker to buy, and an idle
+//!   node runs it on the calling thread. Two or more runs are submitted
+//!   together, then waited.
 //! * **Invalidation** hooks ([`VolumeCache::invalidate_ranges`],
 //!   [`VolumeCache::drop_device`]) let lock release points and device
 //!   health transitions keep cached state coherent with the media.
@@ -32,13 +38,13 @@
 //! (§3: reserve early "so the next process can proceed before the first
 //! transfer completes"). A write-back *reserves* its frames — copies
 //! their bytes, marks them `writing`, notes the table's clock — drops
-//! the lock, submits every run before waiting any, retakes the lock and
-//! *commits*: a frame goes clean only if its version is no later than
-//! the noted clock, so a write that raced the transfer (or a failed
-//! transfer) leaves it dirty. While a frame is `writing` hits and writes
-//! go ahead; CLOCK passes over it, and a flusher or invalidator whose
-//! range covers it waits for the transfer to land (a range flush may
-//! not return with a write-back of its range still in flight; an
+//! the lock, moves its runs (several all in flight together), retakes
+//! the lock and *commits*: a frame goes clean only if its version is no
+//! later than the noted clock, so a write that raced the transfer (or a
+//! failed transfer) leaves it dirty. While a frame is `writing` hits and
+//! writes go ahead; CLOCK passes over it, and a flusher or invalidator
+//! whose range covers it waits for the transfer to land (a range flush
+//! may not return with a write-back of its range still in flight; an
 //! invalidation precedes a raw media write that a late write-back would
 //! clobber).
 //!
@@ -272,6 +278,10 @@ pub struct VolumeCache {
 /// count, executor ticket).
 type PendingRun = (usize, u64, u64, Ticket<Box<[u8]>>);
 
+/// One transfer to make: (device, first block, buffer) — the bytes to
+/// write, or the room to read into.
+type IoRun = (usize, u64, Box<[u8]>);
+
 /// An in-flight cached read: hits were copied at submit time, miss runs
 /// hold executor tickets. Wait with [`CacheReadTicket::wait`].
 #[must_use = "a cached read completes only when waited"]
@@ -389,11 +399,47 @@ impl VolumeCache {
     // release it around a transfer.
     // ------------------------------------------------------------------
 
+    /// Submit `run` to its device's executor.
+    fn submit(&self, write: bool, (dev, block, buf): IoRun) -> Ticket<Box<[u8]>> {
+        let device = &self.devices[dev];
+        if write {
+            device.submit_write_blocks(block, buf)
+        } else {
+            device.submit_read_blocks(block, buf)
+        }
+    }
+
+    /// Move `runs` that the caller is about to wait — a write-back, or
+    /// the fill behind [`VolumeCache::read_blocks`] — with the table
+    /// unlocked; one ticket per run, in order. A lone run is a call to
+    /// the device handle's blocking `read_blocks_at` / `write_blocks_at`
+    /// and its ticket comes back ready: on an idle node the call runs on
+    /// this thread, and on a busy one it queues behind everything already
+    /// there. Two or more are all submitted before any is waited, so the
+    /// devices move them in parallel.
+    fn move_runs(&self, write: bool, mut runs: Vec<IoRun>) -> Vec<Ticket<Box<[u8]>>> {
+        if runs.len() != 1 {
+            return runs
+                .into_iter()
+                .map(|run| self.submit(write, run))
+                .collect();
+        }
+        // invariant: exactly one run, checked just above.
+        let (dev, block, mut buf) = runs.pop().expect("one run");
+        let device = &self.devices[dev];
+        let moved = if write {
+            device.write_blocks_at(block, &buf)
+        } else {
+            device.read_blocks_at(block, &mut buf)
+        };
+        vec![Ticket::ready(moved.map(|()| buf))]
+    }
+
     /// Write the dirty frames of the (disjoint) key `ranges` home — the
     /// one write-back routine, behind every flush and the eviction of a
-    /// dirty frame: reserve under the lock, transfer unlocked with every
-    /// run submitted before any is waited, commit under the lock. Costs
-    /// the blocks in the ranges, not the table.
+    /// dirty frame: reserve under the lock, move the runs unlocked
+    /// ([`VolumeCache::move_runs`]), commit under the lock. Costs the
+    /// blocks in the ranges, not the table.
     fn write_back(&self, st: &mut Table<'_>, ranges: &[(Key, Key)]) -> Result<()> {
         // Someone else's write-back of these blocks counts: it lands
         // before this returns, and what it leaves dirty is written here.
@@ -431,14 +477,15 @@ impl VolumeCache {
             st.slots[idx].writing = true;
         }
         let stamp = st.clock;
+        let moves = runs
+            .iter_mut()
+            .map(|run| {
+                let data = std::mem::take(&mut run.data);
+                (run.dev, run.start, data.into_boxed_slice())
+            })
+            .collect();
         let outcomes: Vec<Result<()>> = st.unlocked(|| {
-            let tickets: Vec<Ticket<Box<[u8]>>> = runs
-                .iter_mut()
-                .map(|run| {
-                    let data = std::mem::take(&mut run.data).into_boxed_slice();
-                    self.devices[run.dev].submit_write_blocks(run.start, data)
-                })
-                .collect();
+            let tickets = self.move_runs(true, moves);
             tickets.into_iter().map(|t| t.wait().map(|_| ())).collect()
         });
         // Commit. A failed run stays dirty; the data is not lost.
@@ -576,6 +623,15 @@ impl VolumeCache {
     /// submitting every run before waiting any
     /// ([`CacheReadTicket::wait`]).
     pub fn submit_read(&self, dev: usize, block: u64, count: usize) -> CacheReadTicket {
+        self.start_read(dev, block, count, false)
+    }
+
+    /// [`VolumeCache::submit_read`], with the miss runs moved by
+    /// [`VolumeCache::move_runs`] when `waited` — the caller waits the
+    /// ticket before doing anything else — and submitted otherwise.
+    /// Either way the misses are registered first, and the ticket
+    /// installs them.
+    fn start_read(&self, dev: usize, block: u64, count: usize, waited: bool) -> CacheReadTicket {
         let bs = self.block_size;
         let mut out = vec![0u8; count * bs].into_boxed_slice();
         let mut misses: Vec<(usize, usize)> = Vec::new();
@@ -601,14 +657,19 @@ impl VolumeCache {
             misses.push((start, n));
         }
         drop(st);
+        let runs = misses.iter().map(|&(start, n)| {
+            let buf = vec![0u8; n * bs].into_boxed_slice();
+            (dev, block + start as u64, buf)
+        });
+        let tickets = if waited {
+            self.move_runs(false, runs.collect())
+        } else {
+            runs.map(|run| self.submit(false, run)).collect()
+        };
         let pending = misses
             .into_iter()
-            .map(|(start, n)| {
-                let first = block + start as u64;
-                let buf = vec![0u8; n * bs].into_boxed_slice();
-                let t = self.devices[dev].submit_read_blocks(first, buf);
-                (start * bs, first, n as u64, t)
-            })
+            .zip(tickets)
+            .map(|((start, n), t)| (start * bs, block + start as u64, n as u64, t))
             .collect();
         CacheReadTicket {
             dev,
@@ -621,7 +682,9 @@ impl VolumeCache {
     /// Read blocks synchronously through the cache (`out` must be a
     /// whole number of blocks, else `BadBufferSize`). Resident blocks are
     /// copied frame to `out` once, under the lock; the ticket path takes
-    /// over at the first block that is not.
+    /// over at the first block that is not. A lone miss run is one call
+    /// to the device handle's blocking `read_blocks_at`, which an idle
+    /// node runs on this thread; several are submitted, then waited.
     pub fn read_blocks(&self, dev: usize, block: u64, out: &mut [u8]) -> Result<()> {
         self.check_len(out.len(), false)?;
         let bs = self.block_size;
@@ -640,7 +703,7 @@ impl VolumeCache {
             return Ok(());
         }
         let data = self
-            .submit_read(dev, block + served as u64, rest.len() / bs)
+            .start_read(dev, block + served as u64, rest.len() / bs, true)
             .wait(self)?;
         rest.copy_from_slice(&data);
         Ok(())
@@ -706,9 +769,9 @@ impl VolumeCache {
     /// Flush dirty state covering disjoint `(device, block, count)`
     /// ranges — the hook a byte-range lock release drives so data
     /// written under the lock is durable before the next holder
-    /// proceeds. Every run of every range is submitted before any is
-    /// waited. Does not return while a write-back of the ranges,
-    /// anyone's, is still in flight.
+    /// proceeds. One run is a blocking call; several are all submitted
+    /// before any is waited. Does not return while a write-back of the
+    /// ranges, anyone's, is still in flight.
     pub fn flush_ranges(&self, ranges: &[(usize, u64, u64)]) -> Result<()> {
         self.write_back(&mut self.table(), &range_keys(ranges))
     }
@@ -1039,24 +1102,31 @@ mod tests {
     // The frame protocol: no transfer under the table lock
     // ------------------------------------------------------------------
 
-    use pario_disk::{BlockDevice, DiskError, IoCounters, MemDisk};
+    use pario_disk::{BlockDevice, DiskError, IoCounters, IoNode, MemDisk};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
     use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, OnceLock, Weak};
     use std::time::Duration;
 
-    /// A `MemDisk` that runs `hook(is_write)` at the top of every
-    /// transfer, on whichever thread makes the call. Plain synchronous:
-    /// its `submit_*` are the trait's inline defaults, so a submit made
-    /// under the table lock would be a transfer under it.
+    /// A `MemDisk` that runs `hook(is_write, first block)` at the top
+    /// of every transfer, on whichever thread makes the call. Plain
+    /// synchronous: its `submit_*` are the trait's inline defaults, so a
+    /// submit made under the table lock would be a transfer under it.
     struct Hooked {
         inner: MemDisk,
-        hook: Box<dyn Fn(bool) -> Result<()> + Send + Sync>,
+        hook: Box<dyn Fn(bool, u64) -> Result<()> + Send + Sync>,
     }
 
     fn hooked(hook: impl Fn(bool) -> Result<()> + Send + Sync + 'static) -> DeviceRef {
+        hooked_on(MemDisk::new(64, BS), move |write, _| hook(write))
+    }
+
+    fn hooked_on(
+        inner: MemDisk,
+        hook: impl Fn(bool, u64) -> Result<()> + Send + Sync + 'static,
+    ) -> DeviceRef {
         Arc::new(Hooked {
-            inner: MemDisk::new(64, BS),
+            inner,
             hook: Box::new(hook),
         })
     }
@@ -1069,11 +1139,11 @@ mod tests {
             self.inner.num_blocks()
         }
         fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-            (self.hook)(false)?;
+            (self.hook)(false, block)?;
             self.inner.read_blocks_at(block, buf)
         }
         fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
-            (self.hook)(true)?;
+            (self.hook)(true, block)?;
             self.inner.write_blocks_at(block, data)
         }
         fn counters(&self) -> IoCounters {
@@ -1334,6 +1404,86 @@ mod tests {
         broken.store(false, Ordering::SeqCst);
         c.flush_ranges(&[(0, 1, 1)]).unwrap();
         assert_eq!(media(&dev, 1), 5);
+    }
+
+    // ------------------------------------------------------------------
+    // A lone transfer is a call
+    // ------------------------------------------------------------------
+
+    /// Slower than the executor's hand-off cost (20 µs): a submission to
+    /// such a node queues for its worker even when the node is idle.
+    const SLOW: Duration = Duration::from_micros(100);
+
+    /// Who made a transfer: (thread, is write, first block).
+    type Made = (std::thread::ThreadId, bool, u64);
+
+    #[test]
+    fn a_lone_write_back_or_fill_is_a_call_that_queues_behind_a_busy_node() {
+        let made: Arc<StdMutex<Vec<Made>>> = Arc::default();
+        let gate = Arc::new(Gate::default());
+        let (m, g) = (Arc::clone(&made), Arc::clone(&gate));
+        let dev = hooked_on(
+            MemDisk::new(64, BS).with_delay(SLOW),
+            move |write, block| {
+                let me = std::thread::current().id();
+                m.lock().unwrap().push((me, write, block));
+                if write {
+                    g.pass();
+                }
+                Ok(())
+            },
+        );
+        let node = IoNode::spawn(dev);
+        let c = VolumeCache::new(vec![node.device()], VolumeCacheConfig::write_back(8));
+        let last = || *made.lock().unwrap().last().unwrap();
+        let me = std::thread::current().id();
+
+        // A one-run flush on an idle node runs here, not on the worker.
+        c.write_block(0, 1, &[1u8; BS]).unwrap();
+        c.flush_ranges(&[(0, 1, 1)]).unwrap();
+        assert_eq!(last(), (me, true, 1), "the write-back ran on the caller");
+        // So does a one-block miss.
+        let mut buf = [0u8; BS];
+        c.read_blocks(0, 5, &mut buf).unwrap();
+        assert_eq!(last(), (me, false, 5), "the fill ran on the caller");
+        assert_eq!(node.stats().queue_wait_nanos, 0, "nothing queued");
+
+        // With a transfer parked on the device, the same write-back
+        // queues and lands after it.
+        c.write_block(0, 1, &[2u8; BS]).unwrap();
+        gate.arm();
+        let raw = node.device();
+        let [holder, flusher] = std::thread::scope(|s| {
+            let holder = s.spawn(|| raw.write_block(9, &[9u8; BS]));
+            gate.wait_parked();
+            let flusher = s.spawn(|| c.flush_ranges(&[(0, 1, 1)]));
+            let ids = [holder.thread().id(), flusher.thread().id()];
+            while node.stats().in_flight < 2 {
+                std::thread::yield_now();
+            }
+            gate.release();
+            holder.join().unwrap().unwrap();
+            flusher.join().unwrap().unwrap();
+            ids
+        });
+        let writes: Vec<Made> = made
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|m| m.1)
+            .copied()
+            .collect();
+        let [.., parked, queued] = writes[..] else {
+            panic!("two writes at least: {writes:?}");
+        };
+        assert_eq!((parked.2, queued.2), (9, 1), "arrival order");
+        assert_eq!(parked.0, holder, "the parked write ran on its caller");
+        assert!(
+            queued.0 != flusher && queued.0 != holder,
+            "the queued write-back ran on the worker"
+        );
+        assert_eq!(media(&raw, 1), 2);
+        assert!(node.stats().queue_wait_nanos > 0, "{:?}", node.stats());
     }
 
     /// Every transfer of a device built here takes the table lock

@@ -473,11 +473,13 @@ fn execute<T>(shared: &Shared, mut op: impl FnMut() -> Result<T>) -> Result<T> {
 ///
 /// They are debt, owed to the gated benchmark rather than to any
 /// workload: it logs 4 bytes per completed op and reports the log inside
-/// `peak_rss_mb`, so past roughly 2.5x `ops_per_s` on `gda-inproc` the
-/// log alone breaks that metric's 0.25 bound (one yield: 3.9x and +36 %
-/// RSS; none: 6.5x and +65 %), and a change that claims a gain may not
-/// edit the benchmark. Once the log is bounded this constant goes
-/// (ROADMAP item 1). See DESIGN §7.
+/// `peak_rss_mb`, whose bound is 0.25, and a change that claims a gain
+/// may not edit the benchmark. Without them and nothing else changed
+/// (two sets of two alternating 15 s pairs on one pinned CPU of a
+/// 2-vCPU host), `gda-inproc` ran 2.6-2.9x the ops at +47-60 % RSS and
+/// `ss-queue` 2.6-2.7x at +35 %, past that bound through the log alone;
+/// `gda-socket` ran 1.33-1.37x at +1-2.5 %. Once the log is bounded
+/// this constant goes (ROADMAP item 1). See DESIGN §7.
 ///
 /// Fairness on a shared CPU is not their job either. Submissions to an
 /// idle fast node run inline without them, a parity span's whole

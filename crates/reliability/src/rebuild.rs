@@ -71,6 +71,10 @@ pub(crate) fn in_bursts(
                 at += n;
             }
         }
+        #[cfg(test)]
+        if at < rows {
+            tests::between_bursts();
+        }
         if at < rows && !throttle.pause.is_zero() {
             std::thread::sleep(throttle.pause);
         }
@@ -175,7 +179,25 @@ pub fn rebuild_device(
 mod tests {
     use super::*;
     use pario_fs::{FileSpec, HealthState, VolumeConfig};
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    thread_local! {
+        /// Run by a sweep on this thread between two of its bursts, with
+        /// the stripe lock released.
+        static BETWEEN_BURSTS: RefCell<Option<Box<dyn FnMut()>>> = RefCell::new(None);
+    }
+
+    /// The sweep's test hook: see [`BETWEEN_BURSTS`].
+    pub(super) fn between_bursts() {
+        BETWEEN_BURSTS.with(|hook| {
+            if let Some(hook) = hook.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
 
     const BS: usize = 256;
 
@@ -500,6 +522,10 @@ mod tests {
         assert_eq!(v.device_health(0), HealthState::Failed);
     }
 
+    /// How long a parked sweep waits for a foreground write before it
+    /// gives up, which fails the test: the wait can never pass it.
+    const HANG: Duration = Duration::from_secs(30);
+
     #[test]
     fn foreground_writes_flow_during_a_rebuild() {
         let v = vol();
@@ -515,15 +541,35 @@ mod tests {
 
         // Concurrent foreground writers churn the file while the
         // rebuild sweeps it; every write must land on both copies.
+        // After its first burst the sweep parks until a write that began
+        // while it was parked has landed: a sweep that kept foreground
+        // writes out until it completed would park for ever.
         let done = AtomicBool::new(false);
-        let wrote = AtomicU64::new(0);
+        let parked = Arc::new(AtomicBool::new(false));
+        let between = Arc::new(AtomicU64::new(0));
+        let (p, b) = (Arc::clone(&parked), Arc::clone(&between));
+        let mut first = true;
+        BETWEEN_BURSTS.set(Some(Box::new(move || {
+            if !std::mem::take(&mut first) {
+                return;
+            }
+            p.store(true, Ordering::SeqCst);
+            let give_up = Instant::now() + HANG;
+            while b.load(Ordering::SeqCst) == 0 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            p.store(false, Ordering::SeqCst);
+        })));
         crossbeam::thread::scope(|s| {
             let fg = s.spawn(|_| {
                 let mut k = 0u64;
                 while !done.load(Ordering::SeqCst) {
                     let r = k % n;
+                    let began_parked = parked.load(Ordering::SeqCst);
                     f.write_record(r, &rec(1000 + r)).unwrap();
-                    wrote.fetch_add(1, Ordering::SeqCst);
+                    if began_parked && parked.load(Ordering::SeqCst) {
+                        between.fetch_add(1, Ordering::SeqCst);
+                    }
                     k += 1;
                 }
             });
@@ -536,10 +582,11 @@ mod tests {
             fg.join().unwrap();
         })
         .unwrap();
+        BETWEEN_BURSTS.set(None);
         assert_eq!(v.device_health(1), HealthState::Healthy);
         assert!(
-            wrote.load(Ordering::SeqCst) > 0,
-            "foreground made progress during the rebuild"
+            between.load(Ordering::SeqCst) >= 1,
+            "no foreground write landed while the sweep was parked between bursts"
         );
         // Every record consistent on BOTH copies: fail the mirror side
         // and read the rebuilt primaries, then vice versa.
