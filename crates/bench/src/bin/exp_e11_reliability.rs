@@ -163,8 +163,8 @@ fn stale_parity_for_independent_updates() {
     // PS/IS-style independent access: processes write "their" device
     // directly, skipping the cross-device parity RMW (which would
     // serialise them — defeating the point of independent access).
-    f.write_device_block(0, 3, &vec![9u8; BS]).unwrap();
-    f.write_device_block(1, 5, &vec![9u8; BS]).unwrap();
+    f.write_device_rows(&[(0, 3, &[9u8; BS][..])]).unwrap();
+    f.write_device_rows(&[(1, 5, &[9u8; BS][..])]).unwrap();
     let bad = rel::scrub(&f).unwrap();
     println!(
         "   two independent per-device updates bypassing parity RMW -> \

@@ -7,8 +7,8 @@
 //! Every lane runs on memory devices with a modelled per-request
 //! service time (so request COUNT, not bandwidth, dominates — the 1989
 //! regime) and sets the span path against a bench-local per-block
-//! reference — `read_lblock` / `write_lblock`, the same reader and
-//! writer handed one-block spans, so nothing coalesces:
+//! reference — `read_span` / `write_span` one block at a time, the
+//! same reader and writer handed one-block spans, so nothing coalesces:
 //!
 //! * `read_*`     — a span read per block, coalesced with the device
 //!   fan-out disabled, and as shipped (fan-out enabled), over striped,
@@ -79,7 +79,7 @@ fn read_case(report: &mut Report, lane: &str, devices: usize, layout: LayoutSpec
     report.lane(lane, RUNS, || {
         let (t_pb, r_pb, _) = timed(&v, || {
             for (l, block) in (0..).zip(out.chunks_mut(BS)) {
-                f.read_lblock(l, block).unwrap();
+                f.read_span(l * BS as u64, block).unwrap();
             }
         });
         assert_eq!(out, data);
@@ -116,7 +116,7 @@ fn parity_write_case(report: &mut Report, blocks: u64, phase: u64) {
     report.lane(&format!("pwrite_b{blocks}_phase{phase}"), RUNS, || {
         let (t_pb, r_pb, w_pb) = timed(&v, || {
             for (l, block) in (first..).zip(data.chunks(BS)) {
-                f.write_lblock(l, block).unwrap();
+                f.write_span(l * BS as u64, block).unwrap();
             }
         });
         let (t_sp, r_sp, w_sp) = timed(&v, || f.write_span(first * BS as u64, &data).unwrap());
@@ -169,7 +169,7 @@ fn degraded_read_case(report: &mut Report, rebuilding: bool) {
     report.lane(&format!("degraded_{lane}"), RUNS, || {
         let (t_pb, r_pb, _) = timed(&v, || {
             for (l, block) in (0..).zip(out.chunks_mut(BS)) {
-                f.read_lblock(l, block).unwrap();
+                f.read_span(l * BS as u64, block).unwrap();
             }
         });
         assert_eq!(out, data);
@@ -206,7 +206,7 @@ fn global_scan_case(report: &mut Report, devices: usize, unit: u64) {
     report.lane(&format!("global_u{unit}"), RUNS, || {
         let (t_pb, r_pb, _) = timed(&v, || {
             for l in 0..BLOCKS {
-                f.read_lblock(l, &mut rec).unwrap();
+                f.read_span(l * BS as u64, &mut rec).unwrap();
             }
         });
         let (t_gv, r_gv, _) = timed(&v, || {

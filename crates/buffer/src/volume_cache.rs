@@ -12,6 +12,11 @@
 //!   become one vectored read, and a caller that reads runs on several
 //!   devices has every run in flight before it waits any
 //!   ([`VolumeCache::submit_read`] / [`CacheReadTicket::wait`]).
+//! * **One read routine, in the reader's buffer.** A read copies its
+//!   hits into the reader's buffer and lands its misses there:
+//!   [`VolumeCache::read_blocks`] lends its slice, `submit_read` takes
+//!   the run's staging buffer and its ticket hands the same buffer back.
+//!   The tier allocates no buffer for a read, and none at all for a hit.
 //! * **Write-behind coalescing**: a write dirties frames — the paper's
 //!   deferred write — and dirty neighbors are merged into contiguous
 //!   runs before they go home, both at eviction and at
@@ -19,7 +24,8 @@
 //!   out the eviction's write-back.
 //! * **A lone transfer is a call.** A write-back or a synchronous fill
 //!   that is one run calls the device handle's blocking
-//!   `read_blocks_at` / `write_blocks_at`: its caller waits on it alone,
+//!   `read_blocks_at` / `write_blocks_at` on the caller's bytes: its
+//!   caller waits on it alone,
 //!   so there is no overlap for an executor worker to buy, and an idle
 //!   node runs it on the calling thread. Two or more runs are submitted
 //!   together, then waited.
@@ -274,23 +280,29 @@ pub struct VolumeCache {
     settled: Condvar,
 }
 
-/// A pending miss run: (byte offset into `out`, start block, block
-/// count, executor ticket).
-type PendingRun = (usize, u64, u64, Ticket<Box<[u8]>>);
-
-/// One transfer to make: (device, first block, buffer) — the bytes to
+/// One transfer to make: (device, first block, bytes) — the bytes to
 /// write, or the room to read into.
-type IoRun = (usize, u64, Box<[u8]>);
+type IoRun<'a> = (usize, u64, &'a mut [u8]);
 
-/// An in-flight cached read: hits were copied at submit time, miss runs
-/// hold executor tickets. Wait with [`CacheReadTicket::wait`].
+/// The misses of one cached read, registered in the table at clock
+/// `since`: runs of adjacent absent blocks of `dev` from `block`, as
+/// (index of the run's first block in the reader's buffer, blocks).
+struct Misses {
+    dev: usize,
+    block: u64,
+    since: u64,
+    runs: Vec<(usize, usize)>,
+}
+
+/// An in-flight cached read: the reader's buffer with every hit already
+/// copied in, and one executor ticket per miss run. Wait with
+/// [`CacheReadTicket::wait`], which lands the misses in the same buffer
+/// and hands it back.
 #[must_use = "a cached read completes only when waited"]
 pub struct CacheReadTicket {
-    dev: usize,
-    /// Table clock when the misses were registered (at the latest).
-    since: u64,
-    pending: Vec<PendingRun>,
-    out: Box<[u8]>,
+    misses: Misses,
+    tickets: Vec<Ticket<Box<[u8]>>>,
+    buf: Box<[u8]>,
 }
 
 /// One vectored home write of a write-back: contiguous blocks of one
@@ -351,11 +363,6 @@ impl VolumeCache {
         self.block_size
     }
 
-    /// Frame budget (total frames).
-    pub fn frame_budget(&self) -> usize {
-        self.frames.lock().slots.len()
-    }
-
     /// Current statistics snapshot.
     pub fn stats(&self) -> VolumeCacheStats {
         self.frames.lock().stats
@@ -399,8 +406,8 @@ impl VolumeCache {
     // release it around a transfer.
     // ------------------------------------------------------------------
 
-    /// Submit `run` to its device's executor.
-    fn submit(&self, write: bool, (dev, block, buf): IoRun) -> Ticket<Box<[u8]>> {
+    /// Submit a transfer of `buf` at `block` of `dev` to its executor.
+    fn submit(&self, write: bool, dev: usize, block: u64, buf: Box<[u8]>) -> Ticket<Box<[u8]>> {
         let device = &self.devices[dev];
         if write {
             device.submit_write_blocks(block, buf)
@@ -409,30 +416,34 @@ impl VolumeCache {
         }
     }
 
-    /// Move `runs` that the caller is about to wait — a write-back, or
-    /// the fill behind [`VolumeCache::read_blocks`] — with the table
-    /// unlocked; one ticket per run, in order. A lone run is a call to
-    /// the device handle's blocking `read_blocks_at` / `write_blocks_at`
-    /// and its ticket comes back ready: on an idle node the call runs on
-    /// this thread, and on a busy one it queues behind everything already
-    /// there. Two or more are all submitted before any is waited, so the
-    /// devices move them in parallel.
-    fn move_runs(&self, write: bool, mut runs: Vec<IoRun>) -> Vec<Ticket<Box<[u8]>>> {
-        if runs.len() != 1 {
-            return runs
-                .into_iter()
-                .map(|run| self.submit(write, run))
-                .collect();
+    /// Move `runs` that the caller waits for — a write-back, or the fill
+    /// behind [`VolumeCache::read_blocks`] — with the table unlocked; one
+    /// outcome per run, in order. A lone run is a call to the device
+    /// handle's blocking `read_blocks_at` / `write_blocks_at` on the
+    /// caller's bytes: on an idle node it runs on this thread, and on a
+    /// busy one it queues behind everything already there. Two or more
+    /// are all submitted, each in a buffer of its own, before any is
+    /// waited, so the devices move them in parallel.
+    fn move_runs(&self, write: bool, runs: &mut [IoRun<'_>]) -> Vec<Result<()>> {
+        if let [(dev, block, buf)] = runs {
+            let device = &self.devices[*dev];
+            return vec![if write {
+                device.write_blocks_at(*block, buf)
+            } else {
+                device.read_blocks_at(*block, buf)
+            }];
         }
-        // invariant: exactly one run, checked just above.
-        let (dev, block, mut buf) = runs.pop().expect("one run");
-        let device = &self.devices[dev];
-        let moved = if write {
-            device.write_blocks_at(block, &buf)
-        } else {
-            device.read_blocks_at(block, &mut buf)
+        let submit =
+            |(dev, block, buf): &IoRun<'_>| self.submit(write, *dev, *block, Box::from(&**buf));
+        let tickets: Vec<_> = runs.iter().map(submit).collect();
+        let wait = |(t, (_, _, buf)): (Ticket<Box<[u8]>>, &mut IoRun<'_>)| {
+            t.wait().map(|moved| {
+                if !write {
+                    buf.copy_from_slice(&moved);
+                }
+            })
         };
-        vec![Ticket::ready(moved.map(|()| buf))]
+        tickets.into_iter().zip(runs).map(wait).collect()
     }
 
     /// Write the dirty frames of the (disjoint) key `ranges` home — the
@@ -477,16 +488,12 @@ impl VolumeCache {
             st.slots[idx].writing = true;
         }
         let stamp = st.clock;
-        let moves = runs
-            .iter_mut()
-            .map(|run| {
-                let data = std::mem::take(&mut run.data);
-                (run.dev, run.start, data.into_boxed_slice())
-            })
-            .collect();
-        let outcomes: Vec<Result<()>> = st.unlocked(|| {
-            let tickets = self.move_runs(true, moves);
-            tickets.into_iter().map(|t| t.wait().map(|_| ())).collect()
+        let outcomes = st.unlocked(|| {
+            let mut moves: Vec<IoRun<'_>> = runs
+                .iter_mut()
+                .map(|run| (run.dev, run.start, &mut run.data[..]))
+                .collect();
+            self.move_runs(true, &mut moves)
         });
         // Commit. A failed run stays dirty; the data is not lost.
         let mut first_err = None;
@@ -615,98 +622,124 @@ impl VolumeCache {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Start a cached read of `count` blocks of device `dev` beginning
-    /// at absolute block `block`. Hits are copied immediately; runs of
-    /// adjacent misses are coalesced into one vectored executor ticket
-    /// each, all submitted before this returns — so a caller reading
-    /// runs on several devices keeps full cross-device parallelism by
-    /// submitting every run before waiting any
-    /// ([`CacheReadTicket::wait`]).
-    pub fn submit_read(&self, dev: usize, block: u64, count: usize) -> CacheReadTicket {
-        self.start_read(dev, block, count, false)
-    }
-
-    /// [`VolumeCache::submit_read`], with the miss runs moved by
-    /// [`VolumeCache::move_runs`] when `waited` — the caller waits the
-    /// ticket before doing anything else — and submitted otherwise.
-    /// Either way the misses are registered first, and the ticket
-    /// installs them.
-    fn start_read(&self, dev: usize, block: u64, count: usize, waited: bool) -> CacheReadTicket {
-        let bs = self.block_size;
-        let mut out = vec![0u8; count * bs].into_boxed_slice();
-        let mut misses: Vec<(usize, usize)> = Vec::new();
+    /// The read routine's first half, under one hold of the table: copy
+    /// every resident block of `dev` from `block` into `out`, whole
+    /// blocks, and register every absent one as fetched, adjacent ones
+    /// as one run. [`VolumeCache::land`] settles what it registered.
+    fn lookup(&self, dev: usize, block: u64, out: &mut [u8]) -> Misses {
         let mut st = self.frames.lock();
         let since = st.clock;
-        let mut i = 0usize;
-        while i < count {
-            if let Some(&idx) = st.map.get(&(dev, block + i as u64)) {
-                st.hit(idx, &mut out[i * bs..(i + 1) * bs]);
-                i += 1;
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (i, chunk) in out.chunks_mut(self.block_size).enumerate() {
+            let key = (dev, block + i as u64);
+            if let Some(&idx) = st.map.get(&key) {
+                st.hit(idx, chunk);
                 continue;
             }
-            // Coalesce the whole run of adjacent misses into one
-            // vectored read.
-            let start = i;
-            while i < count && !st.map.contains_key(&(dev, block + i as u64)) {
-                st.begin_fetch((dev, block + i as u64));
-                i += 1;
+            st.begin_fetch(key);
+            st.stats.base.misses += 1;
+            match runs.last_mut() {
+                Some((at, n)) if *at + *n == i => {
+                    *n += 1;
+                    st.stats.coalesced_reads += 1;
+                }
+                _ => runs.push((i, 1)),
             }
-            let n = i - start;
-            st.stats.base.misses += n as u64;
-            st.stats.coalesced_reads += n as u64 - 1;
-            misses.push((start, n));
         }
-        drop(st);
-        let runs = misses.iter().map(|&(start, n)| {
-            let buf = vec![0u8; n * bs].into_boxed_slice();
-            (dev, block + start as u64, buf)
-        });
-        let tickets = if waited {
-            self.move_runs(false, runs.collect())
-        } else {
-            runs.map(|run| self.submit(false, run)).collect()
-        };
-        let pending = misses
-            .into_iter()
-            .zip(tickets)
-            .map(|((start, n), t)| (start * bs, block + start as u64, n as u64, t))
-            .collect();
-        CacheReadTicket {
+        Misses {
             dev,
+            block,
             since,
-            pending,
-            out,
+            runs,
         }
+    }
+
+    /// The read routine's second half: install the miss runs that were
+    /// `moved` (one outcome per run) as clean frames, from where they
+    /// landed in `out`, and retire every fetch [`VolumeCache::lookup`]
+    /// registered. Keys a racing writer made resident are skipped —
+    /// their copy is newer — and so are keys a write or invalidation
+    /// poisoned while the fetch was in flight: the fetched bytes predate
+    /// the mutation. An install failure (an eviction write-back error)
+    /// does not fail the read; the blocks are simply not cached. The
+    /// first failed run's error is the read's.
+    fn land(&self, misses: Misses, out: &[u8], moved: Vec<Result<()>>) -> Result<()> {
+        if misses.runs.is_empty() {
+            return Ok(());
+        }
+        let bs = self.block_size;
+        let mut st = self.table();
+        let (mut err, mut install_failed) = (None, false);
+        for (&(at, n), outcome) in misses.runs.iter().zip(moved) {
+            let fetched = outcome.map_err(|e| err.get_or_insert(e)).is_ok();
+            for i in at..at + n {
+                let key = (misses.dev, misses.block + i as u64);
+                // The key stays in flight until its install is decided:
+                // claiming a slot may release the table, and a write
+                // landing then must still poison this fetch.
+                if fetched && !install_failed {
+                    let chunk = &out[i * bs..(i + 1) * bs];
+                    let installed = self.install(&mut st, key, chunk, Some(misses.since));
+                    install_failed = installed.is_err();
+                }
+                st.retire_inflight(key);
+            }
+        }
+        err.map_or(Ok(()), Err)
+    }
+
+    /// Start a cached read of `buf`, whole blocks, from block `block` of
+    /// device `dev`: hits are copied into `buf` now, and each run of
+    /// adjacent misses is one vectored executor read, submitted before
+    /// this returns — so a caller reading runs on several devices keeps
+    /// full cross-device parallelism by submitting every run before
+    /// waiting any. The ticket hands `buf` back with the misses landed
+    /// in it ([`CacheReadTicket::wait`]). A buffer that is not whole
+    /// blocks is `BadBufferSize`.
+    pub fn submit_read(
+        &self,
+        dev: usize,
+        block: u64,
+        mut buf: Box<[u8]>,
+    ) -> Result<CacheReadTicket> {
+        self.check_len(buf.len(), false)?;
+        let misses = self.lookup(dev, block, &mut buf);
+        let bs = self.block_size;
+        let submit = |&(at, n): &(usize, usize)| {
+            let room = vec![0u8; n * bs].into_boxed_slice();
+            self.submit(false, dev, block + at as u64, room)
+        };
+        Ok(CacheReadTicket {
+            tickets: misses.runs.iter().map(submit).collect(),
+            misses,
+            buf,
+        })
     }
 
     /// Read blocks synchronously through the cache (`out` must be a
-    /// whole number of blocks, else `BadBufferSize`). Resident blocks are
-    /// copied frame to `out` once, under the lock; the ticket path takes
-    /// over at the first block that is not. A lone miss run is one call
-    /// to the device handle's blocking `read_blocks_at`, which an idle
-    /// node runs on this thread; several are submitted, then waited.
+    /// whole number of blocks, else `BadBufferSize`): hits are copied
+    /// into `out` and misses land there. A lone miss run is one call to
+    /// the device handle's blocking `read_blocks_at` on `out` itself,
+    /// which an idle node runs on this thread; several are submitted,
+    /// then waited (`VolumeCache::move_runs`). A read of resident
+    /// blocks allocates nothing.
     pub fn read_blocks(&self, dev: usize, block: u64, out: &mut [u8]) -> Result<()> {
         self.check_len(out.len(), false)?;
-        let bs = self.block_size;
-        let mut st = self.frames.lock();
-        let mut served = 0usize;
-        for chunk in out.chunks_mut(bs) {
-            let Some(&idx) = st.map.get(&(dev, block + served as u64)) else {
-                break;
-            };
-            st.hit(idx, chunk);
-            served += 1;
-        }
-        drop(st);
-        let rest = &mut out[served * bs..];
-        if rest.is_empty() {
+        let misses = self.lookup(dev, block, out);
+        if misses.runs.is_empty() {
             return Ok(());
         }
-        let data = self
-            .start_read(dev, block + served as u64, rest.len() / bs, true)
-            .wait(self)?;
-        rest.copy_from_slice(&data);
-        Ok(())
+        let bs = self.block_size;
+        let (mut rest, mut done) = (&mut out[..], 0);
+        let mut runs = Vec::with_capacity(misses.runs.len());
+        for &(at, n) in &misses.runs {
+            let (_, room) = std::mem::take(&mut rest).split_at_mut((at - done) * bs);
+            let (room, tail) = room.split_at_mut(n * bs);
+            runs.push((dev, block + at as u64, room));
+            (rest, done) = (tail, at + n);
+        }
+        let moved = self.move_runs(false, &mut runs);
+        self.land(misses, out, moved)
     }
 
     /// Read one block synchronously through the cache; any other length
@@ -820,57 +853,19 @@ impl VolumeCache {
 }
 
 impl CacheReadTicket {
-    /// Complete the read: wait every miss run's executor ticket, install
-    /// the fetched blocks as clean frames (skipping keys a racing writer
-    /// made resident — their copy is newer — and keys a write or
-    /// invalidation poisoned while the fetch was in flight — the fetched
-    /// bytes predate the mutation), and return the assembled bytes.
-    /// Install failures (an eviction writeback error) do not fail the
-    /// read; the affected blocks are simply not cached.
+    /// Complete the read: wait every miss run, land its bytes in the
+    /// buffer and install them (`VolumeCache::land`), and hand the
+    /// buffer back, hits and misses in place.
     pub fn wait(mut self, cache: &VolumeCache) -> Result<Box<[u8]>> {
         let bs = cache.block_size;
-        let mut filled: Vec<(u64, u64, Box<[u8]>)> = Vec::new();
-        let mut failed: Vec<(u64, u64)> = Vec::new();
-        let mut err = None;
-        for (off, start, n, t) in self.pending {
-            match t.wait() {
-                Ok(data) => {
-                    self.out[off..off + data.len()].copy_from_slice(&data);
-                    filled.push((start, n, data));
-                }
-                Err(e) => {
-                    failed.push((start, n));
-                    err.get_or_insert(e);
-                }
-            }
-        }
-        if filled.is_empty() && failed.is_empty() {
-            return err.map_or(Ok(self.out), Err);
-        }
-        let mut st = cache.table();
-        let mut install_failed = false;
-        for (start, n, data) in filled {
-            for j in 0..n {
-                let key = (self.dev, start + j);
-                // The key stays in flight until its install is decided:
-                // claiming a slot may release the table, and a write
-                // landing then must still poison this fetch.
-                if !install_failed {
-                    let chunk = &data[j as usize * bs..(j as usize + 1) * bs];
-                    let filled = cache.install(&mut st, key, chunk, Some(self.since));
-                    install_failed = filled.is_err();
-                }
-                st.retire_inflight(key);
-            }
-        }
-        // Failed runs still held in-flight references.
-        for (start, n) in failed {
-            for j in 0..n {
-                st.retire_inflight((self.dev, start + j));
-            }
-        }
-        drop(st);
-        err.map_or(Ok(self.out), Err)
+        let runs = self.misses.runs.iter();
+        let moved = self.tickets.into_iter().zip(runs).map(|(t, &(at, _))| {
+            t.wait()
+                .map(|data| self.buf[at * bs..at * bs + data.len()].copy_from_slice(&data))
+        });
+        let moved = moved.collect();
+        cache.land(self.misses, &self.buf, moved)?;
+        Ok(self.buf)
     }
 }
 
@@ -997,14 +992,18 @@ mod tests {
     }
 
     #[test]
-    fn frame_budget_bounds_the_resident_frames() {
+    fn the_frames_bound_the_resident_blocks() {
         let (c, _d) = cache(6);
-        assert_eq!(c.frame_budget(), 6);
         let mut buf = [0u8; BS];
         for b in 0..10u64 {
             c.read_block(0, b, &mut buf).unwrap();
         }
-        assert_eq!((c.len(), c.frame_budget()), (6, 6));
+        assert_eq!(c.len(), 6);
+    }
+
+    /// A one-block staging buffer for `submit_read`.
+    fn one() -> Box<[u8]> {
+        vec![0u8; BS].into_boxed_slice()
     }
 
     #[test]
@@ -1015,7 +1014,7 @@ mod tests {
         // to serve the *new* bytes, never the fetched old ones.
         let (c, d) = cache(8);
         d[0].write_block(0, &[1u8; BS]).unwrap();
-        let t = c.submit_read(0, 0, 1);
+        let t = c.submit_read(0, 0, one()).unwrap();
         c.write_block(0, 0, &[2u8; BS]).unwrap();
         // The read was ordered before the write; old bytes are a legal
         // return value. They just must not become a clean frame.
@@ -1026,7 +1025,7 @@ mod tests {
         assert_eq!(buf[0], 2, "stale install must not mask the write");
 
         // Same shape against invalidation after a raw media write.
-        let t = c.submit_read(0, 5, 1);
+        let t = c.submit_read(0, 5, one()).unwrap();
         d[0].write_block(5, &[9u8; BS]).unwrap();
         c.invalidate_ranges(&[(0, 5, 1)]);
         t.wait(&c).unwrap();
@@ -1044,10 +1043,10 @@ mod tests {
         // standing for one another forever.
         let (c, d) = cache(8);
         d[0].write_block(0, &[1u8; BS]).unwrap();
-        let early = c.submit_read(0, 0, 1);
+        let early = c.submit_read(0, 0, one()).unwrap();
         d[0].write_block(0, &[2u8; BS]).unwrap();
         c.invalidate_ranges(&[(0, 0, 1)]);
-        let late = c.submit_read(0, 0, 1);
+        let late = c.submit_read(0, 0, one()).unwrap();
         assert_eq!(late.wait(&c).unwrap()[0], 2);
         assert_eq!(c.len(), 1, "the later fetch is fresh and fills the frame");
         assert_eq!(early.wait(&c).unwrap()[0], 1);

@@ -13,7 +13,9 @@
 //!    data path — the cache tier where there is one, the device's
 //!    executor handle otherwise; any other span is staged run by run, in
 //!    buffers taken from and handed back to the volume's free list
-//!    (`crate::staging`), so a warm span path allocates no block.
+//!    (`crate::staging`), so a warm span path allocates no block. A
+//!    cached run stages exactly as an uncached one: the tier reads into
+//!    the run's buffer and its ticket hands it back.
 //! 2. **Redundancy maintenance** — one reader (`RawFile::read_blocks`)
 //!    and one writer (`RawFile::write_blocks`) over whole blocks,
 //!    whatever their count. `RawFile::route` is the only place device
@@ -24,7 +26,9 @@
 //!    logical byte stream and may straddle volume blocks; `read_span` /
 //!    `write_span` handle the block arithmetic once, for everyone above,
 //!    and hand their ragged ends to the same reader and writer as
-//!    one-block spans.
+//!    one-block spans, in one-block staging buffers. There is no other
+//!    one-block entry: a block is a one-block span, and a device row is
+//!    a one-run `read_device_rows` / `write_device_rows`.
 
 use std::sync::atomic::Ordering;
 
@@ -464,7 +468,7 @@ impl RawFile {
     }
 
     // ------------------------------------------------------------------
-    // Single blocks and recovery tooling
+    // Recovery tooling
     // ------------------------------------------------------------------
 
     /// Read rows `[row, row + out.len() / bs)` of every slot in `slots`,
@@ -497,36 +501,9 @@ impl RawFile {
         for bufs in columns.into_iter().collect::<Result<Vec<_>>>()? {
             let column = self.concat(bufs);
             xor_rows(out, row, &column, row, bs);
-            self.recycle(column);
+            self.vol.staging().give(column);
         }
         Ok(())
-    }
-
-    /// Read logical block `l` (must be allocated): a one-block span,
-    /// routed and recovered as every read is (`read_blocks`).
-    pub fn read_lblock(&self, l: u64, buf: &mut [u8]) -> Result<()> {
-        debug_assert_eq!(buf.len(), self.block_size());
-        let nblocks = self.nblocks();
-        if l >= nblocks {
-            return Err(FsError::OutOfBounds {
-                record: l,
-                len: nblocks,
-            });
-        }
-        self.read_blocks(l, buf)
-    }
-
-    /// Write logical block `l`, growing the file to cover it: a
-    /// one-block span (`write_blocks`). Parity is maintained
-    /// by a read-modify-write, or a reconstruct-write when the stripe's
-    /// peers are fewer to read; shadows receive a second copy.
-    pub fn write_lblock(&self, l: u64, data: &[u8]) -> Result<()> {
-        debug_assert_eq!(data.len(), self.block_size());
-        if l >= self.nblocks() {
-            let records = ((l + 1) * self.block_size() as u64).div_ceil(self.record_size as u64);
-            self.ensure_capacity_records(records)?;
-        }
-        self.write_blocks(l, data)
     }
 
     /// Whole rows in a row buffer.
@@ -636,17 +613,12 @@ impl RawFile {
                 Ok(bufs) => {
                     let run = self.concat(bufs);
                     buf.copy_from_slice(&run);
-                    self.recycle(run);
+                    self.vol.staging().give(run);
                 }
                 Err(e) => outcome = outcome.and(Err(e)),
             }
         }
         outcome
-    }
-
-    /// [`RawFile::read_device_rows`] for one block.
-    pub fn read_device_block(&self, slot: usize, dblock: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_device_rows(&mut [(slot, dblock, buf)])
     }
 
     /// Write device rows in one wave — **recovery tooling only**: bypasses
@@ -688,11 +660,6 @@ impl RawFile {
             c.invalidate_ranges(extents);
         }
         written
-    }
-
-    /// [`RawFile::write_device_rows`] for one block.
-    pub fn write_device_block(&self, slot: usize, dblock: u64, data: &[u8]) -> Result<()> {
-        self.write_device_rows(&[(slot, dblock, data)])
     }
 
     /// Every device extent a write of the logical byte span `[offset,
@@ -791,8 +758,8 @@ impl RawFile {
     /// A stripe the span covers needs no reads: its parity is the XOR of
     /// the caller's bytes, so no health state matters to it (Rebuilding
     /// media takes the write, a Failed device's run reports fail-stop
-    /// below). The partial stripes at the ragged ends — and the single
-    /// block of [`RawFile::write_lblock`] — fold old blocks in through
+    /// below). The partial stripes at the ragged ends — a one-block span
+    /// is one — fold old blocks in through
     /// [`RawFile::parity_reads`] first, before anything is written.
     ///
     /// Failure contract: one fail-stop device among the runs is the
@@ -1008,9 +975,10 @@ impl RawFile {
     }
 
     /// Submit the read of rows `[dblock, dblock + count)` of `slot`: one
-    /// ticket per extent segment, all enqueued before returning. On
-    /// cached volumes each segment goes through the tier — hits are
-    /// copied immediately and adjacent misses coalesce into one vectored
+    /// ticket per extent segment, all enqueued before returning, each
+    /// reading into a staging buffer its ticket hands back. On cached
+    /// volumes each segment goes through the tier — hits are copied into
+    /// the buffer at once and adjacent misses coalesce into one vectored
     /// executor request, submitted (not waited) here so cross-device
     /// fan-out is preserved. This and [`RawFile::submit_write_run`] are
     /// where data enters the tier. `hedged` marks either copy of a raced
@@ -1029,15 +997,15 @@ impl RawFile {
         let bs = self.block_size();
         let cache = self.vol.cache().map(|c| (c, self.slot_vdev(slot)));
         let segs = self.run_segments(slot, dblock, count).into_iter();
-        let submit = |(dev, abs, n): (DeviceRef, u64, u64)| match cache {
-            Some((c, vdev)) => RunTicket::CacheRead(c.submit_read(vdev, abs, n as usize)),
-            None => {
-                let buf = self.vol.staging().take(n as usize * bs);
-                RunTicket::Dev(if hedged {
-                    dev.submit_hedged_read_blocks(abs, buf)
-                } else {
-                    dev.submit_read_blocks(abs, buf)
-                })
+        let submit = |(dev, abs, n): (DeviceRef, u64, u64)| {
+            let buf = self.vol.staging().take(n as usize * bs);
+            match cache {
+                Some((c, vdev)) => match c.submit_read(vdev, abs, buf) {
+                    Ok(t) => RunTicket::CacheRead(t),
+                    Err(e) => RunTicket::Dev(Ticket::ready(Err(e))),
+                },
+                None if hedged => RunTicket::Dev(dev.submit_hedged_read_blocks(abs, buf)),
+                None => RunTicket::Dev(dev.submit_read_blocks(abs, buf)),
             }
         };
         segs.map(|seg| self.paced(submit(seg))).collect()
@@ -1165,7 +1133,7 @@ impl RawFile {
         for seg in bufs {
             whole[at..at + seg.len()].copy_from_slice(&seg);
             at += seg.len();
-            self.recycle(seg);
+            staging.give(seg);
         }
         whole
     }
@@ -1175,19 +1143,7 @@ impl RawFile {
     fn land(&self, first: u64, buf: &mut [u8], m: &MergedRun, bufs: Vec<Box<[u8]>>) {
         let staging = self.concat(bufs);
         self.scatter(first, buf, m, &staging);
-        self.recycle(staging);
-    }
-
-    /// Hand back the buffer a read run arrived in. An executor read
-    /// filled a buffer of the staging list ([`RawFile::submit_read_run`]),
-    /// and it returns there. Behind the cache tier the buffer is the
-    /// tier's own allocation and no read takes its like from the list,
-    /// so it is freed: a cached volume's span reads would otherwise push
-    /// their blocks through the list and out of its far end.
-    fn recycle(&self, buf: Box<[u8]>) {
-        if self.vol.cache().is_none() {
-            self.vol.staging().give(buf);
-        }
+        self.vol.staging().give(staging);
     }
 
     /// Scatter run `m`'s device blocks (`staging`, from row `m.dblock`)
@@ -1421,7 +1377,7 @@ impl RawFile {
         }
         let staging = self.vol.staging();
         let Some((m, e)) = lost.pop() else {
-            columns.into_iter().for_each(|(_, data)| self.recycle(data));
+            columns.into_iter().for_each(|(_, data)| staging.give(data));
             return Ok(());
         };
         if !lost.is_empty() {
@@ -1434,7 +1390,7 @@ impl RawFile {
             xor_rows(&mut column, m.dblock, data, peer.dblock, bs);
         }
         self.scatter(first, buf, &m, &column);
-        columns.into_iter().for_each(|(_, data)| self.recycle(data));
+        columns.into_iter().for_each(|(_, data)| staging.give(data));
         staging.give(column);
         Ok(())
     }
@@ -1531,12 +1487,16 @@ impl RawFile {
     }
 
     /// Read `out`, a sub-block range of logical block `l` starting
-    /// `within` bytes in.
+    /// `within` bytes in: a one-block span, staged like any other.
     fn read_partial(&self, l: u64, within: usize, out: &mut [u8]) -> Result<()> {
-        let mut scratch = vec![0u8; self.block_size()];
-        self.read_lblock(l, &mut scratch)?;
-        out.copy_from_slice(&scratch[within..within + out.len()]);
-        Ok(())
+        let staging = self.vol.staging();
+        let mut block = staging.take(self.block_size());
+        let read = self.read_blocks(l, &mut block);
+        if read.is_ok() {
+            out.copy_from_slice(&block[within..within + out.len()]);
+        }
+        staging.give(block);
+        read
     }
 
     /// Read-modify-write the sub-block range of logical block `l`
@@ -1551,10 +1511,14 @@ impl RawFile {
         // model checker's regression test can demonstrate finding it.
         #[cfg(not(all(pario_check, pario_check_demo)))]
         let _g = self.state.rmw_lock.lock();
-        let mut scratch = vec![0u8; self.block_size()];
-        self.read_lblock(l, &mut scratch)?;
-        scratch[within..within + bytes.len()].copy_from_slice(bytes);
-        self.write_lblock(l, &scratch)
+        let staging = self.vol.staging();
+        let mut block = staging.take(self.block_size());
+        let written = self.read_blocks(l, &mut block).and_then(|()| {
+            block[within..within + bytes.len()].copy_from_slice(bytes);
+            self.write_blocks(l, &block)
+        });
+        staging.give(block);
+        written
     }
 
     /// Read `out.len()` bytes of the logical byte stream at `offset`.
@@ -2331,8 +2295,9 @@ mod tests {
         let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
         for (slot, at) in [(9, 0), (4, 0), (0, 10_000), (0, held), (0, u64::MAX)] {
             let errs = [
-                f.read_device_block(slot, at, &mut row).unwrap_err(),
-                f.write_device_block(slot, at, &row).unwrap_err(),
+                f.read_device_rows(&mut [(slot, at, &mut row[..])])
+                    .unwrap_err(),
+                f.write_device_rows(&[(slot, at, &row[..])]).unwrap_err(),
                 f.recover_rows(slot, at, &mut row).unwrap_err(),
             ];
             for err in errs {

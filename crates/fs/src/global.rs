@@ -185,9 +185,10 @@ impl Window {
     /// well be computing: the worker and the device threads its span
     /// call wakes go first. Else they wait out the caller's time slice —
     /// milliseconds, a window's device time and more — before the
-    /// transfer starts: `read_ahead_overlaps_io_with_compute` takes 0.57
-    /// of its synchronous loop's time with this yield and 0.96 without,
-    /// on one pinned CPU and on two (medians of ten; Linux 6.18).
+    /// transfer starts: a stream over 2 ms devices that computes 2 ms a
+    /// window took 0.57 of a synchronous `read_span` loop's time with
+    /// this yield and 0.96 without, on one pinned CPU and on two (medians
+    /// of ten; Linux 6.18).
     fn resume(&self) {
         if self.in_flight.is_some() {
             std::thread::yield_now();
@@ -622,7 +623,7 @@ mod tests {
     use super::*;
     use crate::volume::{FileSpec, Volume, VolumeConfig};
     use crate::VolumeCacheConfig;
-    use pario_disk::{DeviceRef, MemDisk};
+    use pario_disk::{BlockDevice, DeviceRef, IoCounters, MemDisk};
     use std::io::{Read, Seek, SeekFrom, Write};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -679,13 +680,6 @@ mod tests {
         (0..v.num_devices())
             .map(|d| v.device(d).counters())
             .fold((0, 0), |(r, w), c| (r + c.reads, w + c.writes))
-    }
-
-    fn spin(d: Duration) {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
-        }
     }
 
     #[test]
@@ -954,43 +948,124 @@ mod tests {
         drop(w);
     }
 
-    /// Devices that take 2 ms a request (slept, as a thread blocked on a
-    /// real device would) and 2 ms of computing (spun) a window,
-    /// twenty-four windows: a loop of `read_span`s takes the sum, ~96 ms;
-    /// the stream hides each read but the first two behind the
-    /// computing, ~52 ms. One CPU is enough, because a sleeping device
-    /// does not occupy it — but the tests that run beside this one do,
-    /// when they like, so the claim is held to the best of five tries.
+    /// What the read-ahead oracle sees, in order: a device read that
+    /// began at (device, absolute block), or the consumer asking for
+    /// window `k`.
+    #[derive(Clone, Copy, Debug)]
+    enum Seen {
+        Read(usize, u64),
+        Ask(u64),
+    }
+
+    type Log = Arc<std::sync::Mutex<Vec<Seen>>>;
+
+    /// A memory device that logs where each of its reads begins.
+    struct Logged {
+        inner: MemDisk,
+        dev: usize,
+        log: Log,
+    }
+
+    impl BlockDevice for Logged {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+            self.log.lock().unwrap().push(Seen::Read(self.dev, block));
+            self.inner.read_blocks_at(block, buf)
+        }
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+            self.inner.write_blocks_at(block, data)
+        }
+        fn counters(&self) -> IoCounters {
+            self.inner.counters()
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn is_failed(&self) -> bool {
+            false
+        }
+    }
+
+    /// The stream's claim is overlap: from the third window on, each
+    /// window's read begins before the consumer asks for that window.
+    /// Counted, not timed. The devices log where their reads begin and
+    /// the consumer logs each window it asks for; between windows it
+    /// computes until the next window's read has begun, which a stream
+    /// that does not read ahead never lets happen (a guard then fails
+    /// the test). The synchronous `read_span` loop, under the same
+    /// oracle, reads no window early.
     #[test]
     fn read_ahead_overlaps_io_with_compute() {
-        let cost = Duration::from_millis(2);
-        let v = slow_vol(cost);
-        let f = filled(&v, "o", 256, striped(4), 24 * WINDOW_BLOCKS as u64);
-        let attempt = || {
-            let t0 = Instant::now();
-            let mut buf = vec![0u8; WINDOW];
-            for w in 0..24 {
-                f.read_span((w * WINDOW) as u64, &mut buf).unwrap();
-                spin(cost);
+        const WINDOWS: u64 = 8;
+        let log: Log = Arc::default();
+        let devices = (0..4).map(|dev| {
+            let inner = MemDisk::new(512, 256);
+            let log = Arc::clone(&log);
+            Arc::new(Logged { inner, dev, log }) as DeviceRef
+        });
+        let v = Volume::new(devices.collect()).unwrap();
+        let f = filled(&v, "o", 256, striped(4), WINDOWS * WINDOW_BLOCKS as u64);
+        // Row `r` of slot `d` holds logical block `4r + d`.
+        let starts: Vec<u64> = f
+            .meta_snapshot()
+            .extents
+            .iter()
+            .map(|e| e[0].start)
+            .collect();
+        let window = |seen: &Seen| match *seen {
+            Seen::Read(d, block) => {
+                let row = block.checked_sub(starts[d])?;
+                Some((row * 4 + d as u64) / WINDOW_BLOCKS as u64)
             }
-            let synchronous = t0.elapsed();
+            Seen::Ask(_) => None,
+        };
+        let began = |k: u64| log.lock().unwrap().iter().any(|s| window(s) == Some(k));
+        let ask = |k: u64| log.lock().unwrap().push(Seen::Ask(k));
+        // The windows whose read began before the consumer asked for them.
+        let early = || {
+            let log = log.lock().unwrap();
+            let asked = |k: u64| {
+                log.iter()
+                    .position(|s| matches!(s, Seen::Ask(a) if *a == k))
+            };
+            let before =
+                |k: u64| asked(k).is_some_and(|at| log[..at].iter().any(|s| window(s) == Some(k)));
+            (0..WINDOWS).filter(|&k| before(k)).collect::<Vec<_>>()
+        };
 
-            let t0 = Instant::now();
-            let mut r = GlobalReader::new(f.clone());
-            while r.read_record(&mut buf[..256]).unwrap() {
-                if r.position().is_multiple_of(WINDOW_BLOCKS as u64) {
-                    spin(cost);
+        log.lock().unwrap().clear();
+        let mut buf = vec![0u8; WINDOW];
+        for k in 0..WINDOWS {
+            ask(k);
+            f.read_span(k * WINDOW as u64, &mut buf).unwrap();
+        }
+        assert_eq!(early(), [], "the span loop read ahead");
+
+        log.lock().unwrap().clear();
+        let mut r = GlobalReader::new(f.clone());
+        for k in 0..WINDOWS {
+            if k >= 2 {
+                let guard = Instant::now() + Duration::from_secs(10);
+                while !began(k) {
+                    assert!(Instant::now() < guard, "window {k} was not read ahead");
+                    std::thread::yield_now();
                 }
             }
-            (t0.elapsed(), synchronous)
-        };
-        let mut tries = Vec::new();
-        let overlapped = (0..5).any(|_| {
-            let (stream, synchronous) = attempt();
-            tries.push((stream, synchronous));
-            stream < synchronous * 8 / 10
-        });
-        assert!(overlapped, "stream not clearly faster in any of {tries:?}");
+            ask(k);
+            for i in 0..WINDOW_BLOCKS as u64 {
+                assert!(r.read_record(&mut buf[..256]).unwrap());
+                assert_eq!(buf[..256], rec(k * WINDOW_BLOCKS as u64 + i, 256));
+            }
+        }
+        assert_eq!(
+            early(),
+            (2..WINDOWS).collect::<Vec<_>>(),
+            "the stream's early reads"
+        );
     }
 
     /// The stream goes through the planner, so parity rows, mirror

@@ -154,10 +154,10 @@ fn apply(inner: &VolInner, rec: Record) -> Result<()> {
                 return Ok(());
             }
             {
-                let mut alloc = inner.alloc.lock();
+                let mut space = inner.alloc.lock();
                 for (slot, extents) in meta.extents.iter().enumerate() {
                     for &e in extents {
-                        alloc.reserve(meta.device_map[slot], e);
+                        space.free.reserve(meta.device_map[slot], e);
                     }
                 }
             }
@@ -177,11 +177,11 @@ fn apply(inner: &VolInner, rec: Record) -> Result<()> {
                 return Ok(());
             }
             {
-                let mut alloc = inner.alloc.lock();
+                let mut space = inner.alloc.lock();
                 for (slot, extents) in slots.iter().enumerate() {
                     let dev = meta.device_map[slot];
                     for &e in extents {
-                        alloc.reserve(dev, e);
+                        space.free.reserve(dev, e);
                     }
                 }
             }
@@ -206,11 +206,11 @@ fn apply(inner: &VolInner, rec: Record) -> Result<()> {
             // invariant: mount is single-threaded, the entry cannot vanish.
             let state = state.expect("entry present under single-threaded mount");
             let meta = state.meta.read();
-            let mut alloc = inner.alloc.lock();
+            let mut space = inner.alloc.lock();
             for (slot, extents) in meta.extents.iter().enumerate() {
                 let dev = meta.device_map[slot];
                 for &e in extents {
-                    alloc.release(dev, e);
+                    space.free.release(dev, e);
                 }
             }
         }

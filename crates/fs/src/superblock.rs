@@ -223,11 +223,11 @@ pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
     inner.next_id.store(persisted.next_id, Ordering::Relaxed); // ordering: id counter; recovery runs before any sharing
     {
         let mut files = inner.files.write();
-        let mut alloc = inner.alloc.lock();
+        let mut space = inner.alloc.lock();
         for meta in persisted.files {
             for (slot, extents) in meta.extents.iter().enumerate() {
                 for &e in extents {
-                    alloc.reserve(meta.device_map[slot], e);
+                    space.free.reserve(meta.device_map[slot], e);
                 }
             }
             files.insert(meta.name.clone(), Arc::new(FileState::new(meta)));

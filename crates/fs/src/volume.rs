@@ -130,6 +130,32 @@ impl FileState {
     }
 }
 
+/// The volume's free space: the allocator, and the removed files whose
+/// blocks it may not hand out yet. A handle opened before
+/// [`Volume::remove`] keeps working, on blocks no one else is given
+/// (POSIX unlink semantics); they return once no handle reaches them.
+pub(crate) struct Space {
+    pub(crate) free: Allocator,
+    /// Removed files, each until this list holds its only reference.
+    parked: Vec<Arc<FileState>>,
+}
+
+impl Space {
+    /// Return the blocks of every parked file no handle reaches any
+    /// more. Nothing else can lock such a file's `meta`.
+    fn reap(&mut self) {
+        let free = &mut self.free;
+        self.parked.retain(|state| {
+            let reachable = Arc::strong_count(state) > 1;
+            if !reachable {
+                let meta = state.meta.read();
+                release(free, &meta.device_map, &meta.extents);
+            }
+            reachable
+        });
+    }
+}
+
 pub(crate) struct VolInner {
     /// The devices as handed in. Only the meta region's images
     /// (`frame.rs`, for `superblock.rs` and `journal.rs`), teardown
@@ -142,7 +168,7 @@ pub(crate) struct VolInner {
     pub(crate) io_devices: Vec<DeviceRef>,
     pub(crate) block_size: usize,
     pub(crate) meta_blocks: u64,
-    pub(crate) alloc: Mutex<Allocator>,
+    pub(crate) alloc: Mutex<Space>,
     pub(crate) files: RwLock<HashMap<String, Arc<FileState>>>,
     pub(crate) next_id: AtomicU64,
     /// Per-device health state machine, fed by executor error feedback
@@ -235,8 +261,8 @@ impl Volume {
             )));
         }
         let sizes: Vec<u64> = devices.iter().map(|d| d.num_blocks()).collect();
-        let mut alloc = Allocator::with_sizes(&sizes);
-        alloc.reserve(
+        let mut free = Allocator::with_sizes(&sizes);
+        free.reserve(
             0,
             Extent {
                 start: 0,
@@ -257,7 +283,13 @@ impl Volume {
                 io_devices,
                 block_size,
                 meta_blocks,
-                alloc: Mutex::new_named(alloc, LockLevel::FsAlloc),
+                alloc: Mutex::new_named(
+                    Space {
+                        free,
+                        parked: Vec::new(),
+                    },
+                    LockLevel::FsAlloc,
+                ),
                 files: RwLock::new(HashMap::new()),
                 next_id: AtomicU64::new(1),
                 health,
@@ -443,11 +475,13 @@ impl Volume {
             .collect()
     }
 
-    /// Free blocks per device.
+    /// Free blocks per device. A removed file's blocks count once no
+    /// handle reaches them.
     pub fn free_blocks(&self) -> Vec<u64> {
-        let alloc = self.inner.alloc.lock();
+        let mut space = self.inner.alloc.lock();
+        space.reap();
         (0..self.num_devices())
-            .map(|d| alloc.free_blocks(d))
+            .map(|d| space.free.free_blocks(d))
             .collect()
     }
 
@@ -566,20 +600,22 @@ impl Volume {
         RawFile::from_state(self.clone(), state)
     }
 
-    /// Delete a file, releasing its blocks.
+    /// Delete a file. Its blocks go back to the allocator once no handle
+    /// reaches them: a `RawFile` opened before keeps reading and writing
+    /// the removed file's own blocks, never a file created after.
     pub fn remove(&self, name: &str) -> Result<()> {
-        let state = self
+        let seen = self
             .inner
             .files
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        let id = state.meta.read().id;
+        let id = seen.meta.read().id;
         // The checkpoint barrier spans [journal append, directory
-        // removal, block release]: a checkpoint never sees the record
-        // without the removal (it would reset the journal around an
-        // acknowledged remove) or the release without the record.
+        // removal, parking the blocks]: a checkpoint never sees the
+        // record without the removal (it would reset the journal around
+        // an acknowledged remove) or the release without the record.
         let window = self.inner.ckpt.read();
         // Journal the intent *before* releasing blocks: a racing grow
         // that reuses them then journals strictly after this record,
@@ -588,7 +624,7 @@ impl Volume {
         let state = {
             let mut files = self.inner.files.write();
             match files.get(name) {
-                Some(s) if Arc::ptr_eq(s, &state) => {
+                Some(s) if Arc::ptr_eq(s, &seen) => {
                     // invariant: the entry was just matched under the write lock.
                     files.remove(name).expect("entry matched under write lock")
                 }
@@ -597,11 +633,14 @@ impl Volume {
                 _ => return Err(FsError::NotFound(name.to_string())),
             }
         };
-        let meta = state.meta.read();
-        // Cached frames of the released blocks must die with the file: a
-        // dirty write-back frame flushed later would clobber whoever the
-        // allocator hands these blocks to next.
+        drop(seen);
+        // Cached frames of the file's blocks die with it: a dirty
+        // write-back frame flushed later would clobber whoever the
+        // allocator hands these blocks to next. (A handle still open
+        // writes frames of its own; the zero-fill of whoever gets the
+        // blocks next drops them.)
         if let Some(cache) = self.inner.cache.get() {
+            let meta = state.meta.read();
             cache.invalidate_ranges(&device_ranges(&meta.device_map, &meta.extents));
         }
         if journal_full {
@@ -611,22 +650,13 @@ impl Volume {
             // grow — a crash after reuse would otherwise resurrect the
             // file from the last durable checkpoint over someone else's
             // data.
-            drop(meta);
             drop(window);
             self.sync_meta()?;
-            self.release_extents(&state.meta.read());
-            return Ok(());
         }
-        self.release_extents(&meta);
-        drop(meta);
-        drop(window);
+        let mut space = self.inner.alloc.lock();
+        space.parked.push(state);
+        space.reap();
         Ok(())
-    }
-
-    /// Return every extent of `meta` to the allocator.
-    fn release_extents(&self, meta: &FileMeta) {
-        let mut alloc = self.inner.alloc.lock();
-        release(&mut alloc, &meta.device_map, &meta.extents);
     }
 
     /// Checkpoint: persist the directory and all file metadata to the
@@ -759,7 +789,7 @@ impl Volume {
             if let Err(e) = self.zero_fill(&meta.device_map, &added) {
                 // Nothing points at the blocks yet and no zero is still
                 // in flight to them: hand them back.
-                release(&mut self.inner.alloc.lock(), &meta.device_map, &added);
+                release(&mut self.inner.alloc.lock().free, &meta.device_map, &added);
                 return Err(e);
             }
             for (slot_extents, new) in meta.extents.iter_mut().zip(&added) {
@@ -789,14 +819,16 @@ impl Volume {
     fn allocate_to(&self, meta: &FileMeta, total_lblocks: u64) -> Result<Vec<Vec<Extent>>> {
         let layout = meta.layout.build();
         let mut added: Vec<Vec<Extent>> = vec![Vec::new(); layout.devices()];
-        let mut alloc = self.inner.alloc.lock();
+        let mut space = self.inner.alloc.lock();
+        space.reap();
+        let alloc = &mut space.free;
         for slot in 0..added.len() {
             let need = layout.blocks_on_device(total_lblocks, slot);
             let have = extents_len(&meta.extents[slot]);
             match alloc.allocate(meta.device_map[slot], need.saturating_sub(have)) {
                 Ok(extents) => added[slot] = extents,
                 Err(e) => {
-                    release(&mut alloc, &meta.device_map, &added);
+                    release(alloc, &meta.device_map, &added);
                     return Err(e);
                 }
             }
@@ -950,6 +982,46 @@ mod tests {
         assert!(v.free_blocks().iter().sum::<u64>() < before.iter().sum::<u64>());
         v.remove("big").unwrap();
         assert_eq!(v.free_blocks(), before);
+    }
+
+    /// A handle kept across `remove` used to move bytes through the
+    /// released extents: its `write_record` returned `Ok` and landed in
+    /// record 0 of the file created next, cached or not. The removed
+    /// file's blocks now stay its own while a handle reaches them, and
+    /// return when the last one goes.
+    #[test]
+    fn a_handle_kept_across_remove_never_reaches_the_next_file() {
+        for cached in [false, true] {
+            let v = vol();
+            if cached {
+                v.enable_cache(VolumeCacheConfig::write_back(64)).unwrap();
+            }
+            let before = v.free_blocks();
+            let old = v
+                .create_file(striped_spec("f").initial_records(64))
+                .unwrap();
+            old.write_record(0, &[1; 64]).unwrap();
+            v.remove("f").unwrap();
+            let next = v
+                .create_file(striped_spec("g").initial_records(64))
+                .unwrap();
+            next.write_record(0, &[2; 64]).unwrap();
+            old.write_record(0, &[3; 64]).unwrap();
+            v.flush_cache().unwrap();
+            let mut back = [0u8; 64];
+            next.read_record(0, &mut back).unwrap();
+            assert_eq!(back, [2; 64], "cached={cached}: the next file's record 0");
+            old.read_record(0, &mut back).unwrap();
+            assert_eq!(back, [3; 64], "cached={cached}: the removed file's own");
+            assert_ne!(
+                v.free_blocks(),
+                before,
+                "cached={cached}: a handle reaches them"
+            );
+            drop((old, next));
+            v.remove("g").unwrap();
+            assert_eq!(v.free_blocks(), before, "cached={cached}: both came back");
+        }
     }
 
     #[test]
@@ -1227,7 +1299,7 @@ mod tests {
         assert_eq!(f.nblocks(), 768, "512 + RUN_AHEAD: a tail is allocated");
         let mut zero = vec![1u8; 512];
         for l in 700..768 {
-            f.read_lblock(l, &mut zero).unwrap();
+            f.read_span(l * 512, &mut zero).unwrap();
             assert!(zero.iter().all(|&b| b == 0), "unwritten block {l}");
         }
         drop(f);

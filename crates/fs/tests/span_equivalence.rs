@@ -220,8 +220,8 @@ proptest! {
         for slot in 0..streamed.layout().devices() {
             let blocks = streamed.device_blocks(slot).min(reference.device_blocks(slot));
             for dblock in 0..blocks {
-                streamed.read_device_block(slot, dblock, &mut a).unwrap();
-                reference.read_device_block(slot, dblock, &mut b).unwrap();
+                streamed.read_device_rows(&mut [(slot, dblock, &mut a[..])]).unwrap();
+                reference.read_device_rows(&mut [(slot, dblock, &mut b[..])]).unwrap();
                 prop_assert_eq!(&a, &b, "slot {} block {}", slot, dblock);
             }
         }
@@ -256,7 +256,7 @@ proptest! {
     /// touch the device and the right bytes for the rest; its first read
     /// after `heal` is the whole file, exact.
     #[test]
-    fn recycled_staging_never_shows_in_another_span(
+    fn reused_staging_never_shows_in_another_span(
         first in staged_layout(),
         second in staged_layout(),
         ops in proptest::collection::vec(
@@ -570,8 +570,8 @@ proptest! {
         for slot in 0..f.layout().devices() {
             prop_assert_eq!(f.device_blocks(slot), reference.device_blocks(slot));
             for dblock in 0..f.device_blocks(slot) {
-                f.read_device_block(slot, dblock, &mut a).unwrap();
-                reference.read_device_block(slot, dblock, &mut b).unwrap();
+                f.read_device_rows(&mut [(slot, dblock, &mut a[..])]).unwrap();
+                reference.read_device_rows(&mut [(slot, dblock, &mut b[..])]).unwrap();
                 prop_assert_eq!(&a, &b, "slot {} device block {}", slot, dblock);
             }
         }
@@ -600,8 +600,8 @@ fn ragged_parity_file(v: &Volume, spec: &LayoutSpec) -> RawFile {
     f
 }
 
-/// The stripe plan against a second reference, built from per-block
-/// `write_lblock` calls (one read-modify-write or reconstruct-write per
+/// The stripe plan against a second reference, built from one-block
+/// `write_span` calls (one read-modify-write or reconstruct-write per
 /// block): spans of 1..=40 blocks starting at every stripe phase, and
 /// ending in the file's partial last stripe, leave every device block —
 /// data and parity — byte-identical to it, for every stripe width and
@@ -628,13 +628,16 @@ fn parity_spans_match_the_per_block_reference_at_every_stripe_phase() {
                         .collect();
                     f.write_span(first * BS as u64, &data).unwrap();
                     for (l, block) in (first..).zip(data.chunks(BS)) {
-                        reference.write_lblock(l, block).unwrap();
+                        reference.write_span(l * BS as u64, block).unwrap();
                     }
                     for slot in 0..f.layout().devices() {
                         assert_eq!(f.device_blocks(slot), reference.device_blocks(slot));
                         for dblock in 0..f.device_blocks(slot) {
-                            f.read_device_block(slot, dblock, &mut a).unwrap();
-                            reference.read_device_block(slot, dblock, &mut b).unwrap();
+                            f.read_device_rows(&mut [(slot, dblock, &mut a[..])])
+                                .unwrap();
+                            reference
+                                .read_device_rows(&mut [(slot, dblock, &mut b[..])])
+                                .unwrap();
                             assert_eq!(
                                 a, b,
                                 "w={data_devices} rotated={rotated} span {first}+{len}: \
@@ -992,7 +995,7 @@ fn a_partial_last_stripe_reconstructs_its_last_block() {
                 }
                 put(&v, &f, slot, state);
                 let mut last = vec![0u8; BS];
-                f.read_lblock(46, &mut last).unwrap();
+                f.read_span(46 * BS as u64, &mut last).unwrap();
                 assert_eq!(
                     last,
                     model[46 * BS..],
@@ -1190,7 +1193,7 @@ fn a_half_dead_mirror_pair_still_reads_and_writes_every_block() {
     assert_eq!(got, data, "span read");
     for l in 0..8u64 {
         let mut block = vec![0u8; BS];
-        f.read_lblock(l, &mut block).unwrap();
+        f.read_span(l * BS as u64, &mut block).unwrap();
         assert_eq!(block, data[l as usize * BS..][..BS], "block {l}");
     }
 
@@ -1209,7 +1212,8 @@ fn a_half_dead_mirror_pair_still_reads_and_writes_every_block() {
     let mut block = vec![0u8; BS];
     for (slot, stale) in [(0usize, 2u64), (1, 5)] {
         for dblock in 0..8u64 {
-            f.read_device_block(slot, dblock, &mut block).unwrap();
+            f.read_device_rows(&mut [(slot, dblock, &mut block[..])])
+                .unwrap();
             let want = if dblock == stale { &data } else { &fresh };
             assert_eq!(
                 block,

@@ -76,13 +76,23 @@ struct Inner {
 }
 
 impl Inner {
-    /// Open-or-get the shared entry for `name`.
+    /// Open-or-get the shared entry for `name`. The name is resolved on
+    /// the volume every time: a file removed and created again under it
+    /// is another file (another id), and the entry of the one before
+    /// must not serve it.
     fn entry(&self, name: &str) -> Result<Arc<FileEntry>> {
         let mut files = self.files.lock();
-        if let Some(e) = files.get(name) {
+        let pfile = match ParallelFile::open(&self.volume, name) {
+            Ok(pfile) => pfile,
+            Err(e) => {
+                files.remove(name);
+                return Err(e.into());
+            }
+        };
+        let id = pfile.raw().id();
+        if let Some(e) = files.get(name).filter(|e| e.pfile.raw().id() == id) {
             return Ok(Arc::clone(e));
         }
-        let pfile = ParallelFile::open(&self.volume, name)?;
         let e = Arc::new(FileEntry {
             pfile,
             sharing: Mutex::new(Sharing::default()),

@@ -291,3 +291,34 @@ fn reject_policy_surfaces_busy_to_the_client() {
     assert_eq!(stats.queue_depth_high_water, 1);
     assert_eq!(stats.in_flight, 0);
 }
+
+/// The registry used to keep the first `ParallelFile` it opened under a
+/// name for ever: a session that opened `g` after it was removed and
+/// created again read another file's block, and its write overwrote
+/// that file. A name is now resolved on the volume at every open.
+#[test]
+fn a_name_created_again_opens_the_new_file() {
+    let volume = volume();
+    let server = Server::new(volume.clone(), ServerConfig::default());
+    let create = |name| ParallelFile::create(&volume, name, Organization::GlobalDirect, REC, 4);
+    let sess = server.connect();
+    create("g").unwrap();
+    sess.open_direct("g")
+        .unwrap()
+        .write_record(0, &[1; REC])
+        .unwrap();
+    volume.remove("g").unwrap();
+    // `h` is created first, so it is offered the blocks `g` had.
+    let h = create("h").unwrap();
+    h.raw().write_record(0, &[7; REC]).unwrap();
+    create("g").unwrap();
+    let g = sess.open_direct("g").unwrap();
+    let mut buf = [9u8; REC];
+    assert!(g.read_record(0, &mut buf).is_err(), "the new g is empty");
+    g.write_record(0, &[2; REC]).unwrap();
+    g.read_record(0, &mut buf).unwrap();
+    assert_eq!(buf, [2; REC]);
+    h.raw().read_record(0, &mut buf).unwrap();
+    assert_eq!(buf, [7; REC], "h is untouched");
+    assert_eq!(sess.stat("g").unwrap().len_records, 1);
+}

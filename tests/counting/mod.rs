@@ -15,6 +15,38 @@ pub fn requested() -> u64 {
     REQUESTED.load(Ordering::Relaxed)
 }
 
+/// Wait until every other thread of the process is asleep. A thread's
+/// first wait on a channel allocates its wait context (48 bytes, once):
+/// a volume's device workers park on their empty queues as soon as they
+/// first run, but on a loaded machine the scheduler may not run one
+/// until the window being counted, whose total would then include its
+/// start-up. The same holds for libtest's main thread, which spawns the
+/// test and then waits for its outcome. Call it after the warm-up,
+/// before taking the count.
+pub fn settle() {
+    let me = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+    let asleep = |task: &std::path::Path| {
+        // A thread that has exited since the listing is asleep enough.
+        let stat = std::fs::read_to_string(task.join("stat")).unwrap_or_default();
+        let state = stat.rsplit(')').next().unwrap_or("").trim_start();
+        state.is_empty() || state.starts_with(['S', 'Z', 'X'])
+    };
+    let guard = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+        let others = tasks.filter_map(|t| t.ok()).map(|t| t.path());
+        let mut others = others.filter(|t| t.file_name() != me.file_name());
+        if others.all(|t| asleep(&t)) {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < guard,
+            "the rig's threads never went idle"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 struct Counting;
 
 fn count(bytes: usize) {

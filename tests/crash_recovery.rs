@@ -396,7 +396,7 @@ fn run_ahead_grow_recovers_at_every_boundary() {
             let f = v.open("tail").unwrap();
             let mut block = vec![0u8; BS];
             for l in in_flight / rpb + 1..f.nblocks() {
-                f.read_lblock(l, &mut block).unwrap();
+                f.read_span(l * BS as u64, &mut block).unwrap();
                 assert!(
                     block.iter().all(|&x| x == 0),
                     "{ctx}: block {l} of {} is not zero",

@@ -6,7 +6,8 @@
 //! cached or not.
 //!
 //! This file is one test in a binary of its own: the counting allocator
-//! sees every thread of the process.
+//! sees every thread of the process, libtest's included, so the test
+//! lets every other thread fall asleep before it counts.
 
 mod counting;
 
@@ -28,6 +29,7 @@ fn op(f: &RawFile, i: u64, data: &mut [u8], out: &mut [u8]) {
     assert!(out == data, "record {r} read back wrong");
 }
 
+/// Warm record write + read pairs allocate nothing, cached or not.
 #[test]
 fn a_warm_record_op_allocates_nothing() {
     // The benchmark's rig: 4-way striped GDA over four memory devices
@@ -42,6 +44,7 @@ fn a_warm_record_op_allocates_nothing() {
         }
         let (mut data, mut out) = (vec![7u8; BS], vec![0u8; BS]);
         (0..2 * RECORDS).for_each(|i| op(pf.raw(), i, &mut data, &mut out));
+        counting::settle();
         let before = counting::requested();
         (0..OPS).for_each(|i| op(pf.raw(), i, &mut data, &mut out));
         let bytes = counting::requested() - before;

@@ -310,7 +310,7 @@ fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
                 assert_eq!(buf, record_payload(tag + i, BS), "{ctx}: {} {i}", f.name());
             }
             for l in written..f.nblocks() {
-                f.read_lblock(l, &mut buf).unwrap();
+                f.read_span(l * BS as u64, &mut buf).unwrap();
                 assert!(buf.iter().all(|&b| b == 0), "{ctx}: {} tail {l}", f.name());
             }
         }

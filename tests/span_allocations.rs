@@ -3,21 +3,26 @@
 //! are scattered, a run's bytes gathered before they are written, a
 //! parity span's per-device runs — and the volume recycles them
 //! (`pario_fs`'s staging list), so a steady stream of spans allocates
-//! only its bookkeeping: plans, tickets, reply channels.
+//! only its bookkeeping: plans, tickets, reply channels. Behind a cache
+//! tier the rule is the same: a run reads into a staging buffer, the
+//! tier copies its hits there, and the ticket hands the buffer back.
 //!
 //! This file is one test in a binary of its own: the counting allocator
-//! sees every thread of the process.
+//! sees every thread of the process, libtest's included, so the test
+//! lets every other thread fall asleep before it counts.
 
 mod counting;
 
 use pario::disk::mem_array;
-use pario::fs::{FileSpec, RawFile, Volume};
+use pario::fs::{FileSpec, RawFile, Volume, VolumeCacheConfig};
 use pario::layout::LayoutSpec;
 
 const BS: usize = 4096;
 /// Blocks a span: 256 KiB, the gated `span-parity` workload's size.
 const SPAN: usize = 64;
 const OPS: u64 = 100;
+/// Cache frames: both files, parity rows included, with room to spare.
+const FRAMES: usize = 512;
 
 /// One op: a 64-block `write_span` and the `read_span` of it, starting
 /// a block further into the file each time — so on the 3+1 file every
@@ -29,10 +34,23 @@ fn op(f: &RawFile, i: u64, data: &[u8], out: &mut [u8]) {
     assert!(out == data, "span {i} read back wrong");
 }
 
+/// Warm 64-block write + read pairs on the rotated 3+1 and the 4-wide
+/// striped file allocate under 64 KiB each, uncached and behind a
+/// write-back tier that holds both files.
 #[test]
 fn a_warm_span_allocates_no_staging() {
+    for cached in [false, true] {
+        warm_spans(cached);
+    }
+}
+
+fn warm_spans(cached: bool) {
     // The benchmark's rig: four memory devices behind `Volume::new`.
     let v = Volume::new(mem_array(4, 256, BS)).unwrap();
+    if cached {
+        v.enable_cache(VolumeCacheConfig::write_back(FRAMES))
+            .unwrap();
+    }
     let parity = LayoutSpec::Parity {
         data_devices: 3,
         rotated: true,
@@ -47,6 +65,7 @@ fn a_warm_span_allocates_no_staging() {
         let spec = FileSpec::new(name, BS, 1, layout).initial_records(SPAN as u64 + 8);
         let f = v.create_file(spec).unwrap();
         (0..21).for_each(|i| op(&f, i, &data, &mut out));
+        counting::settle();
         let before = counting::requested();
         (0..OPS).for_each(|i| op(&f, i, &data, &mut out));
         let per_op = (counting::requested() - before) / OPS;
@@ -54,7 +73,7 @@ fn a_warm_span_allocates_no_staging() {
         // through buffers of its own.
         assert!(
             per_op < 64 << 10,
-            "{name}: {per_op} bytes allocated per write_span + read_span"
+            "{name}, cached={cached}: {per_op} bytes allocated per write_span + read_span"
         );
     }
 }
