@@ -1,10 +1,10 @@
 //! Microbenchmarks of the placement mathematics: `map`, `invert`, and
-//! run coalescing are on every I/O path, so their cost bounds the
+//! the planner are on every I/O path, so their cost bounds the
 //! per-request software overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pario_layout::{runs, Layout, ParityPlacement, ParityStriped, Partitioned, Striped};
+use pario_layout::{plan, Layout, ParityPlacement, ParityStriped, Partitioned, Striped};
 
 fn bench_map(c: &mut Criterion) {
     let striped = Striped::new(8, 4);
@@ -45,16 +45,19 @@ fn bench_invert(c: &mut Criterion) {
     });
 }
 
-fn bench_runs(c: &mut Criterion) {
+fn bench_plan(c: &mut Criterion) {
     let striped = Striped::new(4, 16);
     let partitioned = Partitioned::uniform(65_536, 4, 4);
-    let mut g = c.benchmark_group("runs_coalesce_64k_blocks");
-    g.bench_function("striped", |b| b.iter(|| runs(&striped, 0, 65_536).len()));
+    let no_holes = |_: usize, _: u64| false;
+    let mut g = c.benchmark_group("plan_64k_blocks");
+    g.bench_function("striped", |b| {
+        b.iter(|| plan(&striped, &[(0, 65_536)], no_holes).len())
+    });
     g.bench_function("partitioned", |b| {
-        b.iter(|| runs(&partitioned, 0, 65_536).len())
+        b.iter(|| plan(&partitioned, &[(0, 65_536)], no_holes).len())
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_map, bench_invert, bench_runs);
+criterion_group!(benches, bench_map, bench_invert, bench_plan);
 criterion_main!(benches);

@@ -30,6 +30,7 @@
 //!    one-block entry: a block is a one-block span, and a device row is
 //!    a one-run `read_device_rows` / `write_device_rows`.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use pario_check::AtomicU64;
@@ -37,7 +38,7 @@ use std::sync::Arc;
 
 use pario_buffer::{CacheReadTicket, VolumeCache};
 use pario_disk::{DeviceRef, DiskError, Ticket};
-use pario_layout::{Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped, PhysBlock, Run};
+use pario_layout::{Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped, PhysBlock};
 
 use crate::error::{FsError, Result};
 use crate::health::HealthState;
@@ -845,7 +846,7 @@ impl RawFile {
         &self,
         ps: &ParityStriped,
         s: u64,
-        touched: std::ops::Range<u64>,
+        touched: Range<u64>,
         parity: &mut [u8],
     ) -> Result<()> {
         // The slots each plan reads row `s` of.
@@ -897,13 +898,48 @@ impl RawFile {
         pario_layout::plan(&*self.layout, &[(first, count)], hole)
     }
 
-    /// The bytes of layout run `r` in the buffer of a span that starts
-    /// at logical block `first`. Runs come in logical order, so the
-    /// windows of a span's runs partition its buffer exactly.
-    fn window(&self, first: u64, r: &Run) -> std::ops::Range<usize> {
+    /// The blocks of the span `[first, first + n)` that transfer `m`
+    /// holds, as `(row, logical block)` in row order: the layout says
+    /// which block each row holds ([`Layout::invert`]) as the rows are
+    /// walked. A row holding none of the span's blocks — a parity hole
+    /// read through, a row a reconstruction widened to — is skipped.
+    fn held(&self, first: u64, n: u64, m: &MergedRun) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (device, span) = (m.device, first..first + n);
+        let rows = m.dblock..m.dblock + m.count;
+        rows.filter_map(move |row| Some((row, self.layout.invert(device, row)?)))
+            .filter(move |(_, l)| span.contains(l))
+    }
+
+    /// Pair transfer `m`'s rows, staged from row `m.dblock`, with the
+    /// bytes of the span `[first, first + n)` they hold: `copy(span
+    /// bytes, staged bytes)` once for each maximal piece of rows that
+    /// holds consecutive blocks, so a partitioned run is one copy.
+    fn pieces(
+        &self,
+        first: u64,
+        n: u64,
+        m: &MergedRun,
+        mut copy: impl FnMut(Range<usize>, Range<usize>),
+    ) {
         let bs = self.block_size();
-        let at = (r.lblock - first) as usize * bs;
-        at..at + r.count as usize * bs
+        let mut flush = |(row, l, k): (u64, u64, u64)| {
+            let (at, from, len) = ((l - first) as usize, (row - m.dblock) as usize, k as usize);
+            copy(at * bs..(at + len) * bs, from * bs..(from + len) * bs);
+        };
+        let mut piece = None;
+        for (row, l) in self.held(first, n, m) {
+            match &mut piece {
+                Some((r0, l0, k)) if *r0 + *k == row && *l0 + *k == l => *k += 1,
+                _ => {
+                    if let Some(done) = piece.replace((row, l, 1)) {
+                        flush(done);
+                    }
+                }
+            }
+        }
+        if let Some(done) = piece {
+            flush(done);
+        }
     }
 
     /// Split the device-local range `[dblock, dblock + count)` of layout
@@ -1139,7 +1175,7 @@ impl RawFile {
     }
 
     /// Land a run that was read: scatter its segment buffers into the
-    /// windows of `m`'s parts and hand the staging back.
+    /// span's buffer and hand the staging back.
     fn land(&self, first: u64, buf: &mut [u8], m: &MergedRun, bufs: Vec<Box<[u8]>>) {
         let staging = self.concat(bufs);
         self.scatter(first, buf, m, &staging);
@@ -1147,15 +1183,14 @@ impl RawFile {
     }
 
     /// Scatter run `m`'s device blocks (`staging`, from row `m.dblock`)
-    /// into the windows of its parts. Each part copies out from its own
-    /// offset, which skips any parity hole the run read through.
+    /// into the buffer of the span that starts at logical block `first`,
+    /// piece by piece ([`RawFile::pieces`]): a parity hole the run read
+    /// through is skipped.
     fn scatter(&self, first: u64, buf: &mut [u8], m: &MergedRun, staging: &[u8]) {
-        let bs = self.block_size();
-        for r in &m.parts {
-            let window = self.window(first, r);
-            let at = (r.dblock - m.dblock) as usize * bs;
-            buf[window.clone()].copy_from_slice(&staging[at..at + window.len()]);
-        }
+        let n = self.rows_in(buf);
+        self.pieces(first, n, m, |to, from| {
+            buf[to].copy_from_slice(&staging[from])
+        });
     }
 
     /// Split a read's outcome by who answers it: a [`recoverable`]
@@ -1288,11 +1323,9 @@ impl RawFile {
             if m.count == 1 || !matches!(self.redundancy, Redundancy::Shadow { .. }) {
                 return Err(e.into());
             }
-            for r in &m.parts {
-                let blocks = buf[self.window(first, r)].chunks_mut(bs);
-                for (l, block) in (r.lblock..).zip(blocks) {
-                    self.read_blocks(l, block)?;
-                }
+            for (_, l) in self.held(first, count, &m) {
+                let at = (l - first) as usize * bs;
+                self.read_blocks(l, &mut buf[at..at + bs])?;
             }
         }
         Ok(())
@@ -1348,7 +1381,6 @@ impl RawFile {
                     device: slot,
                     dblock: r0,
                     count: 0,
-                    parts: Vec::new(),
                 },
                 |i| pending.swap_remove(i),
             );
@@ -1436,12 +1468,9 @@ impl RawFile {
         for m in self.plan(first, count, false).into_iter().flatten() {
             let staging = self.vol.staging();
             let mut gathered = staging.take(m.count as usize * bs);
-            let mut at = 0;
-            for r in &m.parts {
-                let part = &data[self.window(first, r)];
-                gathered[at..at + part.len()].copy_from_slice(part);
-                at += part.len();
-            }
+            self.pieces(first, count, &m, |from, to| {
+                gathered[to].copy_from_slice(&data[from])
+            });
             let second = mirror.map(|p| {
                 let mut copy = staging.take(gathered.len());
                 copy.copy_from_slice(&gathered);
@@ -1462,11 +1491,9 @@ impl RawFile {
             if m.count == 1 {
                 return written;
             }
-            for r in &m.parts {
-                let blocks = data[self.window(first, r)].chunks(bs);
-                for (l, block) in (r.lblock..).zip(blocks) {
-                    self.write_runs(l, block, mirror)?;
-                }
+            for (_, l) in self.held(first, count, &m) {
+                let at = (l - first) as usize * bs;
+                self.write_runs(l, &data[at..at + bs], mirror)?;
             }
         }
         Ok(())

@@ -5,11 +5,12 @@
 //! exact preloaded bytes, through executor retries, hedged reads, mirror
 //! reroutes, and parity reconstruction.
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pario_disk::{mem_array, FaultDevice, FaultPlan};
+use pario_disk::{mem_array, BlockDevice, DeviceRef, FaultDevice, FaultPlan, IoCounters};
 use pario_fs::{FileSpec, HealthState, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
 
@@ -336,11 +337,103 @@ fn ragged_parity_span_writes_survive_one_device_down_in_every_state() {
     }
 }
 
+/// A device whose reads, while its gate is closed, park until it opens:
+/// a read still parked is one nobody has waited out. A guard timeout
+/// lets parked reads through rather than hang the test, and is marked,
+/// which fails it.
+struct Gate {
+    inner: DeviceRef,
+    /// (closed, reads parked now, the guard opened it)
+    state: Mutex<(bool, u64, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    const GUARD: Duration = Duration::from_secs(30);
+
+    fn wrap(inner: DeviceRef) -> Arc<Gate> {
+        let state = Mutex::new((false, 0, false));
+        Arc::new(Gate {
+            inner,
+            state,
+            cv: Condvar::new(),
+        })
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap().0 = true;
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().0 = false;
+        self.cv.notify_all();
+    }
+
+    /// (reads parked now, the guard opened the gate)
+    fn seen(&self) -> (u64, bool) {
+        let g = self.state.lock().unwrap();
+        (g.1, g.2)
+    }
+
+    /// Wait until a read is parked (or the guard has opened the gate).
+    fn wait_parked(&self) {
+        let g = self.state.lock().unwrap();
+        let none_yet = |g: &mut (bool, u64, bool)| g.1 == 0 && !g.2;
+        drop(
+            self.cv
+                .wait_timeout_while(g, Self::GUARD, none_yet)
+                .unwrap(),
+        );
+    }
+}
+
+impl BlockDevice for Gate {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+        let mut g = self.state.lock().unwrap();
+        if g.0 {
+            g.1 += 1;
+            self.cv.notify_all();
+            let closed = |g: &mut (bool, u64, bool)| g.0;
+            let (mut after, waited) = self.cv.wait_timeout_while(g, Self::GUARD, closed).unwrap();
+            if waited.timed_out() {
+                *after = (false, after.1, true);
+                self.cv.notify_all();
+            }
+            after.1 -= 1;
+        }
+        self.inner.read_blocks_at(block, buf)
+    }
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+        self.inner.write_blocks_at(block, data)
+    }
+    fn counters(&self) -> IoCounters {
+        self.inner.counters()
+    }
+    fn fail(&self) {
+        self.inner.fail()
+    }
+    fn heal(&self) {
+        self.inner.heal()
+    }
+    fn is_failed(&self) -> bool {
+        self.inner.is_failed()
+    }
+}
+
 /// A Suspect primary is hedged whatever the read's size — a sub-block
 /// record, one whole block, a span of several runs: both copies are
 /// submitted and the first success wins. A primary stuck in a latency
 /// spike therefore costs the mirror's latency, not its own, and the
-/// mirror transfer is the answer rather than extra load.
+/// mirror transfer is the answer rather than extra load. Counted in
+/// events, not time: the primary's reads park at a gate until every
+/// read has returned, so a read that waited out the primary could not
+/// have returned at all.
 #[test]
 fn suspect_span_reads_race_the_mirror_instead_of_waiting_out_the_primary() {
     const SPIKE: Duration = Duration::from_millis(20);
@@ -359,7 +452,8 @@ fn suspect_span_reads_race_the_mirror_instead_of_waiting_out_the_primary() {
             ..FaultPlan::default()
         },
     );
-    devices[primary] = wrapped;
+    let gate = Gate::wrap(wrapped);
+    devices[primary] = gate.clone();
     fault.set_armed(false);
     let v = Volume::new(devices).unwrap();
     let f = v.create_file(FileSpec::new("f", 64, 4, spec)).unwrap();
@@ -371,6 +465,7 @@ fn suspect_span_reads_race_the_mirror_instead_of_waiting_out_the_primary() {
     }
     assert_eq!(v.device_health(primary), HealthState::Suspect);
     fault.set_armed(true);
+    gate.close();
 
     let serviced = |d: usize| v.io_device(d).ionode_stats().unwrap().serviced;
     let (p0, m0) = (serviced(primary), serviced(mirror));
@@ -379,23 +474,26 @@ fn suspect_span_reads_race_the_mirror_instead_of_waiting_out_the_primary() {
     let spans = [(0, 64), (0, BS), (0, 2 * BS), (0, 6 * BS)];
     for (at, len) in spans {
         let mut got = vec![0u8; len];
-        let started = std::time::Instant::now();
         f.read_span(at as u64, &mut got).unwrap();
-        let took = started.elapsed();
         assert_eq!(got, data[at..at + len], "read at {at}+{len}");
         assert!(
-            took < SPIKE / 2,
-            "read at {at}+{len} took {took:?}: it waited out the spiking primary"
+            !gate.seen().1 && serviced(primary) == p0,
+            "read at {at}+{len} returned once the primary was let through: it waited it out"
         );
     }
-    // Both copies were asked, every time: the mirror answered, and the
-    // primary works its spikes off behind the reads.
+    // Both copies were asked, every time: the mirror answered, while the
+    // primary's first read sat parked with the rest queued behind it.
     assert_eq!(serviced(mirror) - m0, spans.len() as u64);
-    let deadline = std::time::Instant::now() + 20 * SPIKE;
+    gate.wait_parked();
+    assert_eq!(gate.seen(), (1, false), "the primary was not asked");
+    assert_eq!(serviced(primary), p0);
+    // Released, the primary works its spikes off behind the reads.
+    gate.open();
+    let deadline = std::time::Instant::now() + Gate::GUARD;
     while serviced(primary) - p0 < spans.len() as u64 {
         assert!(
             std::time::Instant::now() < deadline,
-            "the primary was not asked"
+            "the primary's reads never completed"
         );
         std::thread::sleep(Duration::from_millis(1));
     }

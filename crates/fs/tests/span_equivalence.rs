@@ -29,7 +29,7 @@ use pario_disk::{DiskError, IoNodeStats, MemDisk};
 use pario_fs::{
     FileSpec, GlobalReader, GlobalWriter, RawFile, Volume, VolumeCacheConfig, VolumeConfig,
 };
-use pario_layout::{runs, LayoutSpec};
+use pario_layout::{plan, LayoutSpec};
 
 const BS: usize = 256;
 /// Keep every span inside the partitioned variant's fixed 32-block file.
@@ -392,7 +392,10 @@ proptest! {
         let direct = whole_file(&direct_vol, &spec);
         let routed = whole_file(&routed_vol, &spec);
         let unprotected = !matches!(spec, LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_));
-        let one_run = |first: u64, n: u64| runs(direct.layout(), first, n).len() == 1;
+        let one_run = |first: u64, n: u64| {
+            let transfers = plan(direct.layout(), &[(first, n)], |_, _| false);
+            transfers.iter().flatten().count() == 1
+        };
 
         let mut model = vec![0u8; CAP_BYTES as usize];
         for &(first, n, seed) in &writes {

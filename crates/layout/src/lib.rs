@@ -19,22 +19,21 @@
 //! Every layout satisfies the bijection invariants checked by
 //! [`check_bijection`]. [`plan`] is the one planner: it turns a list of
 //! logical extents into the per-device transfers the file system issues,
-//! merging the layout's per-unit [`runs`] that continue one another on a
-//! device; the simulator plans its streams with it too.
+//! each a device row range, merging blocks that continue one another on
+//! a device; the simulator plans its streams with it too.
 //!
 //! ```
-//! use pario_layout::{plan, runs, Layout, Striped};
+//! use pario_layout::{plan, Layout, Striped};
 //!
 //! // 64 KiB stripe units (16 x 4 KiB blocks) over 4 drives.
 //! let layout = Striped::new(4, 16);
 //! let p = layout.map(35);
 //! assert_eq!(p.device, 2); // block 35 sits in unit 2
 //! assert_eq!(layout.invert(p.device, p.block), Some(35));
-//! // A 128-block range is 8 stripe units, two per device...
-//! assert_eq!(runs(&layout, 0, 128).len(), 8);
-//! // ...and 4 requests: each device's two units are one transfer.
-//! let reqs: usize = plan(&layout, &[(0, 128)], |_, _| false).iter().map(Vec::len).sum();
-//! assert_eq!(reqs, 4);
+//! // A 128-block range is 8 stripe units, two per device, and 4
+//! // requests: each device's two units are one transfer of 32 rows.
+//! let p = plan(&layout, &[(0, 128)], |_, _| false);
+//! assert!(p.iter().all(|g| g.len() == 1 && g[0].count == 32));
 //! ```
 
 #![warn(missing_docs)]
@@ -51,4 +50,4 @@ pub use partitioned::{uniform_bounds, Partitioned};
 pub use shadow::Shadowed;
 pub use spec::LayoutSpec;
 pub use striped::Striped;
-pub use traits::{check_bijection, plan, runs, Layout, MergedRun, PhysBlock, Run};
+pub use traits::{check_bijection, plan, Layout, MergedRun, PhysBlock};

@@ -158,7 +158,7 @@ impl Layout for Partitioned {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{check_bijection, runs};
+    use crate::traits::{check_bijection, plan};
     use proptest::prelude::*;
 
     #[test]
@@ -230,13 +230,9 @@ mod tests {
         // The paper's observation: the global view of a PS file reads all of
         // device 0, then all of device 1, ... — no overlap possible.
         let l = Partitioned::uniform(12, 3, 3);
-        let r = runs(&l, 0, 12);
-        assert_eq!(r.len(), 3);
-        assert!(r.iter().all(|run| run.count == 4));
-        assert_eq!(
-            r.iter().map(|run| run.device).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
+        let p = plan(&l, &[(0, 12)], |_, _| false);
+        let transfers: Vec<_> = p.iter().flatten().map(|m| (m.device, m.count)).collect();
+        assert_eq!(transfers, [(0, 4), (1, 4), (2, 4)]);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Layout for Striped {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{check_bijection, runs};
+    use crate::traits::{check_bijection, plan};
     use proptest::prelude::*;
 
     #[test]
@@ -197,13 +197,16 @@ mod tests {
 
     #[test]
     fn whole_file_runs_alternate_devices() {
+        // Units [0,2) [4,6) on device 0 and [2,4) [6,8) on device 1: the
+        // units alternate, and each device's two are one transfer.
         let l = Striped::new(2, 2);
-        let r = runs(&l, 0, 8);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r[0].device, 0);
-        assert_eq!(r[1].device, 1);
-        assert_eq!(r[0].count, 2);
-        assert_eq!(r[2].dblock, 2);
+        let devices: Vec<_> = (0..8).step_by(2).map(|b| l.map(b).device).collect();
+        assert_eq!(devices, [0, 1, 0, 1]);
+        assert_eq!(l.map(4).block, 2);
+        let p = plan(&l, &[(0, 8)], |_, _| false);
+        assert!(p
+            .iter()
+            .all(|g| g.len() == 1 && (g[0].dblock, g[0].count) == (0, 4)));
     }
 
     #[test]

@@ -21,20 +21,6 @@ pub struct PhysBlock {
     pub block: u64,
 }
 
-/// A maximal run of consecutive logical blocks that land consecutively on
-/// one device — the unit at which I/O can be coalesced into one request.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct Run {
-    /// First logical block of the run.
-    pub lblock: u64,
-    /// Device holding the run.
-    pub device: usize,
-    /// First device-local block of the run.
-    pub dblock: u64,
-    /// Number of blocks in the run.
-    pub count: u64,
-}
-
 /// A data-placement policy: a per-file bijection from logical blocks to
 /// `(device, device block)` pairs.
 ///
@@ -70,32 +56,11 @@ pub trait Layout: Send + Sync + Debug {
     }
 }
 
-/// Split the logical block range `[start, start + count)` into maximal
-/// per-device contiguous runs, in logical order: the layout's pieces,
-/// not the requests a transfer issues ([`plan`] merges those).
-pub fn runs(layout: &dyn Layout, start: u64, count: u64) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    for l in start..start + count {
-        let p = layout.map(l);
-        match out.last_mut() {
-            Some(r) if r.device == p.device && r.dblock + r.count == p.block => {
-                r.count += 1;
-            }
-            _ => out.push(Run {
-                lblock: l,
-                device: p.device,
-                dblock: p.block,
-                count: 1,
-            }),
-        }
-    }
-    out
-}
-
-/// Layout runs on one device, in logical order, merged into one
-/// transfer of device-local blocks `[dblock, dblock + count)`: the
-/// parts plus any holes read through ([`plan`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// One transfer of a plan: device-local blocks `[dblock, dblock +
+/// count)` of `device`, the rows of the blocks it moves plus any holes
+/// read through between them ([`plan`]). It names no blocks: which
+/// logical block a row holds is the layout's to say ([`Layout::invert`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct MergedRun {
     /// Device the transfer goes to.
     pub device: usize,
@@ -103,43 +68,40 @@ pub struct MergedRun {
     pub dblock: u64,
     /// Blocks in the transfer.
     pub count: u64,
-    /// The layout runs the transfer carries, in logical order.
-    pub parts: Vec<Run>,
 }
 
 /// The per-device transfers that move the logical `extents`, each a
-/// `(first block, count)` pair: each extent's [`runs`], grouped by
-/// device, a run that continues its device's last transfer merged into
-/// it. A striped span is one transfer per device; a parity file's data
-/// blocks on one device sit at consecutive stripe rows and merge the
-/// same way.
+/// `(first block, count)` pair, merged as the blocks are mapped: a
+/// block joins its device's last transfer when it continues it. A
+/// striped span is one transfer per device; a parity file's data blocks
+/// on one device sit at consecutive stripe rows and merge the same way.
 ///
 /// A gap made only of blocks `hole(device, dblock)` accepts is read
 /// through, not split at (data sieving: a discarded block costs less
-/// than a request). `|_, _| false` merges only runs that abut.
+/// than a request). `|_, _| false` merges only blocks that abut.
 pub fn plan(
     layout: &dyn Layout,
     extents: &[(u64, u64)],
     hole: impl Fn(usize, u64) -> bool,
 ) -> Vec<Vec<MergedRun>> {
     let mut groups: Vec<Vec<MergedRun>> = (0..layout.devices()).map(|_| Vec::new()).collect();
-    for &(first, count) in extents {
-        for r in runs(layout, first, count) {
-            match groups[r.device].last_mut() {
-                Some(m)
-                    if m.dblock + m.count <= r.dblock
-                        && (m.dblock + m.count..r.dblock).all(|row| hole(r.device, row)) =>
-                {
-                    m.count = r.dblock + r.count - m.dblock;
-                    m.parts.push(r);
-                }
-                _ => groups[r.device].push(MergedRun {
-                    device: r.device,
-                    dblock: r.dblock,
-                    count: r.count,
-                    parts: vec![r],
-                }),
+    let blocks = extents
+        .iter()
+        .flat_map(|&(first, count)| first..first + count);
+    for p in blocks.map(|l| layout.map(l)) {
+        let group = &mut groups[p.device];
+        match group.last_mut() {
+            Some(m)
+                if m.dblock + m.count <= p.block
+                    && (m.dblock + m.count..p.block).all(|row| hole(p.device, row)) =>
+            {
+                m.count = p.block + 1 - m.dblock;
             }
+            _ => group.push(MergedRun {
+                device: p.device,
+                dblock: p.block,
+                count: 1,
+            }),
         }
     }
     groups
@@ -212,25 +174,23 @@ mod tests {
 
     #[test]
     fn runs_coalesce_contiguous() {
-        let r = runs(&Identity, 3, 5);
-        assert_eq!(r.len(), 1);
+        let one = |device, dblock, count| MergedRun {
+            device,
+            dblock,
+            count,
+        };
+        assert_eq!(plan(&Identity, &[(3, 5)], |_, _| false), [[one(0, 3, 5)]]);
         assert_eq!(
-            r[0],
-            Run {
-                lblock: 3,
-                device: 0,
-                dblock: 3,
-                count: 5
-            }
+            plan(&Identity, &[(3, 2), (5, 3)], |_, _| false),
+            [[one(0, 3, 5)]]
         );
-        assert!(runs(&Identity, 0, 0).is_empty());
+        assert!(plan(&Identity, &[(0, 0)], |_, _| false)[0].is_empty());
     }
 
     #[test]
     fn plan_merges_a_devices_runs() {
-        // Units of 16 over 4 devices: 8 runs, one transfer per device.
+        // Units of 16 over 4 devices: 8 units, one transfer per device.
         let l = crate::Striped::new(4, 16);
-        assert_eq!(runs(&l, 0, 128).len(), 8);
         let p = plan(&l, &[(0, 128)], |_, _| false);
         assert!(p.iter().all(|g| g.len() == 1 && g[0].count == 32));
         // Extents that skip a block on a device leave two transfers,
@@ -238,7 +198,7 @@ mod tests {
         let p = plan(&Identity, &[(0, 2), (3, 2)], |_, _| false);
         assert_eq!(p[0].len(), 2);
         let p = plan(&Identity, &[(0, 2), (3, 2)], |_, row| row == 2);
-        assert_eq!((p[0].len(), p[0][0].count, p[0][0].parts.len()), (1, 5, 2));
+        assert_eq!((p[0].len(), p[0][0].dblock, p[0][0].count), (1, 0, 5));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Cross-layout property tests: composed layouts (shadowed partitioned,
-//! parity), spec construction, run coalescing, the planner, and the
-//! capacity arithmetic the allocator depends on.
+//! parity), spec construction, the planner, and the capacity arithmetic
+//! the allocator depends on.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use pario_layout::{
-    check_bijection, plan, runs, Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped,
+    check_bijection, plan, Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped,
     Partitioned, Shadowed, Striped,
 };
 
@@ -22,45 +24,40 @@ fn extents(pieces: &[(u64, u64)]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Every listed block is in exactly one part, parts tile each extent in
-/// logical order, and each part sits where the layout maps it.
-fn check_parts(l: &dyn Layout, ext: &[(u64, u64)], groups: &[Vec<MergedRun>]) {
-    let mut parts: Vec<_> = groups.iter().flatten().flat_map(|m| &m.parts).collect();
-    parts.sort_by_key(|r| r.lblock);
-    let mut it = parts.iter();
-    for &(first, count) in ext {
-        let end = first + count;
-        let mut at = first;
-        while at < end {
-            let r = it.next().expect("a listed block has no part");
-            assert_eq!(r.lblock, at, "parts tile {first}+{count}");
-            for k in 0..r.count {
-                let p = l.map(r.lblock + k);
-                assert_eq!((p.device, p.block), (r.device, r.dblock + k));
-            }
-            at += r.count;
-        }
-        assert_eq!(at, end, "a part crosses the end of {first}+{count}");
+/// What a plan promises, stated on its rows alone:
+///
+/// 1. every block of every extent lies in exactly one transfer, on its
+///    home device;
+/// 2. every other row a transfer covers is one `hole` accepted, and a
+///    transfer begins and ends on a listed block;
+/// 3. a device's transfers are disjoint and ascending, and never abut
+///    (abutting blocks merge).
+///
+/// The fourth, that the transfers are the recorded ones, is
+/// `plan_issues_the_recorded_transfers`.
+fn check_plan(
+    l: &dyn Layout,
+    ext: &[(u64, u64)],
+    groups: &[Vec<MergedRun>],
+    hole: impl Fn(usize, u64) -> bool,
+) {
+    assert_eq!(groups.len(), l.devices());
+    let listed: HashSet<u64> = ext.iter().flat_map(|&(f, n)| f..f + n).collect();
+    for &b in &listed {
+        let p = l.map(b);
+        let holds = |m: &&MergedRun| (m.dblock..m.dblock + m.count).contains(&p.block);
+        let holding = groups[p.device].iter().filter(holds).count();
+        assert_eq!(holding, 1, "block {b} at {p:?}");
     }
-    assert!(it.next().is_none(), "a part lies outside the list");
-    for m in groups.iter().flatten() {
-        assert!(m.parts.windows(2).all(|w| w[0].lblock < w[1].lblock));
-    }
-}
-
-/// Each device's transfers ascend, are disjoint and never abut, and
-/// hold their parts inside them, ascending.
-fn check_transfers(groups: &[Vec<MergedRun>]) {
+    let holds_listed = |d: usize, row: u64| l.invert(d, row).is_some_and(|b| listed.contains(&b));
     for (d, g) in groups.iter().enumerate() {
         for m in g {
             assert_eq!(m.device, d);
-            let mut end = m.dblock;
-            for r in &m.parts {
-                assert_eq!(r.device, d);
-                assert!(r.dblock >= end && r.dblock + r.count <= m.dblock + m.count);
-                end = r.dblock + r.count;
+            let end = m.dblock + m.count;
+            assert!(m.count > 0 && holds_listed(d, m.dblock) && holds_listed(d, end - 1));
+            for row in (m.dblock..end).filter(|&row| !holds_listed(d, row)) {
+                assert!(hole(d, row), "{m:?} reads row {row}, no hole");
             }
-            assert_eq!(end, m.dblock + m.count, "a transfer ends on a part");
         }
         for w in g.windows(2) {
             assert!(
@@ -68,6 +65,151 @@ fn check_transfers(groups: &[Vec<MergedRun>]) {
                 "{w:?} overlap or abut"
             );
         }
+    }
+}
+
+/// The plan's `(device, first row, rows)` triples, device by device.
+fn triples(groups: &[Vec<MergedRun>]) -> Vec<(usize, u64, u64)> {
+    let flat = groups.iter().flatten();
+    flat.map(|m| (m.device, m.dblock, m.count)).collect()
+}
+
+/// The planner's transfers, recorded case by case: striped,
+/// partitioned, shadowed, RAID-4 and rotated parity, with and without
+/// the parity sieve, on one extent and on several. They pin the
+/// requests a plan issues, so a change to how a plan is built cannot
+/// move them.
+#[test]
+fn plan_issues_the_recorded_transfers() {
+    /// A layout, its extents, the parity sieve if any, and the triples.
+    type Case<'a> = (
+        &'a dyn Layout,
+        &'a [(u64, u64)],
+        Option<&'a ParityStriped>,
+        &'a [(usize, u64, u64)],
+    );
+    let striped = Striped::new(4, 2);
+    let parted = Partitioned::uniform(24, 3, 2);
+    let shadowed = Shadowed::new(Box::new(Striped::new(2, 1)));
+    let raid4 = ParityStriped::new(3, ParityPlacement::Dedicated);
+    let raid5 = ParityStriped::new(3, ParityPlacement::Rotated);
+    let (sieve4, sieve5) = (Some(&raid4), Some(&raid5));
+    let cases: [Case; 16] = [
+        (
+            &striped,
+            &[(0, 16)],
+            None,
+            &[(0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)],
+        ),
+        (
+            &striped,
+            &[(3, 9)],
+            None,
+            &[(0, 2, 2), (1, 1, 3), (2, 0, 2), (3, 0, 2)],
+        ),
+        (
+            &striped,
+            &[(1, 3), (6, 2), (9, 12)],
+            None,
+            &[(0, 1, 1), (0, 3, 3), (1, 0, 6), (2, 2, 3), (3, 0, 4)],
+        ),
+        (&parted, &[(0, 24)], None, &[(0, 0, 16), (1, 0, 8)]),
+        (
+            &parted,
+            &[(2, 5), (10, 3), (17, 6)],
+            None,
+            &[(0, 2, 5), (0, 9, 6), (1, 2, 3)],
+        ),
+        (&shadowed, &[(0, 6)], None, &[(0, 0, 3), (1, 0, 3)]),
+        (
+            &shadowed,
+            &[(1, 2), (4, 5)],
+            None,
+            &[(0, 1, 4), (1, 0, 1), (1, 2, 2)],
+        ),
+        (&raid4, &[(1, 10)], None, &[(0, 1, 3), (1, 0, 4), (2, 0, 3)]),
+        (
+            &raid4,
+            &[(1, 10)],
+            sieve4,
+            &[(0, 1, 3), (1, 0, 4), (2, 0, 3)],
+        ),
+        (
+            &raid4,
+            &[(0, 4), (6, 9)],
+            sieve4,
+            &[(0, 0, 5), (1, 0, 1), (1, 2, 3), (2, 0, 1), (2, 2, 3)],
+        ),
+        (
+            &raid5,
+            &[(1, 10)],
+            None,
+            &[
+                (0, 1, 2),
+                (1, 0, 2),
+                (1, 3, 1),
+                (2, 0, 1),
+                (2, 2, 2),
+                (3, 1, 2),
+            ],
+        ),
+        (
+            &raid5,
+            &[(1, 10)],
+            sieve5,
+            &[(0, 1, 2), (1, 0, 4), (2, 0, 4), (3, 1, 2)],
+        ),
+        (
+            &raid5,
+            &[(0, 4), (6, 9)],
+            None,
+            &[
+                (0, 0, 3),
+                (0, 4, 1),
+                (1, 0, 1),
+                (1, 3, 2),
+                (2, 0, 1),
+                (2, 2, 3),
+                (3, 2, 2),
+            ],
+        ),
+        (
+            &raid5,
+            &[(0, 4), (6, 9)],
+            sieve5,
+            &[(0, 0, 5), (1, 0, 1), (1, 3, 2), (2, 0, 5), (3, 2, 2)],
+        ),
+        (
+            &raid5,
+            &[(0, 2), (5, 7), (14, 1)],
+            sieve5,
+            &[
+                (0, 0, 1),
+                (0, 2, 1),
+                (1, 0, 1),
+                (1, 3, 1),
+                (2, 2, 3),
+                (3, 1, 3),
+            ],
+        ),
+        // The benchmark's span: 64 blocks of the rotated 3+1 file.
+        (
+            &raid5,
+            &[(2, 64)],
+            sieve5,
+            &[(0, 1, 21), (1, 1, 21), (2, 0, 21), (3, 1, 21)],
+        ),
+    ];
+    for (l, ext, sieve, recorded) in cases {
+        let hole = |d: usize, row: u64| sieve.is_some_and(|ps| ps.parity_device(row) == d);
+        let groups = plan(l, ext, hole);
+        check_plan(l, ext, &groups, hole);
+        assert_eq!(
+            triples(&groups),
+            recorded,
+            "{l:?} {ext:?} sieved: {}",
+            sieve.is_some()
+        );
     }
 }
 
@@ -134,8 +276,8 @@ proptest! {
         }
     }
 
-    /// Run coalescing is a partition of the range: runs are non-empty,
-    /// contiguous in logical space, and total to the range length.
+    /// A range's plan without holes partitions it: its transfers' rows,
+    /// together, hold exactly the range's blocks.
     #[test]
     fn runs_partition_the_range(
         devices in 1usize..5,
@@ -144,27 +286,19 @@ proptest! {
         count in 0u64..200,
     ) {
         let l = Striped::new(devices, unit);
-        let rs = runs(&l, start, count);
-        let mut pos = start;
-        for r in &rs {
-            prop_assert_eq!(r.lblock, pos);
-            prop_assert!(r.count > 0);
-            // Within a run, every block is on the same device,
-            // consecutively.
-            for k in 0..r.count {
-                let p = l.map(r.lblock + k);
-                prop_assert_eq!(p.device, r.device);
-                prop_assert_eq!(p.block, r.dblock + k);
-            }
-            pos += r.count;
-        }
-        prop_assert_eq!(pos, start + count);
+        let groups = plan(&l, &[(start, count)], |_, _| false);
+        let mut held: Vec<u64> = groups
+            .iter()
+            .flatten()
+            .flat_map(|m| (m.dblock..m.dblock + m.count).map(|row| l.invert(m.device, row).unwrap()))
+            .collect();
+        held.sort_unstable();
+        prop_assert_eq!(held, (start..start + count).collect::<Vec<_>>());
     }
 
-    /// The planner, on every layout kind and any ascending extent list:
-    /// parts cover the list, transfers are well formed, without holes a
-    /// transfer is exactly its parts, and under the parity rule the only
-    /// rows a transfer adds are its device's parity rows.
+    /// The planner, on every layout kind and any ascending extent list,
+    /// without holes and under the parity rule: [`check_plan`]'s three
+    /// properties hold.
     #[test]
     fn plan_covers_the_list_and_merges_only_through_holes(
         pieces in proptest::collection::vec((0u64..6, 1u64..12), 0..12),
@@ -183,29 +317,12 @@ proptest! {
             _ => Box::new(ParityStriped::new(devices, ParityPlacement::Rotated)),
         };
         let groups = plan(&*layout, &ext, |_, _| false);
-        prop_assert_eq!(groups.len(), layout.devices());
-        check_parts(&*layout, &ext, &groups);
-        check_transfers(&groups);
-        for m in groups.iter().flatten() {
-            prop_assert_eq!(m.count, m.parts.iter().map(|r| r.count).sum::<u64>());
-        }
+        check_plan(&*layout, &ext, &groups, |_, _| false);
 
         let placement = if rotated { ParityPlacement::Rotated } else { ParityPlacement::Dedicated };
         let ps = ParityStriped::new(devices, placement);
         let hole = |device: usize, row: u64| ps.parity_device(row) == device;
         let groups = plan(&ps, &ext, hole);
-        check_parts(&ps, &ext, &groups);
-        check_transfers(&groups);
-        for m in groups.iter().flatten() {
-            let mut covered = vec![false; m.count as usize];
-            for r in &m.parts {
-                for k in r.dblock..r.dblock + r.count {
-                    covered[(k - m.dblock) as usize] = true;
-                }
-            }
-            for (i, _) in covered.iter().enumerate().filter(|(_, &c)| !c) {
-                prop_assert!(hole(m.device, m.dblock + i as u64), "{:?} reads a data row", m);
-            }
-        }
+        check_plan(&ps, &ext, &groups, hole);
     }
 }

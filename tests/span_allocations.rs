@@ -35,8 +35,10 @@ fn op(f: &RawFile, i: u64, data: &[u8], out: &mut [u8]) {
 }
 
 /// Warm 64-block write + read pairs on the rotated 3+1 and the 4-wide
-/// striped file allocate under 64 KiB each, uncached and behind a
-/// write-back tier that holds both files.
+/// striped file allocate under 8 KiB each, uncached and behind a
+/// write-back tier that holds both files. A plan is its row ranges, so
+/// the bookkeeping does not grow with the blocks a span moves: about
+/// 4.4 KiB (parity) and 3.8 KiB (striped) a pair.
 #[test]
 fn a_warm_span_allocates_no_staging() {
     for cached in [false, true] {
@@ -72,7 +74,7 @@ fn warm_spans(cached: bool) {
         // Staged, a pair moves ~680 KiB (parity) or 512 KiB (striped)
         // through buffers of its own.
         assert!(
-            per_op < 64 << 10,
+            per_op < 8 << 10,
             "{name}, cached={cached}: {per_op} bytes allocated per write_span + read_span"
         );
     }
