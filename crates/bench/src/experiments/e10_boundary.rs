@@ -20,27 +20,20 @@
 //!
 //! Every variant's result is checked against the sequential reference.
 
-use pario_bench::banner;
-use pario_bench::table::{save_json, Table};
 use pario_core::{create_replicated, read_partition_with_halo, Organization, ParallelFile};
 use pario_disk::IoCounters;
-use pario_fs::{Volume, VolumeConfig};
+use pario_fs::Volume;
 use pario_workloads::Stencil1D;
+
+use crate::rig::Rig;
+use crate::table::Table;
+use crate::{Report, Size};
 
 const CELLS: u64 = 4096;
 const PARTS: u32 = 4;
 const RECORD: usize = 64;
 const RPB: usize = 4;
 const PASSES: u32 = 3;
-
-fn volume() -> Volume {
-    Volume::create_in_memory(VolumeConfig {
-        devices: PARTS as usize,
-        device_blocks: 4096,
-        block_size: RECORD * RPB,
-    })
-    .unwrap()
-}
 
 fn make_ps(v: &Volume, name: &str, s: &Stencil1D) -> ParallelFile {
     let org = Organization::PartitionedSeq { partitions: PARTS };
@@ -79,11 +72,10 @@ fn since(before: IoCounters, after: IoCounters) -> IoCounters {
     }
 }
 
-fn check(cells: &[f64], reference: &Stencil1D) {
-    assert_eq!(cells.len(), reference.cells.len());
-    for (i, (&a, &b)) in cells.iter().zip(&reference.cells).enumerate() {
-        assert!((a - b).abs() < 1e-9, "cell {i}: {a} vs {b}");
-    }
+/// Whether `cells` are the sequential reference's, to 1e-9.
+fn exact(cells: &[f64], reference: &Stencil1D) -> bool {
+    cells.len() == reference.cells.len()
+        && (cells.iter().zip(&reference.cells)).all(|(&a, &b)| (a - b).abs() < 1e-9)
 }
 
 /// Strategy 1: per-pass halo re-read.
@@ -235,27 +227,24 @@ fn replicated(v: &Volume, s0: &Stencil1D) -> (IoCounters, u64, Vec<f64>) {
     (since(before, after), overhead, cells)
 }
 
-fn main() {
-    banner(
-        "E10 (partition-boundary data)",
-        "replicate boundary data in the file, or cache it in memory; \
-         caching pays off over multiple passes, replication costs storage \
-         and global-view coherence work",
-    );
-    println!(
+/// The three strategies' device traffic, each result checked against
+/// the sequential reference.
+pub fn run(_: Size) -> Report {
+    let mut r = Report::default();
+    r.note(format!(
         "{CELLS}-cell Jacobi stencil, {PARTS} partitions, {PASSES} passes; \
          all results verified against the sequential reference\n"
-    );
+    ));
     let s0 = Stencil1D::random(CELLS as usize, 11);
     let reference = s0.run(PASSES);
 
-    let v = volume();
-    let (naive_io, cells) = naive(&v, &s0);
-    check(&cells, &reference);
-    let (deep_io, cells) = deep_halo(&v, &s0);
-    check(&cells, &reference);
-    let (rep_io, overhead, cells) = replicated(&v, &s0);
-    check(&cells, &reference);
+    let v = Rig::new(PARTS as usize)
+        .blocks(4096)
+        .block_size(RECORD * RPB)
+        .volume();
+    let (naive_io, naive_cells) = naive(&v, &s0);
+    let (deep_io, deep_cells) = deep_halo(&v, &s0);
+    let (rep_io, overhead, rep_cells) = replicated(&v, &s0);
 
     let mut t = Table::new(&[
         "strategy",
@@ -266,11 +255,13 @@ fn main() {
         "storage overhead",
         "result",
     ]);
-    for (name, io, extra) in [
-        ("naive halo re-read /pass", naive_io, 0),
-        ("deep halo, in-memory", deep_io, 0),
-        ("replicated boundaries", rep_io, overhead),
+    for (name, io, extra, cells) in [
+        ("naive halo re-read /pass", naive_io, 0, naive_cells),
+        ("deep halo, in-memory", deep_io, 0, deep_cells),
+        ("replicated boundaries", rep_io, overhead, rep_cells),
     ] {
+        let exact = exact(&cells, &reference);
+        r.check(format!("E10 {name}: result matches the reference"), exact);
         t.row(&[
             name.into(),
             io.reads.to_string(),
@@ -278,18 +269,19 @@ fn main() {
             io.writes.to_string(),
             io.blocks_written.to_string(),
             format!("{extra} records"),
-            "exact".into(),
+            if exact { "exact" } else { "WRONG" }.into(),
         ]);
     }
-    t.print();
-    save_json("e10_boundary", &t);
     let blocks = |io: IoCounters| (io.blocks_read, io.blocks_written);
     let (deep, naive, rep) = (blocks(deep_io), blocks(naive_io), blocks(rep_io));
-    assert!(
+    r.table("e10_boundary", t).check(
+        format!(
+            "E10 blocks moved (read, written) ascend: deep halo {deep:?} < naive {naive:?} \
+             < replicated {rep:?}"
+        ),
         deep.0 < naive.0 && naive.0 < rep.0 && deep.1 < naive.1 && naive.1 < rep.1,
-        "blocks moved: deep halo {deep:?}, naive {naive:?}, replicated {rep:?}"
     );
-    println!(
+    r.note(format!(
         "\nShape: the deep halo cached in memory moves the fewest blocks \
          ({} read, {} written: one pass's worth whatever the pass count) — \
          the winner when the partition fits in memory, as the paper \
@@ -301,5 +293,6 @@ fn main() {
          span; nearly every request left is a record-at-a-time write-back, \
          a read-modify-write pair per record.",
         deep.0, deep.1, naive.0, naive.1, rep.0, rep.1
-    );
+    ));
+    r
 }

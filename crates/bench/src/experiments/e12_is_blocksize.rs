@@ -9,12 +9,11 @@
 //! whole budget, the window sits inside a single device at a time and
 //! throughput collapses to one drive.
 
-use pario_bench::simx::{stream_script, wren_bank};
-use pario_bench::table::{rate, save_json, secs, Table};
-use pario_bench::{banner, BS};
 use pario_layout::Striped;
-use pario_sim::disk::SchedPolicy;
-use pario_sim::Simulation;
+
+use crate::simx::stream;
+use crate::table::{rate, secs, Table};
+use crate::{Report, Size, BS};
 
 const FILE_BYTES: u64 = 32 * 1024 * 1024;
 const DEVICES: usize = 4;
@@ -22,30 +21,20 @@ const DEVICES: usize = 4;
 const BUDGET_BLOCKS: u64 = 32;
 const REQ: u64 = 8; // 32 KiB per request
 
-fn run(cluster_blocks: u64) -> (f64, f64, f64) {
-    let blocks = FILE_BYTES / BS as u64;
+/// The stream at one cluster size; the read-ahead window is the budget.
+fn clustered(cluster_blocks: u64) -> (f64, f64, f64) {
     let layout = Striped::interleaved(DEVICES, cluster_blocks);
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    // The read-ahead window is the buffer budget.
-    sim.add_proc(stream_script(&layout, blocks, BUDGET_BLOCKS, REQ));
-    let r = sim.run();
-    let t = r.makespan.as_secs_f64();
-    (t, FILE_BYTES as f64 / t, r.mean_utilization())
+    stream(&layout, DEVICES, FILE_BYTES / BS as u64, BUDGET_BLOCKS, REQ)
 }
 
-fn main() {
-    banner(
-        "E12 (IS global view vs buffer space)",
-        "the IS global view parallelises while clusters fit the buffer \
-         space; clusters at or beyond the buffer budget serialise it",
-    );
-    println!(
-        "4 drives, 32 MiB file, read-ahead budget {} blocks \
+/// Throughput as the cluster grows past the budget.
+pub fn run(_: Size) -> Report {
+    let mut r = Report::default();
+    r.note(format!(
+        "4 drives, 32 MiB file, read-ahead budget {BUDGET_BLOCKS} blocks \
          ({} KiB)\n",
-        BUDGET_BLOCKS,
         BUDGET_BLOCKS * BS as u64 / 1024
-    );
+    ));
     let mut t = Table::new(&[
         "cluster (blocks)",
         "cluster / budget",
@@ -54,7 +43,7 @@ fn main() {
         "mean util",
     ]);
     for cluster in [4u64, 8, 16, 32, 64, 128] {
-        let (time, tput, util) = run(cluster);
+        let (time, tput, util) = clustered(cluster);
         t.row(&[
             cluster.to_string(),
             format!("{:.2}", cluster as f64 / BUDGET_BLOCKS as f64),
@@ -63,12 +52,17 @@ fn main() {
             format!("{:.0}%", util * 100.0),
         ]);
     }
-    t.print();
-    save_json("e12_is_blocksize", &t);
-    println!(
-        "\nShape: throughput falls as the cluster grows toward the \
-         budget and bottoms out at a single drive's rate once one \
-         cluster consumes the whole window — the paper's predicted \
-         failure mode for large IS blocks."
-    );
+    r.table("e12_is_blocksize", t)
+        .above(
+            "E12 read time at a 64-block cluster over an 8-block one",
+            clustered(64).0 / clustered(8).0,
+            2.5,
+        )
+        .note(
+            "\nShape: throughput falls as the cluster grows toward the \
+             budget and bottoms out at a single drive's rate once one \
+             cluster consumes the whole window — the paper's predicted \
+             failure mode for large IS blocks.",
+        );
+    r
 }

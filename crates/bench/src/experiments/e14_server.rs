@@ -25,11 +25,12 @@
 
 use std::time::Duration;
 
-use pario_bench::measure::{nanos, Report, RUNS};
-use pario_bench::rig::{clients, fill, rec_byte, Ledger, Rig};
-use pario_bench::{banner, BS};
 use pario_core::{Organization, ParallelFile};
 use pario_server::{Saturation, Server, ServerConfig, ServerError};
+
+use crate::measure::{nanos, Measured, RUNS};
+use crate::rig::{clients, fill, rec_byte, Ledger, Rig};
+use crate::{Report, Size, BS};
 
 /// Modelled service time per device request: long enough that the
 /// device sleeps, so the four I/O-node workers overlap even on a
@@ -106,21 +107,16 @@ fn ss_run(clients: usize, limit: usize, saturation: Saturation) -> Vec<(&'static
     ]
 }
 
-fn main() {
-    banner(
-        "E14: multi-client service layer (sessions, sharing, admission)",
-        "independent client sessions share one server: SS cursors span \
-         sessions exactly-once, throughput scales with devices, and a \
-         bounded admission queue enforces the configured in-flight limit",
-    );
-    let mut report = Report::new("e14_server");
-    report.fact("records", RECORDS as f64);
+/// The scaling sweep, then 4x oversubscription blocking and rejecting.
+pub fn run(_: Size) -> Report {
+    let mut lanes = Measured::new("e14_server");
+    lanes.fact("records", RECORDS as f64);
 
     // Scaling: 1..8 two-phase clients under a limit none of them reach.
     let rates: Vec<f64> = [1usize, 2, 4, 8]
         .iter()
         .map(|&clients| {
-            let lane = report.lane(&format!("ss_{clients}_clients"), RUNS, || {
+            let lane = lanes.lane(&format!("ss_{clients}_clients"), RUNS, || {
                 ss_run(clients, 8, Saturation::Block)
             });
             lane["rec_per_sec"].median
@@ -130,16 +126,16 @@ fn main() {
 
     // 4x oversubscription, blocking; then the same with clients
     // retrying on Busy.
-    let over = report.lane("oversub", RUNS, || {
+    let over = lanes.lane("oversub", RUNS, || {
         ss_run(OVERSUB_CLIENTS, LIMIT, Saturation::Block)
     });
-    let reject = report.lane("reject", RUNS, || {
+    let reject = lanes.lane("reject", RUNS, || {
         ss_run(OVERSUB_CLIENTS, LIMIT, Saturation::Reject)
     });
+    lanes.fact("ss_speedup_8_vs_1", speedup);
 
-    println!("\nasserted facts:");
-    report
-        .fact("ss_speedup_8_vs_1", speedup)
+    let mut r = Report::default();
+    r.measured(lanes)
         .at_least("8 SS clients' throughput over one client's", speedup, 3.0)
         .check(
             "queue-depth high water at 4x oversubscription is the configured limit",
@@ -157,5 +153,5 @@ fn main() {
             "device queue wait and service time are attributed (executor)",
             over["dev_queue_wait_secs"].median > 0.0 && over["dev_service_secs"].median > 0.0,
         );
-    report.finish();
+    r
 }

@@ -1,7 +1,7 @@
 //! E15 — the volume I/O executor. Two claims:
 //!
 //! 1. **Seek-aware dispatch beats FIFO on the modelled drive.** The
-//!    modelled 1989 Wren drive ([`ModeledDisk`]) services its backlog
+//!    modelled 1989 Wren drive ([`pario_sim::disk::ModeledDisk`]) services its backlog
 //!    through a [`SchedPolicy`]; SSTF/SCAN cut seek time against FIFO
 //!    for the same scattered request set (virtual time: exact, so
 //!    recorded as facts rather than run five times). The volume's own
@@ -19,24 +19,24 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use pario_bench::measure::{Report, RUNS};
-use pario_bench::rig::{smoke, Rig};
-use pario_bench::{banner, BS};
 use pario_disk::{BlockDevice, DeviceRef, DiskError, IoCounters, IoNode};
-use pario_sim::disk::{DiskGeometry, ModeledDisk, SchedPolicy};
-use pario_sim::{DiskReq, Script, Simulation};
+use pario_sim::disk::SchedPolicy;
+use pario_sim::{DiskReq, Script};
+
+use crate::measure::{Measured, RUNS};
+use crate::rig::Rig;
+use crate::simx::{bank, wren_capacity_blocks};
+use crate::{Report, Size, BS};
 
 /// Makespan in seconds of a scattered backlog under `policy`: 6
 /// processes each dump 24 reads into the queue at once, so each
 /// dispatch decision sees a deep backlog.
 fn makespan_secs(policy: SchedPolicy) -> f64 {
-    let mut sim = Simulation::new();
-    let disk = ModeledDisk::new(DiskGeometry::wren_1989(), policy, BS);
-    let cap = disk.capacity_blocks();
-    let dev = sim.add_device(Box::new(disk));
+    let mut sim = bank(1, policy);
+    let cap = wren_capacity_blocks();
     for p in 0..6u64 {
         let reqs: Vec<DiskReq> = (0..24u64)
-            .map(|i| DiskReq::read(dev, (p * 7919 + i * 104729) % cap, 1))
+            .map(|i| DiskReq::read(0, (p * 7919 + i * 104729) % cap, 1))
             .collect();
         sim.add_proc(Script::new().io_async(reqs).wait_all().build());
     }
@@ -98,13 +98,12 @@ impl BlockDevice for Gated {
     }
 }
 
-/// One run of the hand-off lane: the mean cost in nanoseconds of a
-/// 1-block read on the raw device; through an idle node as a blocking
-/// call and as a submission (both caller-runs); and as a submission
-/// queued behind a busy node. Then what each node path adds over the
-/// device.
-fn handoff_run() -> Vec<(&'static str, f64)> {
-    let iters: u32 = if smoke() { 2_000 } else { 20_000 };
+/// One run of the hand-off lane, `iters` reads a path: the mean cost
+/// in nanoseconds of a 1-block read on the raw device; through an idle
+/// node as a blocking call and as a submission (both caller-runs); and
+/// as a submission queued behind a busy node. Then what each node path
+/// adds over the device.
+fn handoff_run(iters: u32) -> Vec<(&'static str, f64)> {
     let raw = Rig::new(1).blocks(4096).devices().remove(0);
     let node = IoNode::spawn(Arc::clone(&raw));
     let handle = node.device();
@@ -164,57 +163,51 @@ fn handoff_run() -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn main() {
-    banner(
-        "I/O executor (persistent per-device workers)",
-        "dedicated I/O processors: the modelled 1989 drive's seek-aware \
-         policy beats FIFO on a scattered backlog, and a call that finds \
-         its undelayed node idle runs on the calling thread instead of \
-         paying the hand-off",
-    );
-    let mut report = Report::new("e15_executor");
-
-    println!("dispatch policy on the modelled 1989 drive (virtual time):");
+/// The dispatch policies in virtual time, then the hand-off lane.
+pub fn run(size: Size) -> Report {
+    let mut lanes = Measured::new("e15_executor");
+    let mut r = Report::default();
     let fifo = makespan_secs(SchedPolicy::Fifo);
-    report.fact("fifo_makespan_secs", fifo);
+    lanes.fact("fifo_makespan_secs", fifo);
     for (name, policy) in [
         ("sstf", SchedPolicy::Sstf),
         ("scan", SchedPolicy::Scan),
         ("cscan", SchedPolicy::CScan),
     ] {
         let secs = makespan_secs(policy);
-        report
+        lanes
             .fact(&format!("{name}_makespan_secs"), secs)
             .fact(&format!("{name}_speedup_vs_fifo"), fifo / secs);
         if !matches!(policy, SchedPolicy::CScan) {
-            report.check(
-                &format!("{name} beats FIFO on a scattered backlog"),
+            r.check(
+                format!("{name} beats FIFO on a scattered backlog (modelled drive)"),
                 secs < fifo,
             );
         }
     }
 
-    println!("1-block read on an undelayed device (hand-off cost):");
-    let handoff = report.lane("handoff", RUNS, handoff_run);
+    let iters = size.pick(20_000, 2_000);
+    let handoff = lanes.lane("handoff", RUNS, || handoff_run(iters));
     let (idle, submit, queued) = (
         handoff["idle_over_device_nanos"].median,
         handoff["idle_submit_over_device_nanos"].median,
         handoff["queued_over_device_nanos"].median,
     );
-    report.check(
-        &format!(
-            "a blocking call on an idle node costs under half the queued \
-             hand-off ({idle:.0}ns against {queued:.0}ns over the device)"
-        ),
-        idle < queued / 2.0,
-    );
-    report.check(
-        &format!(
-            "a submission to an idle fast node costs about what the \
-             blocking call does, not a hand-off ({submit:.0}ns against \
-             {idle:.0}ns and {queued:.0}ns over the device)"
-        ),
-        submit < 2.0 * idle.max(100.0) && submit < queued / 2.0,
-    );
-    report.finish();
+    r.measured(lanes)
+        .check(
+            format!(
+                "a blocking call on an idle node costs under half the queued \
+                 hand-off ({idle:.0}ns against {queued:.0}ns over the device)"
+            ),
+            idle < queued / 2.0,
+        )
+        .check(
+            format!(
+                "a submission to an idle fast node costs about what the \
+                 blocking call does, not a hand-off ({submit:.0}ns against \
+                 {idle:.0}ns and {queued:.0}ns over the device)"
+            ),
+            submit < 2.0 * idle.max(100.0) && submit < queued / 2.0,
+        );
+    r
 }

@@ -11,12 +11,13 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use pario_bench::banner;
-use pario_bench::measure::{Report, RUNS};
-use pario_bench::rig::{inject, mirrored, Rig};
 use pario_disk::FaultPlan;
 use pario_fs::{FileSpec, HealthState};
 use pario_reliability::{rebuild_device, RebuildThrottle};
+
+use crate::measure::{Measured, RUNS};
+use crate::rig::{inject, mirrored, Rig};
+use crate::{Report, Size};
 
 const BS: usize = 256;
 const RECORDS: u64 = 256;
@@ -157,25 +158,21 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
     out
 }
 
-fn main() {
-    banner(
-        "E16 (online fault management)",
-        "a shadowed volume rides out an injected fail-stop: foreground \
-         reads and writes keep flowing while the device is detected, \
-         declared Failed, and rebuilt online through throttled bursts",
-    );
-    let mut report = Report::new("e16_faults");
-    report
+/// Five fault cycles, each on a fresh volume.
+pub fn run(_: Size) -> Report {
+    let mut lanes = Measured::new("e16_faults");
+    lanes
         .fact("records", RECORDS as f64)
         .fact("workers", WORKERS as f64);
-    let cycle = report.lane("cycle", RUNS, fault_cycle);
-    report.check(
-        &format!(
+    let cycle = lanes.lane("cycle", RUNS, fault_cycle);
+    let mut r = Report::default();
+    r.measured(lanes).check(
+        format!(
             "foreground never stalled: every 5ms slice of every rebuild \
              completed operations (median slowest slice {:.0})",
             cycle["rebuild_min_ops_per_slice"].median
         ),
         cycle["rebuild_min_ops_per_slice"].lo > 0.0,
     );
-    report.finish();
+    r
 }

@@ -29,12 +29,13 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use pario_bench::measure::{nanos, Report, RUNS};
-use pario_bench::rig::{clients, fill, rec_byte, Rig};
-use pario_bench::{banner, BS};
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeCacheConfig};
 use pario_server::{quantile_nanos, LatencyHistogram, Saturation, Server, ServerConfig};
+
+use crate::measure::{nanos, Measured, RUNS};
+use crate::rig::{clients, fill, rec_byte, Rig};
+use crate::{Report, Size, BS};
 
 /// Modelled device service time: large enough that the device sleeps
 /// (workers genuinely overlap) and a frame copy is decisively cheaper.
@@ -202,15 +203,10 @@ fn under_flush_run() -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn main() {
-    banner(
-        "E17: volume-wide shared buffer cache (hot reuse, coalescing, hits beside flushes)",
-        "a shared buffer tier in front of the I/O processors turns \
-         cross-session hot reuse into frame copies and moves a burst's \
-         write-backs and cold misses as vectored runs",
-    );
-    let mut report = Report::new("e17_cache");
-    report
+/// Hot reuse uncached and cached, the burst, and hits beside flushes.
+pub fn run(_: Size) -> Report {
+    let mut lanes = Measured::new("e17_cache");
+    lanes
         .fact("sessions", SESSIONS as f64)
         .fact("reads_per_session", READS_PER_SESSION as f64)
         .fact("hot_records", HOT_RECORDS as f64)
@@ -222,15 +218,15 @@ fn main() {
             ((SESSIONS - 1) * READS_UNDER_FLUSH) as f64,
         );
 
-    let uncached = report.lane("uncached", RUNS, || hot_run(false));
-    let cached = report.lane("cached", RUNS, || hot_run(true));
-    let burst = report.lane("burst", RUNS, burst_run);
-    let under = report.lane("under_flush", RUNS, under_flush_run);
+    let uncached = lanes.lane("uncached", RUNS, || hot_run(false));
+    let cached = lanes.lane("cached", RUNS, || hot_run(true));
+    let burst = lanes.lane("burst", RUNS, burst_run);
+    let under = lanes.lane("under_flush", RUNS, under_flush_run);
     let speedup = cached["ops_per_sec"].median / uncached["ops_per_sec"].median;
+    lanes.fact("speedup", speedup);
 
-    println!("\nasserted facts:");
-    report
-        .fact("speedup", speedup)
+    let mut r = Report::default();
+    r.measured(lanes)
         .at_least("hot-reuse throughput, cached over uncached", speedup, 2.0)
         .at_least("steady-state hit ratio", cached["hit_ratio"].median, 0.5)
         .check(
@@ -250,5 +246,5 @@ fn main() {
             under["hit_p50_nanos"].median,
             FLUSH_DELAY.as_nanos() as f64 / 10.0,
         );
-    report.finish();
+    r
 }

@@ -26,12 +26,13 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use pario_bench::measure::{nanos, Report, RUNS};
-use pario_bench::rig::{clients, fill, rec_byte, serve, Ledger, Rig};
-use pario_bench::{banner, BS};
 use pario_core::{Organization, ParallelFile};
 use pario_net::NetClient;
 use pario_server::ServerConfig;
+
+use crate::measure::{nanos, Measured, RUNS};
+use crate::rig::{clients, fill, rec_byte, serve, Ledger, Rig};
+use crate::{Report, Size, BS};
 
 /// Modelled device service time for the device-bound sweep (E14's).
 const DELAY: Duration = Duration::from_micros(400);
@@ -117,21 +118,16 @@ fn drain_run(
     ]
 }
 
-fn main() {
-    banner(
-        "E18: network service layer (pario-net)",
-        "the framed wire protocol carries the full session surface over \
-         a socket; pipelined claims under per-connection credits keep the \
-         devices, not the round trips, as the bottleneck",
-    );
-    let mut report = Report::new("e18_net");
+/// The connection sweep, then the depth lane held to its floors.
+pub fn run(_: Size) -> Report {
+    let mut lanes = Measured::new("e18_net");
     let floors = ["depth1_rec_per_sec", "depth32_rec_per_sec"].map(committed);
 
     // Connection sweep: device-bound, every drain at depth DEPTH.
     let sweep: Vec<f64> = [1usize, 2, 4, 8]
         .iter()
         .map(|&conns| {
-            let lane = report.lane(&format!("sweep_{conns}_conns"), RUNS, || {
+            let lane = lanes.lane(&format!("sweep_{conns}_conns"), RUNS, || {
                 drain_run(DELAY, RECORDS, conns, DEPTH)
             });
             lane["rec_per_sec"].median
@@ -142,25 +138,26 @@ fn main() {
     let depth: Vec<_> = [1usize, 4, 16, 32]
         .iter()
         .map(|&depth| {
-            let lane = report.lane(&format!("depth{depth}"), RUNS, || {
+            let lane = lanes.lane(&format!("depth{depth}"), RUNS, || {
                 drain_run(Duration::ZERO, FAST_RECORDS, 1, depth)
             });
             lane["rec_per_sec"]
         })
         .collect();
     let (depth1, depth32) = (depth[0], depth[3]);
-
-    println!("\nasserted facts:");
-    report
+    lanes
         .fact("sweep_speedup_8_vs_1", sweep[3] / sweep[0])
-        .fact("depth_speedup_32_vs_1", depth32.median / depth1.median)
+        .fact("depth_speedup_32_vs_1", depth32.median / depth1.median);
+
+    let mut r = Report::default();
+    r.measured(lanes)
         .at_least(
             "8 connections over 1 on 4 devices",
             sweep[3] / sweep[0],
             1.5,
         )
         .check(
-            &format!(
+            format!(
                 "depth 32 beats synchronous depth 1 on fast media: {:.0} against {:.0} rec/s",
                 depth32.median, depth1.median
             ),
@@ -171,12 +168,12 @@ fn main() {
         .zip(floors)
     {
         if let Some(was) = was {
-            report.at_least(
+            r.at_least(
                 &format!("{name} rec/s against the committed floor"),
                 now.median,
                 was * (1.0 - COMMITTED_SLACK),
             );
         }
     }
-    report.finish();
+    r
 }

@@ -26,21 +26,22 @@
 //!   with a mid-flood fail-stop; the health board walks it to Failed
 //!   and every read completes via the surviving shadow.
 //!
-//! Set `EXP_SMOKE=1` for a CI-sized run (same lanes and assertions,
-//! fewer operations per lane).
+//! `exp --smoke e19` is a CI-sized run (same lanes and verdicts, fewer
+//! operations per lane).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use pario_bench::measure::{nanos, Report, RUNS};
-use pario_bench::rig::{clients, fill, inject, mirrored, serve, smoke, Rig};
-use pario_bench::{banner, BS};
 use pario_core::{Organization, ParallelFile};
 use pario_disk::FaultPlan;
 use pario_fs::Volume;
 use pario_net::NetClient;
 use pario_server::{quantile_nanos, LatencyHistogram, Saturation, Server, ServerConfig};
 use pario_workloads::OpenLoop;
+
+use crate::measure::{nanos, Measured, RUNS};
+use crate::rig::{clients, fill, inject, mirrored, serve, Rig};
+use crate::{Report, Size, BS};
 
 /// Concurrent sessions (and worker threads) driving the server — the
 /// oversubscription the acceptance criterion names.
@@ -224,47 +225,42 @@ fn degraded_run(ops: u64) -> Vec<(&'static str, f64)> {
     out
 }
 
-fn main() {
-    banner(
-        "E19: open-loop scale harness and the admission throughput ceiling",
-        "a fixed arrival schedule (coordinated-omission safe) finds the \
-         server's saturation point and the latency cliff past it",
-    );
-    let mut report = Report::new("e19_scale");
-    report
+/// Saturation, the offered-rate sweep, the net lane and the degraded
+/// flood.
+pub fn run(size: Size) -> Report {
+    let mut lanes = Measured::new("e19_scale");
+    lanes
         .fact("sessions", SESSIONS as f64)
         .fact("limit", LIMIT as f64);
     // Operations per run: `secs` of the offered rate, within bounds.
     let sized = |rate: f64, secs: f64, lo: u64, hi: u64| ((rate * secs) as u64).clamp(lo, hi);
 
     // Saturation throughput, then the offered-rate sweep around it.
-    let sat_ops = if smoke() { 4_000 } else { 16_000 };
-    let sat = report.lane("sat", RUNS, || {
+    let sat_ops = size.pick(16_000, 4_000);
+    let sat = lanes.lane("sat", RUNS, || {
         inproc_run(&healthy_server(), FLOOD_RATE, sat_ops, 19)
     })["achieved_per_sec"]
         .median;
-    let multiples: &[(&str, f64)] = if smoke() {
-        &[("x025", 0.25), ("x100", 1.0), ("x400", 4.0)]
-    } else {
+    let multiples: &[(&str, f64)] = size.pick(
         &[
             ("x025", 0.25),
             ("x050", 0.5),
             ("x100", 1.0),
             ("x200", 2.0),
             ("x400", 4.0),
-        ]
-    };
+        ],
+        &[("x025", 0.25), ("x100", 1.0), ("x400", 4.0)],
+    );
     let sweep: Vec<_> = multiples
         .iter()
         .map(|&(tag, m)| {
             let rate = sat * m;
-            let ops = if smoke() {
-                sized(rate, 0.3, 500, 4_000)
-            } else {
-                sized(rate, 0.8, 2_000, 20_000)
-            };
-            report.fact(&format!("sweep_{tag}_offered_rate"), rate);
-            report.lane(&format!("sweep_{tag}"), RUNS, || {
+            let ops = size.pick(
+                sized(rate, 0.8, 2_000, 20_000),
+                sized(rate, 0.3, 500, 4_000),
+            );
+            lanes.fact(&format!("sweep_{tag}_offered_rate"), rate);
+            lanes.lane(&format!("sweep_{tag}"), RUNS, || {
                 inproc_run(&healthy_server(), rate, ops, 19)
             })
         })
@@ -275,33 +271,33 @@ fn main() {
 
     // The same discipline over pario-net: saturation, then below and
     // past it.
-    let net_sat_ops = if smoke() { 1_500 } else { 6_000 };
-    let net_sat = report.lane("net_sat", RUNS, || net_run(FLOOD_RATE, net_sat_ops))
-        ["achieved_per_sec"]
-        .median;
-    let net_low = report.lane("net_x050", RUNS, || {
+    let net_sat_ops = size.pick(6_000, 1_500);
+    let net_sat =
+        lanes.lane("net_sat", RUNS, || net_run(FLOOD_RATE, net_sat_ops))["achieved_per_sec"].median;
+    let net_low = lanes.lane("net_x050", RUNS, || {
         net_run(net_sat * 0.5, sized(net_sat, 0.4, 400, 6_000))
     });
-    let net_high = report.lane("net_x300", RUNS, || {
+    let net_high = lanes.lane("net_x300", RUNS, || {
         net_run(net_sat * 3.0, sized(net_sat, 1.2, 400, 8_000))
     });
     let net_knee = net_high["p99_nanos"].median / net_low["p99_nanos"].median;
 
     // Overload and degraded routing at the same time.
-    let degraded_ops = if smoke() { 2_000 } else { 8_000 };
-    let degraded = report.lane("degraded", RUNS, || degraded_run(degraded_ops));
+    let degraded_ops = size.pick(8_000, 2_000);
+    let degraded = lanes.lane("degraded", RUNS, || degraded_run(degraded_ops));
 
-    println!("\nasserted facts:");
-    report
+    lanes
         .fact("knee_p99_ratio", knee)
         .fact("sweep_x025_goodput", low_goodput)
         .fact("net_knee_p99_ratio", net_knee)
         .fact(
             "degraded_vs_healthy_ratio",
             degraded["achieved_per_sec"].median / sat,
-        )
+        );
+    let mut r = Report::default();
+    r.measured(lanes)
         .at_least("p99 climb from 0.25x to 4x of saturation", knee, KNEE_BOUND)
         .at_least("goodput below saturation", low_goodput, GOODPUT_BOUND)
         .at_least("p99 climb across the net lane", net_knee, NET_KNEE_BOUND);
-    report.finish();
+    r
 }

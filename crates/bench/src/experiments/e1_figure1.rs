@@ -4,12 +4,14 @@
 //!
 //! Drives the real handle types of `pario-core` over a 12-file-block file
 //! with three processes, records which process touches each file block,
-//! and renders the four subfigures. Assertions verify the defining
+//! and renders the four subfigures. A verdict checks the defining
 //! property of each organization.
 
-use pario_bench::banner;
 use pario_core::{Organization, ParallelFile};
-use pario_fs::{Volume, VolumeConfig};
+use pario_fs::Volume;
+
+use crate::rig::Rig;
+use crate::{Report, Size};
 
 const RECORD: usize = 64;
 const RPB: usize = 4; // records per file block
@@ -17,25 +19,13 @@ const BLOCKS: u64 = 12;
 const RECORDS: u64 = BLOCKS * RPB as u64;
 const PROCS: u32 = 3;
 
-fn volume() -> Volume {
-    Volume::create_in_memory(VolumeConfig {
-        devices: 3,
-        device_blocks: 512,
-        block_size: RECORD * RPB, // one volume block per file block
-    })
-    .expect("volume")
-}
-
-/// Pretty-print a block→process map in the figure's style.
-fn render(title: &str, owner: &[Option<u32>]) {
-    print!("{title:<28} ");
-    for o in owner {
-        match o {
-            Some(p) => print!("[P{}]", p + 1),
-            None => print!("[  ]"),
-        }
-    }
-    println!();
+/// The figure's style: `[P1]` for a block process 0 touched.
+fn render(title: &str, owner: &[Option<u32>]) -> String {
+    let blocks = owner.iter().map(|o| match o {
+        Some(p) => format!("[P{}]", p + 1),
+        None => "[  ]".into(),
+    });
+    format!("{title:<28} {}", blocks.collect::<String>())
 }
 
 fn fill(pf: &ParallelFile) {
@@ -47,27 +37,28 @@ fn fill(pf: &ParallelFile) {
 }
 
 /// (a) Type S: the whole file read in order by a single process.
-fn figure_s(v: &Volume) -> Vec<Option<u32>> {
+fn figure_s(v: &Volume, r: &mut Report) -> Vec<Option<u32>> {
     let pf = ParallelFile::create(v, "fig-s", Organization::Sequential, RECORD, RPB).unwrap();
     fill(&pf);
     let mut owner = vec![None; BLOCKS as usize];
-    let mut r = pf.global_reader();
+    let mut reader = pf.global_reader();
     let mut buf = vec![0u8; RECORD];
-    let mut idx = 0u64;
-    while r.read_record(&mut buf).unwrap() {
-        owner[(idx / RPB as u64) as usize] = Some(0);
-        idx += 1;
+    let mut order = Vec::new();
+    while reader.read_record(&mut buf).unwrap() {
+        let fb = order.len() as u64 / RPB as u64;
+        owner[fb as usize] = Some(0);
+        order.push(fb);
     }
-    assert_eq!(idx, RECORDS);
-    assert!(
-        owner.iter().all(|&o| o == Some(0)),
-        "S: one process, all blocks"
+    let in_order = (0..RECORDS).map(|i| i / RPB as u64);
+    r.check(
+        format!("(a) S: one process reads all {BLOCKS} blocks, in order"),
+        order.into_iter().eq(in_order),
     );
     owner
 }
 
 /// (b) Type PS: contiguous blocks, one partition per process.
-fn figure_ps(v: &Volume) -> Vec<Option<u32>> {
+fn figure_ps(v: &Volume, r: &mut Report) -> Vec<Option<u32>> {
     let org = Organization::PartitionedSeq { partitions: PROCS };
     let pf = ParallelFile::create_sized(v, "fig-ps", org, RECORD, RPB, RECORDS).unwrap();
     // Each process writes its own partition.
@@ -81,39 +72,33 @@ fn figure_ps(v: &Volume) -> Vec<Option<u32>> {
         }
     }
     // Defining property: each process's blocks are contiguous.
-    for p in 0..PROCS {
-        let idxs: Vec<usize> = owner
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o == Some(p))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            idxs.windows(2).all(|w| w[1] == w[0] + 1),
-            "PS: partition {p} contiguous"
-        );
-    }
+    let thirds = (0..BLOCKS).map(|fb| Some((fb / 4) as u32));
+    r.check(
+        "(b) PS: process p owns the contiguous blocks 4p..4p+4",
+        owner.iter().copied().eq(thirds),
+    );
     owner
 }
 
 /// (c) Type IS: blocks at a constant stride of three.
-fn figure_is(v: &Volume) -> Vec<Option<u32>> {
+fn figure_is(v: &Volume, r: &mut Report) -> Vec<Option<u32>> {
     let org = Organization::InterleavedSeq { processes: PROCS };
     let pf = ParallelFile::create(v, "fig-is", org, RECORD, RPB).unwrap();
     let mut owner = vec![None; BLOCKS as usize];
+    let mut stride = true;
     for p in 0..PROCS {
         let mut h = pf.interleaved_handle(p).unwrap();
-        for _ in 0..BLOCKS / u64::from(PROCS) {
+        for k in 0..BLOCKS / u64::from(PROCS) {
+            h.seek_block(k);
+            let fb = h.current_record() / RPB as u64;
+            stride &= fb == u64::from(p) + k * u64::from(PROCS);
             for c in 0..RPB as u64 {
-                let fb = h.current_record() / RPB as u64;
                 h.write_next(&[c as u8; RECORD]).unwrap();
-                owner[fb as usize] = Some(p);
             }
+            owner[fb as usize] = Some(p);
         }
     }
-    for (fb, &o) in owner.iter().enumerate() {
-        assert_eq!(o, Some(fb as u32 % PROCS), "IS: stride-3 ownership");
-    }
+    r.check("(c) IS: process p's block k is file block p + 3k", stride);
     owner
 }
 
@@ -122,7 +107,7 @@ fn figure_is(v: &Volume) -> Vec<Option<u32>> {
 /// single record per block", so this subfigure uses one record per
 /// block and a fixed (but irregular) arrival order — any order is
 /// legal; the file guarantees exhaustive, exactly-once delivery.
-fn figure_ss(v: &Volume) -> Vec<Option<u32>> {
+fn figure_ss(v: &Volume, r: &mut Report) -> Vec<Option<u32>> {
     let block_bytes = RECORD * RPB;
     let pf = ParallelFile::create(
         v,
@@ -143,42 +128,38 @@ fn figure_ss(v: &Volume) -> Vec<Option<u32>> {
     let arrival = [1u32, 0, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1];
     let mut owner = vec![None; BLOCKS as usize];
     let mut buf = vec![0u8; block_bytes];
-    let mut served = 0u64;
+    let (mut next, mut exact) = (0u64, true);
     for &p in &arrival {
-        let idx = readers[p as usize]
-            .read_next(&mut buf)
-            .unwrap()
-            .expect("record available");
-        assert_eq!(buf[0], idx as u8, "content matches the claimed record");
+        let Some(idx) = readers[p as usize].read_next(&mut buf).unwrap() else {
+            break;
+        };
+        // Whoever asks gets the next record, and its content.
+        exact &= idx == next && buf[0] == idx as u8;
         owner[idx as usize] = Some(p);
-        served += 1;
+        next += 1;
     }
-    assert_eq!(served, BLOCKS, "SS: every record served exactly once");
-    let mut more = vec![0u8; block_bytes];
-    assert!(
-        readers[0].read_next(&mut more).unwrap().is_none(),
-        "exhausted"
+    let exhausted = readers[0].read_next(&mut buf).unwrap().is_none();
+    r.check(
+        "(d) SS: each claim gets the next record and its content; all served once, then none",
+        exact && next == BLOCKS && exhausted,
     );
     owner
 }
 
-fn main() {
-    banner(
-        "E1 / Figure 1",
-        "the four sequential parallel file organizations and their \
-         access patterns for three processes",
-    );
-    let v = volume();
-    println!(
-        "{} file blocks of {} records each; three processes\n",
-        BLOCKS, RPB
-    );
-    render("(a) Sequential (S):", &figure_s(&v));
-    render("(b) Partitioned (PS):", &figure_ps(&v));
-    render("(c) Interleaved (IS):", &figure_is(&v));
-    render("(d) Self-scheduled (SS):", &figure_ss(&v));
-    println!(
-        "\nAll four organization invariants verified: S single-reader, \
-         PS contiguity, IS stride, SS exactly-once coverage."
-    );
+/// Figure 1 over a 12-block file and three processes, each
+/// organization's defining property a verdict.
+pub fn run(_: Size) -> Report {
+    let v = Rig::new(3).blocks(512).block_size(RECORD * RPB).volume();
+    let mut r = Report::default();
+    r.note(format!(
+        "{BLOCKS} file blocks of {RPB} records each; three processes\n"
+    ));
+    let a = render("(a) Sequential (S):", &figure_s(&v, &mut r));
+    let b = render("(b) Partitioned (PS):", &figure_ps(&v, &mut r));
+    let c = render("(c) Interleaved (IS):", &figure_is(&v, &mut r));
+    let d = render("(d) Self-scheduled (SS):", &figure_ss(&v, &mut r));
+    for line in [a, b, c, d] {
+        r.note(line);
+    }
+    r
 }

@@ -25,18 +25,19 @@
 //!   remount with synced data intact, and the lane records how many
 //!   boundaries were exercised.
 //!
-//! Set `EXP_SMOKE=1` for a CI-sized run (same lanes and assertions,
+//! `exp --smoke e20` is a CI-sized run (same lanes and verdicts,
 //! smaller populations).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use pario_bench::banner;
-use pario_bench::measure::{Report, RUNS};
-use pario_bench::rig::{smoke, timed, Rig};
 use pario_disk::{BlockDevice, DeviceRef, FaultDevice, FaultPlan};
 use pario_fs::{FileSpec, RawFile, Volume};
 use pario_layout::LayoutSpec;
+
+use crate::measure::{Measured, RUNS};
+use crate::rig::{timed, Rig};
+use crate::{Report, Size};
 
 /// Block and record size for every lane: small enough that metadata
 /// traffic is a visible fraction of the workload (one record per block
@@ -226,21 +227,10 @@ fn crash_sweep(stride: u64) -> (u64, u64) {
     (total, exercised)
 }
 
-fn main() {
-    banner(
-        "E20: crash recovery — journal traffic and mount-time replay",
-        "the write-ahead intent journal keeps metadata crash-consistent \
-         without a record on the steady-state write path and, with \
-         allocation running ahead of the appends, a logarithm of records \
-         on the growing one; mount-time replay recovers a dirty volume in \
-         milliseconds",
-    );
-    let (records, passes, base_files, dirty_ops) = if smoke() {
-        (256, 16, 8, 6)
-    } else {
-        (512, 32, 24, 16)
-    };
-    let mut report = Report::new("e20_recovery");
+/// The steady and growing lanes, mount-time replay, and the sweep.
+pub fn run(size: Size) -> Report {
+    let (records, passes, base_files, dirty_ops) = size.pick((512, 32, 24, 16), (256, 16, 8, 6));
+    let mut lanes = Measured::new("e20_recovery");
 
     // Steady-state overwrites of blocks the file already holds.
     let (v, f) = steady_file(records);
@@ -252,7 +242,7 @@ fn main() {
         }
     };
     overwrite(); // one untimed warm-up
-    let steady = report.lane("steady", RUNS, || {
+    let steady = lanes.lane("steady", RUNS, || {
         let (appended, secs) = journaled(&v, overwrite);
         assert_eq!(appended, 0, "an overwrite appended a journal record");
         vec![
@@ -262,27 +252,27 @@ fn main() {
     });
 
     // Appends to fresh files (the journal's worst case).
-    let growing = report.lane("grow", RUNS, || {
+    let growing = lanes.lane("grow", RUNS, || {
         let (secs, grows) = grow();
         vec![("append_secs", secs), ("records_per_file", grows as f64)]
     });
 
-    report.lane("mount", RUNS, || recovery_run(base_files, dirty_ops));
+    lanes.lane("mount", RUNS, || recovery_run(base_files, dirty_ops));
 
-    let stride = SWEEP_STRIDE * if smoke() { 2 } else { 1 };
+    let stride = SWEEP_STRIDE * size.pick(1, 2);
     let (boundaries, crashes) = crash_sweep(stride);
-    report
+    lanes
         .fact("sweep_boundaries", boundaries as f64)
         .fact("sweep_crash_points", crashes as f64);
 
-    println!("\nasserted facts:");
-    report
+    let mut r = Report::default();
+    r.measured(lanes)
         .check(
             "steady-state overwrites append no journal record",
             steady["journal_records"].hi == 0.0,
         )
         .check(
-            &format!(
+            format!(
                 "a file of {GROW_BLOCKS} one-block appends journals \
                  {GROWS_PER_FILE} Grow records"
             ),
@@ -290,11 +280,11 @@ fn main() {
                 && growing["records_per_file"].hi == GROWS_PER_FILE as f64,
         )
         .check(
-            &format!(
+            format!(
                 "{crashes} crash points over {boundaries} write boundaries (stride {stride}, \
                  clean + torn) all remounted with synced data intact"
             ),
             crashes > 0 && boundaries > 0,
         );
-    report.finish();
+    r
 }

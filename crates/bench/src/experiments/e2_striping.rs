@@ -7,42 +7,33 @@
 //! read-ahead to keep every drive busy. A second table ablates the
 //! stripe unit at a fixed bank width and a fixed read-ahead window.
 
-use pario_bench::simx::{stream_script, wren_bank};
-use pario_bench::table::{rate, save_json, secs, Table};
-use pario_bench::{banner, BS};
 use pario_layout::Striped;
-use pario_sim::disk::SchedPolicy;
-use pario_sim::Simulation;
+
+use crate::simx::stream;
+use crate::table::{rate, secs, Table};
+use crate::{Report, Size, BS};
 
 const FILE_BYTES: u64 = 64 * 1024 * 1024;
+const BLOCKS: u64 = FILE_BYTES / BS as u64;
 const UNIT: u64 = 16; // 64 KiB stripe unit
 const REQ: u64 = 16; // the controller's request cap: one 64 KiB unit
 
-/// Stream the file with `window` requests' worth of blocks read ahead.
-fn stream(devices: usize, unit: u64, window: u64) -> (f64, f64, f64) {
-    let blocks = FILE_BYTES / BS as u64;
+/// Stream the file from `devices` drives striped at `unit` blocks, with
+/// `window` requests' worth of blocks read ahead.
+fn striped(devices: usize, unit: u64, window: u64) -> (f64, f64, f64) {
     let layout = Striped::new(devices, unit);
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, devices, SchedPolicy::Fifo);
-    sim.add_proc(stream_script(&layout, blocks, window * REQ, REQ));
-    let r = sim.run();
-    let t = r.makespan.as_secs_f64();
-    (t, FILE_BYTES as f64 / t, r.mean_utilization())
+    stream(&layout, devices, BLOCKS, window * REQ, REQ)
 }
 
-fn main() {
-    banner(
-        "E2 (striping scaling)",
-        "striping a type S file across multiple drives raises transfer \
-         rate roughly linearly",
-    );
-
+/// Throughput against bank width, then against the stripe unit.
+pub fn run(_: Size) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&["devices", "read time", "throughput", "speedup", "mean util"]);
-    let mut base = 0.0;
+    let base = striped(1, UNIT, 2).0;
     for d in [1usize, 2, 4, 8, 16] {
-        let (time, tput, util) = stream(d, UNIT, 2 * d as u64);
-        if d == 1 {
-            base = time;
+        let (time, tput, util) = striped(d, UNIT, 2 * d as u64);
+        if d == 4 {
+            r.within("E2 striping speedup at 4 drives", base / time, 3.5, 4.5);
         }
         t.row(&[
             d.to_string(),
@@ -52,13 +43,12 @@ fn main() {
             format!("{:.0}%", util * 100.0),
         ]);
     }
-    t.print();
-    save_json("e2_striping_devices", &t);
+    r.table("e2_striping_devices", t);
 
-    println!("\nStripe-unit ablation at 8 devices (read-ahead 16 x 64 KiB):");
+    r.note("\nStripe-unit ablation at 8 devices (read-ahead 16 x 64 KiB):");
     let mut t = Table::new(&["unit (blocks)", "unit bytes", "read time", "throughput"]);
     for unit in [1u64, 4, 16, 64, 256] {
-        let (time, tput, _) = stream(8, unit, 16);
+        let (time, tput, _) = striped(8, unit, 16);
         t.row(&[
             unit.to_string(),
             format!("{} KiB", unit * BS as u64 / 1024),
@@ -66,12 +56,11 @@ fn main() {
             rate(tput),
         ]);
     }
-    t.print();
-    save_json("e2_striping_unit", &t);
-    println!(
+    r.table("e2_striping_unit", t).note(
         "\nShape: throughput scales with device count while the single \
          consumer can absorb it. The planner merges a drive's consecutive \
          units in a window into one transfer, so 4-64 KiB units read \
-         identically; units past a drive's share of the window starve it."
+         identically; units past a drive's share of the window starve it.",
     );
+    r
 }

@@ -9,40 +9,30 @@
 //! blocks drawn unevenly so rates genuinely differ. The contrast case is
 //! the same workload forced onto a single shared drive.
 
-use pario_bench::simx::{compute_io_script, is_clusters, plan_reqs, wren_bank};
-use pario_bench::table::{rate, save_json, secs, Table};
-use pario_bench::{banner, BS};
 use pario_layout::{Partitioned, Striped};
 use pario_sim::disk::SchedPolicy;
-use pario_sim::{DiskReq, SimTime, Simulation};
+use pario_sim::{DiskReq, SimTime};
+
+use crate::simx::{bank, compute_io_script, is_clusters, plan_reqs};
+use crate::table::{rate, secs, Table};
+use crate::{Report, Size, BS};
 
 /// Data per process (weak scaling: the file grows with the process
 /// count, each process always streams this much from its own drive).
 const BYTES_PER_PROC: u64 = 8 * 1024 * 1024;
 const CLUSTER: u64 = 16; // IS cluster = 64 KiB
 
-fn run_case(
-    name: &str,
-    devices: usize,
-    nprocs: usize,
-    per_proc_reqs: Vec<Vec<DiskReq>>,
-    compute_scale: bool,
-    t: &mut Table,
-) {
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, devices, SchedPolicy::Fifo);
+/// One row: the processes' request lists run on `devices` drives.
+fn run_case(name: &str, devices: usize, per_proc_reqs: Vec<Vec<DiskReq>>, t: &mut Table) {
+    let nprocs = per_proc_reqs.len();
+    let mut sim = bank(devices, SchedPolicy::Fifo);
     for (p, reqs) in per_proc_reqs.into_iter().enumerate() {
         // Uneven rates: odd processes think 4 ms per request, even
         // processes 1 ms — private drives let them diverge freely.
-        let compute = if compute_scale {
-            SimTime::from_ms(1 + 3 * (p as u64 % 2))
-        } else {
-            SimTime::ZERO
-        };
+        let compute = SimTime::from_ms(1 + 3 * (p as u64 % 2));
         sim.add_proc(compute_io_script(reqs, compute));
     }
-    let r = sim.run();
-    let time = r.makespan.as_secs_f64();
+    let time = sim.run().makespan.as_secs_f64();
     let bytes = BYTES_PER_PROC * nprocs as u64;
     t.row(&[
         name.to_string(),
@@ -53,24 +43,30 @@ fn run_case(
     ]);
 }
 
-fn main() {
-    banner(
-        "E4 (device per process: PS and IS)",
-        "with one device per process, PS and IS give each process a \
-         private drive and processes proceed at their own rates",
-    );
+/// Each process's partition of a PS file of `blocks`, placed on
+/// `devices` drives.
+fn ps_reqs(blocks: u64, procs: usize, devices: usize) -> Vec<Vec<DiskReq>> {
+    let ps = Partitioned::uniform(blocks, procs, devices);
+    (0..procs)
+        .map(|i| {
+            let (lo, hi) = ps.partition_range(i);
+            plan_reqs(&ps, &[(lo, hi - lo)], CLUSTER)
+        })
+        .collect()
+}
+
+/// PS and IS with a drive per process, against four processes on one.
+pub fn run(_: Size) -> Report {
     let mut t = Table::new(&["case", "procs", "devices", "makespan", "aggregate"]);
     for &p in &[1usize, 2, 4, 8] {
         let blocks = BYTES_PER_PROC / BS as u64 * p as u64;
         // PS: process i streams its contiguous partition (on device i).
-        let ps = Partitioned::uniform(blocks, p, p);
-        let per: Vec<Vec<DiskReq>> = (0..p)
-            .map(|i| {
-                let (lo, hi) = ps.partition_range(i);
-                plan_reqs(&ps, &[(lo, hi - lo)], CLUSTER)
-            })
-            .collect();
-        run_case(&format!("PS {p} dev/proc"), p, p, per, true, &mut t);
+        run_case(
+            &format!("PS {p} dev/proc"),
+            p,
+            ps_reqs(blocks, p, p),
+            &mut t,
+        );
 
         // IS: process i streams clusters i, i+p, ... (device i), one
         // extent list.
@@ -78,26 +74,19 @@ fn main() {
         let per: Vec<Vec<DiskReq>> = (0..p as u64)
             .map(|i| plan_reqs(&is, &is_clusters(i, p as u64, CLUSTER, blocks), CLUSTER))
             .collect();
-        run_case(&format!("IS {p} dev/proc"), p, p, per, true, &mut t);
+        run_case(&format!("IS {p} dev/proc"), p, per, &mut t);
     }
 
     // Contrast: 4 processes sharing ONE device (PS partitions stacked).
     let blocks = BYTES_PER_PROC / BS as u64 * 4;
-    let ps1 = Partitioned::uniform(blocks, 4, 1);
-    let per: Vec<Vec<DiskReq>> = (0..4)
-        .map(|i| {
-            let (lo, hi) = ps1.partition_range(i);
-            plan_reqs(&ps1, &[(lo, hi - lo)], CLUSTER)
-        })
-        .collect();
-    run_case("PS 4 procs, 1 shared dev", 1, 4, per, true, &mut t);
+    run_case("PS 4 procs, 1 shared dev", 1, ps_reqs(blocks, 4, 1), &mut t);
 
-    t.print();
-    save_json("e4_device_per_process", &t);
-    println!(
+    let mut r = Report::default();
+    r.table("e4_device_per_process", t).note(
         "\nShape: with a drive per process the makespan stays flat as \
          processes (and data) scale together — aggregate bandwidth grows \
          linearly; forcing four processes onto one shared drive \
-         multiplies the makespan several-fold."
+         multiplies the makespan several-fold.",
     );
+    r
 }

@@ -10,11 +10,12 @@
 //! with (a) contiguous per-process allocation vs (b) fine-grained
 //! interleaved on-disk allocation, under FIFO and SCAN arm scheduling.
 
-use pario_bench::banner;
-use pario_bench::simx::{wren_bank, wren_capacity_blocks};
-use pario_bench::table::{save_json, secs, Table};
 use pario_sim::disk::SchedPolicy;
-use pario_sim::{DiskReq, Op, Simulation};
+use pario_sim::{DiskReq, Op};
+
+use crate::simx::{bank, wren_capacity_blocks};
+use crate::table::{secs, Table};
+use crate::{Report, Size};
 
 const BLOCKS_PER_PROC: u64 = 1024; // 4 MiB per process
 const CHUNK: u64 = 16; // 64 KiB per request
@@ -38,9 +39,10 @@ fn chunk_addr(alloc: Alloc, slot: u64, slots: u64, k: u64) -> u64 {
     }
 }
 
-fn run(procs: usize, devices: usize, alloc: Alloc, policy: SchedPolicy) -> (f64, f64) {
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, devices, policy);
+/// `procs` processes over `devices` drives; the makespan and the share
+/// of the drives' busy time spent seeking.
+fn streams(procs: usize, devices: usize, alloc: Alloc, policy: SchedPolicy) -> (f64, f64) {
+    let mut sim = bank(devices, policy);
     let slots = (procs / devices).max(1) as u64;
     for p in 0..procs {
         let dev = p % devices;
@@ -59,17 +61,15 @@ fn run(procs: usize, devices: usize, alloc: Alloc, policy: SchedPolicy) -> (f64,
     (makespan, seek / busy)
 }
 
-fn main() {
-    banner(
-        "E6 (seek degradation with shared devices)",
-        "sharing a drive among processes costs seeks; on-disk allocation \
-         policy and arm scheduling determine how much",
-    );
+/// Contiguous against interleaved allocation, FIFO against SCAN, as
+/// the processes per drive grow.
+pub fn run(_: Size) -> Report {
     const D: usize = 4;
-    println!(
+    let mut r = Report::default();
+    r.note(format!(
         "{D} drives, 4 MiB per process, 64 KiB requests; processes \
          blocking-stream their own data\n"
-    );
+    ));
     let mut t = Table::new(&[
         "procs",
         "procs/drive",
@@ -79,14 +79,14 @@ fn main() {
         "seek share",
         "slowdown",
     ]);
-    let (base, _) = run(D, D, Alloc::Contiguous, SchedPolicy::Fifo);
+    let (base, _) = streams(D, D, Alloc::Contiguous, SchedPolicy::Fifo);
     for &procs in &[4usize, 8, 16, 32] {
         for (alloc, aname) in [
             (Alloc::Contiguous, "contiguous"),
             (Alloc::Interleaved, "interleaved"),
         ] {
             for (policy, pname) in [(SchedPolicy::Fifo, "FIFO"), (SchedPolicy::Scan, "SCAN")] {
-                let (m, seek_share) = run(procs, D, alloc, policy);
+                let (m, seek_share) = streams(procs, D, alloc, policy);
                 // Per-process-work normalised slowdown vs the private
                 // 1-proc-per-drive baseline.
                 let slowdown = m / (base * (procs / D) as f64);
@@ -102,9 +102,13 @@ fn main() {
             }
         }
     }
-    t.print();
-    save_json("e6_seek_degradation", &t);
-    println!(
+    let four_a_drive = |alloc| streams(4 * D, D, alloc, SchedPolicy::Fifo).0;
+    r.above(
+        "E6 contiguous over interleaved makespan at 4 processes a drive (FIFO)",
+        four_a_drive(Alloc::Contiguous) / four_a_drive(Alloc::Interleaved),
+        1.2,
+    );
+    r.table("e6_seek_degradation", t).note(
         "\nShape: with one process per drive seeks are negligible; once a \
          drive serves several processes, contiguous (far-apart) regions \
          pay a cross-platter seek on nearly every request (~1.3-1.6x \
@@ -112,6 +116,7 @@ fn main() {
          arm local and eliminates the penalty; SCAN trims the contiguous \
          loss modestly at these shallow queue depths — the allocation \
          policy is the lever, as the paper's 'work is needed here' \
-         anticipated."
+         anticipated.",
     );
+    r
 }

@@ -18,11 +18,12 @@
 
 use std::time::{Duration, Instant};
 
-use pario_bench::measure::{Report, RUNS};
-use pario_bench::rig::{self, Rig};
-use pario_bench::{banner, BS};
 use pario_core::{Organization, ParallelFile};
 use pario_layout::LayoutSpec;
+
+use crate::measure::{Measured, RUNS};
+use crate::rig::{self, Rig};
+use crate::{Report, Size, BS};
 
 /// Blocks in a window of the global view (`pario_fs::global`).
 const WINDOW_BLOCKS: u64 = 32;
@@ -131,62 +132,60 @@ fn parity_requests_per_block() -> f64 {
 
 /// The two lanes of one side at one ratio, and the stream's speedup.
 fn pair(
-    report: &mut Report,
+    lanes: &mut Measured,
     suffix: &str,
     compute: Duration,
     side: fn(bool, Duration) -> f64,
 ) -> f64 {
     let mut median = |lane: &str, stream: bool| {
         let lane = format!("{lane}_{suffix}");
-        report.lane(&lane, RUNS, || vec![("wall_secs", side(stream, compute))])["wall_secs"].median
+        lanes.lane(&lane, RUNS, || vec![("wall_secs", side(stream, compute))])["wall_secs"].median
     };
     let speedup = median("sync", false) / median("stream", true);
-    report.fact(&format!("speedup_{suffix}"), speedup);
+    lanes.fact(&format!("speedup_{suffix}"), speedup);
     speedup
 }
 
-fn main() {
-    banner(
-        "E8 (multiple buffering and I/O overlap)",
-        "single buffering serialises I/O and computation; a second \
-         buffer with a dedicated I/O thread overlaps them, up to 2x at a \
-         balanced compute:I/O ratio",
-    );
-    println!(
+/// Read-ahead at three compute:I/O ratios, write-behind at one, and the
+/// parity stream's request count.
+pub fn run(_: Size) -> Report {
+    let mut r = Report::default();
+    r.note(format!(
         "{WINDOWS} windows of {WINDOW_BLOCKS} x {BS} B on 4 devices, {} ms per device \
          request (slept); compute is spun; {} CPU(s)\n",
         IO.as_millis(),
         std::thread::available_parallelism().map_or(0, usize::from),
-    );
+    ));
 
-    println!("Read-ahead:");
-    let mut reads = Report::new("e8_readahead");
+    r.note("Read-ahead:");
+    let mut reads = Measured::new("e8_readahead");
     // Compute:I/O ratios, as (lane suffix, numerator, denominator).
     for (suffix, num, den) in [("half", 1, 2), ("one", 1, 1), ("two", 2, 1)] {
         let speedup = pair(&mut reads, suffix, IO * num / den, read_side);
         if suffix == "one" {
-            reads.at_least("read-ahead speedup at compute:I/O = 1", speedup, 1.5);
+            r.at_least("read-ahead speedup at compute:I/O = 1", speedup, 1.5);
         }
     }
-    reads.finish();
+    r.measured(reads);
 
-    println!("\nWrite-behind (deferred writing), compute:I/O = 1:");
-    let mut writes = Report::new("e8_writebehind");
+    r.note("\nWrite-behind (deferred writing), compute:I/O = 1:");
+    let mut writes = Measured::new("e8_writebehind");
     let speedup = pair(&mut writes, "one", IO, write_side);
-    writes.at_least("write-behind speedup at compute:I/O = 1", speedup, 1.5);
     let parity = writes.lane("parity_stream", RUNS, || {
         vec![("requests_per_block", parity_requests_per_block())]
     });
-    writes.at_most(
-        "parity stream requests per block (one block a span: 4; 96 of 384: 0.25)",
-        parity["requests_per_block"].median,
-        0.25,
-    );
-    writes.finish();
-    println!(
-        "\nShape: at compute:I/O = 1 the second buffer approaches the ideal \
-         2x; off balance the bound is (compute+io)/max(compute,io). The \
-         caller reads the first two windows itself — the worker starts \
-         once one window follows another — so N windows hide N-2 reads."
-    );
+    r.measured(writes)
+        .at_least("write-behind speedup at compute:I/O = 1", speedup, 1.5)
+        .at_most(
+            "parity stream requests per block (one block a span: 4; 96 of 384: 0.25)",
+            parity["requests_per_block"].median,
+            0.25,
+        )
+        .note(
+            "\nShape: at compute:I/O = 1 the second buffer approaches the ideal \
+             2x; off balance the bound is (compute+io)/max(compute,io). The \
+             caller reads the first two windows itself — the worker starts \
+             once one window follows another — so N windows hide N-2 reads.",
+        );
+    r
 }

@@ -12,60 +12,61 @@
 //! consumed by 4 IS processes, including the pass-count crossover that
 //! decides among them.
 
-use pario_bench::simx::{is_clusters, plan_reqs, stream_script, wren_bank};
-use pario_bench::table::{save_json, secs, Table};
-use pario_bench::{banner, BS};
 use pario_layout::{Partitioned, Striped};
 use pario_sim::disk::SchedPolicy;
-use pario_sim::{DiskReq, Op, ReqKind, Simulation};
+use pario_sim::{DiskReq, Op, ReqKind};
+
+use crate::simx::{bank, is_clusters, plan_reqs, stream};
+use crate::table::{secs, Table};
+use crate::{Report, Size, BS};
 
 const FILE_BYTES: u64 = 64 * 1024 * 1024;
+const BLOCKS: u64 = FILE_BYTES / BS as u64;
 const PROCS: usize = 4;
 const DEVICES: usize = 4;
 const FB: u64 = 8; // one 32 KiB file block = 8 volume blocks
 
-fn blocks() -> u64 {
-    FILE_BYTES / BS as u64
+fn ps() -> Partitioned {
+    Partitioned::uniform(BLOCKS, PROCS, DEVICES)
 }
 
-/// (a) Adapter: IS access pattern forced over the PS placement. All four
-/// processes sweep the partitions *together*, block by strided block.
-fn adapter_pass() -> f64 {
-    let ps = Partitioned::uniform(blocks(), PROCS, DEVICES);
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    for p in 0..PROCS as u64 {
-        let ops = is_clusters(p, PROCS as u64, FB, blocks())
-            .into_iter()
-            .map(|c| Op::Io(plan_reqs(&ps, &[c], FB)))
-            .collect();
+/// The makespan of one process per op list, on the drive bank.
+fn makespan(procs: impl IntoIterator<Item = Vec<Op>>) -> f64 {
+    let mut sim = bank(DEVICES, SchedPolicy::Fifo);
+    for ops in procs {
         sim.add_proc(ops);
     }
     sim.run().makespan.as_secs_f64()
 }
 
+/// (a) Adapter: IS access pattern forced over the PS placement. All four
+/// processes sweep the partitions *together*, block by strided block.
+fn adapter_pass() -> f64 {
+    let ps = ps();
+    makespan((0..PROCS as u64).map(|p| {
+        is_clusters(p, PROCS as u64, FB, BLOCKS)
+            .into_iter()
+            .map(|c| Op::Io(plan_reqs(&ps, &[c], FB)))
+            .collect()
+    }))
+}
+
 /// (b) Global view: one sequential reader over the PS placement.
 fn global_pass() -> f64 {
-    let ps = Partitioned::uniform(blocks(), PROCS, DEVICES);
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    sim.add_proc(stream_script(&ps, blocks(), 8 * 16, 16));
-    sim.run().makespan.as_secs_f64()
+    stream(&ps(), DEVICES, BLOCKS, 8 * 16, 16).0
 }
 
 /// (c1) Conversion: read the PS file globally while writing the IS copy
 /// (interleaved placement at a disjoint device region), overlapped.
 fn convert_cost() -> f64 {
-    let ps = Partitioned::uniform(blocks(), PROCS, DEVICES);
+    let ps = ps();
     let is = Striped::interleaved(DEVICES, FB);
-    let base = blocks(); // IS copy lives above the PS file on each drive
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
+    let base = BLOCKS; // IS copy lives above the PS file on each drive
     let mut ops = Vec::new();
     let window = 16u64;
     let mut l = 0;
-    while l < blocks() {
-        let hi = (l + window).min(blocks());
+    while l < BLOCKS {
+        let hi = (l + window).min(BLOCKS);
         let mut batch = plan_reqs(&ps, &[(l, hi - l)], 16);
         for r in plan_reqs(&is, &[(l, hi - l)], 16) {
             batch.push(DiskReq {
@@ -79,33 +80,25 @@ fn convert_cost() -> f64 {
         ops.push(Op::WaitAll);
         l = hi;
     }
-    sim.add_proc(ops);
-    sim.run().makespan.as_secs_f64()
+    makespan([ops])
 }
 
 /// (c2) A native IS pass after conversion: each process streams its own
 /// clusters from its own drive.
 fn native_is_pass() -> f64 {
     let is = Striped::interleaved(DEVICES, FB);
-    let mut sim = Simulation::new();
-    wren_bank(&mut sim, DEVICES, SchedPolicy::Fifo);
-    for p in 0..PROCS as u64 {
-        // Two clusters of read-ahead along the process's extent list.
-        let ops = is_clusters(p, PROCS as u64, FB, blocks())
+    // Two clusters of read-ahead along each process's extent list.
+    makespan((0..PROCS as u64).map(|p| {
+        is_clusters(p, PROCS as u64, FB, BLOCKS)
             .chunks(2)
             .flat_map(|w| [Op::IoAsync(plan_reqs(&is, w, FB)), Op::WaitAll])
-            .collect();
-        sim.add_proc(ops);
-    }
-    sim.run().makespan.as_secs_f64()
+            .collect()
+    }))
 }
 
-fn main() {
-    banner(
-        "E9 (internal-view mismatch: PS file read as IS)",
-        "adapter view = degraded performance; global view = serial; \
-         conversion = expensive once, fast thereafter",
-    );
+/// Each strategy's cost for one pass and for each later one, then the
+/// totals over one to five passes.
+pub fn run(_: Size) -> Report {
     let adapter = adapter_pass();
     let global = global_pass();
     let convert = convert_cost();
@@ -127,10 +120,9 @@ fn main() {
         secs(convert + native),
         secs(native),
     ]);
-    t.print();
-    save_json("e9_view_mismatch", &t);
-
-    println!("\nTotal cost by number of passes over the data:");
+    let mut r = Report::default();
+    r.table("e9_view_mismatch", t)
+        .note("\nTotal cost by number of passes over the data:");
     let mut t = Table::new(&["passes", "adapter", "global", "convert+native", "best"]);
     for k in 1..=5u32 {
         let a = adapter * f64::from(k);
@@ -145,14 +137,13 @@ fn main() {
         };
         t.row(&[k.to_string(), secs(a), secs(g), secs(c), best.to_string()]);
     }
-    t.print();
-    save_json("e9_crossover", &t);
-    println!(
+    r.table("e9_crossover", t).note(
         "\nShape: the adapter's strided sweep gangs all processes onto \
          one partition's drive at a time, degrading it toward the serial \
          global view; conversion pays a one-time copy and then runs at \
          device-per-process speed, winning once the data is read more \
          than a couple of times — 'the conversion overhead must be \
-         weighed against the performance improvements'."
+         weighed against the performance improvements'.",
     );
+    r
 }

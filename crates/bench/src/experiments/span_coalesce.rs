@@ -27,11 +27,12 @@
 
 use std::time::Duration;
 
-use pario_bench::measure::{Report, RUNS};
-use pario_bench::rig::{self, Rig};
-use pario_bench::{banner, BS};
 use pario_fs::{FileSpec, GlobalReader, RawFile, Volume};
 use pario_layout::LayoutSpec;
+
+use crate::measure::{Measured, RUNS};
+use crate::rig::{self, Rig};
+use crate::{Report, Size, BS};
 
 /// Modelled service time per device request.
 const DELAY: Duration = Duration::from_micros(30);
@@ -69,14 +70,14 @@ fn timed(v: &Volume, f: impl FnOnce()) -> (f64, f64, f64) {
     (secs, (r1 - r0) as f64, (w1 - w0) as f64)
 }
 
-fn read_case(report: &mut Report, lane: &str, devices: usize, layout: LayoutSpec, blocks: u64) {
+fn read_case(lanes: &mut Measured, lane: &str, devices: usize, layout: LayoutSpec, blocks: u64) {
     let parity = matches!(layout, LayoutSpec::Parity { .. });
     let (v, f) = delayed_file(devices, 8192, layout);
     let data = pattern(blocks);
     f.write_span(0, &data).unwrap();
     let serial = f.clone().with_span_parallel(false);
     let mut out = vec![0u8; data.len()];
-    report.lane(lane, RUNS, || {
+    lanes.lane(lane, RUNS, || {
         let (t_pb, r_pb, _) = timed(&v, || {
             for (l, block) in (0..).zip(out.chunks_mut(BS)) {
                 f.read_span(l * BS as u64, block).unwrap();
@@ -106,14 +107,14 @@ fn read_case(report: &mut Report, lane: &str, devices: usize, layout: LayoutSpec
 
 /// `blocks` blocks starting `phase` blocks into a stripe of a rotated
 /// 3+1 file, written per block and as one span.
-fn parity_write_case(report: &mut Report, blocks: u64, phase: u64) {
+fn parity_write_case(lanes: &mut Measured, blocks: u64, phase: u64) {
     let (v, f) = delayed_file(4, 8192, ROTATED_3_PLUS_1);
     let first = 3 + phase;
     f.write_span(0, &vec![1u8; (first + blocks + 3) as usize * BS])
         .unwrap();
     let data = pattern(blocks);
     let mut out = vec![0u8; data.len()];
-    report.lane(&format!("pwrite_b{blocks}_phase{phase}"), RUNS, || {
+    lanes.lane(&format!("pwrite_b{blocks}_phase{phase}"), RUNS, || {
         let (t_pb, r_pb, w_pb) = timed(&v, || {
             for (l, block) in (first..).zip(data.chunks(BS)) {
                 f.write_span(l * BS as u64, block).unwrap();
@@ -149,7 +150,7 @@ fn parity_write_case(report: &mut Report, blocks: u64, phase: u64) {
 /// (fail-stopped, the board knows) or Rebuilding (stale media the board
 /// routes around), per block and as one span. A recovery holds the
 /// stripe lock once: one hold per lost block against one for the span.
-fn degraded_read_case(report: &mut Report, rebuilding: bool) {
+fn degraded_read_case(lanes: &mut Measured, rebuilding: bool) {
     const DOWN: usize = 1;
     const BLOCKS: u64 = 512;
     let (v, f) = delayed_file(4, 8192, ROTATED_3_PLUS_1);
@@ -166,7 +167,7 @@ fn degraded_read_case(report: &mut Report, rebuilding: bool) {
     let lost = lost.count() as f64;
     let mut out = vec![0u8; data.len()];
     let lane = if rebuilding { "rebuilding" } else { "failed" };
-    report.lane(&format!("degraded_{lane}"), RUNS, || {
+    lanes.lane(&format!("degraded_{lane}"), RUNS, || {
         let (t_pb, r_pb, _) = timed(&v, || {
             for (l, block) in (0..).zip(out.chunks_mut(BS)) {
                 f.read_span(l * BS as u64, block).unwrap();
@@ -192,7 +193,7 @@ fn degraded_read_case(report: &mut Report, rebuilding: bool) {
     });
 }
 
-fn global_scan_case(report: &mut Report, devices: usize, unit: u64) {
+fn global_scan_case(lanes: &mut Measured, devices: usize, unit: u64) {
     const BLOCKS: u64 = 64 * 1024 * 1024 / BS as u64;
     let layout = LayoutSpec::Striped { devices, unit };
     let (v, f) = delayed_file(devices, BLOCKS / devices as u64 + 64, layout);
@@ -203,7 +204,7 @@ fn global_scan_case(report: &mut Report, devices: usize, unit: u64) {
     }
     f.set_len_records(BLOCKS).unwrap();
     let mut rec = vec![0u8; BS];
-    report.lane(&format!("global_u{unit}"), RUNS, || {
+    lanes.lane(&format!("global_u{unit}"), RUNS, || {
         let (t_pb, r_pb, _) = timed(&v, || {
             for l in 0..BLOCKS {
                 f.read_span(l * BS as u64, &mut rec).unwrap();
@@ -232,46 +233,32 @@ fn global_scan_case(report: &mut Report, devices: usize, unit: u64) {
     });
 }
 
-fn main() {
-    banner(
-        "span coalescing (vectored runs + device fan-out)",
-        "transferring as much data as possible in each access: spans \
-         become one vectored request per device run, and independent \
-         runs proceed in parallel across devices",
-    );
-    let mut report = Report::new("span_coalesce");
+/// Every lane, per block against the span path.
+pub fn run(_: Size) -> Report {
+    let mut lanes = Measured::new("span_coalesce");
     let striped = |devices, unit| LayoutSpec::Striped { devices, unit };
     for devices in [2usize, 4, 8] {
         for blocks in [64u64, 512, 2048] {
             let lane = format!("read_striped_u2_d{devices}_b{blocks}");
-            read_case(&mut report, &lane, devices, striped(devices, 2), blocks);
+            read_case(&mut lanes, &lane, devices, striped(devices, 2), blocks);
         }
     }
     for blocks in [64u64, 512] {
         let lane = |kind: &str| format!("read_{kind}_b{blocks}");
-        read_case(
-            &mut report,
-            &lane("striped_u8_d4"),
-            4,
-            striped(4, 8),
-            blocks,
-        );
+        read_case(&mut lanes, &lane("striped_u8_d4"), 4, striped(4, 8), blocks);
         let shadowed = LayoutSpec::Shadowed(Box::new(striped(4, 2)));
-        read_case(&mut report, &lane("shadowed_u2_d8"), 8, shadowed, blocks);
-        read_case(
-            &mut report,
-            &lane("parity_rot_d4"),
-            4,
-            ROTATED_3_PLUS_1,
-            blocks,
-        );
+        read_case(&mut lanes, &lane("shadowed_u2_d8"), 8, shadowed, blocks);
+        let parity = ROTATED_3_PLUS_1;
+        read_case(&mut lanes, &lane("parity_rot_d4"), 4, parity, blocks);
     }
     for (blocks, phase) in [(63u64, 0u64), (64, 1), (510, 0), (512, 2)] {
-        parity_write_case(&mut report, blocks, phase);
+        parity_write_case(&mut lanes, blocks, phase);
     }
-    degraded_read_case(&mut report, false);
-    degraded_read_case(&mut report, true);
-    global_scan_case(&mut report, 4, 2);
-    global_scan_case(&mut report, 4, 4);
-    report.finish();
+    degraded_read_case(&mut lanes, false);
+    degraded_read_case(&mut lanes, true);
+    global_scan_case(&mut lanes, 4, 2);
+    global_scan_case(&mut lanes, 4, 4);
+    let mut r = Report::default();
+    r.measured(lanes);
+    r
 }

@@ -1,14 +1,13 @@
-//! The one reducer of the service-layer experiments (E13–E20): a lane
-//! is run [`RUNS`] times or more, every metric it returns is reduced to
-//! its median and quartiles, and a [`Report`] carries them — as flat
-//! `key`, `key_lo`, `key_hi` entries of `BENCH_<name>.json` through the
-//! [`Bench`] emitter and as rows of `results/<name>.json` — together
-//! with the experiment's asserted facts.
+//! The one reducer of the measured experiments (E8, E13–E20): a lane is
+//! run [`RUNS`] times or more, every metric it returns is reduced to its
+//! median and quartiles, and [`Measured`] carries them — as flat `key`,
+//! `key_lo`, `key_hi` entries of `BENCH_<name>.json` through the
+//! [`Bench`] emitter and as rows of `results/<name>.json`.
 
 use std::collections::BTreeMap;
 
 use crate::rig::fmt_ns;
-use crate::table::{save_json, secs, Bench, Table};
+use crate::table::{secs, Bench, Table};
 
 /// Times a lane is run unless it asks for more.
 pub const RUNS: usize = 5;
@@ -45,12 +44,11 @@ pub fn nanos(quantile: Option<u64>) -> f64 {
 /// (indexing by a key the lane never returned panics).
 pub type Lane = BTreeMap<&'static str, Interval>;
 
-/// What one experiment binary measured and asserted.
-pub struct Report {
+/// An experiment's measured lanes and facts, under one name.
+pub struct Measured {
     name: String,
     bench: Bench,
     table: Table,
-    failed: Vec<String>,
 }
 
 /// Emit `v` under `key`: a whole number (a count, a bucket bound in
@@ -64,7 +62,7 @@ fn emit(bench: &mut Bench, key: &str, v: f64) {
 }
 
 /// A table cell for `v`, by what `key` says it is.
-fn cell(key: &str, v: f64) -> String {
+pub(crate) fn cell(key: &str, v: f64) -> String {
     if key.ends_with("_nanos") {
         fmt_ns(v)
     } else if key.ends_with("_secs") {
@@ -76,13 +74,12 @@ fn cell(key: &str, v: f64) -> String {
     }
 }
 
-impl Report {
-    /// An empty report; `name` names the two files [`Report::finish`]
-    /// writes.
-    pub fn new(name: &str) -> Report {
+impl Measured {
+    /// Nothing measured yet; `name` names the table and the summary.
+    pub fn new(name: &str) -> Measured {
         let mut bench = Bench::new();
         bench.label("experiment", name);
-        Report {
+        Measured {
             name: name.to_string(),
             bench,
             table: Table::new(&[
@@ -92,7 +89,6 @@ impl Report {
                 "lower quartile",
                 "upper quartile",
             ]),
-            failed: Vec::new(),
         }
     }
 
@@ -138,7 +134,7 @@ impl Report {
 
     /// Record a value that is not a lane's sample: a configuration
     /// constant, an exact count, a ratio of two medians.
-    pub fn fact(&mut self, key: &str, v: f64) -> &mut Report {
+    pub fn fact(&mut self, key: &str, v: f64) -> &mut Measured {
         emit(&mut self.bench, key, v);
         self.table.row(&[
             "-".into(),
@@ -150,52 +146,9 @@ impl Report {
         self
     }
 
-    /// Assert one of the experiment's claims. A failure is remembered
-    /// and panics in [`Report::finish`], after the files are written, so
-    /// a failing run still leaves its numbers behind.
-    pub fn check(&mut self, claim: &str, holds: bool) -> &mut Report {
-        println!("  [{}] {claim}", if holds { "ok" } else { "FAILED" });
-        if !holds {
-            self.failed.push(claim.to_string());
-        }
-        self
-    }
-
-    /// [`Report::check`] that `v` is at least `bound`.
-    pub fn at_least(&mut self, what: &str, v: f64, bound: f64) -> &mut Report {
-        let claim = format!(
-            "{what}: {} (required >= {})",
-            cell(what, v),
-            cell(what, bound)
-        );
-        self.check(&claim, v >= bound)
-    }
-
-    /// [`Report::check`] that `v` is at most `bound`.
-    pub fn at_most(&mut self, what: &str, v: f64, bound: f64) -> &mut Report {
-        let claim = format!(
-            "{what}: {} (required <= {})",
-            cell(what, v),
-            cell(what, bound)
-        );
-        self.check(&claim, v <= bound)
-    }
-
-    /// Print the table, write `results/<name>.json` and
-    /// `BENCH_<name>.json`, and panic if any [`Report::check`] failed.
-    pub fn finish(self) {
-        println!();
-        self.table.print();
-        save_json(&self.name, &self.table);
-        self.bench.save(&self.name);
-        assert!(
-            self.failed.is_empty(),
-            "{}: {} claim(s) failed: {:?}",
-            self.name,
-            self.failed.len(),
-            self.failed
-        );
-        println!("{}: every claim holds.", self.name);
+    /// The name, the table and the summary, for [`crate::Report::measured`].
+    pub(crate) fn into_parts(self) -> (String, Table, Bench) {
+        (self.name, self.table, self.bench)
     }
 
     /// The `BENCH_<name>.json` text so far (for tests of its consumers).
@@ -223,7 +176,7 @@ mod tests {
 
     #[test]
     fn a_lane_lands_as_flat_key_lo_hi_triples() {
-        let mut report = Report::new("unit");
+        let mut report = Measured::new("unit");
         let mut run = 0.0;
         let lane = report.lane("drain", RUNS, || {
             run += 1.0;
@@ -247,6 +200,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 5 times")]
     fn fewer_than_five_runs_is_refused() {
-        Report::new("unit").lane("x", 3, Vec::new);
+        Measured::new("unit").lane("x", 3, Vec::new);
     }
 }

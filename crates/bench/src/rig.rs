@@ -1,8 +1,8 @@
-//! The one rig builder of the service-layer experiments (E13–E20):
+//! The one rig builder of every experiment that runs the real stack:
 //! memory devices with an optional modelled service time → [`Volume`]
 //! (optionally cached) → [`Server`] →
-//! optionally a [`NetServer`] on loopback. Beside it, the helpers every
-//! one of those binaries used to carry a copy of.
+//! optionally a [`NetServer`] on loopback. Beside it, the helpers the
+//! measured experiments share.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -194,12 +194,6 @@ pub fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{ns:.0}ns")
     }
-}
-
-/// `EXP_SMOKE=1` asks for a CI-sized run: the same lanes and
-/// assertions over smaller populations.
-pub fn smoke() -> bool {
-    std::env::var("EXP_SMOKE").is_ok()
 }
 
 #[cfg(test)]

@@ -12,17 +12,36 @@ use pario_sim::{DiskReq, Op, Simulation};
 
 use crate::BS;
 
-/// Add `n` period-correct Winchester drives to `sim`; returns their ids.
-pub fn wren_bank(sim: &mut Simulation, n: usize, policy: SchedPolicy) -> Vec<usize> {
-    (0..n)
-        .map(|_| {
-            sim.add_device(Box::new(ModeledDisk::new(
-                DiskGeometry::wren_1989(),
-                policy,
-                BS,
-            )))
-        })
-        .collect()
+/// A simulation of `n` period-correct Winchester drives, ids `0..n`.
+pub fn bank(n: usize, policy: SchedPolicy) -> Simulation {
+    let mut sim = Simulation::new();
+    for _ in 0..n {
+        let drive = ModeledDisk::new(DiskGeometry::wren_1989(), policy, BS);
+        sim.add_device(Box::new(drive));
+    }
+    sim
+}
+
+/// One reader streams blocks `[0, blocks)` of a file placed by `layout`
+/// over `devices` FIFO drives ([`stream_script`]); returns the seconds
+/// it took, the bytes a second it read, and the drives' mean
+/// utilization.
+pub fn stream(
+    layout: &dyn Layout,
+    devices: usize,
+    blocks: u64,
+    window: u64,
+    max_run: u64,
+) -> (f64, f64, f64) {
+    let mut sim = bank(devices, SchedPolicy::Fifo);
+    sim.add_proc(stream_script(layout, blocks, window, max_run));
+    let r = sim.run();
+    let secs = r.makespan.as_secs_f64();
+    (
+        secs,
+        (blocks * BS as u64) as f64 / secs,
+        r.mean_utilization(),
+    )
 }
 
 /// Capacity in `BS` blocks of one modelled drive.
@@ -127,14 +146,17 @@ mod tests {
 
     #[test]
     fn bank_runs_a_script() {
-        let mut sim = Simulation::new();
-        let ids = wren_bank(&mut sim, 2, SchedPolicy::Fifo);
-        assert_eq!(ids, vec![0, 1]);
+        let mut sim = bank(2, SchedPolicy::Fifo);
         let l = Striped::new(2, 1);
         sim.add_proc(stream_script(&l, 16, 4, 64));
         let r = sim.run();
         assert!(r.makespan > SimTime::ZERO);
         assert_eq!(r.total_blocks(), 16);
+        assert_eq!(r.devices.len(), 2);
         assert!(wren_capacity_blocks() > 10_000);
+        let (secs, rate, util) = stream(&l, 2, 16, 4, 64);
+        assert_eq!(secs, r.makespan.as_secs_f64());
+        assert_eq!(rate, (16 * BS) as f64 / secs);
+        assert_eq!(util, r.mean_utilization());
     }
 }

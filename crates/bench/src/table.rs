@@ -1,7 +1,6 @@
-//! Markdown-ish table rendering and JSON result persistence.
+//! Markdown-ish tables, their JSON form, and the flat benchmark summary.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple aligned table accumulated row by row.
 pub struct Table {
@@ -54,11 +53,6 @@ impl Table {
         out
     }
 
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Serialise as a JSON array of objects keyed by header.
     pub fn to_json(&self) -> serde_json::Value {
         let rows: Vec<serde_json::Value> = self
@@ -78,23 +72,7 @@ impl Table {
     }
 }
 
-/// Persist a table (best-effort) under `results/<name>.json` relative to
-/// the working directory; prints a note on success, stays silent when the
-/// directory does not exist.
-pub fn save_json(name: &str, table: &Table) {
-    let dir = Path::new("results");
-    if !dir.is_dir() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(s) = serde_json::to_string_pretty(&table.to_json()) {
-        if std::fs::write(&path, s).is_ok() {
-            println!("(saved {})", path.display());
-        }
-    }
-}
-
-/// A flat benchmark summary accumulated key by key, persisted as
+/// A flat benchmark summary accumulated key by key, saved as
 /// `BENCH_<name>.json` in the working directory — the repo root when
 /// run through `run_experiments.sh` or CI. Unlike the `results/` tables
 /// these are machine-readable objects for regression tracking.
@@ -134,21 +112,13 @@ impl Bench {
         self
     }
 
-    /// The exact JSON text [`Bench::save`] writes. Exposed so tools
+    /// The exact JSON text saved as `BENCH_<name>.json`. Exposed so tools
     /// that consume these summaries (`xtask bench-diff`) can be tested
     /// against the real emitter rather than a hand-written imitation.
     pub fn json(&self) -> String {
         let value = serde_json::Value::Object(self.map.clone());
         serde_json::to_string_pretty(&value)
             .expect("a flat map of numbers and strings always serializes")
-    }
-
-    /// Persist (best-effort) as `BENCH_<name>.json`.
-    pub fn save(&self, name: &str) {
-        let path = format!("BENCH_{name}.json");
-        if std::fs::write(&path, self.json()).is_ok() {
-            println!("(saved {path})");
-        }
     }
 }
 

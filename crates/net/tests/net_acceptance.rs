@@ -431,7 +431,10 @@ fn unix_socket_carries_the_same_protocol() {
 fn shutdown_drains_lane_connections_and_replies_typed_notice() {
     let volume = volume();
     drop(ParallelFile::create(&volume, "d", Organization::GlobalDirect, REC, 4).unwrap());
-    let (mut net, addr) = serve(volume);
+    // A clone of the server, to watch its admission from outside.
+    let server = Server::new(volume, ServerConfig::default());
+    let mut net = NetServer::bind_tcp("127.0.0.1:0", server.clone(), NetConfig::default()).unwrap();
+    let addr = net.local_addr().unwrap().to_string();
 
     let a = on_the_lane(&addr);
     let da = a.open_direct("d").unwrap();
@@ -440,11 +443,20 @@ fn shutdown_drains_lane_connections_and_replies_typed_notice() {
 
     // A holds record 0's byte range, so B's write of record 0 starts
     // executing server-side and parks on that lock — a genuinely
-    // in-flight request. Three more writes queue behind it on B's
-    // ordered connection, unread while the first is parked.
+    // in-flight request. A session is admitted before it takes a range
+    // lock, so the write is parked there once one operation is in
+    // flight. Three more writes queue behind it on B's ordered
+    // connection, unread while the first is parked.
     let _lock = da.lock_range(0, 1).unwrap();
     let in_flight = db.submit_write(0, Bytes::from(vec![0x5A; REC])).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    let submitted = std::time::Instant::now();
+    while server.stats().in_flight != 1 {
+        assert!(
+            submitted.elapsed() < std::time::Duration::from_secs(30),
+            "B's write never reached A's range lock"
+        );
+        std::thread::yield_now();
+    }
     let queued: Vec<_> = (1..4u64)
         .map(|r| db.submit_write(r, Bytes::from(vec![r as u8; REC])).unwrap())
         .collect();

@@ -517,16 +517,16 @@ mod tests {
                 prop_assert_eq!(parsed, expected);
             }
 
-            /// What `Report::lane` emits for a measured key — `key`,
+            /// What `Measured::lane` emits for a measured key — `key`,
             /// `key_lo`, `key_hi` — comes back as the reducer's own
             /// interval, ordered, and self-compares clean under either
             /// gate.
             fn lane_triples_roundtrip(
                 runs in vec((float(), float(), float()), pario_bench::measure::RUNS..12),
             ) {
-                use pario_bench::measure::{reduce, Report};
+                use pario_bench::measure::{reduce, Measured};
                 const KEYS: [&str; 3] = ["rec_per_sec", "p99_nanos", "secs"];
-                let mut report = Report::new("roundtrip");
+                let mut report = Measured::new("roundtrip");
                 let mut next = runs.iter();
                 report.lane("lane", runs.len(), || {
                     let &(a, b, c) = next.next().expect("one call a run");

@@ -1,115 +1,35 @@
-//! Integration: the defining invariants of Figure 1, asserted
-//! programmatically (the rendered figure itself comes from
-//! `exp_e1_figure1`).
+//! Integration: the defining invariants of Figure 1, asserted through
+//! E1 itself — the experiment that draws the figure (`exp e1`) checks
+//! each organization's property as a verdict, and each test here runs it
+//! and asserts its organization's verdict.
 
-use pario::core::{Organization, ParallelFile};
-use pario::fs::{Volume, VolumeConfig};
+use pario_bench::{find, Size};
 
-const RECORD: usize = 64;
-const RPB: usize = 4;
-const BLOCKS: u64 = 12;
-const PROCS: u32 = 3;
-
-fn volume() -> Volume {
-    Volume::create_in_memory(VolumeConfig {
-        devices: 3,
-        device_blocks: 512,
-        block_size: RECORD * RPB,
-    })
-    .unwrap()
-}
-
-/// Which process owns each file block under each organization.
-fn ownership<F: FnMut(u64) -> u32>(owner_of: F) -> Vec<u32> {
-    (0..BLOCKS).map(owner_of).collect()
+/// Run E1 and assert its verdict for subfigure `label`.
+fn subfigure(label: &str) {
+    let report = (find("e1").expect("E1 is listed").run)(Size::Smoke);
+    let v = report.verdicts.iter().find(|v| v.claim.starts_with(label));
+    let v = v.unwrap_or_else(|| panic!("E1 has no verdict for {label}"));
+    assert!(v.holds, "{}", v.claim);
+    assert!(report.text.contains(&label[..3]), "{label} is drawn");
 }
 
 #[test]
 fn figure1a_sequential_single_process() {
-    // Type S: one process touches every block, in order.
-    let v = volume();
-    let pf = ParallelFile::create(&v, "s", Organization::Sequential, RECORD, RPB).unwrap();
-    let mut w = pf.global_writer();
-    for i in 0..BLOCKS * RPB as u64 {
-        w.write_record(&[i as u8; RECORD]).unwrap();
-    }
-    w.finish().unwrap();
-    let mut r = pf.global_reader();
-    let mut buf = vec![0u8; RECORD];
-    let mut touched_in_order = Vec::new();
-    let mut idx = 0u64;
-    while r.read_record(&mut buf).unwrap() {
-        let fb = idx / RPB as u64;
-        if touched_in_order.last() != Some(&fb) {
-            touched_in_order.push(fb);
-        }
-        idx += 1;
-    }
-    assert_eq!(touched_in_order, (0..BLOCKS).collect::<Vec<_>>());
+    subfigure("(a) S:");
 }
 
 #[test]
 fn figure1b_partitioned_contiguous_thirds() {
-    let v = volume();
-    let org = Organization::PartitionedSeq { partitions: PROCS };
-    let pf = ParallelFile::create_sized(&v, "ps", org, RECORD, RPB, BLOCKS * RPB as u64).unwrap();
-    let owners = ownership(|fb| {
-        let rec = fb * RPB as u64;
-        (0..PROCS)
-            .find(|&p| {
-                let (lo, hi) = pf.partition_record_range(p).unwrap();
-                lo <= rec && rec < hi
-            })
-            .unwrap()
-    });
-    assert_eq!(owners, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
+    subfigure("(b) PS:");
 }
 
 #[test]
 fn figure1c_interleaved_stride_three() {
-    let v = volume();
-    let org = Organization::InterleavedSeq { processes: PROCS };
-    let pf = ParallelFile::create(&v, "is", org, RECORD, RPB).unwrap();
-    // Each process's handle visits exactly the blocks ≡ p (mod 3).
-    for p in 0..PROCS {
-        let mut h = pf.interleaved_handle(p).unwrap();
-        for k in 0..BLOCKS / u64::from(PROCS) {
-            h.seek_block(k);
-            let fb = h.current_record() / RPB as u64;
-            assert_eq!(fb % u64::from(PROCS), u64::from(p));
-            assert_eq!(fb, u64::from(p) + k * u64::from(PROCS));
-        }
-    }
+    subfigure("(c) IS:");
 }
 
 #[test]
 fn figure1d_self_scheduled_exhaustive_any_order() {
-    let v = volume();
-    let pf = ParallelFile::create(&v, "ss", Organization::SelfScheduledSeq, RECORD, RPB).unwrap();
-    let mut w = pf.global_writer();
-    for i in 0..BLOCKS * RPB as u64 {
-        w.write_record(&[i as u8; RECORD]).unwrap();
-    }
-    w.finish().unwrap();
-    // Whatever interleaving of claimers occurs, coverage is exhaustive
-    // and exactly-once, and each claim returns the next record.
-    let readers: Vec<_> = (0..PROCS)
-        .map(|_| pf.self_sched_reader().unwrap())
-        .collect();
-    let mut buf = vec![0u8; RECORD];
-    let mut next_expected = 0u64;
-    let order = [2usize, 0, 1, 1, 2, 0, 0];
-    'outer: loop {
-        for &p in &order {
-            match readers[p].read_next(&mut buf).unwrap() {
-                Some(idx) => {
-                    assert_eq!(idx, next_expected, "no record skipped");
-                    assert_eq!(buf[0], idx as u8);
-                    next_expected += 1;
-                }
-                None => break 'outer,
-            }
-        }
-    }
-    assert_eq!(next_expected, BLOCKS * RPB as u64);
+    subfigure("(d) SS:");
 }
