@@ -18,9 +18,14 @@
 //!   stripes leave as one run per device with no reads.
 //! * `degraded_*` — the same rotated 3+1 file with one device down,
 //!   scanned per block (every lost block its own recovery) and as one
-//!   span (one stripe-lock hold, one run per surviving device).
+//!   span (one hold of the span's rows, one run per surviving device).
 //! * `global_*`   — the paper's global-view scenario: a 64 MiB
 //!   sequential scan through `GlobalReader` against the per-block loop.
+//! * `*_writers`  — concurrency rather than coalescing: 1, 2, 4 and 8
+//!   threads writing 2-block spans into disjoint ranges of a rotated 7+1
+//!   parity file and of an 8-wide stripe over 200 µs devices. A parity
+//!   write holds only its stripes' rows, so writers on different
+//!   stripes overlap as a stripe's do.
 //!
 //! The request counts are exact and asserted in every run; the times
 //! are what they buy.
@@ -30,7 +35,7 @@ use std::time::Duration;
 use pario_fs::{FileSpec, GlobalReader, RawFile, Volume};
 use pario_layout::LayoutSpec;
 
-use crate::measure::{Measured, RUNS};
+use crate::measure::{Lane, Measured, RUNS};
 use crate::rig::{self, Rig};
 use crate::{Report, Size, BS};
 
@@ -148,8 +153,8 @@ fn parity_write_case(lanes: &mut Measured, blocks: u64, phase: u64) {
 
 /// A 512-block scan of a rotated 3+1 file whose device 1 is Failed
 /// (fail-stopped, the board knows) or Rebuilding (stale media the board
-/// routes around), per block and as one span. A recovery holds the
-/// stripe lock once: one hold per lost block against one for the span.
+/// routes around), per block and as one span. A recovery holds its rows
+/// once: one hold per lost block against one for the span.
 fn degraded_read_case(lanes: &mut Measured, rebuilding: bool) {
     const DOWN: usize = 1;
     const BLOCKS: u64 = 512;
@@ -233,6 +238,65 @@ fn global_scan_case(lanes: &mut Measured, devices: usize, unit: u64) {
     });
 }
 
+/// Span writes each run of a `*_writers` lane makes at every writer
+/// count, shared out evenly: a fixed count, so the lane stays short.
+const WRITER_SPANS: u64 = 256;
+
+/// The writer counts of a `*_writers` lane, each with the key its rate
+/// is reported under.
+const WRITERS: [(usize, &str); 4] = [
+    (1, "w1_spans_per_sec"),
+    (2, "w2_spans_per_sec"),
+    (4, "w4_spans_per_sec"),
+    (8, "w8_spans_per_sec"),
+];
+
+/// Each writer count in turn: that many threads write 2-block spans
+/// into regions of their own of an 8-device file laid out as `layout`,
+/// on 200 µs devices. A region is whole 7-block stripes, one more than a
+/// multiple of 8 of them, so no two writers share a stripe and each
+/// starts at another phase of the devices (the rotated parity's, an
+/// 8-wide stripe's): writers in lockstep on the same devices would
+/// measure their queue. Returns the span writes per second at each
+/// count and the 8-writer rate over the 1-writer rate.
+fn writers_case(lanes: &mut Measured, lane: &str, layout: LayoutSpec) -> Lane {
+    const SPAN_BLOCKS: u64 = 2;
+    let stripes = |n: u64| {
+        (SPAN_BLOCKS * WRITER_SPANS / n)
+            .div_ceil(7)
+            .next_multiple_of(8)
+            + 1
+    };
+    let region = |n: u64| 7 * stripes(n);
+    let blocks = WRITERS.iter().map(|&(n, _)| n as u64 * region(n as u64));
+    let v = Rig::new(8).delay(Duration::from_micros(200)).volume();
+    let spec = FileSpec::new("f", BS, 1, layout).initial_records(blocks.max().unwrap());
+    let f = v.create_file(spec).unwrap();
+    let data = pattern(SPAN_BLOCKS);
+    let lane = lanes.lane(lane, RUNS, || {
+        let mut rates: Vec<_> = WRITERS
+            .iter()
+            .map(|&(n, key)| {
+                let spans = WRITER_SPANS / n as u64;
+                let secs = rig::clients(n, |i| {
+                    let at = i as u64 * region(n as u64);
+                    for k in 0..spans {
+                        let block = at + k * SPAN_BLOCKS;
+                        f.write_span(block * BS as u64, &data).unwrap();
+                    }
+                });
+                (key, WRITER_SPANS as f64 / secs)
+            })
+            .collect();
+        rates.push(("w8_over_w1", rates[3].1 / rates[0].1));
+        rates
+    });
+    let mut first = vec![0u8; data.len()];
+    f.read_span(0, &mut first).unwrap();
+    assert_eq!(first, data);
+    lane
+}
+
 /// Every lane, per block against the span path.
 pub fn run(_: Size) -> Report {
     let mut lanes = Measured::new("span_coalesce");
@@ -258,7 +322,17 @@ pub fn run(_: Size) -> Report {
     degraded_read_case(&mut lanes, true);
     global_scan_case(&mut lanes, 4, 2);
     global_scan_case(&mut lanes, 4, 4);
+    let rotated_7_plus_1 = LayoutSpec::Parity {
+        data_devices: 7,
+        rotated: true,
+    };
+    let parity = writers_case(&mut lanes, "parity_writers", rotated_7_plus_1);
+    writers_case(&mut lanes, "stripe_writers", striped(8, 1));
     let mut r = Report::default();
-    r.measured(lanes);
+    r.measured(lanes).at_least(
+        "8 parity writers' span writes/s over one writer's (rotated 7+1)",
+        parity["w8_over_w1"].median,
+        2.5,
+    );
     r
 }

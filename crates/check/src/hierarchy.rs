@@ -17,10 +17,10 @@
 //! |  5 | `NetClient` reply table | pario-net | in-flight request id -> reply slot |
 //! |  7 | `NetClient` send half | pario-net | serialised frame writes to the socket |
 //! | 20 | `Admission::m` | pario-server | admission queue + rotation state |
-//! | 30 | `ByteRangeLocks::held` | pario-server | GDA byte-range lock table |
+//! | 30 | `RangeLocks::held` of a server file entry | pario-server | GDA byte-range lock table |
 //! | 50 | `Volume::alloc` | pario-fs | extent allocator |
 //! | 60 | `FileState::rmw_lock` | pario-fs | sub-block RMW window |
-//! | 70 | `FileState::stripe_lock` | pario-fs | parity stripe RMW cycle |
+//! | 70 | `RangeLocks::held` of `FileState::rows` | pario-fs | a file's device-row lock table |
 //! | 72 | `Staging::spare` | pario-fs | the volume's free list of span staging buffers |
 //! | 75 | `VolumeCache::frames` | pario-buffer | volume-wide block cache state |
 //! | 78 | `VolInner::journal` | pario-fs | intent-journal cursor + superblock generation |
@@ -45,23 +45,27 @@ pub enum LockLevel {
     NetSend = 7,
     /// `pario-server` admission queue state.
     Admission = 20,
-    /// `pario-server` GDA byte-range lock table.
+    /// `pario-server` GDA byte-range lock table (a `pario_fs::RangeLocks`
+    /// built at this rank).
     RangeLock = 30,
     /// `pario-fs` volume extent allocator.
     FsAlloc = 50,
     /// `pario-fs` per-file sub-block read-modify-write lock.
     FsRmw = 60,
-    /// `pario-fs` per-file parity stripe lock.
+    /// `pario-fs` per-file device-row lock table (`FileState::rows`, a
+    /// `RangeLocks` built at this rank). Its mutex is held only while a
+    /// range is granted or released; the rows themselves are held
+    /// across a write's waves with no mutex held.
     FsStripe = 70,
     /// `pario-fs` per-volume free list of span staging buffers. Taken
-    /// inside the RMW and stripe critical sections (a parity span
-    /// stages its runs under the stripe lock) and a leaf: held for a
+    /// inside the RMW critical section and while a file's rows are held
+    /// (a parity span stages its runs holding its rows) and a leaf: held for a
     /// list scan or a push only — a miss allocates, and an evicted
     /// buffer is freed, after it is released — and nothing, ranked or
     /// not, is acquired under it.
     FsStaging = 72,
-    /// `pario-buffer` volume-wide block cache state. Above the RMW and
-    /// stripe locks (cache lookups happen inside those critical
+    /// `pario-buffer` volume-wide block cache state. Above the RMW lock
+    /// and the row table (cache lookups happen inside those critical
     /// sections) and below the health board (health transitions drop
     /// cached frames only after releasing the board mutex, and I/O
     /// outcome feedback is reported after the cache lock is released).
@@ -76,13 +80,13 @@ pub enum LockLevel {
     FsJournal = 78,
     /// `pario-fs` per-volume device health board. Ranked above every
     /// I/O-path lock because error feedback is reported from inside
-    /// RMW/stripe critical sections.
+    /// the RMW critical section.
     FsHealth = 80,
     /// `pario-disk` I/O-node device ownership: whoever services a
     /// transfer — the node's worker or a caller running it inline —
     /// holds this for exactly that transfer. The innermost lock of the
     /// whole request path: block I/O is issued from inside the RMW,
-    /// stripe, cache and journal critical sections, and nothing ranked
+    /// cache and journal critical sections, and nothing ranked
     /// is ever acquired while a transfer runs.
     DiskDevice = 90,
     /// Outside the hierarchy: never checked for ordering.

@@ -22,7 +22,7 @@
 //!
 //! Model tests live in this crate's `tests/` directory behind
 //! `#![cfg(pario_check)]` and drive the *real* production types
-//! (`SharedCursor`, `ByteRangeLocks`, `Admission`, the fs RMW path)
+//! (`SharedCursor`, `RangeLocks`, `Admission`, the fs RMW path)
 //! compiled under the same cfg:
 //!
 //! ```text

@@ -1,16 +1,16 @@
-//! Model checks for `pario_server::ByteRangeLocks`: overlapping ranges
+//! Model checks for `pario_fs::RangeLocks`: overlapping ranges
 //! serialise their holders, disjoint ranges never block, and release
 //! wakeups are never lost. And for the `fs.staging` rank: two files'
-//! spans recycle one volume's staging buffers under their stripe locks.
+//! spans recycle one volume's staging buffers holding their rows.
 #![cfg(pario_check)]
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use pario_check::{spawn, AtomicU64, Config, Explorer};
+use pario_check::{spawn, AtomicU64, Config, Explorer, LockLevel};
+use pario_fs::RangeLocks;
 use pario_fs::{FileSpec, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
-use pario_server::ByteRangeLocks;
 
 /// Three writers to the same range do unprotected read-modify-writes
 /// under the lock: any schedule in which the lock fails to serialise
@@ -18,7 +18,7 @@ use pario_server::ByteRangeLocks;
 #[test]
 fn overlapping_writers_serialise() {
     let report = Explorer::new(Config::new(1500)).run(|| {
-        let locks = Arc::new(ByteRangeLocks::new());
+        let locks = Arc::new(RangeLocks::new(LockLevel::RangeLock));
         let n = Arc::new(AtomicU64::new(0));
         let mut hs = Vec::new();
         for _ in 0..3 {
@@ -54,7 +54,7 @@ fn overlapping_writers_serialise() {
 #[test]
 fn disjoint_ranges_never_block() {
     let report = Explorer::new(Config::new(1200)).run(|| {
-        let locks = Arc::new(ByteRangeLocks::new());
+        let locks = Arc::new(RangeLocks::new(LockLevel::RangeLock));
         let g0 = locks.acquire(0, 10);
         let l2 = Arc::clone(&locks);
         let h = spawn(move || {
@@ -74,7 +74,7 @@ fn disjoint_ranges_never_block() {
 #[test]
 fn release_never_loses_a_wakeup() {
     let report = Explorer::new(Config::new(1500)).run(|| {
-        let locks = Arc::new(ByteRangeLocks::new());
+        let locks = Arc::new(RangeLocks::new(LockLevel::RangeLock));
         let mut hs = Vec::new();
         for _ in 0..3 {
             let locks = Arc::clone(&locks);
@@ -98,14 +98,15 @@ fn release_never_loses_a_wakeup() {
 
 /// Two span writers on two parity files of ONE volume share its staging
 /// list (rank `fs.staging`, 72). Each stages its runs, takes its read
-/// buffers and hands all of them back inside its own file's stripe lock
-/// (rank 70) or with nothing held; the list's lock is a leaf, so taking
-/// anything under it — or taking it under the cache, the health board
+/// buffers and hands all of them back holding its own file's rows (a
+/// range of the file's row table, whose rank-70 mutex is held only
+/// while a range is granted or released) or with nothing held; the
+/// list's lock is a leaf, so taking anything under it — or taking it under the cache, the health board
 /// or a device — is a LockOrder failure in some schedule here. The
 /// buffers cross from file to file in every schedule (same geometry,
 /// same lengths): each file must still read back its own bytes, whole.
 #[test]
-fn two_files_recycle_one_staging_list_under_their_stripe_locks() {
+fn two_files_recycle_one_staging_list_under_their_row_locks() {
     const BS: usize = 64;
     const BLOCKS: usize = 7;
     let report = Explorer::new(Config::new(600)).run(|| {

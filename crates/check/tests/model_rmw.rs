@@ -4,12 +4,16 @@
 //! window), and the write path must respect the alloc-before-rmw lock
 //! hierarchy in every schedule. The parity models at the bottom race a
 //! full-stripe span writer and a single-block read-modify-write against
-//! a rebuild burst under the stripe lock, and against a span reader that
-//! reconstructs a Rebuilding device's column.
+//! a rebuild burst holding the file's rows, and against a span reader
+//! that reconstructs a Rebuilding device's column; and they pin the row
+//! locks themselves: writers on disjoint stripes proceed while either
+//! holds its rows, writers on one stripe serialise.
 #![cfg(pario_check)]
 
-use pario_check::{spawn, Config, Explorer};
-use pario_fs::{FileSpec, Volume, VolumeConfig};
+use std::sync::Arc;
+
+use pario_check::{spawn, Condvar, Config, Explorer, Mutex};
+use pario_fs::{FileSpec, RawFile, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
 
 const BS: usize = 64;
@@ -120,13 +124,14 @@ fn alloc_and_rmw_never_invert() {
 }
 
 /// A full-stripe span writer, a single-block read-modify-write writer
-/// and a rebuild burst (`lock_stripes`) on a two-stripe parity file. The
-/// stripe lock (rank `fs.stripe`) is held across a whole span plan, so
-/// in every schedule the burst sees each stripe's parity equal to the
+/// and a rebuild burst (`lock_rows` over both stripes) on a two-stripe
+/// parity file. A writer holds its stripes' rows across its whole plan,
+/// so in every schedule the burst sees each stripe's parity equal to the
 /// XOR of its data — never a half-written plan — and so does the final
 /// state; block 4, which both writers write, holds one writer's bytes
-/// whole. Taking a lower-ranked lock (or the cache, health board and
-/// device locks out of order) under rank 70 is a LockOrder failure.
+/// whole. Taking the row table's mutex (rank `fs.stripe`, 70) under a
+/// higher rank, or the cache, health board and device locks out of
+/// order, is a LockOrder failure.
 #[test]
 fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
     const W: u64 = 3;
@@ -165,7 +170,7 @@ fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
         });
         let f3 = f.clone();
         let burst = spawn(move || {
-            let _g = f3.lock_stripes();
+            let _g = f3.lock_rows(0..2);
             assert_stripes_consistent(&f3, "inside a rebuild burst");
         });
         span.join();
@@ -181,7 +186,7 @@ fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
         }
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
-    // Three threads through one stripe lock, each holding it across a
+    // Three threads through the same rows, each holding them across a
     // multi-transfer plan: hundreds of distinct interleaving classes.
     assert!(
         report.distinct >= 64,
@@ -193,13 +198,12 @@ fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
 /// A span reader that reconstructs a whole column — device slot 0 is
 /// Rebuilding, so its block of every stripe comes from the survivors —
 /// against a full-span `parity_write` and a single-block
-/// read-modify-write on a two-stripe parity file. The reader takes the
-/// stripe lock before it reads anything and reads every surviving column
-/// under it, so in every schedule each stripe it returns is the stripe
-/// before or after each write, whole: a reconstruction that mixed one
-/// write's data with another's parity would return bytes nobody wrote.
-/// Rank 70 is held across the reader's wave (cache, health board and
-/// device locks ascend from it); taking a lower rank under it is a
+/// read-modify-write on a two-stripe parity file. The reader holds the
+/// span's rows before it reads anything and reads every surviving column
+/// holding them, so in every schedule each stripe it returns is the
+/// stripe before or after each write, whole: a reconstruction that mixed
+/// one write's data with another's parity would return bytes nobody
+/// wrote. Taking the row table's mutex (rank 70) out of order is a
 /// LockOrder failure.
 #[test]
 fn column_reconstruction_sees_every_stripe_before_or_after_each_write() {
@@ -279,6 +283,128 @@ fn column_reconstruction_sees_every_stripe_before_or_after_each_write() {
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
         report.distinct >= 64,
+        "only {} distinct schedules",
+        report.distinct
+    );
+}
+
+/// A flag one model thread raises and another waits for.
+#[derive(Default)]
+struct Flag {
+    raised: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Flag {
+    fn raise(&self) {
+        *self.raised.lock() = true;
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut raised = self.raised.lock();
+        while !*raised {
+            self.cv.wait(&mut raised);
+        }
+    }
+}
+
+/// A rotated 3+1 parity file of two stripes, every block `0x11`.
+fn two_stripes() -> RawFile {
+    let v = Volume::create_in_memory(VolumeConfig {
+        devices: 4,
+        device_blocks: 256,
+        block_size: BS,
+    })
+    .expect("in-memory volume");
+    let spec = LayoutSpec::Parity {
+        data_devices: 3,
+        rotated: true,
+    };
+    let f = v
+        .create_file(FileSpec::new("p", BS, 1, spec).initial_records(6))
+        .expect("create file");
+    f.write_span(0, &[0x11; 6 * BS])
+        .expect("prefill both stripes");
+    f
+}
+
+/// Two one-block writers on different stripes of a parity file. Each
+/// holds its own stripe's row while the other's read-modify-write lands
+/// — the first before it writes, the second after — so each write makes
+/// progress while the other writer holds its rows. A file-wide lock
+/// deadlocks every schedule here: the holder waits for a write that
+/// waits for the holder.
+#[test]
+fn disjoint_stripe_writers_both_progress_while_either_holds_its_rows() {
+    let report = Explorer::new(Config::new(400)).run(|| {
+        let f = two_stripes();
+        let landed: Arc<[Flag; 2]> = Arc::default();
+        let (f1, l1) = (f.clone(), Arc::clone(&landed));
+        let first = spawn(move || {
+            {
+                let _held = f1.lock_rows(0..1);
+                l1[1].wait();
+            }
+            f1.write_span(BS as u64, &[0xA5; BS])
+                .expect("stripe 0 write");
+            l1[0].raise();
+        });
+        let (f2, l2) = (f.clone(), Arc::clone(&landed));
+        let second = spawn(move || {
+            f2.write_span(4 * BS as u64, &[0x3C; BS])
+                .expect("stripe 1 write");
+            l2[1].raise();
+            let _held = f2.lock_rows(1..2);
+            l2[0].wait();
+        });
+        first.join();
+        second.join();
+
+        let torn = f.scrub_rows(0, 2).expect("scrub both stripes");
+        assert!(torn.is_empty(), "stripes {torn:?} torn");
+        let mut got = [0u8; 6 * BS];
+        f.read_span(0, &mut got).expect("read back");
+        for (l, block) in got.chunks(BS).enumerate() {
+            let tag = [0x11, 0xA5, 0x11, 0x11, 0x3C, 0x11][l];
+            assert!(block.iter().all(|&b| b == tag), "block {l}: {block:?}");
+        }
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// Two one-block writers on the same stripe of a parity file: each reads
+/// the stripe's old parity and writes a new one, so unless their rows
+/// serialise them, one parity update is lost and the stripe scrubs torn.
+/// A row lock that ignores overlap fails here.
+#[test]
+fn overlapping_stripe_writers_serialise() {
+    let report = Explorer::new(Config::new(600)).run(|| {
+        let f = two_stripes();
+        let writers: Vec<_> = [(0u64, 0xAAu8), (1, 0xBB)]
+            .into_iter()
+            .map(|(l, tag)| {
+                let f = f.clone();
+                spawn(move || {
+                    f.write_span(l * BS as u64, &[tag; BS])
+                        .expect("stripe 0 write");
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join();
+        }
+
+        let torn = f.scrub_rows(0, 2).expect("scrub both stripes");
+        assert!(torn.is_empty(), "stripes {torn:?} torn");
+        let mut got = [0u8; 2 * BS];
+        f.read_span(0, &mut got).expect("read back");
+        assert!(got[..BS].iter().all(|&b| b == 0xAA), "block 0 lost");
+        assert!(got[BS..].iter().all(|&b| b == 0xBB), "block 1 lost");
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(
+        report.distinct >= 16,
         "only {} distinct schedules",
         report.distinct
     );

@@ -42,6 +42,7 @@ use pario_layout::{Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped
 
 use crate::error::{FsError, Result};
 use crate::health::HealthState;
+use crate::locks::RangeGuard;
 use crate::meta::FileMeta;
 use crate::volume::{FileState, Volume};
 
@@ -100,6 +101,17 @@ fn xor_rows(out: &mut [u8], at: u64, column: &[u8], from: u64, bs: usize) {
     }
 }
 
+/// The rows `[first, end)` that `runs` cover, whichever slots they are
+/// on: what a write or a reconstruction over them locks.
+fn rows_of<'a>(runs: impl IntoIterator<Item = &'a MergedRun>) -> Range<u64> {
+    let (mut first, mut end) = (u64::MAX, 0);
+    for m in runs {
+        first = first.min(m.dblock);
+        end = end.max(m.dblock + m.count);
+    }
+    first..end
+}
+
 /// Whether a read error is recoverable through redundancy: fail-stop,
 /// detected corruption, and transient faults that survived executor
 /// retries all leave a live copy elsewhere.
@@ -112,19 +124,12 @@ fn recoverable(e: &DiskError) -> bool {
 }
 
 /// RAII token for the rebuild quiesce protocol (see
-/// [`RawFile::enter_io`]): either an entry in the file's unlocked-I/O
-/// counter or, while a mapped device is Rebuilding, the stripe lock
-/// itself.
-struct IoPhase<'a> {
-    counted: Option<&'a AtomicU64>,
-    _stripe: Option<pario_check::MutexGuard<'a, ()>>,
-}
+/// [`RawFile::enter_io`]): an entry in the file's unlocked-read counter.
+struct IoPhase<'a>(&'a AtomicU64);
 
 impl Drop for IoPhase<'_> {
     fn drop(&mut self) {
-        if let Some(c) = self.counted {
-            c.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -356,53 +361,26 @@ impl RawFile {
         self.vol.health().state(self.slot_vdev(slot))
     }
 
-    fn any_mapped_rebuilding(&self) -> bool {
-        let meta = self.state.meta.read();
-        meta.device_map
-            .iter()
-            .any(|&d| self.vol.health().state(d) == HealthState::Rebuilding)
-    }
-
-    /// Enter the unlocked-I/O window: increments the current
+    /// Enter the unlocked-read window: increments the current
     /// generation's in-flight counter *before* the caller samples device
     /// health, while [`RawFile::quiesce_io`] flips health first and
     /// bumps the generation second — Dekker's protocol, so a rebuild
-    /// can wait out every I/O that might have seen the old state.
+    /// can wait out every read that might have seen the old state.
+    /// Writes need no window: every write that maintains redundancy
+    /// holds its rows ([`RawFile::lock_rows`]), whatever the board says.
     fn enter_io(&self) -> IoPhase<'_> {
         let g = self.state.io_gen.load(Ordering::SeqCst);
         let counter = &self.state.io_active[(g & 1) as usize];
         counter.fetch_add(1, Ordering::SeqCst);
-        IoPhase {
-            counted: Some(counter),
-            _stripe: None,
-        }
+        IoPhase(counter)
     }
 
-    /// Write-side entry for shadowed layouts: the counted window
-    /// normally, but while any mapped device is Rebuilding the write
-    /// takes the stripe lock instead — resync copies its bursts under
-    /// the same lock, so a live write can never interleave with the
-    /// resync copy of its own block.
-    fn enter_shadow_write(&self) -> IoPhase<'_> {
-        let phase = self.enter_io();
-        if self.any_mapped_rebuilding() {
-            drop(phase);
-            IoPhase {
-                counted: None,
-                _stripe: Some(self.state.stripe_lock.lock()),
-            }
-        } else {
-            phase
-        }
-    }
-
-    /// Wait until every unlocked I/O that began before this call has
+    /// Wait until every unlocked read that began before this call has
     /// drained. Recovery tooling calls this after flipping a device to
     /// Rebuilding so no straggler that sampled the old health state is
-    /// still touching the device. I/O that enters afterwards routes by
-    /// the new state (degraded reads, stripe-locked shadow writes) and
-    /// counts against the next generation, so the wait terminates even
-    /// under continuous foreground traffic.
+    /// still reading the device. A read that enters afterwards routes
+    /// by the new state and counts against the next generation, so the
+    /// wait terminates even under continuous foreground traffic.
     pub fn quiesce_io(&self) {
         let g = self.state.io_gen.fetch_add(1, Ordering::SeqCst);
         let old = &self.state.io_active[(g & 1) as usize];
@@ -543,8 +521,8 @@ impl RawFile {
     ///
     /// **Recovery tooling only**, like the rest of the row API: the
     /// media is read raw, whatever the board says, and the caller holds
-    /// [`RawFile::lock_stripes`], so no write lands between the reads
-    /// and the rows' use. A slot past the layout or rows past
+    /// the rows ([`RawFile::lock_rows`]), so no write lands between the
+    /// reads and the rows' use. A slot past the layout or rows past
     /// [`RawFile::device_blocks`] are refused.
     pub fn recover_rows(&self, slot: usize, row: u64, out: &mut [u8]) -> Result<()> {
         self.check_rows(slot, row, self.rows_in(out))?;
@@ -570,7 +548,7 @@ impl RawFile {
     /// write that bypassed parity maintenance. Reads
     /// [`RawFile::recover_rows`]' wave over every slot; `BadSpec` on any
     /// other file, `OutOfBounds` past the last stripe. The caller holds
-    /// [`RawFile::lock_stripes`].
+    /// the rows ([`RawFile::lock_rows`]).
     pub fn scrub_rows(&self, row: u64, n: u64) -> Result<Vec<u64>> {
         let Redundancy::Parity(ps) = &self.redundancy else {
             let msg = format!("{}: only a parity-striped file scrubs", self.name);
@@ -744,14 +722,20 @@ impl RawFile {
         crate::alloc::extents_len(&self.state.meta.read().extents[slot])
     }
 
-    /// Take the file's stripe lock for a multi-step recovery operation
-    /// (quiesces parity read-modify-write cycles).
-    pub fn lock_stripes(&self) -> pario_check::MutexGuard<'_, ()> {
-        self.state.stripe_lock.lock()
+    /// Hold device rows `rows` of every slot of the file until the guard
+    /// drops, once no other holder overlaps them. Row `s` of a parity
+    /// file is stripe `s`; row `r` of a shadowed file is both copies of
+    /// the primaries' row `r`. Every write that maintains redundancy
+    /// holds the rows it plans (a parity write, a shadowed write), a
+    /// reconstruction the rows it reads, and recovery tooling the rows
+    /// it sweeps, so none of them sees a row half-written by another;
+    /// writes and sweeps over other rows proceed at once.
+    pub fn lock_rows(&self, rows: Range<u64>) -> RangeGuard<'_> {
+        self.state.rows.acquire(rows.start, rows.end)
     }
 
     /// Write whole blocks `[first, first + data.len() / bs)` of a parity
-    /// file, planned stripe by stripe under the stripe lock. Each stripe
+    /// file, planned stripe by stripe, holding the stripes' rows. Each stripe
     /// contributes its new data blocks and its new parity block to one
     /// staging run per device; the runs — rows of data and parity alike
     /// — leave in ONE wave, all submitted before any is waited for.
@@ -770,11 +754,11 @@ impl RawFile {
     /// covers unspecified until rewritten (`scrub`/`repair` is the
     /// recourse, as for a torn read-modify-write).
     fn parity_write(&self, ps: &ParityStriped, first: u64, data: &[u8]) -> Result<()> {
-        let _g = self.state.stripe_lock.lock();
         let bs = self.block_size();
         let (w, total) = (ps.stripe_width() as u64, self.nblocks());
         let end = first + (data.len() / bs) as u64;
         let (s0, s1) = (ps.stripe_of(first), ps.stripe_of(end - 1) + 1);
+        let _rows = self.lock_rows(s0..s1);
         // The span's blocks of stripe `s`.
         let cut = |s: u64| first.max(s * w)..end.min((s + 1) * w);
         // Per device: the first row and the bytes of its run, sized
@@ -1230,7 +1214,7 @@ impl RawFile {
     /// unprotected file, is the read's error.
     ///
     /// When the board already routes around a device of a parity file,
-    /// nothing is read before the stripe lock is held: the surviving
+    /// nothing is read before the span's rows are held: the surviving
     /// columns are then read once, for the span and for the
     /// reconstruction both.
     fn read_blocks(&self, first: u64, buf: &mut [u8]) -> Result<()> {
@@ -1339,7 +1323,7 @@ impl RawFile {
     }
 
     /// Recover what a parity read could not get from its home device,
-    /// under ONE hold of the stripe lock: rows `[r0, r1)` of every
+    /// under ONE hold of rows `[r0, r1)`: those rows of every
     /// surviving device — parity included, one run per device, one wave
     /// — XOR to the lost device's column ([`xor_rows`]), trimmed where a
     /// partial last stripe leaves a device a row short (the row it lacks
@@ -1349,8 +1333,8 @@ impl RawFile {
     /// the span's whole row range, so each surviving column is read once
     /// for the span and the reconstruction both, whichever run turns out
     /// lost, and a Failed slot is probed with its own run. The survivors
-    /// are always read here, under the lock — never
-    /// reused from a wave that ran outside it, where a concurrent
+    /// are always read here, holding the rows — never reused from a wave
+    /// that ran without them, where a concurrent
     /// [`RawFile::parity_write`] could leave data and parity from
     /// different writes.
     fn reconstruct(
@@ -1361,14 +1345,10 @@ impl RawFile {
         mut lost: Vec<(MergedRun, DiskError)>,
         mut pending: Vec<MergedRun>,
     ) -> Result<()> {
-        let _g = self.state.stripe_lock.lock();
         let bs = self.block_size();
         // Whichever run turns out lost, every survivor must cover its rows.
-        let (mut r0, mut r1) = (u64::MAX, 0);
-        for m in lost.iter().map(|(m, _)| m).chain(&pending) {
-            r0 = r0.min(m.dblock);
-            r1 = r1.max(m.dblock + m.count);
-        }
+        let Range { start: r0, end: r1 } = rows_of(lost.iter().map(|(m, _)| m).chain(&pending));
+        let _rows = self.lock_rows(r0..r1);
         let mut inflight = Vec::new();
         for slot in 0..ps.devices() {
             if lost.iter().any(|(m, _)| m.device == slot) {
@@ -1430,42 +1410,49 @@ impl RawFile {
     /// Write whole logical blocks starting at `first` — THE writer: a
     /// block is a one-block span. Parity files plan the span in stripes
     /// ([`RawFile::parity_write`]): data and parity leave as one run per
-    /// device. Shadowed spans hold a write-phase token: counted
-    /// normally, stripe-locked while a mapped device is Rebuilding so
-    /// the resync sweep can't interleave (see
-    /// [`RawFile::enter_shadow_write`]). An unprotected span that is one
-    /// transfer ([`RawFile::one_transfer`]) is not planned: it moves in
-    /// one call, straight from `data` ([`RawFile::move_direct`]).
+    /// device. A shadowed span holds the rows its plan covers, so a
+    /// resync burst never copies a row between the writes of its two
+    /// copies. An unprotected span that is one transfer
+    /// ([`RawFile::one_transfer`]) is not planned: it moves in one call,
+    /// straight from `data` ([`RawFile::move_direct`]).
     fn write_blocks(&self, first: u64, data: &[u8]) -> Result<()> {
+        let count = (data.len() / self.block_size()) as u64;
         match &self.redundancy {
             _ if data.is_empty() => Ok(()),
             Redundancy::Parity(ps) => self.parity_write(ps, first, data),
             Redundancy::Shadow { primaries } => {
-                let _w = self.enter_shadow_write();
-                self.write_runs(first, data, Some(*primaries))
+                let plan = self.plan(first, count, false);
+                let _rows = self.lock_rows(rows_of(plan.iter().flatten()));
+                self.write_runs(first, data, plan, Some(*primaries))
             }
             Redundancy::None => {
-                let count = (data.len() / self.block_size()) as u64;
                 let direct = self.one_transfer(first, count).and_then(|home| {
                     self.move_direct(home.device, home.block, count, Direct::Write(data))
                 });
-                direct.unwrap_or_else(|| self.write_runs(first, data, None))
+                let planned = || self.write_runs(first, data, self.plan(first, count, false), None);
+                direct.unwrap_or_else(planned)
             }
         }
     }
 
-    /// Write whole blocks via merged per-device runs, all submitted to
-    /// the I/O executor before any is waited on. With a `mirror` (the
-    /// caller holds the write-phase token) each run goes to BOTH copies
-    /// concurrently — one live copy suffices; the pair is degraded, not
-    /// lost — and a run whose two copies both fail is re-planned block
-    /// by block, so the span only fails where both copies of a block are
-    /// dead.
-    fn write_runs(&self, first: u64, data: &[u8], mirror: Option<usize>) -> Result<()> {
+    /// Write whole blocks via `plan`'s merged per-device runs, all
+    /// submitted to the I/O executor before any is waited on. With a
+    /// `mirror` (the caller holds the plan's rows) each run goes to BOTH
+    /// copies concurrently — one live copy suffices; the pair is
+    /// degraded, not lost — and a run whose two copies both fail is
+    /// re-planned block by block, so the span only fails where both
+    /// copies of a block are dead.
+    fn write_runs(
+        &self,
+        first: u64,
+        data: &[u8],
+        plan: Vec<Vec<MergedRun>>,
+        mirror: Option<usize>,
+    ) -> Result<()> {
         let bs = self.block_size();
         let count = (data.len() / bs) as u64;
         let mut inflight = Vec::new();
-        for m in self.plan(first, count, false).into_iter().flatten() {
+        for m in plan.into_iter().flatten() {
             let staging = self.vol.staging();
             let mut gathered = staging.take(m.count as usize * bs);
             self.pieces(first, count, &m, |from, to| {
@@ -1493,7 +1480,7 @@ impl RawFile {
             }
             for (_, l) in self.held(first, count, &m) {
                 let at = (l - first) as usize * bs;
-                self.write_runs(l, &data[at..at + bs], mirror)?;
+                self.write_runs(l, &data[at..at + bs], self.plan(l, 1, false), mirror)?;
             }
         }
         Ok(())

@@ -11,6 +11,8 @@
 //!   shadow dual-writes and failover).
 //! * [`GlobalReader`] / [`GlobalWriter`] / [`copy_global`] — the
 //!   conventional sequential interface and the conversion utility.
+//! * [`RangeLocks`] — the one range-lock type: a file's device rows,
+//!   and the server's GDA byte ranges.
 //!
 //! The parallel *internal views* (S/PS/IS/SS/GDA/PDA handles) live in
 //! `pario-core`, layered on [`RawFile`].
@@ -49,6 +51,7 @@ mod frame;
 mod global;
 mod health;
 mod journal;
+mod locks;
 mod meta;
 mod staging;
 mod superblock;
@@ -59,6 +62,7 @@ pub use error::{FsError, Result};
 pub use file::RawFile;
 pub use global::{copy_global, ByteReader, ByteWriter, GlobalReader, GlobalWriter};
 pub use health::{legal_transition, DeviceHealth, HealthBoard, HealthPolicy, HealthState};
+pub use locks::{RangeGuard, RangeLocks};
 pub use meta::FileMeta;
 pub use pario_buffer::{VolumeCache, VolumeCacheConfig, VolumeCacheStats};
 pub use superblock::{MetaStatus, MountReport};

@@ -15,6 +15,7 @@ use crate::error::{FsError, Result};
 use crate::file::RawFile;
 use crate::health::{DeviceHealth, HealthBoard, HealthPolicy, HealthState};
 use crate::journal::{self, Appended, JournalState, Record};
+use crate::locks::RangeLocks;
 use crate::meta::FileMeta;
 use crate::staging::Staging;
 use crate::superblock::{self, MetaStatus, MountReport};
@@ -100,17 +101,20 @@ impl FileSpec {
 /// Shared runtime state of one file.
 pub struct FileState {
     pub(crate) meta: RwLock<FileMeta>,
-    /// Serialises parity read-modify-write cycles (see `RawFile`).
-    pub(crate) stripe_lock: Mutex<()>,
+    /// The device rows held by writes that maintain redundancy and by
+    /// recovery sweeps (`RawFile::lock_rows`): row `r` of every slot
+    /// at once, so a parity stripe or a shadowed pair is one range.
+    pub(crate) rows: RangeLocks,
     /// Serialises sub-block read-modify-write cycles: concurrent record
     /// writers sharing a block must not interleave their read/write
-    /// pairs. Always taken before `stripe_lock` when both are needed.
+    /// pairs. File-wide, and always taken before the block's rows when
+    /// both are needed.
     pub(crate) rmw_lock: Mutex<()>,
     /// Generation counter for the quiesce protocol: bumped by
     /// `RawFile::quiesce_io` when a rebuild needs in-flight unlocked I/O
     /// to drain (see `RawFile::enter_io`).
     pub(crate) io_gen: AtomicU64,
-    /// In-flight unlocked I/O per generation parity. Readers/writers
+    /// In-flight unlocked reads per generation parity. Readers
     /// increment their generation's slot *before* sampling device
     /// health (Dekker-style), so a rebuild that flips a device to
     /// Rebuilding and then drains the old slot cannot race a straggler
@@ -122,7 +126,7 @@ impl FileState {
     pub(crate) fn new(meta: FileMeta) -> FileState {
         FileState {
             meta: RwLock::new(meta),
-            stripe_lock: Mutex::new_named((), LockLevel::FsStripe),
+            rows: RangeLocks::new(LockLevel::FsStripe),
             rmw_lock: Mutex::new_named((), LockLevel::FsRmw),
             io_gen: AtomicU64::new(0),
             io_active: [AtomicU64::new(0), AtomicU64::new(0)],

@@ -1054,12 +1054,12 @@ impl pario_disk::BlockDevice for Hooked {
 }
 
 /// A degraded parity span read does all its device I/O in ONE hold of
-/// the stripe lock: with every device gated shut, the read's requests —
-/// at most one per device — all park together, the stripe lock is held
-/// while they do, and opening the gate lets the read finish without
-/// another request.
+/// the span's rows: with every device gated shut, the read's requests —
+/// at most one per device — all park together, the rows are held while
+/// they do, and opening the gate lets the read finish without another
+/// request.
 #[test]
-fn a_degraded_parity_span_takes_the_stripe_lock_once() {
+fn a_degraded_parity_span_holds_its_rows_once() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -1118,18 +1118,19 @@ fn a_degraded_parity_span_takes_the_stripe_lock_once() {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Every request of the read is parked; the lock is held over them.
+        // Every request of the read is parked; the span's rows (16
+        // stripes of 3) are held over them.
         let (tx, locked) = mpsc::channel();
         let prober = {
             let f = f.clone();
             std::thread::spawn(move || {
-                let _g = f.lock_stripes();
+                let _g = f.lock_rows(0..16);
                 let _ = tx.send(());
             })
         };
         assert!(
             locked.recv_timeout(Duration::from_millis(50)).is_err(),
-            "{state:?}: the stripe lock was free while the wave was in flight"
+            "{state:?}: the rows were free while the wave was in flight"
         );
         assert_eq!(
             reads.load(Ordering::SeqCst),

@@ -14,22 +14,24 @@ use pario_disk::DiskError;
 use pario_fs::{FsError, RawFile, Result, Volume};
 use pario_layout::LayoutSpec;
 
-/// Pacing for a replay sweep: how much work each stripe-locked burst
-/// does, and how long the sweep yields between bursts so foreground
-/// traffic keeps flowing.
+/// Pacing for a replay sweep: how many rows each burst locks and
+/// replays, and how long the sweep sleeps between bursts. Foreground
+/// writes to other rows flow during a burst; the pause paces the
+/// sweep's share of device bandwidth, and lets writes to the rows just
+/// swept in.
 #[derive(Copy, Clone, Debug)]
 pub struct RebuildThrottle {
-    /// Blocks replayed per stripe-locked burst: that many consecutive
-    /// rows of the replaced slot, moved as one wave — one read per
+    /// Blocks replayed per burst: that many consecutive rows of the
+    /// replaced slot, locked and moved as one wave — one read per
     /// surviving device, all in flight together, and one write.
     pub burst_blocks: u64,
-    /// Sleep between bursts (the foreground window).
+    /// Sleep between bursts.
     pub pause: Duration,
 }
 
 impl RebuildThrottle {
     /// No pacing: each file's slot goes in one burst, under one hold of
-    /// its stripe lock — for a volume nothing else is using.
+    /// all its rows — for a volume nothing else is using.
     pub const UNBOUNDED: RebuildThrottle = RebuildThrottle {
         burst_blocks: u64::MAX,
         pause: Duration::ZERO,
@@ -46,14 +48,15 @@ impl Default for RebuildThrottle {
 }
 
 /// Most rows one wave moves per device: a longer burst is several waves
-/// under its one hold of the lock, so an unbounded burst holds a
+/// under its one hold of its rows, so an unbounded burst holds a
 /// bounded run per device in memory, not the file.
 const WAVE_ROWS: u64 = 128;
 
-/// Sweep rows `0..rows` in stripe-locked bursts: the lock is held
-/// while `wave(first, n)` replays (or checks) up to
-/// `throttle.burst_blocks` rows, `[first, first + n)` at a time, then
-/// released for `throttle.pause`. Returns the rows swept.
+/// Sweep rows `0..rows` in bursts: each holds the rows it sweeps, up to
+/// `throttle.burst_blocks` of them (`RawFile::lock_rows`), while
+/// `wave(first, n)` replays (or checks) them, `[first, first + n)` at a
+/// time, then releases them for `throttle.pause`. Returns the rows
+/// swept.
 pub(crate) fn in_bursts(
     raw: &RawFile,
     rows: u64,
@@ -64,7 +67,7 @@ pub(crate) fn in_bursts(
     while at < rows {
         let burst_end = rows.min(at.saturating_add(throttle.burst_blocks.max(1)));
         {
-            let _quiesce = raw.lock_stripes();
+            let _rows = raw.lock_rows(at..burst_end);
             while at < burst_end {
                 let n = (burst_end - at).min(WAVE_ROWS);
                 wave(at, n)?;
@@ -100,21 +103,21 @@ pub struct RebuildReport {
 /// drive was replaced, while the volume keeps serving degraded I/O:
 ///
 /// 1. `begin_rebuild` flips the device to `Rebuilding` — foreground
-///    reads route around its stale media, and shadow writes switch to
-///    the stripe-locked regime — and, under the same board mutex, heals
-///    the media. A fail-stop report raised against the dead media is
-///    judged before the flip or after the heal, never between, so it
-///    cannot abort the rebuild it preceded.
-/// 2. Per file, `quiesce_io()` waits out any I/O that sampled the old
+///    reads route around its stale media — and, under the same board
+///    mutex, heals the media. A fail-stop report raised against the
+///    dead media is judged before the flip or after the heal, never
+///    between, so it cannot abort the rebuild it preceded.
+/// 2. Per file, `quiesce_io()` waits out any read that sampled the old
 ///    health state.
-/// 3. The slot is replayed in bursts: each takes the stripe lock,
-///    recomputes up to [`RebuildThrottle::burst_blocks`] rows from the
-///    file's redundancy (`RawFile::recover_rows`) and writes them
-///    (`RawFile::write_device_rows`), releases the lock and sleeps
-///    [`RebuildThrottle::pause`], so foreground writers interleave with
-///    the sweep. Shadow writes during a rebuild take the same lock (see
-///    `RawFile::enter_shadow_write` in `pario-fs`), so a live write can
-///    never interleave with the copy of its own block.
+/// 3. The slot is replayed in bursts: each holds up to
+///    [`RebuildThrottle::burst_blocks`] rows (`RawFile::lock_rows`),
+///    recomputes them from the file's redundancy
+///    (`RawFile::recover_rows`), writes them
+///    (`RawFile::write_device_rows`), releases them and sleeps
+///    [`RebuildThrottle::pause`]. Every parity or shadowed write holds
+///    the rows it writes too, so a live write never interleaves with the
+///    copy of its own rows, and writes to other rows flow during a
+///    burst.
 /// 4. `complete_rebuild` returns the device to `Healthy`.
 ///
 /// A device index past the volume is `BadSpec`, before the board is
@@ -186,7 +189,7 @@ mod tests {
 
     thread_local! {
         /// Run by a sweep on this thread between two of its bursts, with
-        /// the stripe lock released.
+        /// its rows released.
         static BETWEEN_BURSTS: RefCell<Option<Box<dyn FnMut()>>> = RefCell::new(None);
     }
 
@@ -604,6 +607,67 @@ mod tests {
         };
         readback(2);
         readback(0);
+    }
+
+    /// A sweep parked inside its first burst, holding rows `[0, 8)` of a
+    /// parity file: a write to stripe 12 lands while it is parked, and a
+    /// write to stripe 3 lands only once the burst has released its rows.
+    #[test]
+    fn foreground_writes_flow_during_a_burst() {
+        let v = vol();
+        let f = parity_file(&v, "p", true, 48);
+        let (far_landed, near_began, near_landed) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+        );
+        let parked = AtomicBool::new(false);
+        let (mut far_while_parked, mut near_while_parked) = (false, true);
+        crossbeam::thread::scope(|s| {
+            s.spawn(|_| {
+                while !parked.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                near_began.store(true, Ordering::SeqCst);
+                f.write_record(3 * 3, &rec(1003)).unwrap();
+                near_landed.store(true, Ordering::SeqCst);
+            });
+            s.spawn(|_| {
+                while !near_began.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                f.write_record(12 * 3, &rec(1012)).unwrap();
+                far_landed.store(true, Ordering::SeqCst);
+            });
+            let swept = in_bursts(&f, 16, bursts_of(8), |row, n| {
+                if row == 0 {
+                    assert_eq!(n, 8, "the first burst holds rows [0, 8)");
+                    parked.store(true, Ordering::SeqCst);
+                    let give_up = Instant::now() + HANG;
+                    while !far_landed.load(Ordering::SeqCst) && Instant::now() < give_up {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    far_while_parked = far_landed.load(Ordering::SeqCst);
+                    near_while_parked = near_landed.load(Ordering::SeqCst);
+                }
+                Ok(())
+            });
+            assert_eq!(swept.unwrap(), 16);
+        })
+        .unwrap();
+        assert!(
+            far_while_parked,
+            "a write to stripe 12 waited for rows [0, 8)"
+        );
+        assert!(
+            !near_while_parked,
+            "a write to stripe 3 landed inside the burst"
+        );
+        assert!(near_landed.load(Ordering::SeqCst));
+        let mut buf = vec![0u8; BS];
+        f.read_record(9, &mut buf).unwrap();
+        assert_eq!(buf, rec(1003));
+        assert!(crate::scrub::scrub(&f).unwrap().is_empty());
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn stripes(raw: &RawFile) -> Result<u64> {
 /// Verify every stripe of a parity-protected file; returns the stripe
 /// indices whose parity does not match their data. Stripes are checked
 /// `WAVE_ROWS` at a time (`RawFile::scrub_rows`): one read per device
-/// a wave, under one hold of the stripe lock.
+/// a wave, holding the wave's rows.
 pub fn scrub(raw: &RawFile) -> Result<Vec<u64>> {
     let mut bad = Vec::new();
     in_bursts(raw, stripes(raw)?, RebuildThrottle::UNBOUNDED, |row, n| {
@@ -47,10 +47,10 @@ pub fn scrub(raw: &RawFile) -> Result<Vec<u64>> {
 /// repaired.
 pub fn repair(raw: &RawFile) -> Result<u64> {
     let stripes = stripes(raw)?;
-    let _quiesce = raw.lock_stripes();
     let mut buf = vec![0u8; raw.block_size()];
     let mut repaired = 0;
     for s in 0..stripes {
+        let _row = raw.lock_rows(s..s + 1);
         let members = (0..raw.layout().devices()).filter(|&slot| raw.device_blocks(slot) > s);
         let mut bad = None;
         for slot in members {
@@ -269,7 +269,7 @@ mod tests {
     /// 7-block chunks of one 3-wide file, so neighbouring chunks of
     /// different writers share a stripe at every boundary: full-stripe
     /// runs, ragged-end plans and one-block read-modify-writes all meet
-    /// under the stripe lock. Afterwards every stripe scrubs clean and
+    /// on the stripes' rows. Afterwards every stripe scrubs clean and
     /// every byte matches the model, with and without a device down.
     #[test]
     fn concurrent_span_and_record_writers_leave_every_stripe_clean() {

@@ -73,13 +73,11 @@
 
 pub mod admission;
 mod error;
-pub mod locks;
 mod session;
 mod stats;
 
 pub use admission::{Admission, AdmissionStats, Permit, Saturation};
 pub use error::{Result, ServerError};
-pub use locks::{ByteRangeLocks, RangeGuard};
 pub use session::{
     DirectClient, FileStat, InterleavedClient, LockedRange, PartitionClient, SeqClient, Server,
     ServerConfig, Session, SsClient,

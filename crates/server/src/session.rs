@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use pario_check::AtomicU64;
+use pario_check::{AtomicU64, LockLevel};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,11 +20,10 @@ use pario_core::{
     CoreError, DirectHandle, InterleavedHandle, Organization, ParallelFile, PartitionHandle,
     SelfSchedReader, SelfSchedWriter,
 };
-use pario_fs::{FsError, GlobalReader, GlobalWriter, Volume};
+use pario_fs::{FsError, GlobalReader, GlobalWriter, RangeLocks, Volume};
 
 use crate::admission::{Admission, Saturation};
 use crate::error::{Result, ServerError};
-use crate::locks::ByteRangeLocks;
 use crate::stats::{LatencyHistogram, ServerStats, SessionCounters, SessionStats};
 
 /// Tuning knobs for a [`Server`].
@@ -63,7 +62,7 @@ struct Sharing {
 struct FileEntry {
     pfile: ParallelFile,
     sharing: Mutex<Sharing>,
-    ranges: ByteRangeLocks,
+    ranges: RangeLocks,
 }
 
 struct Inner {
@@ -96,7 +95,7 @@ impl Inner {
         let e = Arc::new(FileEntry {
             pfile,
             sharing: Mutex::new(Sharing::default()),
-            ranges: ByteRangeLocks::default(),
+            ranges: RangeLocks::new(LockLevel::RangeLock),
         });
         files.insert(name.to_string(), Arc::clone(&e));
         Ok(e)

@@ -1,11 +1,12 @@
-//! Property tests pitting [`ByteRangeLocks`] against a naive reference
+//! Property tests pitting the GDA table's [`RangeLocks`] against a naive reference
 //! model: a plain list of held intervals with O(n²) overlap scans. Any
 //! sequence of try-acquires and releases must produce identical
 //! grant/deny decisions and identical held counts in both.
 
 use proptest::prelude::*;
 
-use pario_server::ByteRangeLocks;
+use pario_check::LockLevel;
+use pario_fs::RangeLocks;
 
 /// One scripted step against the lock table.
 #[derive(Debug, Clone)]
@@ -46,7 +47,7 @@ proptest! {
     /// with the reference on arbitrary op sequences.
     #[test]
     fn matches_naive_reference(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let locks = ByteRangeLocks::new();
+        let locks = RangeLocks::new(LockLevel::RangeLock);
         let mut naive = NaiveLocks::default();
         // Live guards, kept in grant order alongside their intervals so
         // releases stay in lockstep with the reference.
@@ -88,7 +89,7 @@ proptest! {
     fn granted_ranges_are_pairwise_disjoint(
         reqs in proptest::collection::vec((0u64..48, 1u64..12), 1..40)
     ) {
-        let locks = ByteRangeLocks::new();
+        let locks = RangeLocks::new(LockLevel::RangeLock);
         let mut live: Vec<(u64, u64)> = Vec::new();
         let mut guards = Vec::new();
         for (start, len) in reqs {

@@ -31,6 +31,13 @@ fn inverted_locks(file: &File, vol: &Volume) {
     let _alloc = vol.alloc.lock();
 }
 
+fn gda_bytes_under_rows(file: &RawFile, entry: &FileEntry) {
+    // R3: a file's device rows (fs.stripe, rank 70) are held...
+    let _rows = file.lock_rows(0..4);
+    // ...and the GDA byte-range table (rank 30) taken under them.
+    let _bytes = entry.ranges.acquire(0, 4096);
+}
+
 // R4: a raw std atomic type, invisible to the race detector.
 use std::sync::atomic::AtomicU64;
 

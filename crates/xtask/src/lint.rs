@@ -30,15 +30,18 @@ impl fmt::Display for Finding {
 
 /// Ranked locks of DESIGN.md §8, as `receiver.method` patterns. The
 /// scan flags a function that acquires a lower-ranked lock after a
-/// higher-ranked one.
+/// higher-ranked one. The two range-lock tables share one type
+/// (`pario_fs::RangeLocks`), so each is ranked where it is taken: the
+/// GDA byte ranges through a server file entry's `ranges`, a file's
+/// device rows through `RawFile::lock_rows`.
 const RANKED_LOCKS: &[(&str, &str, u8)] = &[
     ("credits.lock(", "net.credits", 3),
     ("replies.lock(", "net.replies", 5),
     ("wire.lock(", "net.send", 7),
-    ("held.lock(", "server.range_lock", 30),
+    ("ranges.acquire", "server.range_lock", 30),
     ("alloc.lock(", "fs.alloc", 50),
     ("rmw_lock.lock(", "fs.rmw", 60),
-    ("stripe_lock.lock(", "fs.stripe", 70),
+    ("lock_rows(", "fs.stripe", 70),
     ("spare.lock(", "fs.staging", 72),
     ("frames.lock(", "buffer.volume_cache", 75),
     ("journal.lock(", "fs.journal", 78),
@@ -223,6 +226,15 @@ mod tests {
         let v = lint(bad);
         assert_eq!(v.iter().filter(|f| f.rule == "R3").count(), 1);
         let good = "fn f(&self) {\n let b = self.vol.alloc.lock();\n let a = self.state.rmw_lock.lock();\n}\n";
+        assert!(lint(good).iter().all(|f| f.rule != "R3"));
+    }
+
+    #[test]
+    fn range_lock_tables_rank_at_their_call_sites() {
+        let bad = "fn f(&self) {\n let r = f.lock_rows(0..4);\n let g = self.entry.ranges.acquire(0, 8);\n}\n";
+        let v = lint(bad);
+        assert_eq!(v.iter().filter(|f| f.rule == "R3").count(), 1);
+        let good = "fn f(&self) {\n let t = self.entry.ranges.acquire_ticket(0, 8);\n let r = f.lock_rows(0..4);\n}\n";
         assert!(lint(good).iter().all(|f| f.rule != "R3"));
     }
 
