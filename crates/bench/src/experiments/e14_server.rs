@@ -26,7 +26,7 @@
 use std::time::Duration;
 
 use pario_core::{Organization, ParallelFile};
-use pario_server::{Saturation, Server, ServerConfig, ServerError};
+use pario_server::{Saturation, Server, ServerConfig, ServerError, View};
 
 use crate::measure::{nanos, Measured, RUNS};
 use crate::rig::{clients, fill, rec_byte, Ledger, Rig};
@@ -50,7 +50,7 @@ fn drain_ss(server: &Server, sessions: usize, retry_busy: bool) -> f64 {
     let ledger = Ledger::default();
     let secs = clients(sessions, |_| {
         let sess = server.connect();
-        let q = sess.open_self_sched("queue").unwrap();
+        let mut q = sess.open("queue", View::SelfSched).unwrap();
         let mut buf = vec![0u8; BS];
         let mut local = Vec::new();
         loop {

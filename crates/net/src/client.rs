@@ -242,7 +242,8 @@ impl NetClient {
         })
     }
 
-    /// Open a type-S file exclusively (see `Session::open_sequential`).
+    /// Open a type-S file exclusively (`Session::open` with
+    /// `View::Sequential`).
     pub fn open_sequential(&self, name: &str) -> Result<RemoteSeq> {
         let h = self.open(name, View::Sequential)?;
         Ok(RemoteSeq { h })
@@ -250,7 +251,7 @@ impl NetClient {
 
     /// Open an SS file; the record cursor is shared server-wide, so
     /// records are delivered exactly once across every client and
-    /// in-process session (see `Session::open_self_sched`).
+    /// in-process session (`Session::open` with `View::SelfSched`).
     pub fn open_self_sched(&self, name: &str) -> Result<RemoteSs> {
         let h = self.open(name, View::SelfSched)?;
         Ok(RemoteSs { h })

@@ -24,14 +24,19 @@
 //!   onto it (`NetClient::transport` tells where a connection ended
 //!   up). Each connection multiplexes onto one `Session`, so the
 //!   existing bounded admission and `ServerStats` remain the
-//!   backpressure story; records are read straight into the
+//!   backpressure story. An `Open` is one `Session::open(name, view)`,
+//!   and each verb checks its payload size, calls the
+//!   [`Handle`](pario_server::Handle) of the same name and encodes its
+//!   reply: which views serve a verb is the handle's to say, written
+//!   once in `pario-server`. Records are read straight into the
 //!   connection's output buffer and a reply frame leaves in one
 //!   `write`.
-//! * [`NetClient`] — the remote mirror of `Session`: typed handles
-//!   ([`RemoteSeq`], [`RemoteSs`], [`RemotePartition`],
-//!   [`RemoteInterleaved`], [`RemoteDirect`]) with pipelined submission
-//!   under the credit window. A blocking call reads its reply on the
-//!   calling thread ([`ReplyMux`] decides who reads otherwise).
+//! * [`NetClient`] — the remote side of `Session::open`: one typed
+//!   handle per view ([`RemoteSeq`], [`RemoteSs`], [`RemotePartition`],
+//!   [`RemoteInterleaved`], [`RemoteDirect`]), each opened with the
+//!   same `Open` request, with pipelined submission under the credit
+//!   window. A blocking call reads its reply on the calling thread
+//!   ([`ReplyMux`] decides who reads otherwise).
 //!
 //! Concurrency follows the workspace rules: locks are
 //! `pario_check`-ranked (`net.credits` < `net.replies` < `net.send`),

@@ -16,6 +16,7 @@ use pario_core::{intern_expected, CoreError, Organization};
 use pario_disk::DiskError;
 use pario_fs::{FsError, HealthState};
 use pario_server::ServerError;
+pub use pario_server::View;
 
 use crate::error::NetError;
 use crate::wire::{WireError, WireReader, WireResult, WireWriter};
@@ -50,22 +51,6 @@ const ERR_CLASS_SERVER: u8 = 0;
 const ERR_CLASS_PROTOCOL: u8 = 1;
 const ERR_CLASS_SHUTDOWN: u8 = 2;
 
-/// The view a handle takes on its file: which `Session::open_*` a
-/// [`Request::Open`] runs. It is fixed for the handle's life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum View {
-    /// `open_sequential`: a type-S file, exclusively.
-    Sequential,
-    /// `open_self_sched`: the SS file's shared cursor.
-    SelfSched,
-    /// `open_partition`: this partition of a PS or PDA file, claimed.
-    Partition(u32),
-    /// `open_interleaved`: this slot of an IS file, claimed.
-    Interleaved(u32),
-    /// `open_direct`: a GDA file.
-    Direct,
-}
-
 /// One request on the wire. Bulk write payloads are [`Bytes`], so a
 /// benchmark replaying one record body across thousands of requests
 /// clones a reference, not the buffer. Every verb after `Open` names a
@@ -77,12 +62,12 @@ pub enum Request {
     Ping,
     /// Server statistics snapshot; [`StatsSummary`] reply.
     Stats,
-    /// Open `name` as `view`; [`Opened`] reply, with the claimed record
-    /// range for a partition.
+    /// Open `name` as `view` (`Session::open`); [`Opened`] reply, with
+    /// the claimed record range for a partition.
     Open {
         /// File name.
         name: String,
-        /// Which open the server runs.
+        /// The view the handle takes, fixed for its life.
         view: View,
     },
     /// Drop the server-side client behind `handle`, releasing any
@@ -106,8 +91,12 @@ pub enum Request {
         /// One record.
         data: Bytes,
     },
-    /// Read the slot's next whole block: IS. Reply: `u8` flag; when 1,
-    /// `u64` block index then the block bytes.
+    /// Read the next file block: IS and SS. Reply: `u8` flag (0 = end);
+    /// when 1, on IS the `u64` file-block index then the block bytes,
+    /// on SS the `u64` index of the first record claimed then the
+    /// claimed records' bytes (to the end of the file block the shared
+    /// cursor was in; the body's length gives the count). No v5 client
+    /// sends it on SS, so serving it there left the version at 5.
     ReadNextBlock {
         /// Open handle.
         handle: u64,
@@ -253,13 +242,7 @@ impl Request {
         match self {
             Request::Open { name, view } => {
                 w.str_prefixed(name);
-                match *view {
-                    View::Sequential => w.u8(0),
-                    View::SelfSched => w.u8(1),
-                    View::Partition(p) => w.u8(2).u32(p),
-                    View::Interleaved(p) => w.u8(3).u32(p),
-                    View::Direct => w.u8(4),
-                };
+                encode_view(w, *view);
             }
             Request::WriteNext { data, .. } | Request::WriteNextBlock { data, .. } => {
                 w.raw(data);
@@ -296,14 +279,7 @@ impl Request {
             0x16 => Request::Close { handle: r.u64()? },
             0x17 => Request::Open {
                 name: r.str_prefixed()?,
-                view: match r.u8()? {
-                    0 => View::Sequential,
-                    1 => View::SelfSched,
-                    2 => View::Partition(r.u32()?),
-                    3 => View::Interleaved(r.u32()?),
-                    4 => View::Direct,
-                    other => return Err(WireError::Malformed(format!("bad view tag {other}"))),
-                },
+                view: decode_view(&mut r)?,
             },
             0x40 => Request::DirRead {
                 handle: r.u64()?,
@@ -350,6 +326,27 @@ impl Request {
         r.finish()?;
         Ok(req)
     }
+}
+
+fn encode_view(w: &mut WireWriter, view: View) {
+    match view {
+        View::Sequential => w.u8(0),
+        View::SelfSched => w.u8(1),
+        View::Partition(p) => w.u8(2).u32(p),
+        View::Interleaved(p) => w.u8(3).u32(p),
+        View::Direct => w.u8(4),
+    };
+}
+
+fn decode_view(r: &mut WireReader<'_>) -> WireResult<View> {
+    Ok(match r.u8()? {
+        0 => View::Sequential,
+        1 => View::SelfSched,
+        2 => View::Partition(r.u32()?),
+        3 => View::Interleaved(r.u32()?),
+        4 => View::Direct,
+        other => return Err(WireError::Malformed(format!("bad view tag {other}"))),
+    })
 }
 
 /// The reply body of every successful open: the server-side handle and
@@ -540,6 +537,10 @@ pub fn encode_server_error(w: &mut WireWriter, e: &ServerError) {
             w.u8(6);
             encode_core_error(w, e);
         }
+        ServerError::NotServed { view } => {
+            w.u8(7);
+            encode_view(w, *view);
+        }
     }
 }
 
@@ -575,6 +576,9 @@ pub fn decode_server_error(r: &mut WireReader<'_>) -> WireResult<ServerError> {
             },
         },
         6 => ServerError::Core(decode_core_error(r)?),
+        7 => ServerError::NotServed {
+            view: decode_view(r)?,
+        },
         other => {
             return Err(WireError::Malformed(format!(
                 "bad server-error tag {other}"
@@ -834,6 +838,9 @@ mod tests {
             ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Transient {
                 device: "mem3".into(),
             }))),
+            ServerError::NotServed {
+                view: View::Interleaved(4),
+            },
         ];
         for e in samples {
             let mut w = WireWriter::new();

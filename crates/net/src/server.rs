@@ -1,5 +1,6 @@
 //! The network server: listeners, per-connection threads, and the
-//! dispatch from decoded [`Request`]s onto a [`pario_server::Session`].
+//! dispatch from decoded [`Request`]s onto the handles a
+//! [`pario_server::Session`] opens.
 //!
 //! A TCP server listens twice: on its port and on its **lane**, a
 //! Unix-domain socket in the abstract namespace whose name every
@@ -44,11 +45,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pario_check::{AtomicBool, AtomicU64, Mutex};
-use pario_core::Organization;
-use pario_server::{
-    DirectClient, InterleavedClient, LockedRange, PartitionClient, SeqClient, Server, Session,
-    SsClient,
-};
+use pario_server::{Handle, LockedRange, Server, ServerError, Session, View};
 use std::sync::atomic::Ordering;
 
 use crate::error::{NetError, Result};
@@ -56,9 +53,7 @@ use crate::frame::{
     begin_frame, encode_frame, end_frame, holds_frame, read_frame, server_handshake, Grant,
     FRAME_OVERHEAD,
 };
-use crate::proto::{
-    encode_reply_error, Opened, Request, StatsSummary, View, STATUS_ERR, STATUS_OK,
-};
+use crate::proto::{encode_reply_error, Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
 use crate::sock::{self, Sock};
 use crate::wire::WireWriter;
 
@@ -460,83 +455,47 @@ fn push_error(out: &mut Vec<u8>, request_id: u64, e: &NetError) {
     encode_frame(out, request_id, STATUS_ERR, body.bytes());
 }
 
-/// Read one `n`-byte record straight into the tail of `out`, behind a
-/// `1` flag and `gap` bytes the caller fills in (their offset is
-/// returned with what `read` produced); at end of stream the body is
-/// the lone `0` flag.
-fn read_flagged<T>(
+/// Stage a flagged reply body in `out`: `read` fills up to `n` bytes in
+/// place and returns an index and the bytes it filled, and the body is
+/// a `1` flag, the index's first `gap` bytes (0 or 8), then the filled
+/// bytes — or, at the end, the lone `0` flag.
+fn read_flagged(
     out: &mut Vec<u8>,
     gap: usize,
     n: usize,
-    read: impl FnOnce(&mut [u8]) -> pario_server::Result<Option<T>>,
-) -> Result<Option<(usize, T)>> {
+    read: impl FnOnce(&mut [u8]) -> pario_server::Result<Option<(u64, usize)>>,
+) -> Result<()> {
     let at = out.len();
     out.push(1);
     out.resize(at + 1 + gap + n, 0);
-    match read(&mut out[at + 1 + gap..]).map_err(NetError::Server)? {
-        Some(t) => Ok(Some((at + 1, t))),
+    match read(&mut out[at + 1 + gap..])? {
+        Some((index, filled)) => {
+            out[at + 1..at + 1 + gap].copy_from_slice(&index.to_le_bytes()[..gap]);
+            out.truncate(at + 1 + gap + filled);
+        }
         None => {
             out.truncate(at);
             out.push(0);
-            Ok(None)
         }
     }
-}
-
-/// Read one record of `n` bytes into the tail of `out` behind its flag
-/// (a `read_next` that says `false` at the end).
-fn read_next(
-    out: &mut Vec<u8>,
-    n: usize,
-    read: impl FnOnce(&mut [u8]) -> pario_server::Result<bool>,
-) -> Result<()> {
-    read_flagged(out, 0, n, |b| Ok(read(b)?.then_some(()))).map(drop)
-}
-
-/// Read one flag-less `n`-byte record into the tail of `out`.
-fn read_record(
-    out: &mut Vec<u8>,
-    n: usize,
-    read: impl FnOnce(&mut [u8]) -> pario_server::Result<()>,
-) -> Result<()> {
-    let at = out.len();
-    out.resize(at + n, 0);
-    read(&mut out[at..]).map_err(NetError::Server)
+    Ok(())
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// The server-side client behind an open handle. Its variant is the
-/// view the handle was opened as, which [`serve`] matches a verb on.
-enum HandleObj {
-    /// Boxed: two stream windows make it several times the others' size.
-    Seq(Box<SeqClient>),
-    Ss(SsClient),
-    Part(PartitionClient),
-    Ilv(InterleavedClient),
-    Dir(DirState),
-}
-
-struct DirState {
-    client: DirectClient,
+/// An open handle and the range locks taken through it, by lock id.
+struct Open {
+    handle: Handle,
     locks: HashMap<u64, LockedRange>,
     next_lock: u64,
-}
-
-struct HandleEntry {
-    obj: HandleObj,
-    /// The file's organization, for the refusal of a verb it lacks.
-    organization: Organization,
-    record_size: usize,
-    block_bytes: usize,
 }
 
 struct Conn {
     server: Server,
     session: Session,
-    handles: HashMap<u64, HandleEntry>,
+    handles: HashMap<u64, Open>,
     next_handle: u64,
 }
 
@@ -583,48 +542,30 @@ impl Conn {
         }
     }
 
+    /// Open `name` as `view`: one lookup, and the reply's sizing is the
+    /// opened handle's own.
     fn open(&mut self, out: &mut Vec<u8>, name: &str, view: View) -> Result<()> {
-        let st = self.session.stat(name)?;
-        let s = &self.session;
-        let mut range = None;
-        let obj = match view {
-            View::Sequential => HandleObj::Seq(Box::new(s.open_sequential(name)?)),
-            View::SelfSched => HandleObj::Ss(s.open_self_sched(name)?),
-            View::Partition(p) => {
-                let c = s.open_partition(name, p)?;
-                range = Some(c.range());
-                HandleObj::Part(c)
-            }
-            View::Interleaved(p) => HandleObj::Ilv(s.open_interleaved(name, p)?),
-            View::Direct => HandleObj::Dir(DirState {
-                client: s.open_direct(name)?,
-                locks: HashMap::new(),
-                next_lock: 1,
-            }),
-        };
-        let handle = self.next_handle;
+        let handle = self.session.open(name, view)?;
+        let (start, end) = handle.range();
+        let id = self.next_handle;
         self.next_handle += 1;
-        self.handles.insert(
-            handle,
-            HandleEntry {
-                obj,
-                organization: st.organization,
-                record_size: st.record_size,
-                block_bytes: st.record_size * st.records_per_block,
-            },
-        );
-        let (start, end) = range.unwrap_or((0, st.len_records));
         let mut w = WireWriter::new();
         Opened {
-            handle,
-            record_size: st.record_size as u32,
-            records_per_block: st.records_per_block as u32,
-            len_records: st.len_records,
+            handle: id,
+            record_size: handle.record_size() as u32,
+            records_per_block: handle.records_per_block() as u32,
+            len_records: handle.len_records(),
             start,
             end,
         }
         .encode(&mut w);
         out.extend_from_slice(w.bytes());
+        let open = Open {
+            handle,
+            locks: HashMap::new(),
+            next_lock: 1,
+        };
+        self.handles.insert(id, open);
         Ok(())
     }
 
@@ -653,94 +594,86 @@ impl Conn {
             };
         };
         if let Request::Close { .. } = req {
-            return self
-                .handles
-                .remove(&h)
-                .map(drop)
-                .ok_or_else(|| unknown_handle(h));
+            let closed = self.handles.remove(&h);
+            return closed.map(drop).ok_or_else(|| unknown_handle(h));
         }
-        let entry = self.handles.get_mut(&h).ok_or_else(|| unknown_handle(h))?;
-        serve(h, entry, req, out)
+        let opcode = req.opcode();
+        let open = self.handles.get_mut(&h).ok_or_else(|| unknown_handle(h))?;
+        serve(h, open, req, out).map_err(|e| match e {
+            NetError::Server(ServerError::NotServed { .. }) => NetError::Protocol(format!(
+                "handle {h} is a {} handle and does not serve opcode {opcode:#04x}",
+                open.handle.organization()
+            )),
+            e => e,
+        })
     }
 }
 
-/// The one dispatch: what `req` means on handle `h`, whose view fixed
-/// at open decides, or the refusal of a verb that view does not offer.
-/// A payload is checked against the handle's record or block size first,
-/// so no client below ever sees one of the wrong size.
-fn serve(h: u64, entry: &mut HandleEntry, req: Request, out: &mut Vec<u8>) -> Result<()> {
-    let (n, block, org) = (entry.record_size, entry.block_bytes, entry.organization);
-    match &req {
-        Request::WriteNextBlock { data, .. } => sized(h, data, block)?,
-        Request::WriteNext { data, .. }
-        | Request::DirWrite { data, .. }
-        | Request::DirWriteLocked { data, .. } => sized(h, data, n)?,
-        _ => {}
-    }
-    use HandleObj::{Dir, Ilv, Part, Seq, Ss};
-    match (req, &mut entry.obj) {
-        (Request::ReadNext { .. }, Seq(c)) => read_next(out, n, |b| c.read_next(b))?,
-        (Request::ReadNext { .. }, Part(c)) => read_next(out, n, |b| c.read_next(b))?,
-        (Request::ReadNext { .. }, Ilv(c)) => read_next(out, n, |b| c.read_next(b))?,
-        (Request::ReadNext { .. }, Ss(c)) => {
-            if let Some((at, idx)) = read_flagged(out, 8, n, |b| c.read_next(b))? {
-                out[at..at + 8].copy_from_slice(&idx.to_le_bytes());
+/// What `req` means on handle `h`: check the payload's size against
+/// the handle's record or block, call the verb, and encode its reply.
+/// Which verbs a view serves is the handle's to decide.
+fn serve(h: u64, open: &mut Open, req: Request, out: &mut Vec<u8>) -> Result<()> {
+    let handle = &mut open.handle;
+    let (n, view) = (handle.record_size(), handle.view());
+    let block = n * handle.records_per_block();
+    // Where the client cannot know the index — on SS, whose cursor
+    // every session moves — and for IS writes, the reply names it.
+    let names_index =
+        |write| view == View::SelfSched || write && matches!(view, View::Interleaved(_));
+    match req {
+        Request::ReadNext { .. } => {
+            let gap = if names_index(false) { 8 } else { 0 };
+            read_flagged(out, gap, n, |b| Ok(handle.read_next(b)?.map(|r| (r, n))))?;
+        }
+        Request::WriteNext { data, .. } => {
+            sized(h, &data, n)?;
+            let r = handle.write_next(&data)?;
+            if names_index(true) {
+                put_u64(out, r);
             }
         }
-        (Request::WriteNext { data, .. }, Seq(c)) => c.write_next(&data)?,
-        (Request::WriteNext { data, .. }, Part(c)) => c.write_next(&data)?,
-        (Request::WriteNext { data, .. }, Ss(c)) => put_u64(out, c.write_next(&data)?),
-        (Request::WriteNext { data, .. }, Ilv(c)) => put_u64(out, c.write_next(&data)?),
-        (Request::ReadNextBlock { .. }, Ilv(c)) => {
-            if let Some((at, b)) = read_flagged(out, 8, block, |b| c.read_next_block(b))? {
-                out[at..at + 8].copy_from_slice(&b.to_le_bytes());
-            }
+        Request::ReadNextBlock { .. } => {
+            let read = |b: &mut [u8]| Ok(handle.read_next_block(b)?.map(|(i, k)| (i, k * n)));
+            read_flagged(out, 8, block, read)?;
         }
-        (Request::WriteNextBlock { data, .. }, Ilv(c)) => {
-            put_u64(out, c.write_next_block(&data)?);
+        Request::WriteNextBlock { data, .. } => {
+            sized(h, &data, block)?;
+            put_u64(out, handle.write_next_block(&data)?);
         }
-        (Request::Finish { .. }, Seq(c)) => put_u64(out, c.finish()?),
-        (Request::Finish { .. }, Ss(c)) => put_u64(out, c.finish_writes()?),
-        (Request::Rewind { .. }, Seq(c)) => c.rewind(),
-        (Request::Rewind { .. }, Part(c)) => c.rewind(),
-        (Request::Claimed { .. }, Ss(c)) => put_u64(out, c.claimed()),
-        (Request::DirRead { record, .. }, Part(c)) => {
-            read_record(out, n, |b| c.read_record(record, b))?;
+        Request::Finish { .. } => put_u64(out, handle.finish()?),
+        Request::Rewind { .. } => handle.rewind()?,
+        Request::Claimed { .. } => put_u64(out, handle.claimed()?),
+        Request::DirRead { record, .. } => {
+            let at = out.len();
+            out.resize(at + n, 0);
+            handle.read_record(record, &mut out[at..])?;
         }
-        (Request::DirRead { record, .. }, Dir(d)) => {
-            read_record(out, n, |b| d.client.read_record(record, b))?;
+        Request::DirWrite { record, data, .. } => {
+            sized(h, &data, n)?;
+            handle.write_record(record, &data)?;
         }
-        (Request::DirWrite { record, data, .. }, Part(c)) => c.write_record(record, &data)?,
-        (Request::DirWrite { record, data, .. }, Dir(d)) => {
-            d.client.write_record(record, &data)?;
-        }
-        (Request::DirLock { r_lo, r_hi, .. }, Dir(d)) => {
-            let lock = d.client.lock_range(r_lo, r_hi)?;
-            let id = d.next_lock;
-            d.next_lock += 1;
-            d.locks.insert(id, lock);
+        Request::DirLock { r_lo, r_hi, .. } => {
+            let lock = handle.direct()?.lock_range(r_lo, r_hi)?;
+            let id = open.next_lock;
+            open.next_lock += 1;
+            open.locks.insert(id, lock);
             put_u64(out, id);
         }
-        (Request::DirUnlock { lock, .. }, Dir(d)) => {
-            let held = d.locks.remove(&lock).ok_or_else(|| unknown_lock(lock))?;
-            d.client.unlock(held)?;
+        Request::DirUnlock { lock, .. } => {
+            let d = handle.direct()?;
+            let held = open.locks.remove(&lock).ok_or_else(|| unknown_lock(lock))?;
+            d.unlock(held)?;
         }
-        (
-            Request::DirWriteLocked {
-                lock, record, data, ..
-            },
-            Dir(d),
-        ) => {
-            let held = d.locks.get(&lock).ok_or_else(|| unknown_lock(lock))?;
-            d.client.write_record_locked(held, record, &data)?;
+        Request::DirWriteLocked {
+            lock, record, data, ..
+        } => {
+            sized(h, &data, n)?;
+            let d = handle.direct()?;
+            let held = open.locks.get(&lock).ok_or_else(|| unknown_lock(lock))?;
+            d.write_record_locked(held, record, &data)?;
         }
-        (Request::DirLen { .. }, Dir(d)) => put_u64(out, d.client.len_records()),
-        (req, _) => {
-            return Err(NetError::Protocol(format!(
-                "handle {h} is a {org} handle and does not serve opcode {:#04x}",
-                req.opcode()
-            )));
-        }
+        Request::DirLen { .. } => put_u64(out, handle.direct()?.len_records()),
+        Request::Ping | Request::Stats | Request::Open { .. } | Request::Close { .. } => {}
     }
     Ok(())
 }

@@ -5,6 +5,8 @@ use std::fmt;
 use pario_core::CoreError;
 use pario_fs::{FsError, HealthState};
 
+use crate::View;
+
 /// Errors surfaced to service-layer clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
@@ -51,6 +53,13 @@ pub enum ServerError {
         /// One past the last byte the operation needed.
         hi: u64,
     },
+    /// The verb called is not one the handle's view serves (a record
+    /// read on a GDA handle opened as [`View::Direct`] is `read_record`,
+    /// not `read_next`). Refused before admission.
+    NotServed {
+        /// The view the handle was opened as.
+        view: View,
+    },
     /// A device-level failure surfaced while the volume is running
     /// degraded — a *brownout advisory*, not an opaque disk error: the
     /// named device is Suspect / Failed / Rebuilding, redundant layouts
@@ -92,6 +101,9 @@ impl fmt::Display for ServerError {
                 f,
                 "bytes [{lo}, {hi}) are not covered by the held range lock"
             ),
+            ServerError::NotServed { view } => {
+                write!(f, "a {view:?} handle does not serve this verb")
+            }
             ServerError::Degraded { device, state } => write!(
                 f,
                 "volume degraded: device {device} is {state}; redundant \
@@ -146,6 +158,10 @@ mod tests {
         assert!(e.to_string().contains("partition 2"));
         let e: ServerError = FsError::NotFound("x".into()).into();
         assert!(matches!(e, ServerError::Core(_)));
+        let e = ServerError::NotServed {
+            view: View::Partition(3),
+        };
+        assert!(e.to_string().contains("Partition(3) handle"));
         let e = ServerError::RangeNotLocked { lo: 64, hi: 128 };
         assert!(e.to_string().contains("[64, 128)"));
         let e = ServerError::Degraded {

@@ -5,21 +5,31 @@
 //! server processes in front of the volume to arbitrate exactly that.
 //! This crate is that front door: a [`Server`] owns a
 //! [`Volume`](pario_fs::Volume) and hands out [`Session`]s —
-//! independent client handles usable from separate threads — while
-//! enforcing each organization's sharing semantics *across clients*:
+//! independent clients usable from separate threads. A session opens a
+//! file one way, [`Session::open`], as a [`View`] — the organizations
+//! are views processes take on one file — and gets a [`Handle`]: the
+//! session, the view's claim if it takes one, and its cursor. Every
+//! handle is served by the same verbs (next record, record *r*, next
+//! block, finish, rewind); a verb the view lacks is refused with
+//! [`ServerError::NotServed`]. The server enforces each view's sharing
+//! semantics *across clients*:
 //!
 //! * **SS** — one server-side shared cursor per file: any session's next
 //!   request gets the globally next record, none skipped or duplicated
 //!   (the §3.1 invariant, now spanning clients; the same two-phase
 //!   reservation as [`pario_core::SharedCursor`]).
 //! * **PS / PDA** — partition ownership: each partition is claimed by at
-//!   most one session, and an access outside the claimed partition fails
+//!   most one handle, and an access outside the claimed partition fails
 //!   with [`ServerError::OutsidePartition`] rather than silently
 //!   corrupting a neighbour.
 //! * **IS** — interleaved slots are claimed like partitions.
 //! * **GDA** — writers take byte-range locks so overlapping writes are
-//!   serialised; disjoint writers proceed in parallel.
-//! * **S** — plain sequential files are exclusive to one session.
+//!   serialised; disjoint writers proceed in parallel
+//!   ([`DirectClient`], which [`Session::open_direct`] also returns).
+//! * **S** — plain sequential files are exclusive to one handle.
+//!
+//! The claims, the exclusive hold included, are one table per file,
+//! keyed by view; a handle releases its claim when it drops.
 //!
 //! In front of the data path sits a bounded admission queue with
 //! backpressure ([`Saturation::Block`]) or fail-fast
@@ -35,7 +45,7 @@
 //! ```
 //! use pario_core::{Organization, ParallelFile};
 //! use pario_fs::{Volume, VolumeConfig};
-//! use pario_server::{Server, ServerConfig};
+//! use pario_server::{Server, ServerConfig, View};
 //!
 //! let volume = Volume::create_in_memory(VolumeConfig {
 //!     devices: 4,
@@ -55,7 +65,8 @@
 //! // is delivered to exactly one of them.
 //! let server = Server::new(volume, ServerConfig::default());
 //! let (a, b) = (server.connect(), server.connect());
-//! let (qa, qb) = (a.open_self_sched("queue").unwrap(), b.open_self_sched("queue").unwrap());
+//! let mut qa = a.open("queue", View::SelfSched).unwrap();
+//! let mut qb = b.open("queue", View::SelfSched).unwrap();
 //! let mut buf = [0u8; 64];
 //! let mut served = 0;
 //! loop {
@@ -78,8 +89,5 @@ mod stats;
 
 pub use admission::{Admission, AdmissionStats, Permit, Saturation};
 pub use error::{Result, ServerError};
-pub use session::{
-    DirectClient, FileStat, InterleavedClient, LockedRange, PartitionClient, SeqClient, Server,
-    ServerConfig, Session, SsClient,
-};
+pub use session::{DirectClient, Handle, LockedRange, Server, ServerConfig, Session, View};
 pub use stats::{quantile_nanos, LatencyBucket, LatencyHistogram, ServerStats, SessionStats};

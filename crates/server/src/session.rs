@@ -1,11 +1,11 @@
-//! The server proper: sessions, the shared-file registry, and the typed
-//! per-organization client handles.
+//! The server proper: sessions, the shared-file registry, and the one
+//! handle every view opens as.
 //!
 //! The registry is the load-bearing piece: every session that opens the
 //! same file gets a clone of *one* [`ParallelFile`], so SS cursors are
-//! shared across sessions (clones share `SsState`) and the sharing
-//! ledger — exclusive holder, partition claims, interleave slots — and
-//! the GDA byte-range locks live next to the file they protect.
+//! shared across sessions (clones share `SsState`) and the claim table —
+//! a type-S file's exclusive hold, partition claims, interleave slots —
+//! and the GDA byte-range locks live next to the file they protect.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -46,23 +46,49 @@ impl Default for ServerConfig {
     }
 }
 
-/// Cross-session sharing ledger of one file.
-#[derive(Default)]
-struct Sharing {
-    /// Session holding a type-S file exclusively.
-    exclusive: Option<u64>,
-    /// PS/PDA partition index -> owning session.
-    partitions: HashMap<u32, u64>,
-    /// IS process slot -> owning session.
-    slots: HashMap<u32, u64>,
+/// The view a handle takes on its file — the paper's organizations are
+/// views that processes take on one file. It is fixed when the handle
+/// opens ([`Session::open`]) and decides which verbs the handle serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum View {
+    /// A type-S file, held exclusively.
+    Sequential,
+    /// The SS file's shared cursor.
+    SelfSched,
+    /// This partition of a PS or PDA file, claimed.
+    Partition(u32),
+    /// This slot of an IS file, claimed.
+    Interleaved(u32),
+    /// A GDA file.
+    Direct,
 }
 
 /// One registered file: the single `ParallelFile` all sessions share
-/// (hence one SS cursor), its sharing ledger, and its GDA range locks.
+/// (hence one SS cursor), its claim table, and its GDA range locks.
 struct FileEntry {
     pfile: ParallelFile,
-    sharing: Mutex<Sharing>,
+    /// Claimed views -> owning session: `Sequential` (the exclusive
+    /// hold), `Partition(p)` and `Interleaved(p)`.
+    claims: Mutex<HashMap<View, u64>>,
     ranges: RangeLocks,
+}
+
+impl FileEntry {
+    /// Byte range of records `first..first + n`; refused where no
+    /// offset addresses it.
+    fn byte_range(&self, first: u64, n: u64) -> Result<(u64, u64)> {
+        Ok(self.pfile.raw().record_bytes(first, n)?)
+    }
+
+    /// Push the byte span `[lo, hi)` out of the volume cache tier while
+    /// the caller still holds its range lock; a no-op without a cache.
+    fn flush_span(&self, lo: u64, hi: u64) -> Result<()> {
+        let raw = self.pfile.raw();
+        if raw.volume().cache().is_some() {
+            raw.flush_span(lo, hi - lo)?;
+        }
+        Ok(())
+    }
 }
 
 struct Inner {
@@ -94,7 +120,7 @@ impl Inner {
         }
         let e = Arc::new(FileEntry {
             pfile,
-            sharing: Mutex::new(Sharing::default()),
+            claims: Mutex::new(HashMap::new()),
             ranges: RangeLocks::new(LockLevel::RangeLock),
         });
         files.insert(name.to_string(), Arc::clone(&e));
@@ -177,8 +203,8 @@ impl Server {
 }
 
 /// One client's connection to a [`Server`]. Sessions are independent —
-/// hand them to separate threads — and open typed per-organization
-/// clients. Clones share the session identity (id and counters).
+/// hand them to separate threads — and open [`Handle`]s, one view of a
+/// file each. Clones share the session identity (id and counters).
 #[derive(Clone)]
 pub struct Session {
     inner: Arc<Inner>,
@@ -227,370 +253,296 @@ impl Session {
         }
     }
 
-    /// Metadata for `name` without opening a typed client — what a
-    /// remote protocol needs to size its buffers before the first
-    /// transfer. `len_records` is a point-in-time value; concurrent
-    /// writers may have moved it by the time the caller acts on it.
-    pub fn stat(&self, name: &str) -> Result<FileStat> {
+    /// Open `name` as `view`. The file must have the view's
+    /// organization (S, SS, PS or PDA, IS, GDA). A type-S file is held
+    /// exclusively ([`ServerError::Exclusive`] while another handle
+    /// holds it); a partition or interleave slot is claimed
+    /// ([`ServerError::Claimed`] while another handle owns it). The
+    /// hold or claim releases when the handle drops.
+    pub fn open(&self, name: &str, view: View) -> Result<Handle> {
         let entry = self.inner.entry(name)?;
-        Ok(FileStat {
-            organization: entry.pfile.organization(),
-            record_size: entry.pfile.record_size(),
-            records_per_block: entry.pfile.records_per_block(),
-            len_records: entry.pfile.len_records(),
-        })
-    }
-
-    /// Open a type-S file exclusively. Fails with
-    /// [`ServerError::Exclusive`] while any other client holds it.
-    pub fn open_sequential(&self, name: &str) -> Result<SeqClient> {
-        let entry = self.inner.entry(name)?;
-        let org = entry.pfile.organization();
-        if org != Organization::Sequential {
-            return Err(CoreError::WrongOrganization {
-                expected: "S",
-                actual: org,
+        let pfile = &entry.pfile;
+        let cursor = match view {
+            View::Sequential => {
+                let org = pfile.organization();
+                if org != Organization::Sequential {
+                    return Err(CoreError::WrongOrganization {
+                        expected: "S",
+                        actual: org,
+                    }
+                    .into());
+                }
+                Cursor::Seq(Box::new((pfile.global_reader(), None)))
             }
-            .into());
-        }
-        {
-            let mut sh = entry.sharing.lock();
-            if let Some(by) = sh.exclusive {
-                return Err(ServerError::Exclusive {
-                    name: name.to_string(),
-                    by,
+            View::SelfSched => Cursor::Ss(pfile.self_sched_reader()?, pfile.self_sched_writer()?),
+            View::Partition(p) => Cursor::Part(pfile.partition_handle(p)?),
+            View::Interleaved(p) => Cursor::Ilv(pfile.interleaved_handle(p)?),
+            View::Direct => Cursor::Dir(DirectClient::new(self, Arc::clone(&entry))?),
+        };
+        if !matches!(view, View::SelfSched | View::Direct) {
+            let mut table = entry.claims.lock();
+            if let Some(&by) = table.get(&view) {
+                let name = name.to_string();
+                return Err(match view {
+                    View::Partition(index) | View::Interleaved(index) => {
+                        ServerError::Claimed { name, index, by }
+                    }
+                    _ => ServerError::Exclusive { name, by },
                 });
             }
-            sh.exclusive = Some(self.id);
+            table.insert(view, self.id);
         }
-        let reader = entry.pfile.global_reader();
-        Ok(SeqClient {
+        Ok(Handle {
             sess: self.clone(),
             entry,
-            reader,
-            writer: None,
-        })
-    }
-
-    /// Open an SS file. Every session's client shares one server-side
-    /// cursor: across all of them, each record is delivered exactly once.
-    pub fn open_self_sched(&self, name: &str) -> Result<SsClient> {
-        let entry = self.inner.entry(name)?;
-        Ok(SsClient {
-            sess: self.clone(),
-            reader: entry.pfile.self_sched_reader()?,
-            writer: entry.pfile.self_sched_writer()?,
-        })
-    }
-
-    /// Claim partition `p` of a PS or PDA file. Fails with
-    /// [`ServerError::Claimed`] while another client owns the partition;
-    /// the claim releases when the returned client drops.
-    pub fn open_partition(&self, name: &str, p: u32) -> Result<PartitionClient> {
-        let entry = self.inner.entry(name)?;
-        let handle = entry.pfile.partition_handle(p)?;
-        {
-            let mut sh = entry.sharing.lock();
-            if let Some(&by) = sh.partitions.get(&p) {
-                return Err(ServerError::Claimed {
-                    name: name.to_string(),
-                    index: p,
-                    by,
-                });
-            }
-            sh.partitions.insert(p, self.id);
-        }
-        let (start, end) = handle.range();
-        Ok(PartitionClient {
-            sess: self.clone(),
-            entry,
-            handle,
-            partition: p,
-            start,
-            end,
-        })
-    }
-
-    /// Claim interleave slot `p` of an IS file (released on drop).
-    pub fn open_interleaved(&self, name: &str, p: u32) -> Result<InterleavedClient> {
-        let entry = self.inner.entry(name)?;
-        let handle = entry.pfile.interleaved_handle(p)?;
-        {
-            let mut sh = entry.sharing.lock();
-            if let Some(&by) = sh.slots.get(&p) {
-                return Err(ServerError::Claimed {
-                    name: name.to_string(),
-                    index: p,
-                    by,
-                });
-            }
-            sh.slots.insert(p, self.id);
-        }
-        Ok(InterleavedClient {
-            sess: self.clone(),
-            entry,
-            handle,
-            process: p,
+            view,
+            cursor,
         })
     }
 
     /// Open a GDA file: any record, any order; writes take byte-range
     /// locks so overlapping writers are serialised, and
-    /// [`DirectClient::update`] gives a locked read-modify-write.
+    /// [`DirectClient::update`] gives a locked read-modify-write. The
+    /// same client serves a [`View::Direct`] handle.
     pub fn open_direct(&self, name: &str) -> Result<DirectClient> {
-        let entry = self.inner.entry(name)?;
-        let handle = entry.pfile.direct_handle()?;
-        let record_size = entry.pfile.record_size();
-        Ok(DirectClient {
-            sess: self.clone(),
-            entry,
-            handle,
-            record_size,
-        })
+        DirectClient::new(self, self.inner.entry(name)?)
     }
 }
 
-/// Point-in-time file metadata returned by [`Session::stat`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileStat {
-    /// The file's organization.
-    pub organization: Organization,
+/// The core handle behind a view.
+enum Cursor {
+    /// The global reader, and the appender once the first write opens
+    /// it. Boxed: two stream windows make it several times the others'
+    /// size.
+    Seq(Box<(GlobalReader, Option<GlobalWriter>)>),
+    Ss(SelfSchedReader, SelfSchedWriter),
+    Part(PartitionHandle),
+    Ilv(InterleavedHandle),
+    Dir(DirectClient),
+}
+
+/// One open view of a file: the session, the view's claim (if it takes
+/// one) and its cursor. Every view is served by the same verbs, each of
+/// which names the views it serves; a verb the view does not offer is
+/// refused with [`ServerError::NotServed`] before admission, so it takes
+/// no permit and counts no operation.
+pub struct Handle {
+    sess: Session,
+    entry: Arc<FileEntry>,
+    view: View,
+    cursor: Cursor,
+}
+
+impl Handle {
+    /// The view this handle was opened as.
+    pub fn view(&self) -> View {
+        self.view
+    }
+
+    /// The organization of the file this handle opened.
+    pub fn organization(&self) -> Organization {
+        self.entry.pfile.organization()
+    }
+
     /// Fixed record size in bytes.
-    pub record_size: usize,
-    /// Records per file block.
-    pub records_per_block: usize,
-    /// Length in records when the stat was taken.
-    pub len_records: u64,
-}
-
-// ---------------------------------------------------------------------
-// Typed clients
-// ---------------------------------------------------------------------
-
-/// Exclusive sequential access to a type-S file.
-pub struct SeqClient {
-    sess: Session,
-    entry: Arc<FileEntry>,
-    reader: GlobalReader,
-    writer: Option<GlobalWriter>,
-}
-
-impl SeqClient {
-    /// Read the next record; `false` at end of file.
-    pub fn read_next(&mut self, out: &mut [u8]) -> Result<bool> {
-        let (sess, reader) = (&self.sess, &mut self.reader);
-        sess.run(false, || Ok(reader.read_record(out)?))
+    pub fn record_size(&self) -> usize {
+        self.entry.pfile.record_size()
     }
 
-    /// Append the next record. Appends are buffered a window at a time
-    /// and written behind the caller, so an error may be an earlier
-    /// record's; call [`finish`](SeqClient::finish) to publish the final
-    /// length (dropping the client also flushes, best-effort).
-    pub fn write_next(&mut self, data: &[u8]) -> Result<()> {
-        let raw = self.entry.pfile.raw().clone();
-        let (sess, writer) = (&self.sess, &mut self.writer);
-        sess.run(true, || {
-            Ok(writer
-                .get_or_insert_with(|| GlobalWriter::append(raw))
-                .write_record(data)?)
-        })
+    /// Records per file block: a block verb moves this many records.
+    pub fn records_per_block(&self) -> usize {
+        self.entry.pfile.records_per_block()
     }
 
-    /// Flush buffered appends and publish the length.
-    pub fn finish(&mut self) -> Result<u64> {
-        match self.writer.take() {
-            Some(w) => Ok(w.finish()?),
-            None => Ok(self.entry.pfile.len_records()),
-        }
+    /// Records in the file: a point-in-time value, which concurrent
+    /// writers may have moved by the time the caller acts on it.
+    pub fn len_records(&self) -> u64 {
+        self.entry.pfile.len_records()
     }
 
-    /// Rewind the read cursor.
-    pub fn rewind(&mut self) {
-        self.reader.seek_record(0);
-    }
-}
-
-impl Drop for SeqClient {
-    fn drop(&mut self) {
-        if let Some(w) = self.writer.take() {
-            let _ = w.finish();
-        }
-        self.entry.sharing.lock().exclusive = None;
-    }
-}
-
-/// A self-scheduled client: reads claim the globally next record across
-/// *all* sessions of the file.
-pub struct SsClient {
-    sess: Session,
-    reader: SelfSchedReader,
-    writer: SelfSchedWriter,
-}
-
-impl SsClient {
-    /// Claim and read the next unclaimed record anywhere in the server.
-    /// Returns the index served, or `None` once the file is drained.
-    pub fn read_next(&self, out: &mut [u8]) -> Result<Option<u64>> {
-        self.sess.run(false, || Ok(self.reader.read_next(out)?))
-    }
-
-    /// Claim and read the next whole file block (the paper's
-    /// self-scheduling by block); `out` must hold one file block.
-    pub fn read_next_block(&self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
-        self.sess
-            .run(false, || Ok(self.reader.read_next_block(out)?))
-    }
-
-    /// Claim the next free slot and write `data` there.
-    pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        self.sess.run(true, || Ok(self.writer.write_next(data)?))
-    }
-
-    /// Publish the final length once all sessions' writers are done.
-    pub fn finish_writes(&self) -> Result<u64> {
-        Ok(self.writer.finish()?)
-    }
-
-    /// Records claimed so far across all sessions.
-    pub fn claimed(&self) -> u64 {
-        self.reader.claimed()
-    }
-}
-
-/// A claimed partition of a PS/PDA file. Addresses records by their
-/// *global* index; anything outside the claimed range fails with
-/// [`ServerError::OutsidePartition`]. The claim releases on drop.
-pub struct PartitionClient {
-    sess: Session,
-    entry: Arc<FileEntry>,
-    handle: PartitionHandle,
-    partition: u32,
-    start: u64,
-    end: u64,
-}
-
-impl PartitionClient {
-    /// The claimed partition index.
-    pub fn partition(&self) -> u32 {
-        self.partition
-    }
-
-    /// The global record range `[start, end)` this client may touch.
+    /// The global record range `[start, end)` this handle may touch: the
+    /// claimed partition's, or `[0, len_records)` for every other view.
     pub fn range(&self) -> (u64, u64) {
-        (self.start, self.end)
-    }
-
-    /// Map a global record index into the partition, or refuse it.
-    fn local(&self, r: u64) -> Result<u64> {
-        if r < self.start || r >= self.end {
-            return Err(ServerError::OutsidePartition {
-                record: r,
-                partition: self.partition,
-                start: self.start,
-                end: self.end,
-            });
-        }
-        Ok(r - self.start)
-    }
-
-    /// The error for running the sequential cursor off the partition end.
-    fn exhausted(&self) -> ServerError {
-        ServerError::OutsidePartition {
-            record: self.end,
-            partition: self.partition,
-            start: self.start,
-            end: self.end,
+        match &self.cursor {
+            Cursor::Part(h) => h.range(),
+            _ => (0, self.len_records()),
         }
     }
 
-    /// Read the record at *global* index `r` (PDA direct access).
-    pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        let local = self.local(r)?;
-        self.sess
-            .run(false, || Ok(self.handle.read_at(local, out)?))
+    fn not_served(&self) -> ServerError {
+        ServerError::NotServed { view: self.view }
     }
 
-    /// Write the record at *global* index `r` (PDA direct access).
-    pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        let local = self.local(r)?;
-        self.sess
-            .run(true, || Ok(self.handle.write_at(local, data)?))
+    /// Read the view's next record: the file's (S), the shared cursor's
+    /// (SS), the partition's (PS/PDA) or the slot's strided sequence
+    /// (IS). Returns the record's global index, or `None` at the end.
+    pub fn read_next(&mut self, out: &mut [u8]) -> Result<Option<u64>> {
+        let sess = &self.sess;
+        match &mut self.cursor {
+            Cursor::Seq(s) => sess.run(false, || {
+                let r = s.0.position();
+                Ok(s.0.read_record(out)?.then_some(r))
+            }),
+            Cursor::Ss(reader, _) => sess.run(false, || Ok(reader.read_next(out)?)),
+            Cursor::Part(h) => sess.run(false, || {
+                let r = h.range().0 + h.position();
+                Ok(h.read_next(out)?.then_some(r))
+            }),
+            Cursor::Ilv(h) => sess.run(false, || {
+                let r = h.current_record();
+                Ok(h.read_next(out)?.then_some(r))
+            }),
+            Cursor::Dir(_) => Err(self.not_served()),
+        }
     }
 
-    /// Read the partition's next record (PS); `false` at partition end.
-    pub fn read_next(&mut self, out: &mut [u8]) -> Result<bool> {
-        let (sess, handle) = (&self.sess, &mut self.handle);
-        sess.run(false, || Ok(handle.read_next(out)?))
-    }
-
-    /// Write the partition's next record (PS). A full partition fails
-    /// with [`ServerError::OutsidePartition`] — never a spill into the
-    /// neighbour's blocks.
-    pub fn write_next(&mut self, data: &[u8]) -> Result<()> {
-        let exhausted = self.exhausted();
-        let (sess, handle) = (&self.sess, &mut self.handle);
-        sess.run(true, || {
-            handle.write_next(data).map_err(|e| match e {
-                CoreError::Fs(FsError::OutOfBounds { .. }) => exhausted,
-                e => e.into(),
-            })
-        })
-    }
-
-    /// Rewind the sequential cursor.
-    pub fn rewind(&mut self) {
-        self.handle.rewind();
-    }
-}
-
-impl Drop for PartitionClient {
-    fn drop(&mut self) {
-        self.entry.sharing.lock().partitions.remove(&self.partition);
-    }
-}
-
-/// A claimed interleave slot of an IS file (released on drop).
-pub struct InterleavedClient {
-    sess: Session,
-    entry: Arc<FileEntry>,
-    handle: InterleavedHandle,
-    process: u32,
-}
-
-impl InterleavedClient {
-    /// The claimed process slot.
-    pub fn process(&self) -> u32 {
-        self.process
-    }
-
-    /// Read this slot's next strided record; `false` past end of file.
-    pub fn read_next(&mut self, out: &mut [u8]) -> Result<bool> {
-        let (sess, handle) = (&self.sess, &mut self.handle);
-        sess.run(false, || Ok(handle.read_next(out)?))
-    }
-
-    /// Write this slot's next strided record; returns the global index.
+    /// Write the view's next record and return its global index. On S
+    /// the records are appended a window at a time and written behind
+    /// the caller, so an error may be an earlier record's; call
+    /// [`finish`](Handle::finish) to publish the final length (dropping
+    /// the handle also flushes, best-effort). A full partition fails
+    /// with [`ServerError::OutsidePartition`] before admission — never a
+    /// spill into the neighbour's blocks.
     pub fn write_next(&mut self, data: &[u8]) -> Result<u64> {
-        let (sess, handle) = (&self.sess, &mut self.handle);
-        sess.run(true, || Ok(handle.write_next(data)?))
+        let (sess, entry) = (&self.sess, &self.entry);
+        match &mut self.cursor {
+            Cursor::Seq(s) => sess.run(true, || {
+                let w =
+                    s.1.get_or_insert_with(|| GlobalWriter::append(entry.pfile.raw().clone()));
+                let r = w.position();
+                w.write_record(data)?;
+                Ok(r)
+            }),
+            Cursor::Ss(_, writer) => sess.run(true, || Ok(writer.write_next(data)?)),
+            Cursor::Part(h) => {
+                let r = h.range().0 + h.position();
+                local(h, r)?;
+                sess.run(true, || {
+                    h.write_next(data)?;
+                    Ok(r)
+                })
+            }
+            Cursor::Ilv(h) => sess.run(true, || Ok(h.write_next(data)?)),
+            Cursor::Dir(_) => Err(self.not_served()),
+        }
     }
 
-    /// Read this slot's next whole file block; `None` past end of file.
-    pub fn read_next_block(&mut self, out: &mut [u8]) -> Result<Option<u64>> {
-        let (sess, handle) = (&self.sess, &mut self.handle);
-        sess.run(false, || Ok(handle.read_next_block(out)?))
+    /// Read the view's next file block into `out`, which holds one file
+    /// block. SS claims to the end of the block the shared cursor is in
+    /// (the paper's self-scheduling by block) and returns the first
+    /// record's index and the count claimed; IS reads the slot's next
+    /// whole block and returns its file-block index and the records per
+    /// block. `None` at the end.
+    pub fn read_next_block(&mut self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
+        let (sess, rpb) = (&self.sess, self.records_per_block());
+        match &mut self.cursor {
+            Cursor::Ss(reader, _) => sess.run(false, || Ok(reader.read_next_block(out)?)),
+            Cursor::Ilv(h) => sess.run(false, || Ok(h.read_next_block(out)?.map(|b| (b, rpb)))),
+            _ => Err(self.not_served()),
+        }
     }
 
-    /// Write this slot's next whole file block.
+    /// Write the slot's next whole file block (IS); returns its
+    /// file-block index.
     pub fn write_next_block(&mut self, data: &[u8]) -> Result<u64> {
-        let (sess, handle) = (&self.sess, &mut self.handle);
-        sess.run(true, || Ok(handle.write_next_block(data)?))
+        match &mut self.cursor {
+            Cursor::Ilv(h) => self.sess.run(true, || Ok(h.write_next_block(data)?)),
+            _ => Err(self.not_served()),
+        }
+    }
+
+    /// Publish the length written: S flushes its buffered appends, SS
+    /// publishes every slot claimed so far (call it once all sessions'
+    /// writers are done). Returns the file's length in records.
+    pub fn finish(&mut self) -> Result<u64> {
+        match &mut self.cursor {
+            Cursor::Seq(s) => match s.1.take() {
+                Some(w) => Ok(w.finish()?),
+                None => Ok(self.entry.pfile.len_records()),
+            },
+            Cursor::Ss(_, writer) => Ok(writer.finish()?),
+            _ => Err(self.not_served()),
+        }
+    }
+
+    /// Rewind the read cursor (S, PS/PDA).
+    pub fn rewind(&mut self) -> Result<()> {
+        match &mut self.cursor {
+            Cursor::Seq(s) => s.0.seek_record(0),
+            Cursor::Part(h) => h.rewind(),
+            _ => return Err(self.not_served()),
+        }
+        Ok(())
+    }
+
+    /// Records claimed so far across all sessions of an SS file.
+    pub fn claimed(&self) -> Result<u64> {
+        match &self.cursor {
+            Cursor::Ss(reader, _) => Ok(reader.claimed()),
+            _ => Err(self.not_served()),
+        }
+    }
+
+    /// Read the record at global index `r`: GDA, and PS/PDA inside the
+    /// claimed partition ([`ServerError::OutsidePartition`] outside it,
+    /// refused before admission).
+    pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
+        match &self.cursor {
+            Cursor::Part(h) => {
+                let local = local(h, r)?;
+                self.sess.run(false, || Ok(h.read_at(local, out)?))
+            }
+            Cursor::Dir(d) => d.read_record(r, out),
+            _ => Err(self.not_served()),
+        }
+    }
+
+    /// Write the record at global index `r`: GDA (under the record's
+    /// range lock, see [`DirectClient::write_record`]), and PS/PDA
+    /// inside the claimed partition.
+    pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
+        match &self.cursor {
+            Cursor::Part(h) => {
+                let local = local(h, r)?;
+                self.sess.run(true, || Ok(h.write_at(local, data)?))
+            }
+            Cursor::Dir(d) => d.write_record(r, data),
+            _ => Err(self.not_served()),
+        }
+    }
+
+    /// The GDA client behind a [`View::Direct`] handle: its range locks,
+    /// locked writes, read-modify-write and length are this view's verbs.
+    pub fn direct(&self) -> Result<&DirectClient> {
+        match &self.cursor {
+            Cursor::Dir(d) => Ok(d),
+            _ => Err(self.not_served()),
+        }
     }
 }
 
-impl Drop for InterleavedClient {
+/// Map global record index `r` into `h`'s partition, or refuse it.
+fn local(h: &PartitionHandle, r: u64) -> Result<u64> {
+    let (start, end) = h.range();
+    if r < start || r >= end {
+        return Err(ServerError::OutsidePartition {
+            record: r,
+            partition: h.partition(),
+            start,
+            end,
+        });
+    }
+    Ok(r - start)
+}
+
+impl Drop for Handle {
     fn drop(&mut self) {
-        self.entry.sharing.lock().slots.remove(&self.process);
+        // Buffered appends are flushed, best-effort.
+        if self.view == View::Sequential {
+            let _ = self.finish();
+        }
+        // The views that take no claim are never in the table.
+        self.entry.claims.lock().remove(&self.view);
     }
 }
 
@@ -602,19 +554,20 @@ pub struct DirectClient {
     sess: Session,
     entry: Arc<FileEntry>,
     handle: DirectHandle,
-    record_size: usize,
 }
 
 impl DirectClient {
+    fn new(sess: &Session, entry: Arc<FileEntry>) -> Result<DirectClient> {
+        Ok(DirectClient {
+            sess: sess.clone(),
+            handle: entry.pfile.direct_handle()?,
+            entry,
+        })
+    }
+
     /// Records currently in the file.
     pub fn len_records(&self) -> u64 {
         self.handle.len_records()
-    }
-
-    /// Byte range of records `first..first + n`; refused where no
-    /// offset addresses it.
-    fn byte_range(&self, first: u64, n: u64) -> Result<(u64, u64)> {
-        Ok(self.entry.pfile.raw().record_bytes(first, n)?)
     }
 
     /// Read record `r`.
@@ -629,11 +582,11 @@ impl DirectClient {
     /// flushed to the devices before the range lock releases, so
     /// cross-session readers keep the uncached durability semantics.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        let (lo, hi) = self.byte_range(r, 1)?;
+        let (lo, hi) = self.entry.byte_range(r, 1)?;
         self.sess.run(true, || {
             let _g = self.entry.ranges.acquire(lo, hi);
             self.handle.write_record(r, data)?;
-            self.flush_span(lo, hi)
+            self.entry.flush_span(lo, hi)
         })
     }
 
@@ -642,27 +595,17 @@ impl DirectClient {
     /// updates of the same record never lose increments. Extends the
     /// file with a zeroed record when `r` is past the end.
     pub fn update(&self, r: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
-        let (lo, hi) = self.byte_range(r, 1)?;
+        let (lo, hi) = self.entry.byte_range(r, 1)?;
         self.sess.run(true, || {
             let _g = self.entry.ranges.acquire(lo, hi);
-            let mut buf = vec![0u8; self.record_size];
+            let mut buf = vec![0u8; self.entry.pfile.record_size()];
             if r < self.handle.len_records() {
                 self.handle.read_record(r, &mut buf)?;
             }
             f(&mut buf);
             self.handle.write_record(r, &buf)?;
-            self.flush_span(lo, hi)
+            self.entry.flush_span(lo, hi)
         })
-    }
-
-    /// Push the byte span `[lo, hi)` out of the volume cache tier while
-    /// the caller still holds its range lock; a no-op without a cache.
-    fn flush_span(&self, lo: u64, hi: u64) -> Result<()> {
-        let raw = self.entry.pfile.raw();
-        if raw.volume().cache().is_some() {
-            raw.flush_span(lo, hi - lo)?;
-        }
-        Ok(())
     }
 
     /// Explicitly lock records `[r_lo, r_hi)`, returning an owned lock
@@ -679,7 +622,7 @@ impl DirectClient {
                 CoreError::BadGeometry(format!("empty record range [{r_lo}, {r_hi})")).into(),
             );
         }
-        let (lo, hi) = self.byte_range(r_lo, r_hi - r_lo)?;
+        let (lo, hi) = self.entry.byte_range(r_lo, r_hi - r_lo)?;
         let ticket = self.entry.ranges.acquire_ticket(lo, hi);
         Ok(LockedRange {
             entry: Arc::clone(&self.entry),
@@ -690,25 +633,27 @@ impl DirectClient {
     }
 
     /// Write record `r` under an explicitly held range lock. The lock
-    /// must cover the record's bytes ([`ServerError::RangeNotLocked`]
-    /// otherwise); durability is deferred to
-    /// [`unlock`](DirectClient::unlock), which flushes the whole locked
-    /// span before the lock releases — the same durable-at-unlock
-    /// contract as [`write_record`](DirectClient::write_record).
+    /// must have been taken on this client's file and cover the record's
+    /// bytes ([`ServerError::RangeNotLocked`] otherwise); durability is
+    /// deferred to [`unlock`](DirectClient::unlock), which flushes the
+    /// whole locked span before the lock releases — the same
+    /// durable-at-unlock contract as
+    /// [`write_record`](DirectClient::write_record).
     pub fn write_record_locked(&self, lock: &LockedRange, r: u64, data: &[u8]) -> Result<()> {
-        let (lo, hi) = self.byte_range(r, 1)?;
-        if lo < lock.lo || hi > lock.hi {
+        let (lo, hi) = self.entry.byte_range(r, 1)?;
+        if !Arc::ptr_eq(&lock.entry, &self.entry) || lo < lock.lo || hi > lock.hi {
             return Err(ServerError::RangeNotLocked { lo, hi });
         }
         self.sess
             .run(true, || Ok(self.handle.write_record(r, data)?))
     }
 
-    /// Release an explicit range lock, flushing the locked span out of
-    /// any write-back cache tier *before* the lock releases so the next
-    /// lock holder (or raw-media reader) sees every locked write.
+    /// Release an explicit range lock, flushing the locked span of the
+    /// file it was taken on out of any write-back cache tier *before*
+    /// the lock releases, so the next lock holder (or raw-media reader)
+    /// sees every locked write.
     pub fn unlock(&self, lock: LockedRange) -> Result<()> {
-        let r = self.flush_span(lock.lo, lock.hi);
+        let r = lock.entry.flush_span(lock.lo, lock.hi);
         drop(lock);
         r
     }

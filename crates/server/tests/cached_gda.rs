@@ -7,7 +7,7 @@
 
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{resolve, RawFile, Volume, VolumeCacheConfig, VolumeConfig};
-use pario_server::{Server, ServerConfig};
+use pario_server::{Server, ServerConfig, ServerError};
 
 const REC: usize = 64;
 const BS: usize = 256;
@@ -112,5 +112,39 @@ fn range_locked_write_is_durable_on_media_at_unlock() {
     assert!(
         stats.base.writebacks > 0,
         "write-back tier flushed at unlock: {stats:?}"
+    );
+}
+
+/// A range lock belongs to the file it was taken on. Another file's
+/// client used to write under it — without that file's range lock —
+/// and, unlocking it, flushed its own file's span and released the
+/// locked file's unflushed.
+#[test]
+fn a_range_lock_serves_only_the_file_it_was_taken_on() {
+    let volume = cached_volume();
+    let a = ParallelFile::create(&volume, "a", Organization::GlobalDirect, REC, 4).unwrap();
+    ParallelFile::create(&volume, "b", Organization::GlobalDirect, REC, 4).unwrap();
+    let raw_a = a.raw().clone();
+    let server = Server::new(volume, ServerConfig::default());
+    let sess = server.connect();
+    let (ca, cb) = (
+        sess.open_direct("a").unwrap(),
+        sess.open_direct("b").unwrap(),
+    );
+    let lock = ca.lock_range(0, 4).unwrap();
+
+    // b's record 1 has the byte offsets the lock covers, on another file.
+    match cb.write_record_locked(&lock, 1, &[5; REC]) {
+        Err(ServerError::RangeNotLocked { lo, hi }) => assert_eq!((lo, hi), (64, 128)),
+        other => panic!("expected RangeNotLocked, got {other:?}"),
+    }
+    assert_eq!(cb.len_records(), 0, "nothing was written to b");
+
+    ca.write_record_locked(&lock, 2, &[7; REC]).unwrap();
+    cb.unlock(lock).unwrap();
+    assert_eq!(
+        media_record(server.volume(), &raw_a, 2),
+        vec![7; REC],
+        "the locked file's span is on media once the lock releases"
     );
 }

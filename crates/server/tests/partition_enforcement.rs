@@ -5,7 +5,7 @@
 
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
-use pario_server::{Server, ServerConfig, ServerError};
+use pario_server::{Server, ServerConfig, ServerError, View};
 
 const REC: usize = 64;
 
@@ -32,7 +32,7 @@ fn partition_ranges_match_the_uniform_split() {
     let server = ps_server();
     let sess = server.connect();
     let ranges: Vec<(u64, u64)> = (0..3)
-        .map(|p| sess.open_partition("part", p).unwrap().range())
+        .map(|p| sess.open("part", View::Partition(p)).unwrap().range())
         .collect();
     assert_eq!(ranges, vec![(0, 56), (56, 108), (108, 160)]);
 }
@@ -41,7 +41,7 @@ fn partition_ranges_match_the_uniform_split() {
 fn direct_access_rejected_at_exact_partition_boundaries() {
     let server = ps_server();
     let sess = server.connect();
-    let client = sess.open_partition("part", 1).unwrap();
+    let client = sess.open("part", View::Partition(1)).unwrap();
     let mut buf = [0u8; REC];
 
     // One record below the partition: rejected, boundaries spelled out.
@@ -76,7 +76,7 @@ fn direct_access_rejected_at_exact_partition_boundaries() {
     client.read_record(107, &mut buf).unwrap();
     assert_eq!(buf, [2; REC]);
     // The neighbour owns its boundary record and sees only its own data.
-    let probe = sess.open_partition("part", 2).unwrap();
+    let probe = sess.open("part", View::Partition(2)).unwrap();
     probe.write_record(108, &[9; REC]).unwrap();
     probe.read_record(108, &mut buf).unwrap();
     assert_eq!(buf, [9; REC]);
@@ -88,7 +88,7 @@ fn direct_access_rejected_at_exact_partition_boundaries() {
 fn sequential_writer_cannot_spill_into_neighbour() {
     let server = ps_server();
     let sess = server.connect();
-    let mut client = sess.open_partition("part", 0).unwrap();
+    let mut client = sess.open("part", View::Partition(0)).unwrap();
     for i in 0..56u64 {
         client.write_next(&[i as u8; REC]).unwrap();
     }
@@ -105,10 +105,10 @@ fn sequential_writer_cannot_spill_into_neighbour() {
         other => panic!("expected OutsidePartition, got {other:?}"),
     }
     // Reads stop at the boundary rather than erroring.
-    client.rewind();
+    client.rewind().unwrap();
     let mut buf = [0u8; REC];
     let mut n = 0u64;
-    while client.read_next(&mut buf).unwrap() {
+    while client.read_next(&mut buf).unwrap().is_some() {
         assert_eq!(buf, [n as u8; REC]);
         n += 1;
     }
@@ -120,7 +120,7 @@ fn pda_direct_access_enforced_too() {
     let server = server_with(Organization::PartitionedDirect { partitions: 4 }, 128);
     let sess = server.connect();
     // 32 file blocks over 4 partitions: each owns 32 records.
-    let client = sess.open_partition("part", 2).unwrap();
+    let client = sess.open("part", View::Partition(2)).unwrap();
     assert_eq!(client.range(), (64, 96));
     // Random access within the partition is free.
     for r in [95u64, 64, 80] {
@@ -155,28 +155,28 @@ fn partition_claims_are_exclusive_until_dropped() {
     let server = ps_server();
     let a = server.connect();
     let b = server.connect();
-    let held = a.open_partition("part", 1).unwrap();
+    let held = a.open("part", View::Partition(1)).unwrap();
     // Another session cannot claim partition 1...
-    match b.open_partition("part", 1).err() {
+    match b.open("part", View::Partition(1)).err() {
         Some(ServerError::Claimed { name, index, by }) => {
             assert_eq!((name.as_str(), index, by), ("part", 1, a.id()));
         }
         other => panic!("expected Claimed, got {other:?}"),
     }
     // ...but a different partition is free.
-    let other = b.open_partition("part", 0).unwrap();
+    let other = b.open("part", View::Partition(0)).unwrap();
     drop(other);
     // Dropping the holder releases the claim.
     drop(held);
-    let reclaimed = b.open_partition("part", 1).unwrap();
-    assert_eq!(reclaimed.partition(), 1);
+    let reclaimed = b.open("part", View::Partition(1)).unwrap();
+    assert_eq!(reclaimed.view(), View::Partition(1));
 }
 
 #[test]
 fn rejected_accesses_do_not_count_as_operations() {
     let server = ps_server();
     let sess = server.connect();
-    let client = sess.open_partition("part", 1).unwrap();
+    let client = sess.open("part", View::Partition(1)).unwrap();
     let mut buf = [0u8; REC];
     let _ = client.read_record(0, &mut buf); // outside: refused pre-admission
     client.write_record(60, &[5; REC]).unwrap();

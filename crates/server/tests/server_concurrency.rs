@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
-use pario_server::{Saturation, Server, ServerConfig, ServerError};
+use pario_server::{Saturation, Server, ServerConfig, ServerError, View};
 
 const REC: usize = 64;
 
@@ -50,7 +50,7 @@ fn ss_sessions_share_one_cursor_exactly_once() {
             let sess = server.connect();
             let seen = &seen;
             s.spawn(move |_| {
-                let q = sess.open_self_sched("queue").unwrap();
+                let mut q = sess.open("queue", View::SelfSched).unwrap();
                 let mut buf = [0u8; REC];
                 while let Some(idx) = q.read_next(&mut buf).unwrap() {
                     assert_eq!(buf, [idx as u8; REC], "torn record {idx}");
@@ -79,8 +79,8 @@ fn ss_block_reads_and_record_reads_share_the_cursor_too() {
     let volume = volume();
     fill_ss(&volume, "queue", 42); // short tail block of 2
     let server = Server::new(volume, ServerConfig::default());
-    let a = server.connect().open_self_sched("queue").unwrap();
-    let b = server.connect().open_self_sched("queue").unwrap();
+    let mut a = server.connect().open("queue", View::SelfSched).unwrap();
+    let mut b = server.connect().open("queue", View::SelfSched).unwrap();
     let mut seen = HashSet::new();
     let mut block = [0u8; REC * 4];
     let mut rec = [0u8; REC];
@@ -106,7 +106,7 @@ fn ss_block_reads_and_record_reads_share_the_cursor_too() {
         }
     }
     assert_eq!(seen.len(), 42);
-    assert_eq!(a.claimed(), 42);
+    assert_eq!(a.claimed().unwrap(), 42);
 }
 
 #[test]
@@ -117,8 +117,8 @@ fn sequential_files_are_exclusive_per_session() {
     let a = server.connect();
     let b = server.connect();
 
-    let mut writer = a.open_sequential("log").unwrap();
-    match b.open_sequential("log").err() {
+    let mut writer = a.open("log", View::Sequential).unwrap();
+    match b.open("log", View::Sequential).err() {
         Some(ServerError::Exclusive { name, by }) => {
             assert_eq!((name.as_str(), by), ("log", a.id()));
         }
@@ -131,10 +131,10 @@ fn sequential_files_are_exclusive_per_session() {
     drop(writer);
 
     // The hold is gone: the other session reads the whole file back.
-    let mut reader = b.open_sequential("log").unwrap();
+    let mut reader = b.open("log", View::Sequential).unwrap();
     let mut buf = [0u8; REC];
     let mut n = 0u64;
-    while reader.read_next(&mut buf).unwrap() {
+    while reader.read_next(&mut buf).unwrap().is_some() {
         assert_eq!(buf, [n as u8; REC]);
         n += 1;
     }
@@ -150,22 +150,22 @@ fn a_sequential_client_reads_on_into_its_own_appends() {
     ParallelFile::create(&volume, "log", Organization::Sequential, REC, 4).unwrap();
     let server = Server::new(volume, ServerConfig::default());
     let session = server.connect();
-    let mut log = session.open_sequential("log").unwrap();
+    let mut log = session.open("log", View::Sequential).unwrap();
     let mut buf = [0u8; REC];
-    let append = |log: &mut pario_server::SeqClient, records: std::ops::Range<u64>| {
+    let append = |log: &mut pario_server::Handle, records: std::ops::Range<u64>| {
         for i in records.clone() {
             log.write_next(&[i as u8; REC]).unwrap();
         }
         assert_eq!(log.finish().unwrap(), records.end);
     };
     append(&mut log, 0..10);
-    assert!(log.read_next(&mut buf).unwrap());
+    assert!(log.read_next(&mut buf).unwrap().is_some());
     append(&mut log, 10..16);
     for i in 1..16u64 {
-        assert!(log.read_next(&mut buf).unwrap(), "record {i}");
+        assert!(log.read_next(&mut buf).unwrap().is_some(), "record {i}");
         assert_eq!(buf, [i as u8; REC], "record {i}");
     }
-    assert!(!log.read_next(&mut buf).unwrap());
+    assert!(log.read_next(&mut buf).unwrap().is_none());
 }
 
 #[test]
@@ -218,12 +218,12 @@ fn interleave_slots_claimed_like_partitions() {
     let server = Server::new(volume, ServerConfig::default());
     let a = server.connect();
     let b = server.connect();
-    let mut s0 = a.open_interleaved("matrix", 0).unwrap();
+    let mut s0 = a.open("matrix", View::Interleaved(0)).unwrap();
     assert!(matches!(
-        b.open_interleaved("matrix", 0),
+        b.open("matrix", View::Interleaved(0)),
         Err(ServerError::Claimed { index: 0, .. })
     ));
-    let mut s1 = b.open_interleaved("matrix", 1).unwrap();
+    let mut s1 = b.open("matrix", View::Interleaved(1)).unwrap();
     // Each slot writes its strided blocks; the global view interleaves.
     let mut block = [0u8; REC * 4];
     for k in 0..3u64 {
@@ -234,7 +234,7 @@ fn interleave_slots_claimed_like_partitions() {
     }
     // Wrong organization for a sequential open: refused at the door.
     assert!(matches!(
-        a.open_sequential("matrix"),
+        a.open("matrix", View::Sequential),
         Err(ServerError::Core(_))
     ));
     // Global check through the core layer.
@@ -249,7 +249,7 @@ fn interleave_slots_claimed_like_partitions() {
     assert_eq!(idx, 24);
     drop(s0);
     // Released slot is reclaimable.
-    let _s0 = b.open_interleaved("matrix", 0).unwrap();
+    let _s0 = b.open("matrix", View::Interleaved(0)).unwrap();
 }
 
 #[test]
@@ -320,5 +320,5 @@ fn a_name_created_again_opens_the_new_file() {
     assert_eq!(buf, [2; REC]);
     h.raw().read_record(0, &mut buf).unwrap();
     assert_eq!(buf, [7; REC], "h is untouched");
-    assert_eq!(sess.stat("g").unwrap().len_records, 1);
+    assert_eq!(sess.open("g", View::Direct).unwrap().len_records(), 1);
 }
