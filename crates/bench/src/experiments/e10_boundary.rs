@@ -107,10 +107,10 @@ fn naive(v: &Volume, s0: &Stencil1D) -> (IoCounters, Vec<f64>) {
         }
         for (p, new) in updates {
             let h = pf.partition_handle(p).unwrap();
-            for (k, val) in new.iter().enumerate() {
+            for (r, val) in (h.range().0..).zip(&new) {
                 let mut rec = vec![0u8; RECORD];
                 rec[..8].copy_from_slice(&val.to_le_bytes());
-                h.write_at(k as u64, &rec).unwrap();
+                h.write_record(r, &rec).unwrap();
             }
         }
     }
@@ -168,7 +168,7 @@ fn deep_halo(v: &Volume, s0: &Stencil1D) -> (IoCounters, Vec<f64>) {
             let val = local[(gi - first) as usize];
             let mut rec = vec![0u8; RECORD];
             rec[..8].copy_from_slice(&val.to_le_bytes());
-            h.write_at(gi - own_lo, &rec).unwrap();
+            h.write_record(gi, &rec).unwrap();
             cells[gi as usize] = val;
         }
     }
@@ -209,7 +209,7 @@ fn replicated(v: &Volume, s0: &Stencil1D) -> (IoCounters, u64, Vec<f64>) {
                 let out = (l + val(i) + r) / 3.0;
                 let mut rec = vec![0u8; RECORD];
                 rec[..8].copy_from_slice(&out.to_le_bytes());
-                h.write_at(i - lo, &rec).unwrap();
+                h.write_record(i, &rec).unwrap();
             }
         }
         v.remove(&format!("rep{pass}")).unwrap();

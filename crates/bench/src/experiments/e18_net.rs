@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use pario_core::{Organization, ParallelFile};
 use pario_net::NetClient;
-use pario_server::ServerConfig;
+use pario_server::{ServerConfig, View};
 
 use crate::measure::{nanos, Measured, RUNS};
 use crate::rig::{clients, fill, rec_byte, serve, Ledger, Rig};
@@ -79,7 +79,7 @@ fn drain_run(
     let ledger = Ledger::default();
     let secs = clients(conns, |_| {
         let client = NetClient::connect_tcp(addr).unwrap();
-        let q = client.open_self_sched("queue").unwrap();
+        let q = client.open("queue", View::SelfSched).unwrap();
         let mut window = VecDeque::with_capacity(depth);
         for _ in 0..depth {
             window.push_back(q.submit_read_next().unwrap());

@@ -89,8 +89,8 @@ fn figure_is(v: &Volume, r: &mut Report) -> Vec<Option<u32>> {
     for p in 0..PROCS {
         let mut h = pf.interleaved_handle(p).unwrap();
         for k in 0..BLOCKS / u64::from(PROCS) {
-            h.seek_block(k);
-            let fb = h.current_record() / RPB as u64;
+            h.seek(k * RPB as u64);
+            let fb = h.next_record() / RPB as u64;
             stride &= fb == u64::from(p) + k * u64::from(PROCS);
             for c in 0..RPB as u64 {
                 h.write_next(&[c as u8; RECORD]).unwrap();

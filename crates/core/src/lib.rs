@@ -7,11 +7,11 @@
 //! | Type | Organization | Internal view |
 //! |------|--------------|---------------|
 //! | S    | [`Organization::Sequential`] | [`ParallelFile::global_reader`] / [`ParallelFile::global_writer`] (the global view *is* the stream: striped, read ahead, written behind) |
-//! | PS   | [`Organization::PartitionedSeq`] | [`PartitionHandle`] |
-//! | IS   | [`Organization::InterleavedSeq`] | [`InterleavedHandle`] |
+//! | PS   | [`Organization::PartitionedSeq`] | [`ProcessView`]: the partition, one piece |
+//! | IS   | [`Organization::InterleavedSeq`] | [`ProcessView`]: one file block every `P` |
 //! | SS   | [`Organization::SelfScheduledSeq`] | [`SelfSchedReader`] / [`SelfSchedWriter`] |
 //! | GDA  | [`Organization::GlobalDirect`] | [`DirectHandle`] |
-//! | PDA  | [`Organization::PartitionedDirect`] | [`PartitionHandle`] (`read_at`/`write_at`) |
+//! | PDA  | [`Organization::PartitionedDirect`] | [`ProcessView`] (`read_record`/`write_record`) |
 //!
 //! Plus the paper's §5 problem-area machinery: forced alternate views
 //! ([`views`]), conversion utilities ([`convert`], [`convert_parallel`]),
@@ -49,19 +49,17 @@ mod boundary;
 mod convert;
 mod direct;
 mod error;
-mod interleaved;
 mod organization;
-mod partitioned;
 mod pfile;
 mod selfsched;
+mod strided;
 pub mod views;
 
 pub use boundary::{create_replicated, read_partition_with_halo, HaloRegion, ReplicatedBoundary};
 pub use convert::{convert, convert_parallel};
 pub use direct::DirectHandle;
 pub use error::{intern_expected, CoreError, Result};
-pub use interleaved::InterleavedHandle;
 pub use organization::Organization;
-pub use partitioned::{BlockCursor, PartitionHandle};
 pub use pfile::ParallelFile;
 pub use selfsched::{SelfSchedReader, SelfSchedWriter, SharedCursor};
+pub use strided::ProcessView;

@@ -8,10 +8,9 @@ use pario_layout::{uniform_bounds, LayoutSpec};
 
 use crate::direct::DirectHandle;
 use crate::error::{CoreError, Result};
-use crate::interleaved::InterleavedHandle;
 use crate::organization::Organization;
-use crate::partitioned::PartitionHandle;
 use crate::selfsched::{SelfSchedReader, SelfSchedWriter, SharedCursor};
+use crate::strided::ProcessView;
 
 /// Shared self-scheduling state: one read cursor, one write cursor.
 pub(crate) struct SsState {
@@ -294,23 +293,17 @@ impl ParallelFile {
         GlobalWriter::append(self.raw.clone())
     }
 
-    /// Partition handle `p` for a PS or PDA file.
-    pub fn partition_handle(&self, p: u32) -> Result<PartitionHandle> {
+    /// Partition `p`'s view of a PS or PDA file.
+    pub fn partition_handle(&self, p: u32) -> Result<ProcessView> {
         let (lo, hi) = self.partition_record_range(p)?;
-        Ok(PartitionHandle::new(self.raw.clone(), p, lo, hi))
+        Ok(ProcessView::partition(self.raw.clone(), lo, hi))
     }
 
-    /// Interleaved handle for process `p` of an IS file.
-    pub fn interleaved_handle(&self, p: u32) -> Result<InterleavedHandle> {
+    /// Slot `p`'s view of an IS file.
+    pub fn interleaved_handle(&self, p: u32) -> Result<ProcessView> {
         match self.org {
             Organization::InterleavedSeq { processes } => {
-                if p >= processes {
-                    return Err(CoreError::BadProcess {
-                        process: p,
-                        of: processes,
-                    });
-                }
-                Ok(InterleavedHandle::new(self.raw.clone(), p, processes))
+                ProcessView::interleaved(self.raw.clone(), p, processes)
             }
             _ => Err(CoreError::WrongOrganization {
                 expected: "IS",

@@ -11,30 +11,23 @@
 //! placement hops around inside partitions instead of streaming.
 
 use crate::direct::DirectHandle;
-use crate::error::{CoreError, Result};
-use crate::interleaved::InterleavedHandle;
-use crate::partitioned::PartitionHandle;
+use crate::error::Result;
 use crate::pfile::{partition_records, ParallelFile};
 use crate::selfsched::SelfSchedReader;
+use crate::strided::ProcessView;
 
 /// View any file through an interleaved (IS) access pattern for process
 /// `p` of `processes`, regardless of its organization.
-pub fn force_interleaved(pf: &ParallelFile, p: u32, processes: u32) -> Result<InterleavedHandle> {
-    if p >= processes || processes == 0 {
-        return Err(CoreError::BadProcess {
-            process: p,
-            of: processes,
-        });
-    }
-    Ok(InterleavedHandle::new(pf.raw().clone(), p, processes))
+pub fn force_interleaved(pf: &ParallelFile, p: u32, processes: u32) -> Result<ProcessView> {
+    ProcessView::interleaved(pf.raw().clone(), p, processes)
 }
 
 /// View any file through a partitioned (PS) access pattern: near-equal
 /// contiguous record ranges over the *current* file length.
-pub fn force_partition(pf: &ParallelFile, p: u32, partitions: u32) -> Result<PartitionHandle> {
+pub fn force_partition(pf: &ParallelFile, p: u32, partitions: u32) -> Result<ProcessView> {
     let rpb = pf.records_per_block() as u64;
     let (lo, hi) = partition_records(pf.len_records(), rpb, partitions, p)?;
-    Ok(PartitionHandle::new(pf.raw().clone(), p, lo, hi))
+    Ok(ProcessView::partition(pf.raw().clone(), lo, hi))
 }
 
 /// View any file through a self-scheduled reader: cooperating handles
@@ -87,11 +80,7 @@ mod tests {
         for p in 0..3 {
             let mut h = force_interleaved(&pf, p, 3).unwrap();
             let mut buf = vec![0u8; 64];
-            loop {
-                let idx = h.current_record();
-                if !h.read_next(&mut buf).unwrap() {
-                    break;
-                }
+            while let Some(idx) = h.read_next(&mut buf).unwrap() {
                 assert_eq!(buf, rec(idx), "record {idx}");
                 assert!(!seen[idx as usize], "record {idx} seen twice");
                 seen[idx as usize] = true;
@@ -119,13 +108,11 @@ mod tests {
         let mut seen = 0u64;
         for p in 0..2 {
             let mut h = force_partition(&pf, p, 2).unwrap();
-            assert_eq!(h.len(), 32);
+            let (lo, hi) = h.range();
+            assert_eq!(hi - lo, 32);
             let mut buf = vec![0u8; 64];
-            let (lo, _) = h.range();
-            let mut local = 0u64;
-            while h.read_next(&mut buf).unwrap() {
-                assert_eq!(buf, rec(lo + local));
-                local += 1;
+            while let Some(r) = h.read_next(&mut buf).unwrap() {
+                assert_eq!(buf, rec(r));
                 seen += 1;
             }
         }

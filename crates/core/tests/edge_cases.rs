@@ -64,14 +64,17 @@ fn more_partitions_than_file_blocks() {
     let org = Organization::PartitionedSeq { partitions: 4 };
     let pf = ParallelFile::create_sized(&v, "tiny", org, 64, 4, 8).unwrap();
     let sizes: Vec<u64> = (0..4)
-        .map(|p| pf.partition_handle(p).unwrap().len())
+        .map(|p| {
+            let (lo, hi) = pf.partition_handle(p).unwrap().range();
+            hi - lo
+        })
         .collect();
     assert_eq!(sizes.iter().sum::<u64>(), 8);
     assert!(sizes[2] == 0 && sizes[3] == 0);
     let mut h3 = pf.partition_handle(3).unwrap();
-    assert!(h3.is_empty());
+    assert_eq!(h3.range(), (8, 8));
     let mut buf = vec![0u8; 64];
-    assert!(!h3.read_next(&mut buf).unwrap());
+    assert_eq!(h3.read_next(&mut buf).unwrap(), None);
     assert!(h3.write_next(&[0u8; 64]).is_err());
     // The non-empty partitions still function.
     let mut h0 = pf.partition_handle(0).unwrap();
@@ -130,7 +133,7 @@ fn forced_partition_view_on_short_file() {
     for p in 0..5 {
         let mut h = views::force_partition(&pf, p, 5).unwrap();
         let mut buf = vec![0u8; 64];
-        while h.read_next(&mut buf).unwrap() {
+        while h.read_next(&mut buf).unwrap().is_some() {
             seen += 1;
         }
     }
@@ -164,6 +167,6 @@ fn zero_sized_create_sized_for_partitioned() {
     let pf = ParallelFile::create_sized(&v, "z", org, 64, 4, 0).unwrap();
     assert_eq!(pf.len_records(), 0);
     for p in 0..2 {
-        assert!(pf.partition_handle(p).unwrap().is_empty());
+        assert_eq!(pf.partition_handle(p).unwrap().range(), (0, 0));
     }
 }

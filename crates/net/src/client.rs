@@ -232,42 +232,20 @@ impl NetClient {
         Ok(StatsSummary::decode(&body)?)
     }
 
-    fn open(&self, name: &str, view: View) -> Result<RemoteHandle> {
+    /// Open `name` as `view`: the remote side of `Session::open`. A
+    /// type-S file is held exclusively and a partition or interleave
+    /// slot is claimed (`ServerError::Exclusive` / `Claimed` while
+    /// another session holds it) until the handle drops; an SS cursor
+    /// is shared with every client and in-process session of the file.
+    pub fn open(&self, name: &str, view: View) -> Result<RemoteHandle> {
         let name = name.into();
         let body = self.core.call(&Request::Open { name, view })?;
         let opened = Opened::decode(&body)?;
         Ok(RemoteHandle {
             core: Arc::clone(&self.core),
+            view,
             opened,
         })
-    }
-
-    /// Open a type-S file exclusively (`Session::open` with
-    /// `View::Sequential`).
-    pub fn open_sequential(&self, name: &str) -> Result<RemoteSeq> {
-        let h = self.open(name, View::Sequential)?;
-        Ok(RemoteSeq { h })
-    }
-
-    /// Open an SS file; the record cursor is shared server-wide, so
-    /// records are delivered exactly once across every client and
-    /// in-process session (`Session::open` with `View::SelfSched`).
-    pub fn open_self_sched(&self, name: &str) -> Result<RemoteSs> {
-        let h = self.open(name, View::SelfSched)?;
-        Ok(RemoteSs { h })
-    }
-
-    /// Claim partition `p` of a PS/PDA file; refused with
-    /// `ServerError::Claimed` while any other client holds it.
-    pub fn open_partition(&self, name: &str, p: u32) -> Result<RemotePartition> {
-        let h = self.open(name, View::Partition(p))?;
-        Ok(RemotePartition { h, partition: p })
-    }
-
-    /// Claim interleave slot `p` of an IS file.
-    pub fn open_interleaved(&self, name: &str, p: u32) -> Result<RemoteInterleaved> {
-        let h = self.open(name, View::Interleaved(p))?;
-        Ok(RemoteInterleaved { h })
     }
 
     /// Open a GDA file for direct access with byte-range locking.
@@ -294,53 +272,150 @@ impl Drop for NetClient {
 // Remote handles
 // ---------------------------------------------------------------------
 
-struct RemoteHandle {
+/// One open view of a remote file, served by the verbs of
+/// [`pario_server::Handle`]: which views serve a verb is the server's to
+/// say, and a verb the view lacks is refused with a protocol error.
+/// Records are named by their global index.
+pub struct RemoteHandle {
     core: Arc<ClientCore>,
+    view: View,
     opened: Opened,
 }
 
 impl std::fmt::Debug for RemoteHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteHandle")
+            .field("view", &self.view)
             .field("opened", &self.opened)
             .finish_non_exhaustive()
     }
 }
 
-/// The verbs every view shares, on this handle. The server decides what
-/// each one means for the view the handle was opened as.
 impl RemoteHandle {
     fn id(&self) -> u64 {
         self.opened.handle
     }
 
-    fn read_next(&self) -> Result<Vec<u8>> {
-        self.core.call(&Request::ReadNext { handle: self.id() })
+    /// The view this handle was opened as.
+    pub fn view(&self) -> View {
+        self.view
     }
 
-    fn write_next(&self, data: &[u8]) -> Result<Vec<u8>> {
+    /// Record size in bytes.
+    pub fn record_size(&self) -> usize {
+        self.opened.record_size as usize
+    }
+
+    /// Records per file block: a block verb moves at most this many.
+    pub fn records_per_block(&self) -> usize {
+        self.opened.records_per_block as usize
+    }
+
+    /// File length in records when the handle opened.
+    pub fn len_records(&self) -> u64 {
+        self.opened.len_records
+    }
+
+    /// The global record range `[start, end)` this handle may touch: the
+    /// claimed partition's, or the whole file's at open time.
+    pub fn range(&self) -> (u64, u64) {
+        (self.opened.start, self.opened.end)
+    }
+
+    /// Read the view's next record into `out`: its global index, or
+    /// `None` at the end.
+    pub fn read_next(&self, out: &mut [u8]) -> Result<Option<u64>> {
+        take_record(
+            &self.core.call(&Request::ReadNext { handle: self.id() })?,
+            out,
+        )
+    }
+
+    /// Pipelined [`read_next`](Self::read_next): send the request
+    /// without waiting. Issue several, then
+    /// [`finish_read_next`](Self::finish_read_next) them in order — the
+    /// round trips overlap, which is where remote SS throughput comes
+    /// from.
+    pub fn submit_read_next(&self) -> Result<Pending> {
+        self.core.submit(&Request::ReadNext { handle: self.id() })
+    }
+
+    /// Resolve a pipelined read into `out`.
+    pub fn finish_read_next(&self, p: Pending, out: &mut [u8]) -> Result<Option<u64>> {
+        take_record(&p.wait()?, out)
+    }
+
+    /// Write the view's next record; its global index.
+    pub fn write_next(&self, data: &[u8]) -> Result<u64> {
         let data = Bytes::copy_from_slice(data);
-        self.core.call(&Request::WriteNext {
+        take_u64(&self.core.call(&Request::WriteNext {
             handle: self.id(),
             data,
-        })
+        })?)
     }
 
-    fn finish(&self) -> Result<u64> {
+    /// Read the view's next file block into `out`, which holds one file
+    /// block: its first record's index and the records read, which the
+    /// reply's length gives — fewer than a block where the file ends
+    /// inside it. `None` at the end.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not one file block — checked before sending, since
+    /// an SS claim the reply cannot land in would be lost to every
+    /// reader.
+    pub fn read_next_block(&self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
+        let (rs, block) = (self.record_size(), self.records_per_block());
+        assert_eq!(out.len(), rs * block, "block buffer size");
+        let body = self
+            .core
+            .call(&Request::ReadNextBlock { handle: self.id() })?;
+        let Some((first, recs)) = take_read(&body)? else {
+            return Ok(None);
+        };
+        if recs.is_empty() || recs.len() % rs != 0 || recs.len() > out.len() {
+            return Err(NetError::Protocol(format!(
+                "block reply carries {} bytes, not 1 to {block} whole {rs}-byte records",
+                recs.len()
+            )));
+        }
+        out[..recs.len()].copy_from_slice(recs);
+        Ok(Some((first, recs.len() / rs)))
+    }
+
+    /// Write the view's next whole file block; its first record's index.
+    pub fn write_next_block(&self, data: &[u8]) -> Result<u64> {
+        let data = Bytes::copy_from_slice(data);
+        let handle = self.id();
+        take_u64(&self.core.call(&Request::WriteNextBlock { handle, data })?)
+    }
+
+    /// Publish the length written (S, SS); the file's length in records.
+    pub fn finish(&self) -> Result<u64> {
         take_u64(&self.core.call(&Request::Finish { handle: self.id() })?)
     }
 
-    fn rewind(&self) -> Result<()> {
+    /// Rewind the read cursor (S, PS/PDA).
+    pub fn rewind(&self) -> Result<()> {
         self.core.call(&Request::Rewind { handle: self.id() })?;
         Ok(())
     }
 
-    fn read_record(&self, record: u64, out: &mut [u8]) -> Result<()> {
+    /// Records claimed so far across every session of an SS file.
+    pub fn claimed(&self) -> Result<u64> {
+        take_u64(&self.core.call(&Request::Claimed { handle: self.id() })?)
+    }
+
+    /// Read global record `record` (GDA, and PS/PDA inside the claimed
+    /// partition).
+    pub fn read_record(&self, record: u64, out: &mut [u8]) -> Result<()> {
         let handle = self.id();
         copy_record(&self.core.call(&Request::DirRead { handle, record })?, out)
     }
 
-    fn write_record(&self, record: u64, data: &[u8]) -> Result<()> {
+    /// Write global record `record` (GDA, and PS/PDA inside the claimed
+    /// partition).
+    pub fn write_record(&self, record: u64, data: &[u8]) -> Result<()> {
         let data = Bytes::copy_from_slice(data);
         let handle = self.id();
         self.core.call(&Request::DirWrite {
@@ -360,24 +435,9 @@ impl Drop for RemoteHandle {
     }
 }
 
-/// Decode a `u8` flag + record body into `out`.
-fn take_flagged(body: &[u8], out: &mut [u8]) -> Result<bool> {
-    let mut r = WireReader::new(body);
-    match r.u8()? {
-        0 => {
-            r.finish()?;
-            Ok(false)
-        }
-        1 => {
-            copy_record(r.rest(), out)?;
-            Ok(true)
-        }
-        other => Err(NetError::Protocol(format!("bad reply flag {other}"))),
-    }
-}
-
-/// Decode a `u8` flag + `u64` index + record body into `out`.
-fn take_indexed(body: &[u8], out: &mut [u8]) -> Result<Option<u64>> {
+/// Decode a `u8` flag, then, when 1, a `u64` first record and the
+/// records' bytes.
+fn take_read(body: &[u8]) -> Result<Option<(u64, &[u8])>> {
     let mut r = WireReader::new(body);
     match r.u8()? {
         0 => {
@@ -385,12 +445,21 @@ fn take_indexed(body: &[u8], out: &mut [u8]) -> Result<Option<u64>> {
             Ok(None)
         }
         1 => {
-            let idx = r.u64()?;
-            copy_record(r.rest(), out)?;
-            Ok(Some(idx))
+            let first = r.u64()?;
+            Ok(Some((first, r.rest())))
         }
         other => Err(NetError::Protocol(format!("bad reply flag {other}"))),
     }
+}
+
+/// Decode a record read's reply into `out`: the record's index, or
+/// `None` at the end.
+fn take_record(body: &[u8], out: &mut [u8]) -> Result<Option<u64>> {
+    let Some((r, rec)) = take_read(body)? else {
+        return Ok(None);
+    };
+    copy_record(rec, out)?;
+    Ok(Some(r))
 }
 
 fn copy_record(rec: &[u8], out: &mut [u8]) -> Result<()> {
@@ -410,203 +479,6 @@ fn take_u64(body: &[u8]) -> Result<u64> {
     let v = r.u64()?;
     r.finish()?;
     Ok(v)
-}
-
-/// Exclusive sequential access to a remote type-S file.
-#[derive(Debug)]
-pub struct RemoteSeq {
-    h: RemoteHandle,
-}
-
-impl RemoteSeq {
-    /// Record size in bytes.
-    pub fn record_size(&self) -> usize {
-        self.h.opened.record_size as usize
-    }
-
-    /// File length in records at open time.
-    pub fn len_records(&self) -> u64 {
-        self.h.opened.len_records
-    }
-
-    /// Read the next record; `false` at end of file.
-    pub fn read_next(&self, out: &mut [u8]) -> Result<bool> {
-        take_flagged(&self.h.read_next()?, out)
-    }
-
-    /// Append the next record.
-    pub fn write_next(&self, data: &[u8]) -> Result<()> {
-        self.h.write_next(data).map(drop)
-    }
-
-    /// Flush buffered appends and publish the length.
-    pub fn finish(&self) -> Result<u64> {
-        self.h.finish()
-    }
-
-    /// Rewind the read cursor.
-    pub fn rewind(&self) -> Result<()> {
-        self.h.rewind()
-    }
-}
-
-/// A claimed read from a remote SS cursor (see [`RemoteSs::submit_read_next`]).
-pub struct SsReadTicket {
-    pending: Pending,
-}
-
-/// A self-scheduled client over the wire: reads claim the globally next
-/// record across all sessions — local or remote — of the file.
-#[derive(Debug)]
-pub struct RemoteSs {
-    h: RemoteHandle,
-}
-
-impl RemoteSs {
-    /// Record size in bytes.
-    pub fn record_size(&self) -> usize {
-        self.h.opened.record_size as usize
-    }
-
-    /// File length in records at open time.
-    pub fn len_records(&self) -> u64 {
-        self.h.opened.len_records
-    }
-
-    /// Claim and read the next unclaimed record; the index served, or
-    /// `None` once the file is drained.
-    pub fn read_next(&self, out: &mut [u8]) -> Result<Option<u64>> {
-        take_indexed(&self.h.read_next()?, out)
-    }
-
-    /// Pipelined read: send the claim without waiting. Issue several,
-    /// then [`finish_read_next`](RemoteSs::finish_read_next) them in
-    /// order — the round trips overlap, which is where remote SS
-    /// throughput comes from.
-    pub fn submit_read_next(&self) -> Result<SsReadTicket> {
-        let handle = self.h.id();
-        let pending = self.h.core.submit(&Request::ReadNext { handle })?;
-        Ok(SsReadTicket { pending })
-    }
-
-    /// Resolve a pipelined read into `out`.
-    pub fn finish_read_next(&self, t: SsReadTicket, out: &mut [u8]) -> Result<Option<u64>> {
-        take_indexed(&t.pending.wait()?, out)
-    }
-
-    /// Claim the next free slot and write `data` there; the slot index.
-    pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        take_u64(&self.h.write_next(data)?)
-    }
-
-    /// Publish the final length once all writers are done.
-    pub fn finish_writes(&self) -> Result<u64> {
-        self.h.finish()
-    }
-
-    /// Records claimed so far across all sessions of the file.
-    pub fn claimed(&self) -> Result<u64> {
-        let handle = self.h.id();
-        take_u64(&self.h.core.call(&Request::Claimed { handle })?)
-    }
-}
-
-/// A claimed partition of a remote PS/PDA file; addresses records by
-/// their global index, refused outside the claimed range.
-#[derive(Debug)]
-pub struct RemotePartition {
-    h: RemoteHandle,
-    partition: u32,
-}
-
-impl RemotePartition {
-    /// The claimed partition index.
-    pub fn partition(&self) -> u32 {
-        self.partition
-    }
-
-    /// The global record range `[start, end)` this client may touch.
-    pub fn range(&self) -> (u64, u64) {
-        (self.h.opened.start, self.h.opened.end)
-    }
-
-    /// Record size in bytes.
-    pub fn record_size(&self) -> usize {
-        self.h.opened.record_size as usize
-    }
-
-    /// Read global record `r` (must lie inside the partition).
-    pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        self.h.read_record(r, out)
-    }
-
-    /// Write global record `r` (must lie inside the partition).
-    pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        self.h.write_record(r, data)
-    }
-
-    /// Read the next record of the partition; `false` at its end.
-    pub fn read_next(&self, out: &mut [u8]) -> Result<bool> {
-        take_flagged(&self.h.read_next()?, out)
-    }
-
-    /// Append at the partition cursor.
-    pub fn write_next(&self, data: &[u8]) -> Result<()> {
-        self.h.write_next(data).map(drop)
-    }
-
-    /// Rewind the partition cursor.
-    pub fn rewind(&self) -> Result<()> {
-        self.h.rewind()
-    }
-}
-
-/// A claimed interleave slot of a remote IS file.
-#[derive(Debug)]
-pub struct RemoteInterleaved {
-    h: RemoteHandle,
-}
-
-impl RemoteInterleaved {
-    /// Record size in bytes.
-    pub fn record_size(&self) -> usize {
-        self.h.opened.record_size as usize
-    }
-
-    /// Bytes in one file block (for [`read_next_block`](Self::read_next_block)).
-    pub fn block_bytes(&self) -> usize {
-        (self.h.opened.record_size * self.h.opened.records_per_block) as usize
-    }
-
-    /// Read this slot's next record; `false` when the stride passes the
-    /// end of the file.
-    pub fn read_next(&self, out: &mut [u8]) -> Result<bool> {
-        take_flagged(&self.h.read_next()?, out)
-    }
-
-    /// Write this slot's next record; the global record index written.
-    pub fn write_next(&self, data: &[u8]) -> Result<u64> {
-        take_u64(&self.h.write_next(data)?)
-    }
-
-    /// Read this slot's next whole block into `out` (one block); the
-    /// block index, or `None` past the end.
-    pub fn read_next_block(&self, out: &mut [u8]) -> Result<Option<u64>> {
-        let handle = self.h.id();
-        take_indexed(&self.h.core.call(&Request::ReadNextBlock { handle })?, out)
-    }
-
-    /// Write this slot's next whole block; the block index written.
-    pub fn write_next_block(&self, data: &[u8]) -> Result<u64> {
-        let data = Bytes::copy_from_slice(data);
-        let handle = self.h.id();
-        take_u64(
-            &self
-                .h
-                .core
-                .call(&Request::WriteNextBlock { handle, data })?,
-        )
-    }
 }
 
 /// A held remote byte-range lock (see [`RemoteDirect::lock_range`]).
@@ -631,7 +503,7 @@ pub struct RemoteDirect {
 impl RemoteDirect {
     /// Record size in bytes.
     pub fn record_size(&self) -> usize {
-        self.h.opened.record_size as usize
+        self.h.record_size()
     }
 
     /// Current file length in records (a server round trip).

@@ -31,12 +31,15 @@
 //!   once in `pario-server`. Records are read straight into the
 //!   connection's output buffer and a reply frame leaves in one
 //!   `write`.
-//! * [`NetClient`] — the remote side of `Session::open`: one typed
-//!   handle per view ([`RemoteSeq`], [`RemoteSs`], [`RemotePartition`],
-//!   [`RemoteInterleaved`], [`RemoteDirect`]), each opened with the
-//!   same `Open` request, with pipelined submission under the credit
-//!   window. A blocking call reads its reply on the calling thread
-//!   ([`ReplyMux`] decides who reads otherwise).
+//! * [`NetClient`] — the remote side of `Session::open`:
+//!   [`NetClient::open`] takes a name and a view and returns one
+//!   [`RemoteHandle`] for every view, whose verbs are `Handle`'s — every
+//!   next-record and next-block reply names its first record, and a
+//!   block reply's length gives its count — plus pipelined
+//!   [`submit_read_next`](RemoteHandle::submit_read_next) under the
+//!   credit window. [`RemoteDirect`] ([`NetClient::open_direct`]) adds
+//!   a GDA handle's byte-range locks. A blocking call reads its reply
+//!   on the calling thread ([`ReplyMux`] decides who reads otherwise).
 //!
 //! Concurrency follows the workspace rules: locks are
 //! `pario_check`-ranked (`net.credits` < `net.replies` < `net.send`),
@@ -55,10 +58,7 @@ pub mod server;
 pub mod sock;
 pub mod wire;
 
-pub use client::{
-    NetClient, Pending, RemoteDirect, RemoteInterleaved, RemoteLock, RemotePartition, RemoteSeq,
-    RemoteSs, SsReadTicket,
-};
+pub use client::{NetClient, Pending, RemoteDirect, RemoteHandle, RemoteLock};
 pub use credits::CreditWindow;
 pub use error::{NetError, Result};
 pub use frame::Grant;

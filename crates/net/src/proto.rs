@@ -37,7 +37,11 @@ pub const MAGIC: [u8; 4] = *b"PIO1";
 /// each organization with one [`Request::Open`] and one set of verbs,
 /// and retired 0x10–0x15, 0x20–0x23, 0x28–0x2C, 0x30–0x34 and
 /// 0x38–0x3B: a v4 client's opens would be refused as unknown opcodes.
-pub const VERSION: u16 = 5;
+/// Version 6 gave each verb one reply shape on every view: a next-record
+/// or next-block reply always names its first record, and a block is
+/// named by its first record instead of its file-block index. A v5
+/// client would read a partition's record index as record bytes.
+pub const VERSION: u16 = 6;
 
 /// Reply status byte: the request succeeded; the body is the
 /// operation's result.
@@ -77,14 +81,13 @@ pub enum Request {
         handle: u64,
     },
     /// Read the next record: S, SS, PS/PDA and IS. Reply: `u8` flag
-    /// (0 = end); when 1, the record bytes, behind a `u64` record index
-    /// on an SS handle.
+    /// (0 = end); when 1, the `u64` record index, then the record bytes.
     ReadNext {
         /// Open handle.
         handle: u64,
     },
     /// Write the next record: S, SS, PS/PDA and IS. Reply: the `u64`
-    /// record index written on SS and IS; empty on S and PS/PDA.
+    /// record index written.
     WriteNext {
         /// Open handle.
         handle: u64,
@@ -92,16 +95,16 @@ pub enum Request {
         data: Bytes,
     },
     /// Read the next file block: IS and SS. Reply: `u8` flag (0 = end);
-    /// when 1, on IS the `u64` file-block index then the block bytes,
-    /// on SS the `u64` index of the first record claimed then the
-    /// claimed records' bytes (to the end of the file block the shared
-    /// cursor was in; the body's length gives the count). No v5 client
-    /// sends it on SS, so serving it there left the version at 5.
+    /// when 1, the `u64` index of the block's first record, then the
+    /// records' bytes — on SS to the end of the file block the shared
+    /// cursor was in, on either fewer than a block where the file ends
+    /// inside it. The body's length gives the count.
     ReadNextBlock {
         /// Open handle.
         handle: u64,
     },
-    /// Write the slot's next whole block: IS. Reply: `u64` block index.
+    /// Write the slot's next whole block: IS. Reply: the `u64` index of
+    /// its first record.
     WriteNextBlock {
         /// Open handle.
         handle: u64,

@@ -456,22 +456,21 @@ fn push_error(out: &mut Vec<u8>, request_id: u64, e: &NetError) {
 }
 
 /// Stage a flagged reply body in `out`: `read` fills up to `n` bytes in
-/// place and returns an index and the bytes it filled, and the body is
-/// a `1` flag, the index's first `gap` bytes (0 or 8), then the filled
-/// bytes — or, at the end, the lone `0` flag.
+/// place and returns its first record's index and the bytes it filled,
+/// and the body is a `1` flag, the index, then the filled bytes — or,
+/// at the end, the lone `0` flag.
 fn read_flagged(
     out: &mut Vec<u8>,
-    gap: usize,
     n: usize,
     read: impl FnOnce(&mut [u8]) -> pario_server::Result<Option<(u64, usize)>>,
 ) -> Result<()> {
     let at = out.len();
     out.push(1);
-    out.resize(at + 1 + gap + n, 0);
-    match read(&mut out[at + 1 + gap..])? {
+    out.resize(at + 9 + n, 0);
+    match read(&mut out[at + 9..])? {
         Some((index, filled)) => {
-            out[at + 1..at + 1 + gap].copy_from_slice(&index.to_le_bytes()[..gap]);
-            out.truncate(at + 1 + gap + filled);
+            out[at + 1..at + 9].copy_from_slice(&index.to_le_bytes());
+            out.truncate(at + 9 + filled);
         }
         None => {
             out.truncate(at);
@@ -614,27 +613,19 @@ impl Conn {
 /// Which verbs a view serves is the handle's to decide.
 fn serve(h: u64, open: &mut Open, req: Request, out: &mut Vec<u8>) -> Result<()> {
     let handle = &mut open.handle;
-    let (n, view) = (handle.record_size(), handle.view());
+    let n = handle.record_size();
     let block = n * handle.records_per_block();
-    // Where the client cannot know the index — on SS, whose cursor
-    // every session moves — and for IS writes, the reply names it.
-    let names_index =
-        |write| view == View::SelfSched || write && matches!(view, View::Interleaved(_));
     match req {
         Request::ReadNext { .. } => {
-            let gap = if names_index(false) { 8 } else { 0 };
-            read_flagged(out, gap, n, |b| Ok(handle.read_next(b)?.map(|r| (r, n))))?;
+            read_flagged(out, n, |b| Ok(handle.read_next(b)?.map(|r| (r, n))))?;
         }
         Request::WriteNext { data, .. } => {
             sized(h, &data, n)?;
-            let r = handle.write_next(&data)?;
-            if names_index(true) {
-                put_u64(out, r);
-            }
+            put_u64(out, handle.write_next(&data)?);
         }
         Request::ReadNextBlock { .. } => {
             let read = |b: &mut [u8]| Ok(handle.read_next_block(b)?.map(|(i, k)| (i, k * n)));
-            read_flagged(out, 8, block, read)?;
+            read_flagged(out, block, read)?;
         }
         Request::WriteNextBlock { data, .. } => {
             sized(h, &data, block)?;

@@ -89,7 +89,7 @@ fn shaken(addr: &str) -> TcpStream {
 fn assert_server_alive(addr: &str) {
     let client = NetClient::connect_tcp(addr).unwrap();
     client.ping().unwrap();
-    let q = client.open_self_sched("queue").unwrap();
+    let q = client.open("queue", View::SelfSched).unwrap();
     let mut buf = [0u8; REC];
     // At least one record is still claimable through the shared cursor.
     q.read_next(&mut buf).unwrap();
@@ -185,12 +185,12 @@ fn version_2_hello_fails_the_handshake() {
     assert_hello_refused(2);
 }
 
-/// What a v3 client would do with a v4 or v5 welcome is read its first
-/// reply from the middle of the lane name; it is told the version
+/// What a v3 client would do with a v4, v5 or v6 welcome is read its
+/// first reply from the middle of the lane name; it is told the version
 /// instead.
 #[test]
 fn version_3_hello_fails_the_handshake() {
-    assert_eq!(VERSION, 5);
+    assert_eq!(VERSION, 6);
     assert_hello_refused(3);
 }
 
@@ -199,6 +199,14 @@ fn version_3_hello_fails_the_handshake() {
 #[test]
 fn version_4_hello_fails_the_handshake() {
     assert_hello_refused(4);
+}
+
+/// A v5 client would read the record index a v6 reply puts in front of
+/// a partition's or a slot's record as record bytes; it is told the
+/// version before it reads one.
+#[test]
+fn version_5_hello_fails_the_handshake() {
+    assert_hello_refused(5);
 }
 
 #[test]
@@ -376,7 +384,7 @@ fn a_block_transfer_mid_block_is_refused_and_the_connection_serves_on() {
     let handle = raw.open("ilv", View::Interleaved(0));
     assert_eq!(
         raw.ok(&Request::ReadNext { handle }),
-        [&[1][..], &[0; REC]].concat()
+        [&[1][..], &0u64.to_le_bytes(), &[0; REC]].concat()
     );
     let block = Bytes::from(vec![1; 4 * REC]);
     for req in [
@@ -396,7 +404,7 @@ fn a_block_transfer_mid_block_is_refused_and_the_connection_serves_on() {
     // The cursor did not move: the next record is record 1.
     assert_eq!(
         raw.ok(&Request::ReadNext { handle }),
-        [&[1][..], &[1; REC]].concat()
+        [&[1][..], &1u64.to_le_bytes(), &[1; REC]].concat()
     );
     assert_eq!(net.live_connections(), baseline);
 }

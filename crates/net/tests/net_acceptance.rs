@@ -13,7 +13,7 @@ use bytes::Bytes;
 use pario_core::{CoreError, Organization, ParallelFile};
 use pario_fs::{resolve, RawFile, Volume, VolumeCacheConfig, VolumeConfig};
 use pario_net::{NetClient, NetConfig, NetError, NetServer, Transport};
-use pario_server::{Server, ServerConfig, ServerError};
+use pario_server::{Server, ServerConfig, ServerError, View};
 
 const REC: usize = 64;
 const BS: usize = 256;
@@ -73,7 +73,7 @@ fn eight_clients_on_the_lane_drain_ss_exactly_once() {
             let seen = &seen;
             s.spawn(move |_| {
                 let client = on_the_lane(addr);
-                let q = client.open_self_sched("queue").unwrap();
+                let q = client.open("queue", View::SelfSched).unwrap();
                 assert_eq!(q.record_size(), REC);
                 // Keep a window of claims on the wire; resolve in order.
                 let mut window = std::collections::VecDeque::new();
@@ -119,10 +119,10 @@ fn partition_claims_are_exclusive_over_the_wire() {
     let a = NetClient::connect_tcp(&addr).unwrap();
     let b = NetClient::connect_tcp(&addr).unwrap();
 
-    let pa = a.open_partition("part", 1).unwrap();
+    let pa = a.open("part", View::Partition(1)).unwrap();
     // The same partition from another connection is refused with the
     // exact typed error the in-process suite matches on.
-    match b.open_partition("part", 1) {
+    match b.open("part", View::Partition(1)) {
         Err(NetError::Server(ServerError::Claimed { name, index, .. })) => {
             assert_eq!(name, "part");
             assert_eq!(index, 1);
@@ -130,7 +130,7 @@ fn partition_claims_are_exclusive_over_the_wire() {
         other => panic!("expected Claimed, got {other:?}"),
     }
     // A different partition is fine, and the range travels back.
-    let pb = b.open_partition("part", 2).unwrap();
+    let pb = b.open("part", View::Partition(2)).unwrap();
     let (start, end) = pb.range();
     assert!(start < end);
 
@@ -153,8 +153,8 @@ fn partition_claims_are_exclusive_over_the_wire() {
     // client A guarantees it has executed.
     drop(pa);
     a.ping().unwrap();
-    let pa2 = b.open_partition("part", 1).unwrap();
-    assert_eq!(pa2.partition(), 1);
+    let pa2 = b.open("part", View::Partition(1)).unwrap();
+    assert_eq!(pa2.view(), View::Partition(1));
 }
 
 /// Two connections each claim a slot of a two-process IS file, write
@@ -174,49 +174,52 @@ fn interleaved_slots_over_the_wire_are_strided_and_exclusive() {
     // Slot p's blocks are p, p + 2, ...: one block of single records,
     // then one whole block.
     for (p, client) in clients.iter().enumerate() {
-        let slot = client.open_interleaved("ilv", p as u32).unwrap();
-        assert_eq!(slot.block_bytes(), RPB as usize * REC);
+        let slot = client.open("ilv", View::Interleaved(p as u32)).unwrap();
+        assert_eq!(slot.records_per_block(), RPB as usize);
         for k in 0..RPB {
             let r = p as u64 * RPB + k;
             assert_eq!(slot.write_next(&pattern(r)).unwrap(), r);
         }
         let fb = p as u64 + 2;
         let block: Vec<u8> = (0..RPB).flat_map(|k| pattern(fb * RPB + k)).collect();
-        assert_eq!(slot.write_next_block(&block).unwrap(), fb);
+        assert_eq!(slot.write_next_block(&block).unwrap(), fb * RPB);
     }
 
     // Held slot 0 is refused to a third connection; reopened on the
     // connection that wrote it, each slot reads its own blocks back.
-    let held = clients[0].open_interleaved("ilv", 0).unwrap();
+    let held = clients[0].open("ilv", View::Interleaved(0)).unwrap();
     match NetClient::connect_tcp(&addr)
         .unwrap()
-        .open_interleaved("ilv", 0)
+        .open("ilv", View::Interleaved(0))
     {
         Err(NetError::Server(ServerError::Claimed { name, index, .. })) => {
             assert_eq!((name.as_str(), index), ("ilv", 0));
         }
         other => panic!("expected Claimed, got {other:?}"),
     }
-    let slots = [held, clients[1].open_interleaved("ilv", 1).unwrap()];
+    let slots = [held, clients[1].open("ilv", View::Interleaved(1)).unwrap()];
     for (p, slot) in slots.iter().enumerate() {
         let mut rec = [0u8; REC];
         for k in 0..RPB {
-            assert!(slot.read_next(&mut rec).unwrap());
-            assert_eq!(rec, pattern(p as u64 * RPB + k));
+            let r = p as u64 * RPB + k;
+            assert_eq!(slot.read_next(&mut rec).unwrap(), Some(r));
+            assert_eq!(rec, pattern(r));
         }
-        let mut block = vec![0u8; slot.block_bytes()];
+        let mut block = vec![0u8; RPB as usize * REC];
         let fb = p as u64 + 2;
-        assert_eq!(slot.read_next_block(&mut block).unwrap(), Some(fb));
-        let want: Vec<u8> = (0..RPB).flat_map(|k| pattern(fb * RPB + k)).collect();
+        let first = fb * RPB;
+        let got = slot.read_next_block(&mut block).unwrap();
+        assert_eq!(got, Some((first, RPB as usize)));
+        let want: Vec<u8> = (0..RPB).flat_map(|k| pattern(first + k)).collect();
         assert_eq!(block, want);
         assert_eq!(slot.read_next_block(&mut block).unwrap(), None);
-        assert!(!slot.read_next(&mut rec).unwrap());
+        assert_eq!(slot.read_next(&mut rec).unwrap(), None);
     }
 
     // `ReadNext` on a GDA handle, spoken by hand: a typed refusal, then
     // the same connection serves the next request.
     use pario_net::frame::{client_handshake, encode_frame, read_frame};
-    use pario_net::proto::{decode_reply_error, Opened, Request, View, STATUS_ERR, STATUS_OK};
+    use pario_net::proto::{decode_reply_error, Opened, Request, STATUS_ERR, STATUS_OK};
     use pario_net::wire::WireWriter;
     use std::io::Write;
     let mut s = std::net::TcpStream::connect(&addr).unwrap();
@@ -249,6 +252,55 @@ fn interleaved_slots_over_the_wire_are_strided_and_exclusive() {
         other => panic!("expected a protocol refusal, got {other:?}"),
     }
     assert_eq!(call(3, Request::DirLen { handle }), (STATUS_OK, vec![0; 8]));
+}
+
+/// Block reads over the wire take their count from the reply's length.
+/// Two connections block-claim an SS file of 42 records, 4 to a block:
+/// every record once, the last claim two records short. An IS slot of a
+/// 10-record file reads its short tail block.
+#[test]
+fn block_reads_over_the_wire_carry_short_tails() {
+    const RPB: usize = 4;
+    let volume = volume();
+    fill_ss(&volume, "queue", 42);
+    let org = Organization::InterleavedSeq { processes: 2 };
+    let pf = ParallelFile::create(&volume, "ilv", org, REC, RPB).unwrap();
+    let mut w = pf.global_writer();
+    for r in 0..10 {
+        w.write_record(&pattern(r)).unwrap();
+    }
+    w.finish().unwrap();
+    let (_net, addr) = serve(volume);
+    let clients = [on_the_lane(&addr), on_the_lane(&addr)];
+
+    let queues = clients
+        .each_ref()
+        .map(|c| c.open("queue", View::SelfSched).unwrap());
+    let mut block = vec![0u8; RPB * REC];
+    let (mut seen, mut claims) = (HashSet::new(), Vec::new());
+    for q in queues.iter().cycle() {
+        let Some((first, n)) = q.read_next_block(&mut block).unwrap() else {
+            break;
+        };
+        for (k, rec) in block[..n * REC].chunks(REC).enumerate() {
+            let r = first + k as u64;
+            assert_eq!(rec, [r as u8; REC], "record {r}");
+            assert!(seen.insert(r), "record {r} twice");
+        }
+        claims.push(n);
+    }
+    assert_eq!(seen.len(), 42);
+    assert_eq!(claims, [vec![RPB; 10], vec![2]].concat());
+    for q in &queues {
+        assert_eq!(q.read_next_block(&mut block).unwrap(), None);
+    }
+
+    // Slot 0 owns records 0..4 and the tail 8..10.
+    let slot = clients[0].open("ilv", View::Interleaved(0)).unwrap();
+    assert_eq!(slot.read_next_block(&mut block).unwrap(), Some((0, RPB)));
+    assert_eq!(slot.read_next_block(&mut block).unwrap(), Some((8, 2)));
+    assert_eq!(block[..2 * REC], [pattern(8), pattern(9)].concat()[..]);
+    assert_eq!(slot.read_next_block(&mut block).unwrap(), None);
 }
 
 /// Record `r`'s bytes assembled straight from the raw devices, bypassing
@@ -393,28 +445,29 @@ fn unix_socket_carries_the_same_protocol() {
     // Exclusive type-S over the unix transport: write, finish, read
     // back; a second exclusive open is refused while the first is held.
     {
-        let log = client.open_sequential("log").unwrap();
+        let log = client.open("log", View::Sequential).unwrap();
         for i in 0..10u8 {
             log.write_next(&[i; REC]).unwrap();
         }
         assert_eq!(log.finish().unwrap(), 10);
         match NetClient::connect_unix(&path)
             .unwrap()
-            .open_sequential("log")
+            .open("log", View::Sequential)
         {
             Err(NetError::Server(ServerError::Exclusive { name, .. })) => assert_eq!(name, "log"),
             other => panic!("expected Exclusive, got {other:?}"),
         }
         let mut buf = [0u8; REC];
         for i in 0..10u8 {
-            assert!(log.read_next(&mut buf).unwrap(), "record {i} missing");
+            let r = log.read_next(&mut buf).unwrap();
+            assert_eq!(r, Some(u64::from(i)), "record {i} missing");
             assert_eq!(buf, [i; REC]);
         }
-        assert!(!log.read_next(&mut buf).unwrap(), "EOF after 10 records");
+        assert_eq!(log.read_next(&mut buf).unwrap(), None, "EOF after 10");
     }
 
     // A missing file fails with the typed FS error, not a socket error.
-    match client.open_sequential("absent") {
+    match client.open("absent", View::Sequential) {
         Err(NetError::Server(ServerError::Core(CoreError::Fs(_)))) => {}
         other => panic!("open of a missing file must fail typed, got {other:?}"),
     }
@@ -484,7 +537,7 @@ fn wrong_organization_round_trips_the_full_error_chain() {
     fill_ss(&volume, "queue", 4);
     let (_net, addr) = serve(volume);
     let client = NetClient::connect_tcp(&addr).unwrap();
-    match client.open_sequential("queue") {
+    match client.open("queue", View::Sequential) {
         Err(NetError::Server(ServerError::Core(CoreError::WrongOrganization {
             expected,
             actual,
@@ -557,7 +610,7 @@ fn four_threads_share_one_connection_two_blocking_two_pipelining() {
         for _ in 0..2 {
             let (client, seen) = (&client, &seen);
             s.spawn(move |_| {
-                let q = client.open_self_sched("queue").unwrap();
+                let q = client.open("queue", View::SelfSched).unwrap();
                 let mut window = std::collections::VecDeque::new();
                 let mut buf = [0u8; REC];
                 let mut local = Vec::new();
@@ -615,19 +668,19 @@ fn unread_pipelined_replies_do_not_wedge_a_large_blocking_write() {
     let (_net, addr) = serve(volume);
     let client = NetClient::connect_tcp(&addr).unwrap();
 
-    let src = client.open_self_sched("src").unwrap();
+    let src = client.open("src", View::SelfSched).unwrap();
     let tickets: Vec<_> = (0..N).map(|_| src.submit_read_next().unwrap()).collect();
 
     // Another thread, same connection: sixteen large blocking writes,
     // all done before the first read is finished.
     std::thread::scope(|s| {
         s.spawn(|| {
-            let dst = client.open_self_sched("dst").unwrap();
+            let dst = client.open("dst", View::SelfSched).unwrap();
             let data = vec![0xC3u8; WRITE_REC];
             for i in 0..N as u64 {
                 assert_eq!(dst.write_next(&data).unwrap(), i);
             }
-            assert_eq!(dst.finish_writes().unwrap(), N as u64);
+            assert_eq!(dst.finish().unwrap(), N as u64);
         });
     });
 
@@ -648,7 +701,7 @@ fn a_dropped_ticket_neither_wedges_the_next_caller_nor_leaks_a_credit() {
     fill_ss(&volume, "queue", 8);
     let (_net, addr) = serve(volume);
     let client = NetClient::connect_tcp(&addr).unwrap();
-    let q = client.open_self_sched("queue").unwrap();
+    let q = client.open("queue", View::SelfSched).unwrap();
     let credits = client.grant().credits;
 
     drop(q.submit_read_next().unwrap());

@@ -4,7 +4,7 @@
 //! — the ones the protocol documents as not served — and a refusal may
 //! take no admission permit and count no operation. A served pair must
 //! produce the same records and indices: the in-process result, encoded
-//! as the v5 reply the protocol documents, is the wire's reply body.
+//! as the v6 reply the protocol documents, is the wire's reply body.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -130,33 +130,23 @@ fn server() -> Server {
     Server::new(volume, ServerConfig::default())
 }
 
-fn flagged(index: Option<u64>, bytes: &[u8]) -> Vec<u8> {
-    let index = index.map(u64::to_le_bytes);
-    [&[1][..], index.as_ref().map_or(&[][..], |i| &i[..]), bytes].concat()
+fn flagged(index: u64, bytes: &[u8]) -> Vec<u8> {
+    [&[1][..], &index.to_le_bytes(), bytes].concat()
 }
 
 /// Run `verb` on an in-process handle; the reply body the protocol
 /// documents for its result.
 fn in_process(h: &mut Handle, verb: Verb) -> pario_server::Result<Vec<u8>> {
-    let ss = h.view() == View::SelfSched;
-    let ilv = matches!(h.view(), View::Interleaved(_));
     let mut buf = vec![0u8; REC * RPB];
     let u64_body = |v: u64| v.to_le_bytes().to_vec();
     Ok(match verb {
         Verb::ReadNext => match h.read_next(&mut buf[..REC])? {
-            Some(r) => flagged(ss.then_some(r), &buf[..REC]),
+            Some(r) => flagged(r, &buf[..REC]),
             None => vec![0],
         },
-        Verb::WriteNext => {
-            let r = h.write_next(&record(6, 0))?;
-            if ss || ilv {
-                u64_body(r)
-            } else {
-                Vec::new()
-            }
-        }
+        Verb::WriteNext => u64_body(h.write_next(&record(6, 0))?),
         Verb::ReadNextBlock => match h.read_next_block(&mut buf)? {
-            Some((i, k)) => flagged(Some(i), &buf[..k * REC]),
+            Some((i, k)) => flagged(i, &buf[..k * REC]),
             None => vec![0],
         },
         Verb::WriteNextBlock => u64_body(h.write_next_block(&[7; REC * RPB])?),
@@ -340,22 +330,22 @@ fn ss_block_reads_over_the_wire_name_their_first_record() {
     let block: Vec<u8> = (0..4).flat_map(|r| record(2, r)).collect();
     assert_eq!(
         raw.ok(&Request::ReadNextBlock { handle }),
-        flagged(Some(0), &block)
+        flagged(0, &block)
     );
     assert_eq!(
         raw.ok(&Request::ReadNext { handle }),
-        flagged(Some(4), &record(2, 4))
+        flagged(4, &record(2, 4))
     );
     // The claim runs to the end of the block the cursor is in.
     let rest: Vec<u8> = (5..8).flat_map(|r| record(2, r)).collect();
     assert_eq!(
         raw.ok(&Request::ReadNextBlock { handle }),
-        flagged(Some(5), &rest)
+        flagged(5, &rest)
     );
     let tail: Vec<u8> = (8..10).flat_map(|r| record(2, r)).collect();
     assert_eq!(
         raw.ok(&Request::ReadNextBlock { handle }),
-        flagged(Some(8), &tail)
+        flagged(8, &tail)
     );
     assert_eq!(raw.ok(&Request::ReadNextBlock { handle }), [0]);
     assert_eq!(raw.ok(&Request::Claimed { handle }), 10u64.to_le_bytes());

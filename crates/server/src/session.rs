@@ -17,8 +17,8 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use pario_core::{
-    CoreError, DirectHandle, InterleavedHandle, Organization, ParallelFile, PartitionHandle,
-    SelfSchedReader, SelfSchedWriter,
+    CoreError, DirectHandle, Organization, ParallelFile, ProcessView, SelfSchedReader,
+    SelfSchedWriter,
 };
 use pario_fs::{FsError, GlobalReader, GlobalWriter, RangeLocks, Volume};
 
@@ -275,8 +275,8 @@ impl Session {
                 Cursor::Seq(Box::new((pfile.global_reader(), None)))
             }
             View::SelfSched => Cursor::Ss(pfile.self_sched_reader()?, pfile.self_sched_writer()?),
-            View::Partition(p) => Cursor::Part(pfile.partition_handle(p)?),
-            View::Interleaved(p) => Cursor::Ilv(pfile.interleaved_handle(p)?),
+            View::Partition(p) => Cursor::Proc(pfile.partition_handle(p)?),
+            View::Interleaved(p) => Cursor::Proc(pfile.interleaved_handle(p)?),
             View::Direct => Cursor::Dir(DirectClient::new(self, Arc::clone(&entry))?),
         };
         if !matches!(view, View::SelfSched | View::Direct) {
@@ -316,9 +316,18 @@ enum Cursor {
     /// size.
     Seq(Box<(GlobalReader, Option<GlobalWriter>)>),
     Ss(SelfSchedReader, SelfSchedWriter),
-    Part(PartitionHandle),
-    Ilv(InterleavedHandle),
+    /// A partition (PS/PDA) or an interleave slot (IS): one strided view.
+    Proc(ProcessView),
     Dir(DirectClient),
+}
+
+/// The strided view behind a handle opened as a partition (PS/PDA,
+/// `partition == true`) or as an interleave slot (IS).
+fn process_view(cursor: &mut Cursor, view: View, partition: bool) -> Result<&mut ProcessView> {
+    match cursor {
+        Cursor::Proc(v) if matches!(view, View::Partition(_)) == partition => Ok(v),
+        _ => Err(ServerError::NotServed { view }),
+    }
 }
 
 /// One open view of a file: the session, the view's claim (if it takes
@@ -363,14 +372,32 @@ impl Handle {
     /// The global record range `[start, end)` this handle may touch: the
     /// claimed partition's, or `[0, len_records)` for every other view.
     pub fn range(&self) -> (u64, u64) {
-        match &self.cursor {
-            Cursor::Part(h) => h.range(),
+        match (&self.cursor, self.view) {
+            (Cursor::Proc(v), View::Partition(_)) => v.range(),
             _ => (0, self.len_records()),
         }
     }
 
     fn not_served(&self) -> ServerError {
         ServerError::NotServed { view: self.view }
+    }
+
+    /// Refuse record `r` outside a claimed partition before admission,
+    /// naming the partition's bounds. The view refuses what lies outside
+    /// an interleave slot itself.
+    fn inside(&self, r: u64) -> Result<()> {
+        match (&self.cursor, self.view) {
+            (Cursor::Proc(v), View::Partition(partition)) if !v.contains(r) => {
+                let (start, end) = v.range();
+                Err(ServerError::OutsidePartition {
+                    record: r,
+                    partition,
+                    start,
+                    end,
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Read the view's next record: the file's (S), the shared cursor's
@@ -384,14 +411,7 @@ impl Handle {
                 Ok(s.0.read_record(out)?.then_some(r))
             }),
             Cursor::Ss(reader, _) => sess.run(false, || Ok(reader.read_next(out)?)),
-            Cursor::Part(h) => sess.run(false, || {
-                let r = h.range().0 + h.position();
-                Ok(h.read_next(out)?.then_some(r))
-            }),
-            Cursor::Ilv(h) => sess.run(false, || {
-                let r = h.current_record();
-                Ok(h.read_next(out)?.then_some(r))
-            }),
+            Cursor::Proc(v) => sess.run(false, || Ok(v.read_next(out)?)),
             Cursor::Dir(_) => Err(self.not_served()),
         }
     }
@@ -404,6 +424,9 @@ impl Handle {
     /// with [`ServerError::OutsidePartition`] before admission — never a
     /// spill into the neighbour's blocks.
     pub fn write_next(&mut self, data: &[u8]) -> Result<u64> {
+        if let Cursor::Proc(v) = &self.cursor {
+            self.inside(v.next_record())?;
+        }
         let (sess, entry) = (&self.sess, &self.entry);
         match &mut self.cursor {
             Cursor::Seq(s) => sess.run(true, || {
@@ -414,41 +437,32 @@ impl Handle {
                 Ok(r)
             }),
             Cursor::Ss(_, writer) => sess.run(true, || Ok(writer.write_next(data)?)),
-            Cursor::Part(h) => {
-                let r = h.range().0 + h.position();
-                local(h, r)?;
-                sess.run(true, || {
-                    h.write_next(data)?;
-                    Ok(r)
-                })
-            }
-            Cursor::Ilv(h) => sess.run(true, || Ok(h.write_next(data)?)),
+            Cursor::Proc(v) => sess.run(true, || Ok(v.write_next(data)?)),
             Cursor::Dir(_) => Err(self.not_served()),
         }
     }
 
     /// Read the view's next file block into `out`, which holds one file
-    /// block. SS claims to the end of the block the shared cursor is in
-    /// (the paper's self-scheduling by block) and returns the first
-    /// record's index and the count claimed; IS reads the slot's next
-    /// whole block and returns its file-block index and the records per
-    /// block. `None` at the end.
+    /// block, and return its first record's index and the records read:
+    /// SS claims to the end of the block the shared cursor is in (the
+    /// paper's self-scheduling by block), IS reads the slot's next
+    /// block. Either is short where the file ends inside the block.
+    /// `None` at the end.
     pub fn read_next_block(&mut self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
-        let (sess, rpb) = (&self.sess, self.records_per_block());
         match &mut self.cursor {
-            Cursor::Ss(reader, _) => sess.run(false, || Ok(reader.read_next_block(out)?)),
-            Cursor::Ilv(h) => sess.run(false, || Ok(h.read_next_block(out)?.map(|b| (b, rpb)))),
-            _ => Err(self.not_served()),
+            Cursor::Ss(reader, _) => self.sess.run(false, || Ok(reader.read_next_block(out)?)),
+            cursor => {
+                let v = process_view(cursor, self.view, false)?;
+                self.sess.run(false, || Ok(v.read_next_block(out)?))
+            }
         }
     }
 
-    /// Write the slot's next whole file block (IS); returns its
-    /// file-block index.
+    /// Write the slot's next whole file block (IS); returns its first
+    /// record's index.
     pub fn write_next_block(&mut self, data: &[u8]) -> Result<u64> {
-        match &mut self.cursor {
-            Cursor::Ilv(h) => self.sess.run(true, || Ok(h.write_next_block(data)?)),
-            _ => Err(self.not_served()),
-        }
+        let v = process_view(&mut self.cursor, self.view, false)?;
+        self.sess.run(true, || Ok(v.write_next_block(data)?))
     }
 
     /// Publish the length written: S flushes its buffered appends, SS
@@ -469,8 +483,7 @@ impl Handle {
     pub fn rewind(&mut self) -> Result<()> {
         match &mut self.cursor {
             Cursor::Seq(s) => s.0.seek_record(0),
-            Cursor::Part(h) => h.rewind(),
-            _ => return Err(self.not_served()),
+            cursor => process_view(cursor, self.view, true)?.rewind(),
         }
         Ok(())
     }
@@ -487,12 +500,12 @@ impl Handle {
     /// claimed partition ([`ServerError::OutsidePartition`] outside it,
     /// refused before admission).
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        match &self.cursor {
-            Cursor::Part(h) => {
-                let local = local(h, r)?;
-                self.sess.run(false, || Ok(h.read_at(local, out)?))
+        match (&self.cursor, self.view) {
+            (Cursor::Proc(v), View::Partition(_)) => {
+                self.inside(r)?;
+                self.sess.run(false, || Ok(v.read_record(r, out)?))
             }
-            Cursor::Dir(d) => d.read_record(r, out),
+            (Cursor::Dir(d), _) => d.read_record(r, out),
             _ => Err(self.not_served()),
         }
     }
@@ -501,12 +514,12 @@ impl Handle {
     /// range lock, see [`DirectClient::write_record`]), and PS/PDA
     /// inside the claimed partition.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        match &self.cursor {
-            Cursor::Part(h) => {
-                let local = local(h, r)?;
-                self.sess.run(true, || Ok(h.write_at(local, data)?))
+        match (&self.cursor, self.view) {
+            (Cursor::Proc(v), View::Partition(_)) => {
+                self.inside(r)?;
+                self.sess.run(true, || Ok(v.write_record(r, data)?))
             }
-            Cursor::Dir(d) => d.write_record(r, data),
+            (Cursor::Dir(d), _) => d.write_record(r, data),
             _ => Err(self.not_served()),
         }
     }
@@ -519,20 +532,6 @@ impl Handle {
             _ => Err(self.not_served()),
         }
     }
-}
-
-/// Map global record index `r` into `h`'s partition, or refuse it.
-fn local(h: &PartitionHandle, r: u64) -> Result<u64> {
-    let (start, end) = h.range();
-    if r < start || r >= end {
-        return Err(ServerError::OutsidePartition {
-            record: r,
-            partition: h.partition(),
-            start,
-            end,
-        });
-    }
-    Ok(r - start)
 }
 
 impl Drop for Handle {

@@ -45,10 +45,11 @@ fn main() {
     // Initialise every record with a counter in its first 8 bytes.
     for p in 0..PARTS {
         let h = pf.partition_handle(p).expect("handle");
-        for i in 0..h.len() {
+        let (lo, hi) = h.range();
+        for r in lo..hi {
             let mut rec = vec![0u8; RECORD];
             rec[..8].copy_from_slice(&1u64.to_le_bytes());
-            h.write_at(i, &rec).expect("init");
+            h.write_record(r, &rec).expect("init");
         }
     }
 
@@ -64,19 +65,21 @@ fn main() {
         for (p, accesses) in pattern.trace().per_process(PARTS).into_iter().enumerate() {
             let h = pf.partition_handle(p as u32).expect("handle");
             s.spawn(move |_| {
+                // The trace names pages within the partition.
+                let lo = h.range().0;
                 let mut rec = vec![0u8; RECORD];
                 let mut pending: Option<u64> = None;
                 for a in accesses {
                     match a.kind {
                         pario::workloads::AccessKind::Read => {
-                            h.read_at(a.index, &mut rec).expect("page in");
+                            h.read_record(lo + a.index, &mut rec).expect("page in");
                             let v = u64::from_le_bytes(rec[..8].try_into().unwrap());
                             pending = Some(v * 2 + 1); // the "relaxation"
                         }
                         pario::workloads::AccessKind::Write => {
                             let v = pending.take().expect("write follows read");
                             rec[..8].copy_from_slice(&v.to_le_bytes());
-                            h.write_at(a.index, &rec).expect("page out");
+                            h.write_record(lo + a.index, &rec).expect("page out");
                         }
                     }
                 }

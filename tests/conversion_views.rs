@@ -105,11 +105,7 @@ fn forced_views_cover_everything_once() {
     for p in 0..4 {
         let mut h = views::force_interleaved(&ps, p, 4).unwrap();
         let mut buf = vec![0u8; RECORD];
-        loop {
-            let idx = h.current_record();
-            if !h.read_next(&mut buf).unwrap() {
-                break;
-            }
+        while let Some(idx) = h.read_next(&mut buf).unwrap() {
             assert_eq!(buf, record_payload(idx, RECORD));
             assert!(!std::mem::replace(&mut seen[idx as usize], true));
         }
@@ -122,10 +118,9 @@ fn forced_views_cover_everything_once() {
         let mut h = views::force_partition(&is, p, 3).unwrap();
         let (lo, _) = h.range();
         let mut buf = vec![0u8; RECORD];
-        let mut local = 0u64;
-        while h.read_next(&mut buf).unwrap() {
-            assert_eq!(buf, record_payload(lo + local, RECORD));
-            local += 1;
+        while let Some(r) = h.read_next(&mut buf).unwrap() {
+            assert_eq!(buf, record_payload(r, RECORD));
+            assert_eq!(r, lo + h.position() - 1);
             count += 1;
         }
     }

@@ -66,7 +66,7 @@ fn partitioned_concurrent_writers() {
     let mut h = again.partition_handle(2).unwrap();
     let (lo, _) = h.range();
     let mut buf = vec![0u8; RECORD];
-    assert!(h.read_next(&mut buf).unwrap());
+    assert_eq!(h.read_next(&mut buf).unwrap(), Some(lo));
     assert_eq!(buf, record_payload(lo, RECORD));
 }
 
@@ -170,17 +170,15 @@ fn partitioned_direct_multiple_passes() {
         for p in 0..2 {
             let h = pf.partition_handle(p).unwrap();
             s.spawn(move |_| {
-                let n = h.len();
+                let (lo, hi) = h.range();
                 // Pass 1: forward writes; pass 2: backward verify+update.
-                for i in 0..n {
-                    let (lo, _) = h.range();
-                    h.write_at(i, &record_payload(lo + i, RECORD)).unwrap();
+                for r in lo..hi {
+                    h.write_record(r, &record_payload(r, RECORD)).unwrap();
                 }
                 let mut buf = vec![0u8; RECORD];
-                for i in (0..n).rev() {
-                    let (lo, _) = h.range();
-                    h.read_at(i, &mut buf).unwrap();
-                    assert_eq!(buf, record_payload(lo + i, RECORD));
+                for r in (lo..hi).rev() {
+                    h.read_record(r, &mut buf).unwrap();
+                    assert_eq!(buf, record_payload(r, RECORD));
                 }
             });
         }

@@ -2,7 +2,8 @@
 //! records, written by 1–8 processes through each organization's own
 //! internal view over a random placement (striped, partitioned,
 //! shadowed or parity), read back byte-identical through the global
-//! view and through every forced view.
+//! view and through every forced view, by record and, where the view
+//! reads blocks, by block.
 //!
 //! The processes take turns on one thread, a record each, so a failing
 //! case replays exactly; concurrency has its own tests.
@@ -68,11 +69,11 @@ impl Case {
             }
             Organization::PartitionedSeq { .. } => {
                 let mut hs: Vec<_> = (0..p).map(|q| pf.partition_handle(q).unwrap()).collect();
-                let rounds = hs.iter().map(|h| h.len()).max().unwrap_or(0);
-                for _ in 0..rounds {
+                for _ in 0..self.n {
                     for h in &mut hs {
-                        if h.position() < h.len() {
-                            h.write_next(&self.rec(h.range().0 + h.position())).unwrap();
+                        let r = h.next_record();
+                        if h.contains(r) {
+                            assert_eq!(h.write_next(&self.rec(r)).unwrap(), r);
                         }
                     }
                 }
@@ -83,7 +84,7 @@ impl Case {
                 while live {
                     live = false;
                     for h in &mut hs {
-                        let r = h.current_record();
+                        let r = h.next_record();
                         if r < self.n {
                             assert_eq!(h.write_next(&self.rec(r)).unwrap(), r);
                             live = true;
@@ -110,12 +111,11 @@ impl Case {
             Organization::PartitionedDirect { .. } => {
                 // Each partition writes its records last first.
                 let hs: Vec<_> = (0..p).map(|q| pf.partition_handle(q).unwrap()).collect();
-                let rounds = hs.iter().map(|h| h.len()).max().unwrap_or(0);
-                for k in 0..rounds {
+                for k in 0..self.n {
                     for h in &hs {
-                        if k < h.len() {
-                            let local = h.len() - 1 - k;
-                            h.write_at(local, &self.rec(h.range().0 + local)).unwrap();
+                        let (lo, hi) = h.range();
+                        if k < hi - lo {
+                            h.write_record(hi - 1 - k, &self.rec(hi - 1 - k)).unwrap();
                         }
                     }
                 }
@@ -142,11 +142,7 @@ impl Case {
         let mut seen = vec![false; n as usize];
         for q in 0..p {
             let mut h = views::force_interleaved(pf, q, p).unwrap();
-            loop {
-                let idx = h.current_record();
-                if !h.read_next(&mut buf).unwrap() {
-                    break;
-                }
+            while let Some(idx) = h.read_next(&mut buf).unwrap() {
                 assert_eq!(buf, self.rec(idx), "{org}: forced IS {q}/{p}, record {idx}");
                 assert!(!std::mem::replace(&mut seen[idx as usize], true));
             }
@@ -159,15 +155,23 @@ impl Case {
         let mut count = 0u64;
         for q in 0..p {
             let mut h = views::force_partition(pf, q, p).unwrap();
-            let lo = h.range().0;
-            let mut local = 0u64;
-            while h.read_next(&mut buf).unwrap() {
-                assert_eq!(buf, self.rec(lo + local), "{org}: forced PS {q}/{p}");
-                local += 1;
+            let (lo, hi) = h.range();
+            assert_eq!(lo, count, "{org}: forced PS {q}/{p} leaves a gap");
+            while let Some(r) = h.read_next(&mut buf).unwrap() {
+                assert_eq!(buf, self.rec(r), "{org}: forced PS {q}/{p}, record {r}");
+                assert_eq!(r, count, "{org}: forced PS {q}/{p} out of order");
+                count += 1;
             }
-            count += local;
+            assert_eq!(count, hi, "{org}: forced PS {q}/{p} stops short");
         }
         assert_eq!(count, n, "{org}: forced PS views cover the file");
+
+        let mut hs: Vec<_> = (0..p)
+            .map(|q| views::force_interleaved(pf, q, p).unwrap())
+            .collect();
+        self.check_blocks(&format!("{org}: forced IS blocks"), |b| {
+            hs.iter_mut().find_map(|h| h.read_next_block(b).unwrap())
+        });
 
         let mut seen = vec![false; n as usize];
         let ss = views::force_self_sched(pf);
@@ -177,11 +181,38 @@ impl Case {
         }
         assert!(seen.iter().all(|&s| s), "{org}: forced SS misses a record");
 
+        // A fresh open: a cursor of its own, at record 0.
+        let again = ParallelFile::open(pf.raw().volume(), pf.raw().name()).unwrap();
+        let ss = views::force_self_sched(&again);
+        self.check_blocks(&format!("{org}: forced SS blocks"), |b| {
+            ss.read_next_block(b).unwrap()
+        });
+
         let d = views::force_direct(pf);
         for i in 0..n {
             d.read_record(i, &mut buf).unwrap();
             assert_eq!(buf, self.rec(i), "{org}: forced GDA, record {i}");
         }
+    }
+}
+
+impl Case {
+    /// Drain `next`, a block reader, and check that it returns every
+    /// record of `0..n` exactly once, with its bytes.
+    fn check_blocks(&self, what: &str, mut next: impl FnMut(&mut [u8]) -> Option<(u64, usize)>) {
+        let mut block = vec![0u8; self.record * self.rpb];
+        let mut seen = vec![false; self.n as usize];
+        while let Some((first, k)) = next(&mut block) {
+            for (j, rec) in block[..k * self.record].chunks(self.record).enumerate() {
+                let i = first + j as u64;
+                assert_eq!(rec, self.rec(i), "{what}, record {i}");
+                assert!(
+                    !std::mem::replace(&mut seen[i as usize], true),
+                    "{what}: {i} twice"
+                );
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "{what} miss a record");
     }
 }
 

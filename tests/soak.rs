@@ -95,9 +95,9 @@ fn all_organizations_concurrently_on_one_volume() {
                 });
                 let h = pda.partition_handle(p).unwrap();
                 scope.spawn(move |_| {
-                    for i in (0..h.len()).rev() {
-                        let (lo, _) = h.range();
-                        h.write_at(i, &record_payload(2000 + lo + i, RECORD))
+                    let (lo, hi) = h.range();
+                    for r in (lo..hi).rev() {
+                        h.write_record(r, &record_payload(2000 + r, RECORD))
                             .unwrap();
                     }
                 });

@@ -69,7 +69,7 @@ fn row_partitioned_2d_stencil_matches_reference() {
                     let val = (mid[c] + up[c] + down[c] + left + right) / 5.0;
                     out[c * 8..(c + 1) * 8].copy_from_slice(&val.to_le_bytes());
                 }
-                h.write_at(r - lo, &out).unwrap();
+                h.write_record(r, &out).unwrap();
             }
         }
     }
