@@ -26,6 +26,10 @@
 //!   parity file and of an 8-wide stripe over 200 µs devices. A parity
 //!   write holds only its stripes' rows, so writers on different
 //!   stripes overlap as a stripe's do.
+//! * `record_writers`, `record_parity_writers` — the same writers with
+//!   512 B records in 4 KiB blocks, each writer in its own blocks (the
+//!   paper's PS processes): every write is a read-modify-write that
+//!   holds only its block, so writers on other blocks overlap too.
 //!
 //! The request counts are exact and asserted in every run; the times
 //! are what they buy.
@@ -238,6 +242,10 @@ fn global_scan_case(lanes: &mut Measured, devices: usize, unit: u64) {
     });
 }
 
+/// The record of the `record_*` writer lanes: an eighth of a block, so
+/// every write is a read-modify-write of its block.
+const RECORD: usize = BS / 8;
+
 /// Span writes each run of a `*_writers` lane makes at every writer
 /// count, shared out evenly: a fixed count, so the lane stays short.
 const WRITER_SPANS: u64 = 256;
@@ -251,18 +259,25 @@ const WRITERS: [(usize, &str); 4] = [
     (8, "w8_spans_per_sec"),
 ];
 
-/// Each writer count in turn: that many threads write 2-block spans
-/// into regions of their own of an 8-device file laid out as `layout`,
-/// on 200 µs devices. A region is whole 7-block stripes, one more than a
-/// multiple of 8 of them, so no two writers share a stripe and each
-/// starts at another phase of the devices (the rotated parity's, an
-/// 8-wide stripe's): writers in lockstep on the same devices would
-/// measure their queue. Returns the span writes per second at each
-/// count and the 8-writer rate over the 1-writer rate.
-fn writers_case(lanes: &mut Measured, lane: &str, layout: LayoutSpec) -> Lane {
-    const SPAN_BLOCKS: u64 = 2;
+/// Each writer count in turn: that many threads write `span`-byte spans
+/// one after another into regions of their own of an 8-device file of
+/// `record`-byte records laid out as `layout`, on 200 µs devices. A
+/// region is whole 7-block stripes, one more than a multiple of 8 of
+/// them, so no two writers share a stripe and each starts at another
+/// phase of the devices (the rotated parity's, an 8-wide stripe's):
+/// writers in lockstep on the same devices would measure their queue.
+/// Returns the span writes per second at each count and the 8-writer
+/// rate over the 1-writer rate.
+fn writers_case(
+    lanes: &mut Measured,
+    lane: &str,
+    layout: LayoutSpec,
+    record: usize,
+    span: usize,
+) -> Lane {
     let stripes = |n: u64| {
-        (SPAN_BLOCKS * WRITER_SPANS / n)
+        (span as u64 * WRITER_SPANS / n)
+            .div_ceil(BS as u64)
             .div_ceil(7)
             .next_multiple_of(8)
             + 1
@@ -270,19 +285,22 @@ fn writers_case(lanes: &mut Measured, lane: &str, layout: LayoutSpec) -> Lane {
     let region = |n: u64| 7 * stripes(n);
     let blocks = WRITERS.iter().map(|&(n, _)| n as u64 * region(n as u64));
     let v = Rig::new(8).delay(Duration::from_micros(200)).volume();
-    let spec = FileSpec::new("f", BS, 1, layout).initial_records(blocks.max().unwrap());
-    let f = v.create_file(spec).unwrap();
-    let data = pattern(SPAN_BLOCKS);
+    let rpb = BS / record;
+    let spec = FileSpec::new("f", record, rpb, layout);
+    let f = v
+        .create_file(spec.initial_records(rpb as u64 * blocks.max().unwrap()))
+        .unwrap();
+    let data = pattern(span.div_ceil(BS) as u64);
+    let data = &data[..span];
     let lane = lanes.lane(lane, RUNS, || {
         let mut rates: Vec<_> = WRITERS
             .iter()
             .map(|&(n, key)| {
                 let spans = WRITER_SPANS / n as u64;
                 let secs = rig::clients(n, |i| {
-                    let at = i as u64 * region(n as u64);
+                    let at = i as u64 * region(n as u64) * BS as u64;
                     for k in 0..spans {
-                        let block = at + k * SPAN_BLOCKS;
-                        f.write_span(block * BS as u64, &data).unwrap();
+                        f.write_span(at + k * span as u64, data).unwrap();
                     }
                 });
                 (key, WRITER_SPANS as f64 / secs)
@@ -291,7 +309,7 @@ fn writers_case(lanes: &mut Measured, lane: &str, layout: LayoutSpec) -> Lane {
         rates.push(("w8_over_w1", rates[3].1 / rates[0].1));
         rates
     });
-    let mut first = vec![0u8; data.len()];
+    let mut first = vec![0u8; span];
     f.read_span(0, &mut first).unwrap();
     assert_eq!(first, data);
     lane
@@ -326,13 +344,23 @@ pub fn run(_: Size) -> Report {
         data_devices: 7,
         rotated: true,
     };
-    let parity = writers_case(&mut lanes, "parity_writers", rotated_7_plus_1);
-    writers_case(&mut lanes, "stripe_writers", striped(8, 1));
+    let mut writers =
+        |lane, layout, record, span| writers_case(&mut lanes, lane, layout, record, span);
+    let parity = writers("parity_writers", rotated_7_plus_1.clone(), BS, 2 * BS);
+    writers("stripe_writers", striped(8, 1), BS, 2 * BS);
+    let records = writers("record_writers", striped(8, 1), RECORD, RECORD);
+    writers("record_parity_writers", rotated_7_plus_1, RECORD, RECORD);
     let mut r = Report::default();
-    r.measured(lanes).at_least(
-        "8 parity writers' span writes/s over one writer's (rotated 7+1)",
-        parity["w8_over_w1"].median,
-        2.5,
-    );
+    r.measured(lanes)
+        .at_least(
+            "8 parity writers' span writes/s over one writer's (rotated 7+1)",
+            parity["w8_over_w1"].median,
+            2.5,
+        )
+        .at_least(
+            "8 writers' 512 B record writes/s over one writer's (striped)",
+            records["w8_over_w1"].median,
+            2.5,
+        );
     r
 }

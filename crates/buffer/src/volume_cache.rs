@@ -34,8 +34,8 @@
 //!   health transitions keep cached state coherent with the media.
 //!
 //! The internal mutex is ranked [`LockLevel::VolumeCache`] (75): above
-//! the file RMW lock and row table (lookups happen inside those
-//! critical sections) and below the health board (health transitions drop frames
+//! a file's block and row tables (lookups happen while a write holds
+//! its blocks and rows) and below the health board (health transitions drop frames
 //! only after the board mutex is released).
 //!
 //! **The lock covers the frame table, never a transfer.** It is held

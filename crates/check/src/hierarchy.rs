@@ -4,7 +4,8 @@
 //! rule is strict ascent: a thread may acquire a ranked lock only if its
 //! level is strictly greater than every ranked lock it already holds.
 //! Two locks at the same level therefore must never be held together
-//! (per-file locks such as the RMW lock are never nested across files).
+//! (per-file locks such as a file's block table are never nested across
+//! files).
 //!
 //! The table below is the documented order (see DESIGN §8); the model
 //! checker enforces it at runtime under `--cfg pario_check`, and
@@ -19,7 +20,7 @@
 //! | 20 | `Admission::m` | pario-server | admission queue + rotation state |
 //! | 30 | `RangeLocks::held` of a server file entry | pario-server | GDA byte-range lock table |
 //! | 50 | `Volume::alloc` | pario-fs | extent allocator |
-//! | 60 | `FileState::rmw_lock` | pario-fs | sub-block RMW window |
+//! | 60 | `RangeLocks::held` of `FileState::blocks` | pario-fs | a file's logical-block lock table |
 //! | 70 | `RangeLocks::held` of `FileState::rows` | pario-fs | a file's device-row lock table |
 //! | 72 | `Staging::spare` | pario-fs | the volume's free list of span staging buffers |
 //! | 75 | `VolumeCache::frames` | pario-buffer | volume-wide block cache state |
@@ -50,7 +51,11 @@ pub enum LockLevel {
     RangeLock = 30,
     /// `pario-fs` volume extent allocator.
     FsAlloc = 50,
-    /// `pario-fs` per-file sub-block read-modify-write lock.
+    /// `pario-fs` per-file logical-block lock table (`FileState::blocks`,
+    /// a `RangeLocks` built at this rank). A write holds the blocks it
+    /// touches — a partial block's read-modify-write and whole blocks
+    /// alike — across its reads and writes with no mutex held; the
+    /// table's mutex is held only while a range is granted or released.
     FsRmw = 60,
     /// `pario-fs` per-file device-row lock table (`FileState::rows`, a
     /// `RangeLocks` built at this rank). Its mutex is held only while a
@@ -58,15 +63,15 @@ pub enum LockLevel {
     /// across a write's waves with no mutex held.
     FsStripe = 70,
     /// `pario-fs` per-volume free list of span staging buffers. Taken
-    /// inside the RMW critical section and while a file's rows are held
+    /// while a write holds its blocks and while a file's rows are held
     /// (a parity span stages its runs holding its rows) and a leaf: held for a
     /// list scan or a push only — a miss allocates, and an evicted
     /// buffer is freed, after it is released — and nothing, ranked or
     /// not, is acquired under it.
     FsStaging = 72,
-    /// `pario-buffer` volume-wide block cache state. Above the RMW lock
-    /// and the row table (cache lookups happen inside those critical
-    /// sections) and below the health board (health transitions drop
+    /// `pario-buffer` volume-wide block cache state. Above the block and
+    /// row tables (cache lookups happen while a write holds its blocks
+    /// and rows) and below the health board (health transitions drop
     /// cached frames only after releasing the board mutex, and I/O
     /// outcome feedback is reported after the cache lock is released).
     /// Held for table lookups, frame copies and bookkeeping only: every
@@ -79,15 +84,16 @@ pub enum LockLevel {
     /// sits above every I/O-path lock except the health board.
     FsJournal = 78,
     /// `pario-fs` per-volume device health board. Ranked above every
-    /// I/O-path lock because error feedback is reported from inside
-    /// the RMW critical section.
+    /// I/O-path lock because error feedback is reported while a write
+    /// holds its blocks and rows.
     FsHealth = 80,
     /// `pario-disk` I/O-node device ownership: whoever services a
     /// transfer — the node's worker or a caller running it inline —
     /// holds this for exactly that transfer. The innermost lock of the
-    /// whole request path: block I/O is issued from inside the RMW,
-    /// cache and journal critical sections, and nothing ranked
-    /// is ever acquired while a transfer runs.
+    /// whole request path: block I/O is issued while a write holds
+    /// its blocks and rows and from inside the cache and journal
+    /// critical sections, and nothing ranked is ever acquired while a
+    /// transfer runs.
     DiskDevice = 90,
     /// Outside the hierarchy: never checked for ordering.
     Unranked = 255,

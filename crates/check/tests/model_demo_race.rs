@@ -1,6 +1,6 @@
 //! Seeded-bug regression for the checker itself: the
-//! `pario_check_demo` cfg rebuilds `pario-fs` with the sub-block RMW
-//! lock removed — reintroducing a historical lost-update race — and this
+//! `pario_check_demo` cfg rebuilds `pario-fs` with writes holding no
+//! blocks — reintroducing a historical lost-update race — and this
 //! test asserts the checker finds that race within a bounded schedule
 //! budget and that the printed schedule replays to the same failure.
 //!
@@ -67,7 +67,7 @@ fn racy_model() {
     );
 }
 
-/// With the rmw lock elided, two sub-block writers to the same block
+/// With the block table elided, two sub-block writers to the same block
 /// race their read/modify/write windows: the checker must catch one
 /// writer swallowing the other's bytes, and the recorded schedule must
 /// reproduce it.

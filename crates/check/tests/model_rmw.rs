@@ -1,7 +1,9 @@
-//! Model checks for the `pario_fs` sub-block read-modify-write path:
-//! concurrent writers to disjoint byte ranges of the *same* block must
-//! both land (the per-file `rmw_lock` serialises the read/modify/write
-//! window), and the write path must respect the alloc-before-rmw lock
+//! Model checks for the `pario_fs` sub-block read-modify-write path. A
+//! write holds the logical blocks it touches, so concurrent writers to
+//! disjoint byte ranges of the *same* block both land, a whole-block
+//! write is never undone by a read-modify-write of its block, and
+//! record writers on different blocks proceed while either holds its
+//! block; the write path respects the alloc-before-blocks lock
 //! hierarchy in every schedule. The parity models at the bottom race a
 //! full-stripe span writer and a single-block read-modify-write against
 //! a rebuild burst holding the file's rows, and against a span reader
@@ -13,6 +15,7 @@
 use std::sync::Arc;
 
 use pario_check::{spawn, Condvar, Config, Explorer, Mutex};
+use pario_disk::{BlockDevice, DeviceRef, IoCounters, MemDisk};
 use pario_fs::{FileSpec, RawFile, Volume, VolumeConfig};
 use pario_layout::LayoutSpec;
 
@@ -27,10 +30,10 @@ fn small_volume() -> Volume {
     .expect("in-memory volume")
 }
 
-/// Two writers to disjoint sub-ranges of block 0. Without the
-/// `rmw_lock`, one writer's read-modify-write window swallows the
-/// other's bytes; the checker must find no such schedule in the
-/// production build. (The `pario_check_demo` build removes the lock and
+/// Two writers to disjoint sub-ranges of block 0. Unless each holds the
+/// block, one writer's read-modify-write window swallows the other's
+/// bytes; the checker must find no such schedule in the production
+/// build. (The `pario_check_demo` build takes no block and
 /// `tests/model_demo_race.rs` asserts the checker finds the loss.)
 #[test]
 fn sub_block_writers_do_not_lose_updates() {
@@ -81,7 +84,7 @@ fn sub_block_writers_do_not_lose_updates() {
 
 /// A writer that triggers allocation (file growth) racing a sub-block
 /// RMW writer: the alloc lock (rank `fs.alloc`) must always be released
-/// before the rmw lock (rank `fs.rmw`) is taken — any schedule that
+/// before the block table (rank `fs.rmw`) is taken — any schedule that
 /// acquires them in descending order is flagged as a LockOrder failure.
 #[test]
 fn alloc_and_rmw_never_invert() {
@@ -110,7 +113,7 @@ fn alloc_and_rmw_never_invert() {
         });
         let f2 = f.clone();
         let h2 = spawn(move || {
-            // Sub-block RMW inside existing capacity: rmw lock.
+            // Sub-block RMW inside existing capacity: block table.
             f2.write_span(16, &[2u8; 16]).expect("sub-block write");
         });
         h1.join();
@@ -119,6 +122,160 @@ fn alloc_and_rmw_never_invert() {
         let mut out = [0u8; 32];
         f.read_span(0, &mut out).expect("read back");
         assert!(out[16..32].iter().all(|&b| b == 2), "rmw bytes lost");
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// A whole-block writer and a sub-block writer into block 0. The
+/// read-modify-write holds the block from its read to its write, so no
+/// schedule lands the whole block in between only to have the stale
+/// copy written back over it: the bytes outside the record end as the
+/// whole-block writer's, and the record as one writer's whole.
+#[test]
+fn whole_block_and_sub_block_writers_do_not_lose_updates() {
+    let report = Explorer::new(Config::new(400)).run(|| {
+        let v = small_volume();
+        let spec = FileSpec::new(
+            "w",
+            16,
+            4,
+            LayoutSpec::Striped {
+                devices: 2,
+                unit: 1,
+            },
+        );
+        let f = v
+            .create_file(spec.initial_records(16))
+            .expect("create file");
+        f.write_span(0, &[0u8; BS]).expect("zero block 0");
+
+        let f1 = f.clone();
+        let whole = spawn(move || {
+            f1.write_span(0, &[0xAA; BS]).expect("whole-block write");
+        });
+        let f2 = f.clone();
+        let record = spawn(move || {
+            f2.write_span(16, &[0xBB; 16]).expect("sub-block write");
+        });
+        whole.join();
+        record.join();
+
+        let mut out = [0u8; BS];
+        f.read_span(0, &mut out).expect("read back");
+        assert!(
+            out[..16].iter().chain(&out[32..]).all(|&b| b == 0xAA),
+            "the whole-block write was undone: {out:?}"
+        );
+        let tag = out[16];
+        assert!(
+            (tag == 0xAA || tag == 0xBB) && out[16..32].iter().all(|&b| b == tag),
+            "the record is torn: {:?}",
+            &out[16..32]
+        );
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// A memory device whose writes, once it is told a flag, wait for that
+/// flag: a writer parks there inside its read-modify-write, holding its
+/// block, until another thread raises it.
+struct Pause {
+    inner: MemDisk,
+    until: Mutex<Option<Arc<Flag>>>,
+}
+
+impl Pause {
+    fn new() -> Arc<Pause> {
+        Arc::new(Pause {
+            inner: MemDisk::new(128, BS),
+            until: Mutex::new(None),
+        })
+    }
+
+    fn hold_writes_until(&self, flag: &Arc<Flag>) {
+        *self.until.lock() = Some(Arc::clone(flag));
+    }
+}
+
+impl BlockDevice for Pause {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+        self.inner.read_blocks_at(block, buf)
+    }
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+        let until = self.until.lock().clone();
+        if let Some(flag) = until {
+            flag.wait();
+        }
+        self.inner.write_blocks_at(block, data)
+    }
+    fn counters(&self) -> IoCounters {
+        self.inner.counters()
+    }
+    fn fail(&self) {}
+    fn heal(&self) {}
+    fn is_failed(&self) -> bool {
+        false
+    }
+}
+
+/// Two record writers on different blocks of a 2-device stripe, block 0
+/// on device 0 and block 1 on device 1. The first writer's write parks
+/// on device 0, holding block 0, until the second writer's first record
+/// has landed; the second writer's next write then parks on device 1,
+/// holding block 1, until the first writer's record has landed. So each
+/// write makes progress while the other writer holds its block. A
+/// file-wide lock deadlocks every schedule here: the holder waits for a
+/// write that waits for the holder.
+#[test]
+fn record_writers_on_different_blocks_both_progress_while_either_holds_its_block() {
+    let report = Explorer::new(Config::new(400)).run(|| {
+        let devices = [Pause::new(), Pause::new()];
+        let v = Volume::new(devices.iter().map(|d| Arc::clone(d) as DeviceRef).collect())
+            .expect("volume");
+        let spec = FileSpec::new(
+            "r",
+            16,
+            4,
+            LayoutSpec::Striped {
+                devices: 2,
+                unit: 1,
+            },
+        );
+        let f = v.create_file(spec.initial_records(8)).expect("create file");
+        f.write_span(0, &[0u8; 2 * BS])
+            .expect("zero blocks 0 and 1");
+        let landed: Arc<[Arc<Flag>; 2]> = Arc::default();
+        devices[0].hold_writes_until(&landed[1]);
+
+        let (f1, l1) = (f.clone(), Arc::clone(&landed));
+        let first = spawn(move || {
+            f1.write_span(16, &[0xA5; 16]).expect("block 0 record");
+            l1[0].raise();
+        });
+        let (f2, l2, d1) = (f.clone(), Arc::clone(&landed), Arc::clone(&devices[1]));
+        let second = spawn(move || {
+            f2.write_span(BS as u64 + 16, &[0x3C; 16])
+                .expect("block 1 record");
+            l2[1].raise();
+            d1.hold_writes_until(&l2[0]);
+            f2.write_span(BS as u64 + 32, &[0x3C; 16])
+                .expect("block 1 second record");
+        });
+        first.join();
+        second.join();
+
+        let mut got = [0u8; 2 * BS];
+        f.read_span(0, &mut got).expect("read back");
+        let mut want = [0u8; 2 * BS];
+        want[16..32].fill(0xA5);
+        want[BS + 16..BS + 48].fill(0x3C);
+        assert_eq!(got, want);
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
 }

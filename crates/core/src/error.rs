@@ -30,6 +30,22 @@ pub enum CoreError {
     BadTag(String),
     /// Sizing or geometry error at creation.
     BadGeometry(String),
+    /// A process's view (a PS/PDA partition or an IS slot) refused a
+    /// record outside it: the view holds `piece` records of every
+    /// `stride` in `[start, end)`.
+    OutsideView {
+        /// The refused global record.
+        record: u64,
+        /// The view's first global record.
+        start: u64,
+        /// One past the view's last global record; `u64::MAX` for a
+        /// view without end.
+        end: u64,
+        /// Records per contiguous piece of the view.
+        piece: u64,
+        /// Global records from one piece's start to the next's.
+        stride: u64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -44,6 +60,23 @@ impl fmt::Display for CoreError {
             }
             CoreError::BadTag(tag) => write!(f, "unparseable organization tag '{tag}'"),
             CoreError::BadGeometry(msg) => write!(f, "bad geometry: {msg}"),
+            CoreError::OutsideView {
+                record,
+                start,
+                end,
+                piece,
+                stride,
+            } => {
+                write!(f, "record {record} lies outside the view [{start}, ")?;
+                match *end {
+                    u64::MAX => write!(f, "…)")?,
+                    end => write!(f, "{end})")?,
+                }
+                if piece < stride {
+                    write!(f, ", {piece} records in every {stride}")?;
+                }
+                Ok(())
+            }
         }
     }
 }

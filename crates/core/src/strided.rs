@@ -16,7 +16,7 @@
 //! many devices as processes, each slot's blocks land on a private
 //! device.
 
-use pario_fs::{FsError, RawFile};
+use pario_fs::RawFile;
 
 use crate::error::{CoreError, Result};
 
@@ -123,10 +123,14 @@ impl ProcessView {
     }
 
     fn outside(&self, r: u64) -> CoreError {
-        CoreError::Fs(FsError::OutOfBounds {
+        let (start, end) = self.range();
+        CoreError::OutsideView {
             record: r,
-            len: self.range().1,
-        })
+            start,
+            end,
+            piece: self.piece,
+            stride: self.stride,
+        }
     }
 
     /// The cursor's global record, provided the file holds it.
@@ -244,7 +248,7 @@ mod tests {
     }
 
     fn refused<T>(r: crate::Result<T>) -> bool {
-        matches!(r, Err(CoreError::Fs(FsError::OutOfBounds { .. })))
+        matches!(r, Err(CoreError::OutsideView { .. }))
     }
 
     // ------------------------------------------------------------------
@@ -322,9 +326,11 @@ mod tests {
                 assert_eq!(buf, rec(i, 64));
             }
         }
-        // Out-of-partition indices, either side, rejected.
+        // Out-of-partition indices, either side, rejected as outside
+        // the view, not the file.
         assert!(refused(h.read_record(64, &mut buf)));
-        assert!(refused(h.read_record(31, &mut buf)));
+        let err = h.read_record(31, &mut buf).unwrap_err();
+        assert_eq!(err.to_string(), "record 31 lies outside the view [32, 64)");
         assert!(refused(h.write_record(31, &rec(0, 64))));
         assert!(!h.contains(31) && h.contains(32) && h.contains(63) && !h.contains(64));
     }
@@ -544,6 +550,20 @@ mod tests {
     }
 
     #[test]
+    fn a_record_of_another_slot_is_refused_as_outside_the_view() {
+        let v = vol(2);
+        let org = Organization::InterleavedSeq { processes: 2 };
+        let pf = ParallelFile::create(&v, "m", org, 64, 4).unwrap();
+        let h = pf.interleaved_handle(1).unwrap();
+        let err = h.write_record(9, &rec(9, 64)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "record 9 lies outside the view [4, …), 4 records in every 8"
+        );
+        assert_eq!(pf.len_records(), 0);
+    }
+
+    #[test]
     fn a_cursor_past_every_index_reads_as_eof_and_refuses_writes() {
         let v = vol(4);
         let org = Organization::InterleavedSeq { processes: 4 };
@@ -571,7 +591,10 @@ mod tests {
         // byte offset 2^58 * 64 is 2^64.
         h.seek(1 << 56);
         assert_eq!(h.next_record(), 1 << 58);
-        assert!(refused(h.write_next_block(&[0xAA; 256])));
+        assert!(matches!(
+            h.write_next_block(&[0xAA; 256]),
+            Err(CoreError::Fs(FsError::OutOfBounds { .. }))
+        ));
         assert_eq!(pf.len_records(), 4);
         let mut back = [0u8; 64];
         for r in 0..4 {

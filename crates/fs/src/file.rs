@@ -1514,17 +1514,9 @@ impl RawFile {
     }
 
     /// Read-modify-write the sub-block range of logical block `l`
-    /// starting `within` bytes in.
+    /// starting `within` bytes in. The caller holds block `l`
+    /// ([`RawFile::write_span`]).
     fn rmw_partial(&self, l: u64, within: usize, bytes: &[u8]) -> Result<()> {
-        // Concurrent sub-block writers sharing a block must not
-        // interleave their read/write pairs, or one loses the other's
-        // bytes (self-scheduled record writers hit this constantly).
-        //
-        // The lock is elided under `--cfg pario_check_demo`: that build
-        // reintroduces the historical lost-update race on purpose so the
-        // model checker's regression test can demonstrate finding it.
-        #[cfg(not(all(pario_check, pario_check_demo)))]
-        let _g = self.state.rmw_lock.lock();
         let staging = self.vol.staging();
         let mut block = staging.take(self.block_size());
         let written = self.read_blocks(l, &mut block).and_then(|()| {
@@ -1571,6 +1563,10 @@ impl RawFile {
     /// on parity files the runs carry the parity rows too — whole
     /// stripes are written without a read, and only a partial stripe at
     /// either end reads before it writes.
+    ///
+    /// The span holds every logical block it touches until it returns,
+    /// so no other write lands between a partial block's read and its
+    /// write; writes into other blocks proceed at once.
     pub fn write_span(&self, offset: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());
@@ -1578,6 +1574,10 @@ impl RawFile {
         let bs = self.block_size() as u64;
         let end = offset + data.len() as u64;
         self.ensure_capacity_records(end.div_ceil(self.record_size as u64))?;
+        // Elided under `--cfg pario_check_demo`, which brings the lost
+        // update back on purpose for the checker's regression test.
+        #[cfg(not(all(pario_check, pario_check_demo)))]
+        let _blocks = self.state.blocks.acquire(offset / bs, end.div_ceil(bs));
         let (head, core) = self.split_span(offset, data.len());
         let (head, rest) = data.split_at(head);
         let (core, tail) = rest.split_at(core);

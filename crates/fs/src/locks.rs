@@ -1,20 +1,25 @@
 //! Range locks: the tree's one lock over a span of a number line.
 //!
 //! Holders of *overlapping* ranges are serialised; disjoint holders
-//! proceed in parallel. Two tables use it. The server's GDA byte ranges
-//! keep concurrent updates to the same bytes from tearing (readers are
-//! deliberately not locked — the paper's GDA view offers no read
-//! consistency guarantee). A file's device rows
+//! proceed in parallel. Three tables use it. The server's GDA byte
+//! ranges keep concurrent updates to the same bytes from tearing
+//! (readers are deliberately not locked — the paper's GDA view offers
+//! no read consistency guarantee). A file's logical blocks
+//! ([`crate::RawFile::write_span`]) keep a partial block's
+//! read-modify-write whole against every other write into that block,
+//! whole-block writes included. A file's device rows
 //! ([`crate::RawFile::lock_rows`]) keep every write that maintains
 //! redundancy — a parity stripe's read-modify-write, a shadowed pair's
 //! two copies — whole against the others and against a rebuild or scrub
-//! burst over the same rows (Thakur, Gropp and Lusk lock only the region
-//! a data-sieving read-modify-write covers).
+//! burst over the same rows. Thakur, Gropp and Lusk lock only the region
+//! a data-sieving read-modify-write covers, never the file: bytes lock
+//! blocks, redundancy locks rows.
 //!
 //! Built on `pario-check` primitives, so `--cfg pario_check` model tests
 //! can explore the acquire/release interleavings deterministically. The
 //! internal mutex is ranked by its table in the workspace lock
-//! hierarchy: `server.range_lock` for GDA bytes, `fs.stripe` for rows.
+//! hierarchy: `server.range_lock` for GDA bytes, `fs.rmw` for blocks,
+//! `fs.stripe` for rows.
 
 use pario_check::{Condvar, LockLevel, Mutex};
 

@@ -31,8 +31,8 @@ const BOUND: usize = 2 << 20;
 
 pub(crate) struct Staging {
     /// Free buffers, oldest first, and their total length. Rank
-    /// `fs.staging`: taken under the RMW lock and while a file's rows
-    /// are held, never held across an allocation, a free or any other
+    /// `fs.staging`: taken while a write holds its blocks and while a
+    /// file's rows are held, never held across an allocation, a free or any other
     /// lock.
     spare: Mutex<(usize, VecDeque<Box<[u8]>>)>,
 }

@@ -105,11 +105,11 @@ pub struct FileState {
     /// recovery sweeps (`RawFile::lock_rows`): row `r` of every slot
     /// at once, so a parity stripe or a shadowed pair is one range.
     pub(crate) rows: RangeLocks,
-    /// Serialises sub-block read-modify-write cycles: concurrent record
-    /// writers sharing a block must not interleave their read/write
-    /// pairs. File-wide, and always taken before the block's rows when
-    /// both are needed.
-    pub(crate) rmw_lock: Mutex<()>,
+    /// The logical blocks held by writes (`RawFile::write_span`): a
+    /// write holds every block it touches, so no other write lands
+    /// between a partial block's read and its write, and writes into
+    /// other blocks proceed at once. Taken before the blocks' rows.
+    pub(crate) blocks: RangeLocks,
     /// Generation counter for the quiesce protocol: bumped by
     /// `RawFile::quiesce_io` when a rebuild needs in-flight unlocked I/O
     /// to drain (see `RawFile::enter_io`).
@@ -127,7 +127,7 @@ impl FileState {
         FileState {
             meta: RwLock::new(meta),
             rows: RangeLocks::new(LockLevel::FsStripe),
-            rmw_lock: Mutex::new_named((), LockLevel::FsRmw),
+            blocks: RangeLocks::new(LockLevel::FsRmw),
             io_gen: AtomicU64::new(0),
             io_active: [AtomicU64::new(0), AtomicU64::new(0)],
         }

@@ -226,7 +226,9 @@ fn recoverable_error_on_the_direct_path_counts_once_on_the_health_board() {
 /// Suspect primary whose copy wins the race collects the consecutive OKs
 /// that walk it back to Healthy, instead of staying Suspect (and every
 /// sub-block read staying doubled) for as long as nothing but hedged
-/// reads touch it.
+/// reads touch it. Counted in events: the mirror's reads park at a gate,
+/// so the primary wins every race, and exactly `recover_after` hedged
+/// reads walk it back.
 #[test]
 fn hedged_sub_block_reads_walk_a_suspect_primary_back_to_healthy() {
     let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Striped {
@@ -234,7 +236,10 @@ fn hedged_sub_block_reads_walk_a_suspect_primary_back_to_healthy() {
         unit: 2,
     }));
     let primary = spec.build().map(0).device;
+    let mirror = primary + 2;
     let mut devices = mem_array(4, 512, BS);
+    let gate = Gate::wrap(devices[mirror].clone());
+    devices[mirror] = gate.clone();
     let (fault, wrapped) = FaultDevice::wrap(
         devices[primary].clone(),
         FaultPlan {
@@ -256,13 +261,23 @@ fn hedged_sub_block_reads_walk_a_suspect_primary_back_to_healthy() {
         assert_eq!(got, rec);
     }
     assert_eq!(v.device_health(primary), HealthState::Suspect);
-    // The spike is over; only sub-block (hence hedged) reads follow.
+    // The spike is over; only sub-block (hence hedged) reads follow, and
+    // the mirror's copies wait at the gate.
     fault.set_armed(false);
-    for _ in 0..200 {
+    gate.close();
+    let recover_after = v.health().policy().recover_after;
+    for k in 1..=recover_after {
         f.read_record(0, &mut got).unwrap();
         assert_eq!(got, rec);
+        let want = if k < recover_after {
+            HealthState::Suspect
+        } else {
+            HealthState::Healthy
+        };
+        assert_eq!(v.device_health(primary), want, "after {k} hedged reads");
     }
-    assert_eq!(v.device_health(primary), HealthState::Healthy);
+    assert!(!gate.seen().1, "a read waited out the mirror's gate");
+    gate.open();
 }
 
 /// Ragged parity span writes with one device down, in each way a device

@@ -163,6 +163,61 @@ fn concurrent_spans_match_serial_reference() {
     assert_eq!(ser, expect, "serial read path");
 }
 
+/// A whole-block writer and a one-record writer into the same block of
+/// a 4-device stripe, 512 B records in 4 KiB blocks. The record's
+/// read-modify-write holds its block, so no whole-block write lands
+/// between its read and its write only to be undone by it: after every
+/// round the bytes outside the record hold the last whole-block tag.
+#[test]
+fn a_record_write_never_undoes_a_whole_block_write() {
+    const BLOCK: usize = 4096;
+    const REC: usize = 512;
+    const ROUNDS: u32 = 100;
+    const WRITES: u32 = 100;
+    let v = Volume::create_in_memory(VolumeConfig {
+        devices: 4,
+        device_blocks: 64,
+        block_size: BLOCK,
+    })
+    .unwrap();
+    let layout = LayoutSpec::Striped {
+        devices: 4,
+        unit: 1,
+    };
+    let spec = FileSpec::new("mixed", REC, BLOCK / REC, layout).initial_records(8);
+    let f = v.create_file(spec).unwrap();
+    let record = 3..4;
+    let tagged = |tag: u32| tag.to_le_bytes().repeat(BLOCK / 4);
+    let mut lost = Vec::new();
+    for round in 0..ROUNDS {
+        let tags = round * WRITES + 1..=(round + 1) * WRITES;
+        crossbeam::thread::scope(|s| {
+            s.spawn(|_| {
+                for tag in tags.clone() {
+                    f.write_span(0, &tagged(tag)).unwrap();
+                }
+            });
+            s.spawn(|_| {
+                for _ in 0..WRITES {
+                    f.write_record(record.start as u64, &[0xEE; REC]).unwrap();
+                }
+            });
+        })
+        .unwrap();
+        let mut got = vec![0u8; BLOCK];
+        f.read_span(0, &mut got).unwrap();
+        let last = tagged(*tags.end());
+        let outside = |b: &[u8]| [&b[..record.start * REC], &b[record.end * REC..]].concat();
+        if outside(&got) != outside(&last) {
+            lost.push(round);
+        }
+    }
+    assert!(
+        lost.is_empty(),
+        "rounds {lost:?} lost their last whole-block write"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -608,6 +608,16 @@ fn encode_core_error(w: &mut WireWriter, e: &CoreError) {
         CoreError::BadGeometry(msg) => {
             w.u8(4).str_prefixed(msg);
         }
+        CoreError::OutsideView {
+            record,
+            start,
+            end,
+            piece,
+            stride,
+        } => {
+            w.u8(5).u64(*record).u64(*start).u64(*end);
+            w.u64(*piece).u64(*stride);
+        }
     }
 }
 
@@ -627,6 +637,13 @@ fn decode_core_error(r: &mut WireReader<'_>) -> WireResult<CoreError> {
         },
         3 => CoreError::BadTag(r.str_prefixed()?),
         4 => CoreError::BadGeometry(r.str_prefixed()?),
+        5 => CoreError::OutsideView {
+            record: r.u64()?,
+            start: r.u64()?,
+            end: r.u64()?,
+            piece: r.u64()?,
+            stride: r.u64()?,
+        },
         other => {
             return Err(WireError::Malformed(format!("bad core-error tag {other}")));
         }
@@ -841,6 +858,20 @@ mod tests {
             ServerError::Core(CoreError::Fs(FsError::Disk(DiskError::Transient {
                 device: "mem3".into(),
             }))),
+            ServerError::Core(CoreError::OutsideView {
+                record: 31,
+                start: 32,
+                end: 64,
+                piece: 32,
+                stride: 32,
+            }),
+            ServerError::Core(CoreError::OutsideView {
+                record: 9,
+                start: 4,
+                end: u64::MAX,
+                piece: 4,
+                stride: 8,
+            }),
             ServerError::NotServed {
                 view: View::Interleaved(4),
             },

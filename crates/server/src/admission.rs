@@ -341,6 +341,9 @@ mod tests {
     fn high_water_bounded_by_limit() {
         let adm = Admission::new(3, Saturation::Block);
         let live = AtomicUsize::new(0);
+        // The test holds every permit until some acquirer is seen
+        // queued, so oversubscription queues in every run.
+        let held: Vec<_> = (100..103).map(|sess| adm.acquire(sess).unwrap()).collect();
         crossbeam::thread::scope(|s| {
             for sess in 0..12u64 {
                 let adm = &adm;
@@ -356,6 +359,10 @@ mod tests {
                     }
                 });
             }
+            while adm.stats().wait_high_water == 0 {
+                std::thread::yield_now();
+            }
+            drop(held);
         })
         .unwrap();
         let s = adm.stats();
@@ -363,7 +370,7 @@ mod tests {
         assert!(s.wait_high_water > 0, "oversubscription must queue");
         assert_eq!(s.in_flight, 0);
         assert_eq!(s.rejected, 0);
-        assert_eq!(s.total_admitted, 12 * 50, "every op admitted");
+        assert_eq!(s.total_admitted, 12 * 50 + 3, "every op admitted");
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn read_state(n: &Node) -> usize {
 }
 
 fn inverted_locks(file: &File, vol: &Volume) {
-    // R3: fs.rmw (rank 60) is taken first...
-    let _rmw = file.rmw_lock.lock();
+    // R3: a file's logical blocks (fs.rmw, rank 60) are held first...
+    let _blocks = file.blocks.acquire(0, 1);
     // ...and fs.alloc (rank 50) acquired under it: descending order.
     let _alloc = vol.alloc.lock();
 }

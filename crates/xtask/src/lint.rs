@@ -6,6 +6,8 @@
 use std::fmt;
 use std::path::Path;
 
+use pario_check::LockLevel;
+
 /// One rule violation at a file location.
 #[derive(Debug)]
 pub struct Finding {
@@ -28,25 +30,28 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Ranked locks of DESIGN.md §8, as `receiver.method` patterns. The
-/// scan flags a function that acquires a lower-ranked lock after a
-/// higher-ranked one. The two range-lock tables share one type
+/// Ranked locks of DESIGN.md §8, as `receiver.method` call-site
+/// patterns, each with its `LockLevel`: the name and rank come from the
+/// enum, so the table cannot disagree with the checker. The scan flags
+/// a function that acquires a lower-ranked lock after a higher-ranked
+/// one. The three range-lock tables share one type
 /// (`pario_fs::RangeLocks`), so each is ranked where it is taken: the
 /// GDA byte ranges through a server file entry's `ranges`, a file's
-/// device rows through `RawFile::lock_rows`.
-const RANKED_LOCKS: &[(&str, &str, u8)] = &[
-    ("credits.lock(", "net.credits", 3),
-    ("replies.lock(", "net.replies", 5),
-    ("wire.lock(", "net.send", 7),
-    ("ranges.acquire", "server.range_lock", 30),
-    ("alloc.lock(", "fs.alloc", 50),
-    ("rmw_lock.lock(", "fs.rmw", 60),
-    ("lock_rows(", "fs.stripe", 70),
-    ("spare.lock(", "fs.staging", 72),
-    ("frames.lock(", "buffer.volume_cache", 75),
-    ("journal.lock(", "fs.journal", 78),
-    ("board.lock(", "fs.health", 80),
-    ("device.lock(", "disk.device", 90),
+/// logical blocks in `RawFile::write_span`, its device rows through
+/// `RawFile::lock_rows`.
+const RANKED_LOCKS: &[(&str, LockLevel)] = &[
+    ("credits.lock(", LockLevel::NetCredits),
+    ("replies.lock(", LockLevel::NetReplies),
+    ("wire.lock(", LockLevel::NetSend),
+    ("ranges.acquire", LockLevel::RangeLock),
+    ("alloc.lock(", LockLevel::FsAlloc),
+    ("blocks.acquire(", LockLevel::FsRmw),
+    ("lock_rows(", LockLevel::FsStripe),
+    ("spare.lock(", LockLevel::FsStaging),
+    ("frames.lock(", LockLevel::VolumeCache),
+    ("journal.lock(", LockLevel::FsJournal),
+    ("board.lock(", LockLevel::FsHealth),
+    ("device.lock(", LockLevel::DiskDevice),
 ];
 
 /// R1: request-path code must build on the `pario-check` primitives.
@@ -159,10 +164,11 @@ pub fn lint_file(path: &Path, text: &str) -> Vec<Finding> {
         }
 
         let order_waived = raw.contains("// lock-order:") || prev_line.contains("// lock-order:");
-        for &(pat, name, rank) in RANKED_LOCKS {
+        for &(pat, level) in RANKED_LOCKS {
             if !line.contains(pat) {
                 continue;
             }
+            let (name, rank) = (level.name(), level.rank());
             if let Some((held_rank, held_name, held_line)) = fn_high {
                 if rank <= held_rank && name != held_name && !order_waived {
                     out.push(Finding {
@@ -222,10 +228,10 @@ mod tests {
 
     #[test]
     fn lock_order_must_ascend() {
-        let bad = "fn f(&self) {\n let a = self.state.rmw_lock.lock();\n let b = self.vol.alloc.lock();\n}\n";
+        let bad = "fn f(&self) {\n let a = self.state.blocks.acquire(0, 1);\n let b = self.vol.alloc.lock();\n}\n";
         let v = lint(bad);
         assert_eq!(v.iter().filter(|f| f.rule == "R3").count(), 1);
-        let good = "fn f(&self) {\n let b = self.vol.alloc.lock();\n let a = self.state.rmw_lock.lock();\n}\n";
+        let good = "fn f(&self) {\n let b = self.vol.alloc.lock();\n let a = self.state.blocks.acquire(0, 1);\n}\n";
         assert!(lint(good).iter().all(|f| f.rule != "R3"));
     }
 
