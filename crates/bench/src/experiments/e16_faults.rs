@@ -66,10 +66,10 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
     let t0 = Instant::now();
     let mut out = Vec::new();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..WORKERS {
             let (f, stop, ops) = (f.clone(), &stop, &ops);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let span = RECORDS / WORKERS;
                 let base = w * span;
                 let mut buf = vec![0u8; BS];
@@ -84,7 +84,7 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
             });
         }
         let (stop, ops, phase, timeline) = (&stop, &ops, &phase, &timeline);
-        s.spawn(move |_| {
+        s.spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 std::thread::sleep(SAMPLE);
                 timeline.lock().push((
@@ -132,8 +132,7 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
         phase.store(3, Ordering::SeqCst);
         std::thread::sleep(DWELL);
         stop.store(true, Ordering::SeqCst);
-    })
-    .unwrap();
+    });
 
     // Bucket the timeline by phase.
     let samples = std::mem::take(&mut *timeline.lock());

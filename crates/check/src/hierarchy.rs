@@ -27,6 +27,7 @@
 //! | 78 | `VolInner::journal` | pario-fs | intent-journal cursor + superblock generation |
 //! | 80 | `HealthBoard::board` | pario-fs | device health state machine |
 //! | 90 | `IoNode` device | pario-disk | the wrapped device: one transfer at a time |
+//! | 95 | `IoNode` queue | pario-disk | the node's jobs in arrival order and its free completion slots |
 
 /// Rank of a lock in the global acquisition order. Larger ranks must be
 /// acquired after smaller ranks; [`LockLevel::Unranked`] locks are
@@ -89,12 +90,18 @@ pub enum LockLevel {
     FsHealth = 80,
     /// `pario-disk` I/O-node device ownership: whoever services a
     /// transfer — the node's worker or a caller running it inline —
-    /// holds this for exactly that transfer. The innermost lock of the
-    /// whole request path: block I/O is issued while a write holds
-    /// its blocks and rows and from inside the cache and journal
+    /// holds this for exactly that transfer. Innermost on the request
+    /// path but for the node's queue: block I/O is issued while a write
+    /// holds its blocks and rows and from inside the cache and journal
     /// critical sections, and nothing ranked is ever acquired while a
     /// transfer runs.
     DiskDevice = 90,
+    /// `pario-disk` I/O-node queue: the jobs waiting for the worker and
+    /// the node's free completion slots. A leaf above the device lock:
+    /// submitters take it from anywhere a transfer may be issued, a
+    /// ticket's end from anywhere it may be dropped, and it is held for
+    /// a push or a pop only — nothing is acquired under it.
+    DiskQueue = 95,
     /// Outside the hierarchy: never checked for ordering.
     Unranked = 255,
 }
@@ -116,6 +123,7 @@ impl LockLevel {
             LockLevel::FsJournal => "fs.journal",
             LockLevel::FsHealth => "fs.health",
             LockLevel::DiskDevice => "disk.device",
+            LockLevel::DiskQueue => "disk.queue",
             LockLevel::Unranked => "unranked",
         }
     }

@@ -219,3 +219,104 @@ fn inline_and_queued_transfers_take_turns_on_the_device() {
         "submissions ran inline {inline}x and queued {queued}x"
     );
 }
+
+/// A device that holds the worker in a read of [`Held::GATE`] until a
+/// model thread opens the gate. The worker is a free-running OS thread,
+/// so it waits on a plain flag; model threads never block on it.
+struct Held {
+    inner: Arc<dyn BlockDevice>,
+    open: std::sync::atomic::AtomicBool,
+}
+
+impl Held {
+    const GATE: u64 = 0;
+}
+
+impl BlockDevice for Held {
+    fn block_size(&self) -> usize {
+        BS
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+        while block == Held::GATE && !self.open.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        self.inner.read_blocks_at(block, buf)
+    }
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+        self.inner.write_blocks_at(block, data)
+    }
+    fn counters(&self) -> IoCounters {
+        IoCounters::default()
+    }
+    fn fail(&self) {}
+    fn heal(&self) {}
+    fn is_failed(&self) -> bool {
+        false
+    }
+}
+
+/// Slot reuse: a raced-out ticket is dropped while its transfer is still
+/// queued behind the held worker, and the transfers submitted after it —
+/// by the same thread and by a second one — take slots from the same
+/// free list. Each owner must read its own block, never the dropped
+/// transfer's late completion, and once every ticket is waited or
+/// dropped and the worker is idle, every slot is back on the free list.
+/// Recycling a dropped ticket's slot at the drop, before its transfer
+/// completes, hands that completion to the slot's next owner.
+#[test]
+fn a_dropped_tickets_slot_never_reaches_its_next_owner_early() {
+    let report = Explorer::new(Config::new(500)).run(|| {
+        let inner = mem_array(1, 8, BS).remove(0);
+        for b in 0..8u64 {
+            inner.write_block(b, &[b as u8 + 1; BS]).expect("fill");
+        }
+        let held = Arc::new(Held {
+            inner,
+            open: std::sync::atomic::AtomicBool::new(false),
+        });
+        let node = IoNode::spawn(Arc::clone(&held) as Arc<dyn BlockDevice>);
+        let handle = node.device();
+        // Hedged reads always queue, whatever the node has measured.
+        let read = |h: &Arc<dyn BlockDevice>, block: u64| {
+            h.submit_hedged_read_blocks(block, vec![0u8; BS].into_boxed_slice())
+        };
+        let check = |block: u64, got: &[u8]| {
+            let want = block as u8 + 1;
+            assert!(
+                got.iter().all(|&b| b == want),
+                "a read of block {block} got block {}'s bytes",
+                got[0].wrapping_sub(1)
+            );
+        };
+        let other = Arc::clone(&handle);
+        let second = spawn(move || {
+            for block in [5u64, 6] {
+                let got = read(&other, block).wait().expect("queued read");
+                check(block, &got);
+            }
+        });
+        let gate = read(&handle, Held::GATE);
+        let loser = read(&handle, 1);
+        let winner = pario_disk::Ticket::ready(Ok(vec![2u8; BS].into_boxed_slice()));
+        let [Some(Ok(_)), None] = pario_disk::Ticket::race(winner, loser) else {
+            panic!("a ready Ok wins the race and the queued copy is dropped");
+        };
+        let next = read(&handle, 2);
+        held.open.store(true, Ordering::SeqCst);
+        check(2, &next.wait().expect("queued read"));
+        check(Held::GATE, &gate.wait().expect("gate read"));
+        second.join();
+        // The dropped read was queued before `next`, so the worker has
+        // completed it and put its slot back.
+        assert_eq!(node.slots_out(), 0, "a slot never came back");
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(
+        report.distinct >= 100,
+        "only {} distinct schedules",
+        report.distinct
+    );
+}

@@ -54,10 +54,10 @@ pub fn convert_parallel(
     let dst = create_like(vol, src, dst_name, dst_org)?;
     let rpb = src.records_per_block() as u64;
     let (from, to) = (src.raw(), dst.raw());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|t| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let (lo, hi) = partition_records(total, rpb, threads, t)?;
                     for_each_run(from, lo, hi, |r, run| Ok(to.write_records(r, run)?))
                 })
@@ -67,9 +67,7 @@ pub fn convert_parallel(
             .into_iter()
             // invariant: a worker panic is a bug in the converter itself; propagate it.
             .try_for_each(|w| w.join().expect("worker panicked"))
-    })
-    // invariant: scope() errs only when a worker panicked, handled above.
-    .expect("scope")?;
+    })?;
     Ok(dst)
 }
 

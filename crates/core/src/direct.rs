@@ -89,18 +89,17 @@ mod tests {
         let v = vol();
         let pf = ParallelFile::create(&v, "g", Organization::GlobalDirect, 64, 4).unwrap();
         let h = pf.direct_handle().unwrap();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u64 {
                 let h = h.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in 0..16u64 {
                         let i = t * 16 + k;
                         h.write_record(i, &rec(i, 64)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut buf = vec![0u8; 64];
         for i in 0..128u64 {
             h.read_record(i, &mut buf).unwrap();
@@ -154,18 +153,17 @@ mod tests {
         // 96-byte records straddle 256-byte blocks.
         let pf = ParallelFile::create(&v, "g", Organization::GlobalDirect, 96, 8).unwrap();
         let h = pf.direct_handle().unwrap();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4u64 {
                 let h = h.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in 0..24u64 {
                         let i = t * 24 + k;
                         h.write_record(i, &rec(i, 96)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         v.flush_cache().unwrap();
         let mut buf = vec![0u8; 96];
         for i in 0..96u64 {

@@ -226,11 +226,11 @@ mod tests {
         let v = vol();
         let pf = ss_file(&v, 200);
         let seen = StdMutex::new(HashSet::new());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let r = pf.self_sched_reader().unwrap();
                 let seen = &seen;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut buf = vec![0u8; 64];
                     while let Some(idx) = r.read_next(&mut buf).unwrap() {
                         // Record content matches its index.
@@ -242,8 +242,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 200, "every record served");
     }
@@ -252,10 +251,10 @@ mod tests {
     fn concurrent_writers_fill_distinct_slots() {
         let v = vol();
         let pf = ParallelFile::create(&v, "out", Organization::SelfScheduledSeq, 64, 4).unwrap();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..6u8 {
                 let w = pf.self_sched_writer().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..25 {
                         // Slot content is the writer id: uniqueness of
                         // slots is what we assert below.
@@ -263,8 +262,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let w = pf.self_sched_writer().unwrap();
         assert_eq!(w.finish().unwrap(), 150);
         assert_eq!(pf.len_records(), 150);
@@ -288,11 +286,11 @@ mod tests {
         let v = vol();
         let pf = ss_file(&v, 42); // 42 records, 4 per block: short tail
         let seen = StdMutex::new(HashSet::new());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let r = pf.self_sched_reader().unwrap();
                 let seen = &seen;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut block = vec![0u8; 64 * 4];
                     while let Some((first, n)) = r.read_next_block(&mut block).unwrap() {
                         assert!((1..=4).contains(&n));
@@ -305,8 +303,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(seen.into_inner().unwrap().len(), 42);
     }
 

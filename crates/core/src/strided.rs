@@ -260,10 +260,10 @@ mod tests {
         let v = vol(4);
         let org = Organization::PartitionedSeq { partitions: 4 };
         let pf = ParallelFile::create_sized(&v, "ps", org, 64, 4, 128).unwrap();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..4u32 {
                 let mut h = pf.partition_handle(p).unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let (lo, hi) = h.range();
                     for g in lo..hi {
                         assert_eq!(h.write_next(&rec(g, 64)).unwrap(), g);
@@ -272,8 +272,7 @@ mod tests {
                     assert!(refused(h.write_next(&rec(0, 64))));
                 });
             }
-        })
-        .unwrap();
+        });
         // Global view sees the partitions in order — a coherent file.
         let mut r = pf.global_reader();
         let mut buf = vec![0u8; 64];
@@ -406,10 +405,10 @@ mod tests {
         let v = vol(3);
         let org = Organization::InterleavedSeq { processes: 3 };
         let pf = ParallelFile::create(&v, "m", org, 64, 4).unwrap();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..3u32 {
                 let mut h = pf.interleaved_handle(p).unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for local_row in 0..4u64 {
                         let row = u64::from(p) + local_row * 3;
                         for col in 0..4u64 {
@@ -419,8 +418,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(pf.len_records(), 48);
         // The global view sees rows 0,1,2,...,11 in order.
         let mut r = pf.global_reader();

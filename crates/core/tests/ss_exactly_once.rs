@@ -50,11 +50,11 @@ proptest! {
         let v = vol();
         let pf = ss_file(&v, records);
         let seen = Mutex::new(HashSet::new());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..threads {
                 let r = pf.self_sched_reader().unwrap();
                 let seen = &seen;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     if by_block {
                         let mut block = vec![0u8; REC * 4];
                         while let Some((first, n)) = r.read_next_block(&mut block).unwrap() {
@@ -74,8 +74,7 @@ proptest! {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let seen = seen.into_inner().unwrap();
         prop_assert_eq!(seen.len() as u64, records, "skipped records");
         prop_assert_eq!(pf.self_sched_reader().unwrap().claimed(), records);
@@ -91,17 +90,16 @@ proptest! {
     ) {
         let v = vol();
         let pf = ParallelFile::create(&v, "out", Organization::SelfScheduledSeq, REC, 4).unwrap();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let w = pf.self_sched_writer().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..per_thread {
                         w.write_next(&[t as u8 + 1; REC]).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let total = (threads * per_thread) as u64;
         prop_assert_eq!(pf.self_sched_writer().unwrap().finish().unwrap(), total);
         let mut per_writer = vec![0usize; threads + 1];

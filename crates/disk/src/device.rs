@@ -86,7 +86,10 @@ pub trait BlockDevice: Send + Sync {
     /// route through a dedicated I/O processor
     /// ([`IoNode`](crate::IoNode)) override it with true queued
     /// submission — that is what lets span I/O enqueue every per-device
-    /// run before blocking on any of them.
+    /// run before blocking on any of them. A queued ticket completes
+    /// through a slot the node recycles, so a queued submission
+    /// allocates nothing once the node's free list has grown to its
+    /// deepest backlog.
     fn submit_read_blocks(&self, block: u64, mut buf: Box<[u8]>) -> crate::Ticket<Box<[u8]>> {
         let res = self.read_blocks_at(block, &mut buf).map(|()| buf);
         crate::Ticket::ready(res)

@@ -15,9 +15,13 @@
 //! transfer and return a [`Ticket`] immediately; the caller collects the
 //! result with [`Ticket::wait`]. Span I/O submits every per-device run
 //! up front and blocks only on completion — no thread is ever spawned
-//! per request. The worker serves its channel in arrival order; a
+//! per request. The worker serves its queue in arrival order; a
 //! caller that must order two transfers waits the first ticket before
-//! submitting the second.
+//! submitting the second. A queued transfer completes through a slot
+//! from the node's free list — its result, a state word and the thread
+//! to wake — so once a node's queue and free list have grown to its
+//! deepest backlog, a queued submission allocates nothing (a blocking
+//! call that has to queue still copies through a boxed buffer).
 //!
 //! **Caller-runs on an idle node** is the executor's one dispatch
 //! decision. A dedicated processor buys overlap between compute and
@@ -26,7 +30,7 @@
 //! on a node handle) has no overlap to buy, so when nothing is queued or in
 //! service the calling thread claims the node, runs the transfer itself
 //! straight on the caller's slice — the same `service` routine the worker
-//! runs — and releases it: no boxed buffer, no reply channel, no
+//! runs — and releases it: no boxed buffer, no completion slot, no
 //! wake-up. A *submission* to an idle node runs the same way, and its
 //! ticket comes back ready, while the node's transfers measure under
 //! [`HANDOFF_NANOS`] — the cost of waking the worker and being woken by
@@ -39,14 +43,14 @@
 //! queues, behind everything already there. The device lock keeps the
 //! invariant either way: one transfer at a time.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-
-use pario_check::{AtomicU64, LockLevel, Mutex, MutexGuard};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use pario_check::{AtomicU32, AtomicU64, CheckCell, Condvar, LockLevel, Mutex, MutexGuard};
 
 use crate::device::{BlockDevice, DeviceRef, IoCounters};
 use crate::error::{DiskError, Result};
@@ -56,7 +60,8 @@ use crate::error::{DiskError, Result};
 /// Returned by [`BlockDevice::submit_read_blocks`] and
 /// [`BlockDevice::submit_write_blocks`]. Dropping a ticket abandons the
 /// result but not the operation: a transfer already queued on an
-/// [`IoNode`] still executes.
+/// [`IoNode`] still executes, and its completion slot goes back to the
+/// node's free list only once the worker is done with it.
 #[must_use = "a ticket does nothing until waited on"]
 pub struct Ticket<T> {
     inner: TicketInner<T>,
@@ -64,7 +69,9 @@ pub struct Ticket<T> {
 
 enum TicketInner<T> {
     Ready(Result<T>),
-    Pending(Receiver<Result<T>>),
+    /// Queued: the worker completes the claimed slot with a buffer, and
+    /// the function makes the ticket's `T` of it.
+    Pending(Claim, fn(Box<[u8]>) -> T),
 }
 
 impl<T> Ticket<T> {
@@ -76,17 +83,14 @@ impl<T> Ticket<T> {
         }
     }
 
-    fn pending(rx: Receiver<Result<T>>) -> Ticket<T> {
-        Ticket {
-            inner: TicketInner::Pending(rx),
-        }
-    }
-
     /// Block until the operation completes and take its result.
     pub fn wait(self) -> Result<T> {
         match self.inner {
             TicketInner::Ready(res) => res,
-            TicketInner::Pending(rx) => recv_reply(&rx),
+            TicketInner::Pending(claim, yields) => {
+                first_done(&[&claim]);
+                claim.take().map(yields)
+            }
         }
     }
 
@@ -100,110 +104,155 @@ impl<T> Ticket<T> {
     /// completion failed, the slower ticket is awaited as the fallback,
     /// so at most one entry is `Ok` and at least one is `Some`.
     pub fn race(a: Ticket<T>, b: Ticket<T>) -> [Option<Result<T>>; 2] {
-        /// `first` is the earlier completion, of argument `slot`.
-        fn settle<T>(slot: usize, first: Result<T>, slower: Ticket<T>) -> [Option<Result<T>>; 2] {
-            let second = first.is_err().then(|| slower.wait());
-            if slot == 0 {
-                [Some(first), second]
-            } else {
-                [second, Some(first)]
+        let first = match (&a.inner, &b.inner) {
+            (TicketInner::Pending(ca, _), TicketInner::Pending(cb, _)) => first_done(&[ca, cb]),
+            (TicketInner::Pending(..), TicketInner::Ready(_)) => 1,
+            (TicketInner::Ready(_), _) => 0,
+        };
+        let (faster, slower) = if first == 0 { (a, b) } else { (b, a) };
+        let won = faster.wait();
+        let second = won.is_err().then(|| slower.wait());
+        let mut out = [Some(won), second];
+        out.rotate_left(first);
+        out
+    }
+}
+
+/// The states of a [`Slot`]'s word. The owner moves `IDLE -> WAITING`
+/// and, when its ticket goes, to `DROPPED`; the worker moves `IDLE` or
+/// `WAITING` to `DONE`. Whichever of the ticket's end and the completion
+/// comes second puts the slot back on the free list.
+const IDLE: u32 = 0;
+const WAITING: u32 = 1;
+const DONE: u32 = 2;
+const DROPPED: u32 = 3;
+
+/// Where one queued transfer completes. The worker writes `result`
+/// before it publishes `DONE`; the owner writes `waiter` before it
+/// publishes `WAITING`, and never again while the slot is out.
+#[derive(Default)]
+struct Slot {
+    state: AtomicU32,
+    result: CheckCell<Option<Result<Box<[u8]>>>>,
+    waiter: CheckCell<Option<Thread>>,
+}
+
+/// A ticket's hold on its slot, and the node whose free list the slot
+/// goes back to.
+struct Claim {
+    slot: Arc<Slot>,
+    node: Arc<Shared>,
+}
+
+impl Claim {
+    fn done(&self) -> bool {
+        self.slot.state.load(Ordering::Acquire) == DONE
+    }
+
+    /// Ask the worker to unpark `me` on completion; `false` if the
+    /// completion is already in. Called again by the same owner (the
+    /// fallback wait after a race), it leaves the registered waiter be.
+    fn watch(&self, me: &Thread) -> bool {
+        let state = &self.slot.state;
+        match state.load(Ordering::Acquire) {
+            IDLE => {
+                self.slot.waiter.with_mut(|w| *w = Some(me.clone()));
+                let to = state.compare_exchange(IDLE, WAITING, Ordering::AcqRel, Ordering::Acquire);
+                to.is_ok()
             }
+            s => s == WAITING,
         }
-        match (a.inner, b.inner) {
-            (TicketInner::Ready(res), other) => settle(0, res, Ticket { inner: other }),
-            (other, TicketInner::Ready(res)) => settle(1, res, Ticket { inner: other }),
-            (TicketInner::Pending(ra), TicketInner::Pending(rb)) => {
-                use crossbeam::channel::RecvTimeoutError::{Disconnected, Timeout};
-                let dropped = || Err(DiskError::Io("I/O node dropped request".into()));
-                // Model threads poll, yielding between polls (see
-                // `recv_reply`); normal builds skip straight to `select!`.
-                while pario_check::yield_now() {
-                    let step = Duration::from_micros(50);
-                    match ra.recv_timeout(step) {
-                        Ok(res) => return settle(0, res, Ticket::pending(rb)),
-                        Err(Disconnected) => return settle(0, dropped(), Ticket::pending(rb)),
-                        Err(Timeout) => {}
-                    }
-                    match rb.recv_timeout(step) {
-                        Ok(res) => return settle(1, res, Ticket::pending(ra)),
-                        Err(Disconnected) => return settle(1, dropped(), Ticket::pending(ra)),
-                        Err(Timeout) => {}
-                    }
-                }
-                crossbeam::select! {
-                    recv(ra) -> res => settle(0, res.unwrap_or_else(|_| dropped()), Ticket::pending(rb)),
-                    recv(rb) -> res => settle(1, res.unwrap_or_else(|_| dropped()), Ticket::pending(ra)),
-                }
-            }
+    }
+
+    /// The completion, once [`Claim::done`]. Dropping the claim then puts
+    /// the slot back.
+    fn take(self) -> Result<Box<[u8]>> {
+        let res = self.slot.result.with_mut(Option::take);
+        // invariant: a slot is DONE only after the worker stored its result, and one owner takes it once.
+        res.expect("a completed slot holds its result")
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if self.slot.state.swap(DROPPED, Ordering::AcqRel) == DONE {
+            self.node.put_back(Arc::clone(&self.slot));
         }
     }
 }
 
-/// Block for a queued request's reply.
-///
-/// Under the model checker a thread must not real-block here: the
-/// worker that will send the reply may be waiting for the device lock of
-/// a caller-runs transfer whose (model) thread only resumes when this
-/// one yields. Model threads therefore poll, yielding between polls;
-/// in normal builds `yield_now` is a constant `false` and this is a
-/// plain `recv`.
-fn recv_reply<T>(rx: &Receiver<Result<T>>) -> Result<T> {
-    use crossbeam::channel::RecvTimeoutError;
-    let dropped = || DiskError::Io("I/O node dropped request".into());
-    while pario_check::yield_now() {
-        match rx.recv_timeout(Duration::from_micros(50)) {
-            Ok(res) => return res,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return Err(dropped()),
+/// Wait until one of `claims` is complete and return its index: the one
+/// wait loop behind [`Ticket::wait`] and [`Ticket::race`]. A normal
+/// thread registers with each slot and parks. A model thread polls,
+/// yielding between polls, and never really blocks: the worker that will
+/// complete its slot may be waiting for the device lock of a
+/// caller-runs transfer whose (model) thread only resumes when this one
+/// yields. In normal builds `yield_now` is a constant `false`.
+fn first_done(claims: &[&Claim]) -> usize {
+    let me = std::thread::current();
+    if let Some(i) = claims.iter().position(|c| !c.watch(&me)) {
+        return i;
+    }
+    loop {
+        if let Some(i) = claims.iter().position(|c| c.done()) {
+            return i;
+        }
+        if !pario_check::yield_now() {
+            std::thread::park();
         }
     }
-    rx.recv().map_err(|_| dropped())?
 }
 
-/// A request plus the instant it entered the queue, so the worker can
-/// attribute elapsed time to queueing vs. device service.
-struct Queued {
-    enqueued: Instant,
-    req: Request,
-}
-
-/// Every transfer is vectored: single-block operations are one-block
-/// spans (the wrapped device's vectored path charges them identically).
-/// Replies carry the buffer back so callers can reuse it.
-enum Request {
-    Read {
-        block: u64,
-        buf: Box<[u8]>,
-        reply: Sender<Result<Box<[u8]>>>,
-    },
-    Write {
-        block: u64,
-        data: Box<[u8]>,
-        reply: Sender<Result<Box<[u8]>>>,
-    },
-    Flush {
-        reply: Sender<Result<()>>,
-    },
-}
-
-/// One transfer as the device sees it, borrowing its buffer from whoever
-/// owns it: the queued request (worker) or the caller's own slice
-/// (caller-runs).
-enum Op<'a> {
-    Read { block: u64, buf: &'a mut [u8] },
-    Write { block: u64, data: &'a [u8] },
+/// What a queued job asks of the device, at which block.
+enum Work {
+    Read(u64),
+    Write(u64),
     Flush,
 }
 
-/// Device, stats and geometry shared between the node, its worker
-/// thread, and every device handle. Deliberately does NOT hold the
-/// request sender: the channel closes (and the worker exits, after
-/// draining everything already queued) when the node and all handles are
-/// gone.
+/// A queued transfer: the buffer travels to the worker and back through
+/// the slot, so callers can reuse it. Every transfer is vectored:
+/// single-block operations are one-block spans (the wrapped device's
+/// vectored path charges them identically).
+struct Job {
+    work: Work,
+    buf: Box<[u8]>,
+    /// When it entered the queue, so the worker can attribute elapsed
+    /// time to queueing vs. device service.
+    enqueued: Instant,
+    slot: Arc<Slot>,
+}
+
+/// One transfer as the device sees it, borrowing its buffer from whoever
+/// owns it: the queued job (worker) or the caller's own slice
+/// (caller-runs).
+enum Op<'a> {
+    Read(u64, &'a mut [u8]),
+    Write(u64, &'a [u8]),
+    Flush,
+}
+
+/// The jobs in arrival order and the free completion slots.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    free: Vec<Arc<Slot>>,
+    /// Slots made so far: the free list plus those out.
+    made: usize,
+    /// Set when the node and every handle are gone: the worker then
+    /// drains what is queued and exits.
+    closed: bool,
+}
+
+/// Device, queue, stats and geometry shared between the node's handle,
+/// its worker thread, and every pending ticket.
 struct Shared {
     /// The wrapped device. Whoever holds this lock — the worker or a
     /// caller running inline — is servicing the node's one transfer.
     device: Mutex<DeviceRef>,
+    queue: Mutex<Queue>,
+    /// The worker sleeps on it while the queue is empty and open.
+    queued: Condvar,
     /// Requests queued or in service, inline transfers included. Zero is
     /// the idle node a caller may claim (see `claim_idle`).
     in_flight: AtomicU64,
@@ -260,6 +309,52 @@ impl Shared {
             panics: self.panics.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
         }
     }
+
+    /// The next job in arrival order; `None` once the node is closed and
+    /// its queue drained.
+    fn next_job(&self) -> Option<Job> {
+        let mut q = self.queue.lock();
+        loop {
+            if let Some(job) = q.jobs.pop_front() {
+                return Some(job);
+            }
+            if q.closed {
+                return None;
+            }
+            self.queued.wait(&mut q);
+        }
+    }
+
+    /// The worker's one completion of `slot`: store `res`, then publish
+    /// it and wake the owner — or, if the ticket is already gone, put the
+    /// slot back.
+    fn complete(&self, slot: Arc<Slot>, res: Result<Box<[u8]>>) {
+        slot.result.with_mut(|r| *r = Some(res));
+        let word = &slot.state;
+        loop {
+            let state = word.load(Ordering::Acquire);
+            if state == DROPPED {
+                return self.put_back(slot);
+            }
+            // Read the waiter before `DONE` is out: after that the owner
+            // may put the slot back and its next owner write it.
+            let waiter = (state == WAITING).then(|| slot.waiter.with(Clone::clone));
+            let done = word.compare_exchange(state, DONE, Ordering::AcqRel, Ordering::Acquire);
+            if done.is_ok() {
+                return waiter.flatten().iter().for_each(Thread::unpark);
+            }
+        }
+    }
+
+    /// Put back a slot whose one completion has been written and taken
+    /// (or abandoned with its ticket).
+    fn put_back(&self, slot: Arc<Slot>) {
+        slot.result.with_mut(|r| *r = None);
+        slot.waiter.with_mut(|w| *w = None);
+        // ordering: the slot is this thread's alone; the queue lock publishes it to its next owner
+        slot.state.store(IDLE, Ordering::Relaxed);
+        self.queue.lock().free.push(slot);
+    }
 }
 
 /// Retries of a transient fault after the first attempt. A fault that
@@ -273,9 +368,10 @@ const RETRY_BACKOFF: Duration = Duration::from_micros(20);
 
 /// What handing a transfer to the worker costs, in nanoseconds: a
 /// submission to an idle node whose estimated service time is below this
-/// runs on the submitting thread. A queued hand-off is two wake-ups —
-/// ~6 µs on one CPU, 15–50 µs when they cross vCPUs — against ~4 µs for
-/// a zero-delay `MemDisk` transfer; a 200 µs device stays well above it
+/// runs on the submitting thread. A queued hand-off is two wake-ups — the
+/// worker off its queue's condvar, the waiter out of `park` — ~6 µs on
+/// one CPU, 15–50 µs when they cross vCPUs, against ~4 µs for a
+/// zero-delay `MemDisk` transfer; a 200 µs device stays well above it
 /// and keeps the overlap its worker buys.
 const HANDOFF_NANOS: u64 = 20_000;
 
@@ -285,8 +381,7 @@ const HANDOFF_NANOS: u64 = 20_000;
 /// [`IoNode::device`] have been dropped, then drains whatever is still
 /// queued before exiting — shutdown never abandons an accepted request.
 pub struct IoNode {
-    shared: Arc<Shared>,
-    queue_tx: Sender<Queued>,
+    handle: Arc<IoNodeDevice>,
 }
 
 /// Queue statistics for an I/O node.
@@ -332,12 +427,13 @@ impl IoNodeStats {
 impl IoNode {
     /// Spawn an I/O processor thread owning `inner`.
     pub fn spawn(inner: DeviceRef) -> IoNode {
-        let (queue_tx, queue_rx): (Sender<Queued>, Receiver<Queued>) = unbounded();
         let shared = Arc::new(Shared {
             block_size: inner.block_size(),
             num_blocks: inner.num_blocks(),
             label: format!("ionode({})", inner.label()),
             device: Mutex::new_named(inner, LockLevel::DiskDevice),
+            queue: Mutex::new_named(Queue::default(), LockLevel::DiskQueue),
+            queued: Condvar::new(),
             in_flight: AtomicU64::new(0),
             service_estimate: AtomicU64::new(u64::MAX),
             max_in_flight: AtomicU64::new(0),
@@ -350,55 +446,46 @@ impl IoNode {
         let worker_shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("pario-ionode".into())
-            .spawn(move || worker(&worker_shared, &queue_rx))
+            .spawn(move || worker(&worker_shared))
             // invariant: spawn fails only on OS thread exhaustion at startup.
             .expect("spawn I/O node thread");
-        IoNode { shared, queue_tx }
+        IoNode {
+            handle: Arc::new(IoNodeDevice { shared }),
+        }
     }
 
     /// A [`BlockDevice`] handle that routes through this node's queue.
     pub fn device(&self) -> DeviceRef {
-        Arc::new(IoNodeDevice {
-            shared: Arc::clone(&self.shared),
-            queue_tx: self.queue_tx.clone(),
-        })
+        Arc::clone(&self.handle) as DeviceRef
     }
 
     /// Current queue statistics.
     pub fn stats(&self) -> IoNodeStats {
-        self.shared.snapshot()
+        self.handle.shared.snapshot()
+    }
+
+    /// Completion slots not on the free list: each belongs to a queued
+    /// or in-service transfer, or to a ticket not yet waited. Zero once
+    /// every ticket has been waited or dropped and the worker is idle.
+    pub fn slots_out(&self) -> usize {
+        let q = self.handle.shared.queue.lock();
+        q.made - q.free.len()
     }
 }
 
-/// The worker loop: for each request in arrival order, take the device
-/// and service it — until node and handles are gone AND the channel is
-/// drained (`recv` keeps yielding queued requests after every sender is
-/// gone, so shutdown never abandons the backlog).
-fn worker(shared: &Shared, queue_rx: &Receiver<Queued>) {
-    while let Ok(Queued { enqueued, req }) = queue_rx.recv() {
+/// The worker loop: for each job in arrival order, take the device and
+/// service it, then complete its slot — until node and handles are gone
+/// AND the queue is drained, so shutdown never abandons the backlog.
+fn worker(shared: &Shared) {
+    while let Some(mut job) = shared.next_job() {
+        let op = match job.work {
+            Work::Read(block) => Op::Read(block, &mut job.buf),
+            Work::Write(block) => Op::Write(block, &job.buf),
+            Work::Flush => Op::Flush,
+        };
         let dev = shared.device.lock();
-        match req {
-            Request::Read {
-                block,
-                mut buf,
-                reply,
-            } => {
-                let op = Op::Read {
-                    block,
-                    buf: &mut buf,
-                };
-                let res = service(shared, dev, Some(enqueued), op).map(|()| buf);
-                let _ = reply.send(res);
-            }
-            Request::Write { block, data, reply } => {
-                let op = Op::Write { block, data: &data };
-                let res = service(shared, dev, Some(enqueued), op).map(|()| data);
-                let _ = reply.send(res);
-            }
-            Request::Flush { reply } => {
-                let _ = reply.send(service(shared, dev, Some(enqueued), Op::Flush));
-            }
-        }
+        let res = service(shared, dev, Some(job.enqueued), op).map(|()| job.buf);
+        shared.complete(job.slot, res);
     }
 }
 
@@ -419,8 +506,8 @@ fn service(
     let enqueued = waiting_since.unwrap_or(started);
     let transfer = !matches!(op, Op::Flush);
     let res = match op {
-        Op::Read { block, buf } => execute(shared, || dev.read_blocks_at(block, buf)),
-        Op::Write { block, data } => execute(shared, || dev.write_blocks_at(block, data)),
+        Op::Read(block, buf) => execute(shared, || dev.read_blocks_at(block, buf)),
+        Op::Write(block, data) => execute(shared, || dev.write_blocks_at(block, data)),
         Op::Flush => execute(shared, || dev.flush()),
     };
     let service_nanos = started.elapsed().as_nanos() as u64;
@@ -478,7 +565,7 @@ fn execute<T>(shared: &Shared, mut op: impl FnMut() -> Result<T>) -> Result<T> {
 /// (two sets of two alternating 15 s pairs on one pinned CPU of a
 /// 2-vCPU host), `gda-inproc` ran 2.6-2.9x the ops at +47-60 % RSS and
 /// `ss-queue` 2.6-2.7x at +35 %, past that bound through the log alone;
-/// `gda-socket` ran 1.33-1.37x at +1-2.5 %. Once the log is bounded
+/// `gda-socket` ran 1.33-1.37x at +1-2.5 %. Once the log has a cap,
 /// this constant goes (ROADMAP item 1). See DESIGN §7.
 ///
 /// Fairness on a shared CPU is not their job either. Submissions to an
@@ -494,26 +581,45 @@ fn single_cpu() -> bool {
     *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
 }
 
+/// The one handle of a node: [`IoNode`] and every [`IoNode::device`]
+/// share it, so the queue closes when the last of them goes.
 struct IoNodeDevice {
     shared: Arc<Shared>,
-    queue_tx: Sender<Queued>,
+}
+
+impl Drop for IoNodeDevice {
+    fn drop(&mut self) {
+        self.shared.queue.lock().closed = true;
+        self.shared.queued.notify_one();
+    }
 }
 
 impl IoNodeDevice {
-    fn enqueue(&self, req: Request) -> Result<()> {
-        let inflight = self.shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1; // ordering: stats gauge; the queue channel orders the hand-off
+    /// Queue `work` behind everything already there, on a slot from the
+    /// free list (a new one only when every slot is out).
+    fn enqueue(&self, work: Work, buf: Box<[u8]>) -> Ticket<Box<[u8]>> {
+        let inflight = self.shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1; // ordering: stats gauge; the queue lock orders the hand-off
         self.shared
             .max_in_flight
             .fetch_max(inflight, Ordering::Relaxed); // ordering: monotonic high-water mark, diagnostic only
-        self.queue_tx
-            .send(Queued {
-                enqueued: Instant::now(),
-                req,
-            })
-            .map_err(|_| {
-                self.shared.in_flight.fetch_sub(1, Ordering::Relaxed); // ordering: stats gauge; the send failed, nothing was handed off
-                DiskError::Io("I/O node stopped".into())
-            })
+        let enqueued = Instant::now();
+        let mut q = self.shared.queue.lock();
+        let slot = q.free.pop().unwrap_or_else(|| {
+            q.made += 1;
+            Arc::default()
+        });
+        let job = Job {
+            work,
+            buf,
+            enqueued,
+            slot: Arc::clone(&slot),
+        };
+        q.jobs.push_back(job);
+        drop(q);
+        self.shared.queued.notify_one();
+        let node = Arc::clone(&self.shared);
+        let inner = TicketInner::Pending(Claim { slot, node }, std::convert::identity);
+        Ticket { inner }
     }
 
     /// Caller-runs admission, for blocking calls and submissions alike:
@@ -578,23 +684,11 @@ impl IoNodeDevice {
             return Ticket::ready(Ok(buf));
         }
         if may_run_here {
-            let op = Op::Read {
-                block,
-                buf: &mut buf,
-            };
-            if let Some(res) = self.serve_submission(op) {
+            if let Some(res) = self.serve_submission(Op::Read(block, &mut buf)) {
                 return Ticket::ready(res.map(|()| buf));
             }
         }
-        let (tx, rx) = bounded(1);
-        match self.enqueue(Request::Read {
-            block,
-            buf,
-            reply: tx,
-        }) {
-            Ok(()) => Ticket::pending(rx),
-            Err(e) => Ticket::ready(Err(e)),
-        }
+        self.enqueue(Work::Read(block), buf)
     }
 
     fn whole_blocks(&self, len: usize) {
@@ -623,7 +717,7 @@ impl BlockDevice for IoNodeDevice {
         if buf.is_empty() {
             return Ok(());
         }
-        if let Some(res) = self.run_inline(Op::Read { block, buf }) {
+        if let Some(res) = self.run_inline(Op::Read(block, buf)) {
             return res;
         }
         let data = self
@@ -640,7 +734,7 @@ impl BlockDevice for IoNodeDevice {
         if data.is_empty() {
             return Ok(());
         }
-        if let Some(res) = self.run_inline(Op::Write { block, data }) {
+        if let Some(res) = self.run_inline(Op::Write(block, data)) {
             return res;
         }
         self.submit_write_blocks(block, data.to_vec().into_boxed_slice())
@@ -667,27 +761,19 @@ impl BlockDevice for IoNodeDevice {
         if data.is_empty() {
             return Ticket::ready(Ok(data));
         }
-        if let Some(res) = self.serve_submission(Op::Write { block, data: &data }) {
+        if let Some(res) = self.serve_submission(Op::Write(block, &data)) {
             return Ticket::ready(res.map(|()| data));
         }
-        let (tx, rx) = bounded(1);
-        match self.enqueue(Request::Write {
-            block,
-            data,
-            reply: tx,
-        }) {
-            Ok(()) => Ticket::pending(rx),
-            Err(e) => Ticket::ready(Err(e)),
-        }
+        self.enqueue(Work::Write(block), data)
     }
 
+    /// Inline on an idle node; otherwise queued, and its slot completes
+    /// like a transfer's.
     fn flush(&self) -> Result<()> {
         if let Some(res) = self.run_inline(Op::Flush) {
             return res;
         }
-        let (tx, rx) = bounded(1);
-        self.enqueue(Request::Flush { reply: tx })?;
-        recv_reply(&rx)
+        self.enqueue(Work::Flush, Box::default()).wait().map(drop)
     }
 
     fn counters(&self) -> IoCounters {
@@ -870,12 +956,15 @@ mod tests {
     /// an idle node would run the submission on this thread, which would
     /// then wait at the gate for a release only it can give.
     fn pin_worker_at_gate(probe: &Probe, node: &IoNode) -> Ticket<Box<[u8]>> {
-        assert!(!node.shared.fast(), "the gate submission would run inline");
+        assert!(
+            !node.handle.shared.fast(),
+            "the gate submission would run inline"
+        );
         let bs = probe.block_size();
         let gate = node
             .device()
             .submit_write_blocks(probe.gate_block, vec![0u8; bs].into_boxed_slice());
-        assert!(matches!(gate.inner, TicketInner::Pending(_)));
+        assert!(matches!(gate.inner, TicketInner::Pending(..)));
         probe.wait_entered();
         gate
     }
@@ -887,7 +976,7 @@ mod tests {
         let dev = node.device();
         let data = vec![0u8; dev.block_size()];
         for _ in 0..1000 {
-            if node.shared.fast() {
+            if node.handle.shared.fast() {
                 return;
             }
             dev.write_block(block, &data).unwrap();
@@ -1041,7 +1130,7 @@ mod tests {
             probe.wait_entered();
             let behind = dev.submit_write_blocks(20, vec![20u8; 64].into_boxed_slice());
             assert!(
-                matches!(behind.inner, TicketInner::Pending(_)),
+                matches!(behind.inner, TicketInner::Pending(..)),
                 "a busy node queues even a fast submission"
             );
             assert_eq!(node.stats().in_flight, 2);
@@ -1055,40 +1144,96 @@ mod tests {
         assert!(node.stats().queue_wait_nanos > 0, "{:?}", node.stats());
     }
 
+    /// Holds every read until `want` reads are in service at once, or
+    /// until the hang guard runs out; keeps the most it saw.
+    struct Meet {
+        want: usize,
+        guard: Instant,
+        /// (in service now, most ever at once)
+        count: StdMutex<(usize, usize)>,
+        cv: Condvar,
+    }
+
+    impl Meet {
+        fn hold(&self) {
+            let mut c = self.count.lock().unwrap();
+            c.0 += 1;
+            c.1 = c.1.max(c.0);
+            self.cv.notify_all();
+            while c.1 < self.want && Instant::now() < self.guard {
+                let left = self.guard - Instant::now();
+                c = self.cv.wait_timeout(c, left).unwrap().0;
+            }
+            c.0 -= 1;
+        }
+    }
+
+    /// A device whose reads meet at a shared [`Meet`].
+    struct Gated(MemDisk, Arc<Meet>);
+
+    impl BlockDevice for Gated {
+        fn block_size(&self) -> usize {
+            self.0.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.0.num_blocks()
+        }
+        fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> Result<()> {
+            self.1.hold();
+            self.0.read_blocks_at(block, buf)
+        }
+        fn write_blocks_at(&self, block: u64, data: &[u8]) -> Result<()> {
+            self.0.write_blocks_at(block, data)
+        }
+        fn counters(&self) -> IoCounters {
+            self.0.counters()
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn is_failed(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn a_wave_on_delayed_nodes_still_overlaps() {
         use std::time::Duration;
         const DELAY: Duration = Duration::from_micros(200);
+        // Each read is held until all four are in service at once, which
+        // a wave served one device after another never reaches: it fails
+        // on the count, after the hang guard.
+        let meet = Arc::new(Meet {
+            want: 4,
+            guard: Instant::now() + Duration::from_secs(30),
+            count: StdMutex::new((0, 0)),
+            cv: Condvar::new(),
+        });
         let nodes: Vec<IoNode> = (0..4)
-            .map(|_| IoNode::spawn(Arc::new(MemDisk::new(8, 64).with_delay(DELAY))))
+            .map(|_| {
+                let mem = MemDisk::new(8, 64).with_delay(DELAY);
+                IoNode::spawn(Arc::new(Gated(mem, Arc::clone(&meet))))
+            })
             .collect();
         let devs: Vec<DeviceRef> = nodes.iter().map(IoNode::device).collect();
         for dev in &devs {
             dev.write_block(0, &[1u8; 64]).unwrap();
         }
-        assert!(nodes.iter().all(|n| !n.shared.fast()));
-        // One transfer, as the nodes measured it (the sleep's overshoot
-        // included); the best of three waves absorbs a late wake-up.
-        let s = nodes[0].stats();
-        let one = Duration::from_nanos(s.service_nanos / s.serviced);
-        let wave = (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                let tickets: Vec<_> = devs
-                    .iter()
-                    .map(|d| d.submit_read_blocks(0, vec![0u8; 64].into_boxed_slice()))
-                    .collect();
-                assert!(tickets
-                    .iter()
-                    .all(|t| matches!(t.inner, TicketInner::Pending(_))));
-                for t in tickets {
-                    t.wait().unwrap();
-                }
-                t0.elapsed()
-            })
-            .min()
-            .unwrap();
-        assert!(wave < 2 * one, "four transfers of {one:?} took {wave:?}");
+        assert!(nodes.iter().all(|n| !n.handle.shared.fast()));
+        let tickets: Vec<_> = devs
+            .iter()
+            .map(|d| d.submit_read_blocks(0, vec![0u8; 64].into_boxed_slice()))
+            .collect();
+        assert!(tickets
+            .iter()
+            .all(|t| matches!(t.inner, TicketInner::Pending(..))));
+        for t in tickets {
+            assert!(t.wait().unwrap().iter().all(|&b| b == 1));
+        }
+        let most = meet.count.lock().unwrap().1;
+        assert_eq!(
+            most, 4,
+            "only {most} of the wave's 4 reads were in service at once"
+        );
     }
 
     #[test]
@@ -1253,18 +1398,17 @@ mod tests {
     #[test]
     fn concurrent_clients_share_the_node() {
         let node = IoNode::spawn(Arc::new(MemDisk::new(64, 64)));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u8 {
                 let dev = node.device();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for b in 0..8u64 {
                         let block = b + u64::from(t) * 8;
                         dev.write_block(block, &[t + 1; 64]).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let dev = node.device();
         let mut buf = vec![0u8; 64];
         for t in 0..8u8 {

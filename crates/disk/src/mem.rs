@@ -313,18 +313,17 @@ mod tests {
     #[test]
     fn concurrent_writers_distinct_blocks() {
         let d = Arc::new(MemDisk::new(64, 128));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u8 {
                 let d = Arc::clone(&d);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for b in 0..8u64 {
                         let block = b + u64::from(t) * 8;
                         d.write_block(block, &[t + 1; 128]).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut buf = vec![0u8; 128];
         for t in 0..8u8 {
             for b in 0..8u64 {

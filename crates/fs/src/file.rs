@@ -2343,18 +2343,17 @@ mod tests {
         let f = parity_file(&v, true);
         f.ensure_capacity_records(64).unwrap();
         let f = std::sync::Arc::new(f);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4u64 {
                 let f = std::sync::Arc::clone(&f);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for r in 0..16u64 {
                         let idx = t * 16 + r;
                         f.write_record(idx, &record(idx, BS)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         // Fail any device; everything must reconstruct.
         v.device(2).fail();
         let mut buf = vec![0u8; BS];

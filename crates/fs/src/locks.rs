@@ -178,11 +178,11 @@ mod tests {
         let counter = AtomicU64::new(0);
         // 8 threads doing read-modify-write under the same range: the
         // lock must serialise them perfectly.
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let l = &l;
                 let counter = &counter;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..100 {
                         let _g = l.acquire(5, 15);
                         let v = counter.load(Ordering::Relaxed);
@@ -191,8 +191,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 800);
     }
 }

@@ -92,10 +92,10 @@ proptest! {
         let plain = plain_vol.create_file(spec()).unwrap();
 
         // Concurrent writers (and racing readers) on the cached volume.
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (t, writes) in per_thread.iter().enumerate() {
                 let f = cached.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let base = t as u64 * REGION;
                     for &(off, len, tag) in writes {
                         let off = base + off;
@@ -108,7 +108,7 @@ proptest! {
             }
             let f = cached.clone();
             let reads = &reads;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut buf = vec![0u8; 1200];
                 for &(off, len) in reads {
                     let len = len.min((CAP_BYTES - off) as usize);
@@ -117,8 +117,7 @@ proptest! {
                     f.read_span(off, &mut buf[..len]).unwrap();
                 }
             });
-        })
-        .unwrap();
+        });
 
         // Same writes, sequentially, on the uncached reference.
         for (t, writes) in per_thread.iter().enumerate() {

@@ -35,18 +35,17 @@ fn concurrent_growth_of_one_file() {
             },
         ))
         .unwrap();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..6u64 {
             let f = f.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for k in 0..50u64 {
                     let i = t + k * 6;
                     f.write_record(i, &vec![(i % 250) as u8 + 1; BS]).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(f.len_records(), 300);
     let mut buf = vec![0u8; BS];
     for i in 0..300u64 {
@@ -62,10 +61,10 @@ fn concurrent_growth_of_one_file() {
 fn concurrent_file_creation_and_removal() {
     let v = vol();
     let baseline: u64 = v.free_blocks().iter().sum();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4 {
             let v = v.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..10 {
                     let name = format!("f-{t}-{round}");
                     let f = v
@@ -89,8 +88,7 @@ fn concurrent_file_creation_and_removal() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // 4 threads x 5 surviving files each.
     assert_eq!(v.list().len(), 20);
     // All blocks released by removals are reusable: exactly the 20
@@ -123,11 +121,11 @@ fn concurrent_spans_match_serial_reference() {
         .unwrap();
     // Allocate the whole surface up front so growth does not race.
     f.write_span((THREADS * REGION - 1) as u64, &[0]).unwrap();
-    let models = crossbeam::thread::scope(|s| {
+    let models = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let f = f.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let base = (t * REGION) as u64;
                     let mut model = vec![0u8; REGION];
                     for k in 0..60usize {
@@ -151,8 +149,7 @@ fn concurrent_spans_match_serial_reference() {
             .into_iter()
             .map(|h| h.join().unwrap())
             .collect::<Vec<_>>()
-    })
-    .unwrap();
+    });
     let expect: Vec<u8> = models.concat();
     let mut par = vec![0u8; THREADS * REGION];
     f.read_span(0, &mut par).unwrap();
@@ -191,19 +188,18 @@ fn a_record_write_never_undoes_a_whole_block_write() {
     let mut lost = Vec::new();
     for round in 0..ROUNDS {
         let tags = round * WRITES + 1..=(round + 1) * WRITES;
-        crossbeam::thread::scope(|s| {
-            s.spawn(|_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 for tag in tags.clone() {
                     f.write_span(0, &tagged(tag)).unwrap();
                 }
             });
-            s.spawn(|_| {
+            s.spawn(|| {
                 for _ in 0..WRITES {
                     f.write_record(record.start as u64, &[0xEE; REC]).unwrap();
                 }
             });
-        })
-        .unwrap();
+        });
         let mut got = vec![0u8; BLOCK];
         f.read_span(0, &mut got).unwrap();
         let last = tagged(*tags.end());

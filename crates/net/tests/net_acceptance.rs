@@ -67,11 +67,11 @@ fn eight_clients_on_the_lane_drain_ss_exactly_once() {
     let (_net, addr) = serve(volume);
 
     let seen = Mutex::new(HashSet::new());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let addr = addr.as_str();
             let seen = &seen;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let client = on_the_lane(addr);
                 let q = client.open("queue", View::SelfSched).unwrap();
                 assert_eq!(q.record_size(), REC);
@@ -96,8 +96,7 @@ fn eight_clients_on_the_lane_drain_ss_exactly_once() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(seen.into_inner().unwrap().len(), RECORDS as usize);
 }
 
@@ -389,10 +388,10 @@ fn lane_clients_lose_no_gda_increment_and_are_the_only_sessions() {
     let net = NetServer::bind_tcp("127.0.0.1:0", server.clone(), NetConfig::default()).unwrap();
     let addr = net.local_addr().unwrap().to_string();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let addr = addr.as_str();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let client = on_the_lane(addr);
                 let c = client.open_direct("shared").unwrap();
                 for _ in 0..PER_CLIENT {
@@ -404,8 +403,7 @@ fn lane_clients_lose_no_gda_increment_and_are_the_only_sessions() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // A session is a connection that sent a request: the TCP connection
     // each client shook hands on and left for the lane is not one, and
@@ -592,10 +590,10 @@ fn four_threads_share_one_connection_two_blocking_two_pipelining() {
     let client = NetClient::connect_tcp(&addr).unwrap();
 
     let seen = Mutex::new(HashSet::new());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..2u64 {
             let client = &client;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let d = client.open_direct("d").unwrap();
                 let mut buf = [0u8; REC];
                 for i in 0..CALLS {
@@ -609,7 +607,7 @@ fn four_threads_share_one_connection_two_blocking_two_pipelining() {
         }
         for _ in 0..2 {
             let (client, seen) = (&client, &seen);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let q = client.open("queue", View::SelfSched).unwrap();
                 let mut window = std::collections::VecDeque::new();
                 let mut buf = [0u8; REC];
@@ -633,8 +631,7 @@ fn four_threads_share_one_connection_two_blocking_two_pipelining() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(seen.into_inner().unwrap().len(), RECORDS as usize);
     // The abandoned tail of both windows is read and discarded; a ping
     // rides behind it on the ordered connection.

@@ -563,8 +563,8 @@ mod tests {
             }
             p.store(false, Ordering::SeqCst);
         })));
-        crossbeam::thread::scope(|s| {
-            let fg = s.spawn(|_| {
+        std::thread::scope(|s| {
+            let fg = s.spawn(|| {
                 let mut k = 0u64;
                 while !done.load(Ordering::SeqCst) {
                     let r = k % n;
@@ -583,8 +583,7 @@ mod tests {
             rebuild_device(&v, 1, throttle).unwrap();
             done.store(true, Ordering::SeqCst);
             fg.join().unwrap();
-        })
-        .unwrap();
+        });
         BETWEEN_BURSTS.set(None);
         assert_eq!(v.device_health(1), HealthState::Healthy);
         assert!(
@@ -623,8 +622,8 @@ mod tests {
         );
         let parked = AtomicBool::new(false);
         let (mut far_while_parked, mut near_while_parked) = (false, true);
-        crossbeam::thread::scope(|s| {
-            s.spawn(|_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 while !parked.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
@@ -632,7 +631,7 @@ mod tests {
                 f.write_record(3 * 3, &rec(1003)).unwrap();
                 near_landed.store(true, Ordering::SeqCst);
             });
-            s.spawn(|_| {
+            s.spawn(|| {
                 while !near_began.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
@@ -653,8 +652,7 @@ mod tests {
                 Ok(())
             });
             assert_eq!(swept.unwrap(), 16);
-        })
-        .unwrap();
+        });
         assert!(
             far_while_parked,
             "a write to stripe 12 waited for rows [0, 8)"

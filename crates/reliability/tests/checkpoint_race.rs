@@ -55,11 +55,11 @@ fn checkpoints_racing_metadata_ops_lose_nothing_acked() {
             .unwrap();
         }
         let stop = AtomicBool::new(false);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..3u64 {
                 let v = v.clone();
                 let stop = &stop;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // Cycle over a fixed set of names so the directory
                     // (and the superblock image) stays bounded no
                     // matter how long the checkpointer takes.
@@ -97,8 +97,7 @@ fn checkpoints_racing_metadata_ops_lose_nothing_acked() {
                 v.sync_meta().unwrap();
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .unwrap();
+        });
         // Every operation above returned, so with journaling enabled
         // all of them are durable. Capture the acknowledged state,
         // crash without a teardown checkpoint, and remount.

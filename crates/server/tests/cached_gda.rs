@@ -58,10 +58,10 @@ fn cached_gda_updates_never_lose_increments() {
         .write_record(0, &[0; REC])
         .unwrap();
     let server = Server::new(volume, ServerConfig::default());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let sess = server.connect();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let c = sess.open_direct("shared").unwrap();
                 for _ in 0..PER_CLIENT {
                     c.update(0, |bytes| {
@@ -72,8 +72,7 @@ fn cached_gda_updates_never_lose_increments() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let sess = server.connect();
     let c = sess.open_direct("shared").unwrap();
     let mut buf = [0u8; REC];

@@ -79,13 +79,13 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
     let stop = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
     let mut orchestration: Option<String> = None;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Eight clients, each owning a disjoint record range (one
         // writer per record, so every read-back has a known writer).
         for c in 0..CLIENTS {
             let sess = server.connect();
             let (stop, ops) = (&stop, &ops);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let d = sess.open_direct("data").unwrap();
                 let base = c * PER_CLIENT;
                 let mut buf = vec![0u8; REC];
@@ -157,8 +157,7 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
         let r = run();
         stop.store(true, Ordering::SeqCst);
         orchestration = r.err();
-    })
-    .unwrap();
+    });
     if let Some(e) = orchestration {
         panic!("{e}");
     }

@@ -45,11 +45,11 @@ fn ss_sessions_share_one_cursor_exactly_once() {
         },
     );
     let seen = Mutex::new(HashSet::new());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let sess = server.connect();
             let seen = &seen;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut q = sess.open("queue", View::SelfSched).unwrap();
                 let mut buf = [0u8; REC];
                 while let Some(idx) = q.read_next(&mut buf).unwrap() {
@@ -58,8 +58,7 @@ fn ss_sessions_share_one_cursor_exactly_once() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(seen.into_inner().unwrap().len(), RECORDS as usize);
     let stats = server.stats();
     assert_eq!(stats.sessions.len(), CLIENTS);
@@ -179,10 +178,10 @@ fn gda_updates_never_lose_increments() {
         .write_record(0, &[0; REC])
         .unwrap();
     let server = Server::new(volume, ServerConfig::default());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let sess = server.connect();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let c = sess.open_direct("shared").unwrap();
                 for _ in 0..PER_CLIENT {
                     // Locked read-modify-write of a counter in the record.
@@ -194,8 +193,7 @@ fn gda_updates_never_lose_increments() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let sess = server.connect();
     let c = sess.open_direct("shared").unwrap();
     let mut buf = [0u8; REC];
@@ -265,9 +263,9 @@ fn reject_policy_surfaces_busy_to_the_client() {
     );
     let (entered_tx, entered_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let holder = server.connect();
-        s.spawn(move |_| {
+        s.spawn(move || {
             let c = holder.open_direct("shared").unwrap();
             // This update holds the single admission permit while the
             // closure blocks, pinning the server at saturation.
@@ -284,8 +282,7 @@ fn reject_policy_surfaces_busy_to_the_client() {
         let mut buf = [0u8; REC];
         assert!(matches!(c.read_record(0, &mut buf), Err(ServerError::Busy)));
         release_tx.send(()).unwrap();
-    })
-    .unwrap();
+    });
     let stats = server.stats();
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.queue_depth_high_water, 1);

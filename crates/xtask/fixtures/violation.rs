@@ -38,6 +38,14 @@ fn gda_bytes_under_rows(file: &RawFile, entry: &FileEntry) {
     let _bytes = entry.ranges.acquire(0, 4096);
 }
 
+fn worker_serves_under_its_queue(node: &Shared) {
+    // R3: an I/O node's queue (disk.queue, rank 95) is held...
+    let _queue = node.queue.lock();
+    // ...and the device (disk.device, rank 90) taken under it: the
+    // worker must pop its job and release the queue first.
+    let _dev = node.device.lock();
+}
+
 // R4: a raw std atomic type, invisible to the race detector.
 use std::sync::atomic::AtomicU64;
 

@@ -52,6 +52,7 @@ const RANKED_LOCKS: &[(&str, LockLevel)] = &[
     ("journal.lock(", LockLevel::FsJournal),
     ("board.lock(", LockLevel::FsHealth),
     ("device.lock(", LockLevel::DiskDevice),
+    ("queue.lock(", LockLevel::DiskQueue),
 ];
 
 /// R1: request-path code must build on the `pario-check` primitives.
@@ -241,6 +242,15 @@ mod tests {
         let v = lint(bad);
         assert_eq!(v.iter().filter(|f| f.rule == "R3").count(), 1);
         let good = "fn f(&self) {\n let t = self.entry.ranges.acquire_ticket(0, 8);\n let r = f.lock_rows(0..4);\n}\n";
+        assert!(lint(good).iter().all(|f| f.rule != "R3"));
+    }
+
+    #[test]
+    fn the_io_node_queue_is_a_leaf_above_the_device() {
+        let bad = "fn f(&self) {\n let q = self.queue.lock();\n let d = self.device.lock();\n}\n";
+        let v = lint(bad);
+        assert_eq!(v.iter().filter(|f| f.rule == "R3").count(), 1);
+        let good = "fn f(&self) {\n let d = self.device.lock();\n let q = self.queue.lock();\n}\n";
         assert!(lint(good).iter().all(|f| f.rule != "R3"));
     }
 

@@ -54,10 +54,10 @@ fn main() {
     .expect("create");
 
     // Parallel producers: each worker writes its strided lines.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..4u32 {
             let mut h = pf.interleaved_handle(p).expect("handle");
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for k in 0..8u64 {
                     for c in 0..8u64 {
                         let line_no = (u64::from(p) + k * 4) * 8 + c;
@@ -70,8 +70,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("threads");
+    });
     println!(
         "4 workers wrote {} records (IS organization)",
         pf.len_records()

@@ -61,10 +61,10 @@ fn main() {
         passes: PASSES,
     };
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (p, accesses) in pattern.trace().per_process(PARTS).into_iter().enumerate() {
             let h = pf.partition_handle(p as u32).expect("handle");
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // The trace names pages within the partition.
                 let lo = h.range().0;
                 let mut rec = vec![0u8; RECORD];
@@ -85,8 +85,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("workers");
+    });
 
     // After k passes of v -> 2v+1 starting from 1: v = 2^(k+1) - 1.
     let expect = (1u64 << (PASSES + 1)) - 1;

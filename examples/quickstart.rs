@@ -31,10 +31,10 @@ fn main() {
     .expect("create");
 
     // Four worker threads produce 100 records total, racing freely.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for worker in 0..4u8 {
             let w = pf.self_sched_writer().expect("SS writer");
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for k in 0..25u32 {
                     let mut rec = vec![0u8; 128];
                     rec[0] = worker;
@@ -44,8 +44,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("threads");
+    });
     pf.self_sched_writer().unwrap().finish().expect("finish");
     println!("wrote {} records from 4 threads", pf.len_records());
 

@@ -67,12 +67,12 @@ fn main() {
     // Self-scheduled run: whoever is free takes the next task.
     let per_worker: Vec<AtomicU64> = (0..WORKERS).map(|_| AtomicU64::new(0)).collect();
     let t0 = Instant::now();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..WORKERS {
             let reader = input.self_sched_reader().expect("reader");
             let writer = results.self_sched_writer().expect("writer");
             let per_worker = &per_worker;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rec = vec![0u8; RECORD];
                 while reader.read_next(&mut rec).expect("claim").is_some() {
                     let id = u64::from_le_bytes(rec[..8].try_into().unwrap());
@@ -86,8 +86,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("workers");
+    });
     let self_sched_time = t0.elapsed();
     results
         .self_sched_writer()
@@ -115,7 +114,7 @@ fn main() {
 
     // Static contrast: contiguous quarter of the queue per worker.
     let t0 = Instant::now();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..WORKERS as usize {
             let chunk: Vec<u64> = q
                 .work
@@ -123,14 +122,13 @@ fn main() {
                 .nth(w)
                 .unwrap_or(&[])
                 .to_vec();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for units in chunk {
                     spin_units(units);
                 }
             });
         }
-    })
-    .expect("workers");
+    });
     let static_time = t0.elapsed();
     println!("static partitioning: {static_time:?}");
     // On a single CPU core spun work serialises whatever the split, so

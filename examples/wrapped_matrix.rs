@@ -42,11 +42,11 @@ fn main() {
     .expect("create");
 
     // Each worker writes its wrapped rows concurrently.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..3u32 {
             let mut h = pf.interleaved_handle(p).expect("handle");
             let rows = m.rows_of(p);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for row in rows {
                     for col in 0..COLS {
                         let mut rec = vec![0u8; ELEM];
@@ -56,8 +56,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("threads");
+    });
     println!(
         "3 workers wrote a {ROWS}x{COLS} matrix wrapped row-wise \
          ({} records)",

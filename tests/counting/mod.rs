@@ -15,14 +15,14 @@ pub fn requested() -> u64 {
     REQUESTED.load(Ordering::Relaxed)
 }
 
-/// Wait until every other thread of the process is asleep. A thread's
-/// first wait on a channel allocates its wait context (48 bytes, once):
-/// a volume's device workers park on their empty queues as soon as they
-/// first run, but on a loaded machine the scheduler may not run one
-/// until the window being counted, whose total would then include its
-/// start-up. The same holds for libtest's main thread, which spawns the
-/// test and then waits for its outcome. Call it after the warm-up,
-/// before taking the count.
+/// Wait until every other thread of the process is asleep. A thread
+/// may allocate when it first runs: a volume's device workers sleep on
+/// their empty queues as soon as they start, but on a loaded machine
+/// the scheduler may not run one until the window being counted, whose
+/// total would then include its start-up. The same holds for libtest's
+/// main thread, which spawns the test and then waits for its outcome on
+/// a channel (a first wait there allocates its wait context, 48 bytes,
+/// once). Call it after the warm-up, before taking the count.
 pub fn settle() {
     let me = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
     let asleep = |task: &std::path::Path| {

@@ -15,18 +15,17 @@ fn full_stack_behind_io_processors() {
     // A self-scheduled file written by racing threads, all I/O flowing
     // through the node threads.
     let pf = ParallelFile::create(&v, "q", Organization::SelfScheduledSeq, 128, 4).unwrap();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..4 {
             let w = pf.self_sched_writer().unwrap();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..30 {
                     let idx = w.write_next(&[0u8; 128]).unwrap();
                     let _ = idx;
                 }
             });
         }
-    })
-    .unwrap();
+    });
     pf.self_sched_writer().unwrap().finish().unwrap();
     assert_eq!(pf.len_records(), 120);
     for i in 0..120u64 {

@@ -47,18 +47,17 @@ fn partitioned_concurrent_writers() {
     let v = vol();
     let org = Organization::PartitionedSeq { partitions: 4 };
     let pf = ParallelFile::create_sized(&v, "ps", org, RECORD, RPB, 256).unwrap();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..4 {
             let mut h = pf.partition_handle(p).unwrap();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let (lo, hi) = h.range();
                 for g in lo..hi {
                     h.write_next(&record_payload(g, RECORD)).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     check_global(&pf, 256);
     // Reopen by name: organization and partition map survive.
     let again = ParallelFile::open(&v, "ps").unwrap();
@@ -75,10 +74,10 @@ fn interleaved_concurrent_writers() {
     let v = vol();
     let org = Organization::InterleavedSeq { processes: 4 };
     let pf = ParallelFile::create(&v, "is", org, RECORD, 4).unwrap();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..4u32 {
             let mut h = pf.interleaved_handle(p).unwrap();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // 8 blocks per process, 4 records per block.
                 for k in 0..8u64 {
                     let fb = u64::from(p) + k * 4;
@@ -88,8 +87,7 @@ fn interleaved_concurrent_writers() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     check_global(&pf, 128);
 }
 
@@ -98,10 +96,10 @@ fn self_scheduled_pipeline() {
     let v = vol();
     let pf = ParallelFile::create(&v, "ss", Organization::SelfScheduledSeq, RECORD, RPB).unwrap();
     // Producers race; consumers then drain exactly once.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..3 {
             let w = pf.self_sched_writer().unwrap();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..40 {
                     let idx = w.write_next(&[0u8; RECORD]).unwrap();
                     // Tag the record with its own slot index so content
@@ -111,8 +109,7 @@ fn self_scheduled_pipeline() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let w = pf.self_sched_writer().unwrap();
     assert_eq!(w.finish().unwrap(), 120);
     // Overwrite each slot with payload(slot) via GDA-style raw access so
@@ -123,11 +120,11 @@ fn self_scheduled_pipeline() {
             .unwrap();
     }
     let served = std::sync::Mutex::new(std::collections::HashSet::new());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..4 {
             let r = pf.self_sched_reader().unwrap();
             let served = &served;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut buf = vec![0u8; RECORD];
                 while let Some(i) = r.read_next(&mut buf).unwrap() {
                     assert_eq!(buf, record_payload(i, RECORD));
@@ -135,8 +132,7 @@ fn self_scheduled_pipeline() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(served.into_inner().unwrap().len(), 120);
 }
 
@@ -166,10 +162,10 @@ fn partitioned_direct_multiple_passes() {
     let v = vol();
     let org = Organization::PartitionedDirect { partitions: 2 };
     let pf = ParallelFile::create_sized(&v, "pda", org, RECORD, RPB, 128).unwrap();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..2 {
             let h = pf.partition_handle(p).unwrap();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let (lo, hi) = h.range();
                 // Pass 1: forward writes; pass 2: backward verify+update.
                 for r in lo..hi {
@@ -182,8 +178,7 @@ fn partitioned_direct_multiple_passes() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     check_global(&pf, 128);
 }
 

@@ -224,18 +224,17 @@ fn concurrent_writers_during_failure() {
     );
     f.ensure_capacity_records(64).unwrap();
     v.device(2).fail();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4u64 {
             let f = Arc::clone(&f);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for k in 0..16u64 {
                     let i = t * 16 + k;
                     f.write_record(i, &record_payload(i, BS)).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Degraded reads see everything.
     let mut buf = vec![0u8; BS];
     for i in 0..64u64 {

@@ -74,17 +74,17 @@ fn all_organizations_concurrently_on_one_volume() {
         // Everything at once: 4 PS writers, 4 IS writers, 3 SS producers,
         // 2 GDA writers, 4 PDA writers, and an S streamer — 18 threads on
         // one volume.
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for p in 0..4u32 {
                 let mut h = ps.partition_handle(p).unwrap();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let (lo, hi) = h.range();
                     for g in lo..hi {
                         h.write_next(&record_payload(g, RECORD)).unwrap();
                     }
                 });
                 let mut h = is.interleaved_handle(p).unwrap();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for k in 0..4u64 {
                         let fb = u64::from(p) + k * 4;
                         for c in 0..RPB as u64 {
@@ -94,7 +94,7 @@ fn all_organizations_concurrently_on_one_volume() {
                     }
                 });
                 let h = pda.partition_handle(p).unwrap();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let (lo, hi) = h.range();
                     for r in (lo..hi).rev() {
                         h.write_record(r, &record_payload(2000 + r, RECORD))
@@ -104,7 +104,7 @@ fn all_organizations_concurrently_on_one_volume() {
             }
             for _ in 0..3 {
                 let w = ss.self_sched_writer().unwrap();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..10 {
                         w.write_next(&[7u8; RECORD]).unwrap();
                     }
@@ -112,7 +112,7 @@ fn all_organizations_concurrently_on_one_volume() {
             }
             for t in 0..2u64 {
                 let h = gda.direct_handle().unwrap();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for k in 0..16u64 {
                         let i = t * 16 + k;
                         h.write_record(i, &record_payload(3000 + i, RECORD))
@@ -121,15 +121,14 @@ fn all_organizations_concurrently_on_one_volume() {
                 });
             }
             let s_raw = s.raw().clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut w = pario::fs::GlobalWriter::append(s_raw);
                 for i in 0..48u64 {
                     w.write_record(&record_payload(4000 + i, RECORD)).unwrap();
                 }
                 w.finish().unwrap();
             });
-        })
-        .unwrap();
+        });
         ss.self_sched_writer().unwrap().finish().unwrap();
         v.sync_meta().unwrap();
     }
