@@ -68,6 +68,51 @@ fn tickets_complete_with_exact_accounting() {
     );
 }
 
+/// The lazy start: the first submission of each of two model threads
+/// queues on a fresh node (hedged reads always queue), so in every
+/// interleaving of the two enqueues one of them starts the worker and
+/// the other only wakes it. Each read must carry its own block, and
+/// after the joins every slot is back on the free list. A node that
+/// never started its worker leaves both readers polling until the
+/// schedule's step bound.
+#[test]
+fn the_first_queued_submissions_start_the_worker() {
+    let report = Explorer::new(Config::new(500)).run(|| {
+        let inner = mem_array(1, 4, BS).remove(0);
+        for b in 0..4u64 {
+            inner.write_block(b, &[b as u8 + 1; BS]).expect("fill");
+        }
+        let node = IoNode::spawn(inner);
+        let mut hs = Vec::new();
+        for block in [1u64, 2] {
+            let h = node.device();
+            hs.push(spawn(move || {
+                let buf = vec![0u8; BS].into_boxed_slice();
+                let got = h
+                    .submit_hedged_read_blocks(block, buf)
+                    .wait()
+                    .expect("queued read");
+                assert!(
+                    got.iter().all(|&b| b == block as u8 + 1),
+                    "a read of block {block} got block {}'s bytes",
+                    got[0].wrapping_sub(1)
+                );
+            }));
+        }
+        for h in hs {
+            h.join();
+        }
+        assert_eq!(node.stats().serviced, 2, "lost or double-counted read");
+        assert_eq!(node.slots_out(), 0, "a slot never came back");
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(
+        report.distinct >= 10,
+        "only {} distinct schedules",
+        report.distinct
+    );
+}
+
 /// A one-track device whose storage is a [`CheckCell`]: every transfer
 /// is a checked access of the cell, so two transfers the node failed to
 /// order are a data race the detector reports. The detector only sees

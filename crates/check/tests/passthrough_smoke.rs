@@ -88,6 +88,7 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::FsStripe, "fs.stripe", 70),
         (LockLevel::FsStaging, "fs.staging", 72),
         (LockLevel::VolumeCache, "buffer.volume_cache", 75),
+        (LockLevel::FsJournal, "fs.journal", 78),
         (LockLevel::FsHealth, "fs.health", 80),
         (LockLevel::DiskDevice, "disk.device", 90),
         (LockLevel::DiskQueue, "disk.queue", 95),

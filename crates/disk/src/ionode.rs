@@ -4,7 +4,9 @@
 //! processors" — in a 1989 multiprocessor, processors set aside to do
 //! nothing but move data between compute nodes and drives. [`IoNode`] is
 //! that component: it owns one device, services requests from a queue on
-//! its own persistent worker thread, and reports queue statistics.
+//! its own worker thread, and reports queue statistics. The worker starts
+//! with the node's first queued job: a node whose transfers all run on
+//! their callers (see below) never has one.
 //! [`IoNode::device`] yields a [`BlockDevice`] handle that transparently
 //! routes through the node, so an entire volume can be put behind I/O
 //! processors without any layer above noticing.
@@ -239,6 +241,8 @@ struct Queue {
     free: Vec<Arc<Slot>>,
     /// Slots made so far: the free list plus those out.
     made: usize,
+    /// Set by the first job queued, whose caller starts the worker.
+    started: bool,
     /// Set when the node and every handle are gone: the worker then
     /// drains what is queued and exits.
     closed: bool,
@@ -377,9 +381,10 @@ const HANDOFF_NANOS: u64 = 20_000;
 
 /// A dedicated I/O processor serving one device.
 ///
-/// The worker thread runs until the node and every handle from
-/// [`IoNode::device`] have been dropped, then drains whatever is still
-/// queued before exiting — shutdown never abandons an accepted request.
+/// The worker thread starts with the first job the node queues, and runs
+/// until the node and every handle from [`IoNode::device`] have been
+/// dropped, then drains whatever is still queued before exiting —
+/// shutdown never abandons an accepted request.
 pub struct IoNode {
     handle: Arc<IoNodeDevice>,
 }
@@ -425,7 +430,8 @@ impl IoNodeStats {
 }
 
 impl IoNode {
-    /// Spawn an I/O processor thread owning `inner`.
+    /// An I/O processor owning `inner`. No thread starts here: the
+    /// first submission or call that has to queue starts the worker.
     pub fn spawn(inner: DeviceRef) -> IoNode {
         let shared = Arc::new(Shared {
             block_size: inner.block_size(),
@@ -443,12 +449,6 @@ impl IoNode {
             retries: AtomicU64::new(0),
             panics: AtomicU64::new(0),
         });
-        let worker_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("pario-ionode".into())
-            .spawn(move || worker(&worker_shared))
-            // invariant: spawn fails only on OS thread exhaustion at startup.
-            .expect("spawn I/O node thread");
         IoNode {
             handle: Arc::new(IoNodeDevice { shared }),
         }
@@ -475,7 +475,9 @@ impl IoNode {
 
 /// The worker loop: for each job in arrival order, take the device and
 /// service it, then complete its slot — until node and handles are gone
-/// AND the queue is drained, so shutdown never abandons the backlog.
+/// AND the queue is drained, so shutdown never abandons the backlog. It
+/// looks at the queue before it first waits, so the job that started it
+/// needs no wake-up.
 fn worker(shared: &Shared) {
     while let Some(mut job) = shared.next_job() {
         let op = match job.work {
@@ -596,7 +598,9 @@ impl Drop for IoNodeDevice {
 
 impl IoNodeDevice {
     /// Queue `work` behind everything already there, on a slot from the
-    /// free list (a new one only when every slot is out).
+    /// free list (a new one only when every slot is out). The node's
+    /// first queued job starts its worker, once the queue lock is
+    /// released; every later one wakes it.
     fn enqueue(&self, work: Work, buf: Box<[u8]>) -> Ticket<Box<[u8]>> {
         let inflight = self.shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1; // ordering: stats gauge; the queue lock orders the hand-off
         self.shared
@@ -615,8 +619,18 @@ impl IoNodeDevice {
             slot: Arc::clone(&slot),
         };
         q.jobs.push_back(job);
+        let start = !std::mem::replace(&mut q.started, true);
         drop(q);
-        self.shared.queued.notify_one();
+        if start {
+            let shared = Arc::clone(&self.shared);
+            std::thread::Builder::new()
+                .name("pario-ionode".into())
+                .spawn(move || worker(&shared))
+                // invariant: spawn fails only on OS thread exhaustion.
+                .expect("spawn I/O node thread");
+        } else {
+            self.shared.queued.notify_one();
+        }
         let node = Arc::clone(&self.shared);
         let inner = TicketInner::Pending(Claim { slot, node }, std::convert::identity);
         Ticket { inner }
@@ -902,8 +916,9 @@ mod tests {
                 self.inner.write_blocks_at(block, data)
             })
         }
+        /// Served as the block one past the end: no gate holds it.
         fn flush(&self) -> Result<()> {
-            self.serve(u64::MAX, || self.inner.flush())
+            self.serve(self.num_blocks(), || self.inner.flush())
         }
         fn counters(&self) -> IoCounters {
             self.inner.counters()
@@ -982,6 +997,14 @@ mod tests {
             dev.write_block(block, &data).unwrap();
         }
         panic!("an undelayed device never measured under the hand-off cost");
+    }
+
+    /// Whether `node` has started its worker, and how many threads share
+    /// its state beside its handle: its workers, while no ticket is
+    /// pending.
+    fn worker_state(node: &IoNode) -> (bool, usize) {
+        let started = node.handle.shared.queue.lock().started;
+        (started, Arc::strong_count(&node.handle.shared) - 1)
     }
 
     /// Pin `node`'s worker inside a gate request on `probe`, issue `call`
@@ -1115,6 +1138,85 @@ mod tests {
         let s = node.stats();
         assert_eq!(s.queue_wait_nanos, wait_before, "nobody waited: {s:?}");
         assert_eq!((s.in_flight, s.max_in_flight), (0, 1));
+    }
+
+    #[test]
+    fn a_node_whose_transfers_ran_on_their_callers_starts_no_worker() {
+        let probe = Probe::new(Arc::new(MemDisk::new(16, 64)), u64::MAX);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        let dev = node.device();
+        assert_eq!(worker_state(&node), (false, 0), "spawn started a worker");
+        // Blocking calls on an idle node, then submissions to an idle
+        // fast one, each warmed just before so that it cannot queue.
+        dev.write_blocks_at(1, &[1u8; 128]).unwrap();
+        let mut two = [0u8; 128];
+        dev.read_blocks_at(1, &mut two).unwrap();
+        dev.flush().unwrap();
+        warm_fast(&node, 3);
+        let write = dev.submit_write_blocks(4, vec![4u8; 64].into_boxed_slice());
+        warm_fast(&node, 3);
+        let read = dev.submit_read_blocks(4, vec![0u8; 64].into_boxed_slice());
+        write.wait().unwrap();
+        assert!(read.wait().unwrap().iter().all(|&b| b == 4));
+        let me = std::thread::current().id();
+        assert!(probe.served_by.lock().unwrap().iter().all(|&t| t == me));
+        assert_eq!(
+            worker_state(&node),
+            (false, 0),
+            "nothing queued, yet a worker started"
+        );
+        // A hedged read always queues: the first job starts the worker.
+        let hedged = dev.submit_hedged_read_blocks(4, vec![0u8; 64].into_boxed_slice());
+        assert!(hedged.wait().unwrap().iter().all(|&b| b == 4));
+        assert_ne!(probe.last_served_by(), me);
+        assert_eq!(worker_state(&node), (true, 1));
+    }
+
+    #[test]
+    fn the_first_jobs_queued_at_once_start_one_worker() {
+        // Two threads queue a fresh node's first jobs together (hedged
+        // reads always queue); whichever is first starts the worker. The
+        // gate holds the read of block 7 in service until both are in.
+        let mem = Arc::new(MemDisk::new(16, 64));
+        for b in [7u64, 8] {
+            mem.write_block(b, &[b as u8; 64]).unwrap();
+        }
+        let probe = Probe::new(mem, 7);
+        let node = IoNode::spawn(Arc::clone(&probe) as DeviceRef);
+        let dev = node.device();
+        let start = std::sync::Barrier::new(2);
+        let got = std::thread::scope(|s| {
+            let readers: Vec<_> = [7u64, 8]
+                .into_iter()
+                .map(|b| {
+                    let (dev, start) = (&dev, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let buf = vec![0u8; 64].into_boxed_slice();
+                        (b, dev.submit_hedged_read_blocks(b, buf).wait().unwrap())
+                    })
+                })
+                .collect();
+            probe.wait_entered();
+            while {
+                let s = node.stats();
+                s.in_flight + s.serviced < 2
+            } {
+                std::thread::yield_now();
+            }
+            probe.release();
+            readers
+                .into_iter()
+                .map(|r| r.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (b, buf) in got {
+            assert!(buf.iter().all(|&x| x == b as u8), "block {b}'s read");
+        }
+        let served: std::collections::HashSet<_> =
+            probe.served_by.lock().unwrap().iter().copied().collect();
+        assert_eq!(served.len(), 1, "both reads served by one worker");
+        assert_eq!(worker_state(&node), (true, 1), "one worker started");
     }
 
     #[test]

@@ -790,7 +790,10 @@ fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
     use std::io::{Read, Write};
 
     const BIG: usize = 32 * 1024;
-    const REQUESTS: u64 = 4096; // 128 MiB of replies: past any socket buffer
+    // 2 Mi requests of 29 bytes, 58 MiB: past what a socket's buffers
+    // hold at the kernel's ceilings. On a 32 MiB `tcp_rmem` ceiling a send
+    // first waited out its timeout after ~150k of them (4096 never did).
+    const REQUESTS: u64 = 1 << 21;
 
     let volume = big_volume();
     let pf = ParallelFile::create(&volume, "d", Organization::GlobalDirect, BIG, 1).unwrap();
@@ -825,14 +828,21 @@ fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
     // server has stopped reading this connection.
     s.set_write_timeout(Some(std::time::Duration::from_secs(1)))
         .unwrap();
-    for id in 0..REQUESTS {
-        if send(&mut s, 2 + id, &Request::DirRead { handle, record: 0 }).is_err() {
-            break;
-        }
-    }
+    let refused = (0..REQUESTS)
+        .find_map(|id| send(&mut s, 2 + id, &Request::DirRead { handle, record: 0 }).err())
+        .unwrap_or_else(|| {
+            panic!("all {REQUESTS} requests were sent: the server never stopped reading")
+        });
+    assert!(
+        matches!(
+            refused.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the send loop ended on {refused}, not on the write timeout"
+    );
 
-    // The connection fills the socket and blocks; nothing grows after.
-    std::thread::sleep(std::time::Duration::from_millis(500));
+    // A send has waited 1 s unread: the connection is blocked in its
+    // flush, so what it staged is final.
     let one_reply = 4 + FRAME_OVERHEAD + BIG;
     let staged = net.staged_high_water();
     assert!(
