@@ -14,8 +14,7 @@
 //!
 //! | level | lock | crate | protects |
 //! |------:|------|-------|----------|
-//! |  3 | `NetClient` credits | pario-net | per-connection flow-control window |
-//! |  5 | `NetClient` reply table | pario-net | in-flight request id -> reply slot |
+//! |  5 | `NetClient` slot table | pario-net | flow-control window: request id -> reply slot, receive half |
 //! |  7 | `NetClient` send half | pario-net | serialised frame writes to the socket |
 //! | 20 | `Admission::m` | pario-server | admission queue + rotation state |
 //! | 30 | `RangeLocks::held` of a server file entry | pario-server | GDA byte-range lock table |
@@ -36,11 +35,10 @@
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum LockLevel {
-    /// `pario-net` client flow-control credit window. The outermost
-    /// lock a network call can touch: a request first takes a credit,
-    /// with no other ranked lock held.
-    NetCredits = 3,
-    /// `pario-net` client in-flight reply table (request id -> slot).
+    /// `pario-net` client slot table: the flow-control window, each
+    /// request's reply slot (its index is the request id) and the
+    /// receive half. The outermost lock a network call can touch: a
+    /// request first takes a slot, with no other ranked lock held.
     NetReplies = 5,
     /// `pario-net` client send half: frames are written to the socket
     /// under this lock so pipelined requests never interleave bytes.
@@ -110,7 +108,6 @@ impl LockLevel {
     /// Stable display name used in reports and the DESIGN table.
     pub fn name(self) -> &'static str {
         match self {
-            LockLevel::NetCredits => "net.credits",
             LockLevel::NetReplies => "net.replies",
             LockLevel::NetSend => "net.send",
             LockLevel::Admission => "server.admission",

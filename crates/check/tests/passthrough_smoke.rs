@@ -78,7 +78,6 @@ fn lock_levels_have_stable_names_and_ranks() {
     // The hierarchy table in DESIGN.md §8 documents these exact pairs;
     // keep them in lockstep.
     let table = [
-        (LockLevel::NetCredits, "net.credits", 3),
         (LockLevel::NetReplies, "net.replies", 5),
         (LockLevel::NetSend, "net.send", 7),
         (LockLevel::Admission, "server.admission", 20),

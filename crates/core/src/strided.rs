@@ -90,9 +90,9 @@ impl ProcessView {
         (off < self.piece && i < self.limit).then_some(i)
     }
 
-    /// True where global record `r` lies in the view.
-    pub fn contains(&self, r: u64) -> bool {
-        self.local(r).is_some()
+    /// Refuse global record `r` unless it lies in the view.
+    pub fn inside(&self, r: u64) -> Result<()> {
+        self.local(r).map(drop).ok_or_else(|| self.outside(r))
     }
 
     /// The global records `[start, end)` the view spans: the partition,
@@ -216,13 +216,13 @@ impl ProcessView {
 
     /// Read global record `r`, which must lie in the view.
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        self.local(r).ok_or_else(|| self.outside(r))?;
+        self.inside(r)?;
         Ok(self.raw.read_record(r, out)?)
     }
 
     /// Write global record `r`, which must lie in the view.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
-        self.local(r).ok_or_else(|| self.outside(r))?;
+        self.inside(r)?;
         Ok(self.raw.write_record(r, data)?)
     }
 }
@@ -331,7 +331,8 @@ mod tests {
         let err = h.read_record(31, &mut buf).unwrap_err();
         assert_eq!(err.to_string(), "record 31 lies outside the view [32, 64)");
         assert!(refused(h.write_record(31, &rec(0, 64))));
-        assert!(!h.contains(31) && h.contains(32) && h.contains(63) && !h.contains(64));
+        let inside = |r| h.inside(r).is_ok();
+        assert!(!inside(31) && inside(32) && inside(63) && !inside(64));
     }
 
     #[test]
@@ -452,7 +453,8 @@ mod tests {
         }
         let expected: Vec<u64> = (0..24).filter(|r| (r / 4) % 2 == 1).collect();
         assert_eq!(got, expected);
-        assert!(h.contains(5) && !h.contains(8) && !h.contains(3));
+        let inside = |r| h.inside(r).is_ok();
+        assert!(inside(5) && !inside(8) && !inside(3));
     }
 
     #[test]

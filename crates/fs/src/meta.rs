@@ -50,12 +50,6 @@ impl FileMeta {
     pub fn file_block_bytes(&self) -> usize {
         self.record_size * self.records_per_block
     }
-
-    /// Number of logical file blocks (paper blocks), counting a short tail.
-    pub fn file_blocks(&self) -> u64 {
-        let fb = self.file_block_bytes() as u64;
-        self.len_bytes().div_ceil(fb)
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +80,6 @@ mod tests {
         let m = meta();
         assert_eq!(m.len_bytes(), 1000);
         assert_eq!(m.file_block_bytes(), 400);
-        // 1000 bytes over 400-byte file blocks = 3 blocks (short tail).
-        assert_eq!(m.file_blocks(), 3);
     }
 
     #[test]

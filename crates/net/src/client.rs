@@ -11,13 +11,14 @@
 //! the first pipelined request and asleep on a condvar whenever a
 //! caller reads or nothing pipelined is outstanding.
 //!
-//! Three locks, ranked in DESIGN.md §8 and acquired strictly in this
-//! order (rank ascends), never nested:
+//! One lock on the reply path, and one to send, ranked in DESIGN.md §8
+//! and never nested:
 //!
-//! * `credits` (net.credits, 3) — the flow-control window granted at
-//!   handshake; `submit` blocks here when the window is exhausted.
-//! * `replies` (net.replies, 5) — the pending-request table, request
-//!   id → reply slot, and the receive half while nobody reads.
+//! * `replies` (net.replies, 5) — the slot table: the flow-control
+//!   window granted at handshake (a request's slot is its credit and its
+//!   index the request's id; `submit` waits here while every slot the
+//!   window allows is out), each slot's reply, and the receive half
+//!   while nobody reads.
 //! * `wire` (net.send, 7) — the send half of the socket plus its frame
 //!   staging buffer; holds exactly one `write_all` per request.
 //!
@@ -62,7 +63,7 @@ struct WireHalf {
 }
 
 struct ClientCore {
-    mux: ReplyMux<RecvHalf>,
+    mux: Arc<ReplyMux<RecvHalf>>,
     wire: Mutex<WireHalf>,
     max_payload: usize,
     /// The fallback reader, started by the first pipelined request: a
@@ -76,7 +77,7 @@ struct ClientCore {
 #[must_use = "a pending request resolves only through wait()"]
 pub struct Pending {
     core: Arc<ClientCore>,
-    ticket: Ticket,
+    ticket: Ticket<RecvHalf>,
 }
 
 impl Pending {
@@ -88,11 +89,11 @@ impl Pending {
 }
 
 impl ClientCore {
-    /// Take a credit, register a reply slot, and send the frame. A
+    /// Take a slot, the request's credit and id, and send the frame. A
     /// `pipelined` request is one the caller does not wait for at once.
     /// A request whose payload is over the server's limit is refused
     /// here, encoded but never sent.
-    fn send(&self, req: &Request, pipelined: bool) -> Result<Ticket> {
+    fn send(&self, req: &Request, pipelined: bool) -> Result<Ticket<RecvHalf>> {
         let (id, ticket) = self.mux.register(pipelined)?;
         let sent = {
             let mut wire = self.wire.lock();
@@ -112,7 +113,7 @@ impl ClientCore {
             }
         };
         if let Err(e) = sent {
-            self.mux.cancel(id);
+            self.mux.cancel(ticket);
             return Err(e);
         }
         Ok(ticket)
@@ -191,7 +192,7 @@ impl NetClient {
         };
         let ctl = s.try_clone()?;
         let core = Arc::new(ClientCore {
-            mux: ReplyMux::new(grant.credits, recv),
+            mux: Arc::new(ReplyMux::new(grant.credits, recv)),
             wire: Mutex::new_named(
                 WireHalf {
                     sock: s,

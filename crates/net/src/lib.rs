@@ -42,14 +42,14 @@
 //!   on the calling thread ([`ReplyMux`] decides who reads otherwise).
 //!
 //! Concurrency follows the workspace rules: locks are
-//! `pario_check`-ranked (`net.credits` < `net.replies` < `net.send`),
-//! threads are named, and every blocking wait has a shutdown path that
-//! unblocks it (socket shutdown wakes whoever is in `read` or `write`).
+//! `pario_check`-ranked (`net.replies` < `net.send`; the credit window
+//! is the reply table's slots), threads are named, and every blocking
+//! wait has a shutdown path that unblocks it (socket shutdown wakes
+//! whoever is in `read` or `write`).
 
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod credits;
 pub mod error;
 pub mod frame;
 pub mod proto;
@@ -59,7 +59,6 @@ pub mod sock;
 pub mod wire;
 
 pub use client::{NetClient, Pending, RemoteDirect, RemoteHandle, RemoteLock};
-pub use credits::CreditWindow;
 pub use error::{NetError, Result};
 pub use frame::Grant;
 pub use proto::StatsSummary;

@@ -41,7 +41,10 @@ pub const MAGIC: [u8; 4] = *b"PIO1";
 /// or next-block reply always names its first record, and a block is
 /// named by its first record instead of its file-block index. A v5
 /// client would read a partition's record index as record bytes.
-pub const VERSION: u16 = 6;
+/// Version 7 retired server-error tag 3 (a partition's own refusal): a
+/// record outside a partition is refused with the view's
+/// `CoreError::OutsideView`, which a v6 client would not expect there.
+pub const VERSION: u16 = 7;
 
 /// Reply status byte: the request succeeded; the body is the
 /// operation's result.
@@ -522,14 +525,6 @@ pub fn encode_server_error(w: &mut WireWriter, e: &ServerError) {
         ServerError::Claimed { name, index, by } => {
             w.u8(2).str_prefixed(name).u32(*index).u64(*by);
         }
-        ServerError::OutsidePartition {
-            record,
-            partition,
-            start,
-            end,
-        } => {
-            w.u8(3).u64(*record).u32(*partition).u64(*start).u64(*end);
-        }
         ServerError::RangeNotLocked { lo, hi } => {
             w.u8(4).u64(*lo).u64(*hi);
         }
@@ -560,12 +555,6 @@ pub fn decode_server_error(r: &mut WireReader<'_>) -> WireResult<ServerError> {
             index: r.u32()?,
             by: r.u64()?,
         },
-        3 => ServerError::OutsidePartition {
-            record: r.u64()?,
-            partition: r.u32()?,
-            start: r.u64()?,
-            end: r.u64()?,
-        },
         4 => ServerError::RangeNotLocked {
             lo: r.u64()?,
             hi: r.u64()?,
@@ -582,6 +571,8 @@ pub fn decode_server_error(r: &mut WireReader<'_>) -> WireResult<ServerError> {
         7 => ServerError::NotServed {
             view: decode_view(r)?,
         },
+        // 3 is reserved (a retired partition refusal, now the view's
+        // `CoreError::OutsideView`) and decodes as malformed.
         other => {
             return Err(WireError::Malformed(format!(
                 "bad server-error tag {other}"
@@ -884,6 +875,17 @@ mod tests {
             r.finish().expect("no trailing bytes");
             assert_eq!(back, e);
         }
+    }
+
+    #[test]
+    fn server_error_tag_3_is_reserved() {
+        let mut w = WireWriter::new();
+        w.u8(3).u64(55).u32(1).u64(56).u64(108);
+        let mut r = WireReader::new(w.bytes());
+        assert!(matches!(
+            decode_server_error(&mut r),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]

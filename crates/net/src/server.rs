@@ -24,12 +24,12 @@
 //! frame header — and that buffer leaves with a single `write` exactly
 //! when the thread would otherwise block in `read` (its `BufReader`
 //! holds no further complete frame), or when the staged bytes reach
-//! [`NetConfig::frame_bytes`]. A blocking caller's reply is therefore
+//! [`FRAME_BYTES`]. A blocking caller's reply is therefore
 //! one `write`; a pipelined burst is answered in batches.
 //!
 //! Backpressure is the socket's own: a connection blocked in `write`
 //! (its peer is not reading) is a connection that is not reading, so it
-//! stages at most `frame_bytes` plus one reply and consumes no further
+//! stages at most `FRAME_BYTES` plus one reply and consumes no further
 //! requests — TCP pushes back on the sender, and the admission queue
 //! ([`pario_server::ServerStats`] remains the observability story) never
 //! sees more than the configured in-flight load. The client-side half
@@ -57,6 +57,10 @@ use crate::proto::{encode_reply_error, Opened, Request, StatsSummary, STATUS_ERR
 use crate::sock::{self, Sock};
 use crate::wire::WireWriter;
 
+/// Staged reply bytes at which a connection flushes its output buffer
+/// even though more requests are waiting to be read.
+pub const FRAME_BYTES: usize = 64 * 1024;
+
 /// Tuning for a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -65,9 +69,6 @@ pub struct NetConfig {
     pub credits: u32,
     /// Largest request payload accepted, bytes.
     pub max_payload: usize,
-    /// Staged reply bytes at which a connection flushes its output
-    /// buffer even though more requests are waiting to be read.
-    pub frame_bytes: usize,
 }
 
 impl Default for NetConfig {
@@ -75,7 +76,6 @@ impl Default for NetConfig {
         NetConfig {
             credits: 32,
             max_payload: 1 << 20,
-            frame_bytes: 64 * 1024,
         }
     }
 }
@@ -218,7 +218,7 @@ impl NetServer {
     }
 
     /// The most reply bytes any one connection has had staged when it
-    /// flushed (diagnostic): bounded by `frame_bytes` plus one reply.
+    /// flushed (diagnostic): bounded by [`FRAME_BYTES`] plus one reply.
     pub fn staged_high_water(&self) -> usize {
         self.inner.staged_high_water.load(Ordering::Relaxed) as usize // ordering: a statistic, read for its value only
     }
@@ -378,8 +378,8 @@ impl NetInner {
         }
         let sent = sock.write_all(out);
         out.clear();
-        if out.capacity() > 2 * self.cfg.frame_bytes {
-            out.shrink_to(self.cfg.frame_bytes); // one oversized reply is not kept
+        if out.capacity() > 2 * FRAME_BYTES {
+            out.shrink_to(FRAME_BYTES); // one oversized reply is not kept
         }
         sent
     }
@@ -405,7 +405,7 @@ fn run_connection(inner: &NetInner, mut sock: Sock) {
         // Flush before a `read` that may block, or at the staging bound.
         // A write that blocks here (the peer is not reading) is the
         // backpressure: this connection reads no further request.
-        let full = out.len() >= inner.cfg.frame_bytes;
+        let full = out.len() >= FRAME_BYTES;
         if !out.is_empty()
             && (full || !holds_frame(reader.buffer()))
             && inner.flush(reader.get_mut(), &mut out).is_err()

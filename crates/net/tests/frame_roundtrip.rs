@@ -155,12 +155,13 @@ fn server_error_taxonomy_is_lossless() {
             index: 3,
             by: 9,
         },
-        ServerError::OutsidePartition {
+        ServerError::Core(CoreError::OutsideView {
             record: 55,
-            partition: 1,
             start: 56,
             end: 108,
-        },
+            piece: 52,
+            stride: 52,
+        }),
         ServerError::RangeNotLocked { lo: 20, hi: 24 },
         ServerError::Degraded {
             device: 2,

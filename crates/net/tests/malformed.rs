@@ -185,12 +185,12 @@ fn version_2_hello_fails_the_handshake() {
     assert_hello_refused(2);
 }
 
-/// What a v3 client would do with a v4, v5 or v6 welcome is read its
-/// first reply from the middle of the lane name; it is told the version
+/// What a v3 client would do with a v4 to v7 welcome is read its first
+/// reply from the middle of the lane name; it is told the version
 /// instead.
 #[test]
 fn version_3_hello_fails_the_handshake() {
-    assert_eq!(VERSION, 6);
+    assert_eq!(VERSION, 7);
     assert_hello_refused(3);
 }
 
@@ -207,6 +207,14 @@ fn version_4_hello_fails_the_handshake() {
 #[test]
 fn version_5_hello_fails_the_handshake() {
     assert_hello_refused(5);
+}
+
+/// A v6 client would expect a partition's own refusal (server-error
+/// tag 3, retired) where a v7 server sends the view's; it is told the
+/// version before it asks.
+#[test]
+fn version_6_hello_fails_the_handshake() {
+    assert_hello_refused(6);
 }
 
 #[test]

@@ -31,19 +31,6 @@ pub enum ServerError {
         /// Session currently holding the claim.
         by: u64,
     },
-    /// A PS/PDA access addressed a record outside the session's
-    /// partition — an error, never a silent corruption of a
-    /// neighbour's blocks.
-    OutsidePartition {
-        /// The offending global record index.
-        record: u64,
-        /// The session's partition.
-        partition: u32,
-        /// First record owned by the partition.
-        start: u64,
-        /// One past the last record owned by the partition.
-        end: u64,
-    },
     /// A locked GDA operation addressed bytes outside the byte-range
     /// lock the caller holds (see `DirectClient::write_record_locked`):
     /// the write is refused rather than performed unserialised.
@@ -88,15 +75,6 @@ impl fmt::Display for ServerError {
                     "partition {index} of '{name}' is claimed by session {by}"
                 )
             }
-            ServerError::OutsidePartition {
-                record,
-                partition,
-                start,
-                end,
-            } => write!(
-                f,
-                "record {record} lies outside partition {partition} [{start}, {end})"
-            ),
             ServerError::RangeNotLocked { lo, hi } => write!(
                 f,
                 "bytes [{lo}, {hi}) are not covered by the held range lock"
@@ -138,13 +116,6 @@ mod tests {
     #[test]
     fn display_variants() {
         assert!(ServerError::Busy.to_string().contains("saturated"));
-        let e = ServerError::OutsidePartition {
-            record: 60,
-            partition: 0,
-            start: 0,
-            end: 56,
-        };
-        assert!(e.to_string().contains("outside partition 0"));
         let e = ServerError::Exclusive {
             name: "f".into(),
             by: 3,

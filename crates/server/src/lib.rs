@@ -20,7 +20,7 @@
 //!   reservation as [`pario_core::SharedCursor`]).
 //! * **PS / PDA** — partition ownership: each partition is claimed by at
 //!   most one handle, and an access outside the claimed partition fails
-//!   with [`ServerError::OutsidePartition`] rather than silently
+//!   with the view's own [`pario_core::CoreError::OutsideView`] rather than silently
 //!   corrupting a neighbour.
 //! * **IS** — interleaved slots are claimed like partitions.
 //! * **GDA** — writers take byte-range locks so overlapping writes are

@@ -382,20 +382,11 @@ impl Handle {
         ServerError::NotServed { view: self.view }
     }
 
-    /// Refuse record `r` outside a claimed partition before admission,
-    /// naming the partition's bounds. The view refuses what lies outside
-    /// an interleave slot itself.
+    /// Refuse record `r` outside a process view before admission, with
+    /// the view's own refusal.
     fn inside(&self, r: u64) -> Result<()> {
-        match (&self.cursor, self.view) {
-            (Cursor::Proc(v), View::Partition(partition)) if !v.contains(r) => {
-                let (start, end) = v.range();
-                Err(ServerError::OutsidePartition {
-                    record: r,
-                    partition,
-                    start,
-                    end,
-                })
-            }
+        match &self.cursor {
+            Cursor::Proc(v) => Ok(v.inside(r)?),
             _ => Ok(()),
         }
     }
@@ -421,8 +412,8 @@ impl Handle {
     /// the caller, so an error may be an earlier record's; call
     /// [`finish`](Handle::finish) to publish the final length (dropping
     /// the handle also flushes, best-effort). A full partition fails
-    /// with [`ServerError::OutsidePartition`] before admission — never a
-    /// spill into the neighbour's blocks.
+    /// with the view's `CoreError::OutsideView` before admission — never
+    /// a spill into the neighbour's blocks.
     pub fn write_next(&mut self, data: &[u8]) -> Result<u64> {
         if let Cursor::Proc(v) = &self.cursor {
             self.inside(v.next_record())?;
@@ -497,8 +488,8 @@ impl Handle {
     }
 
     /// Read the record at global index `r`: GDA, and PS/PDA inside the
-    /// claimed partition ([`ServerError::OutsidePartition`] outside it,
-    /// refused before admission).
+    /// claimed partition (the view's `CoreError::OutsideView` outside
+    /// it, refused before admission).
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
         match (&self.cursor, self.view) {
             (Cursor::Proc(v), View::Partition(_)) => {

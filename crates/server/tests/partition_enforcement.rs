@@ -1,9 +1,9 @@
 //! Partition enforcement through the service layer (PS and PDA): an
-//! access outside a session's claimed partition fails with a typed
-//! [`ServerError::OutsidePartition`] naming the exact boundaries — never
-//! a silent write into a neighbour's blocks.
+//! access outside a session's claimed partition fails with the view's
+//! typed `CoreError::OutsideView` naming the exact boundaries — never a
+//! silent write into a neighbour's blocks.
 
-use pario_core::{Organization, ParallelFile};
+use pario_core::{CoreError, Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
 use pario_server::{Server, ServerConfig, ServerError, View};
 
@@ -44,29 +44,32 @@ fn direct_access_rejected_at_exact_partition_boundaries() {
     let client = sess.open("part", View::Partition(1)).unwrap();
     let mut buf = [0u8; REC];
 
-    // One record below the partition: rejected, boundaries spelled out.
+    // One record below the partition: rejected, boundaries spelled out
+    // (a partition is one piece of 52 records).
     match client.read_record(55, &mut buf) {
-        Err(ServerError::OutsidePartition {
+        Err(ServerError::Core(CoreError::OutsideView {
             record,
-            partition,
             start,
             end,
-        }) => {
-            assert_eq!((record, partition, start, end), (55, 1, 56, 108));
+            piece,
+            stride,
+        })) => {
+            assert_eq!((record, start, end, piece, stride), (55, 56, 108, 52, 52));
         }
-        other => panic!("expected OutsidePartition, got {other:?}"),
+        other => panic!("expected OutsideView, got {other:?}"),
     }
     // First record past the partition: rejected the same way.
     match client.write_record(108, &[7; REC]) {
-        Err(ServerError::OutsidePartition {
+        Err(ServerError::Core(CoreError::OutsideView {
             record,
-            partition,
             start,
             end,
-        }) => {
-            assert_eq!((record, partition, start, end), (108, 1, 56, 108));
+            piece,
+            stride,
+        })) => {
+            assert_eq!((record, start, end, piece, stride), (108, 56, 108, 52, 52));
         }
-        other => panic!("expected OutsidePartition, got {other:?}"),
+        other => panic!("expected OutsideView, got {other:?}"),
     }
     // Both inclusive edges work.
     client.write_record(56, &[1; REC]).unwrap();
@@ -94,15 +97,16 @@ fn sequential_writer_cannot_spill_into_neighbour() {
     }
     // Partition full: the 57th write is a typed refusal at the boundary.
     match client.write_next(&[99; REC]) {
-        Err(ServerError::OutsidePartition {
+        Err(ServerError::Core(CoreError::OutsideView {
             record,
-            partition,
             start,
             end,
-        }) => {
-            assert_eq!((record, partition, start, end), (56, 0, 0, 56));
+            piece,
+            stride,
+        })) => {
+            assert_eq!((record, start, end, piece, stride), (56, 0, 56, 56, 56));
         }
-        other => panic!("expected OutsidePartition, got {other:?}"),
+        other => panic!("expected OutsideView, got {other:?}"),
     }
     // Reads stop at the boundary rather than erroring.
     client.rewind().unwrap();
@@ -132,21 +136,23 @@ fn pda_direct_access_enforced_too() {
     // Outside it — either side — is typed.
     assert!(matches!(
         client.read_record(63, &mut buf),
-        Err(ServerError::OutsidePartition {
+        Err(ServerError::Core(CoreError::OutsideView {
             record: 63,
-            partition: 2,
             start: 64,
             end: 96,
-        })
+            piece: 32,
+            stride: 32,
+        }))
     ));
     assert!(matches!(
         client.write_record(96, &[0; REC]),
-        Err(ServerError::OutsidePartition {
+        Err(ServerError::Core(CoreError::OutsideView {
             record: 96,
-            partition: 2,
             start: 64,
             end: 96,
-        })
+            piece: 32,
+            stride: 32,
+        }))
     ));
 }
 

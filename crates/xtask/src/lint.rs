@@ -40,7 +40,6 @@ impl fmt::Display for Finding {
 /// logical blocks in `RawFile::write_span`, its device rows through
 /// `RawFile::lock_rows`.
 const RANKED_LOCKS: &[(&str, LockLevel)] = &[
-    ("credits.lock(", LockLevel::NetCredits),
     ("replies.lock(", LockLevel::NetReplies),
     ("wire.lock(", LockLevel::NetSend),
     ("ranges.acquire", LockLevel::RangeLock),
