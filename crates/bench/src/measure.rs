@@ -150,11 +150,6 @@ impl Measured {
     pub(crate) fn into_parts(self) -> (String, Table, Bench) {
         (self.name, self.table, self.bench)
     }
-
-    /// The `BENCH_<name>.json` text so far (for tests of its consumers).
-    pub fn json(&self) -> String {
-        self.bench.json()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +180,7 @@ mod tests {
         assert_eq!(lane["rec_per_sec"].median, 300.0);
         assert_eq!(lane["rec_per_sec"].lo, 200.0);
         report.fact("speedup", 1.5);
-        let json = report.json();
+        let json = report.bench.json();
         for line in [
             "\"drain_rec_per_sec\": 300",
             "\"drain_rec_per_sec_lo\": 200",

@@ -75,7 +75,7 @@ impl Table {
 /// A flat benchmark summary accumulated key by key, saved as
 /// `BENCH_<name>.json` in the working directory — the repo root when
 /// run through `run_experiments.sh` or CI. Unlike the `results/` tables
-/// these are machine-readable objects for regression tracking.
+/// these are machine-readable objects.
 #[derive(Default)]
 pub struct Bench {
     map: serde_json::Map<String, serde_json::Value>,
@@ -112,9 +112,10 @@ impl Bench {
         self
     }
 
-    /// The exact JSON text saved as `BENCH_<name>.json`. Exposed so tools
-    /// that consume these summaries (`xtask bench-diff`) can be tested
-    /// against the real emitter rather than a hand-written imitation.
+    /// The exact JSON text saved as `BENCH_<name>.json`: a record of one
+    /// run, read by people and by this crate's own tests. No tool diffs
+    /// two of them; the regression gate is the benchmark under
+    /// `benchmark/`, run as alternating pairs of parent and change.
     pub fn json(&self) -> String {
         let value = serde_json::Value::Object(self.map.clone());
         serde_json::to_string_pretty(&value)
@@ -184,5 +185,46 @@ mod tests {
     #[should_panic(expected = "column count")]
     fn row_width_checked() {
         Table::new(&["a", "b"]).row(&["only-one".into()]);
+    }
+
+    /// Every committed `BENCH_*.json` holds measurements, not bucket
+    /// edges or single shots: each `*_nanos` key is off a power of two
+    /// (the log₂ histogram could report nothing else) and sits between
+    /// its `_lo` and `_hi`.
+    #[test]
+    fn committed_latencies_are_measured_intervals() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&root).expect("the repo root lists") {
+            let path = entry.expect("a readable entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let value: serde_json::Value =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let map = value
+                .as_object()
+                .unwrap_or_else(|| panic!("{name} is not an object"));
+            // A missing or non-numeric quartile is NaN, which no value sits between.
+            let num = |key: &str| map.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
+            for (key, v) in map.iter() {
+                let (Some(v), true) = (v.as_f64(), key.ends_with("_nanos")) else {
+                    continue;
+                };
+                assert!(
+                    !(v.fract() == 0.0 && (v as u64).is_power_of_two()),
+                    "{name}: {key} = {v} is a power of two"
+                );
+                let (lo, hi) = (num(&format!("{key}_lo")), num(&format!("{key}_hi")));
+                assert!(
+                    lo <= v && v <= hi,
+                    "{name}: {key} = {v} outside [{lo}, {hi}]"
+                );
+            }
+        }
+        assert!(files >= 7, "E14–E20 each commit a summary; found {files}");
     }
 }

@@ -8,7 +8,8 @@
 //! hand-off is lost (a reply outstanding with no reader parks the run,
 //! which the explorer reports as a deadlock), a lone blocking caller
 //! always reads for itself, and end-of-stream reaches every waiter and
-//! every submitter waiting for a slot.
+//! every submitter waiting for a slot; and of two first pipelined
+//! submits that race, exactly one starts the fallback thread.
 #![cfg(pario_check)]
 
 use std::cell::Cell;
@@ -102,8 +103,8 @@ impl FrameSource for Script {
 type Mux = Arc<ReplyMux<Script>>;
 
 /// A connection with a window of `credits`, whose server dies after
-/// `dies_after` requests if that is set, and its fallback thread.
-fn rig_dying(credits: u32, dies_after: Option<u32>) -> (Arc<Wire>, Mux, JoinHandle) {
+/// `dies_after` requests if that is set, and no fallback thread yet.
+fn connection(credits: u32, dies_after: Option<u32>) -> (Arc<Wire>, Mux) {
     let wire = Arc::new(Wire {
         m: Mutex::new(WireState {
             frames: VecDeque::new(),
@@ -118,18 +119,34 @@ fn rig_dying(credits: u32, dies_after: Option<u32>) -> (Arc<Wire>, Mux, JoinHand
         arrived: Condvar::new(),
     });
     let mux = Arc::new(ReplyMux::new(credits, Script(Arc::clone(&wire))));
-    let fallback = {
-        let mux = Arc::clone(&mux);
-        spawn(move || {
-            IS_FALLBACK.set(true);
-            mux.run_fallback();
-        })
-    };
+    (wire, mux)
+}
+
+/// `mux`'s fallback thread.
+fn start_fallback(mux: &Mux) -> JoinHandle {
+    let mux = Arc::clone(mux);
+    spawn(move || {
+        IS_FALLBACK.set(true);
+        mux.run_fallback();
+    })
+}
+
+/// A connection as `connection` makes it, with its fallback thread.
+fn rig_dying(credits: u32, dies_after: Option<u32>) -> (Arc<Wire>, Mux, JoinHandle) {
+    let (wire, mux) = connection(credits, dies_after);
+    let fallback = start_fallback(&mux);
     (wire, mux, fallback)
 }
 
 fn rig(credits: u32) -> (Arc<Wire>, Mux, JoinHandle) {
     rig_dying(credits, None)
+}
+
+/// A pipelined request has left, on a rig whose fallback thread runs
+/// already.
+fn sent(mux: &Mux) {
+    mux.sent(|| Ok(()))
+        .expect("the rig started the fallback thread");
 }
 
 /// One blocking call: register, send, wait, and the reply is this
@@ -190,10 +207,10 @@ fn every_waiter_gets_its_own_reply_and_no_turn_is_lost() {
             hs.push(spawn(move || {
                 let (id, kept) = mux.register(true).expect("live");
                 let tag = wire.send(id);
-                mux.sent();
+                sent(&mux);
                 let (dropped, abandoned) = mux.register(true).expect("live");
                 wire.send(dropped);
-                mux.sent();
+                sent(&mux);
                 let body = mux.wait(kept).expect("live");
                 assert_eq!(body, tag.to_le_bytes(), "ticket {id} got another's reply");
                 drop(abandoned);
@@ -264,7 +281,7 @@ fn a_dropped_tickets_slot_never_reaches_its_next_owner_early() {
         }
         let (id, ticket) = mux.register(true).expect("live");
         wire.send(id);
-        mux.sent();
+        sent(&mux);
         drop(ticket);
         for h in hs {
             h.join();
@@ -288,6 +305,43 @@ fn a_lone_blocking_caller_reads_for_itself() {
         hang_up(&wire, &mux, fallback);
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// The first two pipelined requests of a connection race through
+/// `sent`: exactly one of them starts the fallback thread, and that
+/// thread reads the reply whose ticket was dropped, so every credit
+/// comes back.
+#[test]
+fn two_first_pipelined_submits_start_exactly_one_reader() {
+    let report = Explorer::new(Config::new(2000)).run(|| {
+        let (wire, mux) = connection(2, None);
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let mut hs = Vec::new();
+        for keep in [true, false] {
+            let (wire, mux, started) = (Arc::clone(&wire), Arc::clone(&mux), Arc::clone(&started));
+            hs.push(spawn(move || {
+                let (id, ticket) = mux.register(true).expect("live");
+                let tag = wire.send(id);
+                mux.sent(|| {
+                    started.lock().push(start_fallback(&mux));
+                    Ok(())
+                })
+                .expect("the reader starts");
+                if keep {
+                    let body = mux.wait(ticket).expect("live");
+                    assert_eq!(body, tag.to_le_bytes(), "ticket {id} got another's reply");
+                }
+            }));
+        }
+        for h in hs {
+            h.join();
+        }
+        every_credit_comes_back(&mux, 2);
+        let mut started = std::mem::take(&mut *started.lock());
+        assert_eq!(started.len(), 1, "fallback threads started");
+        hang_up(&wire, &mux, started.pop().expect("one"));
+    });
+    explored(report, 1000);
 }
 
 fn lost(r: Result<Vec<u8>, NetError>) {
@@ -314,7 +368,7 @@ fn eof_reaches_the_leader_the_parked_caller_and_every_submitter_waiting_for_a_sl
             hs.push(spawn(move || match mux.register(pipelined) {
                 Ok((id, ticket)) if pipelined => {
                     wire.send(id);
-                    mux.sent();
+                    sent(&mux);
                     drop(ticket);
                 }
                 Ok((id, ticket)) => {

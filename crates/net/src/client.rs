@@ -66,7 +66,8 @@ struct ClientCore {
     mux: Arc<ReplyMux<RecvHalf>>,
     wire: Mutex<WireHalf>,
     max_payload: usize,
-    /// The fallback reader, started by the first pipelined request: a
+    /// The fallback reader, started by the first pipelined request (the
+    /// slot table says which: [`ReplyMux::sent`]) and joined at drop: a
     /// client that only makes blocking calls has no thread of its own.
     fallback: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -123,17 +124,15 @@ impl ClientCore {
     /// a caller gets to it first.
     fn submit(self: &Arc<Self>, req: &Request) -> Result<Pending> {
         let ticket = self.send(req, true)?;
-        {
-            let mut fallback = self.fallback.lock();
-            if fallback.is_none() {
-                let core = Arc::clone(self);
-                let spawned = std::thread::Builder::new()
-                    .name("pario-net-client-recv".to_string())
-                    .spawn(move || core.mux.run_fallback());
-                *fallback = Some(spawned.map_err(|e| NetError::Io(format!("spawn reader: {e}")))?);
-            }
-        }
-        self.mux.sent();
+        self.mux.sent(|| {
+            let core = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name("pario-net-client-recv".to_string())
+                .spawn(move || core.mux.run_fallback())
+                .map_err(|e| NetError::Io(format!("spawn reader: {e}")))?;
+            *self.fallback.lock() = Some(spawned);
+            Ok(())
+        })?;
         Ok(Pending {
             ticket,
             core: Arc::clone(self),

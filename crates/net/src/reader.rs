@@ -92,6 +92,9 @@ struct Replies<S> {
     /// The receive half; `None` while a thread reads from it.
     source: Option<S>,
     dead: Option<NetError>,
+    /// The fallback thread has been started, or is being started by
+    /// the submitter that set this.
+    fallback: bool,
 }
 
 impl<S> Replies<S> {
@@ -177,6 +180,7 @@ impl<S: FrameSource> ReplyMux<S> {
                     unattended: 0,
                     source: Some(source),
                     dead: None,
+                    fallback: false,
                 },
                 LockLevel::NetReplies,
             ),
@@ -213,11 +217,23 @@ impl<S: FrameSource> ReplyMux<S> {
     /// A pipelined request has left: see that somebody reads its reply.
     /// Asked only now, not at `register`, so that a submitter who turns
     /// straight to `wait` finds the receive half free and reads itself.
-    pub fn sent(&self) {
-        let st = self.replies.lock();
-        if st.source.is_some() && st.wanted() {
-            self.idle.notify_one();
+    ///
+    /// The table decides who starts the fallback thread: the first
+    /// pipelined request of a live connection runs `start_fallback`,
+    /// with the table unlocked, and every later one finds it started.
+    /// If it fails the next pipelined request tries again.
+    pub fn sent(&self, start_fallback: impl FnOnce() -> Result<()>) -> Result<()> {
+        let first = {
+            let mut st = self.replies.lock();
+            if st.source.is_some() && st.wanted() {
+                self.idle.notify_one();
+            }
+            st.dead.is_none() && !std::mem::replace(&mut st.fallback, true)
+        };
+        if first {
+            start_fallback().inspect_err(|_| self.replies.lock().fallback = false)?;
         }
+        Ok(())
     }
 
     /// The request never left (its send failed): no reply will come, so
@@ -396,7 +412,7 @@ mod tests {
                 .map(|_| {
                     let (id, ticket) = mux.register(true).unwrap();
                     tx.send(id).unwrap();
-                    mux.sent();
+                    mux.sent(|| Ok(())).unwrap();
                     (id, ticket)
                 })
                 .collect();
@@ -408,6 +424,21 @@ mod tests {
             assert_eq!(slots(&mux), (K, K), "round {round}");
         }
         assert_eq!(mux.credits_available(), 32);
+    }
+
+    #[test]
+    fn the_fallback_thread_is_started_once_and_again_after_a_failed_start() {
+        let (_tx, mux) = rig(4);
+        let starts = std::cell::Cell::new(0);
+        let start = |ok: bool| {
+            starts.set(starts.get() + 1);
+            ok.then_some(())
+                .ok_or_else(|| NetError::Io("spawn reader: refused".to_string()))
+        };
+        assert!(mux.sent(|| start(false)).is_err());
+        mux.sent(|| start(true)).unwrap();
+        mux.sent(|| start(true)).unwrap();
+        assert_eq!(starts.get(), 2, "one retry, then no start");
     }
 
     #[test]

@@ -123,6 +123,8 @@ struct NetInner {
     conns: Mutex<HashMap<u64, ConnEntry>>,
     /// Most reply bytes any connection ever had staged at a flush.
     staged_high_water: AtomicU64,
+    /// Most requests any connection read between two of its writes.
+    unanswered_high_water: AtomicU64,
     /// One per listener: a TCP server's port, then its lane if it has
     /// one; a Unix server's path.
     endpoints: Vec<Endpoint>,
@@ -181,6 +183,7 @@ impl NetServer {
             next_conn: AtomicU64::new(1),
             conns: Mutex::new(HashMap::new()),
             staged_high_water: AtomicU64::new(0),
+            unanswered_high_water: AtomicU64::new(0),
             endpoints,
         });
         let mut net = NetServer {
@@ -221,6 +224,15 @@ impl NetServer {
     /// flushed (diagnostic): bounded by [`FRAME_BYTES`] plus one reply.
     pub fn staged_high_water(&self) -> usize {
         self.inner.staged_high_water.load(Ordering::Relaxed) as usize // ordering: a statistic, read for its value only
+    }
+
+    /// The most requests any one connection has read since it last
+    /// wrote to its socket (diagnostic). A connection whose peer stops
+    /// reading blocks in that write and reads no more, so this stays at
+    /// the replies one flush carries; a server that read on regardless
+    /// would count every request the peer sent.
+    pub fn unanswered_high_water(&self) -> u64 {
+        self.inner.unanswered_high_water.load(Ordering::Relaxed) // ordering: a statistic, read for its value only
     }
 
     /// Stop accepting on every listener, **drain** every live
@@ -369,14 +381,21 @@ impl NetInner {
         }
     }
 
-    /// Send everything staged in `out` with one `write` and empty it.
-    fn flush(&self, sock: &mut Sock, out: &mut Vec<u8>) -> std::io::Result<()> {
+    /// Send everything staged in `out` with one `write` and empty it;
+    /// once the write is done, no request read is `unanswered`.
+    fn flush(
+        &self,
+        sock: &mut Sock,
+        out: &mut Vec<u8>,
+        unanswered: &mut u64,
+    ) -> std::io::Result<()> {
         let staged = out.len() as u64;
         // ordering: a statistic; nothing is published through it
         if staged > self.staged_high_water.load(Ordering::Relaxed) {
             self.staged_high_water.fetch_max(staged, Ordering::Relaxed); // ordering: as above
         }
         let sent = sock.write_all(out);
+        *unanswered = 0;
         out.clear();
         if out.capacity() > 2 * FRAME_BYTES {
             out.shrink_to(FRAME_BYTES); // one oversized reply is not kept
@@ -396,6 +415,8 @@ fn run_connection(inner: &NetInner, mut sock: Sock) {
     let max_frame = inner.cfg.max_payload + FRAME_OVERHEAD + 64;
     let mut reader = BufReader::with_capacity(64 * 1024, sock);
     let mut out = Vec::new();
+    // Requests read since the last write.
+    let mut unanswered = 0u64;
 
     // Clean EOF, connection loss, a failed write or a frame-level
     // protocol violation all end the loop and tear down this connection
@@ -408,13 +429,22 @@ fn run_connection(inner: &NetInner, mut sock: Sock) {
         let full = out.len() >= FRAME_BYTES;
         if !out.is_empty()
             && (full || !holds_frame(reader.buffer()))
-            && inner.flush(reader.get_mut(), &mut out).is_err()
+            && inner
+                .flush(reader.get_mut(), &mut out, &mut unanswered)
+                .is_err()
         {
             break;
         }
         let Ok(Some(frame)) = read_frame(&mut reader, max_frame) else {
             break;
         };
+        unanswered += 1;
+        // ordering: a statistic; nothing is published through it
+        if unanswered > inner.unanswered_high_water.load(Ordering::Relaxed) {
+            inner
+                .unanswered_high_water
+                .fetch_max(unanswered, Ordering::Relaxed); // ordering: as above
+        }
         if inner.stop.load(Ordering::SeqCst) {
             // Server-wide shutdown: this request was *not* executed.
             // Keep draining the pipeline and answer every frame with
@@ -444,7 +474,7 @@ fn run_connection(inner: &NetInner, mut sock: Sock) {
     // must reach the socket *before* it is shut down. A flush stalled
     // under a server-wide shutdown is unwedged by the shutdown
     // watchdog's hard close after the grace period.
-    let _ = inner.flush(reader.get_mut(), &mut out);
+    let _ = inner.flush(reader.get_mut(), &mut out, &mut unanswered);
     reader.get_ref().shutdown();
 }
 

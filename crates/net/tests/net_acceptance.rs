@@ -843,12 +843,20 @@ fn a_peer_that_stops_reading_is_bounded_and_closed_at_shutdown() {
         "the send loop ended on {refused}, not on the write timeout"
     );
 
-    // A send has waited 1 s unread: the connection is blocked in its
-    // flush, so what it staged is final.
-    let one_reply = 4 + FRAME_OVERHEAD + BIG;
+    // The server says it stopped, not the clock: a slow server that read
+    // on would let the write timeout expire as well, but it would have
+    // read far more requests without a write between than one flush's
+    // worth of replies, which is all a connection blocked in its write
+    // has read.
+    let (frame, one_reply) = (pario_net::server::FRAME_BYTES, 4 + FRAME_OVERHEAD + BIG);
+    let unanswered = net.unanswered_high_water();
+    assert!(
+        unanswered <= frame.div_ceil(BIG) as u64,
+        "{unanswered} requests read without a write between, from a peer that is not reading"
+    );
     let staged = net.staged_high_water();
     assert!(
-        staged <= pario_net::server::FRAME_BYTES + one_reply,
+        staged <= frame + one_reply,
         "{staged} reply bytes staged for a peer that is not reading"
     );
     assert_eq!(net.live_connections(), 1);

@@ -403,8 +403,6 @@ mod tests {
                         order.lock().push(sess);
                         drop(p);
                     });
-                    // Stagger arrivals so per-session FIFO order is fixed.
-                    std::thread::sleep(std::time::Duration::from_millis(2));
                 }
             }
             // All nine parked; release the held permit.

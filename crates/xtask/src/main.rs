@@ -1,11 +1,9 @@
-//! Workspace automation tasks (no external dependencies).
+//! Workspace automation: the concurrency lint (no external dependencies).
 //!
 //! ```text
 //! cargo run -p xtask -- lint               # lint the request-path crates
 //! cargo run -p xtask -- lint --self-test   # assert every rule fires on the fixture
 //! cargo run -p xtask -- lint <file.rs>...  # lint specific files
-//! cargo run -p xtask -- bench-diff <old.json> <new.json> [--threshold PCT]
-//!                                          # flag p99 regressions between runs
 //! ```
 //!
 //! The `lint` task enforces the workspace concurrency policy that
@@ -37,19 +35,14 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-mod bench_diff;
 mod lint;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("bench-diff") => bench_diff::run(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- lint [--self-test | <file.rs>...]\n\
-                 \x20      cargo run -p xtask -- bench-diff <old.json> <new.json> [--threshold PCT]"
-            );
+            eprintln!("usage: cargo run -p xtask -- lint [--self-test | <file.rs>...]");
             ExitCode::FAILURE
         }
     }
