@@ -17,9 +17,10 @@
 //!   the round trip is the dominant cost, raising the pipeline depth
 //!   1→32 on a single connection raises throughput; synchronous
 //!   request/response is the slow shape, not the network itself. Both
-//!   ends of that lane are also held to the committed
-//!   `BENCH_e18_net.json` medians (the new median no more than
-//!   [`COMMITTED_SLACK`] below the committed one): a depth-1 round trip
+//!   ends of that lane are also held to the medians of the
+//!   `BENCH_e18_net.json` committed at the repo root (the new median no
+//!   more than [`COMMITTED_SLACK`] below the committed one; no committed
+//!   file, no pass), wherever the run writes: a depth-1 round trip
 //!   has no thread hand-off on the server and, for a blocking call, none
 //!   on the client, and the ratio alone would not notice one coming back.
 
@@ -48,10 +49,11 @@ const DEPTH: usize = 8;
 /// machine) the depth lane's medians may fall before the run fails.
 const COMMITTED_SLACK: f64 = 0.10;
 
-/// `key` of the committed `BENCH_e18_net.json`, read before this run
-/// overwrites it; `None` off the repo root or on a first run.
+/// `key` of the committed `BENCH_e18_net.json` at the repo root, read
+/// before this run (which may be the one to overwrite it); `None` if the
+/// file or the key is missing.
 fn committed(key: &str) -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_e18_net.json").ok()?;
+    let text = std::fs::read_to_string(crate::repo_root().join("BENCH_e18_net.json")).ok()?;
     serde_json::from_str::<serde_json::Value>(&text)
         .ok()?
         .as_object()?
@@ -167,13 +169,14 @@ pub fn run(_: Size) -> Report {
         .iter()
         .zip(floors)
     {
-        if let Some(was) = was {
-            r.at_least(
-                &format!("{name} rec/s against the committed floor"),
-                now.median,
-                was * (1.0 - COMMITTED_SLACK),
-            );
-        }
+        let claim = format!("{name} rec/s against the committed floor");
+        match was {
+            Some(was) => r.at_least(&claim, now.median, was * (1.0 - COMMITTED_SLACK)),
+            None => r.check(
+                format!("{claim}: no committed BENCH_e18_net.json holds one"),
+                false,
+            ),
+        };
     }
     r
 }

@@ -11,7 +11,8 @@
 //! and a consumer (or producer) that spins out a compute time per
 //! window. The synchronous lane is a loop of whole-window `read_span` /
 //! `write_span` calls — single buffering; the stream lane is the file's
-//! global view, which keeps a second window with a worker thread. Five
+//! global view, which keeps a second window submitted to the volume's
+//! I/O nodes while the caller works on the first. Five
 //! runs a lane, median between quartiles. The last lane counts instead:
 //! device requests per block streamed onto a rotated-parity file in
 //! whole-stripe windows (one block a span costs four).
@@ -184,8 +185,8 @@ pub fn run(_: Size) -> Report {
         .note(
             "\nShape: at compute:I/O = 1 the second buffer approaches the ideal \
              2x; off balance the bound is (compute+io)/max(compute,io). The \
-             caller reads the first two windows itself — the worker starts \
-             once one window follows another — so N windows hide N-2 reads.",
+             caller reads the first two windows itself — a window is read \
+             ahead once one window follows another — so N windows hide N-2 reads.",
         );
     r
 }

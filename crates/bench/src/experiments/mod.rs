@@ -95,8 +95,8 @@ pub const ALL: &[Experiment] = &[
         id: "e8",
         title: "E8 (multiple buffering and I/O overlap)",
         claim: "single buffering serialises I/O and computation; a second \
-                buffer with a dedicated I/O thread overlaps them, up to 2x at a \
-                balanced compute:I/O ratio",
+                buffer on the dedicated I/O processors overlaps them, up to 2x \
+                at a balanced compute:I/O ratio",
         run: e8_buffering::run,
         tables: &["e8_readahead", "e8_writebehind"],
         benches: &["e8_readahead", "e8_writebehind"],

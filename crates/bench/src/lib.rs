@@ -7,13 +7,15 @@
 //! coalescing) and E14–E20 measure the real I/O stack and the service
 //! layers built on it, every one of them on the one [`rig`] builder and
 //! through the one [`measure`] reducer. The `exp` binary runs them and
-//! writes what they declare ([`run`]); the shape tests run the same
-//! functions and assert their verdicts. Criterion microbenches cover
+//! writes what they declare ([`run`]) under an output directory —
+//! `target/exp/` unless it is named; `run_experiments.sh` names the
+//! repo root, where the committed summaries live ([`repo_root`]). The
+//! shape tests run the same functions and assert their verdicts. Criterion microbenches cover
 //! what neither they nor the gated `benchmark/` workloads time.
 
 #![warn(missing_docs)]
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 mod experiments;
 pub mod gantt;
@@ -45,6 +47,12 @@ pub struct Experiment {
     pub tables: &'static [&'static str],
     /// The summaries it saves, as `BENCH_<name>.json`.
     pub benches: &'static [&'static str],
+}
+
+/// The repo root: where the committed `BENCH_<name>.json` summaries
+/// are, whatever directory an experiment runs in or writes to.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// The experiment `id` names.

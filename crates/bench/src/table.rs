@@ -193,7 +193,7 @@ mod tests {
     /// its `_lo` and `_hi`.
     #[test]
     fn committed_latencies_are_measured_intervals() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = crate::repo_root();
         let mut files = 0;
         for entry in std::fs::read_dir(&root).expect("the repo root lists") {
             let path = entry.expect("a readable entry").path();

@@ -25,6 +25,7 @@
 //! | 75 | `VolumeCache::frames` | pario-buffer | volume-wide block cache state |
 //! | 78 | `VolInner::journal` | pario-fs | intent-journal cursor + superblock generation |
 //! | 80 | `HealthBoard::board` | pario-fs | device health state machine |
+//! | 85 | `Landing::transfers` | pario-fs | a submitted write's transfers until they land |
 //! | 90 | `IoNode` device | pario-disk | the wrapped device: one transfer at a time |
 //! | 95 | `IoNode` queue | pario-disk | the node's jobs in arrival order and its free completion slots |
 
@@ -86,6 +87,12 @@ pub enum LockLevel {
     /// I/O-path lock because error feedback is reported while a write
     /// holds its blocks and rows.
     FsHealth = 80,
+    /// `pario-fs` a submitted write's transfers (`SpanTicket`), until
+    /// they land: held by whoever lands them — the write's owner, or an
+    /// acquirer of a range the write parked — while it waits them out.
+    /// Taken with nothing ranked held; only a finished transfer's slot
+    /// going back to its I/O node's queue is acquired under it.
+    FsLanding = 85,
     /// `pario-disk` I/O-node device ownership: whoever services a
     /// transfer — the node's worker or a caller running it inline —
     /// holds this for exactly that transfer. Innermost on the request
@@ -119,6 +126,7 @@ impl LockLevel {
             LockLevel::VolumeCache => "buffer.volume_cache",
             LockLevel::FsJournal => "fs.journal",
             LockLevel::FsHealth => "fs.health",
+            LockLevel::FsLanding => "fs.landing",
             LockLevel::DiskDevice => "disk.device",
             LockLevel::DiskQueue => "disk.queue",
             LockLevel::Unranked => "unranked",

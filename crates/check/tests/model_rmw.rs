@@ -12,6 +12,7 @@
 //! holds its rows, writers on one stripe serialise.
 #![cfg(pario_check)]
 
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 use pario_check::{spawn, Condvar, Config, Explorer, Mutex};
@@ -565,4 +566,115 @@ fn overlapping_stripe_writers_serialise() {
         "only {} distinct schedules",
         report.distinct
     );
+}
+
+/// A memory device whose reads wait while `shut`: polling, so that a
+/// model thread serving one inline yields to the scheduler, and an
+/// I/O node's worker sleeps.
+struct Gate {
+    inner: MemDisk,
+    shut: std::sync::atomic::AtomicBool,
+}
+
+impl BlockDevice for Gate {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_blocks_at(&self, block: u64, buf: &mut [u8]) -> pario_disk::Result<()> {
+        while self.shut.load(SeqCst) {
+            if !pario_check::yield_now() {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+        }
+        self.inner.read_blocks_at(block, buf)
+    }
+    fn write_blocks_at(&self, block: u64, data: &[u8]) -> pario_disk::Result<()> {
+        self.inner.write_blocks_at(block, data)
+    }
+    fn counters(&self) -> IoCounters {
+        self.inner.counters()
+    }
+    fn fail(&self) {}
+    fn heal(&self) {}
+    fn is_failed(&self) -> bool {
+        false
+    }
+}
+
+/// A stream writer dropped with a full window queued — every I/O node
+/// busy with a read held at its gate — lands the window, one run a
+/// device, data and parity, before any other holder gets its stripes'
+/// rows. A second model thread takes the rows once the window is
+/// submitted, before or after the drop, while a third opens the gates:
+/// whichever thread the parked window is in the way of lands it first,
+/// so the holder finds every run on the media. A drop that let the rows
+/// go at once would hand them over with the runs still queued.
+#[test]
+fn a_dropped_stream_writer_lands_its_window_before_its_rows_go() {
+    let report = Explorer::new(Config::new(200)).run(|| {
+        let gates: Vec<_> = (0..4)
+            .map(|_| {
+                let inner = MemDisk::new(256, BS);
+                let shut = std::sync::atomic::AtomicBool::new(false);
+                Arc::new(Gate { inner, shut })
+            })
+            .collect();
+        let v = Volume::new(gates.iter().map(|g| Arc::clone(g) as DeviceRef).collect())
+            .expect("volume");
+        let spec = LayoutSpec::Parity {
+            data_devices: 3,
+            rotated: true,
+        };
+        let f = v
+            .create_file(FileSpec::new("p", BS, 1, spec).initial_records(30))
+            .expect("create file");
+        let before = (0..4).map(|d| v.device(d).counters().writes).sum::<u64>();
+        // Hedged reads always queue: each node's worker holds one at
+        // its gate, so whatever is submitted next queues behind it.
+        let gate = |shut: bool| {
+            let gates = gates.clone();
+            move || gates.iter().for_each(|g| g.shut.store(shut, SeqCst))
+        };
+        gate(true)();
+        let held: Vec<_> = (0..4)
+            .map(|d| {
+                v.io_device(d)
+                    .submit_hedged_read_blocks(0, vec![0; BS].into())
+            })
+            .collect();
+
+        let submitted = Arc::new(Flag::default());
+        let (f1, s1) = (f.clone(), Arc::clone(&submitted));
+        let writer = spawn(move || {
+            let mut w = pario_fs::GlobalWriter::truncate(f1).expect("truncate");
+            // 30 blocks: the window, ten whole stripes.
+            for i in 0..30u8 {
+                w.write_record(&[i; BS]).expect("record");
+            }
+            s1.raise();
+            drop(w);
+        });
+        let (v2, s2) = (v.clone(), Arc::clone(&submitted));
+        let holder = spawn(move || {
+            s2.wait();
+            let _rows = f.lock_rows(0..10);
+            let writes = (0..4).map(|d| v2.device(d).counters().writes).sum::<u64>();
+            assert_eq!(writes - before, 4, "the rows went with the window queued");
+        });
+        let open = gate(false);
+        let opener = spawn(move || {
+            submitted.wait();
+            open();
+        });
+        writer.join();
+        holder.join();
+        opener.join();
+        for t in held {
+            t.wait().expect("held read");
+        }
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
 }

@@ -89,6 +89,7 @@ fn lock_levels_have_stable_names_and_ranks() {
         (LockLevel::VolumeCache, "buffer.volume_cache", 75),
         (LockLevel::FsJournal, "fs.journal", 78),
         (LockLevel::FsHealth, "fs.health", 80),
+        (LockLevel::FsLanding, "fs.landing", 85),
         (LockLevel::DiskDevice, "disk.device", 90),
         (LockLevel::DiskQueue, "disk.queue", 95),
         (LockLevel::Unranked, "unranked", 255),

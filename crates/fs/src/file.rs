@@ -18,7 +18,8 @@
 //!    the run's buffer and its ticket hands it back.
 //! 2. **Redundancy maintenance** — one reader (`RawFile::read_blocks`)
 //!    and one writer (`RawFile::write_blocks`) over whole blocks,
-//!    whatever their count. `RawFile::route` is the only place device
+//!    whatever their count, each a submission and a wait
+//!    (`SpanTicket`) that a sequential stream may keep apart. `RawFile::route` is the only place device
 //!    health steers a read; recovery is one step per redundancy (the
 //!    other copy of a shadowed run, `RawFile::reconstruct` for a parity
 //!    column), and parity is maintained by `RawFile::parity_write`.
@@ -37,12 +38,13 @@ use pario_check::AtomicU64;
 use std::sync::Arc;
 
 use pario_buffer::{CacheReadTicket, VolumeCache};
+use pario_check::{LockLevel, Mutex};
 use pario_disk::{DeviceRef, DiskError, Ticket};
 use pario_layout::{Layout, LayoutSpec, MergedRun, ParityPlacement, ParityStriped, PhysBlock};
 
 use crate::error::{FsError, Result};
 use crate::health::HealthState;
-use crate::locks::RangeGuard;
+use crate::locks::{Land, RangeGuard};
 use crate::meta::FileMeta;
 use crate::volume::{FileState, Volume};
 
@@ -65,7 +67,7 @@ enum Redundancy {
 #[derive(Clone)]
 pub struct RawFile {
     vol: Volume,
-    state: Arc<FileState>,
+    pub(crate) state: Arc<FileState>,
     layout: Arc<dyn Layout>,
     redundancy: Redundancy,
     record_size: usize,
@@ -124,20 +126,100 @@ fn recoverable(e: &DiskError) -> bool {
 }
 
 /// RAII token for the rebuild quiesce protocol (see
-/// [`RawFile::enter_io`]): an entry in the file's unlocked-read counter.
-struct IoPhase<'a>(&'a AtomicU64);
+/// [`RawFile::enter_io`]): an entry in the file's unlocked-read counter
+/// of generation `gen`.
+struct IoPhase<'a> {
+    counter: &'a AtomicU64,
+    gen: u64,
+}
 
 impl Drop for IoPhase<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.counter.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// The caller's side of a one-transfer span
-/// ([`RawFile::move_direct`]).
-enum Direct<'a> {
+/// The caller's side of a span: the buffer a read fills, or the bytes a
+/// write lands.
+pub(crate) enum Direct<'a> {
     Read(&'a mut [u8]),
     Write(&'a [u8]),
+}
+
+/// A span submitted to the I/O nodes and not yet waited
+/// ([`RawFile::submit_read_blocks`], [`RawFile::submit_write_blocks`]).
+/// A parked ticket holds nothing recovery waits for: a read left its
+/// I/O phase at submission, and a write parks the ranges it holds with
+/// its transfers ([`crate::RangeLocks`]), to be landed and released by
+/// whoever needs them first — its wait, or anyone else. Dropped
+/// unwaited, a read is abandoned, and a write stays parked until then.
+#[must_use = "a span completes only when waited"]
+pub(crate) enum SpanTicket {
+    /// Complete at submission.
+    Done(Result<()>),
+    Read(Reads),
+    Write(Writes),
+}
+
+/// A run's copy in flight: its slot and its segment tickets.
+type Replica = (usize, Vec<RunTicket>);
+
+/// A read's runs in flight, routed when the file's `io_gen` was `gen`:
+/// each at its copy, with its next copy and its hedge; and the runs no
+/// copy served.
+#[derive(Default)]
+pub(crate) struct Reads {
+    first: u64,
+    gen: u64,
+    inflight: Vec<(MergedRun, Replica, Option<usize>, Option<Replica>)>,
+    lost: Vec<(MergedRun, DiskError)>,
+}
+
+/// A write's transfer runs — a parity span's one a device, a shadowed
+/// run then its copy — with their tickets. Landed, each ticket is its
+/// outcome, ready.
+type Transfers = Mutex<Vec<(MergedRun, Vec<RunTicket>)>>;
+
+impl Land for Transfers {
+    fn land(&self) {
+        for t in self.lock().iter_mut().flat_map(|(_, t)| t) {
+            let taken = std::mem::replace(t, RunTicket::Dev(Ticket::ready(Ok(Box::default()))));
+            // Write tickets are executor tickets: no cache to wait through.
+            *t = RunTicket::Dev(Ticket::ready(taken.wait(None)));
+        }
+    }
+}
+
+/// A write in flight: its transfers, and the tickets of the blocks and
+/// rows it parked them on.
+pub(crate) struct Writes {
+    first: u64,
+    held: [Option<u64>; 2],
+    transfers: Arc<Transfers>,
+}
+
+impl SpanTicket {
+    /// Complete the span with the bytes it was submitted with: settle
+    /// each run on the health board, race a hedge, recover what no copy
+    /// served, and scatter a read into `bytes`.
+    pub(crate) fn wait(self, file: &RawFile, bytes: Direct<'_>) -> Result<()> {
+        match (self, bytes) {
+            (SpanTicket::Done(res), _) => res,
+            (SpanTicket::Read(r), Direct::Read(buf)) => {
+                let (first, gen) = (r.first, r.gen);
+                let read = file.land_reads(r, buf);
+                // Routed before a `quiesce_io`: a device may have turned
+                // Rebuilding under the runs, its media stale.
+                match file.state.io_gen.load(Ordering::SeqCst) == gen {
+                    true => read,
+                    false => file.read_blocks(first, buf),
+                }
+            }
+            (SpanTicket::Write(w), Direct::Write(data)) => file.wait_writes(w, data),
+            // invariant: a span is waited with the bytes it was submitted with.
+            _ => unreachable!("a span waited with the other direction's bytes"),
+        }
+    }
 }
 
 /// One in-flight segment transfer of a merged run: an executor ticket
@@ -160,6 +242,9 @@ impl RunTicket {
         }
     }
 }
+
+/// A write as submitted: the rows it holds, and its transfer runs.
+type Submitted<'a> = (Option<RangeGuard<'a>>, Vec<(MergedRun, Vec<RunTicket>)>);
 
 /// Where a read of one merged run goes — the answer of
 /// [`RawFile::route`].
@@ -369,18 +454,20 @@ impl RawFile {
     /// Writes need no window: every write that maintains redundancy
     /// holds its rows ([`RawFile::lock_rows`]), whatever the board says.
     fn enter_io(&self) -> IoPhase<'_> {
-        let g = self.state.io_gen.load(Ordering::SeqCst);
-        let counter = &self.state.io_active[(g & 1) as usize];
+        let gen = self.state.io_gen.load(Ordering::SeqCst);
+        let counter = &self.state.io_active[(gen & 1) as usize];
         counter.fetch_add(1, Ordering::SeqCst);
-        IoPhase(counter)
+        IoPhase { counter, gen }
     }
 
     /// Wait until every unlocked read that began before this call has
-    /// drained. Recovery tooling calls this after flipping a device to
-    /// Rebuilding so no straggler that sampled the old health state is
-    /// still reading the device. A read that enters afterwards routes
-    /// by the new state and counts against the next generation, so the
-    /// wait terminates even under continuous foreground traffic.
+    /// drained — left its submission — and mark every read routed
+    /// before it for a second reading at its wait. Recovery tooling
+    /// calls this after flipping a device to Rebuilding so no straggler
+    /// that sampled the old health state returns the device's bytes. A
+    /// read that enters afterwards routes by the new state and counts
+    /// against the next generation, so the wait terminates even under
+    /// continuous foreground traffic.
     pub fn quiesce_io(&self) {
         let g = self.state.io_gen.fetch_add(1, Ordering::SeqCst);
         let old = &self.state.io_active[(g & 1) as usize];
@@ -734,7 +821,7 @@ impl RawFile {
         self.state.rows.acquire(rows.start, rows.end)
     }
 
-    /// Write whole blocks `[first, first + data.len() / bs)` of a parity
+    /// Submit whole blocks `[first, first + data.len() / bs)` of a parity
     /// file, planned stripe by stripe, holding the stripes' rows. Each stripe
     /// contributes its new data blocks and its new parity block to one
     /// staging run per device; the runs — rows of data and parity alike
@@ -747,18 +834,19 @@ impl RawFile {
     /// is one — fold old blocks in through
     /// [`RawFile::parity_reads`] first, before anything is written.
     ///
-    /// Failure contract: one fail-stop device among the runs is the
-    /// redundancy's to absorb — whichever of a stripe's blocks it held,
-    /// the survivors reconstruct the new bytes. Any other write error,
-    /// or a second fail-stop, fails the span and leaves the stripes it
-    /// covers unspecified until rewritten (`scrub`/`repair` is the
-    /// recourse, as for a torn read-modify-write).
-    fn parity_write(&self, ps: &ParityStriped, first: u64, data: &[u8]) -> Result<()> {
+    /// Failure contract ([`RawFile::wait_writes`]): one fail-stop device
+    /// among the runs is the redundancy's to absorb — whichever of a
+    /// stripe's blocks it held, the survivors reconstruct the new bytes.
+    /// Any other write error, or a second fail-stop, fails the span and
+    /// leaves the stripes it covers unspecified until rewritten
+    /// (`scrub`/`repair` is the recourse, as for a torn
+    /// read-modify-write).
+    fn submit_parity(&self, ps: &ParityStriped, first: u64, data: &[u8]) -> Result<Submitted<'_>> {
         let bs = self.block_size();
         let (w, total) = (ps.stripe_width() as u64, self.nblocks());
         let end = first + (data.len() / bs) as u64;
         let (s0, s1) = (ps.stripe_of(first), ps.stripe_of(end - 1) + 1);
-        let _rows = self.lock_rows(s0..s1);
+        let held = self.lock_rows(s0..s1);
         // The span's blocks of stripe `s`.
         let cut = |s: u64| first.max(s * w)..end.min((s + 1) * w);
         // Per device: the first row and the bytes of its run, sized
@@ -796,21 +884,23 @@ impl RawFile {
                 self.parity_reads(ps, s, touched, parity)?;
             }
         }
-        let inflight: Vec<_> = staged
+        let staged = staged
             .into_iter()
             .enumerate()
-            .filter(|(_, (_, run))| !run.is_empty())
-            .map(|(slot, (row, run))| (slot, self.submit_write_run(slot, row, run)))
-            .collect();
-        let (mut down, mut failed) = (false, None);
-        for (slot, tickets) in inflight {
-            match self.wait_write_run(slot, tickets) {
-                Err(FsError::Disk(DiskError::DeviceFailed { .. })) if !down => down = true,
-                Err(e) => failed = failed.or(Some(e)),
-                Ok(()) => {}
-            }
-        }
-        failed.map_or(Ok(()), Err)
+            .filter(|(_, (_, run))| !run.is_empty());
+        let runs = staged.map(|(device, (dblock, run))| {
+            let count = (run.len() / bs) as u64;
+            let tickets = self.submit_write_run(device, dblock, run);
+            (
+                MergedRun {
+                    device,
+                    dblock,
+                    count,
+                },
+                tickets,
+            )
+        });
+        Ok((Some(held), runs.collect()))
     }
 
     /// The reads of a partial-stripe write: `parity` holds the XOR of the
@@ -945,17 +1035,22 @@ impl RawFile {
     /// home slot of the first, at the rows after its row. Checked block
     /// by block, so nothing is assumed of the layout but its bijection;
     /// a striped span of more than one block fails at its second.
-    /// Returns the first block's home; [`RawFile::move_direct`] asks
-    /// whether the rows are one extent segment. Allocates nothing.
-    fn one_transfer(&self, first: u64, count: u64) -> Option<PhysBlock> {
-        let home = self.layout.map(first);
+    /// Returns the run; [`RawFile::move_direct`] asks whether its rows
+    /// are one extent segment. Allocates nothing.
+    fn one_transfer(&self, first: u64, count: u64) -> Option<MergedRun> {
+        let PhysBlock { device, block } = self.layout.map(first);
         let at = |i: u64| PhysBlock {
-            device: home.device,
-            block: home.block + i,
+            device,
+            block: block + i,
         };
+        let dblock = block;
         (1..count)
             .all(|i| self.layout.map(first + i) == at(i))
-            .then_some(home)
+            .then_some(MergedRun {
+                device,
+                dblock,
+                count,
+            })
     }
 
     /// Move rows `[row, row + n)` of layout slot `slot` — a span
@@ -1193,16 +1288,24 @@ impl RawFile {
     // ------------------------------------------------------------------
 
     /// Read whole logical blocks `[first, first + buf.len()/bs)` — THE
-    /// reader: a block is a one-block span. The span becomes merged
+    /// reader: a block is a one-block span, submitted and then waited.
+    fn read_blocks(&self, first: u64, buf: &mut [u8]) -> Result<()> {
+        self.submit_read_blocks(first, buf)
+            .wait(self, Direct::Read(buf))
+    }
+
+    /// Submit the read of whole logical blocks `[first, first +
+    /// buf.len()/bs)`, to be waited with `buf`. The span becomes merged
     /// per-device runs ([`RawFile::plan`]), each run goes where
-    /// [`RawFile::route`] sends it, and every transfer of a wave is
-    /// submitted to the I/O executor before any is waited on, so every
-    /// device works concurrently and no thread is spawned.
+    /// [`RawFile::route`] sends it, and every transfer is submitted to
+    /// the I/O executor before any is waited on, so every device works
+    /// concurrently and no thread is spawned. The routing is done in the
+    /// unlocked-read window, which the ticket leaves here.
     ///
     /// A span that is one transfer ([`RawFile::one_transfer`]) is not
     /// planned when its route has a first copy, nothing to race and no
-    /// parity column down: it moves in one call, straight into `buf`
-    /// ([`RawFile::move_direct`]). A run whose first copy fails
+    /// parity column down: it moves here, in one call, straight into
+    /// `buf` ([`RawFile::move_direct`]). A run whose first copy fails
     /// [`recoverable`]y — a one-transfer span's included — is resubmitted
     /// to its other copy as the failure is seen, and those second
     /// transfers are waited as a wave of their own. What no copy served
@@ -1215,99 +1318,95 @@ impl RawFile {
     ///
     /// When the board already routes around a device of a parity file,
     /// nothing is read before the span's rows are held: the surviving
-    /// columns are then read once, for the span and for the
+    /// columns are then read once, here, for the span and for the
     /// reconstruction both.
-    fn read_blocks(&self, first: u64, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn submit_read_blocks(&self, first: u64, buf: &mut [u8]) -> SpanTicket {
         if buf.is_empty() {
-            return Ok(());
+            return SpanTicket::Done(Ok(()));
         }
-        let bs = self.block_size();
-        let count = (buf.len() / bs) as u64;
-        let mut lost: Vec<(MergedRun, DiskError)> = Vec::new();
-        {
-            let _io = self.enter_io();
-            let parity = matches!(self.redundancy, Redundancy::Parity(_));
-            let direct = self.one_transfer(first, count).and_then(|home| {
-                let route = self.route(home.device);
-                let [Some(slot), other] = route.copies else {
-                    return None;
-                };
-                let planned = route.race || (parity && route.down);
-                (!planned).then_some((home.block, slot, other))
-            });
-            // A one-transfer read whose first copy failed: its next copy,
-            // and the error.
-            let mut tried = None;
-            if let Some((row, slot, other)) = direct {
-                if let Some(res) = self.move_direct(slot, row, count, Direct::Read(buf)) {
-                    match Self::soft(res)? {
-                        Ok(()) => return Ok(()),
-                        Err(e) => tried = Some((other, e)),
-                    }
-                }
-            }
-            let groups = self.plan(first, count, true);
-            if let (Redundancy::Parity(ps), None) = (&self.redundancy, &tried) {
-                if groups.iter().flatten().any(|m| self.route(m.device).down) {
-                    let pending = groups.into_iter().flatten().collect();
-                    return self.reconstruct(ps, first, buf, lost, pending);
-                }
-            }
-            // A run whose copy failed goes to its next one at once, so
-            // the second transfers overlap as the first did; with no
-            // copy left, the run is lost.
-            let (mut inflight, mut second) = (Vec::new(), Vec::new());
-            let mut retry = |m: MergedRun, next: Option<usize>, e: DiskError| match next {
-                Some(slot) => {
-                    let tickets = self.submit_read_run(slot, m.dblock, m.count, false);
-                    second.push((m, slot, tickets));
-                }
-                None => lost.push((m, e)),
+        let count = self.rows_in(buf);
+        let io = self.enter_io();
+        let parity = matches!(self.redundancy, Redundancy::Parity(_));
+        let direct = self.one_transfer(first, count).and_then(|m| {
+            let route = self.route(m.device);
+            let [Some(slot), other] = route.copies else {
+                return None;
             };
-            for m in groups.into_iter().flatten() {
-                // The one run of a one-transfer span whose first copy has
-                // been tried (and the board told): on to the next.
-                if let Some((next, e)) = tried.take() {
-                    retry(m, next, e);
-                    continue;
+            let planned = route.race || (parity && route.down);
+            (!planned).then_some((m, slot, other))
+        });
+        let mut r = Reads::default();
+        (r.first, r.gen) = (first, io.gen);
+        if let Some((m, slot, other)) = direct {
+            if let Some(res) = self.move_direct(slot, m.dblock, count, Direct::Read(buf)) {
+                // A first copy that failed recoverably: on to the next.
+                match Self::soft(res) {
+                    Ok(Err(e)) => self.retry(&mut r, m, other, e),
+                    done => return SpanTicket::Done(done.map(drop)),
                 }
-                let route = self.route(m.device);
-                let [Some(slot), other] = route.copies else {
-                    let e = Self::stale(m.device);
-                    retry(m, None, e);
-                    continue;
-                };
-                let hedge = other
-                    .filter(|_| route.race)
-                    .map(|s| (s, self.submit_read_run(s, m.dblock, m.count, true)));
-                let tickets = self.submit_read_run(slot, m.dblock, m.count, hedge.is_some());
-                inflight.push((m, (slot, tickets), other, hedge));
+                return SpanTicket::Read(r);
             }
-            for (m, primary, other, hedge) in inflight {
+        }
+        let groups = self.plan(first, count, true);
+        if let Redundancy::Parity(ps) = &self.redundancy {
+            if groups.iter().flatten().any(|m| self.route(m.device).down) {
+                let pending = groups.into_iter().flatten().collect();
+                return SpanTicket::Done(self.reconstruct(ps, first, buf, Vec::new(), pending));
+            }
+        }
+        for m in groups.into_iter().flatten() {
+            let route = self.route(m.device);
+            let [Some(slot), other] = route.copies else {
+                r.lost.push((m, Self::stale(m.device)));
+                continue;
+            };
+            let hedge = other
+                .filter(|_| route.race)
+                .map(|s| (s, self.submit_read_run(s, m.dblock, m.count, true)));
+            let tickets = self.submit_read_run(slot, m.dblock, m.count, hedge.is_some());
+            r.inflight.push((m, (slot, tickets), other, hedge));
+        }
+        SpanTicket::Read(r)
+    }
+
+    /// A run whose copy failed goes to its next one at once, so the
+    /// second transfers overlap as the first did; with no copy left,
+    /// the run is lost.
+    fn retry(&self, r: &mut Reads, m: MergedRun, next: Option<usize>, e: DiskError) {
+        match next {
+            Some(slot) => {
+                let tickets = self.submit_read_run(slot, m.dblock, m.count, false);
+                r.inflight.push((m, (slot, tickets), None, None));
+            }
+            None => r.lost.push((m, e)),
+        }
+    }
+
+    /// The reader's second half: wait every run, scatter it into `buf`,
+    /// and recover what no copy served.
+    fn land_reads(&self, mut r: Reads, buf: &mut [u8]) -> Result<()> {
+        let (first, bs) = (r.first, self.block_size());
+        // The runs at their first copy, then those gone on to the next.
+        while !r.inflight.is_empty() {
+            for (m, primary, other, hedge) in std::mem::take(&mut r.inflight) {
                 let (res, next) = match hedge {
                     Some(mirror) => (self.race_read_runs(primary, mirror), None),
                     None => (self.wait_read_run(primary.0, primary.1), other),
                 };
                 match Self::soft(res)? {
                     Ok(bufs) => self.land(first, buf, &m, bufs),
-                    Err(e) => retry(m, next, e),
-                }
-            }
-            for (m, slot, tickets) in second {
-                match Self::soft(self.wait_read_run(slot, tickets))? {
-                    Ok(bufs) => self.land(first, buf, &m, bufs),
-                    Err(e) => lost.push((m, e)),
+                    Err(e) => self.retry(&mut r, m, next, e),
                 }
             }
         }
-        if let (Redundancy::Parity(ps), false) = (&self.redundancy, lost.is_empty()) {
-            return self.reconstruct(ps, first, buf, lost, Vec::new());
+        if let (Redundancy::Parity(ps), false) = (&self.redundancy, r.lost.is_empty()) {
+            return self.reconstruct(ps, first, buf, r.lost, Vec::new());
         }
-        for (m, e) in lost {
+        for (m, e) in r.lost {
             if m.count == 1 || !matches!(self.redundancy, Redundancy::Shadow { .. }) {
                 return Err(e.into());
             }
-            for (_, l) in self.held(first, count, &m) {
+            for (_, l) in self.held(first, self.rows_in(buf), &m) {
                 let at = (l - first) as usize * bs;
                 self.read_blocks(l, &mut buf[at..at + bs])?;
             }
@@ -1408,79 +1507,145 @@ impl RawFile {
     }
 
     /// Write whole logical blocks starting at `first` — THE writer: a
-    /// block is a one-block span. Parity files plan the span in stripes
-    /// ([`RawFile::parity_write`]): data and parity leave as one run per
+    /// block is a one-block span, submitted and then waited. The caller
+    /// holds the blocks ([`RawFile::write_span`]).
+    fn write_blocks(&self, first: u64, data: &[u8]) -> Result<()> {
+        self.submit_write_blocks(first, data, false)
+            .wait(self, Direct::Write(data))
+    }
+
+    /// Submit the write of whole logical blocks from `first`, to be
+    /// waited with `data`, holding the blocks too if `blocks` (for a
+    /// caller that does not hold them). Parity files plan the span in stripes
+    /// ([`RawFile::submit_parity`]): data and parity leave as one run per
     /// device. A shadowed span holds the rows its plan covers, so a
     /// resync burst never copies a row between the writes of its two
     /// copies. An unprotected span that is one transfer
-    /// ([`RawFile::one_transfer`]) is not planned: it moves in one call,
-    /// straight from `data` ([`RawFile::move_direct`]).
-    fn write_blocks(&self, first: u64, data: &[u8]) -> Result<()> {
-        let count = (data.len() / self.block_size()) as u64;
-        match &self.redundancy {
-            _ if data.is_empty() => Ok(()),
-            Redundancy::Parity(ps) => self.parity_write(ps, first, data),
+    /// ([`RawFile::one_transfer`]) is not planned: it moves here, in one
+    /// call, straight from `data` ([`RawFile::move_direct`]). Every other
+    /// run is staged; the ranges held are parked with the transfers.
+    pub(crate) fn submit_write_blocks(&self, first: u64, data: &[u8], blocks: bool) -> SpanTicket {
+        if data.is_empty() {
+            return SpanTicket::Done(Ok(()));
+        }
+        let count = self.rows_in(data);
+        let blocks = blocks.then(|| self.state.blocks.acquire(first, first + count));
+        let submitted = match &self.redundancy {
+            Redundancy::Parity(ps) => self.submit_parity(ps, first, data),
             Redundancy::Shadow { primaries } => {
                 let plan = self.plan(first, count, false);
-                let _rows = self.lock_rows(rows_of(plan.iter().flatten()));
-                self.write_runs(first, data, plan, Some(*primaries))
+                let rows = self.lock_rows(rows_of(plan.iter().flatten()));
+                Ok((
+                    Some(rows),
+                    self.submit_runs(first, data, plan, Some(*primaries)),
+                ))
             }
             Redundancy::None => {
-                let direct = self.one_transfer(first, count).and_then(|home| {
-                    self.move_direct(home.device, home.block, count, Direct::Write(data))
-                });
-                let planned = || self.write_runs(first, data, self.plan(first, count, false), None);
-                direct.unwrap_or_else(planned)
+                let direct = self
+                    .one_transfer(first, count)
+                    .and_then(|m| self.move_direct(m.device, m.dblock, count, Direct::Write(data)));
+                if let Some(res) = direct {
+                    return SpanTicket::Done(res);
+                }
+                let plan = self.plan(first, count, false);
+                Ok((None, self.submit_runs(first, data, plan, None)))
             }
-        }
+        };
+        let (rows, runs) = match submitted {
+            Ok(submitted) => submitted,
+            Err(e) => return SpanTicket::Done(Err(e)),
+        };
+        let transfers = Arc::new(Mutex::new_named(runs, LockLevel::FsLanding));
+        let park = |g: RangeGuard<'_>| g.park(Arc::clone(&transfers) as Arc<dyn Land>);
+        let held = [blocks.map(park), rows.map(park)];
+        SpanTicket::Write(Writes {
+            first,
+            held,
+            transfers,
+        })
     }
 
-    /// Write whole blocks via `plan`'s merged per-device runs, all
-    /// submitted to the I/O executor before any is waited on. With a
-    /// `mirror` (the caller holds the plan's rows) each run goes to BOTH
-    /// copies concurrently — one live copy suffices; the pair is
-    /// degraded, not lost — and a run whose two copies both fail is
-    /// re-planned block by block, so the span only fails where both
-    /// copies of a block are dead.
-    fn write_runs(
+    /// Submit whole blocks via `plan`'s merged per-device runs, each
+    /// gathered into a staging buffer, all before any is waited on. With
+    /// a `mirror` (the caller holds the plan's rows) each run goes to
+    /// both copies, the run and then its copy.
+    fn submit_runs(
         &self,
         first: u64,
         data: &[u8],
         plan: Vec<Vec<MergedRun>>,
         mirror: Option<usize>,
-    ) -> Result<()> {
-        let bs = self.block_size();
-        let count = (data.len() / bs) as u64;
-        let mut inflight = Vec::new();
+    ) -> Vec<(MergedRun, Vec<RunTicket>)> {
+        let (bs, count) = (self.block_size(), self.rows_in(data));
+        let mut runs = Vec::new();
         for m in plan.into_iter().flatten() {
             let staging = self.vol.staging();
             let mut gathered = staging.take(m.count as usize * bs);
             self.pieces(first, count, &m, |from, to| {
                 gathered[to].copy_from_slice(&data[from])
             });
-            let second = mirror.map(|p| {
+            let copy = mirror.map(|p| {
                 let mut copy = staging.take(gathered.len());
                 copy.copy_from_slice(&gathered);
-                self.submit_write_run(m.device + p, m.dblock, copy)
+                let device = m.device + p;
+                (MergedRun { device, ..m }, copy)
             });
-            let primary = self.submit_write_run(m.device, m.dblock, gathered);
-            inflight.push((m, primary, second));
+            for (m, run) in [(m, gathered)].into_iter().chain(copy) {
+                runs.push((m, self.submit_write_run(m.device, m.dblock, run)));
+            }
         }
-        for (m, primary, second) in inflight {
-            let written = self.wait_write_run(m.device, primary);
-            let (Some(p), Some(second)) = (mirror, second) else {
-                written?;
-                continue;
-            };
-            if self.wait_write_run(m.device + p, second).is_ok() || written.is_ok() {
+        runs
+    }
+
+    /// Complete a write of `data`: land its transfers, release its ranges
+    /// and settle each run on the health board. A parity span absorbs
+    /// one fail-stop device ([`RawFile::submit_parity`]). A shadowed run
+    /// needs one live copy — the pair is degraded, not lost — and a run
+    /// whose two copies both failed is rewritten block by block, so the
+    /// span only fails where both copies of a block are dead.
+    fn wait_writes(&self, w: Writes, data: &[u8]) -> Result<()> {
+        w.transfers.land();
+        let (first, runs) = (w.first, std::mem::take(&mut *w.transfers.lock()));
+        for (table, held) in [&self.state.blocks, &self.state.rows]
+            .into_iter()
+            .zip(w.held)
+        {
+            if let Some(ticket) = held {
+                table.release_ticket(ticket);
+            }
+        }
+        let wait = |(m, tickets): (MergedRun, _)| (m, self.wait_write_run(m.device, tickets));
+        let written: Vec<_> = runs.into_iter().map(wait).collect();
+        let pairs = match &self.redundancy {
+            Redundancy::None => return written.into_iter().try_for_each(|(_, w)| w),
+            Redundancy::Parity(_) => {
+                // One fail-stop device is the redundancy's to absorb.
+                let mut down = false;
+                let mut failed = written
+                    .into_iter()
+                    .filter_map(|(_, w)| w.err())
+                    .filter(|e| {
+                        let absorbed =
+                            !down && matches!(e, FsError::Disk(DiskError::DeviceFailed { .. }));
+                        down |= absorbed;
+                        !absorbed
+                    });
+                return failed.next().map_or(Ok(()), Err);
+            }
+            Redundancy::Shadow { .. } => written.chunks(2),
+        };
+        let bs = self.block_size();
+        for pair in pairs {
+            let (m, primary) = &pair[0];
+            if pair.iter().any(|(_, w)| w.is_ok()) {
                 continue;
             }
             if m.count == 1 {
-                return written;
+                return primary.clone();
             }
-            for (_, l) in self.held(first, count, &m) {
+            for (_, l) in self.held(first, self.rows_in(data), m) {
                 let at = (l - first) as usize * bs;
-                self.write_runs(l, &data[at..at + bs], self.plan(l, 1, false), mirror)?;
+                self.write_blocks(l, &data[at..at + bs])?;
             }
         }
         Ok(())
@@ -2244,6 +2409,34 @@ mod tests {
             assert_eq!(out, data, "dead={dead}");
             v.device(dead).heal();
         }
+    }
+
+    /// A read routed before a rebuild's `quiesce_io` is read again at
+    /// its wait: the device it read turned Rebuilding in between — its
+    /// media stale, here written behind the board's back — so the span
+    /// comes from the survivors instead.
+    #[test]
+    fn a_read_submitted_before_a_device_turns_rebuilding_never_returns_its_bytes() {
+        let v = vol(4);
+        let f = parity_file(&v, true);
+        let data: Vec<u8> = (0..12 * BS).map(|i| (i % 233) as u8).collect();
+        f.write_span(0, &data).unwrap();
+        let meta = f.meta_snapshot();
+        let stale = meta.device_map[0];
+        let rows = f.device_blocks(0) as usize;
+        let at = crate::alloc::resolve(&meta.extents[0], 0);
+        let media = v.device(stale);
+        media.write_blocks_at(at, &vec![0xEE; rows * BS]).unwrap();
+
+        let mut got = vec![0u8; data.len()];
+        let ticket = f.submit_read_blocks(0, &mut got);
+        v.health().begin_rebuild(stale, || ());
+        f.quiesce_io();
+        ticket.wait(&f, Direct::Read(&mut got)).unwrap();
+        assert!(
+            got == data,
+            "the read returned the Rebuilding device's bytes"
+        );
     }
 
     /// Every row of layout slot `slot`, as the media holds it.

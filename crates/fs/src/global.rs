@@ -11,73 +11,34 @@
 //!
 //! Every stream here — record or byte, reading or writing, and both ends
 //! of [`copy_global`] — is one [`Window`]: two multi-block buffers, one
-//! the caller drains or fills while the stream's worker thread (the
-//! paper's "dedicated I/O processor", for this stream) runs one whole
-//! [`RawFile::read_span`] or [`RawFile::write_span`] on the other: one
-//! vectored request per device, retried, hedged, reconstructed, stripe
-//! locked, cached and steered by device health like any other span. The
-//! call begins and ends inside the worker, so a stream parked between
-//! windows holds nothing a rebuild's `quiesce_io` waits for.
-
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+//! the caller drains or fills while the other is a span submitted to the
+//! volume's I/O nodes (the paper's "dedicated I/O processors") and
+//! waited at the next window: [`RawFile::submit_read_blocks`] or
+//! [`RawFile::submit_write_blocks`], one vectored request per device,
+//! retried, hedged, reconstructed, stripe locked, cached and steered by
+//! device health like any other span. A stream parked between windows
+//! holds nothing a rebuild waits for (see [`crate::file::SpanTicket`]).
 
 use pario_layout::LayoutSpec;
 
 use crate::error::{FsError, Result};
-use crate::file::RawFile;
+use crate::file::{Direct, RawFile, SpanTicket};
 
 /// Blocks per window: a sequential scan costs `1 / WINDOW_BLOCKS`
 /// requests per device block instead of one.
 const WINDOW_BLOCKS: usize = 32;
 
-/// One window's worth of work for a stream's worker: the buffer, where
-/// in the file it goes, and — on the way back — how the span call ended.
-struct Transfer {
-    buf: Vec<u8>,
-    start: u64,
-    len: usize,
-    res: Result<()>,
-}
-
-/// A stream's I/O thread. It runs one span call per [`Transfer`] sent
-/// and sends it back; it leaves when the stream hangs up, or by a panic
-/// in a span call — which the stream's next `lend` or `reclaim` makes
-/// the caller's, as it would have been had the caller made that call.
-struct Worker {
-    jobs: Sender<Transfer>,
-    done: Receiver<Transfer>,
-    thread: JoinHandle<()>,
-}
-
-impl Worker {
-    /// `None` when the system has no thread to give; the stream then
-    /// stays synchronous.
-    fn spawn(mut span: impl FnMut(&mut Transfer) -> Result<()> + Send + 'static) -> Option<Worker> {
-        let (jobs, todo) = channel::<Transfer>();
-        let (finished, done) = channel();
-        let thread = std::thread::Builder::new()
-            .name("pario-fs-stream".into())
-            .spawn(move || {
-                for mut t in todo {
-                    t.res = span(&mut t);
-                    if finished.send(t).is_err() {
-                        return;
-                    }
-                }
-            })
-            .ok()?;
-        Some(Worker { jobs, done, thread })
+/// `spare`, allocated `size` bytes the first time a window goes out on it.
+fn spare(spare: &mut Vec<u8>, size: usize) -> &mut Vec<u8> {
+    if spare.is_empty() {
+        *spare = vec![0u8; size];
     }
+    spare
 }
 
 /// A sequential stream's window onto `file`, reading or writing (never
 /// both): the bytes `[start, start + len)` in `buf`, and at most one
-/// more window with the worker.
-///
-/// A reader starts its worker only once a refill continues the window
-/// before it, a writer once it has filled a window: a stream that is
-/// opened and never streams has no thread.
+/// more window submitted on `spare`.
 struct Window {
     file: RawFile,
     /// Bytes in a window, whole blocks.
@@ -89,13 +50,11 @@ struct Window {
     /// Bytes of `buf` read in (all of them below the length the file
     /// published when they were read) or filled and not yet written.
     len: usize,
-    /// The other buffer, unless the worker has it. Allocated with the
-    /// worker.
+    /// The other buffer, allocated when a window is first submitted.
     spare: Vec<u8>,
-    worker: Option<Worker>,
-    /// The window the worker has: where it starts and how much of it
-    /// the stream will own.
-    in_flight: Option<(u64, usize)>,
+    /// The window submitted on `spare`: its span, where it starts, and
+    /// how much of it the stream owns.
+    in_flight: Option<(SpanTicket, u64, usize)>,
     /// The first error. The stream is dead from then on: every later
     /// call returns it again.
     dead: Option<FsError>,
@@ -111,7 +70,6 @@ impl Window {
             start,
             len: 0,
             spare: Vec::new(),
-            worker: None,
             in_flight: None,
             dead: None,
         }
@@ -142,59 +100,6 @@ impl Window {
         op(self).inspect_err(|e| self.dead = Some(e.clone()))
     }
 
-    /// Whether the stream has a worker, started now (to run `span` on
-    /// the file) if this is the first call. `false` if there is no
-    /// thread to be had.
-    fn staffed(&mut self, span: fn(&RawFile, &mut Transfer) -> Result<()>) -> bool {
-        if self.worker.is_none() {
-            let file = self.file.clone();
-            if let Some(worker) = Worker::spawn(move |t| span(&file, t)) {
-                self.worker = Some(worker);
-                self.spare = vec![0u8; self.size];
-            }
-        }
-        self.worker.is_some()
-    }
-
-    /// Give the spare buffer to the worker for the `len` bytes at
-    /// `start`, of which the stream will own `owned`.
-    fn lend(&mut self, start: u64, len: usize, owned: usize) {
-        let (buf, res) = (std::mem::take(&mut self.spare), Ok(()));
-        // invariant: callers ask `staffed` first.
-        let worker = self.worker.as_ref().expect("a staffed stream");
-        let sent = worker.jobs.send(Transfer {
-            buf,
-            start,
-            len,
-            res,
-        });
-        // invariant: hung up on only by drop (see `Worker`).
-        sent.expect("the stream's worker panicked");
-        self.in_flight = Some((start, owned));
-    }
-
-    /// Wait for the oldest window with the worker and take it back.
-    fn reclaim(&mut self) -> Transfer {
-        // invariant: callers have seen `in_flight` set, which `lend` does.
-        let worker = self.worker.as_ref().expect("a worker in flight");
-        // invariant: it answers every transfer sent (see `Worker`).
-        worker.done.recv().expect("the stream's worker panicked")
-    }
-
-    /// After a hand-off, before the caller goes back to work that may
-    /// well be computing: the worker and the device threads its span
-    /// call wakes go first. Else they wait out the caller's time slice —
-    /// milliseconds, a window's device time and more — before the
-    /// transfer starts: a stream over 2 ms devices that computes 2 ms a
-    /// window took 0.57 of a synchronous `read_span` loop's time with
-    /// this yield and 0.96 without, on one pinned CPU and on two (medians
-    /// of ten; Linux 6.18).
-    fn resume(&self) {
-        if self.in_flight.is_some() {
-            std::thread::yield_now();
-        }
-    }
-
     /// File offset just past the window's bytes: where a reader's next
     /// window starts, and where a writer has got to.
     fn end(&self) -> u64 {
@@ -220,13 +125,24 @@ impl Window {
     /// the file has published anything there.
     fn read_ahead(&mut self, next: u64) {
         let (whole, owned) = self.extent(next);
-        let aligned = next.is_multiple_of(self.file.block_size() as u64);
-        if aligned
-            && owned > 0
-            && self.staffed(|file, t| file.read_span(t.start, &mut t.buf[..t.len]))
-        {
-            self.lend(next, whole, owned);
+        let bs = self.file.block_size() as u64;
+        if next.is_multiple_of(bs) && owned > 0 {
+            let spare = spare(&mut self.spare, self.size);
+            let ticket = self.file.submit_read_blocks(next / bs, &mut spare[..whole]);
+            self.in_flight = Some((ticket, next, owned));
         }
+    }
+
+    /// Wait for the window submitted on the spare buffer, if there is
+    /// one: where it starts, how much of it the stream owns, and how its
+    /// span ended.
+    fn settle(&mut self) -> Option<(u64, usize, Result<()>)> {
+        let (ticket, start, len) = self.in_flight.take()?;
+        let bytes = match ticket {
+            SpanTicket::Write(_) => Direct::Write(&self.spare[..len]),
+            _ => Direct::Read(&mut self.spare[..len.next_multiple_of(self.file.block_size())]),
+        };
+        Some((start, len, ticket.wait(&self.file, bytes)))
     }
 
     /// Make the window hold `byte` (below the published length): the
@@ -237,25 +153,17 @@ impl Window {
         let bs = self.file.block_size() as u64;
         let start = byte / bs * bs;
         let continues = self.len > 0 && start == self.end() / bs * bs;
-        match self.in_flight.take() {
-            Some((ahead, owned)) if (ahead..ahead + owned as u64).contains(&byte) => {
-                // The drained buffer goes out for the window after
-                // before the wait for this one, so that a worker still
-                // busy goes from one to the next without a pause.
-                std::mem::swap(&mut self.buf, &mut self.spare);
-                self.read_ahead(ahead + owned as u64);
-                let t = self.reclaim();
+        match self.settle() {
+            Some((ahead, owned, read)) if (ahead..ahead + owned as u64).contains(&byte) => {
                 // The error of a window read ahead surfaces when, and
                 // only if, the caller gets to that window.
-                t.res?;
-                (self.buf, self.start, self.len) = (t.buf, ahead, owned);
+                read?;
+                std::mem::swap(&mut self.buf, &mut self.spare);
+                (self.start, self.len) = (ahead, owned);
             }
-            stale => {
-                // A seek or an append made the window read ahead
-                // useless, whatever became of it.
-                if stale.is_some() {
-                    self.spare = self.reclaim().buf;
-                }
+            // A seek or an append made the window read ahead useless,
+            // whatever became of it.
+            _ => {
                 let (whole, owned) = self.extent(start);
                 if owned == 0 {
                     return Err(FsError::OutOfBounds {
@@ -265,12 +173,12 @@ impl Window {
                 }
                 self.file.read_span(start, &mut self.buf[..whole])?;
                 (self.start, self.len) = (start, owned);
-                if continues {
-                    self.read_ahead(self.end());
+                if !continues {
+                    return Ok(());
                 }
             }
         }
-        self.resume();
+        self.read_ahead(self.end());
         Ok(())
     }
 
@@ -310,31 +218,31 @@ impl Window {
         self.size - (self.start % self.size as u64) as usize - self.len
     }
 
-    /// Write out what the window holds: a window filled to its boundary
-    /// behind the caller's back, the ragged end of a stream here and
-    /// now. Either way waits for the window before it, whose error is
-    /// this call's — after handing over a full one, as `refill` does.
+    /// Write out what the window holds, after waiting for the window
+    /// before it, whose error is this call's. A full window that starts
+    /// on a block boundary is submitted and left to land behind the
+    /// caller's back; any other — the ragged end of a stream, the first
+    /// window of an append that starts mid-block — is written here and
+    /// now.
     fn flush(&mut self) -> Result<()> {
         let (start, len, full) = (self.start, self.len, self.room() == 0);
         (self.start, self.len) = (self.end(), 0);
-        let before = self.in_flight.take();
-        if full && self.staffed(|file, t| file.write_span(t.start, &t.buf[..t.len])) {
-            std::mem::swap(&mut self.buf, &mut self.spare);
-            self.lend(start, len, len);
-            if before.is_some() {
-                let t = self.reclaim();
-                t.res?;
-                self.buf = t.buf;
-            }
-            self.resume();
-            return Ok(());
+        if let Some((_, _, written)) = self.settle() {
+            written?;
         }
-        if before.is_some() {
-            let t = self.reclaim();
-            self.spare = t.buf;
-            t.res?;
+        let bs = self.file.block_size() as u64;
+        if !(full && start.is_multiple_of(bs)) {
+            return self.file.write_span(start, &self.buf[..len]);
         }
-        self.file.write_span(start, &self.buf[..len])
+        let end = start + len as u64;
+        let records = end.div_ceil(self.file.record_size() as u64);
+        self.file.ensure_capacity_records(records)?;
+        std::mem::swap(&mut self.buf, spare(&mut self.spare, self.size));
+        let ticket = self
+            .file
+            .submit_write_blocks(start / bs, &self.spare[..len], true);
+        self.in_flight = Some((ticket, start, len));
+        Ok(())
     }
 
     /// Append `data` to the stream, writing out each window it fills.
@@ -365,13 +273,10 @@ impl Window {
 }
 
 impl Drop for Window {
+    /// A dropped stream finishes the window it has in flight, whose
+    /// outcome has nowhere to go.
     fn drop(&mut self) {
-        // Hung up on, the worker finishes the span call it is in and
-        // leaves. Its panic, if any, has nowhere to go from a drop.
-        if let Some(Worker { jobs, thread, .. }) = self.worker.take() {
-            drop(jobs);
-            let _ = thread.join();
-        }
+        let _ = self.settle();
     }
 }
 
@@ -693,7 +598,7 @@ mod tests {
             assert_eq!(w.position(), i);
             w.write_record(&rec(i, 100)).unwrap();
         }
-        assert!(w.win.worker.is_some(), "full windows are written behind");
+        assert!(w.win.in_flight.is_some(), "full windows are written behind");
         assert_eq!(w.finish().unwrap(), 500);
         assert_eq!(f.len_records(), 500);
 
@@ -705,9 +610,14 @@ mod tests {
             seen += 1;
         });
         assert_eq!((n.unwrap(), seen), (500, 500));
-        assert!(r.win.worker.is_some(), "a scan reads ahead");
         // EOF is sticky.
         assert!(!r.read_record(&mut [0u8; 100]).unwrap());
+
+        let mut r = GlobalReader::new(f.clone());
+        for _ in 0..100 {
+            assert!(r.read_record(&mut [0u8; 100]).unwrap());
+        }
+        assert!(r.win.in_flight.is_some(), "a scan reads ahead");
 
         let mut all = Vec::new();
         ByteReader::new(f).read_to_end(&mut all).unwrap();
@@ -840,14 +750,16 @@ mod tests {
         }
     }
 
+    /// A stream reads ahead only once one window has followed another,
+    /// and writes behind only a window it has filled.
     #[test]
-    fn a_stream_that_never_streams_has_no_thread() {
+    fn a_stream_that_never_streams_submits_nothing_ahead() {
         let v = vol();
         // Two windows, start to end: the second continues the first, but
         // there is no third to read ahead.
         let mut r = GlobalReader::new(filled(&v, "two", 256, striped(4), 64));
         assert_eq!(r.for_each(|_, _| {}).unwrap(), 64);
-        assert!(r.win.worker.is_none());
+        assert!(r.win.in_flight.is_none());
         // Seeks, window to window but never onward.
         let f = filled(&v, "seek", 256, striped(4), 200);
         let mut r = GlobalReader::new(f.clone());
@@ -859,13 +771,13 @@ mod tests {
         }
         let rest = r.for_each(|idx, bytes| assert_eq!(bytes, rec(idx, 256).as_slice()));
         assert_eq!((rest.unwrap(), r.position()), (3, 200));
-        assert!(r.win.worker.is_none());
+        assert!(r.win.in_flight.is_none());
         // Less than a window written.
         let mut w = GlobalWriter::append(f);
         for i in 200..220u64 {
             w.write_record(&rec(i, 256)).unwrap();
         }
-        assert!(w.win.worker.is_none());
+        assert!(w.win.in_flight.is_none());
         assert_eq!(w.finish().unwrap(), 220);
         // Nothing at all.
         let f = empty(&v, "e", 64, striped(4));
@@ -1155,10 +1067,14 @@ mod tests {
         }
     }
 
-    /// A window read ahead is a span call that has returned: a reader
-    /// left parked on it holds nothing `quiesce_io` waits for.
+    /// A window read ahead left its I/O phase at submission: a reader
+    /// parked on it counts in no generation `quiesce_io` waits for, so
+    /// the quiesce returns on the reader's own thread. The window, routed
+    /// before it, is read again when the reader gets to it.
     #[test]
     fn an_idle_stream_does_not_stall_quiesce_io() {
+        use std::sync::atomic::Ordering;
+
         let v = vol();
         let f = filled(&v, "q", 256, ROTATED_PARITY, 128);
         let mut r = GlobalReader::new(f.clone());
@@ -1167,18 +1083,17 @@ mod tests {
             assert!(r.read_record(&mut buf).unwrap());
         }
         assert!(r.win.in_flight.is_some(), "the third window is read ahead");
-        let (done, quiesced) = std::sync::mpsc::channel();
-        let rebuild = std::thread::spawn(move || {
-            f.quiesce_io();
-            done.send(()).unwrap();
-        });
-        quiesced
-            .recv_timeout(Duration::from_secs(10))
-            .expect("quiesce_io waits on an idle reader");
-        rebuild.join().unwrap();
-        // The reader goes on where it was.
-        assert!(r.read_record(&mut buf).unwrap());
-        assert_eq!(buf, rec(33, 256));
+        let phases = f.state.io_active.iter().map(|c| c.load(Ordering::SeqCst));
+        assert_eq!(phases.sum::<u64>(), 0, "a parked read holds an I/O phase");
+        f.quiesce_io();
+        let (reads, _) = requests(&v);
+        for i in 33..96u64 {
+            assert!(r.read_record(&mut buf).unwrap());
+            assert_eq!(buf, rec(i, 256), "record {i}");
+        }
+        // A run a device for the window read again, and for the one
+        // read ahead behind it.
+        assert_eq!(requests(&v).0 - reads, 8);
     }
 
     /// Two streams at once on the same devices and their executors: one

@@ -13,7 +13,10 @@
 //! two copies — whole against the others and against a rebuild or scrub
 //! burst over the same rows. Thakur, Gropp and Lusk lock only the region
 //! a data-sieving read-modify-write covers, never the file: bytes lock
-//! blocks, redundancy locks rows.
+//! blocks, redundancy locks rows. A write submitted and not yet waited
+//! parks its ranges ([`RangeGuard::park`]): an acquirer they are in the
+//! way of lands the write and releases them, so an idle holder keeps no
+//! one waiting longer than its transfers take.
 //!
 //! Built on `pario-check` primitives, so `--cfg pario_check` model tests
 //! can explore the acquire/release interleavings deterministically. The
@@ -21,11 +24,23 @@
 //! hierarchy: `server.range_lock` for GDA bytes, `fs.rmw` for blocks,
 //! `fs.stripe` for rows.
 
+use std::sync::Arc;
+
 use pario_check::{Condvar, LockLevel, Mutex};
 
-/// Held ranges `(start, end, ticket)`, and the next ticket to hand out.
+/// What a holder parks a range with: the work the range protects,
+/// which anyone can see through without the holder.
+pub(crate) trait Land: Send + Sync {
+    /// Block until the work has landed; only the first call waits.
+    fn land(&self);
+}
+
+/// A held range: `(start, end, ticket, what lands it if parked)`.
+type Range = (u64, u64, u64, Option<Arc<dyn Land>>);
+
+/// Held ranges, and the next ticket to hand out.
 struct Held {
-    ranges: Vec<(u64, u64, u64)>,
+    ranges: Vec<Range>,
     next: u64,
 }
 
@@ -68,7 +83,8 @@ impl RangeLocks {
     /// [`release_ticket`](RangeLocks::release_ticket). This is the hook
     /// for owned lock handles (the network layer parks a client's
     /// explicit GDA lock in a table across requests, where a borrowing
-    /// guard cannot live).
+    /// guard cannot live). A range parked in the way is landed and
+    /// released here, on the caller's thread.
     pub fn acquire_ticket(&self, start: u64, end: u64) -> u64 {
         assert!(start < end, "empty range");
         let mut held = self.held.lock();
@@ -76,7 +92,15 @@ impl RangeLocks {
             if let Some(ticket) = held.grab(start, end) {
                 return ticket;
             }
-            self.cv.wait(&mut held);
+            let over = |(s, e, _, p): &&Range| start < *e && *s < end && p.is_some();
+            let Some((_, _, ticket, Some(parked))) = held.ranges.iter().find(over).cloned() else {
+                self.cv.wait(&mut held);
+                continue;
+            };
+            drop(held);
+            parked.land();
+            self.release_ticket(ticket);
+            held = self.held.lock();
         }
     }
 
@@ -86,7 +110,7 @@ impl RangeLocks {
     /// idempotent).
     pub fn release_ticket(&self, ticket: u64) {
         let mut held = self.held.lock();
-        held.ranges.retain(|&(_, _, t)| t != ticket);
+        held.ranges.retain(|r| r.2 != ticket);
         self.cv.notify_all();
     }
 
@@ -109,13 +133,30 @@ impl RangeLocks {
 
 impl Held {
     fn grab(&mut self, start: u64, end: u64) -> Option<u64> {
-        if self.ranges.iter().any(|&(s, e, _)| start < e && s < end) {
+        if self.ranges.iter().any(|r| start < r.1 && r.0 < end) {
             return None;
         }
         let ticket = self.next;
         self.next += 1;
-        self.ranges.push((start, end, ticket));
+        self.ranges.push((start, end, ticket, None));
         Some(ticket)
+    }
+}
+
+impl RangeGuard<'_> {
+    /// Leave the range to whoever it is in the way of next: that
+    /// acquirer lands `parked` and releases it. Returns the bare ticket
+    /// for the holder's own release, a no-op once an acquirer's came
+    /// first.
+    pub(crate) fn park(self, parked: Arc<dyn Land>) -> u64 {
+        let (locks, ticket) = (self.locks, self.ticket);
+        std::mem::forget(self);
+        let mut held = locks.held.lock();
+        if let Some(r) = held.ranges.iter_mut().find(|r| r.2 == ticket) {
+            r.3 = Some(parked);
+        }
+        locks.cv.notify_all();
+        ticket
     }
 }
 

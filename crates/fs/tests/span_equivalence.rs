@@ -1055,13 +1055,14 @@ impl pario_disk::BlockDevice for Hooked {
 
 /// A degraded parity span read does all its device I/O in ONE hold of
 /// the span's rows: with every device gated shut, the read's requests —
-/// at most one per device — all park together, the rows are held while
-/// they do, and opening the gate lets the read finish without another
-/// request.
+/// at most one per device — all park together, and opening the gate lets
+/// the read finish without another request. That the rows are held over
+/// the wave is the model checker's to show: `model_rmw.rs`'s
+/// `column_reconstruction_sees_every_stripe_before_or_after_each_write`
+/// finds a torn stripe in a reconstruction that reads without them.
 #[test]
 fn a_degraded_parity_span_holds_its_rows_once() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::mpsc;
     use std::time::Duration;
 
     for state in [Slot::Healed, Slot::Rebuilding] {
@@ -1118,20 +1119,7 @@ fn a_degraded_parity_span_holds_its_rows_once() {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Every request of the read is parked; the span's rows (16
-        // stripes of 3) are held over them.
-        let (tx, locked) = mpsc::channel();
-        let prober = {
-            let f = f.clone();
-            std::thread::spawn(move || {
-                let _g = f.lock_rows(0..16);
-                let _ = tx.send(());
-            })
-        };
-        assert!(
-            locked.recv_timeout(Duration::from_millis(50)).is_err(),
-            "{state:?}: the rows were free while the wave was in flight"
-        );
+        // Every request of the read is parked.
         assert_eq!(
             reads.load(Ordering::SeqCst),
             wave,
@@ -1139,7 +1127,6 @@ fn a_degraded_parity_span_holds_its_rows_once() {
         );
         shut.store(false, Ordering::SeqCst);
         assert_eq!(reader.join().unwrap(), model, "{state:?}");
-        prober.join().unwrap();
         assert_eq!(
             reads.load(Ordering::SeqCst),
             wave,

@@ -107,8 +107,8 @@ pub struct RebuildReport {
 ///    mutex, heals the media. A fail-stop report raised against the
 ///    dead media is judged before the flip or after the heal, never
 ///    between, so it cannot abort the rebuild it preceded.
-/// 2. Per file, `quiesce_io()` waits out any read that sampled the old
-///    health state.
+/// 2. Per file, `quiesce_io()` waits out any read still routing by the
+///    old health state, and has any read parked since read again.
 /// 3. The slot is replayed in bursts: each holds up to
 ///    [`RebuildThrottle::burst_blocks`] rows (`RawFile::lock_rows`),
 ///    recomputes them from the file's redundancy

@@ -50,6 +50,7 @@ const RANKED_LOCKS: &[(&str, LockLevel)] = &[
     ("frames.lock(", LockLevel::VolumeCache),
     ("journal.lock(", LockLevel::FsJournal),
     ("board.lock(", LockLevel::FsHealth),
+    ("transfers.lock(", LockLevel::FsLanding),
     ("device.lock(", LockLevel::DiskDevice),
     ("queue.lock(", LockLevel::DiskQueue),
 ];

@@ -4,10 +4,11 @@
 //! the paper predicts.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use pario::core::{Organization, ParallelFile};
 use pario::disk::{DeviceRef, MemDisk};
-use pario::fs::{FileSpec, GlobalReader, HealthState, Volume, VolumeConfig};
+use pario::fs::{FileSpec, GlobalReader, GlobalWriter, HealthState, Volume, VolumeConfig};
 use pario::layout::LayoutSpec;
 use pario::reliability::{rebuild_device, scrub, ChecksumDevice, RebuildThrottle};
 use pario::workloads::record_payload;
@@ -362,4 +363,61 @@ fn appended_files_fail_and_rebuild_across_their_unwritten_tails() {
     v.device(2).fail();
     v.device(4).fail();
     check(WRITTEN + 20, "rebuilt device 1 serving degraded reads");
+}
+
+/// A sequential writer left parked with a window queued on slow devices
+/// keeps no recovery waiting: the window parks its rows with its
+/// transfers, so a rebuild sweep and a scrub of the same file land the
+/// window themselves and go on — on the writer's own thread, where a
+/// window that held its rows until waited would wait on itself, and on
+/// another, where it would wait on a writer that never comes back. The
+/// channel's timeout only bounds the hang a regression would be.
+#[test]
+fn a_parked_stream_writer_keeps_no_rebuild_or_scrub_waiting() {
+    for own_thread in [true, false] {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let slow = Duration::from_millis(2);
+            let devices =
+                (0..6).map(|_| Arc::new(MemDisk::new(512, BS).with_delay(slow)) as DeviceRef);
+            let v = Volume::new(devices.collect()).unwrap();
+            let layout = LayoutSpec::Parity {
+                data_devices: 3,
+                rotated: true,
+            };
+            let f = v
+                .create_file(FileSpec::new("p", BS, 1, layout).initial_records(60))
+                .unwrap();
+            let mut w = GlobalWriter::truncate(f.clone()).unwrap();
+            // 30 blocks: one window, ten whole stripes, left queued.
+            for i in 0..30 {
+                w.write_record(&record_payload(i, BS)).unwrap();
+            }
+            let dev = f.meta_snapshot().device_map[1];
+            let sweep = {
+                let (v, f) = (v.clone(), f.clone());
+                move || {
+                    rebuild_device(&v, dev, RebuildThrottle::UNBOUNDED).unwrap();
+                    scrub(&f).unwrap()
+                }
+            };
+            let torn = match own_thread {
+                true => sweep(),
+                false => std::thread::spawn(sweep).join().unwrap(),
+            };
+            assert!(
+                torn.is_empty(),
+                "own thread {own_thread}: stripes {torn:?} torn"
+            );
+            assert_eq!(w.finish().unwrap(), 30);
+            let mut buf = vec![0u8; BS];
+            for i in 0..30 {
+                f.read_record(i, &mut buf).unwrap();
+                assert_eq!(buf, record_payload(i, BS), "record {i}");
+            }
+            done.send(()).unwrap();
+        });
+        let waited = finished.recv_timeout(Duration::from_secs(60));
+        waited.unwrap_or_else(|e| panic!("own thread {own_thread}: the sweep never finished: {e}"));
+    }
 }
