@@ -143,8 +143,8 @@ fn stale_parity_for_independent_updates(r: &mut Report) {
     // PS/IS-style independent access: processes write "their" device
     // directly, skipping the cross-device parity RMW (which would
     // serialise them — defeating the point of independent access).
-    f.write_device_rows(&[(0, 3, &[9u8; BS][..])]).unwrap();
-    f.write_device_rows(&[(1, 5, &[9u8; BS][..])]).unwrap();
+    f.write_device_rows(0, 3, &[9u8; BS]).unwrap();
+    f.write_device_rows(1, 5, &[9u8; BS]).unwrap();
     let bad = rel::scrub(&f).unwrap();
     r.note(format!(
         "   two independent per-device updates bypassing parity RMW -> \

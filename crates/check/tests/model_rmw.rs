@@ -355,7 +355,7 @@ fn full_stripe_writer_rmw_writer_and_rebuild_burst_keep_parity() {
 
 /// A span reader that reconstructs a whole column — device slot 0 is
 /// Rebuilding, so its block of every stripe comes from the survivors —
-/// against a full-span `parity_write` and a single-block
+/// against a full-span `submit_parity` and a single-block
 /// read-modify-write on a two-stripe parity file. The reader holds the
 /// span's rows before it reads anything and reads every surviving column
 /// holding them, so in every schedule each stripe it returns is the

@@ -14,7 +14,7 @@
 //! | PDA  | [`Organization::PartitionedDirect`] | [`ProcessView`] (`read_record`/`write_record`) |
 //!
 //! Plus the paper's §5 problem-area machinery: forced alternate views
-//! ([`views`]), conversion utilities ([`convert`], [`convert_parallel`]),
+//! ([`views`]), conversion utilities ([`convert()`], [`convert_parallel`]),
 //! and partition-boundary handling ([`read_partition_with_halo`],
 //! [`create_replicated`]).
 //!

@@ -22,7 +22,7 @@
 //!    (`SpanTicket`) that a sequential stream may keep apart. `RawFile::route` is the only place device
 //!    health steers a read; recovery is one step per redundancy (the
 //!    other copy of a shadowed run, `RawFile::reconstruct` for a parity
-//!    column), and parity is maintained by `RawFile::parity_write`.
+//!    column), and parity is maintained by `RawFile::submit_parity`.
 //! 3. **Byte/record framing** — records are fixed-size spans of the
 //!    logical byte stream and may straddle volume blocks; `read_span` /
 //!    `write_span` handle the block arithmetic once, for everyone above,
@@ -538,17 +538,12 @@ impl RawFile {
     // ------------------------------------------------------------------
 
     /// Read rows `[row, row + out.len() / bs)` of every slot in `slots`,
-    /// as far as each holds them, in one wave and XOR them into `out` —
-    /// the one place parity rows are folded together: a partial-stripe
-    /// write's old blocks ([`RawFile::parity_reads`]), and the rows
-    /// [`RawFile::recover_rows`] recomputes and
-    /// [`RawFile::scrub_rows`] checks. One run per slot; every run is
-    /// submitted (cache tier or executor) before any is waited for, so on
-    /// devices slower than a hand-off they overlap; an idle I/O node whose
-    /// transfers cost less than waking its worker runs the read on the
-    /// calling thread instead (DESIGN §7). Every ticket is waited out and
-    /// feeds the health board; `out` is touched only if all of them
-    /// succeeded.
+    /// as far as each holds them, in one wave ([`RawFile::read_wave`])
+    /// and XOR them into `out` — the one place parity rows are folded
+    /// together: a partial-stripe write's old blocks
+    /// ([`RawFile::parity_reads`]), and the rows [`RawFile::recover_rows`]
+    /// recomputes and [`RawFile::scrub_rows`] checks. One run per slot;
+    /// `out` is touched only if all of them succeeded.
     fn xor_slots(
         &self,
         slots: impl IntoIterator<Item = usize>,
@@ -556,16 +551,13 @@ impl RawFile {
         out: &mut [u8],
     ) -> Result<()> {
         let bs = self.block_size();
-        let end = row + (out.len() / bs) as u64;
-        let submit = |slot: usize| {
+        let end = row + self.rows_in(out);
+        let run = |slot: usize| {
             let held = end.min(self.device_blocks(slot)).saturating_sub(row);
-            (held > 0).then(|| (slot, self.submit_read_run(slot, row, held, false)))
+            (held > 0).then_some((slot, row, held))
         };
-        let inflight: Vec<_> = slots.into_iter().filter_map(submit).collect();
-        let wait = |(slot, tickets)| self.wait_read_run(slot, tickets);
-        let columns: Vec<_> = inflight.into_iter().map(wait).collect();
-        for bufs in columns.into_iter().collect::<Result<Vec<_>>>()? {
-            let column = self.concat(bufs);
+        let columns = self.read_wave(slots.into_iter().filter_map(run));
+        for column in columns.into_iter().collect::<Result<Vec<_>>>()? {
             xor_rows(out, row, &column, row, bs);
             self.vol.staging().give(column);
         }
@@ -620,7 +612,7 @@ impl RawFile {
             }
             Redundancy::Shadow { primaries } => {
                 let partner = (slot + primaries) % (2 * primaries);
-                self.read_device_rows(&mut [(partner, row, out)])
+                self.read_device_rows(partner, row, out)
             }
             Redundancy::None => Err(FsError::BadSpec(format!(
                 "{}: no redundancy to recover slot {slot} from",
@@ -656,72 +648,45 @@ impl RawFile {
         read.map(|()| torn)
     }
 
-    /// Read device rows in one wave — **recovery tooling only**: bypasses
-    /// redundancy logic. Each run `(slot, first row, buf)` fills `buf`,
-    /// whole blocks, from consecutive device-local rows of layout slot
-    /// `slot`; a slot past the layout or rows past
-    /// [`RawFile::device_blocks`] refuse the wave before anything is
-    /// read. Every run is submitted (through the cache tier, where there
-    /// is one) before any is waited for, so the slots' devices work at
-    /// once; every ticket is waited out and feeds the health board; the
-    /// first error is the wave's.
-    pub fn read_device_rows(&self, runs: &mut [(usize, u64, &mut [u8])]) -> Result<()> {
-        for (slot, row, buf) in runs.iter() {
-            self.check_rows(*slot, *row, self.rows_in(buf))?;
-        }
-        let submit = |(slot, row, buf): &(usize, u64, &mut [u8])| {
-            self.submit_read_run(*slot, *row, self.rows_in(buf), false)
-        };
-        let inflight: Vec<_> = runs.iter().map(submit).collect();
-        let mut outcome = Ok(());
-        for ((slot, _, buf), tickets) in runs.iter_mut().zip(inflight) {
-            match self.wait_read_run(*slot, tickets) {
-                Ok(bufs) => {
-                    let run = self.concat(bufs);
-                    buf.copy_from_slice(&run);
-                    self.vol.staging().give(run);
-                }
-                Err(e) => outcome = outcome.and(Err(e)),
-            }
-        }
-        outcome
+    /// Read device rows — **recovery tooling only**: bypasses redundancy
+    /// logic. Fills `buf`, whole blocks, from consecutive device-local
+    /// rows of layout slot `slot` from row `row`, as one run (through the
+    /// cache tier, where there is one) whose outcome feeds the health
+    /// board. A slot past the layout or rows past
+    /// [`RawFile::device_blocks`] are refused before anything is read.
+    pub fn read_device_rows(&self, slot: usize, row: u64, buf: &mut [u8]) -> Result<()> {
+        let n = self.rows_in(buf);
+        self.check_rows(slot, row, n)?;
+        let run = self.wait_read_run(slot, self.submit_read_run(slot, row, n, false))?;
+        buf.copy_from_slice(&run);
+        self.vol.staging().give(run);
+        Ok(())
     }
 
-    /// Write device rows in one wave — **recovery tooling only**: bypasses
-    /// parity maintenance and shadow duplication entirely. Each run
-    /// `(slot, first row, data)` lands `data`, whole blocks, on
-    /// consecutive device-local rows of layout slot `slot`; a slot past
-    /// the layout or rows past [`RawFile::device_blocks`] refuse the wave
-    /// before anything is written. All runs are submitted before any is
-    /// waited for, every ticket is waited out and feeds the health board,
-    /// and the first error is the wave's. Rebuilt data must be durable on
-    /// media whatever the cache policy, so the wave goes to the executor
-    /// past the tier and drops every frame that covered its rows.
-    pub fn write_device_rows(&self, runs: &[(usize, u64, &[u8])]) -> Result<()> {
-        for &(slot, row, data) in runs {
-            self.check_rows(slot, row, self.rows_in(data))?;
-        }
+    /// Write device rows — **recovery tooling only**: bypasses parity
+    /// maintenance and shadow duplication entirely. Lands `data`, whole
+    /// blocks, on consecutive device-local rows of layout slot `slot`
+    /// from row `row`, as one run whose outcome feeds the health board;
+    /// a slot past the layout or rows past [`RawFile::device_blocks`] are
+    /// refused before anything is written. Rebuilt data must be durable
+    /// on media whatever the cache policy, so the run goes to the
+    /// executor past the tier and drops every frame that covered its
+    /// rows.
+    pub fn write_device_rows(&self, slot: usize, row: u64, data: &[u8]) -> Result<()> {
+        let n = self.rows_in(data);
+        self.check_rows(slot, row, n)?;
         // Invalidate on both sides of the raw write: before, so a
         // write-back of a block already in flight lands first instead
         // of on top of the rebuilt data; after, to drop what a reader
         // filled in between.
-        let cache = self.vol.cache().map(|c| {
-            let rows = runs
-                .iter()
-                .map(|&(slot, row, data)| (slot, row, self.rows_in(data)));
-            (c, self.device_extents(rows))
-        });
+        let with_extents = |c| (c, self.device_extents([(slot, row, n)]));
+        let cache = self.vol.cache().map(with_extents);
         if let Some((c, extents)) = &cache {
             c.invalidate_ranges(extents);
         }
-        let submit = |&(slot, row, data): &(usize, u64, &[u8])| {
-            let mut staged = self.vol.staging().take(data.len());
-            staged.copy_from_slice(data);
-            (slot, self.submit_media_write(slot, row, staged))
-        };
-        let inflight: Vec<_> = runs.iter().map(submit).collect();
-        let wait = |(slot, tickets)| self.wait_write_run(slot, tickets);
-        let written = inflight.into_iter().map(wait).fold(Ok(()), Result::and);
+        let mut staged = self.vol.staging().take(data.len());
+        staged.copy_from_slice(data);
+        let written = self.wait_write_run(slot, self.submit_write_run(slot, row, staged, None));
         if let Some((c, extents)) = &cache {
             c.invalidate_ranges(extents);
         }
@@ -890,15 +855,13 @@ impl RawFile {
             .filter(|(_, (_, run))| !run.is_empty());
         let runs = staged.map(|(device, (dblock, run))| {
             let count = (run.len() / bs) as u64;
-            let tickets = self.submit_write_run(device, dblock, run);
-            (
-                MergedRun {
-                    device,
-                    dblock,
-                    count,
-                },
-                tickets,
-            )
+            let tickets = self.submit_write_run(device, dblock, run, self.vol.cache());
+            let m = MergedRun {
+                device,
+                dblock,
+                count,
+            };
+            (m, tickets)
         });
         Ok((Some(held), runs.collect()))
     }
@@ -1128,70 +1091,92 @@ impl RawFile {
 
     /// Submit the write of a run of `slot` from row `dblock` (`data` is
     /// the run's gathered bytes, a staging buffer), one ticket per extent
-    /// segment. On cached volumes each segment goes through the tier,
-    /// which absorbs it into dirty frames (writing evicted ones home)
-    /// before its ticket is made.
-    fn submit_write_run(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
-        let Some(c) = self.vol.cache() else {
-            return self.submit_media_write(slot, dblock, data);
-        };
-        let bs = self.block_size();
+    /// segment. Through `cache`, each segment is absorbed into dirty
+    /// frames (writing evicted ones home) straight from its slice of
+    /// `data` before its ticket is made; the caller passes `None` to go
+    /// past a tier to the executor. There the common case, one segment
+    /// per run (extents merge at grow time), hands `data` over as it is;
+    /// a run that crosses segments copies each into a buffer of its own,
+    /// once.
+    fn submit_write_run(
+        &self,
+        slot: usize,
+        dblock: u64,
+        data: Box<[u8]>,
+        cache: Option<&Arc<VolumeCache>>,
+    ) -> Vec<RunTicket> {
+        let (bs, staging) = (self.block_size(), self.vol.staging());
         let segs = self.run_segments(slot, dblock, (data.len() / bs) as u64);
-        let vdev = self.slot_vdev(slot);
+        let cache = cache.map(|c| (c, self.slot_vdev(slot)));
+        if let (None, [(dev, abs, _)]) = (cache, &segs[..]) {
+            return vec![self.paced(RunTicket::Dev(dev.submit_write_blocks(*abs, data)))];
+        }
         let mut rest = &data[..];
-        let submit = |(_, abs, n): (DeviceRef, u64, u64)| {
+        let submit = |(dev, abs, n): (DeviceRef, u64, u64)| {
             let (seg, tail) = rest.split_at(n as usize * bs);
             rest = tail;
-            let absorbed = c.submit_write(vdev, abs, seg).map(|()| Box::default());
-            RunTicket::Dev(Ticket::ready(absorbed))
+            let ticket = match cache {
+                Some((c, vdev)) => {
+                    Ticket::ready(c.submit_write(vdev, abs, seg).map(|()| Box::default()))
+                }
+                None => {
+                    let mut own = staging.take(seg.len());
+                    own.copy_from_slice(seg);
+                    dev.submit_write_blocks(abs, own)
+                }
+            };
+            self.paced(RunTicket::Dev(ticket))
         };
         let out = segs.into_iter().map(submit).collect();
-        self.vol.staging().give(data);
-        out
-    }
-
-    /// [`RawFile::submit_write_run`] straight to the executor, whether or
-    /// not a cache tier fronts it.
-    fn submit_media_write(&self, slot: usize, dblock: u64, data: Box<[u8]>) -> Vec<RunTicket> {
-        let bs = self.block_size();
-        let staging = self.vol.staging();
-        let segs = self.run_segments(slot, dblock, (data.len() / bs) as u64);
-        // The common case is one segment per run (extents merge at grow
-        // time): the gathered buffer is handed over as it is. A run that
-        // crosses segments copies each into a buffer of its own, once.
-        let submit = |dev: DeviceRef, abs, seg| {
-            self.paced(RunTicket::Dev(dev.submit_write_blocks(abs, seg)))
-        };
-        if let [(dev, abs, _)] = &segs[..] {
-            return vec![submit(Arc::clone(dev), *abs, data)];
-        }
-        let mut rest = &data[..];
-        let mut out = Vec::with_capacity(segs.len());
-        for (dev, abs, n) in segs {
-            let (head, tail) = rest.split_at(n as usize * bs);
-            let mut seg = staging.take(head.len());
-            seg.copy_from_slice(head);
-            out.push(submit(dev, abs, seg));
-            rest = tail;
-        }
         staging.give(data);
         out
     }
 
     /// Wait out one run's read tickets against layout slot `slot`: the
-    /// segment buffers in device order, or the run's error — a final one
-    /// ahead of a [`recoverable`] one, which callers answer by trying
+    /// run's rows in one staging buffer — a run that crosses extent
+    /// segments joined in device order — or the run's error — a final
+    /// one ahead of a [`recoverable`] one, which callers answer by trying
     /// the next copy. Every ticket is waited, so nothing completes behind
     /// our back, and the run's outcome feeds the health board.
-    fn wait_read_run(&self, slot: usize, tickets: Vec<RunTicket>) -> Result<Vec<Box<[u8]>>> {
+    fn wait_read_run(&self, slot: usize, tickets: Vec<RunTicket>) -> Result<Box<[u8]>> {
         let cache = self.vol.cache();
         let mut outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait(cache)).collect();
         let is_final = |o: &pario_disk::Result<_>| matches!(o, Err(e) if !recoverable(e));
-        let run = match outcomes.iter().position(is_final) {
-            Some(i) => outcomes.swap_remove(i).map(|b| vec![b]),
-            None => outcomes.into_iter().collect(),
+        // The first error, a final one first; else the one segment's
+        // buffer as it is; else the segments joined.
+        let failed = outcomes.iter().position(is_final);
+        let failed = failed.or_else(|| outcomes.iter().position(|o| o.is_err()));
+        let run = match failed.or((outcomes.len() == 1).then_some(0)) {
+            Some(i) => outcomes.swap_remove(i),
+            None => {
+                let staging = self.vol.staging();
+                let mut joined = staging.take(outcomes.iter().flatten().map(|s| s.len()).sum());
+                let mut at = 0;
+                for seg in outcomes.into_iter().flatten() {
+                    joined[at..at + seg.len()].copy_from_slice(&seg);
+                    at += seg.len();
+                    staging.give(seg);
+                }
+                Ok(joined)
+            }
         };
         self.settle(self.slot_vdev(slot), run)
+    }
+
+    /// Read runs `(slot, first row, rows)` in one wave: every run is
+    /// submitted (cache tier or executor) before any is waited for, so on
+    /// devices slower than a hand-off they overlap; an idle I/O node whose
+    /// transfers cost less than waking its worker runs the read on the
+    /// calling thread instead (DESIGN §7). Every run is waited out, in
+    /// order, and feeds the health board.
+    fn read_wave(
+        &self,
+        runs: impl IntoIterator<Item = (usize, u64, u64)>,
+    ) -> Vec<Result<Box<[u8]>>> {
+        let submit = |(slot, row, n)| (slot, self.submit_read_run(slot, row, n, false));
+        let inflight: Vec<_> = runs.into_iter().map(submit).collect();
+        let wait = |(slot, tickets)| self.wait_read_run(slot, tickets);
+        inflight.into_iter().map(wait).collect()
     }
 
     /// Wait out one run's write tickets against layout slot `slot`,
@@ -1215,9 +1200,9 @@ impl RawFile {
     /// both copies went through), is waited out copy by copy instead.
     fn race_read_runs(
         &self,
-        (slot_a, mut a): (usize, Vec<RunTicket>),
-        (slot_b, mut b): (usize, Vec<RunTicket>),
-    ) -> Result<Vec<Box<[u8]>>> {
+        (slot_a, mut a): Replica,
+        (slot_b, mut b): Replica,
+    ) -> Result<Box<[u8]>> {
         let raceable = |t: &[RunTicket]| matches!(t, [RunTicket::Dev(_)]);
         if !(raceable(&a) && raceable(&b)) {
             let first = self.wait_read_run(slot_a, a);
@@ -1228,48 +1213,20 @@ impl RawFile {
             unreachable!("both runs are one executor ticket");
         };
         let observed = [slot_a, slot_b].into_iter().zip(Ticket::race(ta, tb));
-        let settled: Vec<_> = observed
-            .filter_map(|(slot, o)| Some(self.settle(self.slot_vdev(slot), o?.map(|d| vec![d]))))
-            .collect();
-        let outcome = settled.into_iter().reduce(|a, b| a.or(b));
+        let settled = observed.filter_map(|(slot, o)| Some(self.settle(self.slot_vdev(slot), o?)));
+        let outcome = settled.reduce(|a, b| a.or(b));
         // invariant: a race reports at least one outcome.
         outcome.expect("race observed no completion")
     }
 
-    /// A run's segment buffers as one staging buffer, in device order.
-    fn concat(&self, mut bufs: Vec<Box<[u8]>>) -> Box<[u8]> {
-        if bufs.len() == 1 {
-            // invariant: just checked bufs.len() == 1.
-            return bufs.pop().expect("one segment");
-        }
-        let staging = self.vol.staging();
-        let mut whole = staging.take(bufs.iter().map(|b| b.len()).sum());
-        let mut at = 0;
-        for seg in bufs {
-            whole[at..at + seg.len()].copy_from_slice(&seg);
-            at += seg.len();
-            staging.give(seg);
-        }
-        whole
-    }
-
-    /// Land a run that was read: scatter its segment buffers into the
-    /// span's buffer and hand the staging back.
-    fn land(&self, first: u64, buf: &mut [u8], m: &MergedRun, bufs: Vec<Box<[u8]>>) {
-        let staging = self.concat(bufs);
-        self.scatter(first, buf, m, &staging);
-        self.vol.staging().give(staging);
-    }
-
-    /// Scatter run `m`'s device blocks (`staging`, from row `m.dblock`)
-    /// into the buffer of the span that starts at logical block `first`,
-    /// piece by piece ([`RawFile::pieces`]): a parity hole the run read
-    /// through is skipped.
-    fn scatter(&self, first: u64, buf: &mut [u8], m: &MergedRun, staging: &[u8]) {
+    /// Scatter run `m`'s device blocks (`run`, a staging buffer from row
+    /// `m.dblock`) into the buffer of the span that starts at logical
+    /// block `first`, piece by piece ([`RawFile::pieces`]) — a parity
+    /// hole the run read through is skipped — and hand the staging back.
+    fn scatter(&self, first: u64, buf: &mut [u8], m: &MergedRun, run: Box<[u8]>) {
         let n = self.rows_in(buf);
-        self.pieces(first, n, m, |to, from| {
-            buf[to].copy_from_slice(&staging[from])
-        });
+        self.pieces(first, n, m, |to, from| buf[to].copy_from_slice(&run[from]));
+        self.vol.staging().give(run);
     }
 
     /// Split a read's outcome by who answers it: a [`recoverable`]
@@ -1394,7 +1351,7 @@ impl RawFile {
                     None => (self.wait_read_run(primary.0, primary.1), other),
                 };
                 match Self::soft(res)? {
-                    Ok(bufs) => self.land(first, buf, &m, bufs),
+                    Ok(run) => self.scatter(first, buf, &m, run),
                     Err(e) => self.retry(&mut r, m, next, e),
                 }
             }
@@ -1424,9 +1381,11 @@ impl RawFile {
     /// Recover what a parity read could not get from its home device,
     /// under ONE hold of rows `[r0, r1)`: those rows of every
     /// surviving device — parity included, one run per device, one wave
-    /// — XOR to the lost device's column ([`xor_rows`]), trimmed where a
-    /// partial last stripe leaves a device a row short (the row it lacks
-    /// is zeros to the parity). `lost` are runs already tried; `pending`
+    /// ([`RawFile::read_wave`]) — XOR to the lost device's column
+    /// ([`xor_rows`]), trimmed where a partial last stripe leaves a
+    /// device a row short (the row it lacks is zeros to the parity).
+    /// Every column, the rebuilt one too, is then scattered into `buf`.
+    /// `lost` are runs already tried; `pending`
     /// are the span's runs not read yet, when the board said a device was
     /// down before anything was submitted: they join the wave widened to
     /// the span's whole row range, so each surviving column is read once
@@ -1434,7 +1393,7 @@ impl RawFile {
     /// lost, and a Failed slot is probed with its own run. The survivors
     /// are always read here, holding the rows — never reused from a wave
     /// that ran without them, where a concurrent
-    /// [`RawFile::parity_write`] could leave data and parity from
+    /// [`RawFile::submit_parity`] could leave data and parity from
     /// different writes.
     fn reconstruct(
         &self,
@@ -1448,7 +1407,7 @@ impl RawFile {
         // Whichever run turns out lost, every survivor must cover its rows.
         let Range { start: r0, end: r1 } = rows_of(lost.iter().map(|(m, _)| m).chain(&pending));
         let _rows = self.lock_rows(r0..r1);
-        let mut inflight = Vec::new();
+        let mut survivors = Vec::new();
         for slot in 0..ps.devices() {
             if lost.iter().any(|(m, _)| m.device == slot) {
                 continue;
@@ -1471,38 +1430,32 @@ impl RawFile {
             m.dblock = m.dblock.min(r0);
             m.count = end.saturating_sub(m.dblock);
             if m.count > 0 {
-                let tickets = self.submit_read_run(slot, m.dblock, m.count, false);
-                inflight.push((m, tickets));
+                survivors.push(m);
             }
         }
-        let mut columns = Vec::with_capacity(inflight.len());
-        for (m, tickets) in inflight {
-            match Self::soft(self.wait_read_run(m.device, tickets))? {
-                Ok(bufs) => {
-                    let staging = self.concat(bufs);
-                    self.scatter(first, buf, &m, &staging);
-                    columns.push((m, staging));
-                }
+        let reads = self.read_wave(survivors.iter().map(|m| (m.device, m.dblock, m.count)));
+        let mut columns = Vec::with_capacity(survivors.len() + 1);
+        for (m, read) in survivors.into_iter().zip(reads) {
+            match Self::soft(read)? {
+                Ok(column) => columns.push((m, column)),
                 Err(e) => lost.push((m, e)),
             }
         }
-        let staging = self.vol.staging();
-        let Some((m, e)) = lost.pop() else {
-            columns.into_iter().for_each(|(_, data)| staging.give(data));
-            return Ok(());
-        };
-        if !lost.is_empty() {
-            // One parity block per stripe absorbs one lost device.
-            return Err(e.into());
+        if let Some((m, e)) = lost.pop() {
+            if !lost.is_empty() {
+                // One parity block per stripe absorbs one lost device.
+                return Err(e.into());
+            }
+            let mut column = self.vol.staging().take(m.count as usize * bs);
+            column.fill(0);
+            for (peer, data) in &columns {
+                xor_rows(&mut column, m.dblock, data, peer.dblock, bs);
+            }
+            columns.push((m, column));
         }
-        let mut column = staging.take(m.count as usize * bs);
-        column.fill(0);
-        for (peer, data) in &columns {
-            xor_rows(&mut column, m.dblock, data, peer.dblock, bs);
+        for (m, column) in columns {
+            self.scatter(first, buf, &m, column);
         }
-        self.scatter(first, buf, &m, &column);
-        columns.into_iter().for_each(|(_, data)| staging.give(data));
-        staging.give(column);
         Ok(())
     }
 
@@ -1591,7 +1544,10 @@ impl RawFile {
                 (MergedRun { device, ..m }, copy)
             });
             for (m, run) in [(m, gathered)].into_iter().chain(copy) {
-                runs.push((m, self.submit_write_run(m.device, m.dblock, run)));
+                runs.push((
+                    m,
+                    self.submit_write_run(m.device, m.dblock, run, self.vol.cache()),
+                ));
             }
         }
         runs
@@ -2315,40 +2271,67 @@ mod tests {
         assert!(reqs <= 16, "expected coalesced requests, got {reqs}");
     }
 
-    /// Files grown in turn interleave their extents, so one device run
-    /// crosses extent segments: each segment is one device write of
-    /// exactly its blocks — data, mirror copies and parity rows alike —
-    /// and the span reads back.
-    #[test]
-    fn a_run_across_extent_segments_writes_each_segment_once() {
+    /// The layouts whose runs cross extent segments below: striped,
+    /// shadowed and rotated parity, each over four devices at most.
+    fn segmented_specs() -> [LayoutSpec; 3] {
         let striped = LayoutSpec::Striped {
             devices: 2,
             unit: 1,
         };
-        let specs = [
+        [
             striped.clone(),
             LayoutSpec::Shadowed(Box::new(striped)),
             LayoutSpec::Parity {
                 data_devices: 3,
                 rotated: true,
             },
-        ];
-        for spec in specs {
-            let v = vol(4);
-            let create = |name| FileSpec::new(name, BS, 1, spec.clone());
-            let f = v.create_file(create("f")).unwrap();
-            let g = v.create_file(create("g")).unwrap();
-            for step in 1..=4 {
-                f.ensure_capacity_records(step * 12).unwrap();
-                g.ensure_capacity_records(step * 12).unwrap();
-            }
+        ]
+    }
+
+    /// Files `f` and `g` of layout `spec` on a fresh volume, grown in
+    /// turn so that their extents interleave: every slot of `f` holds
+    /// its rows in more than one extent segment.
+    fn segmented(spec: &LayoutSpec) -> (Volume, RawFile, RawFile) {
+        let v = vol(4);
+        let create = |name| FileSpec::new(name, BS, 1, spec.clone());
+        let f = v.create_file(create("f")).unwrap();
+        let g = v.create_file(create("g")).unwrap();
+        for step in 1..=4 {
+            f.ensure_capacity_records(step * 12).unwrap();
+            g.ensure_capacity_records(step * 12).unwrap();
+        }
+        let extents = f.meta_snapshot().extents;
+        assert!(extents.iter().all(|e| e.len() > 1), "{spec:?}: {extents:?}");
+        (v, f, g)
+    }
+
+    /// The whole of `f`, a pattern of its own for each `seed`, written
+    /// as one span.
+    fn write_whole(f: &RawFile, seed: u8) -> Vec<u8> {
+        let data: Vec<u8> = (0..f.nblocks() as usize * BS)
+            .map(|i| (i % 239) as u8 ^ seed)
+            .collect();
+        f.write_span(0, &data).unwrap();
+        data
+    }
+
+    /// Device reads across the volume's four devices since `before`.
+    fn reads_since(v: &Volume, before: &[pario_disk::IoCounters]) -> u64 {
+        let now = (0..4).map(|d| v.device(d).counters().reads);
+        now.zip(before).map(|(n, b)| n - b.reads).sum()
+    }
+
+    /// Files grown in turn interleave their extents, so one device run
+    /// crosses extent segments: each segment is one device write of
+    /// exactly its blocks — data, mirror copies and parity rows alike —
+    /// and the span reads back.
+    #[test]
+    fn a_run_across_extent_segments_writes_each_segment_once() {
+        for spec in segmented_specs() {
+            let (v, f, _) = segmented(&spec);
             let extents = f.meta_snapshot().extents;
-            assert!(extents.iter().all(|e| e.len() > 1), "{spec:?}: {extents:?}");
             let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
-            let data: Vec<u8> = (0..f.nblocks() as usize * BS)
-                .map(|i| (i % 239) as u8)
-                .collect();
-            f.write_span(0, &data).unwrap();
+            let data = write_whole(&f, 0);
             let (mut writes, mut blocks) = (0, 0);
             for (d, b) in before.iter().enumerate() {
                 let c = v.device(d).counters();
@@ -2366,6 +2349,74 @@ mod tests {
             f.read_span(0, &mut out).unwrap();
             assert_eq!(out, data, "{spec:?}");
         }
+    }
+
+    /// A run that crosses extent segments is read as one buffer, its
+    /// segments joined in device order, whichever way it is read:
+    /// healthy, one device read per segment; on a parity file with a
+    /// device failed, through the segmented survivor columns the
+    /// reconstruction joins; and on a shadowed file whose primary is
+    /// Suspect, copy by copy — a run in several segments is not raced —
+    /// with every segment of both copies read. `g` is written after `f`
+    /// with other bytes, so a staging buffer a join takes holds none of
+    /// `f`'s: a segment the join dropped would read back as `g`'s.
+    #[test]
+    fn a_run_across_extent_segments_reads_back_joined() {
+        for spec in segmented_specs() {
+            let (v, f, g) = segmented(&spec);
+            let segments: Vec<u64> = f
+                .meta_snapshot()
+                .extents
+                .iter()
+                .map(|e| e.len() as u64)
+                .collect();
+            let data = write_whole(&f, 0);
+            write_whole(&g, 0xFF);
+            // A shadowed file reads its primaries, slots 0 and 1.
+            let read: u64 = match spec {
+                LayoutSpec::Shadowed(_) => segments[..2].iter().sum(),
+                _ => segments.iter().sum(),
+            };
+            let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
+            let mut out = vec![0u8; data.len()];
+            f.read_span(0, &mut out).unwrap();
+            assert!(out == data, "{spec:?}: healthy read");
+            assert_eq!(reads_since(&v, &before), read, "{spec:?}");
+        }
+
+        let [_, shadowed, parity] = segmented_specs();
+        let (v, f, g) = segmented(&parity);
+        let data = write_whole(&f, 0);
+        write_whole(&g, 0xFF);
+        v.device(f.slot_vdev(1)).fail();
+        let mut out = vec![0u8; data.len()];
+        f.read_span(0, &mut out).unwrap();
+        assert!(out == data, "parity read with slot 1 failed");
+
+        let (v, f, g) = segmented(&shadowed);
+        let segments: Vec<u64> = f
+            .meta_snapshot()
+            .extents
+            .iter()
+            .map(|e| e.len() as u64)
+            .collect();
+        let data = write_whole(&f, 0);
+        write_whole(&g, 0xFF);
+        let home = f.slot_vdev(0);
+        let transient = DiskError::Transient {
+            device: "primary".into(),
+        };
+        for _ in 0..v.health().policy().suspect_after {
+            v.health().note_error(home, &transient, || false);
+        }
+        assert_eq!(v.health().state(home), HealthState::Suspect);
+        let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
+        let mut out = vec![0u8; data.len()];
+        f.read_span(0, &mut out).unwrap();
+        assert!(out == data, "shadowed read with a Suspect primary");
+        // Slot 0 and its mirror, slot 2, in full; slot 1 alone.
+        let both = segments[0] + segments[2] + segments[1];
+        assert_eq!(reads_since(&v, &before), both);
     }
 
     #[test]
@@ -2442,7 +2493,7 @@ mod tests {
     /// Every row of layout slot `slot`, as the media holds it.
     fn rows_of(f: &RawFile, slot: usize) -> Vec<u8> {
         let mut rows = vec![0u8; f.device_blocks(slot) as usize * BS];
-        f.read_device_rows(&mut [(slot, 0, &mut rows[..])]).unwrap();
+        f.read_device_rows(slot, 0, &mut rows).unwrap();
         rows
     }
 
@@ -2502,9 +2553,8 @@ mod tests {
         let before: Vec<_> = (0..4).map(|d| v.device(d).counters()).collect();
         for (slot, at) in [(9, 0), (4, 0), (0, 10_000), (0, held), (0, u64::MAX)] {
             let errs = [
-                f.read_device_rows(&mut [(slot, at, &mut row[..])])
-                    .unwrap_err(),
-                f.write_device_rows(&[(slot, at, &row[..])]).unwrap_err(),
+                f.read_device_rows(slot, at, &mut row).unwrap_err(),
+                f.write_device_rows(slot, at, &row).unwrap_err(),
                 f.recover_rows(slot, at, &mut row).unwrap_err(),
             ];
             for err in errs {
@@ -2516,9 +2566,7 @@ mod tests {
             }
         }
         let mut two = vec![0u8; 2 * BS];
-        let err = f
-            .read_device_rows(&mut [(0, held - 1, &mut two[..])])
-            .unwrap_err();
+        let err = f.read_device_rows(0, held - 1, &mut two).unwrap_err();
         assert!(matches!(err, FsError::OutOfBounds { .. }), "{err:?}");
         for (d, was) in before.iter().enumerate() {
             let now = v.device(d).counters();

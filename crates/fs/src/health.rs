@@ -153,9 +153,17 @@ pub struct DeviceHealth {
     pub transient_errors: u64,
     /// Total permanent / unclassified errors observed.
     pub permanent_errors: u64,
-    /// Every state the device has been in, starting at Healthy.
+    /// The device's most recent states, oldest first and the current one
+    /// last: every state it has been in, starting at Healthy, while there
+    /// are at most 32 (`HISTORY`) of them, and the 32 most recent after
+    /// that, so a device that flaps Healthy ↔ Suspect keeps a record of
+    /// bounded size.
     pub transitions: Vec<HealthState>,
 }
+
+/// Most states a device's health record keeps
+/// ([`DeviceHealth::transitions`]).
+const HISTORY: usize = 32;
 
 /// Callback fired after a device changes state, with the board mutex
 /// already released (so the listener may take lower-ranked locks — the
@@ -274,6 +282,8 @@ impl HealthBoard {
         slot.state = to;
         slot.consecutive_ok = 0;
         slot.history.push(to);
+        slot.history
+            .drain(..slot.history.len().saturating_sub(HISTORY));
         self.streak[d].store(0, Ordering::SeqCst);
         self.mirror[d].store(to as u64, Ordering::SeqCst);
     }
@@ -513,6 +523,30 @@ mod tests {
                 HealthState::Healthy
             ]
         );
+    }
+
+    /// A device that flaps Healthy ↔ Suspect thousands of times keeps a
+    /// record of bounded size: the most recent states, a legal walk that
+    /// ends at the current state. A quiet device's record is untouched.
+    #[test]
+    fn a_flapping_device_keeps_a_bounded_history() {
+        let policy = HealthPolicy {
+            suspect_after: 1,
+            recover_after: 1,
+        };
+        let b = HealthBoard::new(2, policy);
+        for _ in 0..5_000 {
+            b.note_error(0, &transient(), || true);
+            b.note_ok(0);
+        }
+        let snap = b.snapshot();
+        let history = &snap[0].transitions;
+        assert_eq!(history.len(), HISTORY, "{} states kept", history.len());
+        let legal = history.windows(2).all(|w| legal_transition(w[0], w[1]));
+        assert!(legal, "{history:?}");
+        assert_eq!(history.last(), Some(&HealthState::Healthy));
+        assert_eq!(snap[0].transient_errors, 5_000);
+        assert_eq!(snap[1].transitions, vec![HealthState::Healthy]);
     }
 
     #[test]

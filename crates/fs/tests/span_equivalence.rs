@@ -220,8 +220,8 @@ proptest! {
         for slot in 0..streamed.layout().devices() {
             let blocks = streamed.device_blocks(slot).min(reference.device_blocks(slot));
             for dblock in 0..blocks {
-                streamed.read_device_rows(&mut [(slot, dblock, &mut a[..])]).unwrap();
-                reference.read_device_rows(&mut [(slot, dblock, &mut b[..])]).unwrap();
+                streamed.read_device_rows(slot, dblock, &mut a).unwrap();
+                reference.read_device_rows(slot, dblock, &mut b).unwrap();
                 prop_assert_eq!(&a, &b, "slot {} block {}", slot, dblock);
             }
         }
@@ -573,8 +573,8 @@ proptest! {
         for slot in 0..f.layout().devices() {
             prop_assert_eq!(f.device_blocks(slot), reference.device_blocks(slot));
             for dblock in 0..f.device_blocks(slot) {
-                f.read_device_rows(&mut [(slot, dblock, &mut a[..])]).unwrap();
-                reference.read_device_rows(&mut [(slot, dblock, &mut b[..])]).unwrap();
+                f.read_device_rows(slot, dblock, &mut a).unwrap();
+                reference.read_device_rows(slot, dblock, &mut b).unwrap();
                 prop_assert_eq!(&a, &b, "slot {} device block {}", slot, dblock);
             }
         }
@@ -636,11 +636,8 @@ fn parity_spans_match_the_per_block_reference_at_every_stripe_phase() {
                     for slot in 0..f.layout().devices() {
                         assert_eq!(f.device_blocks(slot), reference.device_blocks(slot));
                         for dblock in 0..f.device_blocks(slot) {
-                            f.read_device_rows(&mut [(slot, dblock, &mut a[..])])
-                                .unwrap();
-                            reference
-                                .read_device_rows(&mut [(slot, dblock, &mut b[..])])
-                                .unwrap();
+                            f.read_device_rows(slot, dblock, &mut a).unwrap();
+                            reference.read_device_rows(slot, dblock, &mut b).unwrap();
                             assert_eq!(
                                 a, b,
                                 "w={data_devices} rotated={rotated} span {first}+{len}: \
@@ -1203,8 +1200,7 @@ fn a_half_dead_mirror_pair_still_reads_and_writes_every_block() {
     let mut block = vec![0u8; BS];
     for (slot, stale) in [(0usize, 2u64), (1, 5)] {
         for dblock in 0..8u64 {
-            f.read_device_rows(&mut [(slot, dblock, &mut block[..])])
-                .unwrap();
+            f.read_device_rows(slot, dblock, &mut block).unwrap();
             let want = if dblock == stale { &data } else { &fresh };
             assert_eq!(
                 block,

@@ -406,8 +406,10 @@ impl Opened {
 /// [`pario_server::ServerStats`], including the latency percentiles.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSummary {
-    /// Sessions currently connected (one per network connection, plus
-    /// any in-process sessions).
+    /// Sessions the server has had since it started, connected or not
+    /// (one per network connection, plus any in-process sessions): the
+    /// server keeps every session's counters in its statistics after
+    /// the session ends.
     pub sessions: u64,
     /// Operations in flight right now.
     pub in_flight: u64,

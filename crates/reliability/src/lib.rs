@@ -16,7 +16,7 @@
 //!   volume nothing else uses).
 //! * [`ChecksumDevice`] — single-bit-error detection; combined with the
 //!   file layer's parity reconstruction it *corrects* bit errors.
-//! * [`scrub`] + [`snapshot_device`] / [`restore_device`] — the
+//! * [`scrub()`] + [`snapshot_device`] / [`restore_device`] — the
 //!   partial-rollback consistency demonstration; [`repair`] recomputes
 //!   blocks that read corrupt from the same rule.
 //! * [`audit_volume`] — volume-wide allocator/extent/directory

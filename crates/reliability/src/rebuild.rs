@@ -160,7 +160,7 @@ pub fn rebuild_device(
             let n = in_bursts(&raw, raw.device_blocks(slot), throttle, |row, n| {
                 rows.resize(n as usize * raw.block_size(), 0);
                 raw.recover_rows(slot, row, &mut rows)?;
-                raw.write_device_rows(&[(slot, row, &rows)])
+                raw.write_device_rows(slot, row, &rows)
             })?;
             replayed.push((name, n));
         }
@@ -281,7 +281,7 @@ mod tests {
     /// Every row of layout slot `slot`, as the media holds it.
     fn rows_of(f: &RawFile, slot: usize) -> Vec<u8> {
         let mut rows = vec![0u8; f.device_blocks(slot) as usize * BS];
-        f.read_device_rows(&mut [(slot, 0, &mut rows[..])]).unwrap();
+        f.read_device_rows(slot, 0, &mut rows).unwrap();
         rows
     }
 

@@ -54,7 +54,7 @@ pub fn repair(raw: &RawFile) -> Result<u64> {
         let members = (0..raw.layout().devices()).filter(|&slot| raw.device_blocks(slot) > s);
         let mut bad = None;
         for slot in members {
-            match raw.read_device_rows(&mut [(slot, s, &mut buf[..])]) {
+            match raw.read_device_rows(slot, s, &mut buf) {
                 Ok(()) => {}
                 Err(FsError::Disk(DiskError::Corruption { .. })) => {
                     if bad.replace(slot).is_some() {
@@ -69,7 +69,7 @@ pub fn repair(raw: &RawFile) -> Result<u64> {
         }
         if let Some(slot) = bad {
             raw.recover_rows(slot, s, &mut buf)?;
-            raw.write_device_rows(&[(slot, s, &buf)])?;
+            raw.write_device_rows(slot, s, &buf)?;
             repaired += 1;
         }
     }
@@ -185,7 +185,7 @@ mod tests {
         // Simulate the paper's independently-accessed PS/IS case: a
         // process updates "its" device directly without the parity RMW.
         let (_v, f) = setup();
-        f.write_device_rows(&[(1, 3, &[0xEE; BS][..])]).unwrap();
+        f.write_device_rows(1, 3, &[0xEE; BS]).unwrap();
         let bad = scrub(&f).unwrap();
         assert_eq!(bad, vec![3], "the bypassed stripe must be flagged");
     }

@@ -170,7 +170,8 @@ impl SessionStats {
 /// A point-in-time snapshot of the whole server.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
-    /// Per-session activity, in session-id order.
+    /// Per-session activity, in session-id order: every session the
+    /// server has had since it started, those that ended included.
     pub sessions: Vec<SessionStats>,
     /// Operations in flight right now.
     pub in_flight: usize,
