@@ -19,10 +19,12 @@
 //!   Reject` surfaces `Busy` to clients, who retry without ever losing
 //!   or duplicating a record.
 //!
-//! Every lane reports latency quantiles from the server histogram and
-//! the device-side queue-wait/service split from the volume executor's
-//! counters (`ServerStats::executor`).
+//! Every lane reports latency quantiles from the server histogram, the
+//! device-side queue-wait/service split from the volume executor's
+//! counters (`Volume::executor_stats`), and fairness: the fewest records
+//! a client delivered over the most.
 
+use std::sync::Mutex;
 use std::time::Duration;
 
 use pario_core::{Organization, ParallelFile};
@@ -45,9 +47,11 @@ const LIMIT: usize = 4;
 const OVERSUB_CLIENTS: usize = 16;
 
 /// Drain the SS file with `sessions` concurrent sessions; elapsed
-/// seconds. Panics on any duplicate, torn, or missing record.
-fn drain_ss(server: &Server, sessions: usize, retry_busy: bool) -> f64 {
+/// seconds and fairness (the fewest records a session delivered over
+/// the most). Panics on any duplicate, torn, or missing record.
+fn drain_ss(server: &Server, sessions: usize, retry_busy: bool) -> (f64, f64) {
     let ledger = Ledger::default();
+    let delivered = Mutex::new(Vec::with_capacity(sessions));
     let secs = clients(sessions, |_| {
         let sess = server.connect();
         let mut q = sess.open("queue", View::SelfSched).unwrap();
@@ -64,10 +68,16 @@ fn drain_ss(server: &Server, sessions: usize, retry_busy: bool) -> f64 {
                 Err(e) => panic!("read failed: {e}"),
             }
         }
+        delivered
+            .lock()
+            .expect("a client panicked")
+            .push(local.len());
         ledger.deliver(local);
     });
     ledger.complete(RECORDS);
-    secs
+    let delivered = delivered.into_inner().expect("a client panicked");
+    let (min, max) = (delivered.iter().min(), delivered.iter().max());
+    (secs, *min.unwrap() as f64 / *max.unwrap() as f64)
 }
 
 /// One run of one lane: a fresh server admitting `limit` operations,
@@ -82,14 +92,14 @@ fn ss_run(clients: usize, limit: usize, saturation: Saturation) -> Vec<(&'static
         &ParallelFile::create(server.volume(), "queue", org, BS, 1).unwrap(),
         RECORDS,
     );
-    let secs = drain_ss(&server, clients, matches!(saturation, Saturation::Reject));
+    let (secs, fairness) = drain_ss(&server, clients, matches!(saturation, Saturation::Reject));
     let st = server.stats();
     assert!(
         st.queue_depth_high_water <= limit,
         "admission must bound in-flight ops at {limit} (got {})",
         st.queue_depth_high_water
     );
-    let io = &st.executor;
+    let io = server.volume().executor_stats();
     vec![
         ("rec_per_sec", RECORDS as f64 / secs),
         ("p50_nanos", nanos(st.p50())),
@@ -103,7 +113,7 @@ fn ss_run(clients: usize, limit: usize, saturation: Saturation) -> Vec<(&'static
         ("admitted_ops_per_sec", st.total_admitted as f64 / secs),
         ("dev_queue_wait_secs", io.queue_wait_nanos as f64 / 1e9),
         ("dev_service_secs", io.service_nanos as f64 / 1e9),
-        ("fairness", st.fairness().unwrap_or(1.0)),
+        ("fairness", fairness),
     ]
 }
 

@@ -215,7 +215,7 @@ mod tests {
         pf.raw().read_record(8, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == rec_byte(8)));
         assert_eq!(pf.len_records(), 9);
-        assert!(server.stats().executor.serviced > 0);
+        assert!(server.volume().executor_stats().serviced > 0);
     }
 
     #[test]

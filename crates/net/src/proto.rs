@@ -407,9 +407,8 @@ impl Opened {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSummary {
     /// Sessions the server has had since it started, connected or not
-    /// (one per network connection, plus any in-process sessions): the
-    /// server keeps every session's counters in its statistics after
-    /// the session ends.
+    /// (one per network connection that sent a request, plus any
+    /// in-process sessions): [`pario_server::ServerStats::sessions`].
     pub sessions: u64,
     /// Operations in flight right now.
     pub in_flight: u64,

@@ -607,7 +607,7 @@ impl Conn {
                     let s = self.server.stats();
                     let mut w = WireWriter::new();
                     StatsSummary {
-                        sessions: s.sessions.len() as u64,
+                        sessions: s.sessions,
                         in_flight: s.in_flight as u64,
                         rejected: s.rejected,
                         total_admitted: s.total_admitted,

@@ -407,7 +407,7 @@ mod tests {
             }
             // All nine parked; release the held permit.
             while adm.stats().wait_high_water < 9 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::yield_now();
             }
             drop(hold);
         });

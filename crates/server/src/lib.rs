@@ -34,13 +34,14 @@
 //! In front of the data path sits a bounded admission queue with
 //! backpressure ([`Saturation::Block`]) or fail-fast
 //! ([`Saturation::Reject`] → [`ServerError::Busy`]) and round-robin
-//! fairness across sessions, plus a [`ServerStats`] snapshot (per-session
-//! ops, queue-depth high water, latency histogram, device queue
-//! attribution, per-device health) so load experiments are observable.
-//! When the volume's health board reports a degraded device, data-path
-//! failures surface as the typed [`ServerError::Degraded`] advisory —
-//! clients see a brownout naming the device, not an opaque disk error —
-//! and [`Server::advisory`] exposes the same signal on demand.
+//! fairness across sessions, plus a [`ServerStats`] snapshot of what the
+//! server owns (admissions, rejections, queue-depth high water, the
+//! latency histogram, sessions connected) so load experiments are
+//! observable; the volume's executor, health and cache numbers are read
+//! from the [`Volume`](pario_fs::Volume) itself. When the volume's health
+//! board reports a degraded device, data-path failures surface as the
+//! typed [`ServerError::Degraded`] advisory — clients see a brownout
+//! naming the device, not an opaque disk error.
 //!
 //! ```
 //! use pario_core::{Organization, ParallelFile};
@@ -76,8 +77,8 @@
 //!     }
 //! }
 //! assert_eq!(served, 100);
-//! // Ops counted per request (including the end-of-file probes).
-//! assert!(server.stats().total_ops() >= 100);
+//! // Ops admitted per request (including the end-of-file probes).
+//! assert!(server.stats().total_admitted >= 100);
 //! ```
 
 #![warn(missing_docs)]
@@ -90,4 +91,4 @@ mod stats;
 pub use admission::{Admission, AdmissionStats, Permit, Saturation};
 pub use error::{Result, ServerError};
 pub use session::{DirectClient, Handle, LockedRange, Server, ServerConfig, Session, View};
-pub use stats::{quantile_nanos, LatencyBucket, LatencyHistogram, ServerStats, SessionStats};
+pub use stats::{quantile_nanos, LatencyBucket, LatencyHistogram, ServerStats};

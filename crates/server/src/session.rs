@@ -24,7 +24,7 @@ use pario_fs::{FsError, GlobalReader, GlobalWriter, RangeLocks, Volume};
 
 use crate::admission::{Admission, Saturation};
 use crate::error::{Result, ServerError};
-use crate::stats::{LatencyHistogram, ServerStats, SessionCounters, SessionStats};
+use crate::stats::{LatencyHistogram, ServerStats};
 
 /// Tuning knobs for a [`Server`].
 #[derive(Copy, Clone, Debug)]
@@ -96,7 +96,6 @@ struct Inner {
     admission: Admission,
     latency: LatencyHistogram,
     files: Mutex<HashMap<String, Arc<FileEntry>>>,
-    sessions: Mutex<Vec<(u64, Arc<SessionCounters>)>>,
     next_session: AtomicU64,
 }
 
@@ -144,7 +143,6 @@ impl Server {
                 admission: Admission::new(config.max_in_flight, config.saturation),
                 latency: LatencyHistogram::default(),
                 files: Mutex::new(HashMap::new()),
-                sessions: Mutex::new(Vec::new()),
                 next_session: AtomicU64::new(0),
             }),
         }
@@ -158,58 +156,29 @@ impl Server {
     /// Connect a new client session.
     pub fn connect(&self) -> Session {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed); // ordering: id allocation needs uniqueness, not ordering
-        let counters = Arc::new(SessionCounters::default());
-        self.inner.sessions.lock().push((id, Arc::clone(&counters)));
         Session {
             inner: Arc::clone(&self.inner),
             id,
-            counters,
         }
     }
 
     /// Snapshot server-wide statistics.
     pub fn stats(&self) -> ServerStats {
-        let sessions = self
-            .inner
-            .sessions
-            .lock()
-            .iter()
-            .map(|(id, c)| SessionStats {
-                id: *id,
-                reads: c.reads.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
-                writes: c.writes.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
-            })
-            .collect();
         ServerStats::from_parts(
-            sessions,
+            self.inner.next_session.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
             self.inner.admission.stats(),
             self.inner.latency.snapshot(),
-            self.inner.volume.executor_stats(),
-            self.inner.volume.health_snapshot(),
-            self.inner.volume.cache_stats(),
         )
-    }
-
-    /// The current brownout advisory, if any: the first degraded device
-    /// as a ready-made [`ServerError::Degraded`]. Clients can poll this
-    /// to distinguish "volume browned out" from "my request was wrong".
-    pub fn advisory(&self) -> Option<ServerError> {
-        self.inner
-            .volume
-            .health()
-            .first_degraded()
-            .map(|(device, state)| ServerError::Degraded { device, state })
     }
 }
 
 /// One client's connection to a [`Server`]. Sessions are independent —
 /// hand them to separate threads — and open [`Handle`]s, one view of a
-/// file each. Clones share the session identity (id and counters).
+/// file each. Clones share the session id.
 #[derive(Clone)]
 pub struct Session {
     inner: Arc<Inner>,
     id: u64,
-    counters: Arc<SessionCounters>,
 }
 
 impl Session {
@@ -219,37 +188,28 @@ impl Session {
     }
 
     /// Run one data operation: admission permit, the transfer, then
-    /// latency and per-session accounting. Latency includes admission
-    /// wait — that is the latency the client observes.
+    /// its latency. Latency includes admission wait — that is the
+    /// latency the client observes.
     ///
     /// A disk-level failure on a volume whose health board blames a
     /// degraded device is rewritten into the typed
     /// [`ServerError::Degraded`] advisory: the client learns *which*
     /// device browned out and that redundant layouts keep serving,
     /// instead of an opaque device error.
-    fn run<T>(&self, write: bool, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    fn run<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
         let t0 = Instant::now();
         let permit = self.inner.admission.acquire(self.id)?;
         let r = f();
         drop(permit);
         self.inner.latency.record(t0.elapsed());
         match r {
-            Ok(v) => {
-                let c = if write {
-                    &self.counters.writes
-                } else {
-                    &self.counters.reads
-                };
-                c.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stats counter; read only by diagnostic snapshots
-                Ok(v)
-            }
             Err(ServerError::Core(CoreError::Fs(FsError::Disk(e)))) => {
                 Err(match self.inner.volume.health().first_degraded() {
                     Some((device, state)) => ServerError::Degraded { device, state },
                     None => ServerError::Core(CoreError::Fs(FsError::Disk(e))),
                 })
             }
-            Err(e) => Err(e),
+            r => r,
         }
     }
 
@@ -397,12 +357,12 @@ impl Handle {
     pub fn read_next(&mut self, out: &mut [u8]) -> Result<Option<u64>> {
         let sess = &self.sess;
         match &mut self.cursor {
-            Cursor::Seq(s) => sess.run(false, || {
+            Cursor::Seq(s) => sess.run(|| {
                 let r = s.0.position();
                 Ok(s.0.read_record(out)?.then_some(r))
             }),
-            Cursor::Ss(reader, _) => sess.run(false, || Ok(reader.read_next(out)?)),
-            Cursor::Proc(v) => sess.run(false, || Ok(v.read_next(out)?)),
+            Cursor::Ss(reader, _) => sess.run(|| Ok(reader.read_next(out)?)),
+            Cursor::Proc(v) => sess.run(|| Ok(v.read_next(out)?)),
             Cursor::Dir(_) => Err(self.not_served()),
         }
     }
@@ -420,15 +380,15 @@ impl Handle {
         }
         let (sess, entry) = (&self.sess, &self.entry);
         match &mut self.cursor {
-            Cursor::Seq(s) => sess.run(true, || {
+            Cursor::Seq(s) => sess.run(|| {
                 let w =
                     s.1.get_or_insert_with(|| GlobalWriter::append(entry.pfile.raw().clone()));
                 let r = w.position();
                 w.write_record(data)?;
                 Ok(r)
             }),
-            Cursor::Ss(_, writer) => sess.run(true, || Ok(writer.write_next(data)?)),
-            Cursor::Proc(v) => sess.run(true, || Ok(v.write_next(data)?)),
+            Cursor::Ss(_, writer) => sess.run(|| Ok(writer.write_next(data)?)),
+            Cursor::Proc(v) => sess.run(|| Ok(v.write_next(data)?)),
             Cursor::Dir(_) => Err(self.not_served()),
         }
     }
@@ -441,10 +401,10 @@ impl Handle {
     /// `None` at the end.
     pub fn read_next_block(&mut self, out: &mut [u8]) -> Result<Option<(u64, usize)>> {
         match &mut self.cursor {
-            Cursor::Ss(reader, _) => self.sess.run(false, || Ok(reader.read_next_block(out)?)),
+            Cursor::Ss(reader, _) => self.sess.run(|| Ok(reader.read_next_block(out)?)),
             cursor => {
                 let v = process_view(cursor, self.view, false)?;
-                self.sess.run(false, || Ok(v.read_next_block(out)?))
+                self.sess.run(|| Ok(v.read_next_block(out)?))
             }
         }
     }
@@ -453,7 +413,7 @@ impl Handle {
     /// record's index.
     pub fn write_next_block(&mut self, data: &[u8]) -> Result<u64> {
         let v = process_view(&mut self.cursor, self.view, false)?;
-        self.sess.run(true, || Ok(v.write_next_block(data)?))
+        self.sess.run(|| Ok(v.write_next_block(data)?))
     }
 
     /// Publish the length written: S flushes its buffered appends, SS
@@ -494,7 +454,7 @@ impl Handle {
         match (&self.cursor, self.view) {
             (Cursor::Proc(v), View::Partition(_)) => {
                 self.inside(r)?;
-                self.sess.run(false, || Ok(v.read_record(r, out)?))
+                self.sess.run(|| Ok(v.read_record(r, out)?))
             }
             (Cursor::Dir(d), _) => d.read_record(r, out),
             _ => Err(self.not_served()),
@@ -508,7 +468,7 @@ impl Handle {
         match (&self.cursor, self.view) {
             (Cursor::Proc(v), View::Partition(_)) => {
                 self.inside(r)?;
-                self.sess.run(true, || Ok(v.write_record(r, data)?))
+                self.sess.run(|| Ok(v.write_record(r, data)?))
             }
             (Cursor::Dir(d), _) => d.write_record(r, data),
             _ => Err(self.not_served()),
@@ -562,8 +522,7 @@ impl DirectClient {
 
     /// Read record `r`.
     pub fn read_record(&self, r: u64, out: &mut [u8]) -> Result<()> {
-        self.sess
-            .run(false, || Ok(self.handle.read_record(r, out)?))
+        self.sess.run(|| Ok(self.handle.read_record(r, out)?))
     }
 
     /// Write record `r` under a byte-range lock (extends the file).
@@ -573,7 +532,7 @@ impl DirectClient {
     /// cross-session readers keep the uncached durability semantics.
     pub fn write_record(&self, r: u64, data: &[u8]) -> Result<()> {
         let (lo, hi) = self.entry.byte_range(r, 1)?;
-        self.sess.run(true, || {
+        self.sess.run(|| {
             let _g = self.entry.ranges.acquire(lo, hi);
             self.handle.write_record(r, data)?;
             self.entry.flush_span(lo, hi)
@@ -586,7 +545,7 @@ impl DirectClient {
     /// file with a zeroed record when `r` is past the end.
     pub fn update(&self, r: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
         let (lo, hi) = self.entry.byte_range(r, 1)?;
-        self.sess.run(true, || {
+        self.sess.run(|| {
             let _g = self.entry.ranges.acquire(lo, hi);
             let mut buf = vec![0u8; self.entry.pfile.record_size()];
             if r < self.handle.len_records() {
@@ -634,8 +593,7 @@ impl DirectClient {
         if !Arc::ptr_eq(&lock.entry, &self.entry) || lo < lock.lo || hi > lock.hi {
             return Err(ServerError::RangeNotLocked { lo, hi });
         }
-        self.sess
-            .run(true, || Ok(self.handle.write_record(r, data)?))
+        self.sess.run(|| Ok(self.handle.write_record(r, data)?))
     }
 
     /// Release an explicit range lock, flushing the locked span of the

@@ -1,15 +1,12 @@
-//! Observability for load experiments: per-session operation counts,
-//! admission-queue water marks, and a log-linear latency histogram
-//! that device-level statistics ([`IoNodeStats`]) can be laid against to
-//! attribute time to device queues vs. transfers.
+//! What the server itself observes: admission-queue water marks, the
+//! sessions connected since start, and a log-linear latency histogram.
+//! The volume's own numbers (executor, health board, cache tier) are
+//! read from the [`Volume`](pario_fs::Volume) that owns them.
 
 use std::sync::atomic::Ordering;
 
 use pario_check::{AtomicU64, AtomicUsize};
 use std::time::Duration;
-
-use pario_disk::IoNodeStats;
-use pario_fs::{DeviceHealth, HealthState, VolumeCacheStats};
 
 use crate::admission::AdmissionStats;
 
@@ -142,37 +139,12 @@ pub fn quantile_nanos(buckets: &[LatencyBucket], q: f64) -> Option<u64> {
     buckets.last().map(|b| b.le_nanos)
 }
 
-/// Live operation counters for one session.
-#[derive(Default)]
-pub(crate) struct SessionCounters {
-    pub(crate) reads: AtomicU64,
-    pub(crate) writes: AtomicU64,
-}
-
-/// A snapshot of one session's activity.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Session id (as returned at connect time).
-    pub id: u64,
-    /// Read operations completed.
-    pub reads: u64,
-    /// Write operations completed.
-    pub writes: u64,
-}
-
-impl SessionStats {
-    /// Total operations.
-    pub fn ops(&self) -> u64 {
-        self.reads + self.writes
-    }
-}
-
 /// A point-in-time snapshot of the whole server.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
-    /// Per-session activity, in session-id order: every session the
-    /// server has had since it started, those that ended included.
-    pub sessions: Vec<SessionStats>,
+    /// Sessions connected since the server started, those that ended
+    /// included.
+    pub sessions: u64,
     /// Operations in flight right now.
     pub in_flight: usize,
     /// Queue-depth high water: the most operations ever admitted at
@@ -183,43 +155,13 @@ pub struct ServerStats {
     /// Requests rejected with `Busy`.
     pub rejected: u64,
     /// Cumulative operations ever admitted, across all sessions.
-    /// Experiments compute achieved (goodput) rates from this without
-    /// diffing per-session counters.
+    /// Experiments compute achieved (goodput) rates from this.
     pub total_admitted: u64,
     /// End-to-end operation latency histogram (admission wait included).
     pub latency: Vec<LatencyBucket>,
-    /// Aggregate statistics of the volume's I/O executor, the one
-    /// worker per device every volume fronts its devices with: lets
-    /// callers split end-to-end latency into device queue wait vs.
-    /// transfer time.
-    pub executor: IoNodeStats,
-    /// Per-device health from the volume's health state machine, in
-    /// device order: state, error tallies, and the transition history
-    /// (Healthy → Suspect → Failed → Rebuilding → Healthy).
-    pub health: Vec<DeviceHealth>,
-    /// Volume cache tier counters (hits, misses, coalesced submits,
-    /// invalidations), when the volume has a [`VolumeCacheStats`] tier enabled;
-    /// `None` on an uncached volume.
-    pub cache: Option<VolumeCacheStats>,
 }
 
 impl ServerStats {
-    /// Total operations across all sessions.
-    pub fn total_ops(&self) -> u64 {
-        self.sessions.iter().map(|s| s.ops()).sum()
-    }
-
-    /// Devices currently not Healthy, as `(device, state)` pairs —
-    /// empty on a fully healthy volume.
-    pub fn degraded(&self) -> Vec<(usize, HealthState)> {
-        self.health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.state != HealthState::Healthy)
-            .map(|(i, h)| (i, h.state))
-            .collect()
-    }
-
     /// Approximate latency quantile over the snapshot's histogram, in
     /// nanoseconds (upper bound of the bucket holding the q-th op);
     /// `None` on an idle server.
@@ -242,24 +184,10 @@ impl ServerStats {
         self.latency_quantile(0.999)
     }
 
-    /// Fairness as min/max per-session ops (1.0 = perfectly fair).
-    /// `None` with fewer than two sessions or an idle server.
-    pub fn fairness(&self) -> Option<f64> {
-        if self.sessions.len() < 2 {
-            return None;
-        }
-        let min = self.sessions.iter().map(|s| s.ops()).min()?;
-        let max = self.sessions.iter().map(|s| s.ops()).max()?;
-        (max > 0).then(|| min as f64 / max as f64)
-    }
-
     pub(crate) fn from_parts(
-        sessions: Vec<SessionStats>,
+        sessions: u64,
         adm: AdmissionStats,
         latency: Vec<LatencyBucket>,
-        executor: IoNodeStats,
-        health: Vec<DeviceHealth>,
-        cache: Option<VolumeCacheStats>,
     ) -> ServerStats {
         ServerStats {
             sessions,
@@ -269,9 +197,6 @@ impl ServerStats {
             rejected: adm.rejected,
             total_admitted: adm.total_admitted,
             latency,
-            executor,
-            health,
-            cache,
         }
     }
 }
@@ -324,25 +249,5 @@ mod tests {
         assert_eq!(s.p99(), Some(4));
         assert_eq!(s.p999(), Some(8192));
         assert_eq!(s.latency_quantile(1.0), Some(8192));
-    }
-
-    #[test]
-    fn fairness_ratio() {
-        let mut s = ServerStats::default();
-        assert_eq!(s.fairness(), None);
-        s.sessions = vec![
-            SessionStats {
-                id: 0,
-                reads: 50,
-                writes: 0,
-            },
-            SessionStats {
-                id: 1,
-                reads: 90,
-                writes: 10,
-            },
-        ];
-        assert!((s.fairness().unwrap() - 0.5).abs() < 1e-9);
-        assert_eq!(s.total_ops(), 150);
     }
 }

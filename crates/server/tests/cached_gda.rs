@@ -80,9 +80,11 @@ fn cached_gda_updates_never_lose_increments() {
     let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
     assert_eq!(v, CLIENTS as u64 * PER_CLIENT, "lost increments");
 
-    // The cache tier carried the traffic and the server surfaces it.
-    let stats = server.stats();
-    let cache = stats.cache.expect("cached volume reports cache stats");
+    // The cache tier carried the traffic.
+    let cache = server
+        .volume()
+        .cache_stats()
+        .expect("cached volume reports cache stats");
     assert!(cache.base.hits > 0, "hot record must hit: {cache:?}");
 }
 
@@ -107,7 +109,7 @@ fn range_locked_write_is_durable_on_media_at_unlock() {
         );
     }
 
-    let stats = server.stats().cache.expect("cache stats");
+    let stats = server.volume().cache_stats().expect("cache stats");
     assert!(
         stats.base.writebacks > 0,
         "write-back tier flushed at unlock: {stats:?}"

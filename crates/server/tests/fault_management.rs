@@ -120,19 +120,22 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
                 }
                 std::thread::yield_now();
             }
-            // Brownout is visible to clients as a typed advisory, and
-            // in the stats snapshot.
-            match server.advisory() {
-                Some(ServerError::Degraded { device, state }) => {
-                    assert_eq!(device, FAULT_DEV);
-                    assert_eq!(state, HealthState::Failed);
-                }
-                other => return Err(format!("expected a Degraded advisory, got {other:?}")),
+            // The health board names the device a failed op's typed
+            // `Degraded` advisory blames, and no other device is down.
+            let blamed = vol.health().first_degraded();
+            let degraded: Vec<_> = vol
+                .health_snapshot()
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| h.state != HealthState::Healthy)
+                .map(|(d, h)| (d, h.state))
+                .collect();
+            let want = (FAULT_DEV, HealthState::Failed);
+            if blamed != Some(want) || degraded != [want] {
+                return Err(format!(
+                    "expected {want:?} alone degraded, got {blamed:?} of {degraded:?}"
+                ));
             }
-            assert_eq!(
-                server.stats().degraded(),
-                vec![(FAULT_DEV, HealthState::Failed)]
-            );
 
             // Online rebuild while the clients keep hammering the file.
             let before = ops.load(Ordering::SeqCst);
@@ -148,7 +151,12 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
             if report.shadow_resynced.len() != 1 {
                 return Err(format!("unexpected rebuild report {report:?}"));
             }
-            assert_eq!(vol.device_health(FAULT_DEV), HealthState::Healthy);
+            let health = vol.device_health(FAULT_DEV);
+            if health != HealthState::Healthy {
+                return Err(format!(
+                    "device {FAULT_DEV} is {health:?} after its rebuild"
+                ));
+            }
             if ops.load(Ordering::SeqCst) <= before {
                 return Err("foreground traffic stalled during the online rebuild".into());
             }
@@ -164,7 +172,7 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
 
     // The full cycle is on the record: Healthy → Failed → Rebuilding →
     // Healthy, with at most a Suspect hop from the transient schedule.
-    let snap = server.stats().health;
+    let snap = server.volume().health_snapshot();
     assert_eq!(snap.len(), 4);
     let cycle = [
         HealthState::Healthy,
@@ -185,7 +193,7 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
         snap[FAULT_DEV].transitions
     );
     assert!(snap.iter().all(|h| h.state == HealthState::Healthy));
-    assert!(server.advisory().is_none());
+    assert!(server.volume().health().first_degraded().is_none());
 
     // Zero data errors: every record reads back as one complete write,
     // with the rebuilt device serving (its mirror killed) and vice versa.
@@ -200,7 +208,33 @@ fn eight_clients_survive_fail_stop_and_online_rebuild() {
         }
         server.volume().device(dead).heal();
     }
-    let stats = server.stats();
-    assert!(stats.executor.serviced > 0);
+    assert!(server.volume().executor_stats().serviced > 0);
     assert!(fault.counts().failed_ops > 0, "the fail-stop never fired");
+}
+
+/// A data op that fails on a device the health board has marked down
+/// returns the typed advisory naming that device, not an opaque disk
+/// error; the ops on the other devices still succeed.
+#[test]
+fn a_failed_op_names_the_degraded_device() {
+    let volume = Volume::new(mem_array(4, 64, REC)).unwrap();
+    let pf = ParallelFile::create(&volume, "plain", Organization::GlobalDirect, REC, 1).unwrap();
+    let h = pf.direct_handle().unwrap();
+    for r in 0..4 {
+        h.write_record(r, &pat(r, 0)).unwrap();
+    }
+    let server = Server::new(volume, ServerConfig::default());
+    let d = server.connect().open_direct("plain").unwrap();
+    server.volume().device(FAULT_DEV).fail();
+    let mut buf = vec![0u8; REC];
+    let errors: Vec<_> = (0..4)
+        .filter_map(|r| d.read_record(r, &mut buf).err())
+        .collect();
+    assert_eq!(
+        errors,
+        vec![ServerError::Degraded {
+            device: FAULT_DEV,
+            state: HealthState::Failed
+        }]
+    );
 }

@@ -188,5 +188,8 @@ fn rejected_accesses_do_not_count_as_operations() {
     client.write_record(60, &[5; REC]).unwrap();
     client.read_record(60, &mut buf).unwrap();
     let stats = server.stats();
-    assert_eq!(stats.total_ops(), 2, "refused access must not be counted");
+    assert_eq!(
+        stats.total_admitted, 2,
+        "refused access must not be admitted"
+    );
 }

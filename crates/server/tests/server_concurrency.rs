@@ -45,32 +45,44 @@ fn ss_sessions_share_one_cursor_exactly_once() {
         },
     );
     let seen = Mutex::new(HashSet::new());
-    std::thread::scope(|s| {
-        for _ in 0..CLIENTS {
-            let sess = server.connect();
-            let seen = &seen;
-            s.spawn(move || {
-                let mut q = sess.open("queue", View::SelfSched).unwrap();
-                let mut buf = [0u8; REC];
-                while let Some(idx) = q.read_next(&mut buf).unwrap() {
-                    assert_eq!(buf, [idx as u8; REC], "torn record {idx}");
-                    assert!(seen.lock().unwrap().insert(idx), "record {idx} twice");
-                }
-            });
-        }
+    // Each client tallies the reads it completed, end-of-file included.
+    let reads: Vec<u64> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let sess = server.connect();
+                let seen = &seen;
+                s.spawn(move || {
+                    let mut q = sess.open("queue", View::SelfSched).unwrap();
+                    let mut buf = [0u8; REC];
+                    let mut reads = 0;
+                    loop {
+                        reads += 1;
+                        let Some(idx) = q.read_next(&mut buf).unwrap() else {
+                            return reads;
+                        };
+                        assert_eq!(buf, [idx as u8; REC], "torn record {idx}");
+                        assert!(seen.lock().unwrap().insert(idx), "record {idx} twice");
+                    }
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
     });
     assert_eq!(seen.into_inner().unwrap().len(), RECORDS as usize);
     let stats = server.stats();
-    assert_eq!(stats.sessions.len(), CLIENTS);
-    // Every session got work (each drained until it saw end-of-file).
-    assert!(stats.sessions.iter().all(|s| s.reads > 0));
+    assert_eq!(stats.sessions, CLIENTS as u64);
+    // Every session got work (each drained until it saw end-of-file),
+    // and the server admitted every read the clients completed.
+    assert!(reads.iter().all(|&n| n > 0));
+    assert_eq!(stats.total_admitted, reads.iter().sum::<u64>());
     // Admission kept the configured bound under 8 clients.
     assert!(stats.queue_depth_high_water <= 4);
     assert!(!stats.latency.is_empty());
     // Every device transfer flowed through the volume's I/O executor,
     // and the queues drained once the clients finished.
-    assert!(stats.executor.serviced > 0);
-    assert_eq!(stats.executor.in_flight, 0);
+    let io = server.volume().executor_stats();
+    assert!(io.serviced > 0);
+    assert_eq!(io.in_flight, 0);
 }
 
 #[test]
