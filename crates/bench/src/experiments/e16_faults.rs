@@ -9,6 +9,7 @@
 //! per-phase throughput and the slowest slice of its rebuild phase.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pario_disk::FaultPlan;
@@ -62,7 +63,7 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
     let ops = AtomicU64::new(0);
     let phase = AtomicUsize::new(0);
     // (elapsed, phase at sample time, cumulative ops) every SAMPLE tick.
-    let timeline = parking_lot::Mutex::new(Vec::<(Duration, usize, u64)>::new());
+    let timeline = Mutex::new(Vec::<(Duration, usize, u64)>::new());
     let t0 = Instant::now();
     let mut out = Vec::new();
 
@@ -87,7 +88,7 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
         s.spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 std::thread::sleep(SAMPLE);
-                timeline.lock().push((
+                timeline.lock().expect("the sampler panicked").push((
                     t0.elapsed(),
                     phase.load(Ordering::SeqCst),
                     ops.load(Ordering::Relaxed),
@@ -135,7 +136,7 @@ fn fault_cycle() -> Vec<(&'static str, f64)> {
     });
 
     // Bucket the timeline by phase.
-    let samples = std::mem::take(&mut *timeline.lock());
+    let samples = timeline.into_inner().expect("the sampler panicked");
     for (p, key) in PHASES.iter().enumerate() {
         let in_phase: Vec<_> = samples.iter().filter(|(_, ph, _)| *ph == p).collect();
         assert!(in_phase.len() >= 2, "{key}: phase too short to sample");

@@ -98,7 +98,7 @@ pub const ALL: &[Experiment] = &[
                 buffer on the dedicated I/O processors overlaps them, up to 2x \
                 at a balanced compute:I/O ratio",
         run: e8_buffering::run,
-        tables: &["e8_readahead", "e8_writebehind"],
+        tables: &[],
         benches: &["e8_readahead", "e8_writebehind"],
     },
     Experiment {
@@ -146,7 +146,7 @@ pub const ALL: &[Experiment] = &[
                 become one vectored request per device run, and independent \
                 runs proceed in parallel across devices",
         run: span_coalesce::run,
-        tables: &["span_coalesce"],
+        tables: &[],
         benches: &["span_coalesce"],
     },
     Experiment {
@@ -156,7 +156,7 @@ pub const ALL: &[Experiment] = &[
                 sessions exactly-once, throughput scales with devices, and a \
                 bounded admission queue enforces the configured in-flight limit",
         run: e14_server::run,
-        tables: &["e14_server"],
+        tables: &[],
         benches: &["e14_server"],
     },
     Experiment {
@@ -167,7 +167,7 @@ pub const ALL: &[Experiment] = &[
                 its undelayed node idle runs on the calling thread instead of \
                 paying the hand-off",
         run: e15_executor::run,
-        tables: &["e15_executor"],
+        tables: &[],
         benches: &["e15_executor"],
     },
     Experiment {
@@ -177,7 +177,7 @@ pub const ALL: &[Experiment] = &[
                 reads and writes keep flowing while the device is detected, \
                 declared Failed, and rebuilt online through throttled bursts",
         run: e16_faults::run,
-        tables: &["e16_faults"],
+        tables: &[],
         benches: &["e16_faults"],
     },
     Experiment {
@@ -188,7 +188,7 @@ pub const ALL: &[Experiment] = &[
                 cross-session hot reuse into frame copies and moves a burst's \
                 write-backs and cold misses as vectored runs",
         run: e17_cache::run,
-        tables: &["e17_cache"],
+        tables: &[],
         benches: &["e17_cache"],
     },
     Experiment {
@@ -198,7 +198,7 @@ pub const ALL: &[Experiment] = &[
                 a socket; pipelined claims under per-connection credits keep the \
                 devices, not the round trips, as the bottleneck",
         run: e18_net::run,
-        tables: &["e18_net"],
+        tables: &[],
         benches: &["e18_net"],
     },
     Experiment {
@@ -207,7 +207,7 @@ pub const ALL: &[Experiment] = &[
         claim: "a fixed arrival schedule (coordinated-omission safe) finds the \
                 server's saturation point and the latency cliff past it",
         run: e19_scale::run,
-        tables: &["e19_scale"],
+        tables: &[],
         benches: &["e19_scale"],
     },
     Experiment {
@@ -219,7 +219,7 @@ pub const ALL: &[Experiment] = &[
                 on the growing one; mount-time replay recovers a dirty volume in \
                 milliseconds",
         run: e20_recovery::run,
-        tables: &["e20_recovery"],
+        tables: &[],
         benches: &["e20_recovery"],
     },
 ];

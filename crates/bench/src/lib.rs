@@ -10,8 +10,10 @@
 //! writes what they declare ([`run`]) under an output directory —
 //! `target/exp/` unless it is named; `run_experiments.sh` names the
 //! repo root, where the committed summaries live ([`repo_root`]). The
-//! shape tests run the same functions and assert their verdicts. Criterion microbenches cover
-//! what neither they nor the gated `benchmark/` workloads time.
+//! shape tests run the same functions and assert their verdicts. A
+//! measured experiment saves each lane once, in its `BENCH_<name>.json`;
+//! `results/` holds the tables of the paper's experiments. What a layer
+//! costs in isolation is timed by the gated `benchmark/` workloads.
 
 #![warn(missing_docs)]
 
@@ -93,13 +95,14 @@ pub fn run(exp: &Experiment, size: Size, dir: &Path) -> Vec<String> {
             problems.push(format!("{path} declared but not produced"));
         }
     }
-    if let Err(e) = std::fs::create_dir_all(dir.join("results")) {
-        problems.push(format!("cannot create results/: {e}"));
-    }
     for (path, text) in &produced {
+        let file = dir.join(path);
+        let parent = file.parent().expect("a file under dir");
         if !declared.contains(path) {
             problems.push(format!("{path} produced but not declared"));
-        } else if let Err(e) = std::fs::write(dir.join(path), text) {
+        } else if let Err(e) =
+            std::fs::create_dir_all(parent).and_then(|()| std::fs::write(&file, text))
+        {
             problems.push(format!("cannot write {path}: {e}"));
         } else {
             println!("(saved {path})");
@@ -111,6 +114,7 @@ pub fn run(exp: &Experiment, size: Size, dir: &Path) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::Measured;
     use crate::table::Table;
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -160,6 +164,31 @@ mod tests {
     }
 
     #[test]
+    fn measured_lanes_are_saved_once_as_a_summary() {
+        let exp = Experiment {
+            id: "t",
+            title: "t",
+            claim: "t",
+            run: |_| {
+                let mut lanes = Measured::new("t_lanes");
+                lanes.fact("blocks", 8.0);
+                let mut r = Report::default();
+                r.measured(lanes);
+                r
+            },
+            tables: &[],
+            benches: &["t_lanes"],
+        };
+        let dir = scratch("measured");
+        let problems = run(&exp, Size::Smoke, &dir);
+        assert!(problems.is_empty(), "{problems:?}");
+        let saved = std::fs::read_to_string(dir.join("BENCH_t_lanes.json")).unwrap();
+        assert!(saved.contains("\"blocks\": 8"), "{saved}");
+        assert!(!dir.join("results/t_lanes.json").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn ids_are_unique_and_every_file_is_declared_once() {
         let mut ids: Vec<_> = ALL.iter().map(|e| e.id).collect();
         let mut files: Vec<_> = ALL.iter().flat_map(|e| e.tables.iter().copied()).collect();
@@ -170,6 +199,11 @@ mod tests {
             list.dedup();
             assert_eq!(list.len(), n);
         }
+        let both: Vec<_> = files.iter().filter(|f| benches.contains(f)).collect();
+        assert!(
+            both.is_empty(),
+            "saved as a table and as a summary: {both:?}"
+        );
         assert_eq!(ids.len(), 20);
         assert!(find("e13").is_some() && find("e21").is_none());
     }

@@ -2,7 +2,7 @@
 //! run [`RUNS`] times or more, every metric it returns is reduced to its
 //! median and quartiles, and [`Measured`] carries them — as flat `key`,
 //! `key_lo`, `key_hi` entries of `BENCH_<name>.json` through the
-//! [`Bench`] emitter and as rows of `results/<name>.json`.
+//! [`Bench`] emitter and as rows of the table the report prints.
 
 use std::collections::BTreeMap;
 
@@ -75,7 +75,7 @@ pub(crate) fn cell(key: &str, v: f64) -> String {
 }
 
 impl Measured {
-    /// Nothing measured yet; `name` names the table and the summary.
+    /// Nothing measured yet; `name` names the summary.
     pub fn new(name: &str) -> Measured {
         let mut bench = Bench::new();
         bench.label("experiment", name);

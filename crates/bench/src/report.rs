@@ -64,11 +64,11 @@ impl Report {
         self
     }
 
-    /// Add measured lanes: their table as `results/<name>.json` and
+    /// Add measured lanes: render their table into the text and save
     /// their summary as `BENCH_<name>.json`.
     pub fn measured(&mut self, lanes: Measured) -> &mut Report {
         let (name, table, bench) = lanes.into_parts();
-        self.table(&name, table);
+        self.text.push_str(&table.render());
         self.benches.push((name, bench));
         self
     }

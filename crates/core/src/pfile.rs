@@ -268,8 +268,7 @@ impl ParallelFile {
         };
         let total = self
             .raw
-            .meta_snapshot()
-            .fixed_capacity_records
+            .fixed_capacity_records()
             // invariant: partitioned specs are validated fixed-size at creation.
             .expect("partitioned files are fixed-size");
         let rpb = self.records_per_block() as u64;
@@ -396,7 +395,7 @@ mod tests {
             Err(CoreError::BadGeometry(_))
         ));
         let pf = ParallelFile::create_sized(&v, "ps", org, 64, 4, 160).unwrap();
-        assert_eq!(pf.raw().meta_snapshot().fixed_capacity_records, Some(160));
+        assert_eq!(pf.raw().fixed_capacity_records(), Some(160));
     }
 
     #[test]

@@ -357,6 +357,20 @@ impl RawFile {
         self.state.meta.read().len_records
     }
 
+    /// The fixed capacity in records, if the file was created with one.
+    pub fn fixed_capacity_records(&self) -> Option<u64> {
+        self.state.meta.read().fixed_capacity_records
+    }
+
+    /// Data blocks per parity stripe: a parity file's data devices, 1
+    /// for any other file.
+    pub(crate) fn stripe_width(&self) -> usize {
+        match &self.redundancy {
+            Redundancy::Parity(ps) => ps.stripe_width(),
+            _ => 1,
+        }
+    }
+
     /// Allocated logical blocks. For a growable file the allocation runs
     /// ahead of the appends (`Volume::grow_file`): the count includes
     /// zero-filled blocks past the last one written — at most as many

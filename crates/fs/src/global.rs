@@ -19,8 +19,6 @@
 //! device health like any other span. A stream parked between windows
 //! holds nothing a rebuild waits for (see [`crate::file::SpanTicket`]).
 
-use pario_layout::LayoutSpec;
-
 use crate::error::{FsError, Result};
 use crate::file::{Direct, RawFile, SpanTicket};
 
@@ -84,10 +82,7 @@ impl Window {
     /// that every full window of a parity file is written without a
     /// read.
     fn appender(file: RawFile) -> Window {
-        let stripe = match file.meta_snapshot().layout {
-            LayoutSpec::Parity { data_devices, .. } => data_devices,
-            _ => 1,
-        };
+        let stripe = file.stripe_width();
         let end = file.len_records() * file.record_size() as u64;
         Window::new(file, end, (WINDOW_BLOCKS / stripe).max(1) * stripe)
     }
@@ -529,6 +524,7 @@ mod tests {
     use crate::volume::{FileSpec, Volume, VolumeConfig};
     use crate::VolumeCacheConfig;
     use pario_disk::{BlockDevice, DeviceRef, IoCounters, MemDisk};
+    use pario_layout::LayoutSpec;
     use std::io::{Read, Seek, SeekFrom, Write};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
