@@ -107,9 +107,9 @@ fn drain_run(
     let stats = NetClient::connect_tcp(addr).unwrap().stats().unwrap();
     vec![
         ("rec_per_sec", records as f64 / secs),
-        ("p50_nanos", nanos(stats.p50_nanos)),
-        ("p99_nanos", nanos(stats.p99_nanos)),
-        ("p999_nanos", nanos(stats.p999_nanos)),
+        ("p50_nanos", nanos(stats.p50())),
+        ("p99_nanos", nanos(stats.p99())),
+        ("p999_nanos", nanos(stats.p999())),
         // Block-policy admissions over delivered records: the overshoot
         // is the speculative claims pipelining keeps in flight at
         // end-of-file.

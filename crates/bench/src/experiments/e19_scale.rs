@@ -17,10 +17,10 @@
 //!   saturation (at least [`KNEE_BOUND`]x from the lowest to the highest
 //!   rate) while sub-saturation goodput tracks the offered rate. The
 //!   same discipline over `pario-net` shows the same cliff.
-//! * **Goodput accounting adds up.** `AdmissionStats::total_admitted`
+//! * **Goodput accounting adds up.** `ServerStats::total_admitted`
 //!   equals the operations driven in every run, so achieved rates come
-//!   straight from the server, and the same counter crosses the wire in
-//!   the `pario-net` lane's `StatsSummary`.
+//!   straight from the server, and the same snapshot crosses the wire
+//!   in the `pario-net` lane's `Stats` reply.
 //! * **Overload and degraded routing compose.** The flood keeps
 //!   arriving while one shadow-pair device runs a transient schedule
 //!   with a mid-flood fail-stop; the health board walks it to Failed

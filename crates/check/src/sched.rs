@@ -395,7 +395,7 @@ impl Sched {
         self.wait_until_running(st, me);
     }
 
-    /// Grant the lock at `addr` to `me` (hierarchy check, ownership,
+    /// Give the lock at `addr` to `me` (hierarchy check, ownership,
     /// acquire edge from the last release).
     fn grant_lock(&self, st: &mut State, me: usize, addr: usize, level: LockLevel) {
         self.check_hierarchy(st, me, addr, level);

@@ -37,7 +37,7 @@ fn limit_holds_and_no_wakeup_is_lost() {
         }
         let s = adm.stats();
         assert_eq!(s.in_flight, 0);
-        assert!(s.admitted_high_water <= 2);
+        assert!(s.queue_depth_high_water <= 2);
         assert_eq!(s.rejected, 0);
         assert_eq!(s.total_admitted, 4, "every acquisition counted once");
     });

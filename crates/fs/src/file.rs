@@ -362,6 +362,11 @@ impl RawFile {
         self.state.meta.read().fixed_capacity_records
     }
 
+    /// Whether the file's layout keeps a parity block per stripe.
+    pub fn is_parity(&self) -> bool {
+        matches!(self.redundancy, Redundancy::Parity(_))
+    }
+
     /// Data blocks per parity stripe: a parity file's data devices, 1
     /// for any other file.
     pub(crate) fn stripe_width(&self) -> usize {

@@ -33,13 +33,15 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use pario_check::{LockLevel, Mutex};
+use pario_server::ServerStats;
 
 use crate::error::{NetError, Result};
 use crate::frame::{
-    begin_frame, client_handshake, end_frame, read_frame, Grant, RawFrame, Welcome, FRAME_OVERHEAD,
+    begin_frame, client_handshake, end_frame, read_frame, RawFrame, Welcome, FRAME_OVERHEAD,
 };
-use crate::proto::{Opened, Request, StatsSummary, View};
+use crate::proto::{decode_server_stats, Opened, Request, View};
 use crate::reader::{FrameSource, ReplyMux, Ticket};
+use crate::server::NetConfig;
 use crate::sock::{self, Sock, Transport};
 use crate::wire::{WireReader, WireWriter};
 
@@ -156,7 +158,7 @@ fn shaken(mut s: Sock) -> Result<(Sock, Welcome)> {
 /// connection; the client itself is cheap to share behind an `Arc`.
 pub struct NetClient {
     core: Arc<ClientCore>,
-    grant: Grant,
+    grant: NetConfig,
     ctl: Sock,
 }
 
@@ -184,7 +186,7 @@ impl NetClient {
     }
 
     /// A client over `s`, which has shaken hands and been granted `grant`.
-    fn over(s: Sock, grant: Grant) -> Result<NetClient> {
+    fn over(s: Sock, grant: NetConfig) -> Result<NetClient> {
         let recv = RecvHalf {
             sock: BufReader::with_capacity(64 * 1024, s.try_clone()?),
             max_frame: grant.max_payload as usize + FRAME_OVERHEAD + 64,
@@ -210,8 +212,9 @@ impl NetClient {
         self.ctl.transport()
     }
 
-    /// The flow-control grant the server issued at handshake.
-    pub fn grant(&self) -> Grant {
+    /// The flow-control terms the server granted at handshake: its
+    /// [`NetConfig`].
+    pub fn grant(&self) -> NetConfig {
         self.grant
     }
 
@@ -226,10 +229,12 @@ impl NetClient {
         self.core.call(&Request::Ping).map(|_| ())
     }
 
-    /// The server's statistics snapshot, latency percentiles included.
-    pub fn stats(&self) -> Result<StatsSummary> {
+    /// The server's statistics snapshot: every field of
+    /// [`Server::stats`](pario_server::Server::stats), the whole latency
+    /// histogram included.
+    pub fn stats(&self) -> Result<ServerStats> {
         let body = self.core.call(&Request::Stats)?;
-        Ok(StatsSummary::decode(&body)?)
+        Ok(decode_server_stats(&body)?)
     }
 
     /// Open `name` as `view`: the remote side of `Session::open`. A

@@ -24,6 +24,7 @@ use std::io::{Read, Write};
 
 use crate::error::{NetError, Result};
 use crate::proto::{MAGIC, VERSION};
+use crate::server::NetConfig;
 
 /// Fixed bytes of a frame after the length field: request id + code.
 pub const FRAME_OVERHEAD: usize = 8 + 1;
@@ -128,20 +129,11 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<RawFrame
     }))
 }
 
-/// Flow-control terms a server grants a connection at handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Grant {
-    /// Requests the client may have outstanding at once.
-    pub credits: u32,
-    /// Largest request payload the client may send, bytes.
-    pub max_payload: u32,
-}
-
 /// What the server's welcome tells a client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Welcome {
-    /// The flow-control terms of this connection.
-    pub grant: Grant,
+    /// The flow-control terms of this connection: the server's config.
+    pub grant: NetConfig,
     /// The name of the server's lane — a Unix-domain listener in the
     /// abstract namespace of the server's host, serving the same
     /// protocol — or empty if it has none.
@@ -196,7 +188,7 @@ pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<Welcome> {
         return Err(closed());
     }
     Ok(Welcome {
-        grant: Grant {
+        grant: NetConfig {
             credits,
             max_payload,
         },
@@ -205,11 +197,15 @@ pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<Welcome> {
 }
 
 /// Server side of the preamble: read the hello, validate it, send the
-/// welcome with `grant` and the name of this server's `lane` (empty if
-/// it has none; at most 255 bytes). A version mismatch is reported
-/// *after* the welcome is written, so the client learns our version
-/// before the socket closes.
-pub fn server_handshake(stream: &mut (impl Read + Write), grant: Grant, lane: &[u8]) -> Result<()> {
+/// welcome with the terms of `grant` and the name of this server's
+/// `lane` (empty if it has none; at most 255 bytes). A version mismatch
+/// is reported *after* the welcome is written, so the client learns
+/// our version before the socket closes.
+pub fn server_handshake(
+    stream: &mut (impl Read + Write),
+    grant: NetConfig,
+    lane: &[u8],
+) -> Result<()> {
     let lane_len = u8::try_from(lane.len())
         .map_err(|_| NetError::Protocol(format!("lane name of {} bytes", lane.len())))?;
     let mut hello = [0u8; 6];
@@ -340,7 +336,7 @@ mod tests {
         }
     }
 
-    const GRANT: Grant = Grant {
+    const GRANT: NetConfig = NetConfig {
         credits: 32,
         max_payload: 1 << 20,
     };

@@ -60,8 +60,6 @@ pub mod wire;
 
 pub use client::{NetClient, Pending, RemoteDirect, RemoteHandle, RemoteLock};
 pub use error::{NetError, Result};
-pub use frame::Grant;
-pub use proto::StatsSummary;
 pub use reader::{FrameSource, ReplyMux, Ticket};
 pub use server::{NetConfig, NetServer};
 pub use sock::{Sock, Transport};

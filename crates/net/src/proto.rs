@@ -15,8 +15,8 @@ use bytes::Bytes;
 use pario_core::{intern_expected, CoreError, Organization};
 use pario_disk::DiskError;
 use pario_fs::{FsError, HealthState};
-use pario_server::ServerError;
 pub use pario_server::View;
+use pario_server::{LatencyBucket, ServerError, ServerStats, LATENCY_BUCKETS};
 
 use crate::error::NetError;
 use crate::wire::{WireError, WireReader, WireResult, WireWriter};
@@ -44,7 +44,10 @@ pub const MAGIC: [u8; 4] = *b"PIO1";
 /// Version 7 retired server-error tag 3 (a partition's own refusal): a
 /// record outside a partition is refused with the view's
 /// `CoreError::OutsideView`, which a v6 client would not expect there.
-pub const VERSION: u16 = 7;
+/// Version 8 made the [`Request::Stats`] reply the whole
+/// [`ServerStats`] (`encode_server_stats`): a v7 client would misread
+/// it as the old summary's four counters and three quantiles.
+pub const VERSION: u16 = 8;
 
 /// Reply status byte: the request succeeded; the body is the
 /// operation's result.
@@ -67,7 +70,8 @@ const ERR_CLASS_SHUTDOWN: u8 = 2;
 pub enum Request {
     /// Liveness probe; empty OK reply.
     Ping,
-    /// Server statistics snapshot; [`StatsSummary`] reply.
+    /// Server statistics snapshot; [`ServerStats`] reply
+    /// ([`encode_server_stats`]).
     Stats,
     /// Open `name` as `view` (`Session::open`); [`Opened`] reply, with
     /// the claimed record range for a partition.
@@ -402,75 +406,62 @@ impl Opened {
     }
 }
 
-/// The reply body of [`Request::Stats`]: the remote-visible slice of
-/// [`pario_server::ServerStats`], including the latency percentiles.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSummary {
-    /// Sessions the server has had since it started, connected or not
-    /// (one per network connection that sent a request, plus any
-    /// in-process sessions): [`pario_server::ServerStats::sessions`].
-    pub sessions: u64,
-    /// Operations in flight right now.
-    pub in_flight: u64,
-    /// Requests rejected with `Busy`.
-    pub rejected: u64,
-    /// Cumulative operations ever admitted — remote clients compute
-    /// achieved (goodput) rates from two snapshots of this.
-    pub total_admitted: u64,
-    /// Median end-to-end operation latency, nanoseconds.
-    pub p50_nanos: Option<u64>,
-    /// 99th-percentile latency, nanoseconds.
-    pub p99_nanos: Option<u64>,
-    /// 99.9th-percentile latency, nanoseconds.
-    pub p999_nanos: Option<u64>,
-}
-
-fn encode_opt_u64(w: &mut WireWriter, v: Option<u64>) {
-    match v {
-        Some(n) => {
-            w.u8(1).u64(n);
-        }
-        None => {
-            w.u8(0);
-        }
+/// Encode a [`ServerStats`] losslessly as the [`Request::Stats`] reply
+/// body: the six counters as `u64`s, then a `u32` count and each
+/// non-empty latency bucket's `le_nanos` and `count`.
+pub fn encode_server_stats(w: &mut WireWriter, s: &ServerStats) {
+    w.u64(s.sessions)
+        .u64(s.in_flight as u64)
+        .u64(s.queue_depth_high_water as u64)
+        .u64(s.wait_high_water as u64)
+        .u64(s.rejected)
+        .u64(s.total_admitted)
+        .u32(s.latency.len() as u32);
+    for b in &s.latency {
+        w.u64(b.le_nanos).u64(b.count);
     }
 }
 
-fn decode_opt_u64(r: &mut WireReader<'_>) -> WireResult<Option<u64>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        other => Err(WireError::Malformed(format!("bad option tag {other}"))),
+/// Decode a reply body written by [`encode_server_stats`]. A body no
+/// server snapshot encodes to is malformed: more than
+/// [`LATENCY_BUCKETS`] buckets, an empty bucket, or buckets out of
+/// order.
+pub fn decode_server_stats(body: &[u8]) -> WireResult<ServerStats> {
+    fn size(r: &mut WireReader<'_>) -> WireResult<usize> {
+        let v = r.u64()?;
+        usize::try_from(v).map_err(|_| WireError::Malformed(format!("count {v} overflows usize")))
     }
-}
-
-impl StatsSummary {
-    /// Encode as a reply body.
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.sessions)
-            .u64(self.in_flight)
-            .u64(self.rejected)
-            .u64(self.total_admitted);
-        encode_opt_u64(w, self.p50_nanos);
-        encode_opt_u64(w, self.p99_nanos);
-        encode_opt_u64(w, self.p999_nanos);
+    let mut r = WireReader::new(body);
+    let mut s = ServerStats {
+        sessions: r.u64()?,
+        in_flight: size(&mut r)?,
+        queue_depth_high_water: size(&mut r)?,
+        wait_high_water: size(&mut r)?,
+        rejected: r.u64()?,
+        total_admitted: r.u64()?,
+        latency: Vec::new(),
+    };
+    let n = r.u32()? as usize;
+    if n > LATENCY_BUCKETS {
+        return Err(WireError::Malformed(format!(
+            "{n} latency buckets, past {LATENCY_BUCKETS}"
+        )));
     }
-
-    /// Decode a reply body.
-    pub fn decode(body: &[u8]) -> WireResult<StatsSummary> {
-        let mut r = WireReader::new(body);
-        let v = StatsSummary {
-            sessions: r.u64()?,
-            in_flight: r.u64()?,
-            rejected: r.u64()?,
-            total_admitted: r.u64()?,
-            p50_nanos: decode_opt_u64(&mut r)?,
-            p99_nanos: decode_opt_u64(&mut r)?,
-            p999_nanos: decode_opt_u64(&mut r)?,
+    s.latency.reserve_exact(n);
+    for _ in 0..n {
+        let b = LatencyBucket {
+            le_nanos: r.u64()?,
+            count: r.u64()?,
         };
-        r.finish()?;
-        Ok(v)
+        if b.count == 0 || s.latency.last().is_some_and(|p| p.le_nanos >= b.le_nanos) {
+            return Err(WireError::Malformed(format!(
+                "latency bucket {b:?} empty or out of order"
+            )));
+        }
+        s.latency.push(b);
     }
+    r.finish()?;
+    Ok(s)
 }
 
 // ---------------------------------------------------------------------
@@ -901,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn opened_and_stats_round_trip() {
+    fn opened_round_trips() {
         let o = Opened {
             handle: 5,
             record_size: 128,
@@ -913,18 +904,48 @@ mod tests {
         let mut w = WireWriter::new();
         o.encode(&mut w);
         assert_eq!(Opened::decode(w.bytes()).expect("decode"), o);
+    }
 
-        let s = StatsSummary {
-            sessions: 9,
-            in_flight: 2,
-            rejected: 14,
-            total_admitted: 7_700,
-            p50_nanos: Some(1_000),
-            p99_nanos: Some(9_000),
-            p999_nanos: None,
-        };
+    /// A stats body with one latency bucket (`le`, `count`) per pair,
+    /// under a declared bucket count of `n`.
+    fn stats_body(n: u32, buckets: &[(u64, u64)]) -> Vec<u8> {
         let mut w = WireWriter::new();
-        s.encode(&mut w);
-        assert_eq!(StatsSummary::decode(w.bytes()).expect("decode"), s);
+        for v in [9, 2, 8, 3, 14, 7_700] {
+            w.u64(v);
+        }
+        w.u32(n);
+        for &(le, count) in buckets {
+            w.u64(le).u64(count);
+        }
+        w.bytes().to_vec()
+    }
+
+    #[test]
+    fn a_stats_body_no_snapshot_encodes_to_is_malformed() {
+        let past = LATENCY_BUCKETS as u32 + 1;
+        let full: Vec<_> = (1..=u64::from(past)).map(|le| (le, 1)).collect();
+        for body in [
+            stats_body(past, &full),
+            stats_body(u32::MAX, &[]),
+            stats_body(1, &[(5, 0)]),
+            stats_body(2, &[(5, 1), (5, 1)]),
+            stats_body(2, &[(6, 1), (5, 1)]),
+        ] {
+            assert!(
+                matches!(decode_server_stats(&body), Err(WireError::Malformed(_))),
+                "{body:?}"
+            );
+        }
+        let body = stats_body(1, &[(5, 1)]);
+        assert!(matches!(
+            decode_server_stats(&body[..body.len() - 1]),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut body = stats_body(0, &[]);
+        body.push(0);
+        assert!(matches!(
+            decode_server_stats(&body),
+            Err(WireError::Malformed(_))
+        ));
     }
 }

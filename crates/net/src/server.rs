@@ -50,10 +50,11 @@ use std::sync::atomic::Ordering;
 
 use crate::error::{NetError, Result};
 use crate::frame::{
-    begin_frame, encode_frame, end_frame, holds_frame, read_frame, server_handshake, Grant,
-    FRAME_OVERHEAD,
+    begin_frame, encode_frame, end_frame, holds_frame, read_frame, server_handshake, FRAME_OVERHEAD,
 };
-use crate::proto::{encode_reply_error, Opened, Request, StatsSummary, STATUS_ERR, STATUS_OK};
+use crate::proto::{
+    encode_reply_error, encode_server_stats, Opened, Request, STATUS_ERR, STATUS_OK,
+};
 use crate::sock::{self, Sock};
 use crate::wire::WireWriter;
 
@@ -61,14 +62,15 @@ use crate::wire::WireWriter;
 /// even though more requests are waiting to be read.
 pub const FRAME_BYTES: usize = 64 * 1024;
 
-/// Tuning for a [`NetServer`].
-#[derive(Debug, Clone)]
+/// Tuning for a [`NetServer`], and the flow-control terms its welcome
+/// grants every connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Requests each connection may have outstanding (the credit window
     /// granted at handshake).
     pub credits: u32,
     /// Largest request payload accepted, bytes.
-    pub max_payload: usize,
+    pub max_payload: u32,
 }
 
 impl Default for NetConfig {
@@ -210,9 +212,9 @@ impl NetServer {
         })
     }
 
-    /// The flow-control grant connections receive at handshake.
-    pub fn grant(&self) -> Grant {
-        self.inner.grant()
+    /// The flow-control terms connections receive at handshake.
+    pub fn grant(&self) -> NetConfig {
+        self.inner.cfg
     }
 
     /// Connections whose thread has not exited yet (diagnostic).
@@ -374,13 +376,6 @@ impl NetInner {
             .unwrap_or_default()
     }
 
-    fn grant(&self) -> Grant {
-        Grant {
-            credits: self.cfg.credits,
-            max_payload: self.cfg.max_payload as u32,
-        }
-    }
-
     /// Send everything staged in `out` with one `write` and empty it;
     /// once the write is done, no request read is `unanswered`.
     fn flush(
@@ -405,14 +400,14 @@ impl NetInner {
 }
 
 fn run_connection(inner: &NetInner, mut sock: Sock) {
-    if server_handshake(&mut sock, inner.grant(), inner.lane()).is_err() {
+    if server_handshake(&mut sock, inner.cfg, inner.lane()).is_err() {
         return; // fail closed: bad preamble or version mismatch
     }
     // The session opens with the first request: a connection that
     // handshakes and leaves (a client on its way to the lane, a port
     // probe) is not a session, and `ServerStats` never hears of it.
     let mut conn: Option<Conn> = None;
-    let max_frame = inner.cfg.max_payload + FRAME_OVERHEAD + 64;
+    let max_frame = inner.cfg.max_payload as usize + FRAME_OVERHEAD + 64;
     let mut reader = BufReader::with_capacity(64 * 1024, sock);
     let mut out = Vec::new();
     // Requests read since the last write.
@@ -604,18 +599,8 @@ impl Conn {
             return match req {
                 Request::Open { name, view } => self.open(out, &name, view),
                 Request::Stats => {
-                    let s = self.server.stats();
                     let mut w = WireWriter::new();
-                    StatsSummary {
-                        sessions: s.sessions,
-                        in_flight: s.in_flight as u64,
-                        rejected: s.rejected,
-                        total_admitted: s.total_admitted,
-                        p50_nanos: s.p50(),
-                        p99_nanos: s.p99(),
-                        p999_nanos: s.p999(),
-                    }
-                    .encode(&mut w);
+                    encode_server_stats(&mut w, &self.server.stats());
                     out.extend_from_slice(w.bytes());
                     Ok(())
                 }

@@ -1,7 +1,7 @@
 //! Property tests for the wire codec: frames round-trip through
 //! arbitrary split/partial reads, every request variant survives
-//! encode→decode exactly, and the full `ServerError` taxonomy maps
-//! losslessly both ways.
+//! encode→decode exactly, the full `ServerError` taxonomy maps
+//! losslessly both ways, and so does a `ServerStats` snapshot.
 
 use std::io::Read;
 
@@ -13,11 +13,12 @@ use pario_disk::DiskError;
 use pario_fs::{FsError, HealthState};
 use pario_net::frame::{encode_frame, read_frame, RawFrame};
 use pario_net::proto::{
-    decode_reply_error, decode_server_error, encode_reply_error, encode_server_error, Request,
+    decode_reply_error, decode_server_error, decode_server_stats, encode_reply_error,
+    encode_server_error, encode_server_stats, Request,
 };
 use pario_net::wire::WireWriter;
 use pario_net::NetError;
-use pario_server::ServerError;
+use pario_server::{LatencyBucket, ServerError, ServerStats, LATENCY_BUCKETS};
 
 /// A reader that hands out at most `chunk` bytes per call — the
 /// severest form of short reads a socket can produce.
@@ -96,6 +97,38 @@ proptest! {
             let back = Request::decode(req.opcode(), w.bytes()).unwrap();
             prop_assert_eq!(back, req);
         }
+    }
+
+    /// A stats snapshot survives the wire field for field and bucket for
+    /// bucket, from an empty histogram to one with every bucket filled.
+    #[test]
+    fn server_stats_round_trip_losslessly(
+        c in proptest::collection::vec(any::<u64>(), 6),
+        buckets in prop_oneof![Just(0usize), Just(LATENCY_BUCKETS), 0..LATENCY_BUCKETS]
+            .prop_flat_map(|n| proptest::collection::vec((1..=1u64 << 40, 1..=u64::MAX), n)),
+    ) {
+        // Each bucket's bound is the last one's plus a gap: ascending,
+        // as a snapshot's are.
+        let mut le_nanos = 0;
+        let latency = buckets
+            .into_iter()
+            .map(|(gap, count)| {
+                le_nanos += gap;
+                LatencyBucket { le_nanos, count }
+            })
+            .collect();
+        let s = ServerStats {
+            sessions: c[0],
+            in_flight: c[1] as usize,
+            queue_depth_high_water: c[2] as usize,
+            wait_high_water: c[3] as usize,
+            rejected: c[4],
+            total_admitted: c[5],
+            latency,
+        };
+        let mut w = WireWriter::new();
+        encode_server_stats(&mut w, &s);
+        prop_assert_eq!(decode_server_stats(w.bytes()).unwrap(), s);
     }
 
     /// A truncated payload never decodes and never panics, for every

@@ -185,12 +185,12 @@ fn version_2_hello_fails_the_handshake() {
     assert_hello_refused(2);
 }
 
-/// What a v3 client would do with a v4 to v7 welcome is read its first
+/// What a v3 client would do with a v4 to v8 welcome is read its first
 /// reply from the middle of the lane name; it is told the version
 /// instead.
 #[test]
 fn version_3_hello_fails_the_handshake() {
-    assert_eq!(VERSION, 7);
+    assert_eq!(VERSION, 8);
     assert_hello_refused(3);
 }
 
@@ -215,6 +215,13 @@ fn version_5_hello_fails_the_handshake() {
 #[test]
 fn version_6_hello_fails_the_handshake() {
     assert_hello_refused(6);
+}
+
+/// A v7 client would read a v8 `Stats` reply as the old summary's four
+/// counters and three quantiles; it is told the version before it asks.
+#[test]
+fn version_7_hello_fails_the_handshake() {
+    assert_hello_refused(7);
 }
 
 #[test]

@@ -428,6 +428,32 @@ fn lane_clients_lose_no_gda_increment_and_are_the_only_sessions() {
     assert_eq!(client.stats().unwrap().sessions, CLIENTS as u64 + 1);
 }
 
+/// The `Stats` reply is the server's own snapshot: taken back to back
+/// on a quiet server, a remote `stats()` and `Server::stats()` agree on
+/// every field and every latency bucket, so both read the same
+/// quantiles.
+#[test]
+fn a_remote_stats_snapshot_is_the_servers_own() {
+    let volume = volume();
+    fill_ss(&volume, "queue", 40);
+    let server = Server::new(volume, ServerConfig::default());
+    let net = NetServer::bind_tcp("127.0.0.1:0", server.clone(), NetConfig::default()).unwrap();
+    let client = on_the_lane(&net.local_addr().unwrap().to_string());
+    let q = client.open("queue", View::SelfSched).unwrap();
+    let mut buf = [0u8; REC];
+    while q.read_next(&mut buf).unwrap().is_some() {}
+
+    let remote = client.stats().unwrap();
+    assert_eq!(remote, server.stats());
+    // 40 records and the end-of-file probe, on one connection.
+    assert_eq!((remote.sessions, remote.total_admitted), (1, 41));
+    assert_eq!(remote.in_flight, 0);
+    assert!(remote.queue_depth_high_water >= 1);
+    let ops: u64 = remote.latency.iter().map(|b| b.count).sum();
+    assert_eq!(ops, 41, "every admitted op is in the histogram");
+    assert!(remote.p999().is_some());
+}
+
 #[test]
 fn unix_socket_carries_the_same_protocol() {
     let dir = std::env::temp_dir().join(format!("pario-net-test-{}", std::process::id()));
@@ -758,14 +784,13 @@ fn an_oversized_request_is_refused_unsent_and_costs_no_credit() {
 #[test]
 fn server_death_reaches_the_leading_caller_and_the_parked_follower() {
     use pario_net::frame::{read_frame, server_handshake};
-    use pario_net::Grant;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     // A server that takes two requests, answers neither, and dies.
     let server = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
-        let grant = Grant {
+        let grant = NetConfig {
             credits: 4,
             max_payload: 1 << 20,
         };
@@ -917,7 +942,7 @@ fn a_lane_out_of_reach_leaves_the_client_on_tcp() {
     // A server that answers pings, after a welcome whose lane is not there.
     let server = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
-        let grant = pario_net::Grant {
+        let grant = NetConfig {
             credits: 4,
             max_payload: 1 << 20,
         };

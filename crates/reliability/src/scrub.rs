@@ -12,14 +12,13 @@
 
 use pario_disk::{DeviceRef, DiskError};
 use pario_fs::{FsError, RawFile, Result};
-use pario_layout::LayoutSpec;
 
 use crate::rebuild::{in_bursts, RebuildThrottle};
 
 /// The stripes of a parity file — stripe `s` is row `s` of every slot
 /// that holds a block of it — or `BadSpec` for any other layout.
 fn stripes(raw: &RawFile) -> Result<u64> {
-    if !matches!(raw.meta_snapshot().layout, LayoutSpec::Parity { .. }) {
+    if !raw.is_parity() {
         return Err(FsError::BadSpec("needs a parity-striped file".into()));
     }
     let slots = 0..raw.layout().devices();
@@ -96,6 +95,7 @@ pub fn restore_device(dev: &DeviceRef, image: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use pario_fs::{FileSpec, Volume, VolumeConfig};
+    use pario_layout::LayoutSpec;
 
     const BS: usize = 256;
 

@@ -19,7 +19,8 @@
 //! parked waiter has its **own** condition variable, so a grant wakes
 //! exactly one thread. Cumulative admission counts are striped across
 //! cache-line-padded counters to keep the fast path free of shared hot
-//! words.
+//! words. [`Admission::stats`] reads the counters into the admission
+//! fields of the server's one snapshot shape, [`ServerStats`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
@@ -29,6 +30,7 @@ use std::sync::Arc;
 use pario_check::{AtomicBool, AtomicU64, Condvar, LockLevel, Mutex};
 
 use crate::error::{Result, ServerError};
+use crate::stats::ServerStats;
 
 /// What to do with a request that arrives while the server is saturated.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -39,24 +41,6 @@ pub enum Saturation {
     Block,
     /// Fail the request immediately with [`ServerError::Busy`].
     Reject,
-}
-
-/// A point-in-time snapshot of admission-queue statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Operations in flight right now.
-    pub in_flight: usize,
-    /// The most operations ever in flight at once — bounded by the
-    /// configured limit, which is the whole point.
-    pub admitted_high_water: usize,
-    /// The most requests ever waiting for admission at once.
-    pub wait_high_water: usize,
-    /// Requests rejected with [`ServerError::Busy`].
-    pub rejected: u64,
-    /// Cumulative operations ever admitted (granted a permit), across
-    /// all sessions. Experiments compute goodput vs. offered rate from
-    /// this directly instead of diffing per-session counters.
-    pub total_admitted: u64,
 }
 
 /// Low 32 bits of the packed state word: operations in flight.
@@ -193,7 +177,7 @@ impl Admission {
         Some(w)
     }
 
-    /// Grant parked waiters while free permits remain. Callers hold the
+    /// Admit parked waiters while free permits remain. Callers hold the
     /// fallback mutex; with waiters announced in `state`, no fast-path
     /// CAS can interleave, so the transition is uncontended in practice.
     fn grant_ready(&self, q: &mut WaitQueues) {
@@ -315,12 +299,13 @@ impl Admission {
         }
     }
 
-    /// A point-in-time snapshot of queue statistics.
-    pub fn stats(&self) -> AdmissionStats {
+    /// A point-in-time snapshot of the queue's counters: the admission
+    /// fields of a [`ServerStats`], its `sessions` zero and `latency` empty.
+    pub fn stats(&self) -> ServerStats {
         let s = self.state.load(Ordering::Acquire);
-        AdmissionStats {
+        ServerStats {
             in_flight: (s & IF_MASK) as usize,
-            admitted_high_water: self.admitted_hw.load(Ordering::Relaxed) as usize, // ordering: diagnostic snapshot; staleness is acceptable
+            queue_depth_high_water: self.admitted_hw.load(Ordering::Relaxed) as usize, // ordering: diagnostic snapshot; staleness is acceptable
             wait_high_water: self.wait_hw.load(Ordering::Relaxed) as usize, // ordering: diagnostic snapshot; staleness is acceptable
             rejected: self.rejected.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
             total_admitted: self
@@ -328,6 +313,7 @@ impl Admission {
                 .iter()
                 .map(|c| c.0.load(Ordering::Relaxed)) // ordering: diagnostic snapshot; staleness is acceptable
                 .sum(),
+            ..ServerStats::default()
         }
     }
 }
@@ -365,7 +351,7 @@ mod tests {
             drop(held);
         });
         let s = adm.stats();
-        assert!(s.admitted_high_water <= 3);
+        assert!(s.queue_depth_high_water <= 3);
         assert!(s.wait_high_water > 0, "oversubscription must queue");
         assert_eq!(s.in_flight, 0);
         assert_eq!(s.rejected, 0);
@@ -438,6 +424,6 @@ mod tests {
         drop(b);
         let s = adm.stats();
         assert_eq!(s.in_flight, 0);
-        assert_eq!(s.admitted_high_water, 2);
+        assert_eq!(s.queue_depth_high_water, 2);
     }
 }

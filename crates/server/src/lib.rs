@@ -88,7 +88,7 @@ mod error;
 mod session;
 mod stats;
 
-pub use admission::{Admission, AdmissionStats, Permit, Saturation};
+pub use admission::{Admission, Permit, Saturation};
 pub use error::{Result, ServerError};
 pub use session::{DirectClient, Handle, LockedRange, Server, ServerConfig, Session, View};
-pub use stats::{quantile_nanos, LatencyBucket, LatencyHistogram, ServerStats};
+pub use stats::{quantile_nanos, LatencyBucket, LatencyHistogram, ServerStats, LATENCY_BUCKETS};

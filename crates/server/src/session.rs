@@ -5,13 +5,18 @@
 //! same file gets a clone of *one* [`ParallelFile`], so SS cursors are
 //! shared across sessions (clones share `SsState`) and the claim table —
 //! a type-S file's exclusive hold, partition claims, interleave slots —
-//! and the GDA byte-range locks live next to the file they protect.
+//! and the GDA byte-range locks live next to the file they protect. The
+//! registry holds its entries weakly: an entry lives as long as a
+//! [`Handle`], [`DirectClient`] or [`LockedRange`] holds it. So a file
+//! opened again after its last handle closed is a new program run with
+//! a fresh SS cursor, and a removed file gives its blocks back once its
+//! handles are gone.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use pario_check::{AtomicU64, LockLevel};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -95,7 +100,8 @@ struct Inner {
     volume: Volume,
     admission: Admission,
     latency: LatencyHistogram,
-    files: Mutex<HashMap<String, Arc<FileEntry>>>,
+    /// The files some handle holds, by id (see the module docs).
+    files: Mutex<HashMap<u64, Weak<FileEntry>>>,
     next_session: AtomicU64,
 }
 
@@ -103,26 +109,21 @@ impl Inner {
     /// Open-or-get the shared entry for `name`. The name is resolved on
     /// the volume every time: a file removed and created again under it
     /// is another file (another id), and the entry of the one before
-    /// must not serve it.
+    /// must not serve it. Entries no handle holds are dropped here.
     fn entry(&self, name: &str) -> Result<Arc<FileEntry>> {
-        let mut files = self.files.lock();
-        let pfile = match ParallelFile::open(&self.volume, name) {
-            Ok(pfile) => pfile,
-            Err(e) => {
-                files.remove(name);
-                return Err(e.into());
-            }
-        };
+        let pfile = ParallelFile::open(&self.volume, name)?;
         let id = pfile.raw().id();
-        if let Some(e) = files.get(name).filter(|e| e.pfile.raw().id() == id) {
-            return Ok(Arc::clone(e));
+        let mut files = self.files.lock();
+        if let Some(e) = files.get(&id).and_then(Weak::upgrade) {
+            return Ok(e);
         }
+        files.retain(|_, e| e.strong_count() > 0);
         let e = Arc::new(FileEntry {
             pfile,
             claims: Mutex::new(HashMap::new()),
             ranges: RangeLocks::new(LockLevel::RangeLock),
         });
-        files.insert(name.to_string(), Arc::clone(&e));
+        files.insert(id, Arc::downgrade(&e));
         Ok(e)
     }
 }
@@ -164,11 +165,11 @@ impl Server {
 
     /// Snapshot server-wide statistics.
     pub fn stats(&self) -> ServerStats {
-        ServerStats::from_parts(
-            self.inner.next_session.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
-            self.inner.admission.stats(),
-            self.inner.latency.snapshot(),
-        )
+        ServerStats {
+            sessions: self.inner.next_session.load(Ordering::Relaxed), // ordering: diagnostic snapshot; staleness is acceptable
+            latency: self.inner.latency.snapshot(),
+            ..self.inner.admission.stats()
+        }
     }
 }
 

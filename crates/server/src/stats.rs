@@ -1,14 +1,15 @@
 //! What the server itself observes: admission-queue water marks, the
-//! sessions connected since start, and a log-linear latency histogram.
-//! The volume's own numbers (executor, health board, cache tier) are
-//! read from the [`Volume`](pario_fs::Volume) that owns them.
+//! sessions connected since start, and a log-linear latency histogram,
+//! all in one [`ServerStats`]. The same snapshot crosses the wire
+//! (`pario-net`'s `Stats` reply), so a remote client reads its
+//! quantiles through the same [`quantile_nanos`]. The volume's own
+//! numbers (executor, health board, cache tier) are read from the
+//! [`Volume`](pario_fs::Volume) that owns them.
 
 use std::sync::atomic::Ordering;
 
 use pario_check::{AtomicU64, AtomicUsize};
 use std::time::Duration;
-
-use crate::admission::AdmissionStats;
 
 /// Linear sub-buckets per octave: a bucket is at most 1/16 (6.25 %) of
 /// the values it holds, so a reported quantile is that close above the
@@ -19,10 +20,10 @@ const SUB_BUCKETS: usize = 16;
 /// last bucket.
 const OCTAVES: usize = 36;
 
-/// Number of histogram buckets. Values below [`SUB_BUCKETS`] get a
-/// bucket each (the first four octaves hold fewer than sixteen integers
-/// between them); every later octave `[2^k, 2^(k+1))` is cut into
-/// [`SUB_BUCKETS`] equal parts.
+/// Number of histogram buckets, and the most a snapshot holds. Values
+/// below 16 get a bucket each (the first four octaves hold fewer than
+/// sixteen integers between them); every later octave `[2^k, 2^(k+1))`
+/// is cut into 16 equal parts.
 pub const LATENCY_BUCKETS: usize = (OCTAVES - 3) * SUB_BUCKETS;
 
 /// The bucket holding `ns` (≥ 1).
@@ -140,7 +141,7 @@ pub fn quantile_nanos(buckets: &[LatencyBucket], q: f64) -> Option<u64> {
 }
 
 /// A point-in-time snapshot of the whole server.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Sessions connected since the server started, those that ended
     /// included.
@@ -182,22 +183,6 @@ impl ServerStats {
     /// 99.9th-percentile operation latency in nanoseconds.
     pub fn p999(&self) -> Option<u64> {
         self.latency_quantile(0.999)
-    }
-
-    pub(crate) fn from_parts(
-        sessions: u64,
-        adm: AdmissionStats,
-        latency: Vec<LatencyBucket>,
-    ) -> ServerStats {
-        ServerStats {
-            sessions,
-            in_flight: adm.in_flight,
-            queue_depth_high_water: adm.admitted_high_water,
-            wait_high_water: adm.wait_high_water,
-            rejected: adm.rejected,
-            total_admitted: adm.total_admitted,
-            latency,
-        }
     }
 }
 

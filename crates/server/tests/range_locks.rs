@@ -43,7 +43,7 @@ impl NaiveLocks {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Grant/deny decisions, held counts, and release behaviour agree
+    /// Acquire/deny decisions, held counts, and release behaviour agree
     /// with the reference on arbitrary op sequences.
     #[test]
     fn matches_naive_reference(ops in proptest::collection::vec(op_strategy(), 1..120)) {

@@ -312,12 +312,11 @@ fn a_name_created_again_opens_the_new_file() {
     let create = |name| ParallelFile::create(&volume, name, Organization::GlobalDirect, REC, 4);
     let sess = server.connect();
     create("g").unwrap();
-    sess.open_direct("g")
-        .unwrap()
-        .write_record(0, &[1; REC])
-        .unwrap();
+    // The old g stays open across its removal, so its entry is still
+    // registered when the new g is opened.
+    let old = sess.open_direct("g").unwrap();
+    old.write_record(0, &[1; REC]).unwrap();
     volume.remove("g").unwrap();
-    // `h` is created first, so it is offered the blocks `g` had.
     let h = create("h").unwrap();
     h.raw().write_record(0, &[7; REC]).unwrap();
     create("g").unwrap();
@@ -329,5 +328,50 @@ fn a_name_created_again_opens_the_new_file() {
     assert_eq!(buf, [2; REC]);
     h.raw().read_record(0, &mut buf).unwrap();
     assert_eq!(buf, [7; REC], "h is untouched");
+    old.read_record(0, &mut buf).unwrap();
+    assert_eq!(buf, [1; REC], "the removed g is still its handle's");
     assert_eq!(sess.open("g", View::Direct).unwrap().len_records(), 1);
+}
+
+/// A name opened again after its last handle has closed is a new
+/// program run, as a separately opened `ParallelFile` is in core: its
+/// SS cursor starts over. While any handle is open, every session's
+/// handle shares the one cursor.
+#[test]
+fn an_ss_name_opened_again_after_its_last_handle_closed_restarts_the_cursor() {
+    let volume = volume();
+    fill_ss(&volume, "queue", 10);
+    let server = Server::new(volume, ServerConfig::default());
+    let (a, b) = (server.connect(), server.connect());
+    let mut buf = [0u8; REC];
+    let mut qa = a.open("queue", View::SelfSched).unwrap();
+    assert_eq!(qa.read_next(&mut buf).unwrap(), Some(0));
+    let mut qb = b.open("queue", View::SelfSched).unwrap();
+    assert_eq!(
+        qb.read_next(&mut buf).unwrap(),
+        Some(1),
+        "one shared cursor"
+    );
+    drop(qa);
+    let mut qa = a.open("queue", View::SelfSched).unwrap();
+    assert_eq!(qa.read_next(&mut buf).unwrap(), Some(2), "qb kept it open");
+    drop((qa, qb));
+    let mut qb = b.open("queue", View::SelfSched).unwrap();
+    assert_eq!(qb.read_next(&mut buf).unwrap(), Some(0), "a new run");
+}
+
+#[test]
+fn a_removed_file_gives_its_blocks_back_while_the_server_lives() {
+    let volume = volume();
+    let server = Server::new(volume.clone(), ServerConfig::default());
+    let before = volume.free_blocks();
+    ParallelFile::create(&volume, "g", Organization::GlobalDirect, REC, 4).unwrap();
+    let g = server.connect().open("g", View::Direct).unwrap();
+    for r in 0..64 {
+        g.write_record(r, &[3; REC]).unwrap();
+    }
+    assert_ne!(volume.free_blocks(), before);
+    volume.remove("g").unwrap();
+    drop(g);
+    assert_eq!(volume.free_blocks(), before);
 }
