@@ -1,6 +1,6 @@
 //! Instrumented primitives for `--cfg pario_check` builds.
 //!
-//! Same API surface as the normal-mode pass-throughs, but every
+//! Same API surface as the normal build's [`crate::real`] locks, but every
 //! operation performed **on a model thread** (one spawned inside an
 //! [`crate::Explorer`] run) first routes through the run's cooperative
 //! scheduler: lock acquisition, condvar wait/notify and each atomic
@@ -8,13 +8,13 @@
 //! for deadlock detection, and ranked locks are checked against the
 //! declared [`LockLevel`] hierarchy.
 //!
-//! Off a model thread the types degrade to plain `parking_lot`/std
-//! behavior, so production code compiled under the cfg still works when
+//! Off a model thread the types degrade to the plain [`crate::real`]
+//! locks, so production code compiled under the cfg still works when
 //! executed outside a model (including free-running helper threads such
 //! as I/O-node workers, which coexist with model threads).
 //!
 //! The data of a checked mutex still lives behind a real
-//! `parking_lot::Mutex`; the scheduler guarantees at most one model
+//! [`crate::real::Mutex`]; the scheduler guarantees at most one model
 //! thread holds it, and non-model threads contend on the real lock as
 //! usual, so mixed use is safe.
 
@@ -22,12 +22,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::hierarchy::LockLevel;
+use crate::real;
 use crate::sched::{self, Sched};
 
 /// A mutual-exclusion primitive, scheduler-aware on model threads.
 pub struct Mutex<T: ?Sized> {
     level: LockLevel,
-    inner: parking_lot::Mutex<T>,
+    inner: real::Mutex<T>,
 }
 
 /// RAII guard for [`Mutex::lock`]; releases the model lock (waking
@@ -35,7 +36,7 @@ pub struct Mutex<T: ?Sized> {
 #[must_use = "a lock is held only while its guard lives"]
 pub struct MutexGuard<'a, T: ?Sized> {
     mutex: &'a Mutex<T>,
-    real: Option<parking_lot::MutexGuard<'a, T>>,
+    real: Option<real::MutexGuard<'a, T>>,
     model: Option<(Arc<Sched>, usize)>,
 }
 
@@ -55,7 +56,7 @@ impl<T> Mutex<T> {
     pub const fn new_named(value: T, level: LockLevel) -> Mutex<T> {
         Mutex {
             level,
-            inner: parking_lot::Mutex::new(value),
+            inner: real::Mutex::new(value),
         }
     }
 }
@@ -106,11 +107,6 @@ impl<T: ?Sized> Mutex<T> {
             }),
         }
     }
-
-    /// Get the value mutably without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
@@ -151,14 +147,14 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 /// (growth) and after `fs.rmw` (block I/O), which no single rank admits;
 /// deadlock detection still covers it.
 pub struct RwLock<T: ?Sized> {
-    inner: parking_lot::RwLock<T>,
+    inner: real::RwLock<T>,
 }
 
 /// RAII guard for [`RwLock::read`].
 #[must_use = "the read lock is held only while its guard lives"]
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     lock: &'a RwLock<T>,
-    real: Option<parking_lot::RwLockReadGuard<'a, T>>,
+    real: Option<real::RwLockReadGuard<'a, T>>,
     model: Option<(Arc<Sched>, usize)>,
 }
 
@@ -166,7 +162,7 @@ pub struct RwLockReadGuard<'a, T: ?Sized> {
 #[must_use = "the write lock is held only while its guard lives"]
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     lock: &'a RwLock<T>,
-    real: Option<parking_lot::RwLockWriteGuard<'a, T>>,
+    real: Option<real::RwLockWriteGuard<'a, T>>,
     model: Option<(Arc<Sched>, usize)>,
 }
 
@@ -180,7 +176,7 @@ impl<T> RwLock<T> {
     /// A new reader-writer lock.
     pub const fn new(value: T) -> RwLock<T> {
         RwLock {
-            inner: parking_lot::RwLock::new(value),
+            inner: real::RwLock::new(value),
         }
     }
 }
@@ -214,11 +210,6 @@ impl<T: ?Sized> RwLock<T> {
             real: Some(self.inner.write()),
             model,
         }
-    }
-
-    /// Get the value mutably without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -263,14 +254,14 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
 /// A condition variable, scheduler-aware on model threads.
 #[derive(Default)]
 pub struct Condvar {
-    inner: parking_lot::Condvar,
+    inner: real::Condvar,
 }
 
 impl Condvar {
     /// A new condition variable.
     pub const fn new() -> Condvar {
         Condvar {
-            inner: parking_lot::Condvar::new(),
+            inner: real::Condvar::new(),
         }
     }
 
@@ -529,10 +520,6 @@ pub struct CheckCell<T> {
 // really serialized (and the detector reports any pair the *modelled*
 // synchronization fails to order).
 unsafe impl<T: Send> Sync for CheckCell<T> {}
-
-/// Alias that names the intent at adoption sites: data that *would* be
-/// racy without the protocol the model checks.
-pub type RacyCell<T> = CheckCell<T>;
 
 impl<T> CheckCell<T> {
     /// A new cell labeled `cell` in race reports.

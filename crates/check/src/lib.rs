@@ -6,9 +6,9 @@
 //! explore the interleavings that break it. This crate provides the
 //! sync primitives those layers build on, in two personalities:
 //!
-//! * **Normal builds** (no extra cfg): [`Mutex`], [`Condvar`] and the
-//!   atomics are thin zero-overhead pass-throughs to `parking_lot` /
-//!   `std::sync::atomic` (see `passthrough`).
+//! * **Normal builds** (no extra cfg): [`Mutex`], [`RwLock`] and
+//!   [`Condvar`] are the std-backed, poison-free locks of [`real`],
+//!   exported as they are, and the atomics are `std::sync::atomic`'s.
 //! * **`--cfg pario_check` builds**: the same types route every
 //!   operation through a cooperative scheduler that runs one thread at
 //!   a time and *chooses* who runs next, so a test can deterministically
@@ -29,6 +29,10 @@
 //! RUSTFLAGS="--cfg pario_check" cargo test -p pario-check
 //! ```
 //!
+//! [`real`] is also the one name for a lock that is never a scheduling
+//! point, in either build: the real lock under each model lock, and an
+//! unscheduled leaf of the product (`MemDisk`'s bytes).
+//!
 //! To replay a failing schedule, paste the printed string into
 //! `Explorer::replay` (or re-run the test: exploration is seeded and
 //! deterministic).
@@ -36,10 +40,14 @@
 pub mod hierarchy;
 pub use hierarchy::LockLevel;
 
+pub mod real;
+
 #[cfg(not(pario_check))]
 mod passthrough;
 #[cfg(not(pario_check))]
 pub use passthrough::*;
+#[cfg(not(pario_check))]
+pub use real::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(pario_check)]
 mod clocks;

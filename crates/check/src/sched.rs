@@ -11,7 +11,7 @@
 //!
 //! Blocking is scheduler-level: a thread that cannot take a lock is
 //! parked in the scheduler *before* touching the underlying
-//! `parking_lot` lock, so the real lock is only ever contended between
+//! [`crate::real`] lock, so the real lock is only ever contended between
 //! a model thread and free-running helper threads (e.g. I/O-node
 //! workers), never between two model threads. When the running thread
 //! must block and no other thread is runnable, every model thread is

@@ -1,21 +1,27 @@
 //! Normal-build smoke tests: without `--cfg pario_check` the crate's
-//! primitives must behave exactly like `parking_lot`/std and add zero
-//! space overhead (the request path pays nothing for checkability).
+//! primitives must behave exactly like std's and add no space beyond
+//! it (the request path pays nothing for checkability).
 #![cfg(not(pario_check))]
 
 use std::sync::atomic::Ordering;
 
-use pario_check::{AtomicU64, CheckCell, Condvar, LockLevel, Mutex, RacyCell, RwLock};
+use pario_check::{AtomicU64, CheckCell, Condvar, LockLevel, Mutex, RwLock};
 
 #[test]
 fn passthrough_types_are_zero_overhead() {
     assert_eq!(
         std::mem::size_of::<Mutex<u64>>(),
-        std::mem::size_of::<parking_lot::Mutex<u64>>(),
+        std::mem::size_of::<std::sync::Mutex<u64>>(),
     );
     assert_eq!(
+        std::mem::size_of::<RwLock<u64>>(),
+        std::mem::size_of::<std::sync::RwLock<u64>>(),
+    );
+    // The waiter count is the one addition: it lets a notify with no
+    // waiter return after one load.
+    assert_eq!(
         std::mem::size_of::<Condvar>(),
-        std::mem::size_of::<parking_lot::Condvar>(),
+        std::mem::size_of::<(std::sync::Condvar, std::sync::atomic::AtomicUsize)>(),
     );
     assert_eq!(std::mem::size_of::<AtomicU64>(), std::mem::size_of::<u64>(),);
     // CheckCell is a bare UnsafeCell in normal builds: the label and the
@@ -25,7 +31,7 @@ fn passthrough_types_are_zero_overhead() {
         std::mem::size_of::<u64>()
     );
     assert_eq!(
-        std::mem::size_of::<RacyCell<[u8; 24]>>(),
+        std::mem::size_of::<CheckCell<[u8; 24]>>(),
         std::mem::size_of::<[u8; 24]>()
     );
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The six proposed organizations.
 ///
 /// Sequential family (global view = a standard sequential file):
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Direct-access family (global view = a direct access file):
 /// * **GDA** — any process, any record, any order.
 /// * **PDA** — random access within per-process partitions.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Organization {
     /// Type S: sequential access by a single process.
     Sequential,

@@ -8,10 +8,9 @@
 
 use std::sync::atomic::Ordering;
 
+use pario_check::real::RwLock;
 use pario_check::{AtomicBool, AtomicU64};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 use crate::device::{BlockDevice, IoCounters};
 use crate::error::{DiskError, Result};
@@ -20,9 +19,13 @@ use crate::error::{DiskError, Result};
 pub struct MemDisk {
     block_size: usize,
     num_blocks: u64,
-    /// Guards on this lock are statement-scoped: the counters below are
-    /// yield points under the model checker, and a model thread parked
-    /// at one must hold no real lock another thread can block on.
+    /// The one unscheduled lock of the request path
+    /// (`pario_check::real`): a block copy is no protocol the explorer
+    /// needs to interleave, and as a scheduling point every transfer
+    /// of every model would multiply its schedule space. Guards on it
+    /// are statement-scoped: the counters below are yield points under
+    /// the model checker, and a model thread parked at one must hold no
+    /// real lock another thread can block on.
     data: RwLock<Box<[u8]>>,
     failed: AtomicBool,
     reads: AtomicU64,

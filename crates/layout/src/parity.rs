@@ -9,12 +9,10 @@
 //! rotated across all devices (RAID-5). The XOR arithmetic and rebuild
 //! machinery live in `pario-reliability`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::traits::{Layout, PhysBlock};
 
 /// Where parity blocks live.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ParityPlacement {
     /// All parity on the last device (RAID-4). Simple, but the parity
     /// device is a write bottleneck.
@@ -29,7 +27,7 @@ pub enum ParityPlacement {
 /// Logical data blocks are striped one block at a time; stripe `s` occupies
 /// device row `s` on every device, with one of the `data_devices + 1`
 /// devices holding parity for that row.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParityStriped {
     data_devices: usize,
     placement: ParityPlacement,

@@ -7,8 +7,6 @@
 //! exactly the situation where the paper predicts seek-time degradation as
 //! a drive services interleaved requests from several processes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::traits::{Layout, PhysBlock};
 
 /// The near-equal split of `total` items into `parts` (at least one)
@@ -23,7 +21,7 @@ pub fn uniform_bounds(total: u64, parts: usize) -> Vec<u64> {
 }
 
 /// Contiguous per-partition placement across a device array.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partitioned {
     /// `bounds[p]..bounds[p+1]` is partition `p`'s logical block range.
     bounds: Vec<u64>,

@@ -14,12 +14,10 @@
 //! * **whole-block placement** (the declustering baseline): each file block
 //!   entirely on one drive — `unit ==` file-block size in volume blocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::traits::{Layout, PhysBlock};
 
 /// Round-robin placement of fixed-size units across devices.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Striped {
     devices: usize,
     unit: u64,

@@ -9,10 +9,8 @@
 
 use std::fmt::Debug;
 
-use serde::{Deserialize, Serialize};
-
 /// A physical location: device index plus device-local block index.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PhysBlock {
     /// Device index within the volume.
     pub device: usize,

@@ -7,7 +7,7 @@
 //! served over TCP itself is at the end of the file.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use bytes::Bytes;
 use pario_core::{CoreError, Organization, ParallelFile};
@@ -67,13 +67,17 @@ fn eight_clients_on_the_lane_drain_ss_exactly_once() {
     let (_net, addr) = serve(volume);
 
     let seen = Mutex::new(HashSet::new());
+    // Every client opens before any reads: a name opened again after its
+    // last handle closed starts a new run at record 0.
+    let opened = Barrier::new(CLIENTS);
     std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let addr = addr.as_str();
-            let seen = &seen;
+            let (seen, opened) = (&seen, &opened);
             s.spawn(move || {
                 let client = on_the_lane(addr);
                 let q = client.open("queue", View::SelfSched).unwrap();
+                opened.wait();
                 assert_eq!(q.record_size(), REC);
                 // Keep a window of claims on the wire; resolve in order.
                 let mut window = std::collections::VecDeque::new();
@@ -623,6 +627,8 @@ fn four_threads_share_one_connection_two_blocking_two_pipelining() {
     let client = NetClient::connect_tcp(&addr).unwrap();
 
     let seen = Mutex::new(HashSet::new());
+    // Both pipeliners open before either reads (see the lane test above).
+    let opened = Barrier::new(2);
     std::thread::scope(|s| {
         for t in 0..2u64 {
             let client = &client;
@@ -639,9 +645,10 @@ fn four_threads_share_one_connection_two_blocking_two_pipelining() {
             });
         }
         for _ in 0..2 {
-            let (client, seen) = (&client, &seen);
+            let (client, seen, opened) = (&client, &seen, &opened);
             s.spawn(move || {
                 let q = client.open("queue", View::SelfSched).unwrap();
+                opened.wait();
                 let mut window = std::collections::VecDeque::new();
                 let mut buf = [0u8; REC];
                 let mut local = Vec::new();

@@ -10,8 +10,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
-
+use pario_check::Mutex;
 use pario_disk::{BlockDevice, DeviceRef, DiskError, IoCounters, Result};
 
 /// FNV-1a over a block.

@@ -15,11 +15,9 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use pario_check::{AtomicU64, LockLevel};
+use pario_check::{AtomicU64, LockLevel, Mutex};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use pario_core::{
     CoreError, DirectHandle, Organization, ParallelFile, ProcessView, SelfSchedReader,

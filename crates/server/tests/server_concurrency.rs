@@ -5,7 +5,7 @@
 
 use std::collections::HashSet;
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use pario_core::{Organization, ParallelFile};
 use pario_fs::{Volume, VolumeConfig};
@@ -45,14 +45,18 @@ fn ss_sessions_share_one_cursor_exactly_once() {
         },
     );
     let seen = Mutex::new(HashSet::new());
+    // Every client opens before any reads: a name opened again after its
+    // last handle closed starts a new run at record 0.
+    let opened = Barrier::new(CLIENTS);
     // Each client tallies the reads it completed, end-of-file included.
     let reads: Vec<u64> = std::thread::scope(|s| {
         let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 let sess = server.connect();
-                let seen = &seen;
+                let (seen, opened) = (&seen, &opened);
                 s.spawn(move || {
                     let mut q = sess.open("queue", View::SelfSched).unwrap();
+                    opened.wait();
                     let mut buf = [0u8; REC];
                     let mut reads = 0;
                     loop {

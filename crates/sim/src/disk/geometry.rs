@@ -9,12 +9,10 @@
 //! `a + b·√d` seek curve captures the arm's accelerate/coast/settle
 //! behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SimTime;
 
 /// Physical description and timing parameters of a modelled disk.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct DiskGeometry {
     /// Number of cylinders (seek positions).
     pub cylinders: u32,

@@ -6,10 +6,8 @@
 //! The classic policies are provided: FIFO (fair, seek-oblivious), SSTF
 //! (greedy shortest-seek), and the elevator algorithms SCAN and C-SCAN.
 
-use serde::{Deserialize, Serialize};
-
 /// Queue service order policy.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum SchedPolicy {
     /// First-come first-served (arrival order).
     Fifo,

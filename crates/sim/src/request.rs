@@ -1,12 +1,10 @@
 //! I/O request descriptors exchanged between simulated processes and
 //! simulated devices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Direction of a device transfer.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum ReqKind {
     /// Transfer from device to memory.
     Read,
@@ -20,7 +18,7 @@ pub enum ReqKind {
 /// Requests are purely *positional* — the simulator models timing, not data
 /// content. The block address matters because rotating-disk service time
 /// depends on where the head currently is and where the request wants it.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct DiskReq {
     /// Target device index within the simulation.
     pub device: usize,

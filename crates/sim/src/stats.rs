@@ -1,11 +1,9 @@
 //! Measurement collected during a simulation run.
 
-use serde::Serialize;
-
 use crate::time::SimTime;
 
 /// Per-device accounting.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DeviceStats {
     /// Requests serviced.
     pub requests: u64,
@@ -36,7 +34,7 @@ impl DeviceStats {
 }
 
 /// Per-process accounting.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ProcStats {
     /// Virtual time spent computing.
     pub compute: SimTime,
@@ -51,7 +49,7 @@ pub struct ProcStats {
 }
 
 /// One recorded device-level event, for pattern-style figures and debugging.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// When service started.
     pub start: SimTime,
@@ -70,7 +68,7 @@ pub struct TraceEvent {
 }
 
 /// Everything a finished run reports.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SimReport {
     /// Time the last event occurred (total virtual run time).
     pub makespan: SimTime,

@@ -8,15 +8,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in (or span of) virtual time, in nanoseconds.
 ///
 /// `SimTime` is deliberately a thin newtype: all arithmetic is plain integer
 /// arithmetic, and overflow panics in debug builds like any other integer
 /// overflow. A nanosecond tick gives ~584 years of simulated range, far more
 /// than any experiment here needs.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

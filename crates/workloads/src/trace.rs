@@ -5,10 +5,8 @@
 //! simulator. Keeping the trace representation here lets one generator
 //! feed both worlds.
 
-use serde::{Deserialize, Serialize};
-
 /// Read or write.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum AccessKind {
     /// A read access.
     Read,
@@ -17,7 +15,7 @@ pub enum AccessKind {
 }
 
 /// One access by one process.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Access {
     /// Issuing process.
     pub proc: u32,
@@ -28,7 +26,7 @@ pub struct Access {
 }
 
 /// A whole workload trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Accesses in program order (per process; inter-process order is
     /// advisory).

@@ -6,14 +6,16 @@
 //! compiled (it lives outside any `src/` tree).
 
 use std::sync::Mutex; // R1: std::sync::Mutex on the request path
+use parking_lot::Mutex; // R1: a lock beside pario_check's
+use std::sync::Condvar as _; // R1: std::sync::Condvar
+use std::sync::RwLock as _; // R1: std::sync::RwLock
 
 struct Node {
     state: Mutex<Vec<u8>>,
 }
 
 fn spawn_worker() {
-    // R1: raw spawn instead of a named Builder worker.
-    let h = std::thread::spawn(|| {});
+    let h = std::thread::spawn(|| {}); // R1: raw spawn, not a named Builder worker
     // R2: expect without an invariant comment.
     h.join().expect("worker never panics");
 }

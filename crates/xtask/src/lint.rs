@@ -69,6 +69,7 @@ const BANNED_SYNC: &[(&str, &str)] = &[
         "std::sync::Condvar",
         "use pario_check::Condvar (model-checkable)",
     ),
+    ("parking_lot", "use the pario_check locks (model-checkable)"),
     (
         "std::thread::spawn(",
         "use a named std::thread::Builder worker (or pario_check::spawn in models)",
@@ -213,8 +214,10 @@ mod tests {
 
     #[test]
     fn bans_std_sync_and_raw_spawn() {
-        let v = lint("use std::sync::Mutex;\nlet h = std::thread::spawn(|| {});\n");
-        assert_eq!(v.iter().filter(|f| f.rule == "R1").count(), 2);
+        let v = lint(
+            "use std::sync::Mutex;\nuse parking_lot::RwLock;\nlet h = std::thread::spawn(|| {});\n",
+        );
+        assert_eq!(v.iter().filter(|f| f.rule == "R1").count(), 3);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! * **R1 std-sync ban** — request-path crates must use the
 //!   `pario-check` primitives (model-checkable) instead of
-//!   `std::sync::{Mutex, RwLock, Condvar}`, `parking_lot` directly, or
-//!   raw `std::thread::spawn` (named `thread::Builder` workers are
-//!   allowed).
+//!   `std::sync::{Mutex, RwLock, Condvar}`, any `parking_lot`, or raw
+//!   `std::thread::spawn` (named `thread::Builder` workers are
+//!   allowed). The one unscheduled lock, `pario_check::real`'s, is
+//!   found by grep, not by this rule.
 //! * **R2 unwrap policy** — no `.unwrap()` / `.expect(` in non-test
 //!   library code of the request-path crates; waive a genuinely
 //!   infallible call with a `// invariant:` comment on the same or the
@@ -114,6 +115,18 @@ fn self_test(root: &Path) -> ExitCode {
             ok = false;
         } else {
             println!("xtask lint --self-test: {rule} fired {n}x on the fixture");
+        }
+    }
+    // Each fixture line marked `// R1` is one banned pattern and must
+    // be flagged itself, so a pattern dropped from the ban fails here.
+    for (i, line) in text.lines().enumerate() {
+        if line.contains("// R1") && !findings.iter().any(|f| f.rule == "R1" && f.line == i + 1) {
+            eprintln!(
+                "xtask lint --self-test: R1 did not flag fixture line {}: {}",
+                i + 1,
+                line.trim()
+            );
+            ok = false;
         }
     }
     let clean = "fn fine() { let x = Some(1); if let Some(v) = x { drop(v); } }\n";
