@@ -7,7 +7,9 @@
 //! [`BlockDevice`], the trait every layer above speaks; [`FaultDevice`]
 //! for seeded fault plans; and the per-device I/O executor
 //! ([`IoNode`]) every transfer goes through. The modelled 1989 drive
-//! the virtual-time experiments run on is `pario_sim::disk`.
+//! the virtual-time experiments run on is `pario_sim::disk`. [`wire`]
+//! is the byte codec of everything the tree puts on a wire or on media
+//! (`pario-net`'s frames, `pario-fs`'s meta region).
 //!
 //! ```
 //! use pario_disk::{mem_array, BlockDevice};
@@ -30,6 +32,7 @@ mod fault;
 mod file;
 mod ionode;
 mod mem;
+pub mod wire;
 
 pub use device::{BlockDevice, DeviceRef, IoCounters};
 pub use error::{DiskError, Result};

@@ -1,14 +1,15 @@
-//! The primitive byte codec under the frame protocol: little-endian
-//! integers, length-prefixed byte strings, and a reader that fails
-//! closed — every decode returns [`WireError::Truncated`] or
-//! [`WireError::Malformed`] instead of panicking, whatever the input
-//! bytes are.
+//! The tree's one byte codec, under `pario-net`'s frames and
+//! `pario-fs`'s meta-region records alike: little-endian integers,
+//! length-prefixed byte strings, and a reader that fails closed — every
+//! decode returns [`WireError::Truncated`] or [`WireError::Malformed`]
+//! instead of panicking, whatever the input bytes are.
 
 use std::fmt;
 
 /// A decode failure. Any sequence of bytes either decodes or returns
-/// one of these; the connection layer treats both as fatal for the
-/// connection (fail closed), never for the server.
+/// one of these, and a caller treats both as fatal for what it was
+/// reading (fail closed): a connection for the server, a mount for the
+/// file system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The value ran past the end of the buffer.
@@ -62,7 +63,7 @@ impl WireWriter {
     }
 
     /// The vector underneath, for a caller that frames what it encodes
-    /// in place (`frame::begin_frame` / `end_frame`).
+    /// in place (`pario-net`'s `frame::begin_frame` / `end_frame`).
     pub fn buf_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
@@ -100,6 +101,11 @@ impl WireWriter {
     pub fn raw(&mut self, v: &[u8]) -> &mut WireWriter {
         self.buf.extend_from_slice(v);
         self
+    }
+
+    /// Append a `usize` as a little-endian u64.
+    pub fn usize(&mut self, v: usize) -> &mut WireWriter {
+        self.u64(v as u64)
     }
 
     /// Append a `u32`-length-prefixed byte string.
@@ -190,6 +196,13 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Read a `usize` written by [`WireWriter::usize`]; one past this
+    /// target's `usize` is malformed.
+    pub fn usize(&mut self) -> WireResult<usize> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| WireError::Malformed(format!("{v} overflows usize")))
+    }
+
     /// Read a `u32`-length-prefixed byte string (borrowed).
     pub fn bytes_prefixed(&mut self) -> WireResult<&'a [u8]> {
         let len = self.u32()? as usize;
@@ -221,7 +234,7 @@ mod tests {
     #[test]
     fn round_trip_primitives() {
         let mut w = WireWriter::new();
-        w.u8(7).u16(300).u32(70_000).u64(1 << 40);
+        w.u8(7).u16(300).u32(70_000).u64(1 << 40).usize(9);
         w.str_prefixed("héllo").bytes_prefixed(&[1, 2, 3]);
         let bytes = w.take();
         let mut r = WireReader::new(&bytes);
@@ -229,6 +242,7 @@ mod tests {
         assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), 1 << 40);
+        assert_eq!(r.usize().unwrap(), 9);
         assert_eq!(r.str_prefixed().unwrap(), "héllo");
         assert_eq!(r.bytes_prefixed().unwrap(), &[1, 2, 3]);
         r.finish().unwrap();

@@ -5,12 +5,10 @@
 //! on modelled rotating disks, where a file scattered across cylinders
 //! pays seeks the paper's layouts are designed to avoid.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{FsError, Result};
 
 /// A contiguous run of blocks on one device, owned by one file.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Extent {
     /// First absolute device block.
     pub start: u64,
@@ -159,13 +157,31 @@ impl Allocator {
         Ok(extents)
     }
 
-    /// Mark `extent` on `device` as allocated (used when re-mounting a
-    /// persisted volume).
-    pub fn reserve(&mut self, device: usize, extent: Extent) {
-        let map = &mut self.maps[device];
-        for b in extent.start..extent.end() {
-            map.set(b);
+    /// Mark `extent` on `device` as allocated (the meta region, and a
+    /// persisted volume's extents at mount), or say why it cannot be: a
+    /// device or a block past the volume, an empty extent, or a block
+    /// already taken. A refused extent marks nothing.
+    pub(crate) fn reserve(
+        &mut self,
+        device: usize,
+        extent: Extent,
+    ) -> std::result::Result<(), String> {
+        let Extent { start, len } = extent;
+        let map = self
+            .maps
+            .get_mut(device)
+            .ok_or_else(|| format!("device {device} does not exist"))?;
+        let end = start
+            .checked_add(len)
+            .filter(|&end| len > 0 && end <= map.blocks)
+            .ok_or_else(|| {
+                format!("extent of {len} blocks at {start} does not fit device {device}")
+            })?;
+        if let Some(b) = (start..end).find(|&b| map.is_set(b)) {
+            return Err(format!("block {b} of device {device} is held twice"));
         }
+        (start..end).for_each(|b| map.set(b));
+        Ok(())
     }
 
     /// Return `extent` on `device` to the free pool.

@@ -19,9 +19,10 @@ use pario_disk::DeviceRef;
 
 use crate::error::Result;
 
-/// Header magic: the third meta format, after the single-slot
-/// `PARIOFS1` and the `PARIOSB2` slot / `PJL2` record pair.
-const MAGIC: &[u8; 8] = b"PARIOFS3";
+/// Header magic: the fourth meta format, whose payloads are the byte
+/// codec's (`codec`), after the single-slot `PARIOFS1`, the `PARIOSB2`
+/// slot / `PJL2` record pair and `PARIOFS3`'s JSON payloads.
+const MAGIC: &[u8; 8] = b"PARIOFS4";
 
 /// Header bytes before the payload.
 pub(crate) const HEADER: usize = 32;

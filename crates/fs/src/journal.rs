@@ -35,13 +35,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc::{push_merged, Extent};
-use crate::error::{FsError, Result};
+use crate::codec;
+use crate::error::Result;
 use crate::frame;
 use crate::meta::FileMeta;
-use crate::superblock::{journal_blocks, journal_start};
+use crate::superblock::{covered, journal_blocks, journal_start, place, refused, reserve};
 use crate::volume::{FileState, VolInner};
 
 /// Journal cursor + the current superblock generation. Guarded by the
@@ -57,7 +56,7 @@ pub(crate) struct JournalState {
 }
 
 /// One redo record: a metadata operation that completed in memory.
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum Record {
     /// A file entered the directory (extents empty; growth follows).
     Create {
@@ -94,7 +93,7 @@ pub(crate) enum Appended {
 
 /// Append `rec` durably. See [`Appended`] for the full-journal case.
 pub(crate) fn append(inner: &VolInner, rec: &Record) -> Result<Appended> {
-    let payload = serde_json::to_vec(rec).map_err(|e| FsError::Meta(e.to_string()))?;
+    let payload = codec::encode_record(rec);
     let bs = inner.block_size;
     let mut journal = inner.journal.lock();
     let image = frame::frame(journal.gen, journal.seq, &payload, bs);
@@ -113,9 +112,11 @@ pub(crate) fn append(inner: &VolInner, rec: &Record) -> Result<Appended> {
 
 /// Read the journal area as one run and apply, in order, every record
 /// tagged with `gen` whose sequence and CRC validate; stop at the first
-/// mismatch (stale generation or torn tail). Returns the number of
-/// records applied. Runs single-threaded at mount, before the volume is
-/// shared.
+/// mismatch (stale generation or torn tail). A record whose CRC holds
+/// but whose body does not decode, or names what the volume cannot
+/// place, was framed by a faulty build, not torn: mount fails with
+/// `FsError::Meta`. Returns the number of records applied. Runs
+/// single-threaded at mount, before the volume is shared.
 pub(crate) fn replay(inner: &VolInner, gen: u64) -> Result<u64> {
     let bs = inner.block_size;
     let start = journal_start(inner.meta_blocks);
@@ -127,10 +128,7 @@ pub(crate) fn replay(inner: &VolInner, gen: u64) -> Result<u64> {
         if image.gen != gen || image.seq != seq {
             break;
         }
-        let Ok(rec) = serde_json::from_slice::<Record>(image.payload) else {
-            break;
-        };
-        apply(inner, rec)?;
+        apply(inner, codec::decode_record(image.payload)?)?;
         at += frame::image_bytes(image.payload.len(), bs);
         seq += 1;
     }
@@ -153,20 +151,12 @@ fn apply(inner: &VolInner, rec: Record) -> Result<()> {
             if exists {
                 return Ok(());
             }
-            {
-                let mut space = inner.alloc.lock();
-                for (slot, extents) in meta.extents.iter().enumerate() {
-                    for &e in extents {
-                        space.free.reserve(meta.device_map[slot], e);
-                    }
-                }
-            }
-            let next = inner.next_id.load(std::sync::atomic::Ordering::Relaxed); // ordering: single-threaded mount
-            if meta.id >= next {
-                inner
-                    .next_id
-                    .store(meta.id + 1, std::sync::atomic::Ordering::Relaxed); // ordering: single-threaded mount
-            }
+            place(inner, &mut inner.alloc.lock().free, &meta)?;
+            let after = meta.id.checked_add(1);
+            let after = after.ok_or_else(|| refused(&meta, "no id after it".into()))?;
+            inner
+                .next_id
+                .fetch_max(after, std::sync::atomic::Ordering::Relaxed); // ordering: single-threaded mount
             files.insert(meta.name.clone(), Arc::new(FileState::new(meta)));
         }
         Record::Grow { id, slots, nblocks } => {
@@ -176,22 +166,15 @@ fn apply(inner: &VolInner, rec: Record) -> Result<()> {
             if meta.nblocks >= nblocks {
                 return Ok(());
             }
-            {
-                let mut space = inner.alloc.lock();
-                for (slot, extents) in slots.iter().enumerate() {
-                    let dev = meta.device_map[slot];
-                    for &e in extents {
-                        space.free.reserve(dev, e);
-                    }
-                }
-            }
-            for (slot, extents) in slots.into_iter().enumerate() {
-                let slot_extents = &mut meta.extents[slot];
+            let reserved = reserve(&mut inner.alloc.lock().free, &meta.device_map, &slots);
+            reserved.map_err(|why| refused(&meta, why))?;
+            for (slot_extents, extents) in meta.extents.iter_mut().zip(slots) {
                 extents
                     .into_iter()
                     .for_each(|e| push_merged(slot_extents, e));
             }
             meta.nblocks = nblocks;
+            covered(inner, &meta).map_err(|why| refused(&meta, why))?;
         }
         Record::Remove { id } => {
             let name = {
@@ -266,7 +249,7 @@ mod tests {
         let mut head = vec![0u8; 512];
         let second = journal_start(meta_blocks(512, 1024)) + 1;
         devs[0].read_blocks_at(second, &mut head).unwrap();
-        assert_eq!(&head[..8], b"PARIOFS3");
+        assert_eq!(&head[..8], b"PARIOFS4");
         assert_eq!(head[20..28], 1u64.to_le_bytes(), "seq 1");
 
         let v = Volume::mount(devs).unwrap();

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod alloc;
+mod codec;
 mod error;
 mod file;
 mod frame;

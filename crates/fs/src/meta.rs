@@ -7,14 +7,12 @@
 //! organization-agnostic — exactly the paper's split between file
 //! *structures* (here) and *access methods* on them (core).
 
-use serde::{Deserialize, Serialize};
-
 use pario_layout::LayoutSpec;
 
 use crate::alloc::Extent;
 
 /// Durable per-file metadata.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileMeta {
     /// Unique id within the volume.
     pub id: u64,
@@ -50,6 +48,31 @@ impl FileMeta {
     pub fn file_block_bytes(&self) -> usize {
         self.record_size * self.records_per_block
     }
+
+    /// Logical blocks of `block_size` bytes a fixed-capacity file
+    /// holds — a partitioned one its bounds, any other its records —
+    /// or `None` for a growable file.
+    pub(crate) fn capacity_blocks(&self, block_size: usize) -> Option<u64> {
+        let cap = self.fixed_capacity_records?;
+        Some(match self.partition_bounds() {
+            // invariant: `check_placement` refused bounds naming no partition.
+            Some(bounds) => *bounds.last().expect("checked non-empty"),
+            None => (cap * self.record_size as u64).div_ceil(block_size as u64),
+        })
+    }
+
+    /// The bounds of a partitioned placement, shadowed or not: its
+    /// mapping is sized by them, so it holds all their blocks or none.
+    pub(crate) fn partition_bounds(&self) -> Option<&[u64]> {
+        let plain = match &self.layout {
+            LayoutSpec::Shadowed(plain) => plain,
+            layout => layout,
+        };
+        match plain {
+            LayoutSpec::Partitioned { bounds, .. } => Some(bounds),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -80,15 +103,5 @@ mod tests {
         let m = meta();
         assert_eq!(m.len_bytes(), 1000);
         assert_eq!(m.file_block_bytes(), 400);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = meta();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: FileMeta = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.name, m.name);
-        assert_eq!(back.layout, m.layout);
-        assert_eq!(back.len_records, 10);
     }
 }

@@ -11,28 +11,31 @@
 //! block 2S ... M-1 ... intent journal (see `journal`)
 //! ```
 //!
-//! A checkpoint serialises the directory (JSON — metadata is tiny and
-//! cold, so a text encoding buys debuggability for free), frames it with
-//! a monotonically increasing **generation** and `seq` 0, and writes it
-//! as one run to the slot the *previous* generation did not use. What
-//! is kept here is the policy: slot choice, generations, and a directory
-//! that always fits a slot. Mount reads both slots and picks the
-//! newest valid one, so a superblock write torn by a crash is never
-//! fatal: the alternate slot still holds the previous checkpoint.
-//! Mount then replays the intent journal against the loaded generation
-//! to recover metadata operations that completed after that checkpoint.
+//! A checkpoint encodes the directory (`codec`, the byte codec the wire
+//! uses too), frames it with a monotonically increasing **generation**
+//! and `seq` 0, and writes it as one run to the slot the *previous*
+//! generation did not use. What is kept here is the policy: slot
+//! choice, generations, a directory that always fits a slot, and what
+//! a mount accepts. Mount reads both slots and picks the newest valid
+//! one, so a superblock write torn by a crash is never fatal: the
+//! alternate slot still holds the previous checkpoint. It holds every
+//! file it decodes to the rules a create keeps and to the volume's
+//! devices ([`place`]), so an image a faulty build framed correctly is
+//! refused as `FsError::Meta` rather than trusted. Mount then replays
+//! the intent journal against the loaded generation to recover
+//! metadata operations that completed after that checkpoint.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
+use crate::alloc::{extents_len, Allocator, Extent};
+use crate::codec;
 use crate::error::{FsError, Result};
 use crate::frame;
 use crate::journal;
 use crate::meta::FileMeta;
-use crate::volume::{FileState, VolInner};
+use crate::volume::{check_placement, FileState, VolInner};
 
 /// Preferred size of the whole reserved meta region on device 0.
 pub(crate) const META_REGION_BYTES: usize = 256 * 1024;
@@ -94,11 +97,12 @@ pub struct MetaStatus {
     pub journal_capacity_blocks: u64,
 }
 
-#[derive(Serialize, Deserialize)]
-struct Persisted {
-    block_size: usize,
-    next_id: u64,
-    files: Vec<FileMeta>,
+/// A checkpoint's payload: the directory and what mints its ids.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Persisted {
+    pub(crate) block_size: usize,
+    pub(crate) next_id: u64,
+    pub(crate) files: Vec<FileMeta>,
 }
 
 /// Serialise the directory into the slot the previous generation did
@@ -115,8 +119,8 @@ pub(crate) fn store(inner: &VolInner) -> Result<()> {
     // generation that the new checkpoint neither contains nor replays.
     let _barrier = inner.ckpt.write();
     let files = snapshot(&inner.files.read());
-    let json = encode(inner, inner.next_id.load(Ordering::Relaxed), files)?; // ordering: id counter; persistence tolerates a racing create (next checkpoint catches it)
-    fits(inner, json.len())?;
+    let payload = encode(inner, inner.next_id.load(Ordering::Relaxed), files); // ordering: id counter; persistence tolerates a racing create (next checkpoint catches it)
+    fits(inner, payload.len())?;
     // The journal lock serialises generation arithmetic against record
     // appends (a record is tagged with the generation current at append
     // time, and replay only honours records matching the loaded slot);
@@ -124,7 +128,7 @@ pub(crate) fn store(inner: &VolInner) -> Result<()> {
     // and this acquisition.
     let mut journal = inner.journal.lock();
     let gen = journal.gen + 1;
-    let image = frame::frame(gen, 0, &json, inner.block_size);
+    let image = frame::frame(gen, 0, &payload, inner.block_size);
     // The durability point: the checkpoint must be on stable media
     // before the in-memory generation advances and the journal resets.
     frame::write(
@@ -149,7 +153,7 @@ pub(crate) fn admit(
 ) -> Result<()> {
     let mut metas = snapshot(files);
     metas.push(new.clone());
-    fits(inner, encode(inner, u64::MAX, metas)?.len())
+    fits(inner, encode(inner, u64::MAX, metas).len())
 }
 
 /// Every file's metadata, by id.
@@ -160,13 +164,12 @@ fn snapshot(files: &HashMap<String, Arc<FileState>>) -> Vec<FileMeta> {
 }
 
 /// The checkpoint payload.
-fn encode(inner: &VolInner, next_id: u64, files: Vec<FileMeta>) -> Result<Vec<u8>> {
-    let persisted = Persisted {
+fn encode(inner: &VolInner, next_id: u64, files: Vec<FileMeta>) -> Vec<u8> {
+    codec::encode_checkpoint(&Persisted {
         block_size: inner.block_size,
         next_id,
         files,
-    };
-    serde_json::to_vec(&persisted).map_err(|e| FsError::Meta(e.to_string()))
+    })
 }
 
 /// `Ok` if the image of a `len`-byte payload fits a slot.
@@ -212,8 +215,7 @@ pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
         }
     };
     let bs = inner.block_size;
-    let persisted: Persisted =
-        serde_json::from_slice(&payload).map_err(|e| FsError::Meta(e.to_string()))?;
+    let persisted = codec::decode_checkpoint(&payload)?;
     if persisted.block_size != bs {
         return Err(FsError::Meta(format!(
             "volume was formatted with {}-byte blocks, devices use {bs}",
@@ -224,11 +226,15 @@ pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
     {
         let mut files = inner.files.write();
         let mut space = inner.alloc.lock();
+        let mut ids = HashSet::new();
         for meta in persisted.files {
-            for (slot, extents) in meta.extents.iter().enumerate() {
-                for &e in extents {
-                    space.free.reserve(meta.device_map[slot], e);
-                }
+            place(inner, &mut space.free, &meta)?;
+            // An id at or past `next_id` would be minted again.
+            if meta.id >= persisted.next_id
+                || !ids.insert(meta.id)
+                || files.contains_key(&meta.name)
+            {
+                return Err(refused(&meta, "its id or name is held twice".into()));
             }
             files.insert(meta.name.clone(), Arc::new(FileState::new(meta)));
         }
@@ -254,6 +260,72 @@ pub(crate) fn load(inner: &VolInner) -> Result<MountReport> {
     })
 }
 
+/// Hold a file a mount decoded to what the volume can place, then
+/// reserve its extents: the create path's rules ([`check_placement`]),
+/// one extent list per slot, every extent on its own device's blocks
+/// and none held twice, and its blocks covered ([`covered`]). A file
+/// that breaks one is refused as `FsError::Meta`.
+pub(crate) fn place(inner: &VolInner, free: &mut Allocator, meta: &FileMeta) -> Result<()> {
+    check_placement(inner, meta)
+        .and_then(|()| reserve(free, &meta.device_map, &meta.extents))
+        .and_then(|()| covered(inner, meta))
+        .map_err(|why| refused(meta, why))
+}
+
+/// Reserve `slots`' extents, one list per layout slot, on the slots'
+/// devices.
+pub(crate) fn reserve(
+    free: &mut Allocator,
+    device_map: &[usize],
+    slots: &[Vec<Extent>],
+) -> std::result::Result<(), String> {
+    if slots.len() != device_map.len() {
+        let (lists, slots) = (slots.len(), device_map.len());
+        return Err(format!("{lists} extent lists for {slots} slots"));
+    }
+    for (&device, extents) in device_map.iter().zip(slots) {
+        for &e in extents {
+            free.reserve(device, e)?;
+        }
+    }
+    Ok(())
+}
+
+/// `Err` unless `meta`'s extents hold every block its layout maps for
+/// its `nblocks` logical blocks, and those fit its capacity: a
+/// partitioned layout, shadowed or not, maps all of its bounds' blocks
+/// or none.
+pub(crate) fn covered(inner: &VolInner, meta: &FileMeta) -> std::result::Result<(), String> {
+    let n = meta.nblocks;
+    if n == 0 {
+        return Ok(());
+    }
+    let cap = meta.capacity_blocks(inner.block_size);
+    if cap.is_some_and(|cap| n > cap) {
+        return Err(format!("{n} blocks past a capacity of {cap:?}"));
+    }
+    if let Some(bounds) = meta.partition_bounds() {
+        if bounds.last() != Some(&n) {
+            return Err(format!("{n} blocks of partitions that bound {bounds:?}"));
+        }
+    }
+    let layout = meta.layout.build();
+    for (slot, extents) in meta.extents.iter().enumerate() {
+        let (need, have) = (layout.blocks_on_device(n, slot), extents_len(extents));
+        if have < need {
+            return Err(format!(
+                "slot {slot} holds {have} of the {need} blocks its layout maps"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// `why` a mount refuses the decoded file `meta`.
+pub(crate) fn refused(meta: &FileMeta, why: String) -> FsError {
+    FsError::Meta(format!("file '{}' (id {}): {why}", meta.name, meta.id))
+}
+
 /// Current on-disk + in-memory health of the meta region.
 pub(crate) fn status(inner: &VolInner) -> MetaStatus {
     let slot_a = read_slot(inner, 0).map(|(g, _)| g);
@@ -274,6 +346,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    use crate::error::FsError;
     use crate::volume::{FileSpec, Volume};
     use pario_disk::{
         mem_array, BlockDevice, DeviceRef, FaultDevice, FaultPlan, IoCounters, MemDisk,
@@ -373,7 +446,6 @@ mod tests {
 
     #[test]
     fn mount_rejects_blank_devices() {
-        use crate::error::FsError;
         let blank = mem_array(2, 1024, 512);
         assert!(matches!(Volume::mount(blank), Err(FsError::Meta(_))));
     }
@@ -410,7 +482,6 @@ mod tests {
 
     #[test]
     fn retired_single_slot_image_is_rejected_and_left_untouched() {
-        use crate::error::FsError;
         let json = br#"{"block_size":512,"next_id":1,"files":[]}"#;
         // The pre-dual-slot image at block 0: an unchecksummed magic
         // ("PARIOFS" + format digit 1), payload length, then the JSON
@@ -440,11 +511,17 @@ mod tests {
         record.extend_from_slice(&retired_crc(&covered));
         record.extend_from_slice(rec);
 
+        // The JSON format's slot A: today's frame, under "PARIOFS3"
+        // (the CRC does not cover the magic).
+        let mut json_slot = crate::frame::frame(1, 0, json, 512);
+        json_slot[..8].copy_from_slice(b"PARIOFS3");
+
         let journal = super::journal_start(super::meta_blocks(512, 1024));
         let volumes = [
             vec![(0, single)],
             vec![(0, dual.clone())],
             vec![(0, dual), (journal, record)],
+            vec![(0, json_slot)],
         ];
         for images in volumes {
             let devs = devices();
@@ -467,6 +544,110 @@ mod tests {
             }
             assert!(before == image(), "a failed mount wrote to device 0");
         }
+    }
+
+    /// Two files of four blocks over the three devices, checkpointed:
+    /// the devices, the checkpoint's generation and what it holds.
+    fn checkpointed() -> (Vec<DeviceRef>, u64, super::Persisted) {
+        let devs = devices();
+        let v = Volume::new(devs.clone()).unwrap();
+        v.create_file(empty("a").initial_records(4)).unwrap();
+        v.create_file(empty("b").initial_records(4)).unwrap();
+        v.sync_meta().unwrap();
+        let files = ["a", "b"].map(|n| v.open(n).unwrap().meta_snapshot());
+        let persisted = super::Persisted {
+            block_size: 512,
+            next_id: files[1].id + 1,
+            files: files.to_vec(),
+        };
+        let gen = v.meta_status().generation;
+        v.abandon();
+        (devs, gen, persisted)
+    }
+
+    /// Frame `persisted` as the next generation's checkpoint in its slot.
+    fn checkpoint(devs: &[DeviceRef], gen: u64, persisted: &super::Persisted) {
+        let payload = crate::codec::encode_checkpoint(persisted);
+        let slot = super::slot_blocks(super::meta_blocks(512, 1024));
+        let image = crate::frame::frame(gen + 1, 0, &payload, 512);
+        devs[0]
+            .write_blocks_at((gen + 1) % 2 * slot, &image)
+            .unwrap();
+    }
+
+    #[test]
+    fn a_device_map_entry_past_the_volume_fails_mount_as_meta() {
+        let (devs, gen, mut persisted) = checkpointed();
+        persisted.files[1].device_map[2] = 7;
+        checkpoint(&devs, gen, &persisted);
+        match Volume::mount(devs) {
+            Err(FsError::Meta(msg)) => assert!(msg.contains("device 7 does not exist"), "{msg}"),
+            other => panic!("mounted past the volume: {:?}", other.map(|v| v.list())),
+        }
+    }
+
+    #[test]
+    fn mount_refuses_a_file_it_cannot_place() {
+        type Corrupt = fn(&mut super::Persisted);
+        let cases: [(&str, Corrupt); 9] = [
+            ("mapped twice", |p| p.files[0].device_map[1] = 0),
+            ("extent lists for", |p| p.files[0].extents.push(Vec::new())),
+            ("does not fit device", |p| {
+                p.files[0].extents[0][0].start = 1023
+            }),
+            ("does not fit device", |p| p.files[0].extents[0][0].len = 0),
+            ("held twice", |p| {
+                p.files[1].extents[0] = p.files[0].extents[0].clone()
+            }),
+            ("held twice", |p| p.files[1].extents[0][0].start = 0),
+            ("its layout maps", |p| p.files[0].nblocks = 40),
+            ("id or name is held twice", |p| p.files[1].name = "a".into()),
+            ("id or name is held twice", |p| p.next_id = p.files[1].id),
+        ];
+        for (why, corrupt) in cases {
+            let (devs, gen, mut persisted) = checkpointed();
+            corrupt(&mut persisted);
+            checkpoint(&devs, gen, &persisted);
+            match Volume::mount(devs) {
+                Err(FsError::Meta(msg)) => assert!(msg.contains(why), "{why}: {msg}"),
+                other => panic!("{why}: mounted {:?}", other.map(|v| v.list())),
+            }
+        }
+    }
+
+    #[test]
+    fn replay_refuses_a_grow_past_its_device() {
+        let devs = devices();
+        let v = Volume::new(devs.clone()).unwrap();
+        let f = v.create_file(empty("g")).unwrap();
+        f.write_record(0, &[1; 512]).unwrap();
+        let gen = v.meta_status().generation;
+        v.abandon();
+        drop((f, v));
+        // The journal holds the create and its one grow: move the
+        // grow's extent on device 0 past the device.
+        let mut grown = crate::codec::decode_record(&journal_record(&devs, 1)).unwrap();
+        let crate::journal::Record::Grow { slots, .. } = &mut grown else {
+            panic!("the second record is the grow")
+        };
+        slots[0][0].start = 1024;
+        let at = super::journal_start(super::meta_blocks(512, 1024)) + 1;
+        let image = crate::frame::frame(gen, 1, &crate::codec::encode_record(&grown), 512);
+        devs[0].write_blocks_at(at, &image).unwrap();
+        match Volume::mount(devs) {
+            Err(FsError::Meta(msg)) => assert!(msg.contains("does not fit device 0"), "{msg}"),
+            other => panic!("replayed past the device: {:?}", other.map(|v| v.list())),
+        }
+    }
+
+    /// The payload of journal record `seq`, each record one block.
+    fn journal_record(devs: &[DeviceRef], seq: u64) -> Vec<u8> {
+        let at = super::journal_start(super::meta_blocks(512, 1024)) + seq;
+        let mut block = vec![0u8; 512];
+        devs[0].read_blocks_at(at, &mut block).unwrap();
+        let image = crate::frame::unframe(&block).expect("an intact record");
+        assert_eq!(image.seq, seq);
+        image.payload.to_vec()
     }
 
     /// A striped file of no records over the three devices.
@@ -567,7 +748,7 @@ mod tests {
         let torn = (synced + 1) % 2 * slot;
         let mut head = vec![0u8; 512];
         devs[0].read_blocks_at(torn, &mut head).unwrap();
-        assert_eq!(&head[..8], b"PARIOFS3");
+        assert_eq!(&head[..8], b"PARIOFS4");
         assert_eq!(head[12..20], (synced + 1).to_le_bytes());
 
         let v = Volume::mount(devs).unwrap();

@@ -266,13 +266,13 @@ impl Volume {
         }
         let sizes: Vec<u64> = devices.iter().map(|d| d.num_blocks()).collect();
         let mut free = Allocator::with_sizes(&sizes);
-        free.reserve(
-            0,
-            Extent {
-                start: 0,
-                len: meta_blocks,
-            },
-        );
+        let region = Extent {
+            start: 0,
+            len: meta_blocks,
+        };
+        let reserved = free.reserve(0, region);
+        // invariant: a fresh allocator, and device 0 outlasts the region (checked above).
+        reserved.expect("the meta region fits device 0");
         // The executor: one persistent worker per device. Dropping the
         // IoNode struct is fine — the handle's sender keeps the worker
         // alive until the volume is dropped.
@@ -498,25 +498,8 @@ impl Volume {
 
     /// Create a file per `spec` and open it.
     pub fn create_file(&self, spec: FileSpec) -> Result<RawFile> {
-        self.validate_spec(&spec)?;
-        let nslots = spec.layout.devices_required();
-        let device_map = match &spec.device_map {
-            Some(m) => m.clone(),
-            None => (0..nslots).collect(),
-        };
-        let meta = FileMeta {
-            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed), // ordering: id allocation needs uniqueness, not ordering
-            name: spec.name.clone(),
-            record_size: spec.record_size,
-            records_per_block: spec.records_per_block,
-            len_records: 0,
-            layout: spec.layout.clone(),
-            org: spec.org.clone(),
-            device_map,
-            fixed_capacity_records: spec.fixed_capacity_records,
-            nblocks: 0,
-            extents: vec![Vec::new(); nslots],
-        };
+        let mut meta = self.new_meta(&spec)?;
+        meta.id = self.inner.next_id.fetch_add(1, Ordering::Relaxed); // ordering: id allocation needs uniqueness, not ordering
         let id = meta.id;
         let state = Arc::new(FileState::new(meta));
         // The checkpoint barrier spans [directory insert, journal
@@ -552,16 +535,11 @@ impl Volume {
         // never see a partial total (their mapping is sized at creation).
         // Fixed-size partitioned layouts preallocate the full mapping
         // (their bounds may round capacity up to whole file blocks).
-        let lblocks = match (&spec.layout, spec.fixed_capacity_records) {
-            (LayoutSpec::Partitioned { bounds, .. }, Some(_)) => {
-                // invariant: partitioned bounds are validated non-empty at create().
-                *bounds.last().expect("validated non-empty")
-            }
-            (_, Some(cap)) => (cap * spec.record_size as u64).div_ceil(self.block_size() as u64),
-            (_, None) => {
-                (spec.initial_records * spec.record_size as u64).div_ceil(self.block_size() as u64)
-            }
-        };
+        let bs = self.block_size();
+        let cap = state.meta.read().capacity_blocks(bs);
+        let lblocks = cap.unwrap_or_else(|| {
+            (spec.initial_records * spec.record_size as u64).div_ceil(bs as u64)
+        });
         if lblocks > 0 {
             if let Err(e) = self.grow_file(&state, lblocks) {
                 // Replay must not resurrect the rolled-back create: a
@@ -670,62 +648,36 @@ impl Volume {
         superblock::store(&self.inner)
     }
 
-    fn validate_spec(&self, spec: &FileSpec) -> Result<()> {
-        if spec.record_size == 0 || spec.records_per_block == 0 {
-            return Err(FsError::BadSpec(
-                "record size and records per block must be positive".into(),
-            ));
-        }
-        let nslots = spec.layout.devices_required();
-        if let Some(map) = &spec.device_map {
-            if map.len() != nslots {
+    /// The metadata of the new file `spec` describes, its id not yet
+    /// minted, if it keeps the placement rules ([`check_placement`]);
+    /// by default slot `i` goes to device `i`.
+    fn new_meta(&self, spec: &FileSpec) -> Result<FileMeta> {
+        let nslots = spec.layout.check().map_err(FsError::BadSpec)?;
+        let device_map = match &spec.device_map {
+            Some(map) => map.clone(),
+            None if nslots > self.num_devices() => {
                 return Err(FsError::BadSpec(format!(
-                    "device map has {} entries, layout needs {nslots}",
-                    map.len()
-                )));
+                    "layout needs {nslots} devices, volume has {}",
+                    self.num_devices()
+                )))
             }
-            let mut seen = vec![false; self.num_devices()];
-            for &d in map {
-                if d >= self.num_devices() {
-                    return Err(FsError::BadSpec(format!("device {d} does not exist")));
-                }
-                if std::mem::replace(&mut seen[d], true) {
-                    return Err(FsError::BadSpec(format!("device {d} mapped twice")));
-                }
-            }
-        } else if nslots > self.num_devices() {
-            return Err(FsError::BadSpec(format!(
-                "layout needs {nslots} devices, volume has {}",
-                self.num_devices()
-            )));
-        }
-        if let LayoutSpec::Shadowed(inner) = &spec.layout {
-            if matches!(**inner, LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_)) {
-                return Err(FsError::BadSpec(
-                    "a shadow wraps only a plain (striped or partitioned) layout".into(),
-                ));
-            }
-        }
-        if matches!(spec.layout, LayoutSpec::Partitioned { .. })
-            && spec.fixed_capacity_records.is_none()
-        {
-            return Err(FsError::BadSpec(
-                "partitioned layouts require a fixed capacity".into(),
-            ));
-        }
-        if let (LayoutSpec::Partitioned { bounds, .. }, Some(cap)) =
-            (&spec.layout, spec.fixed_capacity_records)
-        {
-            let cap_blocks = (cap * spec.record_size as u64).div_ceil(self.block_size() as u64);
-            // invariant: bounds were validated non-empty earlier in create().
-            let total = *bounds.last().expect("validated non-empty");
-            if total < cap_blocks {
-                return Err(FsError::BadSpec(format!(
-                    "partition bounds cover {total} blocks but capacity needs {cap_blocks}"
-                )));
-            }
-        }
-        Ok(())
+            None => (0..nslots).collect(),
+        };
+        let meta = FileMeta {
+            id: 0,
+            name: spec.name.clone(),
+            record_size: spec.record_size,
+            records_per_block: spec.records_per_block,
+            len_records: 0,
+            layout: spec.layout.clone(),
+            org: spec.org.clone(),
+            device_map,
+            fixed_capacity_records: spec.fixed_capacity_records,
+            nblocks: 0,
+            extents: vec![Vec::new(); nslots],
+        };
+        check_placement(&self.inner, &meta).map_err(FsError::BadSpec)?;
+        Ok(meta)
     }
 
     /// Grow `state`'s allocation to at least `total_lblocks` logical
@@ -765,13 +717,7 @@ impl Volume {
             if total_lblocks <= meta.nblocks {
                 return Ok(());
             }
-            if let Some(cap) = meta.fixed_capacity_records {
-                let cap_blocks = match &meta.layout {
-                    LayoutSpec::Partitioned { bounds, .. } => {
-                        *bounds.last().expect("non-empty bounds") // invariant: partitioned specs persist with non-empty bounds
-                    }
-                    _ => (cap * meta.record_size as u64).div_ceil(self.block_size() as u64),
-                };
+            if let Some(cap_blocks) = meta.capacity_blocks(self.block_size()) {
                 if total_lblocks > cap_blocks {
                     return Err(FsError::CapacityExceeded {
                         requested: total_lblocks,
@@ -921,6 +867,70 @@ fn device_ranges(device_map: &[usize], extents: &[Vec<Extent>]) -> Vec<(usize, u
     let slots = device_map.iter().zip(extents);
     let ranges = slots.flat_map(|(&dev, slot)| slot.iter().map(move |e| (dev, e.start, e.len)));
     ranges.collect()
+}
+
+/// The rules a file's placement keeps, checked at create and again on
+/// every file a mount decodes: records of positive size; a buildable
+/// layout ([`LayoutSpec::check`]) whose every slot maps to a device of
+/// its own; a shadow over a plain layout only; a capacity whose bytes
+/// fit a `u64`; and a partitioned layout, shadowed or not, only at a
+/// fixed capacity its bounds cover.
+pub(crate) fn check_placement(
+    inner: &VolInner,
+    meta: &FileMeta,
+) -> std::result::Result<(), String> {
+    let FileMeta {
+        record_size,
+        records_per_block,
+        ref layout,
+        ref device_map,
+        fixed_capacity_records,
+        ..
+    } = *meta;
+    if record_size == 0 || records_per_block == 0 {
+        return Err("record size and records per block must be positive".into());
+    }
+    let nslots = layout.check()?;
+    if device_map.len() != nslots {
+        return Err(format!(
+            "device map has {} entries, layout needs {nslots}",
+            device_map.len()
+        ));
+    }
+    let mut seen = vec![false; inner.devices.len()];
+    for &d in device_map {
+        let Some(seen) = seen.get_mut(d) else {
+            return Err(format!("device {d} does not exist"));
+        };
+        if std::mem::replace(seen, true) {
+            return Err(format!("device {d} mapped twice"));
+        }
+    }
+    if let LayoutSpec::Shadowed(plain) = layout {
+        if matches!(**plain, LayoutSpec::Parity { .. } | LayoutSpec::Shadowed(_)) {
+            return Err("a shadow wraps only a plain (striped or partitioned) layout".into());
+        }
+    }
+    if let Some(cap) = fixed_capacity_records {
+        if cap.checked_mul(record_size as u64).is_none() {
+            return Err(format!("a capacity of {cap} records overflows"));
+        }
+    }
+    match (meta.partition_bounds(), fixed_capacity_records) {
+        (Some(_), None) => Err("partitioned layouts require a fixed capacity".into()),
+        (Some(bounds), Some(cap)) => {
+            let cap_blocks = (cap * record_size as u64).div_ceil(inner.block_size as u64);
+            // invariant: `LayoutSpec::check` above refused bounds naming no partition.
+            let total = *bounds.last().expect("checked non-empty");
+            if total < cap_blocks {
+                return Err(format!(
+                    "partition bounds cover {total} blocks but capacity needs {cap_blocks}"
+                ));
+            }
+            Ok(())
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Return `extents`, indexed by layout slot, to the allocator.
@@ -1106,6 +1116,33 @@ mod tests {
         let bad = FileSpec::new("x", 64, 1, nested);
         assert!(matches!(v.create_file(bad), Err(FsError::BadSpec(_))));
         assert!(v.open("x").is_err());
+    }
+
+    #[test]
+    fn create_refuses_a_placement_it_cannot_build() {
+        let v = vol();
+        let parted = LayoutSpec::Partitioned {
+            bounds: vec![0, 4, 8],
+            devices: 2,
+        };
+        let mirrored = LayoutSpec::Shadowed(Box::new(parted));
+        let zero_unit = LayoutSpec::Striped {
+            devices: 2,
+            unit: 0,
+        };
+        // Both used to be created: the first write to the mirrored
+        // partitions panicked, and the zero unit panicked the create.
+        for layout in [mirrored.clone(), zero_unit] {
+            let bad = FileSpec::new("x", 512, 1, layout);
+            assert!(matches!(v.create_file(bad), Err(FsError::BadSpec(_))));
+        }
+        let f = v
+            .create_file(FileSpec::new("x", 512, 1, mirrored).fixed_capacity(8))
+            .unwrap();
+        f.write_record(7, &[7; 512]).unwrap();
+        let meta = f.meta_snapshot();
+        assert_eq!(meta.nblocks, 8);
+        assert!(meta.extents.iter().all(|e| extents_len(e) == 4));
     }
 
     #[test]

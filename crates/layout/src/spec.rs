@@ -1,10 +1,8 @@
-//! Serializable layout descriptions.
+//! Plain-data layout descriptions.
 //!
 //! File metadata must persist across mounts, so the file system stores a
-//! [`LayoutSpec`] — a plain-data description — and rebuilds the concrete
-//! [`Layout`] object on open.
-
-use serde::{Deserialize, Serialize};
+//! [`LayoutSpec`] — a plain-data description it encodes itself — and
+//! rebuilds the concrete [`Layout`] object on open.
 
 use crate::parity::{ParityPlacement, ParityStriped};
 use crate::partitioned::Partitioned;
@@ -13,7 +11,7 @@ use crate::striped::Striped;
 use crate::traits::Layout;
 
 /// A plain-data description of a data placement, stored in file metadata.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LayoutSpec {
     /// Round-robin units over `devices` ([`Striped`]).
     Striped {
@@ -60,6 +58,37 @@ impl LayoutSpec {
                 },
             )),
             LayoutSpec::Shadowed(inner) => Box::new(Shadowed::new(inner.build())),
+        }
+    }
+
+    /// The devices [`devices_required`](Self::devices_required) counts,
+    /// or why [`build`](Self::build) would panic on this spec: a device
+    /// count or stripe unit of zero, partition bounds that do not start
+    /// at 0, fall, or name no partition, or a device count past `usize`.
+    pub fn check(&self) -> Result<usize, String> {
+        match self {
+            LayoutSpec::Striped { devices, unit } if *devices == 0 || *unit == 0 => {
+                Err("a stripe needs a device and a unit of at least one block".into())
+            }
+            LayoutSpec::Partitioned { devices: 0, .. }
+            | LayoutSpec::Parity {
+                data_devices: 0, ..
+            } => Err("a layout needs at least one (data) device".into()),
+            LayoutSpec::Partitioned { bounds, .. }
+                if bounds.len() < 2 || bounds[0] != 0 || bounds.windows(2).any(|w| w[0] > w[1]) =>
+            {
+                Err(format!(
+                    "partition bounds {bounds:?} must start at 0, never fall and name a partition"
+                ))
+            }
+            LayoutSpec::Parity { data_devices, .. } => data_devices
+                .checked_add(1)
+                .ok_or_else(|| "too many devices".to_string()),
+            LayoutSpec::Shadowed(inner) => inner
+                .check()?
+                .checked_mul(2)
+                .ok_or_else(|| "too many devices".to_string()),
+            _ => Ok(self.devices_required()),
         }
     }
 
@@ -117,13 +146,33 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let spec = LayoutSpec::Shadowed(Box::new(LayoutSpec::Parity {
+    fn check_refuses_what_build_would_panic_on() {
+        let striped = |devices, unit| LayoutSpec::Striped { devices, unit };
+        let parted = |bounds: Vec<u64>| LayoutSpec::Partitioned { bounds, devices: 2 };
+        assert_eq!(striped(3, 2).check(), Ok(3));
+        assert_eq!(parted(vec![0, 4, 4, 9]).check(), Ok(2));
+        let mirror = LayoutSpec::Shadowed(Box::new(LayoutSpec::Parity {
             data_devices: 3,
-            rotated: false,
+            rotated: true,
         }));
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: LayoutSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(spec, back);
+        assert_eq!(mirror.check(), Ok(8));
+        for bad in [
+            striped(0, 1),
+            striped(2, 0),
+            parted(vec![0]),
+            parted(vec![1, 4]),
+            parted(vec![0, 4, 3]),
+            LayoutSpec::Parity {
+                data_devices: 0,
+                rotated: false,
+            },
+            LayoutSpec::Parity {
+                data_devices: usize::MAX,
+                rotated: false,
+            },
+            LayoutSpec::Shadowed(Box::new(striped(usize::MAX, 1))),
+        ] {
+            assert!(bad.check().is_err(), "{bad:?}");
+        }
     }
 }

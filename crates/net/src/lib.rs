@@ -6,15 +6,17 @@
 //! messages, not shared memory. This crate supplies that boundary for
 //! the in-process [`Server`](pario_server::Server):
 //!
-//! * [`wire`] / [`proto`] — a small length-prefixed, versioned binary
-//!   codec (no serde, no async runtime) carrying the session surface as
-//!   operations, not organizations: one `Open` fixes a handle's view of
-//!   the file (the paper's organizations are views), and one set of
-//!   verbs — next record, record *r*, finish, rewind, SS claims, GDA
-//!   byte-range locks — serves every view that offers them, plus a
-//!   lossless encoding of the typed `ServerError` taxonomy so remote
-//!   callers match on the very same variants. The server decides, from
-//!   the handle, what each verb means and whether a payload fits it.
+//! * [`proto`] over [`wire`] (the tree's one byte codec, shared with
+//!   the file system's meta region) — a small length-prefixed,
+//!   versioned binary protocol (no serde, no async runtime) carrying
+//!   the session surface as operations, not organizations: one `Open`
+//!   fixes a handle's view of the file (the paper's organizations are
+//!   views), and one set of verbs — next record, record *r*, finish,
+//!   rewind, SS claims, GDA byte-range locks — serves every view that
+//!   offers them, plus a lossless encoding of the typed `ServerError`
+//!   taxonomy so remote callers match on the very same variants. The
+//!   server decides, from the handle, what each verb means and whether
+//!   a payload fits it.
 //! * [`frame`] — framing, bounds-checked lengths, and the handshake
 //!   that grants each connection its flow-control credits.
 //! * [`NetServer`] — a listener (TCP or Unix-domain) with **one**
@@ -56,7 +58,10 @@ pub mod proto;
 pub mod reader;
 pub mod server;
 pub mod sock;
-pub mod wire;
+
+/// The byte codec under [`proto`] and [`frame`], shared with the file
+/// system's meta region: [`pario_disk::wire`].
+pub use pario_disk::wire;
 
 pub use client::{NetClient, Pending, RemoteDirect, RemoteHandle, RemoteLock};
 pub use error::{NetError, Result};

@@ -411,9 +411,9 @@ impl Opened {
 /// non-empty latency bucket's `le_nanos` and `count`.
 pub fn encode_server_stats(w: &mut WireWriter, s: &ServerStats) {
     w.u64(s.sessions)
-        .u64(s.in_flight as u64)
-        .u64(s.queue_depth_high_water as u64)
-        .u64(s.wait_high_water as u64)
+        .usize(s.in_flight)
+        .usize(s.queue_depth_high_water)
+        .usize(s.wait_high_water)
         .u64(s.rejected)
         .u64(s.total_admitted)
         .u32(s.latency.len() as u32);
@@ -427,16 +427,12 @@ pub fn encode_server_stats(w: &mut WireWriter, s: &ServerStats) {
 /// [`LATENCY_BUCKETS`] buckets, an empty bucket, or buckets out of
 /// order.
 pub fn decode_server_stats(body: &[u8]) -> WireResult<ServerStats> {
-    fn size(r: &mut WireReader<'_>) -> WireResult<usize> {
-        let v = r.u64()?;
-        usize::try_from(v).map_err(|_| WireError::Malformed(format!("count {v} overflows usize")))
-    }
     let mut r = WireReader::new(body);
     let mut s = ServerStats {
         sessions: r.u64()?,
-        in_flight: size(&mut r)?,
-        queue_depth_high_water: size(&mut r)?,
-        wait_high_water: size(&mut r)?,
+        in_flight: r.usize()?,
+        queue_depth_high_water: r.usize()?,
+        wait_high_water: r.usize()?,
         rejected: r.u64()?,
         total_admitted: r.u64()?,
         latency: Vec::new(),
@@ -521,7 +517,7 @@ pub fn encode_server_error(w: &mut WireWriter, e: &ServerError) {
             w.u8(4).u64(*lo).u64(*hi);
         }
         ServerError::Degraded { device, state } => {
-            w.u8(5).u64(*device as u64).u8(state.wire_tag());
+            w.u8(5).usize(*device).u8(state.wire_tag());
         }
         ServerError::Core(e) => {
             w.u8(6);
@@ -552,7 +548,7 @@ pub fn decode_server_error(r: &mut WireReader<'_>) -> WireResult<ServerError> {
             hi: r.u64()?,
         },
         5 => ServerError::Degraded {
-            device: r.u64()? as usize,
+            device: r.usize()?,
             state: {
                 let tag = r.u8()?;
                 HealthState::from_wire_tag(tag)
@@ -640,7 +636,7 @@ fn encode_fs_error(w: &mut WireWriter, e: &FsError) {
             encode_disk_error(w, e);
         }
         FsError::NoSpace { device, requested } => {
-            w.u8(1).u64(*device as u64).u64(*requested);
+            w.u8(1).usize(*device).u64(*requested);
         }
         FsError::NotFound(name) => {
             w.u8(2).str_prefixed(name);
@@ -673,7 +669,7 @@ fn decode_fs_error(r: &mut WireReader<'_>) -> WireResult<FsError> {
     Ok(match r.u8()? {
         0 => FsError::Disk(decode_disk_error(r)?),
         1 => FsError::NoSpace {
-            device: r.u64()? as usize,
+            device: r.usize()?,
             requested: r.u64()?,
         },
         2 => FsError::NotFound(r.str_prefixed()?),
@@ -707,7 +703,7 @@ fn encode_disk_error(w: &mut WireWriter, e: &DiskError) {
             w.u8(1).u64(*block).u64(*capacity);
         }
         DiskError::BadBufferSize { got, expected } => {
-            w.u8(2).u64(*got as u64).u64(*expected as u64);
+            w.u8(2).usize(*got).usize(*expected);
         }
         DiskError::Corruption { block } => {
             w.u8(3).u64(*block);
@@ -731,8 +727,8 @@ fn decode_disk_error(r: &mut WireReader<'_>) -> WireResult<DiskError> {
             capacity: r.u64()?,
         },
         2 => DiskError::BadBufferSize {
-            got: r.u64()? as usize,
-            expected: r.u64()? as usize,
+            got: r.usize()?,
+            expected: r.usize()?,
         },
         3 => DiskError::Corruption { block: r.u64()? },
         4 => DiskError::Transient {

@@ -9,6 +9,12 @@ use std::sync::Mutex; // R1: std::sync::Mutex on the request path
 use parking_lot::Mutex; // R1: a lock beside pario_check's
 use std::sync::Condvar as _; // R1: std::sync::Condvar
 use std::sync::RwLock as _; // R1: std::sync::RwLock
+use std::sync::{Arc, Mutex}; // R1: a grouped std::sync::Mutex
+use std::sync::{atomic::AtomicU64, Condvar}; // R1 R4: a grouped std::sync::Condvar and raw atomic
+use std::sync::{
+    atomic::{AtomicBool, Ordering}, // R4: a raw atomic in rustfmt's multi-line groups
+    RwLock, // R1: std::sync::RwLock, one group down
+};
 
 struct Node {
     state: Mutex<Vec<u8>>,
@@ -48,8 +54,7 @@ fn worker_serves_under_its_queue(node: &Shared) {
     let _dev = node.device.lock();
 }
 
-// R4: a raw std atomic type, invisible to the race detector.
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::AtomicU64; // R4: a raw std atomic type, invisible to the race detector
 
 fn unjustified_relaxed(n: &AtomicU64) -> u64 {
     // R5: Relaxed with no justification comment.

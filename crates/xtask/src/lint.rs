@@ -84,6 +84,8 @@ pub fn lint_file(path: &Path, text: &str) -> Vec<Finding> {
     // function: (rank, name, line).
     let mut fn_high: Option<(u8, &'static str, usize)> = None;
     let mut prev_line = "";
+    // The groups open in a `use` statement that spans lines.
+    let mut use_groups: Option<Vec<String>> = None;
 
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -108,8 +110,12 @@ pub fn lint_file(path: &Path, text: &str) -> Vec<Finding> {
             fn_high = None;
         }
 
+        // R1 and R4 read a `use` statement's paths with its groups
+        // expanded: `use std::sync::{Arc, Mutex};` names `std::sync::Mutex`.
+        let paths = use_paths(code, &mut use_groups);
+        let scanned = paths.as_deref().unwrap_or(line);
         for (pat, fix) in BANNED_SYNC {
-            if line.contains(pat) {
+            if scanned.contains(pat) {
                 out.push(Finding {
                     rule: "R1",
                     file: file.clone(),
@@ -137,7 +143,7 @@ pub fn lint_file(path: &Path, text: &str) -> Vec<Finding> {
 
         // R4: raw atomic *types* are banned; `std::sync::atomic::Ordering`
         // alone stays legal (the wrappers take the std Ordering enum).
-        if line.contains("std::sync::atomic") && line.contains("Atomic") {
+        if scanned.contains("std::sync::atomic") && scanned.contains("Atomic") {
             out.push(Finding {
                 rule: "R4",
                 file: file.clone(),
@@ -193,6 +199,67 @@ pub fn lint_file(path: &Path, text: &str) -> Vec<Finding> {
         prev_line = raw;
     }
     out
+}
+
+/// The paths one line of a `use` statement names, space-separated,
+/// each group expanded against the groups still open (`groups`, which
+/// is `Some` while a statement spans lines, one group level a line as
+/// rustfmt writes it): `atomic::{AtomicU64, Ordering},` inside
+/// `use std::sync::{` names `std::sync::atomic::AtomicU64` and
+/// `std::sync::atomic::Ordering`. `None` for a line outside any `use`.
+fn use_paths(code: &str, groups: &mut Option<Vec<String>>) -> Option<String> {
+    let text = match groups {
+        Some(_) => code,
+        None => ["use ", "pub use ", "pub(crate) use "]
+            .iter()
+            .find_map(|kw| code.strip_prefix(kw))?,
+    };
+    let open = groups.get_or_insert_with(Vec::new);
+    let prefix = open.last().cloned().unwrap_or_default();
+    let mut paths = String::new();
+    if let Some(head) = text.strip_suffix('{') {
+        open.push(format!("{prefix}{head}"));
+    } else if text.starts_with('}') {
+        open.pop();
+    } else {
+        expand(&prefix, text.trim_end_matches([',', ';']), &mut paths);
+    }
+    if open.is_empty() && text.ends_with(';') {
+        *groups = None;
+    }
+    Some(paths)
+}
+
+/// Append to `out` the path of each item of the `use` list `list`
+/// (items split at top-level commas), nested groups expanded, under
+/// `prefix`.
+fn expand(prefix: &str, list: &str, out: &mut String) {
+    let mut depth = 0;
+    let mut start = 0;
+    for (i, c) in list.char_indices().chain([(list.len(), ',')]) {
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            ',' if depth == 0 => {
+                let item = list[start..i].trim();
+                start = i + 1;
+                match (item.find('{'), item.rfind('}')) {
+                    (Some(open), Some(close)) if open < close => expand(
+                        &format!("{prefix}{}", &item[..open]),
+                        &item[open + 1..close],
+                        out,
+                    ),
+                    _ if item.is_empty() => {}
+                    _ => {
+                        out.push_str(prefix);
+                        out.push_str(item);
+                        out.push(' ');
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Drop a trailing `//` comment (string literals with `//` in them are
@@ -266,6 +333,27 @@ mod tests {
         assert!(
             lint("use std::sync::atomic::Ordering;\n").is_empty(),
             "importing just the Ordering enum is legal"
+        );
+    }
+
+    #[test]
+    fn grouped_imports_are_expanded_before_matching() {
+        let rules = |text: &str| {
+            lint(text)
+                .iter()
+                .map(|f| (f.rule, f.line))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rules("use std::sync::{Arc, Mutex};\n"), [("R1", 1)]);
+        assert_eq!(
+            rules("use std::sync::{atomic::AtomicU64, Condvar};\n"),
+            [("R1", 1), ("R4", 1)]
+        );
+        let spread = "use std::sync::{\n    atomic::{AtomicBool, Ordering},\n    Arc, RwLock,\n};\nfn f() {}\n";
+        assert_eq!(rules(spread), [("R4", 2), ("R1", 3)]);
+        assert!(
+            lint("use std::sync::{atomic::Ordering, Arc};\nuse std::sync::{\n    Arc,\n};\n")
+                .is_empty()
         );
     }
 

@@ -117,16 +117,22 @@ fn self_test(root: &Path) -> ExitCode {
             println!("xtask lint --self-test: {rule} fired {n}x on the fixture");
         }
     }
-    // Each fixture line marked `// R1` is one banned pattern and must
-    // be flagged itself, so a pattern dropped from the ban fails here.
+    // Each fixture line marked `// R1` or `// R4` (`// R1 R4`: both)
+    // is one banned pattern and must be flagged itself, so a pattern
+    // dropped from the ban, or a form of import the scan stops seeing
+    // through, fails here.
     for (i, line) in text.lines().enumerate() {
-        if line.contains("// R1") && !findings.iter().any(|f| f.rule == "R1" && f.line == i + 1) {
-            eprintln!(
-                "xtask lint --self-test: R1 did not flag fixture line {}: {}",
-                i + 1,
-                line.trim()
-            );
-            ok = false;
+        let marks = line.split_once("// ").map_or("", |(_, comment)| comment);
+        for rule in ["R1", "R4"] {
+            let marked = marks.split([' ', ':']).any(|w| w == rule);
+            if marked && !findings.iter().any(|f| f.rule == rule && f.line == i + 1) {
+                eprintln!(
+                    "xtask lint --self-test: {rule} did not flag fixture line {}: {}",
+                    i + 1,
+                    line.trim()
+                );
+                ok = false;
+            }
         }
     }
     let clean = "fn fine() { let x = Some(1); if let Some(v) = x { drop(v); } }\n";
